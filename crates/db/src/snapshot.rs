@@ -89,16 +89,19 @@ pub fn restore(bytes: &[u8]) -> Result<Database, SnapshotError> {
         return Err(SnapshotError::BadVersion(version));
     }
     let mut db = Database::new();
-    let tables = r.u32()?;
+    // Every count is checked against the bytes left before anything is
+    // allocated or looped over for it: a table is at least three length
+    // fields, a column name one, a cell a tag and a length.
+    let tables = r.count(12)?;
     for _ in 0..tables {
         let name = r.string()?;
-        let ncols = r.u32()? as usize;
+        let ncols = r.count(4)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             columns.push(r.string()?);
         }
         db.create_table_raw(&name, columns.clone());
-        let nrows = r.u32()? as usize;
+        let nrows = r.count(ncols * 5)?;
         for _ in 0..nrows {
             let mut row: Row = Vec::with_capacity(ncols);
             for _ in 0..ncols {
@@ -161,6 +164,17 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
+    }
+
+    /// Reads a count of items that take at least `min_bytes` each (a
+    /// zero-width item still counts one byte, so no count outruns the
+    /// input), rejecting one the rest of the buffer cannot hold.
+    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize, SnapshotError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_bytes.max(1)) > self.bytes.len() - self.pos {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
     }
 
     pub(crate) fn string(&mut self) -> Result<String, SnapshotError> {
@@ -251,6 +265,28 @@ mod tests {
         let tag_pos = good.len() - 1 - good.iter().rev().position(|&b| b == 2).unwrap();
         bad_tag[tag_pos] = 9;
         assert!(restore(&bad_tag).is_err());
+    }
+
+    #[test]
+    fn oversized_counts_are_rejected_before_allocating() {
+        // The header a byte flip produced on the CI host: one table whose
+        // column count asks for 38,300,815,416 bytes of `String`s.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        put_u32(&mut bytes, VERSION);
+        put_u32(&mut bytes, 1);
+        put_str(&mut bytes, "t");
+        put_u32(&mut bytes, 0x5F1F_00AD);
+        assert_eq!(restore(&bytes).err(), Some(SnapshotError::Truncated));
+        // Same for the table count, and for the row count of a table whose
+        // rows are zero bytes wide (which would otherwise loop 2³² times).
+        let mut many_tables = bytes[..8].to_vec();
+        put_u32(&mut many_tables, u32::MAX);
+        assert_eq!(restore(&many_tables).err(), Some(SnapshotError::Truncated));
+        let mut many_rows = bytes[..bytes.len() - 4].to_vec();
+        put_u32(&mut many_rows, 0);
+        put_u32(&mut many_rows, u32::MAX);
+        assert_eq!(restore(&many_rows).err(), Some(SnapshotError::Truncated));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! there is nothing to invalidate, and a covert-channel regression test
 //! pins that cached and uncached runs drop exactly the same messages.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -338,6 +339,16 @@ impl DeliveryCache {
 // The delivery engine.
 // ---------------------------------------------------------------------
 
+/// The `Arc` to install for a label operation's result: the one already
+/// `held` when the operation handed that very label back (nothing changed,
+/// nothing is allocated), a fresh one otherwise.
+pub(crate) fn keep_or_wrap(held: &Arc<Label>, result: Cow<'_, Label>) -> Arc<Label> {
+    match result {
+        Cow::Borrowed(label) if std::ptr::eq(label, &**held) => Arc::clone(held),
+        other => Arc::new(other.into_owned()),
+    }
+}
+
 impl KernelShard {
     /// Attempts one message delivery and reports what happened.
     ///
@@ -442,7 +453,7 @@ impl KernelShard {
         };
 
         // Borrow (never clone) every label the evaluation reads.
-        let (qs, qr): (&Label, &Label) = match existing_ep {
+        let (qs, qr): (&Arc<Label>, &Arc<Label>) = match existing_ep {
             Some(eid) => (
                 &self.eps[eid.index()].send_label,
                 &self.eps[eid.index()].recv_label,
@@ -481,9 +492,11 @@ impl KernelShard {
                     // Figure 4 requirement (1): E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R.
                     CachedOutcome::Drop(DropReason::LabelCheck)
                 } else {
-                    // Figure 4 effects.
-                    let new_qs = Arc::new(ops::apply_receive_contamination(qs, &qm.ds, &qm.es));
-                    let new_qr = Arc::new(ops::apply_receive_decontamination(qr, &qm.dr));
+                    // Figure 4 effects; an effect that changes nothing keeps
+                    // the `Arc` the receiver already holds.
+                    let new_qs =
+                        keep_or_wrap(qs, ops::apply_receive_contamination(qs, &qm.ds, &qm.es));
+                    let new_qr = keep_or_wrap(qr, ops::apply_receive_decontamination(qr, &qm.dr));
                     let effect_work = ops::op_work(&[qs, &qm.ds, &qm.es, &qm.dr]) + 1;
                     self.clock.charge(
                         Category::KernelIpc,

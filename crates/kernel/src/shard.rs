@@ -26,7 +26,7 @@ use asbestos_labels::{ops, Handle, Label};
 
 use crate::backpressure::{Backpressure, SendVerdict};
 use crate::cycles::{Category, CostModel, CycleClock};
-use crate::delivery::{default_cache_cap, DeliveryCache, Mailboxes};
+use crate::delivery::{default_cache_cap, keep_or_wrap, DeliveryCache, Mailboxes};
 use crate::event_process::EventProcess;
 use crate::handle_table::{HandleTable, PortOwner, Vnode, VnodeKind};
 use crate::ids::{EpId, ExecCtx, ProcessId};
@@ -471,16 +471,11 @@ impl KernelShard {
 
         // E_S = P_S ⊔ C_S, snapshotted now; delivery checks happen when the
         // receiver is scheduled (§4: delivery is decided at receive time).
-        // A no-op C_S — the common case — shares P_S by reference, which
-        // also keeps E_S's fingerprint stable across sends and is what
-        // makes the delivery cache hit for repeated traffic.
-        // (`is_all_star` implies uniform: entries at the default level are
-        // normalized away, so an all-star label has no explicit entries.)
-        let es = if args.contaminate.is_all_star() {
-            Arc::clone(ps)
-        } else {
-            Arc::new(ops::effective_send(ps, &args.contaminate))
-        };
+        // A C_S that adds nothing — the common case — shares P_S by
+        // reference, which also keeps E_S's fingerprint stable across
+        // sends and is what makes the delivery cache hit for repeated
+        // traffic.
+        let es = keep_or_wrap(ps, ops::effective_send(ps, &args.contaminate));
 
         let qm = QueuedMessage {
             port,

@@ -1,9 +1,12 @@
 //! The system-call surface handed to running services.
 
+use std::sync::Arc;
+
 use asbestos_labels::{Handle, Label, Level};
 
 use crate::backpressure::SendVerdict;
 use crate::cycles::Category;
+use crate::delivery::keep_or_wrap;
 use crate::error::{SysError, SysResult};
 use crate::handle_table::PortOwner;
 use crate::ids::{EpId, ExecCtx, ProcessId};
@@ -110,7 +113,9 @@ impl<'k> Sys<'k> {
         self.shard
             .clock
             .charge(Category::KernelIpc, self.shard.cost.new_handle);
-        self.with_send_label(|l| l.set(h, Level::Star));
+        // `make_mut` takes a private copy only when the storage is shared
+        // (with an event process, a queued message, or a cache entry).
+        Arc::make_mut(self.send_slot()).set(h, Level::Star);
         h
     }
 
@@ -128,7 +133,7 @@ impl<'k> Sys<'k> {
         self.shard
             .clock
             .charge(Category::KernelIpc, self.shard.cost.new_port);
-        self.with_send_label(|l| l.set(p, Level::Star));
+        Arc::make_mut(self.send_slot()).set(p, Level::Star);
         if let Some(eid) = self.ctx.ep {
             self.shard.eps[eid.index()].ports.push(p);
         }
@@ -174,23 +179,22 @@ impl<'k> Sys<'k> {
 
     /// The caller's current send label `P_S`.
     pub fn send_label(&self) -> Label {
-        match self.ctx.ep {
-            Some(eid) => (*self.shard.eps[eid.index()].send_label).clone(),
-            None => (*self.shard.processes[self.ctx.pid.index()].send_label).clone(),
-        }
+        Label::clone(self.send_ref())
     }
 
     /// The caller's current receive label `P_R`.
     pub fn recv_label(&self) -> Label {
-        match self.ctx.ep {
-            Some(eid) => (*self.shard.eps[eid.index()].recv_label).clone(),
-            None => (*self.shard.processes[self.ctx.pid.index()].recv_label).clone(),
-        }
+        Label::clone(self.recv_ref())
+    }
+
+    /// `P_S(h)`: one level of the caller's send label, read in place.
+    pub fn send_level(&self, h: Handle) -> Level {
+        self.send_ref().get(h)
     }
 
     /// Whether the caller holds declassification privilege for `h`.
     pub fn has_star(&self, h: Handle) -> bool {
-        self.send_label().get(h) == Level::Star
+        self.send_level(h) == Level::Star
     }
 
     /// Self-contamination: `P_S ← P_S ⊔ label`. Raising one's own send
@@ -198,30 +202,31 @@ impl<'k> Sys<'k> {
     /// variant of the send system call" for discarding `⋆` levels, since
     /// `max(⋆, ℓ) = ℓ`.
     pub fn self_contaminate(&mut self, label: &Label) {
-        let new = self.send_label().lub(label);
-        self.with_send_label(|l| *l = new.clone());
+        let slot = self.send_slot();
+        let raised = keep_or_wrap(slot, slot.join(label));
+        *slot = raised;
     }
 
     /// Voluntarily lowers the receive label: `P_R ← P_R ⊓ label`. Making a
     /// process more restrictive requires no privilege (§5.2's targeted
     /// exclusion policies use this).
     pub fn lower_recv_label(&mut self, label: &Label) {
-        let new = self.recv_label().glb(label);
-        self.with_recv_label(|l| *l = new.clone());
+        let slot = self.recv_slot();
+        let lowered = keep_or_wrap(slot, slot.meet(label));
+        *slot = lowered;
     }
 
     /// Raises the receive level for one handle; requires `P_S(h) = ⋆`
     /// (raising receive labels makes the system more permissive, §5.2, and
     /// is self-decontamination in Figure 4's terms).
     pub fn raise_recv(&mut self, h: Handle, level: Level) -> SysResult<()> {
-        if level > self.recv_label().get(h) && !self.has_star(h) {
+        if level <= self.recv_ref().get(h) {
+            return Ok(());
+        }
+        if !self.has_star(h) {
             return Err(SysError::PrivilegeViolation);
         }
-        self.with_recv_label(|l| {
-            if level > l.get(h) {
-                l.set(h, level);
-            }
-        });
+        Arc::make_mut(self.recv_slot()).set(h, level);
         Ok(())
     }
 
@@ -478,27 +483,31 @@ impl<'k> Sys<'k> {
     // Internals.
     // ------------------------------------------------------------------
 
-    fn with_send_label(&mut self, f: impl FnOnce(&mut Label)) {
-        // `make_mut` takes a private copy only when the storage is shared
-        // (with an event process, a queued message, or a cache entry).
+    fn send_ref(&self) -> &Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => f(std::sync::Arc::make_mut(
-                &mut self.shard.eps[eid.index()].send_label,
-            )),
-            None => f(std::sync::Arc::make_mut(
-                &mut self.shard.processes[self.ctx.pid.index()].send_label,
-            )),
+            Some(eid) => &self.shard.eps[eid.index()].send_label,
+            None => &self.shard.processes[self.ctx.pid.index()].send_label,
         }
     }
 
-    fn with_recv_label(&mut self, f: impl FnOnce(&mut Label)) {
+    fn recv_ref(&self) -> &Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => f(std::sync::Arc::make_mut(
-                &mut self.shard.eps[eid.index()].recv_label,
-            )),
-            None => f(std::sync::Arc::make_mut(
-                &mut self.shard.processes[self.ctx.pid.index()].recv_label,
-            )),
+            Some(eid) => &self.shard.eps[eid.index()].recv_label,
+            None => &self.shard.processes[self.ctx.pid.index()].recv_label,
+        }
+    }
+
+    fn send_slot(&mut self) -> &mut Arc<Label> {
+        match self.ctx.ep {
+            Some(eid) => &mut self.shard.eps[eid.index()].send_label,
+            None => &mut self.shard.processes[self.ctx.pid.index()].send_label,
+        }
+    }
+
+    fn recv_slot(&mut self) -> &mut Arc<Label> {
+        match self.ctx.ep {
+            Some(eid) => &mut self.shard.eps[eid.index()].recv_label,
+            None => &mut self.shard.processes[self.ctx.pid.index()].recv_label,
         }
     }
 

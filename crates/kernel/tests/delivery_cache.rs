@@ -419,6 +419,83 @@ fn cache_hit_delivery_does_zero_label_clones() {
     assert_eq!(kernel.stats().delivered, 2);
 }
 
+/// A *miss* whose Figure 4 effects change nothing re-installs the `Arc`s
+/// the receiver already holds: the full evaluation runs, but no label is
+/// cloned and no chunk allocated, however large the receiver's labels.
+#[test]
+fn unchanged_effects_on_a_miss_clone_and_allocate_nothing() {
+    use asbestos_labels::chunk::Chunk;
+
+    let mut kernel = Kernel::new(7);
+    let sink = kernel.spawn(
+        "sink",
+        Category::Other,
+        service_with_start(
+            |sys| {
+                let p = sys.new_port(Label::top());
+                sys.set_port_label(p, Label::top()).unwrap();
+                sys.publish_env("sink.port", Value::Handle(p));
+            },
+            |_sys, _msg| {},
+        ),
+    );
+    let port = kernel.global_env("sink.port").unwrap().as_handle().unwrap();
+    // A front-end-sized send label: the sink controls 774 compartments, so
+    // contamination in any of them leaves it where it is (§5.3).
+    let held: Vec<Handle> = (0..774)
+        .map(|i| Handle::from_raw(0x9000 + 37 * i))
+        .collect();
+    let stars: Vec<(Handle, Level)> = held.iter().map(|&h| (h, Level::Star)).collect();
+    kernel.set_process_labels(
+        sink,
+        Some(Label::from_pairs(Level::L1, &stars)),
+        Some(Label::top()),
+    );
+    // Each message is contaminated in a different one of them: a new E_S,
+    // so a new cache key, every time.
+    kernel.spawn(
+        "source",
+        Category::Other,
+        service_with_start(
+            |sys| {
+                let p = sys.new_port(Label::top());
+                sys.set_port_label(p, Label::top()).unwrap();
+                sys.publish_env("source.port", Value::Handle(p));
+            },
+            move |sys, msg| {
+                let taint = Handle::from_raw(msg.body.as_u64().unwrap());
+                let args = SendArgs::new()
+                    .contaminate(Label::from_pairs(Level::Star, &[(taint, Level::L3)]));
+                sys.send_args(port, Value::Unit, &args).unwrap();
+            },
+        ),
+    );
+    let source = kernel
+        .global_env("source.port")
+        .unwrap()
+        .as_handle()
+        .unwrap();
+
+    for &taint in &held[..5] {
+        kernel.inject(source, Value::U64(taint.raw()));
+        assert!(kernel.step(), "source runs and sends");
+        let before = (
+            kernel.stats().cache_misses,
+            Label::clone_count(),
+            Chunk::alloc_count(),
+        );
+        assert!(kernel.step(), "sink receives");
+        let after = (
+            kernel.stats().cache_misses,
+            Label::clone_count(),
+            Chunk::alloc_count(),
+        );
+        assert_eq!(after, (before.0 + 1, before.1, before.2));
+    }
+    assert_eq!(kernel.stats().delivered, 10);
+    assert_eq!(kernel.stats().dropped_total(), 0);
+}
+
 #[test]
 fn cache_memory_is_accounted() {
     let mut kernel = Kernel::new(3);

@@ -13,9 +13,11 @@
 //!   counter, which a rebuilt pool would reset, and through the host's
 //!   thread count).
 //!
-//! Thread counts are read from `/proc/self/task`; a file-local lock
-//! serializes these tests so concurrent tests in this binary cannot
-//! perturb the counts.
+//! Thread counts are read from `/proc/self/task`, counting only the
+//! pool's own (named) workers: the test harness starts and retires its
+//! threads whenever it likes, so a count of *all* tasks races with it. A
+//! file-local lock serializes these tests so only one pool is alive at a
+//! time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -33,9 +35,18 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Live threads in this process (tasks in `/proc/self/task`).
+/// Live pool workers in this process: tasks in `/proc/self/task` whose
+/// name is the pool's (`asbestos-shard-worker-N`, which the kernel cuts to
+/// 15 bytes).
 fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(0, |dir| dir.count())
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .filter(|name| name.starts_with("asbestos-shard"))
+        .count()
 }
 
 /// Waits (briefly) for the thread count to settle at `expected`.

@@ -11,12 +11,24 @@
 //! the upper bits and the level into the low 3 bits, exactly the user-space
 //! label format the paper describes in §5.6.
 
+use std::cell::Cell;
+
 use crate::fingerprint::ChunkDigest;
 use crate::handle::Handle;
-use crate::level::Level;
+use crate::level::{Level, LevelSet};
 
 /// Maximum number of entries per chunk (§5.6: "up to 64 vnode pointers").
 pub const CHUNK_CAP: usize = 64;
+
+thread_local! {
+    /// Per-thread count of chunks allocated (monotonic): built from
+    /// entries, or copied by a copy-on-write mutation.
+    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+}
 
 /// Packs a raw handle value and level into a 64-bit label entry.
 #[inline]
@@ -48,24 +60,41 @@ pub fn entry_level(packed: u64) -> Level {
     }
 }
 
-/// A sorted run of up to [`CHUNK_CAP`] packed entries with cached level bounds.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A sorted run of up to [`CHUNK_CAP`] packed entries marked with the levels
+/// they hold.
+#[derive(PartialEq, Eq, Debug)]
 pub struct Chunk {
     /// Packed entries, strictly ascending by handle.
     entries: Vec<u64>,
-    /// Minimum level over the entries.
-    min_level: Level,
-    /// Maximum level over the entries.
-    max_level: Level,
+    /// The levels of the entries.
+    levels: LevelSet,
     /// Cached partial fingerprint over the packed entries; labels combine
     /// chunk digests in O(chunks) (see [`crate::fingerprint`]).
     digest: ChunkDigest,
 }
 
+impl Clone for Chunk {
+    fn clone(&self) -> Chunk {
+        count_alloc();
+        Chunk {
+            entries: self.entries.clone(),
+            ..*self
+        }
+    }
+}
+
 impl Chunk {
+    /// Total chunks allocated on the current thread. A test observability
+    /// hook like `Label::clone_count`: an operation that promises to share
+    /// chunks is checked by diffing this counter around it.
+    pub fn alloc_count() -> u64 {
+        ALLOC_COUNT.with(Cell::get)
+    }
+
     /// Builds a chunk from packed entries (must be non-empty, sorted strictly
     /// ascending by handle, and at most [`CHUNK_CAP`] long).
     pub fn from_entries(entries: Vec<u64>) -> Chunk {
+        count_alloc();
         debug_assert!(!entries.is_empty());
         debug_assert!(entries.len() <= CHUNK_CAP);
         debug_assert!(entries
@@ -73,29 +102,30 @@ impl Chunk {
             .all(|w| entry_handle(w[0]) < entry_handle(w[1])));
         let mut c = Chunk {
             entries,
-            min_level: Level::L3,
-            max_level: Level::Star,
+            levels: LevelSet::EMPTY,
             digest: ChunkDigest::EMPTY,
         };
         c.recompute_bounds();
         c
     }
 
-    /// Recomputes the cached min/max levels and fingerprint digest after a
+    /// Recomputes the cached level marks and fingerprint digest after a
     /// mutation.
     pub fn recompute_bounds(&mut self) {
-        let mut min = Level::L3;
-        let mut max = Level::Star;
+        let mut levels = LevelSet::EMPTY;
         let mut digest = ChunkDigest::EMPTY;
         for &e in &self.entries {
-            let lv = entry_level(e);
-            min = min.min(lv);
-            max = max.max(lv);
+            levels = levels.union(LevelSet::of(entry_level(e)));
             digest.push(e);
         }
-        self.min_level = min;
-        self.max_level = max;
+        self.levels = levels;
         self.digest = digest;
+    }
+
+    /// The levels the entries hold.
+    #[inline]
+    pub fn levels(&self) -> LevelSet {
+        self.levels
     }
 
     /// The cached fingerprint digest over the packed entries.
@@ -144,13 +174,13 @@ impl Chunk {
     /// Minimum level over the entries.
     #[inline]
     pub fn min_level(&self) -> Level {
-        self.min_level
+        self.levels.min().expect("chunks are non-empty")
     }
 
     /// Maximum level over the entries.
     #[inline]
     pub fn max_level(&self) -> Level {
-        self.max_level
+        self.levels.max().expect("chunks are non-empty")
     }
 
     /// Looks up the level for a raw handle value, if present.

@@ -1,14 +1,15 @@
 //! The [`Label`] type: a function from handles to levels (§5.1, §5.6).
 
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::chunk::{entry_handle, entry_level, pack, Chunk, CHUNK_CAP};
 use crate::fingerprint::label_fingerprint;
 use crate::handle::Handle;
-use crate::level::Level;
+use crate::level::{Level, LevelSet};
+use crate::merge;
 
 thread_local! {
     /// Per-thread count of [`Label::clone`] calls (monotonic).
@@ -63,10 +64,8 @@ pub struct Label {
     default: Level,
     /// Total explicit entries across chunks.
     len: usize,
-    /// Minimum level over entries and default.
-    min_level: Level,
-    /// Maximum level over entries and default.
-    max_level: Level,
+    /// Every level the label takes: the chunks' marks and the default.
+    levels: LevelSet,
     /// Cached structural fingerprint (see [`crate::fingerprint`]):
     /// a 64-bit identity of the logical contents, independent of chunk
     /// boundaries, recombined from per-chunk digests on every mutation.
@@ -80,8 +79,7 @@ impl Clone for Label {
             chunks: self.chunks.clone(),
             default: self.default,
             len: self.len,
-            min_level: self.min_level,
-            max_level: self.max_level,
+            levels: self.levels,
             fp: self.fp,
         }
     }
@@ -94,8 +92,7 @@ impl Label {
             chunks: Vec::new(),
             default,
             len: 0,
-            min_level: default,
-            max_level: default,
+            levels: LevelSet::of(default),
             fp: label_fingerprint(default, 0, std::iter::empty()),
         }
     }
@@ -184,20 +181,26 @@ impl Label {
     /// Minimum level over all handles (entries and default).
     #[inline]
     pub fn min_level(&self) -> Level {
-        self.min_level
+        self.levels.min().expect("holds the default")
     }
 
     /// Maximum level over all handles (entries and default).
     #[inline]
     pub fn max_level(&self) -> Level {
-        self.max_level
+        self.levels.max().expect("holds the default")
+    }
+
+    /// Every level the label takes, over entries and default.
+    #[inline]
+    pub fn levels(&self) -> LevelSet {
+        self.levels
     }
 
     /// Whether every handle maps to `⋆` (needed for the Figure 4 privilege
     /// checks when a decontamination label has a privileged *default*).
     #[inline]
     pub fn is_all_star(&self) -> bool {
-        self.max_level == Level::Star
+        self.levels == LevelSet::of(Level::Star)
     }
 
     /// The label's 64-bit structural fingerprint: a probabilistically
@@ -258,134 +261,85 @@ impl Label {
     /// all handles `h`.
     pub fn leq(&self, other: &Label) -> bool {
         // Fast path from §5.6 via the cached bounds.
-        if self.max_level <= other.min_level {
-            return true;
-        }
-        if self.default > other.default {
-            // Infinitely many handles carry the defaults.
-            return false;
-        }
-        let mut a = self.iter().peekable();
-        let mut b = other.iter().peekable();
-        loop {
-            match (a.peek().copied(), b.peek().copied()) {
-                (None, None) => return true,
-                (Some((_, la)), None) => {
-                    if la > other.default {
-                        return false;
-                    }
-                    a.next();
-                }
-                (None, Some((_, lb))) => {
-                    if self.default > lb {
-                        return false;
-                    }
-                    b.next();
-                }
-                (Some((ha, la)), Some((hb, lb))) => match ha.cmp(&hb) {
-                    Ordering::Less => {
-                        if la > other.default {
-                            return false;
-                        }
-                        a.next();
-                    }
-                    Ordering::Greater => {
-                        if self.default > lb {
-                            return false;
-                        }
-                        b.next();
-                    }
-                    Ordering::Equal => {
-                        if la > lb {
-                            return false;
-                        }
-                        a.next();
-                        b.next();
-                    }
-                },
-            }
-        }
+        self.max_level() <= other.min_level() || merge::all([self, other], |[a, b]| a <= b)
     }
 
     /// The least upper bound `self ⊔ other`:
     /// `(L₁ ⊔ L₂)(h) = max(L₁(h), L₂(h))`.
     pub fn lub(&self, other: &Label) -> Label {
-        // §5.6 fast path: if L₂'s maximum level is no larger than L₁'s
-        // minimum level, then L₁ ⊔ L₂ = L₁ by definition.
-        if other.max_level <= self.min_level {
-            return self.clone();
-        }
-        if self.max_level <= other.min_level {
-            return other.clone();
-        }
-        self.combine(other, Level::max)
+        self.join(other).into_owned()
     }
 
     /// The greatest lower bound `self ⊓ other`:
     /// `(L₁ ⊓ L₂)(h) = min(L₁(h), L₂(h))`.
     pub fn glb(&self, other: &Label) -> Label {
-        if self.max_level <= other.min_level {
-            return self.clone();
+        self.meet(other).into_owned()
+    }
+
+    /// `self ⊔ other`, handing back the operand itself when the join *is*
+    /// that operand (`L₁ ⊔ L₂ = L₁` iff `L₂ ⊑ L₁`, of which §5.6's
+    /// "`L₂`'s maximum level is no larger than `L₁`'s minimum" is the O(1)
+    /// case). Callers that hold the operand behind an `Arc` keep it instead
+    /// of allocating; a new label shares every chunk the join left alone.
+    pub fn join<'a>(&'a self, other: &'a Label) -> Cow<'a, Label> {
+        if other.leq(self) {
+            Cow::Borrowed(self)
+        } else if self.leq(other) {
+            Cow::Borrowed(other)
+        } else {
+            Cow::Owned(merge::build(
+                [self, other],
+                self.larger_of(other),
+                |[a, b]| a.max(b),
+            ))
         }
-        if other.max_level <= self.min_level {
-            return other.clone();
+    }
+
+    /// `self ⊓ other`, handing back the operand itself when the meet is
+    /// that operand (`L₁ ⊓ L₂ = L₁` iff `L₁ ⊑ L₂`); see [`Label::join`].
+    pub fn meet<'a>(&'a self, other: &'a Label) -> Cow<'a, Label> {
+        if self.leq(other) {
+            Cow::Borrowed(self)
+        } else if other.leq(self) {
+            Cow::Borrowed(other)
+        } else {
+            Cow::Owned(merge::build(
+                [self, other],
+                self.larger_of(other),
+                |[a, b]| a.min(b),
+            ))
         }
-        self.combine(other, Level::min)
     }
 
     /// The stars-only label `L⋆`: `⋆` where this label is `⋆`, `3` elsewhere
     /// (§5.3). Used to preserve a receiver's declassification privileges when
     /// applying contamination.
     pub fn stars_only(&self) -> Label {
-        let default = self.default.star_only();
-        let mut builder = LabelBuilder::new(default);
-        for (h, lv) in self.iter() {
-            builder.push(h.raw(), lv.star_only());
-        }
-        builder.finish()
+        merge::build([self], 0, |[l]| l.star_only())
     }
 
-    /// Merge-combines two labels entry-by-entry with `op`, dropping entries
-    /// that land on the result default.
-    fn combine(&self, other: &Label, op: fn(Level, Level) -> Level) -> Label {
-        let default = op(self.default, other.default);
-        let mut builder = LabelBuilder::new(default);
-        let mut a = self.iter().peekable();
-        let mut b = other.iter().peekable();
-        loop {
-            match (a.peek().copied(), b.peek().copied()) {
-                (None, None) => break,
-                (Some((ha, la)), None) => {
-                    builder.push(ha.raw(), op(la, other.default));
-                    a.next();
-                }
-                (None, Some((hb, lb))) => {
-                    builder.push(hb.raw(), op(self.default, lb));
-                    b.next();
-                }
-                (Some((ha, la)), Some((hb, lb))) => match ha.cmp(&hb) {
-                    Ordering::Less => {
-                        builder.push(ha.raw(), op(la, other.default));
-                        a.next();
-                    }
-                    Ordering::Greater => {
-                        builder.push(hb.raw(), op(self.default, lb));
-                        b.next();
-                    }
-                    Ordering::Equal => {
-                        builder.push(ha.raw(), op(la, lb));
-                        a.next();
-                        b.next();
-                    }
-                },
-            }
-        }
-        builder.finish()
+    /// Total entries the label operations on the current thread examined
+    /// one at a time — everything not skipped or shared a whole run at a
+    /// time from cached chunk bounds. With [`Chunk::alloc_count`] this pins
+    /// the §5.6 asymptotics deterministically (tests diff the counters).
+    pub fn entries_visited() -> u64 {
+        merge::entries_visited()
     }
 
     // ------------------------------------------------------------------
     // Internal chunk plumbing.
     // ------------------------------------------------------------------
+
+    /// Which of `[self, other]` has more chunks to share with a result.
+    fn larger_of(&self, other: &Label) -> usize {
+        usize::from(other.chunks.len() > self.chunks.len())
+    }
+
+    /// The chunk array, ascending by handle range.
+    #[inline]
+    pub(crate) fn chunks(&self) -> &[Arc<Chunk>] {
+        &self.chunks
+    }
 
     /// Index of the chunk whose handle range could contain `raw`, if any.
     fn chunk_index_for(&self, raw: u64) -> Option<usize> {
@@ -455,14 +409,10 @@ impl Label {
     /// from chunk caches. O(number of chunks), not entries.
     fn after_mutation(&mut self) {
         self.len = self.chunks.iter().map(|c| c.len()).sum();
-        let mut min = self.default;
-        let mut max = self.default;
-        for c in &self.chunks {
-            min = min.min(c.min_level());
-            max = max.max(c.max_level());
-        }
-        self.min_level = min;
-        self.max_level = max;
+        self.levels = self
+            .chunks
+            .iter()
+            .fold(LevelSet::of(self.default), |set, c| set.union(c.levels()));
         self.fp = label_fingerprint(
             self.default,
             self.len,
@@ -470,16 +420,32 @@ impl Label {
         );
     }
 
+    /// Number of chunks in the representation; used by tests.
+    #[doc(hidden)]
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// How many of this label's chunks are the very allocation
+    /// ([`Arc::ptr_eq`]) some chunk of `other` is; used by tests.
+    #[doc(hidden)]
+    pub fn chunks_shared_with(&self, other: &Label) -> usize {
+        self.chunks
+            .iter()
+            .filter(|c| other.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
+            .count()
+    }
+
     /// Validates all representation invariants; used by tests.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut prev: Option<u64> = None;
         let mut count = 0;
-        let mut min = self.default;
-        let mut max = self.default;
+        let mut levels = LevelSet::of(self.default);
         for c in &self.chunks {
             assert!(!c.is_empty(), "empty chunk");
             assert!(c.len() <= CHUNK_CAP, "oversized chunk");
+            let mut marks = LevelSet::EMPTY;
             for (h, lv) in c.iter() {
                 assert_ne!(lv, self.default, "default-level entry not normalized");
                 if let Some(p) = prev {
@@ -487,13 +453,13 @@ impl Label {
                 }
                 prev = Some(h.raw());
                 count += 1;
-                min = min.min(lv);
-                max = max.max(lv);
+                marks = marks.union(LevelSet::of(lv));
             }
+            assert_eq!(marks, c.levels(), "chunk marks stale");
+            levels = levels.union(marks);
         }
         assert_eq!(count, self.len, "length cache stale");
-        assert_eq!(min, self.min_level, "min cache stale");
-        assert_eq!(max, self.max_level, "max cache stale");
+        assert_eq!(levels, self.levels, "level marks stale");
         let rebuilt = Label::from_pairs(self.default, &self.iter().collect::<Vec<_>>());
         assert_eq!(rebuilt.fp, self.fp, "fingerprint cache stale");
     }
@@ -532,7 +498,14 @@ impl fmt::Display for Label {
     }
 }
 
-/// Streams ascending `(handle, level)` pairs into chunked label storage.
+/// Streams ascending entries — one at a time, or a whole shared chunk at a
+/// time — into chunked label storage.
+///
+/// Single entries pack densely. A shared chunk is taken by reference
+/// unless it and its neighbour would fit in one chunk, in which case the
+/// two are fused: two adjacent chunks of a result never both stay small,
+/// so sharing cannot fragment a label (or inflate [`Label::heap_bytes`])
+/// however many operations it passes through.
 pub(crate) struct LabelBuilder {
     default: Level,
     chunks: Vec<Arc<Chunk>>,
@@ -551,33 +524,70 @@ impl LabelBuilder {
     /// Appends an entry; handles must arrive in strictly ascending order.
     /// Entries at the default level are skipped.
     pub(crate) fn push(&mut self, handle_raw: u64, level: Level) {
-        if level == self.default {
-            return;
-        }
-        debug_assert!(self
-            .current
-            .last()
-            .is_none_or(|&e| entry_handle(e) < handle_raw));
-        self.current.push(pack(handle_raw, level));
-        if self.current.len() == CHUNK_CAP {
-            let entries = std::mem::take(&mut self.current);
-            self.chunks.push(Arc::new(Chunk::from_entries(entries)));
+        if level != self.default {
+            self.push_packed(pack(handle_raw, level));
         }
     }
 
-    pub(crate) fn finish(mut self) -> Label {
-        if !self.current.is_empty() {
-            self.chunks
-                .push(Arc::new(Chunk::from_entries(std::mem::take(
-                    &mut self.current,
-                ))));
+    /// Appends packed entries, none of them at the default level.
+    pub(crate) fn extend(&mut self, entries: &[u64]) {
+        for &e in entries {
+            self.push_packed(e);
         }
+    }
+
+    /// Appends a whole chunk, none of its entries at the default level,
+    /// sharing it unless it fuses with what precedes it.
+    pub(crate) fn push_chunk(&mut self, chunk: &Arc<Chunk>) {
+        self.absorb_tail(chunk.len());
+        if self.current.is_empty() || self.current.len() + chunk.len() > CHUNK_CAP {
+            self.flush();
+            self.chunks.push(Arc::clone(chunk));
+        } else {
+            self.extend(chunk.entries());
+        }
+    }
+
+    /// Reopens the last closed chunk when it, the open run and `incoming`
+    /// more entries would fit in one chunk.
+    fn absorb_tail(&mut self, incoming: usize) {
+        if let Some(last) = self.chunks.last() {
+            if last.len() + self.current.len() + incoming <= CHUNK_CAP {
+                let last = self.chunks.pop().expect("matched Some");
+                self.current.splice(0..0, last.entries().iter().copied());
+            }
+        }
+    }
+
+    fn push_packed(&mut self, packed: u64) {
+        debug_assert!(self
+            .current
+            .last()
+            .is_none_or(|&e| entry_handle(e) < entry_handle(packed)));
+        self.current.push(packed);
+        if self.current.len() == CHUNK_CAP {
+            self.flush();
+        }
+    }
+
+    /// Closes the open run of entries into a chunk, first absorbing a
+    /// preceding chunk small enough to share it.
+    fn flush(&mut self) {
+        if self.current.is_empty() {
+            return;
+        }
+        self.absorb_tail(0);
+        let entries = std::mem::take(&mut self.current);
+        self.chunks.push(Arc::new(Chunk::from_entries(entries)));
+    }
+
+    pub(crate) fn finish(mut self) -> Label {
+        self.flush();
         let mut label = Label {
             chunks: self.chunks,
             default: self.default,
             len: 0,
-            min_level: self.default,
-            max_level: self.default,
+            levels: LevelSet::EMPTY,
             fp: 0,
         };
         label.after_mutation();

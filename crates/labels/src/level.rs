@@ -106,6 +106,62 @@ impl Level {
     }
 }
 
+/// A set of levels: what a chunk or label is *marked* with (§5.6: "each
+/// chunk is marked with the minimum and maximum of its vnodes' levels";
+/// five levels fit a byte, so the mark here is the exact set and the
+/// minimum and maximum are read off it).
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct LevelSet(u8);
+
+impl LevelSet {
+    /// The empty set.
+    pub const EMPTY: LevelSet = LevelSet(0);
+
+    /// The set holding just `level`.
+    #[inline]
+    pub const fn of(level: Level) -> LevelSet {
+        LevelSet(1 << level.to_bits())
+    }
+
+    /// The union of two sets.
+    #[inline]
+    pub const fn union(self, other: LevelSet) -> LevelSet {
+        LevelSet(self.0 | other.0)
+    }
+
+    /// Whether the set is empty.
+    #[inline]
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether `level` is in the set.
+    #[inline]
+    pub const fn contains(self, level: Level) -> bool {
+        self.0 & LevelSet::of(level).0 != 0
+    }
+
+    /// The smallest level in the set, if any.
+    #[inline]
+    pub fn min(self) -> Option<Level> {
+        Level::ALL.get(self.0.trailing_zeros() as usize).copied()
+    }
+
+    /// The largest level in the set, if any.
+    #[inline]
+    pub fn max(self) -> Option<Level> {
+        Level::ALL
+            .get(7usize.wrapping_sub(self.0.leading_zeros() as usize))
+            .copied()
+    }
+
+    /// The set without its smallest level.
+    #[inline]
+    pub const fn without_min(self) -> LevelSet {
+        LevelSet(self.0 & self.0.wrapping_sub(1))
+    }
+}
+
 impl fmt::Display for Level {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -170,6 +226,28 @@ mod tests {
         assert_eq!(Level::Star.star_only(), Level::Star);
         for lv in [Level::L0, Level::L1, Level::L2, Level::L3] {
             assert_eq!(lv.star_only(), Level::L3);
+        }
+    }
+
+    #[test]
+    fn level_sets() {
+        assert_eq!(LevelSet::EMPTY.min(), None);
+        assert_eq!(LevelSet::EMPTY.max(), None);
+        assert!(LevelSet::EMPTY.is_empty());
+        for lo in Level::ALL {
+            for hi in Level::ALL {
+                let set = LevelSet::of(lo).union(LevelSet::of(hi));
+                assert!(set.contains(lo) && set.contains(hi));
+                assert_eq!(
+                    Level::ALL.iter().filter(|&&l| set.contains(l)).count(),
+                    1 + usize::from(lo != hi)
+                );
+                assert_eq!(set.min(), Some(lo.min(hi)));
+                assert_eq!(set.max(), Some(lo.max(hi)));
+                let rest = set.without_min();
+                assert_eq!(rest.is_empty(), lo == hi);
+                assert_eq!(rest.max(), (lo != hi).then_some(lo.max(hi)));
+            }
         }
     }
 

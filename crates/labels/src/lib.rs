@@ -46,10 +46,11 @@ pub mod fingerprint;
 pub mod handle;
 pub mod label;
 pub mod level;
+mod merge;
 pub mod naive;
 pub mod ops;
 
 pub use cipher::{HandleAllocator, HandleCipher};
 pub use handle::{Handle, HANDLE_BITS, HANDLE_SPACE};
 pub use label::Label;
-pub use level::Level;
+pub use level::{Level, LevelSet};

@@ -2,13 +2,25 @@
 //!
 //! The kernel's hot path evaluates compositions like
 //! `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R` on every delivery. Building the three
-//! intermediate labels would allocate; these helpers evaluate the
-//! compositions pointwise in one merge pass instead. Property tests verify
-//! each fused form against the composed lattice operations.
+//! intermediate labels would allocate; these helpers evaluate each
+//! composition pointwise in one chunk-run merge (see [`crate::merge`])
+//! instead: chunks of one operand that no other operand reaches into are
+//! skipped or shared from their cached level bounds, so a 774-entry `⋆`
+//! label checked against a 4-entry one costs the chunks, not the entries.
+//! Effects hand back the receiver's own label when they leave it
+//! unchanged, so the kernel keeps the `Arc` it already holds. Property
+//! tests verify each fused form against the composed lattice operations
+//! and against [`crate::naive::NaiveLabel`].
+//!
+//! What an operation *charges* is a separate matter: [`op_work`] counts
+//! every explicit entry of every operand, exactly as the paper's kernel
+//! would have walked them (§5.6), however few the host walk touched.
 
-use crate::handle::Handle;
+use std::borrow::Cow;
+
 use crate::label::Label;
 use crate::level::Level;
+use crate::merge;
 
 /// Work-size estimate for a fused operation over the given labels: the total
 /// number of explicit entries visited. The kernel's cost model charges label
@@ -57,71 +69,15 @@ impl DeliveryKey {
     }
 }
 
-/// A merging cursor over up to `N` labels: at each union handle it yields
-/// every label's level (explicit or default) in one pass, so k-way
-/// operations run in O(total explicit entries) — the same linearity the
-/// paper's kernel has (§5.6), here on the host as well as in virtual cost.
-type EntryIter<'a> = std::iter::Peekable<Box<dyn Iterator<Item = (Handle, Level)> + 'a>>;
-
-struct UnionCursor<'a, const N: usize> {
-    iters: [EntryIter<'a>; N],
-    defaults: [Level; N],
-}
-
-impl<'a, const N: usize> UnionCursor<'a, N> {
-    fn new(labels: [&'a Label; N]) -> UnionCursor<'a, N> {
-        let defaults = labels.map(|l| l.default_level());
-        let iters = labels.map(|l| {
-            let it: Box<dyn Iterator<Item = (Handle, Level)> + 'a> = Box::new(l.iter());
-            it.peekable()
-        });
-        UnionCursor { iters, defaults }
-    }
-
-    /// Advances to the next union handle; returns it plus per-label levels.
-    fn next(&mut self) -> Option<(Handle, [Level; N])> {
-        let mut min: Option<Handle> = None;
-        for it in self.iters.iter_mut() {
-            if let Some(&(h, _)) = it.peek() {
-                min = Some(match min {
-                    Some(m) if m <= h => m,
-                    _ => h,
-                });
-            }
-        }
-        let h = min?;
-        let mut levels = self.defaults;
-        for (i, it) in self.iters.iter_mut().enumerate() {
-            if matches!(it.peek(), Some(&(ph, _)) if ph == h) {
-                levels[i] = it.next().expect("peeked Some").1;
-            }
-        }
-        Some((h, levels))
-    }
-}
-
 /// Figure 4 requirement (1): `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R`.
 ///
 /// `es` is the sender's effective send label (`P_S ⊔ C_S`), `qr` the
 /// receiver's receive label, `dr` the decontaminate-receive label, `v` the
 /// verification label, and `pr` the destination port's receive label.
 pub fn check_delivery(es: &Label, qr: &Label, dr: &Label, v: &Label, pr: &Label) -> bool {
-    let bound_default = qr
-        .default_level()
-        .max(dr.default_level())
-        .min(v.default_level())
-        .min(pr.default_level());
-    if es.default_level() > bound_default {
-        return false;
-    }
-    let mut cursor = UnionCursor::new([es, qr, dr, v, pr]);
-    while let Some((_h, [e, q, d, vv, p])) = cursor.next() {
-        let bound = q.max(d).min(vv).min(p);
-        if e > bound {
-            return false;
-        }
-    }
-    true
+    merge::all([es, qr, dr, v, pr], |[e, q, d, v, p]| {
+        e <= q.max(d).min(v).min(p)
+    })
 }
 
 /// Figure 4 requirement (2): if `D_S(h) < 3` then `P_S(h) = ⋆`.
@@ -129,17 +85,13 @@ pub fn check_delivery(es: &Label, qr: &Label, dr: &Label, v: &Label, pr: &Label)
 /// Granting privilege through a decontaminate-send label requires the sender
 /// to control every compartment the label lowers.
 pub fn check_decont_send_privilege(ds: &Label, ps: &Label) -> bool {
-    // Defaults cover the infinitely many handles neither label names.
-    if ds.default_level() < Level::L3 && ps.default_level() != Level::Star {
-        return false;
+    if ds.default_level() < Level::L3 {
+        // `D_S` lowers the infinitely many handles at its default.
+        return merge::all([ds, ps], |[d, p]| d >= Level::L3 || p == Level::Star);
     }
-    let mut cursor = UnionCursor::new([ds, ps]);
-    while let Some((_h, [d, p])) = cursor.next() {
-        if d < Level::L3 && p != Level::Star {
-            return false;
-        }
-    }
-    true
+    // Entries differ from the default, so every explicit one is below 3:
+    // only those handles of `P_S` matter, however large `P_S` is.
+    ds.iter().all(|(h, _)| ps.get(h) == Level::Star)
 }
 
 /// Figure 4 requirement (3): if `D_R(h) > ⋆` then `P_S(h) = ⋆`.
@@ -147,16 +99,11 @@ pub fn check_decont_send_privilege(ds: &Label, ps: &Label) -> bool {
 /// Raising a receiver's receive label makes the system more permissive and
 /// requires control of the compartments involved.
 pub fn check_decont_recv_privilege(dr: &Label, ps: &Label) -> bool {
-    if dr.default_level() > Level::Star && ps.default_level() != Level::Star {
-        return false;
+    if dr.default_level() > Level::Star {
+        return merge::all([dr, ps], |[d, p]| d == Level::Star || p == Level::Star);
     }
-    let mut cursor = UnionCursor::new([dr, ps]);
-    while let Some((_h, [d, p])) = cursor.next() {
-        if d > Level::Star && p != Level::Star {
-            return false;
-        }
-    }
-    true
+    // As above: with a `⋆` default every explicit entry is above `⋆`.
+    dr.iter().all(|(h, _)| ps.get(h) == Level::Star)
 }
 
 /// Figure 4 requirement (4): `D_R ⊑ p_R`.
@@ -173,46 +120,31 @@ pub fn check_decont_within_port(dr: &Label, pr: &Label) -> bool {
 /// The `E_S ⊓ Q_S⋆` term gives `⋆` levels in `Q_S` precedence over
 /// contamination from `E_S` (§5.3): a receiver that controls a compartment
 /// cannot be contaminated with respect to it.
-pub fn apply_receive_contamination(qs: &Label, ds: &Label, es: &Label) -> Label {
-    let combine = |q: Level, d: Level, e: Level| -> Level {
-        let star_guard = if q == Level::Star {
-            Level::Star
-        } else {
-            Level::L3
-        };
-        q.min(d).max(e.min(star_guard))
-    };
-    // Fast path: a no-op D_S and an effective send label too low to
-    // contaminate anything leave Q_S unchanged.
-    if ds.is_uniform()
-        && ds.default_level() == Level::L3
-        && es.max_level() <= qs.min_level()
-        && es.max_level() <= qs.default_level()
-    {
-        return qs.clone();
+///
+/// Borrowed exactly when the effect leaves `Q_S` as it is.
+pub fn apply_receive_contamination<'a>(qs: &'a Label, ds: &Label, es: &Label) -> Cow<'a, Label> {
+    let effect = |[q, d, e]: [Level; 3]| q.min(d).max(e.min(q.star_only()));
+    if merge::all([qs, ds, es], |levels| effect(levels) == levels[0]) {
+        Cow::Borrowed(qs)
+    } else {
+        Cow::Owned(merge::build([qs, ds, es], 0, effect))
     }
-    let default = combine(qs.default_level(), ds.default_level(), es.default_level());
-    let mut builder = crate::label::LabelBuilder::new(default);
-    let mut cursor = UnionCursor::new([qs, ds, es]);
-    while let Some((h, [q, d, e])) = cursor.next() {
-        builder.push(h.raw(), combine(q, d, e));
-    }
-    builder.finish()
 }
 
 /// Figure 4 send effect on the receiver's receive label: `Q_R ← Q_R ⊔ D_R`.
-pub fn apply_receive_decontamination(qr: &Label, dr: &Label) -> Label {
-    qr.lub(dr)
+pub fn apply_receive_decontamination<'a>(qr: &'a Label, dr: &'a Label) -> Cow<'a, Label> {
+    qr.join(dr)
 }
 
 /// The sender's effective send label `E_S = P_S ⊔ C_S` (§5.2).
-pub fn effective_send(ps: &Label, cs: &Label) -> Label {
-    ps.lub(cs)
+pub fn effective_send<'a>(ps: &'a Label, cs: &'a Label) -> Cow<'a, Label> {
+    ps.join(cs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::Handle;
 
     fn h(raw: u64) -> Handle {
         Handle::from_raw(raw)

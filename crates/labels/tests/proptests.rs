@@ -1,6 +1,6 @@
 //! Property-based tests for the label algebra.
 //!
-//! Two families:
+//! Three families:
 //!
 //! 1. **Representation equivalence** — every operation on the chunked
 //!    [`Label`] must agree with the naive `BTreeMap` oracle
@@ -10,10 +10,20 @@
 //!    cites Denning's lattice model); we verify partial-order laws, bound
 //!    properties, absorption, and the paper's specific claims (e.g. the
 //!    `Q_S⋆` star-preservation in contamination).
+//! 3. **Chunk sharing** — the operations decide whole chunks from cached
+//!    bounds and share them with their operands; every oracle property is
+//!    therefore also run over multi-chunk operands (wide labels, and the
+//!    OKWS shape: hundreds to thousands of `⋆` entries on cipher-spread
+//!    handles against a handful of taint/grant entries), and structural
+//!    tests pin what is shared, what is allocated and what is walked.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+use asbestos_labels::chunk::{Chunk, CHUNK_CAP};
 use asbestos_labels::naive::NaiveLabel;
 use asbestos_labels::ops;
-use asbestos_labels::{Handle, Label, Level};
+use asbestos_labels::{Handle, HandleCipher, Label, Level};
 use proptest::prelude::*;
 
 /// A small handle domain so operations collide often.
@@ -54,8 +64,154 @@ prop_compose! {
     }
 }
 
+/// Handles as the kernel allocates them (§5.1): an encrypted counter, so
+/// consecutive allocations land all over the 61-bit space — and all over a
+/// large label's chunks.
+fn okws_handles() -> &'static [Handle] {
+    static HANDLES: OnceLock<Vec<Handle>> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        let cipher = HandleCipher::new(0xA5BE);
+        (0..2_600)
+            .map(|i| Handle::from_raw(cipher.encrypt(i)))
+            .collect()
+    })
+}
+
+/// A few entries on allocated handles: a worker's label, a message's
+/// optional labels, the taint/grant entries of a front end.
+fn arb_okws_entries() -> impl Strategy<Value = Vec<(Handle, Level)>> {
+    prop::collection::vec((0usize..2_600, arb_level()), 0..7).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&(i, lv)| (okws_handles()[i], lv))
+            .collect()
+    })
+}
+
+// netd/demux-shaped: 300–2,500 entries at one level (`⋆` for a send
+// label's privileges, 3 for a receive label's accepted taints) plus 0–6
+// others. Built by `set` in allocation order — chunks split and fill the
+// way the kernel's do — or in bulk by `from_pairs`.
+prop_compose! {
+    fn arb_okws_big()(
+        default in arb_level(),
+        bulk in prop_oneof![Just(Level::Star), Just(Level::Star), Just(Level::L3)],
+        n in 300usize..2_500,
+        extras in arb_okws_entries(),
+        incremental in any::<bool>(),
+    ) -> Label {
+        let mut pairs: Vec<(Handle, Level)> =
+            okws_handles()[..n].iter().map(|&h| (h, bulk)).collect();
+        pairs.extend(extras);
+        if incremental {
+            let mut l = Label::new(default);
+            for &(h, lv) in &pairs {
+                l.set(h, lv);
+            }
+            l
+        } else {
+            Label::from_pairs(default, &pairs)
+        }
+    }
+}
+
+prop_compose! {
+    fn arb_okws_small()(default in arb_level(), pairs in arb_okws_entries()) -> Label {
+        Label::from_pairs(default, &pairs)
+    }
+}
+
+/// An OKWS-shaped operand: large or small, any default (so decontamination
+/// labels with privileged defaults are drawn too).
+fn arb_okws_label() -> impl Strategy<Value = Label> {
+    prop_oneof![arb_okws_big(), arb_okws_small(), arb_okws_small()]
+}
+
+// Multi-chunk labels over a handle domain small enough that operands name
+// the same handles, end chunks on each other's entries and nest several
+// chunks inside one chunk of another: every boundary the region walk has.
+// Grown densely (sequential `set`s split into ~19 chunks), then thinned —
+// removal empties chunks without merging them — then salted.
+prop_compose! {
+    fn arb_dense_label()(
+        default in arb_level(),
+        bulk in arb_level(),
+        keep_one_in in 1u64..12,
+        phase in 0u64..12,
+        salt in prop::collection::vec((0u64..600, arb_level()), 0..6),
+    ) -> Label {
+        let mut l = Label::new(default);
+        for h in 0..600 {
+            l.set(Handle::from_raw(h), bulk);
+        }
+        for h in (0..600).filter(|h| (h + phase) % keep_one_in != 0) {
+            l.set(Handle::from_raw(h), default);
+        }
+        for (h, lv) in salt {
+            l.set(Handle::from_raw(h), lv);
+        }
+        l
+    }
+}
+
 fn to_naive(l: &Label) -> NaiveLabel {
     NaiveLabel::from(l)
+}
+
+/// Checks a computed label: representation invariants (which include
+/// fingerprint == fingerprint of `from_pairs` over the same entries,
+/// whatever the chunk boundaries) and logical equality with the oracle.
+fn assert_is(got: &Label, want: &NaiveLabel) {
+    got.check_invariants();
+    assert_eq!(&to_naive(got), want);
+}
+
+/// `⊑`, `⊔`, `⊓` and `L⋆` against the oracle.
+fn check_lattice_ops(a: &Label, b: &Label) {
+    let (na, nb) = (to_naive(a), to_naive(b));
+    assert_eq!(a.leq(b), na.leq(&nb));
+    assert_is(&a.lub(b), &na.lub(&nb));
+    assert_is(&a.glb(b), &na.glb(&nb));
+    assert_is(&a.stars_only(), &na.stars_only());
+}
+
+/// Requirement (1) fused, composed from lattice operations, and composed
+/// on the oracle must all agree.
+fn check_fused_delivery(es: &Label, qr: &Label, dr: &Label, v: &Label, pr: &Label) {
+    let fused = ops::check_delivery(es, qr, dr, v, pr);
+    let composed = es.leq(&qr.lub(dr).glb(v).glb(pr));
+    let oracle = to_naive(es).leq(
+        &to_naive(qr)
+            .lub(&to_naive(dr))
+            .glb(&to_naive(v))
+            .glb(&to_naive(pr)),
+    );
+    assert_eq!(fused, oracle);
+    assert_eq!(composed, oracle);
+}
+
+/// `Q_S ← (Q_S ⊓ D_S) ⊔ (E_S ⊓ Q_S⋆)` fused, composed, and on the oracle;
+/// borrowed exactly when `Q_S` is unchanged.
+fn check_fused_contamination(qs: &Label, ds: &Label, es: &Label) {
+    let fused = ops::apply_receive_contamination(qs, ds, es);
+    let composed = qs.glb(ds).lub(&es.glb(&qs.stars_only()));
+    let (nqs, nds, nes) = (to_naive(qs), to_naive(ds), to_naive(es));
+    let oracle = nqs.glb(&nds).lub(&nes.glb(&nqs.stars_only()));
+    assert_is(&fused, &oracle);
+    assert_is(&composed, &oracle);
+    assert_eq!(matches!(fused, Cow::Borrowed(_)), oracle == nqs);
+}
+
+/// Requirements (2) and (3) against their definitions, quantified over the
+/// full (infinite) handle domain — the union of explicit handles plus a
+/// fresh probe handle for the defaults.
+fn check_privileges(lbl: &Label, ps: &Label) {
+    let probe = Handle::from_raw(1 << 60);
+    let handles = || lbl.iter().chain(ps.iter()).map(|(h, _)| h).chain([probe]);
+    let expect_ds = handles().all(|h| lbl.get(h) >= Level::L3 || ps.get(h) == Level::Star);
+    assert_eq!(ops::check_decont_send_privilege(lbl, ps), expect_ds);
+    let expect_dr = handles().all(|h| lbl.get(h) <= Level::Star || ps.get(h) == Level::Star);
+    assert_eq!(ops::check_decont_recv_privilege(lbl, ps), expect_dr);
 }
 
 proptest! {
@@ -111,8 +267,12 @@ proptest! {
 
     #[test]
     fn lub_glb_match_oracle_wide(a in arb_wide_label(), b in arb_wide_label()) {
-        prop_assert_eq!(to_naive(&a.lub(&b)), to_naive(&a).lub(&to_naive(&b)));
-        prop_assert_eq!(to_naive(&a.glb(&b)), to_naive(&a).glb(&to_naive(&b)));
+        check_lattice_ops(&a, &b);
+    }
+
+    #[test]
+    fn lattice_ops_match_oracle_dense(a in arb_dense_label(), b in arb_dense_label()) {
+        check_lattice_ops(&a, &b);
     }
 
     #[test]
@@ -212,19 +372,44 @@ proptest! {
         es in arb_label(), qr in arb_label(), dr in arb_label(),
         v in arb_label(), pr in arb_label(),
     ) {
-        let fused = ops::check_delivery(&es, &qr, &dr, &v, &pr);
-        let composed = es.leq(&qr.lub(&dr).glb(&v).glb(&pr));
-        prop_assert_eq!(fused, composed);
+        check_fused_delivery(&es, &qr, &dr, &v, &pr);
+    }
+
+    #[test]
+    fn fused_delivery_check_matches_composition_wide(
+        es in arb_wide_label(), qr in arb_wide_label(), dr in arb_wide_label(),
+        v in arb_wide_label(), pr in arb_wide_label(),
+    ) {
+        check_fused_delivery(&es, &qr, &dr, &v, &pr);
+    }
+
+    #[test]
+    fn fused_delivery_check_matches_composition_dense(
+        es in arb_dense_label(), qr in arb_dense_label(), dr in arb_dense_label(),
+        v in arb_dense_label(), pr in arb_dense_label(),
+    ) {
+        check_fused_delivery(&es, &qr, &dr, &v, &pr);
     }
 
     #[test]
     fn fused_contamination_matches_composition(
         qs in arb_label(), ds in arb_label(), es in arb_label(),
     ) {
-        let fused = ops::apply_receive_contamination(&qs, &ds, &es);
-        // Q_S ← (Q_S ⊓ D_S) ⊔ (E_S ⊓ Q_S⋆)
-        let composed = qs.glb(&ds).lub(&es.glb(&qs.stars_only()));
-        prop_assert_eq!(fused, composed);
+        check_fused_contamination(&qs, &ds, &es);
+    }
+
+    #[test]
+    fn fused_contamination_matches_composition_dense(
+        qs in arb_dense_label(), ds in arb_dense_label(), es in arb_dense_label(),
+    ) {
+        check_fused_contamination(&qs, &ds, &es);
+    }
+
+    #[test]
+    fn fused_contamination_matches_composition_wide(
+        qs in arb_wide_label(), ds in arb_wide_label(), es in arb_wide_label(),
+    ) {
+        check_fused_contamination(&qs, &ds, &es);
     }
 
     #[test]
@@ -273,26 +458,18 @@ proptest! {
     }
 
     #[test]
-    fn privilege_checks_match_definitions(
-        lbl in arb_label(), ps in arb_label(),
-    ) {
-        // Requirement (2): ∀h. D_S(h) < 3 → P_S(h) = ⋆, quantified over the
-        // full (infinite) handle domain — approximated by the union of
-        // explicit handles plus a fresh probe handle for the defaults.
-        let probe = Handle::from_raw(1 << 60);
-        let mut handles: Vec<Handle> = lbl.iter().map(|(h, _)| h).collect();
-        handles.extend(ps.iter().map(|(h, _)| h));
-        handles.push(probe);
-        let expect_ds = handles.iter().all(|&h| {
-            lbl.get(h) >= Level::L3 || ps.get(h) == Level::Star
-        });
-        prop_assert_eq!(ops::check_decont_send_privilege(&lbl, &ps), expect_ds);
+    fn privilege_checks_match_definitions(lbl in arb_label(), ps in arb_label()) {
+        check_privileges(&lbl, &ps);
+    }
 
-        // Requirement (3): ∀h. D_R(h) > ⋆ → P_S(h) = ⋆.
-        let expect_dr = handles.iter().all(|&h| {
-            lbl.get(h) <= Level::Star || ps.get(h) == Level::Star
-        });
-        prop_assert_eq!(ops::check_decont_recv_privilege(&lbl, &ps), expect_dr);
+    #[test]
+    fn privilege_checks_match_definitions_wide(lbl in arb_wide_label(), ps in arb_wide_label()) {
+        check_privileges(&lbl, &ps);
+    }
+
+    #[test]
+    fn privilege_checks_match_definitions_dense(lbl in arb_dense_label(), ps in arb_dense_label()) {
+        check_privileges(&lbl, &ps);
     }
 
     #[test]
@@ -405,4 +582,157 @@ proptest! {
         let direct = Label::from_pairs(m.default_level(), &m.iter().collect::<Vec<_>>());
         prop_assert_eq!(m.fingerprint(), direct.fingerprint());
     }
+}
+
+// ---------------------------------------------------------------------
+// OKWS-shaped operands: the same oracle properties where the run merge
+// actually skips and shares (labels.entries_max 774 / 2,498 in benchmark/).
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn lattice_ops_match_oracle_okws(a in arb_okws_label(), b in arb_okws_label()) {
+        check_lattice_ops(&a, &b);
+    }
+
+    #[test]
+    fn fused_delivery_check_matches_composition_okws(
+        es in arb_okws_label(), qr in arb_okws_label(), dr in arb_okws_small(),
+        v in arb_okws_small(), pr in arb_okws_label(),
+    ) {
+        check_fused_delivery(&es, &qr, &dr, &v, &pr);
+    }
+
+    #[test]
+    fn fused_contamination_matches_composition_okws(
+        qs in arb_okws_label(), ds in arb_okws_small(), es in arb_okws_label(),
+    ) {
+        check_fused_contamination(&qs, &ds, &es);
+    }
+
+    #[test]
+    fn privilege_checks_match_definitions_okws(lbl in arb_okws_small(), ps in arb_okws_label()) {
+        check_privileges(&lbl, &ps);
+        check_privileges(&ps, &lbl);
+    }
+
+    /// `big ∘ small` shares all but the chunks `small` reaches into, and
+    /// walks only those: the result costs its difference from `big`.
+    #[test]
+    fn big_op_small_shares_and_skips(big in arb_okws_big(), entries in arb_okws_entries()) {
+        // Small operands whose *default* is neutral for the operation, as
+        // every optional Figure 4 label's is: `{… ⋆}` under ⊔ (C_S, D_R,
+        // a contaminating E_S), `{… 3}` under ⊓ (D_S, V).
+        let es = Label::from_pairs(Level::Star, &entries);
+        let ds = Label::from_pairs(Level::L3, &entries);
+        // An entry costs the chunk it lands in — two when that chunk was
+        // full and splits.
+        let reached = 2 * entries.len() + 2;
+        for result in [
+            big.join(&es),
+            big.meet(&ds),
+            ops::apply_receive_contamination(&big, &ds, &es),
+        ] {
+            match result {
+                Cow::Borrowed(_) => {}
+                Cow::Owned(out) => {
+                    out.check_invariants();
+                    let unshared = out.chunk_count() - out.chunks_shared_with(&big);
+                    prop_assert!(unshared <= reached, "{unshared} new chunks for {reached}");
+                }
+            }
+        }
+        let visited = Label::entries_visited();
+        let allocated = Chunk::alloc_count();
+        let _ = ops::check_delivery(&es, &big, &Label::bottom(), &Label::top(), &Label::top());
+        let _ = ops::apply_receive_contamination(&big, &ds, &es);
+        prop_assert!(Label::entries_visited() - visited <= (3 * reached * CHUNK_CAP) as u64);
+        prop_assert!(Chunk::alloc_count() - allocated <= reached as u64);
+    }
+}
+
+/// A result that equals an operand *is* that operand — nothing allocated,
+/// pointer-equal chunk for chunk — for every way of leaving it unchanged.
+#[test]
+fn identity_results_are_the_operand() {
+    let big = Label::from_pairs(
+        Level::L1,
+        &okws_handles()[..774]
+            .iter()
+            .map(|&h| (h, Level::Star))
+            .collect::<Vec<_>>(),
+    );
+    let held = okws_handles()[5];
+    let es = Label::from_pairs(Level::L1, &[(held, Level::L3)]);
+    let ds = Label::from_pairs(Level::L3, &[(held, Level::Star)]);
+    let allocated = Chunk::alloc_count();
+    let clones = Label::clone_count();
+    // ⊔ with something below it, ⊓ with something above it.
+    assert!(matches!(big.join(&Label::bottom()), Cow::Borrowed(l) if std::ptr::eq(l, &big)));
+    assert!(matches!(big.meet(&Label::top()), Cow::Borrowed(l) if std::ptr::eq(l, &big)));
+    // Contamination on a handle the receiver holds at ⋆ (§5.3), and a
+    // grant of a handle it already holds.
+    let out = ops::apply_receive_contamination(&big, &ds, &es);
+    assert!(matches!(out, Cow::Borrowed(l) if std::ptr::eq(l, &big)));
+    assert_eq!(Chunk::alloc_count(), allocated);
+    assert_eq!(Label::clone_count(), clones);
+    // Handing the borrowed result on as an owned label shares every chunk.
+    let owned = out.into_owned();
+    assert_eq!(owned.chunks_shared_with(&big), big.chunk_count());
+    assert_eq!(owned.chunk_count(), big.chunk_count());
+}
+
+/// One foreign entry costs the chunk it lands in, not the label.
+#[test]
+fn one_entry_contamination_shares_all_but_two_chunks() {
+    let pairs: Vec<(Handle, Level)> = okws_handles()[..2_498]
+        .iter()
+        .map(|&h| (h, Level::Star))
+        .collect();
+    let bulk = Label::from_pairs(Level::L1, &pairs);
+    let mut grown = Label::default_send();
+    for &(h, lv) in &pairs {
+        grown.set(h, lv);
+    }
+    let taint = okws_handles()[2_599];
+    let small = Label::from_pairs(Level::Star, &[(taint, Level::L3)]);
+    for big in [&bulk, &grown] {
+        for out in [
+            big.lub(&small),
+            ops::apply_receive_contamination(big, &Label::top(), &small).into_owned(),
+        ] {
+            out.check_invariants();
+            assert_eq!(out.entry_count(), 2_499);
+            assert_eq!(out.get(taint), Level::L3);
+            let unshared = out.chunk_count() - out.chunks_shared_with(big);
+            assert!(unshared <= 2, "{unshared} chunks rebuilt for one entry");
+            let rebuilt = Label::from_pairs(out.default_level(), &out.iter().collect::<Vec<_>>());
+            assert_eq!(out.fingerprint(), rebuilt.fingerprint());
+        }
+    }
+}
+
+/// Sharing never fragments: labels passed through many small edits keep
+/// at least half-full chunks on average, so `heap_bytes` stays within the
+/// same bound a freshly built label meets.
+#[test]
+fn repeated_sharing_does_not_fragment() {
+    let mut label = Label::default_send();
+    for (i, &h) in okws_handles().iter().enumerate() {
+        let one = Label::from_pairs(Level::Star, &[(h, Level::L3)]);
+        label = if i % 2 == 0 {
+            label.lub(&one)
+        } else {
+            ops::apply_receive_contamination(&label, &Label::top(), &one).into_owned()
+        };
+    }
+    label.check_invariants();
+    assert_eq!(label.entry_count(), okws_handles().len());
+    let chunks = label.chunk_count();
+    assert!(
+        chunks <= 2 * okws_handles().len() / CHUNK_CAP + 1,
+        "{chunks} chunks"
+    );
 }

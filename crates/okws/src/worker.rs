@@ -493,7 +493,7 @@ impl Worker {
     fn credential_label(sys: &Sys<'_>) -> Label {
         let taint = Self::read_handle(sys, SESSION_PAGE + OFF_TAINT);
         let grant = Self::read_handle(sys, SESSION_PAGE + OFF_GRANT);
-        let my_taint_level = sys.send_label().get(taint);
+        let my_taint_level = sys.send_level(taint);
         Label::from_pairs(Level::L2, &[(taint, my_taint_level), (grant, Level::L0)])
     }
 }
