@@ -2,9 +2,8 @@
 //!
 //! The PR 7 acceptance bench. One request pipeline — the repeated-tuple
 //! kernel workload feeding per-request durable WAL appends — is run
-//! under every static (delivery-cache capacity × WAL group-commit
-//! batch) configuration and once with the tuner armed, on two user
-//! populations:
+//! under every static WAL group-commit batch and once with the tuner
+//! armed, on two user populations:
 //!
 //! * **zipf** — per-user send rates follow `1/rank^s` (s = 1.1) with
 //!   senders pinned `user % shards`, so shard 0 hosts the heavy ranks
@@ -13,21 +12,19 @@
 //! * **uniform** — the balanced PR 3 regime; the tuner has nothing to
 //!   fix and must cost (approximately) nothing.
 //!
-//! The tuned run starts from the *worst* static corner — the thrashing
-//! 16-entry cache and the sync-per-record batch — and must climb out by
-//! itself: the cache loop grows each shard's bound out of thrash, the
-//! steal loop migrates hot sink processes (whole per-port queues and
-//! all) off shard 0, and the WAL loop grows the group-commit batch
-//! under the append pressure. Statics keep whatever they were given.
+//! The tuned run starts from the *worst* static corner — the
+//! sync-per-record batch — and must climb out by itself: the steal loop
+//! migrates hot sink processes (whole per-port queues and all) off shard
+//! 0, and the WAL loop grows the group-commit batch under the append
+//! pressure. Statics keep whatever they were given.
 //!
 //! **Metric.** `wall_msgs_per_sec`: delivered messages over the sum of
 //! the kernel term (per round, the busiest shard's measured
 //! `busy_nanos` advance — shards model parallel cores, so the busiest
 //! shard bounds an adequately-cored host's wall clock) and the WAL term
 //! (host-elapsed time of the round's durable appends). Both terms are
-//! where the respective knobs bite: a thrashing cache and a hot shard
-//! inflate the kernel term, an undersized group commit inflates the WAL
-//! term. Every configuration runs the sequential sweep (`workers = 1`)
+//! where the respective knobs bite: a hot shard inflates the kernel
+//! term, an undersized group commit inflates the WAL term. Every configuration runs the sequential sweep (`workers = 1`)
 //! so shard drain windows never overlap and per-shard `busy_nanos` is a
 //! true attribution on any host; the tuned run arms the loop through
 //! the explicit [`asbestos_kernel::Kernel::set_tuning_enabled`]
@@ -46,16 +43,15 @@ use asbestos_bench::workload_tuples::{
     deploy_repeated_tuple, trigger_round, PayloadMode, TupleWorkload,
 };
 use asbestos_db::{DurableDb, SqlValue};
-use asbestos_kernel::{DefaultPolicy, DEFAULT_DELIVERY_CACHE_CAP};
+use asbestos_kernel::DefaultPolicy;
 use asbestos_store::MemDev;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
-/// Concurrent user sessions (32 distinct delivery tuples — deliberately
-/// more than [`SMALL_CAP`] so the small cache genuinely thrashes).
+/// Concurrent user sessions (32 distinct delivery tuples).
 const USERS: usize = 32;
 /// Explicit label entries per user (the Figure 4 evaluation cost paid
-/// on every cache miss).
+/// on every delivery).
 const ENTRIES: u64 = 48;
 /// Mean messages per user per round (the Zipf mode redistributes the
 /// total across ranks, keeping it fixed).
@@ -70,11 +66,6 @@ const SHARDS: usize = 4;
 /// One durable mutation logged per this many delivered messages.
 const LOG_EVERY: u64 = 8;
 
-/// The static delivery-cache capacities swept: a cache too small for
-/// the *per-shard* user population (8 users per shard at 4 shards, so a
-/// 4-entry LRU thrashes), and the deploy-time default.
-const STATIC_CAPS: [usize; 2] = [SMALL_CAP, DEFAULT_DELIVERY_CACHE_CAP];
-const SMALL_CAP: usize = 4;
 /// The static WAL group-commit batches swept.
 const STATIC_BATCHES: [usize; 3] = [1, 32, 256];
 
@@ -84,18 +75,18 @@ const WARM_ROUNDS: usize = 8;
 /// Measured rounds (full run; test mode shortens).
 const ROUNDS: usize = 16;
 
-/// One cell of the sweep: `None` batch/cap fields never occur — a cell
-/// is either fully static or the tuned configuration.
+/// One cell of the sweep: a static group-commit batch, or the tuned
+/// configuration.
 #[derive(Clone, Copy)]
 enum Config {
-    Static { cache_cap: usize, batch: usize },
+    Static { batch: usize },
     Tuned,
 }
 
 impl Config {
     fn label(&self) -> String {
         match self {
-            Config::Static { cache_cap, batch } => format!("static/cap={cache_cap}/batch={batch}"),
+            Config::Static { batch } => format!("static/batch={batch}"),
             Config::Tuned => "tuned".into(),
         }
     }
@@ -107,12 +98,11 @@ struct Measured {
     kernel_secs: f64,
     wal_secs: f64,
     steals: u64,
-    cache_resizes: u64,
     wal_grows: u64,
     wal_shrinks: u64,
-    /// Per-shard final cache capacity / queue-depth HWM / PortQueueFull
-    /// drops (the hot-shard collapse observables, per shard per row).
-    per_shard: Vec<(usize, u64, u64)>,
+    /// Per-shard queue-depth HWM / PortQueueFull drops (the hot-shard
+    /// collapse observables, per shard per row).
+    per_shard: Vec<(u64, u64)>,
 }
 
 /// Builds the workload for one population.
@@ -123,7 +113,6 @@ fn workload(zipf_s: f64) -> TupleWorkload {
         burst: BURST,
         handle_base: 0x10_0000,
         handle_stride: 0x1000,
-        per_user_sinks: true,
         cross_shard: false,
         payload: PayloadMode::None,
         zipf_s,
@@ -150,13 +139,8 @@ fn bench_policy() -> DefaultPolicy {
 /// Runs one configuration over one population; returns the measurement.
 fn run_config(cfg: Config, zipf_s: f64, rounds: usize) -> Measured {
     let w = workload(zipf_s);
-    let (cache_cap, tuned) = match cfg {
-        Config::Static { cache_cap, .. } => (cache_cap, false),
-        // Tuned starts from the worst static cache corner and must grow
-        // out of it.
-        Config::Tuned => (SMALL_CAP, true),
-    };
-    let (mut kernel, triggers) = deploy_repeated_tuple(0xBEEF, SHARDS, cache_cap, &w);
+    let tuned = matches!(cfg, Config::Tuned);
+    let (mut kernel, triggers) = deploy_repeated_tuple(0xBEEF, SHARDS, &w);
     // Sequential sweep on every configuration: one worker means shard
     // drain windows never overlap, so per-shard `busy_nanos` attributes
     // each nanosecond to the shard that actually spent it — on any host,
@@ -178,7 +162,7 @@ fn run_config(cfg: Config, zipf_s: f64, rounds: usize) -> Measured {
     db.flush();
     db.set_compact_threshold(256 * 1024);
     match cfg {
-        Config::Static { batch, .. } => db.set_group_commit(batch),
+        Config::Static { batch } => db.set_group_commit(batch),
         Config::Tuned => db.set_group_commit_auto(1, 256),
     }
 
@@ -237,17 +221,12 @@ fn run_config(cfg: Config, zipf_s: f64, rounds: usize) -> Measured {
         kernel_secs: kernel_nanos as f64 / 1e9,
         wal_secs: wal_nanos as f64 / 1e9,
         steals: stats.steals,
-        cache_resizes: stats.cache_resizes,
         wal_grows,
         wal_shrinks,
         per_shard: (0..SHARDS)
             .map(|i| {
                 let s = kernel.shard(i).stats();
-                (
-                    kernel.shard(i).delivery_cache_capacity(),
-                    s.queue_depth_hwm,
-                    s.dropped_queue_full,
-                )
+                (s.queue_depth_hwm, s.dropped_queue_full)
             })
             .collect(),
     }
@@ -261,26 +240,21 @@ fn bench_autotune(c: &mut Criterion) {
     for (pop, zipf_s) in [("zipf", ZIPF_S), ("uniform", 0.0)] {
         let mut statics: Vec<(String, f64)> = Vec::new();
         let mut tuned_wall = 0.0;
-        let mut configs: Vec<Config> = Vec::new();
-        for &cache_cap in &STATIC_CAPS {
-            for &batch in &STATIC_BATCHES {
-                configs.push(Config::Static { cache_cap, batch });
-            }
-        }
-        configs.push(Config::Tuned);
+        let configs = STATIC_BATCHES
+            .iter()
+            .map(|&batch| Config::Static { batch })
+            .chain([Config::Tuned]);
 
         for cfg in configs {
             let m = run_config(cfg, zipf_s, rounds);
             let label = cfg.label();
             println!(
                 "autotune/{pop}/{label}: {:.0} wall msg/s \
-                 (kernel {:.1} ms, wal {:.1} ms, steals {}, cache resizes {}, \
-                 wal grows/shrinks {}/{})",
+                 (kernel {:.1} ms, wal {:.1} ms, steals {}, wal grows/shrinks {}/{})",
                 m.wall_msgs_per_sec,
                 m.kernel_secs * 1e3,
                 m.wal_secs * 1e3,
                 m.steals,
-                m.cache_resizes,
                 m.wal_grows,
                 m.wal_shrinks,
             );
@@ -290,15 +264,13 @@ fn bench_autotune(c: &mut Criterion) {
                 ("kernel_secs".to_string(), m.kernel_secs),
                 ("wal_secs".to_string(), m.wal_secs),
                 ("steals".to_string(), m.steals as f64),
-                ("cache_resizes".to_string(), m.cache_resizes as f64),
                 ("wal_batch_grows".to_string(), m.wal_grows as f64),
                 ("wal_batch_shrinks".to_string(), m.wal_shrinks as f64),
                 ("shards".to_string(), SHARDS as f64),
                 ("users".to_string(), USERS as f64),
                 ("zipf_s".to_string(), zipf_s),
             ];
-            for (i, &(cap, hwm, drops)) in m.per_shard.iter().enumerate() {
-                fields.push((format!("cache_cap_s{i}"), cap as f64));
+            for (i, &(hwm, drops)) in m.per_shard.iter().enumerate() {
                 fields.push((format!("queue_depth_hwm_s{i}"), hwm as f64));
                 fields.push((format!("port_queue_full_s{i}"), drops as f64));
             }

@@ -117,7 +117,7 @@ fn lane_throughput(shards: usize, lanes: usize, rounds: usize) -> (f64, f64, f64
     env.build_sessions("bench", None);
     env.client.driver.reset_log();
     // Warm round: session event processes exist, credential cache is hot,
-    // the worker pool is built, decision caches converge.
+    // the worker pool is built.
     lane_round(&mut env);
     let cycles_before: Vec<u64> = (0..shards)
         .map(|i| env.kernel.shard(i).clock().now())

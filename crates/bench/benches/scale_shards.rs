@@ -1,14 +1,11 @@
 //! Scaling: messages/second versus kernel shard count.
 //!
-//! The workload is the OKWS repeated-tuple regime from the PR 1 delivery
-//! cache ablation — a pool of per-user senders, each carrying a distinct
-//! multi-entry taint label, repeatedly bursting at long-lived service
-//! ports — partitioned the way a sharded OKWS partitions users: each
-//! user's sender and sink live on the same shard (`partitioned` rows), or
-//! deliberately on different shards so every message crosses the router
-//! (`routed` rows). Both run with the delivery-decision cache on and off;
-//! the cache-off configuration is the pure Figure 4 evaluation cost and
-//! is the series both scaling acceptance bars read.
+//! The workload is the OKWS repeated-tuple regime — a pool of per-user
+//! senders, each carrying a distinct multi-entry taint label, repeatedly
+//! bursting at long-lived service ports — partitioned the way a sharded
+//! OKWS partitions users: each user's sender and sink live on the same
+//! shard (`partitioned` rows), or deliberately on different shards so
+//! every message crosses the router (`routed` rows).
 //!
 //! **Metrics.** Three throughput numbers per configuration:
 //!
@@ -42,15 +39,14 @@
 //! Real measurement runs (`cargo bench -p asbestos-bench --bench
 //! scale_shards`) write `BENCH_shards.json` at the repo root so the perf
 //! trajectory is tracked across PRs; `--test` mode (CI) runs a short
-//! sweep, writes nothing, and enforces the smoke gate: the
-//! 4-shard routed cache-off `wall_msgs_per_sec` must not regress below
-//! the 1-shard figure.
+//! sweep, writes nothing, and enforces the smoke gate: the 4-shard
+//! routed `wall_msgs_per_sec` must not regress below the 1-shard figure.
 
 use asbestos_bench::report::{bench_test_mode, BenchReport};
 use asbestos_bench::workload_tuples::{
     deploy_repeated_tuple, trigger_round, PayloadMode, TupleWorkload,
 };
-use asbestos_kernel::{Handle, Kernel, CYCLES_PER_SEC, DEFAULT_DELIVERY_CACHE_CAP};
+use asbestos_kernel::{Handle, Kernel, CYCLES_PER_SEC};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
@@ -73,38 +69,27 @@ const PAYLOAD_SIZES: [usize; 2] = [64, 4096];
 /// Deploys [`USERS`] sender/sink pairs over `shards` shards via the
 /// shared repeated-tuple builder; `cross_shard` pins each user's sink
 /// one shard away from its sender so all traffic rides the router.
-fn setup(
-    shards: usize,
-    cache_capacity: usize,
-    cross_shard: bool,
-    payload: PayloadMode,
-) -> (Kernel, Vec<Handle>) {
+fn setup(shards: usize, cross_shard: bool, payload: PayloadMode) -> (Kernel, Vec<Handle>) {
     let workload = TupleWorkload {
         users: USERS,
         entries: ENTRIES,
         burst: BURST,
         handle_base: 0x10_0000,
         handle_stride: 0x1000,
-        per_user_sinks: true,
         cross_shard,
         payload,
         zipf_s: 0.0,
         sink_spin: 0,
     };
-    deploy_repeated_tuple(0xCAFE, shards, cache_capacity, &workload)
+    deploy_repeated_tuple(0xCAFE, shards, &workload)
 }
 
 /// One configuration's measurements: throughput per denominator (see
-/// the module docs) plus per-shard delivery-cache hit rates.
+/// the module docs) plus per-shard pressure counters.
 struct Measured {
     virt: f64,
     wall: f64,
     elapsed: f64,
-    /// Per-shard cache hit rate over the measured rounds (hits over
-    /// lookups; 0 when the cache is disabled). The spread across shards
-    /// is the ROADMAP "per-shard cache sizing" signal: a shard whose
-    /// rate trails its peers is the one adaptive sizing should feed.
-    hit_rates: Vec<f64>,
     /// Per-shard mailbox depth high-water mark (lifetime max — the
     /// queueing pressure each shard absorbed) and per-port-bound drops.
     queue_hwms: Vec<u64>,
@@ -127,25 +112,13 @@ struct Measured {
 }
 
 /// Throughput for one configuration.
-fn throughput(
-    shards: usize,
-    cache_capacity: usize,
-    cross_shard: bool,
-    rounds: usize,
-    payload: PayloadMode,
-) -> Measured {
-    let (mut kernel, triggers) = setup(shards, cache_capacity, cross_shard, payload);
-    // Warm round: converges sink labels and (when enabled) the cache,
-    // and builds the worker pool so its lazy creation is not measured.
+fn throughput(shards: usize, cross_shard: bool, rounds: usize, payload: PayloadMode) -> Measured {
+    let (mut kernel, triggers) = setup(shards, cross_shard, payload);
+    // Warm round: converges sink labels and builds the worker pool so
+    // its lazy creation is not measured.
     trigger_round(&mut kernel, &triggers);
     let stats_before = kernel.stats();
     let before = stats_before.delivered;
-    let cache_before: Vec<(u64, u64)> = (0..shards)
-        .map(|i| {
-            let s = kernel.shard(i).stats();
-            (s.cache_hits, s.cache_misses)
-        })
-        .collect();
     let cycles_before: Vec<u64> = (0..shards).map(|i| kernel.shard(i).clock().now()).collect();
     let busy_before: Vec<u64> = (0..shards).map(|i| kernel.shard(i).busy_nanos()).collect();
     let start = Instant::now();
@@ -166,18 +139,6 @@ fn throughput(
         .max(1);
     let virtual_secs = busiest_cycles as f64 / CYCLES_PER_SEC as f64;
     let wall_secs = busiest_nanos as f64 / 1e9;
-    let hit_rates: Vec<f64> = (0..shards)
-        .map(|i| {
-            let s = kernel.shard(i).stats();
-            let hits = s.cache_hits - cache_before[i].0;
-            let lookups = hits + (s.cache_misses - cache_before[i].1);
-            if lookups == 0 {
-                0.0
-            } else {
-                hits as f64 / lookups as f64
-            }
-        })
-        .collect();
     let per_shard = |f: fn(&asbestos_kernel::Stats) -> u64| -> Vec<u64> {
         (0..shards).map(|i| f(kernel.shard(i).stats())).collect()
     };
@@ -193,7 +154,6 @@ fn throughput(
         virt: delivered / virtual_secs,
         wall: delivered / wall_secs,
         elapsed: delivered / elapsed.as_secs_f64(),
-        hit_rates,
         queue_hwms,
         port_drops,
         deferred,
@@ -216,113 +176,93 @@ fn bench_scale_shards(c: &mut Criterion) {
     let rounds = if test_mode { 3 } else { ROUNDS };
 
     let mut report = BenchReport::new("scale_shards");
-    let mut virt_off_partitioned = Vec::new();
-    let mut wall_off_routed = Vec::new();
+    let mut virt_partitioned = Vec::new();
+    let mut wall_routed = Vec::new();
     for &shards in &SHARD_COUNTS {
-        for (cache_label, capacity) in [("off", 0), ("on", DEFAULT_DELIVERY_CACHE_CAP)] {
-            for (mode_label, cross) in [("partitioned", false), ("routed", true)] {
-                let m = throughput(shards, capacity, cross, rounds, PayloadMode::None);
-                let (virt, wall, elapsed) = (m.virt, m.wall, m.elapsed);
-                println!(
-                    "scale_shards/{mode_label}/cache={cache_label}/shards={shards}: \
+        for (mode_label, cross) in [("partitioned", false), ("routed", true)] {
+            let m = throughput(shards, cross, rounds, PayloadMode::None);
+            let (virt, wall, elapsed) = (m.virt, m.wall, m.elapsed);
+            println!(
+                "scale_shards/{mode_label}/shards={shards}: \
                      {virt:.0} virtual msg/s, {wall:.0} wall msg/s, {elapsed:.0} elapsed msg/s"
-                );
-                let mut fields = vec![
-                    ("shards".to_string(), shards as f64),
-                    ("virtual_msgs_per_sec".to_string(), virt),
-                    ("wall_msgs_per_sec".to_string(), wall),
-                    ("elapsed_msgs_per_sec".to_string(), elapsed),
-                    ("users".to_string(), USERS as f64),
-                    ("label_entries".to_string(), ENTRIES as f64),
-                    ("burst".to_string(), BURST as f64),
-                    // Batch-drain occupancy of the cross-shard inbound
-                    // queues: mutex grabs amortized over `batch_mean`
-                    // messages each (0 when all traffic is same-shard).
-                    ("xshard_batch_drains".to_string(), m.batch_drains as f64),
-                    ("xshard_batch_mean".to_string(), m.batch_mean),
-                    ("xshard_batch_max".to_string(), m.batch_max as f64),
-                ];
-                // Per-shard cache hit rates (ROADMAP "per-shard cache
-                // sizing" groundwork): recorded for cache-on rows so the
-                // trajectory shows where the decision tuples concentrate.
-                if capacity > 0 {
-                    let mean = m.hit_rates.iter().sum::<f64>() / m.hit_rates.len() as f64;
-                    fields.push(("cache_hit_rate_mean".to_string(), mean));
-                    for (i, rate) in m.hit_rates.iter().enumerate() {
-                        fields.push((format!("cache_hit_rate_s{i}"), *rate));
-                    }
-                }
-                // Per-shard queueing pressure: mailbox-depth high-water
-                // marks and per-port-bound drops. The HWM spread is the
-                // work-stealing signal (a shard whose backlog towers over
-                // its peers is the steal source); drops flag saturation.
-                for (i, hwm) in m.queue_hwms.iter().enumerate() {
-                    fields.push((format!("queue_depth_hwm_s{i}"), *hwm as f64));
-                }
-                for (i, drops) in m.port_drops.iter().enumerate() {
-                    fields.push((format!("port_queue_full_s{i}"), *drops as f64));
-                }
-                // Overload-control verdicts per shard (PR 8): deferred
-                // sends and shed messages.
-                for (i, d) in m.deferred.iter().enumerate() {
-                    fields.push((format!("deferred_s{i}"), *d as f64));
-                }
-                for (i, s) in m.shed.iter().enumerate() {
-                    fields.push((format!("shed_s{i}"), *s as f64));
-                }
-                let borrowed: Vec<(&str, f64)> =
-                    fields.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-                report.push_row(
-                    format!("{mode_label}/cache={cache_label}/shards={shards}"),
-                    &borrowed,
-                );
-                if capacity == 0 && !cross {
-                    virt_off_partitioned.push((shards, virt));
-                }
-                if capacity == 0 && cross {
-                    wall_off_routed.push((shards, wall));
-                }
+            );
+            let mut fields = vec![
+                ("shards".to_string(), shards as f64),
+                ("virtual_msgs_per_sec".to_string(), virt),
+                ("wall_msgs_per_sec".to_string(), wall),
+                ("elapsed_msgs_per_sec".to_string(), elapsed),
+                ("users".to_string(), USERS as f64),
+                ("label_entries".to_string(), ENTRIES as f64),
+                ("burst".to_string(), BURST as f64),
+                // Batch-drain occupancy of the cross-shard inbound
+                // queues: mutex grabs amortized over `batch_mean`
+                // messages each (0 when all traffic is same-shard).
+                ("xshard_batch_drains".to_string(), m.batch_drains as f64),
+                ("xshard_batch_mean".to_string(), m.batch_mean),
+                ("xshard_batch_max".to_string(), m.batch_max as f64),
+            ];
+            // Per-shard queueing pressure: mailbox-depth high-water
+            // marks and per-port-bound drops. The HWM spread is the
+            // work-stealing signal (a shard whose backlog towers over
+            // its peers is the steal source); drops flag saturation.
+            for (i, hwm) in m.queue_hwms.iter().enumerate() {
+                fields.push((format!("queue_depth_hwm_s{i}"), *hwm as f64));
+            }
+            for (i, drops) in m.port_drops.iter().enumerate() {
+                fields.push((format!("port_queue_full_s{i}"), *drops as f64));
+            }
+            // Overload-control verdicts per shard (PR 8): deferred
+            // sends and shed messages.
+            for (i, d) in m.deferred.iter().enumerate() {
+                fields.push((format!("deferred_s{i}"), *d as f64));
+            }
+            for (i, s) in m.shed.iter().enumerate() {
+                fields.push((format!("shed_s{i}"), *s as f64));
+            }
+            let borrowed: Vec<(&str, f64)> = fields.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            report.push_row(format!("{mode_label}/shards={shards}"), &borrowed);
+            if cross {
+                wall_routed.push((shards, wall));
+            } else {
+                virt_partitioned.push((shards, virt));
             }
         }
     }
 
-    // PR 2 acceptance series: cache-off, partitioned, virtual cycles.
+    // PR 2 acceptance series: partitioned, virtual cycles.
     let at =
         |series: &[(usize, f64)], n: usize| series.iter().find(|(s, _)| *s == n).map(|(_, m)| *m);
-    if let (Some(base), Some(four)) = (at(&virt_off_partitioned, 1), at(&virt_off_partitioned, 4)) {
+    if let (Some(base), Some(four)) = (at(&virt_partitioned, 1), at(&virt_partitioned, 4)) {
         let speedup = four / base;
-        println!(
-            "scale_shards/speedup 1→4 shards (cache off, partitioned, virtual): {speedup:.2}x"
-        );
-        report.push_summary("speedup_1_to_4_cache_off", speedup);
+        println!("scale_shards/speedup 1→4 shards (partitioned, virtual): {speedup:.2}x");
+        report.push_summary("speedup_1_to_4_virtual", speedup);
         if !test_mode {
             assert!(
                 speedup > 1.0,
-                "sharding must scale: 1→4 shard cache-off virtual speedup was {speedup:.2}x"
+                "sharding must scale: 1→4 shard virtual speedup was {speedup:.2}x"
             );
         }
     }
 
-    // PR 3 acceptance series: cache-off, routed, measured wall time of
-    // the busiest shard. The pooled sub-round engine must actually beat
+    // PR 3 acceptance series: routed, measured wall time of the busiest
+    // shard. The pooled sub-round engine must actually beat
     // the 1-shard engine, not lose to it like the spawn-per-round
     // engine did — and the smoke gate holds in CI test mode too.
-    if let (Some(base), Some(four)) = (at(&wall_off_routed, 1), at(&wall_off_routed, 4)) {
+    if let (Some(base), Some(four)) = (at(&wall_routed, 1), at(&wall_routed, 4)) {
         let speedup = four / base;
-        println!("scale_shards/speedup 1→4 shards (cache off, routed, wall): {speedup:.2}x");
+        println!("scale_shards/speedup 1→4 shards (routed, wall): {speedup:.2}x");
         report.push_summary("speedup_1_to_4_wall", speedup);
         assert!(
             speedup >= 1.0,
-            "wall regression: 4-shard routed cache-off wall throughput fell below 1 shard \
-             ({speedup:.2}x)"
+            "wall regression: 4-shard routed wall throughput fell below 1 shard ({speedup:.2}x)"
         );
         if !test_mode {
             assert!(
                 speedup >= 1.5,
-                "pooled engine must win on the wall clock: 1→4 routed cache-off wall \
-                 speedup was {speedup:.2}x (acceptance bar: 1.5x)"
+                "pooled engine must win on the wall clock: 1→4 routed wall speedup was \
+                 {speedup:.2}x (acceptance bar: 1.5x)"
             );
-            for pair in wall_off_routed.windows(2) {
+            for pair in wall_routed.windows(2) {
                 let ((lo_shards, lo), (hi_shards, hi)) = (pair[0], pair[1]);
                 if hi_shards <= 4 {
                     assert!(
@@ -335,8 +275,7 @@ fn bench_scale_shards(c: &mut Criterion) {
         }
     }
 
-    // PR 6 acceptance series: the zero-copy A/B. Same routed cache-off
-    // regime, but every burst message carries a body — either a clone of
+    // PR 6 acceptance series: the zero-copy A/B. Same routed regime, but every burst message carries a body — either a clone of
     // one shared payload (the zero-copy hot path) or a fresh deep copy
     // per send (the pre-zero-copy behavior, kept as the baseline). The
     // virtual charges are identical by construction; the wall-clock gap
@@ -357,7 +296,7 @@ fn bench_scale_shards(c: &mut Criterion) {
         .enumerate()
         {
             for shards in [1usize, 4] {
-                let m = throughput(shards, 0, true, rounds, mode);
+                let m = throughput(shards, true, rounds, mode);
                 println!(
                     "scale_shards/payload/{mode_label}/size={size}/shards={shards}: \
                      {:.0} wall msg/s, {:.3e} bytes/s",

@@ -1,26 +1,27 @@
 //! Regenerates Figure 9: "The average cost in Kcycles/connection of various
 //! Asbestos components, as the number of cached sessions increases."
 //!
-//! Two sweeps: the paper-faithful configuration (delivery cache disabled),
-//! whose Kernel IPC cost grows linearly with cached sessions exactly as
-//! §9.3 reports, and the same workload with the delivery-decision cache
-//! enabled, showing how much of that degradation the cache removes.
+//! Kernel IPC cost grows linearly with cached sessions, exactly as §9.3
+//! reports: every delivery is charged the label entries it examines.
 //!
 //! Usage: `cargo run --release -p asbestos-bench --bin fig9_label_costs [--quick]`
 
-use asbestos_bench::{okws_sweep_point_with_cache, sweep_sessions};
-use asbestos_kernel::{Category, DEFAULT_DELIVERY_CACHE_CAP};
+use asbestos_bench::{okws_sweep_point, sweep_sessions};
+use asbestos_kernel::Category;
 
-fn print_sweep(cache_capacity: usize) -> Vec<(usize, f64)> {
+fn main() {
+    println!("# Figure 9: Kcycles/connection by component vs cached sessions");
+    println!("# (paper: linear growth; Kernel IPC overtakes Network ≈ 3000 sessions");
+    println!("#  and equals OKWS ≈ 7500; total ≈ 1750 at 1 session, ≈ 4000 at 10000)");
+    println!();
     print!("{:>10}", "sessions");
     for cat in Category::ALL {
         print!(" {:>12}", cat.name());
     }
     println!(" {:>12}", "Total");
 
-    let mut totals = Vec::new();
     for sessions in sweep_sessions() {
-        let point = okws_sweep_point_with_cache(sessions, 9000 + sessions as u64, cache_capacity);
+        let point = okws_sweep_point(sessions, 9000 + sessions as u64);
         print!("{:>10}", point.sessions);
         let mut total = 0.0;
         for k in point.kcycles_per_conn {
@@ -28,31 +29,5 @@ fn print_sweep(cache_capacity: usize) -> Vec<(usize, f64)> {
             total += k;
         }
         println!(" {total:>12.0}");
-        totals.push((sessions, total));
-    }
-    totals
-}
-
-fn main() {
-    println!("# Figure 9: Kcycles/connection by component vs cached sessions");
-    println!("# (paper: linear growth; Kernel IPC overtakes Network ≈ 3000 sessions");
-    println!("#  and equals OKWS ≈ 7500; total ≈ 1750 at 1 session, ≈ 4000 at 10000)");
-    println!();
-    println!("## delivery cache OFF (paper-faithful linear scaling)");
-    let off = print_sweep(0);
-    println!();
-    println!("## delivery cache ON (default bound: {DEFAULT_DELIVERY_CACHE_CAP} decisions)");
-    let on = print_sweep(DEFAULT_DELIVERY_CACHE_CAP);
-    println!();
-    println!("## cache effect (total Kcycles/connection, off / on)");
-    println!(
-        "{:>10} {:>12} {:>12} {:>8}",
-        "sessions", "off", "on", "ratio"
-    );
-    for ((sessions, off_total), (_, on_total)) in off.iter().zip(on.iter()) {
-        println!(
-            "{sessions:>10} {off_total:>12.0} {on_total:>12.0} {:>7.2}x",
-            off_total / on_total.max(1.0)
-        );
     }
 }

@@ -26,10 +26,6 @@ pub struct Fig6Point {
 /// memory, call ep_clean or call ep_exit" (§9.1).
 pub fn fig6_memory(sessions: usize, active: bool, seed: u64) -> Fig6Point {
     let mut env = deploy(seed, sessions, !active);
-    // Paper-faithful configuration: the delivery-decision cache retains
-    // (and is billed for) effect labels, which the paper's kernel does not
-    // have; disable it so the figure measures the paper's structures.
-    env.kernel.set_delivery_cache_capacity(0);
     // ~1 KiB of session state per user, like the paper's toy service.
     env.build_sessions("store", Some("x".repeat(512).as_str()));
     env.kernel.run();
@@ -41,7 +37,6 @@ pub fn fig6_memory(sessions: usize, active: bool, seed: u64) -> Fig6Point {
 /// per-session slopes in EXPERIMENTS.md).
 pub fn fig6_baseline(seed: u64) -> usize {
     let mut env = deploy(seed, 0, true);
-    env.kernel.set_delivery_cache_capacity(0);
     env.kernel.run();
     env.kernel.kmem_report().total_pages()
 }
@@ -69,25 +64,10 @@ pub struct SweepPoint {
 /// [`CONNS_PER_USER`] times (the first connection authenticates and forks
 /// the session event process; the rest hit the session table).
 ///
-/// Paper-faithful configuration: the delivery-decision cache is disabled,
-/// so Kernel IPC cost scales linearly with cached sessions as §9.3
-/// reports. `fig9_label_costs` additionally sweeps the cache-enabled
-/// configuration via [`okws_sweep_point_with_cache`].
+/// Kernel IPC cost scales linearly with cached sessions, as §9.3 reports:
+/// every delivery is charged the label entries it examines.
 pub fn okws_sweep_point(sessions: usize, seed: u64) -> SweepPoint {
-    okws_sweep_point_with_cache(sessions, seed, 0)
-}
-
-/// [`okws_sweep_point`] with an explicit delivery-cache bound (0 disables
-/// the cache — the paper-faithful configuration whose Kernel IPC cost
-/// grows linearly with cached sessions; the default bound shows how much
-/// of Figure 9's degradation the decision cache removes).
-pub fn okws_sweep_point_with_cache(
-    sessions: usize,
-    seed: u64,
-    cache_capacity: usize,
-) -> SweepPoint {
     let mut env = deploy(seed, sessions, true);
-    env.kernel.set_delivery_cache_capacity(cache_capacity);
     let start = env.kernel.cycle_snapshot();
     let mut connections = 0u64;
     for round in 0..CONNS_PER_USER {
@@ -121,8 +101,7 @@ pub fn okws_sweep_point_with_cache(
 /// denominator ([`asbestos_kernel::Kernel::elapsed_cycles`]): shards
 /// model parallel cores, so the slowest one bounds the modeled wall
 /// clock. On `1 × 1` this is exactly [`okws_sweep_point`]'s denominator,
-/// making the series directly comparable. Cache disabled, like the
-/// paper-faithful single-shard sweep.
+/// making the series directly comparable.
 pub fn okws_sweep_point_sharded(
     sessions: usize,
     seed: u64,
@@ -130,7 +109,6 @@ pub fn okws_sweep_point_sharded(
     lanes: usize,
 ) -> SweepPoint {
     let mut env = crate::fixture::deploy_sharded(seed, sessions, true, shards, lanes);
-    env.kernel.set_cache_capacity(0);
     let start = env.kernel.cycle_snapshot();
     let elapsed_before = env.kernel.elapsed_cycles();
     let mut connections = 0u64;
@@ -190,9 +168,6 @@ pub struct Fig8Row {
 /// tail exactly as §9.2.2 describes.
 pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
     let mut env = deploy(seed, sessions + samples, true);
-    // Paper-faithful configuration, like `okws_sweep_point`: no delivery
-    // cache, so latency tracks the paper's label-walk costs.
-    env.kernel.set_delivery_cache_capacity(0);
     // Pre-build the cached sessions the configuration calls for.
     for user in 0..sessions {
         env.request_ok("bench", user, &[]);
@@ -285,7 +260,6 @@ pub fn okws_latency_sharded(
     lanes: usize,
 ) -> Fig8Row {
     let mut env = crate::fixture::deploy_sharded(seed, sessions + samples, true, shards, lanes);
-    env.kernel.set_delivery_cache_capacity(0);
     for user in 0..sessions {
         env.request_ok("bench", user, &[]);
     }

@@ -1,8 +1,8 @@
 //! Machine-readable benchmark reports.
 //!
-//! Perf-tracking benches (`scale_shards`, `ablation_delivery_cache`)
-//! write a small JSON file at the repository root — `BENCH_shards.json`,
-//! `BENCH_delivery_cache.json` — so the perf trajectory is tracked in
+//! Perf-tracking benches (`scale_shards`, `autotune`, …) write a small
+//! JSON file at the repository root — `BENCH_shards.json`,
+//! `BENCH_autotune.json` — so the perf trajectory is tracked in
 //! version control across PRs. The writer is deliberately dependency-free
 //! (the container vendors no serde): reports are flat lists of numeric /
 //! string fields, which is all a trend line needs.
@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 /// One measurement row: a name plus flat key→value fields.
 pub struct BenchRow {
-    /// Row identifier (e.g. `"shards=4/cache=off"`).
+    /// Row identifier (e.g. `"shards=4/placement=local"`).
     pub name: String,
     /// Numeric fields, in insertion order.
     pub fields: Vec<(String, f64)>,

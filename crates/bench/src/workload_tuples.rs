@@ -3,15 +3,14 @@
 //! One parameterized builder models the Figure 9 regime — a pool of
 //! per-user senders, each carrying a distinct multi-entry taint label
 //! (the per-user `uT`/`uG` handles OKWS accumulates), repeatedly
-//! bursting at long-lived service ports. Every user's delivery tuple
-//! repeats exactly (§5.6's observation that labels are highly
-//! repetitive), which is what the delivery-decision cache keys on.
+//! bursting at its own long-lived service port. Every user's delivery
+//! tuple repeats exactly (§5.6's observation that labels are highly
+//! repetitive).
 //!
-//! `ablation_delivery_cache` uses the *shared-sink* topology (all users
-//! hit one service port, single shard); `scale_shards` uses *per-user
-//! sinks* placed either on the sender's shard or deliberately one shard
-//! away. Keeping both on this builder keeps the two benches' numbers
-//! comparable and prevents the workloads from silently diverging.
+//! Each user's sink is placed either on the sender's shard or
+//! deliberately one shard away. `scale_shards` and `autotune` share this
+//! builder, which keeps their numbers comparable and prevents the
+//! workloads from silently diverging.
 
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Handle, Kernel, Label, Level, Payload, Value};
@@ -43,11 +42,8 @@ pub struct TupleWorkload {
     pub handle_base: u64,
     /// Raw-handle stride between users' compartment ranges.
     pub handle_stride: u64,
-    /// `false`: all users burst at one shared sink (the Figure 9 shape);
-    /// `true`: each user has its own sink (the sharding shape).
-    pub per_user_sinks: bool,
-    /// With per-user sinks: place each sink one shard away from its
-    /// sender so every message rides the cross-shard router.
+    /// Place each user's sink one shard away from its sender so every
+    /// message rides the cross-shard router.
     pub cross_shard: bool,
     /// Body carried by each burst message.
     pub payload: PayloadMode,
@@ -90,22 +86,16 @@ impl TupleWorkload {
     }
 }
 
-/// Deploys the workload over `shards` shards with the given delivery
-/// cache capacity; returns the kernel and the senders' trigger ports.
+/// Deploys the workload over `shards` shards; returns the kernel and the
+/// senders' trigger ports.
 ///
-/// Senders are pinned round-robin (`user % shards`); the shared sink, or
-/// each per-user sink, is placed per the workload's topology. Every
+/// Senders are pinned round-robin (`user % shards`); each user's sink is
+/// placed per the workload's topology. Every
 /// sink's receive label is opened to `{3}`, like a service that raised
 /// its receive label for every registered user; every sender's send
 /// label carries its `entries` disjoint compartments at level 2.
-pub fn deploy_repeated_tuple(
-    seed: u64,
-    shards: usize,
-    cache_capacity: usize,
-    w: &TupleWorkload,
-) -> (Kernel, Vec<Handle>) {
+pub fn deploy_repeated_tuple(seed: u64, shards: usize, w: &TupleWorkload) -> (Kernel, Vec<Handle>) {
     let mut kernel = Kernel::new_sharded(seed, shards);
-    kernel.set_delivery_cache_capacity(cache_capacity);
 
     let sink_spin = w.sink_spin;
     let spawn_sink = |kernel: &mut Kernel, shard: usize, name: &str, key: String| {
@@ -136,31 +126,20 @@ pub fn deploy_repeated_tuple(
         port
     };
 
-    let shared_sink = if w.per_user_sinks {
-        None
-    } else {
-        Some(spawn_sink(&mut kernel, 0, "sink", "sink.port".into()))
-    };
-
     let mut trigger_ports = Vec::new();
     for user in 0..w.users {
         let send_shard = user % shards;
-        let sink = match shared_sink {
-            Some(port) => port,
-            None => {
-                let sink_shard = if w.cross_shard {
-                    (user + 1) % shards
-                } else {
-                    send_shard
-                };
-                spawn_sink(
-                    &mut kernel,
-                    sink_shard,
-                    &format!("sink{user}"),
-                    format!("user{user}.sink"),
-                )
-            }
+        let sink_shard = if w.cross_shard {
+            (user + 1) % shards
+        } else {
+            send_shard
         };
+        let sink = spawn_sink(
+            &mut kernel,
+            sink_shard,
+            &format!("sink{user}"),
+            format!("user{user}.sink"),
+        );
 
         let trig_key = format!("user{user}.trigger");
         let publish_key = trig_key.clone();
@@ -199,7 +178,7 @@ pub fn deploy_repeated_tuple(
         trigger_ports.push(kernel.global_env(&trig_key).unwrap().as_handle().unwrap());
 
         // The user's session taint: `entries` distinct compartment
-        // handles — the repeated tuple the delivery cache keys on.
+        // handles.
         let pid = kernel.find_process(&format!("user{user}")).unwrap();
         let pairs: Vec<(Handle, Level)> = (0..w.entries)
             .map(|j| {
@@ -227,31 +206,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shared_and_per_user_topologies_deliver_every_burst() {
+    fn local_and_cross_shard_sinks_deliver_every_burst() {
         let w = TupleWorkload {
             users: 4,
             entries: 3,
             burst: 5,
             handle_base: 0x1000,
             handle_stride: 0x100,
-            per_user_sinks: false,
             cross_shard: false,
             payload: PayloadMode::None,
             zipf_s: 0.0,
             sink_spin: 0,
         };
-        let (mut kernel, triggers) = deploy_repeated_tuple(1, 1, 0, &w);
+        let (mut kernel, triggers) = deploy_repeated_tuple(1, 1, &w);
         trigger_round(&mut kernel, &triggers);
         // 4 triggers + 4×5 burst messages, none dropped.
         assert_eq!(kernel.stats().delivered, 4 + 20);
         assert_eq!(kernel.stats().dropped_total(), 0);
 
         let w2 = TupleWorkload {
-            per_user_sinks: true,
             cross_shard: true,
             ..w
         };
-        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, 0, &w2);
+        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, &w2);
         trigger_round(&mut kernel, &triggers);
         assert_eq!(kernel.stats().delivered, 4 + 20);
         assert_eq!(kernel.stats().dropped_total(), 0);
@@ -265,7 +242,6 @@ mod tests {
             burst: 4,
             handle_base: 0x1000,
             handle_stride: 0x100,
-            per_user_sinks: true,
             cross_shard: true,
             payload: PayloadMode::Shared(256),
             zipf_s: 0.0,
@@ -273,7 +249,7 @@ mod tests {
         };
         // Shared: one template materialization per user at deploy time,
         // zero per send.
-        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, 0, &base);
+        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, &base);
         let before = Payload::deep_copies();
         trigger_round(&mut kernel, &triggers);
         assert_eq!(kernel.stats().delivered, 2 + 8);
@@ -288,7 +264,7 @@ mod tests {
             payload: PayloadMode::Copied(256),
             ..base
         };
-        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, 0, &copied);
+        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, &copied);
         let before = Payload::deep_copies();
         trigger_round(&mut kernel, &triggers);
         assert_eq!(kernel.stats().delivered, 2 + 8);
@@ -307,7 +283,6 @@ mod tests {
             burst: 32,
             handle_base: 0x1000,
             handle_stride: 0x100,
-            per_user_sinks: true,
             cross_shard: false,
             payload: PayloadMode::None,
             zipf_s: 1.2,
@@ -332,7 +307,7 @@ mod tests {
         assert_eq!(uniform.total_burst(), 16 * 32);
 
         // The deployed kernel actually sends the skewed counts.
-        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, 0, &w);
+        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, &w);
         trigger_round(&mut kernel, &triggers);
         assert_eq!(kernel.stats().delivered as usize, w.users + total);
         assert_eq!(kernel.stats().dropped_total(), 0);

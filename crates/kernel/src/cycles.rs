@@ -83,9 +83,6 @@ pub struct CostModel {
     pub new_handle: u64,
     /// Cost of creating a port (handle + vnode setup).
     pub new_port: u64,
-    /// Cost of replaying a memoized delivery decision: one hash lookup
-    /// over cached fingerprints, independent of label sizes.
-    pub cache_hit: u64,
 }
 
 impl Default for CostModel {
@@ -105,7 +102,6 @@ impl Default for CostModel {
             page_copy: 3_000,
             new_handle: 2_500,
             new_port: 4_000,
-            cache_hit: 60,
         }
     }
 }

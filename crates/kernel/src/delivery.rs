@@ -1,5 +1,4 @@
-//! The delivery engine: per-port mailboxes, the Figure 4 evaluation, and
-//! the fingerprint-keyed delivery-decision cache.
+//! The delivery engine: per-port mailboxes and the Figure 4 evaluation.
 //!
 //! Split out of `kernel.rs` so all delivery policy lives in one place:
 //!
@@ -7,34 +6,27 @@
 //!   port, drained by a deterministic round-robin scheduler. Per-port
 //!   queues are the structural prerequisite for sharding the delivery
 //!   engine: two ports' traffic shares no queue state.
-//! * [`DeliveryCache`] — memoizes full Figure 4 evaluations keyed on
-//!   [`ops::DeliveryKey`] (the structural fingerprints of all seven labels
-//!   a delivery reads). A hit replays both the decision *and* the effect
-//!   labels in O(1), without cloning a single label — effect labels are
-//!   stored and installed as `Arc<Label>`.
 //! * [`DeliveryOutcome`] — what one scheduler step did; the per-step
 //!   `Stats` bookkeeping happens in exactly one place
 //!   ([`KernelShard::step_outcome`]) instead of at every drop site.
 //!
 //! Since the kernel was sharded, the engine below runs *per shard*: each
 //! [`KernelShard`] drains its own mailboxes against its own processes,
-//! ports, cache, and clock, so N shards run N of these loops on parallel
+//! ports, and clock, so N shards run N of these loops on parallel
 //! pool workers without sharing mutable delivery state. Cross-shard
 //! sends are pushed straight into the destination shard's inbound
 //! channel and pulled at deterministic points of its drain loop —
 //! sub-round routing (see `router.rs` and `kernel.rs`).
 //!
-//! The cache is semantically invisible: fingerprints identify label
-//! *contents*, so label mutation anywhere simply produces different keys —
-//! there is nothing to invalidate, and a covert-channel regression test
-//! pins that cached and uncached runs drop exactly the same messages.
+//! Figure 4 is evaluated on every delivery. §5.6 is what makes that
+//! cheap: the label operations run in O(chunks touched), and an effect
+//! that changes nothing hands back the `Arc` the receiver already holds.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use asbestos_labels::{ops, ops::DeliveryKey, Handle, Label};
+use asbestos_labels::{ops, Handle, Label};
 
 use crate::cycles::Category;
 use crate::handle_table::PortOwner;
@@ -43,25 +35,6 @@ use crate::message::{Message, QueuedMessage};
 use crate::router::{PullPoint, Router};
 use crate::shard::KernelShard;
 use crate::stats::DropReason;
-
-/// Default bound on cached delivery decisions.
-pub const DEFAULT_DELIVERY_CACHE_CAP: usize = 1 << 16;
-
-/// Parses a per-shard cache bound from an `ASBESTOS_CACHE_CAP`-style
-/// value; anything unset or unparsable falls back to the compiled-in
-/// default. `0` is legal and disables caching entirely.
-pub(crate) fn cache_cap_from(value: Option<&str>) -> usize {
-    crate::knobs::parse_count(value).unwrap_or(DEFAULT_DELIVERY_CACHE_CAP)
-}
-
-/// The per-shard delivery-cache bound newly-built kernels start with:
-/// `ASBESTOS_CACHE_CAP` when set (operator knob for per-shard cache
-/// sizing experiments), else [`DEFAULT_DELIVERY_CACHE_CAP`]. Note the
-/// golden-trace suites pin cache counters under the default, so CI sets
-/// this only for jobs that do not compare against golden stats.
-pub(crate) fn default_cache_cap() -> usize {
-    cache_cap_from(crate::knobs::raw(crate::knobs::CACHE_CAP_ENV).as_deref())
-}
 
 /// What one call to [`crate::Kernel::step_outcome`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,130 +185,6 @@ impl Mailboxes {
 }
 
 // ---------------------------------------------------------------------
-// The delivery-decision cache.
-// ---------------------------------------------------------------------
-
-/// A memoized Figure 4 evaluation.
-#[derive(Clone)]
-enum CachedOutcome {
-    /// The delivery checks failed with this reason.
-    Drop(DropReason),
-    /// The checks passed; these are the Figure 4 effect labels.
-    Deliver {
-        /// `Q_S ← (Q_S ⊓ D_S) ⊔ (E_S ⊓ Q_S⋆)`.
-        new_qs: Arc<Label>,
-        /// `Q_R ← Q_R ⊔ D_R`.
-        new_qr: Arc<Label>,
-    },
-}
-
-/// Bounded memoization of delivery decisions and effects, keyed on the
-/// structural fingerprints of the seven labels one delivery reads.
-///
-/// Eviction is FIFO over insertion order — deterministic and O(1), which
-/// matters more here than LRU's hit rate: the workload this cache exists
-/// for (OKWS-style repeated traffic) has a small working set of hot
-/// tuples, and determinism is a simulator invariant.
-pub(crate) struct DeliveryCache {
-    map: HashMap<DeliveryKey, CachedOutcome>,
-    /// Insertion order, for FIFO eviction.
-    order: VecDeque<DeliveryKey>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl DeliveryCache {
-    pub fn new(capacity: usize) -> DeliveryCache {
-        DeliveryCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Changes the bound; shrinking evicts oldest entries immediately.
-    /// Capacity 0 disables the cache entirely.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.map.len() > self.capacity {
-            self.evict_oldest();
-        }
-    }
-
-    fn lookup(&mut self, key: &DeliveryKey) -> Option<CachedOutcome> {
-        if self.capacity == 0 {
-            return None;
-        }
-        match self.map.get(key) {
-            Some(outcome) => {
-                self.hits += 1;
-                Some(outcome.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: DeliveryKey, outcome: CachedOutcome) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Entry::Vacant(slot) = self.map.entry(key) {
-            slot.insert(outcome);
-            self.order.push_back(key);
-            if self.map.len() > self.capacity {
-                self.evict_oldest();
-            }
-        }
-    }
-
-    fn evict_oldest(&mut self) {
-        if let Some(oldest) = self.order.pop_front() {
-            self.map.remove(&oldest);
-            self.evictions += 1;
-        }
-    }
-
-    /// Accounted bytes: map entries plus the retained effect labels.
-    /// Shared `Arc<Label>`s are charged in full to the cache, matching how
-    /// every other refcounted kernel structure is billed (see
-    /// [`Label::heap_bytes`]).
-    pub fn bytes(&self) -> usize {
-        // Key (7×8) + order entry (7×8) + map slot overhead.
-        const ENTRY_BYTES: usize = 56 + 56 + 16;
-        self.map
-            .values()
-            .map(|outcome| match outcome {
-                CachedOutcome::Drop(_) => ENTRY_BYTES,
-                CachedOutcome::Deliver { new_qs, new_qr } => {
-                    ENTRY_BYTES + new_qs.heap_bytes() + new_qr.heap_bytes()
-                }
-            })
-            .sum()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
-
-    /// Current bound, in cached decisions (0 = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-// ---------------------------------------------------------------------
 // The delivery engine.
 // ---------------------------------------------------------------------
 
@@ -352,10 +201,10 @@ pub(crate) fn keep_or_wrap(held: &Arc<Label>, result: Cow<'_, Label>) -> Arc<Lab
 impl KernelShard {
     /// Attempts one message delivery and reports what happened.
     ///
-    /// All per-step `Stats` bookkeeping lives here: drop reasons, the
-    /// delivered counter, and the cache counters are recorded in one
-    /// place, so the delivery logic below returns outcomes instead of
-    /// mutating counters at every exit point.
+    /// All per-step `Stats` bookkeeping lives here: drop reasons and the
+    /// delivered counter are recorded in one place, so the delivery logic
+    /// below returns outcomes instead of mutating counters at every exit
+    /// point.
     pub(crate) fn step_outcome(&mut self, router: &Router) -> DeliveryOutcome {
         let Some(qm) = self.mailboxes.pop_next() else {
             return DeliveryOutcome::Idle;
@@ -367,10 +216,6 @@ impl KernelShard {
             DeliveryOutcome::Delivered => self.stats.delivered += 1,
             DeliveryOutcome::Idle => unreachable!("a message was popped"),
         }
-        let (hits, misses, evictions) = self.delivery_cache.counters();
-        self.stats.cache_hits = hits;
-        self.stats.cache_misses = misses;
-        self.stats.cache_evictions = evictions;
         outcome
     }
 
@@ -465,54 +310,28 @@ impl KernelShard {
         };
         let pr = &port_state.label;
 
-        // The memoization key covers all seven labels: the checks read
-        // (E_S, D_R, V, p_R, Q_R) and the effects additionally read
-        // (D_S, Q_S). Building it is O(1) — fingerprints are cached in
-        // the label headers.
-        let key = DeliveryKey::new(&qm.es, &qm.ds, &qm.dr, &qm.v, pr, qs, qr);
+        // Charge the label checks: linear in the entries examined (§5.6).
+        let work = ops::op_work(&[&qm.es, qr, &qm.dr, &qm.v, pr]) + 1;
+        self.clock
+            .charge(Category::KernelIpc, work as u64 * self.cost.label_entry);
 
-        let cached = self.delivery_cache.lookup(&key);
-        let outcome = match cached {
-            Some(outcome) => {
-                // O(1) replay: one lookup instead of a linear label walk.
-                self.clock.charge(Category::KernelIpc, self.cost.cache_hit);
-                outcome
-            }
-            None => {
-                // Charge the label checks: linear in the entries examined
-                // (§5.6).
-                let work = ops::op_work(&[&qm.es, qr, &qm.dr, &qm.v, pr]) + 1;
-                self.clock
-                    .charge(Category::KernelIpc, work as u64 * self.cost.label_entry);
-
-                let outcome = if !ops::check_decont_within_port(&qm.dr, pr) {
-                    // Figure 4 requirement (4): D_R ⊑ p_R.
-                    CachedOutcome::Drop(DropReason::PortLabelDecont)
-                } else if !ops::check_delivery(&qm.es, qr, &qm.dr, &qm.v, pr) {
-                    // Figure 4 requirement (1): E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R.
-                    CachedOutcome::Drop(DropReason::LabelCheck)
-                } else {
-                    // Figure 4 effects; an effect that changes nothing keeps
-                    // the `Arc` the receiver already holds.
-                    let new_qs =
-                        keep_or_wrap(qs, ops::apply_receive_contamination(qs, &qm.ds, &qm.es));
-                    let new_qr = keep_or_wrap(qr, ops::apply_receive_decontamination(qr, &qm.dr));
-                    let effect_work = ops::op_work(&[qs, &qm.ds, &qm.es, &qm.dr]) + 1;
-                    self.clock.charge(
-                        Category::KernelIpc,
-                        effect_work as u64 * self.cost.label_entry,
-                    );
-                    CachedOutcome::Deliver { new_qs, new_qr }
-                };
-                self.delivery_cache.insert(key, outcome.clone());
-                outcome
-            }
-        };
-
-        let (new_qs, new_qr) = match outcome {
-            CachedOutcome::Drop(reason) => return DeliveryOutcome::Dropped(reason),
-            CachedOutcome::Deliver { new_qs, new_qr } => (new_qs, new_qr),
-        };
+        if !ops::check_decont_within_port(&qm.dr, pr) {
+            // Figure 4 requirement (4): D_R ⊑ p_R.
+            return DeliveryOutcome::Dropped(DropReason::PortLabelDecont);
+        }
+        if !ops::check_delivery(&qm.es, qr, &qm.dr, &qm.v, pr) {
+            // Figure 4 requirement (1): E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R.
+            return DeliveryOutcome::Dropped(DropReason::LabelCheck);
+        }
+        // Figure 4 effects; an effect that changes nothing keeps the `Arc`
+        // the receiver already holds.
+        let new_qs = keep_or_wrap(qs, ops::apply_receive_contamination(qs, &qm.ds, &qm.es));
+        let new_qr = keep_or_wrap(qr, ops::apply_receive_decontamination(qr, &qm.dr));
+        let effect_work = ops::op_work(&[qs, &qm.ds, &qm.es, &qm.dr]) + 1;
+        self.clock.charge(
+            Category::KernelIpc,
+            effect_work as u64 * self.cost.label_entry,
+        );
 
         // The message will be delivered. Fork an event process if the
         // destination is a base-owned port of an event-mode process (§6.1).
@@ -579,7 +398,6 @@ impl KernelShard {
 mod tests {
     use super::*;
     use crate::value::Value;
-    use asbestos_labels::Level;
 
     fn qm(port: u64, tag: u64) -> QueuedMessage {
         QueuedMessage {
@@ -734,42 +552,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_cap_parsing() {
-        assert_eq!(cache_cap_from(None), DEFAULT_DELIVERY_CACHE_CAP);
-        assert_eq!(
-            cache_cap_from(Some("not-a-number")),
-            DEFAULT_DELIVERY_CACHE_CAP
-        );
-        assert_eq!(cache_cap_from(Some("0")), 0, "0 disables the cache");
-        assert_eq!(cache_cap_from(Some("4096")), 4096);
-    }
-
-    #[test]
-    fn cache_bounds_and_counters() {
-        let mut c = DeliveryCache::new(2);
-        let key = |i: u64| {
-            let l = Label::from_pairs(Level::L1, &[(Handle::from_raw(i), Level::L3)]);
-            let b = Label::bottom();
-            DeliveryKey::new(&l, &b, &b, &b, &b, &b, &b)
-        };
-        assert!(c.lookup(&key(1)).is_none());
-        c.insert(key(1), CachedOutcome::Drop(DropReason::LabelCheck));
-        c.insert(key(2), CachedOutcome::Drop(DropReason::LabelCheck));
-        assert!(c.lookup(&key(1)).is_some());
-        c.insert(key(3), CachedOutcome::Drop(DropReason::LabelCheck));
-        // FIFO eviction dropped key(1).
-        assert!(c.lookup(&key(1)).is_none());
-        assert_eq!(c.len(), 2);
-        let (hits, misses, evictions) = c.counters();
-        assert_eq!((hits, misses, evictions), (1, 2, 1));
-        assert!(c.bytes() > 0);
-        c.set_capacity(0);
-        assert_eq!(c.len(), 0);
-        assert!(c.lookup(&key(2)).is_none());
-        // Disabled cache records no further counter movement on lookup.
-        assert_eq!(c.counters().1, 2);
     }
 }

@@ -105,8 +105,6 @@ pub struct KmemReport {
     pub handle_bytes: usize,
     /// Queued, undelivered messages.
     pub queue_bytes: usize,
-    /// The delivery-decision cache: keys plus retained effect labels.
-    pub delivery_cache_bytes: usize,
     /// User memory: allocated 4 KiB frames (base tables and EP deltas).
     pub user_frame_bytes: usize,
     /// Scheduler bookkeeping: the worker pool's handles and shared state
@@ -126,7 +124,6 @@ impl KmemReport {
             + self.ep_bytes
             + self.handle_bytes
             + self.queue_bytes
-            + self.delivery_cache_bytes
             + self.user_frame_bytes
             + self.pool_bytes
             + self.tuner_bytes
@@ -143,7 +140,6 @@ impl KmemReport {
         self.ep_bytes += other.ep_bytes;
         self.handle_bytes += other.handle_bytes;
         self.queue_bytes += other.queue_bytes;
-        self.delivery_cache_bytes += other.delivery_cache_bytes;
         self.user_frame_bytes += other.user_frame_bytes;
         self.pool_bytes += other.pool_bytes;
         self.tuner_bytes += other.tuner_bytes;
@@ -563,25 +559,10 @@ impl Kernel {
         }
     }
 
-    /// Sets the delivery-decision cache bound, in cached decisions per
-    /// shard. Capacity 0 disables caching entirely (every delivery
-    /// evaluates Figure 4 from scratch — the ablation baseline). New
-    /// kernels default to `ASBESTOS_CACHE_CAP` when that is set, else
-    /// [`crate::DEFAULT_DELIVERY_CACHE_CAP`].
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
-        for shard in &mut self.shards {
-            shard.delivery_cache.set_capacity(capacity);
-        }
-    }
-
-    /// Alias of [`Kernel::set_cache_capacity`] (the original name).
-    pub fn set_delivery_cache_capacity(&mut self, capacity: usize) {
-        self.set_cache_capacity(capacity);
-    }
-
-    /// Number of currently cached delivery decisions, over all shards.
+    /// Always 0: there is no delivery-decision cache. Read only by
+    /// `benchmark/`; see the note on [`Stats::cache_hits`].
     pub fn delivery_cache_len(&self) -> usize {
-        self.shards.iter().map(|s| s.delivery_cache.len()).sum()
+        0
     }
 
     /// Assigns process labels out of band (god-mode).
@@ -659,7 +640,7 @@ impl Kernel {
         self.tuner.policy = policy;
     }
 
-    /// Tuning actions actually applied so far (cache resizes + steals).
+    /// Tuning actions actually applied so far (steals + shed moves).
     /// The determinism guard pins this at 0 for sequential runs.
     pub fn tuner_actions(&self) -> u64 {
         self.tuner.actions_applied
@@ -704,11 +685,6 @@ impl Kernel {
             signals.shards.push(ShardSignals {
                 busy_nanos: cur.busy_nanos - prev.busy_nanos,
                 delivered: cur.delivered - prev.delivered,
-                cache_hits: cur.cache_hits - prev.cache_hits,
-                cache_misses: cur.cache_misses - prev.cache_misses,
-                cache_evictions: cur.cache_evictions - prev.cache_evictions,
-                cache_len: shard.delivery_cache.len(),
-                cache_capacity: shard.delivery_cache.capacity(),
                 queue_depth_hwm: shard.stats.queue_depth_hwm,
                 port_queue_drops: cur.port_queue_drops - prev.port_queue_drops,
                 hot_ports,
@@ -719,13 +695,6 @@ impl Kernel {
         let actions = self.tuner.policy.adjust(&signals);
         for action in actions {
             match action {
-                Action::SetCacheCapacity { shard, capacity } => {
-                    if shard < n && self.shards[shard].delivery_cache.capacity() != capacity {
-                        self.shards[shard].delivery_cache.set_capacity(capacity);
-                        self.shards[shard].stats.cache_resizes += 1;
-                        self.tuner.actions_applied += 1;
-                    }
-                }
                 Action::StealPort { port, to_shard } => {
                     if self.migrate_port_owner(port, to_shard).is_some() {
                         self.tuner.actions_applied += 1;
@@ -742,13 +711,9 @@ impl Kernel {
     }
 
     fn sample(shard: &KernelShard) -> ShardSample {
-        let (cache_hits, cache_misses, cache_evictions) = shard.delivery_cache.counters();
         ShardSample {
             busy_nanos: shard.busy_nanos,
             delivered: shard.stats.delivered,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
             port_queue_drops: shard.stats.dropped_port_queue_full,
         }
     }

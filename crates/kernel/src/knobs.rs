@@ -3,7 +3,7 @@
 //! Every runtime knob the workspace reads from the environment is named
 //! here, and the three parse shapes they share live here too. The
 //! subsystems keep their own defaults and domain types (the kernel's
-//! cache capacity, the store's group-commit policy) and delegate the
+//! port-queue bound, the store's group-commit policy) and delegate the
 //! string handling to this module, so a new knob is one constant plus a
 //! call to an already-tested parser — not a seventh ad-hoc
 //! `env::var(..).parse()` chain.
@@ -11,7 +11,6 @@
 //! | knob | shape | consumer |
 //! |---|---|---|
 //! | `ASBESTOS_WORKERS` | count | worker-thread budget (`kernel.rs`) |
-//! | `ASBESTOS_CACHE_CAP` | count (0 = off) | delivery-cache bound (`delivery.rs`) |
 //! | `ASBESTOS_PORT_QUEUE` | positive count | per-port queue bound (`shard.rs`) |
 //! | `ASBESTOS_TUNE` | on/off flag | self-tuning loop (`tuner.rs`) |
 //! | `ASBESTOS_DB_GROUP_COMMIT` | auto-or-count | WAL group commit (`db::durable`) |
@@ -22,8 +21,6 @@
 
 /// Worker-thread budget for multi-shard rounds.
 pub const WORKERS_ENV: &str = "ASBESTOS_WORKERS";
-/// Per-shard delivery-decision cache bound (`0` disables caching).
-pub const CACHE_CAP_ENV: &str = "ASBESTOS_CACHE_CAP";
 /// Per-port message-queue bound.
 pub const PORT_QUEUE_ENV: &str = "ASBESTOS_PORT_QUEUE";
 /// Self-tuning control loop arm/disarm flag.
@@ -148,7 +145,6 @@ mod tests {
     fn knob_names_are_namespaced() {
         for name in [
             WORKERS_ENV,
-            CACHE_CAP_ENV,
             PORT_QUEUE_ENV,
             TUNE_ENV,
             DB_GROUP_COMMIT_ENV,

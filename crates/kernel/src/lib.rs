@@ -45,7 +45,7 @@
 //!
 //! The kernel is a set of [`shard::KernelShard`]s — each a complete,
 //! isolated delivery engine owning its own processes, event processes,
-//! ports, frames, mailboxes, decision cache, clock, and stats — behind a
+//! ports, frames, mailboxes, clock, and stats — behind a
 //! [`Kernel`] coordinator that owns placement, the barrier-synchronized
 //! round scheduler (parallel `std::thread::scope` drains plus
 //! deterministic outbox routing), and the merged whole-kernel views. The
@@ -57,7 +57,7 @@
 //! `tests/shard_determinism.rs`.
 //!
 //! Within one shard, [`delivery`] is everything that happens to a queued
-//! message. Two structures define that engine:
+//! message:
 //!
 //! **Per-port mailboxes, round-robin scheduled.** Queued messages live in
 //! one FIFO per destination port. A deterministic round-robin rotation —
@@ -68,23 +68,14 @@
 //! ports: the structural prerequisite for sharding the delivery engine
 //! across cores.
 //!
-//! **The delivery-decision cache.** Every delivery evaluates the paper's
-//! Figure 4 rule `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R` plus its relabeling
-//! effects — work linear in label size, and the source of Figure 9's
-//! linear degradation. But OKWS-style traffic repeats identical label
-//! tuples endlessly, so the kernel memoizes: every [`Label`] carries a
-//! 64-bit structural fingerprint (maintained incrementally from per-chunk
-//! digests, independent of chunk boundaries), and a bounded cache maps
-//! the fingerprint 7-tuple of `(E_S, D_S, D_R, V, p_R, Q_S, Q_R)` to the
-//! boolean outcome *and* the resulting `Q_S`/`Q_R` labels. A hit replays
-//! the whole evaluation in O(1) without cloning a label — effect labels
-//! are installed by `Arc` bump, which is why process and event-process
-//! labels are stored as `Arc<Label>`. Because keys identify label
-//! *contents*, mutation anywhere simply produces different keys; nothing
-//! is ever invalidated, and cached runs are bitwise-identical to uncached
-//! ones (pinned by `tests/delivery_cache.rs`). Hits, misses, evictions,
-//! and cache bytes surface in [`Stats`] and [`KmemReport`];
-//! [`Kernel::set_delivery_cache_capacity`] bounds or disables it.
+//! **Figure 4 on every delivery.** Every delivery evaluates the paper's
+//! rule `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R` plus its relabeling effects. §5.6
+//! is what makes that affordable: the label operations run in O(chunks
+//! touched), and an effect that changes nothing hands back the `Arc` the
+//! receiver already holds — which is why process and event-process labels
+//! are stored as `Arc<Label>`. There is no memo in front of the check; the
+//! virtual clock charges the linear label work every time, which is the
+//! source of Figure 9's linear degradation.
 //!
 //! **Overload control.** Armed by [`Kernel::set_backpressure`] (off by
 //! default), the [`backpressure`] module turns silent queue-bound drops
@@ -121,7 +112,7 @@ pub mod value;
 
 pub use backpressure::{PortPressure, SendVerdict};
 pub use cycles::{Category, CostModel, CYCLES_PER_SEC};
-pub use delivery::{DeliveryOutcome, DEFAULT_DELIVERY_CACHE_CAP};
+pub use delivery::DeliveryOutcome;
 pub use error::{SysError, SysResult};
 pub use event_process::{EventProcess, EP_STRUCT_BYTES};
 pub use handle_table::{PortOwner, VNODE_BYTES};

@@ -93,9 +93,9 @@ pub struct Process {
     pub name: String,
     /// The process send label `P_S` — its current contamination.
     ///
-    /// `Arc`-shared: the delivery cache installs memoized Figure 4 effect
-    /// labels by reference bump, and forked event processes share the
-    /// base's labels until either side mutates (copy-on-write via
+    /// `Arc`-shared: a Figure 4 effect that changes nothing re-installs
+    /// this same `Arc`, and forked event processes share the base's
+    /// labels until either side mutates (copy-on-write via
     /// `Arc::make_mut`).
     pub send_label: Arc<Label>,
     /// The process receive label `P_R` — the contamination it accepts.

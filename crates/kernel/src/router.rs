@@ -11,11 +11,11 @@
 //! * the **global environment** — the §4 bootstrapping namespace, which
 //!   was always whole-kernel state.
 //!
-//! Everything else a delivery touches (labels, mailboxes, frames, the
-//! decision cache) is shard-private, which is what lets shards run their
-//! delivery loops on parallel threads without taking a single lock on the
-//! hot path: a shard only consults the directory for ports it does not
-//! own, and messages crossing shards travel through the per-shard inbound
+//! Everything else a delivery touches (labels, mailboxes, frames) is
+//! shard-private, which is what lets shards run their delivery loops on
+//! parallel threads without taking a single lock on the hot path: a
+//! shard only consults the directory for ports it does not own, and
+//! messages crossing shards travel through the per-shard inbound
 //! channels of the [`InboxSet`] below — pushed by the *sending* shard the
 //! moment the send resolves, drained by the *receiving* shard at
 //! deterministic points in its own schedule (sub-round routing; see

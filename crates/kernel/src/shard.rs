@@ -3,9 +3,8 @@
 //! A [`KernelShard`] owns every structure one delivery touches — the
 //! processes and event processes scheduled on it, the vnode table for the
 //! ports they own, the frame pool backing their memory, the per-port
-//! mailboxes feeding its delivery loop, the delivery-decision cache, the
-//! cycle clock, and the statistics counters. Shards share no mutable
-//! state: the only cross-shard structures are the read-mostly
+//! mailboxes feeding its delivery loop, the cycle clock, and the
+//! statistics counters. Shards share no mutable state: the only cross-shard structures are the read-mostly
 //! [`Router`](crate::router::Router) maps and the per-shard inbound
 //! channels of the shared [`InboxSet`]. A cross-shard send pushes into
 //! the *destination's* inbound channel the moment it resolves —
@@ -26,7 +25,7 @@ use asbestos_labels::{ops, Handle, Label};
 
 use crate::backpressure::{Backpressure, SendVerdict};
 use crate::cycles::{Category, CostModel, CycleClock};
-use crate::delivery::{default_cache_cap, keep_or_wrap, DeliveryCache, Mailboxes};
+use crate::delivery::{keep_or_wrap, Mailboxes};
 use crate::event_process::EventProcess;
 use crate::handle_table::{HandleTable, PortOwner, Vnode, VnodeKind};
 use crate::ids::{EpId, ExecCtx, ProcessId};
@@ -97,7 +96,6 @@ pub struct KernelShard {
     pub(crate) drain_buf: Vec<QueuedMessage>,
     pub(crate) queue_limit: usize,
     pub(crate) port_queue_limit: usize,
-    pub(crate) delivery_cache: DeliveryCache,
     pub(crate) stats: Stats,
     /// Overload-control state: credit windows, the retry queue, per-port
     /// pressure counters. Inert unless armed (see
@@ -146,7 +144,6 @@ impl KernelShard {
             drain_buf: Vec::new(),
             queue_limit: DEFAULT_QUEUE_LIMIT,
             port_queue_limit: default_port_queue_limit(),
-            delivery_cache: DeliveryCache::new(default_cache_cap()),
             stats: Stats::default(),
             bp: Backpressure::default(),
             shed_threshold: usize::MAX,
@@ -472,9 +469,7 @@ impl KernelShard {
         // E_S = P_S ⊔ C_S, snapshotted now; delivery checks happen when the
         // receiver is scheduled (§4: delivery is decided at receive time).
         // A C_S that adds nothing — the common case — shares P_S by
-        // reference, which also keeps E_S's fingerprint stable across
-        // sends and is what makes the delivery cache hit for repeated
-        // traffic.
+        // reference.
         let es = keep_or_wrap(ps, ops::effective_send(ps, &args.contaminate));
 
         let qm = QueuedMessage {
@@ -643,14 +638,12 @@ impl KernelShard {
             charge(qm);
         }
         self.xshard.for_each_queued(self.id as usize, &mut charge);
-        let delivery_cache_bytes = self.delivery_cache.bytes();
         let user_frame_bytes = self.frames.frames_in_use() * PAGE_SIZE;
         KmemReport {
             process_bytes,
             ep_bytes,
             handle_bytes,
             queue_bytes,
-            delivery_cache_bytes,
             user_frame_bytes,
             // Scheduler and tuner bookkeeping are kernel-level, not
             // per-shard; the coordinator fills them in
@@ -670,11 +663,10 @@ impl KernelShard {
         &self.clock
     }
 
-    /// This shard's delivery-cache bound right now (0 = disabled). A
-    /// static number unless the tuner is armed, in which case it is the
-    /// live output of the adaptive-capacity loop.
+    /// Always 0: there is no delivery-decision cache. Read only by
+    /// `benchmark/`; see the note on [`Stats::cache_hits`].
     pub fn delivery_cache_capacity(&self) -> usize {
-        self.delivery_cache.capacity()
+        0
     }
 
     /// Pending messages queued on this shard (mailboxes, its inbound

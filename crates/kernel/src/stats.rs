@@ -53,11 +53,18 @@ pub struct Stats {
     pub context_switches: u64,
     /// Event-process switches within one process.
     pub ep_switches: u64,
-    /// Delivery-decision cache hits (Figure 4 evaluations replayed in O(1)).
+    /// Always 0. The delivery-decision cache is gone; `cache_hits`,
+    /// `cache_misses`, `cache_evictions`, `cache_resizes`,
+    /// `Kernel::delivery_cache_len` and
+    /// `KernelShard::delivery_cache_capacity` remain only because
+    /// `benchmark/` (which a crate PR may not edit) reads them. The
+    /// `[benchmark]` PR that drops the `kernel.cache_*` layer rows removes
+    /// all six. The fields keep their positions: `benchmark/` digests
+    /// this struct's `Debug` output.
     pub cache_hits: u64,
-    /// Delivery-decision cache misses (full Figure 4 evaluations).
+    /// Always 0; see [`Stats::cache_hits`].
     pub cache_misses: u64,
-    /// Delivery-decision cache evictions (capacity pressure).
+    /// Always 0; see [`Stats::cache_hits`].
     pub cache_evictions: u64,
     /// Scheduler rounds executed by the multi-shard run loop (a
     /// single-shard kernel runs the monolithic loop and counts none).
@@ -88,7 +95,7 @@ pub struct Stats {
     /// Whole-port-queue steals this shard adopted (hot-shard work
     /// stealing: a process and all its port queues migrated here).
     pub steals: u64,
-    /// Times the tuner resized this shard's delivery cache.
+    /// Always 0; see [`Stats::cache_hits`].
     pub cache_resizes: u64,
     /// Messages parked in the backpressure retry queue instead of being
     /// enqueued (credit overrun or shared-capacity pressure). Zero unless

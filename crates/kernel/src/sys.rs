@@ -114,7 +114,7 @@ impl<'k> Sys<'k> {
             .clock
             .charge(Category::KernelIpc, self.shard.cost.new_handle);
         // `make_mut` takes a private copy only when the storage is shared
-        // (with an event process, a queued message, or a cache entry).
+        // (with an event process or a queued message).
         Arc::make_mut(self.send_slot()).set(h, Level::Star);
         h
     }

@@ -1,9 +1,8 @@
 //! The self-tuning control loop: signals → policy → actuator.
 //!
-//! Every performance knob the kernel grew while being sharded — per-shard
-//! delivery-cache capacity, shard placement — was static at deploy time,
-//! so a Zipf-skewed user population leaves N−1 shards idle while one
-//! shard cliffs. This module closes the loop: between drain rounds the
+//! Shard placement and the shed threshold were static at deploy time, so
+//! a Zipf-skewed user population leaves N−1 shards idle while one shard
+//! cliffs. This module closes the loop: between drain rounds the
 //! coordinator snapshots one observation window of per-shard counters
 //! ([`Signals`]), feeds it to a [`TunePolicy`], and applies the returned
 //! [`Action`]s. The design follows the "policy out of mechanism" rule:
@@ -15,42 +14,29 @@
 //!   [`TunePolicy`]) decides; thresholds live here, not in the drain
 //!   loop.
 //! * **The actuator** is the coordinator (`Kernel::tune`), which owns
-//!   `&mut` everything between rounds and can therefore resize caches
-//!   and migrate whole processes without any locking.
+//!   `&mut` everything between rounds and can therefore migrate whole
+//!   processes without any locking.
 //!
 //! Determinism contract: the loop only runs when the kernel is already
 //! scheduling nondeterministically (`shards > 1` *and* parallel pool
 //! workers). With `ASBESTOS_WORKERS=1`, `shards == 1`, or
 //! `ASBESTOS_TUNE=off` the tuner is inert and the golden-trace suites
 //! (`shard_determinism`, `netd_determinism`) see bit-identical runs —
-//! pinned by test. Every action is semantically invisible: cache sizing
-//! never changes a Figure 4 verdict (fingerprint keys), and a steal
-//! moves a process *wholesale* — labels, memory, ports, and whole
-//! per-port queues — so delivery order per sender per port and every
-//! verdict are preserved (pinned by proptest).
+//! pinned by test. A steal is semantically invisible: it moves a process
+//! *wholesale* — labels, memory, ports, and whole per-port queues — so
+//! delivery order per sender per port and every verdict are preserved
+//! (pinned by proptest).
 
 use asbestos_labels::Handle;
 
-/// One shard's contribution to an observation window. All counter
-/// fields are deltas since the previous window; capacity/length fields
-/// are point-in-time.
+/// One shard's contribution to an observation window. Counter fields
+/// are deltas since the previous window unless they say otherwise.
 #[derive(Clone, Debug, Default)]
 pub struct ShardSignals {
     /// Real host nanoseconds this shard's delivery loop ran this window.
     pub busy_nanos: u64,
     /// Messages delivered this window.
     pub delivered: u64,
-    /// Delivery-cache hits this window.
-    pub cache_hits: u64,
-    /// Delivery-cache misses this window.
-    pub cache_misses: u64,
-    /// Delivery-cache evictions this window (capacity pressure).
-    pub cache_evictions: u64,
-    /// Cached decisions right now.
-    pub cache_len: usize,
-    /// The cache bound right now (0 = caching disabled by the operator;
-    /// the default policy never resurrects a disabled cache).
-    pub cache_capacity: usize,
     /// Deepest this shard's mailboxes have ever been.
     pub queue_depth_hwm: u64,
     /// Per-port backpressure drops this window.
@@ -105,13 +91,6 @@ impl Signals {
 /// An adjustment a policy asks the actuator to make.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Action {
-    /// Rebound one shard's delivery cache.
-    SetCacheCapacity {
-        /// Which shard.
-        shard: usize,
-        /// New bound, in cached decisions.
-        capacity: usize,
-    },
     /// Steal `port`'s owner: migrate the owning process — its labels,
     /// memory, every port it owns, and each port's *whole* pending
     /// mailbox queue — onto `to_shard`, re-registering the ports in the
@@ -163,16 +142,6 @@ pub const DEFAULT_STEAL_RATIO: f64 = 1.3;
 /// Consecutive imbalanced windows before a steal fires.
 pub const DEFAULT_STEAL_PATIENCE: u32 = 2;
 
-/// Window hit rate below which an evicting cache grows.
-pub const DEFAULT_GROW_BELOW_HIT_RATE: f64 = 0.90;
-
-/// Total cached-decision budget across all shards (the kmem bound the
-/// cache loop grows within): 4× the static per-shard default.
-pub const DEFAULT_CACHE_BUDGET_ENTRIES: usize = 4 * crate::DEFAULT_DELIVERY_CACHE_CAP;
-
-/// Smallest bound the shrink path leaves a live cache.
-pub const DEFAULT_CACHE_FLOOR: usize = 1 << 10;
-
 /// Smallest shed threshold the tightening path ever sets: shedding at a
 /// backlog of a few messages would refuse work on scheduling noise.
 pub const DEFAULT_SHED_FLOOR: usize = 64;
@@ -181,9 +150,8 @@ pub const DEFAULT_SHED_FLOOR: usize = 64;
 /// (jumps to `usize::MAX`) rather than carrying an ever-doubling number.
 pub const DEFAULT_SHED_CEILING: usize = 1 << 16;
 
-/// The built-in policy: multiplicative cache grow/shrink by hit rate
-/// within a kmem budget, and hot-port stealing after sustained
-/// imbalance. All thresholds are public fields so benches and tests can
+/// The built-in policy: AIMD on the shed threshold, and hot-port
+/// stealing after sustained imbalance. All thresholds are public fields so benches and tests can
 /// run the same logic with different constants.
 #[derive(Clone, Debug)]
 pub struct DefaultPolicy {
@@ -193,12 +161,6 @@ pub struct DefaultPolicy {
     pub steal_ratio: f64,
     /// Consecutive imbalanced windows before stealing.
     pub steal_patience: u32,
-    /// Grow an evicting shard's cache while its hit rate is below this.
-    pub grow_below_hit_rate: f64,
-    /// Total cache budget (entries) across shards.
-    pub cache_budget_entries: usize,
-    /// Smallest capacity the shrink path leaves.
-    pub cache_floor: usize,
     /// Smallest shed threshold the tightening path sets.
     pub shed_floor: usize,
     /// Shed threshold past which relaxation disables shedding.
@@ -213,9 +175,6 @@ impl Default for DefaultPolicy {
             min_busy_nanos: DEFAULT_MIN_BUSY_NANOS,
             steal_ratio: DEFAULT_STEAL_RATIO,
             steal_patience: DEFAULT_STEAL_PATIENCE,
-            grow_below_hit_rate: DEFAULT_GROW_BELOW_HIT_RATE,
-            cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
-            cache_floor: DEFAULT_CACHE_FLOOR,
             shed_floor: DEFAULT_SHED_FLOOR,
             shed_ceiling: DEFAULT_SHED_CEILING,
             imbalanced_windows: 0,
@@ -258,41 +217,7 @@ impl TunePolicy for DefaultPolicy {
             return actions;
         }
 
-        // --- Feedback loop 1: adaptive cache capacity. -----------------
-        let mut total_cap: usize = signals.shards.iter().map(|s| s.cache_capacity).sum();
-        for (i, sh) in signals.shards.iter().enumerate() {
-            let lookups = sh.cache_hits + sh.cache_misses;
-            if sh.cache_capacity == 0 {
-                // Operator disabled caching (ablation); never resurrect.
-                continue;
-            }
-            if lookups > 0 {
-                let hit_rate = sh.cache_hits as f64 / lookups as f64;
-                if sh.cache_evictions > 0 && hit_rate < self.grow_below_hit_rate {
-                    // Thrashing: the working set exceeds the bound. Grow
-                    // multiplicatively while the global budget allows.
-                    let new_cap = sh.cache_capacity.saturating_mul(2);
-                    if total_cap - sh.cache_capacity + new_cap <= self.cache_budget_entries {
-                        total_cap = total_cap - sh.cache_capacity + new_cap;
-                        actions.push(Action::SetCacheCapacity {
-                            shard: i,
-                            capacity: new_cap,
-                        });
-                    }
-                }
-            } else if sh.cache_capacity > self.cache_floor && sh.cache_len <= sh.cache_capacity / 4
-            {
-                // Idle and mostly empty: give the budget back.
-                let new_cap = (sh.cache_capacity / 2).max(self.cache_floor);
-                total_cap = total_cap - sh.cache_capacity + new_cap;
-                actions.push(Action::SetCacheCapacity {
-                    shard: i,
-                    capacity: new_cap,
-                });
-            }
-        }
-
-        // --- Feedback loop 2: adaptive shed threshold. -----------------
+        // --- Feedback loop 1: adaptive shed threshold. -----------------
         // AIMD on the overload-shed knob, per shard: port-bound drops
         // mean queueing has already failed — tighten sharply so netd
         // refuses work at the edge instead; a clean window relaxes the
@@ -327,7 +252,7 @@ impl TunePolicy for DefaultPolicy {
             }
         }
 
-        // --- Feedback loop 3: hot-shard work stealing. -----------------
+        // --- Feedback loop 2: hot-shard work stealing. -----------------
         if self.imbalanced_windows >= self.steal_patience {
             let hottest = signals.hottest();
             let idlest = signals.idlest();
@@ -374,9 +299,6 @@ impl TunePolicy for DefaultPolicy {
 pub(crate) struct ShardSample {
     pub(crate) busy_nanos: u64,
     pub(crate) delivered: u64,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
-    pub(crate) cache_evictions: u64,
     pub(crate) port_queue_drops: u64,
 }
 
@@ -441,7 +363,6 @@ mod tests {
                     // always within the half-gap bound when the window
                     // is imbalanced enough to steal at all.
                     delivered: 100,
-                    cache_capacity: 1 << 10,
                     hot_ports: vec![(Handle::from_raw(7), 10)],
                     ..ShardSignals::default()
                 })
@@ -556,66 +477,20 @@ mod tests {
         );
     }
 
-    #[test]
-    fn thrashing_cache_grows_within_budget_and_idle_cache_shrinks() {
-        let mut p = DefaultPolicy::default();
-        let mut s = window(&[10_000_000, 10_000_000]);
-        // Shard 0 thrashes: lookups with low hit rate and evictions.
-        s.shards[0].cache_hits = 10;
-        s.shards[0].cache_misses = 990;
-        s.shards[0].cache_evictions = 500;
-        s.shards[0].cache_capacity = 1 << 12;
-        // Shard 1 is idle with a big, mostly-empty cache.
-        s.shards[1].cache_capacity = 1 << 14;
-        s.shards[1].cache_len = 10;
-        p.observe(&s);
-        let actions = p.adjust(&s);
-        assert!(actions.contains(&Action::SetCacheCapacity {
-            shard: 0,
-            capacity: 1 << 13,
-        }));
-        assert!(actions.contains(&Action::SetCacheCapacity {
-            shard: 1,
-            capacity: 1 << 13,
-        }));
-    }
-
-    #[test]
-    fn cache_growth_respects_the_global_budget() {
-        let mut p = DefaultPolicy {
-            cache_budget_entries: 1 << 12,
-            ..DefaultPolicy::default()
-        };
-        let mut s = window(&[10_000_000, 10_000_000]);
-        for sh in &mut s.shards {
-            sh.cache_hits = 0;
-            sh.cache_misses = 1000;
-            sh.cache_evictions = 900;
-            sh.cache_capacity = 1 << 11;
-        }
-        p.observe(&s);
-        // Budget 4096, current total 4096: no growth fits.
-        assert!(p.adjust(&s).is_empty());
-    }
-
     /// Covert-channel hygiene at the policy layer: a flooding user's
-    /// thrash signals on its own shard never change what the policy does
-    /// to a healthy shard's cache, and any steal it provokes targets
-    /// only the flooded shard's ports.
+    /// overload signals on its own shard never change what the policy
+    /// does to a healthy shard, and any steal it provokes targets only
+    /// the flooded shard's ports.
     #[test]
     fn flood_on_one_shard_never_acts_on_a_healthy_shard() {
         let healthy = |s: &mut Signals| {
-            s.shards[0].cache_hits = 990;
-            s.shards[0].cache_misses = 10;
-            s.shards[0].cache_evictions = 0;
-            s.shards[0].cache_len = 100;
             s.shards[0].hot_ports = vec![(Handle::from_raw(40), 5)];
         };
         // Quiet system: shard 1 idle-but-present.
         let mut quiet = window(&[5_000_000, 5_000_000, 5_000_000, 5_000_000]);
         healthy(&mut quiet);
-        // Flooded system: shard 1 thrashes its cache, drops at its port
-        // bounds, and dominates busy time with two steal-eligible ports.
+        // Flooded system: shard 1 drops at its port bounds and dominates
+        // busy time with two steal-eligible ports.
         for sh in &mut quiet.shards {
             sh.shed_threshold = usize::MAX;
         }
@@ -624,9 +499,6 @@ mod tests {
         for sh in &mut noisy.shards {
             sh.shed_threshold = usize::MAX;
         }
-        noisy.shards[1].cache_hits = 10;
-        noisy.shards[1].cache_misses = 990;
-        noisy.shards[1].cache_evictions = 500;
         noisy.shards[1].delivered = 10_000;
         noisy.shards[1].port_queue_drops = 5_000;
         noisy.shards[1].queue_depth_hwm = 50_000;
@@ -641,7 +513,6 @@ mod tests {
                 acts.extend(p.adjust(s));
             }
             acts.retain(|a| match a {
-                Action::SetCacheCapacity { shard, .. } => *shard == 0,
                 Action::StealPort { port, .. } => *port == Handle::from_raw(40),
                 Action::SetShedThreshold { shard, .. } => *shard == 0,
             });
@@ -714,21 +585,5 @@ mod tests {
             shard: 0,
             threshold: DEFAULT_SHED_FLOOR,
         }));
-    }
-
-    #[test]
-    fn disabled_cache_stays_disabled() {
-        let mut p = DefaultPolicy::default();
-        let mut s = window(&[10_000_000, 10_000_000]);
-        s.shards[0].cache_capacity = 0;
-        s.shards[0].cache_misses = 1000;
-        s.shards[0].cache_evictions = 0;
-        p.observe(&s);
-        assert!(
-            p.adjust(&s)
-                .iter()
-                .all(|a| !matches!(a, Action::SetCacheCapacity { shard: 0, .. })),
-            "the ablation configuration must survive tuning"
-        );
     }
 }

@@ -33,8 +33,8 @@ static PAYLOAD_DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
 /// [`Payload::slice`], which bump the refcount and never touch the
 /// bytes. Each materialization increments the process-wide
 /// [`Payload::deep_copies`] counter, so a test can prove a whole
-/// request path did zero byte-copies (the `Arc<Label>` discipline from
-/// the delivery cache, applied to payloads).
+/// request path did zero byte-copies (the `Arc<Label>` discipline of
+/// delivery, applied to payloads).
 #[derive(Clone)]
 pub struct Payload {
     data: Arc<[u8]>,

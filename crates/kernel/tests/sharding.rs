@@ -607,7 +607,7 @@ fn steal_schedules_preserve_fifo_and_multiset() {
 /// A victim's delivery traces must be bit-identical whether or not an
 /// unrelated user floods the system while the control loop is armed and
 /// reacting. The attacker's load may move the *attacker's* ports and
-/// resize the *attacker's* shard caches — never alter what the victim
+/// move the *attacker's* shed threshold — never alter what the victim
 /// observes.
 #[test]
 fn tuner_reactions_to_a_flood_are_invisible_to_other_users() {

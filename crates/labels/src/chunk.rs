@@ -13,7 +13,6 @@
 
 use std::cell::Cell;
 
-use crate::fingerprint::ChunkDigest;
 use crate::handle::Handle;
 use crate::level::{Level, LevelSet};
 
@@ -68,9 +67,6 @@ pub struct Chunk {
     entries: Vec<u64>,
     /// The levels of the entries.
     levels: LevelSet,
-    /// Cached partial fingerprint over the packed entries; labels combine
-    /// chunk digests in O(chunks) (see [`crate::fingerprint`]).
-    digest: ChunkDigest,
 }
 
 impl Clone for Chunk {
@@ -103,35 +99,22 @@ impl Chunk {
         let mut c = Chunk {
             entries,
             levels: LevelSet::EMPTY,
-            digest: ChunkDigest::EMPTY,
         };
         c.recompute_bounds();
         c
     }
 
-    /// Recomputes the cached level marks and fingerprint digest after a
-    /// mutation.
+    /// Recomputes the cached level marks after a mutation.
     pub fn recompute_bounds(&mut self) {
-        let mut levels = LevelSet::EMPTY;
-        let mut digest = ChunkDigest::EMPTY;
-        for &e in &self.entries {
-            levels = levels.union(LevelSet::of(entry_level(e)));
-            digest.push(e);
-        }
-        self.levels = levels;
-        self.digest = digest;
+        self.levels = self.entries.iter().fold(LevelSet::EMPTY, |set, &e| {
+            set.union(LevelSet::of(entry_level(e)))
+        });
     }
 
     /// The levels the entries hold.
     #[inline]
     pub fn levels(&self) -> LevelSet {
         self.levels
-    }
-
-    /// The cached fingerprint digest over the packed entries.
-    #[inline]
-    pub fn digest(&self) -> &ChunkDigest {
-        &self.digest
     }
 
     /// The packed entries.
@@ -233,18 +216,6 @@ mod tests {
         } else {
             assert_eq!(entry_level(garbage), Level::L3);
         }
-    }
-
-    #[test]
-    fn digest_tracks_mutation() {
-        let mut c = chunk(&[(1, Level::L1), (2, Level::L2)]);
-        let before = *c.digest();
-        c.entries_mut().push(pack(9, Level::L3));
-        c.recompute_bounds();
-        assert_ne!(*c.digest(), before);
-        c.entries_mut().pop();
-        c.recompute_bounds();
-        assert_eq!(*c.digest(), before);
     }
 
     #[test]

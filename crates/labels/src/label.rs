@@ -6,7 +6,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::chunk::{entry_handle, entry_level, pack, Chunk, CHUNK_CAP};
-use crate::fingerprint::label_fingerprint;
 use crate::handle::Handle;
 use crate::level::{Level, LevelSet};
 use crate::merge;
@@ -14,9 +13,9 @@ use crate::merge;
 thread_local! {
     /// Per-thread count of [`Label::clone`] calls (monotonic).
     ///
-    /// The kernel's delivery-cache fast path promises *zero* label clones
-    /// on a cache hit; tests pin that promise by diffing this counter
-    /// around deliveries. Thread-local so concurrently running tests
+    /// The kernel's delivery path promises *zero* label clones when the
+    /// Figure 4 effects change nothing; tests pin that promise by diffing
+    /// this counter around deliveries. Thread-local so concurrently running tests
     /// (each kernel is single-threaded) cannot perturb each other's
     /// measurements.
     static CLONE_COUNT: Cell<u64> = const { Cell::new(0) };
@@ -66,10 +65,6 @@ pub struct Label {
     len: usize,
     /// Every level the label takes: the chunks' marks and the default.
     levels: LevelSet,
-    /// Cached structural fingerprint (see [`crate::fingerprint`]):
-    /// a 64-bit identity of the logical contents, independent of chunk
-    /// boundaries, recombined from per-chunk digests on every mutation.
-    fp: u64,
 }
 
 impl Clone for Label {
@@ -80,7 +75,6 @@ impl Clone for Label {
             default: self.default,
             len: self.len,
             levels: self.levels,
-            fp: self.fp,
         }
     }
 }
@@ -93,7 +87,6 @@ impl Label {
             default,
             len: 0,
             levels: LevelSet::of(default),
-            fp: label_fingerprint(default, 0, std::iter::empty()),
         }
     }
 
@@ -203,22 +196,9 @@ impl Label {
         self.levels == LevelSet::of(Level::Star)
     }
 
-    /// The label's 64-bit structural fingerprint: a probabilistically
-    /// unique identity of the logical contents (default level plus entry
-    /// sequence), independent of chunk boundaries. O(1) — the value is
-    /// maintained incrementally across mutations from per-chunk digests.
-    ///
-    /// Equal labels always have equal fingerprints; distinct labels
-    /// collide with probability ≈ 2⁻⁶⁴. The kernel's delivery cache keys
-    /// on fingerprints (see `asbestos-kernel`'s `delivery` module).
-    #[inline]
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
-    }
-
     /// Total [`Label::clone`] calls on the current thread. A test
-    /// observability hook: the kernel's cache-hit delivery path must not
-    /// clone labels, and tests verify that by diffing this counter.
+    /// observability hook: the kernel's delivery path must not clone
+    /// labels, and tests verify that by diffing this counter.
     pub fn clone_count() -> u64 {
         CLONE_COUNT.with(Cell::get)
     }
@@ -405,19 +385,14 @@ impl Label {
         self.after_mutation();
     }
 
-    /// Re-establishes the cached length, level bounds, and fingerprint
-    /// from chunk caches. O(number of chunks), not entries.
+    /// Re-establishes the cached length and level bounds from chunk
+    /// caches. O(number of chunks), not entries.
     fn after_mutation(&mut self) {
         self.len = self.chunks.iter().map(|c| c.len()).sum();
         self.levels = self
             .chunks
             .iter()
             .fold(LevelSet::of(self.default), |set, c| set.union(c.levels()));
-        self.fp = label_fingerprint(
-            self.default,
-            self.len,
-            self.chunks.iter().map(|c| c.digest()),
-        );
     }
 
     /// Number of chunks in the representation; used by tests.
@@ -460,19 +435,11 @@ impl Label {
         }
         assert_eq!(count, self.len, "length cache stale");
         assert_eq!(levels, self.levels, "level marks stale");
-        let rebuilt = Label::from_pairs(self.default, &self.iter().collect::<Vec<_>>());
-        assert_eq!(rebuilt.fp, self.fp, "fingerprint cache stale");
     }
 }
 
 impl PartialEq for Label {
     fn eq(&self, other: &Label) -> bool {
-        // The fingerprint is a function of logical contents only, so a
-        // mismatch proves inequality without walking entries. (A match
-        // does not prove equality — fall through to the logical compare.)
-        if self.fp != other.fp {
-            return false;
-        }
         // Chunk boundaries may differ between equal labels, so compare
         // logical contents.
         self.default == other.default && self.len == other.len && self.iter().eq(other.iter())
@@ -588,7 +555,6 @@ impl LabelBuilder {
             default: self.default,
             len: 0,
             levels: LevelSet::EMPTY,
-            fp: 0,
         };
         label.after_mutation();
         label

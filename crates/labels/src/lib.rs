@@ -42,7 +42,6 @@
 
 pub mod chunk;
 pub mod cipher;
-pub mod fingerprint;
 pub mod handle;
 pub mod label;
 pub mod level;

@@ -30,45 +30,6 @@ pub fn op_work(labels: &[&Label]) -> usize {
     labels.iter().map(|l| l.entry_count()).sum()
 }
 
-/// A memoization key for one full Figure 4 delivery evaluation: the
-/// structural fingerprints of every label the decision *and* its effects
-/// depend on.
-///
-/// The boolean checks read `(E_S, D_R, V, p_R, Q_R)`; the effect labels
-/// additionally read `D_S` and `Q_S` (`Q_S ← (Q_S ⊓ D_S) ⊔ (E_S ⊓ Q_S⋆)`),
-/// so a key that memoizes effects as well as decisions must cover all
-/// seven. Keys are O(1) to build — every fingerprint is cached in its
-/// label's header — and two identical label tuples always produce the same
-/// key; distinct tuples collide only if one of seven independent 64-bit
-/// fingerprints collides (see [`crate::fingerprint`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct DeliveryKey([u64; 7]);
-
-impl DeliveryKey {
-    /// Builds the key from the seven labels of one delivery evaluation.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn new(
-        es: &Label,
-        ds: &Label,
-        dr: &Label,
-        v: &Label,
-        pr: &Label,
-        qs: &Label,
-        qr: &Label,
-    ) -> DeliveryKey {
-        DeliveryKey([
-            es.fingerprint(),
-            ds.fingerprint(),
-            dr.fingerprint(),
-            v.fingerprint(),
-            pr.fingerprint(),
-            qs.fingerprint(),
-            qr.fingerprint(),
-        ])
-    }
-}
-
 /// Figure 4 requirement (1): `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R`.
 ///
 /// `es` is the sender's effective send label (`P_S ⊔ C_S`), `qr` the

@@ -150,12 +150,12 @@ fn main() {
         kernel.stats().dropped_total(),
         kernel.stats().eps_created
     );
+    let pages = kernel.kmem_report().total_pages();
+    let sessions = kernel.stats().eps_created - kernel.stats().eps_exited;
     println!(
-        "  delivery cache: {} hits, {} misses ({} decisions cached, {} bytes)",
-        kernel.stats().cache_hits,
-        kernel.stats().cache_misses,
-        kernel.delivery_cache_len(),
-        kernel.kmem_report().delivery_cache_bytes
+        "  kmem: {pages} pages for {sessions} live session event processes \
+         ({:.1} pages/session, the whole deployment included)",
+        pages as f64 / sessions.max(1) as f64
     );
     let per_shard: Vec<String> = (0..kernel.num_shards())
         .map(|i| {
@@ -168,9 +168,5 @@ fn main() {
         })
         .collect();
     println!("  {}", per_shard.join("; "));
-    assert!(
-        kernel.stats().cache_hits > 0,
-        "repeated OKWS traffic must hit the delivery cache"
-    );
     println!("\nokws_demo OK");
 }
