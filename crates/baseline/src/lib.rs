@@ -10,6 +10,8 @@
 //! throughput with 3–5× the latency) and then left fixed; see
 //! EXPERIMENTS.md for the calibration table.
 
+#![forbid(unsafe_code)]
+
 pub mod apache;
 pub mod unix;
 pub mod workload;

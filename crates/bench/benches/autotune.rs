@@ -24,11 +24,11 @@
 //! shard bounds an adequately-cored host's wall clock) and the WAL term
 //! (host-elapsed time of the round's durable appends). Both terms are
 //! where the respective knobs bite: a hot shard inflates the kernel
-//! term, an undersized group commit inflates the WAL term. Every configuration runs the sequential sweep (`workers = 1`)
-//! so shard drain windows never overlap and per-shard `busy_nanos` is a
-//! true attribution on any host; the tuned run arms the loop through
-//! the explicit [`asbestos_kernel::Kernel::set_tuning_enabled`]
-//! override, which exists precisely for this.
+//! term, an undersized group commit inflates the WAL term. Shard drain
+//! windows never overlap (the run loop visits one shard at a time), so
+//! per-shard `busy_nanos` is a true attribution on any host; the tuned
+//! run arms the loop with
+//! [`asbestos_kernel::Kernel::set_tuning_enabled`].
 //!
 //! **Always-on gates** (test mode and full runs alike):
 //! * zipf: tuned strictly beats every static cell.
@@ -141,13 +141,6 @@ fn run_config(cfg: Config, zipf_s: f64, rounds: usize) -> Measured {
     let w = workload(zipf_s);
     let tuned = matches!(cfg, Config::Tuned);
     let (mut kernel, triggers) = deploy_repeated_tuple(0xBEEF, SHARDS, &w);
-    // Sequential sweep on every configuration: one worker means shard
-    // drain windows never overlap, so per-shard `busy_nanos` attributes
-    // each nanosecond to the shard that actually spent it — on any host,
-    // including single-core CI. The tuned run arms the loop through the
-    // explicit override (ambient tuning stays off under the sequential
-    // sweep so the golden suites hold).
-    kernel.set_worker_threads(1);
     kernel.set_tuning_enabled(tuned);
     if tuned {
         kernel.set_tune_policy(Box::new(bench_policy()));
@@ -167,11 +160,11 @@ fn run_config(cfg: Config, zipf_s: f64, rounds: usize) -> Measured {
     }
 
     // Per-round samples (measured rounds only). The score reads the
-    // *fastest* round: the host may run more worker threads than cores,
-    // in which case OS preemption lands inside random shards' drain
-    // windows and inflates that round's busiest-shard figure by a
-    // scheduler-dependent amount — every round wears some of it, so
-    // sums and medians both measure the scheduler more than the kernel.
+    // *fastest* round: on a shared host OS preemption lands inside
+    // random shards' drain windows and inflates that round's
+    // busiest-shard figure by a scheduler-dependent amount — every
+    // round wears some of it, so sums and medians both measure the host
+    // scheduler more than the kernel.
     // Each measured round performs identical work, so the least-
     // preempted round is the cleanest observation of the true cost,
     // exactly like taking the best of N timing runs.

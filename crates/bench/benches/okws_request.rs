@@ -12,12 +12,12 @@
 //!   virtual cycle advance (each shard models one 2.8 GHz core);
 //! * `wall_req_per_sec` — completed requests over the busiest shard's
 //!   *measured busy nanoseconds* (real host time its drain loop ran) —
-//!   what an adequately-cored host's wall clock would show, and the
-//!   acceptance series: 4-shard/4-lane must beat 1-shard/1-lane ≥ 1.5×
-//!   (≥ 1.0× enforced even in CI `--test` mode);
+//!   the modelled wall clock of a host with one core per shard, not a
+//!   host claim — and the acceptance series: 4-shard/4-lane must beat
+//!   1-shard/1-lane ≥ 1.5× (≥ 1.0× enforced even in CI `--test` mode);
 //! * `elapsed_req_per_sec` — end-to-end host elapsed time, recorded so
-//!   coordinator overhead stays visible (on a single-core host this
-//!   column cannot show parallel speedup).
+//!   the partition's overhead stays visible (every shard runs on the
+//!   calling thread, so this column cannot show parallel speedup).
 //!
 //! The 4×1 row keeps the *motivation* measurable: a sharded kernel whose
 //! netd is still one process leaves the front end serial, and its wall
@@ -116,8 +116,7 @@ fn lane_throughput(shards: usize, lanes: usize, rounds: usize) -> (f64, f64, f64
     let mut env = deploy_sharded(88, LANE_USERS, true, shards, lanes);
     env.build_sessions("bench", None);
     env.client.driver.reset_log();
-    // Warm round: session event processes exist, credential cache is hot,
-    // the worker pool is built.
+    // Warm round: session event processes exist, credential cache is hot.
     lane_round(&mut env);
     let cycles_before: Vec<u64> = (0..shards)
         .map(|i| env.kernel.shard(i).clock().now())

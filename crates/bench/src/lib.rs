@@ -9,6 +9,8 @@
 //! Run the binaries with `cargo run --release -p asbestos-bench --bin
 //! fig6_memory` (and `fig7_throughput`, `fig8_latency`, `fig9_label_costs`).
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod fixture;
 pub mod report;

@@ -28,6 +28,8 @@
 //!   run-to-quiescence federation scheduler, and [`deploy_okws`] for
 //!   placing the §7 web server across kernels.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod conn;
 pub mod gateway;

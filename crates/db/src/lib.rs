@@ -11,6 +11,8 @@
 //! * per-row taint on reads, with an untainted end-of-results marker;
 //! * decentralized declassification: `V(uT) = ⋆` writes rows with owner 0.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod durable;
 pub mod engine;

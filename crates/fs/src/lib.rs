@@ -7,6 +7,8 @@
 //! integrity for system files via a dedicated compartment (`V(s) ≤ 1`,
 //! excluding network-contaminated processes at the kernel).
 
+#![forbid(unsafe_code)]
+
 pub mod proto;
 pub mod server;
 

@@ -409,8 +409,9 @@ impl KernelShard {
                 if dest == self.id {
                     self.enqueue_checked(qm);
                 } else if !self.xshard.push(dest as usize, qm, self.queue_limit) {
-                    // Lost a capacity race with a parallel sender; the
-                    // channel bound drops silently, as it always has.
+                    // The capacity check above makes this unreachable;
+                    // if it ever fires the channel bound drops silently,
+                    // as it does on the send path.
                     self.stats.record_drop(DropReason::QueueFull);
                 }
             } else {

@@ -12,11 +12,10 @@
 //!
 //! Since the kernel was sharded, the engine below runs *per shard*: each
 //! [`KernelShard`] drains its own mailboxes against its own processes,
-//! ports, and clock, so N shards run N of these loops on parallel
-//! pool workers without sharing mutable delivery state. Cross-shard
-//! sends are pushed straight into the destination shard's inbound
-//! channel and pulled at deterministic points of its drain loop —
-//! sub-round routing (see `router.rs` and `kernel.rs`).
+//! ports, and clock, sharing no mutable delivery state with the others.
+//! Cross-shard sends are pushed straight into the destination shard's
+//! inbound channel and pulled at deterministic points of its drain loop
+//! — sub-round routing (see `router.rs` and `kernel.rs`).
 //!
 //! Figure 4 is evaluated on every delivery. §5.6 is what makes that
 //! cheap: the label operations run in O(chunks touched), and an effect
@@ -220,50 +219,34 @@ impl KernelShard {
     }
 
     /// Drains this shard until locally quiescent or until `budget` steps
-    /// have run; returns `(steps, hit_budget)`. Local sends issued by
-    /// handlers keep the drain going (exactly the monolithic engine's
-    /// behavior); cross-shard sends are pushed straight into their
+    /// have run, and returns the steps; mailboxes left non-empty mean
+    /// the budget ran out first. Local sends issued by handlers keep the
+    /// drain going; cross-shard sends are pushed straight into their
     /// destination's inbound channel, and whenever this shard's own
     /// mailboxes empty it pulls *its* inbound channel and keeps going —
-    /// sub-round routing, which spares a cross-shard chain one full round
-    /// of latency per hop. `entry_pull` classifies messages found on the
-    /// first pull (they waited out a barrier when the pooled scheduler
-    /// calls this; see [`crate::router::PullPoint`]).
+    /// sub-round routing, which lets a forward cross-shard chain finish
+    /// inside one sweep.
     ///
-    /// The time the loop runs is accumulated into `busy_nanos`: shards
-    /// model parallel cores, and the busiest shard's real busy time is
-    /// the wall-clock bound an adequately-cored host would observe.
-    pub(crate) fn drain_round(
-        &mut self,
-        router: &Router,
-        budget: u64,
-        entry_pull: PullPoint,
-    ) -> (u64, bool) {
+    /// The time the loop runs is accumulated into `busy_nanos` (see the
+    /// field docs).
+    pub(crate) fn drain_round(&mut self, router: &Router, budget: u64) -> u64 {
         let start = std::time::Instant::now();
         let mut steps = 0;
-        let mut pull = entry_pull;
-        let hit_budget = loop {
-            self.pull_inbound(pull);
-            pull = PullPoint::Subround;
+        loop {
+            self.pull_inbound(PullPoint::Subround);
             // Re-admit parked retries while capacity lasts (a no-op
             // unless backpressure is armed and something is parked).
             self.flush_retries(router);
-            if self.mailboxes.len() == 0 {
-                break false;
+            if self.mailboxes.len() == 0 || steps == budget {
+                break;
             }
-            while self.mailboxes.len() > 0 {
-                if steps >= budget {
-                    break;
-                }
+            while self.mailboxes.len() > 0 && steps < budget {
                 self.step_outcome(router);
                 steps += 1;
             }
-            if steps >= budget && self.mailboxes.len() > 0 {
-                break true;
-            }
-        };
+        }
         self.busy_nanos += start.elapsed().as_nanos() as u64;
-        (steps, hit_budget)
+        steps
     }
 
     /// Evaluates Figure 4 for one popped message and, if it passes,

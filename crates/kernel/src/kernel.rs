@@ -1,50 +1,40 @@
 //! The kernel coordinator: shard construction, placement, god-mode
-//! surface, and the pooled round scheduler.
+//! surface, and the run loop.
 //!
 //! Since PR 2 the kernel is a set of [`KernelShard`]s — each a complete,
 //! isolated delivery engine (see [`crate::shard`]) — plus the shared
 //! [`Router`] maps and this coordinator. The coordinator owns placement
-//! (which shard a spawned process lands on), drives the round schedule,
-//! and merges per-shard statistics, clocks, and memory reports into the
+//! (which shard a spawned process lands on), drives the run loop, and
+//! merges per-shard statistics, clocks, and memory reports into the
 //! whole-kernel views the paper figures read.
 //!
-//! **Round schedule.** Since PR 3 cross-shard messages travel through
-//! per-shard inbound channels (see [`crate::router::InboxSet`]): a
-//! cross-shard send is pushed into the destination's channel the moment
-//! it resolves, mid-drain, and every shard pulls its own channel whenever
-//! its mailboxes empty — *sub-round routing*, which spares cross-shard
-//! chains one full round of latency per hop. `run()` repeats one phase
-//! until quiescence: every shard with pending messages drains to local
-//! idle ([`KernelShard::drain_round`]), re-pulling its inbound channel as
-//! it goes. How the drains execute depends on the worker budget
-//! ([`Kernel::set_worker_threads`]; default: the host's available
-//! parallelism, capped at the shard count):
+//! **Run loop.** Cross-shard messages travel through per-shard inbound
+//! channels (see [`crate::router::InboxSet`]): a cross-shard send is
+//! pushed into the destination's channel the moment it resolves,
+//! mid-drain, and every shard pulls its own channel whenever its
+//! mailboxes empty — *sub-round routing*. [`Kernel::run`] is one loop on
+//! the calling thread: sweep the shards in shard order, draining each
+//! busy one to local idle ([`KernelShard::drain_round`]), and repeat
+//! until nothing is queued, in flight or parked. A message forwarded
+//! *backwards* in sweep order is picked up on the next sweep. A
+//! single-shard kernel is the same loop at `n = 1`.
 //!
-//! * **Parallel** (workers > 1): drains run on a persistent pool of
-//!   parked worker threads ([`crate::pool::ShardPool`]), created lazily
-//!   on the first round with two or more busy shards and reused across
-//!   rounds *and* across `run()` calls — no thread churn, one condvar
-//!   handshake per round. Single-busy-shard rounds drain inline on the
-//!   coordinator without waking the pool. Messages forwarded to a shard
-//!   that already finished its round wait for the next round barrier.
-//! * **Sequential** (workers = 1, e.g. a single-core host): the
-//!   coordinator sweeps the shards in shard order, each draining to
-//!   local idle, until the whole kernel is quiescent — no barriers at
-//!   all, and the schedule is fully deterministic.
+//! Shards are a *model* of parallel cores — [`Kernel::elapsed_cycles`] is
+//! the busiest shard's clock — and a partition that bounds queues per
+//! shard, not host threads: the paper scales OKWS with event processes
+//! multiplexed on one delivery loop (§6), and a worker pool measured
+//! 0.5× of this sweep on the host (see the README).
 //!
-//! **Determinism contract.** A kernel with `shards = 1` never routes,
-//! never spawns a thread, and executes the identical code path the
-//! pre-sharding engine did — `tests/shard_determinism.rs` pins that
-//! configuration bit-for-bit, so all paper figures (fig6–fig9) are
-//! unaffected. Multi-shard runs guarantee, at any worker count:
-//! per-sender-per-port FIFO delivery, Figure 4 evaluation on the
-//! destination shard against destination state, and
-//! scheduling-independent delivery/drop multisets for independent
-//! traffic chains (`kernel/tests/sharding.rs` pins this as a property).
-//! The *interleaving* across unrelated senders is deterministic when
-//! workers = 1; with parallel workers it depends on thread timing, as it
-//! would on real parallel hardware. The shared global environment keeps
-//! the same carve-out as before; see `router.rs`.
+//! **Determinism contract.** The schedule is a function of the spawn
+//! order, injections, seed, and shard count, at every shard count: the
+//! same inputs give the same ordered delivery trace, `Stats`, clocks and
+//! memory report (`kernel/tests/sharding.rs` pins this). A kernel with
+//! `shards = 1` never routes and is pinned bit-for-bit against the
+//! pre-sharding engine by `tests/shard_determinism.rs`, so all paper
+//! figures (fig6–fig9) are unaffected. Across shard counts, multi-shard
+//! runs guarantee per-sender-per-port FIFO delivery, Figure 4 evaluation
+//! on the destination shard against destination state, and the same
+//! delivery/drop multisets for independent traffic chains.
 
 use std::sync::Arc;
 
@@ -58,7 +48,6 @@ use crate::handle_table::PortOwner;
 use crate::ids::{EpId, ProcessId, MAX_SHARDS};
 use crate::memory::PAGE_SIZE;
 use crate::message::QueuedMessage;
-use crate::pool::ShardPool;
 use crate::process::{Body, EpService, Process, Service};
 use crate::router::{InboxSet, PullPoint, Router};
 use crate::shard::KernelShard;
@@ -70,16 +59,6 @@ use crate::value::Value;
 /// backstop §8 mentions; drops past this limit are silent, like label
 /// drops).
 pub const DEFAULT_QUEUE_LIMIT: usize = 1 << 20;
-
-/// Default worker budget: `ASBESTOS_WORKERS` when set, else the host's
-/// available parallelism. A single-core host (or `ASBESTOS_WORKERS` of
-/// 0 or 1 — both mean "no worker threads") gets the sequential sweep
-/// scheduler, which is also the fully deterministic configuration.
-fn default_worker_target() -> usize {
-    crate::knobs::count(crate::knobs::WORKERS_ENV)
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
 
 /// Folds a boot epoch into the handle-cipher seed (SplitMix64 finalizer).
 /// Epoch 0 — the only epoch a non-durable deployment ever sees — leaves
@@ -107,13 +86,12 @@ pub struct KmemReport {
     pub queue_bytes: usize,
     /// User memory: allocated 4 KiB frames (base tables and EP deltas).
     pub user_frame_bytes: usize,
-    /// Scheduler bookkeeping: the worker pool's handles and shared state
-    /// plus the cross-shard inbound channels' headers and spare capacity.
+    /// The cross-shard inbound channels' headers and spare capacity.
     /// Always zero on a single-shard kernel.
-    pub pool_bytes: usize,
+    pub xshard_bytes: usize,
     /// Self-tuning bookkeeping: the control loop's per-shard counter
     /// samples. Zero until the tuner arms (and therefore always zero on
-    /// single-shard or sequential kernels).
+    /// a single-shard kernel).
     pub tuner_bytes: usize,
 }
 
@@ -125,7 +103,7 @@ impl KmemReport {
             + self.handle_bytes
             + self.queue_bytes
             + self.user_frame_bytes
-            + self.pool_bytes
+            + self.xshard_bytes
             + self.tuner_bytes
     }
 
@@ -141,7 +119,7 @@ impl KmemReport {
         self.handle_bytes += other.handle_bytes;
         self.queue_bytes += other.queue_bytes;
         self.user_frame_bytes += other.user_frame_bytes;
-        self.pool_bytes += other.pool_bytes;
+        self.xshard_bytes += other.xshard_bytes;
         self.tuner_bytes += other.tuner_bytes;
     }
 }
@@ -161,21 +139,12 @@ pub struct Kernel {
     router: Router,
     /// The cross-shard inbound channels (shared with every shard).
     xshard: Arc<InboxSet>,
-    /// The persistent worker pool; `None` until the first round that
-    /// wants parallel workers, then reused until the kernel drops.
-    pool: Option<ShardPool>,
-    /// Worker-thread budget for multi-shard rounds (capped at the shard
-    /// count when a round is scheduled).
-    worker_target: usize,
-    /// Scheduler rounds executed (merged into [`Stats::rounds`]).
+    /// Sweeps of a multi-shard kernel that delivered something (merged
+    /// into [`Stats::rounds`]).
     rounds: u64,
-    /// Wakeups accumulated by pools retired via
-    /// [`Kernel::set_worker_threads`], keeping the merged counter
-    /// monotone across pool rebuilds.
-    retired_wakeups: u64,
     /// Round-robin cursor for default spawn placement.
     next_spawn_shard: usize,
-    /// Round-robin cursor for the sequential `step()` debug scheduler.
+    /// Round-robin cursor for the `step()` debug scheduler.
     step_cursor: usize,
     /// The boot epoch this kernel was assembled under (§5.1: handle
     /// values are unique *since boot*; the epoch keys the handle cipher
@@ -183,8 +152,7 @@ pub struct Kernel {
     /// handles). 0 for ordinary, non-durable kernels.
     boot_epoch: u64,
     /// The self-tuning control loop (policy + windowing bookkeeping);
-    /// inert unless this kernel schedules nondeterministically (see
-    /// [`Kernel::tuning_active`]).
+    /// inert unless explicitly enabled (see [`Kernel::tuning_active`]).
     tuner: TunerState,
 }
 
@@ -264,10 +232,7 @@ impl Kernel {
                 .collect(),
             router: Router::new(shards),
             xshard,
-            pool: None,
-            worker_target: default_worker_target(),
             rounds: 0,
-            retired_wakeups: 0,
             next_spawn_shard: 0,
             step_cursor: 0,
             boot_epoch: epoch,
@@ -286,45 +251,10 @@ impl Kernel {
         self.boot_epoch
     }
 
-    /// Sets the worker-thread budget for multi-shard rounds (capped at
-    /// the shard count when a round runs). `1` forces the sequential
-    /// sweep scheduler — fully deterministic interleaving, no threads.
-    /// The default is the host's available parallelism, overridable with
-    /// the `ASBESTOS_WORKERS` environment variable. Changing the budget
-    /// retires an existing pool (joining its workers); the next parallel
-    /// round builds a fresh one.
-    pub fn set_worker_threads(&mut self, workers: usize) {
-        assert!(workers >= 1, "worker budget must be at least 1");
-        self.worker_target = workers;
-        if self
-            .pool
-            .as_ref()
-            .is_some_and(|pool| pool.workers() != self.effective_workers())
-        {
-            if let Some(pool) = self.pool.take() {
-                self.retired_wakeups += pool.wakeups();
-            }
-        }
-    }
-
-    /// The worker-thread budget currently in effect.
-    pub fn worker_threads(&self) -> usize {
-        self.worker_target
-    }
-
-    /// Times a parked pool worker has woken for a round (0 until a
-    /// parallel round has run). Back-to-back `run()` calls keep growing
-    /// this without spawning a thread — the pool-reuse observable, also
-    /// merged into [`Stats::worker_wakeups`]. Monotone even across a
-    /// [`Kernel::set_worker_threads`] pool rebuild.
-    pub fn pool_wakeups(&self) -> u64 {
-        self.retired_wakeups + self.pool.as_ref().map_or(0, ShardPool::wakeups)
-    }
-
-    /// Worker count a parallel round would use right now.
-    fn effective_workers(&self) -> usize {
-        self.worker_target.min(self.shards.len())
-    }
+    /// Does nothing: there are no worker threads. Kept, with
+    /// [`Stats::worker_wakeups`], only because `benchmark/` (which a
+    /// crate PR may not edit) calls it; see the note on that field.
+    pub fn set_worker_threads(&mut self, _workers: usize) {}
 
     /// Read-only access to one shard (god-mode observability).
     pub fn shard(&self, shard: usize) -> &KernelShard {
@@ -608,30 +538,19 @@ impl Kernel {
     // `tuner.rs` for the policy layer).
     // ------------------------------------------------------------------
 
-    /// Whether the control loop runs between rounds right now. Always
-    /// requires more than one shard. By default (`ASBESTOS_TUNE` not
-    /// off, no programmatic override) it additionally requires parallel
-    /// pool workers (`effective_workers > 1`): sequential and
-    /// single-shard kernels are the deterministic configurations the
-    /// golden-trace suites pin, so ambient tuning never touches them.
-    /// An explicit [`Kernel::set_tuning_enabled`]`(true)` arms the loop
-    /// even under the sequential sweep — the caller is deliberately
-    /// trading scheduling determinism for tuning (benches do this so
-    /// per-shard `busy_nanos` stays a clean, non-overlapping measure
-    /// while the tuner runs).
+    /// Whether the control loop runs between sweeps right now: only on
+    /// a multi-shard kernel, and only after an explicit
+    /// [`Kernel::set_tuning_enabled`]`(true)`. It is off by default
+    /// because its steal loop reads host `busy_nanos`, so arming it
+    /// trades run-to-run repeatability for tuning.
     pub fn tuning_active(&self) -> bool {
-        self.shards.len() > 1
-            && match self.tuner.override_enabled {
-                Some(on) => on,
-                None => self.effective_workers() > 1 && self.tuner.env_enabled,
-            }
+        self.shards.len() > 1 && self.tuner.enabled
     }
 
-    /// Forces the control loop on or off, overriding both `ASBESTOS_TUNE`
-    /// and the parallel-workers gate (the multi-shard gate still
+    /// Arms or disarms the control loop (the multi-shard gate still
     /// applies). Benches pin tuning per run with this.
     pub fn set_tuning_enabled(&mut self, on: bool) {
-        self.tuner.override_enabled = Some(on);
+        self.tuner.enabled = on;
     }
 
     /// Installs a tuning policy (thresholds are data, not code — see
@@ -641,15 +560,14 @@ impl Kernel {
     }
 
     /// Tuning actions actually applied so far (steals + shed moves).
-    /// The determinism guard pins this at 0 for sequential runs.
+    /// The determinism guard pins this at 0 while the loop is disarmed.
     pub fn tuner_actions(&self) -> u64 {
         self.tuner.actions_applied
     }
 
     /// One control-loop iteration: snapshot an observation window, let
     /// the policy observe and adjust, apply the actions. Runs between
-    /// drain rounds, when the coordinator holds `&mut` over every shard
-    /// — no locking, and no handler can be mid-delivery.
+    /// sweeps, when no handler is mid-delivery.
     fn tune(&mut self) {
         if !self.tuning_active() {
             return;
@@ -721,7 +639,7 @@ impl Kernel {
     /// Whether `port`'s owner can migrate off `shard` right now: a live
     /// plain-bodied process with no live event processes (an EP's delta
     /// chain is pinned to its base's shard) and not mid-handler — always
-    /// true between rounds.
+    /// true between sweeps.
     fn steal_eligible(shard: &KernelShard, port: Handle) -> Option<ProcessId> {
         match shard.handles.port(port)?.owner {
             Some(PortOwner::Process(pid)) => {
@@ -740,8 +658,6 @@ impl Kernel {
     /// surface so tests can drive explicit steal schedules and pin the
     /// FIFO/multiset invariants deterministically.
     ///
-    /// Must only be called between rounds (or outside `run()`), which is
-    /// the only time the coordinator can hold `&mut self` anyway.
     pub fn migrate_port_owner(&mut self, port: Handle, to_shard: usize) -> Option<ProcessId> {
         let n = self.shards.len();
         if n <= 1 || to_shard >= n {
@@ -769,10 +685,11 @@ impl Kernel {
     /// Attempts one message delivery. Returns `false` when no message is
     /// pending (the system is idle).
     ///
-    /// This is the sequential debug scheduler: on a multi-shard kernel it
+    /// This is the debug scheduler: on a multi-shard kernel it
     /// round-robins one delivery at a time across shards and routes after
-    /// every step. [`Kernel::run`] is the parallel round scheduler. On a
-    /// single-shard kernel the two are identical.
+    /// every step, where [`Kernel::run`] drains each shard to local idle
+    /// in turn. On a single-shard kernel the two deliver in the same
+    /// order.
     pub fn step(&mut self) -> bool {
         self.step_outcome() != DeliveryOutcome::Idle
     }
@@ -825,103 +742,33 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics after `limit` steps — two services ping-ponging messages
-    /// forever is a bug in simulated code, not a state to spin in. (On a
-    /// multi-shard kernel the bound is enforced per shard per round, so a
-    /// run can perform slightly more than `limit` total deliveries before
-    /// a single runaway shard trips it.)
+    /// Panics when `limit` deliveries have run and a message is still
+    /// pending — two services ping-ponging messages forever is a bug in
+    /// simulated code, not a state to spin in. The bound covers the whole
+    /// run, whatever the shard count.
     pub fn run_limited(&mut self, limit: u64) -> u64 {
-        if self.shards.len() == 1 {
-            // The monolithic engine's loop, bit for bit (the host-time
-            // accumulation is invisible to the simulation; with
-            // backpressure disarmed the flush below is a constant-time
-            // no-op).
-            let start = std::time::Instant::now();
-            let mut steps = 0;
-            loop {
-                while self.shards[0].step_outcome(&self.router) != DeliveryOutcome::Idle {
-                    steps += 1;
-                    assert!(
-                        steps < limit,
-                        "kernel did not go idle after {limit} deliveries: livelock in simulated services?"
-                    );
-                }
-                // Idle mailboxes can hide parked retries; a drained
-                // system always has capacity for them, so flushing here
-                // terminates.
-                if self.shards[0].flush_retries(&self.router) == 0 {
-                    break;
-                }
-            }
-            self.shards[0].busy_nanos += start.elapsed().as_nanos() as u64;
-            return steps;
-        }
-        let workers = self.effective_workers();
-        // Route anything parked across the `run()` boundary
-        // (coordinator-phase sends, e.g. from a handler inside `spawn`'s
-        // on_start): those messages genuinely waited out a barrier.
+        // Anything sent across shards outside `run()` (a handler inside
+        // `spawn`'s on_start, say) waited for this call: a barrier pull.
         self.route_parked(PullPoint::Barrier);
         let mut steps = 0u64;
         loop {
-            let budget = limit.saturating_sub(steps);
-            let (round_steps, hit_budget) = if workers <= 1 {
-                // Sequential sweep: shards drain to local idle in shard
-                // order, pulling their inbound channels as they go; a
-                // sweep is one "round". No barriers, no threads, fully
-                // deterministic. (Messages a shard forwards *backwards*
-                // in sweep order are picked up on the next sweep.)
-                let mut round_steps = 0;
-                let mut hit = false;
-                for shard in &mut self.shards {
-                    if shard.mailboxes.len() > 0
-                        || self.xshard.len(shard.shard_id()) > 0
-                        || shard.retry_len() > 0
-                    {
-                        let (n, h) = shard.drain_round(&self.router, budget, PullPoint::Subround);
-                        round_steps += n;
-                        hit |= h;
-                    }
+            let before = steps;
+            for shard in &mut self.shards {
+                if shard.queue_len() > 0 {
+                    steps += shard.drain_round(&self.router, limit - steps);
+                    assert!(
+                        shard.mailboxes.len() == 0,
+                        "kernel did not go idle after {limit} deliveries: livelock in simulated services?"
+                    );
                 }
-                (round_steps, hit)
-            } else {
-                // Parallel round on the persistent pool: route what's
-                // parked, then hand every busy shard to a worker.
-                self.route_parked(PullPoint::Barrier);
-                let active: Vec<usize> = (0..self.shards.len())
-                    .filter(|&i| {
-                        self.shards[i].mailboxes.len() > 0 || self.shards[i].retry_len() > 0
-                    })
-                    .collect();
-                if active.is_empty() {
-                    (0, false)
-                } else if active.len() == 1 {
-                    // One busy shard: drain inline rather than waking the
-                    // whole pool for it (a pure cross-shard chain never
-                    // even builds the pool this way).
-                    self.shards[active[0]].drain_round(&self.router, budget, PullPoint::Subround)
-                } else {
-                    let pool = self.pool.get_or_insert_with(|| ShardPool::new(workers));
-                    pool.run_round(&mut self.shards, &self.router, &active, budget)
-                }
-            };
-            steps += round_steps;
-            assert!(
-                !hit_budget,
-                "kernel did not go idle after {limit} deliveries: livelock in simulated services?"
-            );
-            if round_steps > 0 {
+            }
+            if steps > before && self.shards.len() > 1 {
+                // Rounds and tuner windows are multi-shard notions
+                // (`tests/shard_determinism.rs` pins `rounds == 0` at 1).
                 self.rounds += 1;
-                // Between rounds the coordinator owns everything: one
-                // observation window per round, applied before the next
-                // round is scheduled.
                 self.tune();
             }
-            let quiescent = self.xshard.pending() == 0
-                && self
-                    .shards
-                    .iter()
-                    .all(|s| s.mailboxes.len() == 0 && s.retry_len() == 0);
-            if quiescent {
+            if self.queue_len() == 0 {
                 return steps;
             }
         }
@@ -935,9 +782,7 @@ impl Kernel {
     /// Pulls every shard's inbound channel into its mailboxes (with
     /// destination-side queue bounds). The nothing-in-flight case —
     /// every step of a cross-shard-free workload — costs O(shards)
-    /// relaxed atomic loads and no locks; keeping the check per-inbox
-    /// (rather than one global counter) is what keeps the *send* path
-    /// free of a shared contended atomic.
+    /// atomic loads and no locks.
     fn route_parked(&mut self, point: PullPoint) {
         if self.xshard.pending() > 0 {
             for shard in &mut self.shards {
@@ -951,14 +796,13 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// Kernel statistics, merged across shards, plus the coordinator's
-    /// own counters (rounds executed, pool worker wakeups).
+    /// own round counter.
     pub fn stats(&self) -> Stats {
         let mut total = Stats::default();
         for shard in &self.shards {
             total.absorb(&shard.stats);
         }
         total.rounds += self.rounds;
-        total.worker_wakeups += self.pool_wakeups();
         total
     }
 
@@ -1071,11 +915,7 @@ impl Kernel {
     /// mailboxes, the in-flight cross-shard channels, and the
     /// backpressure retry queues.
     pub fn queue_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.mailboxes.len() + s.retry_len())
-            .sum::<usize>()
-            + self.xshard.pending()
+        self.shards.iter().map(KernelShard::queue_len).sum()
     }
 
     /// Pending messages sent by a given process (god-mode; used by tests to
@@ -1109,17 +949,16 @@ impl Kernel {
     }
 
     /// Memory accounting across all kernel structures and user frames
-    /// (Figure 6's measurement), merged across shards, plus scheduler
-    /// bookkeeping (the worker pool and the cross-shard channels — zero
-    /// on a single-shard kernel, which allocates neither).
+    /// (Figure 6's measurement), merged across shards, plus the
+    /// cross-shard channels' bookkeeping (zero on a single-shard kernel,
+    /// which never touches them).
     pub fn kmem_report(&self) -> KmemReport {
         let mut total = KmemReport::default();
         for shard in &self.shards {
             total.absorb(&shard.kmem_report());
         }
         if self.shards.len() > 1 {
-            total.pool_bytes = self.xshard.bookkeeping_bytes()
-                + self.pool.as_ref().map_or(0, ShardPool::bookkeeping_bytes);
+            total.xshard_bytes = self.xshard.bookkeeping_bytes();
             total.tuner_bytes = self.tuner.bytes();
         }
         total

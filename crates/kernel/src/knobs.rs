@@ -10,21 +10,15 @@
 //!
 //! | knob | shape | consumer |
 //! |---|---|---|
-//! | `ASBESTOS_WORKERS` | count | worker-thread budget (`kernel.rs`) |
 //! | `ASBESTOS_PORT_QUEUE` | positive count | per-port queue bound (`shard.rs`) |
-//! | `ASBESTOS_TUNE` | on/off flag | self-tuning loop (`tuner.rs`) |
 //! | `ASBESTOS_DB_GROUP_COMMIT` | auto-or-count | WAL group commit (`db::durable`) |
 //! | `ASBESTOS_NETD_LANES` | count | CI matrix lane count (tests) |
 //! | `ASBESTOS_TEST_SHARDS` | count | CI matrix shard count (tests) |
 //! | `ASBESTOS_KERNELS` | count | federation kernel count (`cluster`) |
 //! | `ASBESTOS_CLUSTER_SOCKET` | path | federation socket directory (`cluster`) |
 
-/// Worker-thread budget for multi-shard rounds.
-pub const WORKERS_ENV: &str = "ASBESTOS_WORKERS";
 /// Per-port message-queue bound.
 pub const PORT_QUEUE_ENV: &str = "ASBESTOS_PORT_QUEUE";
-/// Self-tuning control loop arm/disarm flag.
-pub const TUNE_ENV: &str = "ASBESTOS_TUNE";
 /// WAL group-commit batch: a number, or `auto` for the adaptive
 /// controller.
 pub const DB_GROUP_COMMIT_ENV: &str = "ASBESTOS_DB_GROUP_COMMIT";
@@ -57,16 +51,6 @@ pub fn parse_positive(value: Option<&str>) -> Option<usize> {
     parse_count(value).filter(|&n| n > 0)
 }
 
-/// Parses an on/off flag that defaults to *on*: everything except
-/// `off`/`0`/`false` (case-insensitive, whitespace-tolerant) — including
-/// unset — means enabled.
-pub fn parse_enabled(value: Option<&str>) -> bool {
-    !matches!(
-        value.map(str::trim).map(str::to_ascii_lowercase).as_deref(),
-        Some("off") | Some("0") | Some("false")
-    )
-}
-
 /// Parsed value of an auto-or-count knob (`ASBESTOS_DB_GROUP_COMMIT`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AutoOrCount {
@@ -85,11 +69,6 @@ pub fn parse_auto_or_count(value: Option<&str>) -> Option<AutoOrCount> {
         return Some(AutoOrCount::Auto);
     }
     parse_positive(Some(v)).map(AutoOrCount::Count)
-}
-
-/// Reads a count knob from the environment.
-pub fn count(name: &str) -> Option<usize> {
-    parse_count(raw(name).as_deref())
 }
 
 /// Reads an at-least-1 count knob from the environment.
@@ -120,18 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_default_on() {
-        assert!(parse_enabled(None));
-        assert!(parse_enabled(Some("on")));
-        assert!(parse_enabled(Some("ON")));
-        assert!(parse_enabled(Some("anything")));
-        assert!(!parse_enabled(Some("off")));
-        assert!(!parse_enabled(Some(" OFF ")));
-        assert!(!parse_enabled(Some("0")));
-        assert!(!parse_enabled(Some("false")));
-    }
-
-    #[test]
     fn auto_or_count_shapes() {
         assert_eq!(parse_auto_or_count(None), None);
         assert_eq!(parse_auto_or_count(Some("junk")), None);
@@ -144,9 +111,7 @@ mod tests {
     #[test]
     fn knob_names_are_namespaced() {
         for name in [
-            WORKERS_ENV,
             PORT_QUEUE_ENV,
-            TUNE_ENV,
             DB_GROUP_COMMIT_ENV,
             NETD_LANES_ENV,
             TEST_SHARDS_ENV,

@@ -46,15 +46,15 @@
 //! The kernel is a set of [`shard::KernelShard`]s — each a complete,
 //! isolated delivery engine owning its own processes, event processes,
 //! ports, frames, mailboxes, clock, and stats — behind a
-//! [`Kernel`] coordinator that owns placement, the barrier-synchronized
-//! round scheduler (parallel `std::thread::scope` drains plus
-//! deterministic outbox routing), and the merged whole-kernel views. The
-//! only cross-shard state is the router's two read-mostly maps (port
-//! directory, global environment); label evaluation always runs on the
-//! destination port's shard, so Figure 4 semantics are untouched by the
-//! partitioning, and `shards = 1` (the paper-figure configuration) is
-//! pinned bit-for-bit against the pre-sharding engine by
-//! `tests/shard_determinism.rs`.
+//! [`Kernel`] coordinator that owns placement, the run loop (one
+//! deterministic sweep over the shards on the calling thread, repeated
+//! to quiescence), and the merged whole-kernel views. The only
+//! cross-shard state is the router's two read-mostly maps (port
+//! directory, global environment) and the inbound channels; label
+//! evaluation always runs on the destination port's shard, so Figure 4
+//! semantics are untouched by the partitioning, and `shards = 1` (the
+//! paper-figure configuration) is pinned bit-for-bit against the
+//! pre-sharding engine by `tests/shard_determinism.rs`.
 //!
 //! Within one shard, [`delivery`] is everything that happens to a queued
 //! message:
@@ -89,6 +89,8 @@
 //! occupancy — which is what keeps the backpressure signal from becoming
 //! a covert channel (pinned by `tests/covert_channels.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod backpressure;
 pub mod cycles;
 pub mod delivery;
@@ -100,7 +102,6 @@ pub mod kernel;
 pub mod knobs;
 pub mod memory;
 pub mod message;
-mod pool;
 pub mod process;
 mod router;
 pub mod shard;

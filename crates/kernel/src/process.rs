@@ -25,10 +25,10 @@ pub const PROCESS_STRUCT_BYTES: usize = 320;
 /// protocols keep their pending state in `self` (continuation style — the
 /// same structure an efficient event-driven server has on any OS, §6).
 ///
-/// `Send` is a supertrait because processes live on kernel shards and
-/// shards execute on scoped threads; captured state crosses threads with
-/// its shard (use `Arc<Mutex<…>>`, not `Rc<RefCell<…>>`, for god-mode
-/// observation channels).
+/// `Send` is a supertrait so that a whole [`crate::Kernel`] is `Send`
+/// and can be built on one thread and driven on another; captured state
+/// moves with it (use `Arc<Mutex<…>>`, not `Rc<RefCell<…>>`, for
+/// god-mode observation channels).
 pub trait Service: Send + 'static {
     /// Invoked once when the process starts, before any message delivery.
     /// Typical services create their ports here and publish them via the
@@ -62,8 +62,7 @@ pub trait Service: Send + 'static {
 /// live in simulated memory — where the kernel can enforce copy-on-write
 /// isolation — not in Rust fields shared across users.
 ///
-/// `Send` is a supertrait for the same reason as [`Service`]: event
-/// processes execute on their shard's thread.
+/// `Send` is a supertrait for the same reason as [`Service`].
 pub trait EpService: Send + 'static {
     /// One-time base-process setup (create ports, write initial memory).
     fn on_base_start(&mut self, _sys: &mut Sys<'_>) {}

@@ -5,36 +5,29 @@
 //! between them. It holds exactly two read-mostly maps:
 //!
 //! * the **port directory** — which shard owns each port handle, written
-//!   at `new_port` time and updated only between rounds when the tuner
+//!   at `new_port` time and updated only between sweeps when the tuner
 //!   (or a test) migrates a port's owner to another shard, read on every
 //!   send that does not resolve locally;
 //! * the **global environment** — the §4 bootstrapping namespace, which
 //!   was always whole-kernel state.
 //!
 //! Everything else a delivery touches (labels, mailboxes, frames) is
-//! shard-private, which is what lets shards run their delivery loops on
-//! parallel threads without taking a single lock on the hot path: a
-//! shard only consults the directory for ports it does not own, and
-//! messages crossing shards travel through the per-shard inbound
-//! channels of the [`InboxSet`] below — pushed by the *sending* shard the
-//! moment the send resolves, drained by the *receiving* shard at
-//! deterministic points in its own schedule (sub-round routing; see
-//! `kernel.rs` for the round structure).
+//! shard-private: a shard only consults the directory for ports it does
+//! not own, and messages crossing shards travel through the per-shard
+//! inbound channels of the [`InboxSet`] below — pushed by the *sending*
+//! shard the moment the send resolves, drained by the *receiving* shard
+//! at deterministic points in its own schedule (sub-round routing; see
+//! `kernel.rs` for the run loop).
 //!
-//! Determinism: directory entries are created before any other shard can
-//! learn the handle (handle values propagate through messages and the
-//! environment, both of which synchronize at the receiving shard's drain
-//! points), so lookup races cannot occur in workloads that follow the §4
-//! bootstrap convention. Migration rewrites happen only while the
-//! coordinator holds `&mut` over every shard — between rounds, with the
-//! in-flight channels flushed first — so no delivery loop can observe a
-//! directory entry mid-update. The *environment* is the one shared-state
-//! carve-out: when two shards touch one key in the same round — a write
-//! racing a write, or a write racing a `Sys::env` read — the winner is
-//! decided by lock order, i.e. by thread scheduling, and such workloads
-//! are not reproducible. Publish during spawn (the coordinator phase) and
-//! read later, as §4's bootstrap does, and every run is deterministic;
-//! single-shard kernels take none of these paths.
+//! Determinism: the run loop drains one shard at a time on the calling
+//! thread, so every read and write of these maps — the environment
+//! included — happens at a point fixed by the kernel's event history.
+//! Migration rewrites happen between sweeps, with the in-flight channels
+//! flushed first, so no message can dangle toward a shard that no longer
+//! owns its port. The locks and atomics below exist so that every shard
+//! can hold the same `&Router` / `Arc<InboxSet>` and the kernel stays
+//! `Send`; they are never contended. Single-shard kernels skip the
+//! directory and the channels altogether.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -197,10 +190,10 @@ impl Router {
 /// only the observability counters care (see [`crate::Stats`]).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PullPoint {
-    /// Pulled at a round boundary: the messages waited out a barrier.
+    /// Pulled by the coordinator outside a drain: at the start of
+    /// `run()`, before a `step()`, or ahead of a port migration.
     Barrier,
-    /// Pulled mid-round, without any barrier in between (the sub-round
-    /// routing fast path).
+    /// Pulled by the shard itself while draining (sub-round routing).
     Subround,
 }
 
@@ -212,22 +205,15 @@ struct Inbox {
     queue: Mutex<Vec<QueuedMessage>>,
 }
 
-/// The coordinator-free cross-shard channels: one inbound queue per
-/// shard, shared by every shard (and the coordinator) through one `Arc`.
+/// The cross-shard channels: one inbound queue per shard, shared by
+/// every shard (and the coordinator) through one `Arc`.
 ///
 /// A sending shard pushes a cross-shard message here the moment its send
-/// resolves — mid-drain, without waiting for a barrier — and the
-/// receiving shard drains its own queue at deterministic points of its
-/// delivery loop. Per-sender-per-port FIFO survives: one sender's pushes
-/// into one queue happen in send order (a `Mutex<Vec>` is
-/// order-preserving), and the receiving shard enqueues a drained batch in
-/// arrival order into its per-port FIFO mailboxes.
-///
-/// There is deliberately no kernel-wide pending counter: a shared atomic
-/// bumped on every push is a cache line every sending shard contends on.
-/// [`InboxSet::pending`] sums the per-inbox mirrors instead — an
-/// O(shards) read on the coordinator's (cold, per-round) path, bought
-/// with zero shared-counter traffic on the (hot, per-message) send path.
+/// resolves — mid-drain — and the receiving shard drains its own queue at
+/// deterministic points of its delivery loop. Per-sender-per-port FIFO
+/// survives: pushes into one queue happen in send order, and the
+/// receiving shard enqueues a drained batch in arrival order into its
+/// per-port FIFO mailboxes.
 pub(crate) struct InboxSet {
     inboxes: Box<[Inbox]>,
 }
@@ -259,12 +245,10 @@ impl InboxSet {
 
     /// Pushes one message onto `dest`'s inbound queue. Returns `false`
     /// (and enqueues nothing) when the queue already holds `limit`
-    /// messages — the §8 backstop bounding in-flight cross-shard memory,
-    /// the role the per-round outbox bound used to play. The check is
-    /// advisory under concurrent senders (a racing push may overshoot by
-    /// a few messages); the destination's own queue bounds are enforced
-    /// exactly, by [`crate::shard::KernelShard::enqueue_checked`], when
-    /// the batch is drained.
+    /// messages — the §8 backstop bounding in-flight cross-shard memory.
+    /// The destination's own queue bounds are enforced by
+    /// [`crate::shard::KernelShard::enqueue_checked`] when the batch is
+    /// drained.
     pub fn push(&self, dest: usize, qm: QueuedMessage, limit: usize) -> bool {
         let inbox = &self.inboxes[dest];
         if inbox.len.load(Ordering::Acquire) >= limit {

@@ -4,14 +4,15 @@
 //! processes and event processes scheduled on it, the vnode table for the
 //! ports they own, the frame pool backing their memory, the per-port
 //! mailboxes feeding its delivery loop, the cycle clock, and the
-//! statistics counters. Shards share no mutable state: the only cross-shard structures are the read-mostly
+//! statistics counters. Shards share no mutable state: the only
+//! cross-shard structures are the read-mostly
 //! [`Router`](crate::router::Router) maps and the per-shard inbound
 //! channels of the shared [`InboxSet`]. A cross-shard send pushes into
 //! the *destination's* inbound channel the moment it resolves —
-//! mid-drain, no barrier — and each shard drains its own channel at
-//! deterministic points of its delivery loop (sub-round routing). That
-//! isolation is what makes `&mut KernelShard` safe to hand to a pool
-//! worker thread.
+//! mid-drain — and each shard drains its own channel at deterministic
+//! points of its delivery loop (sub-round routing). The run loop visits
+//! shards one at a time on the calling thread; the isolation is what
+//! lets a shard stand for one core in the virtual-clock model.
 //!
 //! Label evaluation always runs here, on the shard owning the destination
 //! port, against the destination's own labels — Figure 4's semantics are
@@ -108,11 +109,12 @@ pub struct KernelShard {
     pub(crate) shed_threshold: usize,
     pub(crate) last_ctx: Option<ExecCtx>,
     /// Real (host) nanoseconds this shard's delivery loop has run, over
-    /// all `run()` calls. Shards model parallel cores, so the busiest
-    /// shard's busy time is what an adequately-cored host's wall clock
-    /// would measure for the whole run — the `scale_shards` bench reads
-    /// this. Deliberately *not* part of [`Stats`]: host timing is
-    /// nondeterministic, and `Stats` is pinned by the golden-trace test.
+    /// all `run()` calls. Drains never overlap, so each nanosecond is
+    /// attributed to exactly one shard; the busiest shard's share is the
+    /// modelled wall clock of a host with one core per shard, which the
+    /// `scale_shards` bench reads. Deliberately *not* part of [`Stats`]:
+    /// host timing is nondeterministic, and `Stats` is pinned by the
+    /// golden-trace test.
     pub(crate) busy_nanos: u64,
 }
 
@@ -150,11 +152,6 @@ impl KernelShard {
             last_ctx: None,
             busy_nanos: 0,
         }
-    }
-
-    /// This shard's number.
-    pub fn shard_id(&self) -> usize {
-        self.id as usize
     }
 
     // ------------------------------------------------------------------
@@ -528,7 +525,7 @@ impl KernelShard {
                 }
             }
             // Sub-round routing: push straight into the destination's
-            // inbound channel — no outbox, no barrier wait. Queue bounds
+            // inbound channel — no outbox. Queue bounds
             // are ultimately the destination shard's to enforce (it runs
             // `enqueue_checked` when it pulls the batch), but the channel
             // honors this shard's bound so a handler looping on
@@ -645,10 +642,10 @@ impl KernelShard {
             handle_bytes,
             queue_bytes,
             user_frame_bytes,
-            // Scheduler and tuner bookkeeping are kernel-level, not
+            // Channel and tuner bookkeeping are kernel-level, not
             // per-shard; the coordinator fills them in
             // (`Kernel::kmem_report`).
-            pool_bytes: 0,
+            xshard_bytes: 0,
             tuner_bytes: 0,
         }
     }
@@ -676,17 +673,15 @@ impl KernelShard {
     }
 
     /// Real nanoseconds this shard's delivery loop has run (see the field
-    /// docs; the busiest shard bounds the wall clock of an
-    /// adequately-cored host).
+    /// docs; the busiest shard's share is the modelled wall clock).
     pub fn busy_nanos(&self) -> u64 {
         self.busy_nanos
     }
 }
 
-/// `Box<dyn Service>` and `Box<dyn EpService>` must cross into shard
-/// threads; the supertrait bound (see [`Service`], [`EpService`]) is what
-/// makes a whole shard `Send`. This assertion pins that property at
-/// compile time.
+/// The `Send` supertrait bound on [`Service`] and [`EpService`] is what
+/// makes a whole shard — and so a whole kernel — `Send`. This assertion
+/// pins that property at compile time.
 const _: () = {
     const fn assert_send<T: Send>() {}
     let _ = assert_send::<KernelShard>;

@@ -66,20 +66,21 @@ pub struct Stats {
     pub cache_misses: u64,
     /// Always 0; see [`Stats::cache_hits`].
     pub cache_evictions: u64,
-    /// Scheduler rounds executed by the multi-shard run loop (a
-    /// single-shard kernel runs the monolithic loop and counts none).
+    /// Sweeps of a multi-shard kernel's run loop that delivered
+    /// something (a single-shard kernel counts none).
     pub rounds: u64,
-    /// Times a parked pool worker woke for a round. Back-to-back `run()`
-    /// calls on one kernel keep growing this counter without creating a
-    /// thread — that is the pool reuse this field exists to observe.
+    /// Always 0: there are no worker threads. This field and the no-op
+    /// `Kernel::set_worker_threads` remain only because `benchmark/`
+    /// (which a crate PR may not edit) reads them; the `[benchmark]` PR
+    /// that drops `--rep-workers` and `kernel.worker_wakeups_per_req`
+    /// removes both. The field keeps its position: `benchmark/` digests
+    /// this struct's `Debug` output.
     pub worker_wakeups: u64,
-    /// Cross-shard messages the destination shard picked up mid-round,
-    /// without waiting for a barrier (sub-round routing). With parallel
-    /// pool workers the subround/barrier split depends on thread timing;
-    /// the *sum* of the two is scheduling-invariant.
+    /// Cross-shard messages the destination shard picked up while
+    /// draining inside `run()` (sub-round routing).
     pub xshard_subround: u64,
-    /// Cross-shard messages that waited out a round barrier before the
-    /// destination shard picked them up.
+    /// Cross-shard messages that waited for a routing point outside a
+    /// drain: the start of `run()`, a `step()`, or a port migration.
     pub xshard_barrier: u64,
     /// Non-empty swap-drains of this shard's inbound cross-shard channel.
     /// `(xshard_subround + xshard_barrier) / xshard_batch_drains` is the

@@ -2,8 +2,8 @@
 //!
 //! Shard placement and the shed threshold were static at deploy time, so
 //! a Zipf-skewed user population leaves N−1 shards idle while one shard
-//! cliffs. This module closes the loop: between drain rounds the
-//! coordinator snapshots one observation window of per-shard counters
+//! cliffs. This module closes the loop: between sweeps of the run loop
+//! the coordinator snapshots one observation window of per-shard counters
 //! ([`Signals`]), feeds it to a [`TunePolicy`], and applies the returned
 //! [`Action`]s. The design follows the "policy out of mechanism" rule:
 //!
@@ -13,19 +13,19 @@
 //! * **The policy** ([`DefaultPolicy`], or anything implementing
 //!   [`TunePolicy`]) decides; thresholds live here, not in the drain
 //!   loop.
-//! * **The actuator** is the coordinator (`Kernel::tune`), which owns
-//!   `&mut` everything between rounds and can therefore migrate whole
-//!   processes without any locking.
+//! * **The actuator** is the coordinator (`Kernel::tune`), which runs
+//!   between sweeps, when no handler is mid-delivery, and can therefore
+//!   migrate whole processes.
 //!
-//! Determinism contract: the loop only runs when the kernel is already
-//! scheduling nondeterministically (`shards > 1` *and* parallel pool
-//! workers). With `ASBESTOS_WORKERS=1`, `shards == 1`, or
-//! `ASBESTOS_TUNE=off` the tuner is inert and the golden-trace suites
-//! (`shard_determinism`, `netd_determinism`) see bit-identical runs —
-//! pinned by test. A steal is semantically invisible: it moves a process
-//! *wholesale* — labels, memory, ports, and whole per-port queues — so
-//! delivery order per sender per port and every verdict are preserved
-//! (pinned by proptest).
+//! Determinism contract: the steal loop reads host `busy_nanos`, the one
+//! input that is not a function of the kernel's event history, so the
+//! loop runs only when a caller asks for it
+//! (`Kernel::set_tuning_enabled(true)`) on a multi-shard kernel. Left
+//! alone, or at `shards == 1`, the tuner is inert and every run is
+//! bit-identical — pinned by test. A steal is semantically invisible: it
+//! moves a process *wholesale* — labels, memory, ports, and whole
+//! per-port queues — so delivery order per sender per port and every
+//! verdict are preserved (pinned by proptest).
 
 use asbestos_labels::Handle;
 
@@ -310,12 +310,10 @@ pub(crate) struct TunerState {
     pub(crate) policy: Box<dyn TunePolicy>,
     /// Previous cumulative sample per shard; empty until the loop arms.
     pub(crate) last: Vec<ShardSample>,
-    /// The `ASBESTOS_TUNE` knob, read at kernel construction.
-    pub(crate) env_enabled: bool,
-    /// Programmatic override (benches pin tuning on/off per run).
-    pub(crate) override_enabled: Option<bool>,
+    /// Armed by `Kernel::set_tuning_enabled`; off by default.
+    pub(crate) enabled: bool,
     /// Actions actually applied (the determinism guard pins this at 0
-    /// for sequential configurations).
+    /// while the loop is disarmed).
     pub(crate) actions_applied: u64,
 }
 
@@ -324,8 +322,7 @@ impl TunerState {
         TunerState {
             policy: Box::new(DefaultPolicy::default()),
             last: Vec::new(),
-            env_enabled: default_tune_enabled(),
-            override_enabled: None,
+            enabled: false,
             actions_applied: 0,
         }
     }
@@ -335,18 +332,6 @@ impl TunerState {
     pub(crate) fn bytes(&self) -> usize {
         self.last.capacity() * std::mem::size_of::<ShardSample>()
     }
-}
-
-/// Parses an `ASBESTOS_TUNE`-style value: everything except `off`/`0`
-/// (case-insensitive) arms the loop. Unset means on — the tuner already
-/// gates itself on nondeterministic scheduling being in effect.
-pub(crate) fn tune_enabled_from(value: Option<&str>) -> bool {
-    crate::knobs::parse_enabled(value)
-}
-
-/// Reads the `ASBESTOS_TUNE` knob.
-pub(crate) fn default_tune_enabled() -> bool {
-    tune_enabled_from(crate::knobs::raw(crate::knobs::TUNE_ENV).as_deref())
 }
 
 #[cfg(test)]
@@ -368,17 +353,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    #[test]
-    fn knob_parsing() {
-        assert!(tune_enabled_from(None));
-        assert!(tune_enabled_from(Some("on")));
-        assert!(tune_enabled_from(Some("ON")));
-        assert!(!tune_enabled_from(Some("off")));
-        assert!(!tune_enabled_from(Some("OFF")));
-        assert!(!tune_enabled_from(Some("0")));
-        assert!(!tune_enabled_from(Some("false")));
     }
 
     #[test]

@@ -18,9 +18,9 @@ use asbestos_labels::Handle;
 
 /// Counts [`Payload`] backing-buffer materializations, process-wide.
 ///
-/// Global and atomic (not thread-local like the label clone counter)
-/// because payloads cross shard threads: a pool worker's deep copy must
-/// be visible to the test thread reading the counter.
+/// Global and atomic (not thread-local like the label clone counter):
+/// a kernel is `Send`, so a deep copy must be visible to the reader
+/// whichever thread drove the kernel.
 static PAYLOAD_DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
 
 /// A refcounted, immutable byte buffer — the message payload carrier.

@@ -189,9 +189,9 @@ fn single_shard_matches_pre_refactor_engine() {
         handle_bytes: 1520,
         queue_bytes: 0,
         user_frame_bytes: 77824,
-        // A single-shard kernel allocates no pool, no cross-shard
-        // channel storage worth billing, and never arms the tuner.
-        pool_bytes: 0,
+        // A single-shard kernel never touches the cross-shard channels
+        // and never arms the tuner.
+        xshard_bytes: 0,
         tuner_bytes: 0,
     };
     assert_eq!(kernel.kmem_report(), expected_kmem);

@@ -200,6 +200,8 @@ fn random_scripts(chains: usize, rng: &mut TestRng) -> Vec<Vec<Step>> {
 struct ChainRig {
     kernel: Kernel,
     logs: Vec<Arc<Mutex<Vec<u64>>>>,
+    /// Every receiver's deliveries in the order the kernel made them.
+    order: Arc<Mutex<Vec<u64>>>,
     triggers: Vec<Handle>,
     recv_ports: Vec<Handle>,
 }
@@ -208,15 +210,20 @@ struct ChainRig {
 /// logs plus (delivered, label drops, sent) counters.
 fn run_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> (Vec<Vec<u64>>, (u64, u64, u64)) {
     let mut rig = setup_chains(scripts, shards, seed);
-    for &port in &rig.triggers {
-        rig.kernel.inject(port, Value::Unit);
-    }
-    rig.kernel.run();
+    rig.fire();
     assert_eq!(rig.kernel.queue_len(), 0);
     rig.outcome()
 }
 
 impl ChainRig {
+    /// Triggers every chain's sender and runs the kernel to idle.
+    fn fire(&mut self) {
+        for &port in &self.triggers {
+            self.kernel.inject(port, Value::Unit);
+        }
+        self.kernel.run();
+    }
+
     fn outcome(&self) -> (Vec<Vec<u64>>, (u64, u64, u64)) {
         let stats = self.kernel.stats();
         let traces = self
@@ -239,6 +246,7 @@ fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
         .iter()
         .map(|_| Arc::new(Mutex::new(Vec::new())))
         .collect();
+    let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let mut trigger_ports = Vec::new();
     let mut recv_ports = Vec::new();
 
@@ -249,6 +257,7 @@ fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
         let send_shard = (chain + 1) % shards;
 
         let l2 = logs[chain].clone();
+        let o2 = order.clone();
         let recv_key = format!("chain{chain}.recv");
         let publish_key = recv_key.clone();
         kernel.spawn_on(
@@ -262,7 +271,9 @@ fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
                     sys.publish_env(&publish_key, Value::Handle(p));
                 },
                 move |_sys, msg| {
-                    l2.lock().unwrap().push(msg.body.as_u64().unwrap());
+                    let tag = msg.body.as_u64().unwrap();
+                    l2.lock().unwrap().push(tag);
+                    o2.lock().unwrap().push(tag);
                 },
             ),
         );
@@ -326,6 +337,7 @@ fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
     ChainRig {
         kernel,
         logs,
+        order,
         triggers: trigger_ports,
         recv_ports,
     }
@@ -360,14 +372,12 @@ fn sharded_delivery_matches_single_shard() {
 // Sub-round routing: cross-shard hops no longer cost a round each.
 // ---------------------------------------------------------------------
 
-/// A 4-hop relay across shards 0→1→2→3. The pre-pool engine paid one
-/// barrier round per hop; with sub-round routing the sweep scheduler
-/// completes the whole chain in a single round, every hop picked up
-/// mid-round through the inbound channels.
+/// A 4-hop relay across shards 0→1→2→3: with sub-round routing the run
+/// loop completes the whole chain in a single sweep, every hop picked up
+/// mid-sweep through the inbound channels.
 #[test]
 fn forward_relay_completes_in_one_round() {
     let mut kernel = Kernel::new_sharded(21, 4);
-    kernel.set_worker_threads(1); // deterministic sweep scheduler
     let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Stage i forwards to stage i+1; the last stage logs. Spawn in
@@ -430,22 +440,34 @@ fn forward_relay_completes_in_one_round() {
         stats.xshard_subround, 3,
         "every hop was picked up mid-round"
     );
-    assert_eq!(stats.xshard_barrier, 0, "no hop waited out a barrier");
+    assert_eq!(stats.xshard_barrier, 0, "no hop waited for the next run");
 }
 
 // ---------------------------------------------------------------------
-// Parallel rounds are deterministic: same workload, same trace.
+// Sharded runs are repeatable without asking.
 // ---------------------------------------------------------------------
 
+/// The rig built and run twice with one seed — and no scheduler call of
+/// any kind — yields the identical *ordered* kernel-wide delivery trace,
+/// `Stats`, per-shard clocks and memory report: the schedule is a
+/// function of the inputs, not just the per-chain outcomes.
 #[test]
-fn parallel_runs_are_reproducible() {
+fn sharded_runs_repeat_exactly() {
     let mut rng = TestRng::deterministic("sharding::reproducible");
     let scripts = random_scripts(8, &mut rng);
-    let (first_traces, first_counts) = run_chains(&scripts, 4, 99);
-    for _ in 0..3 {
-        let (traces, counts) = run_chains(&scripts, 4, 99);
-        assert_eq!(traces, first_traces, "multi-shard run must be reproducible");
-        assert_eq!(counts, first_counts);
+    for shards in [4, 8] {
+        let observe = || {
+            let mut rig = setup_chains(&scripts, shards, 99);
+            rig.fire();
+            let order = rig.order.lock().unwrap().clone();
+            (
+                order,
+                format!("{:?}", rig.kernel.stats()),
+                rig.kernel.per_shard_elapsed_cycles(),
+                rig.kernel.kmem_report(),
+            )
+        };
+        assert_eq!(observe(), observe(), "{shards}-shard run must repeat");
     }
 }
 
@@ -613,7 +635,6 @@ fn steal_schedules_preserve_fifo_and_multiset() {
 fn tuner_reactions_to_a_flood_are_invisible_to_other_users() {
     let run = |with_attacker: bool| -> (Vec<u64>, u64) {
         let mut kernel = Kernel::new_sharded(31, 4);
-        kernel.set_worker_threads(1);
         kernel.set_tuning_enabled(true);
         // Aggressive thresholds so the attacker's flood (thousands of
         // deliveries per window) trips the loop, while the victim's
@@ -759,16 +780,14 @@ fn tuner_reactions_to_a_flood_are_invisible_to_other_users() {
 }
 
 // ---------------------------------------------------------------------
-// Determinism guard: ambient tuning never touches deterministic modes.
+// Determinism guard: the tuner is inert unless explicitly enabled.
 // ---------------------------------------------------------------------
 
-/// Without an explicit `set_tuning_enabled(true)` override, the tuner
-/// must stay inert in every configuration the golden-trace suites pin:
-/// the sequential sweep (`workers == 1`), a single shard, and any run
-/// with tuning explicitly forced off — even under a hair-trigger policy
-/// and a workload that would otherwise trip every threshold.
+/// Tuning nobody asked for never happens — and at one shard it cannot
+/// happen even when asked for — under a hair-trigger policy and a
+/// workload that would otherwise trip every threshold.
 #[test]
-fn ambient_tuning_is_inert_in_deterministic_modes() {
+fn tuning_is_inert_unless_explicitly_enabled() {
     let hair_trigger = || {
         let mut policy = asbestos_kernel::DefaultPolicy::default();
         policy.min_busy_nanos = 0;
@@ -779,40 +798,18 @@ fn ambient_tuning_is_inert_in_deterministic_modes() {
     let mut rng = TestRng::deterministic("sharding::inert");
     let scripts = random_scripts(8, &mut rng);
 
-    // Sequential sweep at 4 shards, ambient (env-default) tuning.
+    // Four shards, never enabled.
     let mut rig = setup_chains(&scripts, 4, 0xD00D);
-    rig.kernel.set_worker_threads(1);
     rig.kernel.set_tune_policy(hair_trigger());
-    assert!(
-        !rig.kernel.tuning_active(),
-        "sweep mode: ambient tuning off"
-    );
-    for &port in &rig.triggers {
-        rig.kernel.inject(port, Value::Unit);
-    }
-    rig.kernel.run();
-    assert_eq!(rig.kernel.tuner_actions(), 0, "sweep mode: no actions");
+    assert!(!rig.kernel.tuning_active(), "4 shards: off until enabled");
+    rig.fire();
+    assert_eq!(rig.kernel.tuner_actions(), 0, "4 shards: no actions");
 
-    // Single shard: inert even when explicitly forced on.
+    // Single shard: inert even when explicitly enabled.
     let mut rig = setup_chains(&scripts, 1, 0xD00D);
     rig.kernel.set_tuning_enabled(true);
     rig.kernel.set_tune_policy(hair_trigger());
     assert!(!rig.kernel.tuning_active(), "1 shard: tuning can't arm");
-    for &port in &rig.triggers {
-        rig.kernel.inject(port, Value::Unit);
-    }
-    rig.kernel.run();
+    rig.fire();
     assert_eq!(rig.kernel.tuner_actions(), 0, "1 shard: no actions");
-
-    // Parallel pool with tuning explicitly forced off.
-    let mut rig = setup_chains(&scripts, 4, 0xD00D);
-    rig.kernel.set_worker_threads(4);
-    rig.kernel.set_tuning_enabled(false);
-    rig.kernel.set_tune_policy(hair_trigger());
-    assert!(!rig.kernel.tuning_active(), "forced off: tuning off");
-    for &port in &rig.triggers {
-        rig.kernel.inject(port, Value::Unit);
-    }
-    rig.kernel.run();
-    assert_eq!(rig.kernel.tuner_actions(), 0, "forced off: no actions");
 }

@@ -40,6 +40,8 @@
 //! assert!(tainted.leq(&terminal));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chunk;
 pub mod cipher;
 pub mod handle;

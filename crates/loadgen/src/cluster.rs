@@ -69,11 +69,6 @@ impl ClusterWorld {
             "federated worlds are volatile (no reboot support)"
         );
         let mut cluster = Cluster::new(seed, kernels, cfg.shards);
-        if cfg.deterministic {
-            for node in &mut cluster.nodes {
-                node.kernel.set_worker_threads(1);
-            }
-        }
         let okws = deploy_okws(&mut cluster, World::okws_config(&cfg, None, true));
         let client = OkwsClient::new(&okws);
         let base_shard_cycles = vec![0; kernels * cfg.shards];

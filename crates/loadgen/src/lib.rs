@@ -30,6 +30,7 @@
 //! serialized form) with the identical schedule and accounting — the
 //! federated baseline in `BENCH_cluster.json` is measured this way.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

@@ -8,13 +8,12 @@
 //! never wait for completions — see [`crate::arrival`]), drains, and hands
 //! the scenario a [`ScenarioReport`] to assert invariants over.
 //!
-//! The engine is deterministic end to end: the kernel is built with a
-//! fixed seed and (by default) a single worker thread, so the debug
-//! scheduler sweeps shards sequentially and two runs of the same scenario
-//! produce byte-identical request logs — which is what lets CI gate on
-//! exact percentile values.
+//! The engine is deterministic end to end: the kernel's schedule is a
+//! function of its seed and inputs at every shard count, so two runs of
+//! the same scenario produce byte-identical request logs — which is what
+//! lets CI gate on exact percentile values.
 
-use asbestos_kernel::{CostModel, Kernel};
+use asbestos_kernel::Kernel;
 use asbestos_net::Netd;
 use asbestos_okws::logic::{EchoStore, ParamLength, Profile};
 use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
@@ -57,10 +56,6 @@ pub struct ScenarioConfig {
     pub requests: usize,
     /// Open-loop arrival rate, requests per virtual second.
     pub rate_rps: f64,
-    /// Pin the kernel to the sequential deterministic scheduler
-    /// (`set_worker_threads(1)`); scenarios that gate on exact numbers
-    /// need this.
-    pub deterministic: bool,
     /// After draining, assert every non-aborted request completed with
     /// HTTP 200.
     pub require_all_ok: bool,
@@ -68,8 +63,7 @@ pub struct ScenarioConfig {
 
 impl ScenarioConfig {
     /// A single-shard, single-lane store-only config with sane defaults:
-    /// sub-capacity Poisson arrivals, deterministic scheduling, all
-    /// requests expected to succeed.
+    /// sub-capacity Poisson arrivals, all requests expected to succeed.
     pub fn new(users: usize, requests: usize) -> ScenarioConfig {
         ScenarioConfig {
             users,
@@ -80,7 +74,6 @@ impl ScenarioConfig {
             backpressure: false,
             requests,
             rate_rps: 800.0,
-            deterministic: true,
             require_all_ok: true,
         }
     }
@@ -195,20 +188,9 @@ pub struct World {
 
 impl World {
     /// Builds the kernel and deploys OKWS per `cfg`.
-    ///
-    /// The world owns kernel construction (rather than delegating to
-    /// [`Okws::deploy`]) because determinism is set *before* assembly:
-    /// `set_worker_threads(1)` pins the sequential debug scheduler, so
-    /// startup placement and every later delivery interleave identically
-    /// across runs.
     pub fn deploy(cfg: ScenarioConfig, seed: u64) -> World {
         let dev = cfg.durable.then(MemDev::new);
-        let epoch = dev.as_ref().map_or(0, |d| Store::peek_epoch(d) + 1);
-        let mut kernel = Kernel::with_boot_epoch(seed, CostModel::default(), cfg.shards, epoch);
-        if cfg.deterministic {
-            kernel.set_worker_threads(1);
-        }
-        let okws = Okws::start(&mut kernel, World::okws_config(&cfg, dev.as_ref(), true));
+        let (kernel, okws) = Okws::deploy(seed, World::okws_config(&cfg, dev.as_ref(), true));
         let client = OkwsClient::new(&okws);
         let shards = cfg.shards;
         World {
@@ -278,17 +260,8 @@ impl World {
         self.kernel.teardown();
 
         let epoch = Store::peek_epoch(&dev) + 1;
-        let mut kernel = Kernel::with_boot_epoch(
+        let (kernel, okws) = Okws::reboot(
             self.seed.wrapping_add(epoch),
-            CostModel::default(),
-            self.cfg.shards,
-            epoch,
-        );
-        if self.cfg.deterministic {
-            kernel.set_worker_threads(1);
-        }
-        let okws = Okws::start(
-            &mut kernel,
             World::okws_config(&self.cfg, Some(&dev), false),
         );
         self.client = OkwsClient::new(&okws);

@@ -15,6 +15,8 @@
 //! `uC`'s port label to `{uC 0, uT 3, 2}` so the tainted worker can still
 //! respond to its own user (§7.2).
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod http;
 pub mod netd;

@@ -26,6 +26,8 @@
 //! assert!(body.is_empty()); // first request: nothing stored yet
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod demux;
 pub mod idd;

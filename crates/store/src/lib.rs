@@ -20,6 +20,8 @@
 //! what a redo record means; this crate guarantees only that recovery
 //! yields exactly some committed prefix of them, never a torn suffix.
 
+#![forbid(unsafe_code)]
+
 pub mod blockdev;
 pub mod crc;
 pub mod store;

@@ -32,6 +32,8 @@
 //! assert_eq!(log.lock().unwrap().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use asbestos_baseline as baseline;
 pub use asbestos_db as db;
 pub use asbestos_fs as fs;
