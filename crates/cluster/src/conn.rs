@@ -3,10 +3,15 @@
 //! [`FrameConn`] wraps a nonblocking `UnixStream` with the length-prefixed
 //! CRC framing of [`crate::wire`]: `send` serializes into an outbound
 //! buffer, `flush` pushes as much of it as the socket will take, and
-//! `pump` drains the socket and returns every complete frame. Partial
-//! reads and partial writes are both normal — the cluster's run loop
-//! keeps calling until no side makes progress — so nothing here ever
+//! `pump` drains the socket and returns every complete frame, decoded.
+//! Partial reads and partial writes are both normal — the cluster's run
+//! loop keeps calling until no side makes progress — so nothing here ever
 //! blocks and nothing is lost when a buffer fills mid-frame.
+//!
+//! The switch uses the same buffers undecoded: it borrows the inbound
+//! bytes (`take_inbound` / `restore_inbound`), checks each frame once, and
+//! queues the `Forward`s among them on another connection as the bytes
+//! they arrived as (`send_frame`) — see [`crate::switch`].
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -91,37 +96,67 @@ impl FrameConn {
     /// Wire corruption (bad magic, CRC failure, malformed body) surfaces
     /// as `InvalidData`: framing errors are not recoverable mid-stream.
     pub fn pump(&mut self) -> io::Result<Vec<WireMsg>> {
+        self.fill()?;
+        let mut msgs = Vec::new();
+        let mut used = 0;
+        while let Some((msg, n)) = decode_frame(&self.inbuf[used..])? {
+            msgs.push(msg);
+            used += n;
+            self.stats.frames_in += 1;
+        }
+        self.inbuf.drain(..used);
+        Ok(msgs)
+    }
+
+    /// Drains the socket into the inbound buffer.
+    fn fill(&mut self) -> io::Result<()> {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.closed = true;
-                    break;
+                    return Ok(());
                 }
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&chunk[..n]);
                     self.stats.bytes_in += n as u64;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        let mut msgs = Vec::new();
-        let mut used = 0;
-        loop {
-            match decode_frame(&self.inbuf[used..]) {
-                Ok(Some((msg, n))) => {
-                    msgs.push(msg);
-                    used += n;
-                    self.stats.frames_in += 1;
-                }
-                Ok(None) => break,
-                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
-        }
-        self.inbuf.drain(..used);
-        Ok(msgs)
+    }
+
+    /// [`pump`]'s raw form, for the switch: reads everything available
+    /// and lends the inbound bytes out *by value*, so the caller can walk
+    /// the frames in them while appending to any connection's outbound
+    /// buffer — this one's included. Pair with [`restore_inbound`].
+    ///
+    /// [`pump`]: FrameConn::pump
+    /// [`restore_inbound`]: FrameConn::restore_inbound
+    pub(crate) fn take_inbound(&mut self) -> io::Result<Vec<u8>> {
+        self.fill()?;
+        Ok(std::mem::take(&mut self.inbuf))
+    }
+
+    /// Takes back what [`take_inbound`] lent, less the `used` bytes of the
+    /// `frames` complete frames the caller consumed from its front.
+    ///
+    /// [`take_inbound`]: FrameConn::take_inbound
+    pub(crate) fn restore_inbound(&mut self, mut inbound: Vec<u8>, used: usize, frames: u64) {
+        inbound.drain(..used);
+        self.inbuf = inbound;
+        self.stats.frames_in += frames;
+    }
+
+    /// Queues one complete frame — header, CRC and body as some peer
+    /// wrote them and [`check_frame`] accepted them — verbatim.
+    ///
+    /// [`check_frame`]: crate::wire::check_frame
+    pub(crate) fn send_frame(&mut self, frame: &[u8]) {
+        self.outbuf.extend_from_slice(frame);
+        self.stats.frames_out += 1;
     }
 
     /// Whether the peer has closed its end.

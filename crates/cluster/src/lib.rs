@@ -9,13 +9,18 @@
 //!
 //! * [`wire`] — the serialized form: a typed [`WireMsg`](wire::WireMsg)
 //!   enum in length-prefixed, CRC-framed, versioned frames. Labels
-//!   travel as their §5.6 packed entries and are re-validated on
-//!   arrival; payload bytes are zero-copy views of the received frame.
+//!   travel as their §5.6 packed entries in one canonical form (strictly
+//!   ascending, nothing at the default level) that is checked on arrival
+//!   and rejected, never repaired, when it is anything else
+//!   ([`WireError::NonCanonical`]); payload bytes are zero-copy views of
+//!   the received frame.
 //! * [`conn`] — [`FrameConn`](conn::FrameConn), a nonblocking framed
 //!   `UnixStream` (partial reads/writes are normal, nothing blocks).
 //! * [`switch`] — the hub: a port directory (`Register`/`Resolve`/
 //!   push-based `ResolveR`) plus a `Forward` relay. It routes by port
-//!   handle only and never interprets labels.
+//!   handle only: a `Forward` is checksummed once, validated field by
+//!   field without building a label, and relayed as the very bytes it
+//!   arrived as. A malformed frame kills the *sender's* connection.
 //! * [`gateway`] — each kernel's ambassador: replicates the global
 //!   environment, announces local ports, drains the kernel's remote
 //!   egress outward, and injects arriving `Forward`s inward, where the

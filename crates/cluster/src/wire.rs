@@ -12,25 +12,47 @@
 //! a future v2 can change the body layout freely — same discipline as
 //! the snapshot codec's header.
 //!
-//! Labels travel as their §5.6 packed form: the default level's bits,
-//! then each explicit `(handle, level)` entry as `handle << 3 | bits` —
-//! the same u64 packing the in-memory chunks use, so serialization is a
-//! plain iteration and deserialization re-validates every entry
-//! ([`Level::from_bits`] rejects bit patterns 5–7, [`Handle::new`]
-//! rejects values over 61 bits). A label off the wire is therefore
-//! *checked*, never trusted.
+//! **One CRC pass per hop.** Decoding is two steps: [`check_frame`] frames
+//! the bytes (header, length, checksum — the only pass over every byte)
+//! and [`decode_body`] interprets them; [`decode_frame`] is the two in
+//! sequence. The switch makes the first step once per frame and then, for
+//! a `Forward`, calls [`forward_port`] instead of the second: the same
+//! walk over the same field checks, building nothing, after which it
+//! relays the frame's original bytes. A frame is therefore checksummed
+//! three times between two kernels — written by the source gateway,
+//! verified by the switch, verified by the destination gateway — and
+//! never re-encoded on the way.
+//!
+//! **Labels travel in their §5.6 shape and in one form only.** A label is
+//! its default level's bits, an entry count, and its explicit entries as
+//! `handle << 3 | level-bits` — the `u64` packing the in-memory chunks
+//! use, copied out chunk by chunk. The run must be *canonical*, exactly
+//! what [`Label::packed_entries`] yields: level bits 0–4, handles strictly
+//! ascending, no entry at the default level. The decoder checks that in
+//! place and builds dense 64-entry chunks straight from the bytes
+//! ([`Label::from_packed_ascending`]); anything else is
+//! [`WireError::BadLevel`] or [`WireError::NonCanonical`] — a label off
+//! the wire is *checked*, never trusted and never repaired, so no two
+//! byte strings decode to the same message and whatever decodes
+//! re-encodes to the bytes it came from.
+//!
+//! **No length is believed before it is paid for.** A CRC is not a MAC: a
+//! well-checksummed frame can claim anything. Every count is checked
+//! against the bytes that remain before anything is reserved for it, and
+//! a list's `Vec` grows as its elements decode.
 //!
 //! Payload bytes are zero-copy on both sides of the boundary that
 //! matters: encoding appends a [`Payload`]'s bytes straight out of its
 //! backing store (no intermediate `Payload` materialization), and
-//! [`decode_frame`] pins the whole received body in one `Arc<[u8]>` so
-//! every `Value::Bytes` in the decoded message is a [`Payload::from_arc`]
-//! slice view of it — one copy per frame (socket buffer → body arc), no
-//! matter how many payloads the message carries.
+//! decoding pins the whole received body in one `Arc<[u8]>` when it meets
+//! the first `Value::Bytes`, so every one in the decoded message is a
+//! [`Payload::from_arc`] slice view of it — one copy per frame (socket
+//! buffer → body arc), no matter how many payloads the message carries.
 
 use std::sync::Arc;
 
 use asbestos_kernel::{Payload, Value};
+use asbestos_labels::chunk::entry_handle;
 use asbestos_labels::{Handle, Label, Level};
 use asbestos_store::crc32;
 
@@ -77,10 +99,16 @@ pub enum WireError {
     TrailingBytes,
     /// A string field is not UTF-8.
     BadText,
-    /// A packed label entry encodes a handle over 61 bits.
+    /// A handle field (a port or a `Value::Handle`) exceeds 61 bits.
     BadHandle,
-    /// A packed label entry encodes level bits 5–7.
+    /// A label's default or a packed label entry encodes level bits 5–7.
     BadLevel,
+    /// A field is well-formed but not as the encoder writes it, so two
+    /// byte strings would decode to one message: a label run that is not
+    /// strictly ascending by handle (out of order, or a handle repeated)
+    /// or carries an entry at the label's default level, or a boolean
+    /// byte other than 0 or 1. Rejected, never repaired.
+    NonCanonical,
     /// `Value::List` nesting deeper than the decoder's recursion bound.
     TooDeep,
 }
@@ -99,12 +127,21 @@ impl std::fmt::Display for WireError {
             WireError::BadText => write!(f, "string field is not UTF-8"),
             WireError::BadHandle => write!(f, "handle exceeds 61 bits"),
             WireError::BadLevel => write!(f, "invalid level bits"),
+            WireError::NonCanonical => write!(f, "field is not in canonical form"),
             WireError::TooDeep => write!(f, "value nesting too deep"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+/// Wire corruption on a socket is `InvalidData`: framing errors are not
+/// recoverable mid-stream, so the connection that carried them dies.
+impl From<WireError> for std::io::Error {
+    fn from(e: WireError) -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
 
 /// A federation message.
 ///
@@ -243,15 +280,15 @@ fn encode_str(s: &str, out: &mut Vec<u8>) {
 }
 
 /// §5.6 packed form: default-level bits, entry count, then each explicit
-/// entry as `handle << 3 | level-bits` — identical to the in-memory
-/// chunk packing, so the wire is just the label's native shape.
+/// entry as `handle << 3 | level-bits` — the in-memory chunk packing, so
+/// the label's chunks are copied out word for word.
 fn encode_label(label: &Label, out: &mut Vec<u8>) {
+    out.reserve(5 + 8 * label.entry_count());
     out.push(label.default_level().to_bits() as u8);
     out.extend_from_slice(&(label.entry_count() as u32).to_le_bytes());
-    for (handle, level) in label.iter() {
-        let packed = (handle.raw() << 3) | level.to_bits();
-        out.extend_from_slice(&packed.to_le_bytes());
-    }
+    label
+        .packed_entries()
+        .for_each(|packed| out.extend_from_slice(&packed.to_le_bytes()));
 }
 
 fn encode_value(value: &Value, out: &mut Vec<u8>) {
@@ -292,13 +329,15 @@ fn encode_value(value: &Value, out: &mut Vec<u8>) {
 
 // ---------------------------------------------------------------- decode
 
-/// Tries to decode one frame from the front of `buf`.
+/// Frames the bytes at the front of `buf`: checks the header and the CRC
+/// — the one pass a hop makes over a frame's bytes before it believes
+/// any of them — and hands back the body, interpreting none of it.
 ///
-/// * `Ok(Some((msg, consumed)))` — a complete frame; the caller should
-///   drop the first `consumed` bytes.
+/// * `Ok(Some(body))` — a complete, checksummed frame: `buf[..HEADER_LEN +
+///   body.len()]`.
 /// * `Ok(None)` — `buf` holds a valid prefix of a frame; read more.
 /// * `Err(_)` — the bytes are corrupt and the connection should die.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(WireMsg, usize)>, WireError> {
+pub fn check_frame(buf: &[u8]) -> Result<Option<&[u8]>, WireError> {
     if buf.len() < HEADER_LEN {
         if !MAGIC.starts_with(&buf[..buf.len().min(4)]) {
             return Err(WireError::BadMagic);
@@ -316,37 +355,122 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(WireMsg, usize)>, WireError> {
         return Err(WireError::FrameTooLong(body_len));
     }
     let crc_want = u32::from_le_bytes(buf[9..13].try_into().unwrap());
-    let total = HEADER_LEN + body_len;
-    if buf.len() < total {
+    let Some(body) = buf.get(HEADER_LEN..HEADER_LEN + body_len) else {
         return Ok(None);
-    }
-    let body = &buf[HEADER_LEN..total];
+    };
     if crc32(body) != crc_want {
         return Err(WireError::BadCrc);
     }
-    // Pin the body once; every Bytes payload below is a slice view of it.
-    let arc: Arc<[u8]> = Arc::from(body);
-    let mut r = Reader { data: arc, pos: 0 };
-    let msg = decode_body(&mut r)?;
-    if r.pos != body_len {
-        return Err(WireError::TrailingBytes);
+    Ok(Some(body))
+}
+
+/// Tries to decode one frame from the front of `buf`.
+///
+/// * `Ok(Some((msg, consumed)))` — a complete frame; the caller should
+///   drop the first `consumed` bytes.
+/// * `Ok(None)` — `buf` holds a valid prefix of a frame; read more.
+/// * `Err(_)` — the bytes are corrupt and the connection should die.
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(WireMsg, usize)>, WireError> {
+    let Some(body) = check_frame(buf)? else {
+        return Ok(None);
+    };
+    Ok(Some((decode_body(body)?, HEADER_LEN + body.len())))
+}
+
+/// Decodes the body of a frame [`check_frame`] accepted.
+pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
+    let mut r = Reader::new(body);
+    let tag = r.u8()?;
+    let msg = match tag {
+        TAG_HELLO => WireMsg::Hello {
+            kernel: r.u16()?,
+            kernels: r.u16()?,
+        },
+        TAG_REGISTER => WireMsg::Register { port: r.handle()? },
+        TAG_UNREGISTER => WireMsg::Unregister { port: r.handle()? },
+        TAG_RESOLVE => WireMsg::Resolve { port: r.handle()? },
+        TAG_RESOLVE_R => WireMsg::ResolveR {
+            port: r.handle()?,
+            kernel: match r.bool()? {
+                true => Some(r.u16()?),
+                false => None,
+            },
+        },
+        TAG_ENV_SET => WireMsg::EnvSet {
+            key: r.str()?.to_owned(),
+            value: r.value(0)?,
+        },
+        TAG_FORWARD => WireMsg::Forward {
+            port: r.handle()?,
+            es: r.label()?,
+            ds: r.label()?,
+            dr: r.label()?,
+            v: r.label()?,
+            body: r.value(0)?,
+        },
+        TAG_BYE => WireMsg::Bye,
+        t => return Err(WireError::BadTag(t)),
+    };
+    r.finish()?;
+    Ok(msg)
+}
+
+/// The relay's view of a body: if it is a `Forward`, walks it exactly as
+/// [`decode_body`] would — every check, in the same order, through the
+/// same `Reader` methods — but builds no `Label`, `Value` or `Vec`, and
+/// returns the destination port. `Ok(None)` is any other tag, unwalked.
+///
+/// `forward_port(b)` is `Ok(Some(port))` iff `decode_body(b)` is
+/// `Ok(WireMsg::Forward { port, .. })`, and is `Err(e)` iff `decode_body`
+/// of a `Forward`-tagged body is `Err(e)` (`tests/wire_proptests.rs`).
+pub fn forward_port(body: &[u8]) -> Result<Option<Handle>, WireError> {
+    let mut r = Reader::new(body);
+    if r.u8()? != TAG_FORWARD {
+        return Ok(None);
     }
-    Ok(Some((msg, total)))
+    let port = r.handle()?;
+    for _ in 0..4 {
+        r.label_run()?;
+    }
+    r.skip_value(0)?;
+    r.finish()?;
+    Ok(Some(port))
 }
 
-struct Reader {
-    data: Arc<[u8]>,
+/// A cursor over one frame body. Every accept/reject decision of the
+/// codec is one of its methods; [`decode_body`] and [`forward_port`]
+/// differ only in whether they build what the checked bytes describe.
+struct Reader<'a> {
+    data: &'a [u8],
     pos: usize,
+    /// The body, pinned for `Value::Bytes` views; made on first use, so a
+    /// walk that builds nothing never copies it.
+    pin: Option<Arc<[u8]>>,
 }
 
-impl Reader {
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
+impl<'a> Reader<'a> {
+    fn new(data: &'a [u8]) -> Reader<'a> {
+        Reader {
+            data,
+            pos: 0,
+            pin: None,
+        }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.data.len() - self.pos < n {
             return Err(WireError::Truncated);
         }
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    fn finish(&self) -> Result<(), WireError> {
+        if self.pos != self.data.len() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(())
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
@@ -365,65 +489,94 @@ impl Reader {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// The encoder writes 0 or 1; any other byte would decode to a
+    /// message that re-encodes differently.
+    fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::NonCanonical),
+        }
+    }
+
     fn handle(&mut self) -> Result<Handle, WireError> {
         Handle::new(self.u64()?).ok_or(WireError::BadHandle)
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
+    /// A `u32` length and that many bytes.
+    fn blob(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadText)
+        self.take(len)
+    }
+
+    fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.blob()?).map_err(|_| WireError::BadText)
+    }
+
+    /// Checks one label's packed run in place — valid level bits, handles
+    /// strictly ascending, no entry at the default — and hands back the
+    /// default and the run's bytes.
+    fn label_run(&mut self) -> Result<(Level, &'a [u8]), WireError> {
+        let default = Level::from_bits(self.u8()? as u64).ok_or(WireError::BadLevel)?;
+        // Eight bytes an entry: `take` rejects a count the body cannot
+        // hold before anything is allocated for it.
+        let count = self.u32()? as usize;
+        let run = self.take(count.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        let mut prev = None;
+        for packed in packed_words(run) {
+            let level = Level::from_bits(packed & 0x7).ok_or(WireError::BadLevel)?;
+            let handle = entry_handle(packed);
+            if level == default || prev >= Some(handle) {
+                return Err(WireError::NonCanonical);
+            }
+            prev = Some(handle);
+        }
+        Ok((default, run))
     }
 
     fn label(&mut self) -> Result<Label, WireError> {
-        let default = Level::from_bits(self.u8()? as u64).ok_or(WireError::BadLevel)?;
-        let count = self.u32()? as usize;
-        // Each entry is 8 bytes; reject counts the body cannot hold
-        // before allocating for them.
-        if self.data.len() - self.pos < count * 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut pairs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let packed = self.u64()?;
-            let level = Level::from_bits(packed & 0x7).ok_or(WireError::BadLevel)?;
-            let handle = Handle::new(packed >> 3).ok_or(WireError::BadHandle)?;
-            pairs.push((handle, level));
-        }
-        Ok(Label::from_pairs(default, &pairs))
+        let (default, run) = self.label_run()?;
+        Label::from_packed_ascending(default, packed_words(run)).ok_or(WireError::NonCanonical)
     }
 
-    fn value(&mut self, depth: u32) -> Result<Value, WireError> {
+    /// The tag of the value at the cursor, `depth` lists down.
+    fn value_tag(&mut self, depth: u32) -> Result<u8, WireError> {
         if depth > MAX_VALUE_DEPTH {
             return Err(WireError::TooDeep);
         }
-        let tag = self.u8()?;
-        Ok(match tag {
+        self.u8()
+    }
+
+    /// A list's element count. Every element takes at least its tag byte,
+    /// so a count the remaining bytes cannot hold is refused here; what
+    /// the count *claims* still reserves nothing (see `value`).
+    fn list_count(&mut self) -> Result<usize, WireError> {
+        let count = self.u32()? as usize;
+        if self.data.len() - self.pos < count {
+            return Err(WireError::Truncated);
+        }
+        Ok(count)
+    }
+
+    fn value(&mut self, depth: u32) -> Result<Value, WireError> {
+        Ok(match self.value_tag(depth)? {
             VTAG_UNIT => Value::Unit,
-            VTAG_BOOL => Value::Bool(self.u8()? != 0),
+            VTAG_BOOL => Value::Bool(self.bool()?),
             VTAG_U64 => Value::U64(self.u64()?),
             VTAG_BYTES => {
-                let len = self.u32()? as usize;
-                if self.data.len() - self.pos < len {
-                    return Err(WireError::Truncated);
-                }
-                let at = self.pos;
-                self.pos += len;
+                let len = self.blob()?.len();
                 // Zero-copy ingest: a slice view of the pinned frame body.
-                Value::Bytes(Payload::from_arc(Arc::clone(&self.data)).slice(at..at + len))
+                let pin = self.pin.get_or_insert_with(|| Arc::from(self.data));
+                Value::Bytes(Payload::from_arc(Arc::clone(pin)).slice(self.pos - len..self.pos))
             }
-            VTAG_STR => Value::Str(self.str()?),
+            VTAG_STR => Value::Str(self.str()?.to_owned()),
             VTAG_HANDLE => Value::Handle(self.handle()?),
             VTAG_LIST => {
-                let count = self.u32()? as usize;
-                // Every element takes at least its tag byte.
-                if self.data.len() - self.pos < count {
-                    return Err(WireError::Truncated);
-                }
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
+                // Grown as elements decode: a CRC is not a MAC, and a
+                // claimed count must not reserve 40 bytes per 1-byte
+                // element before the first one is read.
+                let mut items = Vec::new();
+                for _ in 0..self.list_count()? {
                     items.push(self.value(depth + 1)?);
                 }
                 Value::List(items)
@@ -431,46 +584,105 @@ impl Reader {
             t => return Err(WireError::BadValueTag(t)),
         })
     }
+
+    /// [`Reader::value`] without the `Value`.
+    fn skip_value(&mut self, depth: u32) -> Result<(), WireError> {
+        match self.value_tag(depth)? {
+            VTAG_UNIT => {}
+            VTAG_BOOL => {
+                self.bool()?;
+            }
+            VTAG_U64 => {
+                self.u64()?;
+            }
+            VTAG_BYTES => {
+                self.blob()?;
+            }
+            VTAG_STR => {
+                self.str()?;
+            }
+            VTAG_HANDLE => {
+                self.handle()?;
+            }
+            VTAG_LIST => {
+                for _ in 0..self.list_count()? {
+                    self.skip_value(depth + 1)?;
+                }
+            }
+            t => return Err(WireError::BadValueTag(t)),
+        }
+        Ok(())
+    }
 }
 
-fn decode_body(r: &mut Reader) -> Result<WireMsg, WireError> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        TAG_HELLO => WireMsg::Hello {
-            kernel: r.u16()?,
-            kernels: r.u16()?,
-        },
-        TAG_REGISTER => WireMsg::Register { port: r.handle()? },
-        TAG_UNREGISTER => WireMsg::Unregister { port: r.handle()? },
-        TAG_RESOLVE => WireMsg::Resolve { port: r.handle()? },
-        TAG_RESOLVE_R => {
-            let port = r.handle()?;
-            let kernel = match r.u8()? {
-                0 => None,
-                _ => Some(r.u16()?),
-            };
-            WireMsg::ResolveR { port, kernel }
+/// A checked label run's bytes as packed `handle << 3 | level` words.
+fn packed_words(run: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    run.chunks_exact(8)
+        .map(|e| u64::from_le_bytes(e.try_into().unwrap()))
+}
+
+/// Frames and bodies for this crate's tests, assembled by hand where the
+/// encoder would refuse to write them.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::*;
+
+    /// A frame around a hand-assembled body, CRC and all: what a peer that
+    /// does not use [`encode_frame`] can put on the wire.
+    pub(crate) fn frame_around(body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(WIRE_VERSION);
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// A `Forward` body for port 5 with `body` `Unit` and four uniform
+    /// labels, `es` then taking `es_run` as its packed entries verbatim and
+    /// `ds` taking `ds_default` as its default-level byte.
+    pub(crate) fn raw_forward_body(es_run: &[u64], ds_default: u8) -> Vec<u8> {
+        let mut body = vec![TAG_FORWARD];
+        body.extend_from_slice(&5u64.to_le_bytes());
+        body.push(Level::L1.to_bits() as u8);
+        body.extend_from_slice(&(es_run.len() as u32).to_le_bytes());
+        for packed in es_run {
+            body.extend_from_slice(&packed.to_le_bytes());
         }
-        TAG_ENV_SET => WireMsg::EnvSet {
-            key: r.str()?,
-            value: r.value(0)?,
-        },
-        TAG_FORWARD => WireMsg::Forward {
-            port: r.handle()?,
-            es: r.label()?,
-            ds: r.label()?,
-            dr: r.label()?,
-            v: r.label()?,
-            body: r.value(0)?,
-        },
-        TAG_BYE => WireMsg::Bye,
-        t => return Err(WireError::BadTag(t)),
-    })
+        for default in [
+            ds_default,
+            Level::Star.to_bits() as u8,
+            Level::L3.to_bits() as u8,
+        ] {
+            body.push(default);
+            body.extend_from_slice(&0u32.to_le_bytes());
+        }
+        body.push(VTAG_UNIT);
+        body
+    }
+
+    /// A `Forward` to `port` under a 780-entry `E_S` — demux's send label on
+    /// `fed-k2`, 13 chunks.
+    pub(crate) fn big_forward(port: Handle) -> WireMsg {
+        let pairs: Vec<(Handle, Level)> = (0..780)
+            .map(|i| (Handle::from_raw(i * 5 + 2), Level::Star))
+            .collect();
+        WireMsg::Forward {
+            port,
+            es: Label::from_pairs(Level::L1, &pairs),
+            ds: Label::top(),
+            dr: Label::bottom(),
+            v: Label::top(),
+            body: Value::List(vec![Value::Str("read".into()), Value::U64(7)]),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::fixtures::{frame_around, raw_forward_body};
     use super::*;
+    use asbestos_labels::chunk::pack;
     use asbestos_labels::HANDLE_SPACE;
 
     fn roundtrip(msg: &WireMsg) -> WireMsg {
@@ -607,5 +819,197 @@ mod tests {
         assert_eq!(ids[0], ids[1]);
         assert_eq!(items[0].as_bytes().unwrap(), b"abc");
         assert_eq!(items[1].as_bytes().unwrap(), b"defg");
+    }
+
+    fn forward_with_es_run(run: &[u64]) -> Vec<u8> {
+        raw_forward_body(run, Level::L3.to_bits() as u8)
+    }
+
+    /// Both walks over one CRC-valid body: the decoder's verdict, after
+    /// checking that the relay's is the same.
+    fn decode_checked_by_both(body: &[u8]) -> Result<WireMsg, WireError> {
+        let decoded = decode_frame(&frame_around(body)).map(|f| f.expect("complete frame").0);
+        // The switch walks `Forward`s itself and hands every other tag to
+        // the decoder, unwalked.
+        let relay_should = match (&decoded, body.first()) {
+            (Ok(WireMsg::Forward { port, .. }), _) => Ok(Some(*port)),
+            (Err(e), Some(&TAG_FORWARD) | None) => Err(*e),
+            _ => Ok(None),
+        };
+        assert_eq!(forward_port(body), relay_should);
+        decoded
+    }
+
+    #[test]
+    fn a_canonical_hand_assembled_run_decodes() {
+        let run = [pack(3, Level::Star), pack(9, Level::L3)];
+        let Ok(WireMsg::Forward { es, .. }) = decode_checked_by_both(&forward_with_es_run(&run))
+        else {
+            panic!("canonical run refused")
+        };
+        assert_eq!(
+            es,
+            Label::from_pairs(
+                Level::L1,
+                &[
+                    (Handle::from_raw(3), Level::Star),
+                    (Handle::from_raw(9), Level::L3)
+                ]
+            )
+        );
+    }
+
+    #[test]
+    fn non_canonical_label_runs_are_rejected_not_repaired() {
+        let runs: [(&str, Vec<u64>); 3] = [
+            ("descending", vec![pack(9, Level::L3), pack(3, Level::Star)]),
+            (
+                "repeated handle",
+                vec![pack(3, Level::Star), pack(3, Level::L3)],
+            ),
+            (
+                "entry at the default level",
+                vec![pack(3, Level::Star), pack(9, Level::L1)],
+            ),
+        ];
+        for (what, run) in &runs {
+            assert_eq!(
+                decode_checked_by_both(&forward_with_es_run(run)),
+                Err(WireError::NonCanonical),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn unused_level_encodings_are_rejected() {
+        for bits in 5..8u64 {
+            let run = [pack(3, Level::Star), 9 << 3 | bits];
+            assert_eq!(
+                decode_checked_by_both(&forward_with_es_run(&run)),
+                Err(WireError::BadLevel),
+                "entry level bits {bits}"
+            );
+            // ... and as a label's default.
+            let mut body = forward_with_es_run(&[]);
+            body[9] = bits as u8;
+            assert_eq!(
+                decode_checked_by_both(&body),
+                Err(WireError::BadLevel),
+                "default level bits {bits}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_canonical_booleans_are_rejected() {
+        let mut body = vec![TAG_ENV_SET];
+        encode_str("k", &mut body);
+        body.extend_from_slice(&[VTAG_BOOL, 2]);
+        assert_eq!(decode_checked_by_both(&body), Err(WireError::NonCanonical));
+        let mut body = vec![TAG_RESOLVE_R];
+        body.extend_from_slice(&42u64.to_le_bytes());
+        body.extend_from_slice(&[2, 7, 0]);
+        assert_eq!(decode_checked_by_both(&body), Err(WireError::NonCanonical));
+    }
+
+    #[test]
+    fn label_shapes_at_the_edges_roundtrip() {
+        let max = Handle::from_raw(HANDLE_SPACE - 1);
+        let wide: Vec<(Handle, Level)> = (0..8 * 64 + 1)
+            .map(|i| (Handle::from_raw(i * 7 + 1), Level::Star))
+            .collect();
+        let labels = [
+            Label::from_pairs(Level::Star, &[(max, Level::L3)]),
+            Label::default_send(),
+            Label::from_pairs(Level::L1, &wide),
+        ];
+        for label in labels {
+            let msg = WireMsg::Forward {
+                port: max,
+                es: label.clone(),
+                ds: Label::top(),
+                dr: Label::bottom(),
+                v: label.clone(),
+                body: Value::Handle(max),
+            };
+            let WireMsg::Forward { es, .. } = roundtrip(&msg) else {
+                panic!("wrong shape")
+            };
+            // Equal, and laid out as `from_pairs` lays it out: dense
+            // chunks, so the accounted size does not depend on which side
+            // of the wire a label was built.
+            assert_eq!(es, label);
+            assert_eq!(es.chunk_count(), label.chunk_count());
+            assert_eq!(es.heap_bytes(), label.heap_bytes());
+            es.check_invariants();
+        }
+    }
+
+    /// A CRC is not a MAC: a frame can claim anything. The list below
+    /// claims one element per remaining byte of a 4 MiB body — 40 bytes of
+    /// `Value` each if the claim were believed — and its first element is
+    /// garbage. (No allocator hook: at a decoder that reserves for the
+    /// claim this test passes too, 160 MiB later.)
+    #[test]
+    fn a_claimed_list_length_reserves_nothing() {
+        let mut body = vec![TAG_ENV_SET];
+        encode_str("k", &mut body);
+        body.push(VTAG_LIST);
+        let rest = (4 << 20) - body.len() - 4;
+        body.extend_from_slice(&(rest as u32).to_le_bytes());
+        body.resize(4 << 20, 0xFF);
+        assert_eq!(
+            decode_checked_by_both(&body),
+            Err(WireError::BadValueTag(0xFF))
+        );
+    }
+
+    /// One `Forward` frame exactly as the codec wrote it when `crc32` was
+    /// a byte-at-a-time loop and labels decoded through `from_pairs`: old
+    /// bytes must still verify, decode, and come back out bit for bit.
+    #[test]
+    fn a_frame_written_before_this_codec_still_decodes() {
+        let hex = "4153574d01790000004d6a110c0600200000000000000203000000380000\
+                   00000000000c80000000000000f9ffffffffffffff04000000000000000000\
+                   04010000004b0000000000000006060000000406000000726561642d720312\
+                   000000474554202f20485454502f312e300d0a0d0a052a0000000000000001\
+                   0102000000000001000000";
+        let frozen: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let (msg, used) = decode_frame(&frozen).unwrap().unwrap();
+        assert_eq!(used, frozen.len());
+        let want = WireMsg::Forward {
+            port: Handle::from_raw(0x2000),
+            es: Label::from_pairs(
+                Level::L1,
+                &[
+                    (Handle::from_raw(7), Level::Star),
+                    (Handle::from_raw(0x1001), Level::L3),
+                    (Handle::from_raw(HANDLE_SPACE - 1), Level::L0),
+                ],
+            ),
+            ds: Label::top(),
+            dr: Label::bottom(),
+            v: Label::from_pairs(Level::L3, &[(Handle::from_raw(9), Level::L2)]),
+            body: Value::List(vec![
+                Value::Str("read-r".into()),
+                Value::Bytes(Payload::copy_from_slice(b"GET / HTTP/1.0\r\n\r\n")),
+                Value::Handle(Handle::from_raw(42)),
+                Value::Bool(true),
+                Value::U64(1 << 40),
+                Value::Unit,
+            ]),
+        };
+        assert_eq!(msg, want);
+        let mut again = Vec::new();
+        encode_frame(&msg, &mut again);
+        assert_eq!(again, frozen);
+        assert_eq!(
+            forward_port(&frozen[HEADER_LEN..]),
+            Ok(Some(Handle::from_raw(0x2000)))
+        );
     }
 }

@@ -1,11 +1,15 @@
 //! Property tests for the federation wire codec: adversarial bytes never
-//! panic, and round-trips are bit-exact for every `WireMsg` shape —
-//! including labels at the handle-space edge and uniform labels with no
-//! explicit entries.
+//! panic, round-trips are bit-exact for every `WireMsg` shape — including
+//! labels at the handle-space edge and uniform labels with no explicit
+//! entries — and on bodies that are damaged *behind a valid CRC* the
+//! decoder and the switch's validate-only walk reach one verdict, which
+//! is "reject" for every byte string the encoder could not have written.
 
+use asbestos_cluster::wire::{forward_port, HEADER_LEN};
 use asbestos_cluster::{decode_frame, encode_frame, WireMsg};
 use asbestos_kernel::{Payload, Value};
 use asbestos_labels::{Handle, Label, Level, HANDLE_SPACE};
+use asbestos_store::crc32;
 use proptest::prelude::*;
 
 fn arb_level() -> impl Strategy<Value = Level> {
@@ -132,6 +136,75 @@ proptest! {
     #[test]
     fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_frame(&bytes);
+    }
+}
+
+/// One edit to a frame body: `(kind, position, byte)`.
+fn mutate(body: &mut Vec<u8>, (kind, at, byte): (u8, usize, u8)) {
+    if body.is_empty() {
+        return body.push(byte);
+    }
+    let at = at % body.len();
+    match kind {
+        0 => body[at] ^= byte | 1,
+        1 => body.insert(at, byte),
+        2 => drop(body.remove(at)),
+        3 => body.truncate(at),
+        // Exchange two adjacent 8-byte words: on a label run, two entries
+        // out of order with every field still well-formed.
+        _ if at + 16 <= body.len() => {
+            let (a, b) = body[at..at + 16].split_at_mut(8);
+            a.swap_with_slice(b);
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The CRC guards against accident, not intent, so the body decoder
+    /// must stand on its own: damage a valid frame's *body*, re-patch
+    /// length and CRC, and
+    /// (a) the complete frame is a message or an error — no panic, no
+    ///     "need more bytes";
+    /// (b) the switch's validate-only walk accepts exactly the `Forward`s
+    ///     the decoder accepts, names the same port, and refuses with the
+    ///     same error;
+    /// (c) whatever decodes re-encodes to the very bytes it came from:
+    ///     the codec is canonical for all input it accepts, not only for
+    ///     the encoder's output.
+    #[test]
+    fn crc_valid_mutations(
+        msg in arb_msg(),
+        edits in prop::collection::vec((0u8..5, any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut frame = Vec::new();
+        encode_frame(&msg, &mut frame);
+        let mut body = frame.split_off(HEADER_LEN);
+        for edit in edits {
+            mutate(&mut body, edit);
+        }
+        frame[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        frame[9..13].copy_from_slice(&crc32(&body).to_le_bytes());
+        frame.extend_from_slice(&body);
+
+        let decoded = decode_frame(&frame);
+        prop_assert_ne!(&decoded, &Ok(None));
+        // Tag 6 is `Forward`: the switch walks those itself and hands
+        // every other tag to the decoder, unwalked.
+        let relay_should = match (&decoded, body.first()) {
+            (Ok(Some((WireMsg::Forward { port, .. }, _))), _) => Ok(Some(*port)),
+            (Err(e), Some(6) | None) => Err(*e),
+            _ => Ok(None),
+        };
+        prop_assert_eq!(forward_port(&body), relay_should);
+        if let Ok(Some((msg, used))) = decoded {
+            prop_assert_eq!(used, frame.len());
+            let mut again = Vec::new();
+            encode_frame(&msg, &mut again);
+            prop_assert_eq!(again, frame);
+        }
     }
 }
 

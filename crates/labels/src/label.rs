@@ -134,6 +134,44 @@ impl Label {
         builder.finish()
     }
 
+    /// Builds a label from its canonical packed run: entries as [`pack`]
+    /// stores them (`handle << 3 | level`), handles strictly ascending,
+    /// level bits valid, none at `default` — exactly what
+    /// [`Label::packed_entries`] yields. Anything else is `None`: the run
+    /// is checked, not repaired, so equal labels have one packed form.
+    ///
+    /// The entries go straight into dense chunks (only the last may hold
+    /// fewer than [`CHUNK_CAP`]), one allocation each — the layout
+    /// [`Label::from_pairs`] gives the same entries.
+    pub fn from_packed_ascending<I>(default: Level, entries: I) -> Option<Label>
+    where
+        I: IntoIterator<Item = u64>,
+    {
+        let mut entries = entries.into_iter().peekable();
+        let mut chunks = Vec::with_capacity(entries.size_hint().0.div_ceil(CHUNK_CAP));
+        let mut prev = None;
+        while entries.peek().is_some() {
+            let mut run = Vec::with_capacity(entries.size_hint().0.clamp(1, CHUNK_CAP));
+            for packed in entries.by_ref().take(CHUNK_CAP) {
+                let handle = entry_handle(packed);
+                if Level::from_bits(packed & 0x7)? == default || prev >= Some(handle) {
+                    return None;
+                }
+                prev = Some(handle);
+                run.push(packed);
+            }
+            chunks.push(Arc::new(Chunk::from_entries(run)));
+        }
+        let mut label = Label {
+            chunks,
+            default,
+            len: 0,
+            levels: LevelSet::EMPTY,
+        };
+        label.after_mutation();
+        Some(label)
+    }
+
     /// The default level, applying to all handles without explicit entries.
     #[inline]
     pub fn default_level(&self) -> Level {
@@ -213,6 +251,14 @@ impl Label {
                 )
             })
         })
+    }
+
+    /// Iterates the explicit entries in their packed §5.6 form
+    /// (`handle << 3 | level`), chunk by chunk in ascending handle order:
+    /// the label's canonical run, which [`Label::from_packed_ascending`]
+    /// turns back into an equal label.
+    pub fn packed_entries(&self) -> impl Iterator<Item = u64> + '_ {
+        self.chunks.iter().flat_map(|c| c.entries().iter().copied())
     }
 
     /// Accounted heap size of this label in bytes (see [`LABEL_HEADER_BYTES`]).
