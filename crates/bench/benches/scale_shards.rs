@@ -73,8 +73,6 @@ fn setup(shards: usize, cross_shard: bool, payload: PayloadMode) -> (Kernel, Vec
         handle_stride: 0x1000,
         cross_shard,
         payload,
-        zipf_s: 0.0,
-        sink_spin: 0,
     };
     deploy_repeated_tuple(0xCAFE, shards, &workload)
 }
@@ -197,9 +195,9 @@ fn bench_scale_shards(c: &mut Criterion) {
                 ("xshard_batch_max".to_string(), m.batch_max as f64),
             ];
             // Per-shard queueing pressure: mailbox-depth high-water
-            // marks and per-port-bound drops. The HWM spread is the
-            // work-stealing signal (a shard whose backlog towers over
-            // its peers is the steal source); drops flag saturation.
+            // marks and per-port-bound drops. The HWM spread shows
+            // imbalance (a shard whose backlog towers over its peers);
+            // drops flag saturation.
             for (i, hwm) in m.queue_hwms.iter().enumerate() {
                 fields.push((format!("queue_depth_hwm_s{i}"), *hwm as f64));
             }

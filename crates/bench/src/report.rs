@@ -1,8 +1,8 @@
 //! Machine-readable benchmark reports.
 //!
-//! Perf-tracking benches (`scale_shards`, `autotune`, …) write a small
+//! Perf-tracking benches (`scale_shards`, `durability`, …) write a small
 //! JSON file at the repository root — `BENCH_shards.json`,
-//! `BENCH_autotune.json` — so the perf trajectory is tracked in
+//! `BENCH_durability.json` — so the perf trajectory is tracked in
 //! version control across PRs. The writer is deliberately dependency-free
 //! (the container vendors no serde): reports are flat lists of numeric /
 //! string fields, which is all a trend line needs.

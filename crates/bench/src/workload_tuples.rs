@@ -1,4 +1,4 @@
-//! The OKWS repeated-tuple workload, shared by the perf benches.
+//! The OKWS repeated-tuple workload behind the `scale_shards` bench.
 //!
 //! One parameterized builder models the Figure 9 regime — a pool of
 //! per-user senders, each carrying a distinct multi-entry taint label
@@ -8,9 +8,9 @@
 //! repetitive).
 //!
 //! Each user's sink is placed either on the sender's shard or
-//! deliberately one shard away. `scale_shards` and `autotune` share this
-//! builder, which keeps their numbers comparable and prevents the
-//! workloads from silently diverging.
+//! deliberately one shard away. The `scale_shards` bench runs every one
+//! of its rows (shard counts, placements, payload modes) on this builder,
+//! which keeps them comparable.
 
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Handle, Kernel, Label, Level, Payload, Value};
@@ -47,43 +47,6 @@ pub struct TupleWorkload {
     pub cross_shard: bool,
     /// Body carried by each burst message.
     pub payload: PayloadMode,
-    /// Zipf skew over users: user `u` (rank `u+1`) sends a burst
-    /// proportional to `1/(u+1)^s`, normalized so the total message
-    /// count stays ~`users * burst`. `0.0` means uniform — every user
-    /// sends exactly `burst`, bit-identical to the pre-skew workload.
-    /// Since senders are pinned `user % shards`, low-numbered users (the
-    /// heavy ranks) concentrate on shard 0: the hot-shard regime the
-    /// tuner's work stealing targets.
-    pub zipf_s: f64,
-    /// Iterations of synthetic per-delivery service work each sink burns
-    /// (0 = the pure-delivery regime every pre-autotune bench measures).
-    /// Models the request-handling CPU an OKWS service spends per
-    /// message; it runs on the *sink's* shard, so it is exactly the cost
-    /// that migrates when the tuner steals a hot port.
-    pub sink_spin: u32,
-}
-
-impl TupleWorkload {
-    /// Messages user `u` sends per round under this workload's skew.
-    ///
-    /// Deterministic (pure IEEE arithmetic over the rank), so two runs
-    /// of the same shape always produce identical per-user bursts.
-    pub fn burst_for_user(&self, user: usize) -> usize {
-        if self.zipf_s == 0.0 {
-            return self.burst;
-        }
-        let total_weight: f64 = (0..self.users)
-            .map(|u| 1.0 / ((u + 1) as f64).powf(self.zipf_s))
-            .sum();
-        let weight = 1.0 / ((user + 1) as f64).powf(self.zipf_s);
-        let share = (self.users * self.burst) as f64 * weight / total_weight;
-        (share.round() as usize).max(1)
-    }
-
-    /// Total messages per round across all users (skew-aware).
-    pub fn total_burst(&self) -> usize {
-        (0..self.users).map(|u| self.burst_for_user(u)).sum()
-    }
 }
 
 /// Deploys the workload over `shards` shards; returns the kernel and the
@@ -97,7 +60,6 @@ impl TupleWorkload {
 pub fn deploy_repeated_tuple(seed: u64, shards: usize, w: &TupleWorkload) -> (Kernel, Vec<Handle>) {
     let mut kernel = Kernel::new_sharded(seed, shards);
 
-    let sink_spin = w.sink_spin;
     let spawn_sink = |kernel: &mut Kernel, shard: usize, name: &str, key: String| {
         let publish_key = key.clone();
         kernel.spawn_on(
@@ -110,14 +72,7 @@ pub fn deploy_repeated_tuple(seed: u64, shards: usize, w: &TupleWorkload) -> (Ke
                     sys.set_port_label(p, Label::top()).unwrap();
                     sys.publish_env(&publish_key, Value::Handle(p));
                 },
-                move |_sys, _msg| {
-                    // Synthetic per-request service work, charged to the
-                    // shard that hosts the sink.
-                    let mut x = 0x9E37_79B9u32;
-                    for _ in 0..sink_spin {
-                        x = std::hint::black_box(x.wrapping_mul(0x85EB_CA6B).rotate_left(13));
-                    }
-                },
+                |_sys, _msg| {},
             ),
         );
         let port = kernel.global_env(&key).unwrap().as_handle().unwrap();
@@ -143,7 +98,7 @@ pub fn deploy_repeated_tuple(seed: u64, shards: usize, w: &TupleWorkload) -> (Ke
 
         let trig_key = format!("user{user}.trigger");
         let publish_key = trig_key.clone();
-        let burst = w.burst_for_user(user);
+        let burst = w.burst;
         let mode = w.payload;
         // Built once per user, outside the send loop: the Shared mode's
         // whole point is that steady-state sends touch no bytes.
@@ -215,8 +170,6 @@ mod tests {
             handle_stride: 0x100,
             cross_shard: false,
             payload: PayloadMode::None,
-            zipf_s: 0.0,
-            sink_spin: 0,
         };
         let (mut kernel, triggers) = deploy_repeated_tuple(1, 1, &w);
         trigger_round(&mut kernel, &triggers);
@@ -244,8 +197,6 @@ mod tests {
             handle_stride: 0x100,
             cross_shard: true,
             payload: PayloadMode::Shared(256),
-            zipf_s: 0.0,
-            sink_spin: 0,
         };
         // Shared: one template materialization per user at deploy time,
         // zero per send.
@@ -273,43 +224,5 @@ mod tests {
             before + 8,
             "copied mode deep-copies once per send"
         );
-    }
-
-    #[test]
-    fn zipf_bursts_are_skewed_normalized_and_deterministic() {
-        let w = TupleWorkload {
-            users: 16,
-            entries: 3,
-            burst: 32,
-            handle_base: 0x1000,
-            handle_stride: 0x100,
-            cross_shard: false,
-            payload: PayloadMode::None,
-            zipf_s: 1.2,
-            sink_spin: 0,
-        };
-        let bursts: Vec<usize> = (0..w.users).map(|u| w.burst_for_user(u)).collect();
-        // Monotone non-increasing in rank, genuinely skewed at the head,
-        // floored at 1 in the tail.
-        assert!(bursts.windows(2).all(|p| p[0] >= p[1]));
-        assert!(bursts[0] > 4 * bursts[w.users - 1]);
-        assert!(*bursts.last().unwrap() >= 1);
-        // Normalization keeps the round total near users*burst.
-        let total = w.total_burst();
-        let target = w.users * w.burst;
-        assert!(
-            total >= target * 9 / 10 && total <= target * 11 / 10,
-            "total {total} strays from target {target}"
-        );
-        // s = 0 is exactly the uniform workload.
-        let uniform = TupleWorkload { zipf_s: 0.0, ..w };
-        assert!((0..16).all(|u| uniform.burst_for_user(u) == 32));
-        assert_eq!(uniform.total_burst(), 16 * 32);
-
-        // The deployed kernel actually sends the skewed counts.
-        let (mut kernel, triggers) = deploy_repeated_tuple(1, 2, &w);
-        trigger_round(&mut kernel, &triggers);
-        assert_eq!(kernel.stats().delivered as usize, w.users + total);
-        assert_eq!(kernel.stats().dropped_total(), 0);
     }
 }

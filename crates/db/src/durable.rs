@@ -22,7 +22,7 @@
 //! *how state changes become durable*, plus the worker-statement rewrite
 //! (shared verbatim between live execution and replay).
 
-use asbestos_store::{AdaptiveBatch, BlockDev, Store};
+use asbestos_store::{BlockDev, Store};
 
 use crate::ast::{CmpOp, Comparison, Expr, Stmt};
 use crate::engine::{Database, DbError, QueryResult};
@@ -265,16 +265,10 @@ pub struct DbRecovery {
     pub boot_epoch: u64,
 }
 
-/// Parses an `ASBESTOS_DB_GROUP_COMMIT`-style value: `auto` (any case)
-/// installs the adaptive controller, a number >= 1 fixes the batch,
-/// anything else means 1 — sync per mutation.
-fn group_commit_from(value: Option<&str>) -> GroupCommit {
-    use asbestos_kernel::knobs::{parse_auto_or_count, AutoOrCount};
-    match parse_auto_or_count(value) {
-        Some(AutoOrCount::Auto) => GroupCommit::Auto(AdaptiveBatch::default()),
-        Some(AutoOrCount::Count(n)) => GroupCommit::Fixed(n),
-        None => GroupCommit::Fixed(1),
-    }
+/// Parses an `ASBESTOS_DB_GROUP_COMMIT`-style value: a number >= 1 is
+/// the batch, anything else means 1 — sync per mutation.
+fn group_commit_from(value: Option<&str>) -> usize {
+    asbestos_kernel::knobs::parse_positive(value).unwrap_or(1)
 }
 
 /// A [`Database`] whose mutations are write-ahead logged.
@@ -284,19 +278,11 @@ fn group_commit_from(value: Option<&str>) -> GroupCommit {
 pub struct DurableDb {
     db: Database,
     store: Option<Store>,
-    /// Group-commit sizing: a fixed record count, or the adaptive
-    /// controller that grows the batch under sustained append pressure
-    /// and shrinks it when idle (`ASBESTOS_DB_GROUP_COMMIT=auto`).
-    group_commit: GroupCommit,
+    /// Group-commit batch: records per sync. 1 unless
+    /// `ASBESTOS_DB_GROUP_COMMIT` or [`DurableDb::set_group_commit`]
+    /// says otherwise — a larger batch acknowledges before it syncs.
+    group_commit: usize,
     recovery: DbRecovery,
-}
-
-/// How the group-commit batch is sized.
-enum GroupCommit {
-    /// Static: exactly this many records per sync.
-    Fixed(usize),
-    /// Self-tuning (see [`asbestos_store::AdaptiveBatch`]).
-    Auto(AdaptiveBatch),
 }
 
 impl DurableDb {
@@ -311,7 +297,7 @@ impl DurableDb {
         DurableDb {
             db,
             store: None,
-            group_commit: GroupCommit::Fixed(1),
+            group_commit: 1,
             recovery: DbRecovery::default(),
         }
     }
@@ -319,9 +305,8 @@ impl DurableDb {
     /// Opens (and recovers) a durable database over `dev`: newest intact
     /// snapshot, then committed WAL records replayed through the same
     /// apply paths live execution uses. The group-commit batch defaults
-    /// to `ASBESTOS_DB_GROUP_COMMIT`: a number fixes the batch, `auto`
-    /// installs the adaptive controller (grow under sustained pressure,
-    /// shrink when idle), and unset means 1 — sync per mutation.
+    /// to `ASBESTOS_DB_GROUP_COMMIT`: a number >= 1 is the batch, and
+    /// unset or anything else means 1 — sync per mutation.
     pub fn open(dev: Box<dyn BlockDev>) -> DurableDb {
         let (store, recovery) = Store::open(dev);
         let mut db = match &recovery.snapshot {
@@ -380,34 +365,9 @@ impl DurableDb {
         self.store.is_some()
     }
 
-    /// Sets a fixed group-commit batch size (records per sync).
+    /// Sets the group-commit batch size (records per sync).
     pub fn set_group_commit(&mut self, records: usize) {
-        self.group_commit = GroupCommit::Fixed(records.max(1));
-    }
-
-    /// Switches to the adaptive group-commit controller, bounded to
-    /// `[min, max]` records per sync (grow under sustained append
-    /// pressure, shrink when idle — worst-case ack latency is one
-    /// under-filled window).
-    pub fn set_group_commit_auto(&mut self, min: usize, max: usize) {
-        self.group_commit = GroupCommit::Auto(AdaptiveBatch::new(min, max));
-    }
-
-    /// The batch size the next flush decision uses (fixed value, or the
-    /// adaptive controller's current pick).
-    pub fn group_commit_now(&self) -> usize {
-        match &self.group_commit {
-            GroupCommit::Fixed(n) => *n,
-            GroupCommit::Auto(b) => b.current(),
-        }
-    }
-
-    /// (grows, shrinks) of the adaptive controller; (0, 0) when fixed.
-    pub fn group_commit_transitions(&self) -> (u64, u64) {
-        match &self.group_commit {
-            GroupCommit::Fixed(_) => (0, 0),
-            GroupCommit::Auto(b) => b.transitions(),
-        }
+        self.group_commit = records.max(1);
     }
 
     /// Read access to the engine (SELECT paths; never logged).
@@ -463,10 +423,9 @@ impl DurableDb {
     }
 
     fn log(&mut self, record: DbRecord) {
-        let batch = self.group_commit_now();
         if let Some(store) = &mut self.store {
             store.append(&record.to_bytes());
-            if store.pending() >= batch {
+            if store.pending() >= self.group_commit {
                 self.flush();
             }
         }
@@ -478,13 +437,7 @@ impl DurableDb {
     /// pending or in volatile mode.
     pub fn flush(&mut self) {
         let Some(store) = &mut self.store else { return };
-        // Feed the controller how full this flush actually ran: a full
-        // batch is append pressure, an under-filled one is idleness.
-        let committed = store.pending();
         store.commit();
-        if let GroupCommit::Auto(b) = &mut self.group_commit {
-            b.on_flush(committed);
-        }
         if store.needs_compaction() {
             let snapshot = crate::snapshot::snapshot(&self.db);
             store.compact(&snapshot);
@@ -603,62 +556,14 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_group_commit_grows_under_load_and_shrinks_idle() {
-        let dev = MemDev::new();
-        let mut db = DurableDb::open(Box::new(dev.clone()));
-        db.apply_ddl("CREATE TABLE t (v)");
-        db.flush();
-        db.set_group_commit_auto(1, 16);
-        assert_eq!(db.group_commit_now(), 1, "starts latency-safe");
-
-        let syncs_before = dev.sync_count();
-        for i in 0..64 {
-            db.worker_exec("INSERT INTO t VALUES (?)", &[SqlValue::Int(i)], 1);
-        }
-        assert_eq!(db.group_commit_now(), 16, "sustained appends hit the cap");
-        let (grows, _) = db.group_commit_transitions();
-        assert!(grows >= 4);
-        assert!(
-            dev.sync_count() - syncs_before < 64,
-            "the grown batch amortized syncs below one-per-record"
-        );
-
-        // One under-filled flush (a lone record against a batch of 16)
-        // walks the batch back down.
-        db.worker_exec("INSERT INTO t VALUES (99)", &[], 1);
-        db.flush();
-        assert!(db.group_commit_now() < 16, "idleness shrinks the batch");
-        assert_eq!(db.pending(), 0);
-
-        // Everything flushed is recoverable, same as fixed batching.
-        drop(db);
-        let mut db2 = DurableDb::open(Box::new(dev));
-        let rows = db2.engine_mut().run("SELECT v FROM t").unwrap().rows;
-        assert_eq!(rows.len(), 65);
-    }
-
-    #[test]
     fn group_commit_env_parsing() {
-        assert_eq!(group_commit_from(None).current_for_test(), 1);
-        assert_eq!(group_commit_from(Some("8")).current_for_test(), 8);
-        assert_eq!(group_commit_from(Some("junk")).current_for_test(), 1);
-        assert!(matches!(
-            group_commit_from(Some("auto")),
-            GroupCommit::Auto(_)
-        ));
-        assert!(matches!(
-            group_commit_from(Some(" AUTO ")),
-            GroupCommit::Auto(_)
-        ));
-    }
-
-    impl GroupCommit {
-        fn current_for_test(&self) -> usize {
-            match self {
-                GroupCommit::Fixed(n) => *n,
-                GroupCommit::Auto(b) => b.current(),
-            }
-        }
+        assert_eq!(group_commit_from(None), 1);
+        assert_eq!(group_commit_from(Some("8")), 8);
+        assert_eq!(group_commit_from(Some("junk")), 1);
+        // The retired adaptive setting reads as the safe default: sync
+        // per mutation.
+        assert_eq!(group_commit_from(Some("auto")), 1);
+        assert_eq!(group_commit_from(Some(" AUTO ")), 1);
     }
 
     #[test]

@@ -64,24 +64,14 @@ pub(crate) struct Mailboxes {
     rotation: VecDeque<Handle>,
     /// Total pending messages across all ports.
     len: usize,
-    /// When set, `push` maintains the per-port arrival counters the
-    /// tuner's hot-port detection reads. Off by default so the golden
-    /// single-shard traces never see the bookkeeping.
-    track_load: bool,
     /// Deepest the store has ever been (messages pending at once).
     /// Tracked unconditionally — one compare per push.
     depth_hwm: usize,
-    /// Messages pushed per destination port since the last
-    /// [`Mailboxes::take_port_arrivals`]. Only fed when `track_load`.
-    port_arrivals: BTreeMap<Handle, u64>,
 }
 
 impl Mailboxes {
     /// Appends a message to its destination port's mailbox.
     pub fn push(&mut self, qm: QueuedMessage) {
-        if self.track_load {
-            *self.port_arrivals.entry(qm.port).or_insert(0) += 1;
-        }
         let mailbox = self.boxes.entry(qm.port).or_default();
         if mailbox.is_empty() {
             self.rotation.push_back(qm.port);
@@ -129,57 +119,9 @@ impl Mailboxes {
         self.boxes.values().flatten()
     }
 
-    /// Removes a port's entire pending queue (and its rotation slot) in
-    /// one piece. Work stealing moves whole per-port queues — never
-    /// individual messages — so the per-sender-per-port FIFO order is
-    /// preserved verbatim by construction.
-    pub fn take_port_queue(&mut self, port: Handle) -> VecDeque<QueuedMessage> {
-        let Some(queue) = self.boxes.remove(&port) else {
-            return VecDeque::new();
-        };
-        self.rotation.retain(|&p| p != port);
-        self.len -= queue.len();
-        queue
-    }
-
-    /// Adopts a whole queue for `port`, appending after anything already
-    /// pending there (in-flight messages routed before a migration land
-    /// first; the stolen backlog keeps its internal order).
-    pub fn push_queue(&mut self, port: Handle, queue: VecDeque<QueuedMessage>) {
-        if queue.is_empty() {
-            return;
-        }
-        if self.track_load {
-            *self.port_arrivals.entry(port).or_insert(0) += queue.len() as u64;
-        }
-        let mailbox = self.boxes.entry(port).or_default();
-        if mailbox.is_empty() {
-            self.rotation.push_back(port);
-        }
-        self.len += queue.len();
-        mailbox.extend(queue);
-        if self.len > self.depth_hwm {
-            self.depth_hwm = self.len;
-        }
-    }
-
-    /// Enables or disables per-port arrival counting (tuner signal).
-    pub fn set_track_load(&mut self, on: bool) {
-        self.track_load = on;
-        if !on {
-            self.port_arrivals.clear();
-        }
-    }
-
     /// Deepest this mailbox set has ever been.
     pub fn depth_hwm(&self) -> usize {
         self.depth_hwm
-    }
-
-    /// Drains the per-port arrival counters accumulated since the last
-    /// call (the tuner reads one observation window at a time).
-    pub fn take_port_arrivals(&mut self) -> BTreeMap<Handle, u64> {
-        std::mem::take(&mut self.port_arrivals)
     }
 }
 

@@ -160,23 +160,6 @@ impl HandleTable {
         bytes
     }
 
-    /// Removes a vnode wholesale for migration to another shard's table.
-    /// Handle *values* stay valid everywhere (the cipher is shared across
-    /// lanes); only receive rights move. The sending shard's local-port
-    /// fast path keys off table membership, so after this the Router
-    /// directory is authoritative for the handle.
-    pub(crate) fn take_vnode(&mut self, h: Handle) -> Option<Vnode> {
-        self.vnodes.remove(&h)
-    }
-
-    /// Installs a vnode exported by another shard ([`Self::take_vnode`]).
-    /// The handle was allocated under the shared cipher, so no allocator
-    /// state moves with it.
-    pub(crate) fn adopt_vnode(&mut self, h: Handle, v: Vnode) {
-        let prev = self.vnodes.insert(h, v);
-        debug_assert!(prev.is_none(), "adopting a handle this shard already holds");
-    }
-
     /// Iterates all ports owned by the given owner (used on exit paths).
     pub fn ports_owned_by(&self, owner: PortOwner) -> Vec<Handle> {
         self.vnodes

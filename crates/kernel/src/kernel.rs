@@ -44,7 +44,6 @@ use crate::cycles::{Category, CostModel, CycleClock, CycleSnapshot};
 use crate::delivery::DeliveryOutcome;
 use crate::event_process::EventProcess;
 use crate::handle_table::HandleTable;
-use crate::handle_table::PortOwner;
 use crate::ids::{EpId, ProcessId, MAX_SHARDS};
 use crate::memory::PAGE_SIZE;
 use crate::message::QueuedMessage;
@@ -52,7 +51,6 @@ use crate::process::{Body, EpService, Process, Service};
 use crate::router::{InboxSet, PullPoint, Router};
 use crate::shard::KernelShard;
 use crate::stats::Stats;
-use crate::tuner::{Action, ShardSample, ShardSignals, Signals, TunePolicy, TunerState};
 use crate::value::Value;
 
 /// Default bound on queued messages per shard (the resource-exhaustion
@@ -89,10 +87,6 @@ pub struct KmemReport {
     /// The cross-shard inbound channels' headers and spare capacity.
     /// Always zero on a single-shard kernel.
     pub xshard_bytes: usize,
-    /// Self-tuning bookkeeping: the control loop's per-shard counter
-    /// samples. Zero until the tuner arms (and therefore always zero on
-    /// a single-shard kernel).
-    pub tuner_bytes: usize,
 }
 
 impl KmemReport {
@@ -104,7 +98,6 @@ impl KmemReport {
             + self.queue_bytes
             + self.user_frame_bytes
             + self.xshard_bytes
-            + self.tuner_bytes
     }
 
     /// Total memory in 4 KiB pages, rounded up (Figure 6's unit).
@@ -120,7 +113,6 @@ impl KmemReport {
         self.queue_bytes += other.queue_bytes;
         self.user_frame_bytes += other.user_frame_bytes;
         self.xshard_bytes += other.xshard_bytes;
-        self.tuner_bytes += other.tuner_bytes;
     }
 }
 
@@ -151,9 +143,6 @@ pub struct Kernel {
     /// so a rebooted deployment can never re-mint a dead boot's
     /// handles). 0 for ordinary, non-durable kernels.
     boot_epoch: u64,
-    /// The self-tuning control loop (policy + windowing bookkeeping);
-    /// inert unless explicitly enabled (see [`Kernel::tuning_active`]).
-    tuner: TunerState,
 }
 
 impl Kernel {
@@ -236,7 +225,6 @@ impl Kernel {
             next_spawn_shard: 0,
             step_cursor: 0,
             boot_epoch: epoch,
-            tuner: TunerState::new(),
         }
     }
 
@@ -259,13 +247,6 @@ impl Kernel {
     /// Read-only access to one shard (god-mode observability).
     pub fn shard(&self, shard: usize) -> &KernelShard {
         &self.shards[shard]
-    }
-
-    /// The shard currently hosting `port`, per the router directory.
-    /// Steals move ports between shards; tests use this to pin where a
-    /// migration landed.
-    pub fn port_shard(&self, port: Handle) -> usize {
-        self.router.shard_of(port) as usize
     }
 
     // ------------------------------------------------------------------
@@ -481,8 +462,6 @@ impl Kernel {
     /// Sets every shard's shed threshold: the mailbox depth at which
     /// [`crate::Sys::overloaded`] starts reporting true to
     /// deployment-side shedders. `usize::MAX` (the default) means never.
-    /// Under the adaptive runtime the tuner's shed loop moves this per
-    /// shard ([`crate::Action::SetShedThreshold`]).
     pub fn set_shed_threshold(&mut self, threshold: usize) {
         for shard in &mut self.shards {
             shard.shed_threshold = threshold;
@@ -492,6 +471,12 @@ impl Kernel {
     /// Always 0: there is no delivery-decision cache. Read only by
     /// `benchmark/`; see the note on [`Stats::cache_hits`].
     pub fn delivery_cache_len(&self) -> usize {
+        0
+    }
+
+    /// Always 0: there is no tuner. Read only by `benchmark/`; see the
+    /// note on [`Stats::steals`].
+    pub fn tuner_actions(&self) -> u64 {
         0
     }
 
@@ -531,151 +516,6 @@ impl Kernel {
             shard.processes[pid.index()].body = None;
             shard.cleanup_process(&self.router, pid);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // The self-tuning control loop (signals → policy → actuator; see
-    // `tuner.rs` for the policy layer).
-    // ------------------------------------------------------------------
-
-    /// Whether the control loop runs between sweeps right now: only on
-    /// a multi-shard kernel, and only after an explicit
-    /// [`Kernel::set_tuning_enabled`]`(true)`. It is off by default
-    /// because its steal loop reads host `busy_nanos`, so arming it
-    /// trades run-to-run repeatability for tuning.
-    pub fn tuning_active(&self) -> bool {
-        self.shards.len() > 1 && self.tuner.enabled
-    }
-
-    /// Arms or disarms the control loop (the multi-shard gate still
-    /// applies). Benches pin tuning per run with this.
-    pub fn set_tuning_enabled(&mut self, on: bool) {
-        self.tuner.enabled = on;
-    }
-
-    /// Installs a tuning policy (thresholds are data, not code — see
-    /// [`TunePolicy`]). The default is [`crate::DefaultPolicy`].
-    pub fn set_tune_policy(&mut self, policy: Box<dyn TunePolicy>) {
-        self.tuner.policy = policy;
-    }
-
-    /// Tuning actions actually applied so far (steals + shed moves).
-    /// The determinism guard pins this at 0 while the loop is disarmed.
-    pub fn tuner_actions(&self) -> u64 {
-        self.tuner.actions_applied
-    }
-
-    /// One control-loop iteration: snapshot an observation window, let
-    /// the policy observe and adjust, apply the actions. Runs between
-    /// sweeps, when no handler is mid-delivery.
-    fn tune(&mut self) {
-        if !self.tuning_active() {
-            return;
-        }
-        let n = self.shards.len();
-        if self.tuner.last.len() != n {
-            // First window: arm the load tracking and baseline the
-            // counters; deltas start accumulating from here.
-            self.tuner.last = (0..n).map(|i| Self::sample(&self.shards[i])).collect();
-            for shard in &mut self.shards {
-                shard.mailboxes.set_track_load(true);
-                shard.mailboxes.take_port_arrivals();
-            }
-            return;
-        }
-        let mut signals = Signals {
-            shards: Vec::with_capacity(n),
-        };
-        for i in 0..n {
-            let arrivals = self.shards[i].mailboxes.take_port_arrivals();
-            let shard = &self.shards[i];
-            let cur = Self::sample(shard);
-            let prev = self.tuner.last[i];
-            self.tuner.last[i] = cur;
-            // Hottest steal-eligible destination ports first; ties break
-            // on the handle value so the ordering is stable.
-            let mut hot_ports: Vec<(Handle, u64)> = arrivals
-                .into_iter()
-                .filter(|&(port, _)| Self::steal_eligible(shard, port).is_some())
-                .collect();
-            hot_ports.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            hot_ports.truncate(4);
-            signals.shards.push(ShardSignals {
-                busy_nanos: cur.busy_nanos - prev.busy_nanos,
-                delivered: cur.delivered - prev.delivered,
-                queue_depth_hwm: shard.stats.queue_depth_hwm,
-                port_queue_drops: cur.port_queue_drops - prev.port_queue_drops,
-                hot_ports,
-                shed_threshold: shard.shed_threshold,
-            });
-        }
-        self.tuner.policy.observe(&signals);
-        let actions = self.tuner.policy.adjust(&signals);
-        for action in actions {
-            match action {
-                Action::StealPort { port, to_shard } => {
-                    if self.migrate_port_owner(port, to_shard).is_some() {
-                        self.tuner.actions_applied += 1;
-                    }
-                }
-                Action::SetShedThreshold { shard, threshold } => {
-                    if shard < n && self.shards[shard].shed_threshold != threshold {
-                        self.shards[shard].shed_threshold = threshold;
-                        self.tuner.actions_applied += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn sample(shard: &KernelShard) -> ShardSample {
-        ShardSample {
-            busy_nanos: shard.busy_nanos,
-            delivered: shard.stats.delivered,
-            port_queue_drops: shard.stats.dropped_port_queue_full,
-        }
-    }
-
-    /// Whether `port`'s owner can migrate off `shard` right now: a live
-    /// plain-bodied process with no live event processes (an EP's delta
-    /// chain is pinned to its base's shard) and not mid-handler — always
-    /// true between sweeps.
-    fn steal_eligible(shard: &KernelShard, port: Handle) -> Option<ProcessId> {
-        match shard.handles.port(port)?.owner {
-            Some(PortOwner::Process(pid)) => {
-                let p = &shard.processes[pid.index()];
-                (p.alive && p.eps.is_empty() && p.body.is_some()).then_some(pid)
-            }
-            _ => None,
-        }
-    }
-
-    /// The work-steal actuator: migrates `port`'s owning process — its
-    /// labels, memory, every port it owns, and each port's *whole*
-    /// pending queue — onto `to_shard`, re-registering its ports in the
-    /// Router directory. Returns the process's new id, or `None` when
-    /// the port has no currently-eligible owner. Also a public god-mode
-    /// surface so tests can drive explicit steal schedules and pin the
-    /// FIFO/multiset invariants deterministically.
-    ///
-    pub fn migrate_port_owner(&mut self, port: Handle, to_shard: usize) -> Option<ProcessId> {
-        let n = self.shards.len();
-        if n <= 1 || to_shard >= n {
-            return None;
-        }
-        let src = self.router.shard_of(port) as usize;
-        if src == to_shard {
-            return None;
-        }
-        let pid = Self::steal_eligible(&self.shards[src], port)?;
-        // Flush the in-flight cross-shard channels first so every
-        // message already routed to the moving ports sits in the
-        // source's mailboxes and migrates inside its whole-queue move —
-        // nothing in flight can dangle toward a shard that no longer
-        // owns the port.
-        self.route_parked(PullPoint::Barrier);
-        let export = self.shards[src].export_process(pid);
-        Some(self.shards[to_shard].adopt_process(&self.router, export))
     }
 
     // ------------------------------------------------------------------
@@ -763,10 +603,9 @@ impl Kernel {
                 }
             }
             if steps > before && self.shards.len() > 1 {
-                // Rounds and tuner windows are multi-shard notions
+                // Rounds are a multi-shard notion
                 // (`tests/shard_determinism.rs` pins `rounds == 0` at 1).
                 self.rounds += 1;
-                self.tune();
             }
             if self.queue_len() == 0 {
                 return steps;
@@ -959,7 +798,6 @@ impl Kernel {
         }
         if self.shards.len() > 1 {
             total.xshard_bytes = self.xshard.bookkeeping_bytes();
-            total.tuner_bytes = self.tuner.bytes();
         }
         total
     }

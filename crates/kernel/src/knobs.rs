@@ -1,9 +1,9 @@
 //! The consolidated `ASBESTOS_*` environment knobs.
 //!
 //! Every runtime knob the workspace reads from the environment is named
-//! here, and the three parse shapes they share live here too. The
+//! here, and the two parse shapes they share live here too. The
 //! subsystems keep their own defaults and domain types (the kernel's
-//! port-queue bound, the store's group-commit policy) and delegate the
+//! port-queue bound, the store's group-commit batch) and delegate the
 //! string handling to this module, so a new knob is one constant plus a
 //! call to an already-tested parser — not a seventh ad-hoc
 //! `env::var(..).parse()` chain.
@@ -11,7 +11,7 @@
 //! | knob | shape | consumer |
 //! |---|---|---|
 //! | `ASBESTOS_PORT_QUEUE` | positive count | per-port queue bound (`shard.rs`) |
-//! | `ASBESTOS_DB_GROUP_COMMIT` | auto-or-count | WAL group commit (`db::durable`) |
+//! | `ASBESTOS_DB_GROUP_COMMIT` | positive count | WAL group commit (`db::durable`) |
 //! | `ASBESTOS_NETD_LANES` | count | CI matrix lane count (tests) |
 //! | `ASBESTOS_TEST_SHARDS` | count | CI matrix shard count (tests) |
 //! | `ASBESTOS_KERNELS` | count | federation kernel count (`cluster`) |
@@ -19,8 +19,7 @@
 
 /// Per-port message-queue bound.
 pub const PORT_QUEUE_ENV: &str = "ASBESTOS_PORT_QUEUE";
-/// WAL group-commit batch: a number, or `auto` for the adaptive
-/// controller.
+/// WAL group-commit batch: mutations per sync, at least 1.
 pub const DB_GROUP_COMMIT_ENV: &str = "ASBESTOS_DB_GROUP_COMMIT";
 /// netd lane count exercised by the CI matrix.
 pub const NETD_LANES_ENV: &str = "ASBESTOS_NETD_LANES";
@@ -51,26 +50,6 @@ pub fn parse_positive(value: Option<&str>) -> Option<usize> {
     parse_count(value).filter(|&n| n > 0)
 }
 
-/// Parsed value of an auto-or-count knob (`ASBESTOS_DB_GROUP_COMMIT`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AutoOrCount {
-    /// The self-tuning controller.
-    Auto,
-    /// A fixed count, at least 1.
-    Count(usize),
-}
-
-/// Parses an auto-or-count knob: `auto` (any case) selects the adaptive
-/// controller, a number `>= 1` fixes the count, and unset, junk, or `0`
-/// are `None` (the consumer's default applies).
-pub fn parse_auto_or_count(value: Option<&str>) -> Option<AutoOrCount> {
-    let v = value.map(str::trim)?;
-    if v.eq_ignore_ascii_case("auto") {
-        return Some(AutoOrCount::Auto);
-    }
-    parse_positive(Some(v)).map(AutoOrCount::Count)
-}
-
 /// Reads an at-least-1 count knob from the environment.
 pub fn positive(name: &str) -> Option<usize> {
     parse_positive(raw(name).as_deref())
@@ -96,16 +75,6 @@ mod tests {
         assert_eq!(parse_positive(Some("1")), Some(1));
         assert_eq!(parse_positive(Some(" 4096 ")), Some(4096));
         assert_eq!(parse_positive(None), None);
-    }
-
-    #[test]
-    fn auto_or_count_shapes() {
-        assert_eq!(parse_auto_or_count(None), None);
-        assert_eq!(parse_auto_or_count(Some("junk")), None);
-        assert_eq!(parse_auto_or_count(Some("0")), None);
-        assert_eq!(parse_auto_or_count(Some("8")), Some(AutoOrCount::Count(8)));
-        assert_eq!(parse_auto_or_count(Some("auto")), Some(AutoOrCount::Auto));
-        assert_eq!(parse_auto_or_count(Some(" AUTO ")), Some(AutoOrCount::Auto));
     }
 
     #[test]

@@ -107,7 +107,6 @@ mod router;
 pub mod shard;
 pub mod stats;
 pub mod sys;
-pub mod tuner;
 pub mod util;
 pub mod value;
 
@@ -125,7 +124,6 @@ pub use process::{EpService, Process, Service, PROCESS_STRUCT_BYTES};
 pub use shard::{KernelShard, DEFAULT_PORT_QUEUE_LIMIT};
 pub use stats::{DropReason, Stats};
 pub use sys::Sys;
-pub use tuner::{Action, DefaultPolicy, ShardSignals, Signals, TunePolicy};
 pub use value::{Payload, Value};
 
 // Re-export the label vocabulary so downstream crates need only one import.

@@ -4,10 +4,10 @@
 //! [`crate::shard::KernelShard`]s; the [`Router`] is the only state shared
 //! between them. It holds exactly two read-mostly maps:
 //!
-//! * the **port directory** — which shard owns each port handle, written
-//!   at `new_port` time and updated only between sweeps when the tuner
-//!   (or a test) migrates a port's owner to another shard, read on every
-//!   send that does not resolve locally;
+//! * the **port directory** — which shard owns each port handle: written
+//!   once at `new_port`, erased at dissociation or owner exit, never
+//!   rewritten (a port lives on the shard that created it), and read on
+//!   every send that does not resolve locally;
 //! * the **global environment** — the §4 bootstrapping namespace, which
 //!   was always whole-kernel state.
 //!
@@ -22,12 +22,12 @@
 //! Determinism: the run loop drains one shard at a time on the calling
 //! thread, so every read and write of these maps — the environment
 //! included — happens at a point fixed by the kernel's event history.
-//! Migration rewrites happen between sweeps, with the in-flight channels
-//! flushed first, so no message can dangle toward a shard that no longer
-//! owns its port. The locks and atomics below exist so that every shard
-//! can hold the same `&Router` / `Arc<InboxSet>` and the kernel stays
-//! `Send`; they are never contended. Single-shard kernels skip the
-//! directory and the channels altogether.
+//! A directory entry never changes while its port is live, so a message
+//! in flight cannot dangle toward a shard that no longer owns its port.
+//! The locks and atomics below exist so that every shard can hold the
+//! same `&Router` / `Arc<InboxSet>` and the kernel stays `Send`; they are
+//! never contended. Single-shard kernels skip the directory and the
+//! channels altogether.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -73,14 +73,20 @@ impl Router {
         }
     }
 
-    /// Records that `port` is owned by `shard`. Single-shard kernels skip
-    /// the directory entirely (everything is local).
+    /// Records that `port` is owned by `shard`, for the port's whole
+    /// life: placement happens once. Single-shard kernels skip the
+    /// directory entirely (everything is local).
     pub fn register_port(&self, port: Handle, shard: u16) {
         if self.num_shards > 1 {
-            self.ports
+            let prev = self
+                .ports
                 .write()
                 .expect("port directory lock")
                 .insert(port, shard);
+            debug_assert!(
+                prev.is_none_or(|p| p == shard),
+                "port {port:?} is placed once: already on shard {prev:?}, re-registered to {shard}"
+            );
         }
     }
 
@@ -191,7 +197,7 @@ impl Router {
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PullPoint {
     /// Pulled by the coordinator outside a drain: at the start of
-    /// `run()`, before a `step()`, or ahead of a port migration.
+    /// `run()` or before a `step()`.
     Barrier,
     /// Pulled by the shard itself while draining (sub-round routing).
     Subround,

@@ -19,7 +19,6 @@
 //! per-delivery and see exactly the same state they saw in the monolithic
 //! engine, so sharding changes throughput, never policy.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use asbestos_labels::{ops, Handle, Label};
@@ -28,10 +27,10 @@ use crate::backpressure::{Backpressure, SendVerdict};
 use crate::cycles::{Category, CostModel, CycleClock};
 use crate::delivery::{keep_or_wrap, Mailboxes};
 use crate::event_process::EventProcess;
-use crate::handle_table::{HandleTable, PortOwner, Vnode, VnodeKind};
+use crate::handle_table::{HandleTable, PortOwner};
 use crate::ids::{EpId, ExecCtx, ProcessId};
 use crate::kernel::{KmemReport, DEFAULT_QUEUE_LIMIT};
-use crate::memory::{FrameId, FramePool, PageTable, Vpn, PAGE_SIZE};
+use crate::memory::{FramePool, PAGE_SIZE};
 use crate::message::{Message, QueuedMessage, SendArgs};
 use crate::process::{Body, EpService, Process, Service};
 use crate::router::{InboxSet, PullPoint, Router};
@@ -59,19 +58,6 @@ pub(crate) fn port_queue_limit_from(value: Option<&str>) -> usize {
 /// and valid, else [`DEFAULT_PORT_QUEUE_LIMIT`].
 pub(crate) fn default_port_queue_limit() -> usize {
     port_queue_limit_from(crate::knobs::raw(PORT_QUEUE_ENV).as_deref())
-}
-
-/// Everything one process owns, packed to cross a shard boundary during
-/// hot-shard work stealing (see [`KernelShard::export_process`]).
-pub(crate) struct ProcessExport {
-    proc: Process,
-    /// Unique source frames and their page contents.
-    frame_contents: Vec<(FrameId, Box<[u8]>)>,
-    /// vpn → source frame id, preserving the sharing structure.
-    mappings: Vec<(Vpn, FrameId)>,
-    /// Per owned port: handle, vnode (receive rights), whole pending
-    /// queue.
-    ports: Vec<(Handle, Vnode, VecDeque<QueuedMessage>)>,
 }
 
 /// One shard of the kernel: a complete, isolated delivery engine.
@@ -104,8 +90,8 @@ pub struct KernelShard {
     pub(crate) bp: Backpressure,
     /// Mailbox depth at which this shard reports itself overloaded to
     /// deployment-side shedders ([`crate::Sys::overloaded`]). Starts at
-    /// `usize::MAX` (never) and is adapted downward by the tuner's
-    /// shed-threshold loop when port-queue drops appear.
+    /// `usize::MAX` (never); only [`crate::Kernel::set_shed_threshold`]
+    /// moves it.
     pub(crate) shed_threshold: usize,
     pub(crate) last_ctx: Option<ExecCtx>,
     /// Real (host) nanoseconds this shard's delivery loop has run, over
@@ -299,129 +285,6 @@ impl KernelShard {
             self.frames.release(frame);
         }
         self.processes[pid.index()].alive = false;
-    }
-
-    // ------------------------------------------------------------------
-    // Hot-shard work stealing: whole-process migration.
-    // ------------------------------------------------------------------
-
-    /// Packs up everything `pid` owns so the coordinator can hand it to
-    /// another shard: the process structure, its address-space contents,
-    /// and — per owned port — the vnode (receive rights) plus the whole
-    /// pending mailbox queue. Queues move in one piece, never message by
-    /// message, so the per-sender-per-port FIFO order is preserved
-    /// verbatim; and because the *owner* moves with its ports, label
-    /// evaluation keeps running on the shard owning the destination
-    /// port's data, exactly as before.
-    ///
-    /// The source entry stays behind as a dead, nameless husk — pids are
-    /// never reused and process indexes must stay stable.
-    pub(crate) fn export_process(&mut self, pid: ProcessId) -> ProcessExport {
-        let mut ports = Vec::new();
-        for port in self.handles.ports_owned_by(PortOwner::Process(pid)) {
-            let vnode = self
-                .handles
-                .take_vnode(port)
-                .expect("owned port has a vnode");
-            let queue = self.mailboxes.take_port_queue(port);
-            ports.push((port, vnode, queue));
-        }
-
-        let p = &mut self.processes[pid.index()];
-        let mut proc = Process {
-            name: std::mem::take(&mut p.name),
-            send_label: Arc::clone(&p.send_label),
-            recv_label: Arc::clone(&p.recv_label),
-            category: p.category,
-            page_table: std::mem::take(&mut p.page_table),
-            env: std::mem::take(&mut p.env),
-            eps: Vec::new(),
-            alive: true,
-            ep_mode: p.ep_mode,
-            body: p.body.take(),
-        };
-        p.alive = false;
-
-        // Address-space contents: copy each unique frame once, but keep
-        // the vpn→frame structure so the destination rebuilds the same
-        // sharing (and therefore the same refcounts and kmem footprint).
-        let mut mappings = Vec::with_capacity(proc.page_table.len());
-        let mut frame_contents: Vec<(FrameId, Box<[u8]>)> = Vec::new();
-        for (vpn, frame) in proc.page_table.iter() {
-            mappings.push((vpn, frame));
-            if !frame_contents.iter().any(|&(f, _)| f == frame) {
-                let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
-                self.frames.read(frame, 0, &mut data);
-                frame_contents.push((frame, data));
-            }
-        }
-        // One release per mapping — the same rule `cleanup_process`
-        // follows — then the table resets; the destination pool rebuilds
-        // it from the copied contents.
-        for &(_, frame) in &mappings {
-            self.frames.release(frame);
-        }
-        proc.page_table = PageTable::new();
-
-        ProcessExport {
-            proc,
-            frame_contents,
-            mappings,
-            ports,
-        }
-    }
-
-    /// Installs a migrated process on this shard: rebuilds its address
-    /// space in this shard's frame pool, re-registers its ports in the
-    /// Router directory, and adopts each port's pending queue wholesale.
-    /// Adopted messages were already counted at their original enqueue,
-    /// so no `Stats` message counter moves here — only `steals`.
-    pub(crate) fn adopt_process(&mut self, router: &Router, export: ProcessExport) -> ProcessId {
-        let ProcessExport {
-            mut proc,
-            frame_contents,
-            mappings,
-            ports,
-        } = export;
-
-        let mut frame_map: Vec<(FrameId, FrameId)> = Vec::with_capacity(frame_contents.len());
-        for (old, data) in frame_contents {
-            let new = self.frames.alloc_zeroed();
-            self.frames.write(new, 0, &data);
-            frame_map.push((old, new));
-        }
-        let mut mapped_once: Vec<FrameId> = Vec::new();
-        for (vpn, old) in mappings {
-            let new = frame_map
-                .iter()
-                .find(|&&(o, _)| o == old)
-                .expect("every mapping's frame was exported")
-                .1;
-            if mapped_once.contains(&new) {
-                // alloc_zeroed's initial refcount covered the first
-                // mapping; shared frames take one more per extra vpn.
-                self.frames.retain(new);
-            } else {
-                mapped_once.push(new);
-            }
-            proc.page_table.map(vpn, new);
-        }
-
-        let index = self.processes.len();
-        let new_pid = ProcessId::new(self.id, index);
-        self.processes.push(proc);
-
-        for (port, mut vnode, queue) in ports {
-            if let VnodeKind::Port(state) = &mut vnode.kind {
-                state.owner = Some(PortOwner::Process(new_pid));
-            }
-            self.handles.adopt_vnode(port, vnode);
-            router.register_port(port, self.id);
-            self.mailboxes.push_queue(port, queue);
-        }
-        self.note_queue_depth();
-        self.stats.steals += 1;
-        new_pid
     }
 
     // ------------------------------------------------------------------
@@ -642,11 +505,9 @@ impl KernelShard {
             handle_bytes,
             queue_bytes,
             user_frame_bytes,
-            // Channel and tuner bookkeeping are kernel-level, not
-            // per-shard; the coordinator fills them in
-            // (`Kernel::kmem_report`).
+            // Channel bookkeeping is kernel-level, not per-shard; the
+            // coordinator fills it in (`Kernel::kmem_report`).
             xshard_bytes: 0,
-            tuner_bytes: 0,
         }
     }
 

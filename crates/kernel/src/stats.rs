@@ -80,7 +80,7 @@ pub struct Stats {
     /// draining inside `run()` (sub-round routing).
     pub xshard_subround: u64,
     /// Cross-shard messages that waited for a routing point outside a
-    /// drain: the start of `run()`, a `step()`, or a port migration.
+    /// drain: the start of `run()` or a `step()`.
     pub xshard_barrier: u64,
     /// Non-empty swap-drains of this shard's inbound cross-shard channel.
     /// `(xshard_subround + xshard_barrier) / xshard_batch_drains` is the
@@ -93,8 +93,12 @@ pub struct Stats {
     /// once). In the merged view this is a maximum across shards, so a
     /// hot shard's backlog is visible even when the mean stays flat.
     pub queue_depth_hwm: u64,
-    /// Whole-port-queue steals this shard adopted (hot-shard work
-    /// stealing: a process and all its port queues migrated here).
+    /// Always 0: there is no work stealing — a port lives on the shard
+    /// that created it. This field and `Kernel::tuner_actions` remain
+    /// only because `benchmark/` (which a crate PR may not edit) reads
+    /// them; the `[benchmark]` PR that drops the `kernel.steals` and
+    /// `kernel.tuner_actions` layer rows removes both. The field keeps
+    /// its position: `benchmark/` digests this struct's `Debug` output.
     pub steals: u64,
     /// Always 0; see [`Stats::cache_hits`].
     pub cache_resizes: u64,

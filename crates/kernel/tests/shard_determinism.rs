@@ -175,9 +175,7 @@ fn single_shard_matches_pre_refactor_engine() {
         context_switches: 44,
         ep_switches: 7,
         // The deepest the mailboxes ever got during this workload —
-        // deterministic like every other counter here. Steals stay zero
-        // via the spread below: the tuner is inert on a single-shard
-        // kernel by construction.
+        // deterministic like every other counter here.
         queue_depth_hwm: 6,
         ..Stats::default()
     };
@@ -189,10 +187,8 @@ fn single_shard_matches_pre_refactor_engine() {
         handle_bytes: 1520,
         queue_bytes: 0,
         user_frame_bytes: 77824,
-        // A single-shard kernel never touches the cross-shard channels
-        // and never arms the tuner.
+        // A single-shard kernel never touches the cross-shard channels.
         xshard_bytes: 0,
-        tuner_bytes: 0,
     };
     assert_eq!(kernel.kmem_report(), expected_kmem);
 

@@ -195,15 +195,13 @@ fn random_scripts(chains: usize, rng: &mut TestRng) -> Vec<Vec<Step>> {
 }
 
 /// Everything a chain test needs to drive the workload by hand: the
-/// kernel, per-chain receiver logs, the senders' trigger ports, and the
-/// receivers' delivery ports (steal tests migrate those).
+/// kernel, per-chain receiver logs, and the senders' trigger ports.
 struct ChainRig {
     kernel: Kernel,
     logs: Vec<Arc<Mutex<Vec<u64>>>>,
     /// Every receiver's deliveries in the order the kernel made them.
     order: Arc<Mutex<Vec<u64>>>,
     triggers: Vec<Handle>,
-    recv_ports: Vec<Handle>,
 }
 
 /// Runs the chain workload on `shards` shards; returns per-chain receiver
@@ -239,7 +237,7 @@ impl ChainRig {
 }
 
 /// Spawns the chain workload without injecting the triggers, so tests
-/// can interleave injection, partial draining, and explicit port steals.
+/// can interleave injection, partial draining, and `run()`.
 fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
     let mut kernel = Kernel::new_sharded(seed, shards);
     let logs: Vec<Arc<Mutex<Vec<u64>>>> = scripts
@@ -248,7 +246,6 @@ fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
         .collect();
     let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let mut trigger_ports = Vec::new();
-    let mut recv_ports = Vec::new();
 
     for (chain, script) in scripts.iter().enumerate() {
         // Receiver and sender deliberately land on *different* shards
@@ -278,7 +275,6 @@ fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
             ),
         );
         let target = kernel.global_env(&recv_key).unwrap().as_handle().unwrap();
-        recv_ports.push(target);
 
         let script = script.clone();
         let send_key = format!("chain{chain}.send");
@@ -339,7 +335,6 @@ fn setup_chains(scripts: &[Vec<Step>], shards: usize, seed: u64) -> ChainRig {
         logs,
         order,
         triggers: trigger_ports,
-        recv_ports,
     }
 }
 
@@ -558,18 +553,18 @@ fn port_queue_full_is_a_distinct_drop_reason() {
 }
 
 // ---------------------------------------------------------------------
-// Work stealing: whole-queue port migration is delivery-invisible.
+// Mixed schedules: partial `step()` draining interleaved with `run()`.
 // ---------------------------------------------------------------------
 
-/// Randomized steal schedules interleaved with partial draining: inject
-/// everything, deliver a few messages, migrate a random receiver port
-/// (its pending queue moves wholesale with it), repeat, then drain. The
-/// per-chain traces — not just the multiset — must match the 1-shard
-/// baseline: per-sender-per-port FIFO survives any sequence of steals.
+/// The debug scheduler (`step()`: route, then one delivery round-robin
+/// across shards) and the sweep (`run()`) are two schedules over the
+/// same queues. Inject everything, take a random number of single
+/// steps so queues are left mid-drain, then run to idle: the per-chain
+/// traces — not just the multiset — and the counters must match the
+/// 1-shard baseline at every shard count.
 #[test]
-fn steal_schedules_preserve_fifo_and_multiset() {
-    let mut rng = TestRng::deterministic("sharding::steals");
-    let mut migrations_total = 0u32;
+fn partial_step_drains_then_run_match_single_shard() {
+    let mut rng = TestRng::deterministic("sharding::partial-drain");
     for case in 0..8u64 {
         let scripts = random_scripts(6, &mut rng);
         let (base_traces, base_counts) = run_chains(&scripts, 1, 0xBEEF + case);
@@ -581,25 +576,10 @@ fn steal_schedules_preserve_fifo_and_multiset() {
             for &port in &rig.triggers {
                 rig.kernel.inject(port, Value::Unit);
             }
-            let mut migrations = 0u32;
-            for _ in 0..6 {
-                // Deliver a few messages so queues are mid-drain, then
-                // steal a random receiver — pending messages and all.
-                for _ in 0..=rng.below(8) {
-                    if !rig.kernel.step() {
-                        break;
-                    }
-                }
-                let chain = rng.below(rig.recv_ports.len() as u64) as usize;
-                let to = rng.below(shards as u64) as usize;
-                let port = rig.recv_ports[chain];
-                if rig.kernel.migrate_port_owner(port, to).is_some() {
-                    migrations += 1;
-                    assert_eq!(
-                        rig.kernel.port_shard(port),
-                        to,
-                        "router directory tracks the migrated port"
-                    );
+            let stepped = 1 + rng.below(48);
+            for _ in 0..stepped {
+                if !rig.kernel.step() {
+                    break;
                 }
             }
             rig.kernel.run();
@@ -607,209 +587,12 @@ fn steal_schedules_preserve_fifo_and_multiset() {
             let (traces, counts) = rig.outcome();
             assert_eq!(
                 traces, base_traces,
-                "case {case}: {shards}-shard traces after {migrations} steals"
+                "case {case}: {shards}-shard traces after up to {stepped} single steps"
             );
             assert_eq!(
                 counts, base_counts,
-                "case {case}: {shards}-shard counters after {migrations} steals"
+                "case {case}: {shards}-shard counters after up to {stepped} single steps"
             );
-            migrations_total += migrations;
         }
     }
-    assert!(
-        migrations_total > 20,
-        "schedule exercised real migrations (got {migrations_total})"
-    );
-}
-
-// ---------------------------------------------------------------------
-// The tuner is not a cross-user channel.
-// ---------------------------------------------------------------------
-
-/// A victim's delivery traces must be bit-identical whether or not an
-/// unrelated user floods the system while the control loop is armed and
-/// reacting. The attacker's load may move the *attacker's* ports and
-/// move the *attacker's* shed threshold — never alter what the victim
-/// observes.
-#[test]
-fn tuner_reactions_to_a_flood_are_invisible_to_other_users() {
-    let run = |with_attacker: bool| -> (Vec<u64>, u64) {
-        let mut kernel = Kernel::new_sharded(31, 4);
-        kernel.set_tuning_enabled(true);
-        // Aggressive thresholds so the attacker's flood (thousands of
-        // deliveries per window) trips the loop, while the victim's
-        // trickle stays far below the activity floor.
-        let mut policy = asbestos_kernel::DefaultPolicy::default();
-        policy.min_busy_nanos = 200_000;
-        policy.steal_ratio = 1.05;
-        policy.steal_patience = 1;
-        kernel.set_tune_policy(Box::new(policy));
-
-        // Victim: spawned FIRST in both configurations so its handles,
-        // ports, and placement are identical with and without the flood.
-        let victim_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let l2 = victim_log.clone();
-        kernel.spawn_on(
-            0,
-            "victim-recv",
-            Category::Other,
-            service_with_start(
-                |sys| {
-                    let p = sys.new_port(Label::top());
-                    sys.set_port_label(p, Label::top()).unwrap();
-                    sys.publish_env("victim.recv", Value::Handle(p));
-                },
-                move |_sys, msg| l2.lock().unwrap().push(msg.body.as_u64().unwrap()),
-            ),
-        );
-        let victim_target = kernel
-            .global_env("victim.recv")
-            .unwrap()
-            .as_handle()
-            .unwrap();
-        kernel.spawn_on(
-            1,
-            "victim-send",
-            Category::Other,
-            service_with_start(
-                |sys| {
-                    let p = sys.new_port(Label::top());
-                    sys.set_port_label(p, Label::top()).unwrap();
-                    sys.publish_env("victim.send", Value::Handle(p));
-                },
-                move |sys, msg| {
-                    let wave = msg.body.as_u64().unwrap();
-                    for i in 0..3 {
-                        sys.send(victim_target, Value::U64(wave * 10 + i)).unwrap();
-                    }
-                },
-            ),
-        );
-        let victim_trigger = kernel
-            .global_env("victim.send")
-            .unwrap()
-            .as_handle()
-            .unwrap();
-
-        // Attacker: one flooder fanning out to four sinks pinned to one
-        // shard, so the shard runs hot and its ports are steal bait.
-        let mut attacker_trigger = None;
-        if with_attacker {
-            let mut sinks = Vec::new();
-            for i in 0..4 {
-                let key = format!("sink{i}.port");
-                let publish_key = key.clone();
-                kernel.spawn_on(
-                    3,
-                    &format!("sink{i}"),
-                    Category::Other,
-                    service_with_start(
-                        move |sys| {
-                            let p = sys.new_port(Label::top());
-                            sys.set_port_label(p, Label::top()).unwrap();
-                            sys.publish_env(&publish_key, Value::Handle(p));
-                        },
-                        |_, _| {},
-                    ),
-                );
-                sinks.push(kernel.global_env(&key).unwrap().as_handle().unwrap());
-            }
-            kernel.spawn_on(
-                2,
-                "flooder",
-                Category::Other,
-                service_with_start(
-                    |sys| {
-                        let p = sys.new_port(Label::top());
-                        sys.set_port_label(p, Label::top()).unwrap();
-                        sys.publish_env("flood.port", Value::Handle(p));
-                    },
-                    move |sys, _msg| {
-                        for round in 0..400u64 {
-                            for &sink in &sinks {
-                                sys.send(sink, Value::U64(round)).unwrap();
-                            }
-                        }
-                    },
-                ),
-            );
-            attacker_trigger = Some(
-                kernel
-                    .global_env("flood.port")
-                    .unwrap()
-                    .as_handle()
-                    .unwrap(),
-            );
-        }
-
-        // Several waves so the control loop gets multiple observation
-        // windows: arm, observe, steal, re-observe.
-        for wave in 0..6u64 {
-            kernel.inject(victim_trigger, Value::U64(wave));
-            if let Some(flood) = attacker_trigger {
-                kernel.inject(flood, Value::Unit);
-            }
-            kernel.run();
-        }
-        assert_eq!(kernel.queue_len(), 0);
-
-        let trace = victim_log.lock().unwrap().clone();
-        (trace, kernel.tuner_actions())
-    };
-
-    let (quiet_trace, quiet_actions) = run(false);
-    let (noisy_trace, noisy_actions) = run(true);
-
-    // The victim-only system sits below the activity floor: armed but
-    // untouched. The flood makes the tuner actually react — this test is
-    // only meaningful if it does.
-    assert_eq!(quiet_actions, 0, "victim trickle stays below the floor");
-    assert!(
-        noisy_actions > 0,
-        "flood must trip the control loop for this regression to bite"
-    );
-    // And none of those reactions — steals, resizes — are visible to the
-    // victim: its delivery trace (the only surface a guest can observe
-    // in this model) is bit-identical.
-    assert_eq!(noisy_trace, quiet_trace, "victim trace unchanged by flood");
-    assert_eq!(
-        quiet_trace.len(),
-        18,
-        "victim saw every one of its own messages"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Determinism guard: the tuner is inert unless explicitly enabled.
-// ---------------------------------------------------------------------
-
-/// Tuning nobody asked for never happens — and at one shard it cannot
-/// happen even when asked for — under a hair-trigger policy and a
-/// workload that would otherwise trip every threshold.
-#[test]
-fn tuning_is_inert_unless_explicitly_enabled() {
-    let hair_trigger = || {
-        let mut policy = asbestos_kernel::DefaultPolicy::default();
-        policy.min_busy_nanos = 0;
-        policy.steal_ratio = 1.0;
-        policy.steal_patience = 0;
-        Box::new(policy)
-    };
-    let mut rng = TestRng::deterministic("sharding::inert");
-    let scripts = random_scripts(8, &mut rng);
-
-    // Four shards, never enabled.
-    let mut rig = setup_chains(&scripts, 4, 0xD00D);
-    rig.kernel.set_tune_policy(hair_trigger());
-    assert!(!rig.kernel.tuning_active(), "4 shards: off until enabled");
-    rig.fire();
-    assert_eq!(rig.kernel.tuner_actions(), 0, "4 shards: no actions");
-
-    // Single shard: inert even when explicitly enabled.
-    let mut rig = setup_chains(&scripts, 1, 0xD00D);
-    rig.kernel.set_tuning_enabled(true);
-    rig.kernel.set_tune_policy(hair_trigger());
-    assert!(!rig.kernel.tuning_active(), "1 shard: tuning can't arm");
-    rig.fire();
-    assert_eq!(rig.kernel.tuner_actions(), 0, "1 shard: no actions");
 }

@@ -14,7 +14,9 @@
 //!   write-ahead log with group commit, segment rotation, and snapshot
 //!   compaction, plus the persisted **boot epoch** counter that the
 //!   kernel folds into its handle cipher so fresh boots mint fresh
-//!   handles (§5.1).
+//!   handles (§5.1). The batch is whatever the caller appends between
+//!   [`Store::commit`]s; `asbestos-db` sizes it one way, a positive
+//!   count (`ASBESTOS_DB_GROUP_COMMIT`, default 1 — sync per mutation).
 //!
 //! Records are opaque bytes: the database layer (`asbestos-db`) defines
 //! what a redo record means; this crate guarantees only that recovery
@@ -25,11 +27,9 @@
 pub mod blockdev;
 pub mod crc;
 pub mod store;
-pub mod tune;
 pub mod wal;
 
 pub use blockdev::{BlockDev, FileDev, MemDev};
 pub use crc::crc32;
 pub use store::{Recovery, Store, DEFAULT_COMPACT_THRESHOLD, DEFAULT_SEGMENT_LIMIT};
-pub use tune::{AdaptiveBatch, MAX_GROUP_COMMIT, MIN_GROUP_COMMIT};
 pub use wal::{encode_commit, encode_frame, scan_committed, scan_frames, FrameKind};
