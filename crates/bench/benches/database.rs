@@ -1,5 +1,11 @@
 //! Database microbenchmarks: the SQLite-substitute engine's point lookups,
 //! scans, and writes — the OKDB cost of Figure 9 at the engine level.
+//!
+//! A scan costs its table (the WHERE clause is bound once per statement,
+//! so the per-row test compares borrowed values and allocates nothing); a
+//! probe costs the posting list of one declared index. OKWS declares an
+//! index on `profiles.owner` and leaves `okws_users` a scan on purpose —
+//! the two `login_lookup` groups below are that choice, measured.
 
 use asbestos_db::{Database, SqlValue};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -15,7 +15,12 @@
 //!   that acknowledge a statement flush first, so an ack implies
 //!   durability;
 //! * recovery = newest snapshot + committed WAL replay; compaction folds
-//!   a long log back into an ASDB snapshot.
+//!   a long log back into an ASDB snapshot;
+//! * the schema — tables *and* indexes — is state like any row: declared
+//!   by a DDL script on the trusted path ([`DurableDb::apply_ddl`]; a
+//!   worker's `Exec` / `Query` still parses exactly one statement),
+//!   logged only when it changed something, carried by the snapshot, and
+//!   so identical after recovery. Nothing builds an index from traffic.
 //!
 //! Reads never log. The proxy's policy layer (hidden ownership column,
 //! write gates, per-row taint) stays in `proxy.rs`; this module owns only
@@ -26,7 +31,7 @@ use asbestos_store::{BlockDev, Store};
 
 use crate::ast::{CmpOp, Comparison, Expr, Stmt};
 use crate::engine::{Database, DbError, QueryResult};
-use crate::parser::parse;
+use crate::parser::{parse, parse_script};
 use crate::proxy::USER_ID_COLUMN;
 use crate::snapshot::{put_cell, put_str, put_u32, Reader};
 use crate::value::SqlValue;
@@ -127,35 +132,54 @@ fn take_params(r: &mut Reader<'_>) -> Option<Vec<SqlValue>> {
     Some(params)
 }
 
-/// Applies trusted DDL: `CREATE TABLE` gets the hidden ownership column
-/// prepended and indexed (§7.5: "ok-dbproxy adds a 'user ID' column to
-/// the table definition of every table accessed by OKWS workers");
-/// `CREATE INDEX` passes through. Returns whether anything was applied.
+/// Applies trusted DDL — a schema script of `;`-separated `CREATE TABLE`
+/// and `CREATE INDEX` statements. `CREATE TABLE` gets the hidden ownership
+/// column prepended and indexed (§7.5: "ok-dbproxy adds a 'user ID' column
+/// to the table definition of every table accessed by OKWS workers");
+/// `CREATE INDEX` passes through. A script that fails to parse, or holds
+/// anything but schema statements, applies nothing. Each statement is
+/// applied on its own, and one that declares what already exists is a
+/// no-op, so the schema can be re-declared at every boot. Returns whether
+/// anything *changed*.
 pub(crate) fn ddl_apply(db: &mut Database, sql: &str) -> bool {
-    let Ok(stmt) = parse(sql) else { return false };
-    match stmt {
-        Stmt::CreateTable { name, mut columns } => {
-            columns.insert(0, USER_ID_COLUMN.to_string());
-            let create = Stmt::CreateTable {
-                name: name.clone(),
-                columns,
-            };
-            if db.execute(&create, &[]).is_ok() {
-                let _ = db.execute(
-                    &Stmt::CreateIndex {
-                        table: name,
-                        column: USER_ID_COLUMN.to_string(),
-                    },
-                    &[],
-                );
-                true
-            } else {
-                false
-            }
-        }
-        other @ Stmt::CreateIndex { .. } => db.execute(&other, &[]).is_ok(),
-        _ => false, // DDL carries schema statements only
+    let Ok(script) = parse_script(sql) else {
+        return false;
+    };
+    let schema_only = |s: &Stmt| matches!(s, Stmt::CreateTable { .. } | Stmt::CreateIndex { .. });
+    if !script.iter().all(schema_only) {
+        return false;
     }
+    let mut changed = false;
+    for stmt in script {
+        changed |= match stmt {
+            Stmt::CreateTable { name, mut columns } => {
+                columns.insert(0, USER_ID_COLUMN.to_string());
+                let owner_index = Stmt::CreateIndex {
+                    table: name.clone(),
+                    column: USER_ID_COLUMN.to_string(),
+                };
+                let created = db
+                    .execute(&Stmt::CreateTable { name, columns }, &[])
+                    .is_ok();
+                if created {
+                    let _ = db.execute(&owner_index, &[]);
+                }
+                created
+            }
+            Stmt::CreateIndex {
+                ref table,
+                ref column,
+            } => {
+                let declared = db
+                    .table(table)
+                    .and_then(|t| t.index(t.col(column)?))
+                    .is_some();
+                !declared && db.execute(&stmt, &[]).is_ok()
+            }
+            _ => unreachable!("schema statements only, checked above"),
+        };
+    }
+    changed
 }
 
 /// Whether `table` is worker-visible: it exists and carries the hidden
@@ -382,7 +406,9 @@ impl DurableDb {
         &mut self.db
     }
 
-    /// Trusted worker-table DDL (hidden column prepended), logged.
+    /// Trusted schema script (worker tables get the hidden column
+    /// prepended), logged when — and only when — it changed the schema.
+    /// Returns whether it did.
     pub fn apply_ddl(&mut self, sql: &str) -> bool {
         if ddl_apply(&mut self.db, sql) {
             self.log(DbRecord::Ddl {

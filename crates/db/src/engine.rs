@@ -1,9 +1,17 @@
 //! Statement execution.
+//!
+//! Which rows a statement examines is decided here and in `table.rs`,
+//! once per statement: `for_each_match` binds the WHERE clause to
+//! column positions and borrowed right-hand sides, then walks either the
+//! posting list of the first equality conjunct whose column has a
+//! declared index, or the whole table. Both walks run in slot order and
+//! apply every conjunct, so an index changes [`QueryResult::work`] and
+//! nothing else.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::ast::{Expr, SelectCols, Stmt, Where};
+use crate::ast::{CmpOp, Expr, SelectCols, Stmt, Where};
 use crate::parser::{parse, ParseError};
 use crate::table::{Row, Table};
 use crate::value::SqlValue;
@@ -62,9 +70,10 @@ pub struct QueryResult {
     pub rows: Vec<Row>,
     /// Rows inserted/updated/deleted.
     pub affected: usize,
-    /// Row slots visited — the engine's work metric, charged by callers as
-    /// cycles so database cost scales with data volume (Figure 9's OKDB
-    /// series).
+    /// Row slots examined (at least 1) — the engine's work metric, charged
+    /// by callers as cycles so database cost scales with data volume
+    /// (Figure 9's OKDB series): the live rows of the table on a scan, the
+    /// length of one posting list on an index probe, 1 for an INSERT.
     pub work: u64,
 }
 
@@ -128,7 +137,7 @@ impl Database {
                     .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
                 let vals: Vec<SqlValue> = values
                     .iter()
-                    .map(|e| resolve(e, params))
+                    .map(|e| resolve(e, params).cloned())
                     .collect::<Result<_, _>>()?;
                 let row = match columns {
                     None => {
@@ -187,14 +196,10 @@ impl Database {
                         })
                         .collect::<Result<_, _>>()?,
                 };
-                let (slots, work) = candidate_slots(t, filter, params)?;
                 let mut rows = Vec::new();
-                for slot in slots {
-                    let Some(row) = t.row(slot) else { continue };
-                    if matches(t, row, filter, params)? {
-                        rows.push(proj.iter().map(|&(_, i)| row[i].clone()).collect());
-                    }
-                }
+                let work = for_each_match(t, filter, params, |_, row| {
+                    rows.push(proj.iter().map(|&(_, i)| row[i].clone()).collect());
+                })?;
                 Ok(QueryResult {
                     columns: proj.into_iter().map(|(c, _)| c).collect(),
                     rows,
@@ -211,25 +216,19 @@ impl Database {
                     .tables
                     .get(table)
                     .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-                let set_cols: Vec<(usize, SqlValue)> = sets
+                let set_cols: Vec<(usize, &SqlValue)> = sets
                     .iter()
                     .map(|(c, e)| {
                         let pos = t.col(c).ok_or_else(|| DbError::NoSuchColumn(c.clone()))?;
                         Ok((pos, resolve(e, params)?))
                     })
                     .collect::<Result<_, DbError>>()?;
-                let (slots, work) = candidate_slots(t, filter, params)?;
                 let mut hits = Vec::new();
-                for slot in slots {
-                    let Some(row) = t.row(slot) else { continue };
-                    if matches(t, row, filter, params)? {
-                        hits.push(slot);
-                    }
-                }
+                let work = for_each_match(t, filter, params, |slot, _| hits.push(slot))?;
                 let t = self.tables.get_mut(table).expect("checked above");
                 for &slot in &hits {
-                    for (col, v) in &set_cols {
-                        t.set_cell(slot, *col, v.clone());
+                    for &(col, v) in &set_cols {
+                        t.set_cell(slot, col, v.clone());
                     }
                 }
                 Ok(QueryResult {
@@ -243,14 +242,8 @@ impl Database {
                     .tables
                     .get(table)
                     .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-                let (slots, work) = candidate_slots(t, filter, params)?;
                 let mut hits = Vec::new();
-                for slot in slots {
-                    let Some(row) = t.row(slot) else { continue };
-                    if matches(t, row, filter, params)? {
-                        hits.push(slot);
-                    }
-                }
+                let work = for_each_match(t, filter, params, |slot, _| hits.push(slot))?;
                 let t = self.tables.get_mut(table).expect("checked above");
                 for &slot in &hits {
                     t.delete(slot);
@@ -279,64 +272,66 @@ impl Database {
         self.tables.values().map(Table::approx_bytes).sum()
     }
 
-    /// Creates a table directly (snapshot restore path; bypasses SQL).
-    pub(crate) fn create_table_raw(&mut self, name: &str, columns: Vec<String>) {
-        self.tables.insert(name.to_string(), Table::new(columns));
-    }
-
-    /// Inserts a row directly (snapshot restore path; bypasses SQL).
-    pub(crate) fn insert_raw(&mut self, name: &str, row: Row) {
-        if let Some(t) = self.tables.get_mut(name) {
-            t.insert(row);
-        }
+    /// Installs a fully built table (snapshot restore path; bypasses SQL).
+    pub(crate) fn put_table(&mut self, name: String, table: Table) {
+        self.tables.insert(name, table);
     }
 }
 
-fn resolve(expr: &Expr, params: &[SqlValue]) -> Result<SqlValue, DbError> {
+fn resolve<'a>(expr: &'a Expr, params: &'a [SqlValue]) -> Result<&'a SqlValue, DbError> {
     match expr {
-        Expr::Lit(v) => Ok(v.clone()),
-        Expr::Param(i) => params.get(*i).cloned().ok_or(DbError::MissingParam(*i)),
+        Expr::Lit(v) => Ok(v),
+        Expr::Param(i) => params.get(*i).ok_or(DbError::MissingParam(*i)),
     }
 }
 
-/// Chooses the scan strategy: if some equality conjunct has a hash index,
-/// probe it; otherwise scan everything. Returns candidate slots plus the
-/// work estimate (slots examined).
-fn candidate_slots(
+/// Calls `hit(slot, row)` for every live row of `t` that satisfies
+/// `filter`, in slot order, and returns the work done (row slots examined,
+/// at least 1).
+///
+/// The WHERE clause is bound first — each conjunct to its column position
+/// and a right-hand side borrowed from the literal or from `params` — so
+/// an unknown column or a missing parameter is an error even when the
+/// table is empty, and the per-row test allocates nothing.
+fn for_each_match(
     t: &Table,
     filter: &Where,
     params: &[SqlValue],
-) -> Result<(Vec<usize>, u64), DbError> {
-    for c in &filter.conjuncts {
-        if c.op == crate::ast::CmpOp::Eq {
-            if let Some(col) = t.col(&c.column) {
-                if let Some(idx) = t.index(col) {
-                    let needle = resolve(&c.rhs, params)?;
-                    let slots = idx.lookup(&needle).to_vec();
-                    let work = (slots.len() as u64).max(1);
-                    return Ok((slots, work));
+    mut hit: impl FnMut(usize, &Row),
+) -> Result<u64, DbError> {
+    let bound: Vec<(usize, CmpOp, &SqlValue)> = filter
+        .conjuncts
+        .iter()
+        .map(|c| {
+            let col = t
+                .col(&c.column)
+                .ok_or_else(|| DbError::NoSuchColumn(c.column.clone()))?;
+            Ok((col, c.op, resolve(&c.rhs, params)?))
+        })
+        .collect::<Result<_, DbError>>()?;
+    let matches = |row: &Row| bound.iter().all(|&(col, op, rhs)| op.eval(&row[col], rhs));
+    let probe = bound
+        .iter()
+        .filter(|&&(_, op, _)| op == CmpOp::Eq)
+        .find_map(|&(col, _, rhs)| Some(t.index(col)?.lookup(rhs)));
+    let examined = match probe {
+        Some(slots) => {
+            for &slot in slots {
+                match t.row(slot) {
+                    Some(row) if matches(row) => hit(slot, row),
+                    _ => {}
                 }
-            } else {
-                return Err(DbError::NoSuchColumn(c.column.clone()));
             }
+            slots.len()
         }
-    }
-    let slots: Vec<usize> = t.iter().map(|(slot, _)| slot).collect();
-    let work = (slots.len() as u64).max(1);
-    Ok((slots, work))
-}
-
-fn matches(t: &Table, row: &Row, filter: &Where, params: &[SqlValue]) -> Result<bool, DbError> {
-    for c in &filter.conjuncts {
-        let col = t
-            .col(&c.column)
-            .ok_or_else(|| DbError::NoSuchColumn(c.column.clone()))?;
-        let rhs = resolve(&c.rhs, params)?;
-        if !c.op.eval(&row[col], &rhs) {
-            return Ok(false);
+        None => {
+            for (slot, row) in t.iter().filter(|(_, row)| matches(row)) {
+                hit(slot, row);
+            }
+            t.len()
         }
-    }
-    Ok(true)
+    };
+    Ok((examined as u64).max(1))
 }
 
 #[cfg(test)]
@@ -431,6 +426,67 @@ mod tests {
             .unwrap();
         assert_eq!(probe.rows, scan.rows);
         assert_eq!(probe.work, 1, "index probe");
+        // A value with several rows: the probe examines exactly those.
+        for v in [7, 8, 9] {
+            d.run_with_params("INSERT INTO big VALUES ('k500', ?)", &[SqlValue::Int(v)])
+                .unwrap();
+        }
+        let probe = d.run("SELECT v FROM big WHERE k = 'k500'").unwrap();
+        assert_eq!(probe.rows.len(), 4);
+        assert_eq!(probe.work, 4, "work = posting-list length = matches");
+        let narrowed = d
+            .run("SELECT v FROM big WHERE v < 9 AND k = 'k500'")
+            .unwrap();
+        assert_eq!(
+            narrowed.rows,
+            vec![vec![SqlValue::Int(7)], vec![SqlValue::Int(8)]]
+        );
+        assert_eq!(narrowed.work, 4, "other conjuncts filter, the probe bounds");
+    }
+
+    #[test]
+    fn where_is_bound_before_any_row_is_read() {
+        // Binding does not wait for a row to compare: an empty table
+        // reports both errors too.
+        let mut d = Database::new();
+        d.run("CREATE TABLE users (name, pw)").unwrap();
+        for sql in [
+            "SELECT * FROM users WHERE nope = 1",
+            "UPDATE users SET pw = 'x' WHERE nope > 1",
+            "DELETE FROM users WHERE name = 'a' AND nope != 1",
+        ] {
+            assert_eq!(d.run(sql), Err(DbError::NoSuchColumn("nope".into())));
+        }
+        for sql in [
+            "SELECT * FROM users WHERE name = ?",
+            "DELETE FROM users WHERE name >= ?",
+        ] {
+            assert_eq!(d.run(sql), Err(DbError::MissingParam(0)));
+        }
+        assert_eq!(
+            d.run_with_params("UPDATE users SET pw = ? WHERE name = ?", &["x".into()]),
+            Err(DbError::MissingParam(1))
+        );
+    }
+
+    #[test]
+    fn null_never_matches_through_an_index() {
+        let mut d = db();
+        d.run("INSERT INTO users (pw) VALUES ('orphan')").unwrap();
+        d.run("CREATE INDEX ON users (name)").unwrap();
+        let r = d.run("SELECT pw FROM users WHERE name = NULL").unwrap();
+        assert!(r.rows.is_empty(), "NULL = NULL is not true");
+        let r = d
+            .run_with_params("SELECT pw FROM users WHERE name = ?", &[SqlValue::Null])
+            .unwrap();
+        assert!(r.rows.is_empty());
+        assert_eq!(
+            d.run("DELETE FROM users WHERE name = NULL")
+                .unwrap()
+                .affected,
+            0
+        );
+        assert_eq!(d.table("users").unwrap().len(), 4);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The database layer of the Asbestos reproduction: a small in-memory
 //! relational engine (the SQLite substitute — parser, heap tables, hash
-//! indexes, CRUD with a work metric for cost accounting) plus ok-dbproxy,
-//! the trusted process that interposes on all worker database access and
-//! converts Asbestos labels to data policies (§7.5, §7.6):
+//! indexes declared in the schema and recovered with it, CRUD with a work
+//! metric for cost accounting) plus ok-dbproxy, the trusted process that
+//! interposes on all worker database access and converts Asbestos labels
+//! to data policies (§7.5, §7.6):
 //!
 //! * a hidden `user_id` column on every table, invisible to workers;
 //! * writes gated on `V ⊑ {uT 3, uG 0, 2}`;

@@ -27,21 +27,36 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Parses one SQL statement.
+/// Parses one SQL statement. Anything after it (bar one `;`) is an error:
+/// this is the only entry for statements a worker sends, and a worker
+/// sends exactly one.
 pub fn parse(sql: &str) -> Result<Stmt, ParseError> {
-    let tokens = lex(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params: 0,
-    };
+    let mut p = Parser::new(sql)?;
     let stmt = p.statement()?;
     // Optional trailing semicolon.
     let _ = p.eat_punct(";");
-    if p.pos != p.tokens.len() {
-        return Err(p.err(&format!("trailing tokens starting at {}", p.peek_desc())));
-    }
+    p.expect_end()?;
     Ok(stmt)
+}
+
+/// Parses a `;`-separated list of statements — a schema script, accepted
+/// on the trusted DDL path only. Empty statements and a trailing `;` are
+/// allowed; one bad statement fails the whole script. `?` placeholders
+/// number from 0 within each statement.
+pub fn parse_script(sql: &str) -> Result<Vec<Stmt>, ParseError> {
+    let mut p = Parser::new(sql)?;
+    let mut stmts = Vec::new();
+    loop {
+        while p.eat_punct(";") {}
+        if p.peek().is_none() {
+            return Ok(stmts);
+        }
+        p.params = 0;
+        stmts.push(p.statement()?);
+        if !p.eat_punct(";") {
+            p.expect_end()?;
+        }
+    }
 }
 
 struct Parser {
@@ -51,8 +66,23 @@ struct Parser {
 }
 
 impl Parser {
+    fn new(sql: &str) -> Result<Parser, ParseError> {
+        Ok(Parser {
+            tokens: lex(sql)?,
+            pos: 0,
+            params: 0,
+        })
+    }
+
     fn err(&self, msg: &str) -> ParseError {
         ParseError { msg: msg.into() }
+    }
+
+    fn expect_end(&self) -> Result<(), ParseError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.err(&format!("trailing tokens starting at {}", self.peek_desc()))),
+        }
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -406,6 +436,45 @@ mod tests {
         assert!(parse("SELECT * FROM t WHERE").is_err());
         assert!(parse("SELECT * FROM t garbage").is_err());
         assert!(parse("CREATE VIEW v").is_err());
+    }
+
+    #[test]
+    fn parse_takes_exactly_one_statement() {
+        assert!(parse("SELECT * FROM t; DELETE FROM t").is_err());
+        assert!(parse("SELECT * FROM t;;").is_err());
+        assert!(parse("INSERT INTO t VALUES (1); CREATE INDEX ON t (a)").is_err());
+        assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn parse_script_splits_on_semicolons() {
+        let script =
+            parse_script("CREATE TABLE t (a, b); CREATE INDEX ON t (a);\n;; SELECT * FROM t;")
+                .unwrap();
+        assert_eq!(script.len(), 3);
+        assert_eq!(script[0], parse("CREATE TABLE t (a, b)").unwrap());
+        assert_eq!(script[1], parse("CREATE INDEX ON t (a)").unwrap());
+        assert!(matches!(script[2], Stmt::Select { .. }));
+        // One statement is a script of one; nothing at all is an empty one.
+        assert_eq!(parse_script("DELETE FROM t").unwrap().len(), 1);
+        assert!(parse_script("").unwrap().is_empty());
+        assert!(parse_script(" ; ;").unwrap().is_empty());
+        // Placeholders number per statement.
+        let script = parse_script("DELETE FROM t WHERE a = ?; DELETE FROM t WHERE b = ?").unwrap();
+        for stmt in script {
+            let Stmt::Delete { filter, .. } = stmt else {
+                panic!("expected delete")
+            };
+            assert_eq!(filter.conjuncts[0].rhs, Expr::Param(0));
+        }
+    }
+
+    #[test]
+    fn parse_script_fails_whole_on_one_bad_statement() {
+        assert!(parse_script("CREATE TABLE t (a); CREATE VIEW v").is_err());
+        assert!(parse_script("BOGUS; CREATE TABLE t (a)").is_err());
+        // Statements need a separator.
+        assert!(parse_script("CREATE TABLE t (a) CREATE INDEX ON t (a)").is_err());
     }
 
     #[test]

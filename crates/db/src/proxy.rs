@@ -100,16 +100,13 @@ impl DbProxy {
     fn with_durable(mut db: DurableDb) -> DbProxy {
         // The owners table is proxy metadata: created raw (workers cannot
         // reach tables without the hidden column) and itself WAL-logged,
-        // so uid bindings recover with the data they own. The index is
-        // derivable state recreated on every open, so it goes straight to
-        // the engine — logging it would accrete one redundant redo record
-        // per boot.
+        // so uid bindings recover with the data they own. Its index is
+        // schema like any other: declared at every open, logged the one
+        // time that changes anything.
         if db.engine().table(OWNERS_TABLE).is_none() {
             let _ = db.admin_exec(&format!("CREATE TABLE {OWNERS_TABLE} (name, uid)"), &[]);
         }
-        let _ = db
-            .engine_mut()
-            .run(&format!("CREATE INDEX ON {OWNERS_TABLE} (name)"));
+        db.apply_ddl(&format!("CREATE INDEX ON {OWNERS_TABLE} (name)"));
         let next_uid = db
             .engine_mut()
             .run(&format!("SELECT uid FROM {OWNERS_TABLE}"))
@@ -223,8 +220,9 @@ impl DbProxy {
             }
             DbMsg::Ddl { sql } => {
                 sys.charge(PROXY_MSG_CYCLES);
-                // Prepends the hidden ownership column and indexes it;
-                // redo-logged so recovered tables keep their schema.
+                // A schema script: tables get the hidden ownership column
+                // prepended and indexed; redo-logged if anything changed,
+                // so recovered tables keep their schema.
                 let _ = self.db.apply_ddl(&sql);
             }
             // §7.4's "special access": the trusted party (idd) runs raw

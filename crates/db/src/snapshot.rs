@@ -12,18 +12,27 @@
 //!
 //! ```text
 //! magic "ASDB" | version u32 | table count u32
-//!   per table: name | column count u32 | columns… | row count u32 | rows…
+//!   per table: name | column count u32 | columns…
+//!              | index count u32 | indexed column position u32…   (v2)
+//!              | row count u32 | rows…
 //!   per cell:  tag u8 (0=null 1=int 2=text 3=blob) | len u32 | payload
 //! ```
+//!
+//! Version 2 added the index section (positions strictly ascending), so a
+//! table comes back with the schema it was declared with — an index
+//! survives everything a row survives. Version 1 buffers, which have no
+//! such section, still restore (to tables without indexes).
 
 use crate::engine::Database;
-use crate::table::Row;
+use crate::table::{Row, Table};
 use crate::value::SqlValue;
 
 /// Format magic.
 const MAGIC: &[u8; 4] = b"ASDB";
-/// Format version.
-const VERSION: u32 = 1;
+/// Format version written.
+const VERSION: u32 = 2;
+/// Oldest version still read: no index section.
+const VERSION_NO_INDEXES: u32 = 1;
 
 /// Errors from [`restore`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,6 +47,9 @@ pub enum SnapshotError {
     BadTag(u8),
     /// Text payload was not UTF-8.
     BadText,
+    /// An index names a column position the table does not have, or the
+    /// positions are not strictly ascending.
+    BadIndex(u32),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -48,6 +60,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Truncated => write!(f, "truncated snapshot"),
             SnapshotError::BadTag(t) => write!(f, "invalid cell tag {t}"),
             SnapshotError::BadText => write!(f, "non-UTF-8 text payload"),
+            SnapshotError::BadIndex(c) => write!(f, "invalid index on column position {c}"),
         }
     }
 }
@@ -68,6 +81,11 @@ pub fn snapshot(db: &Database) -> Vec<u8> {
         for col in &table.columns {
             put_str(&mut out, col);
         }
+        let indexed: Vec<usize> = table.indexed_columns().collect();
+        put_u32(&mut out, indexed.len() as u32);
+        for col in indexed {
+            put_u32(&mut out, col as u32);
+        }
         put_u32(&mut out, table.len() as u32);
         for (_slot, row) in table.iter() {
             for cell in row {
@@ -85,13 +103,14 @@ pub fn restore(bytes: &[u8]) -> Result<Database, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32()?;
-    if version != VERSION {
+    if version != VERSION && version != VERSION_NO_INDEXES {
         return Err(SnapshotError::BadVersion(version));
     }
     let mut db = Database::new();
     // Every count is checked against the bytes left before anything is
     // allocated or looped over for it: a table is at least three length
-    // fields, a column name one, a cell a tag and a length.
+    // fields, a column name one, an index position one, a cell a tag and
+    // a length.
     let tables = r.count(12)?;
     for _ in 0..tables {
         let name = r.string()?;
@@ -100,15 +119,34 @@ pub fn restore(bytes: &[u8]) -> Result<Database, SnapshotError> {
         for _ in 0..ncols {
             columns.push(r.string()?);
         }
-        db.create_table_raw(&name, columns.clone());
+        let nindexes = if version == VERSION_NO_INDEXES {
+            0
+        } else {
+            r.count(4)?
+        };
+        let mut indexed: Vec<usize> = Vec::with_capacity(nindexes);
+        for _ in 0..nindexes {
+            let col = r.u32()?;
+            let ascending = indexed.last().is_none_or(|&prev| prev < col as usize);
+            if col as usize >= ncols || !ascending {
+                return Err(SnapshotError::BadIndex(col));
+            }
+            indexed.push(col as usize);
+        }
+        let mut table = Table::new(columns);
         let nrows = r.count(ncols * 5)?;
         for _ in 0..nrows {
             let mut row: Row = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 row.push(r.cell()?);
             }
-            db.insert_raw(&name, row);
+            table.insert(row);
         }
+        // Each index is built once, over the loaded rows.
+        for col in indexed {
+            table.create_index(col);
+        }
+        db.put_table(name, table);
     }
     Ok(db)
 }
@@ -283,10 +321,34 @@ mod tests {
         let mut many_tables = bytes[..8].to_vec();
         put_u32(&mut many_tables, u32::MAX);
         assert_eq!(restore(&many_tables).err(), Some(SnapshotError::Truncated));
-        let mut many_rows = bytes[..bytes.len() - 4].to_vec();
+        let mut no_columns = bytes[..bytes.len() - 4].to_vec();
+        put_u32(&mut no_columns, 0);
+        let mut many_rows = no_columns.clone();
         put_u32(&mut many_rows, 0);
         put_u32(&mut many_rows, u32::MAX);
         assert_eq!(restore(&many_rows).err(), Some(SnapshotError::Truncated));
+        // And for the index count.
+        let mut many_indexes = no_columns;
+        put_u32(&mut many_indexes, u32::MAX);
+        assert_eq!(restore(&many_indexes).err(), Some(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn indexes_cross_the_codec() {
+        let mut db = sample();
+        db.run("CREATE INDEX ON users (pw)").unwrap();
+        db.run("CREATE INDEX ON users (name)").unwrap();
+        let bytes = snapshot(&db);
+        let mut restored = restore(&bytes).unwrap();
+        let users = restored.table("users").unwrap();
+        assert_eq!(users.indexed_columns().collect::<Vec<_>>(), vec![0, 1]);
+        assert!(restored.table("blobs").unwrap().index(0).is_none());
+        assert_eq!(snapshot(&restored), bytes);
+        let r = restored
+            .run("SELECT pw FROM users WHERE name = 'alice'")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec!["pw-a".into()]]);
+        assert_eq!(r.work, 1, "the restored index is probed");
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! Heap tables with optional hash indexes.
+//!
+//! An index is part of a table's *schema*: it exists because a
+//! `CREATE INDEX` declared it (and the snapshot and redo log carry that
+//! declaration), never because some query would have liked one. Posting
+//! lists are kept in slot order, so walking one visits rows in the same
+//! order a scan of the table would — a probe changes how many rows are
+//! examined, not which rows come back or in what sequence.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -8,7 +15,7 @@ use crate::value::SqlValue;
 /// A row: one value per table column.
 pub type Row = Vec<SqlValue>;
 
-/// A hash index over one column: value → row slots.
+/// A hash index over one column: value → row slots, ascending.
 #[derive(Debug, Default)]
 pub struct HashIndex {
     map: HashMap<SqlValue, Vec<usize>>,
@@ -27,19 +34,30 @@ impl HashIndex {
     }
 
     fn insert(&mut self, value: &SqlValue, slot: usize) {
-        self.map.entry(value.clone()).or_default().push(slot);
+        // The key is cloned only the first time a value is seen.
+        let Some(slots) = self.map.get_mut(value) else {
+            self.map.insert(value.clone(), vec![slot]);
+            return;
+        };
+        // A new row takes the highest slot, so this is a push except when
+        // `set_cell` moves an older row under a different value.
+        if let Err(at) = slots.binary_search(&slot) {
+            slots.insert(at, slot);
+        }
     }
 
     fn remove(&mut self, value: &SqlValue, slot: usize) {
         if let Some(slots) = self.map.get_mut(value) {
-            slots.retain(|&s| s != slot);
+            if let Ok(at) = slots.binary_search(&slot) {
+                slots.remove(at);
+            }
             if slots.is_empty() {
                 self.map.remove(value);
             }
         }
     }
 
-    /// Row slots whose indexed column equals `value`.
+    /// Row slots whose indexed column equals `value`, in slot order.
     pub fn lookup(&self, value: &SqlValue) -> &[usize] {
         self.map.get(value).map(Vec::as_slice).unwrap_or(&[])
     }
@@ -143,6 +161,11 @@ impl Table {
         self.indexes.get(&col)
     }
 
+    /// Positions of the indexed columns, ascending.
+    pub fn indexed_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.indexes.keys().copied()
+    }
+
     /// Approximate heap bytes (for memory-style accounting).
     pub fn approx_bytes(&self) -> usize {
         let row_bytes: usize = self
@@ -207,7 +230,9 @@ mod tests {
         table.set_cell(0, 0, "b".into());
         let idx = table.index(0).unwrap();
         assert_eq!(idx.lookup(&"a".into()), &[2]);
-        assert_eq!(idx.lookup(&"b".into()), &[1, 0]);
+        // Slot order, not arrival order: a probe walks rows as a scan would.
+        assert_eq!(idx.lookup(&"b".into()), &[0, 1]);
+        assert_eq!(table.indexed_columns().collect::<Vec<_>>(), vec![0]);
 
         table.delete(2);
         let idx = table.index(0).unwrap();

@@ -4,9 +4,10 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use asbestos_db::{spawn_dbproxy, DbMsg, DB_PORT_ENV, DB_TRUSTED_ENV};
+use asbestos_db::{spawn_dbproxy, DbMsg, DbProxy, DB_PORT_ENV, DB_TRUSTED_ENV};
 use asbestos_kernel::util::service_with_start;
-use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Value};
+use asbestos_kernel::{Category, DeliveryOutcome, Handle, Kernel, Label, Level, SendArgs, Value};
+use asbestos_store::MemDev;
 
 /// Spawns the trusted identity party (idd's role in this crate's tests):
 /// receives the proxy's admin-port grant, binds users, and issues worker
@@ -178,6 +179,13 @@ fn spawn_worker(kernel: &mut Kernel, name: &'static str) -> Arc<Mutex<Vec<DbMsg>
                         )
                         .unwrap();
                     }
+                    // A worker trying the trusted party's message on the
+                    // only proxy port it can reach.
+                    Some("send-ddl") => {
+                        let sql = items[1].as_str().unwrap().to_string();
+                        let db = sys.env(DB_PORT_ENV).unwrap().as_handle().unwrap();
+                        sys.send(db, DbMsg::Ddl { sql }.to_value()).unwrap();
+                    }
                     _ => {}
                 }
             },
@@ -199,19 +207,21 @@ type MsgLog = Arc<Mutex<Vec<DbMsg>>>;
 
 /// Full environment: trusted party, proxy, two user workers, store table.
 fn setup(seed: u64) -> (Kernel, MsgLog, MsgLog) {
+    setup_with(seed, DbProxy::new(), "CREATE TABLE store (k, v)")
+}
+
+/// [`setup`] over a given proxy and schema script.
+fn setup_with(seed: u64, proxy: DbProxy, ddl: &str) -> (Kernel, MsgLog, MsgLog) {
     let mut kernel = Kernel::new(seed);
     spawn_trusted(&mut kernel);
-    spawn_dbproxy(&mut kernel);
+    kernel.spawn("ok-dbproxy", Category::Okdb, Box::new(proxy));
     let alice_log = spawn_worker(&mut kernel, "alice-worker");
     let bob_log = spawn_worker(&mut kernel, "bob-worker");
     kernel.run();
     let trusted = cmd(&kernel, "trusted");
     let alice_cmd = cmd(&kernel, "alice-worker");
     let bob_cmd = cmd(&kernel, "bob-worker");
-    kernel.inject(
-        trusted,
-        Value::List(vec!["ddl".into(), "CREATE TABLE store (k, v)".into()]),
-    );
+    kernel.inject(trusted, Value::List(vec!["ddl".into(), ddl.into()]));
     kernel.inject(
         trusted,
         Value::List(vec![
@@ -439,6 +449,167 @@ fn writes_cannot_touch_other_users_rows() {
     );
 }
 
+/// The live proxy's state: its database (schema, indexes, rows) as
+/// snapshot bytes.
+fn proxy_snapshot(kernel: &Kernel) -> Vec<u8> {
+    let pid = kernel.find_process("ok-dbproxy").unwrap();
+    kernel
+        .service_as::<DbProxy>(pid)
+        .expect("downcast proxy")
+        .snapshot()
+}
+
+#[test]
+fn a_worker_sends_exactly_one_statement() {
+    // Schema scripts are for the trusted DDL path. On the worker port a
+    // second statement — data or schema — refuses the whole message, and
+    // nothing reaches the engine or the redo log.
+    let dev = MemDev::new();
+    let (mut kernel, alice_log, _bob) = setup_with(
+        69,
+        DbProxy::with_store(Box::new(dev.clone())),
+        "CREATE TABLE store (k, v); CREATE INDEX ON store (k)",
+    );
+    exec(
+        &mut kernel,
+        "alice-worker",
+        "INSERT INTO store VALUES ('color', 'red')",
+    );
+    let state = |kernel: &Kernel| (proxy_snapshot(kernel), dev.dump("wal.00000000"));
+    let before = state(&kernel);
+    let indexes = |snapshot: &[u8]| -> Vec<usize> {
+        let db = asbestos_db::restore(snapshot).unwrap();
+        db.table("store").unwrap().indexed_columns().collect()
+    };
+    assert_eq!(indexes(&before.0), vec![0, 1], "user_id and k");
+
+    for sql in [
+        "INSERT INTO store VALUES ('a', 'b'); DELETE FROM store",
+        "UPDATE store SET v = 'x'; CREATE INDEX ON store (v)",
+        "DELETE FROM store; DELETE FROM store",
+    ] {
+        alice_log.lock().unwrap().clear();
+        exec(&mut kernel, "alice-worker", sql);
+        assert_eq!(
+            *alice_log.lock().unwrap(),
+            vec![DbMsg::ExecR {
+                ok: false,
+                affected: 0
+            }],
+            "{sql}"
+        );
+    }
+    for sql in [
+        "SELECT k FROM store; DELETE FROM store",
+        "SELECT k FROM store; CREATE INDEX ON store (v)",
+    ] {
+        alice_log.lock().unwrap().clear();
+        query(&mut kernel, "alice-worker", sql);
+        assert_eq!(*alice_log.lock().unwrap(), vec![DbMsg::Done], "{sql}");
+    }
+    // The DDL message itself is ignored outright on the worker port.
+    alice_log.lock().unwrap().clear();
+    for sql in ["CREATE INDEX ON store (v)", "CREATE TABLE loot (x)"] {
+        let c = cmd(&kernel, "alice-worker");
+        kernel.inject(c, Value::List(vec!["send-ddl".into(), sql.into()]));
+        kernel.run();
+    }
+    assert!(alice_log.lock().unwrap().is_empty());
+
+    assert!(
+        state(&kernel) == before,
+        "rows, schema, index set and redo log all unchanged"
+    );
+}
+
+/// Runs one worker query a delivery at a time and returns what the kernel
+/// did with each message, in order.
+fn query_stepwise(kernel: &mut Kernel, worker: &str, sql: &str) -> Vec<DeliveryOutcome> {
+    let c = cmd(kernel, worker);
+    kernel.inject(c, Value::List(vec!["query".into(), sql.into()]));
+    let mut outcomes = Vec::new();
+    loop {
+        match kernel.step_outcome() {
+            DeliveryOutcome::Idle => return outcomes,
+            outcome => outcomes.push(outcome),
+        }
+    }
+}
+
+#[test]
+fn an_index_narrows_what_is_examined_never_what_is_tainted() {
+    // §7.5: every matching row goes out as its own message tainted with
+    // its owner's handle, and the kernel decides who sees it. Two users
+    // write rows with the same `owner` text; with and without an index on
+    // that column the proxy must send the same Row messages, in the same
+    // order, under the same labels — observed as the kernel's verdict on
+    // each message at each user's door.
+    const GET: &str = "SELECT owner, bio FROM profiles WHERE owner = 'shared'";
+    let run = |ddl: &str| {
+        let (mut kernel, alice_log, bob_log) = setup_with(70, DbProxy::new(), ddl);
+        for round in 0..3 {
+            for (worker, who) in [("alice-worker", "a"), ("bob-worker", "b")] {
+                for owner in ["shared", who] {
+                    let sql = format!("INSERT INTO profiles VALUES ('{owner}', '{who}{round}')");
+                    exec(&mut kernel, worker, &sql);
+                }
+            }
+        }
+        // Rewriting the indexed column moves a row between posting lists;
+        // it must keep its place in the result order.
+        exec(
+            &mut kernel,
+            "alice-worker",
+            "UPDATE profiles SET owner = 'shared' WHERE bio = 'a1'",
+        );
+        for log in [&alice_log, &bob_log] {
+            log.lock().unwrap().clear();
+        }
+        let before = (kernel.stats(), kernel.now());
+        let verdicts = [
+            query_stepwise(&mut kernel, "alice-worker", GET),
+            query_stepwise(&mut kernel, "bob-worker", GET),
+        ];
+        let stats = kernel.stats();
+        let dropped = stats.dropped_label_check - before.0.dropped_label_check;
+        let counts = (
+            stats.sent - before.0.sent,
+            stats.delivered - before.0.delivered,
+            dropped,
+        );
+        let cycles = kernel.now() - before.1;
+        let alice = alice_log.lock().unwrap().clone();
+        let bob = bob_log.lock().unwrap().clone();
+        // Everything that must not depend on the index, then what may.
+        ((verdicts, counts, alice, bob), dropped, cycles)
+    };
+    let (scan, scan_dropped, scan_cycles) = run("CREATE TABLE profiles (owner, bio)");
+    let (probe, _, probe_cycles) =
+        run("CREATE TABLE profiles (owner, bio); CREATE INDEX ON profiles (owner)");
+
+    let row = |bio: &str| DbMsg::Row {
+        values: vec!["shared".into(), bio.into()],
+    };
+    // Each worker receives its own rows only, in insertion order — alice's
+    // `a1` row (slot 4) and the one she renamed to `shared` (slot 5) included.
+    assert_eq!(
+        scan.2,
+        vec![row("a0"), row("a1"), row("a1"), row("a2"), DbMsg::Done]
+    );
+    assert_eq!(scan.3, vec![row("b0"), row("b1"), row("b2"), DbMsg::Done]);
+    // Seven rows match: each door drops the other user's.
+    assert_eq!(scan_dropped, 3 + 4);
+    assert!(
+        probe == scan,
+        "same verdict on every message in order, same sent / delivered / \
+         dropped counts, same rows at each worker:\n{probe:?}\n{scan:?}"
+    );
+    assert!(
+        probe_cycles < scan_cycles,
+        "only the examined-row charge differs: {probe_cycles} vs {scan_cycles}"
+    );
+}
+
 #[test]
 fn policy_persists_across_reboot() {
     // §7.5: "OKWS can extend its label-based security policy to one that
@@ -458,11 +629,7 @@ fn policy_persists_across_reboot() {
     );
 
     // Take the snapshot through god-mode inspection of the proxy.
-    let proxy_pid = kernel.find_process("ok-dbproxy").unwrap();
-    let snapshot = kernel
-        .service_as::<asbestos_db::DbProxy>(proxy_pid)
-        .expect("downcast proxy")
-        .snapshot();
+    let snapshot = proxy_snapshot(&kernel);
 
     // "Reboot": a fresh kernel; the proxy boots from the snapshot. The
     // trusted party re-binds users in the same order, so alice gets uid 1

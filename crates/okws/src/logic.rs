@@ -308,8 +308,10 @@ impl WorkerLogic for CachedProfile {
 pub struct Profile;
 
 impl Profile {
-    /// Table DDL, installed through ok-dbproxy's worker-table path.
-    pub const TABLE_DDL: &'static str = "CREATE TABLE profiles (owner, bio)";
+    /// The service's schema, installed through ok-dbproxy's trusted DDL
+    /// path: every read asks `WHERE owner = ?`, so `owner` is indexed.
+    pub const TABLE_DDL: &'static str =
+        "CREATE TABLE profiles (owner, bio); CREATE INDEX ON profiles (owner)";
 }
 
 impl WorkerLogic for Profile {

@@ -145,6 +145,54 @@ fn crash_reboot_keeps_every_acknowledged_write() {
     );
 }
 
+/// The schema (tables *and* indexes) recovers with the data, so the
+/// launcher re-declaring it at every boot changes nothing and appends
+/// nothing to the redo log.
+#[test]
+fn redeclared_schema_is_free_and_indexes_recover() {
+    let wal_bytes = |dev: &MemDev| -> usize {
+        use asbestos_store::BlockDev;
+        dev.list()
+            .iter()
+            .filter(|name| name.starts_with("wal."))
+            .map(|name| dev.dump(name).len())
+            .sum()
+    };
+    // (user_id, owner) — the hidden ownership column ok-dbproxy adds and
+    // the column `Profile` filters on.
+    let profile_indexes = |kernel: &Kernel| -> Vec<usize> {
+        let pid = kernel.find_process("ok-dbproxy").unwrap();
+        let proxy = kernel.service_as::<asbestos_db::DbProxy>(pid).unwrap();
+        let db = asbestos_db::restore(&proxy.snapshot()).unwrap();
+        let indexed = db.table("profiles").unwrap().indexed_columns().collect();
+        indexed
+    };
+
+    let dev = MemDev::new();
+    let (mut k1, okws1) = Okws::deploy(504, profile_config(&dev, true));
+    let mut client = OkwsClient::new(&okws1);
+    let (_, body) = client
+        .request_sync(&mut k1, "profile", "alice", "pw-a", &[("set", "hello")])
+        .unwrap();
+    assert_eq!(body, b"stored");
+    assert_eq!(profile_indexes(&k1), vec![0, 1]);
+    okws1.shutdown(&mut k1);
+    drop(k1);
+    let after_boot_1 = wal_bytes(&dev);
+    assert!(after_boot_1 > 0);
+
+    // Boot 2 pushes the same `Profile::TABLE_DDL` through the trusted DDL
+    // path (and ok-dbproxy re-declares its own owners index).
+    let (mut k2, okws2) = Okws::reboot(504, profile_config(&dev, false));
+    assert_eq!(wal_bytes(&dev), after_boot_1, "no redo record for a no-op");
+    assert_eq!(profile_indexes(&k2), vec![0, 1]);
+    let mut client = OkwsClient::new(&okws2);
+    let (_, body) = client
+        .request_sync(&mut k2, "profile", "alice", "pw-a", &[("get", "alice")])
+        .unwrap();
+    assert_eq!(body, b"alice:hello\n");
+}
+
 /// Figure 4 golden-trace equivalence: a recovered deployment must render
 /// exactly the verdicts a fresh deployment with the same data renders.
 /// Handle *values* differ per boot, but the verdict structure — what
