@@ -1,9 +1,9 @@
 //! Federation at scale: the Baseline scenario measured across a
 //! multi-kernel cluster, kernels {1,2} × shards {1,4}.
 //!
-//! Each row is one deployment point of the federated engine
-//! (`asbestos_loadgen::run_federated`): front end on kernel 0, workers
-//! on the rest, every request/response crossing the switch as serialized
+//! Each row is one deployment point of the scenario engine
+//! (`asbestos_loadgen::run_scenario` with `Baseline::kernels` set): front
+//! end on kernel 0, workers on the rest, every request/response crossing the switch as serialized
 //! frames with labels in wire form. Alongside the usual latency and
 //! goodput fields, each row records what the wire saw — frames, bytes,
 //! relayed `Forward`s, and bytes per request — so the serialization cost
@@ -16,43 +16,33 @@
 //! **Always-on regression gate:** the `baseline-fed/k2/4x4` row — two
 //! kernels, four shards each — is checked against the committed
 //! `BENCH_cluster.json`: fresh p99 may not exceed the committed value by
-//! more than [`GATE_SLACK`], and goodput may not fall below
-//! committed/[`GATE_SLACK`]. The run is deterministic under its seed, so
+//! more than `report::GATE_SLACK`, and goodput may not fall below
+//! committed/`report::GATE_SLACK`. The run is deterministic under its seed, so
 //! the slack only absorbs deliberate retunes riding along with a PR;
 //! silent regressions on the federated hot path (codec, gateway, switch)
 //! fail CI.
 
-use asbestos_bench::report::{bench_test_mode, committed_field, read_committed, BenchReport};
-use asbestos_loadgen::{run_federated, Baseline, FederatedReport};
+use asbestos_bench::report::{bench_test_mode, gate_against_committed, BenchReport};
+use asbestos_loadgen::{run_scenario, Baseline, ScenarioReport};
 use criterion::{criterion_group, criterion_main, Criterion};
-
-/// Multiplicative slack on the gate: measured p99 ≤ committed × slack,
-/// measured goodput ≥ committed ÷ slack.
-const GATE_SLACK: f64 = 1.25;
 
 /// The federation sweep: kernel count × per-kernel shard count (lanes
 /// track shards, as in the latency bench's deployment grid).
 const SWEEP: [(usize, usize); 4] = [(1, 1), (1, 4), (2, 1), (2, 4)];
 
-fn push_row(report: &mut BenchReport, fed: &FederatedReport) {
-    let r = &fed.report;
+fn push_row(report: &mut BenchReport, r: &ScenarioReport) {
     println!(
         "k{} {} | wire: {} frames, {} bytes, {} forwards",
-        fed.kernels,
+        r.kernels,
         r.summary_line(),
-        fed.wire_frames,
-        fed.wire_bytes,
-        fed.forwarded
+        r.wire_frames,
+        r.wire_bytes,
+        r.forwarded
     );
-    let per_req = if r.issued > 0 {
-        fed.wire_bytes as f64 / r.issued as f64
-    } else {
-        0.0
-    };
     report.push_row(
-        format!("baseline-fed/k{}/{}x{}", fed.kernels, r.shards, r.lanes),
+        format!("baseline-fed/k{}/{}x{}", r.kernels, r.shards, r.lanes),
         &[
-            ("kernels", fed.kernels as f64),
+            ("kernels", r.kernels as f64),
             ("users", r.users as f64),
             ("issued", r.issued as f64),
             ("completed", r.completed as f64),
@@ -64,10 +54,10 @@ fn push_row(report: &mut BenchReport, fed: &FederatedReport) {
             ("max_us", r.fresh.max_us),
             ("elapsed_us", r.elapsed_us),
             ("shard_imbalance", r.shard_imbalance),
-            ("wire_frames", fed.wire_frames as f64),
-            ("wire_bytes", fed.wire_bytes as f64),
-            ("forwarded", fed.forwarded as f64),
-            ("wire_bytes_per_req", per_req),
+            ("wire_frames", r.wire_frames as f64),
+            ("wire_bytes", r.wire_bytes as f64),
+            ("forwarded", r.forwarded as f64),
+            ("wire_bytes_per_req", r.wire_bytes as f64 / r.issued as f64),
         ],
     );
 }
@@ -75,67 +65,40 @@ fn push_row(report: &mut BenchReport, fed: &FederatedReport) {
 fn bench_cluster(c: &mut Criterion) {
     let test_mode = bench_test_mode();
     let mut report = BenchReport::new("cluster");
-    let mut gate_row: Option<FederatedReport> = None;
+    let mut gate_row: Option<ScenarioReport> = None;
 
     for (kernels, shards) in SWEEP {
         let mut scenario = Baseline {
             users: 64,
             requests: 512,
+            kernels,
             shards,
             lanes: shards,
         };
-        let fed = run_federated(&mut scenario, kernels, 0xFED0);
-        let r = &fed.report;
-        assert_eq!(r.completed, r.issued, "federated baseline lost requests");
-        assert_eq!(r.retries, 0, "sub-capacity traffic must never shed");
+        // `Baseline::check` asserts nothing was lost and nothing shed.
+        let r = run_scenario(&mut scenario, 0xFED0);
         if kernels > 1 {
             assert!(
-                fed.forwarded as usize >= r.issued,
+                r.forwarded as usize >= r.issued,
                 "requests never crossed the switch"
             );
         }
+        push_row(&mut report, &r);
         if (kernels, shards) == (2, 4) {
-            gate_row = Some(fed.clone());
+            gate_row = Some(r);
         }
-        push_row(&mut report, &fed);
     }
 
     // The always-on gate against the committed federated baseline.
     let fresh = gate_row.expect("the k2/4x4 row always runs");
-    report.push_summary("gate_p99_us", fresh.report.fresh.p99_us);
-    report.push_summary("gate_goodput_rps", fresh.report.goodput_rps);
-    match read_committed("cluster") {
-        Some(json) => {
-            let committed_p99 = committed_field(&json, "baseline-fed/k2/4x4", "p99_us")
-                .expect("committed BENCH_cluster.json has the gate row's p99_us");
-            let committed_goodput = committed_field(&json, "baseline-fed/k2/4x4", "goodput_rps")
-                .expect("committed BENCH_cluster.json has the gate row's goodput_rps");
-            println!(
-                "gate: p99 {:.1}us vs committed {committed_p99:.1}us, \
-                 goodput {:.0} rps vs committed {committed_goodput:.0} rps",
-                fresh.report.fresh.p99_us, fresh.report.goodput_rps
-            );
-            assert!(
-                fresh.report.fresh.p99_us <= committed_p99 * GATE_SLACK,
-                "federated baseline k2/4x4 p99 regressed: {:.1}us vs committed \
-                 {:.1}us (slack {GATE_SLACK}x) — if the change is intentional, \
-                 rerun `cargo bench -p asbestos-bench --bench cluster` and \
-                 commit the refreshed BENCH_cluster.json",
-                fresh.report.fresh.p99_us,
-                committed_p99
-            );
-            assert!(
-                fresh.report.goodput_rps >= committed_goodput / GATE_SLACK,
-                "federated baseline k2/4x4 goodput regressed: {:.0} rps vs \
-                 committed {:.0} rps (slack {GATE_SLACK}x) — if the change is \
-                 intentional, rerun `cargo bench -p asbestos-bench --bench \
-                 cluster` and commit the refreshed BENCH_cluster.json",
-                fresh.report.goodput_rps,
-                committed_goodput
-            );
-        }
-        None => println!("no committed BENCH_cluster.json — gate skipped (first run)"),
-    }
+    gate_against_committed(
+        &mut report,
+        "cluster",
+        "cluster",
+        "baseline-fed/k2/4x4",
+        fresh.fresh.p99_us,
+        fresh.goodput_rps,
+    );
 
     if !test_mode {
         report.write_at_repo_root("cluster");

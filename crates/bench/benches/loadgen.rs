@@ -18,21 +18,17 @@
 //! **Always-on regression gate:** the `baseline/4x4` row — which runs at
 //! full size even in test mode, so the comparison is like-for-like — is
 //! checked against the committed `BENCH_latency.json`: fresh p99 may not
-//! exceed the committed value by more than [`GATE_SLACK`], and goodput
-//! may not fall below committed/[`GATE_SLACK`]. The run is deterministic,
+//! exceed the committed value by more than `report::GATE_SLACK`, and goodput
+//! may not fall below committed/`report::GATE_SLACK`. The run is deterministic,
 //! so the slack only absorbs deliberate retunes riding along with a PR;
 //! silent latency regressions on the request hot path fail CI.
 
 use asbestos_bench::okws_latency_sharded;
-use asbestos_bench::report::{bench_test_mode, committed_field, read_committed, BenchReport};
+use asbestos_bench::report::{bench_test_mode, gate_against_committed, BenchReport};
 use asbestos_loadgen::{
     run_scenario, Baseline, LoginStorm, ScenarioReport, SustainedFlood, ZipfChurn,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
-
-/// Multiplicative slack on the gate: measured p99 ≤ committed × slack,
-/// measured goodput ≥ committed ÷ slack.
-const GATE_SLACK: f64 = 1.25;
 
 /// The deployment points every scenario runs at.
 const DEPLOYMENTS: [(usize, usize); 2] = [(1, 1), (4, 4)];
@@ -43,6 +39,7 @@ fn baseline_full(shards: usize, lanes: usize) -> Baseline {
     Baseline {
         users: 64,
         requests: 512,
+        kernels: 1,
         shards,
         lanes,
     }
@@ -134,40 +131,14 @@ fn bench_loadgen(c: &mut Criterion) {
 
     // The always-on gate against the committed baseline.
     let fresh = gate_row.expect("the 4x4 baseline always runs");
-    report.push_summary("gate_p99_us", fresh.fresh.p99_us);
-    report.push_summary("gate_goodput_rps", fresh.goodput_rps);
-    match read_committed("latency") {
-        Some(json) => {
-            let committed_p99 = committed_field(&json, "baseline/4x4", "p99_us")
-                .expect("committed BENCH_latency.json has the gate row's p99_us");
-            let committed_goodput = committed_field(&json, "baseline/4x4", "goodput_rps")
-                .expect("committed BENCH_latency.json has the gate row's goodput_rps");
-            println!(
-                "gate: p99 {:.1}us vs committed {committed_p99:.1}us, \
-                 goodput {:.0} rps vs committed {committed_goodput:.0} rps",
-                fresh.fresh.p99_us, fresh.goodput_rps
-            );
-            assert!(
-                fresh.fresh.p99_us <= committed_p99 * GATE_SLACK,
-                "baseline 4x4 p99 regressed: {:.1}us vs committed {:.1}us \
-                 (slack {GATE_SLACK}x) — if the change is intentional, rerun \
-                 `cargo bench -p asbestos-bench --bench loadgen` and commit \
-                 the refreshed BENCH_latency.json",
-                fresh.fresh.p99_us,
-                committed_p99
-            );
-            assert!(
-                fresh.goodput_rps >= committed_goodput / GATE_SLACK,
-                "baseline 4x4 goodput regressed: {:.0} rps vs committed {:.0} rps \
-                 (slack {GATE_SLACK}x) — if the change is intentional, rerun \
-                 `cargo bench -p asbestos-bench --bench loadgen` and commit \
-                 the refreshed BENCH_latency.json",
-                fresh.goodput_rps,
-                committed_goodput
-            );
-        }
-        None => println!("no committed BENCH_latency.json — gate skipped (first run)"),
-    }
+    gate_against_committed(
+        &mut report,
+        "latency",
+        "loadgen",
+        "baseline/4x4",
+        fresh.fresh.p99_us,
+        fresh.goodput_rps,
+    );
 
     if !test_mode {
         report.write_at_repo_root("latency");

@@ -1,34 +1,12 @@
 //! End-to-end OKWS request benchmarks: one full HTTP request through netd,
 //! ok-demux, a worker event process, and back — at 1 and 1000 cached
-//! sessions (host time for the whole simulated pipeline), plus the
-//! sharded multi-lane series.
-//!
-//! **Sharded series** (`BENCH_okws_shards.json`): request wall throughput
-//! of the full OKWS pipeline at (shards × netd lanes) ∈ {1×1, 2×2, 4×1,
-//! 4×4}. Each round issues one pipelined request per user and runs the
-//! kernel to quiescence; throughput denominators follow `scale_shards`:
-//!
-//! * `virtual_req_per_sec` — completed requests over the busiest shard's
-//!   virtual cycle advance (each shard models one 2.8 GHz core);
-//! * `wall_req_per_sec` — completed requests over the busiest shard's
-//!   *measured busy nanoseconds* (real host time its drain loop ran) —
-//!   the modelled wall clock of a host with one core per shard, not a
-//!   host claim — and the acceptance series: 4-shard/4-lane must beat
-//!   1-shard/1-lane ≥ 1.5× (≥ 1.0× enforced even in CI `--test` mode);
-//! * `elapsed_req_per_sec` — end-to-end host elapsed time, recorded so
-//!   the partition's overhead stays visible (every shard runs on the
-//!   calling thread, so this column cannot show parallel speedup).
-//!
-//! The 4×1 row keeps the *motivation* measurable: a sharded kernel whose
-//! netd is still one process leaves the front end serial, and its wall
-//! number shows exactly what the multi-queue refactor removes.
+//! sessions, a new session, and a store round trip (criterion host time
+//! for the whole simulated pipeline; `benchmark/` is the clock for any
+//! throughput claim).
 
-use asbestos_bench::report::{bench_test_mode, BenchReport};
-use asbestos_bench::{deploy, deploy_sharded, BenchEnv};
-use asbestos_kernel::CYCLES_PER_SEC;
+use asbestos_bench::deploy;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn bench_cached_request(c: &mut Criterion) {
     let mut group = c.benchmark_group("okws_cached_request");
@@ -86,138 +64,10 @@ fn bench_store_roundtrip(c: &mut Criterion) {
     });
 }
 
-/// Users (= concurrent pipelined connections per round) in the sharded
-/// series.
-const LANE_USERS: usize = 32;
-/// Measured rounds per configuration.
-const LANE_ROUNDS: usize = 24;
-
-/// One pipelined round: a request per user issued up front, then the
-/// kernel runs to quiescence — the regime where independent lanes can
-/// actually overlap.
-fn lane_round(env: &mut BenchEnv) {
-    let users = env.users.len();
-    for u in 0..users {
-        env.issue("bench", u, &[]);
-    }
-    env.kernel.run();
-    env.client.driver.poll(&env.kernel);
-    assert_eq!(
-        env.client.driver.completed(),
-        users,
-        "a pipelined round must complete every request"
-    );
-    env.client.driver.reset_log();
-}
-
-/// Request throughput of one (shards, lanes) configuration:
-/// `(virtual, wall, elapsed)` requests/sec.
-fn lane_throughput(shards: usize, lanes: usize, rounds: usize) -> (f64, f64, f64) {
-    let mut env = deploy_sharded(88, LANE_USERS, true, shards, lanes);
-    env.build_sessions("bench", None);
-    env.client.driver.reset_log();
-    // Warm round: session event processes exist, credential cache is hot.
-    lane_round(&mut env);
-    let cycles_before: Vec<u64> = (0..shards)
-        .map(|i| env.kernel.shard(i).clock().now())
-        .collect();
-    let busy_before: Vec<u64> = (0..shards)
-        .map(|i| env.kernel.shard(i).busy_nanos())
-        .collect();
-    let start = Instant::now();
-    for _ in 0..rounds {
-        lane_round(&mut env);
-    }
-    let elapsed = start.elapsed();
-    let requests = (rounds * LANE_USERS) as f64;
-    let busiest_cycles = (0..shards)
-        .map(|i| env.kernel.shard(i).clock().now() - cycles_before[i])
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let busiest_nanos = (0..shards)
-        .map(|i| env.kernel.shard(i).busy_nanos() - busy_before[i])
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    (
-        requests / (busiest_cycles as f64 / CYCLES_PER_SEC as f64),
-        requests / (busiest_nanos as f64 / 1e9),
-        requests / elapsed.as_secs_f64(),
-    )
-}
-
-fn bench_lane_scaling(c: &mut Criterion) {
-    let test_mode = bench_test_mode();
-    // Test mode still averages several rounds: the smoke gate compares
-    // two host-time figures, and on a shared CI box a short run is too
-    // exposed to scheduler noise (the measured margin is ~2x; averaging
-    // 6 rounds keeps a noisy-neighbor stall from eating it).
-    let rounds = if test_mode { 6 } else { LANE_ROUNDS };
-
-    let mut report = BenchReport::new("okws_shards");
-    let mut wall = Vec::new();
-    for &(shards, lanes) in &[(1usize, 1usize), (2, 2), (4, 1), (4, 4)] {
-        let (virt, w, elapsed) = lane_throughput(shards, lanes, rounds);
-        println!(
-            "okws_request/shards={shards}/lanes={lanes}: {virt:.0} virtual req/s, \
-             {w:.0} wall req/s, {elapsed:.0} elapsed req/s"
-        );
-        report.push_row(
-            format!("shards={shards}/lanes={lanes}"),
-            &[
-                ("shards", shards as f64),
-                ("lanes", lanes as f64),
-                ("virtual_req_per_sec", virt),
-                ("wall_req_per_sec", w),
-                ("elapsed_req_per_sec", elapsed),
-                ("users", LANE_USERS as f64),
-            ],
-        );
-        wall.push(((shards, lanes), w));
-    }
-
-    let at = |s: usize, l: usize| {
-        wall.iter()
-            .find(|((ws, wl), _)| *ws == s && *wl == l)
-            .map(|(_, v)| *v)
-    };
-    if let (Some(base), Some(full)) = (at(1, 1), at(4, 4)) {
-        let speedup = full / base;
-        println!("okws_request/speedup 1×1 → 4×4 (wall): {speedup:.2}x");
-        report.push_summary("wall_speedup_4shard_4lane", speedup);
-        if let Some(serial) = at(4, 1) {
-            report.push_summary("wall_speedup_4shard_1lane", serial / base);
-        }
-        // CI smoke gate: the multi-queue front end must never lose to the
-        // single netd.
-        assert!(
-            speedup >= 1.0,
-            "multi-queue regression: 4-shard/4-lane OKWS wall throughput fell below \
-             1-shard/1-lane ({speedup:.2}x)"
-        );
-        if !test_mode {
-            assert!(
-                speedup >= 1.5,
-                "the multi-queue front end must scale the request path: 1×1 → 4×4 \
-                 wall speedup was {speedup:.2}x (acceptance bar: 1.5x)"
-            );
-        }
-    }
-
-    if !test_mode {
-        report.write_at_repo_root("okws_shards");
-    }
-
-    // Keep the series visible in `--test` listings.
-    c.bench_function("okws_request/lane_scaling", |b| b.iter(|| ()));
-}
-
 criterion_group!(
     benches,
     bench_cached_request,
     bench_new_session,
-    bench_store_roundtrip,
-    bench_lane_scaling
+    bench_store_roundtrip
 );
 criterion_main!(benches);

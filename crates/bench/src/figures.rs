@@ -3,7 +3,7 @@
 use asbestos_baseline::{apache_cgi, mod_apache, run_closed_loop, UnixCosts};
 use asbestos_kernel::{Category, CYCLES_PER_SEC};
 
-use crate::fixture::{deploy, BenchEnv, CONNS_PER_USER, LATENCY_CONCURRENCY};
+use crate::fixture::{deploy, deploy_sharded, BenchEnv, CONNS_PER_USER, LATENCY_CONCURRENCY};
 
 // ---------------------------------------------------------------------
 // Figure 6: memory use.
@@ -67,48 +67,23 @@ pub struct SweepPoint {
 /// Kernel IPC cost scales linearly with cached sessions, as §9.3 reports:
 /// every delivery is charged the label entries it examines.
 pub fn okws_sweep_point(sessions: usize, seed: u64) -> SweepPoint {
-    let mut env = deploy(seed, sessions, true);
-    let start = env.kernel.cycle_snapshot();
-    let mut connections = 0u64;
-    for round in 0..CONNS_PER_USER {
-        for user in 0..sessions {
-            env.request_ok("bench", user, &[]);
-            connections += 1;
-        }
-        let _ = round;
-    }
-    let end = env.kernel.cycle_snapshot();
-    let elapsed = end.now() - start.now();
-    let throughput = connections as f64 / (elapsed as f64 / CYCLES_PER_SEC as f64);
-    let mut kcycles = [0.0; 5];
-    for (i, &cat) in Category::ALL.iter().enumerate() {
-        let delta = end.total(cat) - start.total(cat);
-        kcycles[i] = delta as f64 / 1_000.0 / connections as f64;
-    }
-    SweepPoint {
-        sessions,
-        connections,
-        throughput,
-        kcycles_per_conn: kcycles,
-    }
+    okws_sweep_point_sharded(sessions, seed, 1, 1)
 }
 
-/// The §9.2.1 workload on the sharded kernel (ROADMAP: "fig7/fig8 on the
-/// sharded kernel"): same request mix as [`okws_sweep_point`], run on a
-/// `shards × lanes` deployment via [`crate::fixture::deploy_sharded`].
+/// [`okws_sweep_point`] on a `shards × lanes` deployment
+/// ([`crate::fixture::deploy_sharded`]).
 ///
 /// Throughput uses the **busiest shard's** cycle advance as the elapsed
 /// denominator ([`asbestos_kernel::Kernel::elapsed_cycles`]): shards
 /// model parallel cores, so the slowest one bounds the modeled wall
-/// clock. On `1 × 1` this is exactly [`okws_sweep_point`]'s denominator,
-/// making the series directly comparable.
+/// clock. On `1 × 1` that is the kernel's whole clock.
 pub fn okws_sweep_point_sharded(
     sessions: usize,
     seed: u64,
     shards: usize,
     lanes: usize,
 ) -> SweepPoint {
-    let mut env = crate::fixture::deploy_sharded(seed, sessions, true, shards, lanes);
+    let mut env = deploy_sharded(seed, sessions, true, shards, lanes);
     let start = env.kernel.cycle_snapshot();
     let elapsed_before = env.kernel.elapsed_cycles();
     let mut connections = 0u64;
@@ -158,7 +133,21 @@ pub struct Fig8Row {
     pub p90_us: f64,
 }
 
-/// Measures OKWS latency with the paper's concurrency of 4 (§9.2.2).
+/// Measures OKWS latency with the paper's concurrency of 4 (§9.2.2) on
+/// the paper's deployment: [`okws_latency_sharded`] at `1 × 1` under the
+/// figure's row label.
+pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
+    Fig8Row {
+        server: format!(
+            "OKWS, {} session{}",
+            sessions,
+            if sessions == 1 { "" } else { "s" }
+        ),
+        ..okws_latency_sharded(sessions, samples, seed, 1, 1)
+    }
+}
+
+/// The Figure 8 closed loop on a `shards × lanes` deployment.
 ///
 /// A closed loop keeps [`LATENCY_CONCURRENCY`] requests outstanding: each
 /// completion immediately triggers a replacement, so requests stagger into
@@ -166,8 +155,21 @@ pub struct Fig8Row {
 /// workload, a quarter of the measured requests open new sessions, so
 /// session-creation cost (idd, database, handle minting) shows up in the
 /// tail exactly as §9.2.2 describes.
-pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
-    let mut env = deploy(seed, sessions + samples, true);
+///
+/// Completions are collected with the per-lane ring walk
+/// ([`asbestos_net::ClientDriver::poll_lane`]): each netd lane owns the
+/// connections the RSS demux hashed to it, so the load generator polls
+/// every lane each scheduling quantum, the way a real multi-queue NIC
+/// client would. Latency is virtual-cycle, so the row is deterministic
+/// under its seed.
+pub fn okws_latency_sharded(
+    sessions: usize,
+    samples: usize,
+    seed: u64,
+    shards: usize,
+    lanes: usize,
+) -> Fig8Row {
+    let mut env = deploy_sharded(seed, sessions + samples, true, shards, lanes);
     // Pre-build the cached sessions the configuration calls for.
     for user in 0..sessions {
         env.request_ok("bench", user, &[]);
@@ -204,7 +206,9 @@ pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
                 break;
             }
         }
-        env.client.driver.poll(&env.kernel);
+        for lane in 0..env.client.driver.lanes() {
+            env.client.driver.poll_lane(&env.kernel, lane);
+        }
         let done = env.client.driver.completed();
         while issued - done < LATENCY_CONCURRENCY && issued < sessions + samples {
             issue_next(&mut env, &mut issued);
@@ -221,96 +225,6 @@ pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
         completed_seen = done;
     }
     env.kernel.run();
-    env.client.driver.poll(&env.kernel);
-
-    let lat = env.client.driver.latencies_us();
-    assert!(
-        lat.len() >= samples,
-        "latency workload lost requests: {} of {issued}",
-        lat.len()
-    );
-    let median = asbestos_net::percentile(&lat, 50.0).unwrap_or(0.0);
-    let p90 = asbestos_net::percentile(&lat, 90.0).unwrap_or(0.0);
-    Fig8Row {
-        server: format!(
-            "OKWS, {} session{}",
-            sessions,
-            if sessions == 1 { "" } else { "s" }
-        ),
-        median_us: median,
-        p90_us: p90,
-    }
-}
-
-/// [`okws_latency`] on a sharded kernel with a multi-lane netd front
-/// end — the Figure 8 closed loop ported onto the scaled deployment.
-///
-/// Completions are collected with the per-lane ring walk
-/// ([`asbestos_net::ClientDriver::poll_lane`]): each netd lane owns the
-/// connections the RSS demux hashed to it, so the load generator polls
-/// every lane each scheduling quantum, the way a real multi-queue NIC
-/// client would. Latency is virtual-cycle, so the row is deterministic
-/// under its seed; `shards = lanes = 1` reproduces [`okws_latency`]'s
-/// configuration with the lane-structured poll.
-pub fn okws_latency_sharded(
-    sessions: usize,
-    samples: usize,
-    seed: u64,
-    shards: usize,
-    lanes: usize,
-) -> Fig8Row {
-    let mut env = crate::fixture::deploy_sharded(seed, sessions + samples, true, shards, lanes);
-    for user in 0..sessions {
-        env.request_ok("bench", user, &[]);
-    }
-    env.client.driver.reset_log();
-
-    let mut fresh_user = sessions;
-    let mut cached_rr = 0usize;
-    let mut issued = 0usize;
-    let mut issue_next = |env: &mut BenchEnv, issued: &mut usize| {
-        let user = if (*issued).is_multiple_of(LATENCY_CONCURRENCY) {
-            let u = fresh_user;
-            fresh_user += 1;
-            u
-        } else {
-            cached_rr += 1;
-            cached_rr % sessions.max(1)
-        };
-        *issued += 1;
-        env.issue("bench", user, &[])
-    };
-
-    for _ in 0..LATENCY_CONCURRENCY {
-        issue_next(&mut env, &mut issued);
-    }
-    let mut completed_seen = 0usize;
-    let mut stalled = 0u32;
-    while completed_seen < samples {
-        for _ in 0..40 {
-            if !env.kernel.step() {
-                break;
-            }
-        }
-        for lane in 0..env.client.driver.lanes() {
-            env.client.driver.poll_lane(&env.kernel, lane);
-        }
-        let done = env.client.driver.completed();
-        while issued - done < LATENCY_CONCURRENCY && issued < sessions + samples {
-            issue_next(&mut env, &mut issued);
-        }
-        if done == completed_seen && env.kernel.queue_len() == 0 {
-            stalled += 1;
-            assert!(
-                stalled < 100,
-                "sharded latency workload stalled at {done} completions"
-            );
-        } else {
-            stalled = 0;
-        }
-        completed_seen = done;
-    }
-    env.kernel.run();
     for lane in 0..env.client.driver.lanes() {
         env.client.driver.poll_lane(&env.kernel, lane);
     }
@@ -318,7 +232,7 @@ pub fn okws_latency_sharded(
     let lat = env.client.driver.latencies_us();
     assert!(
         lat.len() >= samples,
-        "sharded latency workload lost requests: {} of {issued}",
+        "latency workload lost requests: {} of {issued}",
         lat.len()
     );
     let median = asbestos_net::percentile(&lat, 50.0).unwrap_or(0.0);
@@ -367,11 +281,4 @@ pub fn sweep_sessions() -> Vec<usize> {
     } else {
         SWEEP_SESSIONS.to_vec()
     }
-}
-
-/// Returns a `BenchEnv` suitable for microbenches (one user, one session).
-pub fn micro_env(seed: u64) -> BenchEnv {
-    let mut env = deploy(seed, 1, true);
-    env.request_ok("bench", 0, &[]);
-    env
 }

@@ -46,8 +46,8 @@ pub fn deploy(seed: u64, users: usize, tidy: bool) -> BenchEnv {
 
 /// Deploys OKWS on a sharded kernel with a multi-lane netd front end.
 /// `shards = 1, lanes = 1` is the paper-faithful configuration
-/// ([`deploy`]); higher counts are the scaling series of
-/// `BENCH_okws_shards.json`.
+/// ([`deploy`]); higher counts are the sharded series of Figures 7
+/// and 8.
 pub fn deploy_sharded(
     seed: u64,
     users: usize,

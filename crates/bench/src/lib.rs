@@ -14,7 +14,6 @@
 pub mod figures;
 pub mod fixture;
 pub mod report;
-pub mod workload_tuples;
 
 pub use figures::*;
 pub use fixture::*;

@@ -1,7 +1,7 @@
 //! Machine-readable benchmark reports.
 //!
-//! Perf-tracking benches (`scale_shards`, `durability`, …) write a small
-//! JSON file at the repository root — `BENCH_shards.json`,
+//! Perf-tracking benches (`loadgen`, `durability`, …) write a small
+//! JSON file at the repository root — `BENCH_latency.json`,
 //! `BENCH_durability.json` — so the perf trajectory is tracked in
 //! version control across PRs. The writer is deliberately dependency-free
 //! (the container vendors no serde): reports are flat lists of numeric /
@@ -90,19 +90,20 @@ impl BenchReport {
     /// path. Call only from real measurement runs — `--test` mode numbers
     /// are meaningless and must not overwrite tracked results.
     pub fn write_at_repo_root(&self, suffix: &str) {
-        let path: PathBuf = [
-            env!("CARGO_MANIFEST_DIR"),
-            "..",
-            "..",
-            &format!("BENCH_{suffix}.json"),
-        ]
-        .iter()
-        .collect();
+        let path = repo_root_json(suffix);
         match std::fs::write(&path, self.to_json() + "\n") {
             Ok(()) => println!("wrote {}", path.display()),
             Err(err) => eprintln!("could not write {}: {err}", path.display()),
         }
     }
+}
+
+/// `BENCH_<suffix>.json` at the repository root.
+fn repo_root_json(suffix: &str) -> PathBuf {
+    let file = format!("BENCH_{suffix}.json");
+    [env!("CARGO_MANIFEST_DIR"), "..", "..", &file]
+        .iter()
+        .collect()
 }
 
 /// True when the bench binary runs in `--test` mode (CI smoke): bodies
@@ -113,23 +114,15 @@ pub fn bench_test_mode() -> bool {
 
 /// Reads the committed `BENCH_<suffix>.json` at the repository root, or
 /// `None` when no baseline has been committed yet (first run).
-pub fn read_committed(suffix: &str) -> Option<String> {
-    let path: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "..",
-        "..",
-        &format!("BENCH_{suffix}.json"),
-    ]
-    .iter()
-    .collect();
-    std::fs::read_to_string(path).ok()
+fn read_committed(suffix: &str) -> Option<String> {
+    std::fs::read_to_string(repo_root_json(suffix)).ok()
 }
 
 /// Extracts field `key` from the row named `row` in a report produced by
 /// [`BenchReport::to_json`]. The format is this crate's own flat writer
 /// output — one row object per line — so a line scan is a full parser
 /// for it; a row or key that is not present yields `None`.
-pub fn committed_field(json: &str, row: &str, key: &str) -> Option<f64> {
+fn committed_field(json: &str, row: &str, key: &str) -> Option<f64> {
     let row_tag = format!("\"name\": \"{row}\"");
     let key_tag = format!("\"{key}\": ");
     for line in json.lines() {
@@ -143,6 +136,57 @@ pub fn committed_field(json: &str, row: &str, key: &str) -> Option<f64> {
         return rest[..end].parse().ok();
     }
     None
+}
+
+/// Multiplicative slack on [`gate_against_committed`]: measured p99 ≤
+/// committed × slack, measured goodput ≥ committed ÷ slack. The gated
+/// rows are deterministic under their seed, so the slack only absorbs
+/// deliberate retunes riding along with a PR.
+pub const GATE_SLACK: f64 = 1.25;
+
+/// The always-on regression gate of the `loadgen` and `cluster` benches:
+/// records the fresh `p99_us` / `goodput_rps` of `row` as summaries and
+/// checks them against the committed `BENCH_<suffix>.json` (skipped on a
+/// first run, when nothing is committed).
+///
+/// # Panics
+///
+/// Panics when either figure regressed past [`GATE_SLACK`].
+pub fn gate_against_committed(
+    report: &mut BenchReport,
+    suffix: &str,
+    bench: &str,
+    row: &str,
+    p99_us: f64,
+    goodput_rps: f64,
+) {
+    report.push_summary("gate_p99_us", p99_us);
+    report.push_summary("gate_goodput_rps", goodput_rps);
+    let Some(json) = read_committed(suffix) else {
+        println!("no committed BENCH_{suffix}.json — gate skipped (first run)");
+        return;
+    };
+    let committed = |key: &str| {
+        committed_field(&json, row, key)
+            .unwrap_or_else(|| panic!("committed BENCH_{suffix}.json has no {row} {key}"))
+    };
+    let (committed_p99, committed_goodput) = (committed("p99_us"), committed("goodput_rps"));
+    println!(
+        "gate: p99 {p99_us:.1}us vs committed {committed_p99:.1}us, \
+         goodput {goodput_rps:.0} rps vs committed {committed_goodput:.0} rps"
+    );
+    let refresh = format!(
+        "(slack {GATE_SLACK}x) — if the change is intentional, rerun `cargo bench -p \
+         asbestos-bench --bench {bench}` and commit the refreshed BENCH_{suffix}.json"
+    );
+    assert!(
+        p99_us <= committed_p99 * GATE_SLACK,
+        "{row} p99 regressed: {p99_us:.1}us vs committed {committed_p99:.1}us {refresh}"
+    );
+    assert!(
+        goodput_rps >= committed_goodput / GATE_SLACK,
+        "{row} goodput regressed: {goodput_rps:.0} rps vs committed {committed_goodput:.0} rps {refresh}"
+    );
 }
 
 #[cfg(test)]

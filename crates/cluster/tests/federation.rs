@@ -1,8 +1,10 @@
 //! End-to-end federation semantics: messages and labels across the wire,
 //! with the Figure 4 verdict always derived on the destination kernel.
 
-use asbestos_cluster::Cluster;
+use asbestos_cluster::{deploy_okws, Cluster};
 use asbestos_kernel::{Category, Kernel, Label, Level, Message, Service, Sys, Value};
+use asbestos_okws::logic::EchoStore;
+use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
 
 /// Publishes `echo.port` and answers every `Handle` body with "pong".
 struct Echo;
@@ -207,4 +209,70 @@ fn handles_are_unique_cluster_wide() {
         }
     }
     assert_eq!(seen.len(), 4 * 64);
+}
+
+/// An 8-user store deployment at `shards` × `shards`.
+fn store_config(shards: usize) -> OkwsConfig {
+    let mut config = OkwsConfig::new(80).sharded(shards).lanes(shards);
+    config
+        .services
+        .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+    for u in 0..8 {
+        config.users.push((format!("u{u}"), format!("p{u}")));
+    }
+    config
+}
+
+/// Issues request `i` of a fixed list (per user: writes, a read, a
+/// logout) on `kernel`.
+fn issue(client: &mut OkwsClient, kernel: &mut Kernel, i: usize) -> usize {
+    let (user, pw, data) = (
+        format!("u{}", i % 8),
+        format!("p{}", i % 8),
+        format!("d{i}"),
+    );
+    let extra: &[(&str, &str)] = match i / 8 % 4 {
+        3 => &[("logout", "1")],
+        2 => &[],
+        _ => &[("data", &data)],
+    };
+    client.request(kernel, "store", &user, &pw, extra)
+}
+
+/// Slot 0 of 1 is bit-for-bit the ordinary kernel constructor, and with
+/// one member `deploy_okws` places every worker where `Okws::start`
+/// would — so a one-kernel federation serves a request list exactly as
+/// the bare kernel does: same bytes, same counters, same clock, nothing
+/// relayed.
+#[test]
+fn one_kernel_federation_matches_the_plain_engine() {
+    for shards in [1, 4] {
+        let (mut kernel, okws) = Okws::deploy(0x0501, store_config(shards));
+        let mut plain = OkwsClient::new(&okws);
+        let mut cluster = Cluster::new(0x0501, 1, shards);
+        let okws = deploy_okws(&mut cluster, store_config(shards));
+        let mut fed = OkwsClient::new(&okws);
+
+        for i in 0..64 {
+            let a = issue(&mut plain, &mut kernel, i);
+            kernel.run();
+            plain.driver.poll(&kernel);
+            let b = issue(&mut fed, &mut cluster.nodes[0].kernel, i);
+            cluster.run();
+            fed.driver.poll(&cluster.nodes[0].kernel);
+            assert_eq!(
+                fed.parse_response(b).expect("federated request answered"),
+                plain.parse_response(a).expect("plain request answered"),
+                "{shards} shards: response {i}"
+            );
+        }
+        assert_eq!(
+            format!("{:?}", cluster.stats()),
+            format!("{:?}", kernel.stats()),
+            "{shards} shards: kernel counters"
+        );
+        assert_eq!(cluster.elapsed_cycles(), kernel.elapsed_cycles());
+        // Nothing to federate: the switch relayed no cross-kernel traffic.
+        assert_eq!(cluster.switch().forwarded, 0);
+    }
 }

@@ -158,8 +158,8 @@ impl CreditEntry {
     }
 }
 
-/// Cumulative per-port pressure counters (god-mode observability; fed to
-/// `BENCH_shards.json` rows and tests, never to simulated processes).
+/// Cumulative per-port pressure counters (god-mode observability;
+/// never visible to simulated processes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PortPressure {
     /// Messages silently dropped at this port's queue bound.
@@ -431,8 +431,7 @@ impl KernelShard {
         self.bp.retry_len()
     }
 
-    /// Cumulative per-port drop/defer pressure (god-mode; feeds the
-    /// per-row counters in `BENCH_shards.json`).
+    /// Cumulative per-port drop/defer pressure (god-mode).
     pub fn port_pressure(&self) -> &BTreeMap<Handle, PortPressure> {
         self.bp.port_pressure()
     }

@@ -537,17 +537,6 @@ impl Kernel {
     /// Attempts one message delivery and reports what happened.
     pub fn step_outcome(&mut self) -> DeliveryOutcome {
         let n = self.shards.len();
-        if n == 1 {
-            // The monolithic engine's step, with no routing checks at
-            // all: a single-shard kernel never touches the channels.
-            let outcome = self.shards[0].step_outcome(&self.router);
-            if outcome == DeliveryOutcome::Idle && self.shards[0].flush_retries(&self.router) > 0 {
-                // Idle mailboxes can hide parked retries (backpressure);
-                // re-admitting them found more work.
-                return self.shards[0].step_outcome(&self.router);
-            }
-            return outcome;
-        }
         loop {
             // Route first: cross-shard sends (including coordinator-phase
             // ones, e.g. from a handler inside `spawn`'s on_start) sit in

@@ -97,8 +97,8 @@ pub struct KernelShard {
     /// Real (host) nanoseconds this shard's delivery loop has run, over
     /// all `run()` calls. Drains never overlap, so each nanosecond is
     /// attributed to exactly one shard; the busiest shard's share is the
-    /// modelled wall clock of a host with one core per shard, which the
-    /// `scale_shards` bench reads. Deliberately *not* part of [`Stats`]:
+    /// modelled wall clock of a host with one core per shard, which
+    /// `benchmark/` reads. Deliberately *not* part of [`Stats`]:
     /// host timing is nondeterministic, and `Stats` is pinned by the
     /// golden-trace test.
     pub(crate) busy_nanos: u64,

@@ -13,6 +13,7 @@ fn main() {
             &mut Baseline {
                 users: 8,
                 requests: 64,
+                kernels: 1,
                 shards,
                 lanes,
             },

@@ -24,24 +24,24 @@
 //! same ops, same percentiles — which is what lets CI gate on the
 //! committed numbers.
 //!
-//! The same engine also runs *federated*: [`cluster::run_federated`]
-//! deploys the scenario over an `asbestos-cluster` federation (front end
-//! on kernel 0, workers on the rest, labels crossing the wire in
-//! serialized form) with the identical schedule and accounting — the
-//! federated baseline in `BENCH_cluster.json` is measured this way.
+//! The kernel count is a deployment number like shards and lanes:
+//! [`scenario::ScenarioConfig::federated`] puts the front end on kernel
+//! 0 of an `asbestos-cluster` federation and the workers on the rest
+//! (labels crossing the wire in serialized form), under the same
+//! schedule, hooks and accounting — `BENCH_cluster.json` is measured
+//! this way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;
-pub mod cluster;
 pub mod metrics;
 pub mod scenario;
 pub mod scenarios;
+mod substrate;
 pub mod zipf;
 
 pub use arrival::OpenLoopSchedule;
-pub use cluster::{kernels_from_env, run_federated, ClusterWorld, FederatedReport};
 pub use metrics::{LatencyStats, ScenarioReport};
 pub use scenario::{run_scenario, Op, Scenario, ScenarioConfig, ServiceKind, World};
 pub use scenarios::{Baseline, LaneOverflowChurn, LoginStorm, SustainedFlood, ZipfChurn};

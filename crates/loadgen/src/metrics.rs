@@ -51,7 +51,9 @@ impl LatencyStats {
 pub struct ScenarioReport {
     /// Scenario name.
     pub scenario: String,
-    /// Kernel shards the deployment ran on.
+    /// Member kernels in the deployment (1 = un-federated).
+    pub kernels: usize,
+    /// Kernel shards per kernel.
     pub shards: usize,
     /// netd lanes in the front end.
     pub lanes: usize,
@@ -86,10 +88,17 @@ pub struct ScenarioReport {
     pub shard_imbalance: f64,
     /// Highest queue-depth high-water mark across shards.
     pub queue_depth_hwm: u64,
+    /// Frames every gateway put on the wire (0 at one kernel).
+    pub wire_frames: u64,
+    /// Bytes every gateway put on the wire (0 at one kernel).
+    pub wire_bytes: u64,
+    /// `Forward`s the switch relayed between kernels (0 at one kernel).
+    pub forwarded: u64,
 }
 
 impl ScenarioReport {
-    /// Computes the derived fields from raw window measurements.
+    /// Computes the derived fields from raw window measurements, as a
+    /// one-kernel report (no wire).
     #[allow(clippy::too_many_arguments)]
     pub fn from_window(
         scenario: &str,
@@ -119,6 +128,7 @@ impl ScenarioReport {
         let max_shard = shard_elapsed_us.iter().cloned().fold(0.0, f64::max);
         ScenarioReport {
             scenario: scenario.to_string(),
+            kernels: 1,
             shards,
             lanes,
             users,
@@ -138,6 +148,9 @@ impl ScenarioReport {
                 1.0
             },
             queue_depth_hwm,
+            wire_frames: 0,
+            wire_bytes: 0,
+            forwarded: 0,
         }
     }
 

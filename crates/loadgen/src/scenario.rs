@@ -13,6 +13,7 @@
 //! the same scenario produce byte-identical request logs — which is what
 //! lets CI gate on exact percentile values.
 
+use asbestos_cluster::{deploy_okws, Cluster};
 use asbestos_kernel::Kernel;
 use asbestos_net::Netd;
 use asbestos_okws::logic::{EchoStore, ParamLength, Profile};
@@ -23,6 +24,7 @@ use rand::SeedableRng;
 
 use crate::arrival::OpenLoopSchedule;
 use crate::metrics::ScenarioReport;
+use crate::substrate::Substrate;
 
 /// Which worker services the deployment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +46,11 @@ pub struct ScenarioConfig {
     pub users: usize,
     /// Services to deploy.
     pub services: Vec<ServiceKind>,
-    /// Kernel shards.
+    /// Member kernels: 1 is a plain kernel (no sockets); more is a
+    /// federation with the front end on kernel 0, workers round-robin on
+    /// the rest, and every request crossing the switch.
+    pub kernels: usize,
+    /// Kernel shards (per kernel).
     pub shards: usize,
     /// netd lanes.
     pub lanes: usize,
@@ -68,6 +74,7 @@ impl ScenarioConfig {
         ScenarioConfig {
             users,
             services: vec![ServiceKind::Store],
+            kernels: 1,
             shards: 1,
             lanes: 1,
             durable: false,
@@ -82,6 +89,12 @@ impl ScenarioConfig {
     pub fn deployment(mut self, shards: usize, lanes: usize) -> ScenarioConfig {
         self.shards = shards;
         self.lanes = lanes;
+        self
+    }
+
+    /// Federates the deployment over `kernels` member kernels.
+    pub fn federated(mut self, kernels: usize) -> ScenarioConfig {
+        self.kernels = kernels;
         self
     }
 
@@ -166,13 +179,13 @@ pub struct Issued {
     pub user: usize,
 }
 
-/// A deployed OKWS world a scenario runs against.
+/// A deployed OKWS world a scenario runs against: one kernel, or a
+/// federation whose kernel 0 hosts the front end.
 pub struct World {
-    /// The kernel under test.
-    pub kernel: Kernel,
-    /// The running deployment.
+    pub(crate) substrate: Substrate,
+    /// The running deployment (front-end handles live on the front kernel).
     pub okws: Okws,
-    /// The HTTP client.
+    /// The HTTP client, attached to the front kernel's netd lanes.
     pub client: OkwsClient,
     /// The scenario's config (owned so hooks can consult it).
     pub cfg: ScenarioConfig,
@@ -187,14 +200,37 @@ pub struct World {
 }
 
 impl World {
-    /// Builds the kernel and deploys OKWS per `cfg`.
+    /// Builds the kernel — or, at `cfg.kernels > 1`, the cluster — and
+    /// deploys OKWS per `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a federated config that is durable (a cluster cannot
+    /// reboot) or arms backpressure (`Okws::start` would arm overload
+    /// control on kernel 0 only, leaving the workers' kernels unbounded).
     pub fn deploy(cfg: ScenarioConfig, seed: u64) -> World {
         let dev = cfg.durable.then(MemDev::new);
-        let (kernel, okws) = Okws::deploy(seed, World::okws_config(&cfg, dev.as_ref(), true));
+        let config = World::okws_config(&cfg, dev.as_ref(), true);
+        let (substrate, okws) = if cfg.kernels == 1 {
+            let (kernel, okws) = Okws::deploy(seed, config);
+            (Substrate::Kernel(kernel), okws)
+        } else {
+            assert!(
+                !cfg.durable,
+                "federated worlds are volatile: a cluster has no reboot"
+            );
+            assert!(
+                !cfg.backpressure,
+                "federated worlds cannot arm backpressure: Okws::start would set it on kernel 0 only"
+            );
+            let mut cluster = Cluster::new(seed, cfg.kernels, cfg.shards);
+            let okws = deploy_okws(&mut cluster, config);
+            (Substrate::Cluster(cluster), okws)
+        };
         let client = OkwsClient::new(&okws);
-        let shards = cfg.shards;
+        let shards = cfg.kernels * cfg.shards;
         World {
-            kernel,
+            substrate,
             okws,
             client,
             cfg,
@@ -206,11 +242,18 @@ impl World {
         }
     }
 
-    pub(crate) fn okws_config(
-        cfg: &ScenarioConfig,
-        dev: Option<&MemDev>,
-        with_users: bool,
-    ) -> OkwsConfig {
+    /// The kernel hosting netd: the only kernel of a plain world, kernel
+    /// 0 of a federated one.
+    pub fn kernel(&self) -> &Kernel {
+        self.substrate.front()
+    }
+
+    /// [`World::kernel`], mutably (tuning knobs, probes).
+    pub fn kernel_mut(&mut self) -> &mut Kernel {
+        self.substrate.front_mut()
+    }
+
+    fn okws_config(cfg: &ScenarioConfig, dev: Option<&MemDev>, with_users: bool) -> OkwsConfig {
         let mut config = OkwsConfig::new(80).sharded(cfg.shards).lanes(cfg.lanes);
         if cfg.backpressure {
             config = config.with_backpressure();
@@ -256,8 +299,9 @@ impl World {
             .expect("reboot needs a durable world (ScenarioConfig::durable)");
         // Clean shutdown of the old boot (Okws::shutdown inlined — the
         // handle stays in place and is replaced below).
-        self.kernel.run();
-        self.kernel.teardown();
+        let old = self.substrate.front_mut();
+        old.run();
+        old.teardown();
 
         let epoch = Store::peek_epoch(&dev) + 1;
         let (kernel, okws) = Okws::reboot(
@@ -266,28 +310,28 @@ impl World {
         );
         self.client = OkwsClient::new(&okws);
         self.okws = okws;
-        self.kernel = kernel;
+        self.substrate = Substrate::Kernel(kernel);
         self.issued.clear();
     }
 
     /// Marks the start of the measured window: drains startup work,
     /// clears the request log, and snapshots the shard clocks.
     pub fn begin_measurement(&mut self) {
-        self.kernel.run();
-        self.client.driver.poll(&self.kernel);
+        self.substrate.run();
+        self.client.driver.poll(self.substrate.front());
         self.client.driver.reset_log();
         self.issued.clear();
-        self.base_cycles = self.kernel.elapsed_cycles();
-        self.base_shard_cycles = self.kernel.per_shard_elapsed_cycles();
+        self.base_cycles = self.substrate.elapsed_cycles();
+        self.base_shard_cycles = self.substrate.shard_cycles();
     }
 
-    /// Steps the kernel until the busiest shard's clock reaches `due`
-    /// cycles past the window start, or the kernel goes idle (virtual
-    /// time stops when there is no work — the schedule compresses; see
-    /// [`crate::arrival`]).
+    /// Steps the world until the busiest shard's clock reaches `due`
+    /// cycles past the window start, or everything — kernels and wire —
+    /// goes idle (virtual time stops when there is no work — the
+    /// schedule compresses; see [`crate::arrival`]).
     pub fn advance_to(&mut self, due: u64) {
         let target = self.base_cycles + due;
-        while self.kernel.elapsed_cycles() < target && self.kernel.step() {}
+        while self.substrate.elapsed_cycles() < target && self.substrate.step() {}
     }
 
     /// Issues a request as user rank `user` and records it under `seq`.
@@ -302,12 +346,12 @@ impl World {
         let pw = format!("p{user}");
         let idx = self
             .client
-            .request(&mut self.kernel, service, &uname, &pw, extra);
+            .request(self.substrate.front_mut(), service, &uname, &pw, extra);
         self.issued.push(Issued { seq, idx, user });
         idx
     }
 
-    /// Issues a request as user rank `user` and runs the kernel until it
+    /// Issues a request as user rank `user` and runs the world until it
     /// completes (setup/probe traffic — not recorded in the window log).
     pub fn request_sync(
         &mut self,
@@ -317,9 +361,25 @@ impl World {
     ) -> (u16, Vec<u8>) {
         let uname = format!("u{user}");
         let pw = format!("p{user}");
-        self.client
-            .request_sync(&mut self.kernel, service, &uname, &pw, extra)
+        self.request_sync_as(service, &uname, &pw, extra)
             .unwrap_or_else(|| panic!("sync request to {service} as {uname} got no response"))
+    }
+
+    /// [`World::request_sync`] with explicit credentials (wrong-password
+    /// probes); `None` if no well-formed response arrived.
+    pub(crate) fn request_sync_as(
+        &mut self,
+        service: &str,
+        uname: &str,
+        pw: &str,
+        extra: &[(&str, &str)],
+    ) -> Option<(u16, Vec<u8>)> {
+        let idx = self
+            .client
+            .request(self.substrate.front_mut(), service, uname, pw, extra);
+        self.substrate.run();
+        self.client.driver.poll(self.substrate.front());
+        self.client.parse_response(idx)
     }
 
     /// Kills `user`'s most recent in-flight request mid-stream. Returns
@@ -346,13 +406,13 @@ impl World {
     /// error. Aborted connections are reaped at the end.
     pub fn drain(&mut self) {
         for _ in 0..128 {
-            self.kernel.run();
+            self.substrate.run();
             self.poll_lanes();
             let settled = self.client.driver.completed() + self.client.driver.aborted();
             if settled == self.client.driver.requests().len() {
                 break;
             }
-            if self.client.driver.retry_shed(&mut self.kernel) == 0 {
+            if self.client.driver.retry_shed(self.substrate.front_mut()) == 0 {
                 break;
             }
         }
@@ -364,7 +424,7 @@ impl World {
     /// per-lane structure visible to scenarios that care).
     pub fn poll_lanes(&mut self) {
         for lane in 0..self.client.driver.lanes() {
-            self.client.driver.poll_lane(&self.kernel, lane);
+            self.client.driver.poll_lane(self.substrate.front(), lane);
         }
     }
 
@@ -378,7 +438,7 @@ impl World {
         let (mut deferred, mut shed) = (0u64, 0u64);
         for lane in &self.okws.netd.lanes {
             let netd = self
-                .kernel
+                .kernel()
                 .service_as::<Netd>(lane.pid)
                 .expect("netd lane is downcastable");
             deferred += netd.accepts_deferred();
@@ -389,19 +449,23 @@ impl World {
 
     /// Every handle idd holds at `⋆` this boot (§5.1 disjointness probe).
     pub fn idd_star_handles(&self) -> Vec<u64> {
-        Okws::idd_star_handles(&self.kernel)
+        Okws::idd_star_handles(self.kernel())
     }
 
-    /// Builds the report for the measured window.
+    /// Builds the report for the measured window. `shards` is the
+    /// per-kernel count; the per-shard series spans every kernel, so
+    /// `shard_imbalance` is deployment-wide. The wire counters run from
+    /// deploy, not from the window start.
     pub fn report(&self, scenario: &str) -> ScenarioReport {
         let driver = &self.client.driver;
-        let shard_now = self.kernel.per_shard_elapsed_cycles();
+        let shard_now = self.substrate.shard_cycles();
         let shard_cycles: Vec<u64> = shard_now
             .iter()
             .zip(&self.base_shard_cycles)
             .map(|(now, base)| now.saturating_sub(*base))
             .collect();
-        ScenarioReport::from_window(
+        let (wire_frames, wire_bytes, forwarded) = self.substrate.wire();
+        let window = ScenarioReport::from_window(
             scenario,
             self.cfg.shards,
             self.cfg.lanes,
@@ -411,16 +475,19 @@ impl World {
             driver.aborted(),
             driver.outstanding(),
             driver.total_retries(),
-            self.kernel.elapsed_cycles() - self.base_cycles,
+            self.substrate.elapsed_cycles() - self.base_cycles,
             &driver.latencies_us(),
             &driver.retried_latencies_us(),
             &shard_cycles,
-            self.kernel
-                .per_shard_queue_depth_hwm()
-                .into_iter()
-                .max()
-                .unwrap_or(0),
-        )
+            self.substrate.queue_depth_hwm(),
+        );
+        ScenarioReport {
+            kernels: self.cfg.kernels,
+            wire_frames,
+            wire_bytes,
+            forwarded,
+            ..window
+        }
     }
 
     /// Asserts every non-aborted window request completed with HTTP 200.
@@ -477,7 +544,7 @@ pub trait Scenario {
 /// How often the engine interleaves completion polling and shed retries
 /// with arrivals (every N arrivals — keeps per-arrival overhead low while
 /// bounding how long a shed connection waits for its retry).
-pub(crate) const POLL_EVERY: usize = 16;
+const POLL_EVERY: usize = 16;
 
 /// Deploys, drives, drains, reports: the whole scenario lifecycle.
 pub fn run_scenario(scenario: &mut dyn Scenario, seed: u64) -> ScenarioReport {
@@ -511,7 +578,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, seed: u64) -> ScenarioReport {
         }
         if seq % POLL_EVERY == POLL_EVERY - 1 {
             world.poll_lanes();
-            world.client.driver.retry_shed(&mut world.kernel);
+            world.client.driver.retry_shed(world.substrate.front_mut());
         }
     }
 

@@ -26,6 +26,8 @@ pub struct Baseline {
     pub users: usize,
     /// Arrivals in the window.
     pub requests: usize,
+    /// Member kernels (1 = un-federated).
+    pub kernels: usize,
     /// Kernel shards.
     pub shards: usize,
     /// netd lanes.
@@ -38,7 +40,9 @@ impl Scenario for Baseline {
     }
 
     fn config(&self) -> ScenarioConfig {
-        ScenarioConfig::new(self.users, self.requests).deployment(self.shards, self.lanes)
+        ScenarioConfig::new(self.users, self.requests)
+            .deployment(self.shards, self.lanes)
+            .federated(self.kernels)
     }
 
     fn op(&mut self, seq: usize, _rng: &mut StdRng) -> Op {
@@ -147,6 +151,8 @@ impl Scenario for ZipfChurn {
 /// - round-1 echoes are empty (no session survived the reboot);
 /// - every round-2 echo is that user's round-1 write — per-user FIFO
 ///   through login, session fork, and both storm rounds.
+///
+/// Single-kernel: the world is durable, and a cluster cannot reboot.
 pub struct LoginStorm {
     /// User population (all of it re-authenticates).
     pub users: usize,
@@ -196,8 +202,7 @@ impl Scenario for LoginStorm {
         // Recovered credentials still gate: probe *before* any real
         // login, since a cached session would skip re-authentication.
         let (status, _) = world
-            .client
-            .request_sync(&mut world.kernel, "store", "u0", "wrong-password", &[])
+            .request_sync_as("store", "u0", "wrong-password", &[])
             .expect("probe responds");
         assert_eq!(
             status, 403,
@@ -275,6 +280,9 @@ impl Scenario for LoginStorm {
 /// threshold 2, backpressure armed). The victim's requests must all be
 /// answered 200; the edge must visibly defer or shed; and the retried
 /// latency series — not the fresh one — absorbs the refusal round-trips.
+///
+/// Single-kernel: backpressure and the shed threshold are per-kernel
+/// settings, and a federated deployment would arm them on kernel 0 only.
 pub struct SustainedFlood {
     /// Arrivals in the window.
     pub requests: usize,
@@ -299,7 +307,7 @@ impl Scenario for SustainedFlood {
     }
 
     fn setup(&mut self, world: &mut World) {
-        world.kernel.set_shed_threshold(2);
+        world.kernel_mut().set_shed_threshold(2);
     }
 
     fn op(&mut self, seq: usize, _rng: &mut StdRng) -> Op {
@@ -315,7 +323,7 @@ impl Scenario for SustainedFlood {
     fn quiesce(&mut self, world: &mut World) {
         // Flood over: relax the edge so everything outstanding can drain
         // (shed requests are retried by the engine's drain loop).
-        world.kernel.set_shed_threshold(usize::MAX);
+        world.kernel_mut().set_shed_threshold(usize::MAX);
     }
 
     fn check(&mut self, world: &mut World, report: &ScenarioReport) {
@@ -340,7 +348,7 @@ impl Scenario for SustainedFlood {
                 );
             }
         }
-        assert_eq!(world.kernel.queue_len(), 0, "recovery left work parked");
+        assert_eq!(world.kernel().queue_len(), 0, "recovery left work parked");
         // Steady state: a fresh probe is served first try.
         let (status, _) = world.request_sync("store", 0, &[("data", "post")]);
         assert_eq!(status, 200);
@@ -356,6 +364,9 @@ impl Scenario for SustainedFlood {
 /// 2-deep port queue (the demux notify port overflows and *drops*, by
 /// design), and recovery once the bound is lifted. Survival is the
 /// assertion: no deadlock, drops accounted, ordinary service afterwards.
+///
+/// Single-kernel: the port-queue clamp, the drop counter and the
+/// `queue_len() == 0` checks all read one kernel.
 pub struct LaneOverflowChurn {
     /// User population.
     pub users: usize,
@@ -398,8 +409,8 @@ impl Scenario for LaneOverflowChurn {
             // Let the disconnect phase settle, then clamp the per-port
             // bound so the burst overflows the demux's notify port.
             world.drain();
-            self.drops_before_clamp = world.kernel.stats().dropped_port_queue_full;
-            world.kernel.set_port_queue_limit(2);
+            self.drops_before_clamp = world.kernel().stats().dropped_port_queue_full;
+            world.kernel_mut().set_port_queue_limit(2);
             // The burst must land back-to-back — pacing through the
             // open-loop schedule would let the kernel drain the 2-deep
             // queue between arrivals and nothing would ever overflow. So
@@ -417,9 +428,9 @@ impl Scenario for LaneOverflowChurn {
         } else if seq == self.phase_len * 3 {
             // Let the burst overflow (drops, not deadlock), then lift
             // the bound for the recovery phase.
-            world.kernel.run();
+            world.kernel_mut().run();
             world.poll_lanes();
-            let drops = world.kernel.stats().dropped_port_queue_full - self.drops_before_clamp;
+            let drops = world.kernel().stats().dropped_port_queue_full - self.drops_before_clamp;
             // On one shard the scheduler interleaves strictly — demux
             // consumes each NewConn before netd posts the next, so a
             // 2-deep mailbox never fills. Only the cross-shard route
@@ -433,11 +444,13 @@ impl Scenario for LaneOverflowChurn {
                 );
             }
             assert_eq!(
-                world.kernel.queue_len(),
+                world.kernel().queue_len(),
                 0,
                 "overflow left the kernel wedged"
             );
-            world.kernel.set_port_queue_limit(DEFAULT_PORT_QUEUE_LIMIT);
+            world
+                .kernel_mut()
+                .set_port_queue_limit(DEFAULT_PORT_QUEUE_LIMIT);
         }
     }
 
@@ -472,7 +485,7 @@ impl Scenario for LaneOverflowChurn {
                 "RSS demux used one lane for every connection: {spread:?}"
             );
         }
-        assert_eq!(world.kernel.queue_len(), 0, "run left work queued");
+        assert_eq!(world.kernel().queue_len(), 0, "run left work queued");
         // Every recovery-phase request was served despite the carnage.
         for issued in world.issued.clone() {
             if issued.seq >= self.phase_len * 3 {

@@ -17,7 +17,7 @@ const BATCH: usize = 8;
 fn replay(shards: usize) -> (Vec<Vec<u8>>, String, Vec<u64>) {
     let cfg = ScenarioConfig::new(USERS, REQUESTS).deployment(shards, 4);
     let mut world = World::deploy(cfg, 0x5EED);
-    world.kernel.run();
+    world.kernel_mut().run();
     for i in 0..REQUESTS {
         let data = format!("d{i}");
         // Two writes to one read; every user is hit several times.
@@ -35,8 +35,8 @@ fn replay(shards: usize) -> (Vec<Vec<u8>>, String, Vec<u64>) {
         .collect();
     (
         responses,
-        format!("{:?}", world.kernel.stats()),
-        world.kernel.per_shard_elapsed_cycles(),
+        format!("{:?}", world.kernel().stats()),
+        world.kernel().per_shard_elapsed_cycles(),
     )
 }
 
