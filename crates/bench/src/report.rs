@@ -144,7 +144,7 @@ fn committed_field(json: &str, row: &str, key: &str) -> Option<f64> {
 /// deliberate retunes riding along with a PR.
 pub const GATE_SLACK: f64 = 1.25;
 
-/// The always-on regression gate of the `loadgen` and `cluster` benches:
+/// The always-on regression gate of the `loadgen` bench:
 /// records the fresh `p99_us` / `goodput_rps` of `row` as summaries and
 /// checks them against the committed `BENCH_<suffix>.json` (skipped on a
 /// first run, when nothing is committed).
@@ -187,6 +187,19 @@ pub fn gate_against_committed(
         goodput_rps >= committed_goodput / GATE_SLACK,
         "{row} goodput regressed: {goodput_rps:.0} rps vs committed {committed_goodput:.0} rps {refresh}"
     );
+}
+
+/// The `cluster` bench's gate: each `(key, value)` of `row` equals the
+/// committed `BENCH_<suffix>.json` exactly, for counts that are a function
+/// of the seed (skipped on a first run, when nothing is committed).
+pub fn pin_against_committed(suffix: &str, row: &str, fields: &[(&str, f64)]) {
+    let Some(json) = read_committed(suffix) else {
+        return;
+    };
+    for &(key, value) in fields {
+        let why = format!("{row} {key} moved: if on purpose, delete BENCH_{suffix}.json and rerun");
+        assert_eq!(committed_field(&json, row, key), Some(value), "{why}");
+    }
 }
 
 #[cfg(test)]

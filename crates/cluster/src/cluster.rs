@@ -22,7 +22,7 @@ use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 
-use asbestos_kernel::{knobs, Category, CostModel, Kernel, Stats};
+use asbestos_kernel::{Category, CostModel, Kernel, Stats};
 use asbestos_okws::{Okws, OkwsConfig};
 
 use crate::conn::{ConnStats, FrameConn};
@@ -221,13 +221,17 @@ pub fn deploy_okws(cluster: &mut Cluster, mut config: OkwsConfig) -> Okws {
     okws
 }
 
-/// Creates one kernel↔switch socket pair. With `ASBESTOS_CLUSTER_SOCKET`
+/// Directory for the federation's path-bound Unix sockets — a deployment
+/// path, and the one environment variable library code reads.
+const CLUSTER_SOCKET_ENV: &str = "ASBESTOS_CLUSTER_SOCKET";
+
+/// Creates one kernel↔switch socket pair. With [`CLUSTER_SOCKET_ENV`]
 /// set to a directory, the pair is a real path-bound `UnixListener`
 /// accept/connect (two OS sockets with filesystem names); otherwise an
 /// anonymous `UnixStream::pair`. The wire traffic is identical.
 fn socket_pair(kernel: usize) -> io::Result<(UnixStream, UnixStream)> {
-    match knobs::raw(knobs::CLUSTER_SOCKET_ENV) {
-        Some(dir) if !dir.trim().is_empty() => {
+    match std::env::var(CLUSTER_SOCKET_ENV) {
+        Ok(dir) if !dir.trim().is_empty() => {
             let path = Path::new(dir.trim()).join(format!(
                 "asbestos-switch-{}-{kernel}.sock",
                 std::process::id()

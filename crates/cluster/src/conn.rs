@@ -40,8 +40,6 @@ pub struct FrameConn {
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written to the socket.
     flushed: usize,
-    /// Peer performed an orderly close (EOF observed).
-    closed: bool,
     stats: ConnStats,
 }
 
@@ -54,7 +52,6 @@ impl FrameConn {
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             flushed: 0,
-            closed: false,
             stats: ConnStats::default(),
         })
     }
@@ -113,10 +110,8 @@ impl FrameConn {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.closed = true;
-                    return Ok(());
-                }
+                // EOF: the peer closed its end; nothing more will come.
+                Ok(0) => return Ok(()),
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&chunk[..n]);
                     self.stats.bytes_in += n as u64;
@@ -157,11 +152,6 @@ impl FrameConn {
     pub(crate) fn send_frame(&mut self, frame: &[u8]) {
         self.outbuf.extend_from_slice(frame);
         self.stats.frames_out += 1;
-    }
-
-    /// Whether the peer has closed its end.
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 
     /// Whether buffered output is still waiting for the socket.

@@ -149,11 +149,7 @@ impl Gateway {
                         v,
                     });
                 }
-                WireMsg::Hello { .. }
-                | WireMsg::Register { .. }
-                | WireMsg::Unregister { .. }
-                | WireMsg::Resolve { .. }
-                | WireMsg::Bye => {}
+                WireMsg::Hello { .. } | WireMsg::Register { .. } | WireMsg::Unregister { .. } => {}
             }
         }
         Ok(handled)

@@ -16,8 +16,8 @@
 //!   the received frame.
 //! * [`conn`] — [`FrameConn`](conn::FrameConn), a nonblocking framed
 //!   `UnixStream` (partial reads/writes are normal, nothing blocks).
-//! * [`switch`] — the hub: a port directory (`Register`/`Resolve`/
-//!   push-based `ResolveR`) plus a `Forward` relay. It routes by port
+//! * [`switch`] — the hub: a port directory (`Register`/`Unregister`,
+//!   pushed to every other kernel as `ResolveR`) plus a `Forward` relay. It routes by port
 //!   handle only: a `Forward` is checksummed once, validated field by
 //!   field without building a label, and relayed as the very bytes it
 //!   arrived as. A malformed frame kills the *sender's* connection.

@@ -17,7 +17,7 @@
 //! CRC included, from the sender's inbound buffer to the owner's outbound
 //! buffer. It never holds a decoded `Forward`, never re-encodes one and
 //! never re-checksums one. Every other message (`Hello`, `Register`,
-//! `Unregister`, `Resolve`, `EnvSet`, `Bye`) is decoded and handled.
+//! `Unregister`, `EnvSet`) is decoded and handled.
 //!
 //! **Who pays for a bad frame.** The switch rejects exactly what
 //! [`decode_frame`](crate::wire::decode_frame) rejects: a frame that fails
@@ -67,11 +67,6 @@ impl Switch {
     /// Which kernel owns `port`, per the directory.
     pub fn owner_of(&self, port: Handle) -> Option<u16> {
         self.directory.get(&port).copied()
-    }
-
-    /// Number of directory entries.
-    pub fn directory_len(&self) -> usize {
-        self.directory.len()
     }
 
     /// Drains every connection, handles/relays its frames in arrival
@@ -153,16 +148,12 @@ impl Switch {
                 self.directory.remove(&port);
                 self.broadcast_except(from, &WireMsg::ResolveR { port, kernel: None });
             }
-            WireMsg::Resolve { port } => {
-                let kernel = self.owner_of(port);
-                self.conns[from as usize].send(&WireMsg::ResolveR { port, kernel });
-            }
             WireMsg::EnvSet { key, value } => {
                 // Environment writes replicate everywhere (§4 bootstrap
                 // namespace is cluster-global).
                 self.broadcast_except(from, &WireMsg::EnvSet { key, value });
             }
-            // `Hello` and `Bye` need no answer; gateways never send
+            // `Hello` needs no answer; gateways never send
             // `ResolveR` (it is the switch's answer), so one arriving is
             // harmless noise; a `Forward` never gets here decoded —
             // `next_frame` relays it.

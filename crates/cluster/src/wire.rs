@@ -54,7 +54,7 @@ use std::sync::Arc;
 use asbestos_kernel::{Payload, Value};
 use asbestos_labels::chunk::entry_handle;
 use asbestos_labels::{Handle, Label, Level};
-use asbestos_store::crc32;
+use asbestos_store::{codec, crc32};
 
 /// Frame magic: "ASbestos Wire Message".
 pub const MAGIC: [u8; 4] = *b"ASWM";
@@ -106,8 +106,9 @@ pub enum WireError {
     /// A field is well-formed but not as the encoder writes it, so two
     /// byte strings would decode to one message: a label run that is not
     /// strictly ascending by handle (out of order, or a handle repeated)
-    /// or carries an entry at the label's default level, or a boolean
-    /// byte other than 0 or 1. Rejected, never repaired.
+    /// or carries an entry at the label's default level, a label default
+    /// byte with bits set above its three level bits, or a boolean byte
+    /// other than 0 or 1. Rejected, never repaired.
     NonCanonical,
     /// `Value::List` nesting deeper than the decoder's recursion bound.
     TooDeep,
@@ -135,6 +136,16 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<codec::CodecError> for WireError {
+    fn from(e: codec::CodecError) -> WireError {
+        match e {
+            codec::CodecError::Truncated => WireError::Truncated,
+            codec::CodecError::BadText => WireError::BadText,
+            codec::CodecError::TrailingBytes => WireError::TrailingBytes,
+        }
+    }
+}
+
 /// Wire corruption on a socket is `InvalidData`: framing errors are not
 /// recoverable mid-stream, so the connection that carried them dies.
 impl From<WireError> for std::io::Error {
@@ -145,10 +156,9 @@ impl From<WireError> for std::io::Error {
 
 /// A federation message.
 ///
-/// `Hello`/`Bye` bracket a connection; `Register`/`Unregister`/`Resolve`/
-/// `ResolveR` are the port directory protocol (the switch answers
-/// `Resolve` and pushes `ResolveR` on every `Register`, so gateways
-/// normally never need to ask); `EnvSet` replicates the global
+/// `Hello` opens a connection; `Register`/`Unregister`/`ResolveR` are the
+/// port directory protocol (the switch pushes `ResolveR` on every
+/// `Register`, so gateways never need to ask); `EnvSet` replicates the global
 /// environment (§4's bootstrap namespace) across kernels; `Forward`
 /// carries one cross-kernel message — the sender's effective send label
 /// `E_S` and the `SEND` arguments, exactly what the destination kernel
@@ -161,8 +171,6 @@ pub enum WireMsg {
     Register { port: Handle },
     /// The port is gone (its owner died or revoked it).
     Unregister { port: Handle },
-    /// Where does this port live? (Pull path; push via `ResolveR` is the norm.)
-    Resolve { port: Handle },
     /// Directory answer/update: `kernel` owns `port` (`None`: nobody does).
     ResolveR { port: Handle, kernel: Option<u16> },
     /// Replicate one global-environment binding.
@@ -181,18 +189,16 @@ pub enum WireMsg {
         v: Label,
         body: Value,
     },
-    /// Orderly goodbye.
-    Bye,
 }
 
 const TAG_HELLO: u8 = 0;
 const TAG_REGISTER: u8 = 1;
 const TAG_UNREGISTER: u8 = 2;
-const TAG_RESOLVE: u8 = 3;
+// Tags 3 and 7 are retired (a `Resolve` and a `Bye` that nothing sent):
+// they decode as `BadTag`, and a new message must not reuse them.
 const TAG_RESOLVE_R: u8 = 4;
 const TAG_ENV_SET: u8 = 5;
 const TAG_FORWARD: u8 = 6;
-const TAG_BYE: u8 = 7;
 
 const VTAG_UNIT: u8 = 0;
 const VTAG_BOOL: u8 = 1;
@@ -234,10 +240,6 @@ fn encode_body(msg: &WireMsg, out: &mut Vec<u8>) {
             out.push(TAG_UNREGISTER);
             out.extend_from_slice(&port.raw().to_le_bytes());
         }
-        WireMsg::Resolve { port } => {
-            out.push(TAG_RESOLVE);
-            out.extend_from_slice(&port.raw().to_le_bytes());
-        }
         WireMsg::ResolveR { port, kernel } => {
             out.push(TAG_RESOLVE_R);
             out.extend_from_slice(&port.raw().to_le_bytes());
@@ -270,7 +272,6 @@ fn encode_body(msg: &WireMsg, out: &mut Vec<u8>) {
             encode_label(v, out);
             encode_value(body, out);
         }
-        WireMsg::Bye => out.push(TAG_BYE),
     }
 }
 
@@ -380,24 +381,23 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(WireMsg, usize)>, WireError> {
 /// Decodes the body of a frame [`check_frame`] accepted.
 pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
     let mut r = Reader::new(body);
-    let tag = r.u8()?;
+    let tag = r.bytes.u8()?;
     let msg = match tag {
         TAG_HELLO => WireMsg::Hello {
-            kernel: r.u16()?,
-            kernels: r.u16()?,
+            kernel: r.bytes.u16()?,
+            kernels: r.bytes.u16()?,
         },
         TAG_REGISTER => WireMsg::Register { port: r.handle()? },
         TAG_UNREGISTER => WireMsg::Unregister { port: r.handle()? },
-        TAG_RESOLVE => WireMsg::Resolve { port: r.handle()? },
         TAG_RESOLVE_R => WireMsg::ResolveR {
             port: r.handle()?,
             kernel: match r.bool()? {
-                true => Some(r.u16()?),
+                true => Some(r.bytes.u16()?),
                 false => None,
             },
         },
         TAG_ENV_SET => WireMsg::EnvSet {
-            key: r.str()?.to_owned(),
+            key: r.bytes.str()?.to_owned(),
             value: r.value(0)?,
         },
         TAG_FORWARD => WireMsg::Forward {
@@ -408,10 +408,9 @@ pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
             v: r.label()?,
             body: r.value(0)?,
         },
-        TAG_BYE => WireMsg::Bye,
         t => return Err(WireError::BadTag(t)),
     };
-    r.finish()?;
+    r.bytes.finish()?;
     Ok(msg)
 }
 
@@ -425,7 +424,7 @@ pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
 /// of a `Forward`-tagged body is `Err(e)` (`tests/wire_proptests.rs`).
 pub fn forward_port(body: &[u8]) -> Result<Option<Handle>, WireError> {
     let mut r = Reader::new(body);
-    if r.u8()? != TAG_FORWARD {
+    if r.bytes.u8()? != TAG_FORWARD {
         return Ok(None);
     }
     let port = r.handle()?;
@@ -433,66 +432,35 @@ pub fn forward_port(body: &[u8]) -> Result<Option<Handle>, WireError> {
         r.label_run()?;
     }
     r.skip_value(0)?;
-    r.finish()?;
+    r.bytes.finish()?;
     Ok(Some(port))
 }
 
-/// A cursor over one frame body. Every accept/reject decision of the
-/// codec is one of its methods; [`decode_body`] and [`forward_port`]
-/// differ only in whether they build what the checked bytes describe.
+/// A cursor over one frame body: the store's bounded [`codec::Reader`]
+/// plus the wire's own fields. Every accept/reject decision of the codec
+/// is one of their methods; [`decode_body`] and [`forward_port`] differ
+/// only in whether they build what the checked bytes describe.
 struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+    bytes: codec::Reader<'a>,
+    body: &'a [u8],
     /// The body, pinned for `Value::Bytes` views; made on first use, so a
     /// walk that builds nothing never copies it.
     pin: Option<Arc<[u8]>>,
 }
 
 impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Reader<'a> {
+    fn new(body: &'a [u8]) -> Reader<'a> {
         Reader {
-            data,
-            pos: 0,
+            bytes: codec::Reader::new(body),
+            body,
             pin: None,
         }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.data.len() - self.pos < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos != self.data.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// The encoder writes 0 or 1; any other byte would decode to a
     /// message that re-encodes differently.
     fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
+        match self.bytes.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::NonCanonical),
@@ -500,28 +468,23 @@ impl<'a> Reader<'a> {
     }
 
     fn handle(&mut self) -> Result<Handle, WireError> {
-        Handle::new(self.u64()?).ok_or(WireError::BadHandle)
-    }
-
-    /// A `u32` length and that many bytes.
-    fn blob(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn str(&mut self) -> Result<&'a str, WireError> {
-        std::str::from_utf8(self.blob()?).map_err(|_| WireError::BadText)
+        Handle::new(self.bytes.u64()?).ok_or(WireError::BadHandle)
     }
 
     /// Checks one label's packed run in place — valid level bits, handles
     /// strictly ascending, no entry at the default — and hands back the
     /// default and the run's bytes.
     fn label_run(&mut self) -> Result<(Level, &'a [u8]), WireError> {
-        let default = Level::from_bits(self.u8()? as u64).ok_or(WireError::BadLevel)?;
-        // Eight bytes an entry: `take` rejects a count the body cannot
-        // hold before anything is allocated for it.
-        let count = self.u32()? as usize;
-        let run = self.take(count.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        let bits = self.bytes.u8()?;
+        let default = Level::from_bits(bits.into()).ok_or(WireError::BadLevel)?;
+        // `from_bits` reads the low three bits; the byte is only those.
+        if default.to_bits() != u64::from(bits) {
+            return Err(WireError::NonCanonical);
+        }
+        // Eight bytes an entry: a count the body cannot hold is refused
+        // before anything is allocated for it.
+        let count = self.bytes.count(8)?;
+        let run = self.bytes.take(count * 8)?;
         let mut prev = None;
         for packed in packed_words(run) {
             let level = Level::from_bits(packed & 0x7).ok_or(WireError::BadLevel)?;
@@ -544,39 +507,31 @@ impl<'a> Reader<'a> {
         if depth > MAX_VALUE_DEPTH {
             return Err(WireError::TooDeep);
         }
-        self.u8()
-    }
-
-    /// A list's element count. Every element takes at least its tag byte,
-    /// so a count the remaining bytes cannot hold is refused here; what
-    /// the count *claims* still reserves nothing (see `value`).
-    fn list_count(&mut self) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        if self.data.len() - self.pos < count {
-            return Err(WireError::Truncated);
-        }
-        Ok(count)
+        Ok(self.bytes.u8()?)
     }
 
     fn value(&mut self, depth: u32) -> Result<Value, WireError> {
         Ok(match self.value_tag(depth)? {
             VTAG_UNIT => Value::Unit,
             VTAG_BOOL => Value::Bool(self.bool()?),
-            VTAG_U64 => Value::U64(self.u64()?),
+            VTAG_U64 => Value::U64(self.bytes.u64()?),
             VTAG_BYTES => {
-                let len = self.blob()?.len();
+                let len = self.bytes.blob()?.len();
+                let end = self.bytes.pos();
                 // Zero-copy ingest: a slice view of the pinned frame body.
-                let pin = self.pin.get_or_insert_with(|| Arc::from(self.data));
-                Value::Bytes(Payload::from_arc(Arc::clone(pin)).slice(self.pos - len..self.pos))
+                let pin = self.pin.get_or_insert_with(|| Arc::from(self.body));
+                Value::Bytes(Payload::from_arc(Arc::clone(pin)).slice(end - len..end))
             }
-            VTAG_STR => Value::Str(self.str()?.to_owned()),
+            VTAG_STR => Value::Str(self.bytes.str()?.to_owned()),
             VTAG_HANDLE => Value::Handle(self.handle()?),
             VTAG_LIST => {
-                // Grown as elements decode: a CRC is not a MAC, and a
+                // Every element takes at least its tag byte, so a count
+                // the bytes left cannot hold is refused; the `Vec` still
+                // grows as elements decode: a CRC is not a MAC, and a
                 // claimed count must not reserve 40 bytes per 1-byte
                 // element before the first one is read.
                 let mut items = Vec::new();
-                for _ in 0..self.list_count()? {
+                for _ in 0..self.bytes.count(1)? {
                     items.push(self.value(depth + 1)?);
                 }
                 Value::List(items)
@@ -593,19 +548,19 @@ impl<'a> Reader<'a> {
                 self.bool()?;
             }
             VTAG_U64 => {
-                self.u64()?;
+                self.bytes.u64()?;
             }
             VTAG_BYTES => {
-                self.blob()?;
+                self.bytes.blob()?;
             }
             VTAG_STR => {
-                self.str()?;
+                self.bytes.str()?;
             }
             VTAG_HANDLE => {
                 self.handle()?;
             }
             VTAG_LIST => {
-                for _ in 0..self.list_count()? {
+                for _ in 0..self.bytes.count(1)? {
                     self.skip_value(depth + 1)?;
                 }
             }
@@ -713,9 +668,6 @@ mod tests {
             WireMsg::Unregister {
                 port: Handle::from_raw(HANDLE_SPACE - 1),
             },
-            WireMsg::Resolve {
-                port: Handle::from_raw(42),
-            },
             WireMsg::ResolveR {
                 port: Handle::from_raw(42),
                 kernel: Some(3),
@@ -743,7 +695,6 @@ mod tests {
                     Value::Handle(Handle::from_raw(1)),
                 ]),
             },
-            WireMsg::Bye,
         ];
         for msg in &msgs {
             assert_eq!(&roundtrip(msg), msg);
@@ -899,6 +850,15 @@ mod tests {
                 "default level bits {bits}"
             );
         }
+    }
+
+    /// Found by `crc_valid_mutations`: a default byte of 0x6A has L1's low
+    /// three bits, and used to decode as L1 and re-encode as 0x02.
+    #[test]
+    fn a_label_default_byte_is_only_its_level_bits() {
+        let mut body = forward_with_es_run(&[]);
+        body[9] = 0x68 | Level::L1.to_bits() as u8;
+        assert_eq!(decode_checked_by_both(&body), Err(WireError::NonCanonical));
     }
 
     #[test]

@@ -57,7 +57,6 @@ fn arb_msg() -> impl Strategy<Value = WireMsg> {
             .prop_map(|(kernel, kernels)| WireMsg::Hello { kernel, kernels }),
         arb_handle().prop_map(|port| WireMsg::Register { port }),
         arb_handle().prop_map(|port| WireMsg::Unregister { port }),
-        arb_handle().prop_map(|port| WireMsg::Resolve { port }),
         (arb_handle(), any::<bool>(), any::<u16>()).prop_map(|(port, some, k)| {
             WireMsg::ResolveR {
                 port,
@@ -81,7 +80,6 @@ fn arb_msg() -> impl Strategy<Value = WireMsg> {
                 v,
                 body,
             }),
-        Just(WireMsg::Bye),
     ]
 }
 

@@ -141,11 +141,6 @@ impl Stmt {
         }
     }
 
-    /// Whether the statement modifies data or schema.
-    pub fn is_write(&self) -> bool {
-        !matches!(self, Stmt::Select { .. })
-    }
-
     /// Every column name the statement mentions (used by ok-dbproxy to
     /// reject worker queries that touch the hidden `user_id` column, §7.5).
     pub fn mentioned_columns(&self) -> Vec<&str> {

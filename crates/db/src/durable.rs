@@ -27,13 +27,14 @@
 //! *how state changes become durable*, plus the worker-statement rewrite
 //! (shared verbatim between live execution and replay).
 
+use asbestos_store::codec::Reader;
 use asbestos_store::{BlockDev, Store};
 
 use crate::ast::{CmpOp, Comparison, Expr, Stmt};
 use crate::engine::{Database, DbError, QueryResult};
 use crate::parser::{parse, parse_script};
 use crate::proxy::USER_ID_COLUMN;
-use crate::snapshot::{put_cell, put_str, put_u32, Reader};
+use crate::snapshot::{put_row, put_str, read_row};
 use crate::value::SqlValue;
 
 /// One redo record: enough to re-execute a committed statement through
@@ -77,13 +78,13 @@ impl DbRecord {
             DbRecord::Admin { sql, params } => {
                 out.push(2);
                 put_str(&mut out, sql);
-                put_params(&mut out, params);
+                put_row(&mut out, params);
             }
             DbRecord::Worker { uid, sql, params } => {
                 out.push(3);
                 out.extend_from_slice(&uid.to_le_bytes());
                 put_str(&mut out, sql);
-                put_params(&mut out, params);
+                put_row(&mut out, params);
             }
         }
         out
@@ -92,44 +93,25 @@ impl DbRecord {
     /// Deserializes a record; `None` on anything malformed (the WAL CRC
     /// already rules out torn bytes, so `None` means format skew).
     pub fn from_bytes(bytes: &[u8]) -> Option<DbRecord> {
-        let mut r = Reader { bytes, pos: 0 };
-        let tag = r.take(1).ok()?[0];
-        let record = match tag {
+        let mut r = Reader::new(bytes);
+        let record = match r.u8().ok()? {
             1 => DbRecord::Ddl {
-                sql: r.string().ok()?,
+                sql: r.str().ok()?.to_owned(),
             },
             2 => DbRecord::Admin {
-                sql: r.string().ok()?,
-                params: take_params(&mut r)?,
+                sql: r.str().ok()?.to_owned(),
+                params: read_row(&mut r).ok()?,
             },
-            3 => {
-                let uid = i64::from_le_bytes(r.take(8).ok()?.try_into().ok()?);
-                DbRecord::Worker {
-                    uid,
-                    sql: r.string().ok()?,
-                    params: take_params(&mut r)?,
-                }
-            }
+            3 => DbRecord::Worker {
+                uid: r.u64().ok()? as i64,
+                sql: r.str().ok()?.to_owned(),
+                params: read_row(&mut r).ok()?,
+            },
             _ => return None,
         };
-        (r.pos == bytes.len()).then_some(record)
+        r.finish().ok()?;
+        Some(record)
     }
-}
-
-fn put_params(out: &mut Vec<u8>, params: &[SqlValue]) {
-    put_u32(out, params.len() as u32);
-    for p in params {
-        put_cell(out, p);
-    }
-}
-
-fn take_params(r: &mut Reader<'_>) -> Option<Vec<SqlValue>> {
-    let n = r.u32().ok()? as usize;
-    let mut params = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        params.push(r.cell().ok()?);
-    }
-    Some(params)
 }
 
 /// Applies trusted DDL — a schema script of `;`-separated `CREATE TABLE`
@@ -289,12 +271,6 @@ pub struct DbRecovery {
     pub boot_epoch: u64,
 }
 
-/// Parses an `ASBESTOS_DB_GROUP_COMMIT`-style value: a number >= 1 is
-/// the batch, anything else means 1 — sync per mutation.
-fn group_commit_from(value: Option<&str>) -> usize {
-    asbestos_kernel::knobs::parse_positive(value).unwrap_or(1)
-}
-
 /// A [`Database`] whose mutations are write-ahead logged.
 ///
 /// In *volatile* mode (no store) it is a plain in-memory database with
@@ -302,9 +278,9 @@ fn group_commit_from(value: Option<&str>) -> usize {
 pub struct DurableDb {
     db: Database,
     store: Option<Store>,
-    /// Group-commit batch: records per sync. 1 unless
-    /// `ASBESTOS_DB_GROUP_COMMIT` or [`DurableDb::set_group_commit`]
-    /// says otherwise — a larger batch acknowledges before it syncs.
+    /// Group-commit batch: records per sync. 1 — sync per mutation —
+    /// unless [`DurableDb::set_group_commit`] says otherwise; a larger
+    /// batch acknowledges before it syncs.
     group_commit: usize,
     recovery: DbRecovery,
 }
@@ -315,8 +291,7 @@ impl DurableDb {
         DurableDb::from_database(Database::new())
     }
 
-    /// Volatile mode over an existing database (legacy snapshot-restore
-    /// reboot path).
+    /// Volatile mode over an existing database.
     pub fn from_database(db: Database) -> DurableDb {
         DurableDb {
             db,
@@ -328,9 +303,8 @@ impl DurableDb {
 
     /// Opens (and recovers) a durable database over `dev`: newest intact
     /// snapshot, then committed WAL records replayed through the same
-    /// apply paths live execution uses. The group-commit batch defaults
-    /// to `ASBESTOS_DB_GROUP_COMMIT`: a number >= 1 is the batch, and
-    /// unset or anything else means 1 — sync per mutation.
+    /// apply paths live execution uses. The group-commit batch is 1 —
+    /// sync per mutation — until [`DurableDb::set_group_commit`].
     pub fn open(dev: Box<dyn BlockDev>) -> DurableDb {
         let (store, recovery) = Store::open(dev);
         let mut db = match &recovery.snapshot {
@@ -363,13 +337,10 @@ impl DurableDb {
                 None => skipped += 1,
             }
         }
-        let group_commit = group_commit_from(
-            asbestos_kernel::knobs::raw(asbestos_kernel::knobs::DB_GROUP_COMMIT_ENV).as_deref(),
-        );
         DurableDb {
             db,
             store: Some(store),
-            group_commit,
+            group_commit: 1,
             recovery: DbRecovery {
                 from_snapshot: recovery.snapshot.is_some(),
                 replayed,
@@ -579,17 +550,6 @@ mod tests {
         }
         assert_eq!(dev.sync_count() - syncs_before, 2, "16 records, batch 8");
         assert_eq!(db.pending(), 0);
-    }
-
-    #[test]
-    fn group_commit_env_parsing() {
-        assert_eq!(group_commit_from(None), 1);
-        assert_eq!(group_commit_from(Some("8")), 8);
-        assert_eq!(group_commit_from(Some("junk")), 1);
-        // The retired adaptive setting reads as the safe default: sync
-        // per mutation.
-        assert_eq!(group_commit_from(Some("auto")), 1);
-        assert_eq!(group_commit_from(Some(" AUTO ")), 1);
     }
 
     #[test]

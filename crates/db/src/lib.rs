@@ -32,5 +32,5 @@ pub use proto::DbMsg;
 pub use proxy::{
     spawn_dbproxy, DbHandle, DbProxy, DB_PORT_ENV, DB_TRUSTED_ENV, OWNERS_TABLE, USER_ID_COLUMN,
 };
-pub use snapshot::{restore, snapshot, SnapshotError};
+pub use snapshot::{put_row, read_row, restore, snapshot, SnapshotError};
 pub use value::SqlValue;

@@ -179,7 +179,8 @@ impl DbMsg {
                 user: items.get(1)?.as_str()?.to_string(),
                 taint: items.get(2)?.as_handle()?,
                 grant: items.get(3)?.as_handle()?,
-                reply: items.get(4).and_then(|v| v.as_handle()),
+                // Always written: `Unit` when there is no reply port.
+                reply: items.get(4)?.as_handle(),
             }),
             "bind-r" => Some(DbMsg::BindR),
             "ddl" => Some(DbMsg::Ddl {

@@ -26,7 +26,6 @@ use asbestos_store::BlockDev;
 
 use crate::ast::{SelectCols, Stmt};
 use crate::durable::{worker_table, DurableDb};
-use crate::engine::Database;
 use crate::parser::parse;
 use crate::proto::DbMsg;
 use crate::value::SqlValue;
@@ -77,16 +76,7 @@ pub struct DbProxy {
 impl DbProxy {
     /// Creates an empty proxy (volatile: nothing survives the boot).
     pub fn new() -> DbProxy {
-        DbProxy::with_database(Database::new())
-    }
-
-    /// Creates a proxy over a pre-loaded database — the legacy snapshot
-    /// reboot path: data (with its hidden ownership column) persists via
-    /// [`crate::snapshot::snapshot`], handles are re-minted after boot,
-    /// and `Bind` reconnects rows through the persisted
-    /// [`OWNERS_TABLE`] uid map.
-    pub fn with_database(db: Database) -> DbProxy {
-        DbProxy::with_durable(DurableDb::from_database(db))
+        DbProxy::with_durable(DurableDb::volatile())
     }
 
     /// Creates a proxy whose every committed statement is write-ahead

@@ -21,7 +21,12 @@
 //! Version 2 added the index section (positions strictly ascending), so a
 //! table comes back with the schema it was declared with — an index
 //! survives everything a row survives. Version 1 buffers, which have no
-//! such section, still restore (to tables without indexes).
+//! such section, still restore (to tables without indexes). Nothing may
+//! follow the last table. A `u32` cell count and that many cells is a
+//! *row* ([`put_row`] / [`read_row`]): a redo record's parameters and the
+//! OKWS worker's row buffer.
+
+use asbestos_store::codec::{CodecError, Reader};
 
 use crate::engine::Database;
 use crate::table::{Row, Table};
@@ -50,6 +55,18 @@ pub enum SnapshotError {
     /// An index names a column position the table does not have, or the
     /// positions are not strictly ascending.
     BadIndex(u32),
+    /// Bytes are left after the last table.
+    TrailingBytes,
+}
+
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> SnapshotError {
+        match e {
+            CodecError::Truncated => SnapshotError::Truncated,
+            CodecError::BadText => SnapshotError::BadText,
+            CodecError::TrailingBytes => SnapshotError::TrailingBytes,
+        }
+    }
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -61,6 +78,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadTag(t) => write!(f, "invalid cell tag {t}"),
             SnapshotError::BadText => write!(f, "non-UTF-8 text payload"),
             SnapshotError::BadIndex(c) => write!(f, "invalid index on column position {c}"),
+            SnapshotError::TrailingBytes => write!(f, "trailing bytes after the snapshot"),
         }
     }
 }
@@ -96,9 +114,9 @@ pub fn snapshot(db: &Database) -> Vec<u8> {
     out
 }
 
-/// Rebuilds a database from a snapshot.
+/// Rebuilds a database from a snapshot. Trailing bytes are rejected.
 pub fn restore(bytes: &[u8]) -> Result<Database, SnapshotError> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.take(4)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
@@ -113,11 +131,11 @@ pub fn restore(bytes: &[u8]) -> Result<Database, SnapshotError> {
     // a length.
     let tables = r.count(12)?;
     for _ in 0..tables {
-        let name = r.string()?;
+        let name = r.str()?.to_owned();
         let ncols = r.count(4)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            columns.push(r.string()?);
+            columns.push(r.str()?.to_owned());
         }
         let nindexes = if version == VERSION_NO_INDEXES {
             0
@@ -138,7 +156,7 @@ pub fn restore(bytes: &[u8]) -> Result<Database, SnapshotError> {
         for _ in 0..nrows {
             let mut row: Row = Vec::with_capacity(ncols);
             for _ in 0..ncols {
-                row.push(r.cell()?);
+                row.push(read_cell(&mut r)?);
             }
             table.insert(row);
         }
@@ -148,6 +166,7 @@ pub fn restore(bytes: &[u8]) -> Result<Database, SnapshotError> {
         }
         db.put_table(name, table);
     }
+    r.finish()?;
     Ok(db)
 }
 
@@ -160,7 +179,7 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn put_cell(out: &mut Vec<u8>, cell: &SqlValue) {
+fn put_cell(out: &mut Vec<u8>, cell: &SqlValue) {
     match cell {
         SqlValue::Null => {
             out.push(0);
@@ -183,65 +202,42 @@ pub(crate) fn put_cell(out: &mut Vec<u8>, cell: &SqlValue) {
     }
 }
 
-pub(crate) struct Reader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
+fn read_cell(r: &mut Reader<'_>) -> Result<SqlValue, SnapshotError> {
+    let tag = r.u8()?;
+    let payload = r.blob()?;
+    match tag {
+        0 => Ok(SqlValue::Null),
+        1 => payload
+            .try_into()
+            .map(|bytes| SqlValue::Int(i64::from_le_bytes(bytes)))
+            .map_err(|_| SnapshotError::Truncated),
+        2 => std::str::from_utf8(payload)
+            .map(|t| SqlValue::Text(t.to_owned()))
+            .map_err(|_| SnapshotError::BadText),
+        3 => Ok(SqlValue::Blob(payload.to_vec())),
+        other => Err(SnapshotError::BadTag(other)),
+    }
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+/// Appends a row: a `u32` cell count, then each cell as a snapshot cell
+/// (tag, `u32` length, payload). A redo record's parameters and the OKWS
+/// worker's row buffer are rows.
+pub fn put_row(out: &mut Vec<u8>, row: &[SqlValue]) {
+    put_u32(out, row.len() as u32);
+    for cell in row {
+        put_cell(out, cell);
     }
+}
 
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+/// Reads one [`put_row`] row. The cell count is checked against the
+/// bytes left (a cell is at least five) before anything is reserved.
+pub fn read_row(r: &mut Reader<'_>) -> Result<Vec<SqlValue>, SnapshotError> {
+    let n = r.count(5)?;
+    let mut row = Vec::with_capacity(n);
+    for _ in 0..n {
+        row.push(read_cell(r)?);
     }
-
-    /// Reads a count of items that take at least `min_bytes` each (a
-    /// zero-width item still counts one byte, so no count outruns the
-    /// input), rejecting one the rest of the buffer cannot hold.
-    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_bytes.max(1)) > self.bytes.len() - self.pos {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| SnapshotError::BadText)
-    }
-
-    pub(crate) fn cell(&mut self) -> Result<SqlValue, SnapshotError> {
-        let tag = self.take(1)?[0];
-        let len = self.u32()? as usize;
-        let payload = self.take(len)?;
-        match tag {
-            0 => Ok(SqlValue::Null),
-            1 => {
-                if len != 8 {
-                    return Err(SnapshotError::Truncated);
-                }
-                Ok(SqlValue::Int(i64::from_le_bytes(
-                    payload.try_into().expect("8 bytes"),
-                )))
-            }
-            2 => String::from_utf8(payload.to_vec())
-                .map(SqlValue::Text)
-                .map_err(|_| SnapshotError::BadText),
-            3 => Ok(SqlValue::Blob(payload.to_vec())),
-            other => Err(SnapshotError::BadTag(other)),
-        }
-    }
+    Ok(row)
 }
 
 #[cfg(test)]
@@ -290,6 +286,9 @@ mod tests {
         let good = snapshot(&sample());
         assert_eq!(restore(b"nope").err(), Some(SnapshotError::BadMagic));
         assert_eq!(restore(&good[..10]).err(), Some(SnapshotError::Truncated));
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(restore(&trailing).err(), Some(SnapshotError::TrailingBytes));
         let mut bad_version = good.clone();
         bad_version[4] = 99;
         assert_eq!(
@@ -349,6 +348,24 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows, vec![vec!["pw-a".into()]]);
         assert_eq!(r.work, 1, "the restored index is probed");
+    }
+
+    #[test]
+    fn rows_round_trip_back_to_back() {
+        // As the OKWS worker's row buffer holds them, one after another; a
+        // cut inside the last row refuses just that row.
+        let rows = [
+            vec![SqlValue::Int(-3), "hi".into()],
+            vec![],
+            vec![SqlValue::Null, SqlValue::Blob(vec![1])],
+        ];
+        let mut bytes = Vec::new();
+        rows.iter().for_each(|row| put_row(&mut bytes, row));
+        for (cut, whole) in [(0, 3), (1, 2)] {
+            let mut r = Reader::new(&bytes[..bytes.len() - cut]);
+            let back: Vec<_> = (0..3).map_while(|_| read_row(&mut r).ok()).collect();
+            assert_eq!(back, rows[..whole]);
+        }
     }
 
     #[test]

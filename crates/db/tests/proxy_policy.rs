@@ -614,9 +614,14 @@ fn an_index_narrows_what_is_examined_never_what_is_tainted() {
 fn policy_persists_across_reboot() {
     // §7.5: "OKWS can extend its label-based security policy to one that
     // persists across system reboots." Rows (with the hidden ownership
-    // column) survive via snapshot; handles are re-minted after the reboot
-    // and re-binding reconnects rows to owners.
-    let (mut kernel, alice_log, _bob) = setup(67);
+    // column) survive on the durable store; handles are re-minted after
+    // the reboot and re-binding reconnects rows to owners.
+    let dev = MemDev::new();
+    let (mut kernel, alice_log, _bob) = setup_with(
+        67,
+        DbProxy::with_store(Box::new(dev.clone())),
+        "CREATE TABLE store (k, v)",
+    );
     exec(
         &mut kernel,
         "alice-worker",
@@ -627,20 +632,23 @@ fn policy_persists_across_reboot() {
         "bob-worker",
         "INSERT INTO store VALUES ('color', 'blue')",
     );
+    let before = proxy_snapshot(&kernel);
+    drop(kernel);
+    dev.crash(0);
 
-    // Take the snapshot through god-mode inspection of the proxy.
-    let snapshot = proxy_snapshot(&kernel);
-
-    // "Reboot": a fresh kernel; the proxy boots from the snapshot. The
+    // Reboot: a fresh kernel; the proxy recovers from the device. The
     // trusted party re-binds users in the same order, so alice gets uid 1
     // again and her rows reconnect to her fresh taint handle.
     let mut kernel = Kernel::new(68);
     spawn_trusted(&mut kernel);
-    let restored = asbestos_db::restore(&snapshot).expect("snapshot readable");
     kernel.spawn(
         "ok-dbproxy",
         Category::Okdb,
-        Box::new(asbestos_db::DbProxy::with_database(restored)),
+        Box::new(DbProxy::with_store(Box::new(dev))),
+    );
+    assert!(
+        proxy_snapshot(&kernel) == before,
+        "every acknowledged row recovered"
     );
     let alice_log2 = spawn_worker(&mut kernel, "alice-worker");
     let bob_log2 = spawn_worker(&mut kernel, "bob-worker");

@@ -127,7 +127,8 @@ proptest! {
                 | SnapshotError::Truncated
                 | SnapshotError::BadTag(_)
                 | SnapshotError::BadText
-                | SnapshotError::BadIndex(_),
+                | SnapshotError::BadIndex(_)
+                | SnapshotError::TrailingBytes,
             ) => {}
         }
     }

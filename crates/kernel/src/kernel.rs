@@ -149,26 +149,16 @@ impl Kernel {
     /// Creates a single-shard kernel with the default cost model; `seed`
     /// keys the handle cipher. This is the paper-figure configuration.
     pub fn new(seed: u64) -> Kernel {
-        Kernel::with_cost_model_sharded(seed, CostModel::default(), 1)
-    }
-
-    /// Creates a single-shard kernel with an explicit cost model.
-    pub fn with_cost_model(seed: u64, cost: CostModel) -> Kernel {
-        Kernel::with_cost_model_sharded(seed, cost, 1)
+        Kernel::new_sharded(seed, 1)
     }
 
     /// Creates a kernel with `shards` parallel delivery engines.
-    pub fn new_sharded(seed: u64, shards: usize) -> Kernel {
-        Kernel::with_cost_model_sharded(seed, CostModel::default(), shards)
-    }
-
-    /// Creates a sharded kernel with an explicit cost model.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= shards <= MAX_SHARDS`.
-    pub fn with_cost_model_sharded(seed: u64, cost: CostModel, shards: usize) -> Kernel {
-        Kernel::with_boot_epoch(seed, cost, shards, 0)
+    pub fn new_sharded(seed: u64, shards: usize) -> Kernel {
+        Kernel::with_boot_epoch(seed, CostModel::default(), shards, 0)
     }
 
     /// Creates a kernel for boot epoch `epoch` of a durable deployment
@@ -454,11 +444,6 @@ impl Kernel {
         }
     }
 
-    /// Whether overload control is armed.
-    pub fn backpressure_enabled(&self) -> bool {
-        self.shards[0].bp.enabled
-    }
-
     /// Sets every shard's shed threshold: the mailbox depth at which
     /// [`crate::Sys::overloaded`] starts reporting true to
     /// deployment-side shedders. `usize::MAX` (the default) means never.
@@ -684,11 +669,6 @@ impl Kernel {
             .iter()
             .map(|s| s.stats.queue_depth_hwm)
             .collect()
-    }
-
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.shards[0].cost
     }
 
     /// Read-only access to a process.

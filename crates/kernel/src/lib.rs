@@ -99,7 +99,6 @@ pub mod event_process;
 pub mod handle_table;
 pub mod ids;
 pub mod kernel;
-pub mod knobs;
 pub mod memory;
 pub mod message;
 pub mod process;

@@ -41,24 +41,9 @@ use crate::value::Value;
 /// Default bound on queued messages per destination port. Like the
 /// shard-wide bound it defaults high enough never to fire; deployments
 /// lower it so one hot port cannot monopolize the whole queue budget
-/// (§8's resource-exhaustion caveat, applied per port).
+/// (§8's resource-exhaustion caveat, applied per port) with
+/// [`crate::Kernel::set_port_queue_limit`].
 pub const DEFAULT_PORT_QUEUE_LIMIT: usize = DEFAULT_QUEUE_LIMIT;
-
-/// Environment variable overriding the per-port queue bound.
-pub use crate::knobs::PORT_QUEUE_ENV;
-
-/// Parses a per-port queue bound from an env-var value. Unset,
-/// unparsable, or zero (a port that could never accept a message) fall
-/// back to [`DEFAULT_PORT_QUEUE_LIMIT`].
-pub(crate) fn port_queue_limit_from(value: Option<&str>) -> usize {
-    crate::knobs::parse_positive(value).unwrap_or(DEFAULT_PORT_QUEUE_LIMIT)
-}
-
-/// The per-port queue bound for new shards: `ASBESTOS_PORT_QUEUE` if set
-/// and valid, else [`DEFAULT_PORT_QUEUE_LIMIT`].
-pub(crate) fn default_port_queue_limit() -> usize {
-    port_queue_limit_from(crate::knobs::raw(PORT_QUEUE_ENV).as_deref())
-}
 
 /// One shard of the kernel: a complete, isolated delivery engine.
 pub struct KernelShard {
@@ -131,7 +116,7 @@ impl KernelShard {
             xshard,
             drain_buf: Vec::new(),
             queue_limit: DEFAULT_QUEUE_LIMIT,
-            port_queue_limit: default_port_queue_limit(),
+            port_queue_limit: DEFAULT_PORT_QUEUE_LIMIT,
             stats: Stats::default(),
             bp: Backpressure::default(),
             shed_threshold: usize::MAX,
@@ -549,24 +534,3 @@ const _: () = {
     let _ = assert_send::<Box<dyn Service>>;
     let _ = assert_send::<Box<dyn EpService>>;
 };
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn port_queue_limit_parsing() {
-        // Unset, junk, and zero (a port that could never accept a
-        // message) all fall back to the default.
-        assert_eq!(port_queue_limit_from(None), DEFAULT_PORT_QUEUE_LIMIT);
-        assert_eq!(
-            port_queue_limit_from(Some("not-a-number")),
-            DEFAULT_PORT_QUEUE_LIMIT
-        );
-        assert_eq!(port_queue_limit_from(Some("0")), DEFAULT_PORT_QUEUE_LIMIT);
-        assert_eq!(port_queue_limit_from(Some("")), DEFAULT_PORT_QUEUE_LIMIT);
-        // Valid values win, whitespace tolerated.
-        assert_eq!(port_queue_limit_from(Some("64")), 64);
-        assert_eq!(port_queue_limit_from(Some(" 4096 ")), 4096);
-    }
-}

@@ -9,7 +9,7 @@ use crate::cycles::Category;
 use crate::delivery::keep_or_wrap;
 use crate::error::{SysError, SysResult};
 use crate::handle_table::PortOwner;
-use crate::ids::{EpId, ExecCtx, ProcessId};
+use crate::ids::{ExecCtx, ProcessId};
 use crate::memory::{page_segments, PAGE_SIZE};
 use crate::message::SendArgs;
 use crate::process::{Body, EpService, Service};
@@ -58,11 +58,6 @@ impl<'k> Sys<'k> {
     /// The current process id (simulator bookkeeping, not a capability).
     pub fn pid(&self) -> ProcessId {
         self.ctx.pid
-    }
-
-    /// The current event process, if executing in one.
-    pub fn ep_id(&self) -> Option<EpId> {
-        self.ctx.ep
     }
 
     /// True exactly when this activation created a fresh event process.

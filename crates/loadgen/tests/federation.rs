@@ -4,16 +4,16 @@
 //! The CI matrix sets `ASBESTOS_KERNELS` to sweep the kernel count; a
 //! bare `cargo test` runs the federated cases at two kernels.
 
-use asbestos_kernel::knobs;
 use asbestos_loadgen::{
     run_scenario, Baseline, Op, Scenario, ScenarioConfig, ScenarioReport, World, ZipfChurn,
 };
 use rand::rngs::StdRng;
 
-/// Kernel count under test: the `ASBESTOS_KERNELS` knob, floored at 2 so
-/// a bare run still exercises the wire.
+/// Kernel count under test: `ASBESTOS_KERNELS`, floored at 2 so a bare
+/// run still exercises the wire.
 fn kernels() -> usize {
-    knobs::positive(knobs::KERNELS_ENV).unwrap_or(1).max(2)
+    let kernels = std::env::var("ASBESTOS_KERNELS").map(|v| v.trim().parse());
+    kernels.map_or(2, |k| k.unwrap_or(2)).max(2)
 }
 
 fn baseline(shards: usize, lanes: usize) -> Baseline {

@@ -189,11 +189,6 @@ pub fn ok_response(body: &[u8]) -> Payload {
     build_response(200, "OK", body)
 }
 
-/// Convenience: an error response.
-pub fn error_response(status: u16, reason: &str) -> Payload {
-    build_response(status, reason, reason.as_bytes())
-}
-
 /// The body of a built response, as a zero-copy slice sharing the
 /// response's buffer (e.g. for caching a served body without rebuilding
 /// or copying it).

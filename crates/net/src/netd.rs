@@ -183,13 +183,6 @@ impl Netd {
         self.accepts_shed
     }
 
-    /// Accepts currently held back awaiting a cooler shard (the live
-    /// backlog, not the cumulative count — the load harness watches this
-    /// reach zero during recovery).
-    pub fn deferred_backlog(&self) -> usize {
-        self.deferred_accepts.len()
-    }
-
     /// Whether a self-wakeup is in flight for this lane.
     pub fn wakeup_armed(&self) -> bool {
         self.wakeup_armed
@@ -358,9 +351,14 @@ impl Netd {
                 // The sender granted us taint ⋆ alongside this message
                 // (§7.2 step 5). Raise our receive label so uT-tainted
                 // processes can keep talking to us, and raise uC's port
-                // label to {uC 0, uT 3, 2}.
-                sys.raise_recv(taint, Level::L3)
-                    .expect("AddTaint must arrive with a ⋆ grant for the taint handle");
+                // label to {uC 0, uT 3, 2}. Any holder of uC ⋆ can send
+                // this — ok-demux hands it to every worker session — so
+                // one that came without the grant is dropped, as a failed
+                // label check drops a message: the connection keeps its
+                // port label and its recorded taint.
+                if sys.raise_recv(taint, Level::L3).is_err() {
+                    return;
+                }
                 let port_label =
                     Label::from_pairs(Level::L2, &[(uc, Level::L0), (taint, Level::L3)]);
                 sys.set_port_label(uc, port_label)

@@ -139,14 +139,6 @@ impl SimNet {
         }
     }
 
-    /// Client side: peeks at the response without consuming it.
-    pub fn client_peek_response(&self, conn: ConnId) -> &[u8] {
-        self.conns
-            .get(&conn)
-            .map(|c| c.server_to_client.as_ref())
-            .unwrap_or(&[])
-    }
-
     /// Server side (netd): reads up to `max` pending request bytes.
     pub fn server_read(&mut self, conn: ConnId, max: usize) -> Bytes {
         match self.conns.get_mut(&conn) {

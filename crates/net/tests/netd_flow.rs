@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use asbestos_kernel::util::service_with_start;
-use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Value};
+use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Sys, Value};
 use asbestos_net::{spawn_netd, ClientDriver, NetMsg, NETD_CONTROL_ENV};
 
 fn star_grant(h: Handle) -> Label {
@@ -14,6 +14,18 @@ fn star_grant(h: Handle) -> Label {
 
 fn taint3(h: Handle) -> Label {
     Label::from_pairs(Level::Star, &[(h, Level::L3)])
+}
+
+/// A listener's start: a notify port, registered with netd for TCP port 80.
+fn listen_on_80(sys: &mut Sys<'_>) {
+    let notify = sys.new_port(Label::top());
+    sys.set_port_label(notify, Label::top()).unwrap();
+    let control = sys.env(NETD_CONTROL_ENV).unwrap().as_handle().unwrap();
+    let listen = NetMsg::Listen {
+        tcp_port: 80,
+        notify,
+    };
+    sys.send(control, listen.to_value()).unwrap();
 }
 
 #[test]
@@ -31,21 +43,10 @@ fn connection_notify_read_write_roundtrip() {
         Category::Other,
         service_with_start(
             |sys| {
-                let notify = sys.new_port(Label::top());
-                sys.set_port_label(notify, Label::top()).unwrap();
+                listen_on_80(sys);
                 let reply = sys.new_port(Label::top());
                 sys.set_port_label(reply, Label::top()).unwrap();
                 sys.set_env("reply", Value::Handle(reply));
-                let control = sys.env(NETD_CONTROL_ENV).unwrap().as_handle().unwrap();
-                sys.send(
-                    control,
-                    NetMsg::Listen {
-                        tcp_port: 80,
-                        notify,
-                    }
-                    .to_value(),
-                )
-                .unwrap();
             },
             move |sys, msg| match NetMsg::from_value(&msg.body) {
                 Some(NetMsg::NewConn { port }) => {
@@ -123,59 +124,43 @@ fn tainted_replies_contaminate_and_port_label_opens_for_owner() {
     kernel.spawn(
         "frontend",
         Category::Other,
-        service_with_start(
-            |sys| {
-                let notify = sys.new_port(Label::top());
-                sys.set_port_label(notify, Label::top()).unwrap();
-                let control = sys.env(NETD_CONTROL_ENV).unwrap().as_handle().unwrap();
-                sys.send(
-                    control,
-                    NetMsg::Listen {
-                        tcp_port: 80,
-                        notify,
-                    }
-                    .to_value(),
+        service_with_start(listen_on_80, move |sys, msg| {
+            if let Some(NetMsg::NewConn { port: uc }) = NetMsg::from_value(&msg.body) {
+                let ut = sys.new_handle();
+                *st.lock().unwrap() = Some((uc, ut));
+                // Step 5: grant netd uT ⋆ and register the taint.
+                sys.send_args(
+                    uc,
+                    NetMsg::AddTaint { taint: ut }.to_value(),
+                    &SendArgs::new().grant(star_grant(ut)),
                 )
                 .unwrap();
-            },
-            move |sys, msg| {
-                if let Some(NetMsg::NewConn { port: uc }) = NetMsg::from_value(&msg.body) {
-                    let ut = sys.new_handle();
-                    *st.lock().unwrap() = Some((uc, ut));
-                    // Step 5: grant netd uT ⋆ and register the taint.
-                    sys.send_args(
-                        uc,
-                        NetMsg::AddTaint { taint: ut }.to_value(),
-                        &SendArgs::new().grant(star_grant(ut)),
-                    )
-                    .unwrap();
-                    // Model a *compromised* worker for user v: it legitimately
-                    // holds the uC ⋆ capability (say, from a demux bug) but
-                    // carries v's taint. Send to it first so it attacks while
-                    // the connection is still open.
-                    let attacker = sys.env("attacker.port").unwrap().as_handle().unwrap();
-                    sys.send_args(
-                        attacker,
-                        Value::Handle(uc),
-                        &SendArgs::new().grant(star_grant(uc)),
-                    )
-                    .unwrap();
-                    // Step 6: forward uC to the rightful worker, granting
-                    // uC ⋆ and contaminating it with uT 3 (raising its
-                    // receive label too).
-                    let worker = sys.env("worker.port").unwrap().as_handle().unwrap();
-                    sys.send_args(
-                        worker,
-                        Value::Handle(uc),
-                        &SendArgs::new()
-                            .grant(star_grant(uc))
-                            .contaminate(taint3(ut))
-                            .raise_recv(taint3(ut)),
-                    )
-                    .unwrap();
-                }
-            },
-        ),
+                // Model a *compromised* worker for user v: it legitimately
+                // holds the uC ⋆ capability (say, from a demux bug) but
+                // carries v's taint. Send to it first so it attacks while
+                // the connection is still open.
+                let attacker = sys.env("attacker.port").unwrap().as_handle().unwrap();
+                sys.send_args(
+                    attacker,
+                    Value::Handle(uc),
+                    &SendArgs::new().grant(star_grant(uc)),
+                )
+                .unwrap();
+                // Step 6: forward uC to the rightful worker, granting
+                // uC ⋆ and contaminating it with uT 3 (raising its
+                // receive label too).
+                let worker = sys.env("worker.port").unwrap().as_handle().unwrap();
+                sys.send_args(
+                    worker,
+                    Value::Handle(uc),
+                    &SendArgs::new()
+                        .grant(star_grant(uc))
+                        .contaminate(taint3(ut))
+                        .raise_recv(taint3(ut)),
+                )
+                .unwrap();
+            }
+        }),
     );
 
     // The per-user worker: writes the response for its own user.
@@ -265,22 +250,8 @@ fn tainted_read_contaminates_reader() {
     let reader = kernel.spawn(
         "reader",
         Category::Okws,
-        service_with_start(
-            |sys| {
-                let notify = sys.new_port(Label::top());
-                sys.set_port_label(notify, Label::top()).unwrap();
-                let control = sys.env(NETD_CONTROL_ENV).unwrap().as_handle().unwrap();
-                sys.send(
-                    control,
-                    NetMsg::Listen {
-                        tcp_port: 80,
-                        notify,
-                    }
-                    .to_value(),
-                )
-                .unwrap();
-            },
-            move |sys, msg| match NetMsg::from_value(&msg.body) {
+        service_with_start(listen_on_80, move |sys, msg| {
+            match NetMsg::from_value(&msg.body) {
                 Some(NetMsg::NewConn { port: uc }) => {
                     // Taint our own connection, then read from it. We create
                     // uT ourselves (so we can AddTaint) but then *drop* the
@@ -316,8 +287,8 @@ fn tainted_read_contaminates_reader() {
                     *rl.lock().unwrap() = Some(sys.send_label().get(ut));
                 }
                 _ => {}
-            },
-        ),
+            }
+        }),
     );
 
     driver.open(&mut kernel, 80, b"secret");
@@ -329,4 +300,48 @@ fn tainted_read_contaminates_reader() {
         "reader got tainted"
     );
     let _ = reader;
+}
+
+#[test]
+fn an_ungranted_add_taint_is_dropped_and_the_connection_still_serves() {
+    // ok-demux grants every worker session `uC ⋆`, so any worker can send
+    // AddTaint on its connection — including for a handle it never
+    // granted netd at ⋆. netd must drop that message the way a label
+    // check drops one, not panic the whole system, and the connection
+    // must keep working untainted.
+    let mut kernel = Kernel::new(105);
+    let netd = spawn_netd(&mut kernel);
+    let mut driver = ClientDriver::new(&netd);
+
+    let fresh = Arc::new(Mutex::new(None::<Handle>));
+    let f = fresh.clone();
+    kernel.spawn(
+        "listener",
+        Category::Okws,
+        service_with_start(listen_on_80, move |sys, msg| {
+            if let Some(NetMsg::NewConn { port: uc }) = NetMsg::from_value(&msg.body) {
+                let taint = sys.new_handle();
+                *f.lock().unwrap() = Some(taint);
+                // No `grant(star_grant(taint))` alongside.
+                sys.send(uc, NetMsg::AddTaint { taint }.to_value()).unwrap();
+                let bytes = b"still-served".to_vec().into();
+                sys.send(uc, NetMsg::Write { bytes }.to_value()).unwrap();
+                sys.send(uc, NetMsg::Close.to_value()).unwrap();
+            }
+        }),
+    );
+    driver.open(&mut kernel, 80, b"request-bytes");
+    kernel.run();
+    driver.poll(&kernel);
+
+    assert_eq!(driver.completed(), 1);
+    assert_eq!(driver.request(0).response, b"still-served");
+    // netd neither raised its receive label for the handle nor gained it.
+    let taint = fresh
+        .lock()
+        .unwrap()
+        .expect("the listener saw the connection");
+    let netd_proc = kernel.process(netd.pid);
+    assert_eq!(netd_proc.recv_label.get(taint), Level::L2);
+    assert_eq!(netd_proc.send_label.get(taint), Level::L1);
 }

@@ -9,7 +9,7 @@
 //! verification handle at level 0."
 
 use asbestos_db::DbProxy;
-use asbestos_kernel::{Category, Handle, Label, Level, Message, SendArgs, Service, Sys, Value};
+use asbestos_kernel::{Category, Label, Level, Message, SendArgs, Service, Sys, Value};
 use asbestos_store::BlockDev;
 
 use crate::demux::{svc_declassifier_env, svc_verify_env, OkDemux, SVC_LIST_ENV};
@@ -146,10 +146,6 @@ pub struct OkwsConfig {
     /// prototype; a device makes every acknowledged statement durable
     /// and enables [`crate::Okws::reboot`].
     pub db_store: Option<Box<dyn BlockDev>>,
-    /// Per-port mailbox bound for the deployment's kernel. `None` (the
-    /// default) leaves the kernel's own default in place — which itself
-    /// honours the `ASBESTOS_PORT_QUEUE` environment variable.
-    pub port_queue: Option<usize>,
     /// Arms the overload-control loop: kernel send credits with deferral
     /// and `WouldBlock` ([`asbestos_kernel::Kernel::set_backpressure`])
     /// plus netd edge shedding (the `netd.shed` deployment flag). Off by
@@ -169,15 +165,8 @@ impl OkwsConfig {
             shards: 1,
             netd_lanes: 1,
             db_store: None,
-            port_queue: None,
             backpressure: false,
         }
-    }
-
-    /// Bounds every port mailbox at `limit` messages.
-    pub fn port_queue(mut self, limit: usize) -> OkwsConfig {
-        self.port_queue = Some(limit);
-        self
     }
 
     /// Arms overload control: kernel send credits plus netd edge
@@ -351,13 +340,4 @@ impl Service for Launcher {
         // §7.1: "a more mature version of launcher could restart dead
         // processes" — the prototype launcher, like the paper's, does not.
     }
-}
-
-/// The demux control-port grant message carries no handle values in its
-/// body; this helper exists so tests can assert the launcher granted the
-/// right verification handle.
-pub fn demux_verify_handle(kernel: &asbestos_kernel::Kernel) -> Option<Handle> {
-    kernel
-        .global_env(IDD_DEMUX_VERIFY_ENV)
-        .and_then(|v| v.as_handle())
 }

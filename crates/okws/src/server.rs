@@ -35,9 +35,6 @@ impl Okws {
     /// everything path of the paper, bit for bit.
     pub fn start(kernel: &mut Kernel, mut config: OkwsConfig) -> Okws {
         let tcp_port = config.tcp_port;
-        if let Some(limit) = config.port_queue {
-            kernel.set_port_queue_limit(limit);
-        }
         if config.backpressure {
             // Overload control is a deployment policy: arm the kernel's
             // credit loop and tell every netd lane it may shed accepts.

@@ -19,9 +19,10 @@
 //! yielding, leaving exactly one private page per cached session; the
 //! Figure 6 "active session" experiment disables the cleanup.
 
-use asbestos_db::{DbMsg, SqlValue};
+use asbestos_db::{put_row, read_row, DbMsg, SqlValue};
 use asbestos_kernel::{EpService, Handle, Label, Level, Message, SendArgs, Sys, Value};
 use asbestos_net::{http, parse_request, HttpRequest, NetMsg};
+use asbestos_store::codec::Reader;
 
 use crate::logic::{Action, SessionStore, WorkerLogic};
 use crate::proto::OkwsMsg;
@@ -186,7 +187,8 @@ impl Worker {
     }
 
     // ------------------------------------------------------------------
-    // Row buffer encoding (rows accumulated between DbQuery and Done).
+    // Row buffer (rows accumulated between DbQuery and Done, each in
+    // `asbestos_db::put_row`'s encoding).
     // ------------------------------------------------------------------
 
     fn rows_reset(sys: &mut Sys<'_>) {
@@ -197,7 +199,8 @@ impl Worker {
     fn rows_append(sys: &mut Sys<'_>, values: &[SqlValue]) {
         let count = Self::read_u64(sys, ROWS_BUF);
         let mut off = Self::read_u64(sys, ROWS_BUF + 8);
-        let encoded = encode_row(values);
+        let mut encoded = Vec::new();
+        put_row(&mut encoded, values);
         if (off as usize + encoded.len()) > SCRATCH_REGION {
             return; // row buffer full: drop excess rows
         }
@@ -217,7 +220,8 @@ impl Worker {
         let bytes = sys
             .mem_read(ROWS_BUF + 16, (end - 16) as usize)
             .expect("row buffer readable");
-        decode_rows(&bytes, count as usize)
+        let mut r = Reader::new(&bytes);
+        (0..count).map_while(|_| read_row(&mut r).ok()).collect()
     }
 
     // ------------------------------------------------------------------
@@ -674,104 +678,4 @@ impl SessionStore for EpSessionStore<'_, '_> {
 
 fn star(h: Handle) -> Label {
     Label::from_pairs(Level::L3, &[(h, Level::Star)])
-}
-
-// ---------------------------------------------------------------------
-// Row serialization for the ROWS_BUF region.
-// ---------------------------------------------------------------------
-
-fn encode_row(values: &[SqlValue]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for v in values {
-        match v {
-            SqlValue::Null => {
-                out.push(0);
-                out.extend_from_slice(&0u32.to_le_bytes());
-            }
-            SqlValue::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&8u32.to_le_bytes());
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            SqlValue::Text(t) => {
-                out.push(2);
-                out.extend_from_slice(&(t.len() as u32).to_le_bytes());
-                out.extend_from_slice(t.as_bytes());
-            }
-            SqlValue::Blob(b) => {
-                out.push(3);
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                out.extend_from_slice(b);
-            }
-        }
-    }
-    out
-}
-
-fn decode_rows(mut bytes: &[u8], count: usize) -> Vec<Vec<SqlValue>> {
-    let mut rows = Vec::with_capacity(count);
-    for _ in 0..count {
-        let Some((row, rest)) = decode_row(bytes) else {
-            break;
-        };
-        rows.push(row);
-        bytes = rest;
-    }
-    rows
-}
-
-fn decode_row(bytes: &[u8]) -> Option<(Vec<SqlValue>, &[u8])> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let ncells = u32::from_le_bytes(bytes[..4].try_into().ok()?) as usize;
-    let mut rest = &bytes[4..];
-    let mut row = Vec::with_capacity(ncells);
-    for _ in 0..ncells {
-        if rest.len() < 5 {
-            return None;
-        }
-        let tag = rest[0];
-        let len = u32::from_le_bytes(rest[1..5].try_into().ok()?) as usize;
-        rest = &rest[5..];
-        if rest.len() < len {
-            return None;
-        }
-        let payload = &rest[..len];
-        rest = &rest[len..];
-        row.push(match tag {
-            0 => SqlValue::Null,
-            1 => SqlValue::Int(i64::from_le_bytes(payload.try_into().ok()?)),
-            2 => SqlValue::Text(String::from_utf8_lossy(payload).into_owned()),
-            3 => SqlValue::Blob(payload.to_vec()),
-            _ => return None,
-        });
-    }
-    Some((row, rest))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn row_codec_roundtrip() {
-        let rows = vec![
-            vec![SqlValue::Int(-3), SqlValue::Text("hi".into())],
-            vec![SqlValue::Null, SqlValue::Blob(vec![1, 2, 3])],
-        ];
-        let mut bytes = Vec::new();
-        for r in &rows {
-            bytes.extend_from_slice(&encode_row(r));
-        }
-        assert_eq!(decode_rows(&bytes, 2), rows);
-    }
-
-    #[test]
-    fn decode_tolerates_truncation() {
-        let row = encode_row(&[SqlValue::Text("abcdef".into())]);
-        assert_eq!(decode_rows(&row[..3], 1), Vec::<Vec<SqlValue>>::new());
-        assert_eq!(decode_rows(&row[..row.len() - 1], 1).len(), 0);
-    }
 }

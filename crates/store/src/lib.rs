@@ -16,7 +16,10 @@
 //!   kernel folds into its handle cipher so fresh boots mint fresh
 //!   handles (§5.1). The batch is whatever the caller appends between
 //!   [`Store::commit`]s; `asbestos-db` sizes it one way, a positive
-//!   count (`ASBESTOS_DB_GROUP_COMMIT`, default 1 — sync per mutation).
+//!   count (`DurableDb::set_group_commit`, default 1 — sync per mutation).
+//! * [`codec::Reader`] — the one bounded reader every length-prefixed
+//!   decoder above this crate uses (snapshot, redo records, OKWS row
+//!   buffers, the federation wire).
 //!
 //! Records are opaque bytes: the database layer (`asbestos-db`) defines
 //! what a redo record means; this crate guarantees only that recovery
@@ -25,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod blockdev;
+pub mod codec;
 pub mod crc;
 pub mod store;
 pub mod wal;

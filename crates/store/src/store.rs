@@ -311,11 +311,6 @@ impl Store {
     pub fn active_segment(&self) -> String {
         seg_name(self.active_seg)
     }
-
-    /// A second handle onto the underlying device.
-    pub fn dev_handle(&self) -> Box<dyn BlockDev> {
-        self.dev.clone_dev()
-    }
 }
 
 #[cfg(test)]
