@@ -2,12 +2,15 @@
 //! delivery check at the label sizes the OKWS evaluation produces
 //! (§5.6's linear scaling, measured on the host).
 //!
-//! The last group pins the asymptotics of the chunk-run merge without a
-//! clock: at the label sizes `benchmark/` records (774 entries on
-//! `hot-1x1`, 2,498 on `churn-4x4`) it prints how many entries each
-//! operation examined one by one and how many chunks it allocated, and —
-//! in `--test` mode too — asserts that a large label against a small one
-//! costs the chunks the small one reaches into, not the large label.
+//! The last two groups pin the asymptotics of the label evaluation without
+//! a clock. `okws_shapes`, at the label sizes `benchmark/` records (774
+//! entries on `hot-1x1`, 2,498 on `churn-4x4`), prints how many entries
+//! each operation examined one by one and how many chunks it allocated,
+//! and — in `--test` mode too — asserts that a large label against a small
+//! one costs the small one's entries, not the large label. `hot_1x1`
+//! rebuilds the labels of `hot-1x1`'s three processes and runs Figure 4 on
+//! each sender → receiver pair with the same counters, so the next label
+//! change is sized here rather than with a profiler.
 
 use asbestos_labels::chunk::{Chunk, CHUNK_CAP};
 use asbestos_labels::{ops, Handle, HandleCipher, Label, Level};
@@ -168,11 +171,12 @@ fn bench_okws_shapes(c: &mut Criterion) {
                      {allocated} chunks allocated"
                 );
                 if size != "equal" {
-                    // Two passes (is anything changed? then build it) over
-                    // the chunk each partner entry lands in, and a split.
+                    // One pass: each partner entry is read once to find the
+                    // points and once as a point (the port adds one), and
+                    // every chunk of the large label fits its mask.
                     let reached = tainted.entry_count() as u64;
                     assert!(
-                        visited <= 3 * CHUNK_CAP as u64 * reached,
+                        visited <= 2 * reached + 2,
                         "{name} {n}x{size} walked {visited} entries"
                     );
                     assert!(
@@ -185,6 +189,165 @@ fn bench_okws_shapes(c: &mut Criterion) {
                 });
             }
         }
+    }
+    group.finish();
+}
+
+fn bench_hot_1x1(c: &mut Criterion) {
+    // `hot-1x1`'s 256 users, each with a taint uT, a grant uG and a session
+    // port uW, plus a few live connections uC, all cipher-allocated.
+    let cipher = HandleCipher::new(11);
+    let handle = |i: usize| Handle::from_raw(cipher.encrypt(i as u64));
+    let taint = |u: usize| handle(3 * u);
+    let grant = |u: usize| handle(3 * u + 1);
+    let session = |u: usize| handle(3 * u + 2);
+    let conn = |k: usize| handle(1_000 + k);
+    let users = 0..256;
+    let label = |default, pairs: Vec<(Handle, Level)>| Label::from_pairs(default, &pairs);
+    let stars = |hs: &mut dyn Iterator<Item = Handle>| hs.map(|h| (h, Level::Star)).collect();
+    // netd holds uT ⋆ for every user it serves and uC ⋆ for its
+    // connections (≈ 260); ok-demux every user's three handles and its
+    // connections (≈ 776); both accept every user's taint.
+    let netd_send = label(
+        Level::L1,
+        stars(&mut users.clone().map(taint).chain((0..4).map(conn))),
+    );
+    let demux_send = label(
+        Level::L1,
+        stars(
+            &mut users
+                .clone()
+                .flat_map(|u| [taint(u), grant(u), session(u)])
+                .chain((0..8).map(conn)),
+        ),
+    );
+    let accepting = label(
+        Level::L2,
+        users.clone().map(|u| (taint(u), Level::L3)).collect(),
+    );
+    // User 7's worker event process: 8 entries, one of them its taint.
+    let u = 7;
+    let mut worker_pairs: Vec<(Handle, Level)> = stars(
+        &mut [conn(0), grant(u), session(u)]
+            .into_iter()
+            .chain((2_000..2_004).map(handle)),
+    );
+    worker_pairs.push((taint(u), Level::L3));
+    let worker_send = label(Level::L1, worker_pairs);
+    let worker_recv = label(Level::L2, vec![(taint(u), Level::L3)]);
+    // netd's port for connection uC, once the user's taint is registered.
+    let uc_port = label(Level::L2, vec![(conn(0), Level::L0), (taint(u), Level::L3)]);
+    let taint_u = label(Level::Star, vec![(taint(u), Level::L3)]);
+    let handoff_grant = label(
+        Level::L3,
+        vec![(conn(0), Level::Star), (grant(u), Level::Star)],
+    );
+    let (bottom, top) = (Label::bottom(), Label::top());
+    // E_S with a message's contamination: data leaving netd or ok-demux
+    // for a worker carries uT 3.
+    let tainted = |ps: &Label| ps.join(&taint_u).into_owned();
+    let (netd_data, demux_handoff) = (tainted(&netd_send), tainted(&demux_send));
+    struct Pair<'a> {
+        name: &'static str,
+        es: &'a Label,
+        ds: &'a Label,
+        qs: &'a Label,
+        qr: &'a Label,
+        port: &'a Label,
+    }
+    let pairs = [
+        Pair {
+            name: "netd->demux",
+            es: &netd_send,
+            ds: &top,
+            qs: &demux_send,
+            qr: &accepting,
+            port: &top,
+        },
+        Pair {
+            name: "netd->worker",
+            es: &netd_data,
+            ds: &top,
+            qs: &worker_send,
+            qr: &worker_recv,
+            port: &top,
+        },
+        Pair {
+            name: "demux->netd",
+            es: &demux_send,
+            ds: &top,
+            qs: &netd_send,
+            qr: &accepting,
+            port: &uc_port,
+        },
+        Pair {
+            name: "demux->worker",
+            es: &demux_handoff,
+            ds: &handoff_grant,
+            qs: &worker_send,
+            qr: &worker_recv,
+            port: &top,
+        },
+        Pair {
+            name: "worker->netd",
+            es: &worker_send,
+            ds: &top,
+            qs: &netd_send,
+            qr: &accepting,
+            port: &uc_port,
+        },
+        Pair {
+            name: "worker->demux",
+            es: &worker_send,
+            ds: &top,
+            qs: &demux_send,
+            qr: &accepting,
+            port: &top,
+        },
+    ];
+    let mut group = c.benchmark_group("hot_1x1");
+    for pair in &pairs {
+        let check = || ops::check_delivery(pair.es, pair.qr, &bottom, &top, pair.port);
+        let contaminate = || ops::apply_receive_contamination(pair.qs, pair.ds, pair.es);
+        assert!(check(), "{} must deliver", pair.name);
+        // One pass: the small operands' entries, each read once to find
+        // the points and once as a point, and at most one chunk of each
+        // large label — the one holding a taint its mask leaves undecided.
+        let small = |labels: &[&Label]| -> u64 {
+            let cost = |l: &&Label| match l.chunk_count() {
+                0 | 1 => 2 * l.entry_count(),
+                _ => CHUNK_CAP,
+            };
+            labels.iter().map(cost).sum::<usize>() as u64
+        };
+        for (op, (visited, allocated), bound) in [
+            (
+                "check",
+                counted(check),
+                small(&[pair.es, pair.qr, pair.port]),
+            ),
+            (
+                "contaminate",
+                counted(contaminate),
+                small(&[pair.qs, pair.ds, pair.es]),
+            ),
+        ] {
+            println!(
+                "hot_1x1/{op}/{}: {visited} entries visited, {allocated} chunks allocated",
+                pair.name
+            );
+            assert!(
+                visited <= bound,
+                "{op} {} visited {visited} > {bound}",
+                pair.name
+            );
+        }
+        group.bench_function(format!("check/{}", pair.name), |bench| {
+            bench.iter(|| black_box(check()))
+        });
+        group.bench_function(format!("contaminate/{}", pair.name), |bench| {
+            bench.iter(|| black_box(contaminate()))
+        });
     }
     group.finish();
 }
@@ -205,6 +368,7 @@ criterion_group!(
     bench_delivery_check,
     bench_contamination,
     bench_okws_shapes,
+    bench_hot_1x1,
     bench_handle_alloc
 );
 criterion_main!(benches);

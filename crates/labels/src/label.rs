@@ -48,9 +48,11 @@ pub const CHUNK_MIN_CAP: usize = 30;
 /// low 3) stored in refcounted chunks of up to 64 entries. Labels share
 /// chunks structurally: cloning a label is cheap, and mutation copies only
 /// the affected chunk (copy-on-write via [`Arc::make_mut`]). Every chunk and
-/// every label caches its minimum and maximum level, enabling the paper's
-/// fast path: if `L₂`'s maximum level is no larger than `L₁`'s minimum, then
-/// `L₁ ⊔ L₂ = L₁` by definition.
+/// every label caches the set of levels it holds, enabling the paper's fast
+/// path — if `L₂`'s maximum level is no larger than `L₁`'s minimum, then
+/// `L₁ ⊔ L₂ = L₁` by definition — and its per-chunk form: an operation
+/// decides a chunk of a large label from its marks alone, and evaluates only
+/// the handles the small labels name (see `merge.rs`).
 ///
 /// # Invariants
 ///
@@ -286,7 +288,7 @@ impl Label {
     /// The partial order `self ⊑ other`: true iff `self(h) ≤ other(h)` for
     /// all handles `h`.
     pub fn leq(&self, other: &Label) -> bool {
-        // Fast path from §5.6 via the cached bounds.
+        // §5.6's fast path, straight from the cached bounds.
         self.max_level() <= other.min_level() || merge::all([self, other], |[a, b]| a <= b)
     }
 
@@ -302,52 +304,32 @@ impl Label {
         self.meet(other).into_owned()
     }
 
-    /// `self ⊔ other`, handing back the operand itself when the join *is*
-    /// that operand (`L₁ ⊔ L₂ = L₁` iff `L₂ ⊑ L₁`, of which §5.6's
-    /// "`L₂`'s maximum level is no larger than `L₁`'s minimum" is the O(1)
-    /// case). Callers that hold the operand behind an `Arc` keep it instead
-    /// of allocating; a new label shares every chunk the join left alone.
+    /// `self ⊔ other`, handing back the larger operand itself when the
+    /// join *is* that operand (`L₁ ⊔ L₂ = L₁` iff `L₂ ⊑ L₁`). Callers that
+    /// hold the operand behind an `Arc` keep it instead of allocating; a new
+    /// label shares every chunk of it the join left alone.
     pub fn join<'a>(&'a self, other: &'a Label) -> Cow<'a, Label> {
-        if other.leq(self) {
-            Cow::Borrowed(self)
-        } else if self.leq(other) {
-            Cow::Borrowed(other)
-        } else {
-            Cow::Owned(merge::build(
-                [self, other],
-                self.larger_of(other),
-                |[a, b]| a.max(b),
-            ))
-        }
+        merge::build([self, other], self.larger_of(other), |[a, b]| a.max(b))
     }
 
-    /// `self ⊓ other`, handing back the operand itself when the meet is
-    /// that operand (`L₁ ⊓ L₂ = L₁` iff `L₁ ⊑ L₂`); see [`Label::join`].
+    /// `self ⊓ other`, handing back the larger operand itself when the meet
+    /// is that operand (`L₁ ⊓ L₂ = L₁` iff `L₁ ⊑ L₂`); see [`Label::join`].
     pub fn meet<'a>(&'a self, other: &'a Label) -> Cow<'a, Label> {
-        if self.leq(other) {
-            Cow::Borrowed(self)
-        } else if other.leq(self) {
-            Cow::Borrowed(other)
-        } else {
-            Cow::Owned(merge::build(
-                [self, other],
-                self.larger_of(other),
-                |[a, b]| a.min(b),
-            ))
-        }
+        merge::build([self, other], self.larger_of(other), |[a, b]| a.min(b))
     }
 
     /// The stars-only label `L⋆`: `⋆` where this label is `⋆`, `3` elsewhere
     /// (§5.3). Used to preserve a receiver's declassification privileges when
     /// applying contamination.
     pub fn stars_only(&self) -> Label {
-        merge::build([self], 0, |[l]| l.star_only())
+        merge::build([self], 0, |[l]| l.star_only()).into_owned()
     }
 
     /// Total entries the label operations on the current thread examined
-    /// one at a time — everything not skipped or shared a whole run at a
-    /// time from cached chunk bounds. With [`Chunk::alloc_count`] this pins
-    /// the §5.6 asymptotics deterministically (tests diff the counters).
+    /// one at a time: each handle evaluated exactly, and each entry of a
+    /// chunk whose marks did not decide it. With [`Chunk::alloc_count`]
+    /// this pins the §5.6 asymptotics deterministically (tests diff the
+    /// counters).
     pub fn entries_visited() -> u64 {
         merge::entries_visited()
     }
@@ -356,7 +338,8 @@ impl Label {
     // Internal chunk plumbing.
     // ------------------------------------------------------------------
 
-    /// Which of `[self, other]` has more chunks to share with a result.
+    /// Which of `[self, other]` has more chunks to share with a result:
+    /// the base a join or meet is edited from.
     fn larger_of(&self, other: &Label) -> usize {
         usize::from(other.chunks.len() > self.chunks.len())
     }

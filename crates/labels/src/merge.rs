@@ -1,31 +1,36 @@
-//! The chunk-run merge: every label operation as one walk over the
-//! operands' chunk arrays (§5.6).
+//! Label evaluation: every label operation as a few exact points over
+//! chunk masks (§5.6).
 //!
 //! "Chunks are reference counted and updated copy-on-write, and multiple
 //! labels can share chunks; each chunk is marked with the minimum and
-//! maximum of its vnodes' levels." The walk below is what those marks are
-//! for. A pointwise operation over `N` labels is decided a *range of
-//! handles* at a time: inside a range each operand takes only the levels its
-//! chunks there are marked with, or its default, so evaluating the
-//! operation over that handful of level combinations ([`every_combo`])
-//! settles every handle in the range at once. Two kinds of range are tried
-//! before any entry is looked at:
+//! maximum of its vnodes' levels." The evaluation below is built around
+//! what those marks buy on the labels OKWS makes: of the operands of any
+//! Figure 4 operation at most two are *large* (more than one chunk), and a
+//! large one takes only one or two levels — hundreds of `⋆` privileges, or
+//! hundreds of accepted taints at 3.
 //!
-//! * a **region** — everything up to the end of one chunk of the *base*
-//!   operand (the label a result is expected to resemble, or the one with
-//!   the most chunks). The other operands may have any number of entries
-//!   inside it;
-//! * a **solo run** — inside a region the marks could not settle, a stretch
-//!   of one operand's chunk that no other operand has an entry inside.
+//! * A **small** operand (at most one chunk) is a handful of **points**:
+//!   each of its handles is evaluated exactly, with every operand's real
+//!   level there.
+//! * Each **large** operand gets one **mask** per call: the levels at which
+//!   the operation is already decided, whatever the others hold at that
+//!   handle — any level of its label for another large operand, its
+//!   default for a small one (a small operand's entries are points). That
+//!   is at most five [`every_combo`] calls per large operand. A chunk whose
+//!   marks fit inside the mask costs one set test; an entry outside it is
+//!   one more point.
 //!
-//! [`all`] (predicates: `⊑` and the Figure 4 checks) skips a range its
-//! marks prove. [`build`] (results: `⊔`, `⊓`, contamination) carries a range
-//! the operation is the identity on into the result — by `Arc::clone` when
-//! the range is a whole chunk — and drops one that collapses onto the
-//! result's default. Only what the marks cannot decide is evaluated entry
-//! by entry. Host cost is O(chunks + entries in undecided ranges); the
-//! *charged* cost is not computed here at all (see [`crate::ops::op_work`]).
+//! Everywhere else every operand is at its default. So [`all`] (predicates:
+//! `⊑` and the Figure 4 checks) checks the defaults and then the points,
+//! and [`build`] (results: `⊔`, `⊓`, `L⋆`, contamination) starts from one
+//! operand's chunk array — the *base* — and edits the points' exact levels
+//! into it: every chunk no edit lands in is shared, and a result no point
+//! changes *is* the base. Both walk the points in one ascending pass with a
+//! forward cursor per operand. Host cost is O(chunks + points + entries of
+//! the chunks outside a mask); the *charged* cost is not computed here at
+//! all (see [`crate::ops::op_work`]).
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -34,14 +39,14 @@ use crate::label::{Label, LabelBuilder};
 use crate::level::{Level, LevelSet};
 
 thread_local! {
-    /// Entries this thread's merges examined one at a time (monotonic).
+    /// Entries this thread's evaluations examined one at a time (monotonic).
     static ENTRIES_VISITED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total entries merges on the current thread examined individually —
-/// everything not skipped or shared a range at a time. A test observability
-/// hook like [`Label::clone_count`]: the asymptotics are pinned by diffing
-/// it, not by timing.
+/// Total entries evaluations on the current thread examined individually:
+/// every point, plus every entry of a chunk outside its operand's mask. A
+/// test observability hook like [`Label::clone_count`]: the asymptotics
+/// are pinned by diffing it, not by timing.
 pub(crate) fn entries_visited() -> u64 {
     ENTRIES_VISITED.with(Cell::get)
 }
@@ -51,8 +56,8 @@ fn visit(n: usize) {
     ENTRIES_VISITED.with(|c| c.set(c.get() + n as u64));
 }
 
-/// Sentinel "next handle" of an exhausted operand, and the end of the last
-/// region; real handles are 61-bit.
+/// Sentinel "next handle" of an operand with no points left; real handles
+/// are 61-bit.
 const END: u64 = u64::MAX;
 
 /// Whether `holds` is true of every way of drawing one level from each set
@@ -87,314 +92,271 @@ fn every_combo<const N: usize>(
     }
 }
 
-/// One operand's position: chunk index and offset within that chunk.
-struct Cursor<'a> {
-    chunks: &'a [Arc<Chunk>],
-    ci: usize,
-    off: usize,
+/// One operand of an evaluation: where its next point is, and how far its
+/// level lookups have got.
+struct Operand<'a> {
+    default: Level,
+    /// The levels at which this operand's entries are decided unseen;
+    /// empty for a small operand, all of whose entries are points.
+    mask: LevelSet,
+    /// The rest of the chunk being scanned, from the next point on.
+    scan: &'a [u64],
+    /// Handle of the next point ([`END`] if none).
+    next: u64,
+    /// The chunks after that one.
+    unscanned: &'a [Arc<Chunk>],
+    /// The chunks from the one level lookups resume in.
+    seek: &'a [Arc<Chunk>],
+    /// Entries of `seek[0]` already passed.
+    passed: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Operand<'a> {
+    /// An operand not yet scanned for points, with an empty mask.
+    fn new(label: &'a Label) -> Operand<'a> {
+        Operand {
+            default: label.default_level(),
+            mask: LevelSet::EMPTY,
+            scan: &[],
+            next: END,
+            unscanned: label.chunks(),
+            seek: label.chunks(),
+            passed: 0,
+        }
+    }
+
+    /// Advances `scan` to the next entry outside the mask, passing over
+    /// whole chunks whose marks fit inside it.
     #[inline]
-    fn next_handle(&self) -> u64 {
-        match self.chunks.get(self.ci) {
-            Some(c) => entry_handle(c.entries()[self.off]),
-            None => END,
-        }
-    }
-
-    /// Consumes `n` entries of the current chunk.
-    #[inline]
-    fn advance(&mut self, n: usize) {
-        self.off += n;
-        if self.off == self.chunks[self.ci].len() {
-            self.ci += 1;
-            self.off = 0;
-        }
-    }
-
-    /// The marks of every chunk holding an unconsumed entry at or below
-    /// `hi`: a superset of the levels of those entries.
-    fn marks_through(&self, hi: u64) -> LevelSet {
-        if self.next_handle() > hi {
-            return LevelSet::EMPTY;
-        }
-        self.chunks[self.ci..]
-            .iter()
-            .take_while(|c| c.first_handle() <= hi)
-            .fold(LevelSet::EMPTY, |set, c| set.union(c.levels()))
-    }
-
-    /// Consumes every entry at or below `hi`.
-    fn skip_through(&mut self, hi: u64) {
-        while let Some(c) = self.chunks.get(self.ci) {
-            if c.last_handle() > hi {
-                let rest = &c.entries()[self.off..];
-                self.off += rest.partition_point(|&e| entry_handle(e) <= hi);
+    fn find_point(&mut self) {
+        let mask = self.mask;
+        loop {
+            if let Some(i) = self
+                .scan
+                .iter()
+                .position(|&e| !mask.contains(entry_level(e)))
+            {
+                self.scan = &self.scan[i..];
+                self.next = entry_handle(self.scan[0]);
                 return;
             }
-            self.ci += 1;
-            self.off = 0;
+            self.scan = &[];
+            let Some((chunk, later)) = self.unscanned.split_first() else {
+                self.next = END;
+                return;
+            };
+            self.unscanned = later;
+            if chunk.levels().union(mask) != mask {
+                visit(chunk.len());
+                self.scan = chunk.entries();
+            }
         }
+    }
+
+    /// The level of the point `scan` is at, moving past it.
+    #[inline]
+    fn step(&mut self) -> Level {
+        let level = entry_level(self.scan[0]);
+        self.scan = &self.scan[1..];
+        match self.scan.first() {
+            Some(&e) if self.mask.is_empty() => self.next = entry_handle(e),
+            _ => self.find_point(),
+        }
+        level
+    }
+
+    /// Looks `handle` up from where the last lookup ended.
+    fn level_at(&mut self, handle: u64) -> Level {
+        while let Some(chunk) = self.seek.first() {
+            if chunk.last_handle() >= handle {
+                let entries = &chunk.entries()[self.passed..];
+                let i = entries.partition_point(|&e| entry_handle(e) < handle);
+                self.passed += i;
+                return if entry_handle(entries[i]) == handle {
+                    entry_level(entries[i])
+                } else {
+                    self.default
+                };
+            }
+            self.seek = &self.seek[1..];
+            self.passed = 0;
+        }
+        self.default
     }
 }
 
-/// What one entry-level step of the merge covers.
-enum Run<'a, const N: usize> {
-    /// `entries` — the rest of operand `operand`'s `chunk`, or as much of it
-    /// as precedes the next handle any other operand names — with every
-    /// other operand at its default.
-    Solo {
-        operand: usize,
-        chunk: &'a Arc<Chunk>,
-        entries: &'a [u64],
-    },
-    /// One handle named by at least two operands, with every operand's
-    /// level there (explicit or default).
-    Point { handle: u64, levels: [Level; N] },
-}
-
-struct RunMerge<'a, const N: usize> {
-    cursors: [Cursor<'a>; N],
+/// The handles an evaluation must look at one by one, ascending, each with
+/// every operand's level there. At every other handle `decided` holds of
+/// the operands' levels, provided it holds of their defaults.
+///
+/// Callers first try the whole handle space at once — `decided` of every
+/// combination of the labels' levels, §5.6's "L₂'s maximum level is no
+/// larger than L₁'s minimum" fast path for any operation — which needs no
+/// points at all.
+struct Points<'a, const N: usize> {
+    operands: [Operand<'a>; N],
     defaults: [Level; N],
 }
 
-impl<'a, const N: usize> RunMerge<'a, N> {
-    fn new(labels: [&'a Label; N]) -> RunMerge<'a, N> {
-        RunMerge {
-            cursors: labels.map(|l| Cursor {
-                chunks: l.chunks(),
-                ci: 0,
-                off: 0,
-            }),
-            defaults: labels.map(Label::default_level),
-        }
-    }
-
-    /// The levels each operand can take at the unconsumed handles up to
-    /// `hi`: its default, and the marks of its chunks there.
-    fn levels_through(&self, hi: u64) -> [LevelSet; N] {
-        let mut sets = self.defaults.map(LevelSet::of);
-        for (set, cursor) in sets.iter_mut().zip(&self.cursors) {
-            *set = set.union(cursor.marks_through(hi));
-        }
-        sets
-    }
-
-    /// The levels the operands take along a solo run of `operand`.
-    fn levels_along(&self, operand: usize, chunk: &Chunk) -> [LevelSet; N] {
-        let mut sets = self.defaults.map(LevelSet::of);
-        sets[operand] = chunk.levels();
-        sets
-    }
-
-    /// Consumes every operand's entries at or below `hi`.
-    fn skip_through(&mut self, hi: u64) {
-        for cursor in &mut self.cursors {
-            cursor.skip_through(hi);
-        }
-    }
-
-    /// The next run starting at or below `hi`, if any.
-    fn next_through(&mut self, hi: u64) -> Option<Run<'a, N>> {
-        // The operand with the smallest next handle leads; `limit` is the
-        // smallest next handle among the others.
-        let (mut lead, mut first, mut limit) = (0, END, END);
-        for (i, c) in self.cursors.iter().enumerate() {
-            let h = c.next_handle();
-            if h < first {
-                (lead, limit, first) = (i, first, h);
-            } else if h < limit {
-                limit = h;
+impl<'a, const N: usize> Points<'a, N> {
+    fn new(labels: [&'a Label; N], decided: impl Fn([Level; N]) -> bool) -> Points<'a, N> {
+        let spans = labels.map(Label::levels);
+        let large = labels.map(|l| l.chunks().len() > 1);
+        // What an operand can hold at a handle none of the points name.
+        let unseen: [LevelSet; N] = std::array::from_fn(|i| {
+            if large[i] {
+                spans[i]
+            } else {
+                LevelSet::of(labels[i].default_level())
             }
-        }
-        if first == END || first > hi {
-            return None;
-        }
-        if first == limit {
-            let mut levels = self.defaults;
-            for (c, level) in self.cursors.iter_mut().zip(&mut levels) {
-                if c.next_handle() == first {
-                    *level = entry_level(c.chunks[c.ci].entries()[c.off]);
-                    c.advance(1);
+        });
+        // Built first and scanned in place: scanning inside the `map` costs
+        // more than all the scanning does.
+        let mut points = Points {
+            defaults: labels.map(Label::default_level),
+            operands: labels.map(Operand::new),
+        };
+        for (i, operand) in points.operands.iter_mut().enumerate() {
+            if large[i] {
+                // No entry is at the default, so its level needs no test.
+                let mut levels = spans[i];
+                while let Some(level) = levels.min() {
+                    let mut sets = unseen;
+                    sets[i] = LevelSet::of(level);
+                    if level != operand.default && every_combo(sets, &decided) {
+                        operand.mask = operand.mask.union(sets[i]);
+                    }
+                    levels = levels.without_min();
                 }
             }
-            return Some(Run::Point {
-                handle: first,
-                levels,
-            });
+            operand.find_point();
         }
-        let cursor = &mut self.cursors[lead];
-        let chunk = &cursor.chunks[cursor.ci];
-        let rest = &chunk.entries()[cursor.off..];
-        let n = if chunk.last_handle() < limit {
-            rest.len()
-        } else {
-            rest.partition_point(|&e| entry_handle(e) < limit)
-        };
-        cursor.advance(n);
-        Some(Run::Solo {
-            operand: lead,
-            chunk,
-            entries: &rest[..n],
-        })
+        points
     }
 }
 
-/// The ends of the regions a walk based on `label` goes through: each of
-/// its chunks' last handle, then the rest of the handle space.
-fn region_ends(label: &Label) -> impl Iterator<Item = (u64, Option<&Arc<Chunk>>)> {
-    let chunks = label.chunks().iter();
-    chunks
-        .map(|c| (c.last_handle(), Some(c)))
-        .chain([(END, None)])
-}
+impl<const N: usize> Iterator for Points<'_, N> {
+    type Item = (u64, [Level; N]);
 
-/// `levels` with position `operand` replaced.
-#[inline]
-fn with<const N: usize>(mut levels: [Level; N], operand: usize, level: Level) -> [Level; N] {
-    levels[operand] = level;
-    levels
+    fn next(&mut self) -> Option<(u64, [Level; N])> {
+        let handle = self.operands.iter().fold(END, |h, o| h.min(o.next));
+        if handle == END {
+            return None;
+        }
+        visit(1);
+        let mut levels = self.defaults;
+        for (level, operand) in levels.iter_mut().zip(&mut self.operands) {
+            if operand.next == handle {
+                *level = operand.step();
+            } else if !operand.mask.is_empty() {
+                // An entry here, if any, is inside the mask.
+                *level = operand.level_at(handle);
+            }
+            // Otherwise every entry is a point, and none is here.
+        }
+        Some((handle, levels))
+    }
 }
 
 /// Whether `ok` holds at every handle — the infinitely many at the
 /// defaults included.
 pub(crate) fn all<const N: usize>(labels: [&Label; N], ok: impl Fn([Level; N]) -> bool) -> bool {
-    // The whole handle space as one range: §5.6's "L₂'s maximum level is
-    // no larger than L₁'s minimum" fast path, for any predicate.
-    if every_combo(labels.map(Label::levels), &ok) {
-        return true;
-    }
-    let defaults = labels.map(Label::default_level);
-    if !ok(defaults) {
-        return false;
-    }
-    let base = (0..N)
-        .max_by_key(|&i| labels[i].chunks().len())
-        .expect("at least one operand");
-    let mut merge = RunMerge::new(labels);
-    for (hi, _) in region_ends(labels[base]) {
-        if every_combo(merge.levels_through(hi), &ok) {
-            merge.skip_through(hi);
-            continue;
-        }
-        while let Some(run) = merge.next_through(hi) {
-            match run {
-                Run::Point { levels, .. } => {
-                    visit(1);
-                    if !ok(levels) {
-                        return false;
-                    }
-                }
-                Run::Solo {
-                    operand,
-                    chunk,
-                    entries,
-                } => {
-                    if every_combo(merge.levels_along(operand, chunk), &ok) {
-                        continue;
-                    }
-                    visit(entries.len());
-                    let ok_at = |&e: &u64| ok(with(defaults, operand, entry_level(e)));
-                    if !entries.iter().all(ok_at) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// How `f` treats a range of handles, judged from level sets alone.
-struct Verdict {
-    /// `f` returns operand `keep`'s own level everywhere in the range.
-    kept: bool,
-    /// `f` returns the result's default everywhere in the range.
-    gone: bool,
-}
-
-fn judge<const N: usize>(
-    sets: [LevelSet; N],
-    f: impl Fn([Level; N]) -> Level,
-    keep: usize,
-    default: Level,
-) -> Verdict {
-    let mut verdict = Verdict {
-        kept: true,
-        gone: true,
-    };
-    every_combo(sets, |levels| {
-        let mapped = f(levels);
-        verdict.kept &= mapped == levels[keep];
-        verdict.gone &= mapped == default;
-        verdict.kept || verdict.gone
-    });
-    verdict
+    every_combo(labels.map(Label::levels), &ok)
+        || ok(labels.map(Label::default_level))
+            && Points::new(labels, &ok).all(|(_, levels)| ok(levels))
 }
 
 /// The label mapping every handle `h` to `f(labels[0](h), …)`.
 ///
-/// Chunks of `labels[base]` that `f` leaves alone are shared with it —
-/// whatever entries the other operands have in their range — so a result
-/// that differs from the base in one place costs the chunks around that
-/// place, not the label.
-pub(crate) fn build<const N: usize>(
-    labels: [&Label; N],
-    base: usize,
+/// It is built from a base: `labels[hint]`, unless that operand's default
+/// is not the result's, then the first operand whose default is, else an
+/// empty label at the result's default. The points' levels are edited into
+/// the base's chunk array, sharing every chunk no edit lands in; when no
+/// point changes the base, the result is the base itself.
+pub(crate) fn build<'a, const N: usize>(
+    labels: [&'a Label; N],
+    hint: usize,
     f: impl Fn([Level; N]) -> Level,
-) -> Label {
-    let defaults = labels.map(Label::default_level);
-    let default = f(defaults);
-    let mut out = LabelBuilder::new(default);
-    let mut merge = RunMerge::new(labels);
-    for (hi, base_chunk) in region_ends(labels[base]) {
-        // Kept: the base's entries are reproduced and — its default being
-        // one of the levels judged — nothing is added at handles it does not
-        // name, so the result's entries here are exactly this chunk.
-        let verdict = judge(merge.levels_through(hi), &f, base, default);
-        if verdict.gone {
-            merge.skip_through(hi);
-            continue;
-        }
-        if let (true, Some(chunk)) = (verdict.kept, base_chunk) {
-            out.push_chunk(chunk);
-            merge.skip_through(hi);
-            continue;
-        }
-        while let Some(run) = merge.next_through(hi) {
-            match run {
-                Run::Point { handle, levels } => {
-                    visit(1);
-                    out.push(handle, f(levels));
-                }
-                Run::Solo {
-                    operand,
-                    chunk,
-                    entries,
-                } => {
-                    let verdict = judge(merge.levels_along(operand, chunk), &f, operand, default);
-                    if verdict.gone {
-                        continue;
-                    }
-                    // A kept entry at the result's default would vanish.
-                    let kept = verdict.kept && !chunk.levels().contains(default);
-                    if kept && entries.len() == chunk.len() {
-                        out.push_chunk(chunk);
-                        continue;
-                    }
-                    visit(entries.len());
-                    if kept {
-                        out.extend(entries);
-                    } else {
-                        for &e in entries {
-                            let levels = with(defaults, operand, entry_level(e));
-                            out.push(entry_handle(e), f(levels));
-                        }
-                    }
-                }
+) -> Cow<'a, Label> {
+    let default = f(labels.map(Label::default_level));
+    let base = if labels[hint].default_level() == default {
+        Some(hint)
+    } else {
+        (0..N).find(|&i| labels[i].default_level() == default)
+    };
+    let kept = |levels: [Level; N]| base.map_or(default, |b| levels[b]);
+    let decided = |levels: [Level; N]| f(levels) == kept(levels);
+    let chunks = base.map_or(&[][..], |b| labels[b].chunks());
+    let mut edits: Option<Editor> = None;
+    if !every_combo(labels.map(Label::levels), decided) {
+        for (handle, levels) in Points::new(labels, decided) {
+            let level = f(levels);
+            if level != kept(levels) {
+                edits
+                    .get_or_insert_with(|| Editor::new(chunks, default))
+                    .set(handle, level);
             }
         }
     }
-    out.finish()
+    match (edits, base) {
+        (Some(edits), _) => Cow::Owned(edits.finish()),
+        (None, Some(b)) => Cow::Borrowed(labels[b]),
+        (None, None) => Cow::Owned(Label::new(default)),
+    }
+}
+
+/// A base chunk array with ascending edits merged in.
+struct Editor<'a> {
+    /// The base's chunks from the one copying resumes in.
+    chunks: &'a [Arc<Chunk>],
+    /// Entries of `chunks[0]` already in `out`.
+    copied: usize,
+    out: LabelBuilder,
+}
+
+impl<'a> Editor<'a> {
+    fn new(chunks: &'a [Arc<Chunk>], default: Level) -> Editor<'a> {
+        Editor {
+            chunks,
+            copied: 0,
+            out: LabelBuilder::new(default),
+        }
+    }
+
+    /// Copies the base's entries below `handle`, each untouched chunk by
+    /// reference.
+    fn copy_below(&mut self, handle: u64) {
+        while let Some(chunk) = self.chunks.first() {
+            let rest = &chunk.entries()[self.copied..];
+            if chunk.last_handle() >= handle {
+                let n = rest.partition_point(|&e| entry_handle(e) < handle);
+                self.out.extend(&rest[..n]);
+                self.copied += n;
+                return;
+            }
+            if self.copied == 0 {
+                self.out.push_chunk(chunk);
+            } else {
+                self.out.extend(rest);
+            }
+            self.chunks = &self.chunks[1..];
+            self.copied = 0;
+        }
+    }
+
+    /// Gives `handle` the result's `level`, replacing the base's entry.
+    fn set(&mut self, handle: u64, level: Level) {
+        self.copy_below(handle);
+        if let Some(chunk) = self.chunks.first() {
+            if entry_handle(chunk.entries()[self.copied]) == handle {
+                self.copied += 1;
+            }
+        }
+        self.out.push(handle, level);
+    }
+
+    fn finish(mut self) -> Label {
+        self.copy_below(END);
+        self.out.finish()
+    }
 }

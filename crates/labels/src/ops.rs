@@ -3,14 +3,15 @@
 //! The kernel's hot path evaluates compositions like
 //! `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R` on every delivery. Building the three
 //! intermediate labels would allocate; these helpers evaluate each
-//! composition pointwise in one chunk-run merge (see [`crate::merge`])
-//! instead: chunks of one operand that no other operand reaches into are
-//! skipped or shared from their cached level bounds, so a 774-entry `⋆`
-//! label checked against a 4-entry one costs the chunks, not the entries.
-//! Effects hand back the receiver's own label when they leave it
-//! unchanged, so the kernel keeps the `Arc` it already holds. Property
-//! tests verify each fused form against the composed lattice operations
-//! and against [`crate::naive::NaiveLabel`].
+//! composition pointwise in one ascending pass instead (see
+//! [`crate::merge`]): the small operands' handles are evaluated exactly,
+//! and a large operand's chunks are decided from their level marks, so a
+//! 776-entry `⋆` label checked against a port label with one entry costs
+//! its chunks and that one point. An effect is one pass too: it edits the
+//! points it changes into the receiver's label, and hands that label back
+//! when no point changes it, so the kernel keeps the `Arc` it already
+//! holds. Property tests verify each fused form against the composed
+//! lattice operations and against [`crate::naive::NaiveLabel`].
 //!
 //! What an operation *charges* is a separate matter: [`op_work`] counts
 //! every explicit entry of every operand, exactly as the paper's kernel
@@ -85,10 +86,11 @@ pub fn check_decont_within_port(dr: &Label, pr: &Label) -> bool {
 /// Borrowed exactly when the effect leaves `Q_S` as it is.
 pub fn apply_receive_contamination<'a>(qs: &'a Label, ds: &Label, es: &Label) -> Cow<'a, Label> {
     let effect = |[q, d, e]: [Level; 3]| q.min(d).max(e.min(q.star_only()));
-    if merge::all([qs, ds, es], |levels| effect(levels) == levels[0]) {
-        Cow::Borrowed(qs)
-    } else {
-        Cow::Owned(merge::build([qs, ds, es], 0, effect))
+    match merge::build([qs, ds, es], 0, effect) {
+        Cow::Borrowed(kept) if std::ptr::eq(kept, qs) => Cow::Borrowed(qs),
+        // A `D_S` with a privileged default gives the result another
+        // default, so it was built from another operand.
+        other => Cow::Owned(other.into_owned()),
     }
 }
 

@@ -10,12 +10,14 @@
 //!    cites Denning's lattice model); we verify partial-order laws, bound
 //!    properties, absorption, and the paper's specific claims (e.g. the
 //!    `Q_S⋆` star-preservation in contamination).
-//! 3. **Chunk sharing** — the operations decide whole chunks from cached
-//!    bounds and share them with their operands; every oracle property is
-//!    therefore also run over multi-chunk operands (wide labels, and the
-//!    OKWS shape: hundreds to thousands of `⋆` entries on cipher-spread
-//!    handles against a handful of taint/grant entries), and structural
-//!    tests pin what is shared, what is allocated and what is walked.
+//! 3. **Chunk sharing** — the operations decide whole chunks of a large
+//!    label from their level marks, evaluate the small labels' handles as
+//!    points, and share every chunk no point changes; every oracle property
+//!    is therefore also run over multi-chunk operands (wide labels, the
+//!    OKWS shape — hundreds to thousands of `⋆` entries on cipher-spread
+//!    handles against a handful of taint/grant entries — and two large
+//!    labels that disagree everywhere), and structural tests pin what is
+//!    shared, what is allocated and what is examined one by one.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -129,7 +131,7 @@ fn arb_okws_label() -> impl Strategy<Value = Label> {
 
 // Multi-chunk labels over a handle domain small enough that operands name
 // the same handles, end chunks on each other's entries and nest several
-// chunks inside one chunk of another: every boundary the region walk has.
+// chunks inside one chunk of another: every boundary an evaluation meets.
 // Grown densely (sequential `set`s split into ~19 chunks), then thinned —
 // removal empties chunks without merging them — then salted.
 prop_compose! {
@@ -540,7 +542,7 @@ fn regression_mls_emulation() {
 }
 
 // ---------------------------------------------------------------------
-// OKWS-shaped operands: the same oracle properties where the run merge
+// OKWS-shaped operands: the same oracle properties where the evaluation
 // actually skips and shares (labels.entries_max 774 / 2,498 in benchmark/).
 // ---------------------------------------------------------------------
 
@@ -599,12 +601,116 @@ proptest! {
                 }
             }
         }
+        // One pass: each small operand's entries are read once to find the
+        // points and once more as points, and every chunk of a large `big`
+        // fits its mask (a neutral default decides them all). A `big` whose
+        // bulk level is its default is small itself.
+        let small = |l: &Label| if l.chunk_count() <= 1 { l.entry_count() as u64 } else { 0 };
+        let (es_n, ds_n, big_n) = (small(&es), small(&ds), small(&big));
+        let visited = Label::entries_visited();
+        let _ = ops::check_delivery(&es, &big, &Label::bottom(), &Label::top(), &Label::top());
+        prop_assert!(Label::entries_visited() - visited <= 2 * (es_n + big_n));
         let visited = Label::entries_visited();
         let allocated = Chunk::alloc_count();
-        let _ = ops::check_delivery(&es, &big, &Label::bottom(), &Label::top(), &Label::top());
         let _ = ops::apply_receive_contamination(&big, &ds, &es);
-        prop_assert!(Label::entries_visited() - visited <= (3 * reached * CHUNK_CAP) as u64);
+        prop_assert!(Label::entries_visited() - visited <= 2 * (es_n + ds_n + big_n));
         prop_assert!(Chunk::alloc_count() - allocated <= reached as u64);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The edge cases of the one-pass evaluation: large operands whose masks
+// decide little, points between chunks, and results built from nothing.
+// ---------------------------------------------------------------------
+
+// Two large labels over the same cipher-spread handles that disagree chunk
+// after chunk: one at a bulk level, the other at levels drawn per handle,
+// so neither operand's marks fit a mask and most handles are points.
+prop_compose! {
+    fn arb_disagreeing_pair()(
+        defaults in (arb_level(), arb_level()),
+        bulk in arb_level(),
+        levels in prop::collection::vec(arb_level(), 200..900),
+        offset in 0usize..200,
+    ) -> (Label, Label) {
+        let handles = &okws_handles()[offset..offset + levels.len()];
+        let bulk_pairs: Vec<(Handle, Level)> = handles.iter().map(|&h| (h, bulk)).collect();
+        let drawn: Vec<(Handle, Level)> = handles.iter().copied().zip(levels).collect();
+        (Label::from_pairs(defaults.0, &bulk_pairs), Label::from_pairs(defaults.1, &drawn))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn two_large_operands_match_oracle(pair in arb_disagreeing_pair(), small in arb_okws_small()) {
+        let (a, b) = pair;
+        check_lattice_ops(&a, &b);
+        check_lattice_ops(&b, &a);
+        check_fused_delivery(&a, &b, &small, &Label::top(), &b);
+        check_fused_delivery(&b, &a, &Label::bottom(), &small, &a);
+        check_fused_contamination(&a, &small, &b);
+        check_fused_contamination(&b, &Label::top(), &a);
+        check_privileges(&a, &b);
+    }
+
+    /// A small operand naming a handle that falls between two chunks of a
+    /// large label: evaluated exactly, and the edit lands between the
+    /// chunks without rebuilding either.
+    #[test]
+    fn small_handle_between_large_chunks(
+        default in arb_level(),
+        bulk in arb_level(),
+        gap in 0u64..9,
+        level in arb_level(),
+        small_default in prop_oneof![Just(Level::Star), Just(Level::L3)],
+    ) {
+        // Ten full chunks; chunk k ends at 10·(64k + 63) and the next one
+        // starts at 10·64(k + 1).
+        let pairs: Vec<(Handle, Level)> =
+            (0..640).map(|i| (Handle::from_raw(10 * i), bulk)).collect();
+        let big = Label::from_pairs(default, &pairs);
+        let between = Handle::from_raw(10 * (64 * gap + 63) + 5);
+        let small = Label::from_pairs(small_default, &[(between, level)]);
+        check_lattice_ops(&big, &small);
+        check_lattice_ops(&small, &big);
+        check_fused_delivery(&small, &big, &Label::bottom(), &Label::top(), &big);
+        check_fused_delivery(&big, &big, &small, &Label::top(), &Label::top());
+        check_fused_contamination(&big, &small, &small);
+        check_fused_contamination(&big, &Label::top(), &small);
+        for result in [big.join(&small), big.meet(&small)] {
+            if let Cow::Owned(out) = result {
+                if out.default_level() == big.default_level() {
+                    let unshared = out.chunk_count() - out.chunks_shared_with(&big);
+                    prop_assert!(unshared <= 1, "{unshared} chunks rebuilt");
+                }
+            }
+        }
+    }
+}
+
+/// A result whose default is no operand's — `L⋆` of a label at a default
+/// other than `⋆` or 3 — is built from an empty label at that default, its
+/// points being exactly the operand's `⋆` entries.
+#[test]
+fn result_default_matching_no_operand() {
+    let mut pairs: Vec<(Handle, Level)> = okws_handles()[..776]
+        .iter()
+        .map(|&h| (h, Level::Star))
+        .collect();
+    pairs.extend(okws_handles()[776..780].iter().map(|&h| (h, Level::L3)));
+    for default in [Level::L0, Level::L1, Level::L2] {
+        let label = Label::from_pairs(default, &pairs);
+        let visited = Label::entries_visited();
+        let stars = label.stars_only();
+        // Every chunk holds a `⋆` (outside the mask), so all of them are
+        // read, and each `⋆` is one point.
+        assert_eq!(Label::entries_visited() - visited, 780 + 776);
+        assert_is(&stars, &to_naive(&label).stars_only());
+        assert_eq!(stars.default_level(), Level::L3);
+        assert_eq!(stars.entry_count(), 776);
+        assert_eq!(stars.chunks_shared_with(&label), 0);
     }
 }
 
