@@ -87,6 +87,15 @@ impl OkDemux {
         }
     }
 
+    /// Whether `msg` proves it comes from `user`'s event process: §7.5's
+    /// `V(uG) ≤ 0`, which the kernel lets through only from a holder of
+    /// `uG ⋆` — the grant ok-demux hands only to that user's workers.
+    fn speaks_for(&self, msg: &Message, user: &str) -> bool {
+        self.creds
+            .get(user)
+            .is_some_and(|&(_, grant)| msg.verify.get(grant) <= Level::L0)
+    }
+
     /// Responds directly on a connection (error paths) and forgets it.
     fn respond_direct(&mut self, sys: &mut Sys<'_>, reply_port: Handle, status: u16, msg: &str) {
         let Some(state) = self.pending.remove(&reply_port) else {
@@ -362,18 +371,20 @@ impl Service for OkDemux {
             }
             return;
         }
-        // Session lifecycle events from worker event processes.
+        // Session lifecycle events from worker event processes. The port
+        // is open to every worker, so each event must prove it speaks for
+        // its user.
         if Some(msg.port) == self.control_port {
             match OkwsMsg::from_value(&msg.body) {
                 Some(OkwsMsg::SessionNew {
                     user,
                     service,
                     port,
-                }) => {
+                }) if self.speaks_for(msg, &user) => {
                     sys.charge(DEMUX_EVENT_CYCLES / 4);
                     self.sessions.insert((user, service), port);
                 }
-                Some(OkwsMsg::SessionEnd { user, service }) => {
+                Some(OkwsMsg::SessionEnd { user, service }) if self.speaks_for(msg, &user) => {
                     // §7.3: "ok-demux cleans u's user-worker pairs out of
                     // its session table." Ack on the session port before
                     // releasing the uW ⋆: connections handed off before

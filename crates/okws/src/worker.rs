@@ -279,7 +279,7 @@ impl Worker {
                     port: uw,
                 }
                 .to_value(),
-                &SendArgs::new().grant(star(uw)),
+                &SendArgs::new().verify(grant_proof(grant)).grant(star(uw)),
             );
             uw
         } else {
@@ -370,14 +370,16 @@ impl Worker {
                 Self::write_u64(sys, SESSION_PAGE + OFF_PENDING_COUNT, 0);
                 Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_DRAINING);
                 let user = Self::load_user(sys);
+                let grant = Self::read_handle(sys, SESSION_PAGE + OFF_GRANT);
                 if let Some(demux) = sys.env("okws.demux.port").and_then(|v| v.as_handle()) {
-                    let _ = sys.send(
+                    let _ = sys.send_args(
                         demux,
                         OkwsMsg::SessionEnd {
                             user,
                             service: self.service.clone(),
                         }
                         .to_value(),
+                        &SendArgs::new().verify(grant_proof(grant)),
                     );
                 }
                 // §7.3: "u's worker event processes call ep_exit" — but
@@ -678,4 +680,11 @@ impl SessionStore for EpSessionStore<'_, '_> {
 
 fn star(h: Handle) -> Label {
     Label::from_pairs(Level::L3, &[(h, Level::Star)])
+}
+
+/// `V = {uG 0, 3}`: proof that the sender speaks for the user whose grant
+/// handle `uG` it holds at ⋆ (§7.5), which ok-demux requires of session
+/// events.
+fn grant_proof(grant: Handle) -> Label {
+    Label::from_pairs(Level::L3, &[(grant, Level::L0)])
 }

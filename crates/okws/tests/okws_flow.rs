@@ -365,6 +365,129 @@ fn raw_compromise_cannot_reach_external_sink() {
     assert!(kernel.stats().dropped_label_check > drops_before);
 }
 
+/// A compromised worker logged in as mallory that rewrites *alice's*
+/// entry in ok-demux's session table (§7.3) over the open control port,
+/// proving — truthfully — that it speaks for mallory.
+#[derive(Clone, Copy)]
+enum SessionSpoof {
+    /// `SessionEnd` for alice: her cached session would be forgotten.
+    End,
+    /// `SessionNew` for alice naming mallory's own port: alice's next
+    /// connection, with its uC ⋆, would be handed to mallory.
+    New,
+}
+
+impl asbestos_kernel::EpService for SessionSpoof {
+    fn on_base_start(&mut self, sys: &mut asbestos_kernel::Sys<'_>) {
+        let port = sys.new_port(Label::top());
+        sys.set_port_label(port, Label::top()).unwrap();
+        sys.publish_env("okws.worker.spoof.port", Value::Handle(port));
+    }
+
+    fn on_event(&self, sys: &mut asbestos_kernel::Sys<'_>, msg: &asbestos_kernel::Message) {
+        if let Some(OkwsMsg::Activate { service, verify }) = OkwsMsg::from_value(&msg.body) {
+            let demux = sys.env("okws.demux.reg").unwrap().as_handle().unwrap();
+            let port = sys
+                .env("okws.worker.spoof.port")
+                .unwrap()
+                .as_handle()
+                .unwrap();
+            let v = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
+            let _ = sys.send_args(
+                demux,
+                OkwsMsg::Register { service, port }.to_value(),
+                &asbestos_kernel::SendArgs::new().verify(v),
+            );
+            let _ = sys.ep_exit();
+            return;
+        }
+        let Some(OkwsMsg::ConnHandoff {
+            conn, user, grant, ..
+        }) = OkwsMsg::from_value(&msg.body)
+        else {
+            return;
+        };
+        if user != "mallory" {
+            // A connection routed here by the forged entry: keep it.
+            return;
+        }
+        let response = asbestos_net::http::ok_response(b"served");
+        let _ = sys.send(conn, NetMsg::Write { bytes: response }.to_value());
+        let _ = sys.send(conn, NetMsg::Close.to_value());
+        let control = sys.env("okws.demux.port").unwrap().as_handle().unwrap();
+        let mine = Label::from_pairs(Level::L3, &[(grant, Level::L0)]);
+        let (body, args) = match self {
+            SessionSpoof::End => (
+                OkwsMsg::SessionEnd {
+                    user: "alice".into(),
+                    service: "store".into(),
+                },
+                asbestos_kernel::SendArgs::new().verify(mine),
+            ),
+            SessionSpoof::New => {
+                let port = sys.new_port(Label::top());
+                let star = Label::from_pairs(Level::L3, &[(port, Level::Star)]);
+                (
+                    OkwsMsg::SessionNew {
+                        user: "alice".into(),
+                        service: "store".into(),
+                        port,
+                    },
+                    asbestos_kernel::SendArgs::new().verify(mine).grant(star),
+                )
+            }
+        };
+        let _ = sys.send_args(control, body.to_value(), &args);
+    }
+}
+
+#[test]
+fn workers_cannot_rewrite_another_users_session() {
+    for spoof in [SessionSpoof::End, SessionSpoof::New] {
+        let name = match spoof {
+            SessionSpoof::End => "SessionEnd",
+            SessionSpoof::New => "SessionNew",
+        };
+        let mut kernel = Kernel::new(214);
+        let mut config = OkwsConfig::new(80);
+        config
+            .services
+            .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+        config
+            .services
+            .push(ServiceSpec::raw("spoof", move || Box::new(spoof)));
+        config.users.push(("alice".into(), "pw-a".into()));
+        config.users.push(("mallory".into(), "pw-m".into()));
+        let okws = Okws::start(&mut kernel, config);
+        let mut client = OkwsClient::new(&okws);
+
+        client
+            .request_sync(
+                &mut kernel,
+                "store",
+                "alice",
+                "pw-a",
+                &[("data", "alice-blob")],
+            )
+            .unwrap();
+        let (_, body) = client
+            .request_sync(&mut kernel, "spoof", "mallory", "pw-m", &[])
+            .expect("the spoofing worker answers its own user");
+        assert_eq!(body, b"served");
+
+        // §7.5: ok-demux acts on a session event only for the user whose
+        // grant handle the sender proved it holds, so alice's session is
+        // still hers.
+        let reply = client.request_sync(&mut kernel, "store", "alice", "pw-a", &[]);
+        let (status, body) = reply.unwrap_or_else(|| panic!("{name}: alice got no response"));
+        assert_eq!(status, 200);
+        assert!(
+            body.starts_with(b"alice-blob"),
+            "{name}: alice's session was rewritten by mallory's worker"
+        );
+    }
+}
+
 #[test]
 fn declassifier_publishes_and_workers_read() {
     // §7.6 end to end: "pubprofile" is a declassifier worker; alice uses it
