@@ -247,105 +247,85 @@ fn bench_hot_1x1(c: &mut Criterion) {
     // for a worker carries uT 3.
     let tainted = |ps: &Label| ps.join(&taint_u).into_owned();
     let (netd_data, demux_handoff) = (tainted(&netd_send), tainted(&demux_send));
-    struct Pair<'a> {
-        name: &'static str,
-        es: &'a Label,
-        ds: &'a Label,
-        qs: &'a Label,
-        qr: &'a Label,
-        port: &'a Label,
-    }
-    let pairs = [
-        Pair {
-            name: "netd->demux",
-            es: &netd_send,
-            ds: &top,
-            qs: &demux_send,
-            qr: &accepting,
-            port: &top,
-        },
-        Pair {
-            name: "netd->worker",
-            es: &netd_data,
-            ds: &top,
-            qs: &worker_send,
-            qr: &worker_recv,
-            port: &top,
-        },
-        Pair {
-            name: "demux->netd",
-            es: &demux_send,
-            ds: &top,
-            qs: &netd_send,
-            qr: &accepting,
-            port: &uc_port,
-        },
-        Pair {
-            name: "demux->worker",
-            es: &demux_handoff,
-            ds: &handoff_grant,
-            qs: &worker_send,
-            qr: &worker_recv,
-            port: &top,
-        },
-        Pair {
-            name: "worker->netd",
-            es: &worker_send,
-            ds: &top,
-            qs: &netd_send,
-            qr: &accepting,
-            port: &uc_port,
-        },
-        Pair {
-            name: "worker->demux",
-            es: &worker_send,
-            ds: &top,
-            qs: &demux_send,
-            qr: &accepting,
-            port: &top,
-        },
+    // (sender -> receiver, E_S, D_S, the receiver's Q_S and Q_R, p_R)
+    let pairs: [(&str, &Label, &Label, &Label, &Label, &Label); 6] = [
+        (
+            "netd->demux",
+            &netd_send,
+            &top,
+            &demux_send,
+            &accepting,
+            &top,
+        ),
+        (
+            "netd->worker",
+            &netd_data,
+            &top,
+            &worker_send,
+            &worker_recv,
+            &top,
+        ),
+        (
+            "demux->netd",
+            &demux_send,
+            &top,
+            &netd_send,
+            &accepting,
+            &uc_port,
+        ),
+        (
+            "demux->worker",
+            &demux_handoff,
+            &handoff_grant,
+            &worker_send,
+            &worker_recv,
+            &top,
+        ),
+        (
+            "worker->netd",
+            &worker_send,
+            &top,
+            &netd_send,
+            &accepting,
+            &uc_port,
+        ),
+        (
+            "worker->demux",
+            &worker_send,
+            &top,
+            &demux_send,
+            &accepting,
+            &top,
+        ),
     ];
-    let mut group = c.benchmark_group("hot_1x1");
-    for pair in &pairs {
-        let check = || ops::check_delivery(pair.es, pair.qr, &bottom, &top, pair.port);
-        let contaminate = || ops::apply_receive_contamination(pair.qs, pair.ds, pair.es);
-        assert!(check(), "{} must deliver", pair.name);
-        // One pass: the small operands' entries, each read once to find
-        // the points and once as a point, and at most one chunk of each
-        // large label — the one holding a taint its mask leaves undecided.
-        let small = |labels: &[&Label]| -> u64 {
-            let cost = |l: &&Label| match l.chunk_count() {
-                0 | 1 => 2 * l.entry_count(),
-                _ => CHUNK_CAP,
-            };
-            labels.iter().map(cost).sum::<usize>() as u64
+    // One pass: the small operands' entries, each read once to find the
+    // points and once as a point, and at most one chunk of each large
+    // label — the one holding a taint its mask leaves undecided.
+    let one_pass = |labels: [&Label; 3]| -> u64 {
+        let cost = |l: &Label| match l.chunk_count() {
+            0 | 1 => 2 * l.entry_count(),
+            _ => CHUNK_CAP,
         };
+        labels.into_iter().map(cost).sum::<usize>() as u64
+    };
+    let mut group = c.benchmark_group("hot_1x1");
+    for (name, es, ds, qs, qr, port) in pairs {
+        let check = || ops::check_delivery(es, qr, &bottom, &top, port);
+        let contaminate = || ops::apply_receive_contamination(qs, ds, es);
+        assert!(check(), "{name} must deliver");
         for (op, (visited, allocated), bound) in [
-            (
-                "check",
-                counted(check),
-                small(&[pair.es, pair.qr, pair.port]),
-            ),
-            (
-                "contaminate",
-                counted(contaminate),
-                small(&[pair.qs, pair.ds, pair.es]),
-            ),
+            ("check", counted(check), one_pass([es, qr, port])),
+            ("contaminate", counted(contaminate), one_pass([qs, ds, es])),
         ] {
             println!(
-                "hot_1x1/{op}/{}: {visited} entries visited, {allocated} chunks allocated",
-                pair.name
+                "hot_1x1/{op}/{name}: {visited} entries visited, {allocated} chunks allocated"
             );
-            assert!(
-                visited <= bound,
-                "{op} {} visited {visited} > {bound}",
-                pair.name
-            );
+            assert!(visited <= bound, "{op} {name} visited {visited} > {bound}");
         }
-        group.bench_function(format!("check/{}", pair.name), |bench| {
+        group.bench_function(format!("check/{name}"), |bench| {
             bench.iter(|| black_box(check()))
         });
-        group.bench_function(format!("contaminate/{}", pair.name), |bench| {
+        group.bench_function(format!("contaminate/{name}"), |bench| {
             bench.iter(|| black_box(contaminate()))
         });
     }

@@ -304,18 +304,32 @@ impl Label {
         self.meet(other).into_owned()
     }
 
-    /// `self ⊔ other`, handing back the larger operand itself when the
-    /// join *is* that operand (`L₁ ⊔ L₂ = L₁` iff `L₂ ⊑ L₁`). Callers that
-    /// hold the operand behind an `Arc` keep it instead of allocating; a new
-    /// label shares every chunk of it the join left alone.
+    /// `self ⊔ other`, handing back an operand itself when the join *is*
+    /// that operand (`L₁ ⊔ L₂ = L₁` iff `L₂ ⊑ L₁`): either one when the
+    /// cached bounds show it, the one with more chunks otherwise. Callers
+    /// that hold the operand behind an `Arc` keep it instead of allocating;
+    /// a new label shares every chunk of that operand the join left alone.
     pub fn join<'a>(&'a self, other: &'a Label) -> Cow<'a, Label> {
-        merge::build([self, other], self.larger_of(other), |[a, b]| a.max(b))
+        // §5.6's fast path, straight from the cached bounds.
+        if other.max_level() <= self.min_level() {
+            Cow::Borrowed(self)
+        } else if self.max_level() <= other.min_level() {
+            Cow::Borrowed(other)
+        } else {
+            merge::build([self, other], self.larger_of(other), |[a, b]| a.max(b))
+        }
     }
 
-    /// `self ⊓ other`, handing back the larger operand itself when the meet
-    /// is that operand (`L₁ ⊓ L₂ = L₁` iff `L₁ ⊑ L₂`); see [`Label::join`].
+    /// `self ⊓ other`, handing back an operand itself when the meet is that
+    /// operand (`L₁ ⊓ L₂ = L₁` iff `L₁ ⊑ L₂`); see [`Label::join`].
     pub fn meet<'a>(&'a self, other: &'a Label) -> Cow<'a, Label> {
-        merge::build([self, other], self.larger_of(other), |[a, b]| a.min(b))
+        if self.max_level() <= other.min_level() {
+            Cow::Borrowed(self)
+        } else if other.max_level() <= self.min_level() {
+            Cow::Borrowed(other)
+        } else {
+            merge::build([self, other], self.larger_of(other), |[a, b]| a.min(b))
+        }
     }
 
     /// The stars-only label `L⋆`: `⋆` where this label is `⋆`, `3` elsewhere

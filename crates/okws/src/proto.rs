@@ -77,7 +77,8 @@ pub enum OkwsMsg {
         grant: Handle,
     },
     /// Worker event process → ok-demux: a new session port uW exists for
-    /// `(user, service)` (§7.3); grants `uW ⋆`.
+    /// `(user, service)` (§7.3); grants `uW ⋆`. Sent with `V = {uG 0, 3}`:
+    /// ok-demux ignores it unless `V` proves the user's grant handle.
     SessionNew {
         /// Username.
         user: String,
@@ -87,7 +88,8 @@ pub enum OkwsMsg {
         port: Handle,
     },
     /// Worker event process → ok-demux: the session ended (logout);
-    /// ok-demux drops its table entry (§7.3).
+    /// ok-demux drops its table entry (§7.3). Proven like
+    /// [`OkwsMsg::SessionNew`].
     SessionEnd {
         /// Username.
         user: String,
