@@ -7,14 +7,14 @@
 //! over real sockets. The design keeps the paper's semantics by moving
 //! *labels*, never *verdicts*:
 //!
-//! * [`wire`] — the serialized form: a typed [`WireMsg`](wire::WireMsg)
+//! * [`wire`] — the serialized form: a typed [`wire::WireMsg`]
 //!   enum in length-prefixed, CRC-framed, versioned frames. Labels
 //!   travel as their §5.6 packed entries in one canonical form (strictly
 //!   ascending, nothing at the default level) that is checked on arrival
 //!   and rejected, never repaired, when it is anything else
 //!   ([`WireError::NonCanonical`]); payload bytes are zero-copy views of
 //!   the received frame.
-//! * [`conn`] — [`FrameConn`](conn::FrameConn), a nonblocking framed
+//! * [`conn`] — [`conn::FrameConn`], a nonblocking framed
 //!   `UnixStream` (partial reads/writes are normal, nothing blocks).
 //! * [`switch`] — the hub: a port directory (`Register`/`Unregister`,
 //!   pushed to every other kernel as `ResolveR`) plus a `Forward` relay. It routes by port

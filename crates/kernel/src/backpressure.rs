@@ -34,7 +34,7 @@
 //! covert-channel suite pins this byte-for-byte.
 //!
 //! Shared-state pressure still exists, of course — a full destination
-//! port, a full cross-shard channel. It influences only *placement*:
+//! port, a full cross-shard inbox. It influences only *placement*:
 //! an admitted message that cannot enqueue right now parks silently in
 //! the retry queue and is flushed when capacity returns, exactly as
 //! invisibly as §4's label drops. The retry queue preserves per-sender
@@ -372,7 +372,7 @@ impl KernelShard {
     /// Deliberately credit-free: flush timing depends on shared
     /// scheduler state, so touching the credit windows here would leak
     /// that timing into the verdicts senders observe.
-    pub(crate) fn flush_retries(&mut self, router: &Router) -> usize {
+    pub(crate) fn flush_retries(&mut self, router: &mut Router) -> usize {
         if self.bp.retry.is_empty() {
             return 0;
         }
@@ -393,7 +393,7 @@ impl KernelShard {
                     self.mailboxes.len() < self.queue_limit
                         && self.mailboxes.port_len(qm.port) < self.port_queue_limit
                 } else {
-                    self.xshard.len(dest as usize) < self.queue_limit
+                    router.inbox_len(dest as usize) < self.queue_limit
                 };
             if admit {
                 if let Some(k) = key {
@@ -408,9 +408,9 @@ impl KernelShard {
                 flushed += 1;
                 if dest == self.id {
                     self.enqueue_checked(qm);
-                } else if !self.xshard.push(dest as usize, qm, self.queue_limit) {
+                } else if !router.push(dest as usize, qm, self.queue_limit) {
                     // The capacity check above makes this unreachable;
-                    // if it ever fires the channel bound drops silently,
+                    // if it ever fires the inbox bound drops silently,
                     // as it does on the send path.
                     self.stats.record_drop(DropReason::QueueFull);
                 }

@@ -2,20 +2,20 @@
 //!
 //! Split out of `kernel.rs` so all delivery policy lives in one place:
 //!
-//! * [`Mailboxes`] — the queued-message store, one FIFO per destination
+//! * `Mailboxes` — the queued-message store, one FIFO per destination
 //!   port, drained by a deterministic round-robin scheduler. Per-port
 //!   queues are the structural prerequisite for sharding the delivery
 //!   engine: two ports' traffic shares no queue state.
 //! * [`DeliveryOutcome`] — what one scheduler step did; the per-step
-//!   `Stats` bookkeeping happens in exactly one place
-//!   ([`KernelShard::step_outcome`]) instead of at every drop site.
+//!   `Stats` bookkeeping happens in exactly one place (the shard's
+//!   `step_outcome`) instead of at every drop site.
 //!
 //! Since the kernel was sharded, the engine below runs *per shard*: each
 //! [`KernelShard`] drains its own mailboxes against its own processes,
 //! ports, and clock, sharing no mutable delivery state with the others.
-//! Cross-shard sends are pushed straight into the destination shard's
-//! inbound channel and pulled at deterministic points of its drain loop
-//! — sub-round routing (see `router.rs` and `kernel.rs`).
+//! Cross-shard sends are pushed straight onto the destination shard's
+//! inbox and pulled at deterministic points of its drain loop —
+//! sub-round routing (see `router.rs` and `kernel.rs`).
 //!
 //! Figure 4 is evaluated on every delivery. §5.6 is what makes that
 //! cheap: the label operations run in O(chunks touched), and an effect
@@ -146,7 +146,7 @@ impl KernelShard {
     /// delivered counter are recorded in one place, so the delivery logic
     /// below returns outcomes instead of mutating counters at every exit
     /// point.
-    pub(crate) fn step_outcome(&mut self, router: &Router) -> DeliveryOutcome {
+    pub(crate) fn step_outcome(&mut self, router: &mut Router) -> DeliveryOutcome {
         let Some(qm) = self.mailboxes.pop_next() else {
             return DeliveryOutcome::Idle;
         };
@@ -163,19 +163,19 @@ impl KernelShard {
     /// Drains this shard until locally quiescent or until `budget` steps
     /// have run, and returns the steps; mailboxes left non-empty mean
     /// the budget ran out first. Local sends issued by handlers keep the
-    /// drain going; cross-shard sends are pushed straight into their
-    /// destination's inbound channel, and whenever this shard's own
-    /// mailboxes empty it pulls *its* inbound channel and keeps going —
+    /// drain going; cross-shard sends are pushed straight onto their
+    /// destination's inbox, and whenever this shard's own mailboxes
+    /// empty it pulls *its* inbox and keeps going —
     /// sub-round routing, which lets a forward cross-shard chain finish
     /// inside one sweep.
     ///
     /// The time the loop runs is accumulated into `busy_nanos` (see the
     /// field docs).
-    pub(crate) fn drain_round(&mut self, router: &Router, budget: u64) -> u64 {
+    pub(crate) fn drain_round(&mut self, router: &mut Router, budget: u64) -> u64 {
         let start = std::time::Instant::now();
         let mut steps = 0;
         loop {
-            self.pull_inbound(PullPoint::Subround);
+            self.pull_inbound(router, PullPoint::Subround);
             // Re-admit parked retries while capacity lasts (a no-op
             // unless backpressure is armed and something is parked).
             self.flush_retries(router);
@@ -193,7 +193,7 @@ impl KernelShard {
 
     /// Evaluates Figure 4 for one popped message and, if it passes,
     /// invokes the receiver.
-    fn deliver(&mut self, router: &Router, qm: QueuedMessage) -> DeliveryOutcome {
+    fn deliver(&mut self, router: &mut Router, qm: QueuedMessage) -> DeliveryOutcome {
         // Resolve the destination port.
         let Some(port_state) = self.handles.port(qm.port) else {
             return DeliveryOutcome::Dropped(DropReason::NoSuchPort);

@@ -18,7 +18,7 @@ const INDEX_BITS: u32 = 64 - SHARD_BITS;
 /// Mask selecting the table index.
 const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 
-/// Maximum number of kernel shards (the shard must fit in [`SHARD_BITS`]).
+/// Maximum number of kernel shards (the shard must fit in `SHARD_BITS`).
 pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
 
 #[inline]

@@ -1,23 +1,23 @@
 //! The kernel coordinator: shard construction, placement, god-mode
 //! surface, and the run loop.
 //!
-//! Since PR 2 the kernel is a set of [`KernelShard`]s — each a complete,
-//! isolated delivery engine (see [`crate::shard`]) — plus the shared
-//! [`Router`] maps and this coordinator. The coordinator owns placement
-//! (which shard a spawned process lands on), drives the run loop, and
-//! merges per-shard statistics, clocks, and memory reports into the
-//! whole-kernel views the paper figures read.
+//! The kernel is a set of [`KernelShard`]s — each a complete, isolated
+//! delivery engine (see [`crate::shard`]) — plus one router owning
+//! everything cross-shard (port directory, global environment, per-shard
+//! inboxes, federation egress) and this coordinator. The coordinator
+//! owns placement (which shard a spawned process lands on), drives the
+//! run loop, and merges per-shard statistics, clocks, and memory reports
+//! into the whole-kernel views the paper figures read.
 //!
-//! **Run loop.** Cross-shard messages travel through per-shard inbound
-//! channels (see [`crate::router::InboxSet`]): a cross-shard send is
-//! pushed into the destination's channel the moment it resolves,
-//! mid-drain, and every shard pulls its own channel whenever its
-//! mailboxes empty — *sub-round routing*. [`Kernel::run`] is one loop on
-//! the calling thread: sweep the shards in shard order, draining each
-//! busy one to local idle ([`KernelShard::drain_round`]), and repeat
-//! until nothing is queued, in flight or parked. A message forwarded
-//! *backwards* in sweep order is picked up on the next sweep. A
-//! single-shard kernel is the same loop at `n = 1`.
+//! **Run loop.** A cross-shard send is pushed onto the destination
+//! shard's inbox the moment it resolves, mid-drain, and every shard pulls
+//! its own inbox whenever its mailboxes empty — *sub-round routing*.
+//! [`Kernel::run`] is one loop on the calling thread: sweep the shards in
+//! shard order, draining each busy one to local idle while it holds the
+//! router as `&mut`, and repeat until nothing is queued, in flight or
+//! parked. A message forwarded *backwards* in sweep order is picked up on
+//! the next sweep. A single-shard kernel is the same loop at `n = 1`.
+//! Nothing here is shared between threads, so nothing is locked.
 //!
 //! Shards are a *model* of parallel cores — [`Kernel::elapsed_cycles`] is
 //! the busiest shard's clock — and a partition that bounds queues per
@@ -48,7 +48,7 @@ use crate::ids::{EpId, ProcessId, MAX_SHARDS};
 use crate::memory::PAGE_SIZE;
 use crate::message::QueuedMessage;
 use crate::process::{Body, EpService, Process, Service};
-use crate::router::{InboxSet, PullPoint, Router};
+use crate::router::{PullPoint, Router};
 use crate::shard::KernelShard;
 use crate::stats::Stats;
 use crate::value::Value;
@@ -84,8 +84,8 @@ pub struct KmemReport {
     pub queue_bytes: usize,
     /// User memory: allocated 4 KiB frames (base tables and EP deltas).
     pub user_frame_bytes: usize,
-    /// The cross-shard inbound channels' headers and spare capacity.
-    /// Always zero on a single-shard kernel.
+    /// The cross-shard inboxes' headers and spare capacity. Always zero
+    /// on a single-shard kernel.
     pub xshard_bytes: usize,
 }
 
@@ -129,8 +129,6 @@ impl KmemReport {
 pub struct Kernel {
     shards: Vec<KernelShard>,
     router: Router,
-    /// The cross-shard inbound channels (shared with every shard).
-    xshard: Arc<InboxSet>,
     /// Sweeps of a multi-shard kernel that delivered something (merged
     /// into [`Stats::rounds`]).
     rounds: u64,
@@ -195,7 +193,6 @@ impl Kernel {
         );
         assert!(slot < slots, "cluster slot must be in 0..{slots}");
         let handle_seed = mix_epoch(seed, epoch);
-        let xshard = Arc::new(InboxSet::new(shards));
         Kernel {
             shards: (0..shards)
                 .map(|i| {
@@ -205,12 +202,10 @@ impl Kernel {
                         (slot * shards + i) as u64,
                         (slots * shards) as u64,
                         cost.clone(),
-                        Arc::clone(&xshard),
                     )
                 })
                 .collect(),
             router: Router::new(shards),
-            xshard,
             rounds: 0,
             next_spawn_shard: 0,
             step_cursor: 0,
@@ -264,7 +259,7 @@ impl Kernel {
         category: Category,
         service: Box<dyn Service>,
     ) -> ProcessId {
-        self.shards[shard].spawn_body(&self.router, name, category, Body::Plain(service), None)
+        self.shards[shard].spawn_body(&mut self.router, name, category, Body::Plain(service), None)
     }
 
     /// Spawns an event-process service (§6): after `on_base_start` returns,
@@ -288,7 +283,7 @@ impl Kernel {
         category: Category,
         service: Box<dyn EpService>,
     ) -> ProcessId {
-        self.shards[shard].spawn_body(&self.router, name, category, Body::Event(service), None)
+        self.shards[shard].spawn_body(&mut self.router, name, category, Body::Event(service), None)
     }
 
     fn pick_shard(&mut self) -> usize {
@@ -499,7 +494,7 @@ impl Kernel {
         if shard.processes[pid.index()].alive {
             shard.processes[pid.index()].alive = false;
             shard.processes[pid.index()].body = None;
-            shard.cleanup_process(&self.router, pid);
+            shard.cleanup_process(&mut self.router, pid);
         }
     }
 
@@ -525,12 +520,12 @@ impl Kernel {
         loop {
             // Route first: cross-shard sends (including coordinator-phase
             // ones, e.g. from a handler inside `spawn`'s on_start) sit in
-            // the destination's inbound channel until it drains them.
+            // the destination's inbox until it drains them.
             self.route_parked(PullPoint::Barrier);
             for i in 0..n {
                 let idx = (self.step_cursor + i) % n;
                 if self.shards[idx].mailboxes.len() > 0 {
-                    let outcome = self.shards[idx].step_outcome(&self.router);
+                    let outcome = self.shards[idx].step_outcome(&mut self.router);
                     self.step_cursor = (idx + 1) % n;
                     return outcome;
                 }
@@ -541,7 +536,7 @@ impl Kernel {
             // whole batch, so re-check rather than assume.) Parked
             // retries count as work: drained mailboxes mean there is
             // capacity to re-admit into.
-            if self.xshard.pending() == 0 {
+            if self.router.pending() == 0 {
                 let Kernel { shards, router, .. } = self;
                 let flushed: usize = shards.iter_mut().map(|s| s.flush_retries(router)).sum();
                 if flushed == 0 {
@@ -568,8 +563,8 @@ impl Kernel {
         loop {
             let before = steps;
             for shard in &mut self.shards {
-                if shard.queue_len() > 0 {
-                    steps += shard.drain_round(&self.router, limit - steps);
+                if shard.queue_len(&self.router) > 0 {
+                    steps += shard.drain_round(&mut self.router, limit - steps);
                     assert!(
                         shard.mailboxes.len() == 0,
                         "kernel did not go idle after {limit} deliveries: livelock in simulated services?"
@@ -592,14 +587,14 @@ impl Kernel {
         self.run_limited(100_000_000)
     }
 
-    /// Pulls every shard's inbound channel into its mailboxes (with
+    /// Pulls every shard's inbox into its mailboxes (with
     /// destination-side queue bounds). The nothing-in-flight case —
     /// every step of a cross-shard-free workload — costs O(shards)
-    /// atomic loads and no locks.
+    /// length reads.
     fn route_parked(&mut self, point: PullPoint) {
-        if self.xshard.pending() > 0 {
+        if self.router.pending() > 0 {
             for shard in &mut self.shards {
-                shard.pull_inbound(point);
+                shard.pull_inbound(&mut self.router, point);
             }
         }
     }
@@ -720,29 +715,20 @@ impl Kernel {
     }
 
     /// Pending (sent but undelivered) messages across all shards:
-    /// mailboxes, the in-flight cross-shard channels, and the
+    /// mailboxes, the in-flight cross-shard inboxes, and the
     /// backpressure retry queues.
     pub fn queue_len(&self) -> usize {
-        self.shards.iter().map(KernelShard::queue_len).sum()
+        self.shards.iter().map(|s| s.queue_len(&self.router)).sum()
     }
 
     /// Pending messages sent by a given process (god-mode; used by tests to
     /// verify that compromised services actually attempted exfiltration).
     pub fn queued_from(&self, pid: ProcessId) -> usize {
-        let mut count = self
-            .shards
+        self.shards
             .iter()
-            .flat_map(|s| s.mailboxes.iter())
+            .flat_map(|s| s.mailboxes.iter().chain(self.router.inbox(s.id as usize)))
             .filter(|m| m.from.is_some_and(|c| c.pid == pid))
-            .count();
-        for shard in 0..self.shards.len() {
-            self.xshard.for_each_queued(shard, |qm| {
-                if qm.from.is_some_and(|c| c.pid == pid) {
-                    count += 1;
-                }
-            });
-        }
-        count
+            .count()
     }
 
     /// Downcasts a process's service body for test inspection.
@@ -758,15 +744,15 @@ impl Kernel {
 
     /// Memory accounting across all kernel structures and user frames
     /// (Figure 6's measurement), merged across shards, plus the
-    /// cross-shard channels' bookkeeping (zero on a single-shard kernel,
+    /// cross-shard inboxes' bookkeeping (zero on a single-shard kernel,
     /// which never touches them).
     pub fn kmem_report(&self) -> KmemReport {
         let mut total = KmemReport::default();
         for shard in &self.shards {
-            total.absorb(&shard.kmem_report());
+            total.absorb(&shard.kmem_report(&self.router));
         }
         if self.shards.len() > 1 {
-            total.xshard_bytes = self.xshard.bookkeeping_bytes();
+            total.xshard_bytes = self.router.bookkeeping_bytes();
         }
         total
     }

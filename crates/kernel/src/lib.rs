@@ -49,8 +49,9 @@
 //! [`Kernel`] coordinator that owns placement, the run loop (one
 //! deterministic sweep over the shards on the calling thread, repeated
 //! to quiescence), and the merged whole-kernel views. The only
-//! cross-shard state is the router's two read-mostly maps (port
-//! directory, global environment) and the inbound channels; label
+//! cross-shard state is the router (port directory, global environment,
+//! per-shard inboxes), lent as `&mut` to the one shard being drained —
+//! one thread, so no locks; label
 //! evaluation always runs on the destination port's shard, so Figure 4
 //! semantics are untouched by the partitioning, and `shards = 1` (the
 //! paper-figure configuration) is pinned bit-for-bit against the

@@ -103,7 +103,7 @@ pub struct Message {
 /// The sender-side Figure 4 checks — the two decontamination privilege
 /// requirements and the `E_S = P_S ⊔ C_S` snapshot — already ran on the
 /// source kernel when `send` resolved; what crosses the wire is exactly
-/// the label state a [`QueuedMessage`] would carry, minus the sending
+/// the label state a locally queued message would carry, minus the sending
 /// context (an `ExecCtx` is meaningless outside its own kernel, and
 /// receivers never learn sender identity except through `V` anyway).
 /// The delivery-time check runs on the destination kernel, against

@@ -25,11 +25,10 @@ pub const PROCESS_STRUCT_BYTES: usize = 320;
 /// protocols keep their pending state in `self` (continuation style — the
 /// same structure an efficient event-driven server has on any OS, §6).
 ///
-/// `Send` is a supertrait so that a whole [`crate::Kernel`] is `Send`
-/// and can be built on one thread and driven on another; captured state
-/// moves with it (use `Arc<Mutex<…>>`, not `Rc<RefCell<…>>`, for
-/// god-mode observation channels).
-pub trait Service: Send + 'static {
+/// A kernel runs every handler on the thread that drives it, so a
+/// service need not be `Send`: a god-mode observation channel shared with
+/// the test or harness that owns the kernel is an `Rc<RefCell<…>>`.
+pub trait Service: 'static {
     /// Invoked once when the process starts, before any message delivery.
     /// Typical services create their ports here and publish them via the
     /// environment (§4's bootstrapping convention).
@@ -61,9 +60,7 @@ pub trait Service: Send + 'static {
 /// process: `on_event` takes `&self` precisely because per-user state must
 /// live in simulated memory — where the kernel can enforce copy-on-write
 /// isolation — not in Rust fields shared across users.
-///
-/// `Send` is a supertrait for the same reason as [`Service`].
-pub trait EpService: Send + 'static {
+pub trait EpService: 'static {
     /// One-time base-process setup (create ports, write initial memory).
     fn on_base_start(&mut self, _sys: &mut Sys<'_>) {}
 

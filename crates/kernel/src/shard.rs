@@ -4,15 +4,15 @@
 //! processes and event processes scheduled on it, the vnode table for the
 //! ports they own, the frame pool backing their memory, the per-port
 //! mailboxes feeding its delivery loop, the cycle clock, and the
-//! statistics counters. Shards share no mutable state: the only
-//! cross-shard structures are the read-mostly
-//! [`Router`](crate::router::Router) maps and the per-shard inbound
-//! channels of the shared [`InboxSet`]. A cross-shard send pushes into
-//! the *destination's* inbound channel the moment it resolves —
-//! mid-drain — and each shard drains its own channel at deterministic
-//! points of its delivery loop (sub-round routing). The run loop visits
-//! shards one at a time on the calling thread; the isolation is what
-//! lets a shard stand for one core in the virtual-clock model.
+//! statistics counters. Shards share no mutable state with each other:
+//! what crosses shards (the port directory, the global environment, the
+//! per-shard inboxes) is the kernel's router, which the run loop lends to
+//! one shard at a time as `&mut`. A cross-shard send pushes onto the
+//! *destination's* inbox the moment it resolves — mid-drain — and each
+//! shard drains its own inbox at deterministic points of its delivery
+//! loop (sub-round routing). The run loop visits shards one at a time on
+//! the calling thread; the isolation is what lets a shard stand for one
+//! core in the virtual-clock model.
 //!
 //! Label evaluation always runs here, on the shard owning the destination
 //! port, against the destination's own labels — Figure 4's semantics are
@@ -32,8 +32,8 @@ use crate::ids::{EpId, ExecCtx, ProcessId};
 use crate::kernel::{KmemReport, DEFAULT_QUEUE_LIMIT};
 use crate::memory::{FramePool, PAGE_SIZE};
 use crate::message::{Message, QueuedMessage, SendArgs};
-use crate::process::{Body, EpService, Process, Service};
-use crate::router::{InboxSet, PullPoint, Router};
+use crate::process::{Body, Process};
+use crate::router::{PullPoint, Router};
 use crate::stats::{DropReason, Stats};
 use crate::sys::Sys;
 use crate::value::Value;
@@ -56,15 +56,10 @@ pub struct KernelShard {
     pub(crate) eps: Vec<EventProcess>,
     pub(crate) frames: FramePool,
     pub(crate) mailboxes: Mailboxes,
-    /// Every shard's inbound cross-shard channel, shared kernel-wide.
-    /// Sends to other shards push into `xshard[dest]`; this shard's own
-    /// pending inbound messages live in `xshard[self.id]` until
-    /// [`KernelShard::pull_inbound`] drains them.
-    pub(crate) xshard: Arc<InboxSet>,
-    /// Reusable swap partner for [`KernelShard::pull_inbound`]: drained
-    /// batches land here, are enqueued, and the emptied (but still
-    /// capacitied) buffer swaps back into the inbound channel on the next
-    /// drain — steady state allocates nothing.
+    /// Reusable swap partner for `pull_inbound`: drained batches land
+    /// here, are enqueued, and the emptied (but still capacitied) buffer
+    /// swaps back into this shard's inbox on the next drain — steady
+    /// state allocates nothing.
     pub(crate) drain_buf: Vec<QueuedMessage>,
     pub(crate) queue_limit: usize,
     pub(crate) port_queue_limit: usize,
@@ -96,14 +91,7 @@ impl KernelShard {
     /// `k*num_shards + i` of `slots*num_shards`, so every handle minted
     /// anywhere in a cluster is unique cluster-wide (§5.1's "unique
     /// since boot", across the whole federation).
-    pub(crate) fn new(
-        seed: u64,
-        id: u16,
-        lane: u64,
-        lanes: u64,
-        cost: CostModel,
-        xshard: Arc<InboxSet>,
-    ) -> KernelShard {
+    pub(crate) fn new(seed: u64, id: u16, lane: u64, lanes: u64, cost: CostModel) -> KernelShard {
         KernelShard {
             id,
             cost,
@@ -113,7 +101,6 @@ impl KernelShard {
             eps: Vec::new(),
             frames: FramePool::new(),
             mailboxes: Mailboxes::default(),
-            xshard,
             drain_buf: Vec::new(),
             queue_limit: DEFAULT_QUEUE_LIMIT,
             port_queue_limit: DEFAULT_PORT_QUEUE_LIMIT,
@@ -131,7 +118,7 @@ impl KernelShard {
 
     pub(crate) fn spawn_body(
         &mut self,
-        router: &Router,
+        router: &mut Router,
         name: &str,
         category: Category,
         body: Body,
@@ -182,7 +169,7 @@ impl KernelShard {
 
     pub(crate) fn invoke(
         &mut self,
-        router: &Router,
+        router: &mut Router,
         pid: ProcessId,
         ep: Option<EpId>,
         is_new_ep: bool,
@@ -222,7 +209,7 @@ impl KernelShard {
     /// shutdown; see [`crate::Service::on_teardown`]). Event-process
     /// services keep no durable state by construction — their memory is
     /// per-boot simulated frames — so only plain services get the hook.
-    pub(crate) fn teardown(&mut self, router: &Router) {
+    pub(crate) fn teardown(&mut self, router: &mut Router) {
         for index in 0..self.processes.len() {
             if !self.processes[index].alive {
                 continue;
@@ -241,7 +228,7 @@ impl KernelShard {
         }
     }
 
-    pub(crate) fn cleanup_ep(&mut self, router: &Router, eid: EpId) {
+    pub(crate) fn cleanup_ep(&mut self, router: &mut Router, eid: EpId) {
         let pid = self.eps[eid.index()].process;
         for frame in self.eps[eid.index()].delta.drain_all() {
             self.frames.release(frame);
@@ -256,7 +243,7 @@ impl KernelShard {
         self.stats.eps_exited += 1;
     }
 
-    pub(crate) fn cleanup_process(&mut self, router: &Router, pid: ProcessId) {
+    pub(crate) fn cleanup_process(&mut self, router: &mut Router, pid: ProcessId) {
         let eps: Vec<EpId> = self.processes[pid.index()].eps.clone();
         for eid in eps {
             self.cleanup_ep(router, eid);
@@ -279,7 +266,7 @@ impl KernelShard {
 
     pub(crate) fn send_from(
         &mut self,
-        router: &Router,
+        router: &mut Router,
         ctx: ExecCtx,
         port: Handle,
         body: Value,
@@ -333,7 +320,7 @@ impl KernelShard {
         // destination shard, when the message is popped.
         let dest = if self.handles.get(port).is_some() {
             self.id
-        } else if router.remote_kernel_of(port).is_some() {
+        } else if router.is_remote(port) {
             // Federation: the port lives on another kernel. Park the
             // message for the gateway; the delivery-time Figure 4 check
             // (and the destination-side queue bounds, and `Stats::sent`)
@@ -361,39 +348,39 @@ impl KernelShard {
         } else {
             if self.bp.enabled {
                 // Cross-shard sends are credit-free (the loop is
-                // shard-local), but channel-bound overflow and the
+                // shard-local), but inbox-bound overflow and the
                 // per-sender FIFO barrier park instead of dropping.
                 // Parking is silent — the verdict never reflects shared
-                // channel state.
+                // inbox state.
                 if self.bp.barred(ctx.pid, port)
-                    || self.xshard.len(dest as usize) >= self.queue_limit
+                    || router.inbox_len(dest as usize) >= self.queue_limit
                 {
                     self.park(qm);
                     return Ok(SendVerdict::Delivered);
                 }
             }
-            // Sub-round routing: push straight into the destination's
-            // inbound channel — no outbox. Queue bounds
-            // are ultimately the destination shard's to enforce (it runs
-            // `enqueue_checked` when it pulls the batch), but the channel
-            // honors this shard's bound so a handler looping on
-            // cross-shard sends cannot buffer unbounded memory — the §8
-            // backstop the monolithic engine's send-time check provided.
+            // Sub-round routing: push straight onto the destination's
+            // inbox. Queue bounds are ultimately the destination shard's
+            // to enforce (it runs `enqueue_checked` when it pulls the
+            // batch), but the inbox honors this shard's bound so a
+            // handler looping on cross-shard sends cannot buffer
+            // unbounded memory — the §8 backstop the monolithic engine's
+            // send-time check provided.
             // (Bounds are kernel-uniform: see `Kernel::set_queue_limit`.)
-            if !self.xshard.push(dest as usize, qm, self.queue_limit) {
+            if !router.push(dest as usize, qm, self.queue_limit) {
                 self.stats.record_drop(DropReason::QueueFull);
             }
         }
         Ok(SendVerdict::Delivered)
     }
 
-    /// Drains this shard's inbound cross-shard channel into its per-port
-    /// mailboxes, applying the destination-side queue bounds exactly as a
-    /// local send would. Returns the number of messages pulled; `point`
-    /// picks which observability counter they land in.
-    pub(crate) fn pull_inbound(&mut self, point: PullPoint) -> usize {
+    /// Drains this shard's inbox into its per-port mailboxes, applying
+    /// the destination-side queue bounds exactly as a local send would.
+    /// Returns the number of messages pulled; `point` picks which
+    /// observability counter they land in.
+    pub(crate) fn pull_inbound(&mut self, router: &mut Router, point: PullPoint) -> usize {
         let mut batch = std::mem::take(&mut self.drain_buf);
-        let n = self.xshard.take_into(self.id as usize, &mut batch);
+        let n = router.take_into(self.id as usize, &mut batch);
         if n == 0 {
             self.drain_buf = batch;
             return 0;
@@ -448,8 +435,9 @@ impl KernelShard {
     // Accounting.
     // ------------------------------------------------------------------
 
-    /// This shard's contribution to the Figure 6 memory measurement.
-    pub fn kmem_report(&self) -> KmemReport {
+    /// This shard's contribution to the Figure 6 memory measurement,
+    /// counting the messages waiting in its inbox.
+    pub(crate) fn kmem_report(&self, router: &Router) -> KmemReport {
         let process_bytes = self
             .processes
             .iter()
@@ -463,26 +451,22 @@ impl KernelShard {
             .map(EventProcess::kernel_bytes)
             .sum();
         let handle_bytes = self.handles.kernel_bytes();
-        // Pending messages: mailboxes plus anything parked in this
-        // shard's inbound cross-shard channel (queue_len counts both).
-        // Payload backing buffers are charged **once** per unique buffer,
-        // however many queued messages share them — the accounting rule
-        // that keeps the zero-copy path's reported footprint honest (N
-        // queued refcounts on one 4 KiB buffer hold 4 KiB, not N·4 KiB).
+        // Pending messages: mailboxes plus this shard's inbox (queue_len
+        // counts both). Payload backing buffers are charged **once** per
+        // unique buffer, however many queued messages share them — the
+        // accounting rule that keeps the zero-copy path's reported
+        // footprint honest (N queued refcounts on one 4 KiB buffer hold
+        // 4 KiB, not N·4 KiB).
         let mut seen_buffers = std::collections::HashSet::new();
         let mut queue_bytes: usize = 0;
-        let mut charge = |qm: &QueuedMessage| {
+        for qm in self.mailboxes.iter().chain(router.inbox(self.id as usize)) {
             queue_bytes += qm.queue_bytes_shallow();
             qm.body.for_each_payload(&mut |p| {
                 if !p.is_empty() && seen_buffers.insert(p.backing_id()) {
                     queue_bytes += p.backing_len();
                 }
             });
-        };
-        for qm in self.mailboxes.iter() {
-            charge(qm);
         }
-        self.xshard.for_each_queued(self.id as usize, &mut charge);
         let user_frame_bytes = self.frames.frames_in_use() * PAGE_SIZE;
         KmemReport {
             process_bytes,
@@ -490,7 +474,7 @@ impl KernelShard {
             handle_bytes,
             queue_bytes,
             user_frame_bytes,
-            // Channel bookkeeping is kernel-level, not per-shard; the
+            // Inbox bookkeeping is kernel-level, not per-shard; the
             // coordinator fills it in (`Kernel::kmem_report`).
             xshard_bytes: 0,
         }
@@ -512,10 +496,10 @@ impl KernelShard {
         0
     }
 
-    /// Pending messages queued on this shard (mailboxes, its inbound
-    /// cross-shard channel, and its backpressure retry queue).
-    pub fn queue_len(&self) -> usize {
-        self.mailboxes.len() + self.xshard.len(self.id as usize) + self.bp.retry_len()
+    /// Pending messages queued on this shard (mailboxes, its inbox, and
+    /// its backpressure retry queue).
+    pub(crate) fn queue_len(&self, router: &Router) -> usize {
+        self.mailboxes.len() + router.inbox_len(self.id as usize) + self.bp.retry_len()
     }
 
     /// Real nanoseconds this shard's delivery loop has run (see the field
@@ -524,13 +508,3 @@ impl KernelShard {
         self.busy_nanos
     }
 }
-
-/// The `Send` supertrait bound on [`Service`] and [`EpService`] is what
-/// makes a whole shard — and so a whole kernel — `Send`. This assertion
-/// pins that property at compile time.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    let _ = assert_send::<KernelShard>;
-    let _ = assert_send::<Box<dyn Service>>;
-    let _ = assert_send::<Box<dyn EpService>>;
-};

@@ -82,10 +82,9 @@ pub struct Stats {
     /// Cross-shard messages that waited for a routing point outside a
     /// drain: the start of `run()` or a `step()`.
     pub xshard_barrier: u64,
-    /// Non-empty swap-drains of this shard's inbound cross-shard channel.
+    /// Non-empty swap-drains of this shard's cross-shard inbox.
     /// `(xshard_subround + xshard_barrier) / xshard_batch_drains` is the
-    /// mean batch length — the batching-efficacy observable: amortization
-    /// of the channel mutex degrades toward 1 message per drain.
+    /// mean batch length — the batching-efficacy observable.
     pub xshard_batch_drains: u64,
     /// Largest batch one swap-drain ever pulled.
     pub xshard_batch_max: u64,

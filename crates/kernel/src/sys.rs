@@ -1,4 +1,9 @@
 //! The system-call surface handed to running services.
+//!
+//! A [`Sys`] borrows the executing context's shard and the kernel's
+//! cross-shard router, both as `&mut`, for exactly one handler
+//! activation: a handler is the only code running, so it is the only
+//! writer either structure has.
 
 use std::sync::Arc;
 
@@ -26,12 +31,12 @@ use crate::value::Value;
 ///
 /// Every operation resolves against the executing context's own shard —
 /// processes, event processes, ports, and frames are shard-local by
-/// construction — except sends to remote ports (which queue into the
-/// shard's outbox for the router) and the global environment (which lives
-/// behind the shared [`Router`]).
+/// construction — except sends to other shards' or kernels' ports (which
+/// go onto the kernel router's inboxes or egress queue), port directory
+/// updates, and the global environment (which the router also owns).
 pub struct Sys<'k> {
     shard: &'k mut KernelShard,
-    router: &'k Router,
+    router: &'k mut Router,
     ctx: ExecCtx,
     is_new_ep: bool,
 }
@@ -39,7 +44,7 @@ pub struct Sys<'k> {
 impl<'k> Sys<'k> {
     pub(crate) fn new(
         shard: &'k mut KernelShard,
-        router: &'k Router,
+        router: &'k mut Router,
         ctx: ExecCtx,
         is_new_ep: bool,
     ) -> Sys<'k> {

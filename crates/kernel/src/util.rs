@@ -26,8 +26,8 @@ struct FnService<S, F> {
 
 impl<S, F> Service for FnService<S, F>
 where
-    S: FnOnce(&mut Sys<'_>) + Send + 'static,
-    F: FnMut(&mut Sys<'_>, &Message) + Send + 'static,
+    S: FnOnce(&mut Sys<'_>) + 'static,
+    F: FnMut(&mut Sys<'_>, &Message) + 'static,
 {
     fn on_start(&mut self, sys: &mut Sys<'_>) {
         if let Some(start) = self.on_start.take() {
@@ -43,7 +43,7 @@ where
 /// Wraps a message handler closure as an ordinary [`Service`].
 pub fn service_fn<F>(on_message: F) -> Box<dyn Service>
 where
-    F: FnMut(&mut Sys<'_>, &Message) + Send + 'static,
+    F: FnMut(&mut Sys<'_>, &Message) + 'static,
 {
     Box::new(FnService {
         on_start: None::<fn(&mut Sys<'_>)>,
@@ -54,8 +54,8 @@ where
 /// Wraps start and message handler closures as an ordinary [`Service`].
 pub fn service_with_start<S, F>(on_start: S, on_message: F) -> Box<dyn Service>
 where
-    S: FnOnce(&mut Sys<'_>) + Send + 'static,
-    F: FnMut(&mut Sys<'_>, &Message) + Send + 'static,
+    S: FnOnce(&mut Sys<'_>) + 'static,
+    F: FnMut(&mut Sys<'_>, &Message) + 'static,
 {
     Box::new(FnService {
         on_start: Some(on_start),
@@ -70,8 +70,8 @@ struct FnEpService<B, F> {
 
 impl<B, F> EpService for FnEpService<B, F>
 where
-    B: FnOnce(&mut Sys<'_>) + Send + 'static,
-    F: Fn(&mut Sys<'_>, &Message) + Send + 'static,
+    B: FnOnce(&mut Sys<'_>) + 'static,
+    F: Fn(&mut Sys<'_>, &Message) + 'static,
 {
     fn on_base_start(&mut self, sys: &mut Sys<'_>) {
         if let Some(start) = self.on_base_start.take() {
@@ -88,8 +88,8 @@ where
 /// process; `on_event` runs per delivery inside an event process.
 pub fn ep_service_fn<B, F>(on_base_start: B, on_event: F) -> Box<dyn EpService>
 where
-    B: FnOnce(&mut Sys<'_>) + Send + 'static,
-    F: Fn(&mut Sys<'_>, &Message) + Send + 'static,
+    B: FnOnce(&mut Sys<'_>) + 'static,
+    F: Fn(&mut Sys<'_>, &Message) + 'static,
 {
     Box::new(FnEpService {
         on_base_start: Some(on_base_start),

@@ -9,19 +9,20 @@
 //! Handles may be carried as plain values: knowing a handle's value confers
 //! no privilege (§5.1) — privileges travel only through label grants.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use asbestos_labels::Handle;
 
-/// Counts [`Payload`] backing-buffer materializations, process-wide.
-///
-/// Global and atomic (not thread-local like the label clone counter):
-/// a kernel is `Send`, so a deep copy must be visible to the reader
-/// whichever thread drove the kernel.
-static PAYLOAD_DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of [`Payload`] backing-buffer materializations
+    /// (monotonic). Thread-local like the label clone counter: a kernel
+    /// runs on the thread that drives it, so concurrently running tests
+    /// cannot perturb each other's deltas.
+    static DEEP_COPIES: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A refcounted, immutable byte buffer — the message payload carrier.
 ///
@@ -31,7 +32,7 @@ static PAYLOAD_DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
 /// that — through `Value::Bytes`, mailboxes, the cross-shard channels,
 /// and back out through netd — is a [`Payload::clone`] or
 /// [`Payload::slice`], which bump the refcount and never touch the
-/// bytes. Each materialization increments the process-wide
+/// bytes. Each materialization increments the per-thread
 /// [`Payload::deep_copies`] counter, so a test can prove a whole
 /// request path did zero byte-copies (the `Arc<Label>` discipline of
 /// delivery, applied to payloads).
@@ -55,7 +56,7 @@ impl Payload {
     /// Materializes a payload by copying `data` into a fresh buffer.
     /// Counted by [`Payload::deep_copies`].
     pub fn copy_from_slice(data: &[u8]) -> Payload {
-        PAYLOAD_DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
+        DEEP_COPIES.with(|c| c.set(c.get() + 1));
         Payload {
             data: Arc::from(data),
             start: 0,
@@ -129,11 +130,11 @@ impl Payload {
         self.data.len()
     }
 
-    /// Process-wide count of payload materializations (backing buffers
+    /// Payload materializations on the current thread (backing buffers
     /// written). Clones and slices do not count; a steady-state hot path
     /// should advance this only at its ingress/egress edges.
     pub fn deep_copies() -> u64 {
-        PAYLOAD_DEEP_COPIES.load(Ordering::Relaxed)
+        DEEP_COPIES.with(Cell::get)
     }
 }
 
@@ -170,7 +171,7 @@ impl From<Vec<u8>> for Payload {
     /// counting it is what catches a stage that rebuilds bytes it could
     /// have shared.
     fn from(v: Vec<u8>) -> Payload {
-        PAYLOAD_DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
+        DEEP_COPIES.with(|c| c.set(c.get() + 1));
         let end = v.len();
         Payload {
             data: Arc::from(v.into_boxed_slice()),

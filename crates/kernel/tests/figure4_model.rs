@@ -218,7 +218,7 @@ fn verdict(before: &Stats, after: &Stats, sent: bool) -> Verdict {
 }
 
 fn run(shards: usize, seed: u64) {
-    let mut rng = TestRng::deterministic(&format!("figure4_model::{shards}::{seed}"));
+    let mut rng = TestRng::deterministic(&format!("figure4_model::{seed}"));
     let cipher = HandleCipher::new(seed);
     let pool: Vec<Handle> = (0..1_200)
         .map(|i| Handle::from_raw(cipher.encrypt(i)))

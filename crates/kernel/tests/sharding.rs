@@ -369,7 +369,7 @@ fn sharded_delivery_matches_single_shard() {
 
 /// A 4-hop relay across shards 0→1→2→3: with sub-round routing the run
 /// loop completes the whole chain in a single sweep, every hop picked up
-/// mid-sweep through the inbound channels.
+/// mid-sweep through the inboxes.
 #[test]
 fn forward_relay_completes_in_one_round() {
     let mut kernel = Kernel::new_sharded(21, 4);

@@ -12,7 +12,6 @@ use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SysError, Value};
 fn probe(
     seed: u64,
     body: impl FnOnce(&mut asbestos_kernel::Sys<'_>) -> Vec<(&'static str, Result<(), SysError>)>
-        + Send
         + 'static,
 ) -> Vec<(&'static str, Result<(), SysError>)> {
     let mut kernel = Kernel::new(seed);

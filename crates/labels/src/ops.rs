@@ -3,8 +3,8 @@
 //! The kernel's hot path evaluates compositions like
 //! `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R` on every delivery. Building the three
 //! intermediate labels would allocate; these helpers evaluate each
-//! composition pointwise in one ascending pass instead (see
-//! [`crate::merge`]): the small operands' handles are evaluated exactly,
+//! composition pointwise in one ascending pass instead (see `merge.rs`):
+//! the small operands' handles are evaluated exactly,
 //! and a large operand's chunks are decided from their level marks, so a
 //! 776-entry `⋆` label checked against a port label with one entry costs
 //! its chunks and that one point. An effect is one pass too: it edits the

@@ -12,8 +12,8 @@
 //! load/latency harness (`crates/loadgen`) and the sharded Figure 8 port
 //! depend on at large request counts.
 
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use asbestos_kernel::{Handle, Kernel, CYCLES_PER_SEC};
 
@@ -65,7 +65,7 @@ impl ClientRequest {
 /// device port, and every later event for that connection stays on that
 /// lane.
 pub struct ClientDriver {
-    net: Arc<Mutex<SimNet>>,
+    net: Rc<RefCell<SimNet>>,
     device_ports: Vec<Handle>,
     demux: MultiQueue,
     requests: Vec<ClientRequest>,
@@ -99,11 +99,7 @@ impl ClientDriver {
     /// its lane's netd about it. Returns an index into
     /// [`ClientDriver::requests`].
     pub fn open(&mut self, kernel: &mut Kernel, tcp_port: u16, request_bytes: &[u8]) -> usize {
-        let conn = self
-            .net
-            .lock()
-            .unwrap()
-            .client_open(tcp_port, request_bytes);
+        let conn = self.net.borrow_mut().client_open(tcp_port, request_bytes);
         let lane = self.demux.accept(conn, tcp_port);
         kernel.inject(
             self.device_ports[lane],
@@ -148,14 +144,14 @@ impl ClientDriver {
             return;
         }
         req.aborted = true;
-        self.net.lock().unwrap().close(req.conn);
+        self.net.borrow_mut().close(req.conn);
         self.outstanding[req.lane].retain(|&i| i != idx);
     }
 
     /// Reaps the substrate connection of an aborted request (call after
     /// the kernel has drained, so the server side has observed the close).
     pub fn reap_aborted(&mut self) {
-        let mut net = self.net.lock().unwrap();
+        let mut net = self.net.borrow_mut();
         for req in &self.requests {
             if req.aborted {
                 net.reap(req.conn);
@@ -182,7 +178,7 @@ impl ClientDriver {
     /// million-session logs.
     pub fn poll_lane(&mut self, kernel: &Kernel, lane: usize) {
         let now = kernel.elapsed_cycles();
-        let mut net = self.net.lock().unwrap();
+        let mut net = self.net.borrow_mut();
         let requests = &mut self.requests;
         self.outstanding[lane].retain(|&idx| {
             let req = &mut requests[idx];
@@ -218,7 +214,7 @@ impl ClientDriver {
         // the lists are edited after the scan).
         let mut shed_idxs = Vec::new();
         {
-            let net = self.net.lock().unwrap();
+            let net = self.net.borrow();
             for lane in &self.outstanding {
                 for &idx in lane {
                     let req = &self.requests[idx];
@@ -238,7 +234,7 @@ impl ClientDriver {
                 (req.conn, req.lane, req.tcp_port, req.request_bytes.clone())
             };
             let new_conn = {
-                let mut net = self.net.lock().unwrap();
+                let mut net = self.net.borrow_mut();
                 net.reap(old_conn);
                 net.client_open(tcp_port, &bytes)
             };

@@ -15,14 +15,14 @@
 //! ([`crate::tcp::rss_lane`]) hashes to it. A connection's entire event
 //! history — accept, taint application, reads, writes, close — is handled
 //! by exactly one lane and therefore lives on exactly one shard; lanes
-//! share nothing but the (mutex-guarded) byte substrate and the global
-//! environment. `lanes = 1` is the paper-faithful configuration and runs
-//! the identical code path the single-netd build did.
+//! share nothing but the byte substrate and the global environment.
+//! `lanes = 1` is the paper-faithful configuration and runs the identical
+//! code path the single-netd build did.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::rc::Rc;
 
 use asbestos_kernel::{
     Category, Handle, Kernel, Label, Level, Message, Payload, ProcessId, SendArgs, Service, Sys,
@@ -124,7 +124,7 @@ struct ConnState {
 
 /// The netd service: one network lane (the whole network when `lanes = 1`).
 pub struct Netd {
-    net: Arc<Mutex<SimNet>>,
+    net: Rc<RefCell<SimNet>>,
     /// This instance's lane index.
     lane: usize,
     /// Total lanes in the front end (1 = the paper's single netd).
@@ -151,12 +151,12 @@ pub struct Netd {
 
 impl Netd {
     /// Creates the single-netd service over a shared substrate.
-    pub fn new(net: Arc<Mutex<SimNet>>) -> Netd {
+    pub fn new(net: Rc<RefCell<SimNet>>) -> Netd {
         Netd::lane(net, 0, 1)
     }
 
     /// Creates lane `lane` of a `lanes`-wide front end.
-    pub fn lane(net: Arc<Mutex<SimNet>>, lane: usize, lanes: usize) -> Netd {
+    pub fn lane(net: Rc<RefCell<SimNet>>, lane: usize, lanes: usize) -> Netd {
         assert!(lanes >= 1 && lane < lanes, "lane {lane} of {lanes} lanes");
         Netd {
             net,
@@ -198,7 +198,7 @@ impl Netd {
     /// the retryable signature [`crate::driver::ClientDriver::retry_shed`]
     /// keys off.
     fn shed_conn(&mut self, conn: ConnId) {
-        let mut net = self.net.lock().unwrap();
+        let mut net = self.net.borrow_mut();
         net.close(conn);
         net.refused += 1;
         self.accepts_shed += 1;
@@ -252,7 +252,7 @@ impl Netd {
     fn accept(&mut self, sys: &mut Sys<'_>, conn: ConnId, tcp_port: u16) {
         let Some(&notify) = self.listeners.get(&tcp_port) else {
             // No listener: refuse the connection.
-            self.net.lock().unwrap().close(conn);
+            self.net.borrow_mut().close(conn);
             return;
         };
         // §7.2 step 1: allocate uC with port label {uC 0, 2} — the kernel's
@@ -333,9 +333,9 @@ impl Netd {
                 // refcounted payload — the single write-at-the-edge the
                 // whole message path preserves.
                 let frozen = if peek {
-                    self.net.lock().unwrap().server_peek(conn, limit)
+                    self.net.borrow_mut().server_peek(conn, limit)
                 } else {
-                    self.net.lock().unwrap().server_read(conn, limit)
+                    self.net.borrow_mut().server_read(conn, limit)
                 };
                 let bytes = Payload::from_arc(frozen.into_arc());
                 sys.charge(NETD_EVENT_CYCLES + bytes.len() as u64 * NETD_BYTE_CYCLES);
@@ -344,7 +344,7 @@ impl Netd {
             }
             NetMsg::Write { bytes } => {
                 sys.charge(NETD_EVENT_CYCLES + bytes.len() as u64 * NETD_BYTE_CYCLES);
-                self.net.lock().unwrap().server_write(conn, &bytes);
+                self.net.borrow_mut().server_write(conn, &bytes);
             }
             NetMsg::AddTaint { taint } => {
                 sys.charge(NETD_EVENT_CYCLES);
@@ -369,7 +369,7 @@ impl Netd {
             }
             NetMsg::Select { reply } => {
                 sys.charge(NETD_EVENT_CYCLES);
-                let available = self.net.lock().unwrap().server_pending(conn) as u64;
+                let available = self.net.borrow().server_pending(conn) as u64;
                 let _ = sys.send_args(
                     reply,
                     NetMsg::SelectR { available }.to_value(),
@@ -381,7 +381,7 @@ impl Netd {
                 // Mark closed; buffered response bytes stay readable by the
                 // client side (FIN after flush). The driver reaps the
                 // substrate record once it has drained the response.
-                self.net.lock().unwrap().close(conn);
+                self.net.borrow_mut().close(conn);
                 let state = self.conns.remove(&uc);
                 let _ = sys.dissociate_port(uc);
                 // Release this connection's capabilities (§9.3): uC itself
@@ -488,7 +488,7 @@ pub struct NetdHandle {
     /// Every lane, in lane order (length 1 for the single-netd build).
     pub lanes: Vec<NetdLane>,
     /// The shared TCP substrate.
-    pub net: Arc<Mutex<SimNet>>,
+    pub net: Rc<RefCell<SimNet>>,
 }
 
 /// Spawns the single-process netd into a kernel (the paper-faithful
@@ -508,7 +508,7 @@ pub fn spawn_netd(kernel: &mut Kernel) -> NetdHandle {
 /// [`NETD_LANES_ENV`].
 pub fn spawn_netd_lanes(kernel: &mut Kernel, lanes: usize) -> NetdHandle {
     assert!(lanes >= 1, "a netd front end needs at least one lane");
-    let net = Arc::new(Mutex::new(SimNet::new()));
+    let net = Rc::new(RefCell::new(SimNet::new()));
     let mut lane_handles = Vec::with_capacity(lanes);
     let mut first_shard = 0;
     for lane in 0..lanes {

@@ -86,8 +86,8 @@ pub struct SimConn {
 
 /// The shared network state: connections plus per-side buffers.
 ///
-/// Lives in an `Arc<Mutex<…>>` shared between the netd service (inside the
-/// kernel) and the external [`crate::driver::ClientDriver`].
+/// Lives in an `Rc<RefCell<…>>` shared between the netd service (inside
+/// the kernel) and the external [`crate::driver::ClientDriver`].
 #[derive(Debug, Default)]
 pub struct SimNet {
     conns: BTreeMap<ConnId, SimConn>,

@@ -102,7 +102,7 @@ fn unlistened_port_refuses_connections() {
     kernel.run();
     driver.poll(&kernel);
     assert_eq!(driver.completed(), 0);
-    assert!(!netd.net.lock().unwrap().is_open(driver.request(0).conn));
+    assert!(!netd.net.borrow().is_open(driver.request(0).conn));
 }
 
 #[test]

@@ -21,11 +21,11 @@ use crate::worker::{worker_port_env, Worker};
 /// How a service's worker process is built.
 enum WorkerKind {
     /// The standard worker machinery around a [`WorkerLogic`].
-    Logic(Box<dyn FnMut() -> Box<dyn WorkerLogic> + Send>),
+    Logic(Box<dyn FnMut() -> Box<dyn WorkerLogic>>),
     /// A custom event-process service (tests use this to model workers
     /// whose *code* is compromised, §7.8). Must handle
     /// [`OkwsMsg::Activate`] itself.
-    Raw(Box<dyn FnMut() -> Box<dyn asbestos_kernel::EpService> + Send>),
+    Raw(Box<dyn FnMut() -> Box<dyn asbestos_kernel::EpService>>),
     /// The worker base process was already placed on its shard by the
     /// deployment assembler ([`crate::Okws::start`] on a multi-shard
     /// kernel); the launcher only provisions its verification handle and
@@ -47,10 +47,7 @@ pub struct ServiceSpec {
 
 impl ServiceSpec {
     /// A service built by `factory`.
-    pub fn new(
-        name: &str,
-        factory: impl FnMut() -> Box<dyn WorkerLogic> + Send + 'static,
-    ) -> ServiceSpec {
+    pub fn new(name: &str, factory: impl FnMut() -> Box<dyn WorkerLogic> + 'static) -> ServiceSpec {
         ServiceSpec {
             name: name.to_string(),
             declassifier: false,
@@ -62,7 +59,7 @@ impl ServiceSpec {
     /// A service backed by a custom event-process implementation.
     pub fn raw(
         name: &str,
-        factory: impl FnMut() -> Box<dyn asbestos_kernel::EpService> + Send + 'static,
+        factory: impl FnMut() -> Box<dyn asbestos_kernel::EpService> + 'static,
     ) -> ServiceSpec {
         ServiceSpec {
             name: name.to_string(),

@@ -100,7 +100,7 @@ pub trait SessionStore {
 }
 
 /// Application logic for one OKWS service.
-pub trait WorkerLogic: 'static + Send {
+pub trait WorkerLogic: 'static {
     /// Handles a parsed HTTP request.
     fn on_request(&self, session: &mut dyn SessionStore, req: &HttpRequest) -> Action;
 

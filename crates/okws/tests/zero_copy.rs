@@ -9,15 +9,12 @@
 //! back out — moves refcounts.
 //!
 //! [`Payload`] counts every materialization (`copy_from_slice`,
-//! `From<Vec<u8>>`) in a process-global counter, so the budget is
-//! checkable end to end: N steady-state requests must cost exactly N
+//! `From<Vec<u8>>`) in a per-thread counter, so the budget is checkable
+//! end to end: N steady-state requests must cost exactly N
 //! materializations. If any stage reintroduces a deep copy (a
 //! `to_vec().into()` where a clone would do), the budget is exceeded and
-//! this test fails.
-//!
-//! This file deliberately holds a single test: the counter is global to
-//! the process, and one test per binary keeps the measurement free of
-//! parallel-test noise.
+//! this test fails. The kernel runs on the test's own thread, so tests
+//! running in parallel cannot perturb the count.
 
 use asbestos_kernel::{Kernel, Payload};
 use asbestos_okws::logic::ParamLength;

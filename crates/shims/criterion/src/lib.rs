@@ -45,7 +45,7 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Times `f`, calibrating the iteration count to [`TARGET`].
+    /// Times `f`, calibrating the iteration count to `TARGET`.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
         if self.test_mode {
             std::hint::black_box(f());

@@ -19,11 +19,12 @@
 //! surviving medium to the next kernel while the test keeps a handle for
 //! failure injection.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// The persistence boundary.
 ///
@@ -33,7 +34,7 @@ use std::sync::{Arc, Mutex};
 /// bug, not a recoverable condition. *Data* corruption, by contrast, is
 /// expected and handled: readers validate CRCs and treat anything
 /// invalid as a torn write.
-pub trait BlockDev: Send {
+pub trait BlockDev {
     /// Names of existing objects, sorted.
     fn list(&self) -> Vec<String>;
     /// Reads a whole object; `None` if it does not exist.
@@ -77,7 +78,7 @@ struct MemState {
 /// The in-memory failpoint backend. Clones share storage.
 #[derive(Clone, Default)]
 pub struct MemDev {
-    state: Arc<Mutex<MemState>>,
+    state: Rc<RefCell<MemState>>,
 }
 
 impl MemDev {
@@ -93,7 +94,7 @@ impl MemDev {
     /// durable contents entirely. The device remains usable; the next
     /// boot sees the post-crash contents.
     pub fn crash(&self, torn_tail: usize) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         s.crashes += 1;
         for obj in s.objects.values_mut() {
             if obj.bytes.starts_with(&obj.durable) {
@@ -111,7 +112,7 @@ impl MemDev {
     /// The crash-sweep suites drive this over every offset of a WAL
     /// segment.
     pub fn truncate_object(&self, name: &str, len: usize) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         if let Some(obj) = s.objects.get_mut(name) {
             obj.bytes.truncate(len);
             obj.durable = obj.bytes.clone();
@@ -120,7 +121,7 @@ impl MemDev {
 
     /// Flips one bit in an object (bit-rot injection).
     pub fn flip_bit(&self, name: &str, byte: usize, bit: u8) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         if let Some(obj) = s.objects.get_mut(name) {
             if let Some(b) = obj.bytes.get_mut(byte) {
                 *b ^= 1 << (bit % 8);
@@ -131,8 +132,7 @@ impl MemDev {
     /// Raw contents of an object (test observability).
     pub fn dump(&self, name: &str) -> Vec<u8> {
         self.state
-            .lock()
-            .unwrap()
+            .borrow()
             .objects
             .get(name)
             .map(|o| o.bytes.clone())
@@ -143,7 +143,7 @@ impl MemDev {
     /// everything marked durable — the "image the disk, boot the copy"
     /// primitive the offset sweeps use.
     pub fn fork(&self) -> MemDev {
-        let s = self.state.lock().unwrap();
+        let s = self.state.borrow();
         let objects = s
             .objects
             .iter()
@@ -158,7 +158,7 @@ impl MemDev {
             })
             .collect();
         MemDev {
-            state: Arc::new(Mutex::new(MemState {
+            state: Rc::new(RefCell::new(MemState {
                 objects,
                 syncs: 0,
                 crashes: 0,
@@ -168,31 +168,30 @@ impl MemDev {
 
     /// Number of [`BlockDev::sync`] calls (group-commit observability).
     pub fn sync_count(&self) -> u64 {
-        self.state.lock().unwrap().syncs
+        self.state.borrow().syncs
     }
 
     /// Number of simulated crashes.
     pub fn crash_count(&self) -> u64 {
-        self.state.lock().unwrap().crashes
+        self.state.borrow().crashes
     }
 }
 
 impl BlockDev for MemDev {
     fn list(&self) -> Vec<String> {
-        self.state.lock().unwrap().objects.keys().cloned().collect()
+        self.state.borrow().objects.keys().cloned().collect()
     }
 
     fn read(&self, name: &str) -> Option<Vec<u8>> {
         self.state
-            .lock()
-            .unwrap()
+            .borrow()
             .objects
             .get(name)
             .map(|o| o.bytes.clone())
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         s.objects
             .entry(name.to_string())
             .or_default()
@@ -201,13 +200,13 @@ impl BlockDev for MemDev {
     }
 
     fn put(&mut self, name: &str, bytes: &[u8]) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         let obj = s.objects.entry(name.to_string()).or_default();
         obj.bytes = bytes.to_vec();
     }
 
     fn truncate(&mut self, name: &str, len: u64) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         if let Some(obj) = s.objects.get_mut(name) {
             obj.bytes.truncate(len as usize);
         }
@@ -217,11 +216,11 @@ impl BlockDev for MemDev {
         // Deletions are modeled as immediately durable (directory
         // operations); the recovery paths treat a missing object the
         // same as a crashed-away one.
-        self.state.lock().unwrap().objects.remove(name);
+        self.state.borrow_mut().objects.remove(name);
     }
 
     fn sync(&mut self) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         s.syncs += 1;
         for obj in s.objects.values_mut() {
             obj.durable = obj.bytes.clone();
@@ -245,7 +244,7 @@ impl BlockDev for MemDev {
 #[derive(Clone)]
 pub struct FileDev {
     dir: PathBuf,
-    dirty: Arc<Mutex<std::collections::BTreeSet<String>>>,
+    dirty: Rc<RefCell<BTreeSet<String>>>,
 }
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -256,7 +255,7 @@ impl FileDev {
         std::fs::create_dir_all(&dir).expect("create FileDev directory");
         FileDev {
             dir,
-            dirty: Arc::new(Mutex::new(std::collections::BTreeSet::new())),
+            dirty: Rc::default(),
         }
     }
 
@@ -285,7 +284,7 @@ impl FileDev {
     }
 
     fn mark_dirty(&self, name: &str) {
-        self.dirty.lock().unwrap().insert(name.to_string());
+        self.dirty.borrow_mut().insert(name.to_string());
     }
 }
 
@@ -336,15 +335,13 @@ impl BlockDev for FileDev {
 
     fn remove(&mut self, name: &str) {
         let _ = std::fs::remove_file(self.path(name));
-        self.dirty.lock().unwrap().remove(name);
+        self.dirty.borrow_mut().remove(name);
     }
 
     fn sync(&mut self) {
         // Only objects written since the last sync: group commit fsyncs
         // the active segment, not every accumulated file.
-        let dirty: Vec<String> = std::mem::take(&mut *self.dirty.lock().unwrap())
-            .into_iter()
-            .collect();
+        let dirty = std::mem::take(&mut *self.dirty.borrow_mut());
         for name in dirty {
             if let Ok(f) = std::fs::File::open(self.path(&name)) {
                 let _ = f.sync_all();

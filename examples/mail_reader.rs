@@ -10,8 +10,8 @@
 //!
 //! Run with: `cargo run --example mail_reader`
 
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use asbestos::kernel::util::service_with_start;
 use asbestos::kernel::{Category, Kernel, Label, Level, Value};
@@ -19,7 +19,7 @@ use asbestos::kernel::{Category, Kernel, Label, Level, Value};
 fn main() {
     let mut kernel = Kernel::new(55);
 
-    let inbox: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let inbox: Rc<RefCell<Vec<String>>> = Rc::default();
     let sink = inbox.clone();
     kernel.spawn(
         "mail-reader",
@@ -47,7 +47,7 @@ fn main() {
             },
             move |_sys, msg| {
                 if let Some(text) = msg.body.as_str() {
-                    sink.lock().unwrap().push(text.to_string());
+                    sink.borrow_mut().push(text.to_string());
                 }
             },
         ),
@@ -111,8 +111,8 @@ fn main() {
     kernel.inject(viewer_port, Value::Str("attachment bytes".into()));
     kernel.run();
 
-    println!("mail reader inbox: {:?}", inbox.lock().unwrap());
-    assert_eq!(*inbox.lock().unwrap(), vec!["new mail: 2 messages"]);
+    println!("mail reader inbox: {:?}", inbox.borrow());
+    assert_eq!(*inbox.borrow(), vec!["new mail: 2 messages"]);
     assert_eq!(kernel.stats().dropped_label_check, 1);
     println!("attachment's spoof was dropped by the port label — mail_reader OK");
 }

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --example mls`
 
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use asbestos::kernel::util::service_with_start;
 use asbestos::kernel::{Category, Handle, Kernel, Label, Level, ProcessId, Value};
@@ -65,7 +65,7 @@ fn main() {
         .unwrap();
 
     // One mailbox process per clearance, logging what it receives.
-    let logs: Arc<Mutex<Vec<(String, String)>>> = Arc::new(Mutex::new(Vec::new()));
+    let logs: Rc<RefCell<Vec<(String, String)>>> = Rc::default();
     let mut pids: Vec<(String, ProcessId)> = Vec::new();
     for clearance in ["unclassified", "secret", "top-secret"] {
         let tag = clearance.to_string();
@@ -84,7 +84,7 @@ fn main() {
                 },
                 move |_sys, msg| {
                     if let Some(text) = msg.body.as_str() {
-                        sink.lock().unwrap().push((tag.clone(), text.to_string()));
+                        sink.borrow_mut().push((tag.clone(), text.to_string()));
                     }
                 },
             ),
@@ -146,10 +146,10 @@ fn main() {
 
     // The Bell-LaPadula outcome: no read up, writes only flow up.
     println!("deliveries (writer clearance -> mailbox):");
-    for (mailbox, text) in logs.lock().unwrap().iter() {
+    let received = logs.borrow();
+    for (mailbox, text) in received.iter() {
         println!("  {text:<22} -> {mailbox}");
     }
-    let received = logs.lock().unwrap();
     let got = |mbx: &str, msg: &str| received.iter().any(|(m, x)| m == mbx && x.starts_with(msg));
     // Everyone receives unclassified reports.
     assert!(got("unclassified", "unclassified"));

@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use asbestos::fs::{spawn_fs, FsMsg};
 use asbestos::kernel::util::service_with_start;
@@ -25,7 +25,7 @@ fn main() {
     );
 
     // u's terminal: an output device only u's information may reach.
-    let printed = Arc::new(Mutex::new(Vec::<String>::new()));
+    let printed = Rc::new(RefCell::new(Vec::<String>::new()));
     let sink = printed.clone();
     let terminal = kernel.spawn(
         "u-terminal",
@@ -38,8 +38,7 @@ fn main() {
             },
             move |_sys, msg| {
                 if let Some(bytes) = msg.body.as_bytes() {
-                    sink.lock()
-                        .unwrap()
+                    sink.borrow_mut()
                         .push(String::from_utf8_lossy(bytes).into_owned());
                 }
             },
@@ -180,8 +179,8 @@ fn main() {
     kernel.run();
     kernel.inject(u_cmd, Value::List(vec!["show".into()]));
     kernel.run();
-    println!("u's terminal shows: {:?}", printed.lock().unwrap());
-    assert_eq!(printed.lock().unwrap().len(), 1);
+    println!("u's terminal shows: {:?}", printed.borrow());
+    assert_eq!(printed.borrow().len(), 1);
 
     // v writes and reads its own notes (the v shell becomes vT-tainted),
     // then tries to push them to u's terminal. The kernel drops the send:
@@ -204,11 +203,7 @@ fn main() {
         "v's attempt to reach u's terminal: dropped by the kernel ({} label drop)",
         kernel.stats().dropped_label_check - drops_before
     );
-    assert_eq!(
-        printed.lock().unwrap().len(),
-        1,
-        "terminal saw nothing of v's"
-    );
+    assert_eq!(printed.borrow().len(), 1, "terminal saw nothing of v's");
 
     // And v cannot even read u's diary: the tainted reply cannot be
     // delivered to a shell that never got uT acceptance.
