@@ -5,8 +5,9 @@
 //! Each row is one scenario at one deployment point (`1×1` paper-faithful
 //! and `4×4` scaled): open-loop arrivals (queueing delay lands in the
 //! tail honestly), Zipf-skewed populations, a full reboot-and-login
-//! storm, and a credit-armed flood — with p50/p99/p999 over the *fresh*
-//! latency series, the shed-then-retried series kept separate, and
+//! storm, and a 10× flood whose excess the attacker's worker sheds — with
+//! p50/p99/p999 over the *fresh* latency series, the shed-then-retried
+//! series kept separate, and
 //! goodput against busiest-shard wall clock. Everything runs in virtual
 //! cycles under fixed seeds, so the numbers are deterministic and can be
 //! compared across commits.
@@ -97,8 +98,8 @@ fn bench_loadgen(c: &mut Criterion) {
         let r = run_scenario(&mut LoginStorm::new(users, shards, lanes), 0x5708);
         push_scenario(&mut report, &r);
 
-        // Credit-armed flood: one attacker at 10× the victim's rate into
-        // a touchy edge; sheds retried to completion.
+        // Flood: one attacker at 10× the victim's rate; what its session
+        // worker sheds is retried to completion.
         let requests = if test_mode { 220 } else { 440 };
         let r = run_scenario(
             &mut SustainedFlood {

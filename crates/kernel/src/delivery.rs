@@ -107,8 +107,8 @@ impl Mailboxes {
         self.len
     }
 
-    /// Pending messages for one destination port (the per-port
-    /// backpressure bound checks this).
+    /// Pending messages for one destination port (the per-port queue
+    /// bound checks this).
     pub fn port_len(&self, port: Handle) -> usize {
         self.boxes.get(&port).map_or(0, VecDeque::len)
     }
@@ -176,9 +176,6 @@ impl KernelShard {
         let mut steps = 0;
         loop {
             self.pull_inbound(router, PullPoint::Subround);
-            // Re-admit parked retries while capacity lasts (a no-op
-            // unless backpressure is armed and something is parked).
-            self.flush_retries(router);
             if self.mailboxes.len() == 0 || steps == budget {
                 break;
             }

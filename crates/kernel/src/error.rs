@@ -2,7 +2,9 @@
 //!
 //! Asbestos deliberately reports very little through `send` (§4): label
 //! failures at delivery time are silent, because a failure/success signal
-//! modulated by label changes would be a storage channel. The errors here
+//! modulated by label changes would be a storage channel, and so are drops
+//! at a full queue (§8), whose occupancy other senders control. `send`'s
+//! only error is [`SysError::PrivilegeViolation`]. The errors here
 //! are only those a real kernel could report without leaking information —
 //! they depend exclusively on the *caller's own* state and arguments.
 
@@ -29,13 +31,6 @@ pub enum SysError {
     /// (§8: "Asbestos does not yet deal gracefully with certain forms of
     /// resource exhaustion" — we at least make it explicit).
     ResourceExhausted,
-    /// The caller exhausted its own send-credit window *and* its deferral
-    /// quota for this port this activation; it should back off and retry
-    /// on a later activation. Only raised with backpressure armed, and —
-    /// crucially for the covert-channel argument — computed purely from
-    /// the caller's own send history, never from destination queue
-    /// occupancy (see [`crate::backpressure`]).
-    WouldBlock,
 }
 
 impl fmt::Display for SysError {
@@ -47,7 +42,6 @@ impl fmt::Display for SysError {
             SysError::EventProcessForbidden => "operation forbidden in event-process context",
             SysError::InvalidArgument => "invalid argument",
             SysError::ResourceExhausted => "resource limit exceeded",
-            SysError::WouldBlock => "send credits exhausted; back off and retry",
         };
         f.write_str(msg)
     }

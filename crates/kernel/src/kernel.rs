@@ -352,11 +352,10 @@ impl Kernel {
 
     /// Ingests one message forwarded from another kernel: it joins the
     /// destination shard's queues under exactly the rules a local
-    /// cross-shard arrival faces — destination-side queue bounds (or
-    /// backpressure parking when armed), `Stats::sent` accounting, and
-    /// the delivery-time Figure 4 check against this kernel's state when
-    /// it is popped. An unknown port hash-routes and drops `NoSuchPort`,
-    /// as everywhere else.
+    /// cross-shard arrival faces — destination-side queue bounds,
+    /// `Stats::sent` accounting, and the delivery-time Figure 4 check
+    /// against this kernel's state when it is popped. An unknown port
+    /// hash-routes and drops `NoSuchPort`, as everywhere else.
     pub fn inject_remote(&mut self, rs: crate::message::RemoteSend) {
         let dest = if self.is_local_port(rs.port) {
             // The directory only tracks multi-shard kernels; resolve by
@@ -369,7 +368,7 @@ impl Kernel {
         } else {
             self.router.shard_of(rs.port)
         };
-        self.shards[dest as usize].enqueue_inbound(QueuedMessage {
+        self.shards[dest as usize].enqueue_checked(QueuedMessage {
             port: rs.port,
             body: rs.body,
             es: rs.es,
@@ -425,26 +424,6 @@ impl Kernel {
     pub fn set_port_queue_limit(&mut self, limit: usize) {
         for shard in &mut self.shards {
             shard.port_queue_limit = limit;
-        }
-    }
-
-    /// Arms (or disarms) overload control: credit-based send windows,
-    /// the retry queue, and `WouldBlock` refusals (see
-    /// [`crate::backpressure`]). Off by default — the disarmed kernel is
-    /// bit-identical to the pre-overload-control one, which is what the
-    /// determinism goldens pin.
-    pub fn set_backpressure(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.bp.enabled = on;
-        }
-    }
-
-    /// Sets every shard's shed threshold: the mailbox depth at which
-    /// [`crate::Sys::overloaded`] starts reporting true to
-    /// deployment-side shedders. `usize::MAX` (the default) means never.
-    pub fn set_shed_threshold(&mut self, threshold: usize) {
-        for shard in &mut self.shards {
-            shard.shed_threshold = threshold;
         }
     }
 
@@ -533,15 +512,9 @@ impl Kernel {
             // Every mailbox is empty; only an empty in-flight set too
             // means the kernel is truly idle. (A pull above can come up
             // empty of *deliverable* messages when queue bounds drop the
-            // whole batch, so re-check rather than assume.) Parked
-            // retries count as work: drained mailboxes mean there is
-            // capacity to re-admit into.
+            // whole batch, so re-check rather than assume.)
             if self.router.pending() == 0 {
-                let Kernel { shards, router, .. } = self;
-                let flushed: usize = shards.iter_mut().map(|s| s.flush_retries(router)).sum();
-                if flushed == 0 {
-                    return DeliveryOutcome::Idle;
-                }
+                return DeliveryOutcome::Idle;
             }
         }
     }
@@ -715,8 +688,7 @@ impl Kernel {
     }
 
     /// Pending (sent but undelivered) messages across all shards:
-    /// mailboxes, the in-flight cross-shard inboxes, and the
-    /// backpressure retry queues.
+    /// mailboxes and the in-flight cross-shard inboxes.
     pub fn queue_len(&self) -> usize {
         self.shards.iter().map(|s| s.queue_len(&self.router)).sum()
     }

@@ -78,21 +78,16 @@
 //! virtual clock charges the linear label work every time, which is the
 //! source of Figure 9's linear degradation.
 //!
-//! **Overload control.** Armed by [`Kernel::set_backpressure`] (off by
-//! default), the [`backpressure`] module turns silent queue-bound drops
-//! into graceful degradation: per-(sender, port) credit windows that
-//! refill on the sender's *own* handler activations (AIMD: halve on
-//! overrun, grow by one per clean activation), a bounded per-shard retry
-//! queue that parks over-budget or capacity-blocked messages instead of
-//! dropping them, and [`SysError::WouldBlock`] for senders that exhaust
-//! both window and deferral quota. The verdict a sender observes is a
-//! pure function of its own send history — never of shared queue
-//! occupancy — which is what keeps the backpressure signal from becoming
-//! a covert channel (pinned by `tests/covert_channels.rs`).
+//! **Queue bounds.** Each shard bounds its pending messages
+//! ([`Kernel::set_queue_limit`]) and each port its mailbox
+//! ([`Kernel::set_port_queue_limit`]). A message past either bound drops
+//! as silently as a label failure (§8's resource exhaustion, counted only
+//! in [`Stats`]): [`Sys::send`] returns `Ok(())` for it, and its only
+//! error, [`SysError::PrivilegeViolation`], depends on the caller's own
+//! labels and arguments (pinned by `tests/covert_channels.rs`).
 
 #![forbid(unsafe_code)]
 
-pub mod backpressure;
 pub mod cycles;
 pub mod delivery;
 pub mod error;
@@ -110,7 +105,6 @@ pub mod sys;
 pub mod util;
 pub mod value;
 
-pub use backpressure::{PortPressure, SendVerdict};
 pub use cycles::{Category, CostModel, CYCLES_PER_SEC};
 pub use delivery::DeliveryOutcome;
 pub use error::{SysError, SysResult};

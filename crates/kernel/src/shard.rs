@@ -23,9 +23,9 @@ use std::sync::Arc;
 
 use asbestos_labels::{ops, Handle, Label};
 
-use crate::backpressure::{Backpressure, SendVerdict};
 use crate::cycles::{Category, CostModel, CycleClock};
 use crate::delivery::{keep_or_wrap, Mailboxes};
+use crate::error::{SysError, SysResult};
 use crate::event_process::EventProcess;
 use crate::handle_table::{HandleTable, PortOwner};
 use crate::ids::{EpId, ExecCtx, ProcessId};
@@ -64,15 +64,6 @@ pub struct KernelShard {
     pub(crate) queue_limit: usize,
     pub(crate) port_queue_limit: usize,
     pub(crate) stats: Stats,
-    /// Overload-control state: credit windows, the retry queue, per-port
-    /// pressure counters. Inert unless armed (see
-    /// [`crate::backpressure`]).
-    pub(crate) bp: Backpressure,
-    /// Mailbox depth at which this shard reports itself overloaded to
-    /// deployment-side shedders ([`crate::Sys::overloaded`]). Starts at
-    /// `usize::MAX` (never); only [`crate::Kernel::set_shed_threshold`]
-    /// moves it.
-    pub(crate) shed_threshold: usize,
     pub(crate) last_ctx: Option<ExecCtx>,
     /// Real (host) nanoseconds this shard's delivery loop has run, over
     /// all `run()` calls. Drains never overlap, so each nanosecond is
@@ -105,8 +96,6 @@ impl KernelShard {
             queue_limit: DEFAULT_QUEUE_LIMIT,
             port_queue_limit: DEFAULT_PORT_QUEUE_LIMIT,
             stats: Stats::default(),
-            bp: Backpressure::default(),
-            shed_threshold: usize::MAX,
             last_ctx: None,
             busy_nanos: 0,
         }
@@ -178,12 +167,6 @@ impl KernelShard {
         let Some(mut body) = self.processes[pid.index()].body.take() else {
             return;
         };
-        if self.bp.enabled {
-            // Each handler activation is one tick of the sender's credit
-            // clock: windows refill on the sender's own schedule, never
-            // on (attacker-observable) delivery events.
-            self.bp.note_activation(pid);
-        }
         {
             let mut sys = Sys::new(self, router, ExecCtx { pid, ep }, is_new_ep);
             match &mut body {
@@ -271,8 +254,7 @@ impl KernelShard {
         port: Handle,
         body: Value,
         args: &SendArgs,
-    ) -> Result<SendVerdict, crate::error::SysError> {
-        let category = self.processes[ctx.pid.index()].category;
+    ) -> SysResult<()> {
         let ps: &Arc<Label> = match ctx.ep {
             Some(eid) => &self.eps[eid.index()].send_label,
             None => &self.processes[ctx.pid.index()].send_label,
@@ -287,15 +269,14 @@ impl KernelShard {
             Category::KernelIpc,
             body.size_bytes() as u64 * self.cost.msg_byte + label_work * self.cost.label_entry,
         );
-        let _ = category;
 
         // Figure 4 requirement (2): D_S(h) < 3 ⇒ P_S(h) = ⋆.
         if !ops::check_decont_send_privilege(&args.decont_send, ps) {
-            return Err(crate::error::SysError::PrivilegeViolation);
+            return Err(SysError::PrivilegeViolation);
         }
         // Figure 4 requirement (3): D_R(h) > ⋆ ⇒ P_S(h) = ⋆.
         if !ops::check_decont_recv_privilege(&args.decont_recv, ps) {
-            return Err(crate::error::SysError::PrivilegeViolation);
+            return Err(SysError::PrivilegeViolation);
         }
 
         // E_S = P_S ⊔ C_S, snapshotted now; delivery checks happen when the
@@ -325,9 +306,7 @@ impl KernelShard {
             // message for the gateway; the delivery-time Figure 4 check
             // (and the destination-side queue bounds, and `Stats::sent`)
             // run on the *destination* kernel, so verdicts derive only
-            // from destination state. Credits never apply here — a
-            // remote verdict would be a cross-kernel covert channel, the
-            // same reason injections are credit-free.
+            // from destination state.
             router.push_egress(crate::message::RemoteSend {
                 port: qm.port,
                 body: qm.body,
@@ -336,29 +315,13 @@ impl KernelShard {
                 dr: qm.dr,
                 v: qm.v,
             });
-            return Ok(SendVerdict::Delivered);
+            return Ok(());
         } else {
             router.shard_of(port)
         };
         if dest == self.id {
-            if self.bp.enabled {
-                return self.bp_send_local(ctx.pid, qm);
-            }
             self.enqueue_checked(qm);
         } else {
-            if self.bp.enabled {
-                // Cross-shard sends are credit-free (the loop is
-                // shard-local), but inbox-bound overflow and the
-                // per-sender FIFO barrier park instead of dropping.
-                // Parking is silent — the verdict never reflects shared
-                // inbox state.
-                if self.bp.barred(ctx.pid, port)
-                    || router.inbox_len(dest as usize) >= self.queue_limit
-                {
-                    self.park(qm);
-                    return Ok(SendVerdict::Delivered);
-                }
-            }
             // Sub-round routing: push straight onto the destination's
             // inbox. Queue bounds are ultimately the destination shard's
             // to enforce (it runs `enqueue_checked` when it pulls the
@@ -371,7 +334,7 @@ impl KernelShard {
                 self.stats.record_drop(DropReason::QueueFull);
             }
         }
-        Ok(SendVerdict::Delivered)
+        Ok(())
     }
 
     /// Drains this shard's inbox into its per-port mailboxes, applying
@@ -392,7 +355,7 @@ impl KernelShard {
         self.stats.xshard_batch_drains += 1;
         self.stats.xshard_batch_max = self.stats.xshard_batch_max.max(n as u64);
         for qm in batch.drain(..) {
-            self.enqueue_inbound(qm);
+            self.enqueue_checked(qm);
         }
         // `drain` leaves the capacity in place; hand the buffer back as
         // the next swap partner.
@@ -410,10 +373,9 @@ impl KernelShard {
             return;
         }
         if self.mailboxes.port_len(qm.port) >= self.port_queue_limit {
-            // Per-port backpressure: one hot port cannot starve the rest
-            // of the shard's mailboxes.
+            // Per-port bound, silent too: one hot port cannot starve the
+            // rest of the shard's mailboxes.
             self.stats.record_drop(DropReason::PortQueueFull);
-            self.bp.note_port_drop(qm.port);
             return;
         }
         self.stats.sent += 1;
@@ -496,10 +458,9 @@ impl KernelShard {
         0
     }
 
-    /// Pending messages queued on this shard (mailboxes, its inbox, and
-    /// its backpressure retry queue).
+    /// Pending messages queued on this shard (mailboxes and its inbox).
     pub(crate) fn queue_len(&self, router: &Router) -> usize {
-        self.mailboxes.len() + router.inbox_len(self.id as usize) + self.bp.retry_len()
+        self.mailboxes.len() + router.inbox_len(self.id as usize)
     }
 
     /// Real nanoseconds this shard's delivery loop has run (see the field

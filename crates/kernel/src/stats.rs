@@ -18,8 +18,8 @@ pub enum DropReason {
     /// The kernel message queue hit its configured limit (§8's resource
     /// exhaustion caveat made explicit).
     QueueFull,
-    /// The destination port's own mailbox hit the per-port bound: local
-    /// backpressure, so one hot port cannot starve every other mailbox.
+    /// The destination port's own mailbox hit the per-port bound, so one
+    /// hot port cannot starve every other mailbox (§8, per port).
     PortQueueFull,
 }
 
@@ -43,7 +43,7 @@ pub struct Stats {
     /// Drops: queue full.
     pub dropped_queue_full: u64,
     /// Drops: the destination port's own mailbox was full (per-port
-    /// backpressure).
+    /// bound).
     pub dropped_port_queue_full: u64,
     /// Event processes created.
     pub eps_created: u64,
@@ -101,16 +101,15 @@ pub struct Stats {
     pub steals: u64,
     /// Always 0; see [`Stats::cache_hits`].
     pub cache_resizes: u64,
-    /// Messages parked in the backpressure retry queue instead of being
-    /// enqueued (credit overrun or shared-capacity pressure). Zero unless
-    /// backpressure is armed.
+    /// Always 0: there is no send-credit retry queue; a message past a
+    /// queue bound drops silently. `sent_deferred`, `dropped_shed` and
+    /// `retry_flushed` keep their positions only because `benchmark/`
+    /// digests this struct's `Debug` output; they go with the other
+    /// always-0 fields once that digest names its counters.
     pub sent_deferred: u64,
-    /// Messages shed by overload control: sends refused with
-    /// `WouldBlock` after the sender exhausted its deferral quota, plus
-    /// (silent) retry-queue backstop overflow.
+    /// Always 0; see [`Stats::sent_deferred`].
     pub dropped_shed: u64,
-    /// Parked messages re-admitted from the retry queue once capacity
-    /// returned.
+    /// Always 0; see [`Stats::sent_deferred`].
     pub retry_flushed: u64,
 }
 
@@ -123,7 +122,6 @@ impl Stats {
             + self.dropped_no_owner
             + self.dropped_queue_full
             + self.dropped_port_queue_full
-            + self.dropped_shed
     }
 
     /// Records a drop.

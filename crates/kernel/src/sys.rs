@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use asbestos_labels::{Handle, Label, Level};
 
-use crate::backpressure::SendVerdict;
 use crate::cycles::Category;
 use crate::delivery::keep_or_wrap;
 use crate::error::{SysError, SysResult};
@@ -237,52 +236,20 @@ impl<'k> Sys<'k> {
     /// Sends a message with no optional labels.
     ///
     /// Like the real system call, success says nothing about delivery: the
-    /// label checks run when the receiver is scheduled, and failures drop
-    /// the message silently (§4). With backpressure armed the returned
-    /// [`SendVerdict`] reports queue admission (delivered/deferred), and
-    /// a sender persistently over its credit window gets
-    /// [`SysError::WouldBlock`]; both are computed purely from the
-    /// caller's own send history (see [`crate::backpressure`]).
-    pub fn send(&mut self, port: Handle, body: Value) -> SysResult<SendVerdict> {
+    /// label checks run when the receiver is scheduled, and label failures
+    /// and full queues (§8) drop the message silently (§4).
+    pub fn send(&mut self, port: Handle, body: Value) -> SysResult<()> {
         self.send_args(port, body, &SendArgs::default())
     }
 
     /// Sends a message with optional labels (Figure 4's full `send`).
     ///
-    /// Errors are returned only for conditions computable from the caller's
-    /// own state (privilege requirements 2 and 3, and — with backpressure
-    /// armed — the caller's own exhausted credit window); everything else
-    /// is silent by design.
-    pub fn send_args(
-        &mut self,
-        port: Handle,
-        body: Value,
-        args: &SendArgs,
-    ) -> SysResult<SendVerdict> {
+    /// The only error is [`SysError::PrivilegeViolation`], from Figure 4
+    /// requirements 2 and 3: a function of the caller's own send label and
+    /// arguments. Everything else is silent by design.
+    pub fn send_args(&mut self, port: Handle, body: Value, args: &SendArgs) -> SysResult<()> {
         self.shard
             .send_from(self.router, self.ctx, port, body, args)
-    }
-
-    /// The caller's remaining send credits for `port` (how many sends
-    /// its next activation burst can make before they defer). Derived
-    /// exclusively from the caller's own credit state, so exposing it
-    /// leaks nothing. With backpressure off this is always the full
-    /// default window.
-    pub fn send_credit(&self, port: Handle) -> u32 {
-        self.shard.bp.credit_state(self.ctx.pid, port).1
-    }
-
-    /// Whether the local shard's mailbox depth has crossed its shed
-    /// threshold — the hint deployment-side shedders (netd accept paths)
-    /// use to refuse new work at the edge instead of queueing it.
-    ///
-    /// This is deliberately a *deployment* facility, not a simulated-user
-    /// one: aggregate shard load is the kind of whole-system timing
-    /// signal §8 already concedes to a determined observer, and the
-    /// trusted services that consult it (netd) are unlabeled. Labeled
-    /// user code never sees it.
-    pub fn overloaded(&self) -> bool {
-        self.shard.mailboxes.len() >= self.shard.shed_threshold
     }
 
     // ------------------------------------------------------------------

@@ -467,7 +467,7 @@ fn sharded_runs_repeat_exactly() {
 }
 
 // ---------------------------------------------------------------------
-// Per-port backpressure (the new queue bound).
+// The per-port queue bound.
 // ---------------------------------------------------------------------
 
 #[test]

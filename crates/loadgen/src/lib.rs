@@ -13,7 +13,9 @@
 //!
 //! Workloads are declarative: implement [`scenario::Scenario`] (setup /
 //! drive / check hooks) and hand it to [`scenario::run_scenario`]; the
-//! engine owns deployment, pacing, polling, shed retries, draining, and
+//! engine owns deployment, pacing, polling, shed retries (an OKWS worker
+//! closes a connection unserved when its session is draining or its
+//! pending queue is full, and the client re-opens it), draining, and
 //! produces a [`metrics::ScenarioReport`] with separate *fresh* and
 //! *retried* latency series (p50/p99/p999), goodput against
 //! busiest-shard wall clock, and shard-balance signals. The stock

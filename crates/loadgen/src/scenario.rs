@@ -15,7 +15,6 @@
 
 use asbestos_cluster::{deploy_okws, Cluster};
 use asbestos_kernel::Kernel;
-use asbestos_net::Netd;
 use asbestos_okws::logic::{EchoStore, ParamLength, Profile};
 use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
 use asbestos_store::{MemDev, Store};
@@ -56,8 +55,6 @@ pub struct ScenarioConfig {
     pub lanes: usize,
     /// Back the deployment with a durable store (enables [`World::reboot`]).
     pub durable: bool,
-    /// Arm overload control (kernel credits + netd edge shedding).
-    pub backpressure: bool,
     /// Arrivals in the measured window.
     pub requests: usize,
     /// Open-loop arrival rate, requests per virtual second.
@@ -78,7 +75,6 @@ impl ScenarioConfig {
             shards: 1,
             lanes: 1,
             durable: false,
-            backpressure: false,
             requests,
             rate_rps: 800.0,
             require_all_ok: true,
@@ -115,12 +111,6 @@ impl ScenarioConfig {
     /// Backs the deployment with a durable store.
     pub fn durable(mut self) -> ScenarioConfig {
         self.durable = true;
-        self
-    }
-
-    /// Arms overload control.
-    pub fn with_backpressure(mut self) -> ScenarioConfig {
-        self.backpressure = true;
         self
     }
 
@@ -206,8 +196,7 @@ impl World {
     /// # Panics
     ///
     /// Panics on a federated config that is durable (a cluster cannot
-    /// reboot) or arms backpressure (`Okws::start` would arm overload
-    /// control on kernel 0 only, leaving the workers' kernels unbounded).
+    /// reboot).
     pub fn deploy(cfg: ScenarioConfig, seed: u64) -> World {
         let dev = cfg.durable.then(MemDev::new);
         let config = World::okws_config(&cfg, dev.as_ref(), true);
@@ -218,10 +207,6 @@ impl World {
             assert!(
                 !cfg.durable,
                 "federated worlds are volatile: a cluster has no reboot"
-            );
-            assert!(
-                !cfg.backpressure,
-                "federated worlds cannot arm backpressure: Okws::start would set it on kernel 0 only"
             );
             let mut cluster = Cluster::new(seed, cfg.kernels, cfg.shards);
             let okws = deploy_okws(&mut cluster, config);
@@ -255,9 +240,6 @@ impl World {
 
     fn okws_config(cfg: &ScenarioConfig, dev: Option<&MemDev>, with_users: bool) -> OkwsConfig {
         let mut config = OkwsConfig::new(80).sharded(cfg.shards).lanes(cfg.lanes);
-        if cfg.backpressure {
-            config = config.with_backpressure();
-        }
         if let Some(dev) = dev {
             config = config.durable(Box::new(dev.clone()));
         }
@@ -433,20 +415,6 @@ impl World {
         self.client.parse_response(idx)
     }
 
-    /// Sums deferred and shed accepts across every netd lane.
-    pub fn shed_totals(&self) -> (u64, u64) {
-        let (mut deferred, mut shed) = (0u64, 0u64);
-        for lane in &self.okws.netd.lanes {
-            let netd = self
-                .kernel()
-                .service_as::<Netd>(lane.pid)
-                .expect("netd lane is downcastable");
-            deferred += netd.accepts_deferred();
-            shed += netd.accepts_shed();
-        }
-        (deferred, shed)
-    }
-
     /// Every handle idd holds at `⋆` this boot (§5.1 disjointness probe).
     pub fn idd_star_handles(&self) -> Vec<u64> {
         Okws::idd_star_handles(self.kernel())
@@ -533,10 +501,6 @@ pub trait Scenario {
     /// seeded workload RNG: same seed, same op sequence.
     fn op(&mut self, seq: usize, rng: &mut StdRng) -> Op;
 
-    /// Runs after the last arrival, before the final drain (relax
-    /// overload knobs so flood traffic can finish, etc.).
-    fn quiesce(&mut self, _world: &mut World) {}
-
     /// Asserts scenario invariants over the drained world and report.
     fn check(&mut self, _world: &mut World, _report: &ScenarioReport) {}
 }
@@ -582,7 +546,6 @@ pub fn run_scenario(scenario: &mut dyn Scenario, seed: u64) -> ScenarioReport {
         }
     }
 
-    scenario.quiesce(&mut world);
     world.drain();
     let report = world.report(&scenario.name());
     if world.cfg.require_all_ok {

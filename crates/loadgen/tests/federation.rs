@@ -5,7 +5,8 @@
 //! bare `cargo test` runs the federated cases at two kernels.
 
 use asbestos_loadgen::{
-    run_scenario, Baseline, Op, Scenario, ScenarioConfig, ScenarioReport, World, ZipfChurn,
+    run_scenario, Baseline, Op, Scenario, ScenarioConfig, ScenarioReport, SustainedFlood, World,
+    ZipfChurn,
 };
 use rand::rngs::StdRng;
 
@@ -77,23 +78,23 @@ fn zipf_churn() -> ZipfChurn {
     ZipfChurn::new(64, 600, 1.1, 2, 2)
 }
 
-/// `ZipfChurn` with its deployment federated, counting the `check`s the
-/// engine ran (`op` panics unless `setup` ran first).
-struct Churn {
-    inner: ZipfChurn,
+/// A stock scenario with its deployment federated, counting the `check`s
+/// the engine ran.
+struct Federated<S> {
+    inner: S,
     kernels: usize,
     checks: usize,
 }
 
-fn churn(kernels: usize) -> Churn {
-    Churn {
-        inner: zipf_churn(),
+fn federated<S: Scenario>(inner: S, kernels: usize) -> Federated<S> {
+    Federated {
+        inner,
         kernels,
         checks: 0,
     }
 }
 
-impl Scenario for Churn {
+impl<S: Scenario> Scenario for Federated<S> {
     fn name(&self) -> String {
         self.inner.name()
     }
@@ -102,6 +103,9 @@ impl Scenario for Churn {
     }
     fn setup(&mut self, world: &mut World) {
         self.inner.setup(world);
+    }
+    fn before_arrival(&mut self, world: &mut World, seq: usize) {
+        self.inner.before_arrival(world, seq);
     }
     fn op(&mut self, seq: usize, rng: &mut StdRng) -> Op {
         self.inner.op(seq, rng)
@@ -114,10 +118,11 @@ impl Scenario for Churn {
 
 /// The hardest volatile scenario — Zipf users, session and DB traffic,
 /// logouts, mid-stream aborts — passes its own `setup`/`check` hooks
-/// and `assert_all_ok` with its workers on other kernels.
+/// and `assert_all_ok` with its workers on other kernels (`op` panics
+/// unless `setup` ran first).
 #[test]
 fn zipf_churn_runs_its_hooks_federated() {
-    let mut a = churn(kernels());
+    let mut a = federated(zipf_churn(), kernels());
     let ra = run_scenario(&mut a, 0xC0FFEE);
     assert_eq!(a.checks, 1, "the engine skipped the scenario's check");
     assert_eq!(ra.kernels, kernels());
@@ -128,7 +133,7 @@ fn zipf_churn_runs_its_hooks_federated() {
         ra.completed
     );
 
-    let rb = run_scenario(&mut churn(kernels()), 0xC0FFEE);
+    let rb = run_scenario(&mut federated(zipf_churn(), kernels()), 0xC0FFEE);
     // Every field, wire counters included.
     assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
 }
@@ -137,11 +142,34 @@ fn zipf_churn_runs_its_hooks_federated() {
 /// no sockets, the same numbers.
 #[test]
 fn one_kernel_is_the_unfederated_default() {
-    let explicit = run_scenario(&mut churn(1), 0xC0FFEE);
+    let explicit = run_scenario(&mut federated(zipf_churn(), 1), 0xC0FFEE);
     let default = run_scenario(&mut zipf_churn(), 0xC0FFEE);
     assert_eq!(format!("{explicit:?}"), format!("{default:?}"));
     assert_eq!(
         (explicit.kernels, explicit.wire_frames, explicit.forwarded),
         (1, 0, 0)
+    );
+}
+
+/// The attacker's flood crosses the switch with everything else: the
+/// victim is still served, every shed connection is retried to
+/// completion, and the fresh probe is served first try — `SustainedFlood`'s
+/// own `check`, with the workers on other kernels.
+#[test]
+fn sustained_flood_runs_its_hooks_federated() {
+    let flood = SustainedFlood {
+        requests: 110,
+        flood_factor: 10,
+        shards: 1,
+        lanes: 1,
+    };
+    let mut f = federated(flood, kernels());
+    let r = run_scenario(&mut f, 0xF100D);
+    assert_eq!(f.checks, 1, "the engine skipped the scenario's check");
+    assert!(
+        r.forwarded as usize >= r.completed,
+        "flood requests never crossed the switch ({} forwards for {} completions)",
+        r.forwarded,
+        r.completed
     );
 }

@@ -38,10 +38,10 @@ pub struct ClientRequest {
     pub response: Vec<u8>,
     /// The request bytes, kept so a shed connection can be re-issued.
     pub request_bytes: Vec<u8>,
-    /// Times this request was refused at the edge and re-opened.
+    /// Times this request's connection was closed unserved and re-opened.
     pub retries: u32,
     /// The client killed this connection mid-stream: it will never
-    /// complete and must not be mistaken for an edge shed and retried.
+    /// complete and must not be mistaken for a shed and retried.
     pub aborted: bool,
 }
 
@@ -197,16 +197,16 @@ impl ClientDriver {
     }
 
     /// Re-issues requests whose connection the server closed without a
-    /// single response byte — the overload-shed signature (netd refuses
-    /// accepts at the edge when its shard runs hot). A well-behaved client
-    /// backs off and retries; this models the retry. The original
-    /// `started_at` is kept, so the measured latency of a shed-then-served
-    /// request includes the refusal round-trip — that *is* the price of
-    /// graceful degradation. Shed-then-retried requests are reported as
-    /// the *retried* latency series ([`ClientDriver::retried_latencies_us`]),
-    /// distinct from the fresh series, so the refusal round-trips never
-    /// silently inflate a scenario's p999. Client-aborted requests are
-    /// never retried. Returns how many requests were re-opened.
+    /// single response byte — the shed signature (an OKWS worker closes
+    /// a connection unserved when its session is draining or its pending
+    /// queue is full). A well-behaved client retries; this models the
+    /// retry. The original `started_at` is kept, so the measured latency
+    /// of a shed-then-served request includes the shed round-trip.
+    /// Shed-then-retried requests are reported as the *retried* latency
+    /// series ([`ClientDriver::retried_latencies_us`]), distinct from the
+    /// fresh series, so the shed round-trips never silently inflate a
+    /// scenario's p999. Client-aborted requests are never retried.
+    /// Returns how many requests were re-opened.
     pub fn retry_shed(&mut self, kernel: &mut Kernel) -> usize {
         let mut retried = 0;
         // Only outstanding requests can have been shed; collect the
@@ -260,7 +260,7 @@ impl ClientDriver {
         retried
     }
 
-    /// Total edge refusals the driver has retried so far.
+    /// Total shed connections the driver has retried so far.
     pub fn total_retries(&self) -> u64 {
         self.requests.iter().map(|r| u64::from(r.retries)).sum()
     }
@@ -289,7 +289,7 @@ impl ClientDriver {
     /// Completed *fresh* request latencies in microseconds, sorted
     /// ascending: requests that were served on their first connection.
     /// Shed-then-retried requests are deliberately excluded — their
-    /// latency includes edge-refusal round-trips and belongs to the
+    /// latency includes shed round-trips and belongs to the
     /// distinct [`ClientDriver::retried_latencies_us`] series, not in the
     /// tail of this one.
     pub fn latencies_us(&self) -> Vec<f64> {
@@ -297,8 +297,8 @@ impl ClientDriver {
     }
 
     /// Completed latencies of shed-then-retried requests, sorted
-    /// ascending (includes the refusal round-trips — the price of
-    /// graceful degradation, reported as its own series).
+    /// ascending (includes the shed round-trips, reported as its own
+    /// series).
     pub fn retried_latencies_us(&self) -> Vec<f64> {
         self.collect_latencies(true)
     }

@@ -27,8 +27,7 @@ pub use driver::{percentile, ClientDriver, ClientRequest};
 pub use http::{build_response, ok_response, parse_request, HttpError, HttpRequest};
 pub use netd::{
     listen_all_lanes, netd_control_env, netd_device_env, netd_lanes, spawn_netd, spawn_netd_lanes,
-    Netd, NetdHandle, NetdLane, MAX_DEFERRED_ACCEPTS, NETD_CONTROL_ENV, NETD_DEVICE_ENV,
-    NETD_LANES_ENV, NETD_SHED_ENV,
+    Netd, NetdHandle, NetdLane, NETD_CONTROL_ENV, NETD_DEVICE_ENV, NETD_LANES_ENV,
 };
 pub use proto::NetMsg;
 pub use tcp::{rss_lane, ConnId, MultiQueue, SimConn, SimNet};

@@ -21,7 +21,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use asbestos_kernel::{
@@ -54,18 +53,6 @@ pub const NETD_DEVICE_ENV: &str = "netd.device";
 /// Published (as a `Value::U64`) only when `lanes > 1`; absence means the
 /// single-netd configuration.
 pub const NETD_LANES_ENV: &str = "netd.lanes";
-
-/// Environment key that arms netd's overload shedding (any non-zero
-/// `Value::U64`). A deployment decision, not a per-process one: netd is
-/// trusted and unlabeled, and whether the edge sheds under load is a
-/// policy the operator opts into alongside [`Kernel::set_backpressure`].
-/// Absent (the default) netd accepts unconditionally — the exact pre-shed
-/// code path, which is what keeps the netd determinism golden intact.
-pub const NETD_SHED_ENV: &str = "netd.shed";
-
-/// Bound on accepts a lane will hold back while its shard is hot before
-/// it starts refusing connections outright.
-pub const MAX_DEFERRED_ACCEPTS: usize = 64;
 
 /// Environment key for lane `lane`'s control (listen) port.
 pub fn netd_control_env(lane: usize) -> String {
@@ -135,18 +122,6 @@ pub struct Netd {
     listeners: BTreeMap<u16, Handle>,
     control_port: Option<Handle>,
     device_port: Option<Handle>,
-    /// Accepts held back while this lane's shard was hot (FIFO; bounded
-    /// by [`MAX_DEFERRED_ACCEPTS`], overflow is shed instead).
-    deferred_accepts: VecDeque<(ConnId, u16)>,
-    /// Whether a self-wakeup is already queued on the device port. At
-    /// most one is ever in flight: queued wakeups count toward the very
-    /// mailbox depth `overloaded()` reads, so letting them accumulate
-    /// would make the overload signal self-sustaining.
-    wakeup_armed: bool,
-    /// Accepts ever deferred by this lane.
-    accepts_deferred: u64,
-    /// Connections this lane refused under overload (closed unserved).
-    accepts_shed: u64,
 }
 
 impl Netd {
@@ -166,89 +141,17 @@ impl Netd {
             listeners: BTreeMap::new(),
             control_port: None,
             device_port: None,
-            deferred_accepts: VecDeque::new(),
-            wakeup_armed: false,
-            accepts_deferred: 0,
-            accepts_shed: 0,
         }
-    }
-
-    /// Accepts this lane has held back so far (cumulative).
-    pub fn accepts_deferred(&self) -> u64 {
-        self.accepts_deferred
-    }
-
-    /// Connections this lane refused under overload (cumulative).
-    pub fn accepts_shed(&self) -> u64 {
-        self.accepts_shed
-    }
-
-    /// Whether a self-wakeup is in flight for this lane.
-    pub fn wakeup_armed(&self) -> bool {
-        self.wakeup_armed
-    }
-
-    /// Whether the operator armed edge shedding for this deployment.
-    fn shed_enabled(&self, sys: &Sys<'_>) -> bool {
-        sys.env(NETD_SHED_ENV).and_then(|v| v.as_u64()).unwrap_or(0) != 0
-    }
-
-    /// Refuses `conn` outright: close it unserved and count the shed.
-    /// The client observes a closed connection with an empty response —
-    /// the retryable signature [`crate::driver::ClientDriver::retry_shed`]
-    /// keys off.
-    fn shed_conn(&mut self, conn: ConnId) {
-        let mut net = self.net.borrow_mut();
-        net.close(conn);
-        net.refused += 1;
-        self.accepts_shed += 1;
     }
 
     fn handle_device_event(&mut self, sys: &mut Sys<'_>, msg: NetMsg) {
-        let NetMsg::DevNewConn { conn, tcp_port } = msg else {
-            return;
-        };
-        if self.shed_enabled(sys) && sys.overloaded() {
-            // This lane's shard is hot: hold the accept back rather than
-            // pile more work onto saturated mailboxes. The bounded defer
-            // queue drains (FIFO) once pressure eases; past the bound the
-            // edge sheds — refusing at the NIC is the graceful-degradation
-            // move, since an accepted-then-starved connection costs kernel
-            // state and still times out.
-            if self.deferred_accepts.len() >= MAX_DEFERRED_ACCEPTS {
-                self.shed_conn(conn);
-            } else {
-                self.deferred_accepts.push_back((conn, tcp_port));
-                self.accepts_deferred += 1;
-                // Arm a self-wakeup so the queue drains even if no
-                // further traffic reaches this lane.
-                self.arm_wakeup(sys);
-            }
-            return;
-        }
-        self.accept(sys, conn, tcp_port);
-    }
-
-    /// Sends this lane a no-op message on its own device port (at most
-    /// one outstanding). The delivery forces a future activation, whose
-    /// entry hook drains the deferred-accept queue once the shard has
-    /// cooled.
-    fn arm_wakeup(&mut self, sys: &mut Sys<'_>) {
-        if self.wakeup_armed {
-            return;
-        }
-        if let Some(device) = self.device_port {
-            if sys.send(device, Value::Unit).is_ok() {
-                self.wakeup_armed = true;
-            }
+        if let NetMsg::DevNewConn { conn, tcp_port } = msg {
+            self.accept(sys, conn, tcp_port);
         }
     }
 
     /// Admits one connection: allocate `uC`, record state, notify the
-    /// listener. With backpressure armed the notify itself can hit
-    /// [`asbestos_kernel::SysError::WouldBlock`] (netd exhausted its own
-    /// send credit toward the listener) — that is the kernel telling the
-    /// edge to slow down, so the connection is shed, not retried.
+    /// listener.
     fn accept(&mut self, sys: &mut Sys<'_>, conn: ConnId, tcp_port: u16) {
         let Some(&notify) = self.listeners.get(&tcp_port) else {
             // No listener: refuse the connection.
@@ -268,41 +171,12 @@ impl Netd {
         );
         // Step 2: notify the listener, granting uC at ⋆.
         let grant = Label::from_pairs(Level::L3, &[(uc, Level::Star)]);
-        match sys.send_args(
+        sys.send_args(
             notify,
             NetMsg::NewConn { port: uc }.to_value(),
             &SendArgs::new().grant(grant),
-        ) {
-            Ok(_) => {}
-            Err(asbestos_kernel::SysError::WouldBlock) => {
-                // Out of send credit toward the listener: unwind the
-                // accept and shed the connection at the edge.
-                self.conns.remove(&uc);
-                let _ = sys.dissociate_port(uc);
-                sys.self_contaminate(&Label::from_pairs(Level::Star, &[(uc, Level::L1)]));
-                self.shed_conn(conn);
-            }
-            Err(e) => panic!("netd owns uC and may grant it: {e}"),
-        }
-    }
-
-    /// Re-admits held-back accepts once the shard has cooled, preserving
-    /// arrival order. Runs at every activation so deferral is bounded by
-    /// the lane's own event cadence, not a timer.
-    fn drain_deferred(&mut self, sys: &mut Sys<'_>) {
-        while !self.deferred_accepts.is_empty() && !sys.overloaded() {
-            let (conn, tcp_port) = self
-                .deferred_accepts
-                .pop_front()
-                .expect("checked non-empty");
-            sys.charge(NETD_EVENT_CYCLES); // same TCP setup work as a fresh accept
-            self.accept(sys, conn, tcp_port);
-        }
-        if !self.deferred_accepts.is_empty() {
-            // Still hot: re-arm exactly one wakeup so progress resumes
-            // once the backlog (which the wakeup rides behind) drains.
-            self.arm_wakeup(sys);
-        }
+        )
+        .expect("netd owns uC and may grant it");
     }
 
     fn handle_conn_message(&mut self, sys: &mut Sys<'_>, uc: Handle, msg: NetMsg) {
@@ -435,16 +309,7 @@ impl Service for Netd {
     }
 
     fn on_message(&mut self, sys: &mut Sys<'_>, msg: &Message) {
-        let net_msg = NetMsg::from_value(&msg.body);
-        if Some(msg.port) == self.device_port && net_msg.is_none() {
-            // Our own wakeup came back around: the one outstanding slot
-            // is free again.
-            self.wakeup_armed = false;
-        }
-        if !self.deferred_accepts.is_empty() {
-            self.drain_deferred(sys);
-        }
-        let Some(net_msg) = net_msg else {
+        let Some(net_msg) = NetMsg::from_value(&msg.body) else {
             return;
         };
         sys.charge(NETD_EVENT_CYCLES / 8); // demux overhead per event

@@ -94,11 +94,6 @@ pub struct SimNet {
     next_conn: ConnId,
     /// Total bytes ever carried (god-mode stat).
     pub bytes_carried: u64,
-    /// Connections the server side refused at accept time — no listener,
-    /// or overload shedding — closed before carrying any response byte
-    /// (god-mode stat; the client driver's retry path keys off the
-    /// closed-with-empty-response signature).
-    pub refused: u64,
 }
 
 impl SimNet {

@@ -143,11 +143,6 @@ pub struct OkwsConfig {
     /// prototype; a device makes every acknowledged statement durable
     /// and enables [`crate::Okws::reboot`].
     pub db_store: Option<Box<dyn BlockDev>>,
-    /// Arms the overload-control loop: kernel send credits with deferral
-    /// and `WouldBlock` ([`asbestos_kernel::Kernel::set_backpressure`])
-    /// plus netd edge shedding (the `netd.shed` deployment flag). Off by
-    /// default — the paper's prototype drops silently at the queue bound.
-    pub backpressure: bool,
 }
 
 impl OkwsConfig {
@@ -162,15 +157,7 @@ impl OkwsConfig {
             shards: 1,
             netd_lanes: 1,
             db_store: None,
-            backpressure: false,
         }
-    }
-
-    /// Arms overload control: kernel send credits plus netd edge
-    /// shedding. See [`OkwsConfig::backpressure`].
-    pub fn with_backpressure(mut self) -> OkwsConfig {
-        self.backpressure = true;
-        self
     }
 
     /// Sets the kernel shard count this deployment targets.

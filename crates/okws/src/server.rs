@@ -1,7 +1,7 @@
 //! OKWS assembly, reboot, and a test/bench client.
 
-use asbestos_kernel::{Category, CostModel, Kernel, Level, ProcessId, Value};
-use asbestos_net::{spawn_netd_lanes, ClientDriver, NetdHandle, NETD_SHED_ENV};
+use asbestos_kernel::{Category, CostModel, Kernel, Level, ProcessId};
+use asbestos_net::{spawn_netd_lanes, ClientDriver, NetdHandle};
 use asbestos_store::Store;
 
 use crate::launcher::{Launcher, OkwsConfig};
@@ -35,12 +35,6 @@ impl Okws {
     /// everything path of the paper, bit for bit.
     pub fn start(kernel: &mut Kernel, mut config: OkwsConfig) -> Okws {
         let tcp_port = config.tcp_port;
-        if config.backpressure {
-            // Overload control is a deployment policy: arm the kernel's
-            // credit loop and tell every netd lane it may shed accepts.
-            kernel.set_backpressure(true);
-            kernel.set_global_env(NETD_SHED_ENV, Value::U64(1));
-        }
         let netd = spawn_netd_lanes(kernel, config.netd_lanes);
         let shards = kernel.num_shards();
         let launcher = if shards > 1 {

@@ -317,13 +317,11 @@ impl Worker {
         let conn = Self::read_handle(sys, SESSION_PAGE + OFF_UC);
         let reason = if status == 200 { "OK" } else { "Error" };
         let response = http::build_response(status, reason, body);
-        // Both sends are best-effort: with backpressure armed the kernel
-        // can refuse either with WouldBlock (this session outran its own
-        // send credit). An event handler must never block or spin waiting
-        // for credit, so a refused response body is simply dropped — the
-        // Close still goes out on its own credit, and the client then
-        // observes the closed-empty shed signature and retries, the same
-        // degradation path netd's edge shedding produces.
+        // Both sends are best-effort: `send` says nothing about delivery
+        // (§4), and without decontamination arguments it cannot fail. A
+        // full netd port drops either silently (§8); if only the Write is
+        // lost, the client observes the closed-empty shed signature and
+        // retries.
         let _ = sys.send(conn, NetMsg::Write { bytes: response }.to_value());
         let _ = sys.send(conn, NetMsg::Close.to_value());
         // Release the connection capability (§9.3): cached sessions span

@@ -278,14 +278,14 @@ fn lane_queue_overflow_and_midstream_closes_do_not_wedge() {
     run_scenario(&mut LaneOverflowChurn::new(USERS, 12, 4, 4), 603);
 }
 
-/// Sustained flood with overload control armed: 4 shards × 4 netd lanes,
-/// one attacker pouring connections at 10× the victim's rate into a
-/// deployment whose edge has been made deliberately touchy (a tiny shed
-/// threshold). The scenario's `check` asserts the victim's verdicts are
-/// unchanged by the flood (every request 200), the edge visibly deferred
-/// or shed, and the deployment returned to a steady state.
+/// Sustained flood: 4 shards × 4 netd lanes, one attacker pouring
+/// connections at 10× the victim's rate into the same deployment. The
+/// attacker's session worker sheds what its pending queue cannot hold and
+/// the client retries it. The scenario's `check` asserts the victim's
+/// verdicts are unchanged by the flood (every request 200), everything
+/// issued completes, and the deployment returns to a steady state.
 #[test]
-fn sustained_flood_sheds_gracefully_and_recovers() {
+fn sustained_flood_leaves_the_victim_served_and_recovers() {
     run_scenario(
         &mut SustainedFlood {
             requests: 110,
