@@ -87,6 +87,11 @@ impl Cluster {
     /// Runs the federation to quiescence: every kernel drained, every
     /// gateway and switch buffer empty. Returns total progress units
     /// (kernel steps + frames + bytes moved).
+    ///
+    /// Each spin runs every kernel, then [`Cluster::pump_wire`]. A
+    /// gateway's `pump_out` reads only its own kernel, so draining all
+    /// kernels before any egress writes the same bytes as interleaving
+    /// them.
     pub fn run(&mut self) -> u64 {
         let mut total = 0u64;
         let mut spins = 0u32;
@@ -94,17 +99,8 @@ impl Cluster {
             let mut progress = 0u64;
             for node in &mut self.nodes {
                 progress += node.kernel.run();
-                progress += node.gateway.pump_out(&mut node.kernel);
-                progress += node.gateway.flush().expect("gateway wire") as u64;
             }
-            progress += self.switch.pump().expect("switch wire");
-            for node in &mut self.nodes {
-                progress += node
-                    .gateway
-                    .pump_in(&mut node.kernel)
-                    .expect("gateway wire");
-                progress += node.gateway.flush().expect("gateway wire") as u64;
-            }
+            progress += self.pump_wire();
             if progress == 0 {
                 return total;
             }
@@ -174,15 +170,7 @@ impl Cluster {
 
     /// Summed wire traffic across every gateway connection.
     pub fn wire_stats(&self) -> ConnStats {
-        let mut total = ConnStats::default();
-        for node in &self.nodes {
-            let s = node.gateway.wire_stats();
-            total.frames_in += s.frames_in;
-            total.frames_out += s.frames_out;
-            total.bytes_in += s.bytes_in;
-            total.bytes_out += s.bytes_out;
-        }
-        total
+        self.nodes.iter().map(|n| n.gateway.wire_stats()).sum()
     }
 }
 

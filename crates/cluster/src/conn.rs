@@ -33,6 +33,17 @@ pub struct ConnStats {
     pub bytes_out: u64,
 }
 
+impl std::iter::Sum for ConnStats {
+    fn sum<I: Iterator<Item = ConnStats>>(iter: I) -> ConnStats {
+        iter.fold(ConnStats::default(), |a, b| ConnStats {
+            frames_in: a.frames_in + b.frames_in,
+            frames_out: a.frames_out + b.frames_out,
+            bytes_in: a.bytes_in + b.bytes_in,
+            bytes_out: a.bytes_out + b.bytes_out,
+        })
+    }
+}
+
 /// One end of a kernel ↔ switch link.
 pub struct FrameConn {
     stream: UnixStream,
