@@ -24,8 +24,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use asbestos_kernel::{
-    Category, Handle, Kernel, Label, Level, Message, Payload, ProcessId, SendArgs, Service, Sys,
-    Value,
+    Category, Handle, Kernel, Label, Level, Message, ProcessId, SendArgs, Service, Sys, Value,
 };
 
 use crate::proto::NetMsg;
@@ -203,15 +202,14 @@ impl Netd {
                 }
                 let limit = usize::try_from(max).unwrap_or(usize::MAX);
                 // Zero-copy ingest: the substrate freezes the read bytes
-                // once, and the frozen buffer rides into the kernel as a
-                // refcounted payload — the single write-at-the-edge the
-                // whole message path preserves.
-                let frozen = if peek {
+                // once, into a refcounted payload that rides into the
+                // kernel — the single write-at-the-edge the whole message
+                // path preserves.
+                let bytes = if peek {
                     self.net.borrow_mut().server_peek(conn, limit)
                 } else {
                     self.net.borrow_mut().server_read(conn, limit)
                 };
-                let bytes = Payload::from_arc(frozen.into_arc());
                 sys.charge(NETD_EVENT_CYCLES + bytes.len() as u64 * NETD_BYTE_CYCLES);
                 let body = NetMsg::ReadR { bytes }.to_value();
                 let _ = sys.send_args(reply, body, &reply_args());

@@ -7,8 +7,9 @@
 //! deliberately absent — no figure in the paper depends on them.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use asbestos_kernel::Payload;
 
 /// Identifies a simulated TCP connection.
 pub type ConnId = u64;
@@ -75,9 +76,9 @@ impl MultiQueue {
 #[derive(Debug, Default)]
 pub struct SimConn {
     /// Bytes the client has sent that netd has not yet consumed.
-    client_to_server: BytesMut,
+    client_to_server: Vec<u8>,
     /// Bytes netd has written toward the client.
-    server_to_client: BytesMut,
+    server_to_client: Vec<u8>,
     /// The server-side TCP port this connection targets.
     pub tcp_port: u16,
     /// Whether either side has closed.
@@ -127,21 +128,24 @@ impl SimNet {
     }
 
     /// Client side: takes everything the server has written so far.
-    pub fn client_take_response(&mut self, conn: ConnId) -> Bytes {
+    pub fn client_take_response(&mut self, conn: ConnId) -> Vec<u8> {
         match self.conns.get_mut(&conn) {
-            Some(c) => c.server_to_client.split().freeze(),
-            None => Bytes::new(),
+            Some(c) => std::mem::take(&mut c.server_to_client),
+            None => Vec::new(),
         }
     }
 
-    /// Server side (netd): reads up to `max` pending request bytes.
-    pub fn server_read(&mut self, conn: ConnId, max: usize) -> Bytes {
+    /// Server side (netd): reads up to `max` pending request bytes. The
+    /// bytes are frozen once, into the buffer the returned payload shares
+    /// with every later copy of it — the NIC's write at the edge, so not
+    /// a counted [`Payload`] materialization.
+    pub fn server_read(&mut self, conn: ConnId, max: usize) -> Payload {
         match self.conns.get_mut(&conn) {
             Some(c) => {
                 let take = max.min(c.client_to_server.len());
-                c.client_to_server.split_to(take).freeze()
+                Payload::from_arc(c.client_to_server.drain(..take).collect())
             }
-            None => Bytes::new(),
+            None => Payload::new(),
         }
     }
 
@@ -159,13 +163,15 @@ impl SimNet {
 
     /// Server side (netd): peeks at up to `max` pending request bytes
     /// without consuming them (ok-demux's header read, §7.2 step 3).
-    pub fn server_peek(&self, conn: ConnId, max: usize) -> Bytes {
+    /// Like [`SimNet::server_read`], the payload is frozen once and not
+    /// counted.
+    pub fn server_peek(&self, conn: ConnId, max: usize) -> Payload {
         match self.conns.get(&conn) {
             Some(c) => {
                 let take = max.min(c.client_to_server.len());
-                Bytes::copy_from_slice(&c.client_to_server[..take])
+                Payload::from_arc(Arc::from(&c.client_to_server[..take]))
             }
-            None => Bytes::new(),
+            None => Payload::new(),
         }
     }
 
@@ -220,7 +226,7 @@ mod tests {
         let c = net.client_open(80, b"");
         assert_eq!(net.server_write(c, b"HTTP/1.0 200 OK\r\n"), 17);
         net.client_send(c, b"more");
-        assert_eq!(net.client_take_response(c).as_ref(), b"HTTP/1.0 200 OK\r\n");
+        assert_eq!(net.client_take_response(c), b"HTTP/1.0 200 OK\r\n");
         assert_eq!(net.client_take_response(c).len(), 0, "drained");
         assert_eq!(net.server_read(c, 100).as_ref(), b"more");
     }
