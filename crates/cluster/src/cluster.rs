@@ -8,7 +8,8 @@
 //! `N` takes cipher-lane slot `k`, so shard `i` of kernel `k` draws
 //! handles from lane `k·S + i` of `N·S` — no two kernels can ever mint
 //! the same handle, which is what makes a serialized handle meaningful
-//! on arrival.
+//! on arrival, and what lets the switch compute the kernel a handle
+//! belongs to from its value.
 //!
 //! [`Cluster::run`] is the federation scheduler: it alternates kernel
 //! execution with gateway and switch pumping until the whole system —
@@ -70,16 +71,11 @@ impl Cluster {
         }
         Cluster {
             nodes,
-            switch: Switch::new(switch_conns),
+            switch: Switch::new(switch_conns, seed, shards),
         }
     }
 
-    /// Number of member kernels.
-    pub fn kernels(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The switch (directory + relay counters), read-only.
+    /// The switch (its relay counter), read-only.
     pub fn switch(&self) -> &Switch {
         &self.switch
     }
@@ -181,12 +177,12 @@ impl Cluster {
 ///
 /// The deployment sequence is the single-kernel one stretched over the
 /// wire: workers boot first and publish their ports into the global
-/// environment (replicated by the gateways, which `Register` the port
-/// handles ahead of the bindings that carry them); then the launcher on
-/// kernel 0 provisions verification handles and activates each worker
-/// through the port directory — the activation grant (`wv` at `⋆`)
-/// travels in the `Forward`'s labels and takes effect at *delivery* on
-/// the worker's kernel, so the §7.1 trust chain is preserved end to end.
+/// environment (replicated by the gateways); then the launcher on kernel
+/// 0 provisions verification handles and activates each worker through a
+/// `Forward` the switch relays to the kernel that minted its port — the
+/// activation grant (`wv` at `⋆`) travels in the `Forward`'s labels and
+/// takes effect at *delivery* on the worker's kernel, so the §7.1 trust
+/// chain is preserved end to end.
 pub fn deploy_okws(cluster: &mut Cluster, mut config: OkwsConfig) -> Okws {
     let kernels = cluster.nodes.len();
     if kernels > 1 {
@@ -200,7 +196,7 @@ pub fn deploy_okws(cluster: &mut Cluster, mut config: OkwsConfig) -> Okws {
             );
         }
         // Workers publish their ports; gateways replicate the bindings
-        // (and register the ports) before the launcher looks for them.
+        // before the launcher looks for them.
         cluster.run();
     }
     let okws = Okws::start(&mut cluster.nodes[0].kernel, config);

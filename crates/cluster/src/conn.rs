@@ -165,11 +165,6 @@ impl FrameConn {
         self.stats.frames_out += 1;
     }
 
-    /// Whether buffered output is still waiting for the socket.
-    pub fn has_pending_output(&self) -> bool {
-        self.flushed < self.outbuf.len()
-    }
-
     /// This connection's traffic counters.
     pub fn stats(&self) -> ConnStats {
         self.stats
@@ -179,16 +174,16 @@ impl FrameConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asbestos_labels::Handle;
 
     #[test]
     fn send_pump_roundtrip_over_a_socketpair() {
         let (a, b) = UnixStream::pair().unwrap();
         let mut tx = FrameConn::new(a).unwrap();
         let mut rx = FrameConn::new(b).unwrap();
-        for i in 0..100u64 {
-            tx.send(&WireMsg::Register {
-                port: Handle::from_raw(i),
+        for kernel in 0..100u16 {
+            tx.send(&WireMsg::Hello {
+                kernel,
+                kernels: 100,
             });
         }
         let mut got = Vec::new();
@@ -206,8 +201,9 @@ mod tests {
         assert_eq!(got.len(), 100);
         assert_eq!(
             got[99],
-            WireMsg::Register {
-                port: Handle::from_raw(99)
+            WireMsg::Hello {
+                kernel: 99,
+                kernels: 100
             }
         );
         assert_eq!(tx.stats().frames_out, 100);

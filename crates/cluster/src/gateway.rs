@@ -6,15 +6,13 @@
 //!
 //! * **Outbound** ([`Gateway::pump_out`]): diffs the kernel's global
 //!   environment against a mirror and replicates new/changed bindings
-//!   as `EnvSet`; drains the kernel's remote-send egress into `Forward`
-//!   frames. Before anything that *carries* a local port handle leaves
-//!   (an env value or a message body — reply ports ride in bodies), the
-//!   gateway `Register`s that port, so the directory route is always on
-//!   the wire ahead of the first frame that needs it.
-//! * **Inbound** ([`Gateway::pump_in`]): applies directory pushes
-//!   (`ResolveR`) to the kernel's remote-port table, applies replicated
-//!   `EnvSet`s, and injects `Forward`s via [`Kernel::inject_remote`] —
-//!   which enqueues on the destination port's shard, where the ordinary
+//!   as `EnvSet`; drains the kernel's remote-send egress — every send to
+//!   a handle this kernel did not mint — into `Forward` frames. Nothing
+//!   announces a port: the switch computes each `Forward`'s destination
+//!   from its port's value.
+//! * **Inbound** ([`Gateway::pump_in`]): applies replicated `EnvSet`s,
+//!   and injects `Forward`s via [`Kernel::inject_remote`] — which
+//!   enqueues on the destination port's shard, where the ordinary
 //!   delivery path re-runs the Figure 4 check against *this* kernel's
 //!   state. Verdicts never cross the wire; only labels do.
 //!
@@ -22,23 +20,20 @@
 //! wire is mirrored first, so the next outbound diff sees no change and
 //! nothing loops back to the switch.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 
-use asbestos_kernel::{Handle, Kernel, RemoteSend, Value};
+use asbestos_kernel::{Kernel, RemoteSend, Value};
 
 use crate::conn::{ConnStats, FrameConn};
 use crate::wire::WireMsg;
 
 /// One kernel's connection to the federation.
 pub struct Gateway {
-    kernel_id: u16,
     conn: FrameConn,
     /// Last-synced view of the global environment (ours + replicated).
     env_mirror: BTreeMap<String, Value>,
-    /// Local ports already `Register`ed with the switch.
-    announced: HashSet<Handle>,
     /// `Forward`s sent on behalf of this kernel.
     pub forwarded_out: u64,
     /// `Forward`s injected into this kernel.
@@ -54,18 +49,11 @@ impl Gateway {
             kernels,
         });
         Gateway {
-            kernel_id,
             conn,
             env_mirror: BTreeMap::new(),
-            announced: HashSet::new(),
             forwarded_out: 0,
             forwarded_in: 0,
         }
-    }
-
-    /// This gateway's kernel id.
-    pub fn kernel_id(&self) -> u16 {
-        self.kernel_id
     }
 
     /// Wire traffic counters for this kernel's connection.
@@ -81,7 +69,6 @@ impl Gateway {
             if self.env_mirror.get(&key) == Some(&value) {
                 continue;
             }
-            queued += self.announce_ports_in(kernel, &value);
             self.conn.send(&WireMsg::EnvSet {
                 key: key.clone(),
                 value: value.clone(),
@@ -90,8 +77,6 @@ impl Gateway {
             queued += 1;
         }
         for rs in kernel.take_remote_egress() {
-            // Reply ports travel in message bodies; route them first.
-            queued += self.announce_ports_in(kernel, &rs.body);
             self.conn.send(&WireMsg::Forward {
                 port: rs.port,
                 es: (*rs.es).clone(),
@@ -114,17 +99,6 @@ impl Gateway {
         for msg in msgs {
             handled += 1;
             match msg {
-                WireMsg::ResolveR {
-                    port,
-                    kernel: Some(owner),
-                } => {
-                    if owner != self.kernel_id && !kernel.is_local_port(port) {
-                        kernel.register_remote_port(port, owner);
-                    }
-                }
-                WireMsg::ResolveR { port, kernel: None } => {
-                    kernel.unregister_remote_port(port);
-                }
                 WireMsg::EnvSet { key, value } => {
                     // Mirror first: the next outbound diff must see this
                     // binding as already-synced, or it would echo forever.
@@ -149,7 +123,7 @@ impl Gateway {
                         v,
                     });
                 }
-                WireMsg::Hello { .. } | WireMsg::Register { .. } | WireMsg::Unregister { .. } => {}
+                WireMsg::Hello { .. } => {}
             }
         }
         Ok(handled)
@@ -158,31 +132,5 @@ impl Gateway {
     /// Pushes buffered frames into the socket; returns bytes moved.
     pub fn flush(&mut self) -> io::Result<usize> {
         self.conn.flush()
-    }
-
-    /// Whether this gateway still has unflushed output.
-    pub fn has_pending_output(&self) -> bool {
-        self.conn.has_pending_output()
-    }
-
-    /// `Register`s every not-yet-announced local port handle reachable in
-    /// `value` (recursing through lists). Handles inside opaque byte
-    /// payloads are invisible — by the paper's §4 bootstrap conventions,
-    /// ports propagate as `Value::Handle`s, not as raw bytes.
-    fn announce_ports_in(&mut self, kernel: &Kernel, value: &Value) -> u64 {
-        let mut queued = 0u64;
-        match value {
-            Value::Handle(h) if kernel.is_local_port(*h) && self.announced.insert(*h) => {
-                self.conn.send(&WireMsg::Register { port: *h });
-                queued += 1;
-            }
-            Value::List(items) => {
-                for item in items {
-                    queued += self.announce_ports_in(kernel, item);
-                }
-            }
-            _ => {}
-        }
-        queued
     }
 }

@@ -16,14 +16,15 @@
 //!   the received frame.
 //! * [`conn`] — [`conn::FrameConn`], a nonblocking framed
 //!   `UnixStream` (partial reads/writes are normal, nothing blocks).
-//! * [`switch`] — the hub: a port directory (`Register`/`Unregister`,
-//!   pushed to every other kernel as `ResolveR`) plus a `Forward` relay. It routes by port
-//!   handle only: a `Forward` is checksummed once, validated field by
-//!   field without building a label, and relayed as the very bytes it
-//!   arrived as. A malformed frame kills the *sender's* connection.
+//! * [`switch`] — the hub: a `Forward` relay with no directory. It routes
+//!   by port handle only, to the kernel whose cipher lanes minted it: a
+//!   `Forward` is checksummed once, validated field by field without
+//!   building a label, and relayed as the very bytes it arrived as. A
+//!   malformed frame kills the *sender's* connection.
 //! * [`gateway`] — each kernel's ambassador: replicates the global
-//!   environment, announces local ports, drains the kernel's remote
-//!   egress outward, and injects arriving `Forward`s inward, where the
+//!   environment, drains the kernel's remote egress (every send to a
+//!   handle it did not mint) outward, and injects arriving `Forward`s
+//!   inward, where the
 //!   ordinary delivery path re-runs the Figure 4 check against the
 //!   *destination* kernel's state. A verdict is derived only from
 //!   destination-side state — the same isolation rule the sharded

@@ -156,23 +156,16 @@ impl From<WireError> for std::io::Error {
 
 /// A federation message.
 ///
-/// `Hello` opens a connection; `Register`/`Unregister`/`ResolveR` are the
-/// port directory protocol (the switch pushes `ResolveR` on every
-/// `Register`, so gateways never need to ask); `EnvSet` replicates the global
-/// environment (§4's bootstrap namespace) across kernels; `Forward`
-/// carries one cross-kernel message — the sender's effective send label
-/// `E_S` and the `SEND` arguments, exactly what the destination kernel
-/// needs to re-run the Figure 4 check against *its own* state.
+/// `Hello` opens a connection; `EnvSet` replicates the global environment
+/// (§4's bootstrap namespace) across kernels; `Forward` carries one
+/// cross-kernel message — the sender's effective send label `E_S` and the
+/// `SEND` arguments, exactly what the destination kernel needs to re-run
+/// the Figure 4 check against *its own* state. No message says where a
+/// port lives: its value does (see [`crate::switch`]).
 #[derive(Clone, PartialEq, Debug)]
 pub enum WireMsg {
     /// Connection preamble: "I am kernel `kernel` of `kernels`".
     Hello { kernel: u16, kernels: u16 },
-    /// The sending kernel owns this port; route `Forward`s for it here.
-    Register { port: Handle },
-    /// The port is gone (its owner died or revoked it).
-    Unregister { port: Handle },
-    /// Directory answer/update: `kernel` owns `port` (`None`: nobody does).
-    ResolveR { port: Handle, kernel: Option<u16> },
     /// Replicate one global-environment binding.
     EnvSet { key: String, value: Value },
     /// One cross-kernel message: deliver `body` to `port` under these labels.
@@ -192,11 +185,9 @@ pub enum WireMsg {
 }
 
 const TAG_HELLO: u8 = 0;
-const TAG_REGISTER: u8 = 1;
-const TAG_UNREGISTER: u8 = 2;
-// Tags 3 and 7 are retired (a `Resolve` and a `Bye` that nothing sent):
-// they decode as `BadTag`, and a new message must not reuse them.
-const TAG_RESOLVE_R: u8 = 4;
+// Tags 1–4 and 7 are retired — a port directory's four messages, and a
+// `Bye` that nothing sent: they decode as `BadTag`, and a new message must
+// not reuse them.
 const TAG_ENV_SET: u8 = 5;
 const TAG_FORWARD: u8 = 6;
 
@@ -231,25 +222,6 @@ fn encode_body(msg: &WireMsg, out: &mut Vec<u8>) {
             out.push(TAG_HELLO);
             out.extend_from_slice(&kernel.to_le_bytes());
             out.extend_from_slice(&kernels.to_le_bytes());
-        }
-        WireMsg::Register { port } => {
-            out.push(TAG_REGISTER);
-            out.extend_from_slice(&port.raw().to_le_bytes());
-        }
-        WireMsg::Unregister { port } => {
-            out.push(TAG_UNREGISTER);
-            out.extend_from_slice(&port.raw().to_le_bytes());
-        }
-        WireMsg::ResolveR { port, kernel } => {
-            out.push(TAG_RESOLVE_R);
-            out.extend_from_slice(&port.raw().to_le_bytes());
-            match kernel {
-                Some(k) => {
-                    out.push(1);
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-                None => out.push(0),
-            }
         }
         WireMsg::EnvSet { key, value } => {
             out.push(TAG_ENV_SET);
@@ -386,15 +358,6 @@ pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
         TAG_HELLO => WireMsg::Hello {
             kernel: r.bytes.u16()?,
             kernels: r.bytes.u16()?,
-        },
-        TAG_REGISTER => WireMsg::Register { port: r.handle()? },
-        TAG_UNREGISTER => WireMsg::Unregister { port: r.handle()? },
-        TAG_RESOLVE_R => WireMsg::ResolveR {
-            port: r.handle()?,
-            kernel: match r.bool()? {
-                true => Some(r.bytes.u16()?),
-                false => None,
-            },
         },
         TAG_ENV_SET => WireMsg::EnvSet {
             key: r.bytes.str()?.to_owned(),
@@ -662,20 +625,6 @@ mod tests {
                 kernel: 1,
                 kernels: 4,
             },
-            WireMsg::Register {
-                port: Handle::from_raw(0),
-            },
-            WireMsg::Unregister {
-                port: Handle::from_raw(HANDLE_SPACE - 1),
-            },
-            WireMsg::ResolveR {
-                port: Handle::from_raw(42),
-                kernel: Some(3),
-            },
-            WireMsg::ResolveR {
-                port: Handle::from_raw(42),
-                kernel: None,
-            },
             WireMsg::EnvSet {
                 key: "okws.worker.ws.port".into(),
                 value: Value::Handle(Handle::from_raw(9)),
@@ -720,8 +669,9 @@ mod tests {
     fn corruption_is_detected() {
         let mut buf = Vec::new();
         encode_frame(
-            &WireMsg::Register {
-                port: Handle::from_raw(3),
+            &WireMsg::EnvSet {
+                key: "k".into(),
+                value: Value::Handle(Handle::from_raw(3)),
             },
             &mut buf,
         );
@@ -867,10 +817,17 @@ mod tests {
         encode_str("k", &mut body);
         body.extend_from_slice(&[VTAG_BOOL, 2]);
         assert_eq!(decode_checked_by_both(&body), Err(WireError::NonCanonical));
-        let mut body = vec![TAG_RESOLVE_R];
-        body.extend_from_slice(&42u64.to_le_bytes());
-        body.extend_from_slice(&[2, 7, 0]);
-        assert_eq!(decode_checked_by_both(&body), Err(WireError::NonCanonical));
+    }
+
+    /// What a retired message's body looked like — a tag, then a port —
+    /// is an unknown tag, to the decoder and the relay alike.
+    #[test]
+    fn retired_tags_are_unknown() {
+        for tag in [1, 2, 3, 4, 7] {
+            let mut body = vec![tag];
+            body.extend_from_slice(&42u64.to_le_bytes());
+            assert_eq!(decode_checked_by_both(&body), Err(WireError::BadTag(tag)));
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! OKWS across the federation: the §7 web server with its front end on
 //! kernel 0 and worker processes on other kernels, plus the golden pin —
 //! a two-kernel deployment's Figure 4 verdict trace must be bit-identical
-//! to the single-kernel run of the same workload.
+//! to the single-kernel run of the same workload — and a hostile worker
+//! against federated routing.
 
 use asbestos_cluster::{deploy_okws, Cluster};
-use asbestos_kernel::Stats;
+use asbestos_kernel::util::service_with_start;
+use asbestos_kernel::{Category, Handle, Label, Stats, Value};
 use asbestos_okws::logic::EchoStore;
 use asbestos_okws::{OkwsClient, OkwsConfig, ServiceSpec};
 
@@ -163,4 +165,85 @@ fn two_kernel_verdict_trace_is_bit_identical_to_single_kernel() {
     assert!(single.iter().any(|(s, ..)| *s == 200));
     assert!(single.iter().any(|(s, ..)| *s == 403));
     assert!(single.iter().any(|(s, ..)| *s == 404));
+}
+
+/// §7's adversary — compromised worker code — against federated routing.
+/// A port's home is computed from its value, so a worker on kernel 1 can
+/// name anything: a handle no kernel minted, kernel 0's compartment,
+/// kernel 0's dissociated port. Each send ends as exactly one `NoSuchPort`
+/// drop in the cluster and crosses the switch at most once, and the
+/// bystander's session — status, body and the verdicts reached serving
+/// each request — is bit-identical to a run without the attacker. Runs at
+/// `ASBESTOS_KERNELS` kernels (at least 2).
+#[test]
+fn hostile_routing_costs_one_drop_and_leaves_a_bystander_untouched() {
+    let kernels = std::env::var("ASBESTOS_KERNELS").ok();
+    let kernels = kernels.and_then(|k| k.trim().parse().ok()).unwrap_or(2);
+    let bystander_trace = |attack: bool| {
+        let mut cluster = Cluster::new(304, kernels.max(2), 1);
+        let okws = deploy_okws(&mut cluster, store_config(&[("alice", "pw-a")]));
+        let mut client = OkwsClient::new(&okws);
+        if attack {
+            let minter = service_with_start(
+                |sys| {
+                    let (dead, compartment) = (sys.new_port(Label::top()), sys.new_handle());
+                    sys.dissociate_port(dead).unwrap();
+                    sys.publish_env("dead", Value::Handle(dead));
+                    sys.publish_env("compartment", Value::Handle(compartment));
+                },
+                |_, _| {},
+            );
+            let attacker = service_with_start(
+                |sys| {
+                    let trigger = sys.new_port(Label::top());
+                    sys.set_port_label(trigger, Label::top()).unwrap();
+                    sys.publish_env("attacker", Value::Handle(trigger));
+                },
+                |sys, msg| sys.send(msg.body.as_handle().unwrap(), "x".into()).unwrap(),
+            );
+            let (front, workers) = cluster.nodes.split_at_mut(1);
+            front[0].kernel.spawn("minter", Category::Other, minter);
+            workers[0]
+                .kernel
+                .spawn("attacker", Category::Okws, attacker);
+            cluster.run();
+        }
+        let env = |c: &Cluster, key| c.nodes[1].kernel.global_env_handle(key).unwrap();
+        let verdicts = |c: &Cluster| <[u64; 7]>::from(verdict_entry(&c.stats()));
+        let mut trace = Vec::new();
+        let (write, logout) = ([("data", "a")], [("logout", "1")]);
+        let workload: [&[_]; 6] = [&write, &[], &write, &[], &logout, &[]];
+        for (i, extra) in workload.into_iter().enumerate() {
+            if attack {
+                let target = match i % 3 {
+                    0 => Handle::from_raw(0x0BAD_0000_0000_0001), // never minted
+                    1 => env(&cluster, "compartment"),
+                    _ => env(&cluster, "dead"),
+                };
+                let (before, forwarded) = (cluster.stats(), cluster.switch().forwarded);
+                let (trigger, body) = (env(&cluster, "attacker"), Value::Handle(target));
+                cluster.nodes[1].kernel.inject(trigger, body);
+                cluster.run();
+                let after = cluster.stats();
+                let no_port = after.dropped_no_port - before.dropped_no_port;
+                assert_eq!(no_port, 1, "{target:?}");
+                assert_eq!(after.dropped_total() - before.dropped_total(), 1);
+                assert_eq!(after.delivered - before.delivered, 1, "only the trigger");
+                assert!(cluster.switch().forwarded - forwarded <= 1, "{target:?}");
+            }
+            let before = verdicts(&cluster);
+            let served = fed_request(&mut cluster, &mut client, "store", "alice", "pw-a", extra);
+            let (status, body) = served.expect("the bystander is served");
+            let after = verdicts(&cluster);
+            trace.push((
+                status,
+                body,
+                std::array::from_fn::<_, 7, _>(|v| after[v] - before[v]),
+            ));
+        }
+        trace
+    };
+    let attacked = bystander_trace(true);
+    assert_eq!(attacked, bystander_trace(false));
+    assert!(attacked.iter().all(|(status, ..)| *status == 200));
 }

@@ -55,14 +55,6 @@ fn arb_msg() -> impl Strategy<Value = WireMsg> {
     prop_oneof![
         (any::<u16>(), any::<u16>())
             .prop_map(|(kernel, kernels)| WireMsg::Hello { kernel, kernels }),
-        arb_handle().prop_map(|port| WireMsg::Register { port }),
-        arb_handle().prop_map(|port| WireMsg::Unregister { port }),
-        (arb_handle(), any::<bool>(), any::<u16>()).prop_map(|(port, some, k)| {
-            WireMsg::ResolveR {
-                port,
-                kernel: some.then_some(k),
-            }
-        }),
         ("[a-z0-9._-]{0,24}", arb_value()).prop_map(|(key, value)| WireMsg::EnvSet { key, value }),
         (
             arb_handle(),
@@ -213,7 +205,10 @@ proptest! {
 fn pinned_edges_round_trip() {
     let max = Handle::from_raw(HANDLE_SPACE - 1);
     let msgs = [
-        WireMsg::Register { port: max },
+        WireMsg::EnvSet {
+            key: "max".into(),
+            value: Value::Handle(max),
+        },
         WireMsg::Forward {
             port: max,
             es: Label::from_pairs(Level::Star, &[(max, Level::L3)]),

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use asbestos_labels::{ops, Handle, Label};
 
 use crate::cycles::Category;
-use crate::handle_table::PortOwner;
+use crate::handle_table::{PortOwner, VnodeKind};
 use crate::ids::ExecCtx;
 use crate::message::{Message, QueuedMessage};
 use crate::router::{PullPoint, Router};
@@ -191,8 +191,19 @@ impl KernelShard {
     /// Evaluates Figure 4 for one popped message and, if it passes,
     /// invokes the receiver.
     fn deliver(&mut self, router: &mut Router, qm: QueuedMessage) -> DeliveryOutcome {
-        // Resolve the destination port.
-        let Some(port_state) = self.handles.port(qm.port) else {
+        // Resolve the destination port. `route` never brings a message
+        // here for a vnode another shard minted; were it to, this shard
+        // holds no receiver for it.
+        let vnode = router.handles.get(qm.port);
+        debug_assert!(
+            vnode.is_none_or(|v| v.shard == self.id),
+            "a message for {:?} reached shard {}, not its minting shard",
+            qm.port,
+            self.id
+        );
+        let Some(VnodeKind::Port(port_state)) =
+            vnode.filter(|v| v.shard == self.id).map(|v| &v.kind)
+        else {
             return DeliveryOutcome::Dropped(DropReason::NoSuchPort);
         };
         let Some(owner) = port_state.owner else {

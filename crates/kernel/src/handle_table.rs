@@ -4,6 +4,11 @@
 //! structure called a vnode. For port handles, this structure includes the
 //! port label and a reference to the process with receive rights. A hash
 //! table maps handle values to vnodes."
+//!
+//! A kernel has one table, whatever its shard count. Each shard mints from
+//! its own cipher lane, and each vnode records the shard that minted it:
+//! where a handle lives follows from the handle and this table, so nothing
+//! else keeps a copy of it.
 
 use std::collections::BTreeMap;
 
@@ -47,47 +52,58 @@ pub enum VnodeKind {
 pub struct Vnode {
     /// Current role of the handle.
     pub kind: VnodeKind,
+    /// The shard that minted the handle, fixed for the handle's life:
+    /// every message to it is evaluated there.
+    pub shard: u16,
 }
 
-/// The handle → vnode map plus the encrypted-counter allocator.
+/// The handle → vnode map plus one encrypted-counter allocator per shard.
 pub struct HandleTable {
     vnodes: BTreeMap<Handle, Vnode>,
-    allocator: HandleAllocator,
+    /// Shard `i`'s allocator.
+    allocators: Vec<HandleAllocator>,
 }
 
 impl HandleTable {
-    /// Creates a table whose allocator is keyed from `seed`.
+    /// Creates a one-shard table whose allocator is keyed from `seed`.
     pub fn new(seed: u64) -> HandleTable {
-        HandleTable::with_partition(seed, 0, 1)
+        HandleTable::with_partition(seed, 0, 1, 1)
     }
 
-    /// Creates a table owning one lane of a partitioned allocator: all
-    /// lanes share the seed-keyed cipher (one handle namespace) but draw
-    /// disjoint counters, so kernel shards never mint colliding handles.
-    pub fn with_partition(seed: u64, lane: u64, lanes: u64) -> HandleTable {
+    /// Creates the table of `shards` shards, shard `i` owning lane
+    /// `first + i` of a `lanes`-way partitioned allocator: all lanes share
+    /// the seed-keyed cipher (one handle namespace) but draw disjoint
+    /// counters, so no two shards — nor, across a federation, two
+    /// kernels — ever mint colliding handles.
+    pub fn with_partition(seed: u64, first: u64, shards: usize, lanes: u64) -> HandleTable {
         HandleTable {
             vnodes: BTreeMap::new(),
-            allocator: HandleAllocator::with_partition(seed, lane, lanes),
+            allocators: (first..first + shards as u64)
+                .map(|lane| HandleAllocator::with_partition(seed, lane, lanes))
+                .collect(),
         }
     }
 
-    /// Allocates a fresh compartment handle (the `new_handle` syscall's
-    /// kernel half; the caller is responsible for setting `P_S(h) = ⋆`).
-    pub fn new_handle(&mut self) -> Handle {
-        let h = self.allocator.alloc();
+    /// Allocates a fresh compartment handle on `shard` (the `new_handle`
+    /// syscall's kernel half; the caller is responsible for setting
+    /// `P_S(h) = ⋆`).
+    pub fn new_handle(&mut self, shard: u16) -> Handle {
+        let h = self.allocators[shard as usize].alloc();
         self.vnodes.insert(
             h,
             Vnode {
                 kind: VnodeKind::Compartment,
+                shard,
             },
         );
         h
     }
 
-    /// Allocates a fresh port handle with the Figure 4 `new_port` semantics:
-    /// the port label is the caller's `label` with `p_R(p) ← 0` applied.
-    pub fn new_port(&mut self, mut label: Label, owner: PortOwner) -> Handle {
-        let h = self.allocator.alloc();
+    /// Allocates a fresh port handle on `shard` with the Figure 4
+    /// `new_port` semantics: the port label is the caller's `label` with
+    /// `p_R(p) ← 0` applied.
+    pub fn new_port(&mut self, mut label: Label, owner: PortOwner, shard: u16) -> Handle {
+        let h = self.allocators[shard as usize].alloc();
         label.set(h, Level::L0);
         self.vnodes.insert(
             h,
@@ -96,6 +112,7 @@ impl HandleTable {
                     label,
                     owner: Some(owner),
                 }),
+                shard,
             },
         );
         h
@@ -111,6 +128,7 @@ impl HandleTable {
         match self.vnodes.get(&h) {
             Some(Vnode {
                 kind: VnodeKind::Port(p),
+                ..
             }) => Some(p),
             _ => None,
         }
@@ -121,6 +139,7 @@ impl HandleTable {
         match self.vnodes.get_mut(&h) {
             Some(Vnode {
                 kind: VnodeKind::Port(p),
+                ..
             }) => Some(p),
             _ => None,
         }
@@ -134,19 +153,10 @@ impl HandleTable {
         }
     }
 
-    /// Number of active handles.
-    pub fn len(&self) -> usize {
-        self.vnodes.len()
-    }
-
-    /// Whether any handles exist.
-    pub fn is_empty(&self) -> bool {
-        self.vnodes.is_empty()
-    }
-
-    /// Total handles ever allocated (god-mode, for accounting).
+    /// Total handles ever allocated, by every shard (god-mode, for
+    /// accounting).
     pub fn allocated(&self) -> u64 {
-        self.allocator.allocated()
+        self.allocators.iter().map(HandleAllocator::allocated).sum()
     }
 
     /// Accounted kernel bytes: vnode structures plus port label storage.
@@ -180,7 +190,7 @@ mod tests {
     fn new_port_sets_own_entry_to_zero() {
         let mut t = HandleTable::new(1);
         let owner = PortOwner::Process(ProcessId(0));
-        let p = t.new_port(Label::top(), owner);
+        let p = t.new_port(Label::top(), owner, 0);
         let state = t.port(p).unwrap();
         assert_eq!(state.label.get(p), Level::L0);
         assert_eq!(state.label.default_level(), Level::L3);
@@ -190,7 +200,7 @@ mod tests {
     #[test]
     fn compartments_are_not_ports() {
         let mut t = HandleTable::new(1);
-        let h = t.new_handle();
+        let h = t.new_handle(0);
         assert!(t.get(h).is_some());
         assert!(t.port(h).is_none());
     }
@@ -198,7 +208,7 @@ mod tests {
     #[test]
     fn dissociate_keeps_handle() {
         let mut t = HandleTable::new(1);
-        let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)));
+        let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
         t.dissociate(p);
         assert!(t.port(p).is_none());
         assert!(t.get(p).is_some(), "handle still valid as a compartment");
@@ -207,8 +217,8 @@ mod tests {
     #[test]
     fn handles_are_unique_and_unpredictable() {
         let mut t = HandleTable::new(7);
-        let a = t.new_handle();
-        let b = t.new_handle();
+        let a = t.new_handle(0);
+        let b = t.new_handle(0);
         assert_ne!(a, b);
         assert_ne!(b.raw(), a.raw() + 1, "handles must not be sequential");
     }
@@ -216,9 +226,9 @@ mod tests {
     #[test]
     fn kernel_bytes_counts_vnodes_and_port_labels() {
         let mut t = HandleTable::new(1);
-        t.new_handle();
+        t.new_handle(0);
         assert_eq!(t.kernel_bytes(), VNODE_BYTES);
-        t.new_port(Label::top(), PortOwner::Process(ProcessId(0)));
+        t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
         // Port adds a vnode plus its label storage (≥ 300 bytes).
         assert!(t.kernel_bytes() >= 2 * VNODE_BYTES + 300);
     }
@@ -228,9 +238,9 @@ mod tests {
         let mut t = HandleTable::new(1);
         let o1 = PortOwner::Process(ProcessId(0));
         let o2 = PortOwner::Ep(EpId(9));
-        let p1 = t.new_port(Label::top(), o1);
-        let p2 = t.new_port(Label::top(), o2);
-        let p3 = t.new_port(Label::top(), o1);
+        let p1 = t.new_port(Label::top(), o1, 0);
+        let p2 = t.new_port(Label::top(), o2, 0);
+        let p3 = t.new_port(Label::top(), o1, 0);
         let mut mine = t.ports_owned_by(o1);
         mine.sort();
         let mut expect = vec![p1, p3];

@@ -3,7 +3,7 @@
 //!
 //! The kernel is a set of [`KernelShard`]s — each a complete, isolated
 //! delivery engine (see [`crate::shard`]) — plus one router owning
-//! everything cross-shard (port directory, global environment, per-shard
+//! everything cross-shard (the vnode table, global environment, per-shard
 //! inboxes, federation egress) and this coordinator. The coordinator
 //! owns placement (which shard a spawned process lands on), drives the
 //! run loop, and merges per-shard statistics, clocks, and memory reports
@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use asbestos_labels::{Handle, Label};
+use asbestos_labels::{Handle, HandleAllocator, HandleCipher, Label};
 
 use crate::cycles::{Category, CostModel, CycleClock, CycleSnapshot};
 use crate::delivery::DeliveryOutcome;
@@ -173,8 +173,10 @@ impl Kernel {
     /// handles from cipher lane `k*shards + i` of `slots*shards`, so
     /// handle values are unique across the *whole* federation — the
     /// property that lets a serialized handle cross the wire and stay
-    /// meaningful (§5.1's uniqueness, cluster-wide). Slot 0 of 1 is
-    /// bit-for-bit the ordinary constructor.
+    /// meaningful (§5.1's uniqueness, cluster-wide). With `slots > 1` a
+    /// send to a handle with no vnode here leaves through
+    /// [`Kernel::take_remote_egress`]. Slot 0 of 1 is bit-for-bit the
+    /// ordinary constructor.
     ///
     /// # Panics
     ///
@@ -192,25 +194,31 @@ impl Kernel {
             "shard count must be in 1..={MAX_SHARDS}"
         );
         assert!(slot < slots, "cluster slot must be in 0..{slots}");
-        let handle_seed = mix_epoch(seed, epoch);
+        // Shard `i` mints from lane `slot * shards + i`.
+        let handles = HandleTable::with_partition(
+            mix_epoch(seed, epoch),
+            (slot * shards) as u64,
+            shards,
+            (slots * shards) as u64,
+        );
         Kernel {
             shards: (0..shards)
-                .map(|i| {
-                    KernelShard::new(
-                        handle_seed,
-                        i as u16,
-                        (slot * shards + i) as u64,
-                        (slots * shards) as u64,
-                        cost.clone(),
-                    )
-                })
+                .map(|i| KernelShard::new(i as u16, cost.clone()))
                 .collect(),
-            router: Router::new(shards),
+            router: Router::new(handles, shards, slots > 1),
             rounds: 0,
             next_spawn_shard: 0,
             step_cursor: 0,
             boot_epoch: epoch,
         }
+    }
+
+    /// The slot of a `slots`-kernel federation of `shards`-shard kernels
+    /// keyed like `cipher` that mints `handle`: [`Kernel::with_cluster_slot`]
+    /// mints from lane `slot * shards + i`, so this is the lane `/ shards`.
+    /// Every handle has a home, minted or not.
+    pub fn cluster_slot_of(cipher: &HandleCipher, h: Handle, shards: usize, slots: usize) -> usize {
+        HandleAllocator::lane_of(cipher, h, (slots * shards) as u64) as usize / shards
     }
 
     /// Number of kernel shards.
@@ -301,7 +309,7 @@ impl Kernel {
     /// every label check — they model hardware, not processes — and, like
     /// hardware, they bypass the queue bounds.
     pub fn inject(&mut self, port: Handle, body: Value) {
-        let dest = self.router.shard_of(port) as usize;
+        let dest = self.router.arrival_shard(port);
         let shard = &mut self.shards[dest];
         shard.stats.injected += 1;
         shard.mailboxes.push(QueuedMessage {
@@ -320,28 +328,6 @@ impl Kernel {
     // Federation (the gateway's surface; see `crates/cluster`).
     // ------------------------------------------------------------------
 
-    /// Records that `port` lives on remote kernel `kernel`. Sends that
-    /// resolve neither locally nor in the shard directory and match this
-    /// map park in the egress queue instead of hash-routing — the
-    /// gateway drains them with [`Kernel::take_remote_egress`]. Ignored
-    /// (with a debug assertion) for ports this kernel owns: the local
-    /// vnode table is always authoritative.
-    pub fn register_remote_port(&mut self, port: Handle, kernel: u16) {
-        debug_assert!(
-            !self.is_local_port(port),
-            "a local port cannot be remote-registered"
-        );
-        if self.is_local_port(port) {
-            return;
-        }
-        self.router.register_remote_port(port, kernel);
-    }
-
-    /// Forgets a remote port binding.
-    pub fn unregister_remote_port(&mut self, port: Handle) {
-        self.router.unregister_remote_port(port);
-    }
-
     /// Drains every message parked for another kernel, in send order.
     /// The sender-side Figure 4 checks already ran; the destination
     /// kernel applies the delivery-time check when these are injected
@@ -354,21 +340,12 @@ impl Kernel {
     /// destination shard's queues under exactly the rules a local
     /// cross-shard arrival faces — destination-side queue bounds,
     /// `Stats::sent` accounting, and the delivery-time Figure 4 check
-    /// against this kernel's state when it is popped. An unknown port
-    /// hash-routes and drops `NoSuchPort`, as everywhere else.
+    /// against this kernel's state when it is popped. A port with no
+    /// vnode here drops `NoSuchPort` on its hash shard; an arrival never
+    /// leaves again.
     pub fn inject_remote(&mut self, rs: crate::message::RemoteSend) {
-        let dest = if self.is_local_port(rs.port) {
-            // The directory only tracks multi-shard kernels; resolve by
-            // scanning the vnode tables so single-shard federations work
-            // identically.
-            self.shards
-                .iter()
-                .position(|s| s.handles.get(rs.port).is_some())
-                .expect("is_local_port found a shard") as u16
-        } else {
-            self.router.shard_of(rs.port)
-        };
-        self.shards[dest as usize].enqueue_checked(QueuedMessage {
+        let dest = self.router.arrival_shard(rs.port);
+        self.shards[dest].enqueue_checked(QueuedMessage {
             port: rs.port,
             body: rs.body,
             es: rs.es,
@@ -377,11 +354,6 @@ impl Kernel {
             v: rs.v,
             from: None,
         });
-    }
-
-    /// Whether any shard of this kernel owns a vnode for `port`.
-    pub fn is_local_port(&self, port: Handle) -> bool {
-        self.shards.iter().any(|s| s.handles.get(port).is_some())
     }
 
     /// Snapshot of the whole global environment, in key order (the
@@ -674,17 +646,9 @@ impl Kernel {
         None
     }
 
-    /// The handle table (ports, vnodes) of shard 0 — the whole table on a
-    /// single-shard kernel. Multi-shard callers should go through
-    /// [`Kernel::shard`] for per-shard tables or
-    /// [`Kernel::handles_allocated`] for the global count.
+    /// The kernel's handle table: every vnode, on every shard.
     pub fn handle_table(&self) -> &HandleTable {
-        &self.shards[0].handles
-    }
-
-    /// Total handles ever allocated, across all shards.
-    pub fn handles_allocated(&self) -> u64 {
-        self.shards.iter().map(|s| s.handles.allocated()).sum()
+        &self.router.handles
     }
 
     /// Pending (sent but undelivered) messages across all shards:
@@ -715,14 +679,15 @@ impl Kernel {
     }
 
     /// Memory accounting across all kernel structures and user frames
-    /// (Figure 6's measurement), merged across shards, plus the
-    /// cross-shard inboxes' bookkeeping (zero on a single-shard kernel,
-    /// which never touches them).
+    /// (Figure 6's measurement), merged across shards, plus the vnode
+    /// table and the cross-shard inboxes' bookkeeping (zero on a
+    /// single-shard kernel, which never touches them).
     pub fn kmem_report(&self) -> KmemReport {
         let mut total = KmemReport::default();
         for shard in &self.shards {
             total.absorb(&shard.kmem_report(&self.router));
         }
+        total.handle_bytes = self.router.handles.kernel_bytes();
         if self.shards.len() > 1 {
             total.xshard_bytes = self.router.bookkeeping_bytes();
         }

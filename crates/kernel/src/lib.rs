@@ -45,14 +45,15 @@
 //!
 //! The kernel is a set of [`shard::KernelShard`]s — each a complete,
 //! isolated delivery engine owning its own processes, event processes,
-//! ports, frames, mailboxes, clock, and stats — behind a
+//! frames, mailboxes, clock, and stats — behind a
 //! [`Kernel`] coordinator that owns placement, the run loop (one
 //! deterministic sweep over the shards on the calling thread, repeated
 //! to quiescence), and the merged whole-kernel views. The only
-//! cross-shard state is the router (port directory, global environment,
+//! cross-shard state is the router (the vnode table, global environment,
 //! per-shard inboxes), lent as `&mut` to the one shard being drained —
-//! one thread, so no locks; label
-//! evaluation always runs on the destination port's shard, so Figure 4
+//! one thread, so no locks. Each vnode names the shard that minted its
+//! handle, and a message is routed there, so label
+//! evaluation always runs on the destination port's shard: Figure 4
 //! semantics are untouched by the partitioning, and `shards = 1` (the
 //! paper-figure configuration) is pinned bit-for-bit against the
 //! pre-sharding engine by `tests/shard_determinism.rs`.

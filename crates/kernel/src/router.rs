@@ -1,17 +1,18 @@
 //! Cross-shard routing state.
 //!
-//! A sharded kernel partitions all process, port, and queue state across
-//! [`KernelShard`](crate::shard::KernelShard)s; the [`Router`] owns
-//! everything that belongs to no single shard:
+//! A sharded kernel partitions process, event-process and queue state
+//! across [`KernelShard`](crate::shard::KernelShard)s; the [`Router`]
+//! owns everything that belongs to no single shard:
 //!
-//! * the **port directory** — which shard owns each port handle: written
-//!   once at `new_port`, erased at dissociation or owner exit, never
-//!   rewritten (a port lives on the shard that created it), and read on
-//!   every send that does not resolve locally;
+//! * the **vnode table** — the kernel's one handle → vnode map (§5.6).
+//!   Each vnode records the shard that minted its handle, so
+//!   [`Router::route`] reads where a message goes off the handle and
+//!   this table: nothing else keeps a copy of it, and a handle's shard
+//!   never changes;
 //! * the **global environment** — the §4 bootstrapping namespace, which
 //!   was always whole-kernel state;
-//! * the **remote directory** and the **egress** queue of a federated
-//!   kernel (see `crates/cluster`), both empty on every other kernel;
+//! * the **egress** queue of a federated kernel (see `crates/cluster`),
+//!   empty on every other kernel;
 //! * one **inbox** per shard. A cross-shard send is pushed onto the
 //!   *destination's* inbox the moment it resolves, mid-drain, and the
 //!   destination drains its own inbox at deterministic points of its
@@ -20,15 +21,14 @@
 //! One thread owns all of it. The run loop drains one shard at a time on
 //! the calling thread and lends that shard the `&mut Router`, so the
 //! borrow checker, not a lock, proves there is one writer, and every read
-//! and write happens at a point fixed by the kernel's event history. A
-//! directory entry never changes while its port is live, so a message in
-//! flight cannot dangle toward a shard that no longer owns its port.
-//! Single-shard kernels skip the directory and never touch an inbox.
+//! and write happens at a point fixed by the kernel's event history.
+//! Single-shard kernels never touch an inbox.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use asbestos_labels::Handle;
 
+use crate::handle_table::HandleTable;
 use crate::message::{QueuedMessage, RemoteSend};
 use crate::value::Value;
 
@@ -46,14 +46,13 @@ pub(crate) enum PullPoint {
 /// The kernel's cross-shard state. See the module docs for the
 /// determinism contract.
 pub(crate) struct Router {
-    /// Port handle → owning shard. Only populated on a multi-shard
-    /// kernel; a single-shard kernel resolves everything locally.
-    ports: HashMap<Handle, u16>,
+    /// Every handle this kernel minted, with the shard that minted it.
+    pub handles: HandleTable,
     /// The §4 global environment (init/launcher bootstrap namespace).
     env: BTreeMap<String, Value>,
-    /// Port handle → remote *kernel* id (federation). Written only by
-    /// the gateway between runs.
-    remote_ports: HashMap<Handle, u16>,
+    /// Whether this kernel is one of a multi-kernel federation's, where
+    /// a handle minted elsewhere is another kernel's to evaluate.
+    federated: bool,
     /// Outbound cross-kernel messages, parked until the gateway drains
     /// them ([`crate::Kernel::take_remote_egress`]).
     egress: Vec<RemoteSend>,
@@ -65,71 +64,48 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    pub fn new(num_shards: usize) -> Router {
+    pub fn new(handles: HandleTable, num_shards: usize, federated: bool) -> Router {
         Router {
-            ports: HashMap::new(),
+            handles,
             env: BTreeMap::new(),
-            remote_ports: HashMap::new(),
+            federated,
             egress: Vec::new(),
             inboxes: (0..num_shards).map(|_| Vec::new()).collect(),
         }
     }
 
-    fn num_shards(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// Records that `port` is owned by `shard`, for the port's whole
-    /// life: placement happens once. Single-shard kernels skip the
-    /// directory entirely (everything is local).
-    pub fn register_port(&mut self, port: Handle, shard: u16) {
-        if self.num_shards() > 1 {
-            let prev = self.ports.insert(port, shard);
-            debug_assert!(
-                prev.is_none_or(|p| p == shard),
-                "port {port:?} is placed once: already on shard {prev:?}, re-registered to {shard}"
-            );
-        }
-    }
-
-    /// Forgets a port that lost its receive rights (dissociation, owner
-    /// exit). Keeps the directory bounded by *live* ports; a stale send
-    /// falls back to the hash shard and drops `NoSuchPort`, the same
-    /// outcome the owning shard's dissociated vnode produces.
-    pub fn unregister_port(&mut self, port: Handle) {
-        self.ports.remove(&port);
-    }
-
-    /// The shard a message to `port` must be evaluated on.
+    /// The shard a message to `port` is evaluated on, or `None` when it
+    /// leaves through egress — computed from the handle alone:
     ///
-    /// Unknown handles (plain compartments, bogus values) fall back to a
-    /// deterministic hash of the handle value; the chosen shard finds no
-    /// vnode and records the `NoSuchPort` drop, exactly as a single-shard
-    /// kernel would.
-    pub fn shard_of(&self, port: Handle) -> u16 {
-        if let Some(&shard) = self.ports.get(&port) {
-            return shard;
+    /// * a handle with a vnode goes to the shard that minted it — its
+    ///   owner's shard while it is a live port, and a dead port or a
+    ///   compartment drops `NoSuchPort` there;
+    /// * on a federated kernel, a handle with no vnode was minted by
+    ///   another kernel (or by none), so it leaves and the switch finds
+    ///   its home;
+    /// * on a plain kernel, it goes to a deterministic hash of its value,
+    ///   which finds no vnode and drops `NoSuchPort`, exactly as a
+    ///   single-shard kernel would.
+    pub fn route(&self, port: Handle) -> Option<u16> {
+        match self.handles.get(port) {
+            Some(v) => Some(v.shard),
+            None if self.federated => None,
+            None => Some(self.hash_shard(port)),
         }
-        (port.raw() % self.num_shards() as u64) as u16
     }
 
-    /// Records that `port` lives on another kernel (federation). The
-    /// gateway only registers ports that are *not* local, so the local
-    /// vnode check in `send_from` stays authoritative.
-    pub fn register_remote_port(&mut self, port: Handle, kernel: u16) {
-        self.remote_ports.insert(port, kernel);
+    /// The shard a message arriving from outside the kernel (an
+    /// injection, or a `Forward` off the wire) is evaluated on:
+    /// [`Router::route`], except that an arrival never leaves again. A
+    /// handle with no vnode here drops `NoSuchPort` on its hash shard, so
+    /// a `Forward` is never sent back out.
+    pub fn arrival_shard(&self, port: Handle) -> usize {
+        self.route(port).unwrap_or_else(|| self.hash_shard(port)) as usize
     }
 
-    /// Forgets a remote port (the owning kernel unregistered it). Later
-    /// sends fall through to the hash shard and drop `NoSuchPort`, the
-    /// same outcome a dissociated local port produces.
-    pub fn unregister_remote_port(&mut self, port: Handle) {
-        self.remote_ports.remove(&port);
-    }
-
-    /// Whether `port` is a registered remote port.
-    pub fn is_remote(&self, port: Handle) -> bool {
-        self.remote_ports.contains_key(&port)
+    /// A deterministic hash of a handle's value onto the shards.
+    fn hash_shard(&self, port: Handle) -> u16 {
+        (port.raw() % self.inboxes.len() as u64) as u16
     }
 
     /// Parks one outbound cross-kernel message for the gateway.
@@ -231,40 +207,50 @@ impl Router {
 mod tests {
     use super::*;
 
+    use crate::handle_table::PortOwner;
+    use crate::ids::ProcessId;
+    use asbestos_labels::Label;
+
+    /// A router over `shards` shards, each minting from its own lane.
+    fn router(shards: usize, federated: bool) -> Router {
+        let handles = HandleTable::with_partition(1, 0, shards, shards as u64);
+        Router::new(handles, shards, federated)
+    }
+
+    /// An unknown handle: one no shard of these routers has minted.
+    const UNKNOWN: Handle = Handle::from_raw(0x123);
+
     #[test]
     fn directory_and_fallback() {
-        let mut r = Router::new(4);
-        let p = Handle::from_raw(0x123);
+        let mut r = router(4, false);
         // Unknown: deterministic hash fallback.
-        assert_eq!(r.shard_of(p), (0x123 % 4) as u16);
-        r.register_port(p, 3);
-        assert_eq!(r.shard_of(p), 3);
+        assert_eq!(r.route(UNKNOWN), Some((0x123 % 4) as u16));
+        // Minted: the shard that minted it, port or compartment, live or
+        // dead (where a dead port drops `NoSuchPort`).
+        let owner = PortOwner::Process(ProcessId::new(3, 0));
+        let p = r.handles.new_port(Label::top(), owner, 3);
+        let c = r.handles.new_handle(1);
+        assert_eq!((r.route(p), r.route(c)), (Some(3), Some(1)));
+        r.handles.dissociate(p);
+        assert_eq!(r.route(p), Some(3));
     }
 
     #[test]
-    fn single_shard_skips_directory() {
-        let mut r = Router::new(1);
-        let p = Handle::from_raw(0x999);
-        r.register_port(p, 0);
-        assert_eq!(r.shard_of(p), 0);
-        assert!(r.ports.is_empty());
-    }
-
-    #[test]
-    fn unregister_forgets_ports() {
-        let mut r = Router::new(4);
-        let p = Handle::from_raw(0x40);
-        r.register_port(p, 2);
-        assert_eq!(r.shard_of(p), 2);
-        r.unregister_port(p);
-        // Back to the hash fallback, and the map holds nothing.
-        assert_eq!(r.shard_of(p), 0);
-        assert!(r.ports.is_empty());
+    fn only_a_federated_kernel_sends_unknown_handles_out() {
+        for shards in [1, 4] {
+            let mut fed = router(shards, true);
+            let c = fed.handles.new_handle(shards as u16 - 1);
+            assert_eq!(fed.route(c), Some(shards as u16 - 1));
+            assert_eq!(fed.route(UNKNOWN), None);
+            // An arrival never leaves again: it drops on its hash shard.
+            assert_eq!(fed.arrival_shard(UNKNOWN), 0x123 % shards);
+            let plain = router(shards, false);
+            assert_eq!(plain.route(UNKNOWN), Some((0x123 % shards) as u16));
+        }
     }
 
     fn test_qm(tag: u64) -> QueuedMessage {
         use crate::value::Value;
-        use asbestos_labels::Label;
         use std::sync::Arc;
         QueuedMessage {
             port: Handle::from_raw(9),
@@ -279,7 +265,7 @@ mod tests {
 
     #[test]
     fn inbox_push_take_pending_and_limit() {
-        let mut r = Router::new(2);
+        let mut r = router(2, false);
         assert_eq!(r.pending(), 0);
         assert!(r.push(1, test_qm(1), 8));
         assert!(r.push(1, test_qm(2), 8));
@@ -298,7 +284,7 @@ mod tests {
     #[test]
     fn inbox_take_reuses_allocations() {
         // Warm up: grow both swap partners to the batch high-water mark.
-        let mut r = Router::new(1);
+        let mut r = router(1, false);
         let mut buf = Vec::new();
         for _ in 0..3 {
             for tag in 0..16 {
@@ -330,7 +316,7 @@ mod tests {
 
     #[test]
     fn env_roundtrip() {
-        let mut r = Router::new(2);
+        let mut r = router(2, false);
         assert_eq!(r.env_get("x"), None);
         r.env_set("x", Value::U64(9));
         assert_eq!(r.env_get("x"), Some(Value::U64(9)));

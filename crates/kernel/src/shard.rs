@@ -1,13 +1,13 @@
 //! One kernel shard: a self-contained slice of the kernel.
 //!
-//! A [`KernelShard`] owns every structure one delivery touches — the
-//! processes and event processes scheduled on it, the vnode table for the
-//! ports they own, the frame pool backing their memory, the per-port
-//! mailboxes feeding its delivery loop, the cycle clock, and the
-//! statistics counters. Shards share no mutable state with each other:
-//! what crosses shards (the port directory, the global environment, the
-//! per-shard inboxes) is the kernel's router, which the run loop lends to
-//! one shard at a time as `&mut`. A cross-shard send pushes onto the
+//! A [`KernelShard`] owns the processes and event processes scheduled on
+//! it, the frame pool backing their memory, the per-port mailboxes feeding
+//! its delivery loop, the cycle clock, and the statistics counters. Shards
+//! share no mutable state with each other: what crosses shards (the vnode
+//! table, the global environment, the per-shard inboxes) is the kernel's
+//! router, which the run loop lends to one shard at a time as `&mut`. A
+//! port's vnode names the shard that minted it, which is its owner's, so
+//! every message to the port is evaluated here. A cross-shard send pushes onto the
 //! *destination's* inbox the moment it resolves — mid-drain — and each
 //! shard drains its own inbox at deterministic points of its delivery
 //! loop (sub-round routing). The run loop visits shards one at a time on
@@ -27,11 +27,11 @@ use crate::cycles::{Category, CostModel, CycleClock};
 use crate::delivery::{keep_or_wrap, Mailboxes};
 use crate::error::{SysError, SysResult};
 use crate::event_process::EventProcess;
-use crate::handle_table::{HandleTable, PortOwner};
+use crate::handle_table::PortOwner;
 use crate::ids::{EpId, ExecCtx, ProcessId};
 use crate::kernel::{KmemReport, DEFAULT_QUEUE_LIMIT};
 use crate::memory::{FramePool, PAGE_SIZE};
-use crate::message::{Message, QueuedMessage, SendArgs};
+use crate::message::{Message, QueuedMessage, RemoteSend, SendArgs};
 use crate::process::{Body, Process};
 use crate::router::{PullPoint, Router};
 use crate::stats::{DropReason, Stats};
@@ -51,7 +51,6 @@ pub struct KernelShard {
     pub(crate) id: u16,
     pub(crate) cost: CostModel,
     pub(crate) clock: CycleClock,
-    pub(crate) handles: HandleTable,
     pub(crate) processes: Vec<Process>,
     pub(crate) eps: Vec<EventProcess>,
     pub(crate) frames: FramePool,
@@ -76,18 +75,11 @@ pub struct KernelShard {
 }
 
 impl KernelShard {
-    /// `lane`/`lanes` partition the handle-cipher counter space: shard
-    /// `i` of an ordinary kernel is lane `i` of `num_shards`; shard `i`
-    /// of federated kernel `k` (slot `k` of `slots`) is lane
-    /// `k*num_shards + i` of `slots*num_shards`, so every handle minted
-    /// anywhere in a cluster is unique cluster-wide (§5.1's "unique
-    /// since boot", across the whole federation).
-    pub(crate) fn new(seed: u64, id: u16, lane: u64, lanes: u64, cost: CostModel) -> KernelShard {
+    pub(crate) fn new(id: u16, cost: CostModel) -> KernelShard {
         KernelShard {
             id,
             cost,
             clock: CycleClock::new(),
-            handles: HandleTable::with_partition(seed, lane, lanes),
             processes: Vec::new(),
             eps: Vec::new(),
             frames: FramePool::new(),
@@ -218,8 +210,7 @@ impl KernelShard {
         }
         let ports: Vec<Handle> = std::mem::take(&mut self.eps[eid.index()].ports);
         for port in ports {
-            self.handles.dissociate(port);
-            router.unregister_port(port);
+            router.handles.dissociate(port);
         }
         self.eps[eid.index()].alive = false;
         self.processes[pid.index()].eps.retain(|&e| e != eid);
@@ -231,9 +222,8 @@ impl KernelShard {
         for eid in eps {
             self.cleanup_ep(router, eid);
         }
-        for port in self.handles.ports_owned_by(PortOwner::Process(pid)) {
-            self.handles.dissociate(port);
-            router.unregister_port(port);
+        for port in router.handles.ports_owned_by(PortOwner::Process(pid)) {
+            router.handles.dissociate(port);
         }
         let table = std::mem::take(&mut self.processes[pid.index()].page_table);
         for (_, frame) in table.iter() {
@@ -295,44 +285,36 @@ impl KernelShard {
             from: Some(ctx),
         };
 
-        // Route: a port in this shard's vnode table is local (handles are
-        // globally unique, so presence here is authoritative); anything
-        // else asks the directory. Label evaluation always happens on the
-        // destination shard, when the message is popped.
-        let dest = if self.handles.get(port).is_some() {
-            self.id
-        } else if router.is_remote(port) {
-            // Federation: the port lives on another kernel. Park the
+        // Route by where the port was minted; label evaluation always
+        // happens on the destination shard, when the message is popped.
+        match router.route(port) {
+            Some(dest) if dest == self.id => self.enqueue_checked(qm),
+            Some(dest) => {
+                // Sub-round routing: push straight onto the destination's
+                // inbox. Queue bounds are ultimately the destination
+                // shard's to enforce (it runs `enqueue_checked` when it
+                // pulls the batch), but the inbox honors this shard's
+                // bound so a handler looping on cross-shard sends cannot
+                // buffer unbounded memory — the §8 backstop the
+                // monolithic engine's send-time check provided.
+                // (Bounds are kernel-uniform: see `Kernel::set_queue_limit`.)
+                if !router.push(dest as usize, qm, self.queue_limit) {
+                    self.stats.record_drop(DropReason::QueueFull);
+                }
+            }
+            // Federation: the port was minted by another kernel. Park the
             // message for the gateway; the delivery-time Figure 4 check
             // (and the destination-side queue bounds, and `Stats::sent`)
             // run on the *destination* kernel, so verdicts derive only
             // from destination state.
-            router.push_egress(crate::message::RemoteSend {
+            None => router.push_egress(RemoteSend {
                 port: qm.port,
                 body: qm.body,
                 es: qm.es,
                 ds: qm.ds,
                 dr: qm.dr,
                 v: qm.v,
-            });
-            return Ok(());
-        } else {
-            router.shard_of(port)
-        };
-        if dest == self.id {
-            self.enqueue_checked(qm);
-        } else {
-            // Sub-round routing: push straight onto the destination's
-            // inbox. Queue bounds are ultimately the destination shard's
-            // to enforce (it runs `enqueue_checked` when it pulls the
-            // batch), but the inbox honors this shard's bound so a
-            // handler looping on cross-shard sends cannot buffer
-            // unbounded memory — the §8 backstop the monolithic engine's
-            // send-time check provided.
-            // (Bounds are kernel-uniform: see `Kernel::set_queue_limit`.)
-            if !router.push(dest as usize, qm, self.queue_limit) {
-                self.stats.record_drop(DropReason::QueueFull);
-            }
+            }),
         }
         Ok(())
     }
@@ -412,7 +394,6 @@ impl KernelShard {
             .filter(|e| e.alive)
             .map(EventProcess::kernel_bytes)
             .sum();
-        let handle_bytes = self.handles.kernel_bytes();
         // Pending messages: mailboxes plus this shard's inbox (queue_len
         // counts both). Payload backing buffers are charged **once** per
         // unique buffer, however many queued messages share them — the
@@ -433,12 +414,12 @@ impl KernelShard {
         KmemReport {
             process_bytes,
             ep_bytes,
-            handle_bytes,
             queue_bytes,
             user_frame_bytes,
-            // Inbox bookkeeping is kernel-level, not per-shard; the
-            // coordinator fills it in (`Kernel::kmem_report`).
-            xshard_bytes: 0,
+            // The vnode table and the inbox bookkeeping are kernel-level,
+            // not per-shard; the coordinator fills them in
+            // (`Kernel::kmem_report`).
+            ..KmemReport::default()
         }
     }
 

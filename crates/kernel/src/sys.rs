@@ -29,10 +29,11 @@ use crate::value::Value;
 /// otherwise they act on the (base) process.
 ///
 /// Every operation resolves against the executing context's own shard —
-/// processes, event processes, ports, and frames are shard-local by
-/// construction — except sends to other shards' or kernels' ports (which
-/// go onto the kernel router's inboxes or egress queue), port directory
-/// updates, and the global environment (which the router also owns).
+/// processes, event processes and frames are shard-local by construction
+/// — except handles, whose vnodes live in the kernel router's one table
+/// (minted by, and routed to, this shard), sends to other shards' or
+/// kernels' ports (which go onto the router's inboxes or egress queue),
+/// and the global environment (which the router also owns).
 pub struct Sys<'k> {
     shard: &'k mut KernelShard,
     router: &'k mut Router,
@@ -108,7 +109,7 @@ impl<'k> Sys<'k> {
     /// `⋆` for it (§5.3: "A process initially has privilege for every
     /// handle it creates").
     pub fn new_handle(&mut self) -> Handle {
-        let h = self.shard.handles.new_handle();
+        let h = self.router.handles.new_handle(self.shard.id);
         self.shard
             .clock
             .charge(Category::KernelIpc, self.shard.cost.new_handle);
@@ -127,8 +128,7 @@ impl<'k> Sys<'k> {
             Some(eid) => PortOwner::Ep(eid),
             None => PortOwner::Process(self.ctx.pid),
         };
-        let p = self.shard.handles.new_port(label, owner);
-        self.router.register_port(p, self.shard.id);
+        let p = self.router.handles.new_port(label, owner, self.shard.id);
         self.shard
             .clock
             .charge(Category::KernelIpc, self.shard.cost.new_port);
@@ -142,8 +142,8 @@ impl<'k> Sys<'k> {
     /// `set_port_label`: replaces a port's label verbatim (Figure 4: unlike
     /// `new_port`, this call "doesn't modify its input").
     pub fn set_port_label(&mut self, port: Handle, label: Label) -> SysResult<()> {
-        self.require_port_owner(port)?;
-        self.shard
+        self.check_port_owner(port)?;
+        self.router
             .handles
             .port_mut(port)
             .expect("ownership verified above")
@@ -156,7 +156,7 @@ impl<'k> Sys<'k> {
     pub fn port_label(&self, port: Handle) -> SysResult<Label> {
         self.check_port_owner(port)?;
         Ok(self
-            .shard
+            .router
             .handles
             .port(port)
             .expect("ownership verified above")
@@ -167,9 +167,8 @@ impl<'k> Sys<'k> {
     /// Drops receive rights: the handle remains valid as a compartment, but
     /// messages sent to it are silently discarded.
     pub fn dissociate_port(&mut self, port: Handle) -> SysResult<()> {
-        self.require_port_owner(port)?;
-        self.shard.handles.dissociate(port);
-        self.router.unregister_port(port);
+        self.check_port_owner(port)?;
+        self.router.handles.dissociate(port);
         if let Some(eid) = self.ctx.ep {
             self.shard.eps[eid.index()].ports.retain(|&p| p != port);
         }
@@ -480,7 +479,7 @@ impl<'k> Sys<'k> {
 
     fn check_port_owner(&self, port: Handle) -> SysResult<()> {
         let state = self
-            .shard
+            .router
             .handles
             .port(port)
             .ok_or(SysError::NotPortOwner)?;
@@ -493,9 +492,5 @@ impl<'k> Sys<'k> {
         } else {
             Err(SysError::NotPortOwner)
         }
-    }
-
-    fn require_port_owner(&mut self, port: Handle) -> SysResult<()> {
-        self.check_port_owner(port)
     }
 }

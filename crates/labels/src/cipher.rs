@@ -178,6 +178,14 @@ impl HandleAllocator {
         }
     }
 
+    /// The inverse of [`HandleAllocator::with_partition`]: which lane of a
+    /// `lanes`-way partition keyed like `cipher` mints `handle`. Every
+    /// value maps to a lane, minted or not (counter 0, which no lane
+    /// draws, maps to lane `lanes - 1`). Panics if `lanes` is 0.
+    pub fn lane_of(cipher: &HandleCipher, handle: Handle, lanes: u64) -> u64 {
+        (cipher.decrypt(handle.raw()) + lanes - 1) % lanes
+    }
+
     /// Returns a fresh, never-before-returned handle.
     ///
     /// # Panics
@@ -226,6 +234,25 @@ mod tests {
                 assert!(seen.insert(lane.alloc()), "lanes minted a duplicate");
             }
             assert_eq!(lane.allocated(), 64);
+        }
+    }
+
+    #[test]
+    fn lane_of_finds_the_lane_that_minted_a_handle() {
+        let mut state = 0x1a9e;
+        for seed in std::iter::repeat_with(|| splitmix64(&mut state)).take(8) {
+            let cipher = HandleCipher::new(seed);
+            for lanes in [1, 2, 3, 4, 8, 12] {
+                for lane in 0..lanes {
+                    let mut alloc = HandleAllocator::with_partition(seed, lane, lanes);
+                    for h in std::iter::repeat_with(|| alloc.alloc()).take(16) {
+                        assert_eq!(HandleAllocator::lane_of(&cipher, h, lanes), lane);
+                    }
+                }
+                // Counter 0 is no lane's, and still maps to one.
+                let unminted = Handle::from_raw(cipher.encrypt(0));
+                assert!(HandleAllocator::lane_of(&cipher, unminted, lanes) < lanes);
+            }
         }
     }
 

@@ -43,7 +43,7 @@ impl Okws {
                 if spec.is_placed() {
                     // A cluster assembler already spawned this worker on
                     // another kernel; the launcher will activate it
-                    // through the port directory.
+                    // over the wire.
                     continue;
                 }
                 let body = spec.take_body();
