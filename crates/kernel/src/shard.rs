@@ -7,12 +7,12 @@
 //! table, the global environment, the per-shard inboxes) is the kernel's
 //! router, which the run loop lends to one shard at a time as `&mut`. A
 //! port's vnode names the shard that minted it, which is its owner's, so
-//! every message to the port is evaluated here. A cross-shard send pushes onto the
-//! *destination's* inbox the moment it resolves — mid-drain — and each
-//! shard drains its own inbox at deterministic points of its delivery
-//! loop (sub-round routing). The run loop visits shards one at a time on
-//! the calling thread; the isolation is what lets a shard stand for one
-//! core in the virtual-clock model.
+//! every message to the port is evaluated there. A cross-shard send
+//! pushes onto the *destination's* inbox the moment it resolves —
+//! mid-drain — and each shard drains its own inbox at deterministic
+//! points of its delivery loop (sub-round routing). The run loop visits
+//! shards one at a time on the calling thread; the isolation is what lets
+//! a shard stand for one core in the virtual-clock model.
 //!
 //! Label evaluation always runs here, on the shard owning the destination
 //! port, against the destination's own labels — Figure 4's semantics are
