@@ -23,7 +23,7 @@
 //!   so identical after recovery. Nothing builds an index from traffic.
 //!
 //! Reads never log. The proxy's policy layer (hidden ownership column,
-//! write gates, per-row taint) stays in `proxy.rs`; this module owns only
+//! write gates, per-owner taint) stays in `proxy.rs`; this module owns only
 //! *how state changes become durable*, plus the worker-statement rewrite
 //! (shared verbatim between live execution and replay).
 

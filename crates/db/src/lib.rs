@@ -9,7 +9,8 @@
 //!
 //! * a hidden `user_id` column on every table, invisible to workers;
 //! * writes gated on `V ⊑ {uT 3, uG 0, 2}`;
-//! * per-row taint on reads, with an untainted end-of-results marker;
+//! * reads answered with one message per row owner, tainted by that owner,
+//!   then an untainted end-of-results marker;
 //! * decentralized declassification: `V(uT) = ⋆` writes rows with owner 0.
 
 #![forbid(unsafe_code)]
@@ -32,5 +33,5 @@ pub use proto::DbMsg;
 pub use proxy::{
     spawn_dbproxy, DbHandle, DbProxy, DB_PORT_ENV, DB_TRUSTED_ENV, OWNERS_TABLE, USER_ID_COLUMN,
 };
-pub use snapshot::{put_row, read_row, restore, snapshot, SnapshotError};
+pub use snapshot::{put_row, read_row, read_rows, restore, snapshot, SnapshotError};
 pub use value::SqlValue;

@@ -1,7 +1,8 @@
 //! The ok-dbproxy wire protocol (§7.5).
 
-use asbestos_kernel::{Handle, Value};
+use asbestos_kernel::{Handle, Payload, Value};
 
+use crate::snapshot::put_row;
 use crate::value::SqlValue;
 
 fn sql_to_value(v: &SqlValue) -> Value {
@@ -84,8 +85,9 @@ pub enum DbMsg {
         /// Rows affected.
         affected: u64,
     },
-    /// A SELECT. Rows come back one [`DbMsg::Row`] message each, tainted by
-    /// their owner; an untainted [`DbMsg::Done`] terminates the result set.
+    /// A SELECT. Rows come back as one [`DbMsg::Rows`] message per distinct
+    /// owner, tainted by that owner; an untainted [`DbMsg::Done`]
+    /// terminates the result set.
     Query {
         /// The statement.
         sql: String,
@@ -94,14 +96,17 @@ pub enum DbMsg {
         /// Reply port.
         reply: Handle,
     },
-    /// One result row (contaminated with its owner's taint at 3, §7.5).
-    Row {
-        /// Cell values (hidden `user_id` column already stripped).
-        values: Vec<SqlValue>,
+    /// Every result row of one owner, in scan order, contaminated with
+    /// that owner's taint at 3 (§7.5); declassified rows come untainted.
+    Rows {
+        /// The rows laid end to end in [`put_row`]'s encoding (hidden
+        /// `user_id` column already stripped); walk them with
+        /// [`crate::read_rows`].
+        bytes: Payload,
     },
-    /// End of result set. Deliberately carries no row count — the count
-    /// would reveal how many *other* users' rows were dropped (§7.5: a
-    /// worker "cannot tell how many other rows were sent").
+    /// End of result set. Deliberately carries no row or message count —
+    /// either would reveal how much of *other* users' data was dropped
+    /// (§7.5: a worker "cannot tell how many other rows were sent").
     Done,
     /// Announces the proxy's admin port to the trusted party (sent at
     /// startup with an `admin ⋆` grant).
@@ -112,6 +117,17 @@ pub enum DbMsg {
 }
 
 impl DbMsg {
+    /// A [`DbMsg::Rows`] holding `rows` in order.
+    pub fn rows(rows: &[Vec<SqlValue>]) -> DbMsg {
+        let mut bytes = Vec::new();
+        for row in rows {
+            put_row(&mut bytes, row);
+        }
+        DbMsg::Rows {
+            bytes: bytes.into(),
+        }
+    }
+
     /// Encodes to a [`Value`] payload.
     pub fn to_value(&self) -> Value {
         match self {
@@ -160,10 +176,9 @@ impl DbMsg {
                 params_to_value(params),
                 Value::Handle(*reply),
             ]),
-            DbMsg::Row { values } => Value::List(vec![
-                Value::Str("row".into()),
-                Value::List(values.iter().map(sql_to_value).collect()),
-            ]),
+            DbMsg::Rows { bytes } => {
+                Value::List(vec![Value::Str("rows".into()), Value::Bytes(bytes.clone())])
+            }
             DbMsg::Done => Value::List(vec![Value::Str("done".into())]),
             DbMsg::AdminPort { port } => {
                 Value::List(vec![Value::Str("admin-port".into()), Value::Handle(*port)])
@@ -201,8 +216,8 @@ impl DbMsg {
                 params: value_to_params(items.get(2)?)?,
                 reply: items.get(3)?.as_handle()?,
             }),
-            "row" => Some(DbMsg::Row {
-                values: value_to_params(items.get(1)?)?,
+            "rows" => Some(DbMsg::Rows {
+                bytes: items.get(1)?.as_payload()?.clone(),
             }),
             "done" => Some(DbMsg::Done),
             "admin-port" => Some(DbMsg::AdminPort {
@@ -258,9 +273,8 @@ mod tests {
                 params: vec![],
                 reply: h,
             },
-            DbMsg::Row {
-                values: vec![SqlValue::Blob(vec![1, 2])],
-            },
+            DbMsg::rows(&[vec![SqlValue::Blob(vec![1, 2])], vec![]]),
+            DbMsg::rows(&[]),
             DbMsg::Done,
             DbMsg::AdminPort { port: h },
         ];
@@ -271,9 +285,13 @@ mod tests {
 
     #[test]
     fn negative_ints_roundtrip() {
-        let m = DbMsg::Row {
-            values: vec![SqlValue::Int(i64::MIN)],
+        let rows = vec![vec![SqlValue::Int(i64::MIN)], vec![SqlValue::Int(-1)]];
+        let m = DbMsg::rows(&rows);
+        assert_eq!(DbMsg::from_value(&m.to_value()), Some(m.clone()));
+        let DbMsg::Rows { bytes } = m else {
+            unreachable!()
         };
-        assert_eq!(DbMsg::from_value(&m.to_value()), Some(m));
+        let back: Vec<_> = crate::read_rows(&bytes).map(|(row, _)| row).collect();
+        assert_eq!(back, rows);
     }
 }

@@ -13,9 +13,21 @@
 //!   Accepted writes are rewritten so every row carries `u`'s user id.
 //! * **Declassifiers** prove `V(uT) = ⋆` and write rows with user id 0
 //!   (§7.6); such rows read back untainted.
-//! * **Reads** return each row as its own message contaminated with the
-//!   row owner's taint at 3, then an untainted `Done`. The kernel drops
-//!   rows the querying worker may not see; the worker cannot count them.
+//! * **Reads** return one `Rows` message per distinct owner in the result,
+//!   holding that owner's rows in scan order and contaminated with the
+//!   owner's taint at 3, then an untainted `Done`. Messages go out in order
+//!   of each owner's first row. The kernel drops the messages the querying
+//!   worker may not see; the worker cannot count them.
+//!
+//!   Rows are grouped by owner, never by run of consecutive rows: with runs,
+//!   a worker that got its own rows in two messages would learn that an
+//!   invisible row sat between them. Per owner, what a worker receives is
+//!   the same whatever other users' rows the result holds.
+//!
+//!   Rows owned by a user with no binding in this boot are withheld: after
+//!   a reboot, no taint handle exists for them until that user's `Bind`, and
+//!   nobody may read them untainted. A worker cannot tell a withheld
+//!   message from one the kernel dropped.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +40,7 @@ use crate::ast::{SelectCols, Stmt};
 use crate::durable::{worker_table, DurableDb};
 use crate::parser::parse;
 use crate::proto::DbMsg;
+use crate::snapshot::put_row;
 use crate::value::SqlValue;
 
 /// The hidden ownership column the proxy adds to every table.
@@ -60,8 +73,9 @@ struct Binding {
     grant: Handle,
 }
 
-/// One selected row: the hidden owner uid plus the visible cells.
-type OwnedRow = (i64, Vec<SqlValue>);
+/// One owner's share of a result: the hidden owner uid, and that owner's
+/// visible rows in scan order, laid end to end in [`put_row`]'s encoding.
+type OwnerRows = (i64, Vec<u8>);
 
 /// The ok-dbproxy service.
 pub struct DbProxy {
@@ -243,8 +257,8 @@ impl DbProxy {
                 if matches!(parse(&sql), Ok(Stmt::Select { .. })) {
                     if let Ok(result) = self.db.engine_mut().run_with_params(&sql, &params) {
                         sys.charge(result.work * PROXY_ROW_CYCLES);
-                        for row in result.rows {
-                            let _ = sys.send(reply, DbMsg::Row { values: row }.to_value());
+                        if !result.rows.is_empty() {
+                            let _ = sys.send(reply, DbMsg::rows(&result.rows).to_value());
                         }
                     }
                 }
@@ -323,21 +337,26 @@ impl DbProxy {
     ) {
         sys.charge(PROXY_MSG_CYCLES);
         let response = self.run_select(&sql, &params);
-        if let Some((rows, work)) = response {
+        if let Some((groups, work)) = response {
             sys.charge(work * PROXY_ROW_CYCLES);
-            for (owner, values) in rows {
+            for (owner, bytes) in groups {
                 // §7.5: "If a row's user ID column contains u's ID, then
                 // ok-dbproxy returns the row's data contaminated with
                 // uT 3"; declassified rows (id 0) go out untainted. Rows
                 // belonging to other users are tainted with *their*
                 // handles — the kernel drops what the receiver may not
-                // see.
-                let args = match self.uid_taint.get(&owner) {
-                    Some(&t) if owner != 0 => SendArgs::new()
+                // see. Rows of an owner not bound in this boot have no
+                // taint to carry, so nobody may read them.
+                let args = match (owner, self.uid_taint.get(&owner)) {
+                    (0, _) => SendArgs::new(),
+                    (_, Some(&t)) => SendArgs::new()
                         .contaminate(Label::from_pairs(Level::Star, &[(t, Level::L3)])),
-                    _ => SendArgs::new(),
+                    (_, None) => continue,
                 };
-                let _ = sys.send_args(reply, DbMsg::Row { values }.to_value(), &args);
+                let rows = DbMsg::Rows {
+                    bytes: bytes.into(),
+                };
+                let _ = sys.send_args(reply, rows.to_value(), &args);
             }
         }
         // Untainted end-of-results marker (§7.5).
@@ -345,8 +364,9 @@ impl DbProxy {
     }
 
     /// Runs a worker SELECT with the hidden owner column prepended to the
-    /// projection; returns `(owner_uid, visible_cells)` per row plus work.
-    fn run_select(&mut self, sql: &str, params: &[SqlValue]) -> Option<(Vec<OwnedRow>, u64)> {
+    /// projection; returns the rows grouped by owner (see [`OwnerRows`])
+    /// in order of each owner's first row, plus work.
+    fn run_select(&mut self, sql: &str, params: &[SqlValue]) -> Option<(Vec<OwnerRows>, u64)> {
         let stmt = parse(sql).ok()?;
         let Stmt::Select {
             columns,
@@ -376,7 +396,7 @@ impl DbProxy {
         {
             return None;
         }
-        // Prepend user_id to the projection so we can taint per row.
+        // Prepend user_id to the projection so we can group rows by owner.
         let columns = match columns {
             SelectCols::Star => SelectCols::Star,
             SelectCols::Named(mut cs) => {
@@ -396,15 +416,17 @@ impl DbProxy {
                 params,
             )
             .ok()?;
-        let rows = result
-            .rows
-            .into_iter()
-            .map(|mut row| {
-                let owner = row.remove(0).as_int().unwrap_or(0);
-                (owner, row)
-            })
-            .collect();
-        Some((rows, result.work))
+        let mut groups: Vec<OwnerRows> = Vec::new();
+        let mut group_of = BTreeMap::new();
+        for (owner, cells) in result.rows.iter().filter_map(|row| row.split_first()) {
+            let owner = owner.as_int().unwrap_or(0);
+            let at = *group_of.entry(owner).or_insert_with(|| {
+                groups.push((owner, Vec::new()));
+                groups.len() - 1
+            });
+            put_row(&mut groups[at].1, cells);
+        }
+        Some((groups, result.work))
     }
 }
 

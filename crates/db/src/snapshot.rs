@@ -23,8 +23,9 @@
 //! survives everything a row survives. Version 1 buffers, which have no
 //! such section, still restore (to tables without indexes). Nothing may
 //! follow the last table. A `u32` cell count and that many cells is a
-//! *row* ([`put_row`] / [`read_row`]): a redo record's parameters and the
-//! OKWS worker's row buffer.
+//! *row* ([`put_row`] / [`read_row`]): a redo record's parameters, and laid
+//! end to end ([`read_rows`]) a read result and the OKWS worker's row
+//! buffer.
 
 use asbestos_store::codec::{CodecError, Reader};
 
@@ -238,6 +239,25 @@ pub fn read_row(r: &mut Reader<'_>) -> Result<Vec<SqlValue>, SnapshotError> {
         row.push(read_cell(r)?);
     }
     Ok(row)
+}
+
+/// Walks [`put_row`] rows laid end to end — a `DbMsg::Rows` payload or
+/// the OKWS worker's row buffer — yielding each row with the byte range
+/// it was read from. Stops at the end of `bytes` or at the first row that
+/// does not decode; each row reserves only what [`read_row`] allows.
+pub fn read_rows(
+    bytes: &[u8],
+) -> impl Iterator<Item = (Vec<SqlValue>, std::ops::Range<usize>)> + '_ {
+    let mut r = Reader::new(bytes);
+    std::iter::from_fn(move || {
+        let start = r.pos();
+        if start == bytes.len() {
+            return None;
+        }
+        let row = read_row(&mut r).ok()?;
+        Some((row, start..r.pos()))
+    })
+    .fuse()
 }
 
 #[cfg(test)]

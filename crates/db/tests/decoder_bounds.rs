@@ -9,12 +9,14 @@
 
 use asbestos_cluster::wire::{decode_body, forward_port, HEADER_LEN};
 use asbestos_cluster::{encode_frame, WireMsg};
-use asbestos_db::{put_row, read_row, restore, snapshot, Database, DbRecord, SqlValue};
+use asbestos_db::{put_row, read_row, read_rows, restore, snapshot, Database, DbRecord, SqlValue};
 use asbestos_kernel::{Handle, Label, Level, Payload, Value};
 use asbestos_store::codec::Reader;
 use proptest::prelude::*;
 
-fn damaged(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+/// Every damaged copy of `valid`, each with the offset before which it is
+/// intact.
+fn damaged(valid: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
     (0..valid.len()).flat_map(move |at| {
         let (mut flipped, mut maxed) = (valid.to_vec(), valid.to_vec());
         flipped[at] ^= 0xFF;
@@ -26,6 +28,7 @@ fn damaged(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
         ]
         .into_iter()
         .flatten()
+        .map(move |bytes| (at, bytes))
     })
 }
 
@@ -37,6 +40,25 @@ fn arb_row() -> impl Strategy<Value = Vec<SqlValue>> {
         prop::collection::vec(any::<u8>(), 0..8).prop_map(SqlValue::Blob),
     ];
     prop::collection::vec(cell, 0..4)
+}
+
+/// Walks `bytes` as the OKWS worker walks a `Rows` payload. The rows must
+/// tile a prefix of `bytes`, and the walk may stop short of the end only
+/// at a row `read_row` refuses.
+fn walk(bytes: &[u8]) -> Vec<Vec<SqlValue>> {
+    let mut end = 0;
+    let rows = read_rows(bytes)
+        .map(|(row, span)| {
+            assert_eq!(span.start, end, "rows are contiguous");
+            end = span.end;
+            row
+        })
+        .collect();
+    assert!(
+        end == bytes.len() || read_row(&mut Reader::new(&bytes[end..])).is_err(),
+        "the walk stopped at byte {end}, before a good row"
+    );
+    rows
 }
 
 fn arb_label() -> impl Strategy<Value = Label> {
@@ -97,7 +119,7 @@ proptest! {
         }
         let valid = snapshot(&db);
         prop_assert!(restore(&valid).is_ok());
-        damaged(&valid).for_each(|bytes| drop(restore(&bytes)));
+        damaged(&valid).for_each(|(_, bytes)| drop(restore(&bytes)));
     }
 
     #[test]
@@ -109,7 +131,7 @@ proptest! {
         ] {
             let valid = record.to_bytes();
             prop_assert_eq!(DbRecord::from_bytes(&valid), Some(record));
-            damaged(&valid).for_each(|bytes| drop(DbRecord::from_bytes(&bytes)));
+            damaged(&valid).for_each(|(_, bytes)| drop(DbRecord::from_bytes(&bytes)));
         }
     }
 
@@ -118,7 +140,28 @@ proptest! {
         let mut valid = Vec::new();
         put_row(&mut valid, &row);
         prop_assert_eq!(read_row(&mut Reader::new(&valid)), Ok(row));
-        damaged(&valid).for_each(|bytes| drop(read_row(&mut Reader::new(&bytes))));
+        damaged(&valid).for_each(|(_, bytes)| drop(read_row(&mut Reader::new(&bytes))));
+    }
+
+    #[test]
+    fn row_batches_walk_to_the_first_bad_row(
+        rows in prop::collection::vec(arb_row(), 0..4),
+        noise in prop::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let (mut valid, mut ends) = (Vec::new(), Vec::new());
+        for row in &rows {
+            put_row(&mut valid, row);
+            ends.push(valid.len());
+        }
+        prop_assert_eq!(walk(&valid), rows.clone());
+        // Every row that ends before the damage comes back as written.
+        for (at, bytes) in damaged(&valid) {
+            let intact = ends.iter().filter(|&&end| end <= at).count();
+            let got = walk(&bytes);
+            prop_assert!(got.len() >= intact);
+            prop_assert_eq!(&got[..intact], &rows[..intact]);
+        }
+        walk(&noise);
     }
 
     #[test]
@@ -126,7 +169,7 @@ proptest! {
         let mut frame = Vec::new();
         encode_frame(&msg, &mut frame);
         prop_assert_eq!(decode_body(&frame[HEADER_LEN..]), Ok(msg));
-        for bytes in damaged(&frame[HEADER_LEN..]) {
+        for (_, bytes) in damaged(&frame[HEADER_LEN..]) {
             let _ = (decode_body(&bytes), forward_port(&bytes));
         }
     }

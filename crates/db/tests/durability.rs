@@ -330,6 +330,21 @@ fn inject_list(kernel: &mut Kernel, port: Handle, items: Vec<Value>) {
 /// Boots a kernel (at the given epoch) with trusted party, durable proxy
 /// over `dev`, and two workers; binds both users.
 fn boot(seed: u64, epoch: u64, dev: &MemDev) -> (Kernel, MsgLog, MsgLog) {
+    boot_binding(seed, epoch, dev, &["alice", "bob"])
+}
+
+fn bind(kernel: &mut Kernel, user: &str) {
+    let trusted = cmd(kernel, "trusted");
+    let wc = cmd(kernel, &format!("{user}-worker"));
+    inject_list(
+        kernel,
+        trusted,
+        vec!["bind".into(), user.into(), Value::Handle(wc)],
+    );
+}
+
+/// [`boot`], binding only `users`.
+fn boot_binding(seed: u64, epoch: u64, dev: &MemDev, users: &[&str]) -> (Kernel, MsgLog, MsgLog) {
     let mut kernel = Kernel::with_boot_epoch(seed, CostModel::default(), 1, epoch);
     spawn_trusted(&mut kernel);
     kernel.spawn(
@@ -346,13 +361,8 @@ fn boot(seed: u64, epoch: u64, dev: &MemDev) -> (Kernel, MsgLog, MsgLog) {
         trusted,
         vec!["ddl".into(), "CREATE TABLE store (k, v)".into()],
     );
-    for (user, worker) in [("alice", "alice-worker"), ("bob", "bob-worker")] {
-        let wc = cmd(&kernel, worker);
-        inject_list(
-            &mut kernel,
-            trusted,
-            vec!["bind".into(), user.into(), Value::Handle(wc)],
-        );
+    for user in users {
+        bind(&mut kernel, user);
     }
     (kernel, alice_log, bob_log)
 }
@@ -430,12 +440,7 @@ fn stale_pre_reboot_handles_are_rejected_after_recovery() {
     worker_query(&mut k2, "alice-worker", "SELECT v FROM store WHERE k = 'c'");
     assert_eq!(
         *alice_log2.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["red".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["red".into()]]), DbMsg::Done]
     );
     // And she can still write (the uid re-bind is fully functional).
     alice_log2.lock().unwrap().clear();
@@ -475,44 +480,16 @@ fn rebind_order_does_not_matter_after_reboot() {
     drop(k1);
 
     // Boot 2 binds in REVERSE order (bob, then alice).
-    let mut k2 = Kernel::with_boot_epoch(72, CostModel::default(), 1, 2);
-    spawn_trusted(&mut k2);
-    k2.spawn(
-        "ok-dbproxy",
-        Category::Okdb,
-        Box::new(DbProxy::with_store(Box::new(dev.clone()))),
-    );
-    let alice_log2 = spawn_worker(&mut k2, "alice-worker");
-    let bob_log2 = spawn_worker(&mut k2, "bob-worker");
-    k2.run();
-    let trusted = cmd(&k2, "trusted");
-    for (user, worker) in [("bob", "bob-worker"), ("alice", "alice-worker")] {
-        let wc = cmd(&k2, worker);
-        inject_list(
-            &mut k2,
-            trusted,
-            vec!["bind".into(), user.into(), Value::Handle(wc)],
-        );
-    }
+    let (mut k2, alice_log2, bob_log2) = boot_binding(72, 2, &dev, &["bob", "alice"]);
     worker_query(&mut k2, "alice-worker", "SELECT v FROM store WHERE k = 'c'");
     assert_eq!(
         *alice_log2.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["red".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["red".into()]]), DbMsg::Done]
     );
     worker_query(&mut k2, "bob-worker", "SELECT v FROM store WHERE k = 'c'");
     assert_eq!(
         *bob_log2.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["blue".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["blue".into()]]), DbMsg::Done]
     );
 }
 
@@ -541,12 +518,7 @@ fn admin_query_arm_cannot_smuggle_mutations() {
     worker_query(&mut k1, "alice-worker", "SELECT v FROM store WHERE k = 'c'");
     assert_eq!(
         *alice_log.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["red".into()]
-            },
-            DbMsg::Done
-        ],
+        vec![DbMsg::rows(&[vec!["red".into()]]), DbMsg::Done],
         "the smuggled DELETE must not have executed"
     );
     drop(k1);
@@ -555,12 +527,7 @@ fn admin_query_arm_cannot_smuggle_mutations() {
     worker_query(&mut k2, "alice-worker", "SELECT v FROM store WHERE k = 'c'");
     assert_eq!(
         *alice_log2.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["red".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["red".into()]]), DbMsg::Done]
     );
 }
 
@@ -607,11 +574,45 @@ fn recovery_reveals_nothing_about_other_users_rows() {
     );
     assert_eq!(
         with_alice_data,
-        vec![
-            DbMsg::Row {
-                values: vec!["mine".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["mine".into()]]), DbMsg::Done]
     );
+}
+
+#[test]
+fn unbound_owners_rows_are_withheld_after_reboot() {
+    // Regression: after a reboot the proxy holds no taint handle for a
+    // user until that user's `Bind`. Rows of an owner not yet re-bound
+    // used to go out untainted, so any worker's SELECT read them. They are
+    // withheld instead, indistinguishable from rows the kernel dropped.
+    let dev = MemDev::new();
+    let (mut k1, alice_log, _bob) = boot(75, 1, &dev);
+    worker_exec(
+        &mut k1,
+        "alice-worker",
+        "INSERT INTO store VALUES ('a', 'alice-secret')",
+    );
+    assert_eq!(
+        alice_log.lock().unwrap().last(),
+        Some(&DbMsg::ExecR {
+            ok: true,
+            affected: 1
+        })
+    );
+    drop(k1); // crash
+
+    // Boot 2 binds bob only.
+    let (mut k2, alice_log2, bob_log2) = boot_binding(75, 2, &dev, &["bob"]);
+    worker_query(&mut k2, "bob-worker", "SELECT v FROM store");
+    assert_eq!(*bob_log2.lock().unwrap(), vec![DbMsg::Done]);
+
+    // Once alice binds, her row is hers again, and still not bob's.
+    bind(&mut k2, "alice");
+    worker_query(&mut k2, "alice-worker", "SELECT v FROM store");
+    assert_eq!(
+        *alice_log2.lock().unwrap(),
+        vec![DbMsg::rows(&[vec!["alice-secret".into()]]), DbMsg::Done]
+    );
+    bob_log2.lock().unwrap().clear();
+    worker_query(&mut k2, "bob-worker", "SELECT v FROM store");
+    assert_eq!(*bob_log2.lock().unwrap(), vec![DbMsg::Done]);
 }

@@ -1,4 +1,4 @@
-//! ok-dbproxy policy tests: the §7.5 write gate and per-row taint, plus the
+//! ok-dbproxy policy tests: the §7.5 write gate and per-owner taint, plus the
 //! §7.6 decentralized declassification flow, all through real processes.
 
 use std::sync::Arc;
@@ -272,9 +272,7 @@ fn verified_writes_land_with_owner_id() {
     assert_eq!(
         *log,
         vec![
-            DbMsg::Row {
-                values: vec!["color".into(), "red".into()]
-            },
+            DbMsg::rows(&[vec!["color".into(), "red".into()]]),
             DbMsg::Done,
         ]
     );
@@ -373,12 +371,7 @@ fn rows_are_isolated_between_users() {
     );
     assert_eq!(
         *alice_log.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["red".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["red".into()]]), DbMsg::Done]
     );
     assert_eq!(
         kernel.stats().dropped_label_check,
@@ -395,12 +388,7 @@ fn rows_are_isolated_between_users() {
     );
     assert_eq!(
         *bob_log.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["blue".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["blue".into()]]), DbMsg::Done]
     );
 }
 
@@ -440,12 +428,7 @@ fn writes_cannot_touch_other_users_rows() {
     query(&mut kernel, "alice-worker", "SELECT v FROM store");
     assert_eq!(
         *alice_log.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["red".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["red".into()]]), DbMsg::Done]
     );
 }
 
@@ -536,39 +519,62 @@ fn query_stepwise(kernel: &mut Kernel, worker: &str, sql: &str) -> Vec<DeliveryO
     }
 }
 
-#[test]
-fn an_index_narrows_what_is_examined_never_what_is_tainted() {
-    // §7.5: every matching row goes out as its own message tainted with
-    // its owner's handle, and the kernel decides who sees it. Two users
-    // write rows with the same `owner` text; with and without an index on
-    // that column the proxy must send the same Row messages, in the same
-    // order, under the same labels — observed as the kernel's verdict on
-    // each message at each user's door.
-    const GET: &str = "SELECT owner, bio FROM profiles WHERE owner = 'shared'";
-    let run = |ddl: &str| {
-        let (mut kernel, alice_log, bob_log) = setup_with(70, DbProxy::new(), ddl);
-        for round in 0..3 {
-            for (worker, who) in [("alice-worker", "a"), ("bob-worker", "b")] {
-                for owner in ["shared", who] {
-                    let sql = format!("INSERT INTO profiles VALUES ('{owner}', '{who}{round}')");
-                    exec(&mut kernel, worker, &sql);
-                }
+/// Reads every `shared` profile row.
+const GET_SHARED: &str = "SELECT owner, bio FROM profiles WHERE owner = 'shared'";
+
+/// Fills `profiles (owner, bio)` for [`GET_SHARED`]: in each of three
+/// rounds alice, then (when `with_bob`) bob, writes one `shared` row and
+/// one row of their own; then alice renames her round-1 own row to
+/// `shared`. With bob, the matches in scan order are a0 b0 a1 a1 b1 a2 b2.
+fn fill_shared_profiles(kernel: &mut Kernel, with_bob: bool) {
+    let writers: &[_] = match with_bob {
+        true => &[("alice-worker", "a"), ("bob-worker", "b")],
+        false => &[("alice-worker", "a")],
+    };
+    for round in 0..3 {
+        for (worker, who) in writers {
+            for owner in ["shared", who] {
+                let sql = format!("INSERT INTO profiles VALUES ('{owner}', '{who}{round}')");
+                exec(kernel, worker, &sql);
             }
         }
-        // Rewriting the indexed column moves a row between posting lists;
-        // it must keep its place in the result order.
-        exec(
-            &mut kernel,
-            "alice-worker",
-            "UPDATE profiles SET owner = 'shared' WHERE bio = 'a1'",
-        );
+    }
+    // Rewriting the indexed column moves a row between posting lists; it
+    // must keep its place in the result order.
+    exec(
+        kernel,
+        "alice-worker",
+        "UPDATE profiles SET owner = 'shared' WHERE bio = 'a1'",
+    );
+}
+
+/// One `Rows` message holding a `shared` row per bio, in order.
+fn shared_rows(bios: &[&str]) -> DbMsg {
+    let rows: Vec<_> = bios
+        .iter()
+        .map(|&bio| vec!["shared".into(), bio.into()])
+        .collect();
+    DbMsg::rows(&rows)
+}
+
+#[test]
+fn an_index_narrows_what_is_examined_never_what_is_tainted() {
+    // §7.5: each owner's matching rows go out as one message tainted with
+    // that owner's handle, and the kernel decides who sees it. Two users
+    // write rows with the same `owner` text; with and without an index on
+    // that column the proxy must send the same Rows messages, in the same
+    // order, under the same labels — observed as the kernel's verdict on
+    // each message at each user's door.
+    let run = |ddl: &str| {
+        let (mut kernel, alice_log, bob_log) = setup_with(70, DbProxy::new(), ddl);
+        fill_shared_profiles(&mut kernel, true);
         for log in [&alice_log, &bob_log] {
             log.lock().unwrap().clear();
         }
         let before = (kernel.stats(), kernel.now());
         let verdicts = [
-            query_stepwise(&mut kernel, "alice-worker", GET),
-            query_stepwise(&mut kernel, "bob-worker", GET),
+            query_stepwise(&mut kernel, "alice-worker", GET_SHARED),
+            query_stepwise(&mut kernel, "bob-worker", GET_SHARED),
         ];
         let stats = kernel.stats();
         let dropped = stats.dropped_label_check - before.0.dropped_label_check;
@@ -587,18 +593,17 @@ fn an_index_narrows_what_is_examined_never_what_is_tainted() {
     let (probe, _, probe_cycles) =
         run("CREATE TABLE profiles (owner, bio); CREATE INDEX ON profiles (owner)");
 
-    let row = |bio: &str| DbMsg::Row {
-        values: vec!["shared".into(), bio.into()],
-    };
-    // Each worker receives its own rows only, in insertion order — alice's
-    // `a1` row (slot 4) and the one she renamed to `shared` (slot 5) included.
+    // Each worker receives its own rows only, in one message, in insertion
+    // order — alice's `a1` row (slot 4) and the one she renamed to `shared`
+    // (slot 5) included.
     assert_eq!(
         scan.2,
-        vec![row("a0"), row("a1"), row("a1"), row("a2"), DbMsg::Done]
+        vec![shared_rows(&["a0", "a1", "a1", "a2"]), DbMsg::Done]
     );
-    assert_eq!(scan.3, vec![row("b0"), row("b1"), row("b2"), DbMsg::Done]);
-    // Seven rows match: each door drops the other user's.
-    assert_eq!(scan_dropped, 3 + 4);
+    assert_eq!(scan.3, vec![shared_rows(&["b0", "b1", "b2"]), DbMsg::Done]);
+    // Seven rows of two owners match: each door drops the other user's one
+    // message (with a message per row this was 3 + 4).
+    assert_eq!(scan_dropped, 1 + 1);
     assert!(
         probe == scan,
         "same verdict on every message in order, same sent / delivered / \
@@ -608,6 +613,30 @@ fn an_index_narrows_what_is_examined_never_what_is_tainted() {
         probe_cycles < scan_cycles,
         "only the examined-row charge differs: {probe_cycles} vs {scan_cycles}"
     );
+}
+
+#[test]
+fn what_a_worker_receives_does_not_depend_on_other_users_rows() {
+    // Alice's matches interleave with bob's in scan order (a0 b0 a1 a1 b1
+    // a2 b2). Grouped by owner, alice receives the same messages whether
+    // or not bob's rows exist. Grouped by run of consecutive rows she would
+    // get three messages (a0 | a1 a1 | a2) instead of one, and learn that
+    // rows she cannot see sit between hers: this test fails then.
+    let alice_receives = |with_bob: bool| {
+        let (mut kernel, alice_log, _bob) =
+            setup_with(71, DbProxy::new(), "CREATE TABLE profiles (owner, bio)");
+        fill_shared_profiles(&mut kernel, with_bob);
+        alice_log.lock().unwrap().clear();
+        query(&mut kernel, "alice-worker", GET_SHARED);
+        let log = alice_log.lock().unwrap().clone();
+        log
+    };
+    let alone = alice_receives(false);
+    assert_eq!(
+        alone,
+        vec![shared_rows(&["a0", "a1", "a1", "a2"]), DbMsg::Done]
+    );
+    assert_eq!(alice_receives(true), alone);
 }
 
 #[test]
@@ -680,12 +709,7 @@ fn policy_persists_across_reboot() {
     );
     assert_eq!(
         *alice_log2.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["red".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["red".into()]]), DbMsg::Done]
     );
     bob_log2.lock().unwrap().clear();
     query(
@@ -695,12 +719,7 @@ fn policy_persists_across_reboot() {
     );
     assert_eq!(
         *bob_log2.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["blue".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["blue".into()]]), DbMsg::Done]
     );
     drop(alice_log);
 }
@@ -781,12 +800,7 @@ fn declassified_rows_are_public_and_untainted() {
     );
     assert_eq!(
         *bob_log.lock().unwrap(),
-        vec![
-            DbMsg::Row {
-                values: vec!["public bio".into()]
-            },
-            DbMsg::Done
-        ]
+        vec![DbMsg::rows(&[vec!["public bio".into()]]), DbMsg::Done]
     );
     assert_eq!(kernel.stats().dropped_label_check, drops_before);
     // And bob's own label is unchanged by reading public data.

@@ -315,7 +315,7 @@ impl Service for Idd {
         // Login replies from the database land on per-login ports.
         if let Some(pending) = self.pending.get_mut(&msg.port) {
             match DbMsg::from_value(&msg.body) {
-                Some(DbMsg::Row { .. }) => {
+                Some(DbMsg::Rows { .. }) => {
                     pending.password_matched = true;
                 }
                 Some(DbMsg::Done) => {

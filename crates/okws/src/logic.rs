@@ -26,7 +26,8 @@ pub enum Action {
         status: u16,
     },
     /// Run a SELECT through ok-dbproxy; [`WorkerLogic::on_db_rows`] fires
-    /// with the visible rows once the untainted `Done` arrives.
+    /// with the visible rows once the untainted `Done` arrives (the rows
+    /// come in one message per owner the kernel let through).
     DbQuery {
         /// SQL text (`?` placeholders allowed).
         sql: String,

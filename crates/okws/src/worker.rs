@@ -19,10 +19,9 @@
 //! yielding, leaving exactly one private page per cached session; the
 //! Figure 6 "active session" experiment disables the cleanup.
 
-use asbestos_db::{put_row, read_row, DbMsg, SqlValue};
+use asbestos_db::{read_rows, DbMsg, SqlValue};
 use asbestos_kernel::{EpService, Handle, Label, Level, Message, SendArgs, Sys, Value};
 use asbestos_net::{http, parse_request, HttpRequest, NetMsg};
-use asbestos_store::codec::Reader;
 
 use crate::logic::{Action, SessionStore, WorkerLogic};
 use crate::proto::OkwsMsg;
@@ -187,41 +186,49 @@ impl Worker {
     }
 
     // ------------------------------------------------------------------
-    // Row buffer (rows accumulated between DbQuery and Done, each in
-    // `asbestos_db::put_row`'s encoding).
+    // Row buffer: the rows of every `DbMsg::Rows` between DbQuery and
+    // Done, laid end to end in `asbestos_db::put_row`'s encoding from
+    // ROWS_BUF + 16. ROWS_BUF + 8 holds the end offset; the 16-byte header
+    // is the cache hit's (flag, length) one.
     // ------------------------------------------------------------------
 
     fn rows_reset(sys: &mut Sys<'_>) {
-        Self::write_u64(sys, ROWS_BUF, 0); // count
-        Self::write_u64(sys, ROWS_BUF + 8, 16); // write offset
+        Self::write_u64(sys, ROWS_BUF + 8, 16);
     }
 
-    fn rows_append(sys: &mut Sys<'_>, values: &[SqlValue]) {
-        let count = Self::read_u64(sys, ROWS_BUF);
-        let mut off = Self::read_u64(sys, ROWS_BUF + 8);
-        let mut encoded = Vec::new();
-        put_row(&mut encoded, values);
-        if (off as usize + encoded.len()) > SCRATCH_REGION {
-            return; // row buffer full: drop excess rows
+    /// Appends one `Rows` payload: one write when it fits. When it does
+    /// not, each row that still fits is kept, in order, exactly as if the
+    /// rows had arrived one at a time.
+    fn rows_append(sys: &mut Sys<'_>, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
         }
-        sys.mem_write(ROWS_BUF + off, &encoded)
-            .expect("bounds checked above");
-        off += encoded.len() as u64;
-        Self::write_u64(sys, ROWS_BUF, count + 1);
-        Self::write_u64(sys, ROWS_BUF + 8, off);
+        let mut end = Self::read_u64(sys, ROWS_BUF + 8) as usize;
+        if end + bytes.len() <= SCRATCH_REGION {
+            sys.mem_write(ROWS_BUF + end as u64, bytes)
+                .expect("bounds checked above");
+            end += bytes.len();
+        } else {
+            for (_, span) in read_rows(bytes) {
+                if end + span.len() <= SCRATCH_REGION {
+                    sys.mem_write(ROWS_BUF + end as u64, &bytes[span.clone()])
+                        .expect("bounds checked above");
+                    end += span.len();
+                }
+            }
+        }
+        Self::write_u64(sys, ROWS_BUF + 8, end as u64);
     }
 
     fn rows_load(sys: &Sys<'_>) -> Vec<Vec<SqlValue>> {
-        let count = Self::read_u64(sys, ROWS_BUF);
         let end = Self::read_u64(sys, ROWS_BUF + 8);
-        if count == 0 {
+        if end <= 16 {
             return Vec::new();
         }
         let bytes = sys
             .mem_read(ROWS_BUF + 16, (end - 16) as usize)
             .expect("row buffer readable");
-        let mut r = Reader::new(&bytes);
-        (0..count).map_while(|_| read_row(&mut r).ok()).collect()
+        read_rows(&bytes).map(|(row, _)| row).collect()
     }
 
     // ------------------------------------------------------------------
@@ -582,8 +589,8 @@ impl EpService for Worker {
                 };
                 self.run_action(sys, action);
             }
-            (ST_AWAIT_DB_ROWS, _, Some(DbMsg::Row { values })) => {
-                Self::rows_append(sys, &values);
+            (ST_AWAIT_DB_ROWS, _, Some(DbMsg::Rows { bytes })) => {
+                Self::rows_append(sys, &bytes);
             }
             (ST_AWAIT_DB_ROWS, _, Some(DbMsg::Done)) => {
                 let rows = Self::rows_load(sys);

@@ -547,6 +547,44 @@ fn declassifier_publishes_and_workers_read() {
 }
 
 #[test]
+fn a_read_larger_than_the_row_buffer_keeps_each_row_that_fits() {
+    // Alice's rows exceed the worker's 64 KiB row buffer (SCRATCH_REGION
+    // less its 16-byte header, 65,520 bytes). They arrive as one message;
+    // the worker keeps each row that still fits, in order, as it did when
+    // every row was its own message. A row here is 19 bytes plus its bio:
+    // rows 0–16 (3,802-byte bios, as long as ok-demux's 4 KiB peek at the
+    // request allows) fill 64,957 bytes, so the large rows 17 and 19 are
+    // dropped while the small rows 18 and 20 still fit.
+    let mut kernel = Kernel::new(213);
+    let mut config = OkwsConfig::new(80);
+    config
+        .services
+        .push(ServiceSpec::new("profile", || Box::new(Profile)));
+    config.worker_tables.push(Profile::TABLE_DDL.to_string());
+    config.users.push(("alice".into(), "pw-a".into()));
+    let okws = Okws::start(&mut kernel, config);
+    let mut client = OkwsClient::new(&okws);
+
+    let bios: Vec<String> = (0..21)
+        .map(|i| match i {
+            18 | 20 => format!("{i}-small"),
+            _ => format!("{i:02}{}", "x".repeat(3_800)),
+        })
+        .collect();
+    for bio in &bios {
+        let reply = client.request_sync(&mut kernel, "profile", "alice", "pw-a", &[("set", bio)]);
+        assert_eq!(reply, Some((200, b"stored".to_vec())));
+    }
+    let (status, body) = client
+        .request_sync(&mut kernel, "profile", "alice", "pw-a", &[("get", "alice")])
+        .expect("the worker answers");
+    assert_eq!(status, 200);
+    let kept = (0..17).chain([18, 20]);
+    let expect: String = kept.map(|i| format!("alice:{}\n", bios[i])).collect();
+    assert!(body == expect.as_bytes(), "kept the wrong rows");
+}
+
+#[test]
 fn concurrent_connections_to_one_session_serialize() {
     // A session event process serves one request at a time; connections
     // arriving mid-request queue in EP memory and are answered in order.
