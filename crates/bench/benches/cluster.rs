@@ -3,11 +3,12 @@
 //!
 //! Each row is one deployment point of the scenario engine
 //! (`asbestos_loadgen::run_scenario` with `Baseline::kernels` set): front
-//! end on kernel 0, workers on the rest, every request/response crossing the switch as serialized
-//! frames with labels in wire form. Alongside the usual latency and
-//! goodput fields, each row records what the wire saw — frames, bytes,
-//! relayed `Forward`s, and bytes per request — so the serialization cost
-//! of federation is tracked in version control, not just its latency.
+//! end on kernel 0, workers on the rest, every request/response crossing
+//! a link between two kernels as serialized frames with labels in wire
+//! form. Alongside the usual latency and goodput fields, each row records
+//! what the wire saw — frames, bytes, routed `Forward`s, and bytes per
+//! request — so the serialization cost of federation is tracked in
+//! version control, not just its latency.
 //!
 //! Real runs (`cargo bench -p asbestos-bench --bench cluster`) write
 //! `BENCH_cluster.json` at the repo root; `--test` mode (CI smoke) runs
@@ -83,7 +84,7 @@ fn bench_cluster(c: &mut Criterion) {
         if kernels > 1 {
             assert!(
                 r.forwarded as usize >= r.issued,
-                "requests never crossed the switch"
+                "requests never crossed the wire"
             );
             pin_against_committed(
                 "cluster",

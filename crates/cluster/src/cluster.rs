@@ -1,27 +1,29 @@
-//! Cluster assembly: N kernels, N gateways, one switch, one run loop.
+//! Cluster assembly: N kernels, N gateways, one link per pair of kernels,
+//! one run loop.
 //!
 //! [`Cluster::new`] builds `kernels` kernel instances, each with its own
-//! [`Gateway`] connected to a shared [`Switch`] over a real socket
+//! [`Gateway`], and joins every pair of gateways with one real socket
 //! (`UnixStream::pair`, or path-bound sockets under the directory named
-//! by `ASBESTOS_CLUSTER_SOCKET`). Handle uniqueness holds *cluster-wide*
-//! (§5.1 "unique since boot", here since cluster boot): kernel `k` of
-//! `N` takes cipher-lane slot `k`, so shard `i` of kernel `k` draws
-//! handles from lane `k·S + i` of `N·S` — no two kernels can ever mint
-//! the same handle, which is what makes a serialized handle meaningful
-//! on arrival, and what lets the switch compute the kernel a handle
-//! belongs to from its value.
+//! by `ASBESTOS_CLUSTER_SOCKET`): one link at two kernels, three at
+//! three. Handle uniqueness holds *cluster-wide* (§5.1 "unique since
+//! boot", here since cluster boot): kernel `k` of `N` takes cipher-lane
+//! slot `k`, so shard `i` of kernel `k` draws handles from lane `k·S + i`
+//! of `N·S` — no two kernels can ever mint the same handle, which is what
+//! makes a serialized handle meaningful on arrival, and what lets the
+//! [`Switch`] compute the kernel a handle belongs to from its value.
 //!
 //! [`Cluster::run`] is the federation scheduler: it alternates kernel
-//! execution with gateway and switch pumping until the whole system —
-//! every kernel idle, every socket drained, every buffer flushed — is
-//! quiescent. [`deploy_okws`] places OKWS across the cluster: front end
-//! (netd, demux, launcher, idd, dbproxy) on kernel 0, worker base
-//! processes round-robin across kernels 1..N, activation and request
-//! traffic flowing through the gateways.
+//! execution with gateway pumping until the whole system — every kernel
+//! idle, every socket drained, every buffer flushed — is quiescent.
+//! [`deploy_okws`] places OKWS across the cluster: front end (netd,
+//! demux, launcher, idd, dbproxy) on kernel 0, worker base processes
+//! round-robin across kernels 1..N, activation and request traffic
+//! flowing through the gateways.
 
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use asbestos_kernel::{Category, CostModel, Kernel, Stats};
 use asbestos_okws::{Okws, OkwsConfig};
@@ -34,11 +36,11 @@ use crate::switch::Switch;
 pub struct ClusterNode {
     /// The kernel instance.
     pub kernel: Kernel,
-    /// Its connection to the switch.
+    /// Its links to the other kernels.
     pub gateway: Gateway,
 }
 
-/// A federation of kernels behind one switch.
+/// A federation of kernels, every pair joined by one link.
 pub struct Cluster {
     /// The member kernels, indexed by kernel id.
     pub nodes: Vec<ClusterNode>,
@@ -54,35 +56,36 @@ impl Cluster {
     /// Panics if `kernels` is zero or socket setup fails.
     pub fn new(seed: u64, kernels: usize, shards: usize) -> Cluster {
         assert!(kernels >= 1, "a cluster needs at least one kernel");
-        assert!(kernels <= u16::MAX as usize, "kernel ids are u16");
-        let mut nodes = Vec::with_capacity(kernels);
-        let mut switch_conns = Vec::with_capacity(kernels);
-        for k in 0..kernels {
-            let (gw_end, sw_end) = socket_pair(k).expect("cluster socket setup");
-            let kernel =
-                Kernel::with_cluster_slot(seed, CostModel::default(), shards, 0, k, kernels);
-            let gateway = Gateway::new(
-                k as u16,
-                kernels as u16,
-                FrameConn::new(gw_end).expect("gateway socket"),
-            );
-            switch_conns.push(FrameConn::new(sw_end).expect("switch socket"));
-            nodes.push(ClusterNode { kernel, gateway });
+        let mut links: Vec<Vec<Option<FrameConn>>> = (0..kernels)
+            .map(|_| (0..kernels).map(|_| None).collect())
+            .collect();
+        let pairs = (0..kernels).flat_map(|a| (a + 1..kernels).map(move |b| (a, b)));
+        for (a, b) in pairs {
+            let (a_end, b_end) = socket_pair().expect("cluster socket setup");
+            links[a][b] = Some(FrameConn::new(a_end).expect("link socket"));
+            links[b][a] = Some(FrameConn::new(b_end).expect("link socket"));
         }
+        let cost = CostModel::default;
+        let nodes = (links.into_iter().enumerate())
+            .map(|(k, links)| ClusterNode {
+                kernel: Kernel::with_cluster_slot(seed, cost(), shards, 0, k, kernels),
+                gateway: Gateway::new(k, links),
+            })
+            .collect();
         Cluster {
             nodes,
-            switch: Switch::new(switch_conns, seed, shards),
+            switch: Switch::new(seed, shards, kernels),
         }
     }
 
-    /// The switch (its relay counter), read-only.
+    /// The switch (its routing counter), read-only.
     pub fn switch(&self) -> &Switch {
         &self.switch
     }
 
     /// Runs the federation to quiescence: every kernel drained, every
-    /// gateway and switch buffer empty. Returns total progress units
-    /// (kernel steps + frames + bytes moved).
+    /// link's buffers empty. Returns total progress units (kernel steps +
+    /// frames + bytes moved).
     ///
     /// Each spin runs every kernel, then [`Cluster::pump_wire`]. A
     /// gateway's `pump_out` reads only its own kernel, so draining all
@@ -120,23 +123,19 @@ impl Cluster {
         progress + self.pump_wire()
     }
 
-    /// One pump round over every gateway and the switch, without
-    /// running any kernel: egress drained onto the wire, the switch
-    /// relays, inbound frames injected. Returns progress units (frames
-    /// handled + bytes flushed).
+    /// One pump round over every gateway, without running any kernel:
+    /// egress drained onto the links, then inbound frames injected.
+    /// Returns progress units (messages handled + bytes flushed). A bad
+    /// frame or a failed socket closes one link, never the federation.
     pub fn pump_wire(&mut self) -> u64 {
         let mut progress = 0u64;
         for node in &mut self.nodes {
-            progress += node.gateway.pump_out(&mut node.kernel);
-            progress += node.gateway.flush().expect("gateway wire") as u64;
+            progress += node.gateway.pump_out(&mut node.kernel, &mut self.switch);
+            progress += node.gateway.flush();
         }
-        progress += self.switch.pump().expect("switch wire");
         for node in &mut self.nodes {
-            progress += node
-                .gateway
-                .pump_in(&mut node.kernel)
-                .expect("gateway wire");
-            progress += node.gateway.flush().expect("gateway wire") as u64;
+            progress += node.gateway.pump_in(&mut node.kernel);
+            progress += node.gateway.flush();
         }
         progress
     }
@@ -164,7 +163,7 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    /// Summed wire traffic across every gateway connection.
+    /// Summed wire traffic across every gateway's open links.
     pub fn wire_stats(&self) -> ConnStats {
         self.nodes.iter().map(|n| n.gateway.wire_stats()).sum()
     }
@@ -179,7 +178,7 @@ impl Cluster {
 /// wire: workers boot first and publish their ports into the global
 /// environment (replicated by the gateways); then the launcher on kernel
 /// 0 provisions verification handles and activates each worker through a
-/// `Forward` the switch relays to the kernel that minted its port — the
+/// `Forward` sent straight to the kernel that minted its port — the
 /// activation grant (`wv` at `⋆`) travels in the `Forward`'s labels and
 /// takes effect at *delivery* on the worker's kernel, so the §7.1 trust
 /// chain is preserved end to end.
@@ -209,23 +208,25 @@ pub fn deploy_okws(cluster: &mut Cluster, mut config: OkwsConfig) -> Okws {
 /// path, and the one environment variable library code reads.
 const CLUSTER_SOCKET_ENV: &str = "ASBESTOS_CLUSTER_SOCKET";
 
-/// Creates one kernel↔switch socket pair. With [`CLUSTER_SOCKET_ENV`]
-/// set to a directory, the pair is a real path-bound `UnixListener`
-/// accept/connect (two OS sockets with filesystem names); otherwise an
-/// anonymous `UnixStream::pair`. The wire traffic is identical.
-fn socket_pair(kernel: usize) -> io::Result<(UnixStream, UnixStream)> {
+/// Creates the socket pair for one link. With [`CLUSTER_SOCKET_ENV`] set
+/// to a directory, the pair is a real path-bound `UnixListener`
+/// accept/connect (two OS sockets with filesystem names, numbered so that
+/// clusters built side by side in one process never share a path);
+/// otherwise an anonymous `UnixStream::pair`. The wire traffic is
+/// identical.
+fn socket_pair() -> io::Result<(UnixStream, UnixStream)> {
+    static LINKS: AtomicUsize = AtomicUsize::new(0);
     match std::env::var(CLUSTER_SOCKET_ENV) {
         Ok(dir) if !dir.trim().is_empty() => {
-            let path = Path::new(dir.trim()).join(format!(
-                "asbestos-switch-{}-{kernel}.sock",
-                std::process::id()
-            ));
+            let n = LINKS.fetch_add(1, Ordering::Relaxed);
+            let path = Path::new(dir.trim())
+                .join(format!("asbestos-link-{}-{n}.sock", std::process::id()));
             let _ = std::fs::remove_file(&path);
             let listener = UnixListener::bind(&path)?;
-            let gw = UnixStream::connect(&path)?;
-            let (sw, _) = listener.accept()?;
+            let near = UnixStream::connect(&path)?;
+            let (far, _) = listener.accept()?;
             let _ = std::fs::remove_file(&path);
-            Ok((gw, sw))
+            Ok((near, far))
         }
         _ => UnixStream::pair(),
     }

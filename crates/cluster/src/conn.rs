@@ -1,4 +1,4 @@
-//! A framed, nonblocking connection between a kernel and the switch.
+//! A framed, nonblocking link between two kernels' gateways.
 //!
 //! [`FrameConn`] wraps a nonblocking `UnixStream` with the length-prefixed
 //! CRC framing of [`crate::wire`]: `send` serializes into an outbound
@@ -7,11 +7,6 @@
 //! Partial reads and partial writes are both normal — the cluster's run
 //! loop keeps calling until no side makes progress — so nothing here ever
 //! blocks and nothing is lost when a buffer fills mid-frame.
-//!
-//! The switch uses the same buffers undecoded: it borrows the inbound
-//! bytes (`take_inbound` / `restore_inbound`), checks each frame once, and
-//! queues the `Forward`s among them on another connection as the bytes
-//! they arrived as (`send_frame`) — see [`crate::switch`].
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -44,7 +39,7 @@ impl std::iter::Sum for ConnStats {
     }
 }
 
-/// One end of a kernel ↔ switch link.
+/// One end of a link between two kernels.
 pub struct FrameConn {
     stream: UnixStream,
     inbuf: Vec<u8>,
@@ -99,21 +94,34 @@ impl FrameConn {
         Ok(moved)
     }
 
-    /// Reads everything available and returns the complete frames.
+    /// Reads everything available and returns the complete frames, in
+    /// order.
     ///
-    /// Wire corruption (bad magic, CRC failure, malformed body) surfaces
-    /// as `InvalidData`: framing errors are not recoverable mid-stream.
+    /// Wire corruption (bad magic, CRC failure, malformed body) is not
+    /// recoverable mid-stream. The frames before a bad one are returned;
+    /// the bad one stays at the front of the buffer, so this call — or the
+    /// next, when frames came before it — returns `InvalidData`, and so
+    /// does every call after that.
     pub fn pump(&mut self) -> io::Result<Vec<WireMsg>> {
         self.fill()?;
         let mut msgs = Vec::new();
         let mut used = 0;
-        while let Some((msg, n)) = decode_frame(&self.inbuf[used..])? {
-            msgs.push(msg);
-            used += n;
-            self.stats.frames_in += 1;
-        }
+        let bad = loop {
+            match decode_frame(&self.inbuf[used..]) {
+                Ok(Some((msg, n))) => {
+                    msgs.push(msg);
+                    used += n;
+                }
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
         self.inbuf.drain(..used);
-        Ok(msgs)
+        self.stats.frames_in += msgs.len() as u64;
+        match bad {
+            Some(e) if msgs.is_empty() => Err(e.into()),
+            _ => Ok(msgs),
+        }
     }
 
     /// Drains the socket into the inbound buffer.
@@ -134,37 +142,6 @@ impl FrameConn {
         }
     }
 
-    /// [`pump`]'s raw form, for the switch: reads everything available
-    /// and lends the inbound bytes out *by value*, so the caller can walk
-    /// the frames in them while appending to any connection's outbound
-    /// buffer — this one's included. Pair with [`restore_inbound`].
-    ///
-    /// [`pump`]: FrameConn::pump
-    /// [`restore_inbound`]: FrameConn::restore_inbound
-    pub(crate) fn take_inbound(&mut self) -> io::Result<Vec<u8>> {
-        self.fill()?;
-        Ok(std::mem::take(&mut self.inbuf))
-    }
-
-    /// Takes back what [`take_inbound`] lent, less the `used` bytes of the
-    /// `frames` complete frames the caller consumed from its front.
-    ///
-    /// [`take_inbound`]: FrameConn::take_inbound
-    pub(crate) fn restore_inbound(&mut self, mut inbound: Vec<u8>, used: usize, frames: u64) {
-        inbound.drain(..used);
-        self.inbuf = inbound;
-        self.stats.frames_in += frames;
-    }
-
-    /// Queues one complete frame — header, CRC and body as some peer
-    /// wrote them and [`check_frame`] accepted them — verbatim.
-    ///
-    /// [`check_frame`]: crate::wire::check_frame
-    pub(crate) fn send_frame(&mut self, frame: &[u8]) {
-        self.outbuf.extend_from_slice(frame);
-        self.stats.frames_out += 1;
-    }
-
     /// This connection's traffic counters.
     pub fn stats(&self) -> ConnStats {
         self.stats
@@ -174,17 +151,19 @@ impl FrameConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asbestos_kernel::Value;
 
     #[test]
     fn send_pump_roundtrip_over_a_socketpair() {
         let (a, b) = UnixStream::pair().unwrap();
         let mut tx = FrameConn::new(a).unwrap();
         let mut rx = FrameConn::new(b).unwrap();
-        for kernel in 0..100u16 {
-            tx.send(&WireMsg::Hello {
-                kernel,
-                kernels: 100,
-            });
+        let env = |n: u64| WireMsg::EnvSet {
+            key: "n".into(),
+            value: Value::U64(n),
+        };
+        for n in 0..100 {
+            tx.send(&env(n));
         }
         let mut got = Vec::new();
         // Flush and pump until quiescent: socket buffers are finite, so a
@@ -199,13 +178,7 @@ mod tests {
             }
         }
         assert_eq!(got.len(), 100);
-        assert_eq!(
-            got[99],
-            WireMsg::Hello {
-                kernel: 99,
-                kernels: 100
-            }
-        );
+        assert_eq!(got[99], env(99));
         assert_eq!(tx.stats().frames_out, 100);
         assert_eq!(rx.stats().frames_in, 100);
         assert_eq!(tx.stats().bytes_out, rx.stats().bytes_in);

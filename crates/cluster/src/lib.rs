@@ -15,20 +15,20 @@
 //!   ([`WireError::NonCanonical`]); payload bytes are zero-copy views of
 //!   the received frame.
 //! * [`conn`] — [`conn::FrameConn`], a nonblocking framed
-//!   `UnixStream` (partial reads/writes are normal, nothing blocks).
-//! * [`switch`] — the hub: a `Forward` relay with no directory. It routes
-//!   by port handle only, to the kernel whose cipher lanes minted it: a
-//!   `Forward` is checksummed once, validated field by field without
-//!   building a label, and relayed as the very bytes it arrived as. A
-//!   malformed frame kills the *sender's* connection.
-//! * [`gateway`] — each kernel's ambassador: replicates the global
-//!   environment, drains the kernel's remote egress (every send to a
-//!   handle it did not mint) outward, and injects arriving `Forward`s
-//!   inward, where the
-//!   ordinary delivery path re-runs the Figure 4 check against the
-//!   *destination* kernel's state. A verdict is derived only from
-//!   destination-side state — the same isolation rule the sharded
-//!   kernel enforces, stretched across the wire.
+//!   `UnixStream` (partial reads/writes are normal, nothing blocks): one
+//!   link between two kernels.
+//! * [`switch`] — the routing function, with no directory and no
+//!   connection: a `Forward` goes to the kernel whose cipher lanes minted
+//!   its port, computed from the port's value.
+//! * [`gateway`] — each kernel's ambassador: replicates the kernel's
+//!   global-environment writes to every peer, writes each message of the
+//!   kernel's remote egress (every send to a handle it did not mint) on
+//!   the link to its port's home, and injects arriving `Forward`s inward,
+//!   where the ordinary delivery path re-runs the Figure 4 check against
+//!   the *destination* kernel's state. A verdict is derived only from
+//!   destination-side state — the same isolation rule the sharded kernel
+//!   enforces, stretched across the wire. A malformed frame closes the
+//!   one link that carried it.
 //! * [`cluster`] — [`Cluster`]: construction (disjoint handle-cipher
 //!   lanes per kernel keep §5.1 uniqueness cluster-wide), the
 //!   run-to-quiescence federation scheduler, and [`deploy_okws`] for

@@ -12,16 +12,12 @@
 //! a future v2 can change the body layout freely — same discipline as
 //! the snapshot codec's header.
 //!
-//! **One CRC pass per hop.** Decoding is two steps: [`check_frame`] frames
-//! the bytes (header, length, checksum — the only pass over every byte)
-//! and [`decode_body`] interprets them; [`decode_frame`] is the two in
-//! sequence. The switch makes the first step once per frame and then, for
-//! a `Forward`, calls [`forward_port`] instead of the second: the same
-//! walk over the same field checks, building nothing, after which it
-//! relays the frame's original bytes. A frame is therefore checksummed
-//! three times between two kernels — written by the source gateway,
-//! verified by the switch, verified by the destination gateway — and
-//! never re-encoded on the way.
+//! **One hop, one check.** A frame travels on the link from the kernel
+//! that sent it to the kernel it is for, so it is checksummed twice —
+//! written by the source gateway, verified by the destination gateway's
+//! [`decode_frame`] — and nothing reads it in between. [`decode_frame`]
+//! checks the header, the length and the CRC (the only pass over every
+//! byte) before [`decode_body`] interprets any field.
 //!
 //! **Labels travel in their §5.6 shape and in one form only.** A label is
 //! its default level's bits, an entry count, and its explicit entries as
@@ -156,16 +152,14 @@ impl From<WireError> for std::io::Error {
 
 /// A federation message.
 ///
-/// `Hello` opens a connection; `EnvSet` replicates the global environment
-/// (§4's bootstrap namespace) across kernels; `Forward` carries one
-/// cross-kernel message — the sender's effective send label `E_S` and the
-/// `SEND` arguments, exactly what the destination kernel needs to re-run
-/// the Figure 4 check against *its own* state. No message says where a
-/// port lives: its value does (see [`crate::switch`]).
+/// `EnvSet` replicates the global environment (§4's bootstrap namespace)
+/// across kernels; `Forward` carries one cross-kernel message — the
+/// sender's effective send label `E_S` and the `SEND` arguments, exactly
+/// what the destination kernel needs to re-run the Figure 4 check against
+/// *its own* state. No message says where a port lives: its value does
+/// (see [`crate::switch`]).
 #[derive(Clone, PartialEq, Debug)]
 pub enum WireMsg {
-    /// Connection preamble: "I am kernel `kernel` of `kernels`".
-    Hello { kernel: u16, kernels: u16 },
     /// Replicate one global-environment binding.
     EnvSet { key: String, value: Value },
     /// One cross-kernel message: deliver `body` to `port` under these labels.
@@ -184,10 +178,9 @@ pub enum WireMsg {
     },
 }
 
-const TAG_HELLO: u8 = 0;
-// Tags 1–4 and 7 are retired — a port directory's four messages, and a
-// `Bye` that nothing sent: they decode as `BadTag`, and a new message must
-// not reuse them.
+// Tags 0–4 and 7 are retired — a `Hello` that nothing read, a port
+// directory's four messages, and a `Bye` that nothing sent: they decode as
+// `BadTag`, and a new message must not reuse them.
 const TAG_ENV_SET: u8 = 5;
 const TAG_FORWARD: u8 = 6;
 
@@ -218,11 +211,6 @@ pub fn encode_frame(msg: &WireMsg, out: &mut Vec<u8>) {
 
 fn encode_body(msg: &WireMsg, out: &mut Vec<u8>) {
     match msg {
-        WireMsg::Hello { kernel, kernels } => {
-            out.push(TAG_HELLO);
-            out.extend_from_slice(&kernel.to_le_bytes());
-            out.extend_from_slice(&kernels.to_le_bytes());
-        }
         WireMsg::EnvSet { key, value } => {
             out.push(TAG_ENV_SET);
             encode_str(key, out);
@@ -302,15 +290,14 @@ fn encode_value(value: &Value, out: &mut Vec<u8>) {
 
 // ---------------------------------------------------------------- decode
 
-/// Frames the bytes at the front of `buf`: checks the header and the CRC
-/// — the one pass a hop makes over a frame's bytes before it believes
-/// any of them — and hands back the body, interpreting none of it.
+/// Tries to decode one frame from the front of `buf`. The header and
+/// the CRC are checked before any field of the body is read.
 ///
-/// * `Ok(Some(body))` — a complete, checksummed frame: `buf[..HEADER_LEN +
-///   body.len()]`.
+/// * `Ok(Some((msg, consumed)))` — a complete frame; the caller should
+///   drop the first `consumed` bytes.
 /// * `Ok(None)` — `buf` holds a valid prefix of a frame; read more.
 /// * `Err(_)` — the bytes are corrupt and the connection should die.
-pub fn check_frame(buf: &[u8]) -> Result<Option<&[u8]>, WireError> {
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(WireMsg, usize)>, WireError> {
     if buf.len() < HEADER_LEN {
         if !MAGIC.starts_with(&buf[..buf.len().min(4)]) {
             return Err(WireError::BadMagic);
@@ -334,31 +321,14 @@ pub fn check_frame(buf: &[u8]) -> Result<Option<&[u8]>, WireError> {
     if crc32(body) != crc_want {
         return Err(WireError::BadCrc);
     }
-    Ok(Some(body))
+    Ok(Some((decode_body(body)?, HEADER_LEN + body_len)))
 }
 
-/// Tries to decode one frame from the front of `buf`.
-///
-/// * `Ok(Some((msg, consumed)))` — a complete frame; the caller should
-///   drop the first `consumed` bytes.
-/// * `Ok(None)` — `buf` holds a valid prefix of a frame; read more.
-/// * `Err(_)` — the bytes are corrupt and the connection should die.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(WireMsg, usize)>, WireError> {
-    let Some(body) = check_frame(buf)? else {
-        return Ok(None);
-    };
-    Ok(Some((decode_body(body)?, HEADER_LEN + body.len())))
-}
-
-/// Decodes the body of a frame [`check_frame`] accepted.
+/// Decodes the body of a frame whose header and CRC checked out.
 pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
     let mut r = Reader::new(body);
     let tag = r.bytes.u8()?;
     let msg = match tag {
-        TAG_HELLO => WireMsg::Hello {
-            kernel: r.bytes.u16()?,
-            kernels: r.bytes.u16()?,
-        },
         TAG_ENV_SET => WireMsg::EnvSet {
             key: r.bytes.str()?.to_owned(),
             value: r.value(0)?,
@@ -377,37 +347,14 @@ pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
     Ok(msg)
 }
 
-/// The relay's view of a body: if it is a `Forward`, walks it exactly as
-/// [`decode_body`] would — every check, in the same order, through the
-/// same `Reader` methods — but builds no `Label`, `Value` or `Vec`, and
-/// returns the destination port. `Ok(None)` is any other tag, unwalked.
-///
-/// `forward_port(b)` is `Ok(Some(port))` iff `decode_body(b)` is
-/// `Ok(WireMsg::Forward { port, .. })`, and is `Err(e)` iff `decode_body`
-/// of a `Forward`-tagged body is `Err(e)` (`tests/wire_proptests.rs`).
-pub fn forward_port(body: &[u8]) -> Result<Option<Handle>, WireError> {
-    let mut r = Reader::new(body);
-    if r.bytes.u8()? != TAG_FORWARD {
-        return Ok(None);
-    }
-    let port = r.handle()?;
-    for _ in 0..4 {
-        r.label_run()?;
-    }
-    r.skip_value(0)?;
-    r.bytes.finish()?;
-    Ok(Some(port))
-}
-
 /// A cursor over one frame body: the store's bounded [`codec::Reader`]
 /// plus the wire's own fields. Every accept/reject decision of the codec
-/// is one of their methods; [`decode_body`] and [`forward_port`] differ
-/// only in whether they build what the checked bytes describe.
+/// is one of their methods.
 struct Reader<'a> {
     bytes: codec::Reader<'a>,
     body: &'a [u8],
     /// The body, pinned for `Value::Bytes` views; made on first use, so a
-    /// walk that builds nothing never copies it.
+    /// message without one never copies it.
     pin: Option<Arc<[u8]>>,
 }
 
@@ -435,9 +382,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Checks one label's packed run in place — valid level bits, handles
-    /// strictly ascending, no entry at the default — and hands back the
-    /// default and the run's bytes.
-    fn label_run(&mut self) -> Result<(Level, &'a [u8]), WireError> {
+    /// strictly ascending, no entry at the default — then builds the label
+    /// straight from it.
+    fn label(&mut self) -> Result<Label, WireError> {
         let bits = self.bytes.u8()?;
         let default = Level::from_bits(bits.into()).ok_or(WireError::BadLevel)?;
         // `from_bits` reads the low three bits; the byte is only those.
@@ -457,24 +404,15 @@ impl<'a> Reader<'a> {
             }
             prev = Some(handle);
         }
-        Ok((default, run))
-    }
-
-    fn label(&mut self) -> Result<Label, WireError> {
-        let (default, run) = self.label_run()?;
         Label::from_packed_ascending(default, packed_words(run)).ok_or(WireError::NonCanonical)
     }
 
-    /// The tag of the value at the cursor, `depth` lists down.
-    fn value_tag(&mut self, depth: u32) -> Result<u8, WireError> {
+    /// The value at the cursor, `depth` lists down.
+    fn value(&mut self, depth: u32) -> Result<Value, WireError> {
         if depth > MAX_VALUE_DEPTH {
             return Err(WireError::TooDeep);
         }
-        Ok(self.bytes.u8()?)
-    }
-
-    fn value(&mut self, depth: u32) -> Result<Value, WireError> {
-        Ok(match self.value_tag(depth)? {
+        Ok(match self.bytes.u8()? {
             VTAG_UNIT => Value::Unit,
             VTAG_BOOL => Value::Bool(self.bool()?),
             VTAG_U64 => Value::U64(self.bytes.u64()?),
@@ -501,35 +439,6 @@ impl<'a> Reader<'a> {
             }
             t => return Err(WireError::BadValueTag(t)),
         })
-    }
-
-    /// [`Reader::value`] without the `Value`.
-    fn skip_value(&mut self, depth: u32) -> Result<(), WireError> {
-        match self.value_tag(depth)? {
-            VTAG_UNIT => {}
-            VTAG_BOOL => {
-                self.bool()?;
-            }
-            VTAG_U64 => {
-                self.bytes.u64()?;
-            }
-            VTAG_BYTES => {
-                self.bytes.blob()?;
-            }
-            VTAG_STR => {
-                self.bytes.str()?;
-            }
-            VTAG_HANDLE => {
-                self.handle()?;
-            }
-            VTAG_LIST => {
-                for _ in 0..self.bytes.count(1)? {
-                    self.skip_value(depth + 1)?;
-                }
-            }
-            t => return Err(WireError::BadValueTag(t)),
-        }
-        Ok(())
     }
 }
 
@@ -578,22 +487,6 @@ pub(crate) mod fixtures {
         body.push(VTAG_UNIT);
         body
     }
-
-    /// A `Forward` to `port` under a 780-entry `E_S` — demux's send label on
-    /// `fed-k2`, 13 chunks.
-    pub(crate) fn big_forward(port: Handle) -> WireMsg {
-        let pairs: Vec<(Handle, Level)> = (0..780)
-            .map(|i| (Handle::from_raw(i * 5 + 2), Level::Star))
-            .collect();
-        WireMsg::Forward {
-            port,
-            es: Label::from_pairs(Level::L1, &pairs),
-            ds: Label::top(),
-            dr: Label::bottom(),
-            v: Label::top(),
-            body: Value::List(vec![Value::Str("read".into()), Value::U64(7)]),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -621,10 +514,6 @@ mod tests {
             ],
         );
         let msgs = [
-            WireMsg::Hello {
-                kernel: 1,
-                kernels: 4,
-            },
             WireMsg::EnvSet {
                 key: "okws.worker.ws.port".into(),
                 value: Value::Handle(Handle::from_raw(9)),
@@ -726,26 +615,15 @@ mod tests {
         raw_forward_body(run, Level::L3.to_bits() as u8)
     }
 
-    /// Both walks over one CRC-valid body: the decoder's verdict, after
-    /// checking that the relay's is the same.
-    fn decode_checked_by_both(body: &[u8]) -> Result<WireMsg, WireError> {
-        let decoded = decode_frame(&frame_around(body)).map(|f| f.expect("complete frame").0);
-        // The switch walks `Forward`s itself and hands every other tag to
-        // the decoder, unwalked.
-        let relay_should = match (&decoded, body.first()) {
-            (Ok(WireMsg::Forward { port, .. }), _) => Ok(Some(*port)),
-            (Err(e), Some(&TAG_FORWARD) | None) => Err(*e),
-            _ => Ok(None),
-        };
-        assert_eq!(forward_port(body), relay_should);
-        decoded
+    /// The decoder's verdict on one CRC-valid body.
+    fn decode_checked(body: &[u8]) -> Result<WireMsg, WireError> {
+        decode_frame(&frame_around(body)).map(|f| f.expect("complete frame").0)
     }
 
     #[test]
     fn a_canonical_hand_assembled_run_decodes() {
         let run = [pack(3, Level::Star), pack(9, Level::L3)];
-        let Ok(WireMsg::Forward { es, .. }) = decode_checked_by_both(&forward_with_es_run(&run))
-        else {
+        let Ok(WireMsg::Forward { es, .. }) = decode_checked(&forward_with_es_run(&run)) else {
             panic!("canonical run refused")
         };
         assert_eq!(
@@ -775,7 +653,7 @@ mod tests {
         ];
         for (what, run) in &runs {
             assert_eq!(
-                decode_checked_by_both(&forward_with_es_run(run)),
+                decode_checked(&forward_with_es_run(run)),
                 Err(WireError::NonCanonical),
                 "{what}"
             );
@@ -787,7 +665,7 @@ mod tests {
         for bits in 5..8u64 {
             let run = [pack(3, Level::Star), 9 << 3 | bits];
             assert_eq!(
-                decode_checked_by_both(&forward_with_es_run(&run)),
+                decode_checked(&forward_with_es_run(&run)),
                 Err(WireError::BadLevel),
                 "entry level bits {bits}"
             );
@@ -795,7 +673,7 @@ mod tests {
             let mut body = forward_with_es_run(&[]);
             body[9] = bits as u8;
             assert_eq!(
-                decode_checked_by_both(&body),
+                decode_checked(&body),
                 Err(WireError::BadLevel),
                 "default level bits {bits}"
             );
@@ -808,7 +686,7 @@ mod tests {
     fn a_label_default_byte_is_only_its_level_bits() {
         let mut body = forward_with_es_run(&[]);
         body[9] = 0x68 | Level::L1.to_bits() as u8;
-        assert_eq!(decode_checked_by_both(&body), Err(WireError::NonCanonical));
+        assert_eq!(decode_checked(&body), Err(WireError::NonCanonical));
     }
 
     #[test]
@@ -816,17 +694,17 @@ mod tests {
         let mut body = vec![TAG_ENV_SET];
         encode_str("k", &mut body);
         body.extend_from_slice(&[VTAG_BOOL, 2]);
-        assert_eq!(decode_checked_by_both(&body), Err(WireError::NonCanonical));
+        assert_eq!(decode_checked(&body), Err(WireError::NonCanonical));
     }
 
-    /// What a retired message's body looked like — a tag, then a port —
-    /// is an unknown tag, to the decoder and the relay alike.
+    /// What a retired message's body looked like — a tag, then a port or
+    /// two kernel ids — is an unknown tag.
     #[test]
     fn retired_tags_are_unknown() {
-        for tag in [1, 2, 3, 4, 7] {
+        for tag in [0, 1, 2, 3, 4, 7] {
             let mut body = vec![tag];
             body.extend_from_slice(&42u64.to_le_bytes());
-            assert_eq!(decode_checked_by_both(&body), Err(WireError::BadTag(tag)));
+            assert_eq!(decode_checked(&body), Err(WireError::BadTag(tag)));
         }
     }
 
@@ -876,10 +754,7 @@ mod tests {
         let rest = (4 << 20) - body.len() - 4;
         body.extend_from_slice(&(rest as u32).to_le_bytes());
         body.resize(4 << 20, 0xFF);
-        assert_eq!(
-            decode_checked_by_both(&body),
-            Err(WireError::BadValueTag(0xFF))
-        );
+        assert_eq!(decode_checked(&body), Err(WireError::BadValueTag(0xFF)));
     }
 
     /// One `Forward` frame exactly as the codec wrote it when `crc32` was
@@ -924,9 +799,5 @@ mod tests {
         let mut again = Vec::new();
         encode_frame(&msg, &mut again);
         assert_eq!(again, frozen);
-        assert_eq!(
-            forward_port(&frozen[HEADER_LEN..]),
-            Ok(Some(Handle::from_raw(0x2000)))
-        );
     }
 }

@@ -272,7 +272,7 @@ fn one_kernel_federation_matches_the_plain_engine() {
             "{shards} shards: kernel counters"
         );
         assert_eq!(cluster.elapsed_cycles(), kernel.elapsed_cycles());
-        // Nothing to federate: the switch relayed no cross-kernel traffic.
+        // Nothing to federate: the switch routed no cross-kernel traffic.
         assert_eq!(cluster.switch().forwarded, 0);
     }
 }

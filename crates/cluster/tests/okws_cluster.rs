@@ -81,7 +81,7 @@ fn federated_okws_serves_the_figure5_flow() {
         .unwrap();
     assert_eq!(cluster.nodes[1].kernel.live_eps(worker).len(), 1);
 
-    // Request and response traffic genuinely crossed the switch.
+    // Request and response traffic genuinely crossed the wire.
     assert!(cluster.switch().forwarded >= 4);
     let wire = cluster.wire_stats();
     assert!(wire.frames_out > 0 && wire.bytes_out > 0);
@@ -171,7 +171,7 @@ fn two_kernel_verdict_trace_is_bit_identical_to_single_kernel() {
 /// A port's home is computed from its value, so a worker on kernel 1 can
 /// name anything: a handle no kernel minted, kernel 0's compartment,
 /// kernel 0's dissociated port. Each send ends as exactly one `NoSuchPort`
-/// drop in the cluster and crosses the switch at most once, and the
+/// drop in the cluster and puts at most one frame on the wire, and the
 /// bystander's session — status, body and the verdicts reached serving
 /// each request — is bit-identical to a run without the attacker. Runs at
 /// `ASBESTOS_KERNELS` kernels (at least 2).
@@ -220,7 +220,8 @@ fn hostile_routing_costs_one_drop_and_leaves_a_bystander_untouched() {
                     1 => env(&cluster, "compartment"),
                     _ => env(&cluster, "dead"),
                 };
-                let (before, forwarded) = (cluster.stats(), cluster.switch().forwarded);
+                let (before, frames) = (cluster.stats(), cluster.wire_stats().frames_out);
+                let forwarded = cluster.switch().forwarded;
                 let (trigger, body) = (env(&cluster, "attacker"), Value::Handle(target));
                 cluster.nodes[1].kernel.inject(trigger, body);
                 cluster.run();
@@ -229,6 +230,8 @@ fn hostile_routing_costs_one_drop_and_leaves_a_bystander_untouched() {
                 assert_eq!(no_port, 1, "{target:?}");
                 assert_eq!(after.dropped_total() - before.dropped_total(), 1);
                 assert_eq!(after.delivered - before.delivered, 1, "only the trigger");
+                let sent = cluster.wire_stats().frames_out - frames;
+                assert!(sent <= 1, "{target:?}");
                 assert!(cluster.switch().forwarded - forwarded <= 1, "{target:?}");
             }
             let before = verdicts(&cluster);

@@ -1,13 +1,13 @@
 //! One bounds property over every decoder behind `asbestos_store::codec::
 //! Reader`: `restore`, `DbRecord::from_bytes`, `read_row` (redo parameters
-//! and the OKWS worker's row buffer), and the wire's `decode_body` and
-//! `forward_port`. Each valid encoding is handed back with every 4-byte
-//! window set to `u32::MAX` (so every count and length field), cut at every
-//! length and with every byte flipped, and must come back `Ok` or `Err`. A
-//! decoder that reserved `count × size_of::<T>()` before checking the count
-//! aborts this process instead: `u32::MAX` cells is 128 GiB.
+//! and the OKWS worker's row buffer), and the wire's `decode_body`. Each
+//! valid encoding is handed back with every 4-byte window set to
+//! `u32::MAX` (so every count and length field), cut at every length and
+//! with every byte flipped, and must come back `Ok` or `Err`. A decoder
+//! that reserved `count × size_of::<T>()` before checking the count aborts
+//! this process instead: `u32::MAX` cells is 128 GiB.
 
-use asbestos_cluster::wire::{decode_body, forward_port, HEADER_LEN};
+use asbestos_cluster::wire::{decode_body, HEADER_LEN};
 use asbestos_cluster::{encode_frame, WireMsg};
 use asbestos_db::{put_row, read_row, read_rows, restore, snapshot, Database, DbRecord, SqlValue};
 use asbestos_kernel::{Handle, Label, Level, Payload, Value};
@@ -170,7 +170,7 @@ proptest! {
         encode_frame(&msg, &mut frame);
         prop_assert_eq!(decode_body(&frame[HEADER_LEN..]), Ok(msg));
         for (_, bytes) in damaged(&frame[HEADER_LEN..]) {
-            let _ = (decode_body(&bytes), forward_port(&bytes));
+            let _ = decode_body(&bytes);
         }
     }
 }

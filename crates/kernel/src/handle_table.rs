@@ -84,6 +84,13 @@ impl HandleTable {
         }
     }
 
+    /// Whether lanes no shard of this table owns mint handles too: the
+    /// table is one kernel's of a federation, where a handle with no vnode
+    /// here may be another kernel's.
+    pub fn shares_handle_space(&self) -> bool {
+        self.allocators[0].lanes() > self.allocators.len() as u64
+    }
+
     /// Allocates a fresh compartment handle on `shard` (the `new_handle`
     /// syscall's kernel half; the caller is responsible for setting
     /// `P_S(h) = ⋆`).

@@ -205,7 +205,7 @@ impl Kernel {
             shards: (0..shards)
                 .map(|i| KernelShard::new(i as u16, cost.clone()))
                 .collect(),
-            router: Router::new(handles, shards, slots > 1),
+            router: Router::new(handles, shards),
             rounds: 0,
             next_spawn_shard: 0,
             step_cursor: 0,
@@ -356,11 +356,21 @@ impl Kernel {
         });
     }
 
-    /// Snapshot of the whole global environment, in key order (the
-    /// gateway diffs this against its mirror to replicate §4 bootstrap
-    /// state across kernels).
-    pub fn global_env_snapshot(&self) -> Vec<(String, Value)> {
-        self.router.env_snapshot()
+    /// Drains the global environment writes made on this kernel since the
+    /// last call, in write order — by its processes
+    /// ([`Sys::publish_env`](crate::Sys::publish_env)) or by
+    /// [`Kernel::set_global_env`] — for the gateway to replicate (§4's
+    /// bootstrap namespace is cluster-global). Always empty on a kernel
+    /// with one cluster slot, which logs nothing.
+    pub fn take_env_log(&mut self) -> Vec<(String, Value)> {
+        self.router.take_env_log()
+    }
+
+    /// Applies a global environment write another kernel made. Unlike
+    /// [`Kernel::set_global_env`] it is not logged, so it is never sent
+    /// back.
+    pub fn apply_remote_env(&mut self, key: &str, value: Value) {
+        self.router.env_apply(key, value);
     }
 
     /// Sets a global environment entry (the §4 bootstrapping namespace,

@@ -10,7 +10,8 @@
 //!   this table: nothing else keeps a copy of it, and a handle's shard
 //!   never changes;
 //! * the **global environment** — the §4 bootstrapping namespace, which
-//!   was always whole-kernel state;
+//!   was always whole-kernel state — and, on a federated kernel, the log
+//!   of the writes made here, which the gateway drains to replicate them;
 //! * the **egress** queue of a federated kernel (see `crates/cluster`),
 //!   empty on every other kernel;
 //! * one **inbox** per shard. A cross-shard send is pushed onto the
@@ -50,9 +51,10 @@ pub(crate) struct Router {
     pub handles: HandleTable,
     /// The §4 global environment (init/launcher bootstrap namespace).
     env: BTreeMap<String, Value>,
-    /// Whether this kernel is one of a multi-kernel federation's, where
-    /// a handle minted elsewhere is another kernel's to evaluate.
-    federated: bool,
+    /// Environment writes made on this kernel, in write order, until the
+    /// gateway drains them ([`crate::Kernel::take_env_log`]). Federated
+    /// kernels only: a plain kernel has no gateway to drain it.
+    env_log: Vec<(String, Value)>,
     /// Outbound cross-kernel messages, parked until the gateway drains
     /// them ([`crate::Kernel::take_remote_egress`]).
     egress: Vec<RemoteSend>,
@@ -64,11 +66,11 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    pub fn new(handles: HandleTable, num_shards: usize, federated: bool) -> Router {
+    pub fn new(handles: HandleTable, num_shards: usize) -> Router {
         Router {
             handles,
             env: BTreeMap::new(),
-            federated,
+            env_log: Vec::new(),
             egress: Vec::new(),
             inboxes: (0..num_shards).map(|_| Vec::new()).collect(),
         }
@@ -89,7 +91,7 @@ impl Router {
     pub fn route(&self, port: Handle) -> Option<u16> {
         match self.handles.get(port) {
             Some(v) => Some(v.shard),
-            None if self.federated => None,
+            None if self.handles.shares_handle_space() => None,
             None => Some(self.hash_shard(port)),
         }
     }
@@ -118,23 +120,29 @@ impl Router {
         std::mem::take(&mut self.egress)
     }
 
-    /// Snapshot of the whole global environment, in key order (the
-    /// gateway diffs this against its mirror to sync env across kernels).
-    pub fn env_snapshot(&self) -> Vec<(String, Value)> {
-        self.env
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     /// Reads a global environment entry.
     pub fn env_get(&self, key: &str) -> Option<Value> {
         self.env.get(key).cloned()
     }
 
-    /// Writes a global environment entry.
+    /// Writes a global environment entry on behalf of this kernel; a
+    /// federated kernel also logs the write for the gateway.
     pub fn env_set(&mut self, key: &str, value: Value) {
+        if self.handles.shares_handle_space() {
+            self.env_log.push((key.to_string(), value.clone()));
+        }
+        self.env_apply(key, value);
+    }
+
+    /// Writes a global environment entry without logging it: a write
+    /// another kernel made, applied here, must not be sent back.
+    pub fn env_apply(&mut self, key: &str, value: Value) {
         self.env.insert(key.to_string(), value);
+    }
+
+    /// Drains the logged environment writes, in write order.
+    pub fn take_env_log(&mut self) -> Vec<(String, Value)> {
+        std::mem::take(&mut self.env_log)
     }
 
     // -----------------------------------------------------------------
@@ -211,10 +219,12 @@ mod tests {
     use crate::ids::ProcessId;
     use asbestos_labels::Label;
 
-    /// A router over `shards` shards, each minting from its own lane.
+    /// A router over `shards` shards, each minting from its own lane; a
+    /// federated one's kernel is the first of two.
     fn router(shards: usize, federated: bool) -> Router {
-        let handles = HandleTable::with_partition(1, 0, shards, shards as u64);
-        Router::new(handles, shards, federated)
+        let lanes = if federated { 2 * shards } else { shards };
+        let handles = HandleTable::with_partition(1, 0, shards, lanes as u64);
+        Router::new(handles, shards)
     }
 
     /// An unknown handle: one no shard of these routers has minted.
@@ -320,5 +330,22 @@ mod tests {
         assert_eq!(r.env_get("x"), None);
         r.env_set("x", Value::U64(9));
         assert_eq!(r.env_get("x"), Some(Value::U64(9)));
+        assert!(r.take_env_log().is_empty(), "a plain kernel logs nothing");
+    }
+
+    /// A federated kernel logs its own writes, in order, and never one it
+    /// applied from the wire.
+    #[test]
+    fn only_local_writes_enter_the_env_log() {
+        let mut r = router(1, true);
+        r.env_set("x", Value::U64(1));
+        r.env_apply("y", Value::U64(2));
+        r.env_set("x", Value::U64(3));
+        assert_eq!(
+            r.take_env_log(),
+            [("x".into(), Value::U64(1)), ("x".into(), Value::U64(3))]
+        );
+        assert!(r.take_env_log().is_empty());
+        assert_eq!(r.env_get("y"), Some(Value::U64(2)));
     }
 }

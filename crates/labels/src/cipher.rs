@@ -186,6 +186,11 @@ impl HandleAllocator {
         (cipher.decrypt(handle.raw()) + lanes - 1) % lanes
     }
 
+    /// How many lanes the counter space is partitioned into.
+    pub fn lanes(&self) -> u64 {
+        self.stride
+    }
+
     /// Returns a fresh, never-before-returned handle.
     ///
     /// # Panics

@@ -47,7 +47,7 @@ pub struct ScenarioConfig {
     pub services: Vec<ServiceKind>,
     /// Member kernels: 1 is a plain kernel (no sockets); more is a
     /// federation with the front end on kernel 0, workers round-robin on
-    /// the rest, and every request crossing the switch.
+    /// the rest, and every request crossing the wire.
     pub kernels: usize,
     /// Kernel shards (per kernel).
     pub shards: usize,

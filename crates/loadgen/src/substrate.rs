@@ -1,5 +1,5 @@
 //! What a [`World`](crate::scenario::World) runs on: one kernel, or a
-//! federation of them behind a switch.
+//! federation of them joined by sockets.
 //!
 //! The engine needs exactly this much of either — the kernel hosting
 //! netd (requests enter and completions are polled there), a paced
@@ -86,7 +86,7 @@ impl Substrate {
     }
 
     /// `(frames, bytes, forwards)`: what every gateway put on the wire
-    /// and the `Forward`s the switch relayed. One kernel has no wire.
+    /// and the `Forward`s the switch routed. One kernel has no wire.
     pub(crate) fn wire(&self) -> (u64, u64, u64) {
         match self {
             Substrate::Kernel(_) => (0, 0, 0),

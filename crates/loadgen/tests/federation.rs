@@ -36,10 +36,10 @@ fn federated_baseline_serves_every_request() {
     assert_eq!(r.aborted, 0);
     assert!(r.goodput_rps > 0.0);
     // And the traffic genuinely federated: every request/response pair
-    // crossed the switch, as frames with bytes on real sockets.
+    // crossed the wire, as frames with bytes on real sockets.
     assert!(
         r.forwarded as usize >= r.issued,
-        "requests never crossed the switch ({} forwards for {} requests)",
+        "requests never crossed the wire ({} forwards for {} requests)",
         r.forwarded,
         r.issued
     );
@@ -128,7 +128,7 @@ fn zipf_churn_runs_its_hooks_federated() {
     assert_eq!(ra.kernels, kernels());
     assert!(
         ra.forwarded as usize >= ra.completed,
-        "churn requests never crossed the switch ({} forwards for {} completions)",
+        "churn requests never crossed the wire ({} forwards for {} completions)",
         ra.forwarded,
         ra.completed
     );
@@ -151,7 +151,7 @@ fn one_kernel_is_the_unfederated_default() {
     );
 }
 
-/// The attacker's flood crosses the switch with everything else: the
+/// The attacker's flood crosses the wire with everything else: the
 /// victim is still served, every shed connection is retried to
 /// completion, and the fresh probe is served first try — `SustainedFlood`'s
 /// own `check`, with the workers on other kernels.
@@ -168,7 +168,7 @@ fn sustained_flood_runs_its_hooks_federated() {
     assert_eq!(f.checks, 1, "the engine skipped the scenario's check");
     assert!(
         r.forwarded as usize >= r.completed,
-        "flood requests never crossed the switch ({} forwards for {} completions)",
+        "flood requests never crossed the wire ({} forwards for {} completions)",
         r.forwarded,
         r.completed
     );

@@ -64,12 +64,6 @@ impl<'a> Reader<'a> {
         self.array().map(u8::from_le_bytes)
     }
 
-    /// A little-endian `u16`.
-    #[inline]
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        self.array().map(u16::from_le_bytes)
-    }
-
     /// A little-endian `u32`.
     #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
@@ -123,17 +117,16 @@ mod tests {
 
     #[test]
     fn fields_lengths_and_counts_are_bounded_by_the_bytes_left() {
-        let bytes = [7, 2, 1, 2, 0, 0, 0, b'h', b'i', 0xFF, 0xFF, 0xFF, 0xFF];
+        let bytes = [7, 2, 0, 0, 0, b'h', b'i', 0xFF, 0xFF, 0xFF, 0xFF];
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8(), Ok(7));
-        assert_eq!(r.u16(), Ok(0x0102));
         assert_eq!(r.str(), Ok("hi"));
         assert_eq!(r.finish(), Err(CodecError::TrailingBytes));
         assert_eq!(
-            Reader::new(&bytes[9..]).count(0),
+            Reader::new(&bytes[7..]).count(0),
             Err(CodecError::Truncated)
         );
-        assert_eq!(Reader::new(&bytes[9..]).blob(), Err(CodecError::Truncated));
+        assert_eq!(Reader::new(&bytes[7..]).blob(), Err(CodecError::Truncated));
         assert_eq!(
             Reader::new(&[1, 0, 0, 0, 0xFF]).str(),
             Err(CodecError::BadText)
