@@ -336,7 +336,7 @@ fn bench_handle_alloc(c: &mut Criterion) {
     use asbestos_labels::HandleAllocator;
     c.bench_function("handle_alloc", |bench| {
         let mut alloc = HandleAllocator::new(7);
-        bench.iter(|| black_box(alloc.alloc()))
+        bench.iter(|| black_box(alloc.alloc(0)))
     });
 }
 

@@ -9,8 +9,8 @@
 //! boot", here since cluster boot): kernel `k` of `N` takes cipher-lane
 //! slot `k`, so shard `i` of kernel `k` draws handles from lane `k·S + i`
 //! of `N·S` — no two kernels can ever mint the same handle, which is what
-//! makes a serialized handle meaningful on arrival, and what lets the
-//! [`Switch`] compute the kernel a handle belongs to from its value.
+//! makes a serialized handle meaningful on arrival, and what lets every
+//! kernel compute the kernel a handle belongs to from its value.
 //!
 //! [`Cluster::run`] is the federation scheduler: it alternates kernel
 //! execution with gateway pumping until the whole system — every kernel
@@ -69,16 +69,16 @@ impl Cluster {
         let nodes = (links.into_iter().enumerate())
             .map(|(k, links)| ClusterNode {
                 kernel: Kernel::with_cluster_slot(seed, cost(), shards, 0, k, kernels),
-                gateway: Gateway::new(k, links),
+                gateway: Gateway::new(links),
             })
             .collect();
         Cluster {
             nodes,
-            switch: Switch::new(seed, shards, kernels),
+            switch: Switch::default(),
         }
     }
 
-    /// The switch (its routing counter), read-only.
+    /// The `Forward` counter, read-only.
     pub fn switch(&self) -> &Switch {
         &self.switch
     }
@@ -130,9 +130,10 @@ impl Cluster {
     pub fn pump_wire(&mut self) -> u64 {
         let mut progress = 0u64;
         for node in &mut self.nodes {
-            progress += node.gateway.pump_out(&mut node.kernel, &mut self.switch);
+            progress += node.gateway.pump_out(&mut node.kernel);
             progress += node.gateway.flush();
         }
+        self.switch.forwarded = self.nodes.iter().map(|n| n.gateway.forwarded_out).sum();
         for node in &mut self.nodes {
             progress += node.gateway.pump_in(&mut node.kernel);
             progress += node.gateway.flush();

@@ -6,17 +6,17 @@
 //!
 //! * **Outbound** ([`Gateway::pump_out`]): drains the kernel's log of
 //!   global-environment writes and sends each to every peer as `EnvSet`;
-//!   drains the kernel's remote-send egress — every send to a handle this
-//!   kernel did not mint — and writes each message as one `Forward` frame
-//!   on the link to the kernel the [`Switch`] computes from its port's
-//!   value. Nothing announces a port.
+//!   drains the kernel's remote-send egress — every send to a handle
+//!   another kernel's cipher lane minted, parked with that home kernel —
+//!   and writes each message as one `Forward` frame on the link to its
+//!   home. The gateway computes nothing, and nothing announces a port.
 //! * **Inbound** ([`Gateway::pump_in`]): applies replicated `EnvSet`s with
 //!   [`Kernel::apply_remote_env`], which logs nothing, so a replicated
 //!   write is never sent back; and injects `Forward`s via
-//!   [`Kernel::inject_remote`] — which enqueues on the destination port's
-//!   shard, where the ordinary delivery path re-runs the Figure 4 check
-//!   against *this* kernel's state. Verdicts never cross the wire; only
-//!   labels do.
+//!   [`Kernel::inject_remote`] — which enqueues on the shard of the lane
+//!   that minted the port, where the ordinary delivery path re-runs the
+//!   Figure 4 check against *this* kernel's state. Verdicts never cross
+//!   the wire; only labels do.
 //!
 //! All traffic from one kernel to another shares one link, so messages
 //! from one sender to one port arrive in the order they were sent.
@@ -34,13 +34,10 @@ use std::sync::Arc;
 use asbestos_kernel::{Kernel, RemoteSend};
 
 use crate::conn::{ConnStats, FrameConn};
-use crate::switch::Switch;
 use crate::wire::WireMsg;
 
 /// One kernel's links to the rest of the federation.
 pub struct Gateway {
-    /// This kernel's id.
-    id: usize,
     /// One link per peer, indexed by kernel id: `None` at this kernel's
     /// own id and where a link was closed.
     links: Vec<Option<FrameConn>>,
@@ -51,11 +48,10 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// The gateway of kernel `id` over its links, indexed by kernel id
-    /// (`None` at `id`).
-    pub fn new(id: usize, links: Vec<Option<FrameConn>>) -> Gateway {
+    /// A kernel's gateway over its links, indexed by kernel id (`None` at
+    /// the kernel's own).
+    pub fn new(links: Vec<Option<FrameConn>>) -> Gateway {
         Gateway {
-            id,
             links,
             forwarded_out: 0,
             forwarded_in: 0,
@@ -68,13 +64,9 @@ impl Gateway {
     }
 
     /// Serializes new kernel state onto the links: environment writes to
-    /// every peer, then each remote send to its home, as `switch` routes
-    /// it. Returns the number of messages handled.
-    ///
-    /// A home equal to this kernel — a handle nobody minted, on one of its
-    /// own lanes — is injected here with no frame, and drops `NoSuchPort`
-    /// as it would have on arrival.
-    pub fn pump_out(&mut self, kernel: &mut Kernel, switch: &mut Switch) -> u64 {
+    /// every peer, then each remote send to the home kernel it was parked
+    /// with. Returns the number of messages handled.
+    pub fn pump_out(&mut self, kernel: &mut Kernel) -> u64 {
         let mut handled = 0u64;
         for (key, value) in kernel.take_env_log() {
             let msg = WireMsg::EnvSet { key, value };
@@ -83,12 +75,9 @@ impl Gateway {
                 handled += 1;
             }
         }
-        for rs in kernel.take_remote_egress() {
+        for (home, rs) in kernel.take_remote_egress() {
             handled += 1;
-            let home = switch.route(rs.port);
-            if home == self.id {
-                kernel.inject_remote(rs);
-            } else if let Some(conn) = &mut self.links[home] {
+            if let Some(conn) = &mut self.links[home] {
                 conn.send(&WireMsg::Forward {
                     port: rs.port,
                     es: (*rs.es).clone(),
@@ -213,8 +202,8 @@ mod tests {
     /// `Kernel::with_cluster_slot` lays out the lanes.
     fn minted_on(k: usize, shard: usize, kernels: usize, n: usize) -> Handle {
         let lane = (k * SHARDS + shard) as u64;
-        let mut alloc = HandleAllocator::with_partition(SEED, lane, (kernels * SHARDS) as u64);
-        (0..n).map(|_| alloc.alloc()).last().unwrap()
+        let mut alloc = HandleAllocator::with_partition(SEED, lane, 1, (kernels * SHARDS) as u64);
+        (0..n).map(|_| alloc.alloc(0)).last().unwrap()
     }
 
     /// Frames each kernel has read off each of its links, `[to][from]`.
@@ -267,7 +256,6 @@ mod tests {
     #[test]
     fn frames_of_one_link_keep_their_order_across_kinds() {
         let mut cluster = senders(2);
-        let mut switch = Switch::new(SEED, SHARDS, 2);
         let targets = [minted_on(1, 0, 2, 7), minted_on(1, 1, 2, 7)];
         for (n, target) in (1..).zip(targets) {
             cluster.nodes[0]
@@ -275,7 +263,7 @@ mod tests {
                 .set_global_env("note", Value::U64(n));
             send(&mut cluster, 0, target);
             let node = &mut cluster.nodes[0];
-            assert_eq!(node.gateway.pump_out(&mut node.kernel, &mut switch), 2);
+            assert_eq!(node.gateway.pump_out(&mut node.kernel), 2);
         }
         cluster.nodes[0].gateway.flush();
         let link = cluster.nodes[1].gateway.links[0].as_mut().unwrap();
@@ -290,23 +278,25 @@ mod tests {
         assert_eq!(got, [Value::U64(1), first, Value::U64(2), second]);
     }
 
-    /// A handle nobody minted, on one of the sender's own lanes, routes
-    /// back to the sender: one `NoSuchPort` drop there, and no frame.
+    /// A handle nobody minted, on one of the sender's own lanes, never
+    /// leaves the sender: one `NoSuchPort` drop on that lane's shard, no
+    /// egress and no frame.
     #[test]
     fn a_never_minted_handle_on_the_senders_lane_costs_one_drop_and_no_frame() {
         let kernels = 3;
         let mut cluster = senders(kernels);
         let target = minted_on(0, 1, kernels, 100);
         let (before, frames) = (cluster.stats(), cluster.wire_stats().frames_out);
-        let (k0, routed) = (cluster.nodes[0].kernel.stats(), cluster.switch().forwarded);
+        let no_port = |c: &Cluster| c.nodes[0].kernel.shard(1).stats().dropped_no_port;
+        let (k0, routed) = (no_port(&cluster), cluster.switch().forwarded);
         send(&mut cluster, 0, target);
+        assert!(cluster.nodes[0].kernel.take_remote_egress().is_empty());
         cluster.run();
         let after = cluster.stats();
         assert_eq!(after.dropped_total() - before.dropped_total(), 1);
-        let no_port = cluster.nodes[0].kernel.stats().dropped_no_port - k0.dropped_no_port;
-        assert_eq!(no_port, 1, "dropped on the sender's own kernel");
+        assert_eq!(no_port(&cluster) - k0, 1, "dropped on the lane's shard");
         assert_eq!(cluster.wire_stats().frames_out, frames);
-        assert_eq!(cluster.switch().forwarded, routed + 1);
+        assert_eq!(cluster.switch().forwarded, routed);
     }
 
     /// Relinks kernels `a` and `b` over a fresh socket pair and returns a

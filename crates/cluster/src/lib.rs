@@ -17,13 +17,13 @@
 //! * [`conn`] — [`conn::FrameConn`], a nonblocking framed
 //!   `UnixStream` (partial reads/writes are normal, nothing blocks): one
 //!   link between two kernels.
-//! * [`switch`] — the routing function, with no directory and no
-//!   connection: a `Forward` goes to the kernel whose cipher lanes minted
-//!   its port, computed from the port's value.
+//! * [`switch`] — only the count of `Forward`s sent. Nothing between
+//!   kernels routes: a port's value names the kernel whose cipher lane
+//!   minted it, and the sending kernel's router computes that.
 //! * [`gateway`] — each kernel's ambassador: replicates the kernel's
 //!   global-environment writes to every peer, writes each message of the
-//!   kernel's remote egress (every send to a handle it did not mint) on
-//!   the link to its port's home, and injects arriving `Forward`s inward,
+//!   kernel's remote egress (every send to a handle another kernel's lane
+//!   minted) on the link to the home it was parked with, and injects arriving `Forward`s inward,
 //!   where the ordinary delivery path re-runs the Figure 4 check against
 //!   the *destination* kernel's state. A verdict is derived only from
 //!   destination-side state — the same isolation rule the sharded kernel

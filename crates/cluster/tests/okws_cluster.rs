@@ -174,13 +174,14 @@ fn two_kernel_verdict_trace_is_bit_identical_to_single_kernel() {
 /// drop in the cluster and puts at most one frame on the wire, and the
 /// bystander's session — status, body and the verdicts reached serving
 /// each request — is bit-identical to a run without the attacker. Runs at
-/// `ASBESTOS_KERNELS` kernels (at least 2).
+/// `ASBESTOS_KERNELS` kernels (at least 2) of `ASBESTOS_TEST_SHARDS` shards
+/// (default 1).
 #[test]
 fn hostile_routing_costs_one_drop_and_leaves_a_bystander_untouched() {
-    let kernels = std::env::var("ASBESTOS_KERNELS").ok();
-    let kernels = kernels.and_then(|k| k.trim().parse().ok()).unwrap_or(2);
+    let count = |key| std::env::var(key).ok().and_then(|k| k.trim().parse().ok());
+    let (kernels, shards) = (count("ASBESTOS_KERNELS"), count("ASBESTOS_TEST_SHARDS"));
     let bystander_trace = |attack: bool| {
-        let mut cluster = Cluster::new(304, kernels.max(2), 1);
+        let mut cluster = Cluster::new(304, kernels.unwrap_or(2).max(2), shards.unwrap_or(1));
         let okws = deploy_okws(&mut cluster, store_config(&[("alice", "pw-a")]));
         let mut client = OkwsClient::new(&okws);
         if attack {

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use asbestos_labels::{ops, Handle, Label};
 
 use crate::cycles::Category;
-use crate::handle_table::{PortOwner, VnodeKind};
+use crate::handle_table::PortOwner;
 use crate::ids::ExecCtx;
 use crate::message::{Message, QueuedMessage};
 use crate::router::{PullPoint, Router};
@@ -191,30 +191,17 @@ impl KernelShard {
     /// Evaluates Figure 4 for one popped message and, if it passes,
     /// invokes the receiver.
     fn deliver(&mut self, router: &mut Router, qm: QueuedMessage) -> DeliveryOutcome {
-        // Resolve the destination port. `route` never brings a message
-        // here for a vnode another shard minted; were it to, this shard
-        // holds no receiver for it.
-        let vnode = router.handles.get(qm.port);
-        debug_assert!(
-            vnode.is_none_or(|v| v.shard == self.id),
-            "a message for {:?} reached shard {}, not its minting shard",
-            qm.port,
-            self.id
-        );
-        let Some(VnodeKind::Port(port_state)) =
-            vnode.filter(|v| v.shard == self.id).map(|v| &v.kind)
-        else {
+        // Resolve the destination port: this shard's lane minted it, so
+        // its vnode, if any, is one this shard's processes own.
+        let Some(port_state) = router.handles.port(qm.port) else {
             return DeliveryOutcome::Dropped(DropReason::NoSuchPort);
-        };
-        let Some(owner) = port_state.owner else {
-            return DeliveryOutcome::Dropped(DropReason::NoOwner);
         };
 
         // Resolve the receiving context; the labels checked are the event
         // process's when one owns the port, otherwise the base process's
         // (which are also what a freshly forked event process would start
         // with, so checking base labels is exact for the to-be-created EP).
-        let (pid, existing_ep) = match owner {
+        let (pid, existing_ep) = match port_state.owner {
             PortOwner::Process(pid) => {
                 if !self.processes[pid.index()].alive {
                     return DeliveryOutcome::Dropped(DropReason::NoOwner);

@@ -5,10 +5,10 @@
 //! port label and a reference to the process with receive rights. A hash
 //! table maps handle values to vnodes."
 //!
-//! A kernel has one table, whatever its shard count. Each shard mints from
-//! its own cipher lane, and each vnode records the shard that minted it:
-//! where a handle lives follows from the handle and this table, so nothing
-//! else keeps a copy of it.
+//! A kernel has one table, whatever its shard count, and one allocator:
+//! one cipher, of which each shard mints from its own lane. Where a handle
+//! lives is the lane that minted it ([`HandleAllocator::lane_of`]), a
+//! function of its value alone, so no vnode records it.
 
 use std::collections::BTreeMap;
 
@@ -33,11 +33,12 @@ pub enum PortOwner {
 pub struct PortState {
     /// The port receive label `p_R` (§5.5).
     pub label: Label,
-    /// Receive rights; `None` once dissociated (messages are then dropped).
-    pub owner: Option<PortOwner>,
+    /// Who holds receive rights. Dissociating a port turns its vnode
+    /// into a compartment.
+    pub owner: PortOwner,
 }
 
-/// What a handle currently names.
+/// A vnode: what an active handle currently names.
 #[derive(Clone, Debug)]
 pub enum VnodeKind {
     /// A pure compartment: participates in labels only.
@@ -47,21 +48,12 @@ pub enum VnodeKind {
     Port(PortState),
 }
 
-/// A vnode: kernel bookkeeping for one active handle.
-#[derive(Clone, Debug)]
-pub struct Vnode {
-    /// Current role of the handle.
-    pub kind: VnodeKind,
-    /// The shard that minted the handle, fixed for the handle's life:
-    /// every message to it is evaluated there.
-    pub shard: u16,
-}
-
-/// The handle → vnode map plus one encrypted-counter allocator per shard.
+/// The handle → vnode map plus the kernel's allocator: one cipher, one
+/// lane per shard.
 pub struct HandleTable {
-    vnodes: BTreeMap<Handle, Vnode>,
-    /// Shard `i`'s allocator.
-    allocators: Vec<HandleAllocator>,
+    vnodes: BTreeMap<Handle, VnodeKind>,
+    /// Shard `i` mints from lane `first + i` of the allocator's run.
+    alloc: HandleAllocator,
 }
 
 impl HandleTable {
@@ -78,31 +70,22 @@ impl HandleTable {
     pub fn with_partition(seed: u64, first: u64, shards: usize, lanes: u64) -> HandleTable {
         HandleTable {
             vnodes: BTreeMap::new(),
-            allocators: (first..first + shards as u64)
-                .map(|lane| HandleAllocator::with_partition(seed, lane, lanes))
-                .collect(),
+            alloc: HandleAllocator::with_partition(seed, first, shards, lanes),
         }
     }
 
-    /// Whether lanes no shard of this table owns mint handles too: the
-    /// table is one kernel's of a federation, where a handle with no vnode
-    /// here may be another kernel's.
-    pub fn shares_handle_space(&self) -> bool {
-        self.allocators[0].lanes() > self.allocators.len() as u64
+    /// The allocator, whose lanes say where every handle value lives
+    /// ([`HandleAllocator::lane_of`]).
+    pub fn allocator(&self) -> &HandleAllocator {
+        &self.alloc
     }
 
     /// Allocates a fresh compartment handle on `shard` (the `new_handle`
     /// syscall's kernel half; the caller is responsible for setting
     /// `P_S(h) = ⋆`).
     pub fn new_handle(&mut self, shard: u16) -> Handle {
-        let h = self.allocators[shard as usize].alloc();
-        self.vnodes.insert(
-            h,
-            Vnode {
-                kind: VnodeKind::Compartment,
-                shard,
-            },
-        );
+        let h = self.alloc.alloc(shard as usize);
+        self.vnodes.insert(h, VnodeKind::Compartment);
         h
     }
 
@@ -110,33 +93,22 @@ impl HandleTable {
     /// `new_port` semantics: the port label is the caller's `label` with
     /// `p_R(p) ← 0` applied.
     pub fn new_port(&mut self, mut label: Label, owner: PortOwner, shard: u16) -> Handle {
-        let h = self.allocators[shard as usize].alloc();
+        let h = self.alloc.alloc(shard as usize);
         label.set(h, Level::L0);
-        self.vnodes.insert(
-            h,
-            Vnode {
-                kind: VnodeKind::Port(PortState {
-                    label,
-                    owner: Some(owner),
-                }),
-                shard,
-            },
-        );
+        self.vnodes
+            .insert(h, VnodeKind::Port(PortState { label, owner }));
         h
     }
 
     /// Looks up a vnode.
-    pub fn get(&self, h: Handle) -> Option<&Vnode> {
+    pub fn get(&self, h: Handle) -> Option<&VnodeKind> {
         self.vnodes.get(&h)
     }
 
     /// Port state for `h`, if `h` names a port.
     pub fn port(&self, h: Handle) -> Option<&PortState> {
         match self.vnodes.get(&h) {
-            Some(Vnode {
-                kind: VnodeKind::Port(p),
-                ..
-            }) => Some(p),
+            Some(VnodeKind::Port(p)) => Some(p),
             _ => None,
         }
     }
@@ -144,10 +116,7 @@ impl HandleTable {
     /// Mutable port state for `h`, if `h` names a port.
     pub fn port_mut(&mut self, h: Handle) -> Option<&mut PortState> {
         match self.vnodes.get_mut(&h) {
-            Some(Vnode {
-                kind: VnodeKind::Port(p),
-                ..
-            }) => Some(p),
+            Some(VnodeKind::Port(p)) => Some(p),
             _ => None,
         }
     }
@@ -156,36 +125,19 @@ impl HandleTable {
     /// the handle value stays valid in labels).
     pub fn dissociate(&mut self, h: Handle) {
         if let Some(v) = self.vnodes.get_mut(&h) {
-            v.kind = VnodeKind::Compartment;
+            *v = VnodeKind::Compartment;
         }
-    }
-
-    /// Total handles ever allocated, by every shard (god-mode, for
-    /// accounting).
-    pub fn allocated(&self) -> u64 {
-        self.allocators.iter().map(HandleAllocator::allocated).sum()
     }
 
     /// Accounted kernel bytes: vnode structures plus port label storage.
     pub fn kernel_bytes(&self) -> usize {
         let mut bytes = self.vnodes.len() * VNODE_BYTES;
         for v in self.vnodes.values() {
-            if let VnodeKind::Port(p) = &v.kind {
+            if let VnodeKind::Port(p) = v {
                 bytes += p.label.heap_bytes();
             }
         }
         bytes
-    }
-
-    /// Iterates all ports owned by the given owner (used on exit paths).
-    pub fn ports_owned_by(&self, owner: PortOwner) -> Vec<Handle> {
-        self.vnodes
-            .iter()
-            .filter_map(|(&h, v)| match &v.kind {
-                VnodeKind::Port(p) if p.owner == Some(owner) => Some(h),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -201,7 +153,7 @@ mod tests {
         let state = t.port(p).unwrap();
         assert_eq!(state.label.get(p), Level::L0);
         assert_eq!(state.label.default_level(), Level::L3);
-        assert_eq!(state.owner, Some(owner));
+        assert_eq!(state.owner, owner);
     }
 
     #[test]
@@ -238,21 +190,5 @@ mod tests {
         t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
         // Port adds a vnode plus its label storage (≥ 300 bytes).
         assert!(t.kernel_bytes() >= 2 * VNODE_BYTES + 300);
-    }
-
-    #[test]
-    fn ports_owned_by_filters() {
-        let mut t = HandleTable::new(1);
-        let o1 = PortOwner::Process(ProcessId(0));
-        let o2 = PortOwner::Ep(EpId(9));
-        let p1 = t.new_port(Label::top(), o1, 0);
-        let p2 = t.new_port(Label::top(), o2, 0);
-        let p3 = t.new_port(Label::top(), o1, 0);
-        let mut mine = t.ports_owned_by(o1);
-        mine.sort();
-        let mut expect = vec![p1, p3];
-        expect.sort();
-        assert_eq!(mine, expect);
-        assert_eq!(t.ports_owned_by(o2), vec![p2]);
     }
 }

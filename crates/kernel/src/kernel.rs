@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use asbestos_labels::{Handle, HandleAllocator, HandleCipher, Label};
+use asbestos_labels::{Handle, Label};
 
 use crate::cycles::{Category, CostModel, CycleClock, CycleSnapshot};
 use crate::delivery::DeliveryOutcome;
@@ -173,10 +173,11 @@ impl Kernel {
     /// handles from cipher lane `k*shards + i` of `slots*shards`, so
     /// handle values are unique across the *whole* federation — the
     /// property that lets a serialized handle cross the wire and stay
-    /// meaningful (§5.1's uniqueness, cluster-wide). With `slots > 1` a
-    /// send to a handle with no vnode here leaves through
-    /// [`Kernel::take_remote_egress`]. Slot 0 of 1 is bit-for-bit the
-    /// ordinary constructor.
+    /// meaningful (§5.1's uniqueness, cluster-wide) — and a handle's value
+    /// names its home: lane `l` is kernel `l / shards`, shard
+    /// `l % shards`. A send to a handle on another kernel's lane leaves
+    /// through [`Kernel::take_remote_egress`]. Slot 0 of 1 is bit-for-bit
+    /// the ordinary constructor.
     ///
     /// # Panics
     ///
@@ -211,14 +212,6 @@ impl Kernel {
             step_cursor: 0,
             boot_epoch: epoch,
         }
-    }
-
-    /// The slot of a `slots`-kernel federation of `shards`-shard kernels
-    /// keyed like `cipher` that mints `handle`: [`Kernel::with_cluster_slot`]
-    /// mints from lane `slot * shards + i`, so this is the lane `/ shards`.
-    /// Every handle has a home, minted or not.
-    pub fn cluster_slot_of(cipher: &HandleCipher, h: Handle, shards: usize, slots: usize) -> usize {
-        HandleAllocator::lane_of(cipher, h, (slots * shards) as u64) as usize / shards
     }
 
     /// Number of kernel shards.
@@ -328,11 +321,12 @@ impl Kernel {
     // Federation (the gateway's surface; see `crates/cluster`).
     // ------------------------------------------------------------------
 
-    /// Drains every message parked for another kernel, in send order.
+    /// Drains every message parked for another kernel, in send order,
+    /// each with its home: the kernel whose cipher lane minted its port.
     /// The sender-side Figure 4 checks already ran; the destination
     /// kernel applies the delivery-time check when these are injected
     /// there ([`Kernel::inject_remote`]).
-    pub fn take_remote_egress(&mut self) -> Vec<crate::message::RemoteSend> {
+    pub fn take_remote_egress(&mut self) -> Vec<(usize, crate::message::RemoteSend)> {
         self.router.take_egress()
     }
 
@@ -340,9 +334,9 @@ impl Kernel {
     /// destination shard's queues under exactly the rules a local
     /// cross-shard arrival faces — destination-side queue bounds,
     /// `Stats::sent` accounting, and the delivery-time Figure 4 check
-    /// against this kernel's state when it is popped. A port with no
-    /// vnode here drops `NoSuchPort` on its hash shard; an arrival never
-    /// leaves again.
+    /// against this kernel's state when it is popped. It is enqueued on
+    /// the shard of the lane that minted its port; a port with no vnode
+    /// there drops `NoSuchPort`, and an arrival never leaves again.
     pub fn inject_remote(&mut self, rs: crate::message::RemoteSend) {
         let dest = self.router.arrival_shard(rs.port);
         self.shards[dest].enqueue_checked(QueuedMessage {

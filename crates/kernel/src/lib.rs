@@ -51,8 +51,8 @@
 //! to quiescence), and the merged whole-kernel views. The only
 //! cross-shard state is the router (the vnode table, global environment,
 //! per-shard inboxes), lent as `&mut` to the one shard being drained —
-//! one thread, so no locks. Each vnode names the shard that minted its
-//! handle, and a message is routed there, so label
+//! one thread, so no locks. A handle's value names the cipher lane, and
+//! so the shard, that minted it, and a message is routed there, so label
 //! evaluation always runs on the destination port's shard: Figure 4
 //! semantics are untouched by the partitioning, and `shards = 1` (the
 //! paper-figure configuration) is pinned bit-for-bit against the

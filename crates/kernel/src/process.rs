@@ -4,7 +4,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use asbestos_labels::Label;
+use asbestos_labels::{Handle, Label};
 
 use crate::cycles::Category;
 use crate::ids::EpId;
@@ -104,6 +104,9 @@ pub struct Process {
     pub env: BTreeMap<String, Value>,
     /// Live event processes belonging to this process.
     pub eps: Vec<EpId>,
+    /// Ports this process (not one of its event processes) holds receive
+    /// rights for; dissociated when it exits.
+    pub ports: Vec<Handle>,
     /// Whether the process is alive.
     pub alive: bool,
     /// Whether this process runs in the event-process realm.
@@ -124,6 +127,7 @@ impl Process {
             page_table: PageTable::new(),
             env: BTreeMap::new(),
             eps: Vec::new(),
+            ports: Vec::new(),
             alive: true,
             ep_mode,
             body: Some(body),

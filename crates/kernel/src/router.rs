@@ -4,11 +4,11 @@
 //! across [`KernelShard`](crate::shard::KernelShard)s; the [`Router`]
 //! owns everything that belongs to no single shard:
 //!
-//! * the **vnode table** — the kernel's one handle → vnode map (§5.6).
-//!   Each vnode records the shard that minted its handle, so
-//!   [`Router::route`] reads where a message goes off the handle and
-//!   this table: nothing else keeps a copy of it, and a handle's shard
-//!   never changes;
+//! * the **vnode table** — the kernel's one handle → vnode map (§5.6) —
+//!   and the kernel's handle allocator. Where a message goes is the
+//!   kernel and shard whose cipher lane minted its port, which
+//!   [`Router::route`] computes from the port's value alone: no vnode is
+//!   read, and a handle's home never changes;
 //! * the **global environment** — the §4 bootstrapping namespace, which
 //!   was always whole-kernel state — and, on a federated kernel, the log
 //!   of the writes made here, which the gateway drains to replicate them;
@@ -47,7 +47,7 @@ pub(crate) enum PullPoint {
 /// The kernel's cross-shard state. See the module docs for the
 /// determinism contract.
 pub(crate) struct Router {
-    /// Every handle this kernel minted, with the shard that minted it.
+    /// Every handle this kernel minted, and its allocator.
     pub handles: HandleTable,
     /// The §4 global environment (init/launcher bootstrap namespace).
     env: BTreeMap<String, Value>,
@@ -55,14 +55,24 @@ pub(crate) struct Router {
     /// gateway drains them ([`crate::Kernel::take_env_log`]). Federated
     /// kernels only: a plain kernel has no gateway to drain it.
     env_log: Vec<(String, Value)>,
-    /// Outbound cross-kernel messages, parked until the gateway drains
-    /// them ([`crate::Kernel::take_remote_egress`]).
-    egress: Vec<RemoteSend>,
+    /// Outbound cross-kernel messages, each with its home kernel, parked
+    /// until the gateway drains them ([`crate::Kernel::take_remote_egress`]).
+    egress: Vec<(usize, RemoteSend)>,
     /// Each shard's inbound cross-shard messages, in arrival order.
     /// Per-sender-per-port FIFO survives: pushes into one inbox happen in
     /// send order, and the receiving shard enqueues a drained batch in
     /// arrival order into its per-port FIFO mailboxes.
-    inboxes: Vec<Vec<QueuedMessage>>,
+    inboxes: Box<[Vec<QueuedMessage>]>,
+}
+
+/// Where a message goes: the kernel and shard whose cipher lane minted
+/// its port.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// To this shard of this kernel.
+    Shard(u16),
+    /// Out through egress, to this kernel.
+    Egress(usize),
 }
 
 impl Router {
@@ -76,47 +86,47 @@ impl Router {
         }
     }
 
-    /// The shard a message to `port` is evaluated on, or `None` when it
-    /// leaves through egress — computed from the handle alone:
+    /// Where a message to `port` goes, from its value alone. Shard `i`
+    /// of kernel `k` mints from lane `k·S + i` of the federation's `N·S`,
+    /// so with `lane` the one that minted `port`:
     ///
-    /// * a handle with a vnode goes to the shard that minted it — its
-    ///   owner's shard while it is a live port, and a dead port or a
-    ///   compartment drops `NoSuchPort` there;
-    /// * on a federated kernel, a handle with no vnode was minted by
-    ///   another kernel (or by none), so it leaves and the switch finds
-    ///   its home;
-    /// * on a plain kernel, it goes to a deterministic hash of its value,
-    ///   which finds no vnode and drops `NoSuchPort`, exactly as a
-    ///   single-shard kernel would.
-    pub fn route(&self, port: Handle) -> Option<u16> {
-        match self.handles.get(port) {
-            Some(v) => Some(v.shard),
-            None if self.handles.shares_handle_space() => None,
-            None => Some(self.hash_shard(port)),
+    /// * it stays on this kernel iff `lane / S` is this kernel, and goes
+    ///   to shard `lane % S` — its owner's while it is a live port; a dead
+    ///   port, a compartment or a value no one minted drops `NoSuchPort`
+    ///   there;
+    /// * otherwise it leaves through egress for kernel `lane / S`.
+    ///
+    /// A kernel with one lane routes everything to shard 0 and decrypts
+    /// nothing.
+    pub fn route(&self, port: Handle) -> Route {
+        let alloc = self.handles.allocator();
+        let shards = self.inboxes.len() as u64;
+        let lane = alloc.lane_of(port);
+        if lane / shards == alloc.first() / shards {
+            Route::Shard((lane % shards) as u16)
+        } else {
+            Route::Egress((lane / shards) as usize)
         }
     }
 
     /// The shard a message arriving from outside the kernel (an
-    /// injection, or a `Forward` off the wire) is evaluated on:
-    /// [`Router::route`], except that an arrival never leaves again. A
-    /// handle with no vnode here drops `NoSuchPort` on its hash shard, so
-    /// a `Forward` is never sent back out.
+    /// injection, or a `Forward` off the wire) is evaluated on: shard
+    /// `lane % S`, as [`Router::route`] computes it, except that an
+    /// arrival never leaves again. One for another kernel drops
+    /// `NoSuchPort` here, so a `Forward` is never sent back out.
     pub fn arrival_shard(&self, port: Handle) -> usize {
-        self.route(port).unwrap_or_else(|| self.hash_shard(port)) as usize
+        (self.handles.allocator().lane_of(port) % self.inboxes.len() as u64) as usize
     }
 
-    /// A deterministic hash of a handle's value onto the shards.
-    fn hash_shard(&self, port: Handle) -> u16 {
-        (port.raw() % self.inboxes.len() as u64) as u16
+    /// Parks one outbound message for the gateway to send to kernel
+    /// `home`.
+    pub fn push_egress(&mut self, home: usize, rs: RemoteSend) {
+        self.egress.push((home, rs));
     }
 
-    /// Parks one outbound cross-kernel message for the gateway.
-    pub fn push_egress(&mut self, rs: RemoteSend) {
-        self.egress.push(rs);
-    }
-
-    /// Drains every parked outbound cross-kernel message, in send order.
-    pub fn take_egress(&mut self) -> Vec<RemoteSend> {
+    /// Drains every parked outbound cross-kernel message with its home
+    /// kernel, in send order.
+    pub fn take_egress(&mut self) -> Vec<(usize, RemoteSend)> {
         std::mem::take(&mut self.egress)
     }
 
@@ -126,9 +136,10 @@ impl Router {
     }
 
     /// Writes a global environment entry on behalf of this kernel; a
-    /// federated kernel also logs the write for the gateway.
+    /// federated kernel — one whose handle space has lanes no shard here
+    /// owns — also logs the write for the gateway.
     pub fn env_set(&mut self, key: &str, value: Value) {
-        if self.handles.shares_handle_space() {
+        if self.handles.allocator().lanes() > self.inboxes.len() as u64 {
             self.env_log.push((key.to_string(), value.clone()));
         }
         self.env_apply(key, value);
@@ -215,47 +226,53 @@ impl Router {
 mod tests {
     use super::*;
 
-    use crate::handle_table::PortOwner;
-    use crate::ids::ProcessId;
     use asbestos_labels::Label;
 
-    /// A router over `shards` shards, each minting from its own lane; a
-    /// federated one's kernel is the first of two.
+    const SEED: u64 = 1;
+
+    /// Slot `slot` of a federation of `kernels` kernels of `shards`
+    /// shards, as `Kernel::with_cluster_slot` lays out the lanes.
+    fn table(shards: usize, slot: usize, kernels: usize) -> HandleTable {
+        let lanes = (kernels * shards) as u64;
+        HandleTable::with_partition(SEED, (slot * shards) as u64, shards, lanes)
+    }
+
+    /// A router over `shards` shards; a federated one's kernel is the
+    /// first of two.
     fn router(shards: usize, federated: bool) -> Router {
-        let lanes = if federated { 2 * shards } else { shards };
-        let handles = HandleTable::with_partition(1, 0, shards, lanes as u64);
-        Router::new(handles, shards)
+        Router::new(table(shards, 0, 1 + usize::from(federated)), shards)
     }
 
-    /// An unknown handle: one no shard of these routers has minted.
-    const UNKNOWN: Handle = Handle::from_raw(0x123);
-
+    /// Routing reads no vnode. A router whose table minted nothing sends
+    /// each handle an identically partitioned table minted to the shard
+    /// that minted it, or, exactly when another kernel minted it, out to
+    /// that kernel; an arrival goes to the minting lane's shard, wherever
+    /// that lane is.
     #[test]
-    fn directory_and_fallback() {
-        let mut r = router(4, false);
-        // Unknown: deterministic hash fallback.
-        assert_eq!(r.route(UNKNOWN), Some((0x123 % 4) as u16));
-        // Minted: the shard that minted it, port or compartment, live or
-        // dead (where a dead port drops `NoSuchPort`).
-        let owner = PortOwner::Process(ProcessId::new(3, 0));
-        let p = r.handles.new_port(Label::top(), owner, 3);
-        let c = r.handles.new_handle(1);
-        assert_eq!((r.route(p), r.route(c)), (Some(3), Some(1)));
-        r.handles.dissociate(p);
-        assert_eq!(r.route(p), Some(3));
-    }
-
-    #[test]
-    fn only_a_federated_kernel_sends_unknown_handles_out() {
-        for shards in [1, 4] {
-            let mut fed = router(shards, true);
-            let c = fed.handles.new_handle(shards as u16 - 1);
-            assert_eq!(fed.route(c), Some(shards as u16 - 1));
-            assert_eq!(fed.route(UNKNOWN), None);
-            // An arrival never leaves again: it drops on its hash shard.
-            assert_eq!(fed.arrival_shard(UNKNOWN), 0x123 % shards);
-            let plain = router(shards, false);
-            assert_eq!(plain.route(UNKNOWN), Some((0x123 % shards) as u16));
+    fn every_minted_handle_routes_to_its_minting_lane() {
+        for (shards, kernels) in [1, 3, 4].into_iter().flat_map(|s| [(s, 1), (s, 2), (s, 3)]) {
+            for slot in 0..kernels {
+                let r = Router::new(table(shards, slot, kernels), shards);
+                for k in 0..kernels {
+                    let mut minter = table(shards, k, kernels);
+                    for shard in (0..shards as u16).flat_map(|s| [s; 6]) {
+                        let h = minter.new_handle(shard);
+                        let want = if k == slot {
+                            Route::Shard(shard)
+                        } else {
+                            Route::Egress(k)
+                        };
+                        let at = format!("{h:?}: {shards}×{kernels}, {k} → {slot}");
+                        assert_eq!(r.route(h), want, "{at}");
+                        assert_eq!(r.arrival_shard(h), shard as usize, "{at}");
+                    }
+                }
+                assert_eq!(
+                    r.handles.allocator().allocated(),
+                    0,
+                    "the router's table minted nothing"
+                );
+            }
         }
     }
 

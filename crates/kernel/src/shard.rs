@@ -6,13 +6,13 @@
 //! share no mutable state with each other: what crosses shards (the vnode
 //! table, the global environment, the per-shard inboxes) is the kernel's
 //! router, which the run loop lends to one shard at a time as `&mut`. A
-//! port's vnode names the shard that minted it, which is its owner's, so
-//! every message to the port is evaluated there. A cross-shard send
-//! pushes onto the *destination's* inbox the moment it resolves —
-//! mid-drain — and each shard drains its own inbox at deterministic
-//! points of its delivery loop (sub-round routing). The run loop visits
-//! shards one at a time on the calling thread; the isolation is what lets
-//! a shard stand for one core in the virtual-clock model.
+//! port's value names the shard whose cipher lane minted it, which is its
+//! owner's, so every message to the port is evaluated there. A
+//! cross-shard send pushes onto the *destination's* inbox the moment it
+//! resolves — mid-drain — and each shard drains its own inbox at
+//! deterministic points of its delivery loop (sub-round routing). The run
+//! loop visits shards one at a time on the calling thread; the isolation
+//! is what lets a shard stand for one core in the virtual-clock model.
 //!
 //! Label evaluation always runs here, on the shard owning the destination
 //! port, against the destination's own labels — Figure 4's semantics are
@@ -27,13 +27,12 @@ use crate::cycles::{Category, CostModel, CycleClock};
 use crate::delivery::{keep_or_wrap, Mailboxes};
 use crate::error::{SysError, SysResult};
 use crate::event_process::EventProcess;
-use crate::handle_table::PortOwner;
 use crate::ids::{EpId, ExecCtx, ProcessId};
 use crate::kernel::{KmemReport, DEFAULT_QUEUE_LIMIT};
 use crate::memory::{FramePool, PAGE_SIZE};
 use crate::message::{Message, QueuedMessage, RemoteSend, SendArgs};
 use crate::process::{Body, Process};
-use crate::router::{PullPoint, Router};
+use crate::router::{PullPoint, Route, Router};
 use crate::stats::{DropReason, Stats};
 use crate::sys::Sys;
 use crate::value::Value;
@@ -208,8 +207,7 @@ impl KernelShard {
         for frame in self.eps[eid.index()].delta.drain_all() {
             self.frames.release(frame);
         }
-        let ports: Vec<Handle> = std::mem::take(&mut self.eps[eid.index()].ports);
-        for port in ports {
+        for port in std::mem::take(&mut self.eps[eid.index()].ports) {
             router.handles.dissociate(port);
         }
         self.eps[eid.index()].alive = false;
@@ -222,7 +220,7 @@ impl KernelShard {
         for eid in eps {
             self.cleanup_ep(router, eid);
         }
-        for port in router.handles.ports_owned_by(PortOwner::Process(pid)) {
+        for port in std::mem::take(&mut self.processes[pid.index()].ports) {
             router.handles.dissociate(port);
         }
         let table = std::mem::take(&mut self.processes[pid.index()].page_table);
@@ -285,11 +283,11 @@ impl KernelShard {
             from: Some(ctx),
         };
 
-        // Route by where the port was minted; label evaluation always
+        // Route by the lane that minted the port; label evaluation always
         // happens on the destination shard, when the message is popped.
         match router.route(port) {
-            Some(dest) if dest == self.id => self.enqueue_checked(qm),
-            Some(dest) => {
+            Route::Shard(dest) if dest == self.id => self.enqueue_checked(qm),
+            Route::Shard(dest) => {
                 // Sub-round routing: push straight onto the destination's
                 // inbox. Queue bounds are ultimately the destination
                 // shard's to enforce (it runs `enqueue_checked` when it
@@ -302,19 +300,22 @@ impl KernelShard {
                     self.stats.record_drop(DropReason::QueueFull);
                 }
             }
-            // Federation: the port was minted by another kernel. Park the
+            // Federation: the port was minted by kernel `home`. Park the
             // message for the gateway; the delivery-time Figure 4 check
             // (and the destination-side queue bounds, and `Stats::sent`)
             // run on the *destination* kernel, so verdicts derive only
             // from destination state.
-            None => router.push_egress(RemoteSend {
-                port: qm.port,
-                body: qm.body,
-                es: qm.es,
-                ds: qm.ds,
-                dr: qm.dr,
-                v: qm.v,
-            }),
+            Route::Egress(home) => router.push_egress(
+                home,
+                RemoteSend {
+                    port: qm.port,
+                    body: qm.body,
+                    es: qm.es,
+                    ds: qm.ds,
+                    dr: qm.dr,
+                    v: qm.v,
+                },
+            ),
         }
         Ok(())
     }

@@ -13,7 +13,7 @@ pub enum DropReason {
     PortLabelDecont,
     /// The destination handle does not name a port.
     NoSuchPort,
-    /// The port has no owner (dissociated or its owner exited).
+    /// The port's owner has exited.
     NoOwner,
     /// The kernel message queue hit its configured limit (§8's resource
     /// exhaustion caveat made explicit).

@@ -133,9 +133,7 @@ impl<'k> Sys<'k> {
             .clock
             .charge(Category::KernelIpc, self.shard.cost.new_port);
         Arc::make_mut(self.send_slot()).set(p, Level::Star);
-        if let Some(eid) = self.ctx.ep {
-            self.shard.eps[eid.index()].ports.push(p);
-        }
+        self.ports_slot().push(p);
         p
     }
 
@@ -169,9 +167,7 @@ impl<'k> Sys<'k> {
     pub fn dissociate_port(&mut self, port: Handle) -> SysResult<()> {
         self.check_port_owner(port)?;
         self.router.handles.dissociate(port);
-        if let Some(eid) = self.ctx.ep {
-            self.shard.eps[eid.index()].ports.retain(|&p| p != port);
-        }
+        self.ports_slot().retain(|&p| p != port);
         Ok(())
     }
 
@@ -470,6 +466,14 @@ impl<'k> Sys<'k> {
         }
     }
 
+    /// The caller's port list: the ports its exit dissociates.
+    fn ports_slot(&mut self) -> &mut Vec<Handle> {
+        match self.ctx.ep {
+            Some(eid) => &mut self.shard.eps[eid.index()].ports,
+            None => &mut self.shard.processes[self.ctx.pid.index()].ports,
+        }
+    }
+
     fn recv_slot(&mut self) -> &mut Arc<Label> {
         match self.ctx.ep {
             Some(eid) => &mut self.shard.eps[eid.index()].recv_label,
@@ -487,7 +491,7 @@ impl<'k> Sys<'k> {
             Some(eid) => PortOwner::Ep(eid),
             None => PortOwner::Process(self.ctx.pid),
         };
-        if state.owner == Some(me) {
+        if state.owner == me {
             Ok(())
         } else {
             Err(SysError::NotPortOwner)

@@ -9,6 +9,12 @@
 //! drop reason, and the receiver's `Q_S` and `Q_R` afterwards; the kernel
 //! must agree on all of them, step by step.
 //!
+//! Besides the processes' ports, a send may target a handle that names no
+//! port: a compartment, a value no cipher lane minted, and a port that a
+//! process on another shard mints a third of the way through the script
+//! and dissociates two thirds of the way through. For those the model
+//! predicts the sender's privilege checks first, then `NoSuchPort`.
+//!
 //! The CI shard matrix sets `ASBESTOS_TEST_SHARDS`; the test runs one and
 //! three shards, and the matrix value too.
 
@@ -22,6 +28,8 @@ use proptest::test_runner::TestRng;
 
 const PROCESSES: usize = 6;
 const SENDS: usize = 240;
+/// The process that mints a port mid-script, on shard `1 % shards`.
+const MINTER: usize = 1;
 
 fn shard_counts() -> Vec<usize> {
     let mut counts = vec![1, 3];
@@ -36,10 +44,10 @@ fn shard_counts() -> Vec<usize> {
     counts
 }
 
-/// One scripted send: from `sender` to `receiver`'s port with `args`.
+/// One scripted send: from `sender` to target `target` with `args`.
 struct Step {
     sender: usize,
-    receiver: usize,
+    target: usize,
     args: SendArgs,
 }
 
@@ -50,6 +58,7 @@ enum Verdict {
     Delivered,
     LabelCheck,
     PortLabelDecont,
+    NoSuchPort,
 }
 
 fn level(rng: &mut TestRng) -> Level {
@@ -156,7 +165,9 @@ fn random_args(rng: &mut TestRng, pool: &[Handle], sender_stars: &[Handle]) -> S
 struct Model {
     send: Vec<NaiveLabel>,
     recv: Vec<NaiveLabel>,
-    port: Vec<NaiveLabel>,
+    /// Each target's port label and owning process, or `None` where the
+    /// target names no port.
+    port: Vec<Option<(NaiveLabel, usize)>>,
 }
 
 impl Model {
@@ -183,9 +194,10 @@ impl Model {
         if !grants_ok || !raises_ok {
             return Verdict::Refused;
         }
-        let es = ps.lub(&cs);
-        let r = step.receiver;
-        let pr = &self.port[r];
+        let Some((pr, r)) = &self.port[step.target] else {
+            return Verdict::NoSuchPort;
+        };
+        let (es, r) = (ps.lub(&cs), *r);
         // (4) D_R ⊑ p_R.
         if !dr.leq(pr) {
             return Verdict::PortLabelDecont;
@@ -206,7 +218,9 @@ fn verdict(before: &Stats, after: &Stats, sent: bool) -> Verdict {
     if !sent {
         return Verdict::Refused;
     }
-    if after.dropped_label_check > before.dropped_label_check {
+    if after.dropped_no_port > before.dropped_no_port {
+        Verdict::NoSuchPort
+    } else if after.dropped_label_check > before.dropped_label_check {
         Verdict::LabelCheck
     } else if after.dropped_port_decont > before.dropped_port_decont {
         Verdict::PortLabelDecont
@@ -219,6 +233,8 @@ fn verdict(before: &Stats, after: &Stats, sent: bool) -> Verdict {
 
 fn run(shards: usize, seed: u64) {
     let mut rng = TestRng::deterministic(&format!("figure4_model::{seed}"));
+    // The kernel's own cipher: `pool[0]` is counter 0, which no lane
+    // mints, and the rest are handles its lanes mint or will.
     let cipher = HandleCipher::new(seed);
     let pool: Vec<Handle> = (0..1_200)
         .map(|i| Handle::from_raw(cipher.encrypt(i)))
@@ -251,15 +267,31 @@ fn run(shards: usize, seed: u64) {
                     let p = sys.new_port(Label::top());
                     sys.set_port_label(p, port_label(p, &spec)).unwrap();
                     sys.publish_env(&key, Value::Handle(p));
+                    if i == 0 {
+                        let compartment = sys.new_handle();
+                        sys.publish_env("model.compartment", Value::Handle(compartment));
+                    }
                 },
-                move |sys, msg| {
-                    // A command from the test driver: run scripted send `n`.
-                    if let Value::List(items) = &msg.body {
+                // A command from the test driver: run scripted send `n`,
+                // or mint an open port, or dissociate it.
+                move |sys, msg| match (&msg.body, msg.body.as_str()) {
+                    (Value::List(items), _) => {
                         let n = items[0].as_u64().unwrap() as usize;
                         let (port, args) = script.lock().unwrap()[n].clone();
                         let result = sys.send_args(port, Value::U64(n as u64), &args);
                         sent.lock().unwrap().push(result.is_ok());
                     }
+                    (_, Some("mint")) => {
+                        let p = sys.new_port(Label::top());
+                        sys.set_port_label(p, Label::top()).unwrap();
+                        sys.publish_env("model.minted", Value::Handle(p));
+                    }
+                    (_, Some("dissociate")) => {
+                        let p = sys.env("model.minted").unwrap().as_handle().unwrap();
+                        sys.dissociate_port(p).unwrap();
+                    }
+                    // A scripted send, received.
+                    _ => {}
                 },
             ),
         ));
@@ -267,12 +299,18 @@ fn run(shards: usize, seed: u64) {
     let ports: Vec<Handle> = (0..PROCESSES)
         .map(|i| kernel.global_env_handle(&format!("model.{i}")).unwrap())
         .collect();
+    let mut targets = ports.clone();
+    targets.extend([
+        kernel.global_env_handle("model.compartment").unwrap(),
+        pool[0],
+    ]);
 
     let mut model = Model {
         send: Vec::new(),
         recv: Vec::new(),
         port: (0..PROCESSES)
-            .map(|i| NaiveLabel::from(&port_label(ports[i], &port_specs[i])))
+            .map(|i| Some((NaiveLabel::from(&port_label(ports[i], &port_specs[i])), i)))
+            .chain([None, None])
             .collect(),
     };
     for &pid in &pids {
@@ -285,8 +323,24 @@ fn run(shards: usize, seed: u64) {
         kernel.set_process_labels(pid, Some(send), Some(recv));
     }
 
-    let mut seen = [0usize; 4];
+    let mut seen = [0usize; 5];
     for n in 0..SENDS {
+        if n == SENDS / 3 {
+            // `new_port` opens a port owned by the minter and grants it ⋆.
+            kernel.inject(ports[MINTER], "mint".into());
+            kernel.run();
+            let minted = kernel.global_env_handle("model.minted").unwrap();
+            targets.push(minted);
+            model.port.push(Some((NaiveLabel::new(Level::L3), MINTER)));
+            model.send[MINTER].set(minted, Level::Star);
+            let minter = kernel.process(pids[MINTER]);
+            assert_eq!(NaiveLabel::from(&*minter.send_label), model.send[MINTER]);
+        }
+        if n == 2 * SENDS / 3 {
+            kernel.inject(ports[MINTER], "dissociate".into());
+            kernel.run();
+            *model.port.last_mut().unwrap() = None;
+        }
         let step = {
             let sender = rng.below(PROCESSES as u64) as usize;
             let stars: Vec<Handle> = model.send[sender]
@@ -297,14 +351,14 @@ fn run(shards: usize, seed: u64) {
                 .collect();
             Step {
                 sender,
-                receiver: rng.below(PROCESSES as u64) as usize,
+                target: rng.below(targets.len() as u64) as usize,
                 args: random_args(&mut rng, &pool, &stars),
             }
         };
         script
             .lock()
             .unwrap()
-            .push((ports[step.receiver], step.args.clone()));
+            .push((targets[step.target], step.args.clone()));
         let before = kernel.stats();
         kernel.inject(ports[step.sender], Value::List(vec![Value::U64(n as u64)]));
         kernel.run();
@@ -313,7 +367,9 @@ fn run(shards: usize, seed: u64) {
         let want = model.step(&step);
         assert_eq!(got, want, "{shards} shards, send {n}: verdict");
         seen[want as usize] += 1;
-        let r = step.receiver;
+        let Some((_, r)) = model.port[step.target] else {
+            continue;
+        };
         let receiver = kernel.process(pids[r]);
         assert_eq!(
             NaiveLabel::from(&*receiver.send_label),

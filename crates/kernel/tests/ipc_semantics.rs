@@ -5,8 +5,8 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use asbestos_kernel::util::{service_with_start, Recorder};
-use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, SysError, Value};
+use asbestos_kernel::util::{ep_service_fn, service_with_start, Recorder};
+use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Sys, SysError, Value};
 
 fn taint(h: Handle) -> Label {
     Label::from_pairs(Level::Star, &[(h, Level::L3)])
@@ -939,6 +939,69 @@ fn exit_process_cleans_up() {
     assert_eq!(kernel.stats().dropped_no_port, 1);
     // Page freed.
     assert_eq!(kernel.kmem_report().user_frame_bytes, 0);
+}
+
+/// Opens a port anyone may send to and publishes it under `key`.
+fn open_port(sys: &mut Sys<'_>, key: &str) -> Handle {
+    let p = sys.new_port(Label::top());
+    sys.set_port_label(p, Label::top()).unwrap();
+    sys.publish_env(key, Value::Handle(p));
+    p
+}
+
+/// A process's exit dissociates exactly the ports it holds: another
+/// process's ports and an event process's stay live.
+#[test]
+fn exit_dissociates_exactly_the_exiting_processs_ports() {
+    for shards in [1, 3] {
+        let mut kernel = Kernel::new_sharded(18, shards);
+        let mortal = service_with_start(
+            |sys| {
+                open_port(sys, "mortal.a");
+                let gone = open_port(sys, "mortal.gone");
+                sys.dissociate_port(gone).unwrap();
+                open_port(sys, "mortal.b");
+            },
+            |sys, _| sys.exit_process(),
+        );
+        let mortal = kernel.spawn_on(0, "mortal", Category::Other, mortal);
+        let other = service_with_start(
+            |sys| {
+                open_port(sys, "other");
+            },
+            |_, _| {},
+        );
+        kernel.spawn_on(1 % shards, "other", Category::Other, other);
+        let eps = ep_service_fn(
+            |sys| {
+                open_port(sys, "eps.base");
+            },
+            |sys, _| {
+                open_port(sys, "eps.ep");
+            },
+        );
+        kernel.spawn_ep_service_on(2 % shards, "eps", Category::Other, eps);
+        let port = |k: &Kernel, key: &str| k.global_env_handle(key).unwrap();
+        kernel.inject(port(&kernel, "eps.base"), Value::Unit);
+        kernel.run();
+        kernel.inject(port(&kernel, "mortal.a"), Value::Unit);
+        kernel.run();
+
+        let table = kernel.handle_table();
+        for key in ["mortal.a", "mortal.b", "mortal.gone"] {
+            let h = port(&kernel, key);
+            assert!(
+                table.port(h).is_none(),
+                "{shards} shards: {key} dissociated"
+            );
+            assert!(table.get(h).is_some(), "{key} stays a compartment");
+        }
+        for key in ["other", "eps.base", "eps.ep"] {
+            let live = table.port(port(&kernel, key));
+            assert!(live.is_some(), "{shards} shards: {key} live");
+        }
+        assert!(kernel.process(mortal).ports.is_empty());
+    }
 }
 
 #[test]

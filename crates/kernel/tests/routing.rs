@@ -1,9 +1,10 @@
 //! Where a message goes at a federated kernel's boundary, checked on
 //! cluster slot 0 of N with no gateway. A send to a port another kernel
-//! minted leaves through egress whole and queues nothing here; a send to
-//! a handle with a vnode here (a dissociated port, a compartment another
-//! shard minted) drops `NoSuchPort` here; an unfederated kernel sends
-//! nothing out; and a message injected off the wire never leaves again.
+//! minted leaves through egress whole, parked with that kernel as its
+//! home, and queues nothing here; a send to a handle this kernel's lanes
+//! minted (a dissociated port, a compartment another shard minted) drops
+//! `NoSuchPort` here; an unfederated kernel sends nothing out; and a
+//! message injected off the wire never leaves again.
 //! Runs at 1 and 4 shards plus `ASBESTOS_TEST_SHARDS`, with N from
 //! `ASBESTOS_KERNELS` (default 2).
 
@@ -11,7 +12,6 @@ use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{
     Category, CostModel, Handle, Kernel, Label, Level, RemoteSend, SendArgs, Value,
 };
-use asbestos_labels::HandleCipher;
 
 const SEED: u64 = 0x7E40;
 /// Never minted here; the sender holds `⋆` for both.
@@ -79,7 +79,7 @@ fn kernel(shards: usize, slot: usize, slots: usize) -> Kernel {
 
 /// Has the sender send to `target`: what was queued right after the
 /// send, what left, and the `NoSuchPort` drops once the kernel idled.
-fn send_to(k: &mut Kernel, target: Handle) -> (usize, Vec<RemoteSend>, u64) {
+fn send_to(k: &mut Kernel, target: Handle) -> (usize, Vec<(usize, RemoteSend)>, u64) {
     let before = k.stats().dropped_no_port;
     k.inject(
         k.global_env_handle("trigger").unwrap(),
@@ -94,14 +94,13 @@ fn send_to(k: &mut Kernel, target: Handle) -> (usize, Vec<RemoteSend>, u64) {
 
 #[test]
 fn a_send_leaves_only_for_a_handle_another_kernel_minted() {
-    let cipher = HandleCipher::new(SEED);
     for (shards, n) in sizes() {
         let remote = kernel(shards, 1, n).global_env_handle("live").unwrap();
-        assert_eq!(Kernel::cluster_slot_of(&cipher, remote, shards, n), 1);
         let mut home = kernel(shards, 0, n);
         let (queued, left, no_port) = send_to(&mut home, remote);
         assert_eq!((queued, left.len(), no_port), (0, 1, 0), "{shards} shards");
-        let (out, args) = (&left[0], args());
+        let ((to, out), args) = (&left[0], args());
+        assert_eq!(*to, 1, "parked with the kernel that minted the port");
         assert_eq!((out.port, &out.body), (remote, &"hello".into()));
         assert_eq!(
             *out.es,
@@ -113,10 +112,9 @@ fn a_send_leaves_only_for_a_handle_another_kernel_minted() {
             (&args.decont_send, &args.decont_recv, &args.verify)
         );
 
-        // A vnode here keeps the message here; unfederated, nothing leaves.
+        // A handle minted here stays here; unfederated, nothing leaves.
         for key in ["dead", "compartment"] {
             let local = home.global_env_handle(key).unwrap();
-            assert_eq!(Kernel::cluster_slot_of(&cipher, local, shards, n), 0);
             let (_, left, no_port) = send_to(&mut home, local);
             assert_eq!((left.len(), no_port), (0, 1), "{shards} shards, {key}");
         }

@@ -195,6 +195,6 @@ fn single_shard_matches_pre_refactor_engine() {
     assert_eq!(kernel.now(), 1_202_142, "virtual clock");
     assert_eq!(kernel.ep_count(), 28);
     assert_eq!(kernel.process_count(), 4);
-    assert_eq!(kernel.handle_table().allocated(), 5);
+    assert_eq!(kernel.handle_table().allocator().allocated(), 5);
     assert_eq!(kernel.queue_len(), 0);
 }

@@ -139,80 +139,99 @@ impl std::fmt::Debug for HandleCipher {
 
 /// Allocates handles by encrypting an incrementing 61-bit counter (§5.1).
 ///
+/// The counter space is partitioned into lanes: lane `l` of `lanes` draws
+/// counters `1 + l, 1 + l + lanes, …`. One allocator owns a run of
+/// consecutive lanes — a kernel's, one per shard — under one cipher, so
+/// every lane mints in one namespace (§5.1), no two lanes ever mint the
+/// same handle, and [`HandleAllocator::lane_of`] reads back which lane
+/// minted a handle.
+///
 /// The counter itself would be a storage channel — it reveals how many
 /// handles the whole system has created — so only its encryption is ever
 /// visible to user code (§8).
 #[derive(Debug, Clone)]
 pub struct HandleAllocator {
-    cipher: HandleCipher,
-    counter: u64,
-    stride: u64,
-    allocated: u64,
+    /// The cipher, boxed: 4 KiB of S-boxes kept off its owner's footprint.
+    cipher: Box<HandleCipher>,
+    /// The next counter each lane of the run draws, lane `first + i` at `i`.
+    next: Box<[u64]>,
+    /// Lanes in the whole partition.
+    lanes: u64,
 }
 
 impl HandleAllocator {
-    /// Creates an allocator whose cipher is keyed from `seed`.
+    /// Creates an allocator owning the one lane of an unpartitioned
+    /// counter, keyed from `seed`.
     pub fn new(seed: u64) -> HandleAllocator {
-        HandleAllocator::with_partition(seed, 0, 1)
+        HandleAllocator::with_partition(seed, 0, 1, 1)
     }
 
-    /// Creates an allocator owning one lane of a partitioned counter
-    /// space: it draws counters `1 + lane, 1 + lane + lanes, …`.
-    ///
-    /// Kernel shards each hold one lane of a `lanes`-way partition keyed
-    /// from the same seed, so every shard generates handles from the same
-    /// cipher (one system-wide namespace, per §5.1) while the underlying
-    /// counters — and therefore the handle values — never collide. With
-    /// `lane = 0, lanes = 1` this is exactly [`HandleAllocator::new`].
+    /// Creates an allocator owning lanes `first .. first + run` of a
+    /// `lanes`-way partition keyed from `seed`. Allocators keyed alike
+    /// over disjoint runs never mint colliding handles, and lane `l`'s
+    /// handles are the same whichever run holds it.
     ///
     /// # Panics
     ///
-    /// Panics unless `lane < lanes`.
-    pub fn with_partition(seed: u64, lane: u64, lanes: u64) -> HandleAllocator {
-        assert!(lane < lanes, "allocator lane out of range");
+    /// Panics unless `run >= 1` and `first + run <= lanes`.
+    pub fn with_partition(seed: u64, first: u64, run: usize, lanes: u64) -> HandleAllocator {
+        assert!(
+            run >= 1 && first + run as u64 <= lanes,
+            "allocator lanes out of range"
+        );
         HandleAllocator {
-            cipher: HandleCipher::new(seed),
-            counter: 1 + lane,
-            stride: lanes,
-            allocated: 0,
+            cipher: Box::new(HandleCipher::new(seed)),
+            next: (first..first + run as u64).map(|lane| 1 + lane).collect(),
+            lanes,
         }
     }
 
-    /// The inverse of [`HandleAllocator::with_partition`]: which lane of a
-    /// `lanes`-way partition keyed like `cipher` mints `handle`. Every
-    /// value maps to a lane, minted or not (counter 0, which no lane
-    /// draws, maps to lane `lanes - 1`). Panics if `lanes` is 0.
-    pub fn lane_of(cipher: &HandleCipher, handle: Handle, lanes: u64) -> u64 {
-        (cipher.decrypt(handle.raw()) + lanes - 1) % lanes
+    /// Which lane of the partition mints `handle`. Every value maps to a
+    /// lane, minted or not (counter 0, which no lane draws, maps to lane
+    /// `lanes - 1`). With one lane there is nothing to decrypt.
+    pub fn lane_of(&self, handle: Handle) -> u64 {
+        if self.lanes == 1 {
+            return 0;
+        }
+        (self.cipher.decrypt(handle.raw()) + self.lanes - 1) % self.lanes
+    }
+
+    /// The first lane of the run (lane `l`'s counters are `1 + l` modulo
+    /// the lane count).
+    pub fn first(&self) -> u64 {
+        (self.next[0] - 1) % self.lanes
     }
 
     /// How many lanes the counter space is partitioned into.
     pub fn lanes(&self) -> u64 {
-        self.stride
+        self.lanes
     }
 
-    /// Returns a fresh, never-before-returned handle.
+    /// Returns a fresh, never-before-returned handle from lane
+    /// `first + i`.
     ///
     /// # Panics
     ///
-    /// Panics if all `2^61` handles have been allocated (at one billion
-    /// handles per second this would take 73 years; in a simulator it means
-    /// a runaway loop).
-    pub fn alloc(&mut self) -> Handle {
-        assert!(self.counter < HANDLE_SPACE, "61-bit handle space exhausted");
-        let value = self.cipher.encrypt(self.counter);
-        self.counter += self.stride;
-        self.allocated += 1;
+    /// Panics unless `i` is in the run, or if the lane's counters are
+    /// exhausted (at one billion handles per second the whole `2^61` space
+    /// would last 73 years; in a simulator it means a runaway loop).
+    pub fn alloc(&mut self, i: usize) -> Handle {
+        let counter = &mut self.next[i];
+        assert!(*counter < HANDLE_SPACE, "61-bit handle space exhausted");
+        let value = self.cipher.encrypt(*counter);
+        *counter += self.lanes;
         Handle::new(value).expect("cycle-walked output stays in the 61-bit domain")
     }
 
-    /// The number of handles allocated so far (by this lane).
+    /// The number of handles allocated so far, by every lane of the run.
     ///
     /// This is god-mode observability for tests and accounting; it is never
     /// exposed through the syscall surface (it would be the §8 storage
     /// channel the cipher exists to close).
     pub fn allocated(&self) -> u64 {
-        self.allocated
+        (self.next.iter().zip(self.first()..))
+            .map(|(&next, lane)| (next - 1 - lane) / self.lanes)
+            .sum()
     }
 }
 
@@ -225,20 +244,24 @@ mod tests {
     fn partitioned_lanes_never_collide_and_lane0_matches_new() {
         // Lane 0 of a 1-way partition IS the classic allocator.
         let mut classic = HandleAllocator::new(9);
-        let mut lane0of1 = HandleAllocator::with_partition(9, 0, 1);
+        let mut lane0of1 = HandleAllocator::with_partition(9, 0, 1, 1);
         for _ in 0..32 {
-            assert_eq!(classic.alloc(), lane0of1.alloc());
+            assert_eq!(classic.alloc(0), lane0of1.alloc(0));
         }
-        // Four lanes from one seed: all handles distinct.
-        let mut lanes: Vec<HandleAllocator> = (0..4)
-            .map(|lane| HandleAllocator::with_partition(9, lane, 4))
-            .collect();
+        // Four lanes from one seed, two runs of two: all handles distinct,
+        // and a lane mints the same handles whichever run holds it.
+        let mut runs = [0, 2].map(|first| HandleAllocator::with_partition(9, first, 2, 4));
         let mut seen = HashSet::new();
-        for lane in &mut lanes {
-            for _ in 0..64 {
-                assert!(seen.insert(lane.alloc()), "lanes minted a duplicate");
+        for run in &mut runs {
+            for i in [0, 1] {
+                let mut alone = HandleAllocator::with_partition(9, run.first() + i, 1, 4);
+                for _ in 0..64 {
+                    let h = run.alloc(i as usize);
+                    assert_eq!(h, alone.alloc(0));
+                    assert!(seen.insert(h), "lanes minted a duplicate");
+                }
             }
-            assert_eq!(lane.allocated(), 64);
+            assert_eq!(run.allocated(), 128);
         }
     }
 
@@ -248,15 +271,16 @@ mod tests {
         for seed in std::iter::repeat_with(|| splitmix64(&mut state)).take(8) {
             let cipher = HandleCipher::new(seed);
             for lanes in [1, 2, 3, 4, 8, 12] {
+                let mut alloc = HandleAllocator::with_partition(seed, 0, lanes as usize, lanes);
                 for lane in 0..lanes {
-                    let mut alloc = HandleAllocator::with_partition(seed, lane, lanes);
-                    for h in std::iter::repeat_with(|| alloc.alloc()).take(16) {
-                        assert_eq!(HandleAllocator::lane_of(&cipher, h, lanes), lane);
+                    for _ in 0..16 {
+                        let h = alloc.alloc(lane as usize);
+                        assert_eq!(alloc.lane_of(h), lane);
                     }
                 }
                 // Counter 0 is no lane's, and still maps to one.
                 let unminted = Handle::from_raw(cipher.encrypt(0));
-                assert!(HandleAllocator::lane_of(&cipher, unminted, lanes) < lanes);
+                assert!(alloc.lane_of(unminted) < lanes);
             }
         }
     }
@@ -282,7 +306,7 @@ mod tests {
         let mut alloc = HandleAllocator::new(7);
         let mut seen = HashSet::new();
         for _ in 0..100_000 {
-            assert!(seen.insert(alloc.alloc()), "handle collision");
+            assert!(seen.insert(alloc.alloc(0)), "handle collision");
         }
     }
 
@@ -292,7 +316,7 @@ mod tests {
         // the counter. We check that consecutive outputs are not consecutive
         // values and that outputs are spread across the domain.
         let mut alloc = HandleAllocator::new(99);
-        let vals: Vec<u64> = (0..1000).map(|_| alloc.alloc().raw()).collect();
+        let vals: Vec<u64> = (0..1000).map(|_| alloc.alloc(0).raw()).collect();
         let consecutive = vals
             .windows(2)
             .filter(|w| w[1] == w[0] + 1 || w[1] == w[0].wrapping_sub(1))
@@ -319,8 +343,8 @@ mod tests {
     fn allocated_counts() {
         let mut alloc = HandleAllocator::new(1);
         assert_eq!(alloc.allocated(), 0);
-        alloc.alloc();
-        alloc.alloc();
+        alloc.alloc(0);
+        alloc.alloc(0);
         assert_eq!(alloc.allocated(), 2);
     }
 }

@@ -92,7 +92,7 @@ pub struct ScenarioReport {
     pub wire_frames: u64,
     /// Bytes every gateway put on the wire (0 at one kernel).
     pub wire_bytes: u64,
-    /// `Forward`s the switch routed between kernels (0 at one kernel).
+    /// `Forward`s the gateways sent between kernels (0 at one kernel).
     pub forwarded: u64,
 }
 

@@ -86,7 +86,7 @@ impl Substrate {
     }
 
     /// `(frames, bytes, forwards)`: what every gateway put on the wire
-    /// and the `Forward`s the switch routed. One kernel has no wire.
+    /// and the `Forward`s the gateways sent. One kernel has no wire.
     pub(crate) fn wire(&self) -> (u64, u64, u64) {
         match self {
             Substrate::Kernel(_) => (0, 0, 0),
