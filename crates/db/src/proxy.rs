@@ -69,7 +69,6 @@ pub const PROXY_ROW_CYCLES: u64 = 500;
 struct Binding {
     uid: i64,
     taint: Handle,
-    #[allow(dead_code)] // recorded for AFFIRM-style audits; policy uses V.
     grant: Handle,
 }
 
@@ -83,7 +82,6 @@ pub struct DbProxy {
     users: BTreeMap<String, Binding>,
     uid_taint: BTreeMap<i64, Handle>,
     next_uid: i64,
-    worker_port: Option<Handle>,
     admin_port: Option<Handle>,
 }
 
@@ -128,7 +126,6 @@ impl DbProxy {
             users: BTreeMap::new(),
             uid_taint: BTreeMap::new(),
             next_uid,
-            worker_port: None,
             admin_port: None,
         }
     }
@@ -444,7 +441,6 @@ impl Service for DbProxy {
         sys.set_port_label(port, Label::top())
             .expect("creator owns the port");
         sys.publish_env(DB_PORT_ENV, Value::Handle(port));
-        self.worker_port = Some(port);
 
         // Admin port: stays closed (new_port leaves p_R(admin) = 0); we
         // grant it to the configured trusted party only.

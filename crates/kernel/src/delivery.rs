@@ -192,7 +192,7 @@ impl KernelShard {
     /// invokes the receiver.
     fn deliver(&mut self, router: &mut Router, qm: QueuedMessage) -> DeliveryOutcome {
         // Resolve the destination port: this shard's lane minted it, so
-        // its vnode, if any, is one this shard's processes own.
+        // its port state, if any, is one this shard's processes own.
         let Some(port_state) = router.handles.port(qm.port) else {
             return DeliveryOutcome::Dropped(DropReason::NoSuchPort);
         };

@@ -1,14 +1,20 @@
-//! The vnode table: kernel state for every active handle (§5.6).
+//! The port table: kernel state for every live port (§5.6).
 //!
 //! "In kernel space, each active handle corresponds to a 64-byte data
 //! structure called a vnode. For port handles, this structure includes the
 //! port label and a reference to the process with receive rights. A hash
 //! table maps handle values to vnodes."
 //!
+//! Only a port's vnode holds anything, so only ports are stored. A
+//! compartment is a value with no kernel state: minting one draws a
+//! counter and stores nothing, and dissociating a port removes its entry,
+//! leaving the handle valid in labels. Accounting still charges a vnode
+//! for every handle ever minted ([`HandleTable::kernel_bytes`]).
+//!
 //! A kernel has one table, whatever its shard count, and one allocator:
 //! one cipher, of which each shard mints from its own lane. Where a handle
 //! lives is the lane that minted it ([`HandleAllocator::lane_of`]), a
-//! function of its value alone, so no vnode records it.
+//! function of its value alone, so no entry records it.
 
 use std::collections::BTreeMap;
 
@@ -33,25 +39,14 @@ pub enum PortOwner {
 pub struct PortState {
     /// The port receive label `p_R` (§5.5).
     pub label: Label,
-    /// Who holds receive rights. Dissociating a port turns its vnode
-    /// into a compartment.
+    /// Who holds receive rights. Dissociating a port removes its state.
     pub owner: PortOwner,
 }
 
-/// A vnode: what an active handle currently names.
-#[derive(Clone, Debug)]
-pub enum VnodeKind {
-    /// A pure compartment: participates in labels only.
-    Compartment,
-    /// A communication port (which is also usable as a compartment — the
-    /// shared namespace is what §5.5 builds capabilities from).
-    Port(PortState),
-}
-
-/// The handle → vnode map plus the kernel's allocator: one cipher, one
-/// lane per shard.
+/// The handle → port state map of live ports plus the kernel's
+/// allocator: one cipher, one lane per shard.
 pub struct HandleTable {
-    vnodes: BTreeMap<Handle, VnodeKind>,
+    ports: BTreeMap<Handle, PortState>,
     /// Shard `i` mints from lane `first + i` of the allocator's run.
     alloc: HandleAllocator,
 }
@@ -69,7 +64,7 @@ impl HandleTable {
     /// kernels — ever mint colliding handles.
     pub fn with_partition(seed: u64, first: u64, shards: usize, lanes: u64) -> HandleTable {
         HandleTable {
-            vnodes: BTreeMap::new(),
+            ports: BTreeMap::new(),
             alloc: HandleAllocator::with_partition(seed, first, shards, lanes),
         }
     }
@@ -80,13 +75,12 @@ impl HandleTable {
         &self.alloc
     }
 
-    /// Allocates a fresh compartment handle on `shard` (the `new_handle`
+    /// Mints a fresh compartment handle on `shard` (the `new_handle`
     /// syscall's kernel half; the caller is responsible for setting
-    /// `P_S(h) = ⋆`).
+    /// `P_S(h) = ⋆`). A compartment has no kernel state: nothing is
+    /// stored.
     pub fn new_handle(&mut self, shard: u16) -> Handle {
-        let h = self.alloc.alloc(shard as usize);
-        self.vnodes.insert(h, VnodeKind::Compartment);
-        h
+        self.alloc.alloc(shard as usize)
     }
 
     /// Allocates a fresh port handle on `shard` with the Figure 4
@@ -95,49 +89,42 @@ impl HandleTable {
     pub fn new_port(&mut self, mut label: Label, owner: PortOwner, shard: u16) -> Handle {
         let h = self.alloc.alloc(shard as usize);
         label.set(h, Level::L0);
-        self.vnodes
-            .insert(h, VnodeKind::Port(PortState { label, owner }));
+        self.ports.insert(h, PortState { label, owner });
         h
     }
 
-    /// Looks up a vnode.
-    pub fn get(&self, h: Handle) -> Option<&VnodeKind> {
-        self.vnodes.get(&h)
-    }
-
-    /// Port state for `h`, if `h` names a port.
+    /// Port state for `h`, if `h` names a live port.
     pub fn port(&self, h: Handle) -> Option<&PortState> {
-        match self.vnodes.get(&h) {
-            Some(VnodeKind::Port(p)) => Some(p),
-            _ => None,
-        }
+        self.ports.get(&h)
     }
 
-    /// Mutable port state for `h`, if `h` names a port.
+    /// Mutable port state for `h`, if `h` names a live port.
     pub fn port_mut(&mut self, h: Handle) -> Option<&mut PortState> {
-        match self.vnodes.get_mut(&h) {
-            Some(VnodeKind::Port(p)) => Some(p),
-            _ => None,
-        }
+        self.ports.get_mut(&h)
     }
 
-    /// Turns a port back into a plain compartment (receive rights dropped;
-    /// the handle value stays valid in labels).
+    /// Drops receive rights on `h` and removes its state; the handle value
+    /// stays valid in labels as a compartment.
     pub fn dissociate(&mut self, h: Handle) {
-        if let Some(v) = self.vnodes.get_mut(&h) {
-            *v = VnodeKind::Compartment;
-        }
+        self.ports.remove(&h);
     }
 
-    /// Accounted kernel bytes: vnode structures plus port label storage.
+    /// The number of live ports. God-mode observability for tests; no
+    /// syscall reaches it.
+    pub fn len(&self) -> usize {
+        self.ports.len()
+    }
+
+    /// Whether no port is live.
+    pub fn is_empty(&self) -> bool {
+        self.ports.is_empty()
+    }
+
+    /// Accounted kernel bytes: a vnode for every handle minted, plus the
+    /// live ports' label storage.
     pub fn kernel_bytes(&self) -> usize {
-        let mut bytes = self.vnodes.len() * VNODE_BYTES;
-        for v in self.vnodes.values() {
-            if let VnodeKind::Port(p) = v {
-                bytes += p.label.heap_bytes();
-            }
-        }
-        bytes
+        let labels: usize = self.ports.values().map(|p| p.label.heap_bytes()).sum();
+        self.alloc.allocated() as usize * VNODE_BYTES + labels
     }
 }
 
@@ -160,17 +147,21 @@ mod tests {
     fn compartments_are_not_ports() {
         let mut t = HandleTable::new(1);
         let h = t.new_handle(0);
-        assert!(t.get(h).is_some());
         assert!(t.port(h).is_none());
+        assert!(t.is_empty(), "a compartment stores nothing");
     }
 
     #[test]
     fn dissociate_keeps_handle() {
         let mut t = HandleTable::new(1);
         let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
+        assert_eq!(t.len(), 1);
         t.dissociate(p);
         assert!(t.port(p).is_none());
-        assert!(t.get(p).is_some(), "handle still valid as a compartment");
+        assert!(t.is_empty(), "dissociate removes the port's state");
+        // The value stays minted: the allocator never issues it again.
+        assert_eq!(t.allocator().allocated(), 1);
+        assert_ne!(t.new_handle(0), p);
     }
 
     #[test]
@@ -187,8 +178,11 @@ mod tests {
         let mut t = HandleTable::new(1);
         t.new_handle(0);
         assert_eq!(t.kernel_bytes(), VNODE_BYTES);
-        t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
+        let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
         // Port adds a vnode plus its label storage (≥ 300 bytes).
         assert!(t.kernel_bytes() >= 2 * VNODE_BYTES + 300);
+        // A dissociated port's vnode is still charged; its label is not.
+        t.dissociate(p);
+        assert_eq!(t.kernel_bytes(), 2 * VNODE_BYTES);
     }
 }

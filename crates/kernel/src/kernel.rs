@@ -3,7 +3,7 @@
 //!
 //! The kernel is a set of [`KernelShard`]s — each a complete, isolated
 //! delivery engine (see [`crate::shard`]) — plus one router owning
-//! everything cross-shard (the vnode table, global environment, per-shard
+//! everything cross-shard (the port table, global environment, per-shard
 //! inboxes, federation egress) and this coordinator. The coordinator
 //! owns placement (which shard a spawned process lands on), drives the
 //! run loop, and merges per-shard statistics, clocks, and memory reports
@@ -78,7 +78,7 @@ pub struct KmemReport {
     pub process_bytes: usize,
     /// Event-process structures plus their labels.
     pub ep_bytes: usize,
-    /// Vnodes plus port labels.
+    /// 64 B per handle minted plus the live ports' labels.
     pub handle_bytes: usize,
     /// Queued, undelivered messages.
     pub queue_bytes: usize,
@@ -314,7 +314,6 @@ impl Kernel {
             v: Label::top(),
             from: None,
         });
-        shard.note_queue_depth();
     }
 
     // ------------------------------------------------------------------
@@ -557,7 +556,7 @@ impl Kernel {
     pub fn stats(&self) -> Stats {
         let mut total = Stats::default();
         for shard in &self.shards {
-            total.absorb(&shard.stats);
+            total.absorb(&shard.stats());
         }
         total.rounds += self.rounds;
         total
@@ -611,7 +610,7 @@ impl Kernel {
     pub fn per_shard_queue_depth_hwm(&self) -> Vec<u64> {
         self.shards
             .iter()
-            .map(|s| s.stats.queue_depth_hwm)
+            .map(|s| s.mailboxes.depth_hwm() as u64)
             .collect()
     }
 
@@ -650,7 +649,7 @@ impl Kernel {
         None
     }
 
-    /// The kernel's handle table: every vnode, on every shard.
+    /// The kernel's handle table: every live port, on every shard.
     pub fn handle_table(&self) -> &HandleTable {
         &self.router.handles
     }
@@ -683,7 +682,7 @@ impl Kernel {
     }
 
     /// Memory accounting across all kernel structures and user frames
-    /// (Figure 6's measurement), merged across shards, plus the vnode
+    /// (Figure 6's measurement), merged across shards, plus the port
     /// table and the cross-shard inboxes' bookkeeping (zero on a
     /// single-shard kernel, which never touches them).
     pub fn kmem_report(&self) -> KmemReport {

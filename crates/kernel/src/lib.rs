@@ -49,7 +49,7 @@
 //! [`Kernel`] coordinator that owns placement, the run loop (one
 //! deterministic sweep over the shards on the calling thread, repeated
 //! to quiescence), and the merged whole-kernel views. The only
-//! cross-shard state is the router (the vnode table, global environment,
+//! cross-shard state is the router (the port table, global environment,
 //! per-shard inboxes), lent as `&mut` to the one shard being drained —
 //! one thread, so no locks. A handle's value names the cipher lane, and
 //! so the shard, that minted it, and a message is routed there, so label

@@ -4,11 +4,11 @@
 //! across [`KernelShard`](crate::shard::KernelShard)s; the [`Router`]
 //! owns everything that belongs to no single shard:
 //!
-//! * the **vnode table** — the kernel's one handle → vnode map (§5.6) —
-//!   and the kernel's handle allocator. Where a message goes is the
-//!   kernel and shard whose cipher lane minted its port, which
-//!   [`Router::route`] computes from the port's value alone: no vnode is
-//!   read, and a handle's home never changes;
+//! * the **port table** — the kernel's one handle → live port map
+//!   (§5.6) — and the kernel's handle allocator. Where a message goes is
+//!   the kernel and shard whose cipher lane minted its port, which
+//!   [`Router::route`] computes from the port's value alone: no table
+//!   entry is read, and a handle's home never changes;
 //! * the **global environment** — the §4 bootstrapping namespace, which
 //!   was always whole-kernel state — and, on a federated kernel, the log
 //!   of the writes made here, which the gateway drains to replicate them;

@@ -3,7 +3,7 @@
 //! A [`KernelShard`] owns the processes and event processes scheduled on
 //! it, the frame pool backing their memory, the per-port mailboxes feeding
 //! its delivery loop, the cycle clock, and the statistics counters. Shards
-//! share no mutable state with each other: what crosses shards (the vnode
+//! share no mutable state with each other: what crosses shards (the port
 //! table, the global environment, the per-shard inboxes) is the kernel's
 //! router, which the run loop lends to one shard at a time as `&mut`. A
 //! port's value names the shard whose cipher lane minted it, which is its
@@ -363,17 +363,6 @@ impl KernelShard {
         }
         self.stats.sent += 1;
         self.mailboxes.push(qm);
-        self.note_queue_depth();
-    }
-
-    /// Mirrors the mailbox high-water mark into this shard's counters
-    /// (`Stats::queue_depth_hwm`); called after anything deepens the
-    /// mailboxes.
-    pub(crate) fn note_queue_depth(&mut self) {
-        let hwm = self.mailboxes.depth_hwm() as u64;
-        if hwm > self.stats.queue_depth_hwm {
-            self.stats.queue_depth_hwm = hwm;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -417,16 +406,20 @@ impl KernelShard {
             ep_bytes,
             queue_bytes,
             user_frame_bytes,
-            // The vnode table and the inbox bookkeeping are kernel-level,
+            // The port table and the inbox bookkeeping are kernel-level,
             // not per-shard; the coordinator fills them in
             // (`Kernel::kmem_report`).
             ..KmemReport::default()
         }
     }
 
-    /// This shard's statistics counters.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// This shard's statistics counters, with the high-water mark read
+    /// from the mailboxes.
+    pub fn stats(&self) -> Stats {
+        Stats {
+            queue_depth_hwm: self.mailboxes.depth_hwm() as u64,
+            ..self.stats
+        }
     }
 
     /// This shard's cycle clock.

@@ -30,7 +30,7 @@ use crate::value::Value;
 ///
 /// Every operation resolves against the executing context's own shard —
 /// processes, event processes and frames are shard-local by construction
-/// — except handles, whose vnodes live in the kernel router's one table
+/// — except ports, whose state lives in the kernel router's one table
 /// (minted by, and routed to, this shard), sends to other shards' or
 /// kernels' ports (which go onto the router's inboxes or egress queue),
 /// and the global environment (which the router also owns).

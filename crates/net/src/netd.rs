@@ -342,12 +342,6 @@ pub struct NetdLane {
 
 /// Spawn info for a running netd front end.
 pub struct NetdHandle {
-    /// Lane 0's process id.
-    pub pid: ProcessId,
-    /// Lane 0's control port (LISTEN requests).
-    pub control_port: Handle,
-    /// Lane 0's device port (external injections).
-    pub device_port: Handle,
     /// Every lane, in lane order (length 1 for the single-netd build).
     pub lanes: Vec<NetdLane>,
     /// The shared TCP substrate.
@@ -407,9 +401,6 @@ pub fn spawn_netd_lanes(kernel: &mut Kernel, lanes: usize) -> NetdHandle {
         });
     }
     NetdHandle {
-        pid: lane_handles[0].pid,
-        control_port: lane_handles[0].control_port,
-        device_port: lane_handles[0].device_port,
         lanes: lane_handles,
         net,
     }

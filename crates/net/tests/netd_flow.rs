@@ -233,7 +233,7 @@ fn tainted_replies_contaminate_and_port_label_opens_for_owner() {
     // And netd is still untainted for uT (it holds ⋆): its send label shows
     // uT at ⋆, so future users are unaffected.
     let (_uc, ut) = state.lock().unwrap().unwrap();
-    let netd_proc = kernel.process(netd.pid);
+    let netd_proc = kernel.process(netd.lanes[0].pid);
     assert_eq!(netd_proc.send_label.get(ut), Level::Star);
 }
 
@@ -341,7 +341,7 @@ fn an_ungranted_add_taint_is_dropped_and_the_connection_still_serves() {
         .lock()
         .unwrap()
         .expect("the listener saw the connection");
-    let netd_proc = kernel.process(netd.pid);
+    let netd_proc = kernel.process(netd.lanes[0].pid);
     assert_eq!(netd_proc.recv_label.get(taint), Level::L2);
     assert_eq!(netd_proc.send_label.get(taint), Level::L1);
 }

@@ -147,7 +147,6 @@ struct Entry {
 pub struct OkCache {
     users: BTreeMap<String, Binding>,
     entries: BTreeMap<String, Entry>,
-    worker_port: Option<Handle>,
     admin_port: Option<Handle>,
 }
 
@@ -157,7 +156,6 @@ impl OkCache {
         OkCache {
             users: BTreeMap::new(),
             entries: BTreeMap::new(),
-            worker_port: None,
             admin_port: None,
         }
     }
@@ -199,7 +197,6 @@ impl Service for OkCache {
         sys.set_port_label(port, Label::top())
             .expect("creator owns the port");
         sys.publish_env(CACHE_PORT_ENV, Value::Handle(port));
-        self.worker_port = Some(port);
 
         // Announce our (closed) admin port to idd; bindings arrive there.
         let admin = sys.new_port(Label::top());

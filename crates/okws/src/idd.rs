@@ -48,7 +48,6 @@ struct PendingLogin {
 
 /// The idd service.
 pub struct Idd {
-    login_port: Option<Handle>,
     trusted_port: Option<Handle>,
     cache_trusted_port: Option<Handle>,
     admin: Option<Handle>,
@@ -74,7 +73,6 @@ impl Idd {
     /// Creates an idd with an empty cache.
     pub fn new() -> Idd {
         Idd {
-            login_port: None,
             trusted_port: None,
             cache_trusted_port: None,
             admin: None,
@@ -243,7 +241,6 @@ impl Service for Idd {
         sys.set_port_label(login, Label::top())
             .expect("creator owns the port");
         sys.publish_env(IDD_PORT_ENV, Value::Handle(login));
-        self.login_port = Some(login);
 
         // Trusted notification port for ok-dbproxy's admin-port grant.
         let trusted = sys.new_port(Label::top());
