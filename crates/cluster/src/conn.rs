@@ -7,13 +7,19 @@
 //! Partial reads and partial writes are both normal — the cluster's run
 //! loop keeps calling until no side makes progress — so nothing here ever
 //! blocks and nothing is lost when a buffer fills mid-frame.
+//!
+//! Each end holds one [`ChunkTable`] per direction of the link: `send`
+//! encodes through the table of what the peer holds, `pump` decodes
+//! through the table of what this end holds, and the peer keeps the twin
+//! of each. Both ends run one replacement rule, so a label chunk crosses
+//! the link once while the peer still holds it, and a receiver holds at
+//! most [`SLOTS`](crate::wire::SLOTS) chunks per direction (see
+//! [`crate::wire`]).
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 
-use crate::wire::{decode_frame, encode_frame, WireMsg};
-
-const READ_CHUNK: usize = 16 * 1024;
+use crate::wire::{ChunkTable, WireError, WireMsg};
 
 /// Traffic counters for one connection (both directions).
 #[derive(Clone, Copy, Default, Debug)]
@@ -46,6 +52,13 @@ pub struct FrameConn {
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written to the socket.
     flushed: usize,
+    /// The chunks the peer holds of what this end sent.
+    sent: ChunkTable,
+    /// The chunks this end holds of what the peer sent.
+    received: ChunkTable,
+    /// The first bad frame read. It may have changed `received` part way,
+    /// so nothing after it is decoded.
+    broken: Option<WireError>,
     stats: ConnStats,
 }
 
@@ -58,6 +71,9 @@ impl FrameConn {
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             flushed: 0,
+            sent: ChunkTable::default(),
+            received: ChunkTable::default(),
+            broken: None,
             stats: ConnStats::default(),
         })
     }
@@ -66,7 +82,7 @@ impl FrameConn {
     ///
     /// [`flush`]: FrameConn::flush
     pub fn send(&mut self, msg: &WireMsg) {
-        encode_frame(msg, &mut self.outbuf);
+        self.sent.encode_frame(msg, &mut self.outbuf);
         self.stats.frames_out += 1;
     }
 
@@ -99,46 +115,48 @@ impl FrameConn {
     ///
     /// Wire corruption (bad magic, CRC failure, malformed body) is not
     /// recoverable mid-stream. The frames before a bad one are returned;
-    /// the bad one stays at the front of the buffer, so this call — or the
-    /// next, when frames came before it — returns `InvalidData`, and so
-    /// does every call after that.
+    /// this call — or the next, when frames came before it — returns
+    /// `InvalidData`, and so does every call after that.
     pub fn pump(&mut self) -> io::Result<Vec<WireMsg>> {
+        if let Some(e) = self.broken {
+            return Err(e.into());
+        }
         self.fill()?;
         let mut msgs = Vec::new();
         let mut used = 0;
-        let bad = loop {
-            match decode_frame(&self.inbuf[used..]) {
+        loop {
+            match self.received.decode_frame(&self.inbuf[used..]) {
                 Ok(Some((msg, n))) => {
                     msgs.push(msg);
                     used += n;
                 }
-                Ok(None) => break None,
-                Err(e) => break Some(e),
+                Ok(None) => break,
+                Err(e) => {
+                    self.broken = Some(e);
+                    break;
+                }
             }
-        };
+        }
         self.inbuf.drain(..used);
         self.stats.frames_in += msgs.len() as u64;
-        match bad {
+        match self.broken {
             Some(e) if msgs.is_empty() => Err(e.into()),
             _ => Ok(msgs),
         }
     }
 
-    /// Drains the socket into the inbound buffer.
+    /// Drains the socket into the inbound buffer. `read_to_end` reads
+    /// straight into the buffer's spare capacity, growing it as needed,
+    /// and keeps exactly what was read, so no byte is copied on the way
+    /// in. It returns at EOF (the peer closed its end) or at the first
+    /// error; at `WouldBlock` what was read is already in the buffer.
     fn fill(&mut self) -> io::Result<()> {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                // EOF: the peer closed its end; nothing more will come.
-                Ok(0) => return Ok(()),
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    self.stats.bytes_in += n as u64;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
+        let before = self.inbuf.len();
+        let read = self.stream.read_to_end(&mut self.inbuf);
+        self.stats.bytes_in += (self.inbuf.len() - before) as u64;
+        match read {
+            Err(e) if e.kind() != io::ErrorKind::WouldBlock => Err(e),
+            _ => Ok(()),
         }
     }
 
@@ -151,7 +169,12 @@ impl FrameConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_frame;
+    use crate::wire::fixtures::RawChunk::{Define, Header};
+    use crate::wire::fixtures::{frame_around, raw_forward_body, raw_label, uniform_labels};
     use asbestos_kernel::Value;
+    use asbestos_labels::chunk::{pack, Chunk};
+    use asbestos_labels::{Handle, Label, Level};
 
     #[test]
     fn send_pump_roundtrip_over_a_socketpair() {
@@ -182,5 +205,69 @@ mod tests {
         assert_eq!(tx.stats().frames_out, 100);
         assert_eq!(rx.stats().frames_in, 100);
         assert_eq!(tx.stats().bytes_out, rx.stats().bytes_in);
+    }
+
+    /// A chunk crosses a link once. A 780-entry `E_S` (ok-demux's send
+    /// label on `fed-k2`: 13 chunks) sent a second time travels as 13
+    /// one-byte references — the frame is the same message with no label
+    /// entries plus one byte per chunk — and the receiver allocates no
+    /// chunk for it: the decoded label shares the first one's.
+    #[test]
+    fn a_chunk_crosses_a_link_once() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let (mut tx, mut rx) = (FrameConn::new(a).unwrap(), FrameConn::new(b).unwrap());
+        let pairs: Vec<(Handle, Level)> = (0..780)
+            .map(|i| (Handle::from_raw(i * 5 + 2), Level::Star))
+            .collect();
+        let forward = |es: Label| WireMsg::Forward {
+            port: Handle::from_raw(0x2000),
+            es,
+            ds: Label::top(),
+            dr: Label::bottom(),
+            v: Label::top(),
+            body: Value::Str("read-r".into()),
+        };
+        let msg = forward(Label::from_pairs(Level::L1, &pairs));
+        let mut bare = Vec::new();
+        encode_frame(&forward(Label::default_send()), &mut bare);
+
+        let mut hop = || {
+            let bytes = tx.stats().bytes_out;
+            tx.send(&msg);
+            tx.flush().unwrap();
+            let allocs = Chunk::alloc_count();
+            let mut got = rx.pump().unwrap();
+            let allocs = Chunk::alloc_count() - allocs;
+            assert_eq!(got, std::slice::from_ref(&msg));
+            let Some(WireMsg::Forward { es, .. }) = got.pop() else {
+                unreachable!("checked above")
+            };
+            (tx.stats().bytes_out - bytes, allocs, es)
+        };
+        let (first, first_allocs, first_es) = hop();
+        assert_eq!(first as usize, bare.len() + 13 + 780 * 8);
+        assert_eq!(first_allocs, 13);
+        let (second, second_allocs, second_es) = hop();
+        assert_eq!(second as usize, bare.len() + 13);
+        assert_eq!(second_allocs, 0);
+        assert_eq!(second_es.chunks_shared_with(&first_es), 13);
+    }
+
+    /// A bad frame is final. This one defines a chunk in `es`, then names
+    /// slot 1 from `ds` while only slot 0 is full. Read again through the
+    /// table it changed, it would define into slot 1 and decode.
+    #[test]
+    fn a_bad_frame_is_never_read_twice() {
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let mut rx = FrameConn::new(a).unwrap();
+        let mut labels = uniform_labels();
+        labels[0] = raw_label(Level::L1.to_bits() as u8, &[Define(&[pack(3, Level::L3)])]);
+        labels[1] = raw_label(Level::L1.to_bits() as u8, &[Header(0x80 | 1)]);
+        b.write_all(&frame_around(&raw_forward_body(labels)))
+            .unwrap();
+        for _ in 0..2 {
+            let err = rx.pump().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 }

@@ -21,10 +21,18 @@
 //! All traffic from one kernel to another shares one link, so messages
 //! from one sender to one port arrive in the order they were sent.
 //!
-//! **Who pays for a bad frame.** The receiving gateway's
-//! [`decode_frame`](crate::wire::decode_frame) is the only check a frame
-//! meets. One that fails it — CRC-valid but malformed ones included —
-//! closes the link that carried it: the frames before it are delivered,
+//! **Labels travel as chunks.** Each direction of each link has one
+//! [`ChunkTable`](crate::wire::ChunkTable) at each end, kept by the
+//! link's [`FrameConn`]. Both ends run one replacement rule, so a label
+//! chunk the peer still holds crosses as a one-byte reference, and a peer
+//! can pin at most [`SLOTS`](crate::wire::SLOTS) chunks here per link
+//! direction. The gateway itself sees only whole messages.
+//!
+//! **Who pays for a bad frame.** The receiving link's
+//! [`ChunkTable::decode_frame`](crate::wire::ChunkTable::decode_frame) is
+//! the only check a frame meets. One that fails it — CRC-valid but
+//! malformed ones included — closes the link that carried it: the frames
+//! before it are delivered,
 //! nothing of it or after it is, and every other link keeps running. A
 //! link whose socket fails is closed the same way, so the sender's end
 //! closes once it next writes.
@@ -150,7 +158,7 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::wire::encode_frame;
-    use crate::wire::fixtures::{frame_around, raw_forward_body};
+    use crate::wire::fixtures::{frame_around, raw_forward_body, raw_label, uniform_labels};
     use asbestos_kernel::util::service_with_start;
     use asbestos_kernel::{Category, Handle, Label, Value};
     use asbestos_labels::HandleAllocator;
@@ -320,7 +328,9 @@ mod tests {
         let mut cluster = senders(3);
         let mut burst = Vec::new();
         encode_frame(&note(1), &mut burst);
-        burst.extend(frame_around(&raw_forward_body(&[], 6)));
+        let mut labels = uniform_labels();
+        labels[1] = raw_label(6, &[]);
+        burst.extend(frame_around(&raw_forward_body(labels)));
         encode_frame(&note(2), &mut burst);
         tap(&mut cluster, 0, 1).write_all(&burst).unwrap();
         let k1 = format!("{:?}", cluster.nodes[1].kernel.stats());

@@ -9,11 +9,12 @@
 //!
 //! * [`wire`] — the serialized form: a typed [`wire::WireMsg`]
 //!   enum in length-prefixed, CRC-framed, versioned frames. Labels
-//!   travel as their §5.6 packed entries in one canonical form (strictly
-//!   ascending, nothing at the default level) that is checked on arrival
-//!   and rejected, never repaired, when it is anything else
-//!   ([`WireError::NonCanonical`]); payload bytes are zero-copy views of
-//!   the received frame.
+//!   travel as their §5.6 chunks, and a chunk the receiver already holds
+//!   as a one-byte reference into the link direction's
+//!   [`wire::ChunkTable`], which both ends keep in step. What arrives is
+//!   checked and rejected, never repaired, when it is not what the
+//!   encoder writes ([`WireError::NonCanonical`]); payload bytes are
+//!   zero-copy views of the received frame.
 //! * [`conn`] — [`conn::FrameConn`], a nonblocking framed
 //!   `UnixStream` (partial reads/writes are normal, nothing blocks): one
 //!   link between two kernels.

@@ -3,11 +3,15 @@
 //! labels at the handle-space edge and uniform labels with no explicit
 //! entries — and on bodies that are damaged *behind a valid CRC* the
 //! decoder's verdict is "reject" for every byte string the encoder could
-//! not have written.
+//! not have written, and the two chunk tables of a link stay in lockstep.
 
-use asbestos_cluster::wire::HEADER_LEN;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
+
+use asbestos_cluster::wire::{ChunkTable, HEADER_LEN, SLOTS};
 use asbestos_cluster::{decode_frame, encode_frame, WireMsg};
 use asbestos_kernel::{Payload, Value};
+use asbestos_labels::chunk::{pack, Chunk, CHUNK_CAP};
 use asbestos_labels::{Handle, Label, Level, HANDLE_SPACE};
 use asbestos_store::crc32;
 use proptest::prelude::*;
@@ -148,24 +152,57 @@ fn mutate(body: &mut Vec<u8>, (kind, at, byte): (u8, usize, u8)) {
     }
 }
 
+/// Two messages for one link. Where bit `i` of `reuse` is set, the second
+/// carries the first's `i`th label in the same place — the same chunks, so
+/// over the table the first frame warmed it references what that frame
+/// defined.
+fn arb_link() -> impl Strategy<Value = (WireMsg, WireMsg)> {
+    (arb_msg(), arb_msg(), 0u8..16).prop_map(|(first, mut second, reuse)| {
+        if let (
+            WireMsg::Forward { es, ds, dr, v, .. },
+            WireMsg::Forward {
+                es: e,
+                ds: d,
+                dr: r,
+                v: w,
+                ..
+            },
+        ) = (&first, &mut second)
+        {
+            for (i, (old, new)) in [es, ds, dr, v].into_iter().zip([e, d, r, w]).enumerate() {
+                if reuse >> i & 1 == 1 {
+                    *new = old.clone();
+                }
+            }
+        }
+        (first, second)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// The CRC guards against accident, not intent, so the body decoder
-    /// must stand on its own: damage a valid frame's *body*, re-patch
-    /// length and CRC, and
+    /// must stand on its own: damage the *body* of a link's second frame,
+    /// re-patch length and CRC, decode it over the table the first frame
+    /// warmed, and
     /// (a) the complete frame is a message or an error — no panic, no
     ///     "need more bytes";
-    /// (b) whatever decodes re-encodes to the very bytes it came from:
-    ///     the codec is canonical for all input it accepts, not only for
-    ///     the encoder's output.
+    /// (b) whatever decodes re-encodes, from the same table state, to the
+    ///     very bytes it came from: the codec is canonical for all input
+    ///     it accepts, not only for the encoder's output.
     #[test]
     fn crc_valid_mutations(
-        msg in arb_msg(),
+        link in arb_link(),
         edits in prop::collection::vec((0u8..5, any::<usize>(), any::<u8>()), 1..4),
     ) {
+        let (first, second) = link;
+        let (mut sender, mut receiver) = (ChunkTable::default(), ChunkTable::default());
         let mut frame = Vec::new();
-        encode_frame(&msg, &mut frame);
+        sender.encode_frame(&first, &mut frame);
+        receiver.decode_frame(&frame).expect("first frame decodes").expect("complete");
+        frame.clear();
+        sender.encode_frame(&second, &mut frame);
         let mut body = frame.split_off(HEADER_LEN);
         for edit in edits {
             mutate(&mut body, edit);
@@ -174,14 +211,100 @@ proptest! {
         frame[9..13].copy_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
 
-        let decoded = decode_frame(&frame);
+        let mut warm = receiver.clone();
+        let decoded = receiver.decode_frame(&frame);
         prop_assert_ne!(&decoded, &Ok(None));
         if let Ok(Some((msg, used))) = decoded {
             prop_assert_eq!(used, frame.len());
             let mut again = Vec::new();
-            encode_frame(&msg, &mut again);
+            warm.encode_frame(&msg, &mut again);
             prop_assert_eq!(again, frame);
         }
+    }
+}
+
+/// The chunks a lockstep link draws its labels from: more than a table
+/// holds, so the link both references and evicts. Chunk `i` holds handles
+/// in `[1000 i, 1000 i + 1000)` at levels ⋆, 0 and 3, so ascending indices
+/// are ascending chunks and neither label default, 1 or 2, is among them.
+fn arb_pool() -> impl Strategy<Value = Vec<Arc<Chunk>>> {
+    let level = prop_oneof![Just(Level::Star), Just(Level::L0), Just(Level::L3)];
+    let chunk = prop::collection::vec((0u64..1000, level), 1..CHUNK_CAP + 1);
+    prop::collection::vec(chunk, SLOTS + 1..2 * SLOTS).prop_map(|chunks| {
+        (0u64..)
+            .zip(chunks)
+            .map(|(i, entries)| {
+                // Sorted and one entry per handle.
+                let entries: BTreeMap<u64, Level> = entries.into_iter().collect();
+                let packed = entries.into_iter().map(|(h, l)| pack(1000 * i + h, l));
+                Arc::new(Chunk::from_entries(packed.collect()))
+            })
+            .collect()
+    })
+}
+
+/// A label over the pool: default 2 or 1, and the chunks at these indices
+/// modulo the pool's size.
+fn pool_label(pool: &[Arc<Chunk>], (two, picks): &(bool, Vec<usize>)) -> Label {
+    let picks: BTreeSet<usize> = picks.iter().map(|i| i % pool.len()).collect();
+    let chunks = picks.into_iter().map(|i| Arc::clone(&pool[i])).collect();
+    let default = if *two { Level::L2 } else { Level::L1 };
+    Label::from_chunks(default, chunks).expect("pool chunks ascend")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One link direction, its two tables in lockstep: 200+ `Forward`s
+    /// whose labels share chunks drawn from the pool go through the
+    /// sender's table and the receiver's. Each decodes equal to what was
+    /// sent, and the tables stay twins: from a copy of the sender's table
+    /// as it was, the sent message re-encodes to the same bytes, and so
+    /// does the decoded one from a copy of the receiver's. References and
+    /// evictions both happen.
+    #[test]
+    fn tables_stay_in_lockstep(
+        pool in arb_pool(),
+        specs in prop::collection::vec(
+            (
+                (any::<bool>(), prop::collection::vec(0..2 * SLOTS, 0..12)),
+                (any::<bool>(), prop::collection::vec(0..2 * SLOTS, 0..12)),
+                (any::<bool>(), prop::collection::vec(0..2 * SLOTS, 0..12)),
+                (any::<bool>(), prop::collection::vec(0..2 * SLOTS, 0..12)),
+            ),
+            200..240,
+        ),
+    ) {
+        let (mut sender, mut receiver) = (ChunkTable::default(), ChunkTable::default());
+        let mut sent = HashSet::new();
+        let (mut references, mut evictions) = (0, 0);
+        for (n, (es, ds, dr, v)) in (0u64..).zip(&specs) {
+            let [es, ds, dr, v] = [es, ds, dr, v].map(|s| pool_label(&pool, s));
+            let chunks: Vec<Arc<Chunk>> =
+                [&es, &ds, &dr, &v].into_iter().flat_map(|l| l.chunks()).cloned().collect();
+            for chunk in &chunks {
+                if sender.holds(chunk) {
+                    references += 1;
+                } else if sent.contains(&Arc::as_ptr(chunk)) {
+                    evictions += 1;
+                }
+            }
+            sent.extend(chunks.iter().map(Arc::as_ptr));
+            let msg = WireMsg::Forward { port: Handle::from_raw(n), es, ds, dr, v, body: Value::Unit };
+
+            let (sender_was, receiver_was) = (sender.clone(), receiver.clone());
+            let mut frame = Vec::new();
+            sender.encode_frame(&msg, &mut frame);
+            let (got, used) = receiver.decode_frame(&frame).expect("own frame decodes").expect("complete");
+            prop_assert_eq!(used, frame.len());
+            prop_assert_eq!(&got, &msg);
+            for (mut table, msg) in [(sender_was, &msg), (receiver_was, &got)] {
+                let mut again = Vec::new();
+                table.encode_frame(msg, &mut again);
+                prop_assert_eq!(&again, &frame);
+            }
+        }
+        prop_assert!(references > 0 && evictions > 0, "{} references, {} evictions", references, evictions);
     }
 }
 

@@ -1,4 +1,11 @@
 //! The [`Label`] type: a function from handles to levels (§5.1, §5.6).
+//!
+//! A label crosses the federation wire as its chunks, and the receiver
+//! rebuilds it on the chunks it decoded or already held
+//! ([`Label::from_chunks`]). A decoded label therefore keeps the sender's
+//! chunk layout, exactly as a local send's `E_S` does, and its accounted
+//! [`Label::heap_bytes`] does not depend on which side of the wire it was
+//! built.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -136,33 +143,22 @@ impl Label {
         builder.finish()
     }
 
-    /// Builds a label from its canonical packed run: entries as [`pack`]
-    /// stores them (`handle << 3 | level`), handles strictly ascending,
-    /// level bits valid, none at `default` — exactly what
-    /// [`Label::packed_entries`] yields. Anything else is `None`: the run
-    /// is checked, not repaired, so equal labels have one packed form.
-    ///
-    /// The entries go straight into dense chunks (only the last may hold
-    /// fewer than [`CHUNK_CAP`]), one allocation each — the layout
-    /// [`Label::from_pairs`] gives the same entries.
-    pub fn from_packed_ascending<I>(default: Level, entries: I) -> Option<Label>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let mut entries = entries.into_iter().peekable();
-        let mut chunks = Vec::with_capacity(entries.size_hint().0.div_ceil(CHUNK_CAP));
+    /// Builds a label on these very chunks, in O(chunks): each must be
+    /// non-empty and at most [`CHUNK_CAP`] long, start above the handle
+    /// the one before it ends on, and hold no entry at `default` (its
+    /// marks say so). Anything else is `None` — checked, never repaired.
+    /// The label keeps the chunks' layout and shares every one of them.
+    pub fn from_chunks(default: Level, chunks: Vec<Arc<Chunk>>) -> Option<Label> {
         let mut prev = None;
-        while entries.peek().is_some() {
-            let mut run = Vec::with_capacity(entries.size_hint().0.clamp(1, CHUNK_CAP));
-            for packed in entries.by_ref().take(CHUNK_CAP) {
-                let handle = entry_handle(packed);
-                if Level::from_bits(packed & 0x7)? == default || prev >= Some(handle) {
-                    return None;
-                }
-                prev = Some(handle);
-                run.push(packed);
+        for c in &chunks {
+            if c.is_empty()
+                || c.len() > CHUNK_CAP
+                || c.levels().contains(default)
+                || prev >= Some(c.first_handle())
+            {
+                return None;
             }
-            chunks.push(Arc::new(Chunk::from_entries(run)));
+            prev = Some(c.last_handle());
         }
         let mut label = Label {
             chunks,
@@ -253,14 +249,6 @@ impl Label {
                 )
             })
         })
-    }
-
-    /// Iterates the explicit entries in their packed §5.6 form
-    /// (`handle << 3 | level`), chunk by chunk in ascending handle order:
-    /// the label's canonical run, which [`Label::from_packed_ascending`]
-    /// turns back into an equal label.
-    pub fn packed_entries(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chunks.iter().flat_map(|c| c.entries().iter().copied())
     }
 
     /// Accounted heap size of this label in bytes (see [`LABEL_HEADER_BYTES`]).
@@ -360,7 +348,7 @@ impl Label {
 
     /// The chunk array, ascending by handle range.
     #[inline]
-    pub(crate) fn chunks(&self) -> &[Arc<Chunk>] {
+    pub fn chunks(&self) -> &[Arc<Chunk>] {
         &self.chunks
     }
 
@@ -814,5 +802,63 @@ mod tests {
         l.set(h(2), Level::L2); // remove
         assert_eq!(l.min_level(), Level::L2);
         assert_eq!(l.max_level(), Level::L2);
+    }
+
+    fn chunk_of(handles: std::ops::Range<u64>, level: Level) -> Arc<Chunk> {
+        Arc::new(Chunk::from_entries(
+            handles.map(|h| pack(h, level)).collect(),
+        ))
+    }
+
+    #[test]
+    fn from_chunks_shares_the_chunks_it_is_given() {
+        let chunks = vec![chunk_of(0..64, Level::L3), chunk_of(100..101, Level::Star)];
+        let allocated = Chunk::alloc_count();
+        let l = Label::from_chunks(Level::L1, chunks.clone()).unwrap();
+        assert_eq!(Chunk::alloc_count(), allocated);
+        assert!(l
+            .chunks()
+            .iter()
+            .zip(&chunks)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(l.entry_count(), 65);
+        assert_eq!((l.min_level(), l.max_level()), (Level::Star, Level::L3));
+        l.check_invariants();
+    }
+
+    #[test]
+    fn from_chunks_refuses_an_empty_or_oversized_chunk() {
+        let mut empty = Chunk::from_entries(vec![pack(1, Level::L3)]);
+        empty.entries_mut().clear();
+        let mut oversized =
+            Chunk::from_entries((0..CHUNK_CAP as u64).map(|h| pack(h, Level::L3)).collect());
+        oversized
+            .entries_mut()
+            .push(pack(CHUNK_CAP as u64, Level::L3));
+        for chunk in [empty, oversized] {
+            assert!(Label::from_chunks(Level::L1, vec![Arc::new(chunk)]).is_none());
+        }
+    }
+
+    #[test]
+    fn from_chunks_refuses_chunks_that_do_not_ascend() {
+        let (low, high) = (chunk_of(0..10, Level::L3), chunk_of(9..20, Level::L3));
+        let above = chunk_of(20..30, Level::L3);
+        assert!(Label::from_chunks(Level::L1, vec![low.clone(), above.clone()]).is_some());
+        // Out of order, overlapping at handle 9, and one chunk twice.
+        for chunks in [
+            vec![above, low.clone()],
+            vec![low.clone(), high],
+            vec![low.clone(), low],
+        ] {
+            assert!(Label::from_chunks(Level::L1, chunks).is_none());
+        }
+    }
+
+    #[test]
+    fn from_chunks_refuses_a_chunk_at_the_default() {
+        let chunk = chunk_of(0..3, Level::L3);
+        assert!(Label::from_chunks(Level::L1, vec![chunk.clone()]).is_some());
+        assert!(Label::from_chunks(Level::L3, vec![chunk]).is_none());
     }
 }

@@ -22,7 +22,7 @@
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use asbestos_labels::chunk::{entry_handle, pack, Chunk, CHUNK_CAP};
+use asbestos_labels::chunk::{Chunk, CHUNK_CAP};
 use asbestos_labels::naive::NaiveLabel;
 use asbestos_labels::ops;
 use asbestos_labels::{Handle, HandleCipher, Label, Level};
@@ -794,84 +794,4 @@ fn repeated_sharing_does_not_fragment() {
         chunks <= 2 * okws_handles().len() / CHUNK_CAP + 1,
         "{chunks} chunks"
     );
-}
-
-// ----------------------------------------------------------------------
-// The canonical packed run: a label's one serialized form (the federation
-// wire's), checked on the way back in and never repaired.
-// ----------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `packed_entries` → `from_packed_ascending` is the identity however
-    /// the label's chunks came to be laid out (built, split, thinned,
-    /// shared), and the rebuilt label is laid out — and so accounted — as
-    /// `from_pairs` lays out the same entries.
-    #[test]
-    fn packed_run_rebuilds_the_label(
-        l in prop_oneof![arb_label(), arb_wide_label(), arb_dense_label(), arb_okws_label()],
-    ) {
-        let got = Label::from_packed_ascending(l.default_level(), l.packed_entries())
-            .expect("a label's own run is canonical");
-        assert_is(&got, &to_naive(&l));
-        prop_assert_eq!(&got, &l);
-        let pairs: Vec<(Handle, Level)> = l.iter().collect();
-        let fresh = Label::from_pairs(l.default_level(), &pairs);
-        prop_assert_eq!(got.chunk_count(), fresh.chunk_count());
-        prop_assert_eq!(got.heap_bytes(), fresh.heap_bytes());
-    }
-
-    /// Any other arrangement of the run is refused, not sorted,
-    /// de-duplicated or normalized: two entries swapped, the run reversed,
-    /// an entry repeated, an entry at the default level spliced in where
-    /// its handle belongs, level bits no `Level` has.
-    #[test]
-    fn non_canonical_runs_are_refused(
-        l in arb_wide_label(),
-        i in any::<usize>(),
-        j in any::<usize>(),
-        h in arb_wide_handle(),
-        bad_bits in 5u64..8,
-    ) {
-        let default = l.default_level();
-        let run: Vec<u64> = l.packed_entries().collect();
-        let build = |run: &[u64]| Label::from_packed_ascending(default, run.iter().copied());
-        if run.len() >= 2 {
-            let (i, j) = (i % run.len(), j % run.len());
-            let mut swapped = run.clone();
-            swapped.swap(i, j);
-            prop_assert_eq!(build(&swapped).is_some(), i == j);
-            let reversed: Vec<u64> = run.iter().rev().copied().collect();
-            prop_assert!(build(&reversed).is_none());
-        }
-        if !run.is_empty() {
-            let i = i % run.len();
-            let mut repeated = run.clone();
-            repeated.insert(i, run[i]);
-            prop_assert!(build(&repeated).is_none());
-            let mut garbled = run.clone();
-            garbled[i] = (garbled[i] & !0x7) | bad_bits;
-            prop_assert!(build(&garbled).is_none());
-        }
-        if l.get(h) == default {
-            let at = run.partition_point(|&e| entry_handle(e) < h.raw());
-            let mut padded = run.clone();
-            padded.insert(at, pack(h.raw(), default));
-            prop_assert!(build(&padded).is_none());
-        }
-    }
-}
-
-/// Dense chunks, one allocation each: a 780-entry label (demux's send
-/// label on `fed-k2`) off the wire is exactly ⌈780 / 64⌉ = 13 chunks.
-#[test]
-fn a_780_entry_run_allocates_13_chunks() {
-    let run: Vec<u64> = (0..780).map(|i| pack(i * 5 + 2, Level::Star)).collect();
-    let before = Chunk::alloc_count();
-    let label = Label::from_packed_ascending(Level::L1, run.iter().copied()).unwrap();
-    assert_eq!(Chunk::alloc_count() - before, 13);
-    assert_eq!(label.chunk_count(), 13);
-    assert_eq!(label.entry_count(), 780);
-    label.check_invariants();
 }
