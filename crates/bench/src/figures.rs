@@ -2,6 +2,7 @@
 
 use asbestos_baseline::{apache_cgi, mod_apache, run_closed_loop, UnixCosts};
 use asbestos_kernel::{Category, CYCLES_PER_SEC};
+use asbestos_net::ClientRequest;
 
 use crate::fixture::{deploy, deploy_sharded, BenchEnv, CONNS_PER_USER, LATENCY_CONCURRENCY};
 
@@ -229,7 +230,16 @@ pub fn okws_latency_sharded(
         env.client.driver.poll_lane(&env.kernel, lane);
     }
 
-    let lat = env.client.driver.latencies_us();
+    // Requests served on their first connection, ascending.
+    let mut lat: Vec<f64> = env
+        .client
+        .driver
+        .requests()
+        .iter()
+        .filter(|r| r.retries == 0)
+        .filter_map(ClientRequest::latency_us)
+        .collect();
+    lat.sort_by(f64::total_cmp);
     assert!(
         lat.len() >= samples,
         "latency workload lost requests: {} of {issued}",

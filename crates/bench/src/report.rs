@@ -1,14 +1,15 @@
 //! Machine-readable benchmark reports.
 //!
-//! Perf-tracking benches (`loadgen`, `durability`, …) write a small
-//! JSON file at the repository root — `BENCH_latency.json`,
-//! `BENCH_durability.json` — so the perf trajectory is tracked in
-//! version control across PRs. The writer is deliberately dependency-free
-//! (the container vendors no serde): reports are flat lists of numeric /
-//! string fields, which is all a trend line needs.
+//! Some benches keep a small JSON file at the repository root, so what
+//! they measure is tracked in version control. `BENCH_latency.json` and
+//! `BENCH_cluster.json` hold exact counts, which the `loadgen` and
+//! `cluster` benches check by equality ([`pin_against_committed`]);
+//! `BENCH_durability.json` is a host-clock trend with no gate. The writer
+//! is deliberately dependency-free (the workspace vendors no serde):
+//! reports are flat lists of numeric / string fields.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One measurement row: a name plus flat key→value fields.
 pub struct BenchRow {
@@ -90,8 +91,11 @@ impl BenchReport {
     /// path. Call only from real measurement runs — `--test` mode numbers
     /// are meaningless and must not overwrite tracked results.
     pub fn write_at_repo_root(&self, suffix: &str) {
-        let path = repo_root_json(suffix);
-        match std::fs::write(&path, self.to_json() + "\n") {
+        self.write_to(&repo_root_json(suffix));
+    }
+
+    fn write_to(&self, path: &Path) {
+        match std::fs::write(path, self.to_json() + "\n") {
             Ok(()) => println!("wrote {}", path.display()),
             Err(err) => eprintln!("could not write {}: {err}", path.display()),
         }
@@ -112,94 +116,41 @@ pub fn bench_test_mode() -> bool {
     std::env::args().any(|a| a == "--test")
 }
 
-/// Reads the committed `BENCH_<suffix>.json` at the repository root, or
-/// `None` when no baseline has been committed yet (first run).
-fn read_committed(suffix: &str) -> Option<String> {
-    std::fs::read_to_string(repo_root_json(suffix)).ok()
-}
-
-/// Extracts field `key` from the row named `row` in a report produced by
-/// [`BenchReport::to_json`]. The format is this crate's own flat writer
-/// output — one row object per line — so a line scan is a full parser
-/// for it; a row or key that is not present yields `None`.
-fn committed_field(json: &str, row: &str, key: &str) -> Option<f64> {
-    let row_tag = format!("\"name\": \"{row}\"");
-    let key_tag = format!("\"{key}\": ");
-    for line in json.lines() {
-        if !line.contains(&row_tag) {
-            continue;
-        }
-        let rest = &line[line.find(&key_tag)? + key_tag.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        return rest[..end].parse().ok();
-    }
-    None
-}
-
-/// Multiplicative slack on [`gate_against_committed`]: measured p99 ≤
-/// committed × slack, measured goodput ≥ committed ÷ slack. The gated
-/// rows are deterministic under their seed, so the slack only absorbs
-/// deliberate retunes riding along with a PR.
-pub const GATE_SLACK: f64 = 1.25;
-
-/// The always-on regression gate of the `loadgen` bench:
-/// records the fresh `p99_us` / `goodput_rps` of `row` as summaries and
-/// checks them against the committed `BENCH_<suffix>.json` (skipped on a
-/// first run, when nothing is committed).
+/// The gate of the `loadgen` and `cluster` benches: `report` must render
+/// exactly as the committed `BENCH_<suffix>.json`. Every field is a count
+/// that is a function of the seed, so any change to what a scenario does
+/// fails until the file is regenerated on purpose. On a first run, when
+/// nothing is committed, writes the file instead.
 ///
 /// # Panics
 ///
-/// Panics when either figure regressed past [`GATE_SLACK`].
-pub fn gate_against_committed(
-    report: &mut BenchReport,
-    suffix: &str,
-    bench: &str,
-    row: &str,
-    p99_us: f64,
-    goodput_rps: f64,
-) {
-    report.push_summary("gate_p99_us", p99_us);
-    report.push_summary("gate_goodput_rps", goodput_rps);
-    let Some(json) = read_committed(suffix) else {
-        println!("no committed BENCH_{suffix}.json — gate skipped (first run)");
-        return;
-    };
-    let committed = |key: &str| {
-        committed_field(&json, row, key)
-            .unwrap_or_else(|| panic!("committed BENCH_{suffix}.json has no {row} {key}"))
-    };
-    let (committed_p99, committed_goodput) = (committed("p99_us"), committed("goodput_rps"));
-    println!(
-        "gate: p99 {p99_us:.1}us vs committed {committed_p99:.1}us, \
-         goodput {goodput_rps:.0} rps vs committed {committed_goodput:.0} rps"
-    );
-    let refresh = format!(
-        "(slack {GATE_SLACK}x) — if the change is intentional, rerun `cargo bench -p \
-         asbestos-bench --bench {bench}` and commit the refreshed BENCH_{suffix}.json"
-    );
-    assert!(
-        p99_us <= committed_p99 * GATE_SLACK,
-        "{row} p99 regressed: {p99_us:.1}us vs committed {committed_p99:.1}us {refresh}"
-    );
-    assert!(
-        goodput_rps >= committed_goodput / GATE_SLACK,
-        "{row} goodput regressed: {goodput_rps:.0} rps vs committed {committed_goodput:.0} rps {refresh}"
-    );
+/// Panics naming the first row that differs from the committed file.
+pub fn pin_against_committed(report: &BenchReport, suffix: &str) {
+    pin_at(report, &repo_root_json(suffix));
 }
 
-/// The `cluster` bench's gate: each `(key, value)` of `row` equals the
-/// committed `BENCH_<suffix>.json` exactly, for counts that are a function
-/// of the seed (skipped on a first run, when nothing is committed).
-pub fn pin_against_committed(suffix: &str, row: &str, fields: &[(&str, f64)]) {
-    let Some(json) = read_committed(suffix) else {
+fn pin_at(report: &BenchReport, path: &Path) {
+    let Ok(committed) = std::fs::read_to_string(path) else {
+        report.write_to(path);
         return;
     };
-    for &(key, value) in fields {
-        let why = format!("{row} {key} moved: if on purpose, delete BENCH_{suffix}.json and rerun");
-        assert_eq!(committed_field(&json, row, key), Some(value), "{why}");
-    }
+    let fresh = report.to_json();
+    let (was, now): (Vec<&str>, Vec<&str>) = (committed.lines().collect(), fresh.lines().collect());
+    let Some(i) = (0..was.len().max(now.len())).find(|&i| was.get(i) != now.get(i)) else {
+        return;
+    };
+    let (was, now) = (was.get(i).copied(), now.get(i).copied());
+    let row = now
+        .or(was)
+        .and_then(|line| line.split("\"name\": \"").nth(1)?.split('"').next())
+        .map_or(format!("line {}", i + 1), |name| format!("row {name}"));
+    panic!(
+        "{} {row} moved\n  committed: {}\n  now:       {}\n\
+         if on purpose, delete the file and rerun the bench",
+        path.display(),
+        was.unwrap_or("(none)"),
+        now.unwrap_or("(none)"),
+    );
 }
 
 #[cfg(test)]
@@ -218,17 +169,51 @@ mod tests {
         assert!(json.contains("\"speedup\": 2.500"));
     }
 
-    #[test]
-    fn committed_field_round_trips() {
+    fn demo(completed: f64) -> BenchReport {
         let mut r = BenchReport::new("demo");
-        r.push_row("base/4x4", &[("p99_us", 1234.5678), ("goodput_rps", 42.0)]);
-        let json = r.to_json();
-        assert_eq!(committed_field(&json, "base/4x4", "p99_us"), Some(1234.568));
-        assert_eq!(
-            committed_field(&json, "base/4x4", "goodput_rps"),
-            Some(42.0)
-        );
-        assert_eq!(committed_field(&json, "base/4x4", "missing"), None);
-        assert_eq!(committed_field(&json, "other", "p99_us"), None);
+        r.push_row("base/1x1", &[("issued", 512.0), ("completed", 512.0)]);
+        r.push_row("base/4x4", &[("issued", 512.0), ("completed", completed)]);
+        r
+    }
+
+    /// A scratch report path, removed when dropped (also on a panic).
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let file = format!("asbestos-pin-{tag}-{}.json", std::process::id());
+            let path = std::env::temp_dir().join(file);
+            let _ = std::fs::remove_file(&path);
+            Scratch(path)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    #[test]
+    fn pin_passes_an_equal_rendering() {
+        let file = Scratch::new("equal");
+        std::fs::write(&file.0, demo(512.0).to_json() + "\n").unwrap();
+        pin_at(&demo(512.0), &file.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "row base/4x4 moved")]
+    fn pin_names_the_row_a_count_moved_in() {
+        let file = Scratch::new("moved");
+        std::fs::write(&file.0, demo(512.0).to_json() + "\n").unwrap();
+        pin_at(&demo(511.0), &file.0);
+    }
+
+    #[test]
+    fn pin_writes_a_missing_file() {
+        let file = Scratch::new("missing");
+        pin_at(&demo(511.0), &file.0);
+        let written = std::fs::read_to_string(&file.0).unwrap();
+        assert_eq!(written, demo(511.0).to_json() + "\n");
     }
 }

@@ -594,10 +594,9 @@ impl Kernel {
     }
 
     /// Every shard's virtual clock, in shard order. The maximum is
-    /// [`Kernel::elapsed_cycles`]; the spread between the busiest and the
-    /// mean is the load-imbalance signal the latency harness records per
-    /// scenario row (a skewed workload shows up here before it shows up
-    /// in tail latency).
+    /// [`Kernel::elapsed_cycles`]. The whole vector is a function of the
+    /// kernel's inputs, so tests compare it across runs as a determinism
+    /// fingerprint.
     pub fn per_shard_elapsed_cycles(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.clock.now()).collect()
     }

@@ -16,15 +16,14 @@
 //! engine owns deployment, pacing, polling, shed retries (an OKWS worker
 //! closes a connection unserved when its session is draining or its
 //! pending queue is full, and the client re-opens it), draining, and
-//! produces a [`metrics::ScenarioReport`] with separate *fresh* and
-//! *retried* latency series (p50/p99/p999), goodput against
-//! busiest-shard wall clock, and shard-balance signals. The stock
-//! scenarios in [`scenarios`] feed `BENCH_latency.json` and the stress
-//! suite.
+//! produces a [`metrics::ScenarioReport`] of counts: requests issued,
+//! completed, aborted and retried, messages delivered and dropped, the
+//! deepest queue, and the wire counters. The stock scenarios in
+//! [`scenarios`] feed `BENCH_latency.json` and the stress suite.
 //!
 //! Everything is deterministic under a seed: same seed, same schedule,
-//! same ops, same percentiles — which is what lets CI gate on the
-//! committed numbers.
+//! same ops, same counts — which is what lets CI pin the committed
+//! numbers by equality.
 //!
 //! The kernel count is a deployment number like shards and lanes:
 //! [`scenario::ScenarioConfig::federated`] puts the front end on kernel
@@ -44,7 +43,7 @@ mod substrate;
 pub mod zipf;
 
 pub use arrival::OpenLoopSchedule;
-pub use metrics::{LatencyStats, ScenarioReport};
+pub use metrics::ScenarioReport;
 pub use scenario::{run_scenario, Op, Scenario, ScenarioConfig, ServiceKind, World};
 pub use scenarios::{Baseline, LaneOverflowChurn, LoginStorm, SustainedFlood, ZipfChurn};
 pub use zipf::ZipfSampler;

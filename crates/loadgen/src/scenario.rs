@@ -11,7 +11,7 @@
 //! The engine is deterministic end to end: the kernel's schedule is a
 //! function of its seed and inputs at every shard count, so two runs of
 //! the same scenario produce byte-identical request logs — which is what
-//! lets CI gate on exact percentile values.
+//! lets CI pin every count of a report exactly.
 
 use asbestos_cluster::{deploy_okws, Cluster};
 use asbestos_kernel::Kernel;
@@ -186,7 +186,6 @@ pub struct World {
     /// The deployment seed.
     pub seed: u64,
     base_cycles: u64,
-    base_shard_cycles: Vec<u64>,
 }
 
 impl World {
@@ -213,7 +212,6 @@ impl World {
             (Substrate::Cluster(cluster), okws)
         };
         let client = OkwsClient::new(&okws);
-        let shards = cfg.kernels * cfg.shards;
         World {
             substrate,
             okws,
@@ -223,7 +221,6 @@ impl World {
             dev,
             seed,
             base_cycles: 0,
-            base_shard_cycles: vec![0; shards],
         }
     }
 
@@ -297,14 +294,14 @@ impl World {
     }
 
     /// Marks the start of the measured window: drains startup work,
-    /// clears the request log, and snapshots the shard clocks.
+    /// clears the request log, and snapshots the clock arrivals are paced
+    /// by.
     pub fn begin_measurement(&mut self) {
         self.substrate.run();
         self.client.driver.poll(self.substrate.front());
         self.client.driver.reset_log();
         self.issued.clear();
         self.base_cycles = self.substrate.elapsed_cycles();
-        self.base_shard_cycles = self.substrate.shard_cycles();
     }
 
     /// Steps the world until the busiest shard's clock reaches `due`
@@ -420,41 +417,30 @@ impl World {
         Okws::idd_star_handles(self.kernel())
     }
 
-    /// Builds the report for the measured window. `shards` is the
-    /// per-kernel count; the per-shard series spans every kernel, so
-    /// `shard_imbalance` is deployment-wide. The wire counters run from
-    /// deploy, not from the window start.
+    /// Builds the report for the measured window. The request counts are
+    /// the window's; the kernel and wire counters run from deploy.
     pub fn report(&self, scenario: &str) -> ScenarioReport {
         let driver = &self.client.driver;
-        let shard_now = self.substrate.shard_cycles();
-        let shard_cycles: Vec<u64> = shard_now
-            .iter()
-            .zip(&self.base_shard_cycles)
-            .map(|(now, base)| now.saturating_sub(*base))
-            .collect();
+        let (delivered, dropped) = self.substrate.deliveries();
         let (wire_frames, wire_bytes, forwarded) = self.substrate.wire();
-        let window = ScenarioReport::from_window(
-            scenario,
-            self.cfg.shards,
-            self.cfg.lanes,
-            self.cfg.users,
-            self.issued.len(),
-            driver.completed(),
-            driver.aborted(),
-            driver.outstanding(),
-            driver.total_retries(),
-            self.substrate.elapsed_cycles() - self.base_cycles,
-            &driver.latencies_us(),
-            &driver.retried_latencies_us(),
-            &shard_cycles,
-            self.substrate.queue_depth_hwm(),
-        );
         ScenarioReport {
+            scenario: scenario.to_string(),
             kernels: self.cfg.kernels,
+            shards: self.cfg.shards,
+            lanes: self.cfg.lanes,
+            users: self.cfg.users,
+            issued: self.issued.len(),
+            completed: driver.completed(),
+            aborted: driver.aborted(),
+            outstanding: driver.outstanding(),
+            retries: driver.total_retries(),
+            retried: driver.retried(),
+            delivered,
+            dropped,
+            queue_depth_hwm: self.substrate.queue_depth_hwm(),
             wire_frames,
             wire_bytes,
             forwarded,
-            ..window
         }
     }
 

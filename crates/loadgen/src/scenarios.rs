@@ -5,7 +5,7 @@
 //! `check()`. Four of them feed `BENCH_latency.json` (baseline, Zipf
 //! churn, login storm, sustained flood); the lane-overflow scenario is a
 //! stress test, not a latency row — its interesting output is surviving,
-//! not a percentile.
+//! not a count.
 
 use asbestos_kernel::DEFAULT_PORT_QUEUE_LIMIT;
 use rand::rngs::StdRng;
@@ -19,8 +19,8 @@ use crate::zipf::ZipfSampler;
 // Baseline: uniform sub-capacity traffic.
 // ---------------------------------------------------------------------
 
-/// Round-robin store traffic at a sub-capacity rate: the latency floor
-/// every other scenario is read against, and the series the CI gate pins.
+/// Round-robin store traffic at a sub-capacity rate: the floor every
+/// other scenario is read against.
 pub struct Baseline {
     /// User population.
     pub users: usize,
@@ -150,7 +150,9 @@ impl Scenario for ZipfChurn {
 /// - no boot-1 `⋆`-handle of idd's is observed after the reboot;
 /// - round-1 echoes are empty (no session survived the reboot);
 /// - every round-2 echo is that user's round-1 write — per-user FIFO
-///   through login, session fork, and both storm rounds.
+///   through login, session fork, and both storm rounds;
+/// - the rebooted kernel is as sharded as the config, and every shard
+///   delivered messages: the storm spread across the deployment.
 ///
 /// Single-kernel: the world is durable, and a cluster cannot reboot.
 pub struct LoginStorm {
@@ -238,6 +240,16 @@ impl Scenario for LoginStorm {
 
     fn check(&mut self, world: &mut World, report: &ScenarioReport) {
         assert_eq!(report.completed, report.issued, "storm requests were lost");
+        // The reboot kept the deployment's shape, and the storm used it.
+        let kernel = world.kernel();
+        assert_eq!(kernel.num_shards(), world.cfg.shards, "boot 2 lost shards");
+        let spread: Vec<u64> = (0..kernel.num_shards())
+            .map(|i| kernel.shard(i).stats().delivered)
+            .collect();
+        assert!(
+            spread.iter().all(|&n| n > 0),
+            "a shard delivered nothing during the storm: {spread:?}"
+        );
         // §5.1 across boots: nothing idd holds now existed in boot 1.
         let boot2 = world.idd_star_handles();
         assert!(!boot2.is_empty());
@@ -278,10 +290,10 @@ impl Scenario for LoginStorm {
 /// One attacker pours connections at `flood_factor`× the victim's rate
 /// into the same deployment. The attacker's session worker holds at most
 /// `PENDING_MAX` connections and sheds the rest (closed unserved); the
-/// driver retries each shed connection, and the retried latency series —
-/// not the fresh one — absorbs those round-trips. The victim's requests
-/// must all be answered 200, everything issued must complete, and a
-/// fresh probe afterwards is served on its first try.
+/// driver retries each shed connection, and the report counts those
+/// requests as `retried`. The victim's requests must all be answered
+/// 200, everything issued must complete, and a fresh probe afterwards is
+/// served on its first try.
 ///
 /// Runs federated too ([`ScenarioConfig::federated`]): nothing it
 /// configures is per-kernel.

@@ -3,7 +3,8 @@
 //!
 //! The engine needs exactly this much of either — the kernel hosting
 //! netd (requests enter and completions are polled there), a paced
-//! step, a drain, the clocks and the wire counters — so a scenario is
+//! step, a drain, the clock that paces arrivals, and the counters — so a
+//! scenario is
 //! written once and its kernel count is a deployment number.
 
 use asbestos_cluster::Cluster;
@@ -67,13 +68,14 @@ impl Substrate {
         }
     }
 
-    /// Per-shard clocks of every kernel, concatenated in kernel order —
-    /// the deployment-wide balance signal.
-    pub(crate) fn shard_cycles(&self) -> Vec<u64> {
+    /// `(delivered, dropped)`, summed over every kernel since deploy.
+    pub(crate) fn deliveries(&self) -> (u64, u64) {
         self.kernels()
             .into_iter()
-            .flat_map(Kernel::per_shard_elapsed_cycles)
-            .collect()
+            .map(Kernel::stats)
+            .fold((0, 0), |(delivered, dropped), s| {
+                (delivered + s.delivered, dropped + s.dropped_total())
+            })
     }
 
     /// Highest queue-depth high-water mark across every shard.

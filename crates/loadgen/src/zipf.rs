@@ -11,7 +11,7 @@
 //!
 //! Everything is deterministic under a seeded [`rand::rngs::StdRng`]: two
 //! runs of the same scenario produce identical user sequences, which is
-//! what lets the latency benches gate on exact percentiles.
+//! what lets the latency bench pin its counts exactly.
 
 use rand::rngs::StdRng;
 use rand::Rng;

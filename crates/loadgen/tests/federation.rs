@@ -34,7 +34,7 @@ fn federated_baseline_serves_every_request() {
     assert_eq!(r.completed, r.issued, "federated baseline lost requests");
     assert_eq!(r.retries, 0, "sub-capacity traffic must never shed");
     assert_eq!(r.aborted, 0);
-    assert!(r.goodput_rps > 0.0);
+    assert!(r.delivered > 0);
     // And the traffic genuinely federated: every request/response pair
     // crossed the wire, as frames with bytes on real sockets.
     assert!(
@@ -50,14 +50,21 @@ fn federated_baseline_serves_every_request() {
 fn federated_baseline_is_deterministic() {
     let a = run_scenario(&mut baseline(1, 1), 0xF00D);
     let b = run_scenario(&mut baseline(1, 1), 0xF00D);
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.fresh.p50_us, b.fresh.p50_us);
-    assert_eq!(a.fresh.p99_us, b.fresh.p99_us);
-    assert_eq!(a.fresh.p999_us, b.fresh.p999_us);
-    assert_eq!(a.goodput_rps, b.goodput_rps);
-    assert_eq!(a.elapsed_us, b.elapsed_us);
-    assert_eq!(a.wire_frames, b.wire_frames);
-    assert_eq!(a.wire_bytes, b.wire_bytes);
+    let counts = |r: &ScenarioReport| {
+        [
+            r.completed as u64,
+            r.aborted as u64,
+            r.retries,
+            r.retried as u64,
+            r.delivered,
+            r.dropped,
+            r.queue_depth_hwm,
+            r.wire_frames,
+            r.wire_bytes,
+            r.forwarded,
+        ]
+    };
+    assert_eq!(counts(&a), counts(&b));
 }
 
 /// The federated world scales the deployment grid too: multi-shard

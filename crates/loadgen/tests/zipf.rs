@@ -1,6 +1,6 @@
 //! The workload generators under the microscope: the Zipf sampler and
 //! the open-loop arrival schedules must be deterministic under a seed
-//! (the latency gates compare exact percentiles across runs), correctly
+//! (the latency bench pins exact counts across runs), correctly
 //! skew-ranked at any population size — including the million-rank
 //! headline scale — and honest about their configured arrival rate.
 
@@ -13,9 +13,9 @@ use rand::SeedableRng;
 // ---------------------------------------------------------------------
 // Deterministic-seed goldens: these exact sequences are load-bearing —
 // a sampler or RNG change shifts every scenario's user sequence, which
-// invalidates the committed BENCH_latency.json percentiles. Changing
-// them intentionally means re-running the full bench and committing the
-// refreshed JSON alongside.
+// invalidates the committed BENCH_latency.json counts. Changing
+// them intentionally means deleting that file, re-running the bench and
+// committing the regenerated JSON alongside.
 // ---------------------------------------------------------------------
 
 #[test]

@@ -201,11 +201,9 @@ impl ClientDriver {
     /// a connection unserved when its session is draining or its pending
     /// queue is full). A well-behaved client retries; this models the
     /// retry. The original `started_at` is kept, so the measured latency
-    /// of a shed-then-served request includes the shed round-trip.
-    /// Shed-then-retried requests are reported as the *retried* latency
-    /// series ([`ClientDriver::retried_latencies_us`]), distinct from the
-    /// fresh series, so the shed round-trips never silently inflate a
-    /// scenario's p999. Client-aborted requests are never retried.
+    /// of a shed-then-served request includes the shed round-trip; such
+    /// requests are counted by [`ClientDriver::retried`]. Client-aborted
+    /// requests are never retried.
     /// Returns how many requests were re-opened.
     pub fn retry_shed(&mut self, kernel: &mut Kernel) -> usize {
         let mut retried = 0;
@@ -275,32 +273,12 @@ impl ClientDriver {
         &self.requests[idx]
     }
 
-    fn collect_latencies(&self, retried: bool) -> Vec<f64> {
-        let mut out: Vec<f64> = self
-            .requests
+    /// Completed requests that needed at least one shed retry.
+    pub fn retried(&self) -> usize {
+        self.requests
             .iter()
-            .filter(|r| (r.retries > 0) == retried)
-            .filter_map(ClientRequest::latency_us)
-            .collect();
-        out.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        out
-    }
-
-    /// Completed *fresh* request latencies in microseconds, sorted
-    /// ascending: requests that were served on their first connection.
-    /// Shed-then-retried requests are deliberately excluded — their
-    /// latency includes shed round-trips and belongs to the
-    /// distinct [`ClientDriver::retried_latencies_us`] series, not in the
-    /// tail of this one.
-    pub fn latencies_us(&self) -> Vec<f64> {
-        self.collect_latencies(false)
-    }
-
-    /// Completed latencies of shed-then-retried requests, sorted
-    /// ascending (includes the shed round-trips, reported as its own
-    /// series).
-    pub fn retried_latencies_us(&self) -> Vec<f64> {
-        self.collect_latencies(true)
+            .filter(|r| r.retries > 0 && r.finished_at.is_some())
+            .count()
     }
 
     /// Number of completed requests.
