@@ -1,41 +1,39 @@
 //! The ok-dbproxy wire protocol (§7.5).
 
-use asbestos_kernel::{Handle, Payload, Value};
+use asbestos_kernel::{Field, Fields, Handle, Payload, Value};
 
 use crate::snapshot::put_row;
 use crate::value::SqlValue;
 
-fn sql_to_value(v: &SqlValue) -> Value {
-    match v {
-        SqlValue::Null => Value::Unit,
-        SqlValue::Int(i) => Value::List(vec![Value::Str("i".into()), Value::U64(*i as u64)]),
-        SqlValue::Text(t) => Value::Str(t.clone()),
-        SqlValue::Blob(b) => Value::Bytes(b.clone().into()),
-    }
-}
-
-fn value_to_sql(v: &Value) -> Option<SqlValue> {
-    match v {
-        Value::Unit => Some(SqlValue::Null),
-        Value::Str(s) => Some(SqlValue::Text(s.clone())),
-        Value::Bytes(b) => Some(SqlValue::Blob(b.to_vec())),
-        Value::List(items) => {
-            if items.len() == 2 && items[0].as_str() == Some("i") {
-                Some(SqlValue::Int(items[1].as_u64()? as i64))
-            } else {
-                None
-            }
+/// A cell is `Unit` (NULL), `Str` (text), `Bytes` (blob) or, for an
+/// integer, the two-item list `["i", U64]` holding its two's-complement
+/// bits.
+impl Field for SqlValue {
+    fn to_field(&self) -> Value {
+        match self {
+            SqlValue::Null => Value::Unit,
+            SqlValue::Int(i) => Value::message("i", &[&(*i as u64)]),
+            SqlValue::Text(t) => t.to_field(),
+            SqlValue::Blob(b) => Value::Bytes(b.clone().into()),
         }
-        _ => None,
     }
-}
 
-fn params_to_value(params: &[SqlValue]) -> Value {
-    Value::List(params.iter().map(sql_to_value).collect())
-}
-
-fn value_to_params(v: &Value) -> Option<Vec<SqlValue>> {
-    v.as_list()?.iter().map(value_to_sql).collect()
+    fn from_field(value: &Value) -> Option<SqlValue> {
+        match value {
+            Value::Unit => Some(SqlValue::Null),
+            Value::Str(s) => Some(SqlValue::Text(s.clone())),
+            Value::Bytes(b) => Some(SqlValue::Blob(b.to_vec())),
+            Value::List(_) => {
+                let (tag, mut f) = Fields::open(value)?;
+                if tag != "i" {
+                    return None;
+                }
+                let bits: u64 = f.field()?;
+                f.end(SqlValue::Int(bits as i64))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A message in the database-proxy protocol.
@@ -136,95 +134,56 @@ impl DbMsg {
                 taint,
                 grant,
                 reply,
-            } => Value::List(vec![
-                Value::Str("bind".into()),
-                Value::Str(user.clone()),
-                Value::Handle(*taint),
-                Value::Handle(*grant),
-                match reply {
-                    Some(r) => Value::Handle(*r),
-                    None => Value::Unit,
-                },
-            ]),
-            DbMsg::BindR => Value::List(vec![Value::Str("bind-r".into())]),
-            DbMsg::Ddl { sql } => {
-                Value::List(vec![Value::Str("ddl".into()), Value::Str(sql.clone())])
-            }
+            } => Value::message("bind", &[user, taint, grant, reply]),
+            DbMsg::BindR => Value::message("bind-r", &[]),
+            DbMsg::Ddl { sql } => Value::message("ddl", &[sql]),
             DbMsg::Exec {
                 user,
                 sql,
                 params,
                 reply,
-            } => Value::List(vec![
-                Value::Str("exec".into()),
-                Value::Str(user.clone()),
-                Value::Str(sql.clone()),
-                params_to_value(params),
-                match reply {
-                    Some(r) => Value::Handle(*r),
-                    None => Value::Unit,
-                },
-            ]),
-            DbMsg::ExecR { ok, affected } => Value::List(vec![
-                Value::Str("exec-r".into()),
-                Value::Bool(*ok),
-                Value::U64(*affected),
-            ]),
-            DbMsg::Query { sql, params, reply } => Value::List(vec![
-                Value::Str("query".into()),
-                Value::Str(sql.clone()),
-                params_to_value(params),
-                Value::Handle(*reply),
-            ]),
-            DbMsg::Rows { bytes } => {
-                Value::List(vec![Value::Str("rows".into()), Value::Bytes(bytes.clone())])
-            }
-            DbMsg::Done => Value::List(vec![Value::Str("done".into())]),
-            DbMsg::AdminPort { port } => {
-                Value::List(vec![Value::Str("admin-port".into()), Value::Handle(*port)])
-            }
+            } => Value::message("exec", &[user, sql, params, reply]),
+            DbMsg::ExecR { ok, affected } => Value::message("exec-r", &[ok, affected]),
+            DbMsg::Query { sql, params, reply } => Value::message("query", &[sql, params, reply]),
+            DbMsg::Rows { bytes } => Value::message("rows", &[bytes]),
+            DbMsg::Done => Value::message("done", &[]),
+            DbMsg::AdminPort { port } => Value::message("admin-port", &[port]),
         }
     }
 
     /// Decodes from a [`Value`] payload.
     pub fn from_value(value: &Value) -> Option<DbMsg> {
-        let items = value.as_list()?;
-        match items.first()?.as_str()? {
-            "bind" => Some(DbMsg::Bind {
-                user: items.get(1)?.as_str()?.to_string(),
-                taint: items.get(2)?.as_handle()?,
-                grant: items.get(3)?.as_handle()?,
-                // Always written: `Unit` when there is no reply port.
-                reply: items.get(4)?.as_handle(),
-            }),
-            "bind-r" => Some(DbMsg::BindR),
-            "ddl" => Some(DbMsg::Ddl {
-                sql: items.get(1)?.as_str()?.to_string(),
-            }),
-            "exec" => Some(DbMsg::Exec {
-                user: items.get(1)?.as_str()?.to_string(),
-                sql: items.get(2)?.as_str()?.to_string(),
-                params: value_to_params(items.get(3)?)?,
-                reply: items.get(4).and_then(|v| v.as_handle()),
-            }),
-            "exec-r" => Some(DbMsg::ExecR {
-                ok: items.get(1)?.as_bool()?,
-                affected: items.get(2)?.as_u64()?,
-            }),
-            "query" => Some(DbMsg::Query {
-                sql: items.get(1)?.as_str()?.to_string(),
-                params: value_to_params(items.get(2)?)?,
-                reply: items.get(3)?.as_handle()?,
-            }),
-            "rows" => Some(DbMsg::Rows {
-                bytes: items.get(1)?.as_payload()?.clone(),
-            }),
-            "done" => Some(DbMsg::Done),
-            "admin-port" => Some(DbMsg::AdminPort {
-                port: items.get(1)?.as_handle()?,
-            }),
-            _ => None,
-        }
+        let (tag, mut f) = Fields::open(value)?;
+        let msg = match tag {
+            "bind" => DbMsg::Bind {
+                user: f.field()?,
+                taint: f.field()?,
+                grant: f.field()?,
+                reply: f.field()?,
+            },
+            "bind-r" => DbMsg::BindR,
+            "ddl" => DbMsg::Ddl { sql: f.field()? },
+            "exec" => DbMsg::Exec {
+                user: f.field()?,
+                sql: f.field()?,
+                params: f.field()?,
+                reply: f.field()?,
+            },
+            "exec-r" => DbMsg::ExecR {
+                ok: f.field()?,
+                affected: f.field()?,
+            },
+            "query" => DbMsg::Query {
+                sql: f.field()?,
+                params: f.field()?,
+                reply: f.field()?,
+            },
+            "rows" => DbMsg::Rows { bytes: f.field()? },
+            "done" => DbMsg::Done,
+            "admin-port" => DbMsg::AdminPort { port: f.field()? },
+            _ => return None,
+        };
+        f.end(msg)
     }
 }
 

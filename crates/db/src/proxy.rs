@@ -66,6 +66,16 @@ pub const PROXY_MSG_CYCLES: u64 = 60_000;
 /// Cycles charged per row slot the engine examines.
 pub const PROXY_ROW_CYCLES: u64 = 500;
 
+/// §7.5's write gate, `V ⊑ {uT 3, uG 0, 2}`: the sender proves it speaks
+/// for the user whose taint and grant handles are `taint` and `grant`.
+/// ok-dbproxy and ok-cache gate every write on it.
+pub fn write_allowed(verify: &Label, taint: Handle, grant: Handle) -> bool {
+    verify.leq(&Label::from_pairs(
+        Level::L2,
+        &[(taint, Level::L3), (grant, Level::L0)],
+    ))
+}
+
 struct Binding {
     uid: i64,
     taint: Handle,
@@ -172,18 +182,10 @@ impl DbProxy {
         uid
     }
 
-    /// §7.5's write gate: `V ⊑ {uT 3, uG 0, 2}`.
+    /// [`write_allowed`] for `user`'s binding, if it has one.
     fn write_allowed(&self, user: &str, verify: &Label) -> Option<&Binding> {
         let binding = self.users.get(user)?;
-        let bound = Label::from_pairs(
-            Level::L2,
-            &[(binding.taint, Level::L3), (binding.grant, Level::L0)],
-        );
-        if verify.leq(&bound) {
-            Some(binding)
-        } else {
-            None
-        }
+        write_allowed(verify, binding.taint, binding.grant).then_some(binding)
     }
 
     /// §7.6's declassifier proof: `V(uT) = ⋆`.

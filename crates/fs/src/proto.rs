@@ -2,7 +2,7 @@
 //! "to read a file, for example, the client sends a READ message to the
 //! fileserver's port and awaits the corresponding READ_R reply."
 
-use asbestos_kernel::{Handle, Payload, Value};
+use asbestos_kernel::{Fields, Handle, Payload, Value};
 
 /// A message in the file-server protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,96 +73,54 @@ impl FsMsg {
     /// Encodes to a [`Value`] payload.
     pub fn to_value(&self) -> Value {
         match self {
-            FsMsg::AddUser { user, reply } => Value::List(vec![
-                Value::Str("add-user".into()),
-                Value::Str(user.clone()),
-                Value::Handle(*reply),
-            ]),
-            FsMsg::AddUserR { taint, grant } => Value::List(vec![
-                Value::Str("add-user-r".into()),
-                Value::Handle(*taint),
-                Value::Handle(*grant),
-            ]),
-            FsMsg::Create { name, user } => Value::List(vec![
-                Value::Str("create".into()),
-                Value::Str(name.clone()),
-                Value::Str(user.clone()),
-            ]),
-            FsMsg::Read { name, reply } => Value::List(vec![
-                Value::Str("read".into()),
-                Value::Str(name.clone()),
-                Value::Handle(*reply),
-            ]),
-            FsMsg::ReadR { name, data } => Value::List(vec![
-                Value::Str("read-r".into()),
-                Value::Str(name.clone()),
-                match data {
-                    Some(d) => Value::Bytes(d.clone()),
-                    None => Value::Unit,
-                },
-            ]),
-            FsMsg::Write { name, data, reply } => Value::List(vec![
-                Value::Str("write".into()),
-                Value::Str(name.clone()),
-                Value::Bytes(data.clone()),
-                match reply {
-                    Some(r) => Value::Handle(*r),
-                    None => Value::Unit,
-                },
-            ]),
-            FsMsg::WriteR { name, ok } => Value::List(vec![
-                Value::Str("write-r".into()),
-                Value::Str(name.clone()),
-                Value::Bool(*ok),
-            ]),
-            FsMsg::CreateSystem { name } => Value::List(vec![
-                Value::Str("create-system".into()),
-                Value::Str(name.clone()),
-            ]),
+            FsMsg::AddUser { user, reply } => Value::message("add-user", &[user, reply]),
+            FsMsg::AddUserR { taint, grant } => Value::message("add-user-r", &[taint, grant]),
+            FsMsg::Create { name, user } => Value::message("create", &[name, user]),
+            FsMsg::Read { name, reply } => Value::message("read", &[name, reply]),
+            FsMsg::ReadR { name, data } => Value::message("read-r", &[name, data]),
+            FsMsg::Write { name, data, reply } => Value::message("write", &[name, data, reply]),
+            FsMsg::WriteR { name, ok } => Value::message("write-r", &[name, ok]),
+            FsMsg::CreateSystem { name } => Value::message("create-system", &[name]),
         }
     }
 
     /// Decodes from a [`Value`] payload.
     pub fn from_value(value: &Value) -> Option<FsMsg> {
-        let items = value.as_list()?;
-        match items.first()?.as_str()? {
-            "add-user" => Some(FsMsg::AddUser {
-                user: items.get(1)?.as_str()?.to_string(),
-                reply: items.get(2)?.as_handle()?,
-            }),
-            "add-user-r" => Some(FsMsg::AddUserR {
-                taint: items.get(1)?.as_handle()?,
-                grant: items.get(2)?.as_handle()?,
-            }),
-            "create" => Some(FsMsg::Create {
-                name: items.get(1)?.as_str()?.to_string(),
-                user: items.get(2)?.as_str()?.to_string(),
-            }),
-            "read" => Some(FsMsg::Read {
-                name: items.get(1)?.as_str()?.to_string(),
-                reply: items.get(2)?.as_handle()?,
-            }),
-            "read-r" => Some(FsMsg::ReadR {
-                name: items.get(1)?.as_str()?.to_string(),
-                data: match items.get(2)? {
-                    Value::Bytes(b) => Some(b.clone()),
-                    _ => None,
-                },
-            }),
-            "write" => Some(FsMsg::Write {
-                name: items.get(1)?.as_str()?.to_string(),
-                data: items.get(2)?.as_payload()?.clone(),
-                reply: items.get(3).and_then(|v| v.as_handle()),
-            }),
-            "write-r" => Some(FsMsg::WriteR {
-                name: items.get(1)?.as_str()?.to_string(),
-                ok: items.get(2)?.as_bool()?,
-            }),
-            "create-system" => Some(FsMsg::CreateSystem {
-                name: items.get(1)?.as_str()?.to_string(),
-            }),
-            _ => None,
-        }
+        let (tag, mut f) = Fields::open(value)?;
+        let msg = match tag {
+            "add-user" => FsMsg::AddUser {
+                user: f.field()?,
+                reply: f.field()?,
+            },
+            "add-user-r" => FsMsg::AddUserR {
+                taint: f.field()?,
+                grant: f.field()?,
+            },
+            "create" => FsMsg::Create {
+                name: f.field()?,
+                user: f.field()?,
+            },
+            "read" => FsMsg::Read {
+                name: f.field()?,
+                reply: f.field()?,
+            },
+            "read-r" => FsMsg::ReadR {
+                name: f.field()?,
+                data: f.field()?,
+            },
+            "write" => FsMsg::Write {
+                name: f.field()?,
+                data: f.field()?,
+                reply: f.field()?,
+            },
+            "write-r" => FsMsg::WriteR {
+                name: f.field()?,
+                ok: f.field()?,
+            },
+            "create-system" => FsMsg::CreateSystem { name: f.field()? },
+            _ => return None,
+        };
+        f.end(msg)
     }
 }
 

@@ -119,7 +119,7 @@ pub use process::{EpService, Process, Service, PROCESS_STRUCT_BYTES};
 pub use shard::{KernelShard, DEFAULT_PORT_QUEUE_LIMIT};
 pub use stats::{DropReason, Stats};
 pub use sys::Sys;
-pub use value::{Payload, Value};
+pub use value::{Field, Fields, Payload, Value};
 
 // Re-export the label vocabulary so downstream crates need only one import.
 pub use asbestos_labels::{Handle, Label, Level};

@@ -8,6 +8,29 @@
 //!
 //! Handles may be carried as plain values: knowing a handle's value confers
 //! no privilege (§5.1) — privileges travel only through label grants.
+//!
+//! # The message format
+//!
+//! Every service protocol (netd, OKWS, ok-dbproxy, ok-cache, the file
+//! server) writes a message as `[Str(tag), field…]`: a list whose first
+//! item names the variant and whose remaining items are the variant's
+//! fields, by position. A field's type fixes its [`Value`] kind through
+//! the [`Field`] trait:
+//!
+//! * `u64` is `U64`, and `u16` is a `U64` that must fit in 16 bits;
+//! * `bool` is `Bool`, `String` is `Str` and [`Handle`] is `Handle`;
+//! * [`Payload`] is `Bytes`, shared by refcount in both directions;
+//! * `Option<T>` is `T`'s value or `Unit`, and it is always written;
+//! * `Vec<T>` is a `List` of `T`'s values.
+//!
+//! An encoder writes a message with [`Value::message`]. A decoder opens
+//! the tag with [`Fields::open`], reads each field in wire order with
+//! [`Fields::field`] (a struct literal evaluates its fields in the order
+//! they are written, so it can read them in place), and closes with
+//! [`Fields::end`], which refuses the message if a field is left over. A
+//! missing field, a field of the wrong kind and an extra field each
+//! decode as `None`: a trusted server never acts on a message its own
+//! encoder could not have written.
 
 use std::cell::Cell;
 use std::fmt;
@@ -371,6 +394,136 @@ impl From<Handle> for Value {
 impl From<Vec<Value>> for Value {
     fn from(v: Vec<Value>) -> Value {
         Value::List(v)
+    }
+}
+
+/// A type that travels as one positional field of a message (see the
+/// module docs for the format).
+pub trait Field {
+    /// Encodes this field.
+    fn to_field(&self) -> Value;
+
+    /// Decodes a field, refusing a value of the wrong kind or range.
+    fn from_field(value: &Value) -> Option<Self>
+    where
+        Self: Sized;
+}
+
+impl Field for u64 {
+    fn to_field(&self) -> Value {
+        Value::U64(*self)
+    }
+
+    fn from_field(value: &Value) -> Option<u64> {
+        value.as_u64()
+    }
+}
+
+impl Field for u16 {
+    fn to_field(&self) -> Value {
+        Value::U64(u64::from(*self))
+    }
+
+    fn from_field(value: &Value) -> Option<u16> {
+        u16::try_from(value.as_u64()?).ok()
+    }
+}
+
+impl Field for bool {
+    fn to_field(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_field(value: &Value) -> Option<bool> {
+        value.as_bool()
+    }
+}
+
+impl Field for String {
+    fn to_field(&self) -> Value {
+        Value::Str(self.clone())
+    }
+
+    fn from_field(value: &Value) -> Option<String> {
+        value.as_str().map(str::to_string)
+    }
+}
+
+impl Field for Handle {
+    fn to_field(&self) -> Value {
+        Value::Handle(*self)
+    }
+
+    fn from_field(value: &Value) -> Option<Handle> {
+        value.as_handle()
+    }
+}
+
+impl Field for Payload {
+    fn to_field(&self) -> Value {
+        Value::Bytes(self.clone())
+    }
+
+    fn from_field(value: &Value) -> Option<Payload> {
+        value.as_payload().cloned()
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn to_field(&self) -> Value {
+        self.as_ref().map_or(Value::Unit, T::to_field)
+    }
+
+    fn from_field(value: &Value) -> Option<Option<T>> {
+        match value {
+            Value::Unit => Some(None),
+            v => T::from_field(v).map(Some),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn to_field(&self) -> Value {
+        Value::List(self.iter().map(T::to_field).collect())
+    }
+
+    fn from_field(value: &Value) -> Option<Vec<T>> {
+        value.as_list()?.iter().map(T::from_field).collect()
+    }
+}
+
+impl Value {
+    /// A message: `[Str(tag), field…]`.
+    pub fn message(tag: &str, fields: &[&dyn Field]) -> Value {
+        let mut items = Vec::with_capacity(fields.len() + 1);
+        items.push(Value::Str(tag.to_string()));
+        items.extend(fields.iter().map(|f| f.to_field()));
+        Value::List(items)
+    }
+}
+
+/// Reads one message's fields in wire order (see the module docs).
+pub struct Fields<'a> {
+    rest: std::slice::Iter<'a, Value>,
+}
+
+impl<'a> Fields<'a> {
+    /// Opens a message: its tag and a reader over its fields. `None`
+    /// unless `value` is a list that starts with a string.
+    pub fn open(value: &'a Value) -> Option<(&'a str, Fields<'a>)> {
+        let (tag, rest) = value.as_list()?.split_first()?;
+        Some((tag.as_str()?, Fields { rest: rest.iter() }))
+    }
+
+    /// Reads the next field as a `T`; `None` when there is none or it is
+    /// of the wrong kind.
+    pub fn field<T: Field>(&mut self) -> Option<T> {
+        T::from_field(self.rest.next()?)
+    }
+
+    /// Closes the message: `msg` if every field was read, else `None`.
+    pub fn end<M>(self, msg: M) -> Option<M> {
+        self.rest.as_slice().is_empty().then_some(msg)
     }
 }
 

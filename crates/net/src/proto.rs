@@ -11,7 +11,7 @@
 //! Requests to a connection's own port `uC`; LISTEN to netd's control port;
 //! device events are injected by the external world.
 
-use asbestos_kernel::{Handle, Payload, Value};
+use asbestos_kernel::{Fields, Handle, Payload, Value};
 
 /// A message in the netd protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,85 +87,50 @@ impl NetMsg {
     /// Encodes to a [`Value`] payload.
     pub fn to_value(&self) -> Value {
         match self {
-            NetMsg::DevNewConn { conn, tcp_port } => Value::List(vec![
-                Value::Str("dev-new-conn".into()),
-                Value::U64(*conn),
-                Value::U64(u64::from(*tcp_port)),
-            ]),
-            NetMsg::Listen { tcp_port, notify } => Value::List(vec![
-                Value::Str("listen".into()),
-                Value::U64(u64::from(*tcp_port)),
-                Value::Handle(*notify),
-            ]),
-            NetMsg::Read { max, reply, peek } => Value::List(vec![
-                Value::Str("read".into()),
-                Value::U64(*max),
-                Value::Handle(*reply),
-                Value::Bool(*peek),
-            ]),
-            NetMsg::Write { bytes } => Value::List(vec![
-                Value::Str("write".into()),
-                Value::Bytes(bytes.clone()),
-            ]),
-            NetMsg::AddTaint { taint } => {
-                Value::List(vec![Value::Str("add-taint".into()), Value::Handle(*taint)])
+            NetMsg::DevNewConn { conn, tcp_port } => {
+                Value::message("dev-new-conn", &[conn, tcp_port])
             }
-            NetMsg::Close => Value::List(vec![Value::Str("close".into())]),
-            NetMsg::Select { reply } => {
-                Value::List(vec![Value::Str("select".into()), Value::Handle(*reply)])
-            }
-            NetMsg::NewConn { port } => {
-                Value::List(vec![Value::Str("new-conn".into()), Value::Handle(*port)])
-            }
-            NetMsg::ReadR { bytes } => Value::List(vec![
-                Value::Str("read-r".into()),
-                Value::Bytes(bytes.clone()),
-            ]),
-            NetMsg::SelectR { available } => {
-                Value::List(vec![Value::Str("select-r".into()), Value::U64(*available)])
-            }
+            NetMsg::Listen { tcp_port, notify } => Value::message("listen", &[tcp_port, notify]),
+            NetMsg::Read { max, reply, peek } => Value::message("read", &[max, reply, peek]),
+            NetMsg::Write { bytes } => Value::message("write", &[bytes]),
+            NetMsg::AddTaint { taint } => Value::message("add-taint", &[taint]),
+            NetMsg::Close => Value::message("close", &[]),
+            NetMsg::Select { reply } => Value::message("select", &[reply]),
+            NetMsg::NewConn { port } => Value::message("new-conn", &[port]),
+            NetMsg::ReadR { bytes } => Value::message("read-r", &[bytes]),
+            NetMsg::SelectR { available } => Value::message("select-r", &[available]),
         }
     }
 
     /// Decodes from a [`Value`] payload.
     pub fn from_value(value: &Value) -> Option<NetMsg> {
-        let items = value.as_list()?;
-        let tag = items.first()?.as_str()?;
-        match tag {
-            "dev-new-conn" => Some(NetMsg::DevNewConn {
-                conn: items.get(1)?.as_u64()?,
-                tcp_port: u16::try_from(items.get(2)?.as_u64()?).ok()?,
-            }),
-            "listen" => Some(NetMsg::Listen {
-                tcp_port: u16::try_from(items.get(1)?.as_u64()?).ok()?,
-                notify: items.get(2)?.as_handle()?,
-            }),
-            "read" => Some(NetMsg::Read {
-                max: items.get(1)?.as_u64()?,
-                reply: items.get(2)?.as_handle()?,
-                peek: items.get(3)?.as_bool()?,
-            }),
-            "write" => Some(NetMsg::Write {
-                bytes: items.get(1)?.as_payload()?.clone(),
-            }),
-            "add-taint" => Some(NetMsg::AddTaint {
-                taint: items.get(1)?.as_handle()?,
-            }),
-            "close" => Some(NetMsg::Close),
-            "select" => Some(NetMsg::Select {
-                reply: items.get(1)?.as_handle()?,
-            }),
-            "new-conn" => Some(NetMsg::NewConn {
-                port: items.get(1)?.as_handle()?,
-            }),
-            "read-r" => Some(NetMsg::ReadR {
-                bytes: items.get(1)?.as_payload()?.clone(),
-            }),
-            "select-r" => Some(NetMsg::SelectR {
-                available: items.get(1)?.as_u64()?,
-            }),
-            _ => None,
-        }
+        let (tag, mut f) = Fields::open(value)?;
+        let msg = match tag {
+            "dev-new-conn" => NetMsg::DevNewConn {
+                conn: f.field()?,
+                tcp_port: f.field()?,
+            },
+            "listen" => NetMsg::Listen {
+                tcp_port: f.field()?,
+                notify: f.field()?,
+            },
+            "read" => NetMsg::Read {
+                max: f.field()?,
+                reply: f.field()?,
+                peek: f.field()?,
+            },
+            "write" => NetMsg::Write { bytes: f.field()? },
+            "add-taint" => NetMsg::AddTaint { taint: f.field()? },
+            "close" => NetMsg::Close,
+            "select" => NetMsg::Select { reply: f.field()? },
+            "new-conn" => NetMsg::NewConn { port: f.field()? },
+            "read-r" => NetMsg::ReadR { bytes: f.field()? },
+            "select-r" => NetMsg::SelectR {
+                available: f.field()?,
+            },
+            _ => return None,
+        };
+        f.end(msg)
     }
 }
 

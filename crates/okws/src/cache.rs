@@ -15,8 +15,7 @@ use std::collections::BTreeMap;
 
 use asbestos_db::DbMsg;
 use asbestos_kernel::{
-    Category, Handle, Kernel, Label, Level, Message, Payload, ProcessId, SendArgs, Service, Sys,
-    Value,
+    Fields, Handle, Label, Level, Message, Payload, SendArgs, Service, Sys, Value,
 };
 
 use crate::idd::CACHE_TRUSTED_ENV;
@@ -76,60 +75,39 @@ impl CacheMsg {
     /// Encodes to a [`Value`] payload.
     pub fn to_value(&self) -> Value {
         match self {
-            CacheMsg::Put { user, key, bytes } => Value::List(vec![
-                Value::Str("cache-put".into()),
-                Value::Str(user.clone()),
-                Value::Str(key.clone()),
-                Value::Bytes(bytes.clone()),
-            ]),
-            CacheMsg::Get { key, reply } => Value::List(vec![
-                Value::Str("cache-get".into()),
-                Value::Str(key.clone()),
-                Value::Handle(*reply),
-            ]),
-            CacheMsg::Hit { key, bytes } => Value::List(vec![
-                Value::Str("cache-hit".into()),
-                Value::Str(key.clone()),
-                Value::Bytes(bytes.clone()),
-            ]),
-            CacheMsg::GetDone { key } => Value::List(vec![
-                Value::Str("cache-get-done".into()),
-                Value::Str(key.clone()),
-            ]),
-            CacheMsg::Evict { user, key } => Value::List(vec![
-                Value::Str("cache-evict".into()),
-                Value::Str(user.clone()),
-                Value::Str(key.clone()),
-            ]),
+            CacheMsg::Put { user, key, bytes } => Value::message("cache-put", &[user, key, bytes]),
+            CacheMsg::Get { key, reply } => Value::message("cache-get", &[key, reply]),
+            CacheMsg::Hit { key, bytes } => Value::message("cache-hit", &[key, bytes]),
+            CacheMsg::GetDone { key } => Value::message("cache-get-done", &[key]),
+            CacheMsg::Evict { user, key } => Value::message("cache-evict", &[user, key]),
         }
     }
 
     /// Decodes from a [`Value`] payload.
     pub fn from_value(value: &Value) -> Option<CacheMsg> {
-        let items = value.as_list()?;
-        match items.first()?.as_str()? {
-            "cache-put" => Some(CacheMsg::Put {
-                user: items.get(1)?.as_str()?.to_string(),
-                key: items.get(2)?.as_str()?.to_string(),
-                bytes: items.get(3)?.as_payload()?.clone(),
-            }),
-            "cache-get" => Some(CacheMsg::Get {
-                key: items.get(1)?.as_str()?.to_string(),
-                reply: items.get(2)?.as_handle()?,
-            }),
-            "cache-hit" => Some(CacheMsg::Hit {
-                key: items.get(1)?.as_str()?.to_string(),
-                bytes: items.get(2)?.as_payload()?.clone(),
-            }),
-            "cache-get-done" => Some(CacheMsg::GetDone {
-                key: items.get(1)?.as_str()?.to_string(),
-            }),
-            "cache-evict" => Some(CacheMsg::Evict {
-                user: items.get(1)?.as_str()?.to_string(),
-                key: items.get(2)?.as_str()?.to_string(),
-            }),
-            _ => None,
-        }
+        let (tag, mut f) = Fields::open(value)?;
+        let msg = match tag {
+            "cache-put" => CacheMsg::Put {
+                user: f.field()?,
+                key: f.field()?,
+                bytes: f.field()?,
+            },
+            "cache-get" => CacheMsg::Get {
+                key: f.field()?,
+                reply: f.field()?,
+            },
+            "cache-hit" => CacheMsg::Hit {
+                key: f.field()?,
+                bytes: f.field()?,
+            },
+            "cache-get-done" => CacheMsg::GetDone { key: f.field()? },
+            "cache-evict" => CacheMsg::Evict {
+                user: f.field()?,
+                key: f.field()?,
+            },
+            _ => return None,
+        };
+        f.end(msg)
     }
 }
 
@@ -160,18 +138,10 @@ impl OkCache {
         }
     }
 
-    /// The §7.5 write gate, shared with ok-dbproxy.
+    /// ok-dbproxy's §7.5 write gate for `user`'s binding, if it has one.
     fn write_allowed(&self, user: &str, verify: &Label) -> Option<&Binding> {
         let binding = self.users.get(user)?;
-        let bound = Label::from_pairs(
-            Level::L2,
-            &[(binding.taint, Level::L3), (binding.grant, Level::L0)],
-        );
-        if verify.leq(&bound) {
-            Some(binding)
-        } else {
-            None
-        }
+        asbestos_db::write_allowed(verify, binding.taint, binding.grant).then_some(binding)
     }
 
     /// Number of live entries (god-mode stat).
@@ -287,25 +257,6 @@ impl Service for OkCache {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-}
-
-/// Spawn info for a running cache.
-pub struct CacheHandle {
-    /// The cache's process id.
-    pub pid: ProcessId,
-    /// Its worker-facing port.
-    pub port: Handle,
-}
-
-/// Spawns the shared cache (idd's `CACHE_TRUSTED_ENV` port must already be
-/// published — i.e. spawn after idd).
-pub fn spawn_cache(kernel: &mut Kernel) -> CacheHandle {
-    let pid = kernel.spawn("ok-cache", Category::Okws, Box::new(OkCache::new()));
-    let port = kernel
-        .global_env(CACHE_PORT_ENV)
-        .and_then(|v| v.as_handle())
-        .expect("cache publishes its worker port");
-    CacheHandle { pid, port }
 }
 
 #[cfg(test)]

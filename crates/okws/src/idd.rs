@@ -11,9 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use asbestos_db::{DbMsg, SqlValue, DB_TRUSTED_ENV};
-use asbestos_kernel::{
-    Category, Handle, Kernel, Label, Level, Message, ProcessId, SendArgs, Service, Sys, Value,
-};
+use asbestos_kernel::{Handle, Label, Level, Message, SendArgs, Service, Sys, Value};
 
 use crate::proto::OkwsMsg;
 
@@ -444,23 +442,4 @@ impl Service for Idd {
             _ => {}
         }
     }
-}
-
-/// Spawn info for idd (standalone spawns are used by tests; OKWS normally
-/// starts idd through the launcher).
-pub struct IddHandle {
-    /// idd's process id.
-    pub pid: ProcessId,
-    /// The login port.
-    pub port: Handle,
-}
-
-/// Spawns idd directly (test use).
-pub fn spawn_idd(kernel: &mut Kernel) -> IddHandle {
-    let pid = kernel.spawn("idd", Category::Okdb, Box::new(Idd::new()));
-    let port = kernel
-        .global_env(IDD_PORT_ENV)
-        .and_then(|v| v.as_handle())
-        .expect("idd publishes its login port");
-    IddHandle { pid, port }
 }

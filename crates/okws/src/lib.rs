@@ -37,9 +37,9 @@ pub mod proto;
 pub mod server;
 pub mod worker;
 
-pub use cache::{spawn_cache, CacheHandle, CacheMsg, OkCache};
+pub use cache::{CacheMsg, OkCache};
 pub use demux::OkDemux;
-pub use idd::{spawn_idd, Idd, IddHandle};
+pub use idd::Idd;
 pub use launcher::{Launcher, OkwsConfig, ServiceSpec};
 pub use logic::{
     Action, CachedProfile, EchoStore, ParamLength, Passwd, Profile, SessionStore, WorkerLogic,

@@ -1,6 +1,6 @@
 //! OKWS-internal protocol messages (§7.1–§7.4).
 
-use asbestos_kernel::{Handle, Value};
+use asbestos_kernel::{Fields, Handle, Value};
 
 /// A message between OKWS components.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,134 +108,94 @@ impl OkwsMsg {
     /// Encodes to a [`Value`] payload.
     pub fn to_value(&self) -> Value {
         match self {
-            OkwsMsg::Activate { service, verify } => Value::List(vec![
-                Value::Str("activate".into()),
-                Value::Str(service.clone()),
-                Value::Handle(*verify),
-            ]),
-            OkwsMsg::Register { service, port } => Value::List(vec![
-                Value::Str("register".into()),
-                Value::Str(service.clone()),
-                Value::Handle(*port),
-            ]),
+            OkwsMsg::Activate { service, verify } => Value::message("activate", &[service, verify]),
+            OkwsMsg::Register { service, port } => Value::message("register", &[service, port]),
             OkwsMsg::Login {
                 user,
                 password,
                 reply,
-            } => Value::List(vec![
-                Value::Str("login".into()),
-                Value::Str(user.clone()),
-                Value::Str(password.clone()),
-                Value::Handle(*reply),
-            ]),
+            } => Value::message("login", &[user, password, reply]),
             OkwsMsg::LoginR {
                 ok,
                 user,
                 taint,
                 grant,
-            } => Value::List(vec![
-                Value::Str("login-r".into()),
-                Value::Bool(*ok),
-                Value::Str(user.clone()),
-                taint.map(Value::Handle).unwrap_or(Value::Unit),
-                grant.map(Value::Handle).unwrap_or(Value::Unit),
-            ]),
-            OkwsMsg::AddUser { user, password } => Value::List(vec![
-                Value::Str("add-user".into()),
-                Value::Str(user.clone()),
-                Value::Str(password.clone()),
-            ]),
+            } => Value::message("login-r", &[ok, user, taint, grant]),
+            OkwsMsg::AddUser { user, password } => Value::message("add-user", &[user, password]),
             OkwsMsg::ChangePassword {
                 user,
                 new_password,
                 reply,
-            } => Value::List(vec![
-                Value::Str("change-pw".into()),
-                Value::Str(user.clone()),
-                Value::Str(new_password.clone()),
-                Value::Handle(*reply),
-            ]),
+            } => Value::message("change-pw", &[user, new_password, reply]),
             OkwsMsg::ConnHandoff {
                 conn,
                 user,
                 taint,
                 grant,
-            } => Value::List(vec![
-                Value::Str("conn".into()),
-                Value::Handle(*conn),
-                Value::Str(user.clone()),
-                Value::Handle(*taint),
-                Value::Handle(*grant),
-            ]),
+            } => Value::message("conn", &[conn, user, taint, grant]),
             OkwsMsg::SessionNew {
                 user,
                 service,
                 port,
-            } => Value::List(vec![
-                Value::Str("session-new".into()),
-                Value::Str(user.clone()),
-                Value::Str(service.clone()),
-                Value::Handle(*port),
-            ]),
-            OkwsMsg::SessionEnd { user, service } => Value::List(vec![
-                Value::Str("session-end".into()),
-                Value::Str(user.clone()),
-                Value::Str(service.clone()),
-            ]),
-            OkwsMsg::SessionEndR => Value::List(vec![Value::Str("session-end-r".into())]),
+            } => Value::message("session-new", &[user, service, port]),
+            OkwsMsg::SessionEnd { user, service } => {
+                Value::message("session-end", &[user, service])
+            }
+            OkwsMsg::SessionEndR => Value::message("session-end-r", &[]),
         }
     }
 
     /// Decodes from a [`Value`] payload.
     pub fn from_value(value: &Value) -> Option<OkwsMsg> {
-        let items = value.as_list()?;
-        match items.first()?.as_str()? {
-            "activate" => Some(OkwsMsg::Activate {
-                service: items.get(1)?.as_str()?.to_string(),
-                verify: items.get(2)?.as_handle()?,
-            }),
-            "register" => Some(OkwsMsg::Register {
-                service: items.get(1)?.as_str()?.to_string(),
-                port: items.get(2)?.as_handle()?,
-            }),
-            "login" => Some(OkwsMsg::Login {
-                user: items.get(1)?.as_str()?.to_string(),
-                password: items.get(2)?.as_str()?.to_string(),
-                reply: items.get(3)?.as_handle()?,
-            }),
-            "login-r" => Some(OkwsMsg::LoginR {
-                ok: items.get(1)?.as_bool()?,
-                user: items.get(2)?.as_str()?.to_string(),
-                taint: items.get(3).and_then(|v| v.as_handle()),
-                grant: items.get(4).and_then(|v| v.as_handle()),
-            }),
-            "add-user" => Some(OkwsMsg::AddUser {
-                user: items.get(1)?.as_str()?.to_string(),
-                password: items.get(2)?.as_str()?.to_string(),
-            }),
-            "change-pw" => Some(OkwsMsg::ChangePassword {
-                user: items.get(1)?.as_str()?.to_string(),
-                new_password: items.get(2)?.as_str()?.to_string(),
-                reply: items.get(3)?.as_handle()?,
-            }),
-            "conn" => Some(OkwsMsg::ConnHandoff {
-                conn: items.get(1)?.as_handle()?,
-                user: items.get(2)?.as_str()?.to_string(),
-                taint: items.get(3)?.as_handle()?,
-                grant: items.get(4)?.as_handle()?,
-            }),
-            "session-new" => Some(OkwsMsg::SessionNew {
-                user: items.get(1)?.as_str()?.to_string(),
-                service: items.get(2)?.as_str()?.to_string(),
-                port: items.get(3)?.as_handle()?,
-            }),
-            "session-end" => Some(OkwsMsg::SessionEnd {
-                user: items.get(1)?.as_str()?.to_string(),
-                service: items.get(2)?.as_str()?.to_string(),
-            }),
-            "session-end-r" => Some(OkwsMsg::SessionEndR),
-            _ => None,
-        }
+        let (tag, mut f) = Fields::open(value)?;
+        let msg = match tag {
+            "activate" => OkwsMsg::Activate {
+                service: f.field()?,
+                verify: f.field()?,
+            },
+            "register" => OkwsMsg::Register {
+                service: f.field()?,
+                port: f.field()?,
+            },
+            "login" => OkwsMsg::Login {
+                user: f.field()?,
+                password: f.field()?,
+                reply: f.field()?,
+            },
+            "login-r" => OkwsMsg::LoginR {
+                ok: f.field()?,
+                user: f.field()?,
+                taint: f.field()?,
+                grant: f.field()?,
+            },
+            "add-user" => OkwsMsg::AddUser {
+                user: f.field()?,
+                password: f.field()?,
+            },
+            "change-pw" => OkwsMsg::ChangePassword {
+                user: f.field()?,
+                new_password: f.field()?,
+                reply: f.field()?,
+            },
+            "conn" => OkwsMsg::ConnHandoff {
+                conn: f.field()?,
+                user: f.field()?,
+                taint: f.field()?,
+                grant: f.field()?,
+            },
+            "session-new" => OkwsMsg::SessionNew {
+                user: f.field()?,
+                service: f.field()?,
+                port: f.field()?,
+            },
+            "session-end" => OkwsMsg::SessionEnd {
+                user: f.field()?,
+                service: f.field()?,
+            },
+            "session-end-r" => OkwsMsg::SessionEndR,
+            _ => return None,
+        };
+        f.end(msg)
     }
 }
 

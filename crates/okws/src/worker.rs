@@ -521,53 +521,53 @@ impl EpService for Worker {
 
     fn on_event(&self, sys: &mut Sys<'_>, msg: &Message) {
         sys.charge(15_000); // dispatch overhead
-                            // Launcher activation: register with ok-demux, then discard this
-                            // throwaway event process (§7.1).
-        if let Some(OkwsMsg::Activate { service, verify }) = OkwsMsg::from_value(&msg.body) {
-            if service == self.service {
-                let demux = sys
-                    .env("okws.demux.reg")
-                    .and_then(|v| v.as_handle())
-                    .expect("ok-demux publishes its registration port");
-                let port = sys
-                    .env(&worker_port_env(&self.service))
-                    .and_then(|v| v.as_handle())
-                    .expect("our base start published the service port");
-                let v = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
-                let _ = sys.send_args(
-                    demux,
-                    OkwsMsg::Register {
-                        service: self.service.clone(),
-                        port,
-                    }
-                    .to_value(),
-                    &SendArgs::new().verify(v),
-                );
-            }
-            let _ = sys.ep_exit();
-            return;
-        }
-
-        if let Some(OkwsMsg::ConnHandoff {
-            conn,
-            user,
-            taint,
-            grant,
-        }) = OkwsMsg::from_value(&msg.body)
-        {
-            self.begin_connection(sys, conn, &user, taint, grant);
-            return;
-        }
-
-        if OkwsMsg::from_value(&msg.body) == Some(OkwsMsg::SessionEndR) {
-            // ok-demux dropped our session entry; every handoff it sent
-            // beforehand has been shed above (same per-port FIFO), so the
-            // drain is complete (§7.3: "u's worker event processes call
-            // ep_exit").
-            if Self::read_u64(sys, SESSION_PAGE + OFF_STATE) == ST_DRAINING {
+        match OkwsMsg::from_value(&msg.body) {
+            // Launcher activation: register with ok-demux, then discard
+            // this throwaway event process (§7.1).
+            Some(OkwsMsg::Activate { service, verify }) => {
+                if service == self.service {
+                    let demux = sys
+                        .env("okws.demux.reg")
+                        .and_then(|v| v.as_handle())
+                        .expect("ok-demux publishes its registration port");
+                    let port = sys
+                        .env(&worker_port_env(&self.service))
+                        .and_then(|v| v.as_handle())
+                        .expect("our base start published the service port");
+                    let v = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
+                    let _ = sys.send_args(
+                        demux,
+                        OkwsMsg::Register {
+                            service: self.service.clone(),
+                            port,
+                        }
+                        .to_value(),
+                        &SendArgs::new().verify(v),
+                    );
+                }
                 let _ = sys.ep_exit();
+                return;
             }
-            return;
+            Some(OkwsMsg::ConnHandoff {
+                conn,
+                user,
+                taint,
+                grant,
+            }) => {
+                self.begin_connection(sys, conn, &user, taint, grant);
+                return;
+            }
+            Some(OkwsMsg::SessionEndR) => {
+                // ok-demux dropped our session entry; every handoff it sent
+                // beforehand has been shed above (same per-port FIFO), so the
+                // drain is complete (§7.3: "u's worker event processes call
+                // ep_exit").
+                if Self::read_u64(sys, SESSION_PAGE + OFF_STATE) == ST_DRAINING {
+                    let _ = sys.ep_exit();
+                }
+                return;
+            }
+            _ => {}
         }
 
         let state = Self::read_u64(sys, SESSION_PAGE + OFF_STATE);
