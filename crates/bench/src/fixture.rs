@@ -55,7 +55,6 @@ pub fn deploy_sharded(
     shards: usize,
     lanes: usize,
 ) -> BenchEnv {
-    let mut kernel = Kernel::new_sharded(seed, shards);
     let mut config = OkwsConfig::new(80).sharded(shards).lanes(lanes);
     let bench = ServiceSpec::new("bench", || Box::new(ParamLength));
     let store = ServiceSpec::new("store", || Box::new(EchoStore::new()));
@@ -70,7 +69,7 @@ pub fn deploy_sharded(
         let pw = password(&name);
         config.users.push((name, pw));
     }
-    let okws = Okws::start(&mut kernel, config);
+    let (kernel, okws) = Okws::deploy(seed, config);
     let client = OkwsClient::new(&okws);
     BenchEnv {
         kernel,

@@ -15,10 +15,11 @@
 //! [`Cluster::run`] is the federation scheduler: it alternates kernel
 //! execution with gateway pumping until the whole system — every kernel
 //! idle, every socket drained, every buffer flushed — is quiescent.
-//! [`deploy_okws`] places OKWS across the cluster: front end (netd,
-//! demux, launcher, idd, dbproxy) on kernel 0, worker base processes
-//! round-robin across kernels 1..N, activation and request traffic
-//! flowing through the gateways.
+//! [`Cluster::single`] wraps one plain kernel as a cluster of one: no
+//! links, and the same run loop. [`deploy_okws`] places OKWS across the
+//! cluster: front end (netd, demux, launcher, idd, dbproxy) on kernel 0,
+//! worker base processes round-robin across kernels 1..N, activation and
+//! request traffic flowing through the gateways.
 
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -74,6 +75,19 @@ impl Cluster {
             .collect();
         Cluster {
             nodes,
+            switch: Switch::default(),
+        }
+    }
+
+    /// A cluster of one: `kernel` with a gateway that has no links.
+    /// [`Cluster::run`] and [`Cluster::step`] then run exactly as the
+    /// kernel's own loops do, and every wire counter stays zero.
+    pub fn single(kernel: Kernel) -> Cluster {
+        Cluster {
+            nodes: vec![ClusterNode {
+                kernel,
+                gateway: Gateway::new(vec![None]),
+            }],
             switch: Switch::default(),
         }
     }
@@ -173,7 +187,7 @@ impl Cluster {
 /// Deploys OKWS across the cluster: front end on kernel 0, worker base
 /// processes round-robin across kernels `1..N` (all workers stay on
 /// kernel 0 when the cluster has one member — identical to plain
-/// [`Okws::start`]).
+/// [`Okws::start`], which places them there).
 ///
 /// The deployment sequence is the single-kernel one stretched over the
 /// wire: workers boot first and publish their ports into the global
@@ -187,13 +201,13 @@ pub fn deploy_okws(cluster: &mut Cluster, mut config: OkwsConfig) -> Okws {
     let kernels = cluster.nodes.len();
     if kernels > 1 {
         for (i, spec) in config.services.iter_mut().enumerate() {
-            let body = spec.take_body();
-            let node = 1 + (i % (kernels - 1));
-            cluster.nodes[node].kernel.spawn_ep_service(
-                &format!("worker-{}", spec.name),
-                Category::Okws,
-                body,
-            );
+            if let Some(body) = spec.take_body() {
+                let node = 1 + (i % (kernels - 1));
+                let name = format!("worker-{}", spec.name);
+                cluster.nodes[node]
+                    .kernel
+                    .spawn_ep_service(&name, Category::Okws, body);
+            }
         }
         // Workers publish their ports; gateways replicate the bindings
         // before the launcher looks for them.

@@ -202,7 +202,8 @@ impl From<WireError> for std::io::Error {
 /// sender's effective send label `E_S` and the `SEND` arguments, exactly
 /// what the destination kernel needs to re-run the Figure 4 check against
 /// *its own* state. No message says where a port lives: its value does
-/// (see [`crate::switch`]).
+/// (the sending kernel computes the home kernel from the cipher lane
+/// that minted the port, [`asbestos_labels::HandleAllocator::lane_of`]).
 #[derive(Clone, PartialEq, Debug)]
 pub enum WireMsg {
     /// Replicate one global-environment binding.

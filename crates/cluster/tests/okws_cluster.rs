@@ -1,14 +1,15 @@
 //! OKWS across the federation: the §7 web server with its front end on
 //! kernel 0 and worker processes on other kernels, plus the golden pin —
 //! a two-kernel deployment's Figure 4 verdict trace must be bit-identical
-//! to the single-kernel run of the same workload — and a hostile worker
-//! against federated routing.
+//! to the single-kernel run of the same workload — a hostile worker
+//! against federated routing, and the workers' privileges at every
+//! placement.
 
 use asbestos_cluster::{deploy_okws, Cluster};
 use asbestos_kernel::util::service_with_start;
-use asbestos_kernel::{Category, Handle, Label, Stats, Value};
-use asbestos_okws::logic::EchoStore;
-use asbestos_okws::{OkwsClient, OkwsConfig, ServiceSpec};
+use asbestos_kernel::{Category, Handle, Kernel, Label, Level, Stats, Value};
+use asbestos_okws::logic::{EchoStore, ParamLength};
+use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
 
 fn store_config(users: &[(&str, &str)]) -> OkwsConfig {
     let mut config = OkwsConfig::new(80);
@@ -250,4 +251,58 @@ fn hostile_routing_costs_one_drop_and_leaves_a_bystander_untouched() {
     let attacked = bystander_trace(true);
     assert_eq!(attacked, bystander_trace(false));
     assert!(attacked.iter().all(|(status, ..)| *status == 200));
+}
+
+/// Asserts that no `worker-*` process on any of `kernels` holds `⋆` on a
+/// verification handle the launcher minted: a service's, ok-demux's or
+/// the launcher's own. `kernels[0]` hosts the front end.
+fn assert_no_worker_holds_a_verification_star(kernels: &[&Kernel], services: &[&str]) {
+    let keys = services.iter().map(|s| format!("okws.svc.{s}.verify"));
+    let keys: Vec<String> = keys
+        .chain(["okws.demux.verify", "okws.launcher.verify"].map(String::from))
+        .collect();
+    let mut workers = 0;
+    for kernel in kernels {
+        for service in services {
+            let Some(pid) = kernel.find_process(&format!("worker-{service}")) else {
+                continue;
+            };
+            workers += 1;
+            for key in &keys {
+                let handle = kernels[0].global_env_handle(key).expect("published");
+                let level = kernel.process(pid).send_label.get(handle);
+                assert_ne!(level, Level::Star, "worker-{service} holds {key} at ⋆");
+            }
+        }
+    }
+    assert_eq!(workers, services.len(), "every worker was placed");
+}
+
+/// §7.1 gives each process its own verification handle, and a worker
+/// gets only its own, at activation: no worker base process holds `⋆` on
+/// any verification handle, on a bare kernel at 1 and 4 shards and
+/// through [`deploy_okws`] at 1 and `ASBESTOS_KERNELS` (default 2)
+/// kernels of `ASBESTOS_TEST_SHARDS` (default 1) shards.
+#[test]
+fn no_worker_holds_a_verification_handle_at_star() {
+    let services = ["store", "bench"];
+    let config = || {
+        let mut config = store_config(&[("alice", "pw-a")]);
+        config
+            .services
+            .push(ServiceSpec::new("bench", || Box::new(ParamLength)));
+        config
+    };
+    for shards in [1, 4] {
+        let (kernel, _okws) = Okws::deploy(305, config().sharded(shards));
+        assert_no_worker_holds_a_verification_star(&[&kernel], &services);
+    }
+    let count = |key| std::env::var(key).ok().and_then(|k| k.trim().parse().ok());
+    let shards = count("ASBESTOS_TEST_SHARDS").unwrap_or(1);
+    for kernels in [1, count("ASBESTOS_KERNELS").unwrap_or(2)] {
+        let mut cluster = Cluster::new(305, kernels, shards);
+        deploy_okws(&mut cluster, config().sharded(shards));
+        let members: Vec<&Kernel> = cluster.nodes.iter().map(|n| &n.kernel).collect();
+        assert_no_worker_holds_a_verification_star(&members, &services);
+    }
 }

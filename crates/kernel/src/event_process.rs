@@ -5,7 +5,7 @@ use std::sync::Arc;
 use asbestos_labels::{Handle, Label};
 
 use crate::ids::ProcessId;
-use crate::memory::PageDelta;
+use crate::memory::PageMap;
 
 /// Accounted size of the event-process kernel structure (§6: "a send label,
 /// a receive label, receive rights for ports, and a set of private memory
@@ -31,7 +31,7 @@ pub struct EventProcess {
     /// Ports this event process holds receive rights for.
     pub ports: Vec<Handle>,
     /// Private modified pages (copy-on-write delta over the base).
-    pub delta: PageDelta,
+    pub delta: PageMap,
     /// Whether the event process is alive (false after `ep_exit`).
     pub alive: bool,
     /// Number of times this event process has been scheduled.
@@ -50,7 +50,7 @@ impl EventProcess {
             send_label,
             recv_label,
             ports: Vec::new(),
-            delta: PageDelta::new(),
+            delta: PageMap::default(),
             alive: true,
             activations: 0,
         }

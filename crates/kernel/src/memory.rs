@@ -117,19 +117,18 @@ impl FramePool {
     }
 }
 
-/// A base process page table: virtual page number → frame.
+/// Virtual page number → frame: a base process's page table, or the
+/// modified-pages delta of a dormant or running event process.
+///
+/// §6.2: "The memory state of each dormant event process includes just a
+/// list of modified pages and the modified pages themselves."
 #[derive(Default)]
-pub struct PageTable {
+pub struct PageMap {
     pages: BTreeMap<Vpn, FrameId>,
 }
 
-impl PageTable {
-    /// Creates an empty page table.
-    pub fn new() -> PageTable {
-        PageTable::default()
-    }
-
-    /// Looks up the frame mapped at `vpn`.
+impl PageMap {
+    /// The frame mapped at `vpn`.
     pub fn get(&self, vpn: Vpn) -> Option<FrameId> {
         self.pages.get(&vpn).copied()
     }
@@ -139,12 +138,8 @@ impl PageTable {
         self.pages.insert(vpn, frame)
     }
 
-    /// Removes the mapping at `vpn`.
-    pub fn unmap(&mut self, vpn: Vpn) -> Option<FrameId> {
-        self.pages.remove(&vpn)
-    }
-
-    /// Number of mapped pages.
+    /// Number of mapped pages (for a delta, the quantity Figure 6
+    /// measures).
     pub fn len(&self) -> usize {
         self.pages.len()
     }
@@ -158,44 +153,8 @@ impl PageTable {
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, FrameId)> + '_ {
         self.pages.iter().map(|(&v, &f)| (v, f))
     }
-}
 
-/// The modified-pages delta kept by a dormant or running event process.
-///
-/// §6.2: "The memory state of each dormant event process includes just a
-/// list of modified pages and the modified pages themselves."
-#[derive(Default)]
-pub struct PageDelta {
-    pages: BTreeMap<Vpn, FrameId>,
-}
-
-impl PageDelta {
-    /// Creates an empty delta.
-    pub fn new() -> PageDelta {
-        PageDelta::default()
-    }
-
-    /// The private frame for `vpn`, if this event process modified it.
-    pub fn get(&self, vpn: Vpn) -> Option<FrameId> {
-        self.pages.get(&vpn).copied()
-    }
-
-    /// Records a private frame for `vpn`.
-    pub fn map(&mut self, vpn: Vpn, frame: FrameId) -> Option<FrameId> {
-        self.pages.insert(vpn, frame)
-    }
-
-    /// Number of private pages (the quantity Figure 6 measures).
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Whether the delta is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
-    /// Removes and returns all private frames whose page lies in
+    /// Removes and returns all frames whose page lies in
     /// `[start_vpn, end_vpn)`; used by `ep_clean`.
     pub fn drain_range(&mut self, start_vpn: Vpn, end_vpn: Vpn) -> Vec<FrameId> {
         let vpns: Vec<Vpn> = self
@@ -208,7 +167,7 @@ impl PageDelta {
             .collect()
     }
 
-    /// Removes and returns all private frames; used by `ep_exit`.
+    /// Removes and returns all frames; used by `ep_exit`.
     pub fn drain_all(&mut self) -> Vec<FrameId> {
         let out: Vec<FrameId> = self.pages.values().copied().collect();
         self.pages.clear();
@@ -317,7 +276,7 @@ mod tests {
     #[test]
     fn delta_drain_range() {
         let mut pool = FramePool::new();
-        let mut d = PageDelta::new();
+        let mut d = PageMap::default();
         for vpn in 0..10 {
             d.map(vpn, pool.alloc_zeroed());
         }

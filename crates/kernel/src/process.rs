@@ -8,7 +8,7 @@ use asbestos_labels::{Handle, Label};
 
 use crate::cycles::Category;
 use crate::ids::EpId;
-use crate::memory::PageTable;
+use crate::memory::PageMap;
 use crate::message::Message;
 use crate::sys::Sys;
 use crate::value::Value;
@@ -99,7 +99,7 @@ pub struct Process {
     /// Cycle-accounting category for work done by this process.
     pub category: Category,
     /// Base address space (shared copy-on-write with event processes).
-    pub page_table: PageTable,
+    pub page_table: PageMap,
     /// Environment for port bootstrapping (§4).
     pub env: BTreeMap<String, Value>,
     /// Live event processes belonging to this process.
@@ -124,7 +124,7 @@ impl Process {
             send_label: Arc::new(Label::default_send()),
             recv_label: Arc::new(Label::default_recv()),
             category,
-            page_table: PageTable::new(),
+            page_table: PageMap::default(),
             env: BTreeMap::new(),
             eps: Vec::new(),
             ports: Vec::new(),

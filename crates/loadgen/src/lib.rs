@@ -39,7 +39,6 @@ pub mod arrival;
 pub mod metrics;
 pub mod scenario;
 pub mod scenarios;
-mod substrate;
 pub mod zipf;
 
 pub use arrival::OpenLoopSchedule;

@@ -23,7 +23,6 @@ use rand::SeedableRng;
 
 use crate::arrival::OpenLoopSchedule;
 use crate::metrics::ScenarioReport;
-use crate::substrate::Substrate;
 
 /// Which worker services the deployment runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,10 +168,10 @@ pub struct Issued {
     pub user: usize,
 }
 
-/// A deployed OKWS world a scenario runs against: one kernel, or a
-/// federation whose kernel 0 hosts the front end.
+/// A deployed OKWS world a scenario runs against: a cluster whose kernel
+/// 0 hosts the front end — a cluster of one for a plain kernel.
 pub struct World {
-    pub(crate) substrate: Substrate,
+    cluster: Cluster,
     /// The running deployment (front-end handles live on the front kernel).
     pub okws: Okws,
     /// The HTTP client, attached to the front kernel's netd lanes.
@@ -199,9 +198,9 @@ impl World {
     pub fn deploy(cfg: ScenarioConfig, seed: u64) -> World {
         let dev = cfg.durable.then(MemDev::new);
         let config = World::okws_config(&cfg, dev.as_ref(), true);
-        let (substrate, okws) = if cfg.kernels == 1 {
+        let (cluster, okws) = if cfg.kernels == 1 {
             let (kernel, okws) = Okws::deploy(seed, config);
-            (Substrate::Kernel(kernel), okws)
+            (Cluster::single(kernel), okws)
         } else {
             assert!(
                 !cfg.durable,
@@ -209,11 +208,11 @@ impl World {
             );
             let mut cluster = Cluster::new(seed, cfg.kernels, cfg.shards);
             let okws = deploy_okws(&mut cluster, config);
-            (Substrate::Cluster(cluster), okws)
+            (cluster, okws)
         };
         let client = OkwsClient::new(&okws);
         World {
-            substrate,
+            cluster,
             okws,
             client,
             cfg,
@@ -227,12 +226,12 @@ impl World {
     /// The kernel hosting netd: the only kernel of a plain world, kernel
     /// 0 of a federated one.
     pub fn kernel(&self) -> &Kernel {
-        self.substrate.front()
+        &self.cluster.nodes[0].kernel
     }
 
     /// [`World::kernel`], mutably (tuning knobs, probes).
     pub fn kernel_mut(&mut self) -> &mut Kernel {
-        self.substrate.front_mut()
+        &mut self.cluster.nodes[0].kernel
     }
 
     fn okws_config(cfg: &ScenarioConfig, dev: Option<&MemDev>, with_users: bool) -> OkwsConfig {
@@ -278,7 +277,7 @@ impl World {
             .expect("reboot needs a durable world (ScenarioConfig::durable)");
         // Clean shutdown of the old boot (Okws::shutdown inlined — the
         // handle stays in place and is replaced below).
-        let old = self.substrate.front_mut();
+        let old = self.kernel_mut();
         old.run();
         old.teardown();
 
@@ -289,7 +288,7 @@ impl World {
         );
         self.client = OkwsClient::new(&okws);
         self.okws = okws;
-        self.substrate = Substrate::Kernel(kernel);
+        self.cluster = Cluster::single(kernel);
         self.issued.clear();
     }
 
@@ -297,11 +296,11 @@ impl World {
     /// clears the request log, and snapshots the clock arrivals are paced
     /// by.
     pub fn begin_measurement(&mut self) {
-        self.substrate.run();
-        self.client.driver.poll(self.substrate.front());
+        self.cluster.run();
+        self.client.driver.poll(&self.cluster.nodes[0].kernel);
         self.client.driver.reset_log();
         self.issued.clear();
-        self.base_cycles = self.substrate.elapsed_cycles();
+        self.base_cycles = self.cluster.elapsed_cycles();
     }
 
     /// Steps the world until the busiest shard's clock reaches `due`
@@ -310,7 +309,7 @@ impl World {
     /// schedule compresses; see [`crate::arrival`]).
     pub fn advance_to(&mut self, due: u64) {
         let target = self.base_cycles + due;
-        while self.substrate.elapsed_cycles() < target && self.substrate.step() {}
+        while self.cluster.elapsed_cycles() < target && self.cluster.step() > 0 {}
     }
 
     /// Issues a request as user rank `user` and records it under `seq`.
@@ -323,9 +322,8 @@ impl World {
     ) -> usize {
         let uname = format!("u{user}");
         let pw = format!("p{user}");
-        let idx = self
-            .client
-            .request(self.substrate.front_mut(), service, &uname, &pw, extra);
+        let kernel = &mut self.cluster.nodes[0].kernel;
+        let idx = self.client.request(kernel, service, &uname, &pw, extra);
         self.issued.push(Issued { seq, idx, user });
         idx
     }
@@ -353,11 +351,10 @@ impl World {
         pw: &str,
         extra: &[(&str, &str)],
     ) -> Option<(u16, Vec<u8>)> {
-        let idx = self
-            .client
-            .request(self.substrate.front_mut(), service, uname, pw, extra);
-        self.substrate.run();
-        self.client.driver.poll(self.substrate.front());
+        let kernel = &mut self.cluster.nodes[0].kernel;
+        let idx = self.client.request(kernel, service, uname, pw, extra);
+        self.cluster.run();
+        self.client.driver.poll(&self.cluster.nodes[0].kernel);
         self.client.parse_response(idx)
     }
 
@@ -385,13 +382,14 @@ impl World {
     /// error. Aborted connections are reaped at the end.
     pub fn drain(&mut self) {
         for _ in 0..128 {
-            self.substrate.run();
+            self.cluster.run();
             self.poll_lanes();
             let settled = self.client.driver.completed() + self.client.driver.aborted();
             if settled == self.client.driver.requests().len() {
                 break;
             }
-            if self.client.driver.retry_shed(self.substrate.front_mut()) == 0 {
+            let front = &mut self.cluster.nodes[0].kernel;
+            if self.client.driver.retry_shed(front) == 0 {
                 break;
             }
         }
@@ -402,8 +400,9 @@ impl World {
     /// completion-ring walk; equivalent to `poll()` but keeps the
     /// per-lane structure visible to scenarios that care).
     pub fn poll_lanes(&mut self) {
+        let front = &self.cluster.nodes[0].kernel;
         for lane in 0..self.client.driver.lanes() {
-            self.client.driver.poll_lane(self.substrate.front(), lane);
+            self.client.driver.poll_lane(front, lane);
         }
     }
 
@@ -421,8 +420,8 @@ impl World {
     /// the window's; the kernel and wire counters run from deploy.
     pub fn report(&self, scenario: &str) -> ScenarioReport {
         let driver = &self.client.driver;
-        let (delivered, dropped) = self.substrate.deliveries();
-        let (wire_frames, wire_bytes, forwarded) = self.substrate.wire();
+        let stats = self.cluster.stats();
+        let wire = self.cluster.wire_stats();
         ScenarioReport {
             scenario: scenario.to_string(),
             kernels: self.cfg.kernels,
@@ -435,12 +434,12 @@ impl World {
             outstanding: driver.outstanding(),
             retries: driver.total_retries(),
             retried: driver.retried(),
-            delivered,
-            dropped,
-            queue_depth_hwm: self.substrate.queue_depth_hwm(),
-            wire_frames,
-            wire_bytes,
-            forwarded,
+            delivered: stats.delivered,
+            dropped: stats.dropped_total(),
+            queue_depth_hwm: stats.queue_depth_hwm,
+            wire_frames: wire.frames_out,
+            wire_bytes: wire.bytes_out,
+            forwarded: self.cluster.switch().forwarded,
         }
     }
 
@@ -528,7 +527,10 @@ pub fn run_scenario(scenario: &mut dyn Scenario, seed: u64) -> ScenarioReport {
         }
         if seq % POLL_EVERY == POLL_EVERY - 1 {
             world.poll_lanes();
-            world.client.driver.retry_shed(world.substrate.front_mut());
+            world
+                .client
+                .driver
+                .retry_shed(&mut world.cluster.nodes[0].kernel);
         }
     }
 

@@ -325,28 +325,19 @@ impl Service for Idd {
         }
 
         let Some(okws_msg) = OkwsMsg::from_value(&msg.body) else {
-            // Worker-table DDL relayed from the launcher: ["worker-ddl", sql]
-            // with the launcher's verification label.
-            if let Some(items) = msg.body.as_list() {
-                if items.first().and_then(Value::as_str) == Some("worker-ddl")
-                    && self.verify_ok(sys, LAUNCHER_VERIFY_ENV, &msg.verify)
-                {
-                    if let (Some(sql), Some(admin)) =
-                        (items.get(1).and_then(Value::as_str), self.admin)
-                    {
-                        let _ = sys.send(
-                            admin,
-                            DbMsg::Ddl {
-                                sql: sql.to_string(),
-                            }
-                            .to_value(),
-                        );
-                    }
-                }
-            }
             return;
         };
         match okws_msg {
+            OkwsMsg::WorkerDdl { sql } => {
+                // Worker-table DDL relayed from the launcher, proven with
+                // its verification handle.
+                if !self.verify_ok(sys, LAUNCHER_VERIFY_ENV, &msg.verify) {
+                    return;
+                }
+                if let Some(admin) = self.admin {
+                    let _ = sys.send(admin, DbMsg::Ddl { sql }.to_value());
+                }
+            }
             OkwsMsg::AddUser { user, password } => {
                 // Only the launcher may create accounts (§7.1's V pattern).
                 if !self.verify_ok(sys, LAUNCHER_VERIFY_ENV, &msg.verify) {

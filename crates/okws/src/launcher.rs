@@ -7,6 +7,14 @@
 //! these handle values from the launcher. When a worker identifies itself to
 //! the ok-demux, it must provide a verification label V containing its
 //! verification handle at level 0."
+//!
+//! Here the deployment assembler ([`crate::Okws::start`], or the cluster
+//! crate's `deploy_okws`) spawns the worker base processes, before the
+//! launcher runs, so a worker never inherits the launcher's `⋆` on the
+//! verification handles it mints. The launcher spawns idd, ok-dbproxy,
+//! ok-cache and ok-demux itself; it mints and publishes every
+//! verification handle, then activates each worker, granting it its own
+//! handle at `⋆` and no other.
 
 use asbestos_db::DbProxy;
 use asbestos_kernel::{Category, Label, Level, Message, SendArgs, Service, Sys, Value};
@@ -26,11 +34,6 @@ enum WorkerKind {
     /// whose *code* is compromised, §7.8). Must handle
     /// [`OkwsMsg::Activate`] itself.
     Raw(Box<dyn FnMut() -> Box<dyn asbestos_kernel::EpService>>),
-    /// The worker base process was already placed on its shard by the
-    /// deployment assembler ([`crate::Okws::start`] on a multi-shard
-    /// kernel); the launcher only provisions its verification handle and
-    /// activates it.
-    Placed,
 }
 
 /// One service to launch.
@@ -42,7 +45,8 @@ pub struct ServiceSpec {
     /// Whether workers `ep_clean` scratch state per request (§7.3); the
     /// Figure 6 active-session experiment disables this.
     pub tidy: bool,
-    kind: WorkerKind,
+    /// The worker body, until a deployment assembler places it.
+    kind: Option<WorkerKind>,
 }
 
 impl ServiceSpec {
@@ -52,7 +56,7 @@ impl ServiceSpec {
             name: name.to_string(),
             declassifier: false,
             tidy: true,
-            kind: WorkerKind::Logic(Box::new(factory)),
+            kind: Some(WorkerKind::Logic(Box::new(factory))),
         }
     }
 
@@ -65,7 +69,7 @@ impl ServiceSpec {
             name: name.to_string(),
             declassifier: false,
             tidy: true,
-            kind: WorkerKind::Raw(Box::new(factory)),
+            kind: Some(WorkerKind::Raw(Box::new(factory))),
         }
     }
 
@@ -81,26 +85,12 @@ impl ServiceSpec {
         self
     }
 
-    /// Whether this spec's worker body was already taken by a deployment
-    /// assembler ([`ServiceSpec::take_body`]) — the launcher (and the
-    /// single-kernel shard placer) must activate it, not spawn it.
-    pub fn is_placed(&self) -> bool {
-        matches!(self.kind, WorkerKind::Placed)
-    }
-
-    /// Builds this service's worker body and marks the spec as placed —
-    /// a deployment assembler (the sharded `Okws::start` path, or the
-    /// cluster crate's cross-kernel deploy) calls this when it spawns
-    /// worker base processes onto their shards — or kernels — itself, so
-    /// the launcher knows to activate rather than spawn.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called twice for one spec; check
-    /// [`ServiceSpec::is_placed`] first.
-    pub fn take_body(&mut self) -> Box<dyn asbestos_kernel::EpService> {
-        let kind = std::mem::replace(&mut self.kind, WorkerKind::Placed);
-        match kind {
+    /// Builds this service's worker body, once: a deployment assembler
+    /// ([`crate::Okws::start`], or the cluster crate's cross-kernel
+    /// deploy) calls this when it places the worker base process. `None`
+    /// means the worker was already placed elsewhere.
+    pub fn take_body(&mut self) -> Option<Box<dyn asbestos_kernel::EpService>> {
+        Some(match self.kind.take()? {
             WorkerKind::Logic(mut factory) => {
                 let mut worker = Worker::new(&self.name, factory());
                 if !self.tidy {
@@ -109,8 +99,7 @@ impl ServiceSpec {
                 Box::new(worker)
             }
             WorkerKind::Raw(mut factory) => factory(),
-            WorkerKind::Placed => unreachable!("take_body called twice for {}", self.name),
-        }
+        })
     }
 }
 
@@ -126,10 +115,12 @@ pub struct OkwsConfig {
     pub users: Vec<(String, String)>,
     /// Whether to deploy the shared, user-isolated cache (§2).
     pub with_cache: bool,
-    /// Kernel shards to run the deployment on. `1` (the default) is the
-    /// paper-faithful single-engine configuration; higher counts spread
-    /// netd, the launcher, and the OKWS process suite round-robin across
-    /// parallel delivery engines, with the router carrying the
+    /// Kernel shards to run the deployment on ([`crate::Okws::deploy`]
+    /// builds the kernel with this count). `1` (the default) is the
+    /// paper-faithful single-engine configuration. On `S` shards the
+    /// netd lanes go one per shard; the launcher, with the ok-demux,
+    /// idd, ok-dbproxy and ok-cache it spawns, on shard `1 % S`; and
+    /// worker `i` on shard `(1 % S + 1 + i) % S`. The router carries the
     /// netd ↔ demux ↔ worker traffic between shards.
     pub shards: usize,
     /// netd lanes in the multi-queue front end. `1` (the default) is the
@@ -265,16 +256,11 @@ impl Service for Launcher {
             &SendArgs::new().grant(Label::from_pairs(Level::L3, &[(demux_verify, Level::Star)])),
         );
 
-        // Workers: spawn (unless the deployment assembler already placed
-        // the base process on its shard), then activate — the activation
-        // event process registers the worker with ok-demux using its
-        // verification handle.
-        for (spec, wv) in config.services.iter_mut().zip(&worker_verifies) {
-            if !matches!(spec.kind, WorkerKind::Placed) {
-                let body = spec.take_body();
-                sys.spawn_ep_service(&format!("worker-{}", spec.name), Category::Okws, body)
-                    .expect("launcher runs outside event processes");
-            }
+        // Workers: the assembler placed each base process before the
+        // launcher started; activation grants the worker its verification
+        // handle, and its activation event process registers with
+        // ok-demux.
+        for (spec, wv) in config.services.iter().zip(&worker_verifies) {
             let port = sys
                 .env(&worker_port_env(&spec.name))
                 .and_then(|v| v.as_handle())
@@ -300,10 +286,7 @@ impl Service for Launcher {
         for ddl in &config.worker_tables {
             let _ = sys.send_args(
                 idd_port,
-                Value::List(vec![
-                    Value::Str("worker-ddl".into()),
-                    Value::Str(ddl.clone()),
-                ]),
+                OkwsMsg::WorkerDdl { sql: ddl.clone() }.to_value(),
                 &SendArgs::new().verify(launcher_v.clone()),
             );
         }

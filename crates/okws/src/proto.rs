@@ -50,6 +50,12 @@ pub enum OkwsMsg {
         /// Password.
         password: String,
     },
+    /// Launcher → idd: create a worker-visible table (DDL relayed to
+    /// ok-dbproxy), proven with the launcher's verification handle.
+    WorkerDdl {
+        /// The `CREATE TABLE` statement.
+        sql: String,
+    },
     /// Worker → idd: change a user's password. The §7 intro names this as
     /// one of the three standard workers. The sender must prove it speaks
     /// for the user with `V(uG) ≤ 0`; idd replies with a
@@ -122,6 +128,7 @@ impl OkwsMsg {
                 grant,
             } => Value::message("login-r", &[ok, user, taint, grant]),
             OkwsMsg::AddUser { user, password } => Value::message("add-user", &[user, password]),
+            OkwsMsg::WorkerDdl { sql } => Value::message("worker-ddl", &[sql]),
             OkwsMsg::ChangePassword {
                 user,
                 new_password,
@@ -172,6 +179,7 @@ impl OkwsMsg {
                 user: f.field()?,
                 password: f.field()?,
             },
+            "worker-ddl" => OkwsMsg::WorkerDdl { sql: f.field()? },
             "change-pw" => OkwsMsg::ChangePassword {
                 user: f.field()?,
                 new_password: f.field()?,
@@ -235,6 +243,9 @@ mod tests {
             OkwsMsg::AddUser {
                 user: "u".into(),
                 password: "p".into(),
+            },
+            OkwsMsg::WorkerDdl {
+                sql: "CREATE TABLE t (a)".into(),
             },
             OkwsMsg::ChangePassword {
                 user: "u".into(),

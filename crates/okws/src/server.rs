@@ -24,46 +24,30 @@ impl Okws {
     /// [`Okws::deploy`] constructs the kernel from the config's own
     /// `shards` field.
     ///
-    /// On a multi-shard kernel the assembler also does the placement the
-    /// launcher cannot (`Sys::spawn` is shard-local): netd lanes go one
-    /// per shard, worker base processes spread round-robin across the
-    /// shards after the launcher's, and the launcher — with ok-demux,
-    /// idd, and ok-dbproxy, which it spawns locally — sits next to
-    /// lane 0. The launcher still provisions every verification handle
-    /// and activates the placed workers, so the §7.1 trust chain is
-    /// unchanged. A single-shard kernel takes the launcher-spawns-
-    /// everything path of the paper, bit for bit.
+    /// This is the one place that places OKWS on a kernel (`Sys::spawn`
+    /// is shard-local): netd lanes go one per shard, the launcher — with
+    /// ok-demux, idd and ok-dbproxy, which it spawns locally — sits on
+    /// shard `1 % S`, and worker `i` on shard `(1 % S + 1 + i) % S`. The
+    /// workers are spawned before the launcher with default labels, so
+    /// none inherits the launcher's `⋆` on the verification handles it
+    /// mints; the launcher then grants each worker its own handle at
+    /// activation, completing the §7.1 trust chain. A worker whose spec
+    /// already gave up its body was placed on another kernel by the
+    /// cluster assembler and is only activated.
     pub fn start(kernel: &mut Kernel, mut config: OkwsConfig) -> Okws {
         let tcp_port = config.tcp_port;
         let netd = spawn_netd_lanes(kernel, config.netd_lanes);
         let shards = kernel.num_shards();
-        let launcher = if shards > 1 {
-            let launcher_shard = 1 % shards;
-            for (i, spec) in config.services.iter_mut().enumerate() {
-                if spec.is_placed() {
-                    // A cluster assembler already spawned this worker on
-                    // another kernel; the launcher will activate it
-                    // over the wire.
-                    continue;
-                }
-                let body = spec.take_body();
+        let launcher_shard = 1 % shards;
+        for (i, spec) in config.services.iter_mut().enumerate() {
+            if let Some(body) = spec.take_body() {
                 let shard = (launcher_shard + 1 + i) % shards;
-                kernel.spawn_ep_service_on(
-                    shard,
-                    &format!("worker-{}", spec.name),
-                    Category::Okws,
-                    body,
-                );
+                let name = format!("worker-{}", spec.name);
+                kernel.spawn_ep_service_on(shard, &name, Category::Okws, body);
             }
-            kernel.spawn_on(
-                launcher_shard,
-                "launcher",
-                Category::Okws,
-                Box::new(Launcher::new(config)),
-            )
-        } else {
-            kernel.spawn("launcher", Category::Okws, Box::new(Launcher::new(config)))
-        };
+        }
+        let launcher = Box::new(Launcher::new(config));
+        let launcher = kernel.spawn_on(launcher_shard, "launcher", Category::Okws, launcher);
         kernel.run();
         Okws {
             netd,
@@ -73,8 +57,8 @@ impl Okws {
     }
 
     /// Builds a kernel with the shard count the config asks for
-    /// (`OkwsConfig::shards`) and deploys OKWS on it — the one-call
-    /// launcher/worker wiring for sharded deployments.
+    /// (`OkwsConfig::shards`) and deploys OKWS on it with
+    /// [`Okws::start`].
     ///
     /// A durable config ([`OkwsConfig::durable`]) boots as the epoch
     /// *after* the device's last recorded boot, so the kernel's handle

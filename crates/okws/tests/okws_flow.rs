@@ -816,3 +816,73 @@ fn workers_cannot_reach_raw_credential_tables() {
         .unwrap();
     assert_eq!(status, 200, "bob's credentials survived the attack");
 }
+
+/// A compromised worker that, on activation, registers *itself* as the
+/// `bench` service, proving it with `bench`'s verification handle read
+/// from the environment; any connection it is handed it answers
+/// `hijacked`.
+struct Hijacker;
+
+impl asbestos_kernel::EpService for Hijacker {
+    fn on_base_start(&mut self, sys: &mut asbestos_kernel::Sys<'_>) {
+        let port = sys.new_port(Label::top());
+        sys.set_port_label(port, Label::top()).unwrap();
+        sys.publish_env("okws.worker.evil.port", Value::Handle(port));
+    }
+
+    fn on_event(&self, sys: &mut asbestos_kernel::Sys<'_>, msg: &asbestos_kernel::Message) {
+        let env = |sys: &asbestos_kernel::Sys<'_>, key| sys.env(key).unwrap().as_handle().unwrap();
+        match OkwsMsg::from_value(&msg.body) {
+            Some(OkwsMsg::Activate { .. }) => {
+                let (demux, port) = (
+                    env(sys, "okws.demux.reg"),
+                    env(sys, "okws.worker.evil.port"),
+                );
+                let wv_bench = env(sys, "okws.svc.bench.verify");
+                let v = Label::from_pairs(Level::L3, &[(wv_bench, Level::L0)]);
+                let forged = OkwsMsg::Register {
+                    service: "bench".into(),
+                    port,
+                };
+                let args = asbestos_kernel::SendArgs::new().verify(v);
+                let _ = sys.send_args(demux, forged.to_value(), &args);
+            }
+            Some(OkwsMsg::ConnHandoff { conn, .. }) => {
+                let response = asbestos_net::http::ok_response(b"hijacked");
+                let _ = sys.send(conn, NetMsg::Write { bytes: response }.to_value());
+                let _ = sys.send(conn, NetMsg::Close.to_value());
+            }
+            _ => return,
+        }
+        let _ = sys.ep_exit();
+    }
+}
+
+/// §7.1: a worker proves itself to ok-demux with `V(wv) = 0` on its own
+/// process-specific verification handle, so it must hold no other. A
+/// worker listed after `bench` forges `bench`'s registration; bob's
+/// `/bench` request must still reach `bench`. Runs at 1 and 4 shards and
+/// at `ASBESTOS_TEST_SHARDS`.
+#[test]
+fn a_worker_cannot_register_as_another_service() {
+    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
+    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
+    for shards in [1, 4].into_iter().chain(env_shards) {
+        let mut config = OkwsConfig::new(80).sharded(shards);
+        config
+            .services
+            .push(ServiceSpec::new("bench", || Box::new(ParamLength)));
+        config
+            .services
+            .push(ServiceSpec::raw("evil", || Box::new(Hijacker)));
+        config.users.push(("bob".into(), "pw-b".into()));
+        let (mut kernel, okws) = Okws::deploy(215, config);
+        let mut client = OkwsClient::new(&okws);
+        let (status, body) = client
+            .request_sync(&mut kernel, "bench", "bob", "pw-b", &[])
+            .unwrap_or_else(|| panic!("{shards} shards: bob got no response"));
+        assert_eq!(status, 200);
+        let body = String::from_utf8_lossy(&body);
+        assert_eq!(body, "x".repeat(11), "{shards} shards: bench was hijacked");
+    }
+}

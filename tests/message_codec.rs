@@ -151,6 +151,9 @@ fn okws_messages_decode_exactly() {
             user: "u".into(),
             password: "p".into(),
         },
+        OkwsMsg::WorkerDdl {
+            sql: "CREATE TABLE t (a)".into(),
+        },
         OkwsMsg::ChangePassword {
             user: "u".into(),
             new_password: "p2".into(),
