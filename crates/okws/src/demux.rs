@@ -51,6 +51,17 @@ enum Phase {
     AwaitingLogin { req: HttpRequest },
 }
 
+/// What ok-demux knows of a user idd has logged in.
+struct User {
+    /// The password of the request whose `LoginR` succeeded: the fast path
+    /// admits only this one, and sends any other to idd.
+    password: String,
+    taint: Handle,
+    grant: Handle,
+    /// §7.3's session table: service → session port uW.
+    sessions: BTreeMap<String, Handle>,
+}
+
 struct ConnState {
     conn: Handle,
     phase: Phase,
@@ -60,11 +71,9 @@ struct ConnState {
 pub struct OkDemux {
     tcp_port: u16,
     services: BTreeMap<String, ServiceEntry>,
-    /// Credential cache: user → (uT, uG) (avoids re-login round trips for
-    /// users with live sessions; idd still owns the durable mapping).
-    creds: BTreeMap<String, (Handle, Handle)>,
-    /// §7.3's session table: (user, service) → session port uW.
-    sessions: BTreeMap<(String, String), Handle>,
+    /// Users idd has logged in (avoids re-login round trips; idd still
+    /// owns the durable mapping).
+    users: BTreeMap<String, User>,
     /// In-flight connections keyed by their per-connection reply port.
     pending: BTreeMap<Handle, ConnState>,
     notify_port: Option<Handle>,
@@ -78,8 +87,7 @@ impl OkDemux {
         OkDemux {
             tcp_port,
             services: BTreeMap::new(),
-            creds: BTreeMap::new(),
-            sessions: BTreeMap::new(),
+            users: BTreeMap::new(),
             pending: BTreeMap::new(),
             notify_port: None,
             reg_port: None,
@@ -87,13 +95,14 @@ impl OkDemux {
         }
     }
 
-    /// Whether `msg` proves it comes from `user`'s event process: §7.5's
-    /// `V(uG) ≤ 0`, which the kernel lets through only from a holder of
-    /// `uG ⋆` — the grant ok-demux hands only to that user's workers.
-    fn speaks_for(&self, msg: &Message, user: &str) -> bool {
-        self.creds
-            .get(user)
-            .is_some_and(|&(_, grant)| msg.verify.get(grant) <= Level::L0)
+    /// `user`'s record, if `msg` proves it comes from `user`'s event
+    /// process: §7.5's `V(uG) ≤ 0`, which the kernel lets through only from
+    /// a holder of `uG ⋆` — the grant ok-demux hands only to that user's
+    /// workers.
+    fn speaker(&mut self, msg: &Message, user: &str) -> Option<&mut User> {
+        self.users
+            .get_mut(user)
+            .filter(|u| msg.verify.get(u.grant) <= Level::L0)
     }
 
     /// Responds directly on a connection (error paths) and forgets it.
@@ -165,8 +174,10 @@ impl OkDemux {
         let user = user.to_string();
         let password = password.to_string();
 
-        if let Some(&(taint, grant)) = self.creds.get(&user) {
-            // Fast path: known user with live credentials.
+        if let Some(u) = self.users.get(&user).filter(|u| u.password == password) {
+            // Fast path: a logged-in user presenting the password idd
+            // confirmed. Any other password goes to idd.
+            let (taint, grant) = (u.taint, u.grant);
             self.handoff(sys, reply_port, &req, &user, taint, grant);
             return;
         }
@@ -214,12 +225,6 @@ impl OkDemux {
             self.respond_direct(sys, reply_port, 500, "Bad Login Reply");
             return;
         };
-        self.creds.insert(user.clone(), (taint, grant));
-        // Accept this user's taint from now on (needed to receive
-        // SessionNew/SessionEnd from their tainted event processes); we
-        // hold uT ⋆, so raising our own receive label is permitted.
-        sys.raise_recv(taint, Level::L3)
-            .expect("LoginR granted us the taint handle at ⋆");
         let Some(state) = self.pending.get_mut(&reply_port) else {
             return;
         };
@@ -228,6 +233,19 @@ impl OkDemux {
         else {
             return;
         };
+        // Accept this user's taint from now on (needed to receive
+        // SessionNew/SessionEnd from their tainted event processes); we
+        // hold uT ⋆, so raising our own receive label is permitted.
+        sys.raise_recv(taint, Level::L3)
+            .expect("LoginR granted us the taint handle at ⋆");
+        let password = req.param("pw").unwrap_or_default().to_string();
+        let u = self.users.entry(user.clone()).or_insert_with(|| User {
+            password: String::new(),
+            taint,
+            grant,
+            sessions: BTreeMap::new(),
+        });
+        (u.password, u.taint, u.grant) = (password, taint, grant);
         self.handoff(sys, reply_port, &req, &user, taint, grant);
     }
 
@@ -267,7 +285,8 @@ impl OkDemux {
         }
         .to_value();
 
-        if let Some(&session_port) = self.sessions.get(&(user.to_string(), service.clone())) {
+        let session = self.users.get(user).and_then(|u| u.sessions.get(&service));
+        if let Some(&session_port) = session {
             // §7.3: route to the existing session event process.
             let _ = sys.send_args(session_port, handoff, &SendArgs::new().grant(star(conn)));
         } else if let Some(worker_port) = entry.port {
@@ -380,18 +399,21 @@ impl Service for OkDemux {
                     user,
                     service,
                     port,
-                }) if self.speaks_for(msg, &user) => {
-                    sys.charge(DEMUX_EVENT_CYCLES / 4);
-                    self.sessions.insert((user, service), port);
+                }) => {
+                    if let Some(u) = self.speaker(msg, &user) {
+                        sys.charge(DEMUX_EVENT_CYCLES / 4);
+                        u.sessions.insert(service, port);
+                    }
                 }
-                Some(OkwsMsg::SessionEnd { user, service }) if self.speaks_for(msg, &user) => {
+                Some(OkwsMsg::SessionEnd { user, service }) => {
                     // §7.3: "ok-demux cleans u's user-worker pairs out of
                     // its session table." Ack on the session port before
                     // releasing the uW ⋆: connections handed off before
                     // this point share uW's per-port FIFO with the ack, so
                     // the draining event process sheds them all and exits
                     // only once nothing more can arrive.
-                    if let Some(port) = self.sessions.remove(&(user, service)) {
+                    let ended = self.speaker(msg, &user);
+                    if let Some(port) = ended.and_then(|u| u.sessions.remove(&service)) {
                         let _ = sys.send(port, OkwsMsg::SessionEndR.to_value());
                         sys.self_contaminate(&Label::from_pairs(Level::Star, &[(port, Level::L1)]));
                     }

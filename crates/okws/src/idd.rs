@@ -8,7 +8,7 @@
 //! handle pairs on first login, caches them, and grants every new taint
 //! handle to ok-dbproxy at `⋆` (§7.5).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use asbestos_db::{DbMsg, SqlValue, DB_TRUSTED_ENV};
 use asbestos_kernel::{Handle, Label, Level, Message, SendArgs, Service, Sys, Value};
@@ -39,9 +39,19 @@ struct PendingLogin {
     user: String,
     password_matched: bool,
     reply: Handle,
-    /// Outstanding `BindR` acks this login is waiting on (first login of
-    /// a user only; zero once every admin party holds the binding).
-    awaiting_binds: usize,
+}
+
+/// A user's handles ("never cleans its cache", §7.4).
+struct User {
+    taint: Handle,
+    grant: Handle,
+    /// While the user's first `Bind` is out: the `BindR` acks still due,
+    /// and the logins (the initiating one first) whose `LoginR` waits for
+    /// them. A worker's first tainted query takes a different port than
+    /// the `Bind`, so the kernel gives no ordering between them: released
+    /// early, the query can be label-dropped and the event process wedges
+    /// awaiting the reply.
+    binding: Option<(usize, Vec<Handle>)>,
 }
 
 /// The idd service.
@@ -51,20 +61,9 @@ pub struct Idd {
     admin: Option<Handle>,
     /// The shared cache's admin port, when one is deployed.
     cache_admin: Option<Handle>,
-    /// Cached user → (uT, uG) bindings ("never cleans its cache", §7.4).
-    cache: BTreeMap<String, (Handle, Handle)>,
+    users: BTreeMap<String, User>,
     /// In-flight logins keyed by their private reply port.
     pending: BTreeMap<Handle, PendingLogin>,
-    /// Users whose `Bind` every admin party has acked. A `LoginR` is
-    /// released only for bound users: the worker's first tainted query
-    /// takes a different port than the `Bind`, so the kernel gives no
-    /// ordering between them — without the ack the query can be
-    /// label-dropped and the event process wedges awaiting the reply.
-    bound: BTreeSet<String>,
-    /// Logins parked behind another login's in-flight `Bind` for the
-    /// same user (they hit the handle cache but must not overtake the
-    /// registration).
-    bind_waiters: BTreeMap<String, Vec<Handle>>,
 }
 
 impl Idd {
@@ -75,10 +74,8 @@ impl Idd {
             cache_trusted_port: None,
             admin: None,
             cache_admin: None,
-            cache: BTreeMap::new(),
+            users: BTreeMap::new(),
             pending: BTreeMap::new(),
-            bound: BTreeSet::new(),
-            bind_waiters: BTreeMap::new(),
         }
     }
 
@@ -90,7 +87,7 @@ impl Idd {
     }
 
     fn finish_login(&mut self, sys: &mut Sys<'_>, port: Handle) {
-        let Some(mut pending) = self.pending.remove(&port) else {
+        let Some(pending) = self.pending.remove(&port) else {
             return;
         };
         sys.charge(IDD_LOGIN_CYCLES);
@@ -111,64 +108,72 @@ impl Idd {
         // Get or mint the user's handles (§7.2 step 4: "it either generates
         // new uT and uG handles (if u has not logged in recently), or
         // returns cached uT and uG handles").
-        if !self.cache.contains_key(&pending.user) {
-            let taint = sys.new_handle();
-            let grant = sys.new_handle();
-            // Accept this user's taint from now on: tainted worker
-            // event processes send us password-change requests, and we
-            // hold ⋆ (as creator), so contamination never sticks.
-            sys.raise_recv(taint, Level::L3)
-                .expect("we created the taint handle");
-            self.cache.insert(pending.user.clone(), (taint, grant));
-            // §7.5: register the binding with ok-dbproxy — and with the
-            // shared cache when one is deployed — granting each the
-            // handles at ⋆. Each party acks on our per-login port; the
-            // LoginR is withheld until every ack is in (see `bound`).
-            let bind = DbMsg::Bind {
-                user: pending.user.clone(),
-                taint,
-                grant,
-                reply: Some(port),
-            };
-            let grant_args = SendArgs::new().grant(Label::from_pairs(
-                Level::L3,
-                &[
-                    (taint, Level::Star),
-                    (grant, Level::Star),
-                    (port, Level::Star),
-                ],
-            ));
-            let mut sent = 0;
-            for admin in [self.admin, self.cache_admin].into_iter().flatten() {
-                let _ = sys.send_args(admin, bind.to_value(), &grant_args);
-                sent += 1;
-            }
-            if sent > 0 {
-                pending.awaiting_binds = sent;
+        match self.users.get_mut(&pending.user) {
+            Some(User {
+                binding: Some((_, waiters)),
+                ..
+            }) => {
+                // Another login's Bind for this user is still in flight;
+                // park behind it so this session cannot overtake the
+                // registration.
+                waiters.push(port);
                 self.pending.insert(port, pending);
-                return;
             }
-        } else if !self.bound.contains(&pending.user) {
-            // Another login's Bind for this user is still in flight; park
-            // behind it so this session cannot overtake the registration.
-            self.bind_waiters
-                .entry(pending.user.clone())
-                .or_default()
-                .push(port);
-            self.pending.insert(port, pending);
-            return;
+            Some(_) => self.complete_login(sys, port, pending),
+            None => self.mint(sys, port, pending),
         }
-        self.bound.insert(pending.user.clone());
-        self.complete_login(sys, port, pending);
+    }
+
+    /// Mints `pending.user`'s handles and registers them (§7.5) with
+    /// ok-dbproxy — and with the shared cache when one is deployed —
+    /// granting each the handles at ⋆. Each party acks on the per-login
+    /// `port`; the `LoginR` waits until every ack is in (see
+    /// `User::binding`).
+    fn mint(&mut self, sys: &mut Sys<'_>, port: Handle, pending: PendingLogin) {
+        let taint = sys.new_handle();
+        let grant = sys.new_handle();
+        // Accept this user's taint from now on: tainted worker event
+        // processes send us password-change requests, and we hold ⋆ (as
+        // creator), so contamination never sticks.
+        sys.raise_recv(taint, Level::L3)
+            .expect("we created the taint handle");
+        let bind = DbMsg::Bind {
+            user: pending.user.clone(),
+            taint,
+            grant,
+            reply: Some(port),
+        };
+        let grant_args = SendArgs::new().grant(Label::from_pairs(
+            Level::L3,
+            &[
+                (taint, Level::Star),
+                (grant, Level::Star),
+                (port, Level::Star),
+            ],
+        ));
+        // The login's own answer came through ok-dbproxy, so there is
+        // always at least one party to ack.
+        let mut acks = 0;
+        for admin in [self.admin, self.cache_admin].into_iter().flatten() {
+            let _ = sys.send_args(admin, bind.to_value(), &grant_args);
+            acks += 1;
+        }
+        let binding = Some((acks, vec![port]));
+        let user = User {
+            taint,
+            grant,
+            binding,
+        };
+        self.users.insert(pending.user.clone(), user);
+        self.pending.insert(port, pending);
     }
 
     /// Releases the `LoginR` for a login whose binding is registered
     /// everywhere it needs to be.
     fn complete_login(&mut self, sys: &mut Sys<'_>, port: Handle, pending: PendingLogin) {
-        let &(taint, grant) = self
-            .cache
-            .get(&pending.user)
-            .expect("binding cached before any Bind was sent");
+        let Some(&User { taint, grant, .. }) = self.users.get(&pending.user) else {
+            return;
+        };
         // §7.2 step 4: grant ok-demux both handles at ⋆.
         let _ = sys.send_args(
             pending.reply,
@@ -187,25 +192,25 @@ impl Idd {
         self.release_login_caps(sys, port, pending.reply);
     }
 
-    /// One admin party acked a `Bind` on per-login port `port`. Once all
-    /// acks are in, the user is bound: release the initiating login and
-    /// any same-user logins parked behind it.
+    /// One admin party acked the `Bind` sent on per-login port `port`.
+    /// Once all acks are in, the user is bound: release every login
+    /// waiting on the binding, the initiating one first.
     fn on_bind_ack(&mut self, sys: &mut Sys<'_>, port: Handle) {
-        let done = match self.pending.get_mut(&port) {
-            Some(p) => {
-                p.awaiting_binds = p.awaiting_binds.saturating_sub(1);
-                p.awaiting_binds == 0
-            }
-            None => false,
+        let Some(user) = self
+            .pending
+            .get(&port)
+            .and_then(|p| self.users.get_mut(&p.user))
+        else {
+            return;
         };
-        if !done {
+        let Some((acks_left, waiters)) = user.binding.take() else {
+            return;
+        };
+        if acks_left > 1 {
+            user.binding = Some((acks_left - 1, waiters));
             return;
         }
-        let pending = self.pending.remove(&port).expect("checked above");
-        let user = pending.user.clone();
-        self.bound.insert(user.clone());
-        self.complete_login(sys, port, pending);
-        for waiter in self.bind_waiters.remove(&user).unwrap_or_default() {
+        for waiter in waiters {
             if let Some(parked) = self.pending.remove(&waiter) {
                 self.complete_login(sys, waiter, parked);
             }
@@ -285,24 +290,6 @@ impl Service for Idd {
         if Some(msg.port) == self.cache_trusted_port {
             if let Some(DbMsg::AdminPort { port }) = DbMsg::from_value(&msg.body) {
                 self.cache_admin = Some(port);
-                // Bind any already-known users so a late-started cache
-                // still gets the full taint table.
-                for (user, &(taint, grant)) in &self.cache {
-                    let _ = sys.send_args(
-                        port,
-                        DbMsg::Bind {
-                            user: user.clone(),
-                            taint,
-                            grant,
-                            reply: None,
-                        }
-                        .to_value(),
-                        &SendArgs::new().grant(Label::from_pairs(
-                            Level::L3,
-                            &[(taint, Level::Star), (grant, Level::Star)],
-                        )),
-                    );
-                }
             }
             return;
         }
@@ -365,10 +352,9 @@ impl Service for Idd {
                 // The sender must speak for the user: V(uG) ≤ 0 against the
                 // *bound* grant handle (§5.4's discretionary integrity).
                 let authorized = self
-                    .cache
+                    .users
                     .get(&user)
-                    .map(|&(_t, g)| msg.verify.get(g) <= Level::L0)
-                    .unwrap_or(false);
+                    .is_some_and(|u| msg.verify.get(u.grant) <= Level::L0);
                 if !authorized {
                     let _ = sys.send(
                         reply,
@@ -416,7 +402,6 @@ impl Service for Idd {
                         user: user.clone(),
                         password_matched: false,
                         reply,
-                        awaiting_binds: 0,
                     },
                 );
                 let _ = sys.send_args(

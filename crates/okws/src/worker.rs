@@ -10,7 +10,7 @@
 //!
 //! | Address | Contents | Lifetime |
 //! |---|---|---|
-//! | `0x40000` | session page: state tag, `uC`/`uW`/credential handles, user name, and the logic's session area from `+0x100` | persists (the Figure 6 "cached session" page) |
+//! | `0x40000` | session page: the `Session` record in `0x00..0x100` (state, `uC`/`uW`/credential handles, user name, connection queue), then the logic's session area | persists (the Figure 6 "cached session" page) |
 //! | `0x50000` | raw request bytes | cleaned per request |
 //! | `0x60000` | accumulated DB rows | cleaned per request |
 //! | `0x70000` | emulated stack/heap scratch | cleaned per request |
@@ -19,10 +19,11 @@
 //! yielding, leaving exactly one private page per cached session; the
 //! Figure 6 "active session" experiment disables the cleanup.
 
-use asbestos_db::{read_rows, DbMsg, SqlValue};
+use asbestos_db::{put_row, read_rows, DbMsg, SqlValue};
 use asbestos_kernel::{EpService, Handle, Label, Level, Message, SendArgs, Sys, Value};
 use asbestos_net::{http, parse_request, HttpRequest, NetMsg};
 
+use crate::cache::CacheMsg;
 use crate::logic::{Action, SessionStore, WorkerLogic};
 use crate::proto::OkwsMsg;
 
@@ -41,33 +42,144 @@ pub const SESSION_DATA_OFF: u64 = 0x100;
 /// Capacity offered to logic session storage.
 pub const SESSION_CAPACITY: usize = 16 * 4096;
 
-// Offsets within the session page.
-const OFF_STATE: u64 = 0x00;
-const OFF_UC: u64 = 0x08;
-const OFF_UW: u64 = 0x10;
-const OFF_TAINT: u64 = 0x18;
-const OFF_GRANT: u64 = 0x20;
-const OFF_USER_LEN: u64 = 0x28;
-const OFF_USER: u64 = 0x30; // up to 64 bytes
-const OFF_REQ_LEN: u64 = 0x78;
-// Pending-connection queue: concurrent connections to one session are
-// served in arrival order (count at 0x80, then up to 14 uC values).
-const OFF_PENDING_COUNT: u64 = 0x80;
-const OFF_PENDING: u64 = 0x88;
-const PENDING_MAX: u64 = 14;
+/// Where a session event process stands in its protocol (§7.3). The tag
+/// is the first word of the [`Session`] record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum State {
+    Idle = 0,
+    AwaitRequest = 1,
+    AwaitRows = 2,
+    AwaitExec = 3,
+    AwaitCache = 4,
+    /// Logged out, waiting for ok-demux's [`OkwsMsg::SessionEndR`] before
+    /// `ep_exit`: handoffs ok-demux sent before it dropped the session
+    /// entry are still in flight on `uW`, and exiting under them would
+    /// strand their connections (dropped `NoPort`, the client never sees a
+    /// close). While draining, every arriving or queued connection is shed.
+    Draining = 5,
+}
 
-// State-machine tags.
-const ST_IDLE: u64 = 0;
-const ST_AWAIT_REQUEST: u64 = 1;
-const ST_AWAIT_DB_ROWS: u64 = 2;
-const ST_AWAIT_DB_EXEC: u64 = 3;
-const ST_AWAIT_CACHE: u64 = 4;
-/// Logged out, waiting for ok-demux's [`OkwsMsg::SessionEndR`] before
-/// `ep_exit`: handoffs ok-demux sent before it dropped the session-table
-/// entry are still in flight on `uW`, and exiting under them would strand
-/// their connections (dropped `NoPort`, the client never sees a close).
-/// While draining, every arriving or queued connection is shed.
-const ST_DRAINING: u64 = 5;
+impl State {
+    fn from_tag(tag: u64) -> State {
+        match tag {
+            1 => State::AwaitRequest,
+            2 => State::AwaitRows,
+            3 => State::AwaitExec,
+            4 => State::AwaitCache,
+            5 => State::Draining,
+            _ => State::Idle,
+        }
+    }
+}
+
+/// A session's control state: bytes `0x00..0x100` of the session page,
+/// loaded once per event and stored once after a transition.
+///
+/// | Bytes | Field |
+/// |---|---|
+/// | `0x00` | [`State`] tag |
+/// | `0x08` | `uC`, the connection being served |
+/// | `0x10` | `uW`, the session port |
+/// | `0x18`, `0x20` | the user's `uT` and `uG` |
+/// | `0x28`, `0x30` | user name length, then up to 64 bytes of it |
+/// | `0x78` | length of the request stored at [`REQUEST_BUF`] |
+/// | `0x80`, `0x88` | queued connection count, then up to 14 `uC`s |
+struct Session {
+    state: State,
+    conn: Handle,
+    port: Handle,
+    taint: Handle,
+    grant: Handle,
+    user: String,
+    request_len: usize,
+    /// Connections that arrived mid-request, served in arrival order.
+    queue: Vec<Handle>,
+}
+
+impl Session {
+    const SIZE: usize = 0x100;
+    const USER_MAX: usize = 64;
+    const QUEUE_MAX: usize = 14;
+
+    fn load(sys: &Sys<'_>) -> Session {
+        let rec = sys
+            .mem_read(SESSION_PAGE, Session::SIZE)
+            .expect("the session record is in range");
+        let (words, _) = rec.as_chunks::<8>();
+        let word = |at: usize| u64::from_le_bytes(words[at / 8]);
+        let user_len = (word(0x28) as usize).min(Session::USER_MAX);
+        let queued = (word(0x80) as usize).min(Session::QUEUE_MAX);
+        Session {
+            state: State::from_tag(word(0x00)),
+            conn: Handle::from_raw(word(0x08)),
+            port: Handle::from_raw(word(0x10)),
+            taint: Handle::from_raw(word(0x18)),
+            grant: Handle::from_raw(word(0x20)),
+            user: String::from_utf8_lossy(&rec[0x30..0x30 + user_len]).into_owned(),
+            request_len: word(0x78) as usize,
+            queue: (0..queued)
+                .map(|i| Handle::from_raw(word(0x88 + 8 * i)))
+                .collect(),
+        }
+    }
+
+    fn store(&self, sys: &mut Sys<'_>) {
+        let mut rec = [0u8; Session::SIZE];
+        let mut put = |at: usize, v: u64| rec[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        let user = &self.user.as_bytes()[..self.user.len().min(Session::USER_MAX)];
+        put(0x00, self.state as u64);
+        put(0x08, self.conn.raw());
+        put(0x10, self.port.raw());
+        put(0x18, self.taint.raw());
+        put(0x20, self.grant.raw());
+        put(0x28, user.len() as u64);
+        put(0x78, self.request_len as u64);
+        put(0x80, self.queue.len() as u64);
+        for (i, conn) in self.queue.iter().enumerate() {
+            put(0x88 + 8 * i, conn.raw());
+        }
+        rec[0x30..0x30 + user.len()].copy_from_slice(user);
+        sys.mem_write(SESSION_PAGE, &rec)
+            .expect("the session record is in range");
+    }
+
+    /// The stored request, if it parses.
+    fn request(&self, sys: &Sys<'_>) -> Option<HttpRequest> {
+        let bytes = sys.mem_read(REQUEST_BUF, self.request_len).ok()?;
+        parse_request(&bytes).ok()
+    }
+
+    /// The §7.5 credential label: `V = {uT <own level>, uG 0, 2}`. A
+    /// declassifier holds uT at ⋆ and proves it the same way (§7.6).
+    fn credential_label(&self, sys: &Sys<'_>) -> Label {
+        let my_taint_level = sys.send_level(self.taint);
+        Label::from_pairs(
+            Level::L2,
+            &[(self.taint, my_taint_level), (self.grant, Level::L0)],
+        )
+    }
+}
+
+/// A completed wait, with what it hands the logic.
+enum Resume {
+    /// The request arrived: [`WorkerLogic::on_request`].
+    Request,
+    /// A query's rows are in: [`WorkerLogic::on_db_rows`].
+    Rows(Vec<Vec<SqlValue>>),
+    /// A write (or password change) finished: [`WorkerLogic::on_db_exec`].
+    Exec { ok: bool, affected: u64 },
+    /// A cache lookup finished: [`WorkerLogic::on_cache`].
+    Cache { key: String, bytes: Option<Vec<u8>> },
+}
+
+/// A trusted service a session calls and then waits on over `uW`: the
+/// environment key of its port, and the 503 body a session answers when
+/// it is not deployed.
+type Callee = (&'static str, &'static [u8]);
+
+const DB: Callee = (asbestos_db::DB_PORT_ENV, b"database unavailable");
+const IDD: Callee = (crate::idd::IDD_PORT_ENV, b"idd unavailable");
+const CACHE: Callee = (crate::cache::CACHE_PORT_ENV, b"cache not deployed");
 
 /// Environment key prefix for worker service ports.
 pub fn worker_port_env(service: &str) -> String {
@@ -121,50 +233,6 @@ impl Worker {
             .expect("worker memory writes stay in range");
     }
 
-    fn read_handle(sys: &Sys<'_>, addr: u64) -> Handle {
-        Handle::from_raw(Self::read_u64(sys, addr))
-    }
-
-    fn store_user(sys: &mut Sys<'_>, user: &str) {
-        let bytes = &user.as_bytes()[..user.len().min(64)];
-        Self::write_u64(sys, OFF_USER_LEN + SESSION_PAGE, bytes.len() as u64);
-        if !bytes.is_empty() {
-            sys.mem_write(OFF_USER + SESSION_PAGE, bytes)
-                .expect("user name fits the session page");
-        }
-    }
-
-    fn load_user(sys: &Sys<'_>) -> String {
-        let len = Self::read_u64(sys, OFF_USER_LEN + SESSION_PAGE) as usize;
-        if len == 0 {
-            return String::new();
-        }
-        let bytes = sys
-            .mem_read(OFF_USER + SESSION_PAGE, len.min(64))
-            .expect("user name fits the session page");
-        String::from_utf8_lossy(&bytes).into_owned()
-    }
-
-    fn store_request(sys: &mut Sys<'_>, bytes: &[u8]) {
-        let take = bytes.len().min(SCRATCH_REGION);
-        Self::write_u64(sys, OFF_REQ_LEN + SESSION_PAGE, take as u64);
-        if take > 0 {
-            sys.mem_write(REQUEST_BUF, &bytes[..take])
-                .expect("request fits the request buffer");
-        }
-    }
-
-    fn load_request(sys: &Sys<'_>) -> Option<HttpRequest> {
-        let len = Self::read_u64(sys, OFF_REQ_LEN + SESSION_PAGE) as usize;
-        if len == 0 {
-            return None;
-        }
-        let bytes = sys
-            .mem_read(REQUEST_BUF, len)
-            .expect("stored request readable");
-        parse_request(&bytes).ok()
-    }
-
     /// Emulates the stack/heap writes a real worker scatters across pages
     /// while processing a request (§6.2, §9.1).
     fn touch_scratch(&self, sys: &mut Sys<'_>) {
@@ -187,9 +255,9 @@ impl Worker {
 
     // ------------------------------------------------------------------
     // Row buffer: the rows of every `DbMsg::Rows` between DbQuery and
-    // Done, laid end to end in `asbestos_db::put_row`'s encoding from
-    // ROWS_BUF + 16. ROWS_BUF + 8 holds the end offset; the 16-byte header
-    // is the cache hit's (flag, length) one.
+    // Done (or the one `Blob` row of a cache hit), laid end to end in
+    // `asbestos_db::put_row`'s encoding from ROWS_BUF + 16. ROWS_BUF + 8
+    // holds the end offset.
     // ------------------------------------------------------------------
 
     fn rows_reset(sys: &mut Sys<'_>) {
@@ -235,45 +303,24 @@ impl Worker {
     // Protocol steps.
     // ------------------------------------------------------------------
 
-    fn begin_connection(
-        &self,
-        sys: &mut Sys<'_>,
-        conn: Handle,
-        user: &str,
-        taint: Handle,
-        grant: Handle,
-    ) {
+    fn begin_connection(&self, sys: &mut Sys<'_>, s: &mut Session, conn: Handle) {
         // A session event process serves one request at a time; connections
-        // arriving mid-request wait in the pending queue (served from
-        // `respond`). Beyond the queue bound — or after logout, while the
-        // session drains — the connection is shed: the client sees a drop,
-        // never another user's data.
-        let state = Self::read_u64(sys, SESSION_PAGE + OFF_STATE);
-        if state == ST_DRAINING {
-            Self::shed_conn(sys, conn);
-            return;
+        // arriving mid-request wait in the queue (served from `respond`).
+        // Beyond the queue bound — or after logout, while the session
+        // drains — the connection is shed: the client sees a drop, never
+        // another user's data.
+        match s.state {
+            State::Idle => {}
+            State::Draining => return Self::shed_conn(sys, conn),
+            _ if s.queue.len() < Session::QUEUE_MAX => return s.queue.push(conn),
+            _ => return Self::shed_conn(sys, conn),
         }
-        if state != ST_IDLE {
-            let count = Self::read_u64(sys, SESSION_PAGE + OFF_PENDING_COUNT);
-            if count < PENDING_MAX {
-                Self::write_u64(sys, SESSION_PAGE + OFF_PENDING + 8 * count, conn.raw());
-                Self::write_u64(sys, SESSION_PAGE + OFF_PENDING_COUNT, count + 1);
-            } else {
-                Self::shed_conn(sys, conn);
-            }
-            return;
-        }
-        Self::write_u64(sys, SESSION_PAGE + OFF_UC, conn.raw());
-        Self::write_u64(sys, SESSION_PAGE + OFF_TAINT, taint.raw());
-        Self::write_u64(sys, SESSION_PAGE + OFF_GRANT, grant.raw());
-        Self::store_user(sys, user);
-
-        let uw = if sys.is_new_ep() {
+        s.conn = conn;
+        if sys.is_new_ep() {
             // §7.2 step 8 / §7.3: make the session port and register it
             // with ok-demux (granted at ⋆ so the session table can route
             // future connections straight to this event process).
-            let uw = sys.new_port(Label::top());
-            Self::write_u64(sys, SESSION_PAGE + OFF_UW, uw.raw());
+            s.port = sys.new_port(Label::top());
             let demux = sys
                 .env("okws.demux.port")
                 .and_then(|v| v.as_handle())
@@ -281,17 +328,16 @@ impl Worker {
             let _ = sys.send_args(
                 demux,
                 OkwsMsg::SessionNew {
-                    user: user.to_string(),
+                    user: s.user.clone(),
                     service: self.service.clone(),
-                    port: uw,
+                    port: s.port,
                 }
                 .to_value(),
-                &SendArgs::new().verify(grant_proof(grant)).grant(star(uw)),
+                &SendArgs::new()
+                    .verify(grant_proof(s.grant))
+                    .grant(star(s.port)),
             );
-            uw
-        } else {
-            Self::read_handle(sys, SESSION_PAGE + OFF_UW)
-        };
+        }
 
         // §7.2 step 8: read the user's request via uC, replies to uW
         // (granting netd ⋆ for uW so its tainted replies can arrive).
@@ -299,13 +345,13 @@ impl Worker {
             conn,
             NetMsg::Read {
                 max: SCRATCH_REGION as u64,
-                reply: uw,
+                reply: s.port,
                 peek: false,
             }
             .to_value(),
-            &SendArgs::new().grant(star(uw)),
+            &SendArgs::new().grant(star(s.port)),
         );
-        Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_AWAIT_REQUEST);
+        s.state = State::AwaitRequest;
         self.touch_scratch(sys);
     }
 
@@ -318,10 +364,9 @@ impl Worker {
         sys.self_contaminate(&Label::from_pairs(Level::Star, &[(conn, Level::L1)]));
     }
 
-    /// Writes the HTTP response on the current connection, closes it, and
-    /// releases its uC ⋆. State-machine continuation is the caller's.
-    fn send_response(&self, sys: &mut Sys<'_>, status: u16, body: &[u8]) {
-        let conn = Self::read_handle(sys, SESSION_PAGE + OFF_UC);
+    /// Writes the HTTP response on `conn`, closes it, and releases its
+    /// uC ⋆. State-machine continuation is the caller's.
+    fn send_response(&self, sys: &mut Sys<'_>, conn: Handle, status: u16, body: &[u8]) {
         let reason = if status == 200 { "OK" } else { "Error" };
         let response = http::build_response(status, reason, body);
         // Both sends are best-effort: `send` says nothing about delivery
@@ -337,175 +382,143 @@ impl Worker {
         sys.self_contaminate(&Label::from_pairs(Level::Star, &[(conn, Level::L1)]));
     }
 
-    fn respond(&self, sys: &mut Sys<'_>, status: u16, body: &[u8]) {
-        self.send_response(sys, status, body);
-        Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_IDLE);
+    fn respond(&self, sys: &mut Sys<'_>, s: &mut Session, status: u16, body: &[u8]) {
+        self.send_response(sys, s.conn, status, body);
+        s.state = State::Idle;
         self.cleanup(sys);
         // Serve the next queued connection, if any arrived mid-request.
-        let count = Self::read_u64(sys, SESSION_PAGE + OFF_PENDING_COUNT);
-        if count > 0 {
-            let next = Handle::from_raw(Self::read_u64(sys, SESSION_PAGE + OFF_PENDING));
-            for i in 1..count {
-                let v = Self::read_u64(sys, SESSION_PAGE + OFF_PENDING + 8 * i);
-                Self::write_u64(sys, SESSION_PAGE + OFF_PENDING + 8 * (i - 1), v);
-            }
-            Self::write_u64(sys, SESSION_PAGE + OFF_PENDING_COUNT, count - 1);
-            let user = Self::load_user(sys);
-            let taint = Self::read_handle(sys, SESSION_PAGE + OFF_TAINT);
-            let grant = Self::read_handle(sys, SESSION_PAGE + OFF_GRANT);
-            self.begin_connection(sys, next, &user, taint, grant);
+        if !s.queue.is_empty() {
+            let next = s.queue.remove(0);
+            self.begin_connection(sys, s, next);
         }
     }
 
-    fn run_action(&self, sys: &mut Sys<'_>, action: Action) {
+    /// Hands the logic the stored request and what `resume` brought, then
+    /// runs the action it returns.
+    fn resume(&self, sys: &mut Sys<'_>, s: &mut Session, resume: Resume) {
+        let Some(req) = s.request(sys) else {
+            let (status, body): (u16, &[u8]) = match resume {
+                Resume::Request => (400, b"bad request"),
+                _ => (500, b"lost request"),
+            };
+            return self.respond(sys, s, status, body);
+        };
+        let mut store = EpSessionStore { sys };
+        let action = match resume {
+            Resume::Request => {
+                store.sys.charge(self.logic.request_cycles());
+                self.logic.on_request(&mut store, &req)
+            }
+            Resume::Rows(rows) => self.logic.on_db_rows(&mut store, &req, &rows),
+            Resume::Exec { ok, affected } => self.logic.on_db_exec(&mut store, &req, ok, affected),
+            Resume::Cache { key, bytes } => self.logic.on_cache(&mut store, &req, &key, bytes),
+        };
+        self.run_action(sys, s, action);
+    }
+
+    /// Sends `body` to `callee`, granting it uW ⋆ for the reply (and
+    /// proving `verify`, when given), and waits in `wait`.
+    fn call(
+        &self,
+        sys: &mut Sys<'_>,
+        s: &mut Session,
+        (env, missing): Callee,
+        wait: State,
+        body: Value,
+        verify: Option<Label>,
+    ) {
+        let Some(port) = sys.env(env).and_then(|v| v.as_handle()) else {
+            return self.respond(sys, s, 503, missing);
+        };
+        if matches!(wait, State::AwaitRows | State::AwaitCache) {
+            Self::rows_reset(sys);
+        }
+        s.state = wait;
+        let mut args = SendArgs::new().grant(star(s.port));
+        if let Some(v) = verify {
+            args = args.verify(v);
+        }
+        let _ = sys.send_args(port, body, &args);
+    }
+
+    fn run_action(&self, sys: &mut Sys<'_>, s: &mut Session, action: Action) {
         match action {
-            Action::Respond { body, status } => self.respond(sys, status, &body),
+            Action::Respond { body, status } => self.respond(sys, s, status, &body),
             Action::RespondAndLogout { body } => {
                 // Answer the logout itself, then shed (rather than serve)
                 // every queued connection: the session is over, and each
                 // shed client retries into a fresh login.
-                self.send_response(sys, 200, &body);
+                self.send_response(sys, s.conn, 200, &body);
                 self.cleanup(sys);
-                let count = Self::read_u64(sys, SESSION_PAGE + OFF_PENDING_COUNT);
-                for i in 0..count {
-                    let queued =
-                        Handle::from_raw(Self::read_u64(sys, SESSION_PAGE + OFF_PENDING + 8 * i));
+                for queued in s.queue.drain(..) {
                     Self::shed_conn(sys, queued);
                 }
-                Self::write_u64(sys, SESSION_PAGE + OFF_PENDING_COUNT, 0);
-                Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_DRAINING);
-                let user = Self::load_user(sys);
-                let grant = Self::read_handle(sys, SESSION_PAGE + OFF_GRANT);
+                s.state = State::Draining;
                 if let Some(demux) = sys.env("okws.demux.port").and_then(|v| v.as_handle()) {
                     let _ = sys.send_args(
                         demux,
                         OkwsMsg::SessionEnd {
-                            user,
+                            user: s.user.clone(),
                             service: self.service.clone(),
                         }
                         .to_value(),
-                        &SendArgs::new().verify(grant_proof(grant)),
+                        &SendArgs::new().verify(grant_proof(s.grant)),
                     );
                 }
                 // §7.3: "u's worker event processes call ep_exit" — but
-                // only once ok-demux acks SessionEndR (see ST_DRAINING):
-                // exiting now would strand handoffs already in flight.
+                // only once ok-demux acks SessionEndR (see
+                // `State::Draining`): exiting now would strand handoffs
+                // already in flight.
             }
             Action::DbQuery { sql, params } => {
-                let db = sys
-                    .env(asbestos_db::DB_PORT_ENV)
-                    .and_then(|v| v.as_handle())
-                    .expect("ok-dbproxy publishes its port");
-                let uw = Self::read_handle(sys, SESSION_PAGE + OFF_UW);
-                Self::rows_reset(sys);
-                Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_AWAIT_DB_ROWS);
-                // Grant the proxy ⋆ for uW so the (tainted) rows can land.
-                let _ = sys.send_args(
-                    db,
-                    DbMsg::Query {
-                        sql,
-                        params,
-                        reply: uw,
-                    }
-                    .to_value(),
-                    &SendArgs::new().grant(star(uw)),
-                );
+                let query = DbMsg::Query {
+                    sql,
+                    params,
+                    reply: s.port,
+                };
+                self.call(sys, s, DB, State::AwaitRows, query.to_value(), None);
             }
             Action::DbExec { sql, params } => {
-                let db = sys
-                    .env(asbestos_db::DB_PORT_ENV)
-                    .and_then(|v| v.as_handle())
-                    .expect("ok-dbproxy publishes its port");
-                let uw = Self::read_handle(sys, SESSION_PAGE + OFF_UW);
-                let user = Self::load_user(sys);
-                let v = Self::credential_label(sys);
-                Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_AWAIT_DB_EXEC);
-                let _ = sys.send_args(
-                    db,
-                    DbMsg::Exec {
-                        user,
-                        sql,
-                        params,
-                        reply: Some(uw),
-                    }
-                    .to_value(),
-                    &SendArgs::new().verify(v).grant(star(uw)),
-                );
+                let exec = DbMsg::Exec {
+                    user: s.user.clone(),
+                    sql,
+                    params,
+                    reply: Some(s.port),
+                };
+                let v = s.credential_label(sys);
+                self.call(sys, s, DB, State::AwaitExec, exec.to_value(), Some(v));
             }
             Action::ChangePassword { new_password } => {
-                let Some(idd) = sys
-                    .env(crate::idd::IDD_PORT_ENV)
-                    .and_then(|v| v.as_handle())
-                else {
-                    self.respond(sys, 503, b"idd unavailable");
-                    return;
-                };
-                let uw = Self::read_handle(sys, SESSION_PAGE + OFF_UW);
-                let user = Self::load_user(sys);
-                let v = Self::credential_label(sys);
                 // idd replies with an ExecR-shaped outcome to uW; the grant
                 // lets idd hand our reply port to ok-dbproxy.
-                Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_AWAIT_DB_EXEC);
-                let _ = sys.send_args(
-                    idd,
-                    OkwsMsg::ChangePassword {
-                        user,
-                        new_password,
-                        reply: uw,
-                    }
-                    .to_value(),
-                    &SendArgs::new().verify(v).grant(star(uw)),
-                );
+                let change = OkwsMsg::ChangePassword {
+                    user: s.user.clone(),
+                    new_password,
+                    reply: s.port,
+                };
+                let v = s.credential_label(sys);
+                self.call(sys, s, IDD, State::AwaitExec, change.to_value(), Some(v));
             }
             Action::CacheGet { key } => {
-                let Some(cache) = sys
-                    .env(crate::cache::CACHE_PORT_ENV)
-                    .and_then(|v| v.as_handle())
-                else {
-                    self.respond(sys, 503, b"cache not deployed");
-                    return;
-                };
-                let uw = Self::read_handle(sys, SESSION_PAGE + OFF_UW);
-                // The hit buffer reuses the DB row scratch region: mark "no
-                // hit yet"; a (deliverable) Hit fills it before GetDone.
-                Self::write_u64(sys, ROWS_BUF, 0);
-                Self::write_u64(sys, SESSION_PAGE + OFF_STATE, ST_AWAIT_CACHE);
-                let _ = sys.send_args(
-                    cache,
-                    crate::cache::CacheMsg::Get { key, reply: uw }.to_value(),
-                    &SendArgs::new().grant(star(uw)),
-                );
+                let get = CacheMsg::Get { key, reply: s.port };
+                self.call(sys, s, CACHE, State::AwaitCache, get.to_value(), None);
             }
             Action::CachePutAndRespond { key, bytes, body } => {
-                if let Some(cache) = sys
-                    .env(crate::cache::CACHE_PORT_ENV)
-                    .and_then(|v| v.as_handle())
-                {
-                    let user = Self::load_user(sys);
-                    let v = Self::credential_label(sys);
+                if let Some(cache) = sys.env(CACHE.0).and_then(|v| v.as_handle()) {
                     let _ = sys.send_args(
                         cache,
-                        crate::cache::CacheMsg::Put {
-                            user,
+                        CacheMsg::Put {
+                            user: s.user.clone(),
                             key,
                             bytes: bytes.into(),
                         }
                         .to_value(),
-                        &SendArgs::new().verify(v),
+                        &SendArgs::new().verify(s.credential_label(sys)),
                     );
                 }
-                self.respond(sys, 200, &body);
+                self.respond(sys, s, 200, &body);
             }
         }
-    }
-
-    /// The §7.5 credential label: `V = {uT <own level>, uG 0, 2}`. A
-    /// declassifier holds uT at ⋆ and proves it the same way (§7.6).
-    fn credential_label(sys: &Sys<'_>) -> Label {
-        let taint = Self::read_handle(sys, SESSION_PAGE + OFF_TAINT);
-        let grant = Self::read_handle(sys, SESSION_PAGE + OFF_GRANT);
-        let my_taint_level = sys.send_level(taint);
-        Label::from_pairs(Level::L2, &[(taint, my_taint_level), (grant, Level::L0)])
     }
 }
 
@@ -521,134 +534,107 @@ impl EpService for Worker {
 
     fn on_event(&self, sys: &mut Sys<'_>, msg: &Message) {
         sys.charge(15_000); // dispatch overhead
-        match OkwsMsg::from_value(&msg.body) {
+        let okws = OkwsMsg::from_value(&msg.body);
+        if let Some(OkwsMsg::Activate { service, verify }) = okws {
             // Launcher activation: register with ok-demux, then discard
             // this throwaway event process (§7.1).
-            Some(OkwsMsg::Activate { service, verify }) => {
-                if service == self.service {
-                    let demux = sys
-                        .env("okws.demux.reg")
-                        .and_then(|v| v.as_handle())
-                        .expect("ok-demux publishes its registration port");
-                    let port = sys
-                        .env(&worker_port_env(&self.service))
-                        .and_then(|v| v.as_handle())
-                        .expect("our base start published the service port");
-                    let v = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
-                    let _ = sys.send_args(
-                        demux,
-                        OkwsMsg::Register {
-                            service: self.service.clone(),
-                            port,
-                        }
-                        .to_value(),
-                        &SendArgs::new().verify(v),
-                    );
-                }
-                let _ = sys.ep_exit();
-                return;
+            if service == self.service {
+                let demux = sys
+                    .env("okws.demux.reg")
+                    .and_then(|v| v.as_handle())
+                    .expect("ok-demux publishes its registration port");
+                let port = sys
+                    .env(&worker_port_env(&self.service))
+                    .and_then(|v| v.as_handle())
+                    .expect("our base start published the service port");
+                let v = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
+                let _ = sys.send_args(
+                    demux,
+                    OkwsMsg::Register {
+                        service: self.service.clone(),
+                        port,
+                    }
+                    .to_value(),
+                    &SendArgs::new().verify(v),
+                );
             }
+            let _ = sys.ep_exit();
+            return;
+        }
+
+        let mut s = Session::load(sys);
+        match okws {
             Some(OkwsMsg::ConnHandoff {
                 conn,
                 user,
                 taint,
                 grant,
             }) => {
-                self.begin_connection(sys, conn, &user, taint, grant);
+                if sys.is_new_ep() {
+                    (s.user, s.taint, s.grant) = (user, taint, grant);
+                }
+                self.begin_connection(sys, &mut s, conn);
+            }
+            // Only a handoff (or an activation) starts a session: a stray
+            // message on the public port leaves no event process behind.
+            _ if sys.is_new_ep() => {
+                let _ = sys.ep_exit();
                 return;
             }
-            Some(OkwsMsg::SessionEndR) => {
-                // ok-demux dropped our session entry; every handoff it sent
-                // beforehand has been shed above (same per-port FIFO), so the
-                // drain is complete (§7.3: "u's worker event processes call
-                // ep_exit").
-                if Self::read_u64(sys, SESSION_PAGE + OFF_STATE) == ST_DRAINING {
-                    let _ = sys.ep_exit();
-                }
+            // ok-demux dropped our session entry; every handoff it sent
+            // beforehand has been shed (same per-port FIFO), so the drain
+            // is complete (§7.3: "u's worker event processes call
+            // ep_exit").
+            Some(OkwsMsg::SessionEndR) if s.state == State::Draining => {
+                let _ = sys.ep_exit();
                 return;
             }
-            _ => {}
-        }
-
-        let state = Self::read_u64(sys, SESSION_PAGE + OFF_STATE);
-        match (
-            state,
-            NetMsg::from_value(&msg.body),
-            DbMsg::from_value(&msg.body),
-        ) {
-            (ST_AWAIT_REQUEST, Some(NetMsg::ReadR { bytes }), _) => {
-                Self::store_request(sys, &bytes);
-                let Some(req) = Self::load_request(sys) else {
-                    self.respond(sys, 400, b"bad request");
-                    return;
-                };
-                sys.charge(self.logic.request_cycles());
-                let action = {
-                    let mut store = EpSessionStore { sys };
-                    self.logic.on_request(&mut store, &req)
-                };
-                self.run_action(sys, action);
-            }
-            (ST_AWAIT_DB_ROWS, _, Some(DbMsg::Rows { bytes })) => {
-                Self::rows_append(sys, &bytes);
-            }
-            (ST_AWAIT_DB_ROWS, _, Some(DbMsg::Done)) => {
-                let rows = Self::rows_load(sys);
-                let Some(req) = Self::load_request(sys) else {
-                    self.respond(sys, 500, b"lost request");
-                    return;
-                };
-                let action = {
-                    let mut store = EpSessionStore { sys };
-                    self.logic.on_db_rows(&mut store, &req, &rows)
-                };
-                self.run_action(sys, action);
-            }
-            (ST_AWAIT_DB_EXEC, _, Some(DbMsg::ExecR { ok, affected })) => {
-                let Some(req) = Self::load_request(sys) else {
-                    self.respond(sys, 500, b"lost request");
-                    return;
-                };
-                let action = {
-                    let mut store = EpSessionStore { sys };
-                    self.logic.on_db_exec(&mut store, &req, ok, affected)
-                };
-                self.run_action(sys, action);
-            }
-            (ST_AWAIT_CACHE, _, _) => {
-                match crate::cache::CacheMsg::from_value(&msg.body) {
-                    Some(crate::cache::CacheMsg::Hit { bytes, .. }) => {
-                        // Buffer the (deliverable) hit until the terminator.
-                        let take = bytes.len().min(SCRATCH_REGION - 16);
-                        Self::write_u64(sys, ROWS_BUF, 1);
-                        Self::write_u64(sys, ROWS_BUF + 8, take as u64);
-                        if take > 0 {
-                            sys.mem_write(ROWS_BUF + 16, &bytes[..take])
-                                .expect("bounded above");
-                        }
-                    }
-                    Some(crate::cache::CacheMsg::GetDone { key }) => {
-                        let bytes = if Self::read_u64(sys, ROWS_BUF) == 1 {
-                            let len = Self::read_u64(sys, ROWS_BUF + 8) as usize;
-                            Some(sys.mem_read(ROWS_BUF + 16, len).unwrap_or_default())
-                        } else {
-                            None
-                        };
-                        let Some(req) = Self::load_request(sys) else {
-                            self.respond(sys, 500, b"lost request");
-                            return;
-                        };
-                        let action = {
-                            let mut store = EpSessionStore { sys };
-                            self.logic.on_cache(&mut store, &req, &key, bytes)
-                        };
-                        self.run_action(sys, action);
-                    }
-                    _ => {}
+            Some(_) => return,
+            None => match s.state {
+                State::AwaitRequest => {
+                    let Some(NetMsg::ReadR { bytes }) = NetMsg::from_value(&msg.body) else {
+                        return;
+                    };
+                    let take = bytes.len().min(SCRATCH_REGION);
+                    // An empty read writes nothing and parses as nothing.
+                    let _ = sys.mem_write(REQUEST_BUF, &bytes[..take]);
+                    s.request_len = take;
+                    self.resume(sys, &mut s, Resume::Request);
                 }
-            }
-            _ => {}
+                State::AwaitRows => match DbMsg::from_value(&msg.body) {
+                    Some(DbMsg::Rows { bytes }) => return Self::rows_append(sys, &bytes),
+                    Some(DbMsg::Done) => {
+                        let rows = Self::rows_load(sys);
+                        self.resume(sys, &mut s, Resume::Rows(rows));
+                    }
+                    _ => return,
+                },
+                State::AwaitExec => {
+                    let Some(DbMsg::ExecR { ok, affected }) = DbMsg::from_value(&msg.body) else {
+                        return;
+                    };
+                    self.resume(sys, &mut s, Resume::Exec { ok, affected });
+                }
+                State::AwaitCache => match CacheMsg::from_value(&msg.body) {
+                    // Buffer the (deliverable) hit until the terminator.
+                    Some(CacheMsg::Hit { bytes, .. }) => {
+                        let mut row = Vec::new();
+                        put_row(&mut row, &[SqlValue::Blob(bytes.to_vec())]);
+                        return Self::rows_append(sys, &row);
+                    }
+                    Some(CacheMsg::GetDone { key }) => {
+                        let bytes = match Self::rows_load(sys).into_iter().flatten().next() {
+                            Some(SqlValue::Blob(bytes)) => Some(bytes),
+                            _ => None,
+                        };
+                        self.resume(sys, &mut s, Resume::Cache { key, bytes });
+                    }
+                    _ => return,
+                },
+                State::Idle | State::Draining => return,
+            },
         }
+        s.store(sys);
     }
 }
 

@@ -43,15 +43,13 @@ fn password_change_flow() {
     assert_eq!(status, 200);
     assert_eq!(body, b"password changed");
 
-    // Fresh clients (cleared demux credentials are not modeled — demux
-    // caches creds per user — so verify through idd's own path: a *new*
-    // user name forces a login, and alice's old password is now invalid
-    // for any component that re-checks it). Drive a fresh login by
-    // restarting the whole deployment against the same password: since the
-    // DB is per-deployment, instead assert the DB-side effect through a
-    // second password change using the OLD password — which still routes
-    // via the cached session, so it succeeds; the *observable* contract is
-    // the ExecR outcome above plus idd's table state below.
+    // A known gap: ok-demux's fast path admits the password idd last
+    // confirmed for alice, and the change does not reach ok-demux. So the
+    // OLD password still reaches her cached session until a login with
+    // the new one goes through idd. Closing it needs idd to tell ok-demux,
+    // proven with a verification handle of idd's own. Until then the
+    // observable contract is the ExecR outcome above, and this second
+    // change through the old password succeeds.
     let (status, _) = client
         .request_sync(
             &mut kernel,

@@ -886,3 +886,109 @@ fn a_worker_cannot_register_as_another_service() {
         assert_eq!(body, "x".repeat(11), "{shards} shards: bench was hijacked");
     }
 }
+
+/// ok-demux's fast path admits only the password idd confirmed: once
+/// alice is logged in, a request as alice with another password goes to
+/// idd and is refused, and the right one still reaches her cached
+/// session. Runs at 1 shard and at `ASBESTOS_TEST_SHARDS`.
+#[test]
+fn a_wrong_password_never_reaches_a_live_session() {
+    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
+    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
+    for shards in [1].into_iter().chain(env_shards) {
+        let mut config = OkwsConfig::new(80).sharded(shards);
+        config
+            .services
+            .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+        config.users.push(("alice".into(), "pw-a".into()));
+        let (mut kernel, okws) = Okws::deploy(216, config);
+        let mut client = OkwsClient::new(&okws);
+        let (status, _) = client
+            .request_sync(
+                &mut kernel,
+                "store",
+                "alice",
+                "pw-a",
+                &[("data", "alice-secret")],
+            )
+            .unwrap_or_else(|| panic!("{shards} shards: alice got no response"));
+        assert_eq!(status, 200);
+        let worker = kernel.find_process("worker-store").unwrap();
+        let session = kernel.live_eps(worker);
+        assert_eq!(session.len(), 1);
+
+        let (status, body) = client
+            .request_sync(&mut kernel, "store", "alice", "wrong", &[])
+            .unwrap_or_else(|| panic!("{shards} shards: the wrong password got no response"));
+        assert_eq!(
+            status, 403,
+            "{shards} shards: a wrong password was admitted"
+        );
+        assert!(
+            !String::from_utf8_lossy(&body).contains("alice-secret"),
+            "{shards} shards: a wrong password read alice's data"
+        );
+
+        let (status, body) = client
+            .request_sync(&mut kernel, "store", "alice", "pw-a", &[])
+            .unwrap_or_else(|| panic!("{shards} shards: alice got no second response"));
+        assert_eq!(status, 200);
+        assert!(body.starts_with(b"alice-secret"), "{shards} shards");
+        assert_eq!(
+            kernel.live_eps(worker),
+            session,
+            "{shards} shards: the same event process serves alice"
+        );
+    }
+}
+
+/// A message on a worker's public port that is neither a connection
+/// handoff nor an activation forks an event process that exits at once:
+/// 100 stray values from an unprivileged process leave no event process
+/// and no kernel memory behind.
+#[test]
+fn stray_messages_leave_no_event_process_behind() {
+    let (mut kernel, _okws, mut client) = store_deployment(217, &[("alice", "pw-a")]);
+    client
+        .request_sync(&mut kernel, "store", "alice", "pw-a", &[("data", "x")])
+        .unwrap();
+    kernel.spawn(
+        "stray",
+        Category::Other,
+        service_with_start(
+            |sys| {
+                let go = sys.new_port(Label::top());
+                sys.set_port_label(go, Label::top()).unwrap();
+                sys.publish_env("stray.go", Value::Handle(go));
+            },
+            |sys, _| {
+                let port = sys
+                    .env("okws.worker.store.port")
+                    .and_then(|v| v.as_handle())
+                    .unwrap();
+                for i in 0..100 {
+                    let _ = sys.send(port, Value::U64(i));
+                }
+            },
+        ),
+    );
+    kernel.run();
+    let worker = kernel.find_process("worker-store").unwrap();
+    assert_eq!(kernel.live_eps(worker).len(), 1);
+    let kmem = kernel.kmem_report().total_bytes();
+
+    let go = kernel.global_env_handle("stray.go").unwrap();
+    let delivered = kernel.stats().delivered;
+    kernel.inject(go, Value::Unit);
+    kernel.run();
+    assert!(
+        kernel.stats().delivered > delivered + 100,
+        "the stray values reached the worker"
+    );
+    assert_eq!(
+        kernel.live_eps(worker).len(),
+        1,
+        "a stray value left an event process"
+    );
+    assert_eq!(kernel.kmem_report().total_bytes(), kmem);
+}
