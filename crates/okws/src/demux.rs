@@ -14,6 +14,7 @@ use asbestos_net::{listen_all_lanes, parse_request, HttpRequest, NetMsg};
 
 use crate::idd::IDD_PORT_ENV;
 use crate::proto::OkwsMsg;
+use crate::worker::USER_MAX;
 
 /// Environment key for ok-demux's worker registration port.
 pub const DEMUX_REG_ENV: &str = "okws.demux.reg";
@@ -171,6 +172,12 @@ impl OkDemux {
             self.respond_direct(sys, reply_port, 401, "Credentials Required");
             return;
         };
+        if user.len() > USER_MAX {
+            // The worker's session record could not name this user, so
+            // its SessionEnd would name one we do not know.
+            self.respond_direct(sys, reply_port, 400, "User Name Too Long");
+            return;
+        }
         let user = user.to_string();
         let password = password.to_string();
 

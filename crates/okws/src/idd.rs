@@ -30,9 +30,10 @@ pub const LAUNCHER_VERIFY_ENV: &str = "okws.launcher.verify";
 /// which ok-dbproxy charges itself).
 pub const IDD_LOGIN_CYCLES: u64 = 60_000;
 
-/// Environment key for idd's shared-cache trusted port (published only
-/// when a shared cache is deployed; the cache announces its admin port
-/// here and receives user bindings, mirroring ok-dbproxy's §7.5 flow).
+/// Environment key for idd's shared-cache trusted port. idd mints and
+/// publishes it at every start, whether or not a shared cache is
+/// deployed; a cache announces its admin port here and receives user
+/// bindings, mirroring ok-dbproxy's §7.5 flow.
 pub const CACHE_TRUSTED_ENV: &str = "okws.cache.trusted";
 
 struct PendingLogin {
@@ -252,7 +253,8 @@ impl Service for Idd {
         sys.publish_env(DB_TRUSTED_ENV, Value::Handle(trusted));
         self.trusted_port = Some(trusted);
 
-        // Trusted notification port for the shared cache (if deployed).
+        // Trusted notification port for the shared cache, minted even
+        // when none is deployed.
         let cache_trusted = sys.new_port(Label::top());
         sys.set_port_label(cache_trusted, Label::top())
             .expect("creator owns the port");

@@ -41,6 +41,9 @@ pub const SCRATCH_REGION: usize = 16 * 4096;
 pub const SESSION_DATA_OFF: u64 = 0x100;
 /// Capacity offered to logic session storage.
 pub const SESSION_CAPACITY: usize = 16 * 4096;
+/// The longest user name, in bytes, a session record holds;
+/// ok-demux refuses longer names before any session exists.
+pub const USER_MAX: usize = 64;
 
 /// Where a session event process stands in its protocol (§7.3). The tag
 /// is the first word of the [`Session`] record.
@@ -81,7 +84,7 @@ impl State {
 /// | `0x08` | `uC`, the connection being served |
 /// | `0x10` | `uW`, the session port |
 /// | `0x18`, `0x20` | the user's `uT` and `uG` |
-/// | `0x28`, `0x30` | user name length, then up to 64 bytes of it |
+/// | `0x28`, `0x30` | user name length, then up to [`USER_MAX`] bytes of it |
 /// | `0x78` | length of the request stored at [`REQUEST_BUF`] |
 /// | `0x80`, `0x88` | queued connection count, then up to 14 `uC`s |
 struct Session {
@@ -98,7 +101,6 @@ struct Session {
 
 impl Session {
     const SIZE: usize = 0x100;
-    const USER_MAX: usize = 64;
     const QUEUE_MAX: usize = 14;
 
     fn load(sys: &Sys<'_>) -> Session {
@@ -107,7 +109,7 @@ impl Session {
             .expect("the session record is in range");
         let (words, _) = rec.as_chunks::<8>();
         let word = |at: usize| u64::from_le_bytes(words[at / 8]);
-        let user_len = (word(0x28) as usize).min(Session::USER_MAX);
+        let user_len = (word(0x28) as usize).min(USER_MAX);
         let queued = (word(0x80) as usize).min(Session::QUEUE_MAX);
         Session {
             state: State::from_tag(word(0x00)),
@@ -126,7 +128,7 @@ impl Session {
     fn store(&self, sys: &mut Sys<'_>) {
         let mut rec = [0u8; Session::SIZE];
         let mut put = |at: usize, v: u64| rec[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        let user = &self.user.as_bytes()[..self.user.len().min(Session::USER_MAX)];
+        let user = &self.user.as_bytes()[..self.user.len().min(USER_MAX)];
         put(0x00, self.state as u64);
         put(0x08, self.conn.raw());
         put(0x10, self.port.raw());

@@ -992,3 +992,46 @@ fn stray_messages_leave_no_event_process_behind() {
     );
     assert_eq!(kernel.kmem_report().total_bytes(), kmem);
 }
+
+/// A user name longer than the worker's session record holds is refused
+/// at the edge: ok-demux answers 400 before it asks idd, and no event
+/// process is left behind. A name of exactly the record's length logs in,
+/// logs out (its event process exits) and is served again.
+#[test]
+fn user_names_longer_than_the_session_record_are_refused() {
+    let at_limit = "a".repeat(64);
+    let over = ["b".repeat(65), "c".repeat(70)];
+    let mut users = vec![(at_limit.as_str(), "pw")];
+    users.extend(over.iter().map(|u| (u.as_str(), "pw")));
+    let (mut kernel, _okws, mut client) = store_deployment(218, &users);
+    let worker = kernel.find_process("worker-store").unwrap();
+    for user in &over {
+        let (status, _) = client
+            .request_sync(&mut kernel, "store", user, "pw", &[("data", "x")])
+            .unwrap_or_else(|| panic!("{}-byte user got no response", user.len()));
+        assert_eq!(status, 400, "{}-byte user", user.len());
+        assert!(
+            kernel.live_eps(worker).is_empty(),
+            "{}-byte user left an event process",
+            user.len()
+        );
+    }
+
+    let (status, _) = client
+        .request_sync(&mut kernel, "store", &at_limit, "pw", &[("data", "x")])
+        .expect("64-byte user gets a response");
+    assert_eq!(status, 200);
+    assert_eq!(kernel.live_eps(worker).len(), 1);
+    let (status, body) = client
+        .request_sync(&mut kernel, "store", &at_limit, "pw", &[("logout", "1")])
+        .expect("64-byte user's logout gets a response");
+    assert_eq!((status, body.as_slice()), (200, &b"goodbye"[..]));
+    assert!(
+        kernel.live_eps(worker).is_empty(),
+        "logout ended the 64-byte user's session"
+    );
+    let (status, _) = client
+        .request_sync(&mut kernel, "store", &at_limit, "pw", &[])
+        .expect("64-byte user is served after logout");
+    assert_eq!(status, 200);
+}

@@ -109,8 +109,7 @@ impl MemDev {
 
     /// God-mode crash injection at an arbitrary byte offset: truncates
     /// one object to exactly `len` bytes and marks the result durable.
-    /// The crash-sweep suites drive this over every offset of a WAL
-    /// segment.
+    /// The crash-sweep suites drive this over every offset of a WAL.
     pub fn truncate_object(&self, name: &str, len: usize) {
         let mut s = self.state.borrow_mut();
         if let Some(obj) = s.objects.get_mut(name) {
@@ -223,7 +222,7 @@ impl BlockDev for MemDev {
         let mut s = self.state.borrow_mut();
         s.syncs += 1;
         for obj in s.objects.values_mut() {
-            obj.durable = obj.bytes.clone();
+            obj.durable.clone_from(&obj.bytes);
         }
     }
 
@@ -239,8 +238,8 @@ impl BlockDev for MemDev {
 /// Directory-backed device: one file per object, `fsync` on sync.
 ///
 /// Clones share the dirty-set, so syncs `fsync` only the objects
-/// written since the last sync (group commit touches one segment, not
-/// every accumulated file).
+/// written since the last sync (group commit touches the log, not every
+/// accumulated file).
 #[derive(Clone)]
 pub struct FileDev {
     dir: PathBuf,
@@ -340,7 +339,7 @@ impl BlockDev for FileDev {
 
     fn sync(&mut self) {
         // Only objects written since the last sync: group commit fsyncs
-        // the active segment, not every accumulated file.
+        // the log, not every accumulated file.
         let dirty = std::mem::take(&mut *self.dirty.borrow_mut());
         for name in dirty {
             if let Ok(f) = std::fs::File::open(self.path(&name)) {

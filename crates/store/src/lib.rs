@@ -11,10 +11,11 @@
 //!   injection at arbitrary byte offsets, torn tail writes); [`FileDev`]
 //!   is a real tempfile-backed directory with `fsync`.
 //! * [`Store`] — an append-only, CRC-checksummed, length-prefixed
-//!   write-ahead log with group commit, segment rotation, and snapshot
-//!   compaction, plus the persisted **boot epoch** counter that the
-//!   kernel folds into its handle cipher so fresh boots mint fresh
-//!   handles (§5.1). The batch is whatever the caller appends between
+//!   write-ahead log with group commit and snapshot compaction, plus
+//!   the persisted **boot epoch** counter that the kernel folds into
+//!   its handle cipher so fresh boots mint fresh handles (§5.1).
+//!   Compaction is the log's only rotation: one log follows each
+//!   snapshot. The batch is whatever the caller appends between
 //!   [`Store::commit`]s; `asbestos-db` sizes it one way, a positive
 //!   count (`DurableDb::set_group_commit`, default 1 — sync per mutation).
 //! * [`codec::Reader`] — the one bounded reader every length-prefixed
@@ -35,5 +36,5 @@ pub mod wal;
 
 pub use blockdev::{BlockDev, FileDev, MemDev};
 pub use crc::crc32;
-pub use store::{Recovery, Store, DEFAULT_COMPACT_THRESHOLD, DEFAULT_SEGMENT_LIMIT};
+pub use store::{Recovery, Store, DEFAULT_COMPACT_THRESHOLD};
 pub use wal::{encode_commit, encode_frame, scan_committed, scan_frames, FrameKind};

@@ -1,4 +1,4 @@
-//! The durable store: segmented WAL + snapshot compaction + boot epoch.
+//! The durable store: one WAL per snapshot + compaction + boot epoch.
 //!
 //! A [`Store`] owns a [`BlockDev`] and lays it out as:
 //!
@@ -9,30 +9,27 @@
 //!   epoch (§5.1: handle values are unique *since boot*; the epoch is
 //!   what the kernel folds into its handle cipher so a new boot can
 //!   never re-mint an old boot's handles).
-//! * `wal.NNNNNNNN` — log segments. Records append to the active
-//!   segment; a [`FrameKind::Commit`] marker plus one device sync makes
-//!   the whole batch durable (group commit). Segments rotate at a size
-//!   bound.
-//! * `snap.NNNNNNNN` — compacted snapshots. `snap.N`'s payload captures
-//!   everything up to (not including) segment `N`; compaction writes the
-//!   next snapshot durably *before* pruning older segments, so a crash
-//!   at any point leaves at least one valid (snapshot, segments) pair.
+//! * `snap.NNNNNNNN` — compacted snapshots (none until the first
+//!   compaction; `snap.0` is implicitly the empty state).
+//! * `wal.NNNNNNNN` — the log written since `snap.N`. Records append to
+//!   it; a [`FrameKind::Commit`] marker plus one device sync makes the
+//!   whole batch durable (group commit). Compaction is the only
+//!   rotation: it writes `snap.N+1` durably *before* pruning `snap.N`
+//!   and `wal.N`, so a crash at any point leaves at least one valid
+//!   (snapshot, log) pair.
 //!
 //! **Recovery contract.** [`Store::open`] returns the newest intact
-//! snapshot plus every record covered by a commit marker, in append
-//! order — and nothing else. Records after the last commit marker were
-//! never acknowledged and are discarded (the tail is truncated so new
-//! appends land on a clean boundary). The crash suites pin the stronger
-//! property: truncating the device at *any* byte offset recovers exactly
-//! some committed prefix.
+//! snapshot plus every record of its log covered by a commit marker, in
+//! append order — and nothing else. Records after the last commit marker
+//! were never acknowledged and are discarded (the tail is truncated so
+//! new appends land on a clean boundary). The crash suites pin the
+//! stronger property: truncating the device at *any* byte offset
+//! recovers exactly some committed prefix.
 
 use crate::blockdev::BlockDev;
 use crate::wal::{decode_single, encode_commit, encode_frame, scan_committed, FrameKind};
 
-/// Default segment-rotation bound (bytes of frames per segment).
-pub const DEFAULT_SEGMENT_LIMIT: usize = 64 * 1024;
-
-/// Default compaction threshold (total committed WAL bytes).
+/// Default compaction threshold (committed bytes of the live log).
 pub const DEFAULT_COMPACT_THRESHOLD: usize = 256 * 1024;
 
 /// Dual-slot boot-epoch objects. The counter alternates slots (epoch `e`
@@ -43,7 +40,7 @@ pub const DEFAULT_COMPACT_THRESHOLD: usize = 256 * 1024;
 /// boot's entire handle space.
 const EPOCH_SLOTS: [&str; 2] = ["epoch.0", "epoch.1"];
 
-fn seg_name(index: u64) -> String {
+fn log_name(index: u64) -> String {
     format!("wal.{index:08}")
 }
 
@@ -73,18 +70,16 @@ pub struct Recovery {
 pub struct Store {
     dev: Box<dyn BlockDev>,
     boot_epoch: u64,
-    active_seg: u64,
-    active_len: usize,
-    /// Committed WAL bytes across all live segments (compaction trigger).
+    /// Index of the newest snapshot, and so of the live log.
+    log: u64,
+    /// Bytes of the live log (compaction trigger).
     wal_bytes: usize,
     /// Records appended since the last commit marker.
     pending: usize,
     /// Commits issued over this store's lifetime.
     commits: u64,
-    /// Sequence number the next commit marker will carry (continues the
-    /// recovered history, so cross-segment gaps are detectable forever).
+    /// Sequence number the next commit marker will carry.
     commit_seq: u64,
-    segment_limit: usize,
     compact_threshold: usize,
 }
 
@@ -107,88 +102,52 @@ impl Store {
         dev.sync();
 
         // Newest intact snapshot wins; torn ones (crash mid-compaction)
-        // are skipped — the previous snapshot plus its segments are still
-        // on the device because pruning happens only after the new
-        // snapshot is durable.
-        let names = dev.list();
-        let mut snap_indexes: Vec<u64> = names
+        // are skipped — the previous snapshot plus its log are still on
+        // the device because pruning happens only after the new snapshot
+        // is durable.
+        let mut snap_indexes: Vec<u64> = dev
+            .list()
             .iter()
             .filter_map(|n| parse_index(n, "snap."))
             .collect();
         snap_indexes.sort_unstable();
-        let mut snapshot = None;
-        let mut base_seg = 0u64;
-        for &idx in snap_indexes.iter().rev() {
-            if let Some(body) = dev
-                .read(&snap_name(idx))
-                .and_then(|b| decode_single(&b, FrameKind::Snapshot))
-            {
-                snapshot = Some(body);
-                base_seg = idx;
-                break;
-            }
-        }
-
-        // Replay segments at or past the snapshot base, in order,
-        // stopping at the first gap or damaged segment.
-        let mut seg_indexes: Vec<u64> = names
+        let (log, snapshot) = snap_indexes
             .iter()
-            .filter_map(|n| parse_index(n, "wal."))
-            .filter(|&i| i >= base_seg)
-            .collect();
-        seg_indexes.sort_unstable();
-        let mut records = Vec::new();
-        let mut dropped_uncommitted = 0;
-        let mut torn_tail = false;
-        let mut active_seg = base_seg;
-        let mut active_len = 0usize;
-        let mut wal_bytes = 0usize;
-        let mut expect_seq = None;
-        let mut stopped = false;
-        for (i, &idx) in seg_indexes.iter().enumerate() {
-            if stopped || (i > 0 && idx != seg_indexes[i - 1] + 1) {
-                // Anything past a damaged segment or a gap is unreachable
-                // state from a dead future; drop it.
-                dev.remove(&seg_name(idx));
-                continue;
-            }
-            let bytes = dev.read(&seg_name(idx)).unwrap_or_default();
-            let scan = scan_committed(&bytes, expect_seq);
-            records.extend(scan.records);
-            dropped_uncommitted += scan.uncommitted;
-            expect_seq = scan.next_seq;
-            active_seg = idx;
-            active_len = scan.committed_len;
-            wal_bytes += scan.committed_len;
-            if scan.torn || scan.uncommitted > 0 || scan.committed_len < bytes.len() {
-                torn_tail |= scan.torn;
-                // Truncate to the committed prefix so future appends land
-                // on a clean frame boundary — and so a *later* commit
-                // marker can never retroactively commit this dead tail.
-                dev.truncate(&seg_name(idx), scan.committed_len as u64);
-                stopped = true;
-            }
+            .rev()
+            .find_map(|&idx| {
+                dev.read(&snap_name(idx))
+                    .and_then(|b| decode_single(&b, FrameKind::Snapshot))
+                    .map(|body| (idx, Some(body)))
+            })
+            .unwrap_or((0, None));
+
+        // Replay that snapshot's log up to its last commit marker, and
+        // truncate it there so future appends land on a clean frame
+        // boundary — and so a *later* commit marker can never
+        // retroactively commit this dead tail.
+        let bytes = dev.read(&log_name(log)).unwrap_or_default();
+        let scan = scan_committed(&bytes);
+        if scan.committed_len < bytes.len() {
+            dev.truncate(&log_name(log), scan.committed_len as u64);
         }
         dev.sync();
 
         let store = Store {
             dev,
             boot_epoch,
-            active_seg,
-            active_len,
-            wal_bytes,
+            log,
+            wal_bytes: scan.committed_len,
             pending: 0,
             commits: 0,
-            commit_seq: expect_seq.unwrap_or(0),
-            segment_limit: DEFAULT_SEGMENT_LIMIT,
+            commit_seq: scan.next_seq.unwrap_or(0),
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
         };
         let recovery = Recovery {
             snapshot,
-            records,
+            records: scan.records,
             boot_epoch,
-            dropped_uncommitted,
-            torn_tail,
+            dropped_uncommitted: scan.uncommitted,
+            torn_tail: scan.torn,
         };
         (store, recovery)
     }
@@ -209,77 +168,59 @@ impl Store {
             .unwrap_or(0)
     }
 
-    /// Appends one record to the active segment. Not durable until the
-    /// next [`Store::commit`].
+    /// Appends one record to the log. Not durable until the next
+    /// [`Store::commit`].
     pub fn append(&mut self, record: &[u8]) {
         let frame = encode_frame(FrameKind::Record, record);
-        self.dev.append(&seg_name(self.active_seg), &frame);
-        self.active_len += frame.len();
+        self.dev.append(&log_name(self.log), &frame);
         self.wal_bytes += frame.len();
         self.pending += 1;
     }
 
     /// Group commit: writes a commit marker and syncs the device, making
     /// every record appended since the last commit durable in one sync.
-    /// A no-op when nothing is pending. Rotates the active segment once
-    /// it exceeds the segment bound.
+    /// A no-op when nothing is pending.
     pub fn commit(&mut self) {
         if self.pending == 0 {
             return;
         }
         let marker = encode_commit(self.commit_seq);
         self.commit_seq += 1;
-        self.dev.append(&seg_name(self.active_seg), &marker);
-        self.active_len += marker.len();
+        self.dev.append(&log_name(self.log), &marker);
         self.wal_bytes += marker.len();
         self.dev.sync();
         self.pending = 0;
         self.commits += 1;
-        if self.active_len >= self.segment_limit {
-            self.active_seg += 1;
-            self.active_len = 0;
-        }
     }
 
-    /// Whether the committed WAL has outgrown the compaction threshold.
+    /// Whether the log has outgrown the compaction threshold.
     pub fn needs_compaction(&self) -> bool {
         self.wal_bytes >= self.compact_threshold
     }
 
     /// Compacts: `snapshot` captures the application state as of every
-    /// committed record; after it is durable, all segments it covers are
-    /// pruned. Pending (uncommitted) records are committed first so the
-    /// snapshot boundary is well defined.
+    /// committed record; after it is durable, the snapshot and log it
+    /// replaces are pruned and a fresh log begins. Pending (uncommitted)
+    /// records are committed first so the snapshot boundary is well
+    /// defined.
     pub fn compact(&mut self, snapshot: &[u8]) {
         self.commit();
-        let base = self.active_seg + 1;
+        let next = self.log + 1;
         self.dev.put(
-            &snap_name(base),
+            &snap_name(next),
             &encode_frame(FrameKind::Snapshot, snapshot),
         );
         self.dev.sync();
         // The new snapshot is durable; everything older is garbage.
         for name in self.dev.list() {
-            if let Some(idx) = parse_index(&name, "wal.") {
-                if idx < base {
-                    self.dev.remove(&name);
-                }
-            }
-            if let Some(idx) = parse_index(&name, "snap.") {
-                if idx < base {
-                    self.dev.remove(&name);
-                }
+            let index = parse_index(&name, "wal.").or_else(|| parse_index(&name, "snap."));
+            if index.is_some_and(|idx| idx < next) {
+                self.dev.remove(&name);
             }
         }
         self.dev.sync();
-        self.active_seg = base;
-        self.active_len = 0;
+        self.log = next;
         self.wal_bytes = 0;
-    }
-
-    /// Sets the segment-rotation bound.
-    pub fn set_segment_limit(&mut self, bytes: usize) {
-        self.segment_limit = bytes.max(1);
     }
 
     /// Sets the compaction threshold.
@@ -297,19 +238,14 @@ impl Store {
         self.pending
     }
 
-    /// Total committed WAL bytes across live segments.
-    pub fn wal_bytes(&self) -> usize {
-        self.wal_bytes
-    }
-
     /// Commits issued by this store instance.
     pub fn commits(&self) -> u64 {
         self.commits
     }
 
-    /// The active segment's object name (crash-sweep observability).
-    pub fn active_segment(&self) -> String {
-        seg_name(self.active_seg)
+    /// The live log's object name (crash-sweep observability).
+    pub fn log_name(&self) -> String {
+        log_name(self.log)
     }
 }
 
@@ -404,28 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn segments_rotate_and_replay_in_order() {
-        let dev = MemDev::new();
-        let (mut store, _) = Store::open(Box::new(dev.clone()));
-        store.set_segment_limit(64);
-        let expect: Vec<Vec<u8>> = (0..40).map(rec).collect();
-        for r in &expect {
-            store.append(r);
-            store.commit();
-        }
-        assert!(
-            dev.list().iter().filter(|n| n.starts_with("wal.")).count() > 1,
-            "rotation produced multiple segments"
-        );
-        let (_s2, recovery) = Store::open(Box::new(dev));
-        assert_eq!(recovery.records, expect);
-    }
-
-    #[test]
     fn compaction_prunes_and_recovery_uses_snapshot() {
         let dev = MemDev::new();
         let (mut store, _) = Store::open(Box::new(dev.clone()));
-        store.set_segment_limit(64);
         for i in 0..20 {
             store.append(&rec(i));
             store.commit();
@@ -442,7 +359,7 @@ mod tests {
         assert_eq!(
             segs.iter().filter(|n| n.starts_with("wal.")).count(),
             1,
-            "covered segments pruned"
+            "the replaced log was pruned"
         );
         let (_s2, recovery) = Store::open(Box::new(dev));
         assert_eq!(recovery.snapshot.as_deref(), Some(&b"SNAPSHOT-AT-20"[..]));

@@ -1,7 +1,7 @@
-//! WAL frame codec and segment scanning.
+//! WAL frame codec and log scanning.
 //!
-//! Every object the store writes — log segments, snapshots, the boot
-//! epoch — is a sequence of *frames*:
+//! Every object the store writes — the log, snapshots, the boot epoch —
+//! is a sequence of *frames*:
 //!
 //! ```text
 //! frame  := len:u32le  crc:u32le  payload
@@ -124,53 +124,39 @@ pub struct CommittedScan {
     pub uncommitted: usize,
     /// Whether the object ended in a torn/invalid/out-of-sequence tail.
     pub torn: bool,
-    /// Sequence number the *next* commit marker must carry (input
-    /// `expect` advanced past every accepted commit).
+    /// Sequence number the *next* commit marker would carry (`None`
+    /// when no marker was accepted).
     pub next_seq: Option<u64>,
 }
 
-/// Scans one segment's bytes for the committed record prefix.
+/// Scans a log's bytes for the committed record prefix.
 ///
-/// Commit markers carry a global sequence number, and `expect` is the
-/// number the next marker must have (`None` accepts any first marker and
-/// establishes the baseline). The sequence is what makes *cross-segment*
-/// recovery sound: a middle segment torn at — or truncated to — a commit
-/// boundary leaves a numbering gap, so the scan stops there instead of
-/// splicing later segments onto an amputated history.
-pub fn scan_committed(bytes: &[u8], expect: Option<u64>) -> CommittedScan {
-    let mut out = CommittedScan {
-        next_seq: expect,
-        ..CommittedScan::default()
-    };
+/// Every commit marker carries a sequence number. The first marker sets
+/// the baseline, and each later one must be one more than the last: a
+/// marker out of sequence belongs to a history the durable prefix never
+/// reached, so the scan stops there.
+pub fn scan_committed(bytes: &[u8]) -> CommittedScan {
+    let mut out = CommittedScan::default();
     let mut staged: Vec<Vec<u8>> = Vec::new();
     let mut last_end = 0usize;
     for frame in scan_frames(bytes) {
         match frame.kind {
             FrameKind::Record => staged.push(frame.body),
             FrameKind::Commit => {
-                let Ok(seq_bytes) = <[u8; 8]>::try_from(frame.body.as_slice()) else {
-                    out.torn = true;
-                    out.uncommitted = staged.len();
-                    return out;
-                };
-                let seq = u64::from_le_bytes(seq_bytes);
-                if out.next_seq.is_some_and(|e| e != seq) {
-                    // Sequence discontinuity: this marker belongs to a
-                    // future the durable prefix never reached.
-                    out.torn = true;
-                    out.uncommitted = staged.len();
-                    return out;
+                let seq = <[u8; 8]>::try_from(frame.body.as_slice()).map(u64::from_le_bytes);
+                match seq {
+                    Ok(seq) if out.next_seq.is_none_or(|e| e == seq) => {
+                        out.records.append(&mut staged);
+                        out.committed_len = frame.end;
+                        out.next_seq = Some(seq + 1);
+                    }
+                    // A malformed or out-of-sequence marker: the tail
+                    // from here on is torn.
+                    _ => break,
                 }
-                out.records.append(&mut staged);
-                out.committed_len = frame.end;
-                out.next_seq = Some(seq + 1);
             }
-            // Foreign frame kinds inside a segment mean corruption.
-            FrameKind::Epoch | FrameKind::Snapshot => {
-                out.torn = true;
-                out.uncommitted = staged.len();
-                return out;
-            }
+            // Foreign frame kinds inside a log mean corruption.
+            FrameKind::Epoch | FrameKind::Snapshot => break,
         }
         last_end = frame.end;
     }
@@ -219,7 +205,7 @@ mod tests {
         bytes.extend(encode_commit(0));
         let committed_end = bytes.len();
         bytes.extend(encode_frame(FrameKind::Record, b"c"));
-        let scan = scan_committed(&bytes, None);
+        let scan = scan_committed(&bytes);
         assert_eq!(scan.records, vec![b"a".to_vec(), b"b".to_vec()]);
         assert_eq!(scan.committed_len, committed_end);
         assert_eq!(scan.uncommitted, 1);
@@ -234,14 +220,11 @@ mod tests {
         bytes.extend(encode_commit(4));
         let good_end = bytes.len();
         bytes.extend(encode_frame(FrameKind::Record, b"b"));
-        bytes.extend(encode_commit(6)); // seq 5 went missing with its segment
-        let scan = scan_committed(&bytes, None);
+        bytes.extend(encode_commit(6)); // seq 5 is missing
+        let scan = scan_committed(&bytes);
         assert_eq!(scan.records, vec![b"a".to_vec()]);
         assert_eq!(scan.committed_len, good_end);
         assert!(scan.torn);
-        // With the right expectation the same stream scans fully.
-        let scan = scan_committed(&bytes[good_end..], Some(6));
-        assert_eq!(scan.records, vec![b"b".to_vec()]);
     }
 
     #[test]
@@ -256,7 +239,7 @@ mod tests {
             boundaries.push(bytes.len());
         }
         for cut in 0..=bytes.len() {
-            let scan = scan_committed(&bytes[..cut], None);
+            let scan = scan_committed(&bytes[..cut]);
             // The committed prefix is always a whole number of batches.
             assert_eq!(scan.records.len() % 3, 0, "cut at {cut}");
             assert!(boundaries.contains(&scan.committed_len), "cut at {cut}");

@@ -112,7 +112,7 @@ fn torn_tail_writes_recover_a_committed_prefix() {
     // An in-flight batch that never commits, torn at every length.
     store.append(b"in-flight-1");
     store.append(b"in-flight-2");
-    let unsynced = dev.dump(&store.active_segment()).len();
+    let unsynced = dev.dump(&store.log_name()).len();
     for torn_extra in 0..=unsynced {
         let copy = dev.fork();
         copy.crash(torn_extra);
@@ -154,7 +154,7 @@ fn crash_during_compaction_never_loses_committed_state() {
     let (dev, batches) = build(sweep_seed() ^ 0xC0DE, 5);
     let all: Vec<Vec<u8>> = batches.iter().flatten().cloned().collect();
     // Compaction's crash window: the snapshot object is mid-write and the
-    // covered segments have NOT been pruned yet (pruning happens only
+    // log it replaces has NOT been pruned yet (pruning happens only
     // after the snapshot syncs). Simulate the torn `put` at every length.
     let snap_frame = encode_frame(FrameKind::Snapshot, b"app-snapshot-bytes");
     for cut in 0..=snap_frame.len() {
@@ -176,45 +176,55 @@ fn crash_during_compaction_never_loses_committed_state() {
     }
 }
 
+/// A log that follows a snapshot, torn at every byte offset: recovery
+/// must return the snapshot plus a committed prefix of the batches logged
+/// after it — never a record from the log the snapshot replaced, which a
+/// crash between the snapshot's sync and the prune leaves on the device.
 #[test]
-fn multi_segment_crash_sweep() {
+fn post_snapshot_log_crash_sweep() {
     let dev = MemDev::new();
     let (mut store, _) = Store::open(Box::new(dev.clone()));
-    store.set_segment_limit(96); // force frequent rotation
+    let mut rng = Rng(sweep_seed() ^ 0x5A4F);
+    let mut replaced = None;
     let mut batches = Vec::new();
-    for b in 0..12 {
-        let batch = vec![record(b, 0), record(b, 1)];
+    for b in 0..10 {
+        let batch: Vec<Vec<u8>> = (0..1 + rng.below(4) as usize)
+            .map(|i| record(b, i))
+            .collect();
         for r in &batch {
             store.append(r);
         }
         store.commit();
-        batches.push(batch);
+        if b == 3 {
+            replaced = Some((store.log_name(), dev.dump(&store.log_name())));
+            store.compact(b"snapshot-after-batch-3");
+        } else if replaced.is_some() {
+            batches.push(batch);
+        }
     }
-    let segs: Vec<String> = dev
-        .list()
-        .into_iter()
-        .filter(|n| n.starts_with("wal."))
-        .collect();
-    assert!(segs.len() > 2, "rotation produced {} segments", segs.len());
-    // Tear the *last* segment at every offset: earlier segments stay
-    // intact, so recovery = all their batches plus a prefix of the tail's.
-    let last = segs.last().unwrap();
-    let tail = dev.dump(last);
+    let (old_log, old_bytes) = replaced.unwrap();
+    let log = store.log_name();
+    assert_ne!(log, old_log);
+    drop(store);
+    let tail = dev.dump(&log);
+    let all: Vec<Vec<u8>> = batches.iter().flatten().cloned().collect();
     for cut in 0..=tail.len() {
         let torn = dev.fork();
-        torn.truncate_object(last, cut);
+        torn.truncate_object(&log, cut);
+        let mut handle: Box<dyn BlockDev> = Box::new(torn.clone());
+        handle.put(&old_log, &old_bytes);
+        handle.sync();
         let (_s, r) = Store::open(Box::new(torn));
-        assert_committed_prefix(&r.records, &batches, &format!("segment tail cut {cut}"));
-    }
-    // Tear a *middle* segment: recovery must stop there and ignore the
-    // (now unreachable) later segments rather than splice across the gap.
-    let mid = &segs[segs.len() / 2];
-    let mid_bytes = dev.dump(mid);
-    for cut in [0, 1, mid_bytes.len() / 2, mid_bytes.len() - 1] {
-        let torn = dev.fork();
-        torn.truncate_object(mid, cut);
-        let (_s, r) = Store::open(Box::new(torn));
-        assert_committed_prefix(&r.records, &batches, &format!("mid-segment cut {cut}"));
+        let context = format!("post-snapshot log cut {cut}");
+        assert_eq!(
+            r.snapshot.as_deref(),
+            Some(&b"snapshot-after-batch-3"[..]),
+            "{context}"
+        );
+        assert_committed_prefix(&r.records, &batches, &context);
+        if cut == tail.len() {
+            assert_eq!(r.records, all, "{context}: the intact log recovers whole");
+        }
     }
 }
 
