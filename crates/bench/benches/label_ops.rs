@@ -10,11 +10,15 @@
 //! one costs the small one's entries, not the large label. `hot_1x1`
 //! rebuilds the labels of `hot-1x1`'s three processes and runs Figure 4 on
 //! each sender → receiver pair with the same counters, so the next label
-//! change is sized here rather than with a profiler.
+//! change is sized here rather than with a profiler. Its
+//! `contaminate/grant->netd` case is the one-entry `D_S` grant that does
+//! change a receiver's `Q_S`, and it asserts that the result allocates at
+//! most the one chunk the grant lands in.
 
 use asbestos_labels::chunk::{Chunk, CHUNK_CAP};
 use asbestos_labels::{ops, Handle, HandleCipher, Label, Level};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::borrow::Cow;
 use std::hint::black_box;
 
 fn label_with_entries(n: usize, level: Level) -> Label {
@@ -329,6 +333,28 @@ fn bench_hot_1x1(c: &mut Criterion) {
             bench.iter(|| black_box(contaminate()))
         });
     }
+    // ok-demux granting netd ⋆ for a connection handle netd does not yet
+    // hold (`D_S = {uC' ⋆, 3}`), the one-entry change of Q_S that a third
+    // of netd's deliveries make: the result is a new label that allocates
+    // only the chunk the grant lands in. netd's label is grown one handle
+    // at a time in allocation order, as the kernel grows it, so the chunks
+    // split in half and the one a fresh handle lands in has room.
+    let mut netd_grown = Label::default_send();
+    for h in users.clone().map(taint).chain((0..4).map(conn)) {
+        netd_grown.set(h, Level::Star);
+    }
+    assert_eq!(netd_grown, netd_send);
+    let fresh_grant = label(Level::L3, vec![(conn(4), Level::Star)]);
+    let grant = || ops::apply_receive_contamination(&netd_grown, &fresh_grant, &demux_send);
+    let (visited, allocated) = counted(grant);
+    println!(
+        "hot_1x1/contaminate/grant->netd: {visited} entries visited, {allocated} chunks allocated"
+    );
+    assert!(matches!(grant(), Cow::Owned(_)), "the grant changes Q_S");
+    assert!(allocated <= 1, "grant->netd allocated {allocated} chunks");
+    group.bench_function("contaminate/grant->netd", |bench| {
+        bench.iter(|| black_box(grant()))
+    });
     group.finish();
 }
 

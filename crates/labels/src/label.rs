@@ -125,22 +125,33 @@ impl Label {
     ///
     /// Pairs may be given in any order; duplicate handles keep the last pair.
     /// Pairs whose level equals the default are dropped (they are redundant).
+    /// The entries are packed, sorted and normalized in one `Vec`: a label
+    /// of at most [`CHUNK_CAP`] entries keeps it as its one chunk, a larger
+    /// one is cut into full chunks and a last one holding the rest.
     pub fn from_pairs(default: Level, pairs: &[(Handle, Level)]) -> Label {
-        let mut sorted: Vec<(Handle, Level)> = pairs.to_vec();
-        sorted.sort_by_key(|&(h, _)| h);
-        let mut builder = LabelBuilder::new(default);
-        let mut i = 0;
-        while i < sorted.len() {
-            let (h, mut lv) = sorted[i];
-            // Last duplicate wins.
-            while i + 1 < sorted.len() && sorted[i + 1].0 == h {
-                i += 1;
-                lv = sorted[i].1;
+        let mut entries: Vec<u64> = pairs.iter().map(|&(h, lv)| pack(h.raw(), lv)).collect();
+        // Stable, so that equal handles stay in input order.
+        entries.sort_by_key(|&e| entry_handle(e));
+        // Last duplicate wins: each later pair overwrites the one kept.
+        entries.dedup_by(|later, kept| {
+            let same = entry_handle(*later) == entry_handle(*kept);
+            if same {
+                *kept = *later;
             }
-            builder.push(h.raw(), lv);
-            i += 1;
-        }
-        builder.finish()
+            same
+        });
+        entries.retain(|&e| entry_level(e) != default);
+        let chunks = if entries.is_empty() {
+            Vec::new()
+        } else if entries.len() <= CHUNK_CAP {
+            vec![Arc::new(Chunk::from_entries(entries))]
+        } else {
+            entries
+                .chunks(CHUNK_CAP)
+                .map(|run| Arc::new(Chunk::from_entries(run.to_vec())))
+                .collect()
+        };
+        Label::on_chunks(default, chunks)
     }
 
     /// Builds a label on these very chunks, in O(chunks): each must be
@@ -160,6 +171,11 @@ impl Label {
             }
             prev = Some(c.last_handle());
         }
+        Some(Label::on_chunks(default, chunks))
+    }
+
+    /// The label on `chunks`, which already meet every invariant.
+    fn on_chunks(default: Level, chunks: Vec<Arc<Chunk>>) -> Label {
         let mut label = Label {
             chunks,
             default,
@@ -167,7 +183,7 @@ impl Label {
             levels: LevelSet::EMPTY,
         };
         label.after_mutation();
-        Some(label)
+        label
     }
 
     /// The default level, applying to all handles without explicit entries.
@@ -504,6 +520,10 @@ impl fmt::Display for Label {
 /// two are fused: two adjacent chunks of a result never both stay small,
 /// so sharing cannot fragment a label (or inflate [`Label::heap_bytes`])
 /// however many operations it passes through.
+///
+/// A build allocates the chunks it creates, each at its exact size, and
+/// the chunk array once when its size is known up front: the open run is
+/// one buffer of [`CHUNK_CAP`] entries, reused for every chunk.
 pub(crate) struct LabelBuilder {
     default: Level,
     chunks: Vec<Arc<Chunk>>,
@@ -511,11 +531,12 @@ pub(crate) struct LabelBuilder {
 }
 
 impl LabelBuilder {
-    pub(crate) fn new(default: Level) -> LabelBuilder {
+    /// A builder whose chunk array has room for `chunks` chunks.
+    pub(crate) fn with_chunks(default: Level, chunks: usize) -> LabelBuilder {
         LabelBuilder {
             default,
-            chunks: Vec::new(),
-            current: Vec::new(),
+            chunks: Vec::with_capacity(chunks),
+            current: Vec::with_capacity(CHUNK_CAP),
         }
     }
 
@@ -523,14 +544,26 @@ impl LabelBuilder {
     /// Entries at the default level are skipped.
     pub(crate) fn push(&mut self, handle_raw: u64, level: Level) {
         if level != self.default {
-            self.push_packed(pack(handle_raw, level));
+            self.extend(&[pack(handle_raw, level)]);
         }
     }
 
-    /// Appends packed entries, none of them at the default level.
-    pub(crate) fn extend(&mut self, entries: &[u64]) {
-        for &e in entries {
-            self.push_packed(e);
+    /// Appends ascending packed entries, none of them at the default level,
+    /// a chunk's worth at a time.
+    pub(crate) fn extend(&mut self, mut entries: &[u64]) {
+        debug_assert!(self
+            .current
+            .last()
+            .zip(entries.first())
+            .is_none_or(|(&last, &first)| entry_handle(last) < entry_handle(first)));
+        while !entries.is_empty() {
+            let room = CHUNK_CAP - self.current.len();
+            let (now, later) = entries.split_at(room.min(entries.len()));
+            self.current.extend_from_slice(now);
+            entries = later;
+            if self.current.len() == CHUNK_CAP {
+                self.flush();
+            }
         }
     }
 
@@ -557,38 +590,21 @@ impl LabelBuilder {
         }
     }
 
-    fn push_packed(&mut self, packed: u64) {
-        debug_assert!(self
-            .current
-            .last()
-            .is_none_or(|&e| entry_handle(e) < entry_handle(packed)));
-        self.current.push(packed);
-        if self.current.len() == CHUNK_CAP {
-            self.flush();
-        }
-    }
-
-    /// Closes the open run of entries into a chunk, first absorbing a
-    /// preceding chunk small enough to share it.
+    /// Closes the open run of entries into an exact-size chunk, first
+    /// absorbing a preceding chunk small enough to share it.
     fn flush(&mut self) {
         if self.current.is_empty() {
             return;
         }
         self.absorb_tail(0);
-        let entries = std::mem::take(&mut self.current);
+        let entries = self.current.to_vec();
+        self.current.clear();
         self.chunks.push(Arc::new(Chunk::from_entries(entries)));
     }
 
     pub(crate) fn finish(mut self) -> Label {
         self.flush();
-        let mut label = Label {
-            chunks: self.chunks,
-            default: self.default,
-            len: 0,
-            levels: LevelSet::EMPTY,
-        };
-        label.after_mutation();
-        label
+        Label::on_chunks(self.default, self.chunks)
     }
 }
 
@@ -638,6 +654,33 @@ mod tests {
         assert_eq!(l.get(h(2)), Level::Star);
         assert_eq!(l.get(h(4)), Level::L1);
         l.check_invariants();
+    }
+
+    #[test]
+    fn from_pairs_packs_full_chunks_then_the_rest() {
+        let lens = |n: u64| {
+            let pairs: Vec<(Handle, Level)> = (0..n).map(|i| (h(3 * i), Level::L3)).collect();
+            let l = Label::from_pairs(Level::L1, &pairs);
+            l.check_invariants();
+            l.chunks().iter().map(|c| c.len()).collect::<Vec<_>>()
+        };
+        assert_eq!(lens(0), Vec::<usize>::new());
+        assert_eq!(lens(1), [1]);
+        assert_eq!(lens(64), [64]);
+        assert_eq!(lens(65), [64, 1]);
+        assert_eq!(lens(130), [64, 64, 2]);
+        // 67 pairs over 65 handles, 64 entries: h7 again at ⋆ (the last
+        // pair wins) and h9 at the default (no entry).
+        let mut pairs: Vec<(Handle, Level)> = (0..65).map(|i| (h(i), Level::L3)).collect();
+        pairs.push((h(7), Level::Star));
+        pairs.push((h(9), Level::L1));
+        pairs.swap(0, 64);
+        let l = Label::from_pairs(Level::L1, &pairs);
+        l.check_invariants();
+        assert_eq!(l.entry_count(), 64);
+        assert_eq!(l.chunk_count(), 1);
+        assert_eq!(l.get(h(7)), Level::Star);
+        assert_eq!(l.get(h(9)), Level::L1);
     }
 
     #[test]

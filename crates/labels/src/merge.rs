@@ -306,6 +306,11 @@ pub(crate) fn build<'a, const N: usize>(
 }
 
 /// A base chunk array with ascending edits merged in.
+///
+/// The result allocates only the chunks the edits create, each at its
+/// exact size, and its chunk array, sized for the base's chunks and one
+/// more. The base's untouched chunks are shared, and the entries copied
+/// from a chunk an edit lands in are copied as whole runs.
 struct Editor<'a> {
     /// The base's chunks from the one copying resumes in.
     chunks: &'a [Arc<Chunk>],
@@ -319,7 +324,7 @@ impl<'a> Editor<'a> {
         Editor {
             chunks,
             copied: 0,
-            out: LabelBuilder::new(default),
+            out: LabelBuilder::with_chunks(default, chunks.len() + 1),
         }
     }
 

@@ -242,6 +242,24 @@ proptest! {
         prop_assert_eq!(to_naive(&l), n);
     }
 
+    /// Duplicates (last pair wins) and default-level pairs (no entry) in
+    /// any order, over up to four chunks: every chunk but the last is full.
+    #[test]
+    fn from_pairs_matches_oracle(
+        default in arb_level(),
+        pairs in prop::collection::vec(((0u64..200).prop_map(Handle::from_raw), arb_level()), 0..300),
+    ) {
+        let l = Label::from_pairs(default, &pairs);
+        let mut n = NaiveLabel::new(default);
+        for &(h, lv) in &pairs {
+            n.set(h, lv);
+        }
+        assert_is(&l, &n);
+        if let Some((_, full)) = l.chunks().split_last() {
+            prop_assert!(full.iter().all(|c| c.len() == CHUNK_CAP));
+        }
+    }
+
     #[test]
     fn leq_matches_oracle(a in arb_label(), b in arb_label()) {
         prop_assert_eq!(a.leq(&b), to_naive(&a).leq(&to_naive(&b)));
@@ -771,6 +789,31 @@ fn one_entry_contamination_shares_all_but_two_chunks() {
             assert!(unshared <= 2, "{unshared} chunks rebuilt for one entry");
         }
     }
+}
+
+/// A one-entry `⋆` grant (`D_S = {h ⋆, 3}`) to a front end's send label,
+/// grown one `set` at a time as the kernel grows it: the result allocates
+/// the one chunk the grant lands in and shares the other five.
+#[test]
+fn one_entry_grant_allocates_one_chunk() {
+    let mut qs = Label::default_send();
+    for &h in &okws_handles()[..276] {
+        qs.set(h, Level::Star);
+    }
+    assert_eq!(qs.chunk_count(), 6);
+    let fresh = okws_handles()[276];
+    let ds = Label::from_pairs(Level::L3, &[(fresh, Level::Star)]);
+    let allocated = Chunk::alloc_count();
+    let out = ops::apply_receive_contamination(&qs, &ds, &Label::bottom());
+    assert_eq!(Chunk::alloc_count() - allocated, 1);
+    let Cow::Owned(out) = out else {
+        panic!("a grant of a fresh handle changes Q_S");
+    };
+    out.check_invariants();
+    assert_eq!(out.get(fresh), Level::Star);
+    assert_eq!(out.entry_count(), 277);
+    assert_eq!(out.chunk_count(), 6);
+    assert_eq!(out.chunks_shared_with(&qs), 5);
 }
 
 /// Sharing never fragments: labels passed through many small edits keep

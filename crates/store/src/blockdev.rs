@@ -66,6 +66,10 @@ struct MemObj {
     /// bytes in place must also be discarded by a crash, which a
     /// durable-prefix-length model silently treats as durable.
     durable: Vec<u8>,
+    /// Whether `bytes` was changed other than by appending since `durable`
+    /// was last set: a sync then copies the whole object, where otherwise
+    /// it copies only the bytes appended since.
+    rewritten: bool,
 }
 
 #[derive(Default)]
@@ -104,6 +108,7 @@ impl MemDev {
                 obj.bytes = obj.durable.clone();
             }
             obj.durable = obj.bytes.clone();
+            obj.rewritten = false;
         }
     }
 
@@ -115,6 +120,7 @@ impl MemDev {
         if let Some(obj) = s.objects.get_mut(name) {
             obj.bytes.truncate(len);
             obj.durable = obj.bytes.clone();
+            obj.rewritten = false;
         }
     }
 
@@ -124,6 +130,7 @@ impl MemDev {
         if let Some(obj) = s.objects.get_mut(name) {
             if let Some(b) = obj.bytes.get_mut(byte) {
                 *b ^= 1 << (bit % 8);
+                obj.rewritten = true;
             }
         }
     }
@@ -152,6 +159,7 @@ impl MemDev {
                     MemObj {
                         bytes: v.bytes.clone(),
                         durable: v.bytes.clone(),
+                        rewritten: false,
                     },
                 )
             })
@@ -202,12 +210,14 @@ impl BlockDev for MemDev {
         let mut s = self.state.borrow_mut();
         let obj = s.objects.entry(name.to_string()).or_default();
         obj.bytes = bytes.to_vec();
+        obj.rewritten = true;
     }
 
     fn truncate(&mut self, name: &str, len: u64) {
         let mut s = self.state.borrow_mut();
         if let Some(obj) = s.objects.get_mut(name) {
             obj.bytes.truncate(len as usize);
+            obj.rewritten = true;
         }
     }
 
@@ -222,7 +232,14 @@ impl BlockDev for MemDev {
         let mut s = self.state.borrow_mut();
         s.syncs += 1;
         for obj in s.objects.values_mut() {
-            obj.durable.clone_from(&obj.bytes);
+            if obj.rewritten {
+                obj.durable.clone_from(&obj.bytes);
+                obj.rewritten = false;
+            } else {
+                // Append-only since the last sync: `durable` is a prefix.
+                let synced = obj.durable.len();
+                obj.durable.extend_from_slice(&obj.bytes[synced..]);
+            }
         }
     }
 
@@ -393,6 +410,35 @@ mod tests {
             b"AAAAAAAA",
             "diverging rewrites revert fully; torn tails only apply to appends"
         );
+    }
+
+    #[test]
+    fn memdev_sync_copies_appends_and_whole_rewrites() {
+        let mut dev = MemDev::new();
+        dev.append("a", b"one|");
+        dev.sync();
+        dev.append("a", b"two|");
+        dev.sync();
+        dev.append("a", b"three");
+        dev.sync();
+        // After append-only syncs everything is durable.
+        let before = dev.dump("a");
+        dev.clone().crash(0);
+        assert_eq!(dev.dump("a"), before);
+        assert_eq!(before, b"one|two|three");
+        // An overwriting `put` then an `append`, unsynced: the crash
+        // reverts to the last synced contents, torn tail or not.
+        dev.put("a", b"ONE|");
+        dev.append("a", b"more");
+        dev.clone().crash(2);
+        assert_eq!(dev.dump("a"), b"one|two|three");
+        // Synced, the rewrite is durable in full, appends after it too.
+        dev.put("a", b"ONE|");
+        dev.sync();
+        dev.append("a", b"more");
+        dev.sync();
+        dev.clone().crash(0);
+        assert_eq!(dev.dump("a"), b"ONE|more");
     }
 
     #[test]
