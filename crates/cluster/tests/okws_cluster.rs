@@ -2,14 +2,20 @@
 //! kernel 0 and worker processes on other kernels, plus the golden pin —
 //! a two-kernel deployment's Figure 4 verdict trace must be bit-identical
 //! to the single-kernel run of the same workload — a hostile worker
-//! against federated routing, and the workers' privileges at every
-//! placement.
+//! against federated routing, the workers' privileges at every placement,
+//! and a worker that tries to become idd's binding party over the wire.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use asbestos_cluster::{deploy_okws, Cluster};
+use asbestos_db::{DbMsg, DB_TRUSTED_ENV};
 use asbestos_kernel::util::service_with_start;
-use asbestos_kernel::{Category, Handle, Kernel, Label, Level, Stats, Value};
+use asbestos_kernel::{
+    Category, EpService, Handle, Kernel, Label, Level, Message, SendArgs, Stats, Sys, Value,
+};
 use asbestos_okws::logic::{EchoStore, ParamLength};
-use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
+use asbestos_okws::{Okws, OkwsClient, OkwsConfig, OkwsMsg, ServiceSpec};
 
 fn store_config(users: &[(&str, &str)]) -> OkwsConfig {
     let mut config = OkwsConfig::new(80);
@@ -304,5 +310,74 @@ fn no_worker_holds_a_verification_handle_at_star() {
         deploy_okws(&mut cluster, config().sharded(shards));
         let members: Vec<&Kernel> = cluster.nodes.iter().map(|n| &n.kernel).collect();
         assert_no_worker_holds_a_verification_star(&members, &services);
+    }
+}
+
+/// A compromised worker that, on activation, announces its own public
+/// port as an admin port, granted at `⋆`, on every trusted port the
+/// environment names: ok-dbproxy's `db.trusted` and the retired shared
+/// cache's `okws.cache.trusted`. It counts every message it receives
+/// afterwards.
+struct BindingSquatter(Rc<Cell<usize>>);
+
+impl EpService for BindingSquatter {
+    fn on_base_start(&mut self, sys: &mut Sys<'_>) {
+        let port = sys.new_port(Label::top());
+        sys.set_port_label(port, Label::top()).unwrap();
+        sys.publish_env("okws.worker.squat.port", Value::Handle(port));
+    }
+
+    fn on_event(&self, sys: &mut Sys<'_>, msg: &Message) {
+        if let Some(OkwsMsg::Activate { .. }) = OkwsMsg::from_value(&msg.body) {
+            let port = sys
+                .env("okws.worker.squat.port")
+                .and_then(|v| v.as_handle())
+                .expect("on_base_start published it");
+            let star = Label::from_pairs(Level::L3, &[(port, Level::Star)]);
+            let args = SendArgs::new().grant(star);
+            for key in [DB_TRUSTED_ENV, "okws.cache.trusted"] {
+                if let Some(trusted) = sys.env(key).and_then(|v| v.as_handle()) {
+                    let _ = sys.send_args(trusted, DbMsg::AdminPort { port }.to_value(), &args);
+                }
+            }
+        } else {
+            self.0.set(self.0.get() + 1);
+        }
+        let _ = sys.ep_exit();
+    }
+}
+
+/// A squatting worker on another kernel announces its port on idd's
+/// trusted ports; the announcement reaches idd as a `Forward`, after
+/// ok-dbproxy's. Alice's first login is still answered, and the squatter
+/// receives nothing. Runs through [`deploy_okws`] at 2 and
+/// `ASBESTOS_KERNELS` kernels.
+#[test]
+fn a_worker_cannot_become_a_binding_party() {
+    let kernels = std::env::var("ASBESTOS_KERNELS").ok();
+    let kernels = kernels.and_then(|k| k.trim().parse().ok());
+    for kernels in [2].into_iter().chain(kernels) {
+        let received = Rc::new(Cell::new(0));
+        let count = received.clone();
+        let mut config = store_config(&[("alice", "pw-a")]);
+        config.services.push(ServiceSpec::raw("squat", move || {
+            Box::new(BindingSquatter(count.clone()))
+        }));
+        let mut cluster = Cluster::new(306, kernels, 1);
+        let okws = deploy_okws(&mut cluster, config);
+        assert!(cluster.nodes[0]
+            .kernel
+            .find_process("worker-squat")
+            .is_none());
+        let mut client = OkwsClient::new(&okws);
+        let data = [("data", "a")];
+        let served = fed_request(&mut cluster, &mut client, "store", "alice", "pw-a", &data);
+        let (status, _) = served.unwrap_or_else(|| panic!("{kernels} kernels: no response"));
+        assert_eq!(status, 200, "{kernels} kernels");
+        assert_eq!(
+            received.get(),
+            0,
+            "{kernels} kernels: the squatter was bound"
+        );
     }
 }

@@ -68,8 +68,8 @@ pub const PROXY_ROW_CYCLES: u64 = 500;
 
 /// §7.5's write gate, `V ⊑ {uT 3, uG 0, 2}`: the sender proves it speaks
 /// for the user whose taint and grant handles are `taint` and `grant`.
-/// ok-dbproxy and ok-cache gate every write on it.
-pub fn write_allowed(verify: &Label, taint: Handle, grant: Handle) -> bool {
+/// ok-dbproxy gates every write on it.
+fn write_allowed(verify: &Label, taint: Handle, grant: Handle) -> bool {
     verify.leq(&Label::from_pairs(
         Level::L2,
         &[(taint, Level::L3), (grant, Level::L0)],

@@ -11,10 +11,10 @@
 //!
 //! # The message format
 //!
-//! Every service protocol (netd, OKWS, ok-dbproxy, ok-cache, the file
-//! server) writes a message as `[Str(tag), field…]`: a list whose first
-//! item names the variant and whose remaining items are the variant's
-//! fields, by position. A field's type fixes its [`Value`] kind through
+//! Every service protocol (netd, OKWS, ok-dbproxy, the file server)
+//! writes a message as `[Str(tag), field…]`: a list whose first item
+//! names the variant and whose remaining items are the variant's fields,
+//! by position. A field's type fixes its [`Value`] kind through
 //! the [`Field`] trait:
 //!
 //! * `u64` is `U64`, and `u16` is a `U64` that must fit in 16 bits;

@@ -30,12 +30,6 @@ pub const LAUNCHER_VERIFY_ENV: &str = "okws.launcher.verify";
 /// which ok-dbproxy charges itself).
 pub const IDD_LOGIN_CYCLES: u64 = 60_000;
 
-/// Environment key for idd's shared-cache trusted port. idd mints and
-/// publishes it at every start, whether or not a shared cache is
-/// deployed; a cache announces its admin port here and receives user
-/// bindings, mirroring ok-dbproxy's §7.5 flow.
-pub const CACHE_TRUSTED_ENV: &str = "okws.cache.trusted";
-
 struct PendingLogin {
     user: String,
     password_matched: bool,
@@ -46,22 +40,19 @@ struct PendingLogin {
 struct User {
     taint: Handle,
     grant: Handle,
-    /// While the user's first `Bind` is out: the `BindR` acks still due,
-    /// and the logins (the initiating one first) whose `LoginR` waits for
-    /// them. A worker's first tainted query takes a different port than
-    /// the `Bind`, so the kernel gives no ordering between them: released
+    /// While the user's first `Bind` is out: the logins (the initiating
+    /// one first) whose `LoginR` waits for ok-dbproxy's `BindR`. A
+    /// worker's first tainted query takes a different port than the
+    /// `Bind`, so the kernel gives no ordering between them: released
     /// early, the query can be label-dropped and the event process wedges
     /// awaiting the reply.
-    binding: Option<(usize, Vec<Handle>)>,
+    binding: Option<Vec<Handle>>,
 }
 
 /// The idd service.
 pub struct Idd {
     trusted_port: Option<Handle>,
-    cache_trusted_port: Option<Handle>,
     admin: Option<Handle>,
-    /// The shared cache's admin port, when one is deployed.
-    cache_admin: Option<Handle>,
     users: BTreeMap<String, User>,
     /// In-flight logins keyed by their private reply port.
     pending: BTreeMap<Handle, PendingLogin>,
@@ -72,9 +63,7 @@ impl Idd {
     pub fn new() -> Idd {
         Idd {
             trusted_port: None,
-            cache_trusted_port: None,
             admin: None,
-            cache_admin: None,
             users: BTreeMap::new(),
             pending: BTreeMap::new(),
         }
@@ -111,7 +100,7 @@ impl Idd {
         // returns cached uT and uG handles").
         match self.users.get_mut(&pending.user) {
             Some(User {
-                binding: Some((_, waiters)),
+                binding: Some(waiters),
                 ..
             }) => {
                 // Another login's Bind for this user is still in flight;
@@ -126,9 +115,8 @@ impl Idd {
     }
 
     /// Mints `pending.user`'s handles and registers them (§7.5) with
-    /// ok-dbproxy — and with the shared cache when one is deployed —
-    /// granting each the handles at ⋆. Each party acks on the per-login
-    /// `port`; the `LoginR` waits until every ack is in (see
+    /// ok-dbproxy, granting it the handles at ⋆. ok-dbproxy acks on the
+    /// per-login `port`; the `LoginR` waits for that ack (see
     /// `User::binding`).
     fn mint(&mut self, sys: &mut Sys<'_>, port: Handle, pending: PendingLogin) {
         let taint = sys.new_handle();
@@ -152,25 +140,21 @@ impl Idd {
                 (port, Level::Star),
             ],
         ));
-        // The login's own answer came through ok-dbproxy, so there is
-        // always at least one party to ack.
-        let mut acks = 0;
-        for admin in [self.admin, self.cache_admin].into_iter().flatten() {
+        // The login's own answer came through ok-dbproxy, so `admin` is
+        // set.
+        if let Some(admin) = self.admin {
             let _ = sys.send_args(admin, bind.to_value(), &grant_args);
-            acks += 1;
         }
-        let binding = Some((acks, vec![port]));
         let user = User {
             taint,
             grant,
-            binding,
+            binding: Some(vec![port]),
         };
         self.users.insert(pending.user.clone(), user);
         self.pending.insert(port, pending);
     }
 
-    /// Releases the `LoginR` for a login whose binding is registered
-    /// everywhere it needs to be.
+    /// Releases the `LoginR` for a login whose binding is registered.
     fn complete_login(&mut self, sys: &mut Sys<'_>, port: Handle, pending: PendingLogin) {
         let Some(&User { taint, grant, .. }) = self.users.get(&pending.user) else {
             return;
@@ -193,9 +177,9 @@ impl Idd {
         self.release_login_caps(sys, port, pending.reply);
     }
 
-    /// One admin party acked the `Bind` sent on per-login port `port`.
-    /// Once all acks are in, the user is bound: release every login
-    /// waiting on the binding, the initiating one first.
+    /// ok-dbproxy acked the `Bind` sent on per-login port `port`: the user
+    /// is bound, so release every login waiting on the binding, the
+    /// initiating one first.
     fn on_bind_ack(&mut self, sys: &mut Sys<'_>, port: Handle) {
         let Some(user) = self
             .pending
@@ -204,13 +188,9 @@ impl Idd {
         else {
             return;
         };
-        let Some((acks_left, waiters)) = user.binding.take() else {
+        let Some(waiters) = user.binding.take() else {
             return;
         };
-        if acks_left > 1 {
-            user.binding = Some((acks_left - 1, waiters));
-            return;
-        }
         for waiter in waiters {
             if let Some(parked) = self.pending.remove(&waiter) {
                 self.complete_login(sys, waiter, parked);
@@ -252,20 +232,18 @@ impl Service for Idd {
             .expect("creator owns the port");
         sys.publish_env(DB_TRUSTED_ENV, Value::Handle(trusted));
         self.trusted_port = Some(trusted);
-
-        // Trusted notification port for the shared cache, minted even
-        // when none is deployed.
-        let cache_trusted = sys.new_port(Label::top());
-        sys.set_port_label(cache_trusted, Label::top())
-            .expect("creator owns the port");
-        sys.publish_env(CACHE_TRUSTED_ENV, Value::Handle(cache_trusted));
-        self.cache_trusted_port = Some(cache_trusted);
     }
 
     fn on_message(&mut self, sys: &mut Sys<'_>, msg: &Message) {
         // ok-dbproxy announces its admin port (with an admin ⋆ grant).
+        // The port is open, so a worker can announce one too; only the
+        // first announcement counts, and it is ok-dbproxy's: ok-dbproxy
+        // sends it from its `on_start`, inside the launcher's `on_start`,
+        // before the launcher sends any worker its `Activate`, and the
+        // messages on one port are delivered in order.
         if Some(msg.port) == self.trusted_port {
-            if let Some(DbMsg::AdminPort { port }) = DbMsg::from_value(&msg.body) {
+            let announced = DbMsg::from_value(&msg.body).filter(|_| self.admin.is_none());
+            if let Some(DbMsg::AdminPort { port }) = announced {
                 self.admin = Some(port);
                 // Create the private credential table (§7.4). Raw access:
                 // workers can never reach this table. Deliberately left
@@ -284,14 +262,6 @@ impl Service for Idd {
                     }
                     .to_value(),
                 );
-            }
-            return;
-        }
-
-        // The shared cache announces its admin port (with an admin ⋆ grant).
-        if Some(msg.port) == self.cache_trusted_port {
-            if let Some(DbMsg::AdminPort { port }) = DbMsg::from_value(&msg.body) {
-                self.cache_admin = Some(port);
             }
             return;
         }

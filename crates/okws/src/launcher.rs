@@ -11,10 +11,10 @@
 //! Here the deployment assembler ([`crate::Okws::start`], or the cluster
 //! crate's `deploy_okws`) spawns the worker base processes, before the
 //! launcher runs, so a worker never inherits the launcher's `⋆` on the
-//! verification handles it mints. The launcher spawns idd, ok-dbproxy,
-//! ok-cache and ok-demux itself; it mints and publishes every
-//! verification handle, then activates each worker, granting it its own
-//! handle at `⋆` and no other.
+//! verification handles it mints. The launcher spawns idd, ok-dbproxy
+//! and ok-demux itself; it mints and publishes every verification
+//! handle, then activates each worker, granting it its own handle at `⋆`
+//! and no other.
 
 use asbestos_db::DbProxy;
 use asbestos_kernel::{Category, Label, Level, Message, SendArgs, Service, Sys, Value};
@@ -113,15 +113,13 @@ pub struct OkwsConfig {
     pub worker_tables: Vec<String>,
     /// Accounts to create: (user, password).
     pub users: Vec<(String, String)>,
-    /// Whether to deploy the shared, user-isolated cache (§2).
-    pub with_cache: bool,
     /// Kernel shards to run the deployment on ([`crate::Okws::deploy`]
     /// builds the kernel with this count). `1` (the default) is the
     /// paper-faithful single-engine configuration. On `S` shards the
-    /// netd lanes go one per shard; the launcher, with the ok-demux,
-    /// idd, ok-dbproxy and ok-cache it spawns, on shard `1 % S`; and
-    /// worker `i` on shard `(1 % S + 1 + i) % S`. The router carries the
-    /// netd ↔ demux ↔ worker traffic between shards.
+    /// netd lanes go one per shard; the launcher, with the ok-demux, idd
+    /// and ok-dbproxy it spawns, on shard `1 % S`; and worker `i` on
+    /// shard `(1 % S + 1 + i) % S`. The router carries the netd ↔ demux
+    /// ↔ worker traffic between shards.
     pub shards: usize,
     /// netd lanes in the multi-queue front end. `1` (the default) is the
     /// paper's single netd process; higher counts spawn one full netd
@@ -144,7 +142,6 @@ impl OkwsConfig {
             services: Vec::new(),
             worker_tables: Vec::new(),
             users: Vec::new(),
-            with_cache: false,
             shards: 1,
             netd_lanes: 1,
             db_store: None,
@@ -215,8 +212,7 @@ impl Service for Launcher {
         sys.publish_env(SVC_LIST_ENV, Value::List(names));
 
         // System processes, in dependency order: idd publishes the trusted
-        // ports ok-dbproxy (and optionally ok-cache) greet; ok-demux needs
-        // all of them.
+        // port ok-dbproxy greets; ok-demux needs all of them.
         sys.spawn("idd", Category::Okdb, Box::new(Idd::new()))
             .expect("launcher runs outside event processes");
         let proxy = match config.db_store.take() {
@@ -227,14 +223,6 @@ impl Service for Launcher {
         };
         sys.spawn("ok-dbproxy", Category::Okdb, Box::new(proxy))
             .expect("launcher runs outside event processes");
-        if config.with_cache {
-            sys.spawn(
-                "ok-cache",
-                Category::Okws,
-                Box::new(crate::cache::OkCache::new()),
-            )
-            .expect("launcher runs outside event processes");
-        }
         sys.spawn(
             "ok-demux",
             Category::Okws,

@@ -28,7 +28,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod demux;
 pub mod idd;
 pub mod launcher;
@@ -37,13 +36,10 @@ pub mod proto;
 pub mod server;
 pub mod worker;
 
-pub use cache::{CacheMsg, OkCache};
 pub use demux::OkDemux;
 pub use idd::Idd;
 pub use launcher::{Launcher, OkwsConfig, ServiceSpec};
-pub use logic::{
-    Action, CachedProfile, EchoStore, ParamLength, Passwd, Profile, SessionStore, WorkerLogic,
-};
+pub use logic::{Action, EchoStore, ParamLength, Passwd, Profile, SessionStore, WorkerLogic};
 pub use proto::OkwsMsg;
 pub use server::{Okws, OkwsClient};
 pub use worker::Worker;

@@ -53,22 +53,6 @@ pub enum Action {
         /// The replacement password.
         new_password: String,
     },
-    /// Look up a key in the shared cache (§2's isolated shared cache);
-    /// [`WorkerLogic::on_cache`] fires with the (label-filtered) result.
-    CacheGet {
-        /// Cache key.
-        key: String,
-    },
-    /// Store into the shared cache under this user's ownership, then
-    /// respond — cache fills piggyback on responses, so no callback.
-    CachePutAndRespond {
-        /// Cache key.
-        key: String,
-        /// Bytes to cache.
-        bytes: Vec<u8>,
-        /// Response body.
-        body: Vec<u8>,
-    },
 }
 
 impl Action {
@@ -126,19 +110,6 @@ pub trait WorkerLogic: 'static {
         _affected: u64,
     ) -> Action {
         Action::error(500, "unexpected database result")
-    }
-
-    /// Handles the completion of an [`Action::CacheGet`]. `bytes` is `None`
-    /// on a miss — or when the entry belongs to another user and the kernel
-    /// dropped it (deliberately indistinguishable; the §7.5 pattern).
-    fn on_cache(
-        &self,
-        _session: &mut dyn SessionStore,
-        _req: &HttpRequest,
-        _key: &str,
-        _bytes: Option<Vec<u8>>,
-    ) -> Action {
-        Action::error(500, "unexpected cache result")
     }
 
     /// Cycles of simulated user-space compute per request (the service's
@@ -240,63 +211,6 @@ impl WorkerLogic for Passwd {
             Action::ok(&b"password changed"[..])
         } else {
             Action::error(403, "password change refused")
-        }
-    }
-}
-
-/// A cache-accelerated profile reader: `?get=<user>` checks the shared
-/// cache first and falls back to the database, filling the cache on the
-/// way out (§2's shared-cache pattern). Writes go through [`Profile`].
-pub struct CachedProfile;
-
-impl WorkerLogic for CachedProfile {
-    fn on_request(&self, _session: &mut dyn SessionStore, req: &HttpRequest) -> Action {
-        match req.param("get") {
-            Some(who) => Action::CacheGet {
-                key: format!("profile:{who}"),
-            },
-            None => Action::error(400, "need get="),
-        }
-    }
-
-    fn on_cache(
-        &self,
-        _session: &mut dyn SessionStore,
-        req: &HttpRequest,
-        _key: &str,
-        bytes: Option<Vec<u8>>,
-    ) -> Action {
-        match bytes {
-            Some(hit) => Action::ok(hit),
-            None => Action::DbQuery {
-                sql: "SELECT owner, bio FROM profiles WHERE owner = ?".into(),
-                params: vec![SqlValue::Text(req.param("get").unwrap_or("").to_string())],
-            },
-        }
-    }
-
-    fn on_db_rows(
-        &self,
-        _session: &mut dyn SessionStore,
-        req: &HttpRequest,
-        rows: &[Vec<SqlValue>],
-    ) -> Action {
-        let mut body = String::new();
-        for row in rows {
-            let owner = row.first().and_then(|v| v.as_text()).unwrap_or("?");
-            let bio = row.get(1).and_then(|v| v.as_text()).unwrap_or("");
-            body.push_str(owner);
-            body.push(':');
-            body.push_str(bio);
-            body.push('\n');
-        }
-        // Cache our own view for next time. The entry is owned by the
-        // *requesting* user, so it can never serve anyone the cache's
-        // labels would not allow.
-        Action::CachePutAndRespond {
-            key: format!("profile:{}", req.param("get").unwrap_or("")),
-            bytes: body.clone().into_bytes(),
-            body: body.into_bytes(),
         }
     }
 }

@@ -19,11 +19,10 @@
 //! yielding, leaving exactly one private page per cached session; the
 //! Figure 6 "active session" experiment disables the cleanup.
 
-use asbestos_db::{put_row, read_rows, DbMsg, SqlValue};
+use asbestos_db::{read_rows, DbMsg, SqlValue};
 use asbestos_kernel::{EpService, Handle, Label, Level, Message, SendArgs, Sys, Value};
 use asbestos_net::{http, parse_request, HttpRequest, NetMsg};
 
-use crate::cache::CacheMsg;
 use crate::logic::{Action, SessionStore, WorkerLogic};
 use crate::proto::OkwsMsg;
 
@@ -53,7 +52,6 @@ enum State {
     AwaitRequest = 1,
     AwaitRows = 2,
     AwaitExec = 3,
-    AwaitCache = 4,
     /// Logged out, waiting for ok-demux's [`OkwsMsg::SessionEndR`] before
     /// `ep_exit`: handoffs ok-demux sent before it dropped the session
     /// entry are still in flight on `uW`, and exiting under them would
@@ -68,7 +66,6 @@ impl State {
             1 => State::AwaitRequest,
             2 => State::AwaitRows,
             3 => State::AwaitExec,
-            4 => State::AwaitCache,
             5 => State::Draining,
             _ => State::Idle,
         }
@@ -170,8 +167,6 @@ enum Resume {
     Rows(Vec<Vec<SqlValue>>),
     /// A write (or password change) finished: [`WorkerLogic::on_db_exec`].
     Exec { ok: bool, affected: u64 },
-    /// A cache lookup finished: [`WorkerLogic::on_cache`].
-    Cache { key: String, bytes: Option<Vec<u8>> },
 }
 
 /// A trusted service a session calls and then waits on over `uW`: the
@@ -181,7 +176,6 @@ type Callee = (&'static str, &'static [u8]);
 
 const DB: Callee = (asbestos_db::DB_PORT_ENV, b"database unavailable");
 const IDD: Callee = (crate::idd::IDD_PORT_ENV, b"idd unavailable");
-const CACHE: Callee = (crate::cache::CACHE_PORT_ENV, b"cache not deployed");
 
 /// Environment key prefix for worker service ports.
 pub fn worker_port_env(service: &str) -> String {
@@ -257,9 +251,8 @@ impl Worker {
 
     // ------------------------------------------------------------------
     // Row buffer: the rows of every `DbMsg::Rows` between DbQuery and
-    // Done (or the one `Blob` row of a cache hit), laid end to end in
-    // `asbestos_db::put_row`'s encoding from ROWS_BUF + 16. ROWS_BUF + 8
-    // holds the end offset.
+    // Done, laid end to end in `asbestos_db::put_row`'s encoding from
+    // ROWS_BUF + 16. ROWS_BUF + 8 holds the end offset.
     // ------------------------------------------------------------------
 
     fn rows_reset(sys: &mut Sys<'_>) {
@@ -413,7 +406,6 @@ impl Worker {
             }
             Resume::Rows(rows) => self.logic.on_db_rows(&mut store, &req, &rows),
             Resume::Exec { ok, affected } => self.logic.on_db_exec(&mut store, &req, ok, affected),
-            Resume::Cache { key, bytes } => self.logic.on_cache(&mut store, &req, &key, bytes),
         };
         self.run_action(sys, s, action);
     }
@@ -432,7 +424,7 @@ impl Worker {
         let Some(port) = sys.env(env).and_then(|v| v.as_handle()) else {
             return self.respond(sys, s, 503, missing);
         };
-        if matches!(wait, State::AwaitRows | State::AwaitCache) {
+        if wait == State::AwaitRows {
             Self::rows_reset(sys);
         }
         s.state = wait;
@@ -500,25 +492,6 @@ impl Worker {
                 };
                 let v = s.credential_label(sys);
                 self.call(sys, s, IDD, State::AwaitExec, change.to_value(), Some(v));
-            }
-            Action::CacheGet { key } => {
-                let get = CacheMsg::Get { key, reply: s.port };
-                self.call(sys, s, CACHE, State::AwaitCache, get.to_value(), None);
-            }
-            Action::CachePutAndRespond { key, bytes, body } => {
-                if let Some(cache) = sys.env(CACHE.0).and_then(|v| v.as_handle()) {
-                    let _ = sys.send_args(
-                        cache,
-                        CacheMsg::Put {
-                            user: s.user.clone(),
-                            key,
-                            bytes: bytes.into(),
-                        }
-                        .to_value(),
-                        &SendArgs::new().verify(s.credential_label(sys)),
-                    );
-                }
-                self.respond(sys, s, 200, &body);
             }
         }
     }
@@ -617,22 +590,6 @@ impl EpService for Worker {
                     };
                     self.resume(sys, &mut s, Resume::Exec { ok, affected });
                 }
-                State::AwaitCache => match CacheMsg::from_value(&msg.body) {
-                    // Buffer the (deliverable) hit until the terminator.
-                    Some(CacheMsg::Hit { bytes, .. }) => {
-                        let mut row = Vec::new();
-                        put_row(&mut row, &[SqlValue::Blob(bytes.to_vec())]);
-                        return Self::rows_append(sys, &row);
-                    }
-                    Some(CacheMsg::GetDone { key }) => {
-                        let bytes = match Self::rows_load(sys).into_iter().flatten().next() {
-                            Some(SqlValue::Blob(bytes)) => Some(bytes),
-                            _ => None,
-                        };
-                        self.resume(sys, &mut s, Resume::Cache { key, bytes });
-                    }
-                    _ => return,
-                },
                 State::Idle | State::Draining => return,
             },
         }

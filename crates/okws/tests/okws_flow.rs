@@ -2,9 +2,12 @@
 //! (§7.3), user isolation under worker compromise (§7.8), and decentralized
 //! declassification (§7.6).
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::sync::Mutex;
 
+use asbestos_db::{DbMsg, DB_TRUSTED_ENV};
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Kernel, Label, Level, Value};
 use asbestos_net::NetMsg;
@@ -1034,4 +1037,69 @@ fn user_names_longer_than_the_session_record_are_refused() {
         .request_sync(&mut kernel, "store", &at_limit, "pw", &[])
         .expect("64-byte user is served after logout");
     assert_eq!(status, 200);
+}
+
+/// A compromised worker that, on activation, announces its own public
+/// port as an admin port, granted at `⋆` as ok-dbproxy grants its own, on
+/// every trusted port the environment names: ok-dbproxy's `db.trusted`
+/// and the retired shared cache's `okws.cache.trusted`. It counts every
+/// message it receives afterwards.
+struct BindingSquatter(Rc<Cell<usize>>);
+
+impl asbestos_kernel::EpService for BindingSquatter {
+    fn on_base_start(&mut self, sys: &mut asbestos_kernel::Sys<'_>) {
+        let port = sys.new_port(Label::top());
+        sys.set_port_label(port, Label::top()).unwrap();
+        sys.publish_env("okws.worker.squat.port", Value::Handle(port));
+    }
+
+    fn on_event(&self, sys: &mut asbestos_kernel::Sys<'_>, msg: &asbestos_kernel::Message) {
+        if let Some(OkwsMsg::Activate { .. }) = OkwsMsg::from_value(&msg.body) {
+            let port = sys
+                .env("okws.worker.squat.port")
+                .and_then(|v| v.as_handle())
+                .expect("on_base_start published it");
+            let star = Label::from_pairs(Level::L3, &[(port, Level::Star)]);
+            let args = asbestos_kernel::SendArgs::new().grant(star);
+            for key in [DB_TRUSTED_ENV, "okws.cache.trusted"] {
+                if let Some(trusted) = sys.env(key).and_then(|v| v.as_handle()) {
+                    let _ = sys.send_args(trusted, DbMsg::AdminPort { port }.to_value(), &args);
+                }
+            }
+        } else {
+            self.0.set(self.0.get() + 1);
+        }
+        let _ = sys.ep_exit();
+    }
+}
+
+/// idd's trusted port is open, so any worker can announce an admin port
+/// on it; idd binds users only through the first announcement, which is
+/// ok-dbproxy's. Alice's first login through a deployment with a
+/// squatting worker is answered, and the squatter receives nothing: not
+/// her handles, not her password. Runs at 1 and 4 shards and at
+/// `ASBESTOS_TEST_SHARDS`.
+#[test]
+fn a_worker_cannot_become_a_binding_party() {
+    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
+    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
+    for shards in [1, 4].into_iter().chain(env_shards) {
+        let received = Rc::new(Cell::new(0));
+        let count = received.clone();
+        let mut config = OkwsConfig::new(80).sharded(shards);
+        config
+            .services
+            .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+        config.services.push(ServiceSpec::raw("squat", move || {
+            Box::new(BindingSquatter(count.clone()))
+        }));
+        config.users.push(("alice".into(), "pw-a".into()));
+        let (mut kernel, okws) = Okws::deploy(219, config);
+        let mut client = OkwsClient::new(&okws);
+        let (status, _) = client
+            .request_sync(&mut kernel, "store", "alice", "pw-a", &[("data", "a")])
+            .unwrap_or_else(|| panic!("{shards} shards: alice got no response"));
+        assert_eq!(status, 200, "{shards} shards");
+        assert_eq!(received.get(), 0, "{shards} shards: the squatter was bound");
+    }
 }

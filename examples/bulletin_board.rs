@@ -3,8 +3,7 @@
 //! systems") — assembled from the OKWS pieces:
 //!
 //! * drafts are private rows (ok-dbproxy ownership);
-//! * posting publishes through a §7.6 declassifier worker;
-//! * reads go through the §2 shared cache, which isolates users.
+//! * posting publishes through a §7.6 declassifier worker.
 //!
 //! Run with: `cargo run --release --example bulletin_board`
 
@@ -101,7 +100,6 @@ fn main() {
     config.worker_tables.push(Board::TABLE.to_string());
     config.users.push(("alice".into(), "a-pw".into()));
     config.users.push(("bob".into(), "b-pw".into()));
-    config.with_cache = true;
     let okws = Okws::start(&mut kernel, config);
     let mut client = OkwsClient::new(&okws);
 

@@ -1,7 +1,7 @@
 //! The service protocols decode exactly what their encoders write.
 //!
-//! netd, ok-demux, idd, ok-dbproxy and ok-cache are trusted, and they
-//! parse every message a compromised worker sends (§7). Each protocol
+//! netd, ok-demux, idd and ok-dbproxy are trusted, and they parse every
+//! message a compromised worker sends (§7). Each protocol
 //! below has one fixture per variant (both arms of every optional field).
 //! Every fixture must roundtrip. Then every mutation of a fixture's
 //! `Value` must either be refused or decode to a message that re-encodes
@@ -17,7 +17,7 @@ use asbestos_db::{DbMsg, SqlValue};
 use asbestos_fs::FsMsg;
 use asbestos_kernel::{Handle, Payload, Value};
 use asbestos_net::NetMsg;
-use asbestos_okws::{CacheMsg, OkwsMsg};
+use asbestos_okws::OkwsMsg;
 
 /// One value of each `Value` kind.
 fn kinds() -> [Value; 7] {
@@ -277,31 +277,6 @@ fn fs_messages_decode_exactly() {
         },
     ];
     check(&fixtures, FsMsg::to_value, FsMsg::from_value);
-}
-
-#[test]
-fn cache_messages_decode_exactly() {
-    let fixtures = [
-        CacheMsg::Put {
-            user: "u".into(),
-            key: "k".into(),
-            bytes: vec![1].into(),
-        },
-        CacheMsg::Get {
-            key: "k".into(),
-            reply: h(1),
-        },
-        CacheMsg::Hit {
-            key: "k".into(),
-            bytes: vec![2].into(),
-        },
-        CacheMsg::GetDone { key: "k".into() },
-        CacheMsg::Evict {
-            user: "u".into(),
-            key: "k".into(),
-        },
-    ];
-    check(&fixtures, CacheMsg::to_value, CacheMsg::from_value);
 }
 
 /// The leniencies the exact reader removed, one message each.
