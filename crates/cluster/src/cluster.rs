@@ -190,27 +190,25 @@ impl Cluster {
 /// [`Okws::start`], which places them there).
 ///
 /// The deployment sequence is the single-kernel one stretched over the
-/// wire: workers boot first and publish their ports into the global
-/// environment (replicated by the gateways); then the launcher on kernel
-/// 0 provisions verification handles and activates each worker through a
-/// `Forward` sent straight to the kernel that minted its port — the
-/// activation grant (`wv` at `⋆`) travels in the `Forward`'s labels and
-/// takes effect at *delivery* on the worker's kernel, so the §7.1 trust
-/// chain is preserved end to end.
+/// wire: workers boot first, and `ServiceSpec::take_body` records the
+/// port each one's base start published on its own kernel; then the
+/// launcher on kernel 0 provisions verification handles and activates
+/// each worker through a `Forward` sent straight to the kernel that
+/// minted its port — the activation grant (`wv` at `⋆`) travels in the
+/// `Forward`'s labels and takes effect at *delivery* on the worker's
+/// kernel, so the §7.1 trust chain is preserved end to end.
 pub fn deploy_okws(cluster: &mut Cluster, mut config: OkwsConfig) -> Okws {
     let kernels = cluster.nodes.len();
     if kernels > 1 {
         for (i, spec) in config.services.iter_mut().enumerate() {
-            if let Some(body) = spec.take_body() {
-                let node = 1 + (i % (kernels - 1));
-                let name = format!("worker-{}", spec.name);
-                cluster.nodes[node]
-                    .kernel
-                    .spawn_ep_service(&name, Category::Okws, body);
-            }
+            let kernel = &mut cluster.nodes[1 + (i % (kernels - 1))].kernel;
+            spec.take_body(|name, body| {
+                kernel.spawn_ep_service(name, Category::Okws, body);
+                kernel
+            });
         }
-        // Workers publish their ports; gateways replicate the bindings
-        // before the launcher looks for them.
+        // Replicate the workers' environment writes before the front end
+        // boots.
         cluster.run();
     }
     let okws = Okws::start(&mut cluster.nodes[0].kernel, config);

@@ -3,19 +3,22 @@
 //! a two-kernel deployment's Figure 4 verdict trace must be bit-identical
 //! to the single-kernel run of the same workload — a hostile worker
 //! against federated routing, the workers' privileges at every placement,
-//! and a worker that tries to become idd's binding party over the wire.
+//! and workers on another kernel that try to become idd's binding party
+//! or to rewire a trusted process over the wire.
 
-use std::cell::Cell;
+#[path = "../../okws/tests/hostile/mod.rs"]
+mod hostile;
+
 use std::rc::Rc;
 
 use asbestos_cluster::{deploy_okws, Cluster};
-use asbestos_db::{DbMsg, DB_TRUSTED_ENV};
+use asbestos_db::DB_ADMIN_VERIFY_ENV;
 use asbestos_kernel::util::service_with_start;
-use asbestos_kernel::{
-    Category, EpService, Handle, Kernel, Label, Level, Message, SendArgs, Stats, Sys, Value,
-};
+use asbestos_kernel::{Category, Handle, Kernel, Label, Level, Stats, Value};
+use asbestos_okws::idd::{IDD_DEMUX_VERIFY_ENV, LAUNCHER_VERIFY_ENV};
 use asbestos_okws::logic::{EchoStore, ParamLength};
-use asbestos_okws::{Okws, OkwsClient, OkwsConfig, OkwsMsg, ServiceSpec};
+use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
+use hostile::{BindingSquatter, Loot, Rewirer};
 
 fn store_config(users: &[(&str, &str)]) -> OkwsConfig {
     let mut config = OkwsConfig::new(80);
@@ -260,13 +263,16 @@ fn hostile_routing_costs_one_drop_and_leaves_a_bystander_untouched() {
 }
 
 /// Asserts that no `worker-*` process on any of `kernels` holds `⋆` on a
-/// verification handle the launcher minted: a service's, ok-demux's or
-/// the launcher's own. `kernels[0]` hosts the front end.
+/// verification handle the launcher minted: a service's, ok-demux's, the
+/// launcher's own or the admin port's. `kernels[0]` hosts the front end.
 fn assert_no_worker_holds_a_verification_star(kernels: &[&Kernel], services: &[&str]) {
     let keys = services.iter().map(|s| format!("okws.svc.{s}.verify"));
-    let keys: Vec<String> = keys
-        .chain(["okws.demux.verify", "okws.launcher.verify"].map(String::from))
-        .collect();
+    let trusted = [
+        IDD_DEMUX_VERIFY_ENV,
+        LAUNCHER_VERIFY_ENV,
+        DB_ADMIN_VERIFY_ENV,
+    ];
+    let keys: Vec<String> = keys.chain(trusted.map(String::from)).collect();
     let mut workers = 0;
     for kernel in kernels {
         for service in services {
@@ -313,43 +319,10 @@ fn no_worker_holds_a_verification_handle_at_star() {
     }
 }
 
-/// A compromised worker that, on activation, announces its own public
-/// port as an admin port, granted at `⋆`, on every trusted port the
-/// environment names: ok-dbproxy's `db.trusted` and the retired shared
-/// cache's `okws.cache.trusted`. It counts every message it receives
-/// afterwards.
-struct BindingSquatter(Rc<Cell<usize>>);
-
-impl EpService for BindingSquatter {
-    fn on_base_start(&mut self, sys: &mut Sys<'_>) {
-        let port = sys.new_port(Label::top());
-        sys.set_port_label(port, Label::top()).unwrap();
-        sys.publish_env("okws.worker.squat.port", Value::Handle(port));
-    }
-
-    fn on_event(&self, sys: &mut Sys<'_>, msg: &Message) {
-        if let Some(OkwsMsg::Activate { .. }) = OkwsMsg::from_value(&msg.body) {
-            let port = sys
-                .env("okws.worker.squat.port")
-                .and_then(|v| v.as_handle())
-                .expect("on_base_start published it");
-            let star = Label::from_pairs(Level::L3, &[(port, Level::Star)]);
-            let args = SendArgs::new().grant(star);
-            for key in [DB_TRUSTED_ENV, "okws.cache.trusted"] {
-                if let Some(trusted) = sys.env(key).and_then(|v| v.as_handle()) {
-                    let _ = sys.send_args(trusted, DbMsg::AdminPort { port }.to_value(), &args);
-                }
-            }
-        } else {
-            self.0.set(self.0.get() + 1);
-        }
-        let _ = sys.ep_exit();
-    }
-}
-
-/// A squatting worker on another kernel announces its port on idd's
-/// trusted ports; the announcement reaches idd as a `Forward`, after
-/// ok-dbproxy's. Alice's first login is still answered, and the squatter
+/// A squatting worker on another kernel publishes its own port as the
+/// admin port; the write reaches kernel 0 as an `EnvSet`, and its `Bind`
+/// and `Exec` reach the real admin port as `Forward`s, which the port's
+/// label drops. Alice's first login is still answered, and the squatter
 /// receives nothing. Runs through [`deploy_okws`] at 2 and
 /// `ASBESTOS_KERNELS` kernels.
 #[test]
@@ -357,12 +330,9 @@ fn a_worker_cannot_become_a_binding_party() {
     let kernels = std::env::var("ASBESTOS_KERNELS").ok();
     let kernels = kernels.and_then(|k| k.trim().parse().ok());
     for kernels in [2].into_iter().chain(kernels) {
-        let received = Rc::new(Cell::new(0));
-        let count = received.clone();
+        let loot = Rc::new(Loot::default());
         let mut config = store_config(&[("alice", "pw-a")]);
-        config.services.push(ServiceSpec::raw("squat", move || {
-            Box::new(BindingSquatter(count.clone()))
-        }));
+        config.services.push(BindingSquatter::spec(&loot));
         let mut cluster = Cluster::new(306, kernels, 1);
         let okws = deploy_okws(&mut cluster, config);
         assert!(cluster.nodes[0]
@@ -374,10 +344,46 @@ fn a_worker_cannot_become_a_binding_party() {
         let served = fed_request(&mut cluster, &mut client, "store", "alice", "pw-a", &data);
         let (status, _) = served.unwrap_or_else(|| panic!("{kernels} kernels: no response"));
         assert_eq!(status, 200, "{kernels} kernels");
-        assert_eq!(
-            received.get(),
-            0,
-            "{kernels} kernels: the squatter was bound"
-        );
+        assert_eq!(*loot.received.borrow(), [""; 0], "{kernels} kernels");
+    }
+}
+
+/// Two rewiring workers (see [`Rewirer`]) on kernel 1, listed before and
+/// after `store`, overwrite every key a trusted process on kernel 0
+/// reads; their writes reach kernel 0 as `EnvSet`s. Alice's two requests
+/// are answered, the second with her first data, and each attacker
+/// receives nothing but its own `Activate`. Runs through [`deploy_okws`]
+/// at 2 and `ASBESTOS_KERNELS` kernels of `ASBESTOS_TEST_SHARDS` (default
+/// 1) shards.
+#[test]
+fn no_worker_can_rewire_a_trusted_process() {
+    let count = |key| std::env::var(key).ok().and_then(|k| k.trim().parse().ok());
+    let shards = count("ASBESTOS_TEST_SHARDS").unwrap_or(1);
+    for kernels in [2].into_iter().chain(count("ASBESTOS_KERNELS")) {
+        let at = format!("{kernels} kernels");
+        let loot = Rc::new(Loot::default());
+        let mut config = OkwsConfig::new(80);
+        config.services.push(Rewirer::spec("evil-a", &loot));
+        config
+            .services
+            .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+        config.services.push(Rewirer::spec("evil-z", &loot));
+        config.users.push(("alice".into(), "pw-a".into()));
+        let mut cluster = Cluster::new(307, kernels, shards);
+        let okws = deploy_okws(&mut cluster, config.sharded(shards));
+        for attacker in ["worker-evil-a", "worker-evil-z"] {
+            let kernel = &cluster.nodes[1].kernel;
+            assert!(kernel.find_process(attacker).is_some(), "{at}: {attacker}");
+        }
+        let mut client = OkwsClient::new(&okws);
+        let data = [("data", "alice-1")];
+        let served = fed_request(&mut cluster, &mut client, "store", "alice", "pw-a", &data);
+        let (status, _) = served.unwrap_or_else(|| panic!("{at}: no response"));
+        assert_eq!(status, 200, "{at}");
+        let served = fed_request(&mut cluster, &mut client, "store", "alice", "pw-a", &[]);
+        let (status, body) = served.unwrap_or_else(|| panic!("{at}: no second response"));
+        assert_eq!(status, 200, "{at}");
+        assert!(body.starts_with(b"alice-1"), "{at}");
+        assert_eq!(*loot.received.borrow(), [""; 0], "{at}");
     }
 }

@@ -31,7 +31,8 @@ pub use engine::{Database, DbError, QueryResult};
 pub use parser::parse;
 pub use proto::DbMsg;
 pub use proxy::{
-    spawn_dbproxy, DbHandle, DbProxy, DB_PORT_ENV, DB_TRUSTED_ENV, OWNERS_TABLE, USER_ID_COLUMN,
+    spawn_dbproxy, DbHandle, DbProxy, DB_ADMIN_ENV, DB_ADMIN_VERIFY_ENV, DB_PORT_ENV, OWNERS_TABLE,
+    USER_ID_COLUMN,
 };
 pub use snapshot::{put_row, read_row, read_rows, restore, snapshot, SnapshotError};
 pub use value::SqlValue;

@@ -39,7 +39,7 @@ impl Field for SqlValue {
 /// A message in the database-proxy protocol.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DbMsg {
-    /// Trusted (admin-port) registration of a user ↔ handle binding; the
+    /// Trusted registration (on the admin port) of a user ↔ handle binding; the
     /// sender also grants the proxy `taint ⋆` via `D_S`, reproducing §7.5's
     /// "idd grants it all user taint handles at level ⋆".
     Bind {
@@ -106,12 +106,6 @@ pub enum DbMsg {
     /// either would reveal how much of *other* users' data was dropped
     /// (§7.5: a worker "cannot tell how many other rows were sent").
     Done,
-    /// Announces the proxy's admin port to the trusted party (sent at
-    /// startup with an `admin ⋆` grant).
-    AdminPort {
-        /// The admin port.
-        port: Handle,
-    },
 }
 
 impl DbMsg {
@@ -147,7 +141,6 @@ impl DbMsg {
             DbMsg::Query { sql, params, reply } => Value::message("query", &[sql, params, reply]),
             DbMsg::Rows { bytes } => Value::message("rows", &[bytes]),
             DbMsg::Done => Value::message("done", &[]),
-            DbMsg::AdminPort { port } => Value::message("admin-port", &[port]),
         }
     }
 
@@ -180,7 +173,6 @@ impl DbMsg {
             },
             "rows" => DbMsg::Rows { bytes: f.field()? },
             "done" => DbMsg::Done,
-            "admin-port" => DbMsg::AdminPort { port: f.field()? },
             _ => return None,
         };
         f.end(msg)
@@ -235,7 +227,6 @@ mod tests {
             DbMsg::rows(&[vec![SqlValue::Blob(vec![1, 2])], vec![]]),
             DbMsg::rows(&[]),
             DbMsg::Done,
-            DbMsg::AdminPort { port: h },
         ];
         for m in msgs {
             assert_eq!(DbMsg::from_value(&m.to_value()), Some(m));

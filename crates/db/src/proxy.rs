@@ -13,6 +13,9 @@
 //!   Accepted writes are rewritten so every row carries `u`'s user id.
 //! * **Declassifiers** prove `V(uT) = ⋆` and write rows with user id 0
 //!   (§7.6); such rows read back untainted.
+//! * **Admin access** (§7.4's "special access": `Bind`, DDL, raw
+//!   statements) comes only through the admin port, whose label admits
+//!   holders of the admin verification handle at `⋆`.
 //! * **Reads** return one `Rows` message per distinct owner in the result,
 //!   holding that owner's rows in scan order and contaminated with the
 //!   owner's taint at 3, then an untainted `Done`. Messages go out in order
@@ -56,9 +59,12 @@ pub const OWNERS_TABLE: &str = "dbproxy_owners";
 /// Environment key for the proxy's worker-facing port.
 pub const DB_PORT_ENV: &str = "db.port";
 
-/// Environment key naming the port that should receive the admin-port
-/// grant at startup (set by the launcher before spawning the proxy).
-pub const DB_TRUSTED_ENV: &str = "db.trusted";
+/// Environment key for the proxy's admin port.
+pub const DB_ADMIN_ENV: &str = "db.admin";
+
+/// Environment key for the admin verification handle, which the trusted
+/// party publishes before it spawns the proxy.
+pub const DB_ADMIN_VERIFY_ENV: &str = "db.admin.verify";
 
 /// Base cycles charged per proxy request (parse, rewrite, policy checks).
 pub const PROXY_MSG_CYCLES: u64 = 60_000;
@@ -230,7 +236,8 @@ impl DbProxy {
             }
             // §7.4's "special access": the trusted party (idd) runs raw
             // statements on its private tables — no hidden-column rewriting,
-            // no per-row taint. Only admin-port (⋆-granted) senders get here.
+            // no per-row taint. Only holders of the admin verification
+            // handle at ⋆ get here: the port's label drops everyone else.
             DbMsg::Exec {
                 sql, params, reply, ..
             } => {
@@ -444,17 +451,16 @@ impl Service for DbProxy {
             .expect("creator owns the port");
         sys.publish_env(DB_PORT_ENV, Value::Handle(port));
 
-        // Admin port: stays closed (new_port leaves p_R(admin) = 0); we
-        // grant it to the configured trusted party only.
+        // Admin port: `{admin_verify 0, 3}` admits only senders holding
+        // the admin verification handle at ⋆ (Figure 4's p_R). Without
+        // the handle it stays closed (new_port leaves p_R(admin) = 0).
         let admin = sys.new_port(Label::top());
         self.admin_port = Some(admin);
-        if let Some(trusted) = sys.env(DB_TRUSTED_ENV).and_then(|v| v.as_handle()) {
-            let grant = Label::from_pairs(Level::L3, &[(admin, Level::Star)]);
-            let _ = sys.send_args(
-                trusted,
-                DbMsg::AdminPort { port: admin }.to_value(),
-                &SendArgs::new().grant(grant),
-            );
+        if let Some(verify) = sys.env(DB_ADMIN_VERIFY_ENV).and_then(|v| v.as_handle()) {
+            let label = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
+            sys.set_port_label(admin, label)
+                .expect("creator owns the port");
+            sys.publish_env(DB_ADMIN_ENV, Value::Handle(admin));
         }
     }
 
@@ -498,8 +504,9 @@ pub struct DbHandle {
     pub port: Handle,
 }
 
-/// Spawns ok-dbproxy. The `DB_TRUSTED_ENV` global should already name the
-/// trusted party's notification port (idd's, or a test harness's).
+/// Spawns ok-dbproxy. The [`DB_ADMIN_VERIFY_ENV`] global should already
+/// name the trusted party's admin verification handle; without it the
+/// admin port stays closed.
 pub fn spawn_dbproxy(kernel: &mut Kernel) -> DbHandle {
     let pid = kernel.spawn("ok-dbproxy", Category::Okdb, Box::new(DbProxy::new()));
     let port = kernel

@@ -8,7 +8,9 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use asbestos_db::{DbMsg, DbProxy, DurableDb, SqlValue, DB_PORT_ENV, DB_TRUSTED_ENV};
+use asbestos_db::{
+    DbMsg, DbProxy, DurableDb, SqlValue, DB_ADMIN_ENV, DB_ADMIN_VERIFY_ENV, DB_PORT_ENV,
+};
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, CostModel, Handle, Kernel, Label, Level, SendArgs, Value};
 use asbestos_store::MemDev;
@@ -152,29 +154,29 @@ fn spawn_trusted(kernel: &mut Kernel) {
             |sys| {
                 let p = sys.new_port(Label::top());
                 sys.set_port_label(p, Label::top()).unwrap();
-                sys.publish_env(DB_TRUSTED_ENV, Value::Handle(p));
                 sys.publish_env("trusted.cmd", Value::Handle(p));
+                // The admin verification handle, published before the
+                // proxy starts: the proxy's admin port admits only its
+                // holders at ⋆, which this process is as its minter.
+                let admin_verify = sys.new_handle();
+                sys.publish_env(DB_ADMIN_VERIFY_ENV, Value::Handle(admin_verify));
             },
             move |sys, msg| {
-                if let Some(DbMsg::AdminPort { port }) = DbMsg::from_value(&msg.body) {
-                    sys.set_env("admin", Value::Handle(port));
-                    return;
-                }
                 let Some(items) = msg.body.as_list() else {
                     return;
                 };
                 match items.first().and_then(Value::as_str) {
                     Some("ddl") => {
                         let sql = items[1].as_str().unwrap().to_string();
-                        let admin = sys.env("admin").unwrap().as_handle().unwrap();
+                        let admin = sys.env(DB_ADMIN_ENV).unwrap().as_handle().unwrap();
                         sys.send(admin, DbMsg::Ddl { sql }.to_value()).unwrap();
                     }
-                    // ["raw-query", sql]: an admin-port Query (the
+                    // ["raw-query", sql]: an admin port Query (the
                     // read-only arm) with arbitrary SQL — the mutation-
                     // smuggling regression drives this.
                     Some("raw-query") => {
                         let sql = items[1].as_str().unwrap().to_string();
-                        let admin = sys.env("admin").unwrap().as_handle().unwrap();
+                        let admin = sys.env(DB_ADMIN_ENV).unwrap().as_handle().unwrap();
                         let reply = sys.env("trusted.cmd").unwrap().as_handle().unwrap();
                         sys.send(
                             admin,
@@ -195,7 +197,7 @@ fn spawn_trusted(kernel: &mut Kernel) {
                         let worker_cmd = items[2].as_handle().unwrap();
                         let ut = sys.new_handle();
                         let ug = sys.new_handle();
-                        let admin = sys.env("admin").unwrap().as_handle().unwrap();
+                        let admin = sys.env(DB_ADMIN_ENV).unwrap().as_handle().unwrap();
                         sys.send_args(
                             admin,
                             DbMsg::Bind {

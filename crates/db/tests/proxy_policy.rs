@@ -4,14 +4,14 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use asbestos_db::{spawn_dbproxy, DbMsg, DbProxy, DB_PORT_ENV, DB_TRUSTED_ENV};
+use asbestos_db::{spawn_dbproxy, DbMsg, DbProxy, DB_ADMIN_ENV, DB_ADMIN_VERIFY_ENV, DB_PORT_ENV};
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, DeliveryOutcome, Handle, Kernel, Label, Level, SendArgs, Value};
 use asbestos_store::MemDev;
 
 /// Spawns the trusted identity party (idd's role in this crate's tests):
-/// receives the proxy's admin-port grant, binds users, and issues worker
-/// credentials on command.
+/// holds the admin verification handle the proxy's admin port admits,
+/// binds users, and issues worker credentials on command.
 fn spawn_trusted(kernel: &mut Kernel) {
     kernel.spawn(
         "trusted",
@@ -20,22 +20,21 @@ fn spawn_trusted(kernel: &mut Kernel) {
             |sys| {
                 let p = sys.new_port(Label::top());
                 sys.set_port_label(p, Label::top()).unwrap();
-                // Publish directly under the env key the proxy reads.
-                sys.publish_env(DB_TRUSTED_ENV, Value::Handle(p));
                 sys.publish_env("trusted.cmd", Value::Handle(p));
+                // The admin verification handle, published before the
+                // proxy starts: the proxy's admin port admits only its
+                // holders at ⋆, which this process is as its minter.
+                let admin_verify = sys.new_handle();
+                sys.publish_env(DB_ADMIN_VERIFY_ENV, Value::Handle(admin_verify));
             },
             move |sys, msg| {
-                if let Some(DbMsg::AdminPort { port }) = DbMsg::from_value(&msg.body) {
-                    sys.set_env("admin", Value::Handle(port));
-                    return;
-                }
                 let Some(items) = msg.body.as_list() else {
                     return;
                 };
                 match items.first().and_then(Value::as_str) {
                     Some("ddl") => {
                         let sql = items[1].as_str().unwrap().to_string();
-                        let admin = sys.env("admin").unwrap().as_handle().unwrap();
+                        let admin = sys.env(DB_ADMIN_ENV).unwrap().as_handle().unwrap();
                         sys.send(admin, DbMsg::Ddl { sql }.to_value()).unwrap();
                     }
                     Some("bind") => {
@@ -48,7 +47,7 @@ fn spawn_trusted(kernel: &mut Kernel) {
                         let ug = sys.new_handle();
                         sys.set_env(&format!("ut.{user}"), Value::Handle(ut));
                         sys.set_env(&format!("ug.{user}"), Value::Handle(ug));
-                        let admin = sys.env("admin").unwrap().as_handle().unwrap();
+                        let admin = sys.env(DB_ADMIN_ENV).unwrap().as_handle().unwrap();
                         // §7.5: grant the proxy uT ⋆ with the binding.
                         sys.send_args(
                             admin,

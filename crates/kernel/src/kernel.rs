@@ -601,18 +601,6 @@ impl Kernel {
         self.shards.iter().map(|s| s.clock.now()).collect()
     }
 
-    /// Every shard's mailbox-depth high-water mark, in shard order — the
-    /// deepest any port queue got on that shard since boot. The queueing
-    /// counterpart of [`Kernel::per_shard_elapsed_cycles`]: tail latency
-    /// under open-loop load is queueing delay, and this is where it
-    /// accumulates.
-    pub fn per_shard_queue_depth_hwm(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.mailboxes.depth_hwm() as u64)
-            .collect()
-    }
-
     /// Read-only access to a process.
     pub fn process(&self, pid: ProcessId) -> &Process {
         &self.shards[pid.shard()].processes[pid.index()]

@@ -96,7 +96,10 @@ impl<'k> Sys<'k> {
 
     /// Publishes an entry in the global environment. Real Asbestos
     /// bootstraps through init-provided environments; the global namespace
-    /// plays that role here.
+    /// plays that role here, with one difference: any process may
+    /// overwrite any key, at any time. So trusted code reads a key only at
+    /// start, once a trusted process has written it and before any
+    /// untrusted process can run again, and never trusts a later read.
     pub fn publish_env(&mut self, key: &str, value: Value) {
         self.router.env_set(key, value);
     }

@@ -26,8 +26,8 @@ pub mod tcp;
 pub use driver::{percentile, ClientDriver, ClientRequest};
 pub use http::{build_response, ok_response, parse_request, HttpError, HttpRequest};
 pub use netd::{
-    listen_all_lanes, netd_control_env, netd_device_env, netd_lanes, spawn_netd, spawn_netd_lanes,
-    Netd, NetdHandle, NetdLane, NETD_CONTROL_ENV, NETD_DEVICE_ENV, NETD_LANES_ENV,
+    netd_control_env, netd_device_env, netd_lanes, spawn_netd, spawn_netd_lanes, Netd, NetdHandle,
+    NetdLane, NETD_CONTROL_ENV, NETD_DEVICE_ENV, NETD_LANES_ENV,
 };
 pub use proto::NetMsg;
 pub use tcp::{rss_lane, ConnId, MultiQueue, SimConn, SimNet};

@@ -72,31 +72,6 @@ pub fn netd_lanes(kernel: &Kernel) -> usize {
         .map_or(1, |n| n as usize)
 }
 
-/// Registers `notify` for `tcp_port` with **every** netd lane, from
-/// inside a running service: discovers the lane count from the
-/// environment (absent ⇒ the single-netd configuration, which published
-/// only the legacy [`NETD_CONTROL_ENV`] key) and sends one LISTEN per
-/// lane. This is the one place that owns the legacy-vs-lane-qualified
-/// key special case; ok-demux and the lane tests all go through it.
-pub fn listen_all_lanes(sys: &mut Sys<'_>, tcp_port: u16, notify: Handle) {
-    let lanes = sys
-        .env(NETD_LANES_ENV)
-        .and_then(|v| v.as_u64())
-        .map_or(1, |n| n as usize);
-    for lane in 0..lanes {
-        let key = if lanes == 1 {
-            NETD_CONTROL_ENV.to_string()
-        } else {
-            netd_control_env(lane)
-        };
-        let control = sys
-            .env(&key)
-            .and_then(|v| v.as_handle())
-            .expect("every netd lane publishes its control port");
-        let _ = sys.send(control, NetMsg::Listen { tcp_port, notify }.to_value());
-    }
-}
-
 /// State netd keeps per live connection.
 struct ConnState {
     conn: ConnId,

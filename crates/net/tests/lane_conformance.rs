@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs};
-use asbestos_net::{listen_all_lanes, spawn_netd_lanes, ClientDriver, NetMsg};
+use asbestos_net::{spawn_netd_lanes, ClientDriver, NetMsg};
 use proptest::prelude::*;
 
 fn star_grant(h: Handle) -> Label {
@@ -49,6 +49,7 @@ fn run_workload(w: &Workload, shards: usize, lanes: usize) -> Vec<Vec<u8>> {
     let mut kernel = Kernel::new_sharded(0x1A7E, shards);
     let netd = spawn_netd_lanes(&mut kernel, lanes);
     let mut driver = ClientDriver::new(&netd);
+    let controls: Vec<Handle> = netd.lanes.iter().map(|l| l.control_port).collect();
 
     // The chunked echo server: reads `chunk` bytes at a time, writes each
     // chunk back as "[seq:CHUNK]", closes after the '!' terminator.
@@ -59,10 +60,16 @@ fn run_workload(w: &Workload, shards: usize, lanes: usize) -> Vec<Vec<u8>> {
         "chunked-echo",
         Category::Other,
         service_with_start(
-            |sys| {
+            move |sys| {
                 let notify = sys.new_port(Label::top());
                 sys.set_port_label(notify, Label::top()).unwrap();
-                listen_all_lanes(sys, 80, notify);
+                for &control in &controls {
+                    let listen = NetMsg::Listen {
+                        tcp_port: 80,
+                        notify,
+                    };
+                    sys.send(control, listen.to_value()).unwrap();
+                }
             },
             move |sys, msg| match NetMsg::from_value(&msg.body) {
                 Some(NetMsg::NewConn { port: uc }) => {

@@ -55,6 +55,7 @@ impl TraceHash {
 fn run_tainted_workload(shards: usize, lanes: usize) -> u64 {
     let mut kernel = Kernel::new_sharded(0x7A17, shards);
     let netd = spawn_netd_lanes(&mut kernel, lanes);
+    let controls: Vec<Handle> = netd.lanes.iter().map(|l| l.control_port).collect();
     assert_eq!(
         asbestos_net::netd_lanes(&kernel),
         lanes,
@@ -112,7 +113,13 @@ fn run_tainted_workload(shards: usize, lanes: usize) -> u64 {
                 let control = sys.new_port(Label::top());
                 sys.set_port_label(control, Label::top()).unwrap();
                 sys.publish_env("frontend.control", Value::Handle(control));
-                asbestos_net::listen_all_lanes(sys, TCP_PORT, notify);
+                for &control in &controls {
+                    let listen = NetMsg::Listen {
+                        tcp_port: TCP_PORT,
+                        notify,
+                    };
+                    sys.send(control, listen.to_value()).unwrap();
+                }
             },
             move |sys, msg| match NetMsg::from_value(&msg.body) {
                 Some(NetMsg::NewConn { port: uc }) => {

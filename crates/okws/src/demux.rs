@@ -6,13 +6,16 @@
 //! the connection off to the right worker — to an existing session event
 //! process when its session table has one, forking a fresh event process
 //! otherwise.
+//!
+//! ok-demux reads the environment only in its `on_start` (the launcher's
+//! wiring rule); netd's control ports come from the launcher.
 
 use std::collections::BTreeMap;
 
 use asbestos_kernel::{Handle, Label, Level, Message, SendArgs, Service, Sys, Value};
-use asbestos_net::{listen_all_lanes, parse_request, HttpRequest, NetMsg};
+use asbestos_net::{parse_request, HttpRequest, NetMsg};
 
-use crate::idd::IDD_PORT_ENV;
+use crate::idd::{IDD_DEMUX_VERIFY_ENV, IDD_PORT_ENV};
 use crate::proto::OkwsMsg;
 use crate::worker::USER_MAX;
 
@@ -71,6 +74,12 @@ struct ConnState {
 /// The ok-demux service.
 pub struct OkDemux {
     tcp_port: u16,
+    /// Every netd lane's control port, in lane order.
+    netd: Vec<Handle>,
+    /// idd's login port.
+    idd: Option<Handle>,
+    /// ok-demux's verification handle, which proves it to idd.
+    verify: Option<Handle>,
     services: BTreeMap<String, ServiceEntry>,
     /// Users idd has logged in (avoids re-login round trips; idd still
     /// owns the durable mapping).
@@ -83,10 +92,14 @@ pub struct OkDemux {
 }
 
 impl OkDemux {
-    /// Creates a demux listening on `tcp_port` once started.
-    pub fn new(tcp_port: u16) -> OkDemux {
+    /// Creates a demux that, once started, listens on `tcp_port` through
+    /// the netd lanes whose control ports are `netd`.
+    pub fn new(tcp_port: u16, netd: Vec<Handle>) -> OkDemux {
         OkDemux {
             tcp_port,
+            netd,
+            idd: None,
+            verify: None,
             services: BTreeMap::new(),
             users: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -190,13 +203,9 @@ impl OkDemux {
         }
         // §7.2 step 3: authenticate through idd. Our verification handle
         // proves to idd that ok-demux is asking.
-        let idd = sys
-            .env(IDD_PORT_ENV)
-            .and_then(|v| v.as_handle())
-            .expect("idd publishes its login port");
-        let my_verify = sys
-            .env("okws.demux.verify")
-            .and_then(|v| v.as_handle())
+        let idd = self.idd.expect("idd publishes its login port");
+        let my_verify = self
+            .verify
             .expect("the launcher provisioned our verification handle");
         let v = Label::from_pairs(Level::L3, &[(my_verify, Level::L0)]);
         let _ = sys.send_args(
@@ -330,6 +339,9 @@ impl OkDemux {
 
 impl Service for OkDemux {
     fn on_start(&mut self, sys: &mut Sys<'_>) {
+        self.idd = sys.env(IDD_PORT_ENV).and_then(|v| v.as_handle());
+        self.verify = sys.env(IDD_DEMUX_VERIFY_ENV).and_then(|v| v.as_handle());
+
         // Load the service table the launcher provisioned in our env.
         if let Some(Value::List(names)) = sys.env(SVC_LIST_ENV) {
             for name in names.iter().filter_map(Value::as_str) {
@@ -372,10 +384,14 @@ impl Service for OkDemux {
         self.notify_port = Some(notify);
         // Register the listener with every netd lane: each lane owns the
         // connections the RSS demux hashes to it, and all of them announce
-        // new connections on the same notify port. A single-lane front end
-        // publishes no lane count and takes the one-LISTEN path the
-        // single-netd build always took.
-        listen_all_lanes(sys, self.tcp_port, notify);
+        // new connections on the same notify port.
+        for &control in &self.netd {
+            let listen = NetMsg::Listen {
+                tcp_port: self.tcp_port,
+                notify,
+            };
+            let _ = sys.send(control, listen.to_value());
+        }
     }
 
     fn on_message(&mut self, sys: &mut Sys<'_>, msg: &Message) {

@@ -2,15 +2,19 @@
 //!
 //! idd associates persistent identification data (username, password) with
 //! the per-boot taint and grant handles `uT`/`uG`. It stores user records
-//! in a relational database reached through ok-dbproxy's trusted admin path
+//! in a relational database reached through ok-dbproxy's admin port
 //! ("idd has special access through ok-dbproxy to this password database,
 //! which other processes such as workers cannot access directly"), mints
 //! handle pairs on first login, caches them, and grants every new taint
 //! handle to ok-dbproxy at `⋆` (§7.5).
+//!
+//! idd reads the environment only in its `on_start` (the launcher's wiring
+//! rule): the admin port and the launcher's and ok-demux's verification
+//! handles are fixed there.
 
 use std::collections::BTreeMap;
 
-use asbestos_db::{DbMsg, SqlValue, DB_TRUSTED_ENV};
+use asbestos_db::{DbMsg, SqlValue, DB_ADMIN_ENV};
 use asbestos_kernel::{Handle, Label, Level, Message, SendArgs, Service, Sys, Value};
 
 use crate::proto::OkwsMsg;
@@ -18,8 +22,9 @@ use crate::proto::OkwsMsg;
 /// Environment key for idd's login port.
 pub const IDD_PORT_ENV: &str = "okws.idd.port";
 
-/// Environment key holding the demux verification handle value (set by the
-/// launcher; idd checks `V(demux_verify) ≤ 0` on Login).
+/// Environment key holding ok-demux's verification handle value (published
+/// by the launcher; ok-demux proves `V(demux_verify) = 0` on Login, and
+/// idd checks it).
 pub const IDD_DEMUX_VERIFY_ENV: &str = "okws.idd.demux_verify";
 
 /// Environment key holding the launcher verification handle value (idd
@@ -51,8 +56,12 @@ struct User {
 
 /// The idd service.
 pub struct Idd {
-    trusted_port: Option<Handle>,
+    /// ok-dbproxy's admin port.
     admin: Option<Handle>,
+    /// The launcher's verification handle (account and DDL management).
+    launcher_verify: Option<Handle>,
+    /// ok-demux's verification handle (logins).
+    demux_verify: Option<Handle>,
     users: BTreeMap<String, User>,
     /// In-flight logins keyed by their private reply port.
     pending: BTreeMap<Handle, PendingLogin>,
@@ -62,17 +71,11 @@ impl Idd {
     /// Creates an idd with an empty cache.
     pub fn new() -> Idd {
         Idd {
-            trusted_port: None,
             admin: None,
+            launcher_verify: None,
+            demux_verify: None,
             users: BTreeMap::new(),
             pending: BTreeMap::new(),
-        }
-    }
-
-    fn verify_ok(&self, sys: &Sys<'_>, env_key: &str, verify: &Label) -> bool {
-        match sys.env(env_key).and_then(|v| v.as_handle()) {
-            Some(h) => verify.get(h) <= Level::L0,
-            None => false,
         }
     }
 
@@ -226,46 +229,32 @@ impl Service for Idd {
             .expect("creator owns the port");
         sys.publish_env(IDD_PORT_ENV, Value::Handle(login));
 
-        // Trusted notification port for ok-dbproxy's admin-port grant.
-        let trusted = sys.new_port(Label::top());
-        sys.set_port_label(trusted, Label::top())
-            .expect("creator owns the port");
-        sys.publish_env(DB_TRUSTED_ENV, Value::Handle(trusted));
-        self.trusted_port = Some(trusted);
+        let handle = |sys: &Sys<'_>, key| sys.env(key).and_then(|v| v.as_handle());
+        self.launcher_verify = handle(sys, LAUNCHER_VERIFY_ENV);
+        self.demux_verify = handle(sys, IDD_DEMUX_VERIFY_ENV);
+        self.admin = handle(sys, DB_ADMIN_ENV);
+        if let Some(admin) = self.admin {
+            // Create the private credential table (§7.4). Raw access:
+            // workers can never reach this table. Deliberately left
+            // unindexed: the paper attributes Figure 9's fast-growing
+            // OKDB line to the unoptimized SQLite lookup path ("This
+            // may simply represent another cost of using unoptimized
+            // system components, in this case SQLite"), and a linear
+            // scan per first-time login reproduces exactly that growth.
+            let _ = sys.send(
+                admin,
+                DbMsg::Exec {
+                    user: String::new(),
+                    sql: "CREATE TABLE okws_users (name, pw)".into(),
+                    params: vec![],
+                    reply: None,
+                }
+                .to_value(),
+            );
+        }
     }
 
     fn on_message(&mut self, sys: &mut Sys<'_>, msg: &Message) {
-        // ok-dbproxy announces its admin port (with an admin ⋆ grant).
-        // The port is open, so a worker can announce one too; only the
-        // first announcement counts, and it is ok-dbproxy's: ok-dbproxy
-        // sends it from its `on_start`, inside the launcher's `on_start`,
-        // before the launcher sends any worker its `Activate`, and the
-        // messages on one port are delivered in order.
-        if Some(msg.port) == self.trusted_port {
-            let announced = DbMsg::from_value(&msg.body).filter(|_| self.admin.is_none());
-            if let Some(DbMsg::AdminPort { port }) = announced {
-                self.admin = Some(port);
-                // Create the private credential table (§7.4). Raw access:
-                // workers can never reach this table. Deliberately left
-                // unindexed: the paper attributes Figure 9's fast-growing
-                // OKDB line to the unoptimized SQLite lookup path ("This
-                // may simply represent another cost of using unoptimized
-                // system components, in this case SQLite"), and a linear
-                // scan per first-time login reproduces exactly that growth.
-                let _ = sys.send(
-                    port,
-                    DbMsg::Exec {
-                        user: String::new(),
-                        sql: "CREATE TABLE okws_users (name, pw)".into(),
-                        params: vec![],
-                        reply: None,
-                    }
-                    .to_value(),
-                );
-            }
-            return;
-        }
-
         // Login replies from the database land on per-login ports.
         if let Some(pending) = self.pending.get_mut(&msg.port) {
             match DbMsg::from_value(&msg.body) {
@@ -290,7 +279,7 @@ impl Service for Idd {
             OkwsMsg::WorkerDdl { sql } => {
                 // Worker-table DDL relayed from the launcher, proven with
                 // its verification handle.
-                if !self.verify_ok(sys, LAUNCHER_VERIFY_ENV, &msg.verify) {
+                if !proves(&msg.verify, self.launcher_verify) {
                     return;
                 }
                 if let Some(admin) = self.admin {
@@ -299,7 +288,7 @@ impl Service for Idd {
             }
             OkwsMsg::AddUser { user, password } => {
                 // Only the launcher may create accounts (§7.1's V pattern).
-                if !self.verify_ok(sys, LAUNCHER_VERIFY_ENV, &msg.verify) {
+                if !proves(&msg.verify, self.launcher_verify) {
                     return;
                 }
                 if let Some(admin) = self.admin {
@@ -361,7 +350,7 @@ impl Service for Idd {
                 reply,
             } => {
                 // Only ok-demux may drive logins.
-                if !self.verify_ok(sys, IDD_DEMUX_VERIFY_ENV, &msg.verify) {
+                if !proves(&msg.verify, self.demux_verify) {
                     return;
                 }
                 sys.charge(IDD_LOGIN_CYCLES);
@@ -390,4 +379,10 @@ impl Service for Idd {
             _ => {}
         }
     }
+}
+
+/// Whether verification label `verify` proves its sender holds `handle`
+/// at `⋆` or 0 (§7.1's `V(h) ≤ 0`). An unknown handle proves nothing.
+fn proves(verify: &Label, handle: Option<Handle>) -> bool {
+    handle.is_some_and(|h| verify.get(h) <= Level::L0)
 }

@@ -11,13 +11,24 @@
 //! Here the deployment assembler ([`crate::Okws::start`], or the cluster
 //! crate's `deploy_okws`) spawns the worker base processes, before the
 //! launcher runs, so a worker never inherits the launcher's `⋆` on the
-//! verification handles it mints. The launcher spawns idd, ok-dbproxy
-//! and ok-demux itself; it mints and publishes every verification
-//! handle, then activates each worker, granting it its own handle at `⋆`
-//! and no other.
+//! verification handles it mints. The launcher mints and publishes every
+//! verification handle, spawns ok-dbproxy, idd and ok-demux itself, in
+//! that order, then activates each worker, granting it its own handle at
+//! `⋆` and no other.
+//!
+//! **The wiring rule.** Any process may overwrite any key of the global
+//! environment, so a trusted process (launcher, idd, ok-dbproxy, ok-demux)
+//! reads it only in its own `on_start`. Those all run inside the
+//! launcher's, after a trusted process has written every key they read,
+//! and before any worker can run again. What workers write — their
+//! service ports — and what was written before any worker ran — netd's
+//! control ports — come from the assembler instead, captured at spawn.
 
-use asbestos_db::DbProxy;
-use asbestos_kernel::{Category, Label, Level, Message, SendArgs, Service, Sys, Value};
+use asbestos_db::{DbProxy, DB_ADMIN_VERIFY_ENV};
+use asbestos_kernel::{
+    Category, EpService, Handle, Kernel, Label, Level, Message, SendArgs, Service, Sys, Value,
+};
+use asbestos_net::NetdHandle;
 use asbestos_store::BlockDev;
 
 use crate::demux::{svc_declassifier_env, svc_verify_env, OkDemux, SVC_LIST_ENV};
@@ -33,7 +44,7 @@ enum WorkerKind {
     /// A custom event-process service (tests use this to model workers
     /// whose *code* is compromised, §7.8). Must handle
     /// [`OkwsMsg::Activate`] itself.
-    Raw(Box<dyn FnMut() -> Box<dyn asbestos_kernel::EpService>>),
+    Raw(Box<dyn FnMut() -> Box<dyn EpService>>),
 }
 
 /// One service to launch.
@@ -47,6 +58,9 @@ pub struct ServiceSpec {
     pub tidy: bool,
     /// The worker body, until a deployment assembler places it.
     kind: Option<WorkerKind>,
+    /// The service port the worker's base start published, read as soon
+    /// as its spawn returned: the port the launcher activates.
+    port: Option<Handle>,
 }
 
 impl ServiceSpec {
@@ -57,19 +71,18 @@ impl ServiceSpec {
             declassifier: false,
             tidy: true,
             kind: Some(WorkerKind::Logic(Box::new(factory))),
+            port: None,
         }
     }
 
     /// A service backed by a custom event-process implementation.
-    pub fn raw(
-        name: &str,
-        factory: impl FnMut() -> Box<dyn asbestos_kernel::EpService> + 'static,
-    ) -> ServiceSpec {
+    pub fn raw(name: &str, factory: impl FnMut() -> Box<dyn EpService> + 'static) -> ServiceSpec {
         ServiceSpec {
             name: name.to_string(),
             declassifier: false,
             tidy: true,
             kind: Some(WorkerKind::Raw(Box::new(factory))),
+            port: None,
         }
     }
 
@@ -85,21 +98,28 @@ impl ServiceSpec {
         self
     }
 
-    /// Builds this service's worker body, once: a deployment assembler
-    /// ([`crate::Okws::start`], or the cluster crate's cross-kernel
-    /// deploy) calls this when it places the worker base process. `None`
-    /// means the worker was already placed elsewhere.
-    pub fn take_body(&mut self) -> Option<Box<dyn asbestos_kernel::EpService>> {
-        Some(match self.kind.take()? {
-            WorkerKind::Logic(mut factory) => {
+    /// Places this service's worker base process, once: the one
+    /// placement call of both deployment assemblers ([`crate::Okws::start`]
+    /// and the cluster crate's cross-kernel deploy). `spawn` starts the
+    /// body under the given process name and returns the kernel it runs
+    /// on; the port the base start published there is read at once,
+    /// before any other process runs, and is the port the launcher
+    /// activates. Does nothing if the worker was already placed.
+    pub fn take_body<'k>(&mut self, spawn: impl FnOnce(&str, Box<dyn EpService>) -> &'k Kernel) {
+        let body: Box<dyn EpService> = match self.kind.take() {
+            None => return,
+            Some(WorkerKind::Logic(mut factory)) => {
                 let mut worker = Worker::new(&self.name, factory());
                 if !self.tidy {
                     worker = worker.untidy();
                 }
                 Box::new(worker)
             }
-            WorkerKind::Raw(mut factory) => factory(),
-        })
+            Some(WorkerKind::Raw(mut factory)) => factory(),
+        };
+        let kernel = spawn(&format!("worker-{}", self.name), body);
+        let port = kernel.global_env_handle(&worker_port_env(&self.name));
+        self.port = Some(port.expect("the worker's base start published its port"));
     }
 }
 
@@ -173,13 +193,17 @@ impl OkwsConfig {
 /// The launcher process.
 pub struct Launcher {
     config: Option<OkwsConfig>,
+    /// Every netd lane's control port, for ok-demux's `Listen`.
+    netd: Vec<Handle>,
 }
 
 impl Launcher {
-    /// Creates a launcher that will deploy `config` on start.
-    pub fn new(config: OkwsConfig) -> Launcher {
+    /// Creates a launcher that will deploy `config` on start, in front of
+    /// the netd lanes of `netd`.
+    pub fn new(config: OkwsConfig, netd: &NetdHandle) -> Launcher {
         Launcher {
             config: Some(config),
+            netd: netd.lanes.iter().map(|lane| lane.control_port).collect(),
         }
     }
 }
@@ -190,12 +214,16 @@ impl Service for Launcher {
 
         // Verification handles: one for the launcher itself (idd checks it
         // on account/DDL management), one for ok-demux (idd checks it on
-        // Login), one per worker (ok-demux checks registrations).
+        // Login), one for ok-dbproxy's admin port (its label admits only
+        // holders at ⋆), one per worker (ok-demux checks registrations).
+        // The system processes below inherit ⋆ on all but the workers'
+        // by fork (§5.3); ok-demux proves itself with its own.
         let launcher_verify = sys.new_handle();
         sys.publish_env(LAUNCHER_VERIFY_ENV, Value::Handle(launcher_verify));
         let demux_verify = sys.new_handle();
         sys.publish_env(IDD_DEMUX_VERIFY_ENV, Value::Handle(demux_verify));
-        sys.publish_env("okws.demux.verify", Value::Handle(demux_verify));
+        let admin_verify = sys.new_handle();
+        sys.publish_env(DB_ADMIN_VERIFY_ENV, Value::Handle(admin_verify));
 
         let mut names = Vec::new();
         let mut worker_verifies = Vec::new();
@@ -211,10 +239,9 @@ impl Service for Launcher {
         }
         sys.publish_env(SVC_LIST_ENV, Value::List(names));
 
-        // System processes, in dependency order: idd publishes the trusted
-        // port ok-dbproxy greets; ok-demux needs all of them.
-        sys.spawn("idd", Category::Okdb, Box::new(Idd::new()))
-            .expect("launcher runs outside event processes");
+        // System processes, in dependency order: each one's `on_start`
+        // reads what the ones before it published. ok-dbproxy publishes
+        // its admin port, idd its login port; ok-demux needs both.
         let proxy = match config.db_store.take() {
             // §7.5 durability: the proxy recovers (snapshot + committed
             // WAL prefix) before serving its first message.
@@ -223,36 +250,18 @@ impl Service for Launcher {
         };
         sys.spawn("ok-dbproxy", Category::Okdb, Box::new(proxy))
             .expect("launcher runs outside event processes");
-        sys.spawn(
-            "ok-demux",
-            Category::Okws,
-            Box::new(OkDemux::new(config.tcp_port)),
-        )
-        .expect("launcher runs outside event processes");
-
-        // Grant ok-demux its verification handle at ⋆: it proves itself to
-        // idd with V(dV) = 0, and holding ⋆ (rather than the fragile
-        // mandatory level 0, which decays on any ordinary input, §5.4)
-        // keeps the credential alive across netd traffic.
-        let demux_control = sys
-            .env(crate::demux::DEMUX_PORT_ENV)
-            .and_then(|v| v.as_handle())
-            .expect("ok-demux publishes its control port");
-        let _ = sys.send_args(
-            demux_control,
-            Value::Str("verification-grant".into()),
-            &SendArgs::new().grant(Label::from_pairs(Level::L3, &[(demux_verify, Level::Star)])),
-        );
+        sys.spawn("idd", Category::Okdb, Box::new(Idd::new()))
+            .expect("launcher runs outside event processes");
+        let demux = OkDemux::new(config.tcp_port, std::mem::take(&mut self.netd));
+        sys.spawn("ok-demux", Category::Okws, Box::new(demux))
+            .expect("launcher runs outside event processes");
 
         // Workers: the assembler placed each base process before the
-        // launcher started; activation grants the worker its verification
-        // handle, and its activation event process registers with
-        // ok-demux.
+        // launcher started, and recorded its port; activation grants the
+        // worker its verification handle, and its activation event
+        // process registers with ok-demux.
         for (spec, wv) in config.services.iter().zip(&worker_verifies) {
-            let port = sys
-                .env(&worker_port_env(&spec.name))
-                .and_then(|v| v.as_handle())
-                .expect("the worker's base start published its port");
+            let port = spec.port.expect("the assembler placed every worker");
             let _ = sys.send_args(
                 port,
                 OkwsMsg::Activate {

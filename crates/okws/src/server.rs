@@ -40,13 +40,13 @@ impl Okws {
         let shards = kernel.num_shards();
         let launcher_shard = 1 % shards;
         for (i, spec) in config.services.iter_mut().enumerate() {
-            if let Some(body) = spec.take_body() {
-                let shard = (launcher_shard + 1 + i) % shards;
-                let name = format!("worker-{}", spec.name);
-                kernel.spawn_ep_service_on(shard, &name, Category::Okws, body);
-            }
+            let shard = (launcher_shard + 1 + i) % shards;
+            spec.take_body(|name, body| {
+                kernel.spawn_ep_service_on(shard, name, Category::Okws, body);
+                kernel
+            });
         }
-        let launcher = Box::new(Launcher::new(config));
+        let launcher = Box::new(Launcher::new(config, &netd));
         let launcher = kernel.spawn_on(launcher_shard, "launcher", Category::Okws, launcher);
         kernel.run();
         Okws {

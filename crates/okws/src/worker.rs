@@ -192,6 +192,9 @@ pub struct Worker {
     /// Emulated stack/temporary pages touched per request (§9.1 observed
     /// 8 active pages: stack, message queue, heap, globals).
     touch_pages: usize,
+    /// The public service port, kept from the base start: any process
+    /// may overwrite its environment key.
+    port: Option<Handle>,
 }
 
 impl Worker {
@@ -204,6 +207,7 @@ impl Worker {
             // 2 emulated stack pages + 5 heap/global pages, matching the
             // §9.1 accounting of an active session's scratch state.
             touch_pages: 7,
+            port: None,
         }
     }
 
@@ -505,6 +509,7 @@ impl EpService for Worker {
         sys.set_port_label(port, Label::top())
             .expect("creator owns the port");
         sys.publish_env(&worker_port_env(&self.service), Value::Handle(port));
+        self.port = Some(port);
     }
 
     fn on_event(&self, sys: &mut Sys<'_>, msg: &Message) {
@@ -518,10 +523,7 @@ impl EpService for Worker {
                     .env("okws.demux.reg")
                     .and_then(|v| v.as_handle())
                     .expect("ok-demux publishes its registration port");
-                let port = sys
-                    .env(&worker_port_env(&self.service))
-                    .and_then(|v| v.as_handle())
-                    .expect("our base start published the service port");
+                let port = self.port.expect("our base start made the service port");
                 let v = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
                 let _ = sys.send_args(
                     demux,

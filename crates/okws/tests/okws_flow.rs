@@ -2,18 +2,19 @@
 //! (§7.3), user isolation under worker compromise (§7.8), and decentralized
 //! declassification (§7.6).
 
-use std::cell::Cell;
+mod hostile;
+
 use std::rc::Rc;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use asbestos_db::{DbMsg, DB_TRUSTED_ENV};
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Kernel, Label, Level, Value};
 use asbestos_net::NetMsg;
 use asbestos_okws::logic::{EchoStore, ParamLength, Profile};
 use asbestos_okws::proto::OkwsMsg;
 use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
+use hostile::{BindingSquatter, Loot, Rewirer};
 
 fn store_deployment(seed: u64, users: &[(&str, &str)]) -> (Kernel, Okws, OkwsClient) {
     let mut kernel = Kernel::new(seed);
@@ -1039,60 +1040,22 @@ fn user_names_longer_than_the_session_record_are_refused() {
     assert_eq!(status, 200);
 }
 
-/// A compromised worker that, on activation, announces its own public
-/// port as an admin port, granted at `⋆` as ok-dbproxy grants its own, on
-/// every trusted port the environment names: ok-dbproxy's `db.trusted`
-/// and the retired shared cache's `okws.cache.trusted`. It counts every
-/// message it receives afterwards.
-struct BindingSquatter(Rc<Cell<usize>>);
-
-impl asbestos_kernel::EpService for BindingSquatter {
-    fn on_base_start(&mut self, sys: &mut asbestos_kernel::Sys<'_>) {
-        let port = sys.new_port(Label::top());
-        sys.set_port_label(port, Label::top()).unwrap();
-        sys.publish_env("okws.worker.squat.port", Value::Handle(port));
-    }
-
-    fn on_event(&self, sys: &mut asbestos_kernel::Sys<'_>, msg: &asbestos_kernel::Message) {
-        if let Some(OkwsMsg::Activate { .. }) = OkwsMsg::from_value(&msg.body) {
-            let port = sys
-                .env("okws.worker.squat.port")
-                .and_then(|v| v.as_handle())
-                .expect("on_base_start published it");
-            let star = Label::from_pairs(Level::L3, &[(port, Level::Star)]);
-            let args = asbestos_kernel::SendArgs::new().grant(star);
-            for key in [DB_TRUSTED_ENV, "okws.cache.trusted"] {
-                if let Some(trusted) = sys.env(key).and_then(|v| v.as_handle()) {
-                    let _ = sys.send_args(trusted, DbMsg::AdminPort { port }.to_value(), &args);
-                }
-            }
-        } else {
-            self.0.set(self.0.get() + 1);
-        }
-        let _ = sys.ep_exit();
-    }
-}
-
-/// idd's trusted port is open, so any worker can announce an admin port
-/// on it; idd binds users only through the first announcement, which is
-/// ok-dbproxy's. Alice's first login through a deployment with a
-/// squatting worker is answered, and the squatter receives nothing: not
-/// her handles, not her password. Runs at 1 and 4 shards and at
+/// ok-dbproxy's admin port admits by its label: a worker that publishes
+/// its own port as the admin port,
+/// then sends the real one a `Bind` and an `Exec`, receives nothing, and
+/// alice's first login is answered. Runs at 1 and 4 shards and at
 /// `ASBESTOS_TEST_SHARDS`.
 #[test]
 fn a_worker_cannot_become_a_binding_party() {
     let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
     let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
     for shards in [1, 4].into_iter().chain(env_shards) {
-        let received = Rc::new(Cell::new(0));
-        let count = received.clone();
+        let loot = Rc::new(Loot::default());
         let mut config = OkwsConfig::new(80).sharded(shards);
         config
             .services
             .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
-        config.services.push(ServiceSpec::raw("squat", move || {
-            Box::new(BindingSquatter(count.clone()))
-        }));
+        config.services.push(BindingSquatter::spec(&loot));
         config.users.push(("alice".into(), "pw-a".into()));
         let (mut kernel, okws) = Okws::deploy(219, config);
         let mut client = OkwsClient::new(&okws);
@@ -1100,6 +1063,45 @@ fn a_worker_cannot_become_a_binding_party() {
             .request_sync(&mut kernel, "store", "alice", "pw-a", &[("data", "a")])
             .unwrap_or_else(|| panic!("{shards} shards: alice got no response"));
         assert_eq!(status, 200, "{shards} shards");
-        assert_eq!(received.get(), 0, "{shards} shards: the squatter was bound");
+        assert_eq!(*loot.received.borrow(), [""; 0], "{shards} shards");
+    }
+}
+
+/// OKWS's trusted processes read the environment only at start, so no
+/// worker can rewire them. Two compromised workers, one listed before
+/// `store` and one after, overwrite every key a trusted process reads,
+/// in their base start and again on activation (see [`Rewirer`]).
+/// Alice's two requests are answered, the second with her first data,
+/// and each attacker receives nothing but its own `Activate`. Runs at
+/// shards {1, 4} × lanes {1, 4} and at `ASBESTOS_TEST_SHARDS`.
+#[test]
+fn no_worker_can_rewire_a_trusted_process() {
+    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
+    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
+    for shards in [1, 4].into_iter().chain(env_shards) {
+        for lanes in [1, 4] {
+            let at = format!("{shards} shards, {lanes} lanes");
+            let loot = Rc::new(Loot::default());
+            let mut config = OkwsConfig::new(80).sharded(shards).lanes(lanes);
+            config.services.push(Rewirer::spec("evil-a", &loot));
+            config
+                .services
+                .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+            config.services.push(Rewirer::spec("evil-z", &loot));
+            config.users.push(("alice".into(), "pw-a".into()));
+            let (mut kernel, okws) = Okws::deploy(220, config);
+            let mut client = OkwsClient::new(&okws);
+            let data = [("data", "alice-1")];
+            let (status, _) = client
+                .request_sync(&mut kernel, "store", "alice", "pw-a", &data)
+                .unwrap_or_else(|| panic!("{at}: alice got no response"));
+            assert_eq!(status, 200, "{at}");
+            let (status, body) = client
+                .request_sync(&mut kernel, "store", "alice", "pw-a", &[])
+                .unwrap_or_else(|| panic!("{at}: alice got no second response"));
+            assert_eq!(status, 200, "{at}");
+            assert!(body.starts_with(b"alice-1"), "{at}");
+            assert_eq!(*loot.received.borrow(), [""; 0], "{at}");
+        }
     }
 }

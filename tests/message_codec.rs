@@ -226,7 +226,6 @@ fn db_messages_decode_exactly() {
         },
         DbMsg::rows(&[vec![SqlValue::Int(1), "r".into()]]),
         DbMsg::Done,
-        DbMsg::AdminPort { port: h(6) },
     ];
     check(&fixtures, DbMsg::to_value, DbMsg::from_value);
 }
