@@ -1,5 +1,5 @@
 //! Federation at scale: the Baseline scenario counted across a
-//! multi-kernel cluster, kernels {1,2} × shards {1,4}.
+//! multi-kernel cluster of 1 and 2 kernels.
 //!
 //! Each row is one deployment point of the scenario engine
 //! (`asbestos_loadgen::run_scenario` with `Baseline::kernels` set): front
@@ -19,20 +19,18 @@ use asbestos_bench::report::{pin_against_committed, BenchReport};
 use asbestos_loadgen::{run_scenario, Baseline};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-/// The federation sweep: kernel count × per-kernel shard count (lanes
-/// track shards, as in the latency bench's deployment grid).
-const SWEEP: [(usize, usize); 4] = [(1, 1), (1, 4), (2, 1), (2, 4)];
+/// The federation sweep: the kernel count.
+const SWEEP: [usize; 2] = [1, 2];
 
 fn bench_cluster(c: &mut Criterion) {
     let mut report = BenchReport::new("cluster");
 
-    for (kernels, shards) in SWEEP {
+    for kernels in SWEEP {
         let mut scenario = Baseline {
             users: 64,
             requests: 512,
             kernels,
-            shards,
-            lanes: shards,
+            lanes: 1,
         };
         // `Baseline::check` asserts nothing was lost and nothing shed.
         let r = run_scenario(&mut scenario, 0xFED0);
@@ -56,7 +54,9 @@ fn bench_cluster(c: &mut Criterion) {
             ("wire_bytes", r.wire_bytes as f64),
             ("forwarded", r.forwarded as f64),
         ]);
-        let name = format!("baseline-fed/k{}/{}x{}", r.kernels, r.shards, r.lanes);
+        // Rows keep the `engines x lanes` names they had when a kernel
+        // could run several engines; a kernel now runs one.
+        let name = format!("baseline-fed/k{}/1x{}", r.kernels, r.lanes);
         report.push_row(name, &fields);
     }
 

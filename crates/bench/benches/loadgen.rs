@@ -1,7 +1,7 @@
 //! Scenario counts at scale: the `asbestos-loadgen` workloads run end to
-//! end at two deployment points, `1×1` paper-faithful and `4×4` scaled.
+//! end on the paper-faithful deployment, one kernel behind one netd lane.
 //!
-//! Each row is one scenario at one deployment point: open-loop arrivals,
+//! Each row is one scenario: open-loop arrivals,
 //! a Zipf-skewed population, a full reboot-and-login storm, and a 10×
 //! flood whose excess the attacker's worker sheds. A row holds counts
 //! only — requests issued, completed, aborted and retried, messages
@@ -21,54 +21,44 @@ use asbestos_loadgen::{
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 
-/// The deployment points every scenario runs at.
-const DEPLOYMENTS: [(usize, usize); 2] = [(1, 1), (4, 4)];
-
-fn baseline_full(shards: usize, lanes: usize) -> Baseline {
-    Baseline {
-        users: 64,
-        requests: 512,
-        kernels: 1,
-        shards,
-        lanes,
-    }
-}
-
 fn push_scenario(report: &mut BenchReport, r: &ScenarioReport) {
     println!("{}", r.summary_line());
     let fields: Vec<(&str, f64)> = r.counts().iter().map(|&(k, v)| (k, v as f64)).collect();
-    report.push_row(format!("{}/{}x{}", r.scenario, r.shards, r.lanes), &fields);
+    // Rows keep the `engines x lanes` names they had when a kernel could
+    // run several engines; a kernel now runs one.
+    report.push_row(format!("{}/1x{}", r.scenario, r.lanes), &fields);
 }
 
 fn bench_loadgen(c: &mut Criterion) {
     let mut report = BenchReport::new("latency");
 
-    for (shards, lanes) in DEPLOYMENTS {
-        let r = run_scenario(&mut baseline_full(shards, lanes), 0xBA5E);
-        push_scenario(&mut report, &r);
+    let mut baseline = Baseline {
+        users: 64,
+        requests: 512,
+        kernels: 1,
+        lanes: 1,
+    };
+    let r = run_scenario(&mut baseline, 0xBA5E);
+    push_scenario(&mut report, &r);
 
-        // Heavy-tailed churn over a large population: Zipf-ranked users,
-        // logouts, and mid-stream disconnects.
-        let r = run_scenario(&mut ZipfChurn::new(10_000, 600, 1.1, shards, lanes), 0x21BF);
-        push_scenario(&mut report, &r);
+    // Heavy-tailed churn over a large population: Zipf-ranked users,
+    // logouts, and mid-stream disconnects.
+    let r = run_scenario(&mut ZipfChurn::new(10_000, 600, 1.1, 1), 0x21BF);
+    push_scenario(&mut report, &r);
 
-        // Reboot and make the whole population log back in at once.
-        let r = run_scenario(&mut LoginStorm::new(96, shards, lanes), 0x5708);
-        push_scenario(&mut report, &r);
+    // Reboot and make the whole population log back in at once.
+    let r = run_scenario(&mut LoginStorm::new(96, 1), 0x5708);
+    push_scenario(&mut report, &r);
 
-        // Flood: one attacker at 10× the victim's rate; what its session
-        // worker sheds is retried to completion.
-        let r = run_scenario(
-            &mut SustainedFlood {
-                requests: 440,
-                flood_factor: 10,
-                shards,
-                lanes,
-            },
-            0xF100,
-        );
-        push_scenario(&mut report, &r);
-    }
+    // Flood: one attacker at 10× the victim's rate; what its session
+    // worker sheds is retried to completion.
+    let mut flood = SustainedFlood {
+        requests: 440,
+        flood_factor: 10,
+        lanes: 1,
+    };
+    let r = run_scenario(&mut flood, 0xF100);
+    push_scenario(&mut report, &r);
 
     pin_against_committed(&report, "latency");
 

@@ -1,17 +1,9 @@
 //! Regenerates Figure 7: "Throughput for various numbers of cached sessions
-//! in OKWS, compared with Apache and Mod-Apache" — plus the sharded
-//! extension: the same sweep on `shards × lanes` deployments
-//! (`deploy_sharded`), throughput measured against the busiest shard's
-//! modeled clock.
+//! in OKWS, compared with Apache and Mod-Apache".
 //!
 //! Usage: `cargo run --release -p asbestos-bench --bin fig7_throughput [--quick]`
 
-use asbestos_bench::{
-    baseline_throughputs, okws_sweep_point, okws_sweep_point_sharded, quick_mode, sweep_sessions,
-};
-
-/// `shards × lanes` points for the sharded series.
-const SHARDED_CONFIGS: [(usize, usize); 2] = [(2, 2), (4, 4)];
+use asbestos_bench::{baseline_throughputs, okws_sweep_point, sweep_sessions};
 
 fn main() {
     println!("# Figure 7: throughput (connections/second)");
@@ -30,27 +22,5 @@ fn main() {
             format!("OKWS {} sessions", point.sessions),
             point.throughput
         );
-    }
-
-    // The sharded series (ROADMAP: fig7 on the sharded kernel). A
-    // reduced session sweep: the paper's axis is session count, ours
-    // adds the shards × lanes dimension on top.
-    println!();
-    println!("# Sharded OKWS (same workload on deploy_sharded; busiest-shard clock)");
-    println!("{:>22} {:>14}", "server", "conns/sec");
-    let sharded_sessions: &[usize] = if quick_mode() {
-        &[1, 100]
-    } else {
-        &[1, 100, 1000]
-    };
-    for &(shards, lanes) in &SHARDED_CONFIGS {
-        for &sessions in sharded_sessions {
-            let point = okws_sweep_point_sharded(sessions, 2000 + sessions as u64, shards, lanes);
-            println!(
-                "{:>22} {:>14.0}",
-                format!("OKWS {shards}x{lanes} {sessions} sess"),
-                point.throughput
-            );
-        }
     }
 }

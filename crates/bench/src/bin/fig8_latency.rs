@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p asbestos-bench --bin fig8_latency [--quick]`
 
-use asbestos_bench::{baseline_latencies, okws_latency, okws_latency_sharded, quick_mode};
+use asbestos_bench::{baseline_latencies, okws_latency, quick_mode};
 
 fn main() {
     println!("# Figure 8: request latency at concurrency 4 (microseconds)");
@@ -23,15 +23,6 @@ fn main() {
     let batches = if quick_mode() { 50 } else { 250 };
     for sessions in [1usize, 1000] {
         let row = okws_latency(sessions, batches, 3000 + sessions as u64);
-        println!(
-            "{:>22} {:>12.0} {:>16.0}",
-            row.server, row.median_us, row.p90_us
-        );
-    }
-    // Beyond the paper: the same closed loop on the scaled deployment
-    // (sharded kernel, multi-lane netd, per-lane completion polling).
-    for (shards, lanes) in [(1usize, 1usize), (4, 4)] {
-        let row = okws_latency_sharded(1000, batches, 3500, shards, lanes);
         println!(
             "{:>22} {:>12.0} {:>16.0}",
             row.server, row.median_us, row.p90_us

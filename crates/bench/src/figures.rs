@@ -4,7 +4,7 @@ use asbestos_baseline::{apache_cgi, mod_apache, run_closed_loop, UnixCosts};
 use asbestos_kernel::{Category, CYCLES_PER_SEC};
 use asbestos_net::ClientRequest;
 
-use crate::fixture::{deploy, deploy_sharded, BenchEnv, CONNS_PER_USER, LATENCY_CONCURRENCY};
+use crate::fixture::{deploy, BenchEnv, CONNS_PER_USER, LATENCY_CONCURRENCY};
 
 // ---------------------------------------------------------------------
 // Figure 6: memory use.
@@ -68,25 +68,9 @@ pub struct SweepPoint {
 /// Kernel IPC cost scales linearly with cached sessions, as §9.3 reports:
 /// every delivery is charged the label entries it examines.
 pub fn okws_sweep_point(sessions: usize, seed: u64) -> SweepPoint {
-    okws_sweep_point_sharded(sessions, seed, 1, 1)
-}
-
-/// [`okws_sweep_point`] on a `shards × lanes` deployment
-/// ([`crate::fixture::deploy_sharded`]).
-///
-/// Throughput uses the **busiest shard's** cycle advance as the elapsed
-/// denominator ([`asbestos_kernel::Kernel::elapsed_cycles`]): shards
-/// model parallel cores, so the slowest one bounds the modeled wall
-/// clock. On `1 × 1` that is the kernel's whole clock.
-pub fn okws_sweep_point_sharded(
-    sessions: usize,
-    seed: u64,
-    shards: usize,
-    lanes: usize,
-) -> SweepPoint {
-    let mut env = deploy_sharded(seed, sessions, true, shards, lanes);
+    let mut env = deploy(seed, sessions, true);
     let start = env.kernel.cycle_snapshot();
-    let elapsed_before = env.kernel.elapsed_cycles();
+    let elapsed_before = env.kernel.now();
     let mut connections = 0u64;
     for _round in 0..CONNS_PER_USER {
         for user in 0..sessions {
@@ -95,7 +79,7 @@ pub fn okws_sweep_point_sharded(
         }
     }
     let end = env.kernel.cycle_snapshot();
-    let elapsed = (env.kernel.elapsed_cycles() - elapsed_before).max(1);
+    let elapsed = (env.kernel.now() - elapsed_before).max(1);
     let throughput = connections as f64 / (elapsed as f64 / CYCLES_PER_SEC as f64);
     let mut kcycles = [0.0; 5];
     for (i, &cat) in Category::ALL.iter().enumerate() {
@@ -134,21 +118,7 @@ pub struct Fig8Row {
     pub p90_us: f64,
 }
 
-/// Measures OKWS latency with the paper's concurrency of 4 (§9.2.2) on
-/// the paper's deployment: [`okws_latency_sharded`] at `1 × 1` under the
-/// figure's row label.
-pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
-    Fig8Row {
-        server: format!(
-            "OKWS, {} session{}",
-            sessions,
-            if sessions == 1 { "" } else { "s" }
-        ),
-        ..okws_latency_sharded(sessions, samples, seed, 1, 1)
-    }
-}
-
-/// The Figure 8 closed loop on a `shards × lanes` deployment.
+/// Measures OKWS latency with the paper's concurrency of 4 (§9.2.2).
 ///
 /// A closed loop keeps [`LATENCY_CONCURRENCY`] requests outstanding: each
 /// completion immediately triggers a replacement, so requests stagger into
@@ -163,14 +133,8 @@ pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
 /// every lane each scheduling quantum, the way a real multi-queue NIC
 /// client would. Latency is virtual-cycle, so the row is deterministic
 /// under its seed.
-pub fn okws_latency_sharded(
-    sessions: usize,
-    samples: usize,
-    seed: u64,
-    shards: usize,
-    lanes: usize,
-) -> Fig8Row {
-    let mut env = deploy_sharded(seed, sessions + samples, true, shards, lanes);
+pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
+    let mut env = deploy(seed, sessions + samples, true);
     // Pre-build the cached sessions the configuration calls for.
     for user in 0..sessions {
         env.request_ok("bench", user, &[]);
@@ -248,7 +212,11 @@ pub fn okws_latency_sharded(
     let median = asbestos_net::percentile(&lat, 50.0).unwrap_or(0.0);
     let p90 = asbestos_net::percentile(&lat, 90.0).unwrap_or(0.0);
     Fig8Row {
-        server: format!("OKWS, {sessions} sessions, {shards}x{lanes}"),
+        server: format!(
+            "OKWS, {} session{}",
+            sessions,
+            if sessions == 1 { "" } else { "s" }
+        ),
         median_us: median,
         p90_us: p90,
     }

@@ -41,21 +41,7 @@ fn password(name: &str) -> String {
 /// `tidy` controls the workers' `ep_clean` discipline (Figure 6's
 /// cached-vs-active experiments).
 pub fn deploy(seed: u64, users: usize, tidy: bool) -> BenchEnv {
-    deploy_sharded(seed, users, tidy, 1, 1)
-}
-
-/// Deploys OKWS on a sharded kernel with a multi-lane netd front end.
-/// `shards = 1, lanes = 1` is the paper-faithful configuration
-/// ([`deploy`]); higher counts are the sharded series of Figures 7
-/// and 8.
-pub fn deploy_sharded(
-    seed: u64,
-    users: usize,
-    tidy: bool,
-    shards: usize,
-    lanes: usize,
-) -> BenchEnv {
-    let mut config = OkwsConfig::new(80).sharded(shards).lanes(lanes);
+    let mut config = OkwsConfig::new(80);
     let bench = ServiceSpec::new("bench", || Box::new(ParamLength));
     let store = ServiceSpec::new("store", || Box::new(EchoStore::new()));
     config

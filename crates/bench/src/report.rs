@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 /// One measurement row: a name plus flat key→value fields.
 pub struct BenchRow {
-    /// Row identifier (e.g. `"shards=4/placement=local"`).
+    /// Row identifier (e.g. `"baseline/1x1"`).
     pub name: String,
     /// Numeric fields, in insertion order.
     pub fields: Vec<(String, f64)>,
@@ -44,7 +44,7 @@ impl BenchReport {
         });
     }
 
-    /// Sets a headline summary field (e.g. the 1→4 shard speedup).
+    /// Sets a headline summary field.
     pub fn push_summary(&mut self, key: impl Into<String>, value: f64) {
         self.summary.push((key.into(), value));
     }

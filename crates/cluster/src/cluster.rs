@@ -6,11 +6,12 @@
 //! (`UnixStream::pair`, or path-bound sockets under the directory named
 //! by `ASBESTOS_CLUSTER_SOCKET`): one link at two kernels, three at
 //! three. Handle uniqueness holds *cluster-wide* (§5.1 "unique since
-//! boot", here since cluster boot): kernel `k` of `N` takes cipher-lane
-//! slot `k`, so shard `i` of kernel `k` draws handles from lane `k·S + i`
-//! of `N·S` — no two kernels can ever mint the same handle, which is what
-//! makes a serialized handle meaningful on arrival, and what lets every
-//! kernel compute the kernel a handle belongs to from its value.
+//! boot", here since cluster boot): kernel `k` of `N` draws handles from
+//! cipher lane `k` of `N` — no two kernels can ever mint the same handle,
+//! which is what makes a serialized handle meaningful on arrival, and what
+//! lets every kernel compute the kernel a handle belongs to from its value
+//! (`lane_of(port)`). Federation is the only way a deployment spreads:
+//! each kernel is one delivery engine.
 //!
 //! [`Cluster::run`] is the federation scheduler: it alternates kernel
 //! execution with gateway pumping until the whole system — every kernel
@@ -49,13 +50,17 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds a cluster of `kernels` kernels with `shards` shards each,
-    /// all deriving handles from `seed` in disjoint cipher lanes.
+    /// Builds a cluster of `kernels` kernels, all deriving handles from
+    /// `seed` in disjoint cipher lanes.
+    ///
+    /// The third argument is ignored: a kernel is one delivery engine. It
+    /// stays only because `benchmark/` (which a crate PR may not edit)
+    /// passes one; the `[benchmark]` PR drops it.
     ///
     /// # Panics
     ///
     /// Panics if `kernels` is zero or socket setup fails.
-    pub fn new(seed: u64, kernels: usize, shards: usize) -> Cluster {
+    pub fn new(seed: u64, kernels: usize, _shards: usize) -> Cluster {
         assert!(kernels >= 1, "a cluster needs at least one kernel");
         let mut links: Vec<Vec<Option<FrameConn>>> = (0..kernels)
             .map(|_| (0..kernels).map(|_| None).collect())
@@ -69,7 +74,7 @@ impl Cluster {
         let cost = CostModel::default;
         let nodes = (links.into_iter().enumerate())
             .map(|(k, links)| ClusterNode {
-                kernel: Kernel::with_cluster_slot(seed, cost(), shards, 0, k, kernels),
+                kernel: Kernel::with_cluster_slot(seed, cost(), 0, k, kernels),
                 gateway: Gateway::new(links),
             })
             .collect();
@@ -171,11 +176,7 @@ impl Cluster {
     /// Virtual elapsed time of the federation: the *maximum* kernel
     /// clock, since member kernels run concurrently in real deployments.
     pub fn elapsed_cycles(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.kernel.elapsed_cycles())
-            .max()
-            .unwrap_or(0)
+        self.nodes.iter().map(|n| n.kernel.now()).max().unwrap_or(0)
     }
 
     /// Summed wire traffic across every gateway's open links.

@@ -13,9 +13,8 @@
 //! * **Inbound** ([`Gateway::pump_in`]): applies replicated `EnvSet`s with
 //!   [`Kernel::apply_remote_env`], which logs nothing, so a replicated
 //!   write is never sent back; and injects `Forward`s via
-//!   [`Kernel::inject_remote`] — which enqueues on the shard of the lane
-//!   that minted the port, where the ordinary delivery path re-runs the
-//!   Figure 4 check against *this* kernel's state. Verdicts never cross
+//!   [`Kernel::inject_remote`], where the ordinary delivery path re-runs
+//!   the Figure 4 check against *this* kernel's state. Verdicts never cross
 //!   the wire; only labels do.
 //!
 //! All traffic from one kernel to another shares one link, so messages
@@ -166,13 +165,12 @@ mod tests {
     use std::os::unix::net::UnixStream;
 
     const SEED: u64 = 0x5317;
-    const SHARDS: usize = 2;
 
-    /// A settled cluster of `kernels` kernels of `SHARDS` shards. Kernel
-    /// `k` runs a sender on shard 0 that publishes its trigger port as
-    /// `trigger.k` and, sent a handle there, sends `Unit` to it.
+    /// A settled cluster of `kernels` kernels. Kernel `k` runs a sender
+    /// that publishes its trigger port as `trigger.k` and, sent a handle
+    /// there, sends `Unit` to it.
     fn senders(kernels: usize) -> Cluster {
-        let mut cluster = Cluster::new(SEED, kernels, SHARDS);
+        let mut cluster = Cluster::new(SEED, kernels, 1);
         for (k, node) in cluster.nodes.iter_mut().enumerate() {
             let sender = service_with_start(
                 move |sys| {
@@ -186,7 +184,7 @@ mod tests {
                     }
                 },
             );
-            node.kernel.spawn_on(0, "sender", Category::Other, sender);
+            node.kernel.spawn("sender", Category::Other, sender);
         }
         cluster.run();
         cluster
@@ -206,12 +204,11 @@ mod tests {
         kernel.run();
     }
 
-    /// The `n`th handle shard `shard` of kernel `k` of `kernels` mints, as
+    /// The `n`th handle kernel `k` of `kernels` mints, as
     /// `Kernel::with_cluster_slot` lays out the lanes.
-    fn minted_on(k: usize, shard: usize, kernels: usize, n: usize) -> Handle {
-        let lane = (k * SHARDS + shard) as u64;
-        let mut alloc = HandleAllocator::with_partition(SEED, lane, 1, (kernels * SHARDS) as u64);
-        (0..n).map(|_| alloc.alloc(0)).last().unwrap()
+    fn minted_on(k: usize, kernels: usize, n: usize) -> Handle {
+        let mut alloc = HandleAllocator::with_partition(SEED, k as u64, kernels as u64);
+        (0..n).map(|_| alloc.alloc()).last().unwrap()
     }
 
     /// Frames each kernel has read off each of its links, `[to][from]`.
@@ -229,15 +226,15 @@ mod tests {
     }
 
     /// A `Forward` for a port kernel `k` minted travels, from every other
-    /// kernel, on the link to `k` and on no other — on a lane count (3 × 2)
+    /// kernel, on the link to `k` and on no other — on a lane count (3)
     /// that is not a power of two.
     #[test]
     fn a_forward_travels_only_on_the_link_to_its_home() {
         let kernels = 3;
         let mut cluster = senders(kernels);
         for k in 0..kernels {
-            for shard in 0..SHARDS {
-                let target = minted_on(k, shard, kernels, 1);
+            for n in 1..=2 {
+                let target = minted_on(k, kernels, n);
                 for from in (0..kernels).filter(|&from| from != k) {
                     let (before, routed) = (frames_in(&cluster), cluster.switch().forwarded);
                     send(&mut cluster, from, target);
@@ -264,7 +261,7 @@ mod tests {
     #[test]
     fn frames_of_one_link_keep_their_order_across_kinds() {
         let mut cluster = senders(2);
-        let targets = [minted_on(1, 0, 2, 7), minted_on(1, 1, 2, 7)];
+        let targets = [minted_on(1, 2, 7), minted_on(1, 2, 8)];
         for (n, target) in (1..).zip(targets) {
             cluster.nodes[0]
                 .kernel
@@ -286,23 +283,23 @@ mod tests {
         assert_eq!(got, [Value::U64(1), first, Value::U64(2), second]);
     }
 
-    /// A handle nobody minted, on one of the sender's own lanes, never
-    /// leaves the sender: one `NoSuchPort` drop on that lane's shard, no
-    /// egress and no frame.
+    /// A handle nobody minted, on the sender's own lane, never leaves the
+    /// sender: one `NoSuchPort` drop on the sender's kernel, no egress and
+    /// no frame.
     #[test]
     fn a_never_minted_handle_on_the_senders_lane_costs_one_drop_and_no_frame() {
         let kernels = 3;
         let mut cluster = senders(kernels);
-        let target = minted_on(0, 1, kernels, 100);
+        let target = minted_on(0, kernels, 100);
         let (before, frames) = (cluster.stats(), cluster.wire_stats().frames_out);
-        let no_port = |c: &Cluster| c.nodes[0].kernel.shard(1).stats().dropped_no_port;
+        let no_port = |c: &Cluster| c.nodes[0].kernel.stats().dropped_no_port;
         let (k0, routed) = (no_port(&cluster), cluster.switch().forwarded);
         send(&mut cluster, 0, target);
         assert!(cluster.nodes[0].kernel.take_remote_egress().is_empty());
         cluster.run();
         let after = cluster.stats();
         assert_eq!(after.dropped_total() - before.dropped_total(), 1);
-        assert_eq!(no_port(&cluster) - k0, 1, "dropped on the lane's shard");
+        assert_eq!(no_port(&cluster) - k0, 1, "dropped on the sender's kernel");
         assert_eq!(cluster.wire_stats().frames_out, frames);
         assert_eq!(cluster.switch().forwarded, routed);
     }

@@ -27,9 +27,8 @@
 //!   minted) on the link to the home it was parked with, and injects arriving `Forward`s inward,
 //!   where the ordinary delivery path re-runs the Figure 4 check against
 //!   the *destination* kernel's state. A verdict is derived only from
-//!   destination-side state — the same isolation rule the sharded kernel
-//!   enforces, stretched across the wire. A malformed frame closes the
-//!   one link that carried it.
+//!   destination-side state, as on one kernel, stretched across the wire.
+//!   A malformed frame closes the one link that carried it.
 //! * [`cluster`] — [`Cluster`]: construction (disjoint handle-cipher
 //!   lanes per kernel keep §5.1 uniqueness cluster-wide), the
 //!   run-to-quiescence federation scheduler, and [`deploy_okws`] for

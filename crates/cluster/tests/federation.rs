@@ -196,7 +196,7 @@ fn handles_are_unique_cluster_wide() {
         fn on_message(&mut self, _sys: &mut Sys<'_>, _msg: &Message) {}
     }
 
-    let mut cluster = Cluster::new(99, 4, 2);
+    let mut cluster = Cluster::new(99, 4, 1);
     let mut seen = std::collections::HashSet::new();
     for node in &mut cluster.nodes {
         node.kernel
@@ -211,9 +211,9 @@ fn handles_are_unique_cluster_wide() {
     assert_eq!(seen.len(), 4 * 64);
 }
 
-/// An 8-user store deployment at `shards` × `shards`.
-fn store_config(shards: usize) -> OkwsConfig {
-    let mut config = OkwsConfig::new(80).sharded(shards).lanes(shards);
+/// An 8-user store deployment behind `lanes` netd lanes.
+fn store_config(lanes: usize) -> OkwsConfig {
+    let mut config = OkwsConfig::new(80).lanes(lanes);
     config
         .services
         .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
@@ -246,11 +246,11 @@ fn issue(client: &mut OkwsClient, kernel: &mut Kernel, i: usize) -> usize {
 /// relayed.
 #[test]
 fn one_kernel_federation_matches_the_plain_engine() {
-    for shards in [1, 4] {
-        let (mut kernel, okws) = Okws::deploy(0x0501, store_config(shards));
+    for lanes in [1, 4] {
+        let (mut kernel, okws) = Okws::deploy(0x0501, store_config(lanes));
         let mut plain = OkwsClient::new(&okws);
-        let mut cluster = Cluster::new(0x0501, 1, shards);
-        let okws = deploy_okws(&mut cluster, store_config(shards));
+        let mut cluster = Cluster::new(0x0501, 1, 1);
+        let okws = deploy_okws(&mut cluster, store_config(lanes));
         let mut fed = OkwsClient::new(&okws);
 
         for i in 0..64 {
@@ -263,15 +263,15 @@ fn one_kernel_federation_matches_the_plain_engine() {
             assert_eq!(
                 fed.parse_response(b).expect("federated request answered"),
                 plain.parse_response(a).expect("plain request answered"),
-                "{shards} shards: response {i}"
+                "{lanes} lanes: response {i}"
             );
         }
         assert_eq!(
             format!("{:?}", cluster.stats()),
             format!("{:?}", kernel.stats()),
-            "{shards} shards: kernel counters"
+            "{lanes} lanes: kernel counters"
         );
-        assert_eq!(cluster.elapsed_cycles(), kernel.elapsed_cycles());
+        assert_eq!(cluster.elapsed_cycles(), kernel.now());
         // Nothing to federate: the switch routed no cross-kernel traffic.
         assert_eq!(cluster.switch().forwarded, 0);
     }

@@ -3,8 +3,9 @@
 //! a two-kernel deployment's Figure 4 verdict trace must be bit-identical
 //! to the single-kernel run of the same workload — a hostile worker
 //! against federated routing, the workers' privileges at every placement,
-//! and workers on another kernel that try to become idd's binding party
-//! or to rewire a trusted process over the wire.
+//! and workers on another kernel that try to become idd's binding party,
+//! to rewire a trusted process over the wire, or to squat on a key their
+//! fellow workers read.
 
 #[path = "../../okws/tests/hostile/mod.rs"]
 mod hostile;
@@ -18,7 +19,7 @@ use asbestos_kernel::{Category, Handle, Kernel, Label, Level, Stats, Value};
 use asbestos_okws::idd::{IDD_DEMUX_VERIFY_ENV, LAUNCHER_VERIFY_ENV};
 use asbestos_okws::logic::{EchoStore, ParamLength};
 use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
-use hostile::{BindingSquatter, Loot, Rewirer};
+use hostile::{BindingSquatter, KeySquatter, Loot, Rewirer};
 
 fn store_config(users: &[(&str, &str)]) -> OkwsConfig {
     let mut config = OkwsConfig::new(80);
@@ -184,14 +185,16 @@ fn two_kernel_verdict_trace_is_bit_identical_to_single_kernel() {
 /// drop in the cluster and puts at most one frame on the wire, and the
 /// bystander's session — status, body and the verdicts reached serving
 /// each request — is bit-identical to a run without the attacker. Runs at
-/// `ASBESTOS_KERNELS` kernels (at least 2) of `ASBESTOS_TEST_SHARDS` shards
-/// (default 1).
+/// `ASBESTOS_KERNELS` kernels (at least 2).
 #[test]
 fn hostile_routing_costs_one_drop_and_leaves_a_bystander_untouched() {
-    let count = |key| std::env::var(key).ok().and_then(|k| k.trim().parse().ok());
-    let (kernels, shards) = (count("ASBESTOS_KERNELS"), count("ASBESTOS_TEST_SHARDS"));
+    let kernels = std::env::var("ASBESTOS_KERNELS").ok();
+    let kernels = kernels
+        .and_then(|k| k.trim().parse().ok())
+        .unwrap_or(2)
+        .max(2);
     let bystander_trace = |attack: bool| {
-        let mut cluster = Cluster::new(304, kernels.unwrap_or(2).max(2), shards.unwrap_or(1));
+        let mut cluster = Cluster::new(304, kernels, 1);
         let okws = deploy_okws(&mut cluster, store_config(&[("alice", "pw-a")]));
         let mut client = OkwsClient::new(&okws);
         if attack {
@@ -292,9 +295,8 @@ fn assert_no_worker_holds_a_verification_star(kernels: &[&Kernel], services: &[&
 
 /// §7.1 gives each process its own verification handle, and a worker
 /// gets only its own, at activation: no worker base process holds `⋆` on
-/// any verification handle, on a bare kernel at 1 and 4 shards and
-/// through [`deploy_okws`] at 1 and `ASBESTOS_KERNELS` (default 2)
-/// kernels of `ASBESTOS_TEST_SHARDS` (default 1) shards.
+/// any verification handle, on a bare kernel and through [`deploy_okws`]
+/// at 1 and `ASBESTOS_KERNELS` (default 2) kernels.
 #[test]
 fn no_worker_holds_a_verification_handle_at_star() {
     let services = ["store", "bench"];
@@ -305,15 +307,13 @@ fn no_worker_holds_a_verification_handle_at_star() {
             .push(ServiceSpec::new("bench", || Box::new(ParamLength)));
         config
     };
-    for shards in [1, 4] {
-        let (kernel, _okws) = Okws::deploy(305, config().sharded(shards));
-        assert_no_worker_holds_a_verification_star(&[&kernel], &services);
-    }
-    let count = |key| std::env::var(key).ok().and_then(|k| k.trim().parse().ok());
-    let shards = count("ASBESTOS_TEST_SHARDS").unwrap_or(1);
-    for kernels in [1, count("ASBESTOS_KERNELS").unwrap_or(2)] {
-        let mut cluster = Cluster::new(305, kernels, shards);
-        deploy_okws(&mut cluster, config().sharded(shards));
+    let (kernel, _okws) = Okws::deploy(305, config());
+    assert_no_worker_holds_a_verification_star(&[&kernel], &services);
+    let kernels = std::env::var("ASBESTOS_KERNELS").ok();
+    let kernels = kernels.and_then(|k| k.trim().parse().ok()).unwrap_or(2);
+    for kernels in [1, kernels] {
+        let mut cluster = Cluster::new(305, kernels, 1);
+        deploy_okws(&mut cluster, config());
         let members: Vec<&Kernel> = cluster.nodes.iter().map(|n| &n.kernel).collect();
         assert_no_worker_holds_a_verification_star(&members, &services);
     }
@@ -353,13 +353,12 @@ fn a_worker_cannot_become_a_binding_party() {
 /// reads; their writes reach kernel 0 as `EnvSet`s. Alice's two requests
 /// are answered, the second with her first data, and each attacker
 /// receives nothing but its own `Activate`. Runs through [`deploy_okws`]
-/// at 2 and `ASBESTOS_KERNELS` kernels of `ASBESTOS_TEST_SHARDS` (default
-/// 1) shards.
+/// at 2 and `ASBESTOS_KERNELS` kernels.
 #[test]
 fn no_worker_can_rewire_a_trusted_process() {
-    let count = |key| std::env::var(key).ok().and_then(|k| k.trim().parse().ok());
-    let shards = count("ASBESTOS_TEST_SHARDS").unwrap_or(1);
-    for kernels in [2].into_iter().chain(count("ASBESTOS_KERNELS")) {
+    let kernels = std::env::var("ASBESTOS_KERNELS").ok();
+    let kernels = kernels.and_then(|k| k.trim().parse().ok());
+    for kernels in [2].into_iter().chain(kernels) {
         let at = format!("{kernels} kernels");
         let loot = Rc::new(Loot::default());
         let mut config = OkwsConfig::new(80);
@@ -369,8 +368,8 @@ fn no_worker_can_rewire_a_trusted_process() {
             .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
         config.services.push(Rewirer::spec("evil-z", &loot));
         config.users.push(("alice".into(), "pw-a".into()));
-        let mut cluster = Cluster::new(307, kernels, shards);
-        let okws = deploy_okws(&mut cluster, config.sharded(shards));
+        let mut cluster = Cluster::new(307, kernels, 1);
+        let okws = deploy_okws(&mut cluster, config);
         for attacker in ["worker-evil-a", "worker-evil-z"] {
             let kernel = &cluster.nodes[1].kernel;
             assert!(kernel.find_process(attacker).is_some(), "{at}: {attacker}");
@@ -385,5 +384,43 @@ fn no_worker_can_rewire_a_trusted_process() {
         assert_eq!(status, 200, "{at}");
         assert!(body.starts_with(b"alice-1"), "{at}");
         assert_eq!(*loot.received.borrow(), [""; 0], "{at}");
+    }
+}
+
+/// A squatter on kernel 1 (see [`KeySquatter`]) overwrites ok-demux's
+/// registration or control port key, with `Unit` or with its own port,
+/// before `store` on the same kernel reads it. Nothing panics and alice
+/// is answered 503, except that a session registering with the
+/// squatter's port still serves her; the squatter receives nothing but,
+/// owning the registration key, `store`'s untainted `Register`. Runs
+/// through [`deploy_okws`] at 2 kernels.
+#[test]
+fn a_worker_key_squatter_costs_only_availability() {
+    for (key, answers) in [
+        ("okws.demux.reg", [503, 503]),
+        ("okws.demux.port", [503, 200]),
+    ] {
+        for (own_port, answer) in [false, true].into_iter().zip(answers) {
+            let at = format!("{key} <- {}", if own_port { "its port" } else { "Unit" });
+            let loot = Rc::new(Loot::default());
+            let mut config = OkwsConfig::new(80);
+            config
+                .services
+                .push(KeySquatter::spec(key, own_port, &loot));
+            config
+                .services
+                .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+            config.users.push(("alice".into(), "pw-a".into()));
+            let mut cluster = Cluster::new(308, 2, 1);
+            let okws = deploy_okws(&mut cluster, config);
+            let mut client = OkwsClient::new(&okws);
+            let data = [("data", "alice-secret")];
+            let served = fed_request(&mut cluster, &mut client, "store", "alice", "pw-a", &data);
+            assert_eq!(served.map(|(status, _)| status), Some(answer), "{at}");
+            let received = loot.received.borrow();
+            let registers = usize::from(key == "okws.demux.reg" && own_port);
+            assert_eq!(received.len(), registers, "{at}: {received:?}");
+            assert!(received.iter().all(|m| m.contains(r#"Str("register")"#)));
+        }
     }
 }

@@ -138,15 +138,6 @@ impl CycleClock {
         self.totals[Self::slot(category)]
     }
 
-    /// Adds another clock's time and totals into this one (shard merging:
-    /// the merged `now` is total cycles consumed across all shards).
-    pub(crate) fn absorb(&mut self, other: &CycleClock) {
-        self.now += other.now;
-        for (slot, total) in self.totals.iter_mut().zip(other.totals.iter()) {
-            *slot += total;
-        }
-    }
-
     /// Snapshot of all category totals, in [`Category::ALL`] order.
     pub fn snapshot(&self) -> CycleSnapshot {
         CycleSnapshot {

@@ -3,19 +3,14 @@
 //! Split out of `kernel.rs` so all delivery policy lives in one place:
 //!
 //! * `Mailboxes` — the queued-message store, one FIFO per destination
-//!   port, drained by a deterministic round-robin scheduler. Per-port
-//!   queues are the structural prerequisite for sharding the delivery
-//!   engine: two ports' traffic shares no queue state.
+//!   port, drained by a deterministic round-robin scheduler, so two
+//!   ports' traffic shares no queue state.
 //! * [`DeliveryOutcome`] — what one scheduler step did; the per-step
-//!   `Stats` bookkeeping happens in exactly one place (the shard's
+//!   `Stats` bookkeeping happens in exactly one place (the engine's
 //!   `step_outcome`) instead of at every drop site.
 //!
-//! Since the kernel was sharded, the engine below runs *per shard*: each
-//! [`KernelShard`] drains its own mailboxes against its own processes,
-//! ports, and clock, sharing no mutable delivery state with the others.
-//! Cross-shard sends are pushed straight onto the destination shard's
-//! inbox and pulled at deterministic points of its drain loop —
-//! sub-round routing (see `router.rs` and `kernel.rs`).
+//! The kernel's one [`Engine`] runs the loop below over its own
+//! mailboxes, processes and clock.
 //!
 //! Figure 4 is evaluated on every delivery. §5.6 is what makes that
 //! cheap: the label operations run in O(chunks touched), and an effect
@@ -31,8 +26,8 @@ use crate::cycles::Category;
 use crate::handle_table::PortOwner;
 use crate::ids::ExecCtx;
 use crate::message::{Message, QueuedMessage};
-use crate::router::{PullPoint, Router};
-use crate::shard::KernelShard;
+use crate::router::Router;
+use crate::shard::Engine;
 use crate::stats::DropReason;
 
 /// What one call to [`crate::Kernel::step_outcome`] did.
@@ -139,7 +134,7 @@ pub(crate) fn keep_or_wrap(held: &Arc<Label>, result: Cow<'_, Label>) -> Arc<Lab
     }
 }
 
-impl KernelShard {
+impl Engine {
     /// Attempts one message delivery and reports what happened.
     ///
     /// All per-step `Stats` bookkeeping lives here: drop reasons and the
@@ -160,29 +155,19 @@ impl KernelShard {
         outcome
     }
 
-    /// Drains this shard until locally quiescent or until `budget` steps
-    /// have run, and returns the steps; mailboxes left non-empty mean
-    /// the budget ran out first. Local sends issued by handlers keep the
-    /// drain going; cross-shard sends are pushed straight onto their
-    /// destination's inbox, and whenever this shard's own mailboxes
-    /// empty it pulls *its* inbox and keeps going —
-    /// sub-round routing, which lets a forward cross-shard chain finish
-    /// inside one sweep.
+    /// Delivers until the mailboxes are empty or `budget` steps have
+    /// run, and returns the steps; mailboxes left non-empty mean the
+    /// budget ran out first. Sends issued by handlers keep the drain
+    /// going.
     ///
     /// The time the loop runs is accumulated into `busy_nanos` (see the
     /// field docs).
-    pub(crate) fn drain_round(&mut self, router: &mut Router, budget: u64) -> u64 {
+    pub(crate) fn drain(&mut self, router: &mut Router, budget: u64) -> u64 {
         let start = std::time::Instant::now();
         let mut steps = 0;
-        loop {
-            self.pull_inbound(router, PullPoint::Subround);
-            if self.mailboxes.len() == 0 || steps == budget {
-                break;
-            }
-            while self.mailboxes.len() > 0 && steps < budget {
-                self.step_outcome(router);
-                steps += 1;
-            }
+        while self.mailboxes.len() > 0 && steps < budget {
+            self.step_outcome(router);
+            steps += 1;
         }
         self.busy_nanos += start.elapsed().as_nanos() as u64;
         steps
@@ -191,8 +176,8 @@ impl KernelShard {
     /// Evaluates Figure 4 for one popped message and, if it passes,
     /// invokes the receiver.
     fn deliver(&mut self, router: &mut Router, qm: QueuedMessage) -> DeliveryOutcome {
-        // Resolve the destination port: this shard's lane minted it, so
-        // its port state, if any, is one this shard's processes own.
+        // Resolve the destination port: this kernel's lane minted it, so
+        // its port state, if any, is one this kernel's processes own.
         let Some(port_state) = router.handles.port(qm.port) else {
             return DeliveryOutcome::Dropped(DropReason::NoSuchPort);
         };

@@ -11,10 +11,10 @@
 //! leaving the handle valid in labels. Accounting still charges a vnode
 //! for every handle ever minted ([`HandleTable::kernel_bytes`]).
 //!
-//! A kernel has one table, whatever its shard count, and one allocator:
-//! one cipher, of which each shard mints from its own lane. Where a handle
-//! lives is the lane that minted it ([`HandleAllocator::lane_of`]), a
-//! function of its value alone, so no entry records it.
+//! A kernel has one table and one allocator, which mints from the
+//! kernel's own lane of the cipher. Which kernel a handle lives on is the
+//! lane that minted it ([`HandleAllocator::lane_of`]), a function of its
+//! value alone, so no entry records it.
 
 use std::collections::BTreeMap;
 
@@ -44,28 +44,27 @@ pub struct PortState {
 }
 
 /// The handle → port state map of live ports plus the kernel's
-/// allocator: one cipher, one lane per shard.
+/// allocator.
 pub struct HandleTable {
     ports: BTreeMap<Handle, PortState>,
-    /// Shard `i` mints from lane `first + i` of the allocator's run.
     alloc: HandleAllocator,
 }
 
 impl HandleTable {
-    /// Creates a one-shard table whose allocator is keyed from `seed`.
+    /// Creates a table whose allocator owns the whole counter, keyed
+    /// from `seed`.
     pub fn new(seed: u64) -> HandleTable {
-        HandleTable::with_partition(seed, 0, 1, 1)
+        HandleTable::with_partition(seed, 0, 1)
     }
 
-    /// Creates the table of `shards` shards, shard `i` owning lane
-    /// `first + i` of a `lanes`-way partitioned allocator: all lanes share
-    /// the seed-keyed cipher (one handle namespace) but draw disjoint
-    /// counters, so no two shards — nor, across a federation, two
-    /// kernels — ever mint colliding handles.
-    pub fn with_partition(seed: u64, first: u64, shards: usize, lanes: u64) -> HandleTable {
+    /// Creates a table minting from lane `lane` of a `lanes`-way
+    /// partitioned allocator: all lanes share the seed-keyed cipher (one
+    /// handle namespace) but draw disjoint counters, so no two kernels of
+    /// a federation ever mint colliding handles.
+    pub fn with_partition(seed: u64, lane: u64, lanes: u64) -> HandleTable {
         HandleTable {
             ports: BTreeMap::new(),
-            alloc: HandleAllocator::with_partition(seed, first, shards, lanes),
+            alloc: HandleAllocator::with_partition(seed, lane, lanes),
         }
     }
 
@@ -75,19 +74,18 @@ impl HandleTable {
         &self.alloc
     }
 
-    /// Mints a fresh compartment handle on `shard` (the `new_handle`
-    /// syscall's kernel half; the caller is responsible for setting
-    /// `P_S(h) = ⋆`). A compartment has no kernel state: nothing is
-    /// stored.
-    pub fn new_handle(&mut self, shard: u16) -> Handle {
-        self.alloc.alloc(shard as usize)
+    /// Mints a fresh compartment handle (the `new_handle` syscall's
+    /// kernel half; the caller is responsible for setting `P_S(h) = ⋆`).
+    /// A compartment has no kernel state: nothing is stored.
+    pub fn new_handle(&mut self) -> Handle {
+        self.alloc.alloc()
     }
 
-    /// Allocates a fresh port handle on `shard` with the Figure 4
-    /// `new_port` semantics: the port label is the caller's `label` with
+    /// Allocates a fresh port handle with the Figure 4 `new_port`
+    /// semantics: the port label is the caller's `label` with
     /// `p_R(p) ← 0` applied.
-    pub fn new_port(&mut self, mut label: Label, owner: PortOwner, shard: u16) -> Handle {
-        let h = self.alloc.alloc(shard as usize);
+    pub fn new_port(&mut self, mut label: Label, owner: PortOwner) -> Handle {
+        let h = self.alloc.alloc();
         label.set(h, Level::L0);
         self.ports.insert(h, PortState { label, owner });
         h
@@ -136,7 +134,7 @@ mod tests {
     fn new_port_sets_own_entry_to_zero() {
         let mut t = HandleTable::new(1);
         let owner = PortOwner::Process(ProcessId(0));
-        let p = t.new_port(Label::top(), owner, 0);
+        let p = t.new_port(Label::top(), owner);
         let state = t.port(p).unwrap();
         assert_eq!(state.label.get(p), Level::L0);
         assert_eq!(state.label.default_level(), Level::L3);
@@ -146,7 +144,7 @@ mod tests {
     #[test]
     fn compartments_are_not_ports() {
         let mut t = HandleTable::new(1);
-        let h = t.new_handle(0);
+        let h = t.new_handle();
         assert!(t.port(h).is_none());
         assert!(t.is_empty(), "a compartment stores nothing");
     }
@@ -154,21 +152,21 @@ mod tests {
     #[test]
     fn dissociate_keeps_handle() {
         let mut t = HandleTable::new(1);
-        let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
+        let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)));
         assert_eq!(t.len(), 1);
         t.dissociate(p);
         assert!(t.port(p).is_none());
         assert!(t.is_empty(), "dissociate removes the port's state");
         // The value stays minted: the allocator never issues it again.
         assert_eq!(t.allocator().allocated(), 1);
-        assert_ne!(t.new_handle(0), p);
+        assert_ne!(t.new_handle(), p);
     }
 
     #[test]
     fn handles_are_unique_and_unpredictable() {
         let mut t = HandleTable::new(7);
-        let a = t.new_handle(0);
-        let b = t.new_handle(0);
+        let a = t.new_handle();
+        let b = t.new_handle();
         assert_ne!(a, b);
         assert_ne!(b.raw(), a.raw() + 1, "handles must not be sequential");
     }
@@ -176,9 +174,9 @@ mod tests {
     #[test]
     fn kernel_bytes_counts_vnodes_and_port_labels() {
         let mut t = HandleTable::new(1);
-        t.new_handle(0);
+        t.new_handle();
         assert_eq!(t.kernel_bytes(), VNODE_BYTES);
-        let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)), 0);
+        let p = t.new_port(Label::top(), PortOwner::Process(ProcessId(0)));
         // Port adds a vnode plus its label storage (≥ 300 bytes).
         assert!(t.kernel_bytes() >= 2 * VNODE_BYTES + 300);
         // A dissociated port's vnode is still charged; its label is not.

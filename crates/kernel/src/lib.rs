@@ -43,23 +43,18 @@
 //!
 //! ## Architecture
 //!
-//! The kernel is a set of [`shard::KernelShard`]s — each a complete,
-//! isolated delivery engine owning its own processes, event processes,
-//! frames, mailboxes, clock, and stats — behind a
-//! [`Kernel`] coordinator that owns placement, the run loop (one
-//! deterministic sweep over the shards on the calling thread, repeated
-//! to quiescence), and the merged whole-kernel views. The only
-//! cross-shard state is the router (the port table, global environment,
-//! per-shard inboxes), lent as `&mut` to the one shard being drained —
-//! one thread, so no locks. A handle's value names the cipher lane, and
-//! so the shard, that minted it, and a message is routed there, so label
-//! evaluation always runs on the destination port's shard: Figure 4
-//! semantics are untouched by the partitioning, and `shards = 1` (the
-//! paper-figure configuration) is pinned bit-for-bit against the
-//! pre-sharding engine by `tests/shard_determinism.rs`.
+//! A [`Kernel`] is one delivery engine ([`shard::Engine`]) owning
+//! every process, event process, frame, mailbox, the clock and the stats,
+//! plus a router owning the port table, the global environment and, on a
+//! federated kernel, the egress queue. [`Kernel::run`] drains the engine
+//! on the calling thread: the paper's one delivery loop. A kernel spreads
+//! across machines only by federation (`crates/cluster`): kernel `k` of
+//! `N` mints handles from cipher lane `k`, so a port's value names its
+//! home kernel, and a send is either local or leaves through egress. The
+//! schedule is a function of the kernel's inputs, pinned bit-for-bit by
+//! `tests/shard_determinism.rs`.
 //!
-//! Within one shard, [`delivery`] is everything that happens to a queued
-//! message:
+//! [`delivery`] is everything that happens to a queued message:
 //!
 //! **Per-port mailboxes, round-robin scheduled.** Queued messages live in
 //! one FIFO per destination port. A deterministic round-robin rotation —
@@ -67,8 +62,7 @@
 //! message from the front port and rotates it to the back — replaces the
 //! old single global queue. Per-port order still equals send order, so
 //! protocol code is unaffected, while no queue state is shared between
-//! ports: the structural prerequisite for sharding the delivery engine
-//! across cores.
+//! ports.
 //!
 //! **Figure 4 on every delivery.** Every delivery evaluates the paper's
 //! rule `E_S ⊑ (Q_R ⊔ D_R) ⊓ V ⊓ p_R` plus its relabeling effects. §5.6
@@ -79,7 +73,7 @@
 //! virtual clock charges the linear label work every time, which is the
 //! source of Figure 9's linear degradation.
 //!
-//! **Queue bounds.** Each shard bounds its pending messages
+//! **Queue bounds.** The kernel bounds its pending messages
 //! ([`Kernel::set_queue_limit`]) and each port its mailbox
 //! ([`Kernel::set_port_queue_limit`]). A message past either bound drops
 //! as silently as a label failure (§8's resource exhaustion, counted only
@@ -111,12 +105,12 @@ pub use delivery::DeliveryOutcome;
 pub use error::{SysError, SysResult};
 pub use event_process::{EventProcess, EP_STRUCT_BYTES};
 pub use handle_table::{PortOwner, VNODE_BYTES};
-pub use ids::{EpId, ExecCtx, ProcessId, MAX_SHARDS};
+pub use ids::{EpId, ExecCtx, ProcessId};
 pub use kernel::{Kernel, KmemReport, DEFAULT_QUEUE_LIMIT};
 pub use memory::PAGE_SIZE;
 pub use message::{Message, RemoteSend, SendArgs};
 pub use process::{EpService, Process, Service, PROCESS_STRUCT_BYTES};
-pub use shard::{KernelShard, DEFAULT_PORT_QUEUE_LIMIT};
+pub use shard::{Engine, DEFAULT_PORT_QUEUE_LIMIT};
 pub use stats::{DropReason, Stats};
 pub use sys::Sys;
 pub use value::{Field, Fields, Payload, Value};

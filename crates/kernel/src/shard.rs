@@ -1,23 +1,17 @@
-//! One kernel shard: a self-contained slice of the kernel.
+//! The kernel's delivery engine.
 //!
-//! A [`KernelShard`] owns the processes and event processes scheduled on
-//! it, the frame pool backing their memory, the per-port mailboxes feeding
-//! its delivery loop, the cycle clock, and the statistics counters. Shards
-//! share no mutable state with each other: what crosses shards (the port
-//! table, the global environment, the per-shard inboxes) is the kernel's
-//! router, which the run loop lends to one shard at a time as `&mut`. A
-//! port's value names the shard whose cipher lane minted it, which is its
-//! owner's, so every message to the port is evaluated there. A
-//! cross-shard send pushes onto the *destination's* inbox the moment it
-//! resolves — mid-drain — and each shard drains its own inbox at
-//! deterministic points of its delivery loop (sub-round routing). The run
-//! loop visits shards one at a time on the calling thread; the isolation
-//! is what lets a shard stand for one core in the virtual-clock model.
+//! An [`Engine`] owns every process and event process, the frame pool
+//! backing their memory, the per-port mailboxes feeding the delivery
+//! loop, the cycle clock, and the statistics counters. What a handler
+//! reaches beyond its own process (the port table, the global
+//! environment, federation egress) is the kernel's router, which the
+//! engine lends to the one handler running as `&mut`. A kernel has
+//! exactly one engine — the paper's one delivery loop (§6) — so every
+//! send is either enqueued here or, for a port another kernel of a
+//! federation minted, parked for egress.
 //!
-//! Label evaluation always runs here, on the shard owning the destination
-//! port, against the destination's own labels — Figure 4's semantics are
-//! per-delivery and see exactly the same state they saw in the monolithic
-//! engine, so sharding changes throughput, never policy.
+//! Label evaluation always runs here, against the destination's own
+//! labels, exactly as Figure 4 states it.
 
 use std::sync::Arc;
 
@@ -32,58 +26,46 @@ use crate::kernel::{KmemReport, DEFAULT_QUEUE_LIMIT};
 use crate::memory::{FramePool, PAGE_SIZE};
 use crate::message::{Message, QueuedMessage, RemoteSend, SendArgs};
 use crate::process::{Body, Process};
-use crate::router::{PullPoint, Route, Router};
+use crate::router::{Route, Router};
 use crate::stats::{DropReason, Stats};
 use crate::sys::Sys;
 use crate::value::Value;
 
 /// Default bound on queued messages per destination port. Like the
-/// shard-wide bound it defaults high enough never to fire; deployments
+/// kernel-wide bound it defaults high enough never to fire; deployments
 /// lower it so one hot port cannot monopolize the whole queue budget
 /// (§8's resource-exhaustion caveat, applied per port) with
 /// [`crate::Kernel::set_port_queue_limit`].
 pub const DEFAULT_PORT_QUEUE_LIMIT: usize = DEFAULT_QUEUE_LIMIT;
 
-/// One shard of the kernel: a complete, isolated delivery engine.
-pub struct KernelShard {
-    /// This shard's number (the shard half of packed ids).
-    pub(crate) id: u16,
+/// The kernel's delivery engine.
+pub struct Engine {
     pub(crate) cost: CostModel,
     pub(crate) clock: CycleClock,
     pub(crate) processes: Vec<Process>,
     pub(crate) eps: Vec<EventProcess>,
     pub(crate) frames: FramePool,
     pub(crate) mailboxes: Mailboxes,
-    /// Reusable swap partner for `pull_inbound`: drained batches land
-    /// here, are enqueued, and the emptied (but still capacitied) buffer
-    /// swaps back into this shard's inbox on the next drain — steady
-    /// state allocates nothing.
-    pub(crate) drain_buf: Vec<QueuedMessage>,
     pub(crate) queue_limit: usize,
     pub(crate) port_queue_limit: usize,
     pub(crate) stats: Stats,
     pub(crate) last_ctx: Option<ExecCtx>,
-    /// Real (host) nanoseconds this shard's delivery loop has run, over
-    /// all `run()` calls. Drains never overlap, so each nanosecond is
-    /// attributed to exactly one shard; the busiest shard's share is the
-    /// modelled wall clock of a host with one core per shard, which
-    /// `benchmark/` reads. Deliberately *not* part of [`Stats`]:
-    /// host timing is nondeterministic, and `Stats` is pinned by the
-    /// golden-trace test.
+    /// Real (host) nanoseconds the delivery loop has run, over all
+    /// `run()` calls, which `benchmark/` reads. Deliberately *not* part
+    /// of [`Stats`]: host timing is nondeterministic, and `Stats` is
+    /// pinned by the golden-trace test.
     pub(crate) busy_nanos: u64,
 }
 
-impl KernelShard {
-    pub(crate) fn new(id: u16, cost: CostModel) -> KernelShard {
-        KernelShard {
-            id,
+impl Engine {
+    pub(crate) fn new(cost: CostModel) -> Engine {
+        Engine {
             cost,
             clock: CycleClock::new(),
             processes: Vec::new(),
             eps: Vec::new(),
             frames: FramePool::new(),
             mailboxes: Mailboxes::default(),
-            drain_buf: Vec::new(),
             queue_limit: DEFAULT_QUEUE_LIMIT,
             port_queue_limit: DEFAULT_PORT_QUEUE_LIMIT,
             stats: Stats::default(),
@@ -106,7 +88,6 @@ impl KernelShard {
     ) -> ProcessId {
         let mut proc = Process::new(name, category, body);
         if let Some(parent) = inherit_from {
-            debug_assert_eq!(parent.shard(), self.id as usize, "fork is shard-local");
             let p = &self.processes[parent.index()];
             // Fork semantics: the child inherits the parent's labels (§5.3's
             // "either by forking or using ... decontamination") and env.
@@ -115,7 +96,7 @@ impl KernelShard {
             proc.env = p.env.clone();
         }
         self.processes.push(proc);
-        let pid = ProcessId::new(self.id, self.processes.len() - 1);
+        let pid = ProcessId::new(self.processes.len() - 1);
         // Run the start hook in the new process's (base) context.
         let mut body = self.processes[pid.index()]
             .body
@@ -140,7 +121,7 @@ impl KernelShard {
         // side's labels change.
         let ep = EventProcess::new(pid, Arc::clone(&p.send_label), Arc::clone(&p.recv_label));
         self.eps.push(ep);
-        let eid = EpId::new(self.id, self.eps.len() - 1);
+        let eid = EpId::new(self.eps.len() - 1);
         self.processes[pid.index()].eps.push(eid);
         self.stats.eps_created += 1;
         self.clock.charge(Category::KernelIpc, self.cost.ep_create);
@@ -191,7 +172,7 @@ impl KernelShard {
             let Some(mut body) = self.processes[index].body.take() else {
                 continue;
             };
-            let pid = ProcessId::new(self.id, index);
+            let pid = ProcessId::new(index);
             if let Body::Plain(service) = &mut body {
                 let mut sys = Sys::new(self, router, ExecCtx { pid, ep: None }, false);
                 service.on_teardown(&mut sys);
@@ -232,7 +213,7 @@ impl KernelShard {
 
     // ------------------------------------------------------------------
     // The send path. All queue policy lives here and in
-    // `enqueue_checked`, which the cross-shard routing path shares.
+    // `enqueue_checked`, which federation arrivals share.
     // ------------------------------------------------------------------
 
     pub(crate) fn send_from(
@@ -284,22 +265,9 @@ impl KernelShard {
         };
 
         // Route by the lane that minted the port; label evaluation always
-        // happens on the destination shard, when the message is popped.
+        // happens on the destination kernel, when the message is popped.
         match router.route(port) {
-            Route::Shard(dest) if dest == self.id => self.enqueue_checked(qm),
-            Route::Shard(dest) => {
-                // Sub-round routing: push straight onto the destination's
-                // inbox. Queue bounds are ultimately the destination
-                // shard's to enforce (it runs `enqueue_checked` when it
-                // pulls the batch), but the inbox honors this shard's
-                // bound so a handler looping on cross-shard sends cannot
-                // buffer unbounded memory — the §8 backstop the
-                // monolithic engine's send-time check provided.
-                // (Bounds are kernel-uniform: see `Kernel::set_queue_limit`.)
-                if !router.push(dest as usize, qm, self.queue_limit) {
-                    self.stats.record_drop(DropReason::QueueFull);
-                }
-            }
+            Route::Local => self.enqueue_checked(qm),
             // Federation: the port was minted by kernel `home`. Park the
             // message for the gateway; the delivery-time Figure 4 check
             // (and the destination-side queue bounds, and `Stats::sent`)
@@ -320,35 +288,10 @@ impl KernelShard {
         Ok(())
     }
 
-    /// Drains this shard's inbox into its per-port mailboxes, applying
-    /// the destination-side queue bounds exactly as a local send would.
-    /// Returns the number of messages pulled; `point` picks which
-    /// observability counter they land in.
-    pub(crate) fn pull_inbound(&mut self, router: &mut Router, point: PullPoint) -> usize {
-        let mut batch = std::mem::take(&mut self.drain_buf);
-        let n = router.take_into(self.id as usize, &mut batch);
-        if n == 0 {
-            self.drain_buf = batch;
-            return 0;
-        }
-        match point {
-            PullPoint::Barrier => self.stats.xshard_barrier += n as u64,
-            PullPoint::Subround => self.stats.xshard_subround += n as u64,
-        }
-        self.stats.xshard_batch_drains += 1;
-        self.stats.xshard_batch_max = self.stats.xshard_batch_max.max(n as u64);
-        for qm in batch.drain(..) {
-            self.enqueue_checked(qm);
-        }
-        // `drain` leaves the capacity in place; hand the buffer back as
-        // the next swap partner.
-        self.drain_buf = batch;
-        n
-    }
-
     /// Applies the queue bounds and enqueues (or silently drops) one
-    /// message. Shared by the local send path and cross-shard routing, so
-    /// both enforce identical policy on the destination shard's state.
+    /// message. Shared by the local send path and federation arrivals
+    /// ([`crate::Kernel::inject_remote`]), so both enforce identical
+    /// policy on this kernel's state.
     pub(crate) fn enqueue_checked(&mut self, qm: QueuedMessage) {
         if self.mailboxes.len() >= self.queue_limit {
             // Resource exhaustion drops are silent, like label drops (§4).
@@ -357,7 +300,7 @@ impl KernelShard {
         }
         if self.mailboxes.port_len(qm.port) >= self.port_queue_limit {
             // Per-port bound, silent too: one hot port cannot starve the
-            // rest of the shard's mailboxes.
+            // rest of the mailboxes.
             self.stats.record_drop(DropReason::PortQueueFull);
             return;
         }
@@ -369,9 +312,9 @@ impl KernelShard {
     // Accounting.
     // ------------------------------------------------------------------
 
-    /// This shard's contribution to the Figure 6 memory measurement,
-    /// counting the messages waiting in its inbox.
-    pub(crate) fn kmem_report(&self, router: &Router) -> KmemReport {
+    /// The engine's part of the Figure 6 memory measurement: everything
+    /// but the port table.
+    pub(crate) fn kmem_report(&self) -> KmemReport {
         let process_bytes = self
             .processes
             .iter()
@@ -384,15 +327,14 @@ impl KernelShard {
             .filter(|e| e.alive)
             .map(EventProcess::kernel_bytes)
             .sum();
-        // Pending messages: mailboxes plus this shard's inbox (queue_len
-        // counts both). Payload backing buffers are charged **once** per
+        // Pending messages. Payload backing buffers are charged **once** per
         // unique buffer, however many queued messages share them — the
         // accounting rule that keeps the zero-copy path's reported
         // footprint honest (N queued refcounts on one 4 KiB buffer hold
         // 4 KiB, not N·4 KiB).
         let mut seen_buffers = std::collections::HashSet::new();
         let mut queue_bytes: usize = 0;
-        for qm in self.mailboxes.iter().chain(router.inbox(self.id as usize)) {
+        for qm in self.mailboxes.iter() {
             queue_bytes += qm.queue_bytes_shallow();
             qm.body.for_each_payload(&mut |p| {
                 if !p.is_empty() && seen_buffers.insert(p.backing_id()) {
@@ -406,25 +348,19 @@ impl KernelShard {
             ep_bytes,
             queue_bytes,
             user_frame_bytes,
-            // The port table and the inbox bookkeeping are kernel-level,
-            // not per-shard; the coordinator fills them in
-            // (`Kernel::kmem_report`).
+            // The port table is the router's; `Kernel::kmem_report`
+            // fills it in.
             ..KmemReport::default()
         }
     }
 
-    /// This shard's statistics counters, with the high-water mark read
-    /// from the mailboxes.
-    pub fn stats(&self) -> Stats {
+    /// The statistics counters, with the high-water mark read from the
+    /// mailboxes.
+    pub(crate) fn stats(&self) -> Stats {
         Stats {
             queue_depth_hwm: self.mailboxes.depth_hwm() as u64,
             ..self.stats
         }
-    }
-
-    /// This shard's cycle clock.
-    pub fn clock(&self) -> &CycleClock {
-        &self.clock
     }
 
     /// Always 0: there is no delivery-decision cache. Read only by
@@ -433,13 +369,7 @@ impl KernelShard {
         0
     }
 
-    /// Pending messages queued on this shard (mailboxes and its inbox).
-    pub(crate) fn queue_len(&self, router: &Router) -> usize {
-        self.mailboxes.len() + router.inbox_len(self.id as usize)
-    }
-
-    /// Real nanoseconds this shard's delivery loop has run (see the field
-    /// docs; the busiest shard's share is the modelled wall clock).
+    /// Real nanoseconds the delivery loop has run (see the field docs).
     pub fn busy_nanos(&self) -> u64 {
         self.busy_nanos
     }

@@ -56,7 +56,7 @@ pub struct Stats {
     /// Always 0. The delivery-decision cache is gone; `cache_hits`,
     /// `cache_misses`, `cache_evictions`, `cache_resizes`,
     /// `Kernel::delivery_cache_len` and
-    /// `KernelShard::delivery_cache_capacity` remain only because
+    /// `Engine::delivery_cache_capacity` remain only because
     /// `benchmark/` (which a crate PR may not edit) reads them. The
     /// `[benchmark]` PR that drops the `kernel.cache_*` layer rows removes
     /// all six. The fields keep their positions: `benchmark/` digests
@@ -66,8 +66,12 @@ pub struct Stats {
     pub cache_misses: u64,
     /// Always 0; see [`Stats::cache_hits`].
     pub cache_evictions: u64,
-    /// Sweeps of a multi-shard kernel's run loop that delivered
-    /// something (a single-shard kernel counts none).
+    /// Always 0: a kernel is one delivery engine, so there are no shard
+    /// sweeps to count. `rounds` and the four `xshard_*` fields remain
+    /// only because `benchmark/` (which a crate PR may not edit) reads
+    /// them; the `[benchmark]` PR that drops the `kernel.rounds_per_req`
+    /// and `kernel.xshard_*` layer rows removes all five. The fields keep
+    /// their positions: `benchmark/` digests this struct's `Debug` output.
     pub rounds: u64,
     /// Always 0: there are no worker threads. This field and the no-op
     /// `Kernel::set_worker_threads` remain only because `benchmark/`
@@ -76,23 +80,20 @@ pub struct Stats {
     /// removes both. The field keeps its position: `benchmark/` digests
     /// this struct's `Debug` output.
     pub worker_wakeups: u64,
-    /// Cross-shard messages the destination shard picked up while
-    /// draining inside `run()` (sub-round routing).
+    /// Always 0; see [`Stats::rounds`].
     pub xshard_subround: u64,
-    /// Cross-shard messages that waited for a routing point outside a
-    /// drain: the start of `run()` or a `step()`.
+    /// Always 0; see [`Stats::rounds`].
     pub xshard_barrier: u64,
-    /// Non-empty swap-drains of this shard's cross-shard inbox.
-    /// `(xshard_subround + xshard_barrier) / xshard_batch_drains` is the
-    /// mean batch length — the batching-efficacy observable.
+    /// Always 0; see [`Stats::rounds`].
     pub xshard_batch_drains: u64,
-    /// Largest batch one swap-drain ever pulled.
+    /// Always 0; see [`Stats::rounds`].
     pub xshard_batch_max: u64,
-    /// Deepest one shard's mailboxes have ever been (messages pending at
-    /// once). In the merged view this is a maximum across shards, so a
-    /// hot shard's backlog is visible even when the mean stays flat.
+    /// Deepest the mailboxes have ever been (messages pending at once).
+    /// In a merged view (a federation's) this is a maximum across
+    /// kernels, so a hot kernel's backlog is visible even when the mean
+    /// stays flat.
     pub queue_depth_hwm: u64,
-    /// Always 0: there is no work stealing — a port lives on the shard
+    /// Always 0: there is no work stealing — a port lives on the kernel
     /// that created it. This field and `Kernel::tuner_actions` remain
     /// only because `benchmark/` (which a crate PR may not edit) reads
     /// them; the `[benchmark]` PR that drops the `kernel.steals` and
@@ -136,8 +137,8 @@ impl Stats {
         }
     }
 
-    /// Adds another counter set into this one (shard merging; the
-    /// cluster crate uses it to merge per-kernel views the same way).
+    /// Adds another counter set into this one (the cluster crate merges
+    /// per-kernel views with it).
     pub fn absorb(&mut self, other: &Stats) {
         self.sent += other.sent;
         self.injected += other.injected;
@@ -160,10 +161,8 @@ impl Stats {
         self.xshard_subround += other.xshard_subround;
         self.xshard_barrier += other.xshard_barrier;
         self.xshard_batch_drains += other.xshard_batch_drains;
-        // A maximum, not a sum: the merged view reports the largest batch
-        // any shard drained.
         self.xshard_batch_max = self.xshard_batch_max.max(other.xshard_batch_max);
-        // Also a maximum: the deepest backlog any single shard saw.
+        // A maximum, not a sum: the deepest backlog any one kernel saw.
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         self.steals += other.steals;
         self.cache_resizes += other.cache_resizes;

@@ -1,9 +1,8 @@
 //! The system-call surface handed to running services.
 //!
-//! A [`Sys`] borrows the executing context's shard and the kernel's
-//! cross-shard router, both as `&mut`, for exactly one handler
-//! activation: a handler is the only code running, so it is the only
-//! writer either structure has.
+//! A [`Sys`] borrows the kernel's delivery engine and its router, both as
+//! `&mut`, for exactly one handler activation: a handler is the only code
+//! running, so it is the only writer either structure has.
 
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use crate::memory::{page_segments, PAGE_SIZE};
 use crate::message::SendArgs;
 use crate::process::{Body, EpService, Service};
 use crate::router::Router;
-use crate::shard::KernelShard;
+use crate::shard::Engine;
 use crate::value::Value;
 
 /// The system-call interface for the currently executing context.
@@ -28,14 +27,11 @@ use crate::value::Value;
 /// memory writes resolve against the event process's private state (§6.1);
 /// otherwise they act on the (base) process.
 ///
-/// Every operation resolves against the executing context's own shard —
-/// processes, event processes and frames are shard-local by construction
-/// — except ports, whose state lives in the kernel router's one table
-/// (minted by, and routed to, this shard), sends to other shards' or
-/// kernels' ports (which go onto the router's inboxes or egress queue),
-/// and the global environment (which the router also owns).
+/// Processes, event processes and frames resolve against the kernel's
+/// delivery engine; ports, the global environment, and sends to another
+/// kernel's ports (parked on the egress queue) against its router.
 pub struct Sys<'k> {
-    shard: &'k mut KernelShard,
+    engine: &'k mut Engine,
     router: &'k mut Router,
     ctx: ExecCtx,
     is_new_ep: bool,
@@ -43,13 +39,13 @@ pub struct Sys<'k> {
 
 impl<'k> Sys<'k> {
     pub(crate) fn new(
-        shard: &'k mut KernelShard,
+        engine: &'k mut Engine,
         router: &'k mut Router,
         ctx: ExecCtx,
         is_new_ep: bool,
     ) -> Sys<'k> {
         Sys {
-            shard,
+            engine,
             router,
             ctx,
             is_new_ep,
@@ -77,19 +73,19 @@ impl<'k> Sys<'k> {
 
     /// The process's debug name.
     pub fn name(&self) -> &str {
-        &self.shard.processes[self.ctx.pid.index()].name
+        &self.engine.processes[self.ctx.pid.index()].name
     }
 
     /// Reads an environment entry: process-local first, then global (§4's
     /// bootstrap convention for discovering service port names).
     pub fn env(&self, key: &str) -> Option<Value> {
-        let p = &self.shard.processes[self.ctx.pid.index()];
+        let p = &self.engine.processes[self.ctx.pid.index()];
         p.env.get(key).cloned().or_else(|| self.router.env_get(key))
     }
 
     /// Sets a process-local environment entry (inherited by children).
     pub fn set_env(&mut self, key: &str, value: Value) {
-        self.shard.processes[self.ctx.pid.index()]
+        self.engine.processes[self.ctx.pid.index()]
             .env
             .insert(key.to_string(), value);
     }
@@ -112,10 +108,10 @@ impl<'k> Sys<'k> {
     /// `⋆` for it (§5.3: "A process initially has privilege for every
     /// handle it creates").
     pub fn new_handle(&mut self) -> Handle {
-        let h = self.router.handles.new_handle(self.shard.id);
-        self.shard
+        let h = self.router.handles.new_handle();
+        self.engine
             .clock
-            .charge(Category::KernelIpc, self.shard.cost.new_handle);
+            .charge(Category::KernelIpc, self.engine.cost.new_handle);
         // `make_mut` takes a private copy only when the storage is shared
         // (with an event process or a queued message).
         Arc::make_mut(self.send_slot()).set(h, Level::Star);
@@ -131,10 +127,10 @@ impl<'k> Sys<'k> {
             Some(eid) => PortOwner::Ep(eid),
             None => PortOwner::Process(self.ctx.pid),
         };
-        let p = self.router.handles.new_port(label, owner, self.shard.id);
-        self.shard
+        let p = self.router.handles.new_port(label, owner);
+        self.engine
             .clock
-            .charge(Category::KernelIpc, self.shard.cost.new_port);
+            .charge(Category::KernelIpc, self.engine.cost.new_port);
         Arc::make_mut(self.send_slot()).set(p, Level::Star);
         self.ports_slot().push(p);
         p
@@ -246,7 +242,7 @@ impl<'k> Sys<'k> {
     /// requirements 2 and 3: a function of the caller's own send label and
     /// arguments. Everything else is silent by design.
     pub fn send_args(&mut self, port: Handle, body: Value, args: &SendArgs) -> SysResult<()> {
-        self.shard
+        self.engine
             .send_from(self.router, self.ctx, port, body, args)
     }
 
@@ -264,37 +260,37 @@ impl<'k> Sys<'k> {
             match self.ctx.ep {
                 None => {
                     let pid = self.ctx.pid;
-                    let frame = match self.shard.processes[pid.index()].page_table.get(vpn) {
+                    let frame = match self.engine.processes[pid.index()].page_table.get(vpn) {
                         Some(f) => f,
                         None => {
-                            let f = self.shard.frames.alloc_zeroed();
-                            self.shard.processes[pid.index()].page_table.map(vpn, f);
+                            let f = self.engine.frames.alloc_zeroed();
+                            self.engine.processes[pid.index()].page_table.map(vpn, f);
                             f
                         }
                     };
-                    self.shard.frames.write(frame, page_off, slice);
+                    self.engine.frames.write(frame, page_off, slice);
                 }
                 Some(eid) => {
-                    let frame = match self.shard.eps[eid.index()].delta.get(vpn) {
+                    let frame = match self.engine.eps[eid.index()].delta.get(vpn) {
                         Some(f) => f,
                         None => {
                             // First write to this page: take a private copy
                             // of the base page (or a zero page).
-                            let base = self.shard.processes[self.ctx.pid.index()]
+                            let base = self.engine.processes[self.ctx.pid.index()]
                                 .page_table
                                 .get(vpn);
                             let f = match base {
-                                Some(b) => self.shard.frames.alloc_copy_of(b),
-                                None => self.shard.frames.alloc_zeroed(),
+                                Some(b) => self.engine.frames.alloc_copy_of(b),
+                                None => self.engine.frames.alloc_zeroed(),
                             };
-                            self.shard
+                            self.engine
                                 .clock
-                                .charge(Category::KernelIpc, self.shard.cost.page_copy);
-                            self.shard.eps[eid.index()].delta.map(vpn, f);
+                                .charge(Category::KernelIpc, self.engine.cost.page_copy);
+                            self.engine.eps[eid.index()].delta.map(vpn, f);
                             f
                         }
                     };
-                    self.shard.frames.write(frame, page_off, slice);
+                    self.engine.frames.write(frame, page_off, slice);
                 }
             }
             offset += len;
@@ -313,14 +309,14 @@ impl<'k> Sys<'k> {
             let frame = self
                 .ctx
                 .ep
-                .and_then(|eid| self.shard.eps[eid.index()].delta.get(vpn))
+                .and_then(|eid| self.engine.eps[eid.index()].delta.get(vpn))
                 .or_else(|| {
-                    self.shard.processes[self.ctx.pid.index()]
+                    self.engine.processes[self.ctx.pid.index()]
                         .page_table
                         .get(vpn)
                 });
             if let Some(f) = frame {
-                self.shard
+                self.engine
                     .frames
                     .read(f, page_off, &mut out[offset..offset + seg_len]);
             }
@@ -355,11 +351,11 @@ impl<'k> Sys<'k> {
             .checked_add(len as u64)
             .ok_or(SysError::InvalidArgument)?;
         let end_vpn = end.div_ceil(PAGE_SIZE as u64);
-        for frame in self.shard.eps[eid.index()]
+        for frame in self.engine.eps[eid.index()]
             .delta
             .drain_range(start_vpn, end_vpn)
         {
-            self.shard.frames.release(frame);
+            self.engine.frames.release(frame);
         }
         Ok(())
     }
@@ -371,7 +367,7 @@ impl<'k> Sys<'k> {
         let Some(eid) = self.ctx.ep else {
             return Err(SysError::NotEventProcess);
         };
-        self.shard.eps[eid.index()].alive = false;
+        self.engine.eps[eid.index()].alive = false;
         Ok(())
     }
 
@@ -380,7 +376,7 @@ impl<'k> Sys<'k> {
     /// a cross-compartment channel).
     pub fn ep_private_pages(&self) -> usize {
         match self.ctx.ep {
-            Some(eid) => self.shard.eps[eid.index()].delta.len(),
+            Some(eid) => self.engine.eps[eid.index()].delta.len(),
             None => 0,
         }
     }
@@ -402,7 +398,7 @@ impl<'k> Sys<'k> {
         if self.ctx.ep.is_some() {
             return Err(SysError::EventProcessForbidden);
         }
-        Ok(self.shard.spawn_body(
+        Ok(self.engine.spawn_body(
             self.router,
             name,
             category,
@@ -421,7 +417,7 @@ impl<'k> Sys<'k> {
         if self.ctx.ep.is_some() {
             return Err(SysError::EventProcessForbidden);
         }
-        Ok(self.shard.spawn_body(
+        Ok(self.engine.spawn_body(
             self.router,
             name,
             category,
@@ -433,15 +429,15 @@ impl<'k> Sys<'k> {
     /// Terminates the whole process (the process-wide `exit` an event
     /// process may also call, §6.1). Effective when the handler returns.
     pub fn exit_process(&mut self) {
-        self.shard.processes[self.ctx.pid.index()].alive = false;
+        self.engine.processes[self.ctx.pid.index()].alive = false;
     }
 
     /// Charges `cycles` of simulated user-space computation to the
     /// process's accounting category (how services model their own work for
     /// Figures 7–9).
     pub fn charge(&mut self, cycles: u64) {
-        let category = self.shard.processes[self.ctx.pid.index()].category;
-        self.shard.clock.charge(category, cycles);
+        let category = self.engine.processes[self.ctx.pid.index()].category;
+        self.engine.clock.charge(category, cycles);
     }
 
     // ------------------------------------------------------------------
@@ -450,37 +446,37 @@ impl<'k> Sys<'k> {
 
     fn send_ref(&self) -> &Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &self.shard.eps[eid.index()].send_label,
-            None => &self.shard.processes[self.ctx.pid.index()].send_label,
+            Some(eid) => &self.engine.eps[eid.index()].send_label,
+            None => &self.engine.processes[self.ctx.pid.index()].send_label,
         }
     }
 
     fn recv_ref(&self) -> &Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &self.shard.eps[eid.index()].recv_label,
-            None => &self.shard.processes[self.ctx.pid.index()].recv_label,
+            Some(eid) => &self.engine.eps[eid.index()].recv_label,
+            None => &self.engine.processes[self.ctx.pid.index()].recv_label,
         }
     }
 
     fn send_slot(&mut self) -> &mut Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &mut self.shard.eps[eid.index()].send_label,
-            None => &mut self.shard.processes[self.ctx.pid.index()].send_label,
+            Some(eid) => &mut self.engine.eps[eid.index()].send_label,
+            None => &mut self.engine.processes[self.ctx.pid.index()].send_label,
         }
     }
 
     /// The caller's port list: the ports its exit dissociates.
     fn ports_slot(&mut self) -> &mut Vec<Handle> {
         match self.ctx.ep {
-            Some(eid) => &mut self.shard.eps[eid.index()].ports,
-            None => &mut self.shard.processes[self.ctx.pid.index()].ports,
+            Some(eid) => &mut self.engine.eps[eid.index()].ports,
+            None => &mut self.engine.processes[self.ctx.pid.index()].ports,
         }
     }
 
     fn recv_slot(&mut self) -> &mut Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &mut self.shard.eps[eid.index()].recv_label,
-            None => &mut self.shard.processes[self.ctx.pid.index()].recv_label,
+            Some(eid) => &mut self.engine.eps[eid.index()].recv_label,
+            None => &mut self.engine.processes[self.ctx.pid.index()].recv_label,
         }
     }
 

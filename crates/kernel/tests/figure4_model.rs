@@ -11,12 +11,9 @@
 //!
 //! Besides the processes' ports, a send may target a handle that names no
 //! port: a compartment, a value no cipher lane minted, and a port that a
-//! process on another shard mints a third of the way through the script
-//! and dissociates two thirds of the way through. For those the model
-//! predicts the sender's privilege checks first, then `NoSuchPort`.
-//!
-//! The CI shard matrix sets `ASBESTOS_TEST_SHARDS`; the test runs one and
-//! three shards, and the matrix value too.
+//! process mints a third of the way through the script and dissociates
+//! two thirds of the way through. For those the model predicts the
+//! sender's privilege checks first, then `NoSuchPort`.
 
 use std::sync::{Arc, Mutex};
 
@@ -28,21 +25,8 @@ use proptest::test_runner::TestRng;
 
 const PROCESSES: usize = 6;
 const SENDS: usize = 240;
-/// The process that mints a port mid-script, on shard `1 % shards`.
+/// The process that mints a port mid-script.
 const MINTER: usize = 1;
-
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1, 3];
-    if let Some(n) = std::env::var("ASBESTOS_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        if !counts.contains(&n) {
-            counts.push(n);
-        }
-    }
-    counts
-}
 
 /// One scripted send: from `sender` to target `target` with `args`.
 struct Step {
@@ -231,7 +215,7 @@ fn verdict(before: &Stats, after: &Stats, sent: bool) -> Verdict {
     }
 }
 
-fn run(shards: usize, seed: u64) {
+fn run(seed: u64) {
     let mut rng = TestRng::deterministic(&format!("figure4_model::{seed}"));
     // The kernel's own cipher: `pool[0]` is counter 0, which no lane
     // mints, and the rest are handles its lanes mint or will.
@@ -240,7 +224,7 @@ fn run(shards: usize, seed: u64) {
         .map(|i| Handle::from_raw(cipher.encrypt(i)))
         .collect();
 
-    let mut kernel = Kernel::new_sharded(seed, shards);
+    let mut kernel = Kernel::new(seed);
     let script: Arc<Mutex<Vec<(Handle, SendArgs)>>> = Arc::default();
     let sent: Arc<Mutex<Vec<bool>>> = Arc::default();
     // Port labels: open, or closed to everyone without the port's own
@@ -258,8 +242,7 @@ fn run(shards: usize, seed: u64) {
         port_specs.push(spec.clone());
         let key = format!("model.{i}");
         let (script, sent) = (script.clone(), sent.clone());
-        pids.push(kernel.spawn_on(
-            i % shards,
+        pids.push(kernel.spawn(
             &key.clone(),
             Category::Other,
             service_with_start(
@@ -365,7 +348,7 @@ fn run(shards: usize, seed: u64) {
         let sent_ok = *sent.lock().unwrap().last().unwrap();
         let got = verdict(&before, &kernel.stats(), sent_ok);
         let want = model.step(&step);
-        assert_eq!(got, want, "{shards} shards, send {n}: verdict");
+        assert_eq!(got, want, "seed {seed}, send {n}: verdict");
         seen[want as usize] += 1;
         let Some((_, r)) = model.port[step.target] else {
             continue;
@@ -374,12 +357,12 @@ fn run(shards: usize, seed: u64) {
         assert_eq!(
             NaiveLabel::from(&*receiver.send_label),
             model.send[r],
-            "{shards} shards, send {n}: receiver's Q_S"
+            "seed {seed}, send {n}: receiver's Q_S"
         );
         assert_eq!(
             NaiveLabel::from(&*receiver.recv_label),
             model.recv[r],
-            "{shards} shards, send {n}: receiver's Q_R"
+            "seed {seed}, send {n}: receiver's Q_R"
         );
     }
     // The script reached every verdict, so each check was exercised.
@@ -397,9 +380,7 @@ fn port_label(port: Handle, spec: &(Level, bool, Vec<(Handle, Level)>)) -> Label
 
 #[test]
 fn kernel_matches_figure4_model() {
-    for shards in shard_counts() {
-        for seed in [1, 2] {
-            run(shards, seed);
-        }
+    for seed in [1, 2] {
+        run(seed);
     }
 }

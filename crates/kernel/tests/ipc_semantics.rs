@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use asbestos_kernel::util::{ep_service_fn, service_with_start, Recorder};
-use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Sys, SysError, Value};
+use asbestos_kernel::{
+    Category, DropReason, Handle, Kernel, Label, Level, SendArgs, Sys, SysError, Value,
+};
 
 fn taint(h: Handle) -> Label {
     Label::from_pairs(Level::Star, &[(h, Level::L3)])
@@ -953,57 +955,51 @@ fn open_port(sys: &mut Sys<'_>, key: &str) -> Handle {
 /// process's ports and an event process's stay live.
 #[test]
 fn exit_dissociates_exactly_the_exiting_processs_ports() {
-    for shards in [1, 3] {
-        let mut kernel = Kernel::new_sharded(18, shards);
-        let mortal = service_with_start(
-            |sys| {
-                open_port(sys, "mortal.a");
-                let gone = open_port(sys, "mortal.gone");
-                sys.dissociate_port(gone).unwrap();
-                open_port(sys, "mortal.b");
-            },
-            |sys, _| sys.exit_process(),
-        );
-        let mortal = kernel.spawn_on(0, "mortal", Category::Other, mortal);
-        let other = service_with_start(
-            |sys| {
-                open_port(sys, "other");
-            },
-            |_, _| {},
-        );
-        kernel.spawn_on(1 % shards, "other", Category::Other, other);
-        let eps = ep_service_fn(
-            |sys| {
-                open_port(sys, "eps.base");
-            },
-            |sys, _| {
-                open_port(sys, "eps.ep");
-            },
-        );
-        kernel.spawn_ep_service_on(2 % shards, "eps", Category::Other, eps);
-        let port = |k: &Kernel, key: &str| k.global_env_handle(key).unwrap();
-        kernel.inject(port(&kernel, "eps.base"), Value::Unit);
-        kernel.run();
-        kernel.inject(port(&kernel, "mortal.a"), Value::Unit);
-        kernel.run();
+    let mut kernel = Kernel::new(18);
+    let mortal = service_with_start(
+        |sys| {
+            open_port(sys, "mortal.a");
+            let gone = open_port(sys, "mortal.gone");
+            sys.dissociate_port(gone).unwrap();
+            open_port(sys, "mortal.b");
+        },
+        |sys, _| sys.exit_process(),
+    );
+    let mortal = kernel.spawn("mortal", Category::Other, mortal);
+    let other = service_with_start(
+        |sys| {
+            open_port(sys, "other");
+        },
+        |_, _| {},
+    );
+    kernel.spawn("other", Category::Other, other);
+    let eps = ep_service_fn(
+        |sys| {
+            open_port(sys, "eps.base");
+        },
+        |sys, _| {
+            open_port(sys, "eps.ep");
+        },
+    );
+    kernel.spawn_ep_service("eps", Category::Other, eps);
+    let port = |k: &Kernel, key: &str| k.global_env_handle(key).unwrap();
+    kernel.inject(port(&kernel, "eps.base"), Value::Unit);
+    kernel.run();
+    kernel.inject(port(&kernel, "mortal.a"), Value::Unit);
+    kernel.run();
 
-        // The table holds exactly the three live ports, none of the three
-        // dissociated ones.
-        let table = kernel.handle_table();
-        for key in ["mortal.a", "mortal.b", "mortal.gone"] {
-            let h = port(&kernel, key);
-            assert!(
-                table.port(h).is_none(),
-                "{shards} shards: {key} dissociated"
-            );
-        }
-        for key in ["other", "eps.base", "eps.ep"] {
-            let live = table.port(port(&kernel, key));
-            assert!(live.is_some(), "{shards} shards: {key} live");
-        }
-        assert_eq!(table.len(), 3, "{shards} shards: only live ports stored");
-        assert!(kernel.process(mortal).ports.is_empty());
+    // The table holds exactly the three live ports, none of the three
+    // dissociated ones.
+    let table = kernel.handle_table();
+    for key in ["mortal.a", "mortal.b", "mortal.gone"] {
+        let h = port(&kernel, key);
+        assert!(table.port(h).is_none(), "{key} dissociated");
     }
+    for key in ["other", "eps.base", "eps.ep"] {
+        assert!(table.port(port(&kernel, key)).is_some(), "{key} live");
+    }
+    assert_eq!(table.len(), 3, "only live ports stored");
+    assert!(kernel.process(mortal).ports.is_empty());
 }
 
 #[test]
@@ -1069,4 +1065,108 @@ fn queue_limit_drops_silently() {
     kernel.run();
     assert_eq!(log.lock().unwrap().len(), 2);
     assert_eq!(kernel.stats().dropped_queue_full, 3);
+}
+
+/// The per-port bound drops only at the hot port, under a reason of its
+/// own: one flooder cannot starve another port's mailbox.
+#[test]
+fn per_port_queue_limit_drops_only_the_hot_port() {
+    assert_ne!(DropReason::PortQueueFull, DropReason::QueueFull);
+    let mut kernel = Kernel::new(11);
+    kernel.set_port_queue_limit(3);
+
+    let seen: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+    for (name, key) in [("hot", "hot.port"), ("cold", "cold.port")] {
+        let s2 = seen.clone();
+        kernel.spawn(
+            name,
+            Category::Other,
+            service_with_start(
+                move |sys| {
+                    open_port(sys, key);
+                },
+                move |_sys, _msg| s2.lock().unwrap().push(name),
+            ),
+        );
+    }
+    let hot = kernel.global_env_handle("hot.port").unwrap();
+    let cold = kernel.global_env_handle("cold.port").unwrap();
+
+    // A single flooder bursts 10 at the hot port, then 2 at the cold
+    // one, all within one handler activation (so nothing drains in
+    // between). Only the hot port may drop.
+    kernel.spawn(
+        "flooder",
+        Category::Other,
+        service_with_start(
+            |sys| {
+                open_port(sys, "flood.port");
+            },
+            move |sys, _msg| {
+                for i in 0..10u64 {
+                    sys.send(hot, Value::U64(i)).unwrap();
+                }
+                sys.send(cold, Value::U64(100)).unwrap();
+                sys.send(cold, Value::U64(101)).unwrap();
+            },
+        ),
+    );
+    kernel.inject(kernel.global_env_handle("flood.port").unwrap(), Value::Unit);
+    kernel.run();
+
+    let stats = kernel.stats();
+    assert_eq!(
+        stats.dropped_port_queue_full, 7,
+        "10 sends at bound 3 drop 7"
+    );
+    assert_eq!(stats.dropped_queue_full, 0, "kernel-wide bound untouched");
+    assert_eq!(stats.dropped_total(), 7);
+    let seen = seen.lock().unwrap();
+    let count = |name| seen.iter().filter(|s| **s == name).count();
+    assert_eq!(count("hot"), 3, "hot port delivers up to its bound");
+    assert_eq!(count("cold"), 2, "cold port never starves");
+}
+
+/// A client fires five requests from its start hook; the echo server's
+/// replies arrive in send order.
+#[test]
+fn request_reply_keeps_send_order() {
+    let mut kernel = Kernel::new(7);
+    kernel.spawn(
+        "echo",
+        Category::Other,
+        service_with_start(
+            |sys| {
+                open_port(sys, "echo.port");
+            },
+            |sys, msg| {
+                if let Value::List(items) = &msg.body {
+                    let reply_to = items[0].as_handle().unwrap();
+                    let n = items[1].as_u64().unwrap();
+                    sys.send(reply_to, Value::U64(n * 10)).unwrap();
+                }
+            },
+        ),
+    );
+    let echo = kernel.global_env_handle("echo.port").unwrap();
+    let log: Arc<Mutex<Vec<u64>>> = Arc::default();
+    let seen = log.clone();
+    kernel.spawn(
+        "client",
+        Category::Other,
+        service_with_start(
+            move |sys| {
+                let p = open_port(sys, "client.port");
+                for n in 1..=5u64 {
+                    let request = Value::List(vec![Value::Handle(p), Value::U64(n)]);
+                    sys.send(echo, request).unwrap();
+                }
+            },
+            move |_sys, msg| seen.lock().unwrap().push(msg.body.as_u64().unwrap()),
+        ),
+    );
+    kernel.run();
+    assert_eq!(*log.lock().unwrap(), [10, 20, 30, 40, 50]);
+    assert_eq!(kernel.stats().delivered, 10);
+    assert_eq!(kernel.queue_len(), 0);
 }

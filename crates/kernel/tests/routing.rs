@@ -1,12 +1,14 @@
 //! Where a message goes at a federated kernel's boundary, checked on
-//! cluster slot 0 of N with no gateway. A send to a port another kernel
-//! minted leaves through egress whole, parked with that kernel as its
-//! home, and queues nothing here; a send to a handle this kernel's lanes
-//! minted (a dissociated port, a compartment another shard minted) drops
+//! cluster slots of N with no gateway. Kernel `k` of `N` mints from
+//! cipher lane `k`, so a send goes where `lane_of(port)` says: it stays
+//! here when the lane is this kernel's, and otherwise leaves through
+//! egress whole, parked with the kernel that minted the port as its
+//! home, queueing nothing here. A send to a handle this kernel minted
+//! that is no live port (a dissociated port, a compartment) drops
 //! `NoSuchPort` here; an unfederated kernel sends nothing out; and a
 //! message injected off the wire never leaves again.
-//! Runs at 1 and 4 shards plus `ASBESTOS_TEST_SHARDS`, with N from
-//! `ASBESTOS_KERNELS` (default 2).
+//! Runs at N = 1, 2 and 3 (3 is a lane count that is no power of two)
+//! plus `ASBESTOS_KERNELS`.
 
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{
@@ -22,11 +24,11 @@ fn env_count(key: &str) -> Option<usize> {
     std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
 }
 
-/// `(shards, kernels)` to run at.
-fn sizes() -> impl Iterator<Item = (usize, usize)> {
-    let kernels = env_count("ASBESTOS_KERNELS").unwrap_or(2).max(2);
-    let shards = [1, 4].into_iter().chain(env_count("ASBESTOS_TEST_SHARDS"));
-    shards.map(move |s| (s, kernels))
+/// The kernel counts to run at.
+fn kernel_counts() -> Vec<usize> {
+    let mut counts = vec![1, 2, 3];
+    counts.extend(env_count("ASBESTOS_KERNELS").filter(|n| !counts.contains(n)));
+    counts
 }
 
 /// A send with every optional label set, so each can be seen intact.
@@ -42,11 +44,11 @@ fn sender_label() -> Label {
     Label::from_pairs(Level::L1, &[(GRANT, Level::Star), (TAINT, Level::Star)])
 }
 
-/// Slot `slot` of `slots`. Shard 0 publishes a live port, a dissociated
-/// port and a compartment; the last shard runs a sender that sends
-/// "hello" under [`args`] to each handle its trigger port is sent.
-fn kernel(shards: usize, slot: usize, slots: usize) -> Kernel {
-    let mut k = Kernel::with_cluster_slot(SEED, CostModel::default(), shards, 0, slot, slots);
+/// Slot `slot` of `slots`. A minter publishes a live port, a dissociated
+/// port and a compartment; a sender sends "hello" under [`args`] to each
+/// handle its trigger port is sent.
+fn kernel(slot: usize, slots: usize) -> Kernel {
+    let mut k = Kernel::with_cluster_slot(SEED, CostModel::default(), 0, slot, slots);
     let minter = service_with_start(
         |sys| {
             let live = sys.new_port(Label::top());
@@ -59,7 +61,7 @@ fn kernel(shards: usize, slot: usize, slots: usize) -> Kernel {
         },
         |_, _| {},
     );
-    k.spawn_on(0, "minter", Category::Other, minter);
+    k.spawn("minter", Category::Other, minter);
     let sent = args();
     let sender = service_with_start(
         |sys| {
@@ -72,7 +74,7 @@ fn kernel(shards: usize, slot: usize, slots: usize) -> Kernel {
             sys.send_args(target, "hello".into(), &sent).unwrap();
         },
     );
-    let pid = k.spawn_on(shards - 1, "sender", Category::Other, sender);
+    let pid = k.spawn("sender", Category::Other, sender);
     k.set_process_labels(pid, Some(sender_label()), None);
     k
 }
@@ -92,13 +94,40 @@ fn send_to(k: &mut Kernel, target: Handle) -> (usize, Vec<(usize, RemoteSend)>, 
     (queued, k.take_remote_egress(), no_port)
 }
 
+/// Every send routes by `lane_of(port)` over the kernel count: from each
+/// slot of N to a live port each slot minted, it is queued here — and
+/// finds its port — when the lane is this kernel's, and otherwise is
+/// parked for that kernel.
+#[test]
+fn every_send_routes_by_the_lane_of_its_port() {
+    for n in kernel_counts() {
+        let ports: Vec<Handle> = (0..n)
+            .map(|k| kernel(k, n).global_env_handle("live").unwrap())
+            .collect();
+        for slot in 0..n {
+            let mut here = kernel(slot, n);
+            for (k, &port) in ports.iter().enumerate() {
+                let (queued, left, no_port) = send_to(&mut here, port);
+                let homes: Vec<usize> = left.iter().map(|(home, _)| *home).collect();
+                let at = format!("{n} kernels, {slot} → port of {k}");
+                assert_eq!(no_port, 0, "{at}");
+                if k == slot {
+                    assert_eq!((queued, homes), (1, vec![]), "{at}: local");
+                } else {
+                    assert_eq!((queued, homes), (0, vec![k]), "{at}: egress");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn a_send_leaves_only_for_a_handle_another_kernel_minted() {
-    for (shards, n) in sizes() {
-        let remote = kernel(shards, 1, n).global_env_handle("live").unwrap();
-        let mut home = kernel(shards, 0, n);
+    for n in kernel_counts().into_iter().filter(|&n| n > 1) {
+        let remote = kernel(1, n).global_env_handle("live").unwrap();
+        let mut home = kernel(0, n);
         let (queued, left, no_port) = send_to(&mut home, remote);
-        assert_eq!((queued, left.len(), no_port), (0, 1, 0), "{shards} shards");
+        assert_eq!((queued, left.len(), no_port), (0, 1, 0), "{n} kernels");
         let ((to, out), args) = (&left[0], args());
         assert_eq!(*to, 1, "parked with the kernel that minted the port");
         assert_eq!((out.port, &out.body), (remote, &"hello".into()));
@@ -116,25 +145,21 @@ fn a_send_leaves_only_for_a_handle_another_kernel_minted() {
         for key in ["dead", "compartment"] {
             let local = home.global_env_handle(key).unwrap();
             let (_, left, no_port) = send_to(&mut home, local);
-            assert_eq!((left.len(), no_port), (0, 1), "{shards} shards, {key}");
+            assert_eq!((left.len(), no_port), (0, 1), "{n} kernels, {key}");
         }
-        let mut plain = kernel(shards, 0, 1);
+        let mut plain = kernel(0, 1);
         for target in [plain.global_env_handle("dead").unwrap(), remote] {
             let (_, left, no_port) = send_to(&mut plain, target);
-            assert_eq!(
-                (left.len(), no_port),
-                (0, 1),
-                "{shards} shards, unfederated"
-            );
+            assert_eq!((left.len(), no_port), (0, 1), "{n} kernels, unfederated");
         }
     }
 }
 
 #[test]
 fn an_injected_message_never_leaves() {
-    for (shards, n) in sizes() {
-        let remote = kernel(shards, 1, n).global_env_handle("live").unwrap();
-        let mut home = kernel(shards, 0, n);
+    for n in kernel_counts().into_iter().filter(|&n| n > 1) {
+        let remote = kernel(1, n).global_env_handle("live").unwrap();
+        let mut home = kernel(0, n);
         for port in [remote, Handle::from_raw(0x0EED_0000_0000_0001)] {
             let before = home.stats().dropped_no_port;
             home.inject_remote(RemoteSend {
@@ -146,8 +171,8 @@ fn an_injected_message_never_leaves() {
                 v: Label::top(),
             });
             home.run();
-            assert!(home.take_remote_egress().is_empty(), "{shards} shards");
-            assert_eq!(home.stats().dropped_no_port, before + 1, "{shards} shards");
+            assert!(home.take_remote_egress().is_empty(), "{n} kernels");
+            assert_eq!(home.stats().dropped_no_port, before + 1, "{n} kernels");
         }
     }
 }

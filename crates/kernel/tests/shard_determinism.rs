@@ -1,13 +1,13 @@
-//! Pins the single-shard engine bit-for-bit.
+//! Pins the delivery engine bit-for-bit.
 //!
 //! The golden values below were recorded from the pre-sharding delivery
 //! engine (PR 1) on a canonical workload that exercises every delivery
 //! path: plain delivery, event-process forking and exit, label-check
 //! drops, missing-port drops, queue-limit drops, and memory
-//! copy-on-write. A kernel configured with `shards = 1` must reproduce the
-//! identical delivery trace, `Stats`, `KmemReport`, and cycle clock — the
-//! refactor to a sharded engine is not allowed to perturb the paper-figure
-//! configuration in any observable way.
+//! copy-on-write. The kernel must reproduce the identical delivery trace,
+//! `Stats`, `KmemReport`, and cycle clock: neither the sharded engine
+//! that came after it nor that engine's removal may perturb the
+//! paper-figure configuration in any observable way.
 //!
 //! The clock was re-recorded once, when the delivery-decision cache was
 //! removed, from the previous engine run with the cache at capacity 0:
@@ -155,7 +155,7 @@ fn run_workload(mut kernel: Kernel) -> (Kernel, u64, usize) {
 }
 
 /// Golden values recorded from the pre-sharding engine (PR 1) at seed
-/// 0xA5BE. `shards = 1` must match them forever.
+/// 0xA5BE. The kernel must match them forever.
 #[test]
 fn single_shard_matches_pre_refactor_engine() {
     let (kernel, hash, count) = run_workload(Kernel::new(0xA5BE));
@@ -187,8 +187,6 @@ fn single_shard_matches_pre_refactor_engine() {
         handle_bytes: 1520,
         queue_bytes: 0,
         user_frame_bytes: 77824,
-        // A single-shard kernel never touches the cross-shard channels.
-        xshard_bytes: 0,
     };
     assert_eq!(kernel.kmem_report(), expected_kmem);
 

@@ -350,7 +350,7 @@ fn teardown_runs_service_hooks_once() {
         }
     }
     let flushed = Arc::new(Mutex::new(0));
-    let mut kernel = Kernel::new_sharded(411, 2);
+    let mut kernel = Kernel::new(411);
     for i in 0..3 {
         kernel.spawn(
             &format!("svc-{i}"),

@@ -140,11 +140,11 @@ impl std::fmt::Debug for HandleCipher {
 /// Allocates handles by encrypting an incrementing 61-bit counter (§5.1).
 ///
 /// The counter space is partitioned into lanes: lane `l` of `lanes` draws
-/// counters `1 + l, 1 + l + lanes, …`. One allocator owns a run of
-/// consecutive lanes — a kernel's, one per shard — under one cipher, so
-/// every lane mints in one namespace (§5.1), no two lanes ever mint the
-/// same handle, and [`HandleAllocator::lane_of`] reads back which lane
-/// minted a handle.
+/// counters `1 + l, 1 + l + lanes, …`. An allocator owns one lane — a
+/// kernel's, in a federation of `lanes` kernels — under a cipher every
+/// lane shares, so all lanes mint in one namespace (§5.1), no two lanes
+/// ever mint the same handle, and [`HandleAllocator::lane_of`] reads back
+/// which lane minted a handle.
 ///
 /// The counter itself would be a storage channel — it reveals how many
 /// handles the whole system has created — so only its encryption is ever
@@ -153,8 +153,10 @@ impl std::fmt::Debug for HandleCipher {
 pub struct HandleAllocator {
     /// The cipher, boxed: 4 KiB of S-boxes kept off its owner's footprint.
     cipher: Box<HandleCipher>,
-    /// The next counter each lane of the run draws, lane `first + i` at `i`.
-    next: Box<[u64]>,
+    /// The next counter this allocator's lane draws.
+    next: u64,
+    /// The lane this allocator owns.
+    lane: u64,
     /// Lanes in the whole partition.
     lanes: u64,
 }
@@ -163,25 +165,22 @@ impl HandleAllocator {
     /// Creates an allocator owning the one lane of an unpartitioned
     /// counter, keyed from `seed`.
     pub fn new(seed: u64) -> HandleAllocator {
-        HandleAllocator::with_partition(seed, 0, 1, 1)
+        HandleAllocator::with_partition(seed, 0, 1)
     }
 
-    /// Creates an allocator owning lanes `first .. first + run` of a
-    /// `lanes`-way partition keyed from `seed`. Allocators keyed alike
-    /// over disjoint runs never mint colliding handles, and lane `l`'s
-    /// handles are the same whichever run holds it.
+    /// Creates an allocator owning lane `lane` of a `lanes`-way partition
+    /// keyed from `seed`. Allocators keyed alike over different lanes
+    /// never mint colliding handles.
     ///
     /// # Panics
     ///
-    /// Panics unless `run >= 1` and `first + run <= lanes`.
-    pub fn with_partition(seed: u64, first: u64, run: usize, lanes: u64) -> HandleAllocator {
-        assert!(
-            run >= 1 && first + run as u64 <= lanes,
-            "allocator lanes out of range"
-        );
+    /// Panics unless `lane < lanes`.
+    pub fn with_partition(seed: u64, lane: u64, lanes: u64) -> HandleAllocator {
+        assert!(lane < lanes, "allocator lane out of range");
         HandleAllocator {
             cipher: Box::new(HandleCipher::new(seed)),
-            next: (first..first + run as u64).map(|lane| 1 + lane).collect(),
+            next: 1 + lane,
+            lane,
             lanes,
         }
     }
@@ -196,10 +195,9 @@ impl HandleAllocator {
         (self.cipher.decrypt(handle.raw()) + self.lanes - 1) % self.lanes
     }
 
-    /// The first lane of the run (lane `l`'s counters are `1 + l` modulo
-    /// the lane count).
-    pub fn first(&self) -> u64 {
-        (self.next[0] - 1) % self.lanes
+    /// The lane this allocator mints from.
+    pub fn lane(&self) -> u64 {
+        self.lane
     }
 
     /// How many lanes the counter space is partitioned into.
@@ -207,31 +205,28 @@ impl HandleAllocator {
         self.lanes
     }
 
-    /// Returns a fresh, never-before-returned handle from lane
-    /// `first + i`.
+    /// Returns a fresh, never-before-returned handle from this
+    /// allocator's lane.
     ///
     /// # Panics
     ///
-    /// Panics unless `i` is in the run, or if the lane's counters are
-    /// exhausted (at one billion handles per second the whole `2^61` space
-    /// would last 73 years; in a simulator it means a runaway loop).
-    pub fn alloc(&mut self, i: usize) -> Handle {
-        let counter = &mut self.next[i];
-        assert!(*counter < HANDLE_SPACE, "61-bit handle space exhausted");
-        let value = self.cipher.encrypt(*counter);
-        *counter += self.lanes;
+    /// Panics if the lane's counters are exhausted (at one billion
+    /// handles per second the whole `2^61` space would last 73 years; in
+    /// a simulator it means a runaway loop).
+    pub fn alloc(&mut self) -> Handle {
+        assert!(self.next < HANDLE_SPACE, "61-bit handle space exhausted");
+        let value = self.cipher.encrypt(self.next);
+        self.next += self.lanes;
         Handle::new(value).expect("cycle-walked output stays in the 61-bit domain")
     }
 
-    /// The number of handles allocated so far, by every lane of the run.
+    /// The number of handles allocated so far.
     ///
     /// This is god-mode observability for tests and accounting; it is never
     /// exposed through the syscall surface (it would be the §8 storage
     /// channel the cipher exists to close).
     pub fn allocated(&self) -> u64 {
-        (self.next.iter().zip(self.first()..))
-            .map(|(&next, lane)| (next - 1 - lane) / self.lanes)
-            .sum()
+        (self.next - 1 - self.lane) / self.lanes
     }
 }
 
@@ -244,24 +239,18 @@ mod tests {
     fn partitioned_lanes_never_collide_and_lane0_matches_new() {
         // Lane 0 of a 1-way partition IS the classic allocator.
         let mut classic = HandleAllocator::new(9);
-        let mut lane0of1 = HandleAllocator::with_partition(9, 0, 1, 1);
+        let mut lane0of1 = HandleAllocator::with_partition(9, 0, 1);
         for _ in 0..32 {
-            assert_eq!(classic.alloc(0), lane0of1.alloc(0));
+            assert_eq!(classic.alloc(), lane0of1.alloc());
         }
-        // Four lanes from one seed, two runs of two: all handles distinct,
-        // and a lane mints the same handles whichever run holds it.
-        let mut runs = [0, 2].map(|first| HandleAllocator::with_partition(9, first, 2, 4));
+        // Four lanes from one seed: all handles distinct.
         let mut seen = HashSet::new();
-        for run in &mut runs {
-            for i in [0, 1] {
-                let mut alone = HandleAllocator::with_partition(9, run.first() + i, 1, 4);
-                for _ in 0..64 {
-                    let h = run.alloc(i as usize);
-                    assert_eq!(h, alone.alloc(0));
-                    assert!(seen.insert(h), "lanes minted a duplicate");
-                }
+        for lane in 0..4 {
+            let mut alloc = HandleAllocator::with_partition(9, lane, 4);
+            for _ in 0..64 {
+                assert!(seen.insert(alloc.alloc()), "lanes minted a duplicate");
             }
-            assert_eq!(run.allocated(), 128);
+            assert_eq!(alloc.allocated(), 64);
         }
     }
 
@@ -271,16 +260,16 @@ mod tests {
         for seed in std::iter::repeat_with(|| splitmix64(&mut state)).take(8) {
             let cipher = HandleCipher::new(seed);
             for lanes in [1, 2, 3, 4, 8, 12] {
-                let mut alloc = HandleAllocator::with_partition(seed, 0, lanes as usize, lanes);
                 for lane in 0..lanes {
+                    let mut alloc = HandleAllocator::with_partition(seed, lane, lanes);
                     for _ in 0..16 {
-                        let h = alloc.alloc(lane as usize);
+                        let h = alloc.alloc();
                         assert_eq!(alloc.lane_of(h), lane);
                     }
+                    // Counter 0 is no lane's, and still maps to one.
+                    let unminted = Handle::from_raw(cipher.encrypt(0));
+                    assert!(alloc.lane_of(unminted) < lanes);
                 }
-                // Counter 0 is no lane's, and still maps to one.
-                let unminted = Handle::from_raw(cipher.encrypt(0));
-                assert!(alloc.lane_of(unminted) < lanes);
             }
         }
     }
@@ -306,7 +295,7 @@ mod tests {
         let mut alloc = HandleAllocator::new(7);
         let mut seen = HashSet::new();
         for _ in 0..100_000 {
-            assert!(seen.insert(alloc.alloc(0)), "handle collision");
+            assert!(seen.insert(alloc.alloc()), "handle collision");
         }
     }
 
@@ -316,7 +305,7 @@ mod tests {
         // the counter. We check that consecutive outputs are not consecutive
         // values and that outputs are spread across the domain.
         let mut alloc = HandleAllocator::new(99);
-        let vals: Vec<u64> = (0..1000).map(|_| alloc.alloc(0).raw()).collect();
+        let vals: Vec<u64> = (0..1000).map(|_| alloc.alloc().raw()).collect();
         let consecutive = vals
             .windows(2)
             .filter(|w| w[1] == w[0] + 1 || w[1] == w[0].wrapping_sub(1))
@@ -343,8 +332,8 @@ mod tests {
     fn allocated_counts() {
         let mut alloc = HandleAllocator::new(1);
         assert_eq!(alloc.allocated(), 0);
-        alloc.alloc(0);
-        alloc.alloc(0);
+        alloc.alloc();
+        alloc.alloc();
         assert_eq!(alloc.allocated(), 2);
     }
 }

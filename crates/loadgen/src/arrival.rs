@@ -8,7 +8,7 @@
 //!
 //! A schedule here is a precomputed list of arrival deadlines in virtual
 //! cycles (2.8 GHz model time, [`CYCLES_PER_SEC`]). The scenario engine
-//! steps the kernel until the busiest shard's clock passes each deadline,
+//! steps the kernels until the busiest one's clock passes each deadline,
 //! then injects the next connection — arrivals never wait on completions.
 //! One deliberate semantic of virtual time: when the kernel goes idle the
 //! clock stops, so an under-loaded schedule compresses (the server sees

@@ -7,9 +7,8 @@
 //! shows up honestly in the tail), **heavy-tailed** user populations
 //! (Zipf-ranked, million-rank capable), session churn, login storms
 //! after [`scenario::World::reboot`], mixed session/DB traffic, and
-//! mid-stream disconnects — all driven through the full sharded
-//! deployment (kernel shards × netd lanes) with per-lane completion
-//! polling.
+//! mid-stream disconnects — all driven through the full deployment
+//! (kernels × netd lanes) with per-lane completion polling.
 //!
 //! Workloads are declarative: implement [`scenario::Scenario`] (setup /
 //! drive / check hooks) and hand it to [`scenario::run_scenario`]; the
@@ -25,7 +24,7 @@
 //! same ops, same counts — which is what lets CI pin the committed
 //! numbers by equality.
 //!
-//! The kernel count is a deployment number like shards and lanes:
+//! The kernel count is a deployment number like the lane count:
 //! [`scenario::ScenarioConfig::federated`] puts the front end on kernel
 //! 0 of an `asbestos-cluster` federation and the workers on the rest
 //! (labels crossing the wire in serialized form), under the same

@@ -6,7 +6,7 @@
 //! wire. Each is a count, and the run is deterministic under its seed, so
 //! two runs agree on every field and a committed report can be checked by
 //! equality. Virtual time paces the arrivals but is not reported: the cost
-//! model cannot see a shard or a `Forward`, so a time here would claim
+//! model cannot see a `Forward`, so a time here would claim
 //! what it does not measure.
 
 /// Everything one scenario run counted.
@@ -16,8 +16,6 @@ pub struct ScenarioReport {
     pub scenario: String,
     /// Member kernels in the deployment (1 = un-federated).
     pub kernels: usize,
-    /// Kernel shards per kernel.
-    pub shards: usize,
     /// netd lanes in the front end.
     pub lanes: usize,
     /// User population size.
@@ -39,7 +37,7 @@ pub struct ScenarioReport {
     pub delivered: u64,
     /// Messages every kernel dropped, for any reason, from deploy.
     pub dropped: u64,
-    /// Highest queue-depth high-water mark across shards.
+    /// Highest queue-depth high-water mark across kernels.
     pub queue_depth_hwm: u64,
     /// Frames every gateway put on the wire (0 at one kernel).
     pub wire_frames: u64,
@@ -74,10 +72,9 @@ impl ScenarioReport {
             .map(|(key, value)| format!("{key} {value}"))
             .collect();
         format!(
-            "{} [k{} {}x{}] {}",
+            "{} [k{} l{}] {}",
             self.scenario,
             self.kernels,
-            self.shards,
             self.lanes,
             counts.join(", ")
         )

@@ -3,13 +3,13 @@
 //! A [`Scenario`] is a small struct with setup / drive / check hooks — the
 //! congestion-control-harness idiom where the experiment says *what* the
 //! workload is and the engine owns deployment, pacing, polling, and
-//! teardown. [`run_scenario`] deploys the shards×lanes world the scenario
-//! asks for, replays an open-loop arrival schedule against it (arrivals
+//! teardown. [`run_scenario`] deploys the kernels×lanes world the
+//! scenario asks for, replays an open-loop arrival schedule against it (arrivals
 //! never wait for completions — see [`crate::arrival`]), drains, and hands
 //! the scenario a [`ScenarioReport`] to assert invariants over.
 //!
 //! The engine is deterministic end to end: the kernel's schedule is a
-//! function of its seed and inputs at every shard count, so two runs of
+//! function of its seed and inputs, so two runs of
 //! the same scenario produce byte-identical request logs — which is what
 //! lets CI pin every count of a report exactly.
 
@@ -48,8 +48,6 @@ pub struct ScenarioConfig {
     /// federation with the front end on kernel 0, workers round-robin on
     /// the rest, and every request crossing the wire.
     pub kernels: usize,
-    /// Kernel shards (per kernel).
-    pub shards: usize,
     /// netd lanes.
     pub lanes: usize,
     /// Back the deployment with a durable store (enables [`World::reboot`]).
@@ -64,14 +62,13 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A single-shard, single-lane store-only config with sane defaults:
+    /// A single-kernel, single-lane store-only config with sane defaults:
     /// sub-capacity Poisson arrivals, all requests expected to succeed.
     pub fn new(users: usize, requests: usize) -> ScenarioConfig {
         ScenarioConfig {
             users,
             services: vec![ServiceKind::Store],
             kernels: 1,
-            shards: 1,
             lanes: 1,
             durable: false,
             requests,
@@ -80,9 +77,8 @@ impl ScenarioConfig {
         }
     }
 
-    /// Sets the shards × lanes deployment size.
-    pub fn deployment(mut self, shards: usize, lanes: usize) -> ScenarioConfig {
-        self.shards = shards;
+    /// Sets the netd lane count of the deployment.
+    pub fn deployment(mut self, lanes: usize) -> ScenarioConfig {
         self.lanes = lanes;
         self
     }
@@ -206,7 +202,7 @@ impl World {
                 !cfg.durable,
                 "federated worlds are volatile: a cluster has no reboot"
             );
-            let mut cluster = Cluster::new(seed, cfg.kernels, cfg.shards);
+            let mut cluster = Cluster::new(seed, cfg.kernels, 1);
             let okws = deploy_okws(&mut cluster, config);
             (cluster, okws)
         };
@@ -235,7 +231,7 @@ impl World {
     }
 
     fn okws_config(cfg: &ScenarioConfig, dev: Option<&MemDev>, with_users: bool) -> OkwsConfig {
-        let mut config = OkwsConfig::new(80).sharded(cfg.shards).lanes(cfg.lanes);
+        let mut config = OkwsConfig::new(80).lanes(cfg.lanes);
         if let Some(dev) = dev {
             config = config.durable(Box::new(dev.clone()));
         }
@@ -303,7 +299,7 @@ impl World {
         self.base_cycles = self.cluster.elapsed_cycles();
     }
 
-    /// Steps the world until the busiest shard's clock reaches `due`
+    /// Steps the world until the busiest kernel's clock reaches `due`
     /// cycles past the window start, or everything — kernels and wire —
     /// goes idle (virtual time stops when there is no work — the
     /// schedule compresses; see [`crate::arrival`]).
@@ -425,7 +421,6 @@ impl World {
         ScenarioReport {
             scenario: scenario.to_string(),
             kernels: self.cfg.kernels,
-            shards: self.cfg.shards,
             lanes: self.cfg.lanes,
             users: self.cfg.users,
             issued: self.issued.len(),

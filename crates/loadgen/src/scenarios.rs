@@ -28,8 +28,6 @@ pub struct Baseline {
     pub requests: usize,
     /// Member kernels (1 = un-federated).
     pub kernels: usize,
-    /// Kernel shards.
-    pub shards: usize,
     /// netd lanes.
     pub lanes: usize,
 }
@@ -41,7 +39,7 @@ impl Scenario for Baseline {
 
     fn config(&self) -> ScenarioConfig {
         ScenarioConfig::new(self.users, self.requests)
-            .deployment(self.shards, self.lanes)
+            .deployment(self.lanes)
             .federated(self.kernels)
     }
 
@@ -71,8 +69,6 @@ pub struct ZipfChurn {
     pub requests: usize,
     /// Zipf skew (≈1.0 is classic Web traffic).
     pub skew: f64,
-    /// Kernel shards.
-    pub shards: usize,
     /// netd lanes.
     pub lanes: usize,
     zipf: Option<ZipfSampler>,
@@ -80,12 +76,11 @@ pub struct ZipfChurn {
 
 impl ZipfChurn {
     /// A churn scenario over `users` ranks at the given skew.
-    pub fn new(users: usize, requests: usize, skew: f64, shards: usize, lanes: usize) -> ZipfChurn {
+    pub fn new(users: usize, requests: usize, skew: f64, lanes: usize) -> ZipfChurn {
         ZipfChurn {
             users,
             requests,
             skew,
-            shards,
             lanes,
             zipf: None,
         }
@@ -99,7 +94,7 @@ impl Scenario for ZipfChurn {
 
     fn config(&self) -> ScenarioConfig {
         ScenarioConfig::new(self.users, self.requests)
-            .deployment(self.shards, self.lanes)
+            .deployment(self.lanes)
             .with_service(ServiceKind::Profile)
     }
 
@@ -150,16 +145,12 @@ impl Scenario for ZipfChurn {
 /// - no boot-1 `⋆`-handle of idd's is observed after the reboot;
 /// - round-1 echoes are empty (no session survived the reboot);
 /// - every round-2 echo is that user's round-1 write — per-user FIFO
-///   through login, session fork, and both storm rounds;
-/// - the rebooted kernel is as sharded as the config, and every shard
-///   delivered messages: the storm spread across the deployment.
+///   through login, session fork, and both storm rounds.
 ///
 /// Single-kernel: the world is durable, and a cluster cannot reboot.
 pub struct LoginStorm {
     /// User population (all of it re-authenticates).
     pub users: usize,
-    /// Kernel shards.
-    pub shards: usize,
     /// netd lanes.
     pub lanes: usize,
     boot1_handles: Vec<u64>,
@@ -167,10 +158,9 @@ pub struct LoginStorm {
 
 impl LoginStorm {
     /// A storm over `users` accounts.
-    pub fn new(users: usize, shards: usize, lanes: usize) -> LoginStorm {
+    pub fn new(users: usize, lanes: usize) -> LoginStorm {
         LoginStorm {
             users,
-            shards,
             lanes,
             boot1_handles: Vec::new(),
         }
@@ -187,7 +177,7 @@ impl Scenario for LoginStorm {
         // The storm arrives far faster than steady state — that is the
         // point.
         ScenarioConfig::new(self.users, self.users * 2)
-            .deployment(self.shards, self.lanes)
+            .deployment(self.lanes)
             .durable()
             .rate(5_000.0)
     }
@@ -240,16 +230,6 @@ impl Scenario for LoginStorm {
 
     fn check(&mut self, world: &mut World, report: &ScenarioReport) {
         assert_eq!(report.completed, report.issued, "storm requests were lost");
-        // The reboot kept the deployment's shape, and the storm used it.
-        let kernel = world.kernel();
-        assert_eq!(kernel.num_shards(), world.cfg.shards, "boot 2 lost shards");
-        let spread: Vec<u64> = (0..kernel.num_shards())
-            .map(|i| kernel.shard(i).stats().delivered)
-            .collect();
-        assert!(
-            spread.iter().all(|&n| n > 0),
-            "a shard delivered nothing during the storm: {spread:?}"
-        );
         // §5.1 across boots: nothing idd holds now existed in boot 1.
         let boot2 = world.idd_star_handles();
         assert!(!boot2.is_empty());
@@ -302,8 +282,6 @@ pub struct SustainedFlood {
     pub requests: usize,
     /// Attacker arrivals per victim arrival.
     pub flood_factor: usize,
-    /// Kernel shards.
-    pub shards: usize,
     /// netd lanes.
     pub lanes: usize,
 }
@@ -315,7 +293,7 @@ impl Scenario for SustainedFlood {
 
     fn config(&self) -> ScenarioConfig {
         ScenarioConfig::new(2, self.requests)
-            .deployment(self.shards, self.lanes)
+            .deployment(self.lanes)
             .rate(20_000.0)
     }
 
@@ -361,7 +339,7 @@ impl Scenario for SustainedFlood {
 // Lane overflow + mid-stream closes (stress, not a latency row).
 // ---------------------------------------------------------------------
 
-/// Four phases against a shards×lanes deployment: a clean warm burst, a
+/// Four phases against a deployment of `lanes` netd lanes: a clean warm burst, a
 /// round of mid-stream client disconnects, a connection burst into a
 /// 2-deep port queue (the demux notify port overflows and *drops*, by
 /// design), and recovery once the bound is lifted. Survival is the
@@ -374,8 +352,6 @@ pub struct LaneOverflowChurn {
     pub users: usize,
     /// Arrivals per phase.
     pub phase_len: usize,
-    /// Kernel shards.
-    pub shards: usize,
     /// netd lanes.
     pub lanes: usize,
     drops_before_clamp: u64,
@@ -383,11 +359,10 @@ pub struct LaneOverflowChurn {
 
 impl LaneOverflowChurn {
     /// A four-phase overflow run.
-    pub fn new(users: usize, phase_len: usize, shards: usize, lanes: usize) -> LaneOverflowChurn {
+    pub fn new(users: usize, phase_len: usize, lanes: usize) -> LaneOverflowChurn {
         LaneOverflowChurn {
             users,
             phase_len,
-            shards,
             lanes,
             drops_before_clamp: 0,
         }
@@ -401,7 +376,7 @@ impl Scenario for LaneOverflowChurn {
 
     fn config(&self) -> ScenarioConfig {
         ScenarioConfig::new(self.users, self.phase_len * 4)
-            .deployment(self.shards, self.lanes)
+            .deployment(self.lanes)
             .rate(4_000.0)
             .allow_failures()
     }
@@ -433,12 +408,12 @@ impl Scenario for LaneOverflowChurn {
             world.kernel_mut().run();
             world.poll_lanes();
             let drops = world.kernel().stats().dropped_port_queue_full - self.drops_before_clamp;
-            // On one shard the scheduler interleaves strictly — demux
-            // consumes each NewConn before netd posts the next, so a
-            // 2-deep mailbox never fills. Only the cross-shard route
-            // (lanes batching notifications into the demux shard) can
-            // actually overflow; assert the drop count there only.
-            if self.shards > 1 {
+            // Behind one netd lane the scheduler interleaves strictly —
+            // demux consumes each NewConn before netd posts the next, so
+            // a 2-deep mailbox never fills. Only several lanes, each
+            // posting its own connections' notifications, can actually
+            // overflow it; assert the drop count there only.
+            if self.lanes > 1 {
                 assert!(
                     drops > 0,
                     "a {}-connection burst against a 2-deep port bound must overflow",

@@ -9,8 +9,8 @@
 //! each connection is hashed by the RSS demultiplexer to one lane, and the
 //! driver keeps a per-lane index of outstanding requests so completion
 //! polling is per lane and O(outstanding-in-lane) — the structure the
-//! load/latency harness (`crates/loadgen`) and the sharded Figure 8 port
-//! depend on at large request counts.
+//! load/latency harness (`crates/loadgen`) depends on at large request
+//! counts.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -109,7 +109,7 @@ impl ClientDriver {
             conn,
             tcp_port,
             lane,
-            started_at: kernel.elapsed_cycles(),
+            started_at: kernel.now(),
             finished_at: None,
             response: Vec::new(),
             request_bytes: request_bytes.to_vec(),
@@ -173,11 +173,11 @@ impl ClientDriver {
     /// Per-lane completion polling: collects response bytes for the
     /// outstanding requests of `lane` only. This is the multi-queue
     /// analogue of a NIC completion ring — the latency harness polls each
-    /// lane as its shard drains instead of scanning every request ever
+    /// lane on its own instead of scanning every request ever
     /// issued, which is what keeps polling O(outstanding) under
     /// million-session logs.
     pub fn poll_lane(&mut self, kernel: &Kernel, lane: usize) {
-        let now = kernel.elapsed_cycles();
+        let now = kernel.now();
         let mut net = self.net.borrow_mut();
         let requests = &mut self.requests;
         self.outstanding[lane].retain(|&idx| {

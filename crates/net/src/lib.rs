@@ -4,7 +4,7 @@
 //! byte-stream layer ([`tcp::SimNet`], the LWIP substitute), the `netd`
 //! process that is the system's privileged interface to the network
 //! (§7.7) — runnable as a single process or as a multi-queue front end
-//! of per-shard lanes with RSS connection demux ([`spawn_netd_lanes`],
+//! of lanes with RSS connection demux ([`spawn_netd_lanes`],
 //! [`tcp::rss_lane`]) — a minimal HTTP/1.0 implementation, and the
 //! external client driver that plays the paper's load-generator box.
 //!

@@ -9,13 +9,12 @@
 //! ## Multi-queue lanes
 //!
 //! The paper runs netd as one process; this reproduction can run it as a
-//! **multi-queue front end**: `lanes` full netd instances, lane `i` pinned
-//! to kernel shard `i mod shards`, each owning the slice of the TCP
-//! substrate whose connections the RSS demultiplexer
-//! ([`crate::tcp::rss_lane`]) hashes to it. A connection's entire event
-//! history — accept, taint application, reads, writes, close — is handled
-//! by exactly one lane and therefore lives on exactly one shard; lanes
-//! share nothing but the byte substrate and the global environment.
+//! **multi-queue front end**: `lanes` full netd instances on the kernel's
+//! one delivery engine, each owning the slice of the TCP substrate whose
+//! connections the RSS demultiplexer ([`crate::tcp::rss_lane`]) hashes to
+//! it. A connection's entire event history — accept, taint application,
+//! reads, writes, close — is handled by exactly one lane; lanes share
+//! nothing but the byte substrate and the global environment.
 //! `lanes = 1` is the paper-faithful configuration and runs the identical
 //! code path the single-netd build did.
 
@@ -307,7 +306,7 @@ impl Service for Netd {
 /// One spawned lane of the front end.
 #[derive(Clone, Copy, Debug)]
 pub struct NetdLane {
-    /// The lane's process id (its shard is `pid.shard()`).
+    /// The lane's process id.
     pub pid: ProcessId,
     /// The lane's control port (LISTEN requests).
     pub control_port: Handle,
@@ -331,18 +330,15 @@ pub fn spawn_netd(kernel: &mut Kernel) -> NetdHandle {
 
 /// Spawns a `lanes`-wide multi-queue netd front end.
 ///
-/// Lane 0 is placed by the kernel's ordinary round-robin spawn (so a
-/// single-lane front end is placed exactly where the old single netd
-/// was); lane `i` is pinned to shard `(shard_of(lane 0) + i) mod shards`,
-/// one lane per shard until lanes wrap. Each lane publishes its
-/// lane-qualified control/device ports in the global environment; lane 0
-/// additionally publishes the legacy unqualified keys and
+/// Lane `i` is the `i`-th process spawned here, so a single-lane front
+/// end is spawned exactly as the old single netd was. Each lane publishes
+/// its lane-qualified control/device ports in the global environment;
+/// lane 0 additionally publishes the legacy unqualified keys and
 /// [`NETD_LANES_ENV`].
 pub fn spawn_netd_lanes(kernel: &mut Kernel, lanes: usize) -> NetdHandle {
     assert!(lanes >= 1, "a netd front end needs at least one lane");
     let net = Rc::new(RefCell::new(SimNet::new()));
     let mut lane_handles = Vec::with_capacity(lanes);
-    let mut first_shard = 0;
     for lane in 0..lanes {
         let name = if lane == 0 {
             "netd".to_string()
@@ -350,14 +346,7 @@ pub fn spawn_netd_lanes(kernel: &mut Kernel, lanes: usize) -> NetdHandle {
             format!("netd.{lane}")
         };
         let service = Box::new(Netd::lane(net.clone(), lane, lanes));
-        let pid = if lane == 0 {
-            let pid = kernel.spawn(&name, Category::Network, service);
-            first_shard = pid.shard();
-            pid
-        } else {
-            let shard = (first_shard + lane) % kernel.num_shards();
-            kernel.spawn_on(shard, &name, Category::Network, service)
-        };
+        let pid = kernel.spawn(&name, Category::Network, service);
         let (control_key, device_key) = if lanes == 1 {
             (NETD_CONTROL_ENV.to_string(), NETD_DEVICE_ENV.to_string())
         } else {

@@ -20,8 +20,8 @@ pub type ConnId = u64;
 /// the mix is SplitMix64's finalizer, so consecutive connection ids spread
 /// evenly across lanes instead of striding. The hash is a pure function of
 /// the flow — every packet of a connection lands on the same lane, which
-/// is the invariant that keeps a connection's whole event history on one
-/// shard.
+/// is the invariant that keeps a connection's whole event history in one
+/// lane.
 pub fn rss_lane(conn: ConnId, tcp_port: u16, lanes: usize) -> usize {
     if lanes <= 1 {
         return 0;

@@ -1,13 +1,12 @@
 //! Multi-queue conformance: the per-connection event contract.
 //!
-//! The observable contract of the netd refactor (one lane per shard,
-//! RSS-demuxed connections) is each connection's *event history*: the
-//! order of reads and writes on one connection, and the bytes they carry,
-//! must be exactly what the paper's single netd produced — for every lane
-//! count. This property test drives random connection/message
-//! interleavings through a chunked echo server and asserts the
-//! per-connection response streams are identical at lanes ∈ {1, 2, 4}
-//! (on a 4-shard kernel) and equal to the single-shard single-netd model.
+//! The observable contract of the netd refactor (RSS-demuxed connections
+//! over several lanes) is each connection's *event history*: the order of
+//! reads and writes on one connection, and the bytes they carry, must be
+//! exactly what the paper's single netd produced — for every lane count.
+//! This property test drives random connection/message interleavings
+//! through a chunked echo server and asserts the per-connection response
+//! streams at lanes ∈ {2, 4} equal the single-netd model's.
 //!
 //! The echo server stamps every chunk it reads with a per-connection
 //! sequence number before writing it back, so any per-connection
@@ -43,10 +42,10 @@ struct Workload {
     chunk: u64,
 }
 
-/// Runs the workload on a kernel with the given shard and lane counts;
-/// returns each connection's full response bytes, in open order.
-fn run_workload(w: &Workload, shards: usize, lanes: usize) -> Vec<Vec<u8>> {
-    let mut kernel = Kernel::new_sharded(0x1A7E, shards);
+/// Runs the workload on a kernel with the given lane count; returns each
+/// connection's full response bytes, in open order.
+fn run_workload(w: &Workload, lanes: usize) -> Vec<Vec<u8>> {
+    let mut kernel = Kernel::new(0x1A7E);
     let netd = spawn_netd_lanes(&mut kernel, lanes);
     let mut driver = ClientDriver::new(&netd);
     let controls: Vec<Handle> = netd.lanes.iter().map(|l| l.control_port).collect();
@@ -129,7 +128,7 @@ fn run_workload(w: &Workload, shards: usize, lanes: usize) -> Vec<Vec<u8>> {
         ),
     );
 
-    // Let startup settle (the LISTEN registrations may cross shards),
+    // Let startup settle (the LISTEN registrations land),
     // exactly as `Okws::start` does before serving traffic.
     kernel.run();
 
@@ -148,7 +147,7 @@ fn run_workload(w: &Workload, shards: usize, lanes: usize) -> Vec<Vec<u8>> {
     assert_eq!(
         driver.completed(),
         w.payloads.len(),
-        "every connection must finish at shards={shards} lanes={lanes}"
+        "every connection must finish at lanes={lanes}"
     );
     assert_eq!(kernel.queue_len(), 0);
     // Map driver request order (opens happened epoch by epoch) back to
@@ -199,14 +198,14 @@ proptest! {
             chunk,
         };
 
-        // The single-netd model: one shard, one lane (the paper's build).
-        let model = run_workload(&w, 1, 1);
-        for (shards, lanes) in [(4, 1), (4, 2), (4, 4)] {
-            let got = run_workload(&w, shards, lanes);
+        // The single-netd model: one lane (the paper's build).
+        let model = run_workload(&w, 1);
+        for lanes in [2, 4] {
+            let got = run_workload(&w, lanes);
             prop_assert_eq!(
                 &model, &got,
-                "per-connection streams diverged at shards={} lanes={}",
-                shards, lanes
+                "per-connection streams diverged at lanes={}",
+                lanes
             );
         }
 
@@ -232,7 +231,7 @@ fn four_lanes_share_the_accept_stream() {
         chunk: 5,
     };
 
-    let mut kernel = Kernel::new_sharded(7, 4);
+    let mut kernel = Kernel::new(7);
     let netd = spawn_netd_lanes(&mut kernel, 4);
     let mut driver = ClientDriver::new(&netd);
     // No listener: connections are refused, but the demux decision has
@@ -247,11 +246,4 @@ fn four_lanes_share_the_accept_stream() {
         accepts.iter().all(|&n| n > 0),
         "RSS demux starved a lane: {accepts:?}"
     );
-
-    // Each lane owns its slice: lane i sits i shards after lane 0, one
-    // lane per shard until the lanes wrap.
-    let base = netd.lanes[0].pid.shard();
-    for (lane, info) in netd.lanes.iter().enumerate() {
-        assert_eq!(info.pid.shard(), (base + lane) % kernel.num_shards());
-    }
 }

@@ -52,8 +52,8 @@ impl TraceHash {
 }
 
 /// Runs the canonical tainted workload; returns the trace hash.
-fn run_tainted_workload(shards: usize, lanes: usize) -> u64 {
-    let mut kernel = Kernel::new_sharded(0x7A17, shards);
+fn run_tainted_workload(lanes: usize) -> u64 {
+    let mut kernel = Kernel::new(0x7A17);
     let netd = spawn_netd_lanes(&mut kernel, lanes);
     let controls: Vec<Handle> = netd.lanes.iter().map(|l| l.control_port).collect();
     assert_eq!(
@@ -212,7 +212,7 @@ fn run_tainted_workload(shards: usize, lanes: usize) -> u64 {
         ),
     );
 
-    // Startup settles (cross-shard LISTENs land), then phase A: all
+    // Startup settles (the LISTENs land), then phase A: all
     // connections arrive, get tainted, and survive the attacker.
     kernel.run();
     for i in 0..CONNS {
@@ -239,7 +239,7 @@ fn run_tainted_workload(shards: usize, lanes: usize) -> u64 {
         assert_eq!(
             req.response,
             expected.as_bytes(),
-            "connection {i} response at shards={shards} lanes={lanes}"
+            "connection {i} response at lanes={lanes}"
         );
         let (_uc, ut) = table[&(i as u64)];
         // The owning lane — and only the owning lane — holds uT ⋆ (its
@@ -264,7 +264,7 @@ fn run_tainted_workload(shards: usize, lanes: usize) -> u64 {
     // attacker's write), in every configuration.
     assert_eq!(
         dropped_after_attack, CONNS as u64,
-        "attacker writes dropped at shards={shards} lanes={lanes}"
+        "attacker writes dropped at lanes={lanes}"
     );
     h.eat(&dropped_after_attack.to_le_bytes());
     assert_eq!(kernel.queue_len(), 0);
@@ -277,18 +277,18 @@ const GOLDEN_SINGLE_NETD_TRACE: u64 = 0x27C8_02D3_F903_2323;
 
 #[test]
 fn single_lane_matches_golden_trace() {
-    assert_eq!(run_tainted_workload(1, 1), GOLDEN_SINGLE_NETD_TRACE);
+    assert_eq!(run_tainted_workload(1), GOLDEN_SINGLE_NETD_TRACE);
 }
 
 #[test]
 fn taint_rule_is_lane_invariant() {
     // Every lane configuration reproduces the identical taint trace —
     // which lane a connection hashes to is unobservable in its labels.
-    for (shards, lanes) in [(4, 1), (2, 2), (4, 2), (4, 4)] {
+    for lanes in [2, 3, 4] {
         assert_eq!(
-            run_tainted_workload(shards, lanes),
+            run_tainted_workload(lanes),
             GOLDEN_SINGLE_NETD_TRACE,
-            "trace diverged at shards={shards} lanes={lanes}"
+            "trace diverged at lanes={lanes}"
         );
     }
 }

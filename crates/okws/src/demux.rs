@@ -275,15 +275,21 @@ impl OkDemux {
         grant: Handle,
     ) {
         sys.charge(DEMUX_EVENT_CYCLES);
-        let Some(state) = self.pending.remove(&reply_port) else {
-            return;
-        };
-        let conn = state.conn;
         let service = req.service().to_string();
         let entry = self
             .services
             .get(&service)
             .expect("service checked in handle_head");
+        let session = self.users.get(user).and_then(|u| u.sessions.get(&service));
+        if session.is_none() && entry.port.is_none() {
+            // The worker never registered (§7.1): no one can serve this.
+            self.respond_direct(sys, reply_port, 503, "Service Unavailable");
+            return;
+        }
+        let Some(state) = self.pending.remove(&reply_port) else {
+            return;
+        };
+        let conn = state.conn;
 
         // §7.2 step 5: register the user's taint with netd (granting uT ⋆),
         // so responses can flow back over uC and nowhere else.
@@ -301,7 +307,6 @@ impl OkDemux {
         }
         .to_value();
 
-        let session = self.users.get(user).and_then(|u| u.sessions.get(&service));
         if let Some(&session_port) = session {
             // §7.3: route to the existing session event process.
             let _ = sys.send_args(session_port, handoff, &SendArgs::new().grant(star(conn)));

@@ -133,19 +133,10 @@ pub struct OkwsConfig {
     pub worker_tables: Vec<String>,
     /// Accounts to create: (user, password).
     pub users: Vec<(String, String)>,
-    /// Kernel shards to run the deployment on ([`crate::Okws::deploy`]
-    /// builds the kernel with this count). `1` (the default) is the
-    /// paper-faithful single-engine configuration. On `S` shards the
-    /// netd lanes go one per shard; the launcher, with the ok-demux, idd
-    /// and ok-dbproxy it spawns, on shard `1 % S`; and worker `i` on
-    /// shard `(1 % S + 1 + i) % S`. The router carries the netd ↔ demux
-    /// ↔ worker traffic between shards.
-    pub shards: usize,
     /// netd lanes in the multi-queue front end. `1` (the default) is the
     /// paper's single netd process; higher counts spawn one full netd
-    /// instance per lane, pinned one lane per shard, with the RSS
-    /// demultiplexer hashing each accepted connection to a lane so its
-    /// whole event stream stays on one shard.
+    /// instance per lane, with the RSS demultiplexer hashing each accepted
+    /// connection to a lane so its whole event stream stays in that lane.
     pub netd_lanes: usize,
     /// The durable medium for ok-dbproxy's write-ahead log (§7.5
     /// persistence). `None` (the default) is the paper's volatile
@@ -162,15 +153,15 @@ impl OkwsConfig {
             services: Vec::new(),
             worker_tables: Vec::new(),
             users: Vec::new(),
-            shards: 1,
             netd_lanes: 1,
             db_store: None,
         }
     }
 
-    /// Sets the kernel shard count this deployment targets.
-    pub fn sharded(mut self, shards: usize) -> OkwsConfig {
-        self.shards = shards;
+    /// Does nothing: a kernel is one delivery engine. Kept only because
+    /// `benchmark/` (which a crate PR may not edit) calls it; the
+    /// `[benchmark]` PR deletes it.
+    pub fn sharded(self, _shards: usize) -> OkwsConfig {
         self
     }
 

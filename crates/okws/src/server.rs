@@ -20,14 +20,8 @@ impl Okws {
     /// Spawns netd and the full OKWS process suite, then runs the kernel
     /// until startup settles (registration, table creation, accounts).
     ///
-    /// The kernel's shard count is whatever the caller built it with;
-    /// [`Okws::deploy`] constructs the kernel from the config's own
-    /// `shards` field.
-    ///
-    /// This is the one place that places OKWS on a kernel (`Sys::spawn`
-    /// is shard-local): netd lanes go one per shard, the launcher — with
-    /// ok-demux, idd and ok-dbproxy, which it spawns locally — sits on
-    /// shard `1 % S`, and worker `i` on shard `(1 % S + 1 + i) % S`. The
+    /// The spawn order is netd's lanes, then the workers, then the
+    /// launcher, which spawns ok-demux, idd and ok-dbproxy itself. The
     /// workers are spawned before the launcher with default labels, so
     /// none inherits the launcher's `⋆` on the verification handles it
     /// mints; the launcher then grants each worker its own handle at
@@ -37,17 +31,14 @@ impl Okws {
     pub fn start(kernel: &mut Kernel, mut config: OkwsConfig) -> Okws {
         let tcp_port = config.tcp_port;
         let netd = spawn_netd_lanes(kernel, config.netd_lanes);
-        let shards = kernel.num_shards();
-        let launcher_shard = 1 % shards;
-        for (i, spec) in config.services.iter_mut().enumerate() {
-            let shard = (launcher_shard + 1 + i) % shards;
+        for spec in &mut config.services {
             spec.take_body(|name, body| {
-                kernel.spawn_ep_service_on(shard, name, Category::Okws, body);
+                kernel.spawn_ep_service(name, Category::Okws, body);
                 kernel
             });
         }
         let launcher = Box::new(Launcher::new(config, &netd));
-        let launcher = kernel.spawn_on(launcher_shard, "launcher", Category::Okws, launcher);
+        let launcher = kernel.spawn("launcher", Category::Okws, launcher);
         kernel.run();
         Okws {
             netd,
@@ -56,9 +47,7 @@ impl Okws {
         }
     }
 
-    /// Builds a kernel with the shard count the config asks for
-    /// (`OkwsConfig::shards`) and deploys OKWS on it with
-    /// [`Okws::start`].
+    /// Builds a kernel and deploys OKWS on it with [`Okws::start`].
     ///
     /// A durable config ([`OkwsConfig::durable`]) boots as the epoch
     /// *after* the device's last recorded boot, so the kernel's handle
@@ -69,7 +58,7 @@ impl Okws {
             .db_store
             .as_ref()
             .map_or(0, |dev| Store::peek_epoch(dev.as_ref()) + 1);
-        let mut kernel = Kernel::with_boot_epoch(seed, CostModel::default(), config.shards, epoch);
+        let mut kernel = Kernel::with_boot_epoch(seed, CostModel::default(), 1, epoch);
         let okws = Okws::start(&mut kernel, config);
         (kernel, okws)
     }

@@ -23,6 +23,7 @@ use asbestos_db::{read_rows, DbMsg, SqlValue};
 use asbestos_kernel::{EpService, Handle, Label, Level, Message, SendArgs, Sys, Value};
 use asbestos_net::{http, parse_request, HttpRequest, NetMsg};
 
+use crate::demux::{DEMUX_PORT_ENV, DEMUX_REG_ENV};
 use crate::logic::{Action, SessionStore, WorkerLogic};
 use crate::proto::OkwsMsg;
 
@@ -169,13 +170,22 @@ enum Resume {
     Exec { ok: bool, affected: u64 },
 }
 
-/// A trusted service a session calls and then waits on over `uW`: the
-/// environment key of its port, and the 503 body a session answers when
-/// it is not deployed.
+/// A trusted service a session sends to: the environment key of its
+/// port, and the 503 body a session answers when the key names no port.
 type Callee = (&'static str, &'static [u8]);
 
 const DB: Callee = (asbestos_db::DB_PORT_ENV, b"database unavailable");
 const IDD: Callee = (crate::idd::IDD_PORT_ENV, b"idd unavailable");
+const DEMUX: Callee = (DEMUX_PORT_ENV, b"ok-demux unavailable");
+
+/// The port the environment names under `env`, if it names one. Any
+/// process may overwrite any key, so a worker takes what it finds: a
+/// missing key or a value that is not a handle costs the request its
+/// answer, never the worker its life, and a port that is not the trusted
+/// service's receives only what the labels let through.
+fn env_port(sys: &Sys<'_>, env: &str) -> Option<Handle> {
+    sys.env(env).and_then(|v| v.as_handle())
+}
 
 /// Environment key prefix for worker service ports.
 pub fn worker_port_env(service: &str) -> String {
@@ -315,28 +325,6 @@ impl Worker {
             _ => return Self::shed_conn(sys, conn),
         }
         s.conn = conn;
-        if sys.is_new_ep() {
-            // §7.2 step 8 / §7.3: make the session port and register it
-            // with ok-demux (granted at ⋆ so the session table can route
-            // future connections straight to this event process).
-            s.port = sys.new_port(Label::top());
-            let demux = sys
-                .env("okws.demux.port")
-                .and_then(|v| v.as_handle())
-                .expect("ok-demux publishes its control port");
-            let _ = sys.send_args(
-                demux,
-                OkwsMsg::SessionNew {
-                    user: s.user.clone(),
-                    service: self.service.clone(),
-                    port: s.port,
-                }
-                .to_value(),
-                &SendArgs::new()
-                    .verify(grant_proof(s.grant))
-                    .grant(star(s.port)),
-            );
-        }
 
         // §7.2 step 8: read the user's request via uC, replies to uW
         // (granting netd ⋆ for uW so its tainted replies can arrive).
@@ -425,7 +413,7 @@ impl Worker {
         body: Value,
         verify: Option<Label>,
     ) {
-        let Some(port) = sys.env(env).and_then(|v| v.as_handle()) else {
+        let Some(port) = env_port(sys, env) else {
             return self.respond(sys, s, 503, missing);
         };
         if wait == State::AwaitRows {
@@ -452,7 +440,7 @@ impl Worker {
                     Self::shed_conn(sys, queued);
                 }
                 s.state = State::Draining;
-                if let Some(demux) = sys.env("okws.demux.port").and_then(|v| v.as_handle()) {
+                if let Some(demux) = env_port(sys, DEMUX.0) {
                     let _ = sys.send_args(
                         demux,
                         OkwsMsg::SessionEnd {
@@ -517,12 +505,10 @@ impl EpService for Worker {
         let okws = OkwsMsg::from_value(&msg.body);
         if let Some(OkwsMsg::Activate { service, verify }) = okws {
             // Launcher activation: register with ok-demux, then discard
-            // this throwaway event process (§7.1).
-            if service == self.service {
-                let demux = sys
-                    .env("okws.demux.reg")
-                    .and_then(|v| v.as_handle())
-                    .expect("ok-demux publishes its registration port");
+            // this throwaway event process (§7.1). Without a registration
+            // port there is no one to register with.
+            let demux = env_port(sys, DEMUX_REG_ENV).filter(|_| service == self.service);
+            if let Some(demux) = demux {
                 let port = self.port.expect("our base start made the service port");
                 let v = Label::from_pairs(Level::L3, &[(verify, Level::L0)]);
                 let _ = sys.send_args(
@@ -548,7 +534,30 @@ impl EpService for Worker {
                 grant,
             }) => {
                 if sys.is_new_ep() {
+                    // §7.2 step 8 / §7.3: make the session port and
+                    // register it with ok-demux (granted at ⋆ so the
+                    // session table can route future connections straight
+                    // to this event process). With no ok-demux to register
+                    // with, answer 503 and leave no event process behind.
+                    let Some(demux) = env_port(sys, DEMUX.0) else {
+                        self.send_response(sys, conn, 503, DEMUX.1);
+                        let _ = sys.ep_exit();
+                        return;
+                    };
                     (s.user, s.taint, s.grant) = (user, taint, grant);
+                    s.port = sys.new_port(Label::top());
+                    let _ = sys.send_args(
+                        demux,
+                        OkwsMsg::SessionNew {
+                            user: s.user.clone(),
+                            service: self.service.clone(),
+                            port: s.port,
+                        }
+                        .to_value(),
+                        &SendArgs::new()
+                            .verify(grant_proof(s.grant))
+                            .grant(star(s.port)),
+                    );
                 }
                 self.begin_connection(sys, &mut s, conn);
             }

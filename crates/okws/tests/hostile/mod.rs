@@ -198,3 +198,49 @@ impl EpService for BindingSquatter {
         let _ = sys.ep_exit();
     }
 }
+
+/// A worker that squats on one environment key a worker reads: on
+/// activation it overwrites `key` with `Unit`, or with its own public
+/// port when `own_port` is set. Listed before the victim service, it
+/// gets there before the victim's activation and sessions read the key.
+pub struct KeySquatter {
+    key: &'static str,
+    own_port: bool,
+    loot: Rc<Loot>,
+    port: Option<Handle>,
+}
+
+impl KeySquatter {
+    /// The spec of a squatting worker on `key`, the service `squat`.
+    pub fn spec(key: &'static str, own_port: bool, loot: &Rc<Loot>) -> ServiceSpec {
+        let loot = loot.clone();
+        ServiceSpec::raw("squat", move || {
+            Box::new(KeySquatter {
+                key,
+                own_port,
+                loot: loot.clone(),
+                port: None,
+            })
+        })
+    }
+}
+
+impl EpService for KeySquatter {
+    fn on_base_start(&mut self, sys: &mut Sys<'_>) {
+        self.port = Some(public_port(sys, "squat"));
+    }
+
+    fn on_event(&self, sys: &mut Sys<'_>, msg: &Message) {
+        match OkwsMsg::from_value(&msg.body) {
+            Some(OkwsMsg::Activate { service, .. }) if service == "squat" => {
+                let value = match self.own_port {
+                    true => Value::Handle(self.port.unwrap()),
+                    false => Value::Unit,
+                };
+                sys.publish_env(self.key, value);
+            }
+            _ => self.loot.record("squat", msg),
+        }
+        let _ = sys.ep_exit();
+    }
+}

@@ -11,10 +11,10 @@ use std::sync::Mutex;
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Kernel, Label, Level, Value};
 use asbestos_net::NetMsg;
-use asbestos_okws::logic::{EchoStore, ParamLength, Profile};
+use asbestos_okws::logic::{EchoStore, ParamLength, Passwd, Profile};
 use asbestos_okws::proto::OkwsMsg;
 use asbestos_okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
-use hostile::{BindingSquatter, Loot, Rewirer};
+use hostile::{BindingSquatter, KeySquatter, Loot, Rewirer};
 
 fn store_deployment(seed: u64, users: &[(&str, &str)]) -> (Kernel, Okws, OkwsClient) {
     let mut kernel = Kernel::new(seed);
@@ -865,85 +865,73 @@ impl asbestos_kernel::EpService for Hijacker {
 /// §7.1: a worker proves itself to ok-demux with `V(wv) = 0` on its own
 /// process-specific verification handle, so it must hold no other. A
 /// worker listed after `bench` forges `bench`'s registration; bob's
-/// `/bench` request must still reach `bench`. Runs at 1 and 4 shards and
-/// at `ASBESTOS_TEST_SHARDS`.
+/// `/bench` request must still reach `bench`.
 #[test]
 fn a_worker_cannot_register_as_another_service() {
-    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
-    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
-    for shards in [1, 4].into_iter().chain(env_shards) {
-        let mut config = OkwsConfig::new(80).sharded(shards);
-        config
-            .services
-            .push(ServiceSpec::new("bench", || Box::new(ParamLength)));
-        config
-            .services
-            .push(ServiceSpec::raw("evil", || Box::new(Hijacker)));
-        config.users.push(("bob".into(), "pw-b".into()));
-        let (mut kernel, okws) = Okws::deploy(215, config);
-        let mut client = OkwsClient::new(&okws);
-        let (status, body) = client
-            .request_sync(&mut kernel, "bench", "bob", "pw-b", &[])
-            .unwrap_or_else(|| panic!("{shards} shards: bob got no response"));
-        assert_eq!(status, 200);
-        let body = String::from_utf8_lossy(&body);
-        assert_eq!(body, "x".repeat(11), "{shards} shards: bench was hijacked");
-    }
+    let mut config = OkwsConfig::new(80);
+    config
+        .services
+        .push(ServiceSpec::new("bench", || Box::new(ParamLength)));
+    config
+        .services
+        .push(ServiceSpec::raw("evil", || Box::new(Hijacker)));
+    config.users.push(("bob".into(), "pw-b".into()));
+    let (mut kernel, okws) = Okws::deploy(215, config);
+    let mut client = OkwsClient::new(&okws);
+    let (status, body) = client
+        .request_sync(&mut kernel, "bench", "bob", "pw-b", &[])
+        .expect("bob got no response");
+    assert_eq!(status, 200);
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(body, "x".repeat(11), "bench was hijacked");
 }
 
 /// ok-demux's fast path admits only the password idd confirmed: once
 /// alice is logged in, a request as alice with another password goes to
 /// idd and is refused, and the right one still reaches her cached
-/// session. Runs at 1 shard and at `ASBESTOS_TEST_SHARDS`.
+/// session.
 #[test]
 fn a_wrong_password_never_reaches_a_live_session() {
-    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
-    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
-    for shards in [1].into_iter().chain(env_shards) {
-        let mut config = OkwsConfig::new(80).sharded(shards);
-        config
-            .services
-            .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
-        config.users.push(("alice".into(), "pw-a".into()));
-        let (mut kernel, okws) = Okws::deploy(216, config);
-        let mut client = OkwsClient::new(&okws);
-        let (status, _) = client
-            .request_sync(
-                &mut kernel,
-                "store",
-                "alice",
-                "pw-a",
-                &[("data", "alice-secret")],
-            )
-            .unwrap_or_else(|| panic!("{shards} shards: alice got no response"));
-        assert_eq!(status, 200);
-        let worker = kernel.find_process("worker-store").unwrap();
-        let session = kernel.live_eps(worker);
-        assert_eq!(session.len(), 1);
+    let mut config = OkwsConfig::new(80);
+    config
+        .services
+        .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+    config.users.push(("alice".into(), "pw-a".into()));
+    let (mut kernel, okws) = Okws::deploy(216, config);
+    let mut client = OkwsClient::new(&okws);
+    let (status, _) = client
+        .request_sync(
+            &mut kernel,
+            "store",
+            "alice",
+            "pw-a",
+            &[("data", "alice-secret")],
+        )
+        .expect("alice got no response");
+    assert_eq!(status, 200);
+    let worker = kernel.find_process("worker-store").unwrap();
+    let session = kernel.live_eps(worker);
+    assert_eq!(session.len(), 1);
 
-        let (status, body) = client
-            .request_sync(&mut kernel, "store", "alice", "wrong", &[])
-            .unwrap_or_else(|| panic!("{shards} shards: the wrong password got no response"));
-        assert_eq!(
-            status, 403,
-            "{shards} shards: a wrong password was admitted"
-        );
-        assert!(
-            !String::from_utf8_lossy(&body).contains("alice-secret"),
-            "{shards} shards: a wrong password read alice's data"
-        );
+    let (status, body) = client
+        .request_sync(&mut kernel, "store", "alice", "wrong", &[])
+        .expect("the wrong password got no response");
+    assert_eq!(status, 403, "a wrong password was admitted");
+    assert!(
+        !String::from_utf8_lossy(&body).contains("alice-secret"),
+        "a wrong password read alice's data"
+    );
 
-        let (status, body) = client
-            .request_sync(&mut kernel, "store", "alice", "pw-a", &[])
-            .unwrap_or_else(|| panic!("{shards} shards: alice got no second response"));
-        assert_eq!(status, 200);
-        assert!(body.starts_with(b"alice-secret"), "{shards} shards");
-        assert_eq!(
-            kernel.live_eps(worker),
-            session,
-            "{shards} shards: the same event process serves alice"
-        );
-    }
+    let (status, body) = client
+        .request_sync(&mut kernel, "store", "alice", "pw-a", &[])
+        .expect("alice got no second response");
+    assert_eq!(status, 200);
+    assert!(body.starts_with(b"alice-secret"));
+    assert_eq!(
+        kernel.live_eps(worker),
+        session,
+        "the same event process serves alice"
+    );
 }
 
 /// A message on a worker's public port that is neither a connection
@@ -1043,28 +1031,23 @@ fn user_names_longer_than_the_session_record_are_refused() {
 /// ok-dbproxy's admin port admits by its label: a worker that publishes
 /// its own port as the admin port,
 /// then sends the real one a `Bind` and an `Exec`, receives nothing, and
-/// alice's first login is answered. Runs at 1 and 4 shards and at
-/// `ASBESTOS_TEST_SHARDS`.
+/// alice's first login is answered.
 #[test]
 fn a_worker_cannot_become_a_binding_party() {
-    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
-    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
-    for shards in [1, 4].into_iter().chain(env_shards) {
-        let loot = Rc::new(Loot::default());
-        let mut config = OkwsConfig::new(80).sharded(shards);
-        config
-            .services
-            .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
-        config.services.push(BindingSquatter::spec(&loot));
-        config.users.push(("alice".into(), "pw-a".into()));
-        let (mut kernel, okws) = Okws::deploy(219, config);
-        let mut client = OkwsClient::new(&okws);
-        let (status, _) = client
-            .request_sync(&mut kernel, "store", "alice", "pw-a", &[("data", "a")])
-            .unwrap_or_else(|| panic!("{shards} shards: alice got no response"));
-        assert_eq!(status, 200, "{shards} shards");
-        assert_eq!(*loot.received.borrow(), [""; 0], "{shards} shards");
-    }
+    let loot = Rc::new(Loot::default());
+    let mut config = OkwsConfig::new(80);
+    config
+        .services
+        .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+    config.services.push(BindingSquatter::spec(&loot));
+    config.users.push(("alice".into(), "pw-a".into()));
+    let (mut kernel, okws) = Okws::deploy(219, config);
+    let mut client = OkwsClient::new(&okws);
+    let (status, _) = client
+        .request_sync(&mut kernel, "store", "alice", "pw-a", &[("data", "a")])
+        .expect("alice got no response");
+    assert_eq!(status, 200);
+    assert_eq!(*loot.received.borrow(), [""; 0]);
 }
 
 /// OKWS's trusted processes read the environment only at start, so no
@@ -1073,35 +1056,122 @@ fn a_worker_cannot_become_a_binding_party() {
 /// in their base start and again on activation (see [`Rewirer`]).
 /// Alice's two requests are answered, the second with her first data,
 /// and each attacker receives nothing but its own `Activate`. Runs at
-/// shards {1, 4} × lanes {1, 4} and at `ASBESTOS_TEST_SHARDS`.
+/// 1 and 4 netd lanes.
 #[test]
 fn no_worker_can_rewire_a_trusted_process() {
-    let env_shards = std::env::var("ASBESTOS_TEST_SHARDS").ok();
-    let env_shards = env_shards.and_then(|s| s.trim().parse().ok());
-    for shards in [1, 4].into_iter().chain(env_shards) {
-        for lanes in [1, 4] {
-            let at = format!("{shards} shards, {lanes} lanes");
+    for lanes in [1, 4] {
+        let at = format!("{lanes} lanes");
+        let loot = Rc::new(Loot::default());
+        let mut config = OkwsConfig::new(80).lanes(lanes);
+        config.services.push(Rewirer::spec("evil-a", &loot));
+        config
+            .services
+            .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
+        config.services.push(Rewirer::spec("evil-z", &loot));
+        config.users.push(("alice".into(), "pw-a".into()));
+        let (mut kernel, okws) = Okws::deploy(220, config);
+        let mut client = OkwsClient::new(&okws);
+        let data = [("data", "alice-1")];
+        let (status, _) = client
+            .request_sync(&mut kernel, "store", "alice", "pw-a", &data)
+            .unwrap_or_else(|| panic!("{at}: alice got no response"));
+        assert_eq!(status, 200, "{at}");
+        let (status, body) = client
+            .request_sync(&mut kernel, "store", "alice", "pw-a", &[])
+            .unwrap_or_else(|| panic!("{at}: alice got no second response"));
+        assert_eq!(status, 200, "{at}");
+        assert!(body.starts_with(b"alice-1"), "{at}");
+        assert_eq!(*loot.received.borrow(), [""; 0], "{at}");
+    }
+}
+
+/// Workers read four environment keys — ok-demux's registration and
+/// control ports, ok-dbproxy's `db.port` and idd's login port — and any
+/// worker may overwrite any key. A squatter listed before the victim
+/// service overwrites one key per run on activation, first with `Unit`,
+/// then with its own port (see [`KeySquatter`]). Nothing panics, and the
+/// squatter learns nothing of alice's: a session is contaminated with her
+/// `uT 3` at handoff, so the labels drop every session send to the
+/// squatter's port, and the squatter never holds `⋆` on a handle idd
+/// minted. What the squatter takes is availability. A key that names no
+/// port gets alice a 503. The one misdirected message is the victim's
+/// untainted activation `Register`, sent when the squatter owns
+/// `okws.demux.reg`: the victim never registers, and ok-demux answers
+/// alice 503. A session whose ok-dbproxy or idd call goes to the
+/// squatter's port waits for a reply that never comes — the kernel tells
+/// no sender of a drop (§4) — so alice gets no answer at all.
+#[test]
+fn worker_read_keys_cost_only_availability() {
+    let cases = [
+        (
+            "okws.demux.reg",
+            "store",
+            &[("data", "alice-secret")],
+            [Some(503), Some(503)],
+        ),
+        (
+            "okws.demux.port",
+            "store",
+            &[("data", "alice-secret")],
+            [Some(503), Some(200)],
+        ),
+        (
+            "db.port",
+            "profile",
+            &[("set", "alice-secret")],
+            [Some(503), None],
+        ),
+        (
+            "okws.idd.port",
+            "passwd",
+            &[("new", "alice-secret")],
+            [Some(503), None],
+        ),
+    ];
+    for (key, service, params, answers) in cases {
+        for (own_port, answer) in [false, true].into_iter().zip(answers) {
+            let at = format!("{key} <- {}", if own_port { "its port" } else { "Unit" });
             let loot = Rc::new(Loot::default());
-            let mut config = OkwsConfig::new(80).sharded(shards).lanes(lanes);
-            config.services.push(Rewirer::spec("evil-a", &loot));
+            let mut config = OkwsConfig::new(80);
             config
                 .services
-                .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
-            config.services.push(Rewirer::spec("evil-z", &loot));
+                .push(KeySquatter::spec(key, own_port, &loot));
+            config.services.push(match service {
+                "store" => ServiceSpec::new("store", || Box::new(EchoStore::new())),
+                "profile" => ServiceSpec::new("profile", || Box::new(Profile)),
+                _ => ServiceSpec::new("passwd", || Box::new(Passwd)),
+            });
+            config.worker_tables.push(Profile::TABLE_DDL.to_string());
             config.users.push(("alice".into(), "pw-a".into()));
-            let (mut kernel, okws) = Okws::deploy(220, config);
+            let (mut kernel, okws) = Okws::deploy(221, config);
             let mut client = OkwsClient::new(&okws);
-            let data = [("data", "alice-1")];
-            let (status, _) = client
-                .request_sync(&mut kernel, "store", "alice", "pw-a", &data)
-                .unwrap_or_else(|| panic!("{at}: alice got no response"));
-            assert_eq!(status, 200, "{at}");
-            let (status, body) = client
-                .request_sync(&mut kernel, "store", "alice", "pw-a", &[])
-                .unwrap_or_else(|| panic!("{at}: alice got no second response"));
-            assert_eq!(status, 200, "{at}");
-            assert!(body.starts_with(b"alice-1"), "{at}");
-            assert_eq!(*loot.received.borrow(), [""; 0], "{at}");
+            let served = client.request_sync(&mut kernel, service, "alice", "pw-a", params);
+            assert_eq!(
+                served.map(|(status, _)| status),
+                answer,
+                "{at}: alice's answer"
+            );
+
+            let received = loot.received.borrow();
+            let register = received.first().cloned().unwrap_or_default();
+            match (key, own_port) {
+                ("okws.demux.reg", true) => {
+                    assert_eq!(received.len(), 1, "{at}: {received:?}");
+                    assert!(register.contains(r#"Str("register")"#), "{at}: {register}");
+                }
+                _ => assert_eq!(*received, [""; 0], "{at}"),
+            }
+            let squat = kernel.find_process("worker-squat").unwrap();
+            let label = &kernel.process(squat).send_label;
+            for h in Okws::idd_star_handles(&kernel) {
+                let level = label.get(asbestos_kernel::Handle::from_raw(h));
+                assert_ne!(
+                    level,
+                    Level::Star,
+                    "{at}: the squatter holds one of idd's handles"
+                );
+            }
+            assert!(kernel.live_eps(squat).is_empty(), "{at}");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Kernel state under steady traffic: every connection mints ports (netd's
 //! `uC`, ok-demux's reply port, idd's per-login port) and dissociates them
 //! when it is done, so once every session is built the kernel's table of
-//! live ports stops growing. Runs at `ASBESTOS_TEST_SHARDS` shards and
-//! `ASBESTOS_NETD_LANES` netd lanes (default 1 each).
+//! live ports stops growing. Runs at `ASBESTOS_NETD_LANES` netd lanes
+//! (default 1).
 
 use asbestos_kernel::Kernel;
 use asbestos_okws::logic::ParamLength;
@@ -12,13 +12,6 @@ const USERS: usize = 256;
 
 /// Rounds after the baseline: `ROUNDS × USERS` ≥ 2,000 requests.
 const ROUNDS: usize = 8;
-
-fn count(key: &str) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
-}
 
 /// Issues one request per user, runs the kernel to idle and checks every
 /// response.
@@ -36,8 +29,11 @@ fn serve_round(kernel: &mut Kernel, client: &mut OkwsClient) {
 
 #[test]
 fn steady_traffic_leaves_the_port_table_flat() {
-    let (shards, lanes) = (count("ASBESTOS_TEST_SHARDS"), count("ASBESTOS_NETD_LANES"));
-    let mut config = OkwsConfig::new(80).sharded(shards).lanes(lanes);
+    let lanes = std::env::var("ASBESTOS_NETD_LANES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(1);
+    let mut config = OkwsConfig::new(80).lanes(lanes);
     config
         .services
         .push(ServiceSpec::new("bench", || Box::new(ParamLength)));
@@ -56,7 +52,7 @@ fn steady_traffic_leaves_the_port_table_flat() {
         assert_eq!(
             kernel.handle_table().len(),
             baseline,
-            "{shards}×{lanes}: live ports grew by round {round}"
+            "{lanes} lanes: live ports grew by round {round}"
         );
     }
     assert_eq!(kernel.queue_len(), 0);

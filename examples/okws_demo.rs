@@ -5,22 +5,13 @@
 //! service, and a declassifier for publishing profiles — then walks through
 //! logins, session caching, a cross-user read attempt, and declassification.
 //!
-//! Run with: `cargo run --release --example okws_demo [shards]`
-//!
-//! The optional `shards` argument (default 2) spreads the deployment
-//! over that many parallel kernel shards; `1` reproduces the paper's
-//! single-engine kernel exactly.
+//! Run with: `cargo run --release --example okws_demo`
 
 use asbestos::okws::logic::{EchoStore, Profile};
 use asbestos::okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
 
 fn main() {
-    let shards: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2);
-
-    let mut config = OkwsConfig::new(80).sharded(shards);
+    let mut config = OkwsConfig::new(80);
     config
         .services
         .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
@@ -36,10 +27,7 @@ fn main() {
 
     let (mut kernel, okws) = Okws::deploy(7, config);
     let mut client = OkwsClient::new(&okws);
-    println!(
-        "OKWS up on {} kernel shard(s): netd, ok-demux, idd, ok-dbproxy, 3 workers\n",
-        kernel.num_shards()
-    );
+    println!("OKWS up: netd, ok-demux, idd, ok-dbproxy, 3 workers\n");
 
     // --- Session state, cached in an event process (§7.3) -------------
     let (_, body) = client
@@ -157,16 +145,10 @@ fn main() {
          ({:.1} pages/session, the whole deployment included)",
         pages as f64 / sessions.max(1) as f64
     );
-    let per_shard: Vec<String> = (0..kernel.num_shards())
-        .map(|i| {
-            let shard = kernel.shard(i);
-            format!(
-                "shard {i}: {} delivered, {} Kcycles",
-                shard.stats().delivered,
-                shard.clock().now() / 1000
-            )
-        })
-        .collect();
-    println!("  {}", per_shard.join("; "));
+    println!(
+        "  kernel: {} delivered, {} Kcycles",
+        kernel.stats().delivered,
+        kernel.now() / 1000
+    );
     println!("\nokws_demo OK");
 }

@@ -19,15 +19,6 @@ use asbestos_loadgen::{run_scenario, LaneOverflowChurn, SustainedFlood};
 
 const USERS: usize = 12;
 
-/// Shard count under test: the CI matrix sets `ASBESTOS_TEST_SHARDS`
-/// (1 and 4); locally this defaults to the single-shard configuration.
-fn test_shards() -> usize {
-    std::env::var("ASBESTOS_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 /// netd lane count under test: the CI matrix sets `ASBESTOS_NETD_LANES`
 /// (1 and 4); locally this defaults to the paper's single netd.
 fn test_lanes() -> usize {
@@ -37,8 +28,8 @@ fn test_lanes() -> usize {
         .unwrap_or(1)
 }
 
-fn deploy_laned(seed: u64, shards: usize, lanes: usize) -> (Kernel, Okws, OkwsClient) {
-    let mut config = OkwsConfig::new(80).sharded(shards).lanes(lanes);
+fn deploy(seed: u64) -> (Kernel, Okws, OkwsClient) {
+    let mut config = OkwsConfig::new(80).lanes(test_lanes());
     config
         .services
         .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
@@ -52,14 +43,6 @@ fn deploy_laned(seed: u64, shards: usize, lanes: usize) -> (Kernel, Okws, OkwsCl
     let (kernel, okws) = Okws::deploy(seed, config);
     let client = OkwsClient::new(&okws);
     (kernel, okws, client)
-}
-
-fn deploy_sharded(seed: u64, shards: usize) -> (Kernel, Okws, OkwsClient) {
-    deploy_laned(seed, shards, test_lanes())
-}
-
-fn deploy(seed: u64) -> (Kernel, Okws, OkwsClient) {
-    deploy_laned(seed, test_shards(), test_lanes())
 }
 
 #[test]
@@ -216,15 +199,12 @@ impl FrameProbe for Kernel {
     }
 }
 
-/// The full OKWS stack — netd, demux, idd, dbproxy, workers — spread
-/// over four parallel kernel shards must enforce exactly the same §2
-/// isolation the single-shard deployment does: the router carries every
-/// netd ↔ demux ↔ worker ↔ db hop between shards, and label evaluation
-/// still happens on each destination's own shard.
+/// The full OKWS stack — netd, demux, idd, dbproxy, workers — enforces
+/// §2 isolation across both a session service and the database: one
+/// user's session state and rows stay invisible to another.
 #[test]
-fn sharded_okws_preserves_isolation() {
-    let (mut kernel, _okws, mut client) = deploy_sharded(602, 4);
-    assert_eq!(kernel.num_shards(), 4);
+fn okws_isolates_sessions_and_rows() {
+    let (mut kernel, _okws, mut client) = deploy(602);
 
     // Alice and Bob store private data; each sees only their own.
     let (status, _) = client
@@ -247,7 +227,7 @@ fn sharded_okws_preserves_isolation() {
         .expect("profile responds");
     assert!(
         !String::from_utf8_lossy(&body).contains("alice-bio"),
-        "cross-user DB row leaked through the sharded kernel"
+        "cross-user DB row leaked"
     );
 
     // Alice still sees her session and row.
@@ -267,18 +247,19 @@ fn sharded_okws_preserves_isolation() {
     );
 }
 
-/// 4 shards × 4 netd lanes under hostile conditions, as a declarative
+/// 4 netd lanes under hostile conditions, as a declarative
 /// scenario: warm burst, mid-stream client disconnects, a connection
 /// burst into a 2-deep port bound (lane → demux notifications overflow
 /// and take the `PortQueueFull` drop path), and recovery once the bound
 /// is lifted. The scenario's own `check` asserts no deadlock, accounted
-/// drops, lane spread, and ordinary service afterwards.
+/// drops (a `PortQueueFull` overflow at several lanes), lane spread, and
+/// ordinary service afterwards.
 #[test]
 fn lane_queue_overflow_and_midstream_closes_do_not_wedge() {
-    run_scenario(&mut LaneOverflowChurn::new(USERS, 12, 4, 4), 603);
+    run_scenario(&mut LaneOverflowChurn::new(USERS, 12, 4), 603);
 }
 
-/// Sustained flood: 4 shards × 4 netd lanes, one attacker pouring
+/// Sustained flood: 4 netd lanes, one attacker pouring
 /// connections at 10× the victim's rate into the same deployment. The
 /// attacker's session worker sheds what its pending queue cannot hold and
 /// the client retries it. The scenario's `check` asserts the victim's
@@ -290,7 +271,6 @@ fn sustained_flood_leaves_the_victim_served_and_recovers() {
         &mut SustainedFlood {
             requests: 110,
             flood_factor: 10,
-            shards: 4,
             lanes: 4,
         },
         604,
