@@ -169,9 +169,9 @@ impl FrameConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_frame;
     use crate::wire::fixtures::RawChunk::{Define, Header};
     use crate::wire::fixtures::{frame_around, raw_forward_body, raw_label, uniform_labels};
+    use crate::wire::{encode_frame, SLOTS};
     use asbestos_kernel::Value;
     use asbestos_labels::chunk::{pack, Chunk};
     use asbestos_labels::{Handle, Label, Level};
@@ -253,6 +253,70 @@ mod tests {
         assert_eq!(second_es.chunks_shared_with(&first_es), 13);
     }
 
+    /// A link's history is checked, not assumed. On a warm link whose
+    /// table is full, frame 2 defines a chunk into the slot of the oldest
+    /// one and frame 3 references it there. A frame lost, repeated or
+    /// reordered after frame 1 closes the link with `BadCrc` at the next
+    /// frame, and every message decoded before it is the one sent. Without
+    /// the frame index in the CRC, the lost and the reordered frame 2 would
+    /// let frame 3 decode with the evicted chunk's entries in its `E_S`.
+    #[test]
+    fn a_lost_repeated_or_reordered_frame_closes_the_link() {
+        let pool: Vec<Chunk> = (0..=SLOTS as u64)
+            .map(|i| Chunk::from_entries(&[pack(10 * i, Level::L3)]))
+            .collect();
+        let forward = |picks: &[usize]| WireMsg::Forward {
+            port: Handle::from_raw(0x2000),
+            es: Label::from_chunks(Level::L1, picks.iter().map(|&i| pool[i].clone()).collect())
+                .unwrap(),
+            ds: Label::top(),
+            dr: Label::bottom(),
+            v: Label::top(),
+            body: Value::Unit,
+        };
+        let every: Vec<usize> = (0..SLOTS).collect();
+        let msgs = [
+            forward(&every),
+            forward(&[1]),
+            forward(&[SLOTS]),
+            forward(&[SLOTS]),
+        ];
+        let mut sender = ChunkTable::default();
+        let frames: Vec<Vec<u8>> = (msgs.iter())
+            .map(|msg| {
+                let mut frame = Vec::new();
+                sender.encode_frame(msg, &mut frame);
+                frame
+            })
+            .collect();
+        for (fault, order) in [
+            ("lost", &[0, 1, 3][..]),
+            ("repeated", &[0, 1, 1, 2]),
+            ("reordered", &[0, 1, 3, 2]),
+        ] {
+            let (a, mut b) = UnixStream::pair().unwrap();
+            let mut rx = FrameConn::new(a).unwrap();
+            for &i in order {
+                b.write_all(&frames[i]).unwrap();
+            }
+            let mut got = Vec::new();
+            let err = loop {
+                match rx.pump() {
+                    Ok(msgs) if msgs.is_empty() => break None,
+                    Ok(msgs) => got.extend(msgs),
+                    Err(err) => break Some(err),
+                }
+            };
+            for (k, msg) in got.iter().enumerate() {
+                assert_eq!(msg, &msgs[order[k]], "{fault}: message {k} decoded wrong");
+            }
+            assert_eq!(got.len(), 2, "{fault}: the link closes at the next frame");
+            let cause = (err.as_ref().and_then(|e| e.get_ref()))
+                .and_then(|e| e.downcast_ref::<WireError>());
+            assert_eq!(cause, Some(&WireError::BadCrc), "{fault}");
+        }
+    }
+
     /// A bad frame is final. This one defines a chunk in `es`, then names
     /// slot 1 from `ds` while only slot 0 is full. Read again through the
     /// table it changed, it would define into slot 1 and decode.
@@ -263,7 +327,7 @@ mod tests {
         let mut labels = uniform_labels();
         labels[0] = raw_label(Level::L1.to_bits() as u8, &[Define(&[pack(3, Level::L3)])]);
         labels[1] = raw_label(Level::L1.to_bits() as u8, &[Header(0x80 | 1)]);
-        b.write_all(&frame_around(&raw_forward_body(labels)))
+        b.write_all(&frame_around(0, &raw_forward_body(labels)))
             .unwrap();
         for _ in 0..2 {
             let err = rx.pump().unwrap_err();

@@ -156,8 +156,9 @@ impl Gateway {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
-    use crate::wire::encode_frame;
-    use crate::wire::fixtures::{frame_around, raw_forward_body, raw_label, uniform_labels};
+    use crate::wire::fixtures::{
+        encode_at, frame_around, raw_forward_body, raw_label, uniform_labels,
+    };
     use asbestos_kernel::util::service_with_start;
     use asbestos_kernel::{Category, Handle, Label, Value};
     use asbestos_labels::HandleAllocator;
@@ -324,11 +325,11 @@ mod tests {
     fn a_malformed_frame_closes_only_the_link_that_carried_it() {
         let mut cluster = senders(3);
         let mut burst = Vec::new();
-        encode_frame(&note(1), &mut burst);
+        encode_at(0, &note(1), &mut burst);
         let mut labels = uniform_labels();
         labels[1] = raw_label(6, &[]);
-        burst.extend(frame_around(&raw_forward_body(labels)));
-        encode_frame(&note(2), &mut burst);
+        burst.extend(frame_around(1, &raw_forward_body(labels)));
+        encode_at(2, &note(2), &mut burst);
         tap(&mut cluster, 0, 1).write_all(&burst).unwrap();
         let k1 = format!("{:?}", cluster.nodes[1].kernel.stats());
         cluster.run();

@@ -6,12 +6,14 @@
 //! magic "ASWM" (4) | version u8 | body-len u32 LE | crc32 u32 LE | body
 //! ```
 //!
-//! The CRC (the store crate's snapshot polynomial) covers exactly the
+//! The CRC (the store crate's snapshot polynomial) covers the frame's
+//! index on its link — 8 bytes little-endian, not sent — and then the
 //! body, so a flipped bit anywhere in a frame is detected before any
 //! field is interpreted, and the version byte sits *outside* the body so
 //! a new version can change the body layout freely — same discipline as
-//! the snapshot codec's header. Version 2 sends labels as chunks; a
-//! version 1 frame is [`WireError::BadVersion`].
+//! the snapshot codec's header. Version 2 sent labels as chunks; version
+//! 3 seeds the CRC with the frame index. An older frame is
+//! [`WireError::BadVersion`].
 //!
 //! **One hop, one check.** A frame travels on the link from the kernel
 //! that sent it to the kernel it is for, so it is checksummed twice —
@@ -32,17 +34,24 @@
 //! definition or reference stamps its slot, and a definition takes the
 //! least recently stamped of the [`SLOTS`] slots, the lowest index on a
 //! tie. Both ends run that one rule, so a definition names no slot and
-//! each end's table is a function of the frames the link has carried. The
-//! link is FIFO and closes at its first bad frame, so the two ends always
-//! hold the same table and nothing resyncs them. The sender finds a chunk
-//! by its allocation ([`Arc::ptr_eq`]): a shared chunk is never changed in
-//! place (`Arc::make_mut` copies it), so a held pointer always means the
-//! same entries. A receiver holds at most [`SLOTS`] chunks of at most 64
-//! entries per link direction, whatever its peer sends. A reference
-//! clones the held `Arc`, so a repeated chunk costs no allocation, and a
-//! decoded label keeps the sender's chunk layout — exactly as a local
-//! send's `E_S` does — so its accounted `heap_bytes` does not depend on
-//! which side of the wire it was built.
+//! each end's table is a function of the frames the link has carried.
+//!
+//! **The two tables stay in lockstep because the link is FIFO and
+//! lossless, and the CRC proves it.** Each table also counts the frames
+//! it has passed, and a frame's CRC is seeded with that count. A frame
+//! that was lost, duplicated or reordered is checked against the wrong
+//! index and fails as [`WireError::BadCrc`] — at the first frame after
+//! the fault at the latest — and the link closes at its first bad frame,
+//! so no frame is ever decoded against a table its sender did not hold
+//! and nothing resyncs them. The sender finds a chunk by its allocation
+//! ([`Chunk::ptr_eq`]): a chunk is never changed in place (an edit builds
+//! a new one), so a held pointer always means the same entries. A
+//! receiver holds at most [`SLOTS`] chunks of at most 64 entries per link
+//! direction, whatever its peer sends. A reference clones the held chunk
+//! (a refcount), so a repeated chunk costs no allocation, and a decoded
+//! label keeps the sender's chunk layout — exactly as a local send's
+//! `E_S` does — so its accounted `heap_bytes` does not depend on which
+//! side of the wire it was built.
 //!
 //! **Checked, never repaired.** A definition is checked in place: level
 //! bits 0–4 ([`WireError::BadLevel`]), handles strictly ascending. A
@@ -55,7 +64,8 @@
 //!
 //! [`encode_frame`], [`decode_frame`] and [`decode_body`] are the
 //! one-frame case: each runs over a fresh table, so only a chunk that
-//! repeats within the frame travels as a reference.
+//! repeats within the frame travels as a reference, and the frame is
+//! index 0.
 //!
 //! **No length is believed before it is paid for.** A CRC is not a MAC: a
 //! well-checksummed frame can claim anything. Every count is checked
@@ -75,13 +85,13 @@ use std::sync::Arc;
 use asbestos_kernel::{Payload, Value};
 use asbestos_labels::chunk::{entry_handle, Chunk, CHUNK_CAP};
 use asbestos_labels::{Handle, Label, Level};
-use asbestos_store::{codec, crc32};
+use asbestos_store::{codec, crc32, crc32_extend};
 
 /// Frame magic: "ASbestos Wire Message".
 pub const MAGIC: [u8; 4] = *b"ASWM";
 
 /// Current wire format version.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Frame header size: magic + version + body length + CRC.
 pub const HEADER_LEN: usize = 4 + 1 + 4 + 4;
@@ -240,7 +250,7 @@ const VTAG_LIST: u8 = 6;
 
 /// The chunks one direction of one link has left its receiver holding:
 /// up to [`SLOTS`], each stamped when a frame last defined or referenced
-/// it.
+/// it, and the number of frames that direction has carried.
 ///
 /// The sending end encodes through one table and the receiving end
 /// decodes through its twin. Both change only as a frame passes through
@@ -249,10 +259,13 @@ const VTAG_LIST: u8 = 6;
 /// link.
 #[derive(Clone)]
 pub struct ChunkTable {
-    slots: [Option<Arc<Chunk>>; SLOTS],
+    slots: [Option<Chunk>; SLOTS],
     /// The clock when each slot was last defined or referenced; 0: never.
     stamps: [u64; SLOTS],
     clock: u64,
+    /// Frames this table has encoded or decoded: the next frame's index,
+    /// which seeds its CRC.
+    frames: u64,
 }
 
 impl Default for ChunkTable {
@@ -261,6 +274,7 @@ impl Default for ChunkTable {
             slots: std::array::from_fn(|_| None),
             stamps: [0; SLOTS],
             clock: 0,
+            frames: 0,
         }
     }
 }
@@ -268,7 +282,7 @@ impl Default for ChunkTable {
 impl ChunkTable {
     /// Whether the receiver holds this very chunk allocation, so that the
     /// next frame sends it as a reference.
-    pub fn holds(&self, chunk: &Arc<Chunk>) -> bool {
+    pub fn holds(&self, chunk: &Chunk) -> bool {
         self.slot_of(chunk).is_some()
     }
 
@@ -284,14 +298,16 @@ impl ChunkTable {
         self.encode_body(msg, out);
         let body_len = out.len() - body_at;
         debug_assert!(body_len <= MAX_BODY_LEN, "kernel emitted an absurd frame");
-        let crc = crc32(&out[body_at..]);
+        let crc = frame_crc(self.frames, &out[body_at..]);
+        self.frames += 1;
         out[header_at + 5..header_at + 9].copy_from_slice(&(body_len as u32).to_le_bytes());
         out[header_at + 9..header_at + 13].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Tries to decode one frame from the front of `buf`. The header and
-    /// the CRC are checked before any field of the body is read, and the
-    /// table changes only once they have passed.
+    /// the CRC — seeded with this table's frame count — are checked before
+    /// any field of the body is read, and the table changes only once they
+    /// have passed.
     ///
     /// * `Ok(Some((msg, consumed)))` — a complete frame; the caller should
     ///   drop the first `consumed` bytes.
@@ -319,9 +335,10 @@ impl ChunkTable {
         let Some(body) = buf.get(HEADER_LEN..HEADER_LEN + body_len) else {
             return Ok(None);
         };
-        if crc32(body) != crc_want {
+        if frame_crc(self.frames, body) != crc_want {
             return Err(WireError::BadCrc);
         }
+        self.frames += 1;
         Ok(Some((self.decode_body(body)?, HEADER_LEN + body_len)))
     }
 
@@ -348,10 +365,10 @@ impl ChunkTable {
         Ok(msg)
     }
 
-    fn slot_of(&self, chunk: &Arc<Chunk>) -> Option<usize> {
+    fn slot_of(&self, chunk: &Chunk) -> Option<usize> {
         self.slots
             .iter()
-            .position(|held| held.as_ref().is_some_and(|held| Arc::ptr_eq(held, chunk)))
+            .position(|held| held.as_ref().is_some_and(|held| Chunk::ptr_eq(held, chunk)))
     }
 
     fn stamp(&mut self, slot: usize) {
@@ -362,7 +379,7 @@ impl ChunkTable {
     /// The replacement rule both ends run: a new chunk takes the least
     /// recently stamped slot, the lowest index on a tie (so empty slots
     /// fill in order).
-    fn define(&mut self, chunk: Arc<Chunk>) {
+    fn define(&mut self, chunk: Chunk) {
         let (slot, _) = (self.stamps.iter().enumerate())
             .min_by_key(|&(_, &stamp)| stamp)
             .expect("a table has slots");
@@ -410,10 +427,16 @@ impl ChunkTable {
                 for packed in chunk.entries() {
                     out.extend_from_slice(&packed.to_le_bytes());
                 }
-                self.define(Arc::clone(chunk));
+                self.define(chunk.clone());
             }
         }
     }
+}
+
+/// The CRC of the frame at `index` on its link with this body: the 8-byte
+/// little-endian index, then the body.
+pub fn frame_crc(index: u64, body: &[u8]) -> u32 {
+    crc32_extend(crc32(&index.to_le_bytes()), body)
 }
 
 /// Appends `msg` as one complete frame to `out`, over a fresh table: the
@@ -532,24 +555,21 @@ impl<'a, 't> Reader<'a, 't> {
 
     /// One chunk header and the chunk it stands for: a definition, checked
     /// in place and entered in the table, or the chunk a slot holds.
-    fn chunk(&mut self) -> Result<Arc<Chunk>, WireError> {
+    fn chunk(&mut self) -> Result<Chunk, WireError> {
         match self.bytes.u8()? {
             len @ 1..=LONGEST => {
                 let run = self.bytes.take(usize::from(len) * 8)?;
-                let mut entries: Vec<u64> = Vec::with_capacity(len.into());
-                for word in run.chunks_exact(8) {
+                let mut entries = [0u64; CHUNK_CAP];
+                for (i, word) in run.chunks_exact(8).enumerate() {
                     let packed = u64::from_le_bytes(word.try_into().unwrap());
                     Level::from_bits(packed & 0x7).ok_or(WireError::BadLevel)?;
-                    if entries
-                        .last()
-                        .is_some_and(|&prev| entry_handle(prev) >= entry_handle(packed))
-                    {
+                    if i > 0 && entry_handle(entries[i - 1]) >= entry_handle(packed) {
                         return Err(WireError::NonCanonical);
                     }
-                    entries.push(packed);
+                    entries[i] = packed;
                 }
-                let chunk = Arc::new(Chunk::from_entries(entries));
-                self.table.define(Arc::clone(&chunk));
+                let chunk = Chunk::from_entries(&entries[..usize::from(len)]);
+                self.table.define(chunk.clone());
                 Ok(chunk)
             }
             header @ REF..=LAST_REF => {
@@ -580,7 +600,7 @@ impl<'a, 't> Reader<'a, 't> {
                 let pin = self.pin.get_or_insert_with(|| Arc::from(self.body));
                 Value::Bytes(Payload::from_arc(Arc::clone(pin)).slice(end - len..end))
             }
-            VTAG_STR => Value::Str(self.bytes.str()?.to_owned()),
+            VTAG_STR => Value::Str(self.bytes.str()?.to_owned().into()),
             VTAG_HANDLE => Value::Handle(self.handle()?),
             VTAG_LIST => {
                 // Every element takes at least its tag byte, so a count
@@ -607,13 +627,24 @@ pub(crate) mod fixtures {
 
     /// A frame around a hand-assembled body, CRC and all: what a peer that
     /// does not use [`encode_frame`] can put on the wire.
-    pub(crate) fn frame_around(body: &[u8]) -> Vec<u8> {
+    /// `index` is the frame's place on its link, which seeds the CRC.
+    pub(crate) fn frame_around(index: u64, body: &[u8]) -> Vec<u8> {
         let mut out = MAGIC.to_vec();
         out.push(WIRE_VERSION);
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(&frame_crc(index, body).to_le_bytes());
         out.extend_from_slice(body);
         out
+    }
+
+    /// `msg` encoded as the frame at `index` on a link whose table holds
+    /// no chunks.
+    pub(crate) fn encode_at(index: u64, msg: &WireMsg, out: &mut Vec<u8>) {
+        let mut table = ChunkTable {
+            frames: index,
+            ..ChunkTable::default()
+        };
+        table.encode_frame(msg, out);
     }
 
     /// One chunk of a hand-assembled label.
@@ -747,7 +778,7 @@ mod tests {
         bad[0] = b'X';
         assert_eq!(decode_frame(&bad), Err(WireError::BadMagic));
         // The previous version and a future one.
-        for version in [1, 3] {
+        for version in [2, 4] {
             let mut bad = buf.clone();
             bad[4] = version;
             assert_eq!(decode_frame(&bad), Err(WireError::BadVersion(version)));
@@ -809,7 +840,7 @@ mod tests {
 
     /// The decoder's verdict on one CRC-valid body, over a fresh table.
     fn decode_checked(body: &[u8]) -> Result<WireMsg, WireError> {
-        decode_frame(&frame_around(body)).map(|f| f.expect("complete frame").0)
+        decode_frame(&frame_around(0, body)).map(|f| f.expect("complete frame").0)
     }
 
     #[test]
@@ -1018,11 +1049,11 @@ mod tests {
     /// and the receiver, running the same rule, finds the chunk there.
     #[test]
     fn the_least_recently_used_slot_is_replaced() {
-        let chunks: Vec<Arc<Chunk>> = (0..=SLOTS as u64)
-            .map(|i| Arc::new(Chunk::from_entries(vec![pack(i, Level::L3)])))
+        let chunks: Vec<Chunk> = (0..=SLOTS as u64)
+            .map(|i| Chunk::from_entries(&[pack(i, Level::L3)]))
             .collect();
         let label_of = |picks: &[usize]| {
-            let picked = picks.iter().map(|&i| Arc::clone(&chunks[i])).collect();
+            let picked = picks.iter().map(|&i| chunks[i].clone()).collect();
             Label::from_chunks(Level::L1, picked).unwrap()
         };
         let (mut sender, mut receiver) = (ChunkTable::default(), ChunkTable::default());
@@ -1033,16 +1064,16 @@ mod tests {
         }
         assert!(sender.holds(&chunks[0]) && sender.holds(&chunks[SLOTS]));
         assert!(!sender.holds(&chunks[1]), "chunk 1 was the oldest");
-        // Chunk 64 took chunk 1's slot.
-        let frame = frame_around(&forward_with_es(&[Header(REF | 1)]));
+        // Chunk 64 took chunk 1's slot. The link has carried three frames.
+        let frame = frame_around(3, &forward_with_es(&[Header(REF | 1)]));
         let (got, _) = receiver.decode_frame(&frame).unwrap().unwrap();
         assert_eq!(got, forward_of(label_of(&[SLOTS])));
     }
 
-    /// One `Forward` frame exactly as the v2 codec writes it — `dr` names
-    /// the chunk `es` defined — must verify, decode, and come back out bit
-    /// for bit; the same message as the v1 codec wrote it is refused by
-    /// its version byte.
+    /// One `Forward` frame exactly as the v3 codec writes it as a link's
+    /// first frame — `dr` names the chunk `es` defined — must verify,
+    /// decode, and come back out bit for bit; the same message as the v1
+    /// and v2 codecs wrote it is refused by its version byte.
     #[test]
     fn a_frame_written_before_this_codec_still_decodes() {
         let unhex = |hex: &str| -> Vec<u8> {
@@ -1075,11 +1106,11 @@ mod tests {
             ]),
         };
         let frozen = unhex(
-            "4153574d027c00000086ccc08806002000000000000002010000000338000000\
-             000000000c80000000000000f9ffffffffffffff040000000002010000008004\
-             01000000014b0000000000000006060000000406000000726561642d72031200\
-             0000474554202f20485454502f312e300d0a0d0a052a00000000000000010102\
-             000000000001000000",
+            "4153574d037c00000094479e5806002000000000000002010000000338000000\
+             000000000c80000000000000f9ffffffffffffff0400000000020100000080\
+             0401000000014b0000000000000006060000000406000000726561642d7203\
+             12000000474554202f20485454502f312e300d0a0d0a052a00000000000000\
+             010102000000000001000000",
         );
         let (msg, used) = decode_frame(&frozen).unwrap().unwrap();
         assert_eq!(used, frozen.len());
@@ -1096,5 +1127,10 @@ mod tests {
              0102000000000001000000",
         );
         assert_eq!(decode_frame(&v1), Err(WireError::BadVersion(1)));
+        // The v2 frame of the same message: its CRC covered the body alone.
+        let mut v2 = frozen.clone();
+        v2[4] = 2;
+        v2[9..13].copy_from_slice(&crc32(&frozen[HEADER_LEN..]).to_le_bytes());
+        assert_eq!(decode_frame(&v2), Err(WireError::BadVersion(2)));
     }
 }

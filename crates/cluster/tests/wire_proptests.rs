@@ -5,15 +5,13 @@
 //! decoder's verdict is "reject" for every byte string the encoder could
 //! not have written, and the two chunk tables of a link stay in lockstep.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
-use asbestos_cluster::wire::{ChunkTable, HEADER_LEN, SLOTS};
+use asbestos_cluster::wire::{frame_crc, ChunkTable, HEADER_LEN, SLOTS};
 use asbestos_cluster::{decode_frame, encode_frame, WireMsg};
 use asbestos_kernel::{Payload, Value};
 use asbestos_labels::chunk::{pack, Chunk, CHUNK_CAP};
 use asbestos_labels::{Handle, Label, Level, HANDLE_SPACE};
-use asbestos_store::crc32;
 use proptest::prelude::*;
 
 fn arb_level() -> impl Strategy<Value = Level> {
@@ -43,7 +41,7 @@ fn arb_leaf_value() -> impl Strategy<Value = Value> {
         any::<u64>().prop_map(Value::U64),
         prop::collection::vec(any::<u8>(), 0..32)
             .prop_map(|b| Value::Bytes(Payload::copy_from_slice(&b))),
-        "[a-z0-9 _é☃'%-]{0,16}".prop_map(Value::Str),
+        "[a-z0-9 _é☃'%-]{0,16}".prop_map(Value::from),
         arb_handle().prop_map(Value::Handle),
     ]
 }
@@ -208,7 +206,8 @@ proptest! {
             mutate(&mut body, edit);
         }
         frame[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        frame[9..13].copy_from_slice(&crc32(&body).to_le_bytes());
+        // The second frame on the link: CRC-valid at index 1.
+        frame[9..13].copy_from_slice(&frame_crc(1, &body).to_le_bytes());
         frame.extend_from_slice(&body);
 
         let mut warm = receiver.clone();
@@ -227,7 +226,7 @@ proptest! {
 /// holds, so the link both references and evicts. Chunk `i` holds handles
 /// in `[1000 i, 1000 i + 1000)` at levels ⋆, 0 and 3, so ascending indices
 /// are ascending chunks and neither label default, 1 or 2, is among them.
-fn arb_pool() -> impl Strategy<Value = Vec<Arc<Chunk>>> {
+fn arb_pool() -> impl Strategy<Value = Vec<Chunk>> {
     let level = prop_oneof![Just(Level::Star), Just(Level::L0), Just(Level::L3)];
     let chunk = prop::collection::vec((0u64..1000, level), 1..CHUNK_CAP + 1);
     prop::collection::vec(chunk, SLOTS + 1..2 * SLOTS).prop_map(|chunks| {
@@ -236,8 +235,11 @@ fn arb_pool() -> impl Strategy<Value = Vec<Arc<Chunk>>> {
             .map(|(i, entries)| {
                 // Sorted and one entry per handle.
                 let entries: BTreeMap<u64, Level> = entries.into_iter().collect();
-                let packed = entries.into_iter().map(|(h, l)| pack(1000 * i + h, l));
-                Arc::new(Chunk::from_entries(packed.collect()))
+                let packed: Vec<u64> = entries
+                    .into_iter()
+                    .map(|(h, l)| pack(1000 * i + h, l))
+                    .collect();
+                Chunk::from_entries(&packed)
             })
             .collect()
     })
@@ -245,9 +247,9 @@ fn arb_pool() -> impl Strategy<Value = Vec<Arc<Chunk>>> {
 
 /// A label over the pool: default 2 or 1, and the chunks at these indices
 /// modulo the pool's size.
-fn pool_label(pool: &[Arc<Chunk>], (two, picks): &(bool, Vec<usize>)) -> Label {
+fn pool_label(pool: &[Chunk], (two, picks): &(bool, Vec<usize>)) -> Label {
     let picks: BTreeSet<usize> = picks.iter().map(|i| i % pool.len()).collect();
-    let chunks = picks.into_iter().map(|i| Arc::clone(&pool[i])).collect();
+    let chunks = picks.into_iter().map(|i| pool[i].clone()).collect();
     let default = if *two { Level::L2 } else { Level::L1 };
     Label::from_chunks(default, chunks).expect("pool chunks ascend")
 }
@@ -276,20 +278,21 @@ proptest! {
         ),
     ) {
         let (mut sender, mut receiver) = (ChunkTable::default(), ChunkTable::default());
-        let mut sent = HashSet::new();
+        let mut sent: Vec<Chunk> = Vec::new();
         let (mut references, mut evictions) = (0, 0);
         for (n, (es, ds, dr, v)) in (0u64..).zip(&specs) {
             let [es, ds, dr, v] = [es, ds, dr, v].map(|s| pool_label(&pool, s));
-            let chunks: Vec<Arc<Chunk>> =
+            let chunks: Vec<Chunk> =
                 [&es, &ds, &dr, &v].into_iter().flat_map(|l| l.chunks()).cloned().collect();
             for chunk in &chunks {
                 if sender.holds(chunk) {
                     references += 1;
-                } else if sent.contains(&Arc::as_ptr(chunk)) {
+                } else if sent.iter().any(|s| Chunk::ptr_eq(s, chunk)) {
                     evictions += 1;
+                } else {
+                    sent.push(chunk.clone());
                 }
             }
-            sent.extend(chunks.iter().map(Arc::as_ptr));
             let msg = WireMsg::Forward { port: Handle::from_raw(n), es, ds, dr, v, body: Value::Unit };
 
             let (sender_was, receiver_was) = (sender.clone(), receiver.clone());

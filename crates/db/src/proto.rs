@@ -21,7 +21,7 @@ impl Field for SqlValue {
     fn from_field(value: &Value) -> Option<SqlValue> {
         match value {
             Value::Unit => Some(SqlValue::Null),
-            Value::Str(s) => Some(SqlValue::Text(s.clone())),
+            Value::Str(s) => Some(SqlValue::Text(s.to_string())),
             Value::Bytes(b) => Some(SqlValue::Blob(b.to_vec())),
             Value::List(_) => {
                 let (tag, mut f) = Fields::open(value)?;

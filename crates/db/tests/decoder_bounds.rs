@@ -78,7 +78,7 @@ fn arb_body() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         any::<bool>().prop_map(Value::Bool),
         any::<u64>().prop_map(Value::U64),
-        "[a-z]{0,8}".prop_map(Value::Str),
+        "[a-z]{0,8}".prop_map(Value::from),
         prop::collection::vec(any::<u8>(), 0..8).prop_map(|b| Value::Bytes(Payload::from(b))),
         (0u64..256).prop_map(|h| Value::Handle(Handle::from_raw(h))),
     ];

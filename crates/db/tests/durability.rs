@@ -213,7 +213,7 @@ fn spawn_trusted(kernel: &mut Kernel) {
                         .unwrap();
                         let creds = Value::List(vec![
                             Value::Str("creds".into()),
-                            Value::Str(user),
+                            Value::Str(user.into()),
                             Value::Handle(ut),
                             Value::Handle(ug),
                         ]);

@@ -64,7 +64,7 @@ fn spawn_trusted(kernel: &mut Kernel) {
                         .unwrap();
                         let creds = Value::List(vec![
                             Value::Str("creds".into()),
-                            Value::Str(user),
+                            Value::Str(user.into()),
                             Value::Handle(ut),
                             Value::Handle(ug),
                         ]);
@@ -84,7 +84,7 @@ fn spawn_trusted(kernel: &mut Kernel) {
                         let ug = sys.env(&format!("ug.{user}")).unwrap().as_handle().unwrap();
                         let creds = Value::List(vec![
                             Value::Str("creds".into()),
-                            Value::Str(user),
+                            Value::Str(user.into()),
                             Value::Handle(ut),
                             Value::Handle(ug),
                         ]);

@@ -52,9 +52,21 @@ pub enum DeliveryOutcome {
 /// message arrives, each scheduler step takes one message from the front
 /// port, and a port with messages left re-enters at the back of the
 /// rotation. Messages to one port always deliver in send order.
+///
+/// A port's queue leaves the store when it empties and goes to a spare
+/// list, and the next port to activate takes it, so a steady load reuses
+/// its queues instead of allocating one per activation. Only a queue
+/// still at the size its first message gave it is kept; one that grew is
+/// freed. So the spare list holds at most the peak number of active
+/// ports, each queue at that one size, and never keeps a deep queue's
+/// memory for a shallow one.
 #[derive(Default)]
 pub(crate) struct Mailboxes {
     boxes: BTreeMap<Handle, VecDeque<QueuedMessage>>,
+    /// Emptied queues, for the next ports to activate.
+    spare: Vec<VecDeque<QueuedMessage>>,
+    /// The capacity a fresh queue takes for its first message.
+    first_capacity: usize,
     /// Ports with pending messages, in rotation order.
     rotation: VecDeque<Handle>,
     /// Total pending messages across all ports.
@@ -67,11 +79,16 @@ pub(crate) struct Mailboxes {
 impl Mailboxes {
     /// Appends a message to its destination port's mailbox.
     pub fn push(&mut self, qm: QueuedMessage) {
-        let mailbox = self.boxes.entry(qm.port).or_default();
-        if mailbox.is_empty() {
+        let spare = &mut self.spare;
+        let mailbox = self.boxes.entry(qm.port).or_insert_with(|| {
             self.rotation.push_back(qm.port);
-        }
+            spare.pop().unwrap_or_default()
+        });
         mailbox.push_back(qm);
+        if self.first_capacity == 0 {
+            // The first message ever queued went to a fresh queue.
+            self.first_capacity = mailbox.capacity();
+        }
         self.len += 1;
         if self.len > self.depth_hwm {
             self.depth_hwm = self.len;
@@ -89,7 +106,10 @@ impl Mailboxes {
             .pop_front()
             .expect("rotation only holds non-empty mailboxes");
         if mailbox.is_empty() {
-            self.boxes.remove(&port);
+            let emptied = self.boxes.remove(&port).expect("looked up above");
+            if emptied.capacity() <= self.first_capacity {
+                self.spare.push(emptied);
+            }
         } else {
             self.rotation.push_back(port);
         }

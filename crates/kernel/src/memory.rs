@@ -6,6 +6,15 @@
 //! pages it has modified, borrowing the base table for everything else —
 //! the optimization §6.2 describes ("event processes do not keep their own
 //! page tables ... changing it in exactly those places that differ").
+//!
+//! Frames are simulated, but their page buffers are host memory, and the
+//! host reuses them: a released frame's buffer goes to the pool's spare
+//! list, and the next frame allocated takes it — zero-filled for a fresh
+//! page, overwritten whole for a copy-on-write copy — so no event process
+//! ever sees another's bytes. The spare list is never charged:
+//! [`FramePool::frames_in_use`] counts live frames only, so §6.2's
+//! `page_copy` charge and Figure 6's page counts are those of a pool that
+//! freed every page. It holds at most the peak number of live frames.
 
 use std::collections::BTreeMap;
 
@@ -31,6 +40,9 @@ struct Frame {
 pub struct FramePool {
     frames: Vec<Option<Frame>>,
     free: Vec<FrameId>,
+    /// Page buffers of released frames, for the next allocations (host
+    /// memory; never counted as frames).
+    spare: Vec<Box<[u8; PAGE_SIZE]>>,
     in_use: usize,
 }
 
@@ -40,19 +52,35 @@ impl FramePool {
         FramePool::default()
     }
 
-    /// Number of frames currently allocated.
+    /// Number of frames currently allocated (live frames only; spare
+    /// page buffers are not frames).
     pub fn frames_in_use(&self) -> usize {
         self.in_use
     }
 
-    /// Allocates a zeroed frame with refcount 1.
+    /// Allocates a zeroed frame with refcount 1, on a spare page buffer
+    /// if there is one (zero-filled first).
     pub fn alloc_zeroed(&mut self) -> FrameId {
-        self.alloc(Box::new([0u8; PAGE_SIZE]))
+        let data = match self.spare.pop() {
+            Some(mut page) => {
+                page.fill(0);
+                page
+            }
+            None => Box::new([0u8; PAGE_SIZE]),
+        };
+        self.alloc(data)
     }
 
-    /// Allocates a frame holding a copy of `data`, refcount 1.
+    /// Allocates a frame holding a copy of `src`, refcount 1, on a spare
+    /// page buffer if there is one (overwritten whole).
     pub fn alloc_copy_of(&mut self, src: FrameId) -> FrameId {
-        let data = self.frame(src).data.clone();
+        let data = match self.spare.pop() {
+            Some(mut page) => {
+                page.copy_from_slice(&self.frame(src).data[..]);
+                page
+            }
+            None => self.frame(src).data.clone(),
+        };
         self.alloc(data)
     }
 
@@ -73,12 +101,14 @@ impl FramePool {
         self.frame_mut(id).refcount += 1;
     }
 
-    /// Drops one reference; frees the frame when the count reaches zero.
+    /// Drops one reference; frees the frame when the count reaches zero,
+    /// keeping its page buffer for the next allocation.
     pub fn release(&mut self, id: FrameId) {
         let f = self.frame_mut(id);
         f.refcount -= 1;
         if f.refcount == 0 {
-            self.frames[id.0 as usize] = None;
+            let frame = self.frames[id.0 as usize].take().expect("live frame");
+            self.spare.push(frame.data);
             self.free.push(id);
             self.in_use -= 1;
         }
@@ -154,47 +184,58 @@ impl PageMap {
         self.pages.iter().map(|(&v, &f)| (v, f))
     }
 
-    /// Removes and returns all frames whose page lies in
-    /// `[start_vpn, end_vpn)`; used by `ep_clean`.
-    pub fn drain_range(&mut self, start_vpn: Vpn, end_vpn: Vpn) -> Vec<FrameId> {
-        let vpns: Vec<Vpn> = self
-            .pages
-            .range(start_vpn..end_vpn)
-            .map(|(&v, _)| v)
-            .collect();
-        vpns.into_iter()
-            .map(|v| self.pages.remove(&v).expect("vpn collected from the map"))
-            .collect()
+    /// Removes the frames whose page lies in `[start_vpn, end_vpn)` and
+    /// yields them as it goes; used by `ep_clean`.
+    pub fn drain_range(
+        &mut self,
+        start_vpn: Vpn,
+        end_vpn: Vpn,
+    ) -> impl Iterator<Item = FrameId> + '_ {
+        self.pages
+            .extract_if(start_vpn..end_vpn, |_, _| true)
+            .map(|(_, frame)| frame)
     }
 
-    /// Removes and returns all frames; used by `ep_exit`.
-    pub fn drain_all(&mut self) -> Vec<FrameId> {
-        let out: Vec<FrameId> = self.pages.values().copied().collect();
-        self.pages.clear();
-        out
+    /// Removes every frame and yields them; used by `ep_exit`.
+    pub fn drain_all(&mut self) -> impl Iterator<Item = FrameId> {
+        std::mem::take(&mut self.pages).into_values()
     }
 }
 
 /// Splits a byte range into per-page segments: `(vpn, offset, len)`.
 ///
 /// Returns an error for zero-length ranges or ranges that overflow.
-pub fn page_segments(addr: u64, len: usize) -> SysResult<Vec<(Vpn, usize, usize)>> {
+pub fn page_segments(addr: u64, len: usize) -> SysResult<PageSegments> {
     if len == 0 {
         return Err(SysError::InvalidArgument);
     }
     let end = addr
         .checked_add(len as u64)
         .ok_or(SysError::InvalidArgument)?;
-    let mut out = Vec::new();
-    let mut cur = addr;
-    while cur < end {
-        let vpn = cur / PAGE_SIZE as u64;
-        let offset = (cur % PAGE_SIZE as u64) as usize;
-        let take = (PAGE_SIZE - offset).min((end - cur) as usize);
-        out.push((vpn, offset, take));
-        cur += take as u64;
+    Ok(PageSegments { cur: addr, end })
+}
+
+/// The per-page segments of a byte range, in address order (see
+/// [`page_segments`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PageSegments {
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for PageSegments {
+    type Item = (Vpn, usize, usize);
+
+    fn next(&mut self) -> Option<(Vpn, usize, usize)> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let vpn = self.cur / PAGE_SIZE as u64;
+        let offset = (self.cur % PAGE_SIZE as u64) as usize;
+        let take = (PAGE_SIZE - offset).min((self.end - self.cur) as usize);
+        self.cur += take as u64;
+        Some((vpn, offset, take))
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -216,6 +257,31 @@ mod tests {
         pool.release(b);
         pool.release(c);
         assert_eq!(pool.frames_in_use(), 0);
+    }
+
+    /// A released frame's page buffer is reused, and what it held never
+    /// shows: a fresh frame on it reads as zeros, a copy as its source.
+    #[test]
+    fn a_reused_page_buffer_never_shows_its_old_bytes() {
+        let mut pool = FramePool::new();
+        let secret = pool.alloc_zeroed();
+        pool.write(secret, 0, &[0xa5; PAGE_SIZE]);
+        pool.release(secret);
+        let fresh = pool.alloc_zeroed();
+        let mut page = [0xffu8; PAGE_SIZE];
+        pool.read(fresh, 0, &mut page);
+        assert_eq!(page, [0u8; PAGE_SIZE]);
+        pool.write(fresh, 0, &[0x5a; PAGE_SIZE]);
+        let base = pool.alloc_zeroed();
+        pool.write(base, 7, b"base");
+        pool.release(fresh);
+        let copy = pool.alloc_copy_of(base);
+        pool.read(copy, 0, &mut page);
+        let mut want = [0u8; PAGE_SIZE];
+        want[7..11].copy_from_slice(b"base");
+        assert_eq!(page, want);
+        // Spare buffers are not frames.
+        assert_eq!(pool.frames_in_use(), 2);
     }
 
     #[test]
@@ -258,17 +324,12 @@ mod tests {
     #[test]
     fn page_segment_math() {
         // Within one page.
-        assert_eq!(page_segments(10, 20).unwrap(), vec![(0, 10, 20)]);
+        let segments = |addr, len| page_segments(addr, len).unwrap().collect::<Vec<_>>();
+        assert_eq!(segments(10, 20), vec![(0, 10, 20)]);
         // Crossing a boundary.
-        assert_eq!(
-            page_segments(4090, 10).unwrap(),
-            vec![(0, 4090, 6), (1, 0, 4)]
-        );
+        assert_eq!(segments(4090, 10), vec![(0, 4090, 6), (1, 0, 4)]);
         // Exactly page aligned, multiple pages.
-        assert_eq!(
-            page_segments(8192, 8192).unwrap(),
-            vec![(2, 0, 4096), (3, 0, 4096)]
-        );
+        assert_eq!(segments(8192, 8192), vec![(2, 0, 4096), (3, 0, 4096)]);
         assert_eq!(page_segments(0, 0), Err(SysError::InvalidArgument));
         assert_eq!(page_segments(u64::MAX, 2), Err(SysError::InvalidArgument));
     }
@@ -280,7 +341,7 @@ mod tests {
         for vpn in 0..10 {
             d.map(vpn, pool.alloc_zeroed());
         }
-        let drained = d.drain_range(3, 6);
+        let drained: Vec<FrameId> = d.drain_range(3, 6).collect();
         assert_eq!(drained.len(), 3);
         assert_eq!(d.len(), 7);
         assert!(d.get(3).is_none());

@@ -253,9 +253,8 @@ impl<'k> Sys<'k> {
     /// Writes bytes into the caller's address space. Inside an event
     /// process, touched pages become private copies (copy-on-write, §6.2).
     pub fn mem_write(&mut self, addr: u64, data: &[u8]) -> SysResult<()> {
-        let segments = page_segments(addr, data.len())?;
         let mut offset = 0;
-        for (vpn, page_off, len) in segments {
+        for (vpn, page_off, len) in page_segments(addr, data.len())? {
             let slice = &data[offset..offset + len];
             match self.ctx.ep {
                 None => {
@@ -302,10 +301,16 @@ impl<'k> Sys<'k> {
     /// private pages shadow the base process's; unmapped pages read as
     /// zeros.
     pub fn mem_read(&self, addr: u64, len: usize) -> SysResult<Vec<u8>> {
-        let segments = page_segments(addr, len)?;
         let mut out = vec![0u8; len];
+        self.mem_read_into(addr, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Sys::mem_read`] into the caller's buffer: fills `out` from
+    /// `addr` on.
+    pub fn mem_read_into(&self, addr: u64, out: &mut [u8]) -> SysResult<()> {
         let mut offset = 0;
-        for (vpn, page_off, seg_len) in segments {
+        for (vpn, page_off, seg_len) in page_segments(addr, out.len())? {
             let frame = self
                 .ctx
                 .ep
@@ -315,14 +320,14 @@ impl<'k> Sys<'k> {
                         .page_table
                         .get(vpn)
                 });
-            if let Some(f) = frame {
-                self.engine
-                    .frames
-                    .read(f, page_off, &mut out[offset..offset + seg_len]);
+            let out = &mut out[offset..offset + seg_len];
+            match frame {
+                Some(f) => self.engine.frames.read(f, page_off, out),
+                None => out.fill(0),
             }
             offset += seg_len;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Writes a little-endian `u64` (convenience for session state).
@@ -332,8 +337,9 @@ impl<'k> Sys<'k> {
 
     /// Reads a little-endian `u64`.
     pub fn mem_read_u64(&self, addr: u64) -> SysResult<u64> {
-        let bytes = self.mem_read(addr, 8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("read 8 bytes")))
+        let mut bytes = [0u8; 8];
+        self.mem_read_into(addr, &mut bytes)?;
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// `ep_clean`: reverts every page overlapping `[addr, addr + len)` to
@@ -351,11 +357,12 @@ impl<'k> Sys<'k> {
             .checked_add(len as u64)
             .ok_or(SysError::InvalidArgument)?;
         let end_vpn = end.div_ceil(PAGE_SIZE as u64);
-        for frame in self.engine.eps[eid.index()]
+        let engine = &mut *self.engine;
+        for frame in engine.eps[eid.index()]
             .delta
             .drain_range(start_vpn, end_vpn)
         {
-            self.engine.frames.release(frame);
+            engine.frames.release(frame);
         }
         Ok(())
     }

@@ -23,7 +23,10 @@
 //! * `Option<T>` is `T`'s value or `Unit`, and it is always written;
 //! * `Vec<T>` is a `List` of `T`'s values.
 //!
-//! An encoder writes a message with [`Value::message`]. A decoder opens
+//! An encoder writes a message with [`Value::message`], whose tag is a
+//! `&'static str` held by reference: `Value::Str` is a
+//! `Cow<'static, str>`, so a tag costs no allocation, and its `Debug`
+//! text, size and wire bytes are those of the same text owned. A decoder opens
 //! the tag with [`Fields::open`], reads each field in wire order with
 //! [`Fields::field`] (a struct literal evaluates its fields in the order
 //! they are written, so it can read them in place), and closes with
@@ -32,6 +35,7 @@
 //! decode as `None`: a trusted server never acts on a message its own
 //! encoder could not have written.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
@@ -233,8 +237,9 @@ pub enum Value {
     U64(u64),
     /// Raw bytes (network payloads, file contents), shared by refcount.
     Bytes(Payload),
-    /// UTF-8 text (protocol verbs, usernames, SQL).
-    Str(String),
+    /// UTF-8 text (protocol verbs, usernames, SQL). A message tag borrows
+    /// its `'static` literal; other text is owned.
+    Str(Cow<'static, str>),
     /// A handle value (port names, compartments).
     Handle(Handle),
     /// An ordered sequence.
@@ -363,13 +368,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
+        Value::Str(Cow::Owned(v.to_string()))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 
@@ -441,7 +446,7 @@ impl Field for bool {
 
 impl Field for String {
     fn to_field(&self) -> Value {
-        Value::Str(self.clone())
+        Value::Str(Cow::Owned(self.clone()))
     }
 
     fn from_field(value: &Value) -> Option<String> {
@@ -493,10 +498,11 @@ impl<T: Field> Field for Vec<T> {
 }
 
 impl Value {
-    /// A message: `[Str(tag), field…]`.
-    pub fn message(tag: &str, fields: &[&dyn Field]) -> Value {
+    /// A message: `[Str(tag), field…]`. The tag is a literal, borrowed,
+    /// never copied.
+    pub fn message(tag: &'static str, fields: &[&dyn Field]) -> Value {
         let mut items = Vec::with_capacity(fields.len() + 1);
-        items.push(Value::Str(tag.to_string()));
+        items.push(Value::Str(Cow::Borrowed(tag)));
         items.extend(fields.iter().map(|f| f.to_field()));
         Value::List(items)
     }

@@ -59,7 +59,7 @@ fn contamination_heartbeat_storage_channel() {
                     sys.publish_env(&label, Value::Handle(p));
                 },
                 move |sys, _msg| {
-                    sys.send(c_port, Value::Str(beat.clone())).unwrap();
+                    sys.send(c_port, Value::Str(beat.clone().into())).unwrap();
                 },
             ),
         );

@@ -55,7 +55,7 @@ fn heartbeat_drops_the_tainted_relay_every_round() {
                     sys.publish_env(&key, Value::Handle(p));
                 },
                 move |sys, _msg| {
-                    sys.send(c_port, Value::Str(beat.clone())).unwrap();
+                    sys.send(c_port, Value::Str(beat.clone().into())).unwrap();
                 },
             ),
         );

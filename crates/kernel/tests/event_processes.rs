@@ -14,6 +14,8 @@ const SESSION_ADDR: u64 = 0x10_000;
 const SHARED_ADDR: u64 = 0x0;
 /// Scratch area cleaned between events.
 const SCRATCH_ADDR: u64 = 0x7f_0000;
+/// Page size, in bytes.
+const PAGE: usize = 4096;
 
 /// Spawns the standard test worker: an EP service that
 /// * reads base-shared data,
@@ -271,6 +273,90 @@ fn ep_exit_frees_pages_and_ports() {
     assert_eq!(kernel.stats().dropped_no_port, 1);
 }
 
+/// The host reuses a released page buffer for the next frame, and none of
+/// its bytes may cross event processes. Event process A, under one
+/// compartment, fills a scratch page and its copy of a base page with a
+/// secret, `ep_clean`s the scratch page and exits: both page buffers go
+/// to the spare list. Event process B, under another compartment, then
+/// takes them. Its fresh page reads as zeros but for the byte it wrote,
+/// and its copy-on-write copy of the base page equals the base page byte
+/// for byte.
+#[test]
+fn reused_memory_never_crosses_event_processes() {
+    const BASE: u64 = 0x20_000;
+    let base_page: Vec<u8> = (0..PAGE as u32).map(|i| (i % 251) as u8).collect();
+    let mut kernel = Kernel::new(28);
+    let (rec, log) = Recorder::new("rec.port");
+    let rec_pid = kernel.spawn("recorder", Category::Other, Box::new(rec));
+    kernel.set_process_labels(rec_pid, None, Some(Label::top()));
+    let base = base_page.clone();
+    kernel.spawn_ep_service(
+        "reuser",
+        Category::Okws,
+        ep_service_fn(
+            move |sys| {
+                let p = sys.new_port(Label::top());
+                sys.set_port_label(p, Label::top()).unwrap();
+                sys.publish_env("reuser.port", Value::Handle(p));
+                sys.mem_write(BASE, &base).unwrap();
+            },
+            |sys, msg| match msg.body.as_str() {
+                Some("a") => {
+                    let secret = [0xa5; PAGE];
+                    sys.mem_write(SCRATCH_ADDR, &secret).unwrap();
+                    sys.mem_write(BASE, &secret).unwrap();
+                    sys.ep_clean(SCRATCH_ADDR, PAGE).unwrap();
+                    sys.ep_exit().unwrap();
+                }
+                _ => {
+                    sys.mem_write(SCRATCH_ADDR + 17, &[1]).unwrap();
+                    let fresh = sys.mem_read(SCRATCH_ADDR, PAGE).unwrap();
+                    let first = sys.mem_read(BASE, 1).unwrap();
+                    sys.mem_write(BASE, &first).unwrap();
+                    let copy = sys.mem_read(BASE, PAGE).unwrap();
+                    let rec = sys.env("rec.port").unwrap().as_handle().unwrap();
+                    let pages = Value::List(vec![fresh.into(), copy.into()]);
+                    sys.send(rec, pages).unwrap();
+                }
+            },
+        ),
+    );
+    let port = kernel
+        .global_env("reuser.port")
+        .unwrap()
+        .as_handle()
+        .unwrap();
+    for body in ["a", "b"] {
+        kernel.spawn(
+            "tainter",
+            Category::Other,
+            service_with_start(
+                move |sys| {
+                    let t = sys.new_handle();
+                    let cs = Label::from_pairs(Level::Star, &[(t, Level::L3)]);
+                    let dr = Label::from_pairs(Level::Star, &[(t, Level::L3)]);
+                    let args = SendArgs::new().contaminate(cs).raise_recv(dr);
+                    sys.send_args(port, Value::Str(body.into()), &args).unwrap();
+                },
+                |_, _| {},
+            ),
+        );
+        kernel.run();
+    }
+    assert_eq!(kernel.stats().eps_exited, 1, "A exited");
+    let log = log.lock().unwrap();
+    assert_eq!(log.len(), 1, "B reported");
+    let pages = log[0].body.as_list().unwrap();
+    let mut want = [0u8; PAGE];
+    want[17] = 1;
+    assert_eq!(pages[0].as_bytes().unwrap(), want, "B's fresh page");
+    assert_eq!(
+        pages[1].as_bytes().unwrap(),
+        base_page,
+        "B's copy of the base page"
+    );
+}
+
 #[test]
 fn ep_labels_are_private_to_each_ep() {
     // §6.1: "the ﬁle server would end up contaminating an event process's
@@ -413,7 +499,7 @@ fn tainted_ep_cannot_reach_other_users_session_port() {
     let port_v = log_snapshot[1].as_handle().unwrap();
 
     // Tell session u to attack session v's port.
-    kernel.inject(port_u, Value::Str(format!("{}", port_v.raw())));
+    kernel.inject(port_u, Value::Str(format!("{}", port_v.raw()).into()));
     let delivered_before = kernel.stats().delivered;
     kernel.run();
     // The attack message itself was delivered to u's EP; u's forward to

@@ -10,8 +10,17 @@
 //! In this user-space reproduction an entry packs a 61-bit handle value into
 //! the upper bits and the level into the low 3 bits, exactly the user-space
 //! label format the paper describes in §5.6.
+//!
+//! A chunk is one allocation: a refcounted block of words whose first word
+//! holds the level marks and whose others are the entries. Creating one
+//! allocates exactly that block, at its exact size, and cloning one bumps
+//! its refcount. "Updated copy-on-write" means here that an edit builds
+//! the chunk it needs ([`Chunk::with_entry`], [`Chunk::without_entry`]) and
+//! leaves the old one to the labels that still hold it.
 
 use std::cell::Cell;
+use std::fmt;
+use std::sync::Arc;
 
 use crate::handle::Handle;
 use crate::level::{Level, LevelSet};
@@ -20,8 +29,8 @@ use crate::level::{Level, LevelSet};
 pub const CHUNK_CAP: usize = 64;
 
 thread_local! {
-    /// Per-thread count of chunks allocated (monotonic): built from
-    /// entries, or copied by a copy-on-write mutation.
+    /// Per-thread count of chunks created (monotonic): built from
+    /// entries, or built by an edit of another chunk.
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -60,128 +69,170 @@ pub fn entry_level(packed: u64) -> Level {
 }
 
 /// A sorted run of up to [`CHUNK_CAP`] packed entries marked with the levels
-/// they hold.
-#[derive(PartialEq, Eq, Debug)]
+/// they hold: one refcounted, immutable allocation.
+///
+/// The first word of the block holds the level marks and the entries follow
+/// it, so creating a chunk is one allocation and cloning one bumps a
+/// refcount. A chunk is never changed in place: an edit builds the chunk it
+/// needs, at its exact size, and every label still holding the old one
+/// keeps it. So a chunk's identity ([`Chunk::ptr_eq`]) always means the same
+/// entries — the federation wire keys its chunk tables by it.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Chunk {
-    /// Packed entries, strictly ascending by handle.
-    entries: Vec<u64>,
-    /// The levels of the entries.
-    levels: LevelSet,
-}
-
-impl Clone for Chunk {
-    fn clone(&self) -> Chunk {
-        count_alloc();
-        Chunk {
-            entries: self.entries.clone(),
-            ..*self
-        }
-    }
+    /// `[marks, entry…]`: the [`LevelSet`] bits, then the packed entries,
+    /// strictly ascending by handle.
+    words: Arc<[u64]>,
 }
 
 impl Chunk {
-    /// Total chunks allocated on the current thread. A test observability
-    /// hook like `Label::clone_count`: an operation that promises to share
-    /// chunks is checked by diffing this counter around it.
+    /// Total chunks created on the current thread: built from entries, or
+    /// built by an edit of another chunk. A test observability hook like
+    /// `Label::clone_count`: an operation that promises to share chunks is
+    /// checked by diffing this counter around it.
     pub fn alloc_count() -> u64 {
         ALLOC_COUNT.with(Cell::get)
     }
 
     /// Builds a chunk from packed entries (must be non-empty, sorted strictly
     /// ascending by handle, and at most [`CHUNK_CAP`] long).
-    pub fn from_entries(entries: Vec<u64>) -> Chunk {
-        count_alloc();
+    pub fn from_entries(entries: &[u64]) -> Chunk {
         debug_assert!(!entries.is_empty());
         debug_assert!(entries.len() <= CHUNK_CAP);
         debug_assert!(entries
             .windows(2)
             .all(|w| entry_handle(w[0]) < entry_handle(w[1])));
-        let mut c = Chunk {
-            entries,
-            levels: LevelSet::EMPTY,
-        };
-        c.recompute_bounds();
-        c
+        Chunk::of_runs([entries, &[], &[]])
     }
 
-    /// Recomputes the cached level marks after a mutation.
-    pub fn recompute_bounds(&mut self) {
-        self.levels = self.entries.iter().fold(LevelSet::EMPTY, |set, &e| {
-            set.union(LevelSet::of(entry_level(e)))
-        });
+    /// The chunk holding `runs` back to back, made in one allocation.
+    fn of_runs(runs: [&[u64]; 3]) -> Chunk {
+        count_alloc();
+        let marks = runs
+            .iter()
+            .flat_map(|run| run.iter())
+            .fold(LevelSet::EMPTY, |set, &e| {
+                set.union(LevelSet::of(entry_level(e)))
+            });
+        let [a, b, c] = runs;
+        let words = std::iter::once(u64::from(marks.bits()))
+            .chain(a.iter().copied())
+            .chain(b.iter().copied())
+            .chain(c.iter().copied())
+            .collect();
+        Chunk { words }
+    }
+
+    /// This chunk with `packed` at position `i` — in place of entry `i` if
+    /// that is for the same handle, else inserted before it: one new chunk,
+    /// sized for the result. The result must still be at most
+    /// [`CHUNK_CAP`] long.
+    pub fn with_entry(&self, i: usize, packed: u64) -> Chunk {
+        let entries = self.entries();
+        let same = |&e: &u64| entry_handle(e) == entry_handle(packed);
+        let after = if entries.get(i).is_some_and(same) {
+            i + 1
+        } else {
+            i
+        };
+        debug_assert!(entries.len() - (after - i) < CHUNK_CAP);
+        Chunk::of_runs([&entries[..i], &[packed], &entries[after..]])
+    }
+
+    /// This chunk without entry `i`, or `None` if that was its only one.
+    pub fn without_entry(&self, i: usize) -> Option<Chunk> {
+        let entries = self.entries();
+        (entries.len() > 1).then(|| Chunk::of_runs([&entries[..i], &entries[i + 1..], &[]]))
+    }
+
+    /// Whether `a` and `b` are the very same allocation (so they hold the
+    /// same entries, since a chunk never changes).
+    #[inline]
+    pub fn ptr_eq(a: &Chunk, b: &Chunk) -> bool {
+        Arc::ptr_eq(&a.words, &b.words)
     }
 
     /// The levels the entries hold.
     #[inline]
     pub fn levels(&self) -> LevelSet {
-        self.levels
+        LevelSet::from_bits(self.words[0] as u8)
     }
 
     /// The packed entries.
     #[inline]
     pub fn entries(&self) -> &[u64] {
-        &self.entries
-    }
-
-    /// Mutable access to the packed entries; callers must re-establish the
-    /// sorted invariant and call [`Chunk::recompute_bounds`].
-    #[inline]
-    pub fn entries_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.entries
+        &self.words[1..]
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.words.len() - 1
     }
 
-    /// Whether the chunk holds no entries (transient state during mutation).
+    /// Whether the chunk holds no entries (never true of a chunk a label
+    /// holds).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Smallest handle in the chunk.
     #[inline]
     pub fn first_handle(&self) -> u64 {
-        entry_handle(self.entries[0])
+        entry_handle(self.entries()[0])
     }
 
     /// Largest handle in the chunk.
     #[inline]
     pub fn last_handle(&self) -> u64 {
-        entry_handle(*self.entries.last().expect("chunks are non-empty"))
+        entry_handle(*self.entries().last().expect("chunks are non-empty"))
     }
 
     /// Minimum level over the entries.
     #[inline]
     pub fn min_level(&self) -> Level {
-        self.levels.min().expect("chunks are non-empty")
+        self.levels().min().expect("chunks are non-empty")
     }
 
     /// Maximum level over the entries.
     #[inline]
     pub fn max_level(&self) -> Level {
-        self.levels.max().expect("chunks are non-empty")
+        self.levels().max().expect("chunks are non-empty")
     }
 
     /// Looks up the level for a raw handle value, if present.
     pub fn find(&self, handle_raw: u64) -> Option<Level> {
-        self.entries
+        let entries = self.entries();
+        entries
             .binary_search_by_key(&handle_raw, |&e| entry_handle(e))
             .ok()
-            .map(|i| entry_level(self.entries[i]))
+            .map(|i| entry_level(entries[i]))
     }
 
     /// Iterates `(Handle, Level)` pairs in ascending handle order.
     pub fn iter(&self) -> impl Iterator<Item = (Handle, Level)> + '_ {
-        self.entries.iter().map(|&e| {
+        self.entries().iter().map(|&e| {
             (
                 Handle::new(entry_handle(e)).expect("packed entries hold 61-bit handles"),
                 entry_level(e),
             )
         })
+    }
+
+    /// A chunk of `entries` exactly as given, unchecked: lets a test hand
+    /// [`crate::Label::from_chunks`] what no constructor builds.
+    #[cfg(test)]
+    pub(crate) fn unchecked(entries: &[u64]) -> Chunk {
+        Chunk::of_runs([entries, &[], &[]])
+    }
+}
+
+impl fmt::Debug for Chunk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Chunk")
+            .field("entries", &self.entries())
+            .field("levels", &self.levels())
+            .finish()
     }
 }
 
@@ -190,7 +241,8 @@ mod tests {
     use super::*;
 
     fn chunk(pairs: &[(u64, Level)]) -> Chunk {
-        Chunk::from_entries(pairs.iter().map(|&(h, l)| pack(h, l)).collect())
+        let entries: Vec<u64> = pairs.iter().map(|&(h, l)| pack(h, l)).collect();
+        Chunk::from_entries(&entries)
     }
 
     #[test]

@@ -6,11 +6,17 @@
 //! chunk layout, exactly as a local send's `E_S` does, and its accounted
 //! [`Label::heap_bytes`] does not depend on which side of the wire it was
 //! built.
+//!
+//! A label costs the host what its chunks cost: one allocation per chunk,
+//! and a chunk array only when it has two chunks or more — a label of at
+//! most one chunk holds it inline, so building a small label allocates
+//! once and cloning it not at all. Builds keep their open run of entries
+//! on the stack, and [`Label::from_pairs`] sorts up to [`CHUNK_CAP`] pairs
+//! in a stack buffer.
 
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::chunk::{entry_handle, entry_level, pack, Chunk, CHUNK_CAP};
 use crate::handle::Handle;
@@ -52,9 +58,11 @@ pub const CHUNK_MIN_CAP: usize = 30;
 /// # Representation (§5.6)
 ///
 /// Entries are packed 64-bit words (handle in the upper 61 bits, level in the
-/// low 3) stored in refcounted chunks of up to 64 entries. Labels share
-/// chunks structurally: cloning a label is cheap, and mutation copies only
-/// the affected chunk (copy-on-write via [`Arc::make_mut`]). Every chunk and
+/// low 3) stored in refcounted chunks of up to 64 entries, each one
+/// allocation (see [`Chunk`]). Labels share chunks structurally: cloning a
+/// label is cheap, and mutation rebuilds only the affected chunk, once, at
+/// its new size (copy-on-write). A label of at most one chunk holds it
+/// inline, with no chunk array to allocate. Every chunk and
 /// every label caches the set of levels it holds, enabling the paper's fast
 /// path — if `L₂`'s maximum level is no larger than `L₁`'s minimum, then
 /// `L₁ ⊔ L₂ = L₁` by definition — and its per-chunk form: an operation
@@ -68,7 +76,7 @@ pub const CHUNK_MIN_CAP: usize = 30;
 ///   normalized away).
 /// * Chunks are non-empty and hold at most [`CHUNK_CAP`] entries.
 pub struct Label {
-    chunks: Vec<Arc<Chunk>>,
+    chunks: Chunks,
     default: Level,
     /// Total explicit entries across chunks.
     len: usize,
@@ -92,7 +100,7 @@ impl Label {
     /// Creates a label mapping every handle to `default`.
     pub fn new(default: Level) -> Label {
         Label {
-            chunks: Vec::new(),
+            chunks: Chunks::default(),
             default,
             len: 0,
             levels: LevelSet::of(default),
@@ -125,32 +133,26 @@ impl Label {
     ///
     /// Pairs may be given in any order; duplicate handles keep the last pair.
     /// Pairs whose level equals the default are dropped (they are redundant).
-    /// The entries are packed, sorted and normalized in one `Vec`: a label
-    /// of at most [`CHUNK_CAP`] entries keeps it as its one chunk, a larger
-    /// one is cut into full chunks and a last one holding the rest.
+    /// The entries are packed, sorted and normalized in one buffer — on the
+    /// stack for at most [`CHUNK_CAP`] pairs, so such a label costs only its
+    /// one chunk. A label of at most [`CHUNK_CAP`] entries is one chunk, a
+    /// larger one is cut into full chunks and a last one holding the rest.
     pub fn from_pairs(default: Level, pairs: &[(Handle, Level)]) -> Label {
-        let mut entries: Vec<u64> = pairs.iter().map(|&(h, lv)| pack(h.raw(), lv)).collect();
-        // Stable, so that equal handles stay in input order.
-        entries.sort_by_key(|&e| entry_handle(e));
-        // Last duplicate wins: each later pair overwrites the one kept.
-        entries.dedup_by(|later, kept| {
-            let same = entry_handle(*later) == entry_handle(*kept);
-            if same {
-                *kept = *later;
-            }
-            same
-        });
-        entries.retain(|&e| entry_level(e) != default);
-        let chunks = if entries.is_empty() {
-            Vec::new()
-        } else if entries.len() <= CHUNK_CAP {
-            vec![Arc::new(Chunk::from_entries(entries))]
+        let (mut stack, mut heap) = ([0u64; CHUNK_CAP], Vec::new());
+        let entries = if pairs.len() <= CHUNK_CAP {
+            &mut stack[..pairs.len()]
         } else {
-            entries
-                .chunks(CHUNK_CAP)
-                .map(|run| Arc::new(Chunk::from_entries(run.to_vec())))
-                .collect()
+            heap.resize(pairs.len(), 0);
+            &mut heap[..]
         };
+        for (slot, &(h, lv)) in entries.iter_mut().zip(pairs) {
+            *slot = pack(h.raw(), lv);
+        }
+        let n = normalize(entries, default);
+        let mut chunks = Chunks::default();
+        for run in entries[..n].chunks(CHUNK_CAP) {
+            chunks.push(Chunk::from_entries(run), n.div_ceil(CHUNK_CAP));
+        }
         Label::on_chunks(default, chunks)
     }
 
@@ -159,7 +161,7 @@ impl Label {
     /// the one before it ends on, and hold no entry at `default` (its
     /// marks say so). Anything else is `None` — checked, never repaired.
     /// The label keeps the chunks' layout and shares every one of them.
-    pub fn from_chunks(default: Level, chunks: Vec<Arc<Chunk>>) -> Option<Label> {
+    pub fn from_chunks(default: Level, chunks: Vec<Chunk>) -> Option<Label> {
         let mut prev = None;
         for c in &chunks {
             if c.is_empty()
@@ -171,11 +173,11 @@ impl Label {
             }
             prev = Some(c.last_handle());
         }
-        Some(Label::on_chunks(default, chunks))
+        Some(Label::on_chunks(default, Chunks::from_vec(chunks)))
     }
 
     /// The label on `chunks`, which already meet every invariant.
-    fn on_chunks(default: Level, chunks: Vec<Arc<Chunk>>) -> Label {
+    fn on_chunks(default: Level, chunks: Chunks) -> Label {
         let mut label = Label {
             chunks,
             default,
@@ -196,7 +198,7 @@ impl Label {
     pub fn get(&self, handle: Handle) -> Level {
         let raw = handle.raw();
         match self.chunk_index_for(raw) {
-            Some(ci) => self.chunks[ci].find(raw).unwrap_or(self.default),
+            Some(ci) => self.chunks()[ci].find(raw).unwrap_or(self.default),
             None => self.default,
         }
     }
@@ -257,7 +259,7 @@ impl Label {
 
     /// Iterates explicit `(handle, level)` entries in ascending handle order.
     pub fn iter(&self) -> impl Iterator<Item = (Handle, Level)> + '_ {
-        self.chunks.iter().flat_map(|c| {
+        self.chunks().iter().flat_map(|c| {
             c.entries().iter().map(|&e| {
                 (
                     Handle::new(entry_handle(e)).expect("entries hold 61-bit handles"),
@@ -273,11 +275,11 @@ impl Label {
     /// over-approximates exactly like refcounted kernel memory does when each
     /// subsystem is billed for what it keeps alive.
     pub fn heap_bytes(&self) -> usize {
-        let chunk_bytes: usize = if self.chunks.is_empty() {
+        let chunk_bytes: usize = if self.chunks().is_empty() {
             // The paper's smallest label includes space for one chunk.
             CHUNK_HEADER_BYTES + CHUNK_MIN_CAP * 8
         } else {
-            self.chunks
+            self.chunks()
                 .iter()
                 .map(|c| CHUNK_HEADER_BYTES + c.len().max(CHUNK_MIN_CAP) * 8)
                 .sum()
@@ -359,54 +361,54 @@ impl Label {
     /// Which of `[self, other]` has more chunks to share with a result:
     /// the base a join or meet is edited from.
     fn larger_of(&self, other: &Label) -> usize {
-        usize::from(other.chunks.len() > self.chunks.len())
+        usize::from(other.chunks().len() > self.chunks().len())
     }
 
     /// The chunk array, ascending by handle range.
     #[inline]
-    pub fn chunks(&self) -> &[Arc<Chunk>] {
-        &self.chunks
+    pub fn chunks(&self) -> &[Chunk] {
+        self.chunks.as_slice()
     }
 
     /// Index of the chunk whose handle range could contain `raw`, if any.
     fn chunk_index_for(&self, raw: u64) -> Option<usize> {
-        if self.chunks.is_empty() {
-            return None;
-        }
         // First chunk whose last handle is >= raw.
-        let idx = self.chunks.partition_point(|c| c.last_handle() < raw);
-        if idx == self.chunks.len() {
-            None
-        } else {
-            Some(idx)
-        }
+        let chunks = self.chunks();
+        let idx = chunks.partition_point(|c| c.last_handle() < raw);
+        (idx < chunks.len()).then_some(idx)
     }
 
+    /// Gives `raw` the non-default `level`: the chunk it lands in is
+    /// rebuilt once, with room for a new entry, and split in half when that
+    /// overflows it.
     fn insert(&mut self, raw: u64, level: Level) {
         debug_assert_ne!(level, self.default);
+        let packed = pack(raw, level);
         let ci = match self.chunk_index_for(raw) {
             Some(ci) => ci,
-            None if self.chunks.is_empty() => {
-                self.chunks
-                    .push(Arc::new(Chunk::from_entries(vec![pack(raw, level)])));
+            None if self.chunks().is_empty() => {
+                self.chunks.push(Chunk::from_entries(&[packed]), 1);
                 self.after_mutation();
                 return;
             }
             // Larger than everything: append into the last chunk.
-            None => self.chunks.len() - 1,
+            None => self.chunks().len() - 1,
         };
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        let entries = chunk.entries_mut();
+        let chunk = &self.chunks()[ci];
+        let entries = chunk.entries();
         match entries.binary_search_by_key(&raw, |&e| entry_handle(e)) {
-            Ok(i) => entries[i] = pack(raw, level),
-            Err(i) => entries.insert(i, pack(raw, level)),
-        }
-        chunk.recompute_bounds();
-        if chunk.len() > CHUNK_CAP {
-            let right = chunk.entries_mut().split_off(CHUNK_CAP / 2);
-            chunk.recompute_bounds();
-            self.chunks
-                .insert(ci + 1, Arc::new(Chunk::from_entries(right)));
+            Err(i) if entries.len() == CHUNK_CAP => {
+                // A full chunk: its entries and the new one, cut in half.
+                let mut run = [0u64; CHUNK_CAP + 1];
+                run[..i].copy_from_slice(&entries[..i]);
+                run[i] = packed;
+                run[i + 1..].copy_from_slice(&entries[i..]);
+                let (left, right) = run.split_at(CHUNK_CAP / 2);
+                let (left, right) = (Chunk::from_entries(left), Chunk::from_entries(right));
+                self.chunks.replace(ci, left);
+                self.chunks.insert(ci + 1, right);
+            }
+            Ok(i) | Err(i) => self.chunks.replace(ci, chunk.with_entry(i, packed)),
         }
         self.after_mutation();
     }
@@ -415,19 +417,17 @@ impl Label {
         let Some(ci) = self.chunk_index_for(raw) else {
             return;
         };
-        // Only copy the chunk if the entry is actually present.
-        if self.chunks[ci].find(raw).is_none() {
+        // Only rebuild the chunk if the entry is actually present.
+        let chunk = &self.chunks()[ci];
+        let Ok(i) = chunk
+            .entries()
+            .binary_search_by_key(&raw, |&e| entry_handle(e))
+        else {
             return;
-        }
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        let entries = chunk.entries_mut();
-        if let Ok(i) = entries.binary_search_by_key(&raw, |&e| entry_handle(e)) {
-            entries.remove(i);
-        }
-        if chunk.is_empty() {
-            self.chunks.remove(ci);
-        } else {
-            chunk.recompute_bounds();
+        };
+        match chunk.without_entry(i) {
+            Some(rest) => self.chunks.replace(ci, rest),
+            None => self.chunks.remove(ci),
         }
         self.after_mutation();
     }
@@ -435,9 +435,9 @@ impl Label {
     /// Re-establishes the cached length and level bounds from chunk
     /// caches. O(number of chunks), not entries.
     fn after_mutation(&mut self) {
-        self.len = self.chunks.iter().map(|c| c.len()).sum();
+        self.len = self.chunks().iter().map(|c| c.len()).sum();
         self.levels = self
-            .chunks
+            .chunks()
             .iter()
             .fold(LevelSet::of(self.default), |set, c| set.union(c.levels()));
     }
@@ -445,16 +445,16 @@ impl Label {
     /// Number of chunks in the representation; used by tests.
     #[doc(hidden)]
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.chunks().len()
     }
 
     /// How many of this label's chunks are the very allocation
-    /// ([`Arc::ptr_eq`]) some chunk of `other` is; used by tests.
+    /// ([`Chunk::ptr_eq`]) some chunk of `other` is; used by tests.
     #[doc(hidden)]
     pub fn chunks_shared_with(&self, other: &Label) -> usize {
-        self.chunks
+        self.chunks()
             .iter()
-            .filter(|c| other.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
+            .filter(|c| other.chunks().iter().any(|o| Chunk::ptr_eq(c, o)))
             .count()
     }
 
@@ -464,7 +464,7 @@ impl Label {
         let mut prev: Option<u64> = None;
         let mut count = 0;
         let mut levels = LevelSet::of(self.default);
-        for c in &self.chunks {
+        for c in self.chunks() {
             assert!(!c.is_empty(), "empty chunk");
             assert!(c.len() <= CHUNK_CAP, "oversized chunk");
             let mut marks = LevelSet::EMPTY;
@@ -482,6 +482,124 @@ impl Label {
         }
         assert_eq!(count, self.len, "length cache stale");
         assert_eq!(levels, self.levels, "level marks stale");
+    }
+}
+
+/// Sorts packed entries by handle, keeps the last of each run of equal
+/// handles and drops entries at `default`, in place; returns how many
+/// entries are left at the front.
+fn normalize(entries: &mut [u64], default: Level) -> usize {
+    // Stable, so that equal handles stay in input order.
+    entries.sort_by_key(|&e| entry_handle(e));
+    let mut kept = 0;
+    for i in 0..entries.len() {
+        let e = entries[i];
+        // Last duplicate wins: a later pair overwrites the one kept.
+        if kept > 0 && entry_handle(entries[kept - 1]) == entry_handle(e) {
+            kept -= 1;
+        }
+        entries[kept] = e;
+        kept += 1;
+    }
+    // A duplicate run's last pair decides it, even when that pair is at
+    // the default.
+    let mut n = 0;
+    for i in 0..kept {
+        if entry_level(entries[i]) != default {
+            entries[n] = entries[i];
+            n += 1;
+        }
+    }
+    n
+}
+
+/// A label's chunk array: one chunk inline, or a `Vec` (empty for a
+/// uniform label, which allocates nothing).
+#[derive(Clone)]
+enum Chunks {
+    One(Chunk),
+    Many(Vec<Chunk>),
+}
+
+impl Default for Chunks {
+    fn default() -> Chunks {
+        Chunks::Many(Vec::new())
+    }
+}
+
+impl Chunks {
+    /// `chunks`, with a lone chunk taken out of its `Vec`.
+    fn from_vec(mut chunks: Vec<Chunk>) -> Chunks {
+        match chunks.len() {
+            1 => Chunks::One(chunks.pop().expect("one chunk")),
+            _ => Chunks::Many(chunks),
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[Chunk] {
+        match self {
+            Chunks::One(chunk) => std::slice::from_ref(chunk),
+            Chunks::Many(chunks) => chunks,
+        }
+    }
+
+    /// The array as a `Vec`, made with room for `room` chunks if it held
+    /// one inline.
+    fn as_vec(&mut self, room: usize) -> &mut Vec<Chunk> {
+        if let Chunks::One(first) = self {
+            let mut chunks = Vec::with_capacity(room.max(2));
+            chunks.push(first.clone());
+            *self = Chunks::Many(chunks);
+        }
+        match self {
+            Chunks::Many(chunks) => chunks,
+            Chunks::One(_) => unreachable!("made a Vec above"),
+        }
+    }
+
+    /// Appends a chunk; the first one is held inline, and the array
+    /// allocated for the second has room for `room` chunks.
+    fn push(&mut self, chunk: Chunk, room: usize) {
+        match self {
+            Chunks::Many(chunks) if chunks.is_empty() => *self = Chunks::One(chunk),
+            _ => self.as_vec(room).push(chunk),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Chunk> {
+        match std::mem::take(self) {
+            Chunks::One(chunk) => Some(chunk),
+            Chunks::Many(mut chunks) => {
+                let last = chunks.pop();
+                *self = Chunks::Many(chunks);
+                last
+            }
+        }
+    }
+
+    fn replace(&mut self, i: usize, chunk: Chunk) {
+        match self {
+            Chunks::One(only) => {
+                debug_assert_eq!(i, 0);
+                *only = chunk;
+            }
+            Chunks::Many(chunks) => chunks[i] = chunk,
+        }
+    }
+
+    fn insert(&mut self, i: usize, chunk: Chunk) {
+        let room = self.as_slice().len() + 1;
+        self.as_vec(room).insert(i, chunk);
+    }
+
+    fn remove(&mut self, i: usize) {
+        let mut chunks = match std::mem::take(self) {
+            Chunks::One(_) => return,
+            Chunks::Many(chunks) => chunks,
+        };
+        chunks.remove(i);
+        *self = Chunks::from_vec(chunks);
     }
 }
 
@@ -522,12 +640,17 @@ impl fmt::Display for Label {
 /// however many operations it passes through.
 ///
 /// A build allocates the chunks it creates, each at its exact size, and
-/// the chunk array once when its size is known up front: the open run is
-/// one buffer of [`CHUNK_CAP`] entries, reused for every chunk.
+/// the chunk array once, when a second chunk needs it, at the size it was
+/// told up front. The open run lives in the builder itself, a
+/// [`CHUNK_CAP`]-entry array reused for every chunk.
 pub(crate) struct LabelBuilder {
     default: Level,
-    chunks: Vec<Arc<Chunk>>,
-    current: Vec<u64>,
+    chunks: Chunks,
+    /// Room to make for the chunk array once it is a `Vec`.
+    room: usize,
+    /// The open run: `run[..open]`.
+    run: [u64; CHUNK_CAP],
+    open: usize,
 }
 
 impl LabelBuilder {
@@ -535,8 +658,10 @@ impl LabelBuilder {
     pub(crate) fn with_chunks(default: Level, chunks: usize) -> LabelBuilder {
         LabelBuilder {
             default,
-            chunks: Vec::with_capacity(chunks),
-            current: Vec::with_capacity(CHUNK_CAP),
+            chunks: Chunks::default(),
+            room: chunks,
+            run: [0; CHUNK_CAP],
+            open: 0,
         }
     }
 
@@ -551,17 +676,17 @@ impl LabelBuilder {
     /// Appends ascending packed entries, none of them at the default level,
     /// a chunk's worth at a time.
     pub(crate) fn extend(&mut self, mut entries: &[u64]) {
-        debug_assert!(self
-            .current
+        debug_assert!(self.run[..self.open]
             .last()
             .zip(entries.first())
             .is_none_or(|(&last, &first)| entry_handle(last) < entry_handle(first)));
         while !entries.is_empty() {
-            let room = CHUNK_CAP - self.current.len();
+            let room = CHUNK_CAP - self.open;
             let (now, later) = entries.split_at(room.min(entries.len()));
-            self.current.extend_from_slice(now);
+            self.run[self.open..self.open + now.len()].copy_from_slice(now);
+            self.open += now.len();
             entries = later;
-            if self.current.len() == CHUNK_CAP {
+            if self.open == CHUNK_CAP {
                 self.flush();
             }
         }
@@ -569,11 +694,11 @@ impl LabelBuilder {
 
     /// Appends a whole chunk, none of its entries at the default level,
     /// sharing it unless it fuses with what precedes it.
-    pub(crate) fn push_chunk(&mut self, chunk: &Arc<Chunk>) {
+    pub(crate) fn push_chunk(&mut self, chunk: &Chunk) {
         self.absorb_tail(chunk.len());
-        if self.current.is_empty() || self.current.len() + chunk.len() > CHUNK_CAP {
+        if self.open == 0 || self.open + chunk.len() > CHUNK_CAP {
             self.flush();
-            self.chunks.push(Arc::clone(chunk));
+            self.chunks.push(chunk.clone(), self.room);
         } else {
             self.extend(chunk.entries());
         }
@@ -582,24 +707,28 @@ impl LabelBuilder {
     /// Reopens the last closed chunk when it, the open run and `incoming`
     /// more entries would fit in one chunk.
     fn absorb_tail(&mut self, incoming: usize) {
-        if let Some(last) = self.chunks.last() {
-            if last.len() + self.current.len() + incoming <= CHUNK_CAP {
-                let last = self.chunks.pop().expect("matched Some");
-                self.current.splice(0..0, last.entries().iter().copied());
-            }
+        let Some(last) = self.chunks.as_slice().last() else {
+            return;
+        };
+        let n = last.len();
+        if n + self.open + incoming <= CHUNK_CAP {
+            let last = self.chunks.pop().expect("checked above");
+            self.run.copy_within(..self.open, n);
+            self.run[..n].copy_from_slice(last.entries());
+            self.open += n;
         }
     }
 
     /// Closes the open run of entries into an exact-size chunk, first
     /// absorbing a preceding chunk small enough to share it.
     fn flush(&mut self) {
-        if self.current.is_empty() {
+        if self.open == 0 {
             return;
         }
         self.absorb_tail(0);
-        let entries = self.current.to_vec();
-        self.current.clear();
-        self.chunks.push(Arc::new(Chunk::from_entries(entries)));
+        let chunk = Chunk::from_entries(&self.run[..self.open]);
+        self.open = 0;
+        self.chunks.push(chunk, self.room);
     }
 
     pub(crate) fn finish(mut self) -> Label {
@@ -847,10 +976,9 @@ mod tests {
         assert_eq!(l.max_level(), Level::L2);
     }
 
-    fn chunk_of(handles: std::ops::Range<u64>, level: Level) -> Arc<Chunk> {
-        Arc::new(Chunk::from_entries(
-            handles.map(|h| pack(h, level)).collect(),
-        ))
+    fn chunk_of(handles: std::ops::Range<u64>, level: Level) -> Chunk {
+        let entries: Vec<u64> = handles.map(|h| pack(h, level)).collect();
+        Chunk::from_entries(&entries)
     }
 
     #[test]
@@ -863,7 +991,7 @@ mod tests {
             .chunks()
             .iter()
             .zip(&chunks)
-            .all(|(a, b)| Arc::ptr_eq(a, b)));
+            .all(|(a, b)| Chunk::ptr_eq(a, b)));
         assert_eq!(l.entry_count(), 65);
         assert_eq!((l.min_level(), l.max_level()), (Level::Star, Level::L3));
         l.check_invariants();
@@ -871,15 +999,11 @@ mod tests {
 
     #[test]
     fn from_chunks_refuses_an_empty_or_oversized_chunk() {
-        let mut empty = Chunk::from_entries(vec![pack(1, Level::L3)]);
-        empty.entries_mut().clear();
-        let mut oversized =
-            Chunk::from_entries((0..CHUNK_CAP as u64).map(|h| pack(h, Level::L3)).collect());
-        oversized
-            .entries_mut()
-            .push(pack(CHUNK_CAP as u64, Level::L3));
+        let empty = Chunk::unchecked(&[]);
+        let entries: Vec<u64> = (0..=CHUNK_CAP as u64).map(|h| pack(h, Level::L3)).collect();
+        let oversized = Chunk::unchecked(&entries);
         for chunk in [empty, oversized] {
-            assert!(Label::from_chunks(Level::L1, vec![Arc::new(chunk)]).is_none());
+            assert!(Label::from_chunks(Level::L1, vec![chunk]).is_none());
         }
     }
 

@@ -123,6 +123,19 @@ impl LevelSet {
         LevelSet(1 << level.to_bits())
     }
 
+    /// The set as a byte: bit `level.to_bits()` for each level it holds
+    /// (how a chunk stores its marks).
+    #[inline]
+    pub const fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The set [`LevelSet::bits`] made, ignoring bits no level encodes.
+    #[inline]
+    pub const fn from_bits(bits: u8) -> LevelSet {
+        LevelSet(bits & 0x1f)
+    }
+
     /// The union of two sets.
     #[inline]
     pub const fn union(self, other: LevelSet) -> LevelSet {

@@ -32,7 +32,6 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::sync::Arc;
 
 use crate::chunk::{entry_handle, entry_level, Chunk};
 use crate::label::{Label, LabelBuilder};
@@ -104,9 +103,9 @@ struct Operand<'a> {
     /// Handle of the next point ([`END`] if none).
     next: u64,
     /// The chunks after that one.
-    unscanned: &'a [Arc<Chunk>],
+    unscanned: &'a [Chunk],
     /// The chunks from the one level lookups resume in.
-    seek: &'a [Arc<Chunk>],
+    seek: &'a [Chunk],
     /// Entries of `seek[0]` already passed.
     passed: usize,
 }
@@ -313,14 +312,14 @@ pub(crate) fn build<'a, const N: usize>(
 /// from a chunk an edit lands in are copied as whole runs.
 struct Editor<'a> {
     /// The base's chunks from the one copying resumes in.
-    chunks: &'a [Arc<Chunk>],
+    chunks: &'a [Chunk],
     /// Entries of `chunks[0]` already in `out`.
     copied: usize,
     out: LabelBuilder,
 }
 
 impl<'a> Editor<'a> {
-    fn new(chunks: &'a [Arc<Chunk>], default: Level) -> Editor<'a> {
+    fn new(chunks: &'a [Chunk], default: Level) -> Editor<'a> {
         Editor {
             chunks,
             copied: 0,

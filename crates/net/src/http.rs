@@ -4,40 +4,106 @@
 //! workers (§7); this module provides exactly that much HTTP. The §9.2
 //! benchmark responses are 144 bytes with 133 bytes of headers, which the
 //! response builder reproduces.
+//!
+//! A parsed [`HttpRequest`] owns one text buffer: the method, the path,
+//! then each decoded query key and value and each header name (lower-cased)
+//! and value, back to back, with spans into it. Parsing the benchmark's
+//! request therefore allocates twice — the buffer and the span list, each
+//! at its final size — and the body, copied only when there is one, a
+//! third time. Query decoding is `+` and `%20` to a space, nothing else;
+//! [`HttpRequest::param`] answers the first pair with a key, and
+//! [`HttpRequest::header`] the last header with a name.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use asbestos_kernel::Payload;
 
-/// A parsed HTTP request.
+/// A byte range of an [`HttpRequest`]'s text.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start..self.end
+    }
+}
+
+/// A parsed HTTP request: one text buffer and spans into it (see the
+/// module docs), plus the body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HttpRequest {
-    /// Request method (`GET`, `POST`, …).
-    pub method: String,
-    /// Path component, without the query string.
-    pub path: String,
-    /// Decoded query parameters, in order of appearance.
-    pub query: Vec<(String, String)>,
-    /// Headers, lower-cased keys.
-    pub headers: BTreeMap<String, String>,
-    /// Request body (bytes after the blank line).
-    pub body: Vec<u8>,
+    text: String,
+    method: Span,
+    path: Span,
+    /// `(key, value)` spans: the query parameters in order of appearance,
+    /// then the headers in order of appearance.
+    pairs: Vec<(Span, Span)>,
+    /// How many of `pairs` are query parameters.
+    params: usize,
+    body: Vec<u8>,
 }
 
 impl HttpRequest {
+    fn at(&self, span: Span) -> &str {
+        &self.text[span.range()]
+    }
+
+    /// Appends `s` to the text, passed through `edit`, and returns its
+    /// span.
+    fn push(&mut self, s: &str, edit: fn(&mut String, &str)) -> Span {
+        let start = self.text.len();
+        edit(&mut self.text, s);
+        Span {
+            start,
+            end: self.text.len(),
+        }
+    }
+
+    /// Request method (`GET`, `POST`, …).
+    pub fn method(&self) -> &str {
+        self.at(self.method)
+    }
+
+    /// Path component, without the query string.
+    pub fn path(&self) -> &str {
+        self.at(self.path)
+    }
+
+    /// The decoded query parameters, in order of appearance.
+    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        self.pairs[..self.params]
+            .iter()
+            .map(|&(k, v)| (self.at(k), self.at(v)))
+    }
+
     /// First query parameter with the given name.
     pub fn param(&self, name: &str) -> Option<&str> {
-        self.query
+        self.params().find(|&(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// The value of the last header named `name` (names compare
+    /// ignoring ASCII case), trimmed.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.pairs[self.params..]
             .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+            .rev()
+            .find(|&&(k, _)| self.at(k).eq_ignore_ascii_case(name))
+            .map(|&(_, v)| self.at(v))
+    }
+
+    /// Request body (bytes after the blank line).
+    pub fn body(&self) -> &[u8] {
+        &self.body
     }
 
     /// The first path segment, used by ok-demux as the service name:
     /// `/login?u=alice` → `login`.
     pub fn service(&self) -> &str {
-        self.path
+        self.path()
             .trim_start_matches('/')
             .split('/')
             .next()
@@ -79,8 +145,7 @@ impl std::error::Error for HttpError {}
 pub fn parse_request(buf: &[u8]) -> Result<HttpRequest, HttpError> {
     let head_end = find_head_end(buf).ok_or(HttpError::Incomplete)?;
     let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| HttpError::BadEncoding)?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().ok_or(HttpError::BadRequestLine)?;
+    let (request_line, header_lines) = head.split_once("\r\n").unwrap_or((head, ""));
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -91,47 +156,79 @@ pub fn parse_request(buf: &[u8]) -> Result<HttpRequest, HttpError> {
     if parts.next().is_some() {
         return Err(HttpError::BadRequestLine);
     }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
 
-    let (path, query_str) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
+    // Decoding and trimming only shorten text, so the head's length bounds
+    // the buffer, and the separators bound the pairs: neither grows.
+    let pairs = query.matches('&').count() + 1 + header_lines.matches("\r\n").count() + 1;
+    let mut req = HttpRequest {
+        text: String::with_capacity(head_end),
+        method: Span { start: 0, end: 0 },
+        path: Span { start: 0, end: 0 },
+        pairs: Vec::with_capacity(pairs),
+        params: 0,
+        body: Vec::new(),
     };
-    let query = parse_query(query_str);
-
-    let mut headers = BTreeMap::new();
-    for line in lines {
+    req.method = req.push(method, String::push_str);
+    req.path = req.push(path, String::push_str);
+    for (k, v) in query_pairs(query) {
+        let pair = (req.push(k, decode_into), req.push(v, decode_into));
+        req.pairs.push(pair);
+    }
+    req.params = req.pairs.len();
+    for line in header_lines.split("\r\n") {
         if line.is_empty() {
             continue;
         }
         let (k, v) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-        headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+        let key = req.push(k.trim(), String::push_str);
+        req.text[key.range()].make_ascii_lowercase();
+        let value = req.push(v.trim(), String::push_str);
+        req.pairs.push((key, value));
     }
-
-    let body = buf[head_end + 4..].to_vec();
-    Ok(HttpRequest {
-        method: method.to_string(),
-        path: path.to_string(),
-        query,
-        headers,
-        body,
-    })
+    let body = &buf[head_end + 4..];
+    if !body.is_empty() {
+        req.body = body.to_vec();
+    }
+    Ok(req)
 }
 
-/// Splits `a=1&b=2` into pairs; `%`-decoding is limited to `%20` and `+`
-/// (all the benchmark workloads need).
-pub fn parse_query(query: &str) -> Vec<(String, String)> {
+/// The `key=value` pieces of a query string, undecoded: empty pieces are
+/// skipped, and a piece without `=` is a key with an empty value.
+fn query_pairs(query: &str) -> impl Iterator<Item = (&str, &str)> {
     query
         .split('&')
         .filter(|kv| !kv.is_empty())
-        .map(|kv| match kv.split_once('=') {
-            Some((k, v)) => (decode(k), decode(v)),
-            None => (decode(kv), String::new()),
-        })
+        .map(|kv| kv.split_once('=').unwrap_or((kv, "")))
+}
+
+/// Splits `a=1&b=2` into decoded pairs; `%`-decoding is limited to `%20`
+/// and `+` (all the benchmark workloads need).
+pub fn parse_query(query: &str) -> Vec<(String, String)> {
+    let decode = |s: &str| {
+        let mut out = String::with_capacity(s.len());
+        decode_into(&mut out, s);
+        out
+    };
+    query_pairs(query)
+        .map(|(k, v)| (decode(k), decode(v)))
         .collect()
 }
 
-fn decode(s: &str) -> String {
-    s.replace('+', " ").replace("%20", " ")
+/// Appends `s` to `out` with each `+` and each `%20` turned into a space.
+fn decode_into(out: &mut String, mut s: &str) {
+    while let Some(i) = s.find(['+', '%']) {
+        out.push_str(&s[..i]);
+        let rest = &s[i..];
+        if rest.starts_with('+') || rest.starts_with("%20") {
+            out.push(' ');
+            s = &rest[if rest.starts_with('+') { 1 } else { 3 }..];
+        } else {
+            out.push('%');
+            s = &rest[1..];
+        }
+    }
+    out.push_str(s);
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -208,17 +305,14 @@ mod tests {
         let raw =
             b"GET /login?user=alice&pw=secret HTTP/1.0\r\nHost: example.test\r\nX-Tag: 7\r\n\r\n";
         let req = parse_request(raw).unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/login");
+        assert_eq!(req.method(), "GET");
+        assert_eq!(req.path(), "/login");
         assert_eq!(req.service(), "login");
         assert_eq!(req.param("user"), Some("alice"));
         assert_eq!(req.param("pw"), Some("secret"));
-        assert_eq!(
-            req.headers.get("host").map(String::as_str),
-            Some("example.test")
-        );
-        assert_eq!(req.headers.get("x-tag").map(String::as_str), Some("7"));
-        assert!(req.body.is_empty());
+        assert_eq!(req.header("host"), Some("example.test"));
+        assert_eq!(req.header("x-tag"), Some("7"));
+        assert!(req.body().is_empty());
     }
 
     #[test]
@@ -234,7 +328,7 @@ mod tests {
     fn body_is_preserved() {
         let raw = b"POST /store HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello";
         let req = parse_request(raw).unwrap();
-        assert_eq!(req.body, b"hello");
+        assert_eq!(req.body(), b"hello");
     }
 
     #[test]
@@ -307,8 +401,8 @@ mod tests {
     #[test]
     fn path_without_query() {
         let req = parse_request(b"GET /plain HTTP/1.0\r\n\r\n").unwrap();
-        assert_eq!(req.path, "/plain");
-        assert!(req.query.is_empty());
+        assert_eq!(req.path(), "/plain");
+        assert_eq!(req.params().count(), 0);
         assert_eq!(req.param("missing"), None);
     }
 }

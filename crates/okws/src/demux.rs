@@ -176,8 +176,7 @@ impl OkDemux {
                 return;
             }
         };
-        let service = req.service().to_string();
-        if !self.services.contains_key(&service) {
+        if !self.services.contains_key(req.service()) {
             self.respond_direct(sys, reply_port, 404, "No Such Service");
             return;
         }
@@ -191,16 +190,14 @@ impl OkDemux {
             self.respond_direct(sys, reply_port, 400, "User Name Too Long");
             return;
         }
-        let user = user.to_string();
-        let password = password.to_string();
-
-        if let Some(u) = self.users.get(&user).filter(|u| u.password == password) {
+        if let Some(u) = self.users.get(user).filter(|u| u.password == password) {
             // Fast path: a logged-in user presenting the password idd
             // confirmed. Any other password goes to idd.
             let (taint, grant) = (u.taint, u.grant);
-            self.handoff(sys, reply_port, &req, &user, taint, grant);
+            self.handoff(sys, reply_port, &req, user, taint, grant);
             return;
         }
+        let (user, password) = (user.to_string(), password.to_string());
         // §7.2 step 3: authenticate through idd. Our verification handle
         // proves to idd that ok-demux is asking.
         let idd = self.idd.expect("idd publishes its login port");
@@ -275,12 +272,12 @@ impl OkDemux {
         grant: Handle,
     ) {
         sys.charge(DEMUX_EVENT_CYCLES);
-        let service = req.service().to_string();
+        let service = req.service();
         let entry = self
             .services
-            .get(&service)
+            .get(service)
             .expect("service checked in handle_head");
-        let session = self.users.get(user).and_then(|u| u.sessions.get(&service));
+        let session = self.users.get(user).and_then(|u| u.sessions.get(service));
         if session.is_none() && entry.port.is_none() {
             // The worker never registered (§7.1): no one can serve this.
             self.respond_direct(sys, reply_port, 503, "Service Unavailable");

@@ -225,7 +225,7 @@ impl Service for Launcher {
                 &svc_declassifier_env(&spec.name),
                 Value::Bool(spec.declassifier),
             );
-            names.push(Value::Str(spec.name.clone()));
+            names.push(Value::Str(spec.name.clone().into()));
             worker_verifies.push(wv);
         }
         sys.publish_env(SVC_LIST_ENV, Value::List(names));

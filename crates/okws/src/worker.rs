@@ -102,8 +102,8 @@ impl Session {
     const QUEUE_MAX: usize = 14;
 
     fn load(sys: &Sys<'_>) -> Session {
-        let rec = sys
-            .mem_read(SESSION_PAGE, Session::SIZE)
+        let mut rec = [0u8; Session::SIZE];
+        sys.mem_read_into(SESSION_PAGE, &mut rec)
             .expect("the session record is in range");
         let (words, _) = rec.as_chunks::<8>();
         let word = |at: usize| u64::from_le_bytes(words[at / 8]);

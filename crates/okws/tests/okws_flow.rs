@@ -310,7 +310,7 @@ impl asbestos_kernel::EpService for RawEvil {
         if let Some(OkwsMsg::ConnHandoff { conn, user, .. }) = OkwsMsg::from_value(&msg.body) {
             // Leak attempt: raw send of the user's name to the evil sink.
             if let Some(sink) = sys.env("evil.sink").and_then(|v| v.as_handle()) {
-                let _ = sys.send(sink, Value::Str(format!("stolen from {user}")));
+                let _ = sys.send(sink, Value::Str(format!("stolen from {user}").into()));
             }
             // Still answer the request so the connection completes.
             let response = asbestos_net::http::ok_response(b"served");

@@ -51,7 +51,15 @@ const TABLES: [[u32; 256]; 16] = {
 
 /// CRC-32 of `bytes` (IEEE, as used by zip/png/ethernet).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_extend(0, bytes)
+}
+
+/// The streaming form of [`crc32`]: `crc32_extend(crc32(a), b)` is the
+/// CRC-32 of `a` followed by `b`, so a checksum can cover bytes that are
+/// not contiguous (the federation wire seeds each frame's CRC with the
+/// frame's index on its link).
+pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut blocks = bytes.chunks_exact(16);
     for b in &mut blocks {
         // The running value folds into the first four bytes; byte `i` of
@@ -92,6 +100,15 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn extending_equals_checksumming_the_concatenation() {
+        let data = b"the quick brown fox jumps over the lazy dog";
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_extend(crc32(a), b), crc32(data), "split at {split}");
+        }
     }
 
     #[test]

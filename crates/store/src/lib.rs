@@ -35,6 +35,6 @@ pub mod store;
 pub mod wal;
 
 pub use blockdev::{BlockDev, FileDev, MemDev};
-pub use crc::crc32;
+pub use crc::{crc32, crc32_extend};
 pub use store::{Recovery, Store, DEFAULT_COMPACT_THRESHOLD};
 pub use wal::{encode_commit, encode_frame, scan_committed, scan_frames, FrameKind};

@@ -126,7 +126,7 @@ fn main() {
                                 .unwrap()
                                 .as_handle()
                                 .unwrap();
-                            sys.send(port, Value::Str(format!("{clearance} report")))
+                            sys.send(port, Value::Str(format!("{clearance} report").into()))
                                 .unwrap();
                         }
                     }

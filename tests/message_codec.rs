@@ -281,7 +281,7 @@ fn fs_messages_decode_exactly() {
 /// The leniencies the exact reader removed, one message each.
 #[test]
 fn refuses_fields_no_encoder_writes() {
-    let s = |text: &str| Value::Str(text.into());
+    let s = |text: &str| Value::Str(text.to_string().into());
     let handle = Value::Handle(h(1));
     // A trailing field.
     let close = Value::List(vec![s("close"), Value::U64(1)]);
