@@ -284,12 +284,16 @@ proptest! {
             let [es, ds, dr, v] = [es, ds, dr, v].map(|s| pool_label(&pool, s));
             let chunks: Vec<Chunk> =
                 [&es, &ds, &dr, &v].into_iter().flat_map(|l| l.chunks()).cloned().collect();
+            // Only chunks sent in earlier messages count as evicted: the
+            // labels of one message may share a chunk the sender has not
+            // yet seen.
+            let earlier = sent.len();
             for chunk in &chunks {
                 if sender.holds(chunk) {
                     references += 1;
-                } else if sent.iter().any(|s| Chunk::ptr_eq(s, chunk)) {
+                } else if sent[..earlier].iter().any(|s| Chunk::ptr_eq(s, chunk)) {
                     evictions += 1;
-                } else {
+                } else if !sent.iter().any(|s| Chunk::ptr_eq(s, chunk)) {
                     sent.push(chunk.clone());
                 }
             }

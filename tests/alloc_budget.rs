@@ -8,6 +8,13 @@
 //! the per-request figures to a budget about 10 % above what the current
 //! code makes, in debug and release builds alike. Its own test binary,
 //! because a `#[global_allocator]` is per binary.
+//!
+//! The count includes what the standard library allocates on the
+//! program's behalf (map nodes, `Vec` and `VecDeque` growth, `format!`),
+//! so it depends on the toolchain as well as on this code. The budget was
+//! measured with rustc 1.95.0 (59.4 allocations and 6,854 bytes per
+//! request). If a toolchain update moves the count, re-measure and state
+//! the new figures and toolchain here; do not just raise the budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
