@@ -17,10 +17,11 @@
 //! that changes nothing hands back the `Arc` the receiver already holds.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use asbestos_labels::{ops, Handle, Label};
+use asbestos_labels::{ops, Handle, HandleMap, Label};
 
 use crate::cycles::Category;
 use crate::handle_table::PortOwner;
@@ -53,6 +54,11 @@ pub enum DeliveryOutcome {
 /// port, and a port with messages left re-enters at the back of the
 /// rotation. Messages to one port always deliver in send order.
 ///
+/// The per-port queues sit in a [`HandleMap`], hashed by port handle. The
+/// delivery order is the `rotation` queue's alone; the map is read by key,
+/// and [`Mailboxes::iter`] feeds only order-free sums and counts, so no
+/// iteration order of the hash table is observable.
+///
 /// A port's queue leaves the store when it empties and goes to a spare
 /// list, and the next port to activate takes it, so a steady load reuses
 /// its queues instead of allocating one per activation. Only a queue
@@ -62,7 +68,7 @@ pub enum DeliveryOutcome {
 /// memory for a shallow one.
 #[derive(Default)]
 pub(crate) struct Mailboxes {
-    boxes: BTreeMap<Handle, VecDeque<QueuedMessage>>,
+    boxes: HandleMap<VecDeque<QueuedMessage>>,
     /// Emptied queues, for the next ports to activate.
     spare: Vec<VecDeque<QueuedMessage>>,
     /// The capacity a fresh queue takes for its first message.
@@ -98,15 +104,16 @@ impl Mailboxes {
     /// Takes the next message in round-robin order.
     pub fn pop_next(&mut self) -> Option<QueuedMessage> {
         let port = self.rotation.pop_front()?;
-        let mailbox = self
-            .boxes
-            .get_mut(&port)
-            .expect("rotation only holds ports with mailboxes");
+        // One hash of the port, whether its mailbox stays or leaves.
+        let Entry::Occupied(mut mailbox) = self.boxes.entry(port) else {
+            unreachable!("rotation only holds ports with mailboxes");
+        };
         let qm = mailbox
+            .get_mut()
             .pop_front()
             .expect("rotation only holds non-empty mailboxes");
-        if mailbox.is_empty() {
-            let emptied = self.boxes.remove(&port).expect("looked up above");
+        if mailbox.get().is_empty() {
+            let emptied = mailbox.remove();
             if emptied.capacity() <= self.first_capacity {
                 self.spare.push(emptied);
             }
@@ -128,8 +135,8 @@ impl Mailboxes {
         self.boxes.get(&port).map_or(0, VecDeque::len)
     }
 
-    /// Iterates all pending messages (accounting and god-mode stats; no
-    /// delivery-order meaning).
+    /// Iterates all pending messages in no fixed order (accounting and
+    /// god-mode stats, which only sum or count them).
     pub fn iter(&self) -> impl Iterator<Item = &QueuedMessage> {
         self.boxes.values().flatten()
     }
@@ -321,6 +328,8 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::value::Value;
 
@@ -403,6 +412,50 @@ mod tests {
                 self.rotation.push_back(port);
             }
             Some((port, tag))
+        }
+    }
+
+    /// The hashed mailboxes against the `BTreeMap` model, over random
+    /// push/pop sequences: every pop, the total, every port's length, and
+    /// the pending messages [`Mailboxes::iter`] yields, compared as a
+    /// multiset because its order is the hash table's and means nothing.
+    #[test]
+    fn mailboxes_match_a_btreemap_model() {
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        let mut rng = TestRng::deterministic(concat!(module_path!(), "::model"));
+        let plans = proptest::collection::vec((0u64..12, 0usize..3), 1..200);
+        for _case in 0..128 {
+            let mut m = Mailboxes::default();
+            let mut model = RotationModel::default();
+            for (tag, (port, pops)) in plans.generate(&mut rng).into_iter().enumerate() {
+                m.push(qm(port, tag as u64));
+                model.push(port, tag as u64);
+                for _ in 0..pops {
+                    let got = m
+                        .pop_next()
+                        .map(|q| (q.port.raw(), q.body.as_u64().unwrap()));
+                    assert_eq!(got, model.pop());
+                }
+                let mut pending: Vec<(u64, u64)> = m
+                    .iter()
+                    .map(|q| (q.port.raw(), q.body.as_u64().unwrap()))
+                    .collect();
+                pending.sort_unstable();
+                let mut want: Vec<(u64, u64)> = model
+                    .queues
+                    .iter()
+                    .flat_map(|(&p, q)| q.iter().map(move |&t| (p, t)))
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(m.len(), want.len());
+                assert_eq!(pending, want);
+                for p in 0..12 {
+                    let len = model.queues.get(&p).map_or(0, VecDeque::len);
+                    assert_eq!(m.port_len(Handle::from_raw(p)), len, "port {p}");
+                }
+            }
         }
     }
 

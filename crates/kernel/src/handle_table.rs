@@ -5,6 +5,12 @@
 //! port label and a reference to the process with receive rights. A hash
 //! table maps handle values to vnodes."
 //!
+//! The table is that hash table: a [`HandleMap`] from port handle to
+//! port state, with a fixed, seedless hasher. Nothing reads it in
+//! iteration order. A lookup is by handle, and [`HandleTable::kernel_bytes`]
+//! sums over the values, so the order the hash gives the entries is
+//! never observable, not even to god-mode accounting.
+//!
 //! Only a port's vnode holds anything, so only ports are stored. A
 //! compartment is a value with no kernel state: minting one draws a
 //! counter and stores nothing, and dissociating a port removes its entry,
@@ -16,9 +22,7 @@
 //! lane that minted it ([`HandleAllocator::lane_of`]), a function of its
 //! value alone, so no entry records it.
 
-use std::collections::BTreeMap;
-
-use asbestos_labels::{Handle, HandleAllocator, Label, Level};
+use asbestos_labels::{Handle, HandleAllocator, HandleMap, Label, Level};
 
 use crate::ids::{EpId, ProcessId};
 
@@ -46,7 +50,7 @@ pub struct PortState {
 /// The handle → port state map of live ports plus the kernel's
 /// allocator.
 pub struct HandleTable {
-    ports: BTreeMap<Handle, PortState>,
+    ports: HandleMap<PortState>,
     alloc: HandleAllocator,
 }
 
@@ -63,7 +67,7 @@ impl HandleTable {
     /// a federation ever mint colliding handles.
     pub fn with_partition(seed: u64, lane: u64, lanes: u64) -> HandleTable {
         HandleTable {
-            ports: BTreeMap::new(),
+            ports: HandleMap::default(),
             alloc: HandleAllocator::with_partition(seed, lane, lanes),
         }
     }
@@ -169,6 +173,59 @@ mod tests {
         let b = t.new_handle();
         assert_ne!(a, b);
         assert_ne!(b.raw(), a.raw() + 1, "handles must not be sequential");
+    }
+
+    /// The hashed port table against a `BTreeMap` model, over random
+    /// sequences of `new_port`, `port`, `port_mut` and `dissociate` on
+    /// live, dissociated and never-minted handles.
+    #[test]
+    fn port_table_matches_a_btreemap_model() {
+        use std::collections::BTreeMap;
+
+        use asbestos_labels::HANDLE_SPACE;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        // (operation, which handle, level): 0 `new_port`, 1 `port_mut`
+        // (sets an entry), 2 `dissociate`; `port` is compared after each.
+        let plans = proptest::collection::vec((0u8..3, 0usize..64, 0usize..5), 1..120);
+        let mut rng = TestRng::deterministic(concat!(module_path!(), "::port_table"));
+        for _case in 0..64 {
+            let mut table = HandleTable::new(rng.next_u64());
+            let mut model: BTreeMap<Handle, (Label, PortOwner)> = BTreeMap::new();
+            let mut known = vec![Handle::from_raw(0), Handle::from_raw(HANDLE_SPACE - 1)];
+            for (op, pick, level) in plans.generate(&mut rng) {
+                let h = known[pick % known.len()];
+                let level = Level::ALL[level];
+                match op {
+                    0 => {
+                        let owner = PortOwner::Process(ProcessId(pick as u64));
+                        let p = table.new_port(Label::new(level), owner);
+                        let mut label = Label::new(level);
+                        label.set(p, Level::L0);
+                        assert!(model.insert(p, (label, owner)).is_none(), "fresh handle");
+                        known.push(p);
+                    }
+                    1 => {
+                        let got = table.port_mut(h).map(|s| s.label.set(h, level));
+                        let want = model.get_mut(&h).map(|(label, _)| label.set(h, level));
+                        assert_eq!(got, want, "port_mut finds exactly the live ports");
+                    }
+                    _ => {
+                        table.dissociate(h);
+                        model.remove(&h);
+                    }
+                }
+                assert_eq!(table.len(), model.len());
+                for k in &known {
+                    let got = table.port(*k).map(|s| (&s.label, s.owner));
+                    assert_eq!(got, model.get(k).map(|(l, o)| (l, *o)), "port({k})");
+                }
+                let labels: usize = model.values().map(|(l, _)| l.heap_bytes()).sum();
+                let vnodes = table.allocator().allocated() as usize * VNODE_BYTES;
+                assert_eq!(table.kernel_bytes(), vnodes + labels);
+            }
+        }
     }
 
     #[test]

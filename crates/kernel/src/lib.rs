@@ -116,4 +116,4 @@ pub use sys::Sys;
 pub use value::{Field, Fields, Payload, Value};
 
 // Re-export the label vocabulary so downstream crates need only one import.
-pub use asbestos_labels::{Handle, Label, Level};
+pub use asbestos_labels::{Handle, HandleMap, Label, Level};

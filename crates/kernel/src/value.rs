@@ -55,11 +55,11 @@ thread_local! {
 ///
 /// The zero-copy contract: a payload's bytes are written **once**, into a
 /// fresh backing buffer, by one of the materializing constructors
-/// ([`Payload::copy_from_slice`], `From<Vec<u8>>`). Every movement after
-/// that — through `Value::Bytes`, mailboxes, the cross-shard channels,
-/// and back out through netd — is a [`Payload::clone`] or
-/// [`Payload::slice`], which bump the refcount and never touch the
-/// bytes. Each materialization increments the per-thread
+/// ([`Payload::copy_from_slice`], [`Payload::build`], `From<Vec<u8>>`).
+/// Every movement after that — through `Value::Bytes`, mailboxes, the
+/// cross-shard channels, and back out through netd — is a
+/// [`Payload::clone`] or [`Payload::slice`], which bump the refcount and
+/// never touch the bytes. Each materialization increments the per-thread
 /// [`Payload::deep_copies`] counter, so a test can prove a whole
 /// request path did zero byte-copies (the `Arc<Label>` discipline of
 /// delivery, applied to payloads).
@@ -88,6 +88,22 @@ impl Payload {
             data: Arc::from(data),
             start: 0,
             end: data.len(),
+        }
+    }
+
+    /// Materializes a `len`-byte payload that `fill` writes in place: the
+    /// buffer is allocated once, at its final size, and no byte is copied
+    /// after `fill`. Counted by [`Payload::deep_copies`].
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
+        DEEP_COPIES.with(|c| c.set(c.get() + 1));
+        // `repeat_n` has an exact length, so the `Arc` allocates its final
+        // block directly; no `Vec` precedes it.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut data).expect("a fresh buffer has one owner"));
+        Payload {
+            data,
+            start: 0,
+            end: len,
         }
     }
 

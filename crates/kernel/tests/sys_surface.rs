@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use asbestos_kernel::util::{ep_service_fn, service_with_start};
-use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SysError, Value};
+use asbestos_kernel::{Category, Handle, Kernel, Label, Level, Payload, SysError, Value};
 
 /// Collects results of syscalls executed inside a one-shot process.
 fn probe(
@@ -290,6 +290,68 @@ fn queued_from_tracks_pending_sends() {
     assert_eq!(kernel.queued_from(sender), 2);
     kernel.run();
     assert_eq!(kernel.queued_from(sender), 0);
+}
+
+/// Accounting reads two hash tables, the port table and the mailboxes,
+/// and must not see their order. The same ports are relabeled and pruned,
+/// and the same messages queued to them, in three different orders; the
+/// memory report, the pending count and the port table's bytes agree.
+#[test]
+fn accounting_does_not_depend_on_insertion_order() {
+    const PORTS: usize = 40;
+    let measure = |order: Vec<usize>| {
+        let mut kernel = Kernel::new(4242);
+        let minted = Arc::new(Mutex::new(Vec::new()));
+        let m2 = minted.clone();
+        let relabel = order.clone();
+        kernel.spawn(
+            "owner",
+            Category::Other,
+            service_with_start(
+                move |sys| {
+                    let ports: Vec<Handle> =
+                        (0..PORTS).map(|_| sys.new_port(Label::top())).collect();
+                    for &i in &relabel {
+                        if i % 4 == 0 {
+                            sys.dissociate_port(ports[i]).unwrap();
+                        } else {
+                            let taints: Vec<(Handle, Level)> =
+                                ports[..i].iter().map(|&p| (p, Level::L3)).collect();
+                            sys.set_port_label(ports[i], Label::from_pairs(Level::L2, &taints))
+                                .unwrap();
+                        }
+                    }
+                    *m2.lock().unwrap() = ports;
+                },
+                |_, _| {},
+            ),
+        );
+        let ports = minted.lock().unwrap().clone();
+        let shared = Payload::copy_from_slice(&[7; 300]);
+        let sender = kernel.spawn(
+            "sender",
+            Category::Other,
+            service_with_start(
+                move |sys| {
+                    for &i in order.iter().filter(|&&i| i % 4 != 0) {
+                        sys.send(ports[i], Value::Bytes(shared.clone())).unwrap();
+                        sys.send(ports[i], Value::U64(i as u64)).unwrap();
+                    }
+                },
+                |_, _| {},
+            ),
+        );
+        (
+            kernel.kmem_report(),
+            kernel.queued_from(sender),
+            kernel.handle_table().kernel_bytes(),
+        )
+    };
+    let ascending: Vec<usize> = (0..PORTS).collect();
+    let want = measure(ascending.clone());
+    assert_eq!(want.1, 2 * 30, "every message to a live port is pending");
+    assert_eq!(measure(ascending.into_iter().rev().collect()), want);
+    assert_eq!(measure((0..PORTS).map(|i| i * 17 % PORTS).collect()), want);
 }
 
 #[test]

@@ -148,6 +148,12 @@ impl LevelSet {
         self.0 == 0
     }
 
+    /// Whether every level of this set is in `other`.
+    #[inline]
+    pub const fn is_subset(self, other: LevelSet) -> bool {
+        self.0 & !other.0 == 0
+    }
+
     /// Whether `level` is in the set.
     #[inline]
     pub const fn contains(self, level: Level) -> bool {

@@ -12,7 +12,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`Level`] and [`Handle`] — the primitive vocabulary;
+//! * [`Level`] and [`Handle`] — the primitive vocabulary, and
+//!   [`HandleMap`], the hash table keyed by handles;
 //! * [`Label`] — the chunked, copy-on-write representation of §5.6, with
 //!   `⊑`/`⊔`/`⊓`/`L⋆` and min/max fast paths;
 //! * [`ops`] — fused, allocation-light forms of every Figure 4 check and
@@ -52,6 +53,6 @@ pub mod naive;
 pub mod ops;
 
 pub use cipher::{HandleAllocator, HandleCipher};
-pub use handle::{Handle, HANDLE_BITS, HANDLE_SPACE};
+pub use handle::{Handle, HandleHasher, HandleMap, HANDLE_BITS, HANDLE_SPACE};
 pub use label::Label;
 pub use level::{Level, LevelSet};

@@ -20,6 +20,10 @@
 //!   marks fit inside the mask costs one set test; an entry outside it is
 //!   one more point.
 //!
+//! A large operand all of whose non-default levels are in its mask has no
+//! points at all, so it is skipped whole: not even its chunks' marks are
+//! read, and it is met only by the lookups of the other operands' points.
+//!
 //! Everywhere else every operand is at its default. So [`all`] (predicates:
 //! `⊑` and the Figure 4 checks) checks the defaults and then the points,
 //! and [`build`] (results: `⊔`, `⊓`, `L⋆`, contamination) starts from one
@@ -145,7 +149,7 @@ impl<'a> Operand<'a> {
                 return;
             };
             self.unscanned = later;
-            if chunk.levels().union(mask) != mask {
+            if !chunk.levels().is_subset(mask) {
                 visit(chunk.len());
                 self.scan = chunk.entries();
             }
@@ -226,6 +230,11 @@ impl<'a, const N: usize> Points<'a, N> {
                         operand.mask = operand.mask.union(sets[i]);
                     }
                     levels = levels.without_min();
+                }
+                // Every level it holds off its default is decided: none of
+                // its entries is a point, so its chunks' marks go unread.
+                if spans[i].is_subset(operand.mask.union(LevelSet::of(operand.default))) {
+                    operand.unscanned = &[];
                 }
             }
             operand.find_point();

@@ -13,6 +13,15 @@
 //! holds. Property tests verify each fused form against the composed
 //! lattice operations and against [`crate::naive::NaiveLabel`].
 //!
+//! An operand that is the identity of its operator changes no level and is
+//! dropped before the pass: `D_R = {⋆}` under `⊔`, and `V = {3}`, `p_R =
+//! {3}` and `D_S = {3}` under `⊓`. Those are the defaults of the optional
+//! labels, so a plain send's check runs as `E_S ⊑ Q_R ⊓ p_R` over three
+//! operands, and its contamination as `Q_S ⊔ (E_S ⊓ Q_S⋆)` over two. An
+//! identity is known from the label's level set alone: it takes one level
+//! at every handle, and that level is the identity. So a uniform `D_R =
+//! {0}`, or a `V` at default 3 with entries, is evaluated like any other.
+//!
 //! What an operation *charges* is a separate matter: [`op_work`] counts
 //! every explicit entry of every operand, exactly as the paper's kernel
 //! would have walked them (§5.6), however few the host walk touched.
@@ -20,7 +29,7 @@
 use std::borrow::Cow;
 
 use crate::label::Label;
-use crate::level::Level;
+use crate::level::{Level, LevelSet};
 use crate::merge;
 
 /// Work-size estimate for a fused operation over the given labels: the total
@@ -36,10 +45,34 @@ pub fn op_work(labels: &[&Label]) -> usize {
 /// `es` is the sender's effective send label (`P_S ⊔ C_S`), `qr` the
 /// receiver's receive label, `dr` the decontaminate-receive label, `v` the
 /// verification label, and `pr` the destination port's receive label.
+///
+/// Identity operands are dropped first (see the module docs): with
+/// `D_R = {⋆}` and `V = {3}` this is `E_S ⊑ Q_R ⊓ p_R`.
 pub fn check_delivery(es: &Label, qr: &Label, dr: &Label, v: &Label, pr: &Label) -> bool {
-    merge::all([es, qr, dr, v, pr], |[e, q, d, v, p]| {
-        e <= q.max(d).min(v).min(p)
-    })
+    let dr = (!is_uniform_at(dr, Level::Star)).then_some(dr);
+    let v = (!is_uniform_at(v, Level::L3)).then_some(v);
+    let pr = (!is_uniform_at(pr, Level::L3)).then_some(pr);
+    match (dr, v, pr) {
+        (None, None, None) => es.leq(qr),
+        (None, Some(m), None) | (None, None, Some(m)) => {
+            merge::all([es, qr, m], |[e, q, m]| e <= q.min(m))
+        }
+        (None, Some(v), Some(p)) => merge::all([es, qr, v, p], |[e, q, v, p]| e <= q.min(v).min(p)),
+        (Some(d), None, None) => merge::all([es, qr, d], |[e, q, d]| e <= q.max(d)),
+        (Some(d), Some(m), None) | (Some(d), None, Some(m)) => {
+            merge::all([es, qr, d, m], |[e, q, d, m]| e <= q.max(d).min(m))
+        }
+        (Some(d), Some(v), Some(p)) => merge::all([es, qr, d, v, p], |[e, q, d, v, p]| {
+            e <= q.max(d).min(v).min(p)
+        }),
+    }
+}
+
+/// Whether `label` maps every handle to `level`: `{⋆}` is the identity of
+/// `⊔`, `{3}` that of `⊓`.
+#[inline]
+fn is_uniform_at(label: &Label, level: Level) -> bool {
+    label.levels() == LevelSet::of(level)
 }
 
 /// Figure 4 requirement (2): if `D_S(h) < 3` then `P_S(h) = ⋆`.
@@ -83,10 +116,18 @@ pub fn check_decont_within_port(dr: &Label, pr: &Label) -> bool {
 /// contamination from `E_S` (§5.3): a receiver that controls a compartment
 /// cannot be contaminated with respect to it.
 ///
-/// Borrowed exactly when the effect leaves `Q_S` as it is.
+/// Borrowed exactly when the effect leaves `Q_S` as it is. A `D_S` of
+/// `{3}` is dropped first: the pass is `Q_S ⊔ (E_S ⊓ Q_S⋆)` over two
+/// operands.
 pub fn apply_receive_contamination<'a>(qs: &'a Label, ds: &Label, es: &Label) -> Cow<'a, Label> {
-    let effect = |[q, d, e]: [Level; 3]| q.min(d).max(e.min(q.star_only()));
-    match merge::build([qs, ds, es], 0, effect) {
+    let result = if is_uniform_at(ds, Level::L3) {
+        merge::build([qs, es], 0, |[q, e]| q.max(e.min(q.star_only())))
+    } else {
+        merge::build([qs, ds, es], 0, |[q, d, e]| {
+            q.min(d).max(e.min(q.star_only()))
+        })
+    };
+    match result {
         Cow::Borrowed(kept) if std::ptr::eq(kept, qs) => Cow::Borrowed(qs),
         // A `D_S` with a privileged default gives the result another
         // default, so it was built from another operand.

@@ -18,6 +18,11 @@
 //!    handles against a handful of taint/grant entries — and two large
 //!    labels that disagree everywhere), and structural tests pin what is
 //!    shared, what is allocated and what is examined one by one.
+//! 4. **Identity operands** — the fused forms drop `D_R = {⋆}`, `V = {3}`,
+//!    `p_R = {3}` and `D_S = {3}` before evaluating, and skip a large
+//!    operand whose every entry level is decided; strategies that draw
+//!    those often, and a uniform label at every other level as often,
+//!    check each shortcut against the composed operations and the oracle.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -837,4 +842,134 @@ fn repeated_sharing_does_not_fragment() {
         chunks <= 2 * okws_handles().len() / CHUNK_CAP + 1,
         "{chunks} chunks"
     );
+}
+
+// ---------------------------------------------------------------------
+// Identity operands: `D_R = {⋆}` under ⊔ and `V`, `p_R`, `D_S` = {3} under
+// ⊓ are dropped before the pass, and a large operand whose every entry
+// level is decided is skipped whole. The strategies draw each identity
+// often and a uniform label at another level as often: those are what a
+// too-loose identity test would drop as well.
+// ---------------------------------------------------------------------
+
+/// An optional Figure 4 operand whose identity is the uniform label at
+/// `identity`: that identity (two draws in five), a uniform label at any
+/// level, the identity's default with a few entries, or any OKWS-shaped
+/// label.
+fn arb_optional(identity: Level) -> impl Strategy<Value = Label> {
+    prop_oneof![
+        Just(Label::new(identity)),
+        Just(Label::new(identity)),
+        arb_level().prop_map(Label::new),
+        arb_okws_entries().prop_map(move |pairs| Label::from_pairs(identity, &pairs)),
+        arb_okws_label(),
+    ]
+}
+
+/// A large label whose entries all sit at `bulk` on a default of 1 or 2:
+/// hundreds of accepted taints at 3 (a receive label, decided unseen by
+/// the delivery check) or of `⋆` privileges (a send label, decided unseen
+/// by contamination).
+fn arb_decided_big(bulk: Level) -> impl Strategy<Value = Label> {
+    (
+        prop_oneof![Just(Level::L1), Just(Level::L2)],
+        100usize..1_200,
+        0usize..1_000,
+    )
+        .prop_map(move |(default, n, offset)| {
+            let pairs: Vec<(Handle, Level)> = okws_handles()[offset..offset + n]
+                .iter()
+                .map(|&h| (h, bulk))
+                .collect();
+            Label::from_pairs(default, &pairs)
+        })
+}
+
+/// A sender's or receiver's own label: a decided large one, any
+/// OKWS-shaped one, or a uniform one.
+fn arb_principal() -> impl Strategy<Value = Label> {
+    prop_oneof![
+        arb_decided_big(Level::L3),
+        arb_decided_big(Level::Star),
+        arb_okws_label(),
+        arb_level().prop_map(Label::new),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn delivery_check_with_identity_operands_matches_oracle(
+        es in arb_principal(), qr in arb_principal(), dr in arb_optional(Level::Star),
+        v in arb_optional(Level::L3), pr in arb_optional(Level::L3),
+    ) {
+        check_fused_delivery(&es, &qr, &dr, &v, &pr);
+    }
+
+    #[test]
+    fn contamination_with_identity_operands_matches_oracle(
+        qs in arb_principal(), ds in arb_optional(Level::L3), es in arb_principal(),
+    ) {
+        check_fused_contamination(&qs, &ds, &es);
+    }
+
+    /// A decided large operand has no points: the evaluation examines the
+    /// small operands' entries only, and still agrees with the oracle.
+    #[test]
+    fn a_decided_large_operand_is_skipped_whole(
+        qr in arb_decided_big(Level::L3), qs in arb_decided_big(Level::Star),
+        entries in arb_okws_entries(), port in arb_okws_entries(),
+    ) {
+        // Accepted taints at 3 decide `E_S ⊑ Q_R ⊓ p_R` for a sender at 1
+        // and a port at 2, whatever those hold at a taint's handle.
+        let es = Label::from_pairs(Level::L1, &entries);
+        let pr = Label::from_pairs(Level::L2, &port);
+        let (dr, v) = (Label::bottom(), Label::top());
+        let visited = Label::entries_visited();
+        let _ = ops::check_delivery(&es, &qr, &dr, &v, &pr);
+        let examined = Label::entries_visited() - visited;
+        prop_assert!(examined <= 2 * (es.entry_count() + pr.entry_count()) as u64);
+        check_fused_delivery(&es, &qr, &dr, &v, &pr);
+
+        // `⋆` privileges survive any contamination (§5.3).
+        let contaminating = Label::from_pairs(Level::Star, &entries);
+        let visited = Label::entries_visited();
+        let _ = ops::apply_receive_contamination(&qs, &Label::top(), &contaminating);
+        let examined = Label::entries_visited() - visited;
+        prop_assert!(examined <= 2 * contaminating.entry_count() as u64);
+        check_fused_contamination(&qs, &Label::top(), &contaminating);
+    }
+}
+
+/// A uniform label at any level but its operator's identity is an operand
+/// like any other: for each optional operand and each such level, a check
+/// or an effect whose answer that label decides.
+#[test]
+fn only_the_identity_level_is_dropped() {
+    let (bottom, top) = (Label::bottom(), Label::top());
+    for level in Level::ALL {
+        let uniform = Label::new(level);
+        // `D_R = {l}`: `{l} ⊑ {⋆} ⊔ {l}` always; without `D_R`, only at ⋆.
+        check_fused_delivery(&uniform, &bottom, &uniform, &top, &top);
+        assert!(ops::check_delivery(&uniform, &bottom, &uniform, &top, &top));
+        // `V = {l}` and `p_R = {l}`: `{3} ⊑ {3} ⊓ {l}` only at 3.
+        check_fused_delivery(&top, &top, &bottom, &uniform, &top);
+        check_fused_delivery(&top, &top, &bottom, &top, &uniform);
+        let at_top = level == Level::L3;
+        assert_eq!(
+            ops::check_delivery(&top, &top, &bottom, &uniform, &top),
+            at_top
+        );
+        assert_eq!(
+            ops::check_delivery(&top, &top, &bottom, &top, &uniform),
+            at_top
+        );
+        // `D_S = {l}`: `({3} ⊓ {l}) ⊔ ({⋆} ⊓ {3}⋆)` is `{l}`.
+        check_fused_contamination(&top, &uniform, &bottom);
+        assert_eq!(
+            *ops::apply_receive_contamination(&top, &uniform, &bottom),
+            uniform
+        );
+    }
 }

@@ -244,28 +244,34 @@ fn head_len(status: u16, reason: &str, body_len: usize) -> usize {
 
 /// Builds an HTTP/1.0 response as a shared [`Payload`].
 ///
-/// The buffer is preallocated at its exact final size and written once —
-/// the single payload materialization on a worker's response path; every
-/// later hop (OKWS → netd → substrate) moves the refcount. The body can
-/// be re-extracted as a shared slice with [`response_body`].
+/// The buffer is allocated once, at its exact final size, and written in
+/// place — the single payload materialization and the single allocation
+/// on a worker's response path; every later hop (OKWS → netd → substrate)
+/// moves the refcount. The body can be re-extracted as a shared slice
+/// with [`response_body`].
 ///
 /// With the default server headers and a 11-byte body this produces exactly
 /// the paper's 144-byte benchmark response (133 bytes of headers).
 pub fn build_response(status: u16, reason: &str, body: &[u8]) -> Payload {
     use std::io::Write as _;
     let exact = head_len(status, reason, body.len()) + body.len();
-    let mut out = Vec::with_capacity(exact);
-    // `write!` into the Vec: no intermediate format! allocations.
-    let _ = write!(out, "HTTP/1.0 {status} {reason}\r\n");
-    out.extend_from_slice(b"Server: OKWS/Asbestos SOSP-05\r\n");
-    out.extend_from_slice(b"Content-Type: text/plain; charset=utf-8\r\n");
-    let _ = write!(out, "Content-Length: {:>5}\r\n", body.len());
-    out.extend_from_slice(b"Connection: close\r\n");
-    out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
-    debug_assert_eq!(out.len(), exact, "head_len must size the head exactly");
-    debug_assert_eq!(out.capacity(), exact, "response build must not realloc");
-    out.into()
+    // `write!` into the buffer: no intermediate format! allocations. A
+    // slice refuses to write past its end, so a head longer than
+    // `head_len` fails a write and a shorter one fails the assert.
+    let fill = |mut out: &mut [u8]| -> std::io::Result<()> {
+        write!(out, "HTTP/1.0 {status} {reason}\r\n")?;
+        out.write_all(b"Server: OKWS/Asbestos SOSP-05\r\n")?;
+        out.write_all(b"Content-Type: text/plain; charset=utf-8\r\n")?;
+        write!(out, "Content-Length: {:>5}\r\n", body.len())?;
+        out.write_all(b"Connection: close\r\n")?;
+        out.write_all(b"\r\n")?;
+        out.write_all(body)?;
+        assert!(out.is_empty(), "head_len must size the head exactly");
+        Ok(())
+    };
+    Payload::build(exact, |out| {
+        fill(out).expect("head_len must size the head exactly")
+    })
 }
 
 /// Convenience: `200 OK` with the given body.

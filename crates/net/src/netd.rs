@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use asbestos_kernel::{
-    Category, Handle, Kernel, Label, Level, Message, ProcessId, SendArgs, Service, Sys, Value,
+    Category, Handle, HandleMap, Kernel, Label, Level, Message, ProcessId, SendArgs, Service, Sys,
+    Value,
 };
 
 use crate::proto::NetMsg;
@@ -90,7 +91,7 @@ pub struct Netd {
     /// Total lanes in the front end (1 = the paper's single netd).
     lanes: usize,
     /// Connection port `uC` → connection state.
-    conns: BTreeMap<Handle, ConnState>,
+    conns: HandleMap<ConnState>,
     /// TCP port → notify port of the registered listener.
     listeners: BTreeMap<u16, Handle>,
     control_port: Option<Handle>,
@@ -110,7 +111,7 @@ impl Netd {
             net,
             lane,
             lanes,
-            conns: BTreeMap::new(),
+            conns: HandleMap::default(),
             listeners: BTreeMap::new(),
             control_port: None,
             device_port: None,

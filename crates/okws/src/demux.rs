@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use asbestos_kernel::{Handle, Label, Level, Message, SendArgs, Service, Sys, Value};
+use asbestos_kernel::{Handle, HandleMap, Label, Level, Message, SendArgs, Service, Sys, Value};
 use asbestos_net::{parse_request, HttpRequest, NetMsg};
 
 use crate::idd::{IDD_DEMUX_VERIFY_ENV, IDD_PORT_ENV};
@@ -85,7 +85,7 @@ pub struct OkDemux {
     /// owns the durable mapping).
     users: BTreeMap<String, User>,
     /// In-flight connections keyed by their per-connection reply port.
-    pending: BTreeMap<Handle, ConnState>,
+    pending: HandleMap<ConnState>,
     notify_port: Option<Handle>,
     reg_port: Option<Handle>,
     control_port: Option<Handle>,
@@ -102,7 +102,7 @@ impl OkDemux {
             verify: None,
             services: BTreeMap::new(),
             users: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pending: HandleMap::default(),
             notify_port: None,
             reg_port: None,
             control_port: None,

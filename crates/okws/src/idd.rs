@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use asbestos_db::{DbMsg, SqlValue, DB_ADMIN_ENV};
-use asbestos_kernel::{Handle, Label, Level, Message, SendArgs, Service, Sys, Value};
+use asbestos_kernel::{Handle, HandleMap, Label, Level, Message, SendArgs, Service, Sys, Value};
 
 use crate::proto::OkwsMsg;
 
@@ -64,7 +64,7 @@ pub struct Idd {
     demux_verify: Option<Handle>,
     users: BTreeMap<String, User>,
     /// In-flight logins keyed by their private reply port.
-    pending: BTreeMap<Handle, PendingLogin>,
+    pending: HandleMap<PendingLogin>,
 }
 
 impl Idd {
@@ -75,7 +75,7 @@ impl Idd {
             launcher_verify: None,
             demux_verify: None,
             users: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pending: HandleMap::default(),
         }
     }
 
