@@ -1,16 +1,17 @@
-//! The delivery engine: per-port mailboxes and the Figure 4 evaluation.
+//! Delivery: per-port mailboxes, the Figure 4 evaluation, and the loop
+//! that drains them.
 //!
-//! Split out of `kernel.rs` so all delivery policy lives in one place:
+//! All delivery policy lives in this one place:
 //!
 //! * `Mailboxes` — the queued-message store, one FIFO per destination
 //!   port, drained by a deterministic round-robin scheduler, so two
 //!   ports' traffic shares no queue state.
-//! * [`DeliveryOutcome`] — what one scheduler step did; the per-step
-//!   `Stats` bookkeeping happens in exactly one place (the engine's
-//!   `step_outcome`) instead of at every drop site.
-//!
-//! The kernel's one [`Engine`] runs the loop below over its own
-//! mailboxes, processes and clock.
+//! * [`Kernel::step_outcome`] — one scheduler step: pop a message, run
+//!   Figure 4, and invoke the receiver. Its [`DeliveryOutcome`] is where
+//!   the per-step `Stats` bookkeeping happens, once, instead of at every
+//!   drop site.
+//! * The drain loop behind [`Kernel::run`], which repeats that step until
+//!   the mailboxes are empty.
 //!
 //! Figure 4 is evaluated on every delivery. §5.6 is what makes that
 //! cheap: the label operations run in O(chunks touched), and an effect
@@ -26,12 +27,12 @@ use asbestos_labels::{ops, Handle, HandleMap, Label};
 use crate::cycles::Category;
 use crate::handle_table::PortOwner;
 use crate::ids::ExecCtx;
+use crate::kernel::Kernel;
 use crate::message::{Message, QueuedMessage};
-use crate::router::Router;
-use crate::shard::Engine;
+use crate::process::Body;
 use crate::stats::DropReason;
 
-/// What one call to [`crate::Kernel::step_outcome`] did.
+/// What one call to [`Kernel::step_outcome`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliveryOutcome {
     /// No message was pending; the system is idle.
@@ -148,7 +149,7 @@ impl Mailboxes {
 }
 
 // ---------------------------------------------------------------------
-// The delivery engine.
+// The delivery loop.
 // ---------------------------------------------------------------------
 
 /// The `Arc` to install for a label operation's result: the one already
@@ -161,19 +162,19 @@ pub(crate) fn keep_or_wrap(held: &Arc<Label>, result: Cow<'_, Label>) -> Arc<Lab
     }
 }
 
-impl Engine {
+impl Kernel {
     /// Attempts one message delivery and reports what happened.
     ///
     /// All per-step `Stats` bookkeeping lives here: drop reasons and the
     /// delivered counter are recorded in one place, so the delivery logic
     /// below returns outcomes instead of mutating counters at every exit
     /// point.
-    pub(crate) fn step_outcome(&mut self, router: &mut Router) -> DeliveryOutcome {
+    pub fn step_outcome(&mut self) -> DeliveryOutcome {
         let Some(qm) = self.mailboxes.pop_next() else {
             return DeliveryOutcome::Idle;
         };
         self.clock.charge(Category::KernelIpc, self.cost.recv_base);
-        let outcome = self.deliver(router, qm);
+        let outcome = self.deliver(qm);
         match outcome {
             DeliveryOutcome::Dropped(reason) => self.stats.record_drop(reason),
             DeliveryOutcome::Delivered => self.stats.delivered += 1,
@@ -189,11 +190,11 @@ impl Engine {
     ///
     /// The time the loop runs is accumulated into `busy_nanos` (see the
     /// field docs).
-    pub(crate) fn drain(&mut self, router: &mut Router, budget: u64) -> u64 {
+    pub(crate) fn drain(&mut self, budget: u64) -> u64 {
         let start = std::time::Instant::now();
         let mut steps = 0;
         while self.mailboxes.len() > 0 && steps < budget {
-            self.step_outcome(router);
+            self.step_outcome();
             steps += 1;
         }
         self.busy_nanos += start.elapsed().as_nanos() as u64;
@@ -202,10 +203,10 @@ impl Engine {
 
     /// Evaluates Figure 4 for one popped message and, if it passes,
     /// invokes the receiver.
-    fn deliver(&mut self, router: &mut Router, qm: QueuedMessage) -> DeliveryOutcome {
+    fn deliver(&mut self, qm: QueuedMessage) -> DeliveryOutcome {
         // Resolve the destination port: this kernel's lane minted it, so
         // its port state, if any, is one this kernel's processes own.
-        let Some(port_state) = router.handles.port(qm.port) else {
+        let Some(port_state) = self.handles.port(qm.port) else {
             return DeliveryOutcome::Dropped(DropReason::NoSuchPort);
         };
 
@@ -321,7 +322,10 @@ impl Engine {
             body: qm.body,
             verify: qm.v,
         };
-        self.invoke(router, pid, ep, is_new_ep, &msg);
+        self.activate(ctx, is_new_ep, |body, sys| match body {
+            Body::Plain(s) => s.on_message(sys, &msg),
+            Body::Event(s) => s.on_event(sys, &msg),
+        });
         DeliveryOutcome::Delivered
     }
 }

@@ -1,8 +1,8 @@
 //! Process and event-process identifiers.
 //!
 //! An id is an index into the kernel's process or event-process table.
-//! A kernel has one delivery engine, so an id needs nothing else to name
-//! the state it refers to.
+//! A kernel has one process table and one event-process table, so an id
+//! needs nothing else to name the state it refers to.
 
 use std::fmt;
 

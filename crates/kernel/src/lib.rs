@@ -43,16 +43,20 @@
 //!
 //! ## Architecture
 //!
-//! A [`Kernel`] is one delivery engine ([`shard::Engine`]) owning
-//! every process, event process, frame, mailbox, the clock and the stats,
-//! plus a router owning the port table, the global environment and, on a
-//! federated kernel, the egress queue. [`Kernel::run`] drains the engine
-//! on the calling thread: the paper's one delivery loop. A kernel spreads
-//! across machines only by federation (`crates/cluster`): kernel `k` of
-//! `N` mints handles from cipher lane `k`, so a port's value names its
-//! home kernel, and a send is either local or leaves through egress. The
-//! schedule is a function of the kernel's inputs, pinned bit-for-bit by
-//! `tests/shard_determinism.rs`.
+//! A [`Kernel`] is one struct holding all kernel state: every process,
+//! event process, frame and mailbox, the port table, the global
+//! environment, the clock and the stats. Its methods live in three
+//! modules: [`kernel`] (construction, process lifecycle, the send path and
+//! the god-mode views), [`delivery`] (one scheduler step and the drain
+//! loop) and `router` (where a send goes). [`Kernel::run`] drains the
+//! mailboxes on the calling thread: the paper's one delivery loop. A
+//! handler runs with a [`Sys`] that borrows the whole kernel as `&mut`;
+//! its body is out of the process table while it runs, so it is the only
+//! writer. A kernel spreads across machines only by federation
+//! (`crates/cluster`): kernel `k` of `N` mints handles from cipher lane
+//! `k`, so a port's value names its home kernel, and a send is either
+//! local or leaves through egress. The schedule is a function of the
+//! kernel's inputs, pinned bit-for-bit by `tests/shard_determinism.rs`.
 //!
 //! [`delivery`] is everything that happens to a queued message:
 //!
@@ -94,7 +98,6 @@ pub mod memory;
 pub mod message;
 pub mod process;
 mod router;
-pub mod shard;
 pub mod stats;
 pub mod sys;
 pub mod util;
@@ -106,11 +109,10 @@ pub use error::{SysError, SysResult};
 pub use event_process::{EventProcess, EP_STRUCT_BYTES};
 pub use handle_table::{PortOwner, VNODE_BYTES};
 pub use ids::{EpId, ExecCtx, ProcessId};
-pub use kernel::{Kernel, KmemReport, DEFAULT_QUEUE_LIMIT};
+pub use kernel::{Kernel, KmemReport, DEFAULT_PORT_QUEUE_LIMIT, DEFAULT_QUEUE_LIMIT};
 pub use memory::PAGE_SIZE;
 pub use message::{Message, RemoteSend, SendArgs};
 pub use process::{EpService, Process, Service, PROCESS_STRUCT_BYTES};
-pub use shard::{Engine, DEFAULT_PORT_QUEUE_LIMIT};
 pub use stats::{DropReason, Stats};
 pub use sys::Sys;
 pub use value::{Field, Fields, Payload, Value};

@@ -151,7 +151,7 @@ impl QueuedMessage {
     /// backing buffers. Queued payloads are refcounted views, so billing
     /// `Value::size_bytes` per message would charge one shared buffer
     /// once per queued clone; the kmem report instead adds each unique
-    /// backing buffer once (see `Engine::kmem_report`). For a
+    /// backing buffer once (see [`crate::Kernel::kmem_report`]). For a
     /// message whose payloads are unshared whole-buffer views the two
     /// schemes sum to the same total.
     pub fn queue_bytes_shallow(&self) -> usize {

@@ -56,7 +56,7 @@ pub struct Stats {
     /// Always 0. The delivery-decision cache is gone; `cache_hits`,
     /// `cache_misses`, `cache_evictions`, `cache_resizes`,
     /// `Kernel::delivery_cache_len` and
-    /// `Engine::delivery_cache_capacity` remain only because
+    /// `Kernel::delivery_cache_capacity` remain only because
     /// `benchmark/` (which a crate PR may not edit) reads them. The
     /// `[benchmark]` PR that drops the `kernel.cache_*` layer rows removes
     /// all six. The fields keep their positions: `benchmark/` digests
@@ -66,7 +66,7 @@ pub struct Stats {
     pub cache_misses: u64,
     /// Always 0; see [`Stats::cache_hits`].
     pub cache_evictions: u64,
-    /// Always 0: a kernel is one delivery engine, so there are no shard
+    /// Always 0: a kernel has one delivery loop, so there are no shard
     /// sweeps to count. `rounds` and the four `xshard_*` fields remain
     /// only because `benchmark/` (which a crate PR may not edit) reads
     /// them; the `[benchmark]` PR that drops the `kernel.rounds_per_req`

@@ -1,8 +1,10 @@
 //! The system-call surface handed to running services.
 //!
-//! A [`Sys`] borrows the kernel's delivery engine and its router, both as
-//! `&mut`, for exactly one handler activation: a handler is the only code
-//! running, so it is the only writer either structure has.
+//! A [`Sys`] borrows the whole [`Kernel`] as `&mut` for exactly one
+//! handler activation. The kernel takes the handler's body out of its
+//! process table before it builds the `Sys`, so nothing else holds a
+//! borrow: a handler is the only code running, and the only writer the
+//! kernel has.
 
 use std::sync::Arc;
 
@@ -13,11 +15,10 @@ use crate::delivery::keep_or_wrap;
 use crate::error::{SysError, SysResult};
 use crate::handle_table::PortOwner;
 use crate::ids::{ExecCtx, ProcessId};
+use crate::kernel::Kernel;
 use crate::memory::{page_segments, PAGE_SIZE};
 use crate::message::SendArgs;
 use crate::process::{Body, EpService, Service};
-use crate::router::Router;
-use crate::shard::Engine;
 use crate::value::Value;
 
 /// The system-call interface for the currently executing context.
@@ -26,27 +27,16 @@ use crate::value::Value;
 /// the context is an event process, label operations, port creation, and
 /// memory writes resolve against the event process's private state (§6.1);
 /// otherwise they act on the (base) process.
-///
-/// Processes, event processes and frames resolve against the kernel's
-/// delivery engine; ports, the global environment, and sends to another
-/// kernel's ports (parked on the egress queue) against its router.
 pub struct Sys<'k> {
-    engine: &'k mut Engine,
-    router: &'k mut Router,
+    kernel: &'k mut Kernel,
     ctx: ExecCtx,
     is_new_ep: bool,
 }
 
 impl<'k> Sys<'k> {
-    pub(crate) fn new(
-        engine: &'k mut Engine,
-        router: &'k mut Router,
-        ctx: ExecCtx,
-        is_new_ep: bool,
-    ) -> Sys<'k> {
+    pub(crate) fn new(kernel: &'k mut Kernel, ctx: ExecCtx, is_new_ep: bool) -> Sys<'k> {
         Sys {
-            engine,
-            router,
+            kernel,
             ctx,
             is_new_ep,
         }
@@ -73,19 +63,22 @@ impl<'k> Sys<'k> {
 
     /// The process's debug name.
     pub fn name(&self) -> &str {
-        &self.engine.processes[self.ctx.pid.index()].name
+        &self.kernel.processes[self.ctx.pid.index()].name
     }
 
     /// Reads an environment entry: process-local first, then global (§4's
     /// bootstrap convention for discovering service port names).
     pub fn env(&self, key: &str) -> Option<Value> {
-        let p = &self.engine.processes[self.ctx.pid.index()];
-        p.env.get(key).cloned().or_else(|| self.router.env_get(key))
+        let p = &self.kernel.processes[self.ctx.pid.index()];
+        p.env
+            .get(key)
+            .cloned()
+            .or_else(|| self.kernel.global_env(key))
     }
 
     /// Sets a process-local environment entry (inherited by children).
     pub fn set_env(&mut self, key: &str, value: Value) {
-        self.engine.processes[self.ctx.pid.index()]
+        self.kernel.processes[self.ctx.pid.index()]
             .env
             .insert(key.to_string(), value);
     }
@@ -97,7 +90,7 @@ impl<'k> Sys<'k> {
     /// start, once a trusted process has written it and before any
     /// untrusted process can run again, and never trusts a later read.
     pub fn publish_env(&mut self, key: &str, value: Value) {
-        self.router.env_set(key, value);
+        self.kernel.set_global_env(key, value);
     }
 
     // ------------------------------------------------------------------
@@ -108,10 +101,10 @@ impl<'k> Sys<'k> {
     /// `⋆` for it (§5.3: "A process initially has privilege for every
     /// handle it creates").
     pub fn new_handle(&mut self) -> Handle {
-        let h = self.router.handles.new_handle();
-        self.engine
+        let h = self.kernel.handles.new_handle();
+        self.kernel
             .clock
-            .charge(Category::KernelIpc, self.engine.cost.new_handle);
+            .charge(Category::KernelIpc, self.kernel.cost.new_handle);
         // `make_mut` takes a private copy only when the storage is shared
         // (with an event process or a queued message).
         Arc::make_mut(self.send_slot()).set(h, Level::Star);
@@ -127,10 +120,10 @@ impl<'k> Sys<'k> {
             Some(eid) => PortOwner::Ep(eid),
             None => PortOwner::Process(self.ctx.pid),
         };
-        let p = self.router.handles.new_port(label, owner);
-        self.engine
+        let p = self.kernel.handles.new_port(label, owner);
+        self.kernel
             .clock
-            .charge(Category::KernelIpc, self.engine.cost.new_port);
+            .charge(Category::KernelIpc, self.kernel.cost.new_port);
         Arc::make_mut(self.send_slot()).set(p, Level::Star);
         self.ports_slot().push(p);
         p
@@ -140,7 +133,7 @@ impl<'k> Sys<'k> {
     /// `new_port`, this call "doesn't modify its input").
     pub fn set_port_label(&mut self, port: Handle, label: Label) -> SysResult<()> {
         self.check_port_owner(port)?;
-        self.router
+        self.kernel
             .handles
             .port_mut(port)
             .expect("ownership verified above")
@@ -153,7 +146,7 @@ impl<'k> Sys<'k> {
     pub fn port_label(&self, port: Handle) -> SysResult<Label> {
         self.check_port_owner(port)?;
         Ok(self
-            .router
+            .kernel
             .handles
             .port(port)
             .expect("ownership verified above")
@@ -165,7 +158,7 @@ impl<'k> Sys<'k> {
     /// messages sent to it are silently discarded.
     pub fn dissociate_port(&mut self, port: Handle) -> SysResult<()> {
         self.check_port_owner(port)?;
-        self.router.handles.dissociate(port);
+        self.kernel.handles.dissociate(port);
         self.ports_slot().retain(|&p| p != port);
         Ok(())
     }
@@ -242,8 +235,7 @@ impl<'k> Sys<'k> {
     /// requirements 2 and 3: a function of the caller's own send label and
     /// arguments. Everything else is silent by design.
     pub fn send_args(&mut self, port: Handle, body: Value, args: &SendArgs) -> SysResult<()> {
-        self.engine
-            .send_from(self.router, self.ctx, port, body, args)
+        self.kernel.send_from(self.ctx, port, body, args)
     }
 
     // ------------------------------------------------------------------
@@ -259,37 +251,37 @@ impl<'k> Sys<'k> {
             match self.ctx.ep {
                 None => {
                     let pid = self.ctx.pid;
-                    let frame = match self.engine.processes[pid.index()].page_table.get(vpn) {
+                    let frame = match self.kernel.processes[pid.index()].page_table.get(vpn) {
                         Some(f) => f,
                         None => {
-                            let f = self.engine.frames.alloc_zeroed();
-                            self.engine.processes[pid.index()].page_table.map(vpn, f);
+                            let f = self.kernel.frames.alloc_zeroed();
+                            self.kernel.processes[pid.index()].page_table.map(vpn, f);
                             f
                         }
                     };
-                    self.engine.frames.write(frame, page_off, slice);
+                    self.kernel.frames.write(frame, page_off, slice);
                 }
                 Some(eid) => {
-                    let frame = match self.engine.eps[eid.index()].delta.get(vpn) {
+                    let frame = match self.kernel.eps[eid.index()].delta.get(vpn) {
                         Some(f) => f,
                         None => {
                             // First write to this page: take a private copy
                             // of the base page (or a zero page).
-                            let base = self.engine.processes[self.ctx.pid.index()]
+                            let base = self.kernel.processes[self.ctx.pid.index()]
                                 .page_table
                                 .get(vpn);
                             let f = match base {
-                                Some(b) => self.engine.frames.alloc_copy_of(b),
-                                None => self.engine.frames.alloc_zeroed(),
+                                Some(b) => self.kernel.frames.alloc_copy_of(b),
+                                None => self.kernel.frames.alloc_zeroed(),
                             };
-                            self.engine
+                            self.kernel
                                 .clock
-                                .charge(Category::KernelIpc, self.engine.cost.page_copy);
-                            self.engine.eps[eid.index()].delta.map(vpn, f);
+                                .charge(Category::KernelIpc, self.kernel.cost.page_copy);
+                            self.kernel.eps[eid.index()].delta.map(vpn, f);
                             f
                         }
                     };
-                    self.engine.frames.write(frame, page_off, slice);
+                    self.kernel.frames.write(frame, page_off, slice);
                 }
             }
             offset += len;
@@ -314,15 +306,15 @@ impl<'k> Sys<'k> {
             let frame = self
                 .ctx
                 .ep
-                .and_then(|eid| self.engine.eps[eid.index()].delta.get(vpn))
+                .and_then(|eid| self.kernel.eps[eid.index()].delta.get(vpn))
                 .or_else(|| {
-                    self.engine.processes[self.ctx.pid.index()]
+                    self.kernel.processes[self.ctx.pid.index()]
                         .page_table
                         .get(vpn)
                 });
             let out = &mut out[offset..offset + seg_len];
             match frame {
-                Some(f) => self.engine.frames.read(f, page_off, out),
+                Some(f) => self.kernel.frames.read(f, page_off, out),
                 None => out.fill(0),
             }
             offset += seg_len;
@@ -357,12 +349,12 @@ impl<'k> Sys<'k> {
             .checked_add(len as u64)
             .ok_or(SysError::InvalidArgument)?;
         let end_vpn = end.div_ceil(PAGE_SIZE as u64);
-        let engine = &mut *self.engine;
-        for frame in engine.eps[eid.index()]
+        let kernel = &mut *self.kernel;
+        for frame in kernel.eps[eid.index()]
             .delta
             .drain_range(start_vpn, end_vpn)
         {
-            engine.frames.release(frame);
+            kernel.frames.release(frame);
         }
         Ok(())
     }
@@ -374,7 +366,7 @@ impl<'k> Sys<'k> {
         let Some(eid) = self.ctx.ep else {
             return Err(SysError::NotEventProcess);
         };
-        self.engine.eps[eid.index()].alive = false;
+        self.kernel.eps[eid.index()].alive = false;
         Ok(())
     }
 
@@ -383,7 +375,7 @@ impl<'k> Sys<'k> {
     /// a cross-compartment channel).
     pub fn ep_private_pages(&self) -> usize {
         match self.ctx.ep {
-            Some(eid) => self.engine.eps[eid.index()].delta.len(),
+            Some(eid) => self.kernel.eps[eid.index()].delta.len(),
             None => 0,
         }
     }
@@ -405,13 +397,9 @@ impl<'k> Sys<'k> {
         if self.ctx.ep.is_some() {
             return Err(SysError::EventProcessForbidden);
         }
-        Ok(self.engine.spawn_body(
-            self.router,
-            name,
-            category,
-            Body::Plain(service),
-            Some(self.ctx.pid),
-        ))
+        Ok(self
+            .kernel
+            .spawn_body(name, category, Body::Plain(service), Some(self.ctx.pid)))
     }
 
     /// Spawns an event-process-mode child (§6).
@@ -424,27 +412,23 @@ impl<'k> Sys<'k> {
         if self.ctx.ep.is_some() {
             return Err(SysError::EventProcessForbidden);
         }
-        Ok(self.engine.spawn_body(
-            self.router,
-            name,
-            category,
-            Body::Event(service),
-            Some(self.ctx.pid),
-        ))
+        Ok(self
+            .kernel
+            .spawn_body(name, category, Body::Event(service), Some(self.ctx.pid)))
     }
 
     /// Terminates the whole process (the process-wide `exit` an event
     /// process may also call, §6.1). Effective when the handler returns.
     pub fn exit_process(&mut self) {
-        self.engine.processes[self.ctx.pid.index()].alive = false;
+        self.kernel.processes[self.ctx.pid.index()].alive = false;
     }
 
     /// Charges `cycles` of simulated user-space computation to the
     /// process's accounting category (how services model their own work for
     /// Figures 7–9).
     pub fn charge(&mut self, cycles: u64) {
-        let category = self.engine.processes[self.ctx.pid.index()].category;
-        self.engine.clock.charge(category, cycles);
+        let category = self.kernel.processes[self.ctx.pid.index()].category;
+        self.kernel.clock.charge(category, cycles);
     }
 
     // ------------------------------------------------------------------
@@ -453,43 +437,43 @@ impl<'k> Sys<'k> {
 
     fn send_ref(&self) -> &Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &self.engine.eps[eid.index()].send_label,
-            None => &self.engine.processes[self.ctx.pid.index()].send_label,
+            Some(eid) => &self.kernel.eps[eid.index()].send_label,
+            None => &self.kernel.processes[self.ctx.pid.index()].send_label,
         }
     }
 
     fn recv_ref(&self) -> &Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &self.engine.eps[eid.index()].recv_label,
-            None => &self.engine.processes[self.ctx.pid.index()].recv_label,
+            Some(eid) => &self.kernel.eps[eid.index()].recv_label,
+            None => &self.kernel.processes[self.ctx.pid.index()].recv_label,
         }
     }
 
     fn send_slot(&mut self) -> &mut Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &mut self.engine.eps[eid.index()].send_label,
-            None => &mut self.engine.processes[self.ctx.pid.index()].send_label,
+            Some(eid) => &mut self.kernel.eps[eid.index()].send_label,
+            None => &mut self.kernel.processes[self.ctx.pid.index()].send_label,
         }
     }
 
     /// The caller's port list: the ports its exit dissociates.
     fn ports_slot(&mut self) -> &mut Vec<Handle> {
         match self.ctx.ep {
-            Some(eid) => &mut self.engine.eps[eid.index()].ports,
-            None => &mut self.engine.processes[self.ctx.pid.index()].ports,
+            Some(eid) => &mut self.kernel.eps[eid.index()].ports,
+            None => &mut self.kernel.processes[self.ctx.pid.index()].ports,
         }
     }
 
     fn recv_slot(&mut self) -> &mut Arc<Label> {
         match self.ctx.ep {
-            Some(eid) => &mut self.engine.eps[eid.index()].recv_label,
-            None => &mut self.engine.processes[self.ctx.pid.index()].recv_label,
+            Some(eid) => &mut self.kernel.eps[eid.index()].recv_label,
+            None => &mut self.kernel.processes[self.ctx.pid.index()].recv_label,
         }
     }
 
     fn check_port_owner(&self, port: Handle) -> SysResult<()> {
         let state = self
-            .router
+            .kernel
             .handles
             .port(port)
             .ok_or(SysError::NotPortOwner)?;

@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use asbestos_kernel::util::{ep_service_fn, service_with_start, Recorder};
-use asbestos_kernel::{Category, EpId, Kernel, Label, Level, SendArgs, Value};
+use asbestos_kernel::{
+    Category, DeliveryOutcome, DropReason, EpId, Kernel, Label, Level, SendArgs, Value,
+};
 
 /// Address where workers keep their per-session counter.
 const SESSION_ADDR: u64 = 0x10_000;
@@ -271,6 +273,64 @@ fn ep_exit_frees_pages_and_ports() {
     kernel.inject(dead_port, Value::Unit);
     kernel.run();
     assert_eq!(kernel.stats().dropped_no_port, 1);
+}
+
+/// Killing an event-mode process frees what each of its live event
+/// processes holds, as `ep_exit` would: every port is dissociated, every
+/// private page goes back, and each event process counts as exited.
+#[test]
+fn kill_process_frees_every_live_event_process() {
+    let mut kernel = Kernel::new(26);
+    let (rec, log) = Recorder::new("rec.port");
+    kernel.spawn("recorder", Category::Other, Box::new(rec));
+    let worker = kernel.spawn_ep_service(
+        "victim",
+        Category::Okws,
+        ep_service_fn(
+            |sys| {
+                let p = sys.new_port(Label::top());
+                sys.set_port_label(p, Label::top()).unwrap();
+                sys.publish_env("victim.port", Value::Handle(p));
+            },
+            |sys, _msg| {
+                sys.mem_write(SESSION_ADDR, &[7; PAGE]).unwrap();
+                let p = sys.new_port(Label::top());
+                sys.set_port_label(p, Label::top()).unwrap();
+                let rec = sys.env("rec.port").unwrap().as_handle().unwrap();
+                sys.send(rec, Value::Handle(p)).unwrap();
+            },
+        ),
+    );
+    let base_port = kernel.global_env_handle("victim.port").unwrap();
+    kernel.inject(base_port, Value::Unit);
+    kernel.inject(base_port, Value::Unit);
+    kernel.run();
+    assert_eq!(kernel.live_eps(worker).len(), 2);
+    assert_eq!(kernel.kmem_report().user_frame_bytes, 2 * PAGE);
+    let ep_ports: Vec<_> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|r| r.body.as_handle().unwrap())
+        .collect();
+    assert_eq!(ep_ports.len(), 2);
+
+    kernel.kill_process(worker);
+
+    for port in ep_ports.iter().chain([&base_port]) {
+        assert!(
+            kernel.handle_table().port(*port).is_none(),
+            "{port:?} dissociated"
+        );
+    }
+    assert_eq!(kernel.kmem_report().user_frame_bytes, 0);
+    assert_eq!(kernel.stats().eps_exited, 2);
+    assert!(kernel.live_eps(worker).is_empty());
+    kernel.inject(ep_ports[0], Value::Unit);
+    assert_eq!(
+        kernel.step_outcome(),
+        DeliveryOutcome::Dropped(DropReason::NoSuchPort)
+    );
 }
 
 /// The host reuses a released page buffer for the next frame, and none of

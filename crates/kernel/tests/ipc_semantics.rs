@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use asbestos_kernel::util::{ep_service_fn, service_with_start, Recorder};
-use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Sys, SysError, Value};
+use asbestos_kernel::{
+    Category, Handle, Kernel, Label, Level, Message, SendArgs, Service, Sys, SysError, Value,
+};
 
 fn taint(h: Handle) -> Label {
     Label::from_pairs(Level::Star, &[(h, Level::L3)])
@@ -939,6 +941,49 @@ fn exit_process_cleans_up() {
     assert_eq!(kernel.stats().dropped_no_port, 1);
     // Page freed.
     assert_eq!(kernel.kmem_report().user_frame_bytes, 0);
+}
+
+/// A process that exits in `on_start` or `on_teardown` is cleaned up the
+/// way one that exits in a handler is: its port leaves the table and its
+/// pages go back to the frame pool.
+#[test]
+fn exit_in_on_start_cleans_up_like_exit_in_a_handler() {
+    /// Opens a port and dirties two pages, then exits at `when`.
+    struct Mortal {
+        when: &'static str,
+    }
+    impl Service for Mortal {
+        fn on_start(&mut self, sys: &mut Sys<'_>) {
+            open_port(sys, "mortal");
+            sys.mem_write(0x1000, &[5; 8192]).unwrap();
+            if self.when == "start" {
+                sys.exit_process();
+            }
+        }
+        fn on_message(&mut self, sys: &mut Sys<'_>, _msg: &Message) {
+            if self.when == "handler" {
+                sys.exit_process();
+            }
+        }
+        fn on_teardown(&mut self, sys: &mut Sys<'_>) {
+            if self.when == "teardown" {
+                sys.exit_process();
+            }
+        }
+    }
+
+    for when in ["start", "handler", "teardown"] {
+        let mut kernel = Kernel::new(19);
+        let pid = kernel.spawn("mortal", Category::Other, Box::new(Mortal { when }));
+        let port = kernel.global_env_handle("mortal").unwrap();
+        kernel.inject(port, Value::Unit);
+        kernel.run();
+        kernel.teardown();
+        assert!(!kernel.process(pid).alive, "{when}");
+        assert!(kernel.handle_table().port(port).is_none(), "{when}: port");
+        assert!(kernel.process(pid).ports.is_empty(), "{when}: ports");
+        assert_eq!(kernel.kmem_report().user_frame_bytes, 0, "{when}: pages");
+    }
 }
 
 /// Opens a port anyone may send to and publishes it under `key`.
