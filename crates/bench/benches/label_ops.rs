@@ -175,12 +175,12 @@ fn bench_okws_shapes(c: &mut Criterion) {
                      {allocated} chunks allocated"
                 );
                 if size != "equal" {
-                    // One pass: each partner entry is read once to find the
-                    // points and once as a point (the port adds one), and
-                    // every chunk of the large label fits its mask.
+                    // One pass: each partner entry is read once (the port
+                    // adds one), and every chunk of the large label fits
+                    // its mask.
                     let reached = tainted.entry_count() as u64;
                     assert!(
-                        visited <= 2 * reached + 2,
+                        visited <= reached + 1,
                         "{name} {n}x{size} walked {visited} entries"
                     );
                     assert!(
@@ -302,12 +302,12 @@ fn bench_hot_1x1(c: &mut Criterion) {
             &top,
         ),
     ];
-    // One pass: the small operands' entries, each read once to find the
-    // points and once as a point, and at most one chunk of each large
-    // label — the one holding a taint its mask leaves undecided.
+    // One pass: the small operands' entries, each read once, and at most
+    // one chunk of each large label — the one holding a taint its mask
+    // leaves undecided.
     let one_pass = |labels: [&Label; 3]| -> u64 {
         let cost = |l: &Label| match l.chunk_count() {
-            0 | 1 => 2 * l.entry_count(),
+            0 | 1 => l.entry_count(),
             _ => CHUNK_CAP,
         };
         labels.into_iter().map(cost).sum::<usize>() as u64

@@ -346,8 +346,8 @@ impl Label {
     }
 
     /// Total entries the label operations on the current thread examined
-    /// one at a time: each handle evaluated exactly, and each entry of a
-    /// chunk whose marks did not decide it. With [`Chunk::alloc_count`]
+    /// one at a time: each entry of a chunk whose marks did not decide it,
+    /// counted once. With [`Chunk::alloc_count`]
     /// this pins the §5.6 asymptotics deterministically (tests diff the
     /// counters).
     pub fn entries_visited() -> u64 {

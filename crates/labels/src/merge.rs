@@ -47,9 +47,11 @@ thread_local! {
 }
 
 /// Total entries evaluations on the current thread examined individually:
-/// every point, plus every entry of a chunk outside its operand's mask. A
-/// test observability hook like [`Label::clone_count`]: the asymptotics
-/// are pinned by diffing it, not by timing.
+/// every entry of a chunk whose levels are not all in its operand's mask,
+/// counted once, when the chunk is scanned. A point is one of those
+/// entries, so it adds nothing. A test observability hook like
+/// [`Label::clone_count`]: the asymptotics are pinned by diffing it, not
+/// by timing.
 pub(crate) fn entries_visited() -> u64 {
     ENTRIES_VISITED.with(Cell::get)
 }
@@ -251,7 +253,6 @@ impl<const N: usize> Iterator for Points<'_, N> {
         if handle == END {
             return None;
         }
-        visit(1);
         let mut levels = self.defaults;
         for (level, operand) in levels.iter_mut().zip(&mut self.operands) {
             if operand.next == handle {
