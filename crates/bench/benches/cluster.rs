@@ -30,7 +30,6 @@ fn bench_cluster(c: &mut Criterion) {
             users: 64,
             requests: 512,
             kernels,
-            lanes: 1,
         };
         // `Baseline::check` asserts nothing was lost and nothing shed.
         let r = run_scenario(&mut scenario, 0xFED0);
@@ -55,8 +54,9 @@ fn bench_cluster(c: &mut Criterion) {
             ("forwarded", r.forwarded as f64),
         ]);
         // Rows keep the `engines x lanes` names they had when a kernel
-        // could run several engines; a kernel now runs one.
-        let name = format!("baseline-fed/k{}/1x{}", r.kernels, r.lanes);
+        // could run several engines and netd several lanes; a kernel now
+        // runs one engine behind one netd.
+        let name = format!("baseline-fed/k{}/1x1", r.kernels);
         report.push_row(name, &fields);
     }
 

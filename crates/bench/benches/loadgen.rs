@@ -1,5 +1,5 @@
 //! Scenario counts at scale: the `asbestos-loadgen` workloads run end to
-//! end on the paper-faithful deployment, one kernel behind one netd lane.
+//! end on the paper-faithful deployment, one kernel behind one netd.
 //!
 //! Each row is one scenario: open-loop arrivals,
 //! a Zipf-skewed population, a full reboot-and-login storm, and a 10×
@@ -25,8 +25,9 @@ fn push_scenario(report: &mut BenchReport, r: &ScenarioReport) {
     println!("{}", r.summary_line());
     let fields: Vec<(&str, f64)> = r.counts().iter().map(|&(k, v)| (k, v as f64)).collect();
     // Rows keep the `engines x lanes` names they had when a kernel could
-    // run several engines; a kernel now runs one.
-    report.push_row(format!("{}/1x{}", r.scenario, r.lanes), &fields);
+    // run several engines and netd several lanes; a kernel now runs one
+    // engine behind one netd.
+    report.push_row(format!("{}/1x1", r.scenario), &fields);
 }
 
 fn bench_loadgen(c: &mut Criterion) {
@@ -36,18 +37,17 @@ fn bench_loadgen(c: &mut Criterion) {
         users: 64,
         requests: 512,
         kernels: 1,
-        lanes: 1,
     };
     let r = run_scenario(&mut baseline, 0xBA5E);
     push_scenario(&mut report, &r);
 
     // Heavy-tailed churn over a large population: Zipf-ranked users,
     // logouts, and mid-stream disconnects.
-    let r = run_scenario(&mut ZipfChurn::new(10_000, 600, 1.1, 1), 0x21BF);
+    let r = run_scenario(&mut ZipfChurn::new(10_000, 600, 1.1), 0x21BF);
     push_scenario(&mut report, &r);
 
     // Reboot and make the whole population log back in at once.
-    let r = run_scenario(&mut LoginStorm::new(96, 1), 0x5708);
+    let r = run_scenario(&mut LoginStorm::new(96), 0x5708);
     push_scenario(&mut report, &r);
 
     // Flood: one attacker at 10× the victim's rate; what its session
@@ -55,7 +55,6 @@ fn bench_loadgen(c: &mut Criterion) {
     let mut flood = SustainedFlood {
         requests: 440,
         flood_factor: 10,
-        lanes: 1,
     };
     let r = run_scenario(&mut flood, 0xF100);
     push_scenario(&mut report, &r);

@@ -127,12 +127,10 @@ pub struct Fig8Row {
 /// session-creation cost (idd, database, handle minting) shows up in the
 /// tail exactly as §9.2.2 describes.
 ///
-/// Completions are collected with the per-lane ring walk
-/// ([`asbestos_net::ClientDriver::poll_lane`]): each netd lane owns the
-/// connections the RSS demux hashed to it, so the load generator polls
-/// every lane each scheduling quantum, the way a real multi-queue NIC
-/// client would. Latency is virtual-cycle, so the row is deterministic
-/// under its seed.
+/// Completions are collected once per scheduling quantum
+/// ([`asbestos_net::ClientDriver::poll`]), the way a real load generator
+/// polls its sockets. Latency is virtual-cycle, so the row is
+/// deterministic under its seed.
 pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
     let mut env = deploy(seed, sessions + samples, true);
     // Pre-build the cached sessions the configuration calls for.
@@ -171,9 +169,7 @@ pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
                 break;
             }
         }
-        for lane in 0..env.client.driver.lanes() {
-            env.client.driver.poll_lane(&env.kernel, lane);
-        }
+        env.client.driver.poll(&env.kernel);
         let done = env.client.driver.completed();
         while issued - done < LATENCY_CONCURRENCY && issued < sessions + samples {
             issue_next(&mut env, &mut issued);
@@ -190,9 +186,7 @@ pub fn okws_latency(sessions: usize, samples: usize, seed: u64) -> Fig8Row {
         completed_seen = done;
     }
     env.kernel.run();
-    for lane in 0..env.client.driver.lanes() {
-        env.client.driver.poll_lane(&env.kernel, lane);
-    }
+    env.client.driver.poll(&env.kernel);
 
     // Requests served on their first connection, ascending.
     let mut lat: Vec<f64> = env

@@ -211,9 +211,9 @@ fn handles_are_unique_cluster_wide() {
     assert_eq!(seen.len(), 4 * 64);
 }
 
-/// An 8-user store deployment behind `lanes` netd lanes.
-fn store_config(lanes: usize) -> OkwsConfig {
-    let mut config = OkwsConfig::new(80).lanes(lanes);
+/// An 8-user store deployment.
+fn store_config() -> OkwsConfig {
+    let mut config = OkwsConfig::new(80);
     config
         .services
         .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
@@ -246,33 +246,31 @@ fn issue(client: &mut OkwsClient, kernel: &mut Kernel, i: usize) -> usize {
 /// relayed.
 #[test]
 fn one_kernel_federation_matches_the_plain_engine() {
-    for lanes in [1, 4] {
-        let (mut kernel, okws) = Okws::deploy(0x0501, store_config(lanes));
-        let mut plain = OkwsClient::new(&okws);
-        let mut cluster = Cluster::new(0x0501, 1, 1);
-        let okws = deploy_okws(&mut cluster, store_config(lanes));
-        let mut fed = OkwsClient::new(&okws);
+    let (mut kernel, okws) = Okws::deploy(0x0501, store_config());
+    let mut plain = OkwsClient::new(&okws);
+    let mut cluster = Cluster::new(0x0501, 1, 1);
+    let okws = deploy_okws(&mut cluster, store_config());
+    let mut fed = OkwsClient::new(&okws);
 
-        for i in 0..64 {
-            let a = issue(&mut plain, &mut kernel, i);
-            kernel.run();
-            plain.driver.poll(&kernel);
-            let b = issue(&mut fed, &mut cluster.nodes[0].kernel, i);
-            cluster.run();
-            fed.driver.poll(&cluster.nodes[0].kernel);
-            assert_eq!(
-                fed.parse_response(b).expect("federated request answered"),
-                plain.parse_response(a).expect("plain request answered"),
-                "{lanes} lanes: response {i}"
-            );
-        }
+    for i in 0..64 {
+        let a = issue(&mut plain, &mut kernel, i);
+        kernel.run();
+        plain.driver.poll(&kernel);
+        let b = issue(&mut fed, &mut cluster.nodes[0].kernel, i);
+        cluster.run();
+        fed.driver.poll(&cluster.nodes[0].kernel);
         assert_eq!(
-            format!("{:?}", cluster.stats()),
-            format!("{:?}", kernel.stats()),
-            "{lanes} lanes: kernel counters"
+            fed.parse_response(b).expect("federated request answered"),
+            plain.parse_response(a).expect("plain request answered"),
+            "response {i}"
         );
-        assert_eq!(cluster.elapsed_cycles(), kernel.now());
-        // Nothing to federate: the switch routed no cross-kernel traffic.
-        assert_eq!(cluster.switch().forwarded, 0);
     }
+    assert_eq!(
+        format!("{:?}", cluster.stats()),
+        format!("{:?}", kernel.stats()),
+        "kernel counters"
+    );
+    assert_eq!(cluster.elapsed_cycles(), kernel.now());
+    // Nothing to federate: the switch routed no cross-kernel traffic.
+    assert_eq!(cluster.switch().forwarded, 0);
 }

@@ -597,7 +597,7 @@ impl Kernel {
     }
 
     /// Reads a global environment entry that names a port or handle —
-    /// the common shape for service discovery (netd lanes, OKWS ports).
+    /// the common shape for service discovery (netd's and OKWS's ports).
     pub fn global_env_handle(&self, key: &str) -> Option<Handle> {
         self.env.get(key).and_then(Value::as_handle)
     }

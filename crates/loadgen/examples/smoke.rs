@@ -4,35 +4,37 @@
 //! numbers come from `cargo bench --bench loadgen`, not from this.
 
 use asbestos_loadgen::{
-    run_scenario, Baseline, LaneOverflowChurn, LoginStorm, SustainedFlood, ZipfChurn,
+    run_scenario, Baseline, DisconnectChurn, LoginStorm, SustainedFlood, ZipfChurn,
 };
 
 fn main() {
-    for lanes in [1, 4] {
-        let r = run_scenario(
-            &mut Baseline {
-                users: 8,
-                requests: 64,
-                kernels: 1,
-                lanes,
-            },
-            7,
-        );
-        println!("{}", r.summary_line());
-        let r = run_scenario(&mut ZipfChurn::new(32, 200, 1.1, lanes), 11);
-        println!("{}", r.summary_line());
-        let r = run_scenario(&mut LoginStorm::new(24, lanes), 13);
-        println!("{}", r.summary_line());
-        let r = run_scenario(
-            &mut SustainedFlood {
-                requests: 220,
-                flood_factor: 10,
-                lanes,
-            },
-            17,
-        );
-        println!("{}", r.summary_line());
-        let r = run_scenario(&mut LaneOverflowChurn::new(6, 24, lanes), 19);
-        println!("{}", r.summary_line());
-    }
+    let r = run_scenario(
+        &mut Baseline {
+            users: 8,
+            requests: 64,
+            kernels: 1,
+        },
+        7,
+    );
+    println!("{}", r.summary_line());
+    let r = run_scenario(&mut ZipfChurn::new(32, 200, 1.1), 11);
+    println!("{}", r.summary_line());
+    let r = run_scenario(&mut LoginStorm::new(24), 13);
+    println!("{}", r.summary_line());
+    let r = run_scenario(
+        &mut SustainedFlood {
+            requests: 220,
+            flood_factor: 10,
+        },
+        17,
+    );
+    println!("{}", r.summary_line());
+    let r = run_scenario(
+        &mut DisconnectChurn {
+            users: 6,
+            phase_len: 24,
+        },
+        19,
+    );
+    println!("{}", r.summary_line());
 }

@@ -7,8 +7,8 @@
 //! shows up honestly in the tail), **heavy-tailed** user populations
 //! (Zipf-ranked, million-rank capable), session churn, login storms
 //! after [`scenario::World::reboot`], mixed session/DB traffic, and
-//! mid-stream disconnects — all driven through the full deployment
-//! (kernels × netd lanes) with per-lane completion polling.
+//! mid-stream disconnects — all driven through the full deployment, netd
+//! included.
 //!
 //! Workloads are declarative: implement [`scenario::Scenario`] (setup /
 //! drive / check hooks) and hand it to [`scenario::run_scenario`]; the
@@ -24,7 +24,7 @@
 //! same ops, same counts — which is what lets CI pin the committed
 //! numbers by equality.
 //!
-//! The kernel count is a deployment number like the lane count:
+//! The kernel count is the one deployment number:
 //! [`scenario::ScenarioConfig::federated`] puts the front end on kernel
 //! 0 of an `asbestos-cluster` federation and the workers on the rest
 //! (labels crossing the wire in serialized form), under the same
@@ -43,5 +43,5 @@ pub mod zipf;
 pub use arrival::OpenLoopSchedule;
 pub use metrics::ScenarioReport;
 pub use scenario::{run_scenario, Op, Scenario, ScenarioConfig, ServiceKind, World};
-pub use scenarios::{Baseline, LaneOverflowChurn, LoginStorm, SustainedFlood, ZipfChurn};
+pub use scenarios::{Baseline, DisconnectChurn, LoginStorm, SustainedFlood, ZipfChurn};
 pub use zipf::ZipfSampler;

@@ -16,8 +16,6 @@ pub struct ScenarioReport {
     pub scenario: String,
     /// Member kernels in the deployment (1 = un-federated).
     pub kernels: usize,
-    /// netd lanes in the front end.
-    pub lanes: usize,
     /// User population size.
     pub users: usize,
     /// Requests issued during the measured window.
@@ -72,10 +70,9 @@ impl ScenarioReport {
             .map(|(key, value)| format!("{key} {value}"))
             .collect();
         format!(
-            "{} [k{} l{}] {}",
+            "{} [k{}] {}",
             self.scenario,
             self.kernels,
-            self.lanes,
             counts.join(", ")
         )
     }

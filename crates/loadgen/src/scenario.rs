@@ -3,7 +3,7 @@
 //! A [`Scenario`] is a small struct with setup / drive / check hooks — the
 //! congestion-control-harness idiom where the experiment says *what* the
 //! workload is and the engine owns deployment, pacing, polling, and
-//! teardown. [`run_scenario`] deploys the kernels×lanes world the
+//! teardown. [`run_scenario`] deploys the one- or many-kernel world the
 //! scenario asks for, replays an open-loop arrival schedule against it (arrivals
 //! never wait for completions — see [`crate::arrival`]), drains, and hands
 //! the scenario a [`ScenarioReport`] to assert invariants over.
@@ -48,8 +48,6 @@ pub struct ScenarioConfig {
     /// federation with the front end on kernel 0, workers round-robin on
     /// the rest, and every request crossing the wire.
     pub kernels: usize,
-    /// netd lanes.
-    pub lanes: usize,
     /// Back the deployment with a durable store (enables [`World::reboot`]).
     pub durable: bool,
     /// Arrivals in the measured window.
@@ -62,25 +60,18 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A single-kernel, single-lane store-only config with sane defaults:
+    /// A single-kernel store-only config with sane defaults:
     /// sub-capacity Poisson arrivals, all requests expected to succeed.
     pub fn new(users: usize, requests: usize) -> ScenarioConfig {
         ScenarioConfig {
             users,
             services: vec![ServiceKind::Store],
             kernels: 1,
-            lanes: 1,
             durable: false,
             requests,
             rate_rps: 800.0,
             require_all_ok: true,
         }
-    }
-
-    /// Sets the netd lane count of the deployment.
-    pub fn deployment(mut self, lanes: usize) -> ScenarioConfig {
-        self.lanes = lanes;
-        self
     }
 
     /// Federates the deployment over `kernels` member kernels.
@@ -170,7 +161,7 @@ pub struct World {
     cluster: Cluster,
     /// The running deployment (front-end handles live on the front kernel).
     pub okws: Okws,
-    /// The HTTP client, attached to the front kernel's netd lanes.
+    /// The HTTP client, attached to the front kernel's netd.
     pub client: OkwsClient,
     /// The scenario's config (owned so hooks can consult it).
     pub cfg: ScenarioConfig,
@@ -231,7 +222,7 @@ impl World {
     }
 
     fn okws_config(cfg: &ScenarioConfig, dev: Option<&MemDev>, with_users: bool) -> OkwsConfig {
-        let mut config = OkwsConfig::new(80).lanes(cfg.lanes);
+        let mut config = OkwsConfig::new(80);
         if let Some(dev) = dev {
             config = config.durable(Box::new(dev.clone()));
         }
@@ -293,7 +284,7 @@ impl World {
     /// by.
     pub fn begin_measurement(&mut self) {
         self.cluster.run();
-        self.client.driver.poll(&self.cluster.nodes[0].kernel);
+        self.poll();
         self.client.driver.reset_log();
         self.issued.clear();
         self.base_cycles = self.cluster.elapsed_cycles();
@@ -350,7 +341,7 @@ impl World {
         let kernel = &mut self.cluster.nodes[0].kernel;
         let idx = self.client.request(kernel, service, uname, pw, extra);
         self.cluster.run();
-        self.client.driver.poll(&self.cluster.nodes[0].kernel);
+        self.poll();
         self.client.parse_response(idx)
     }
 
@@ -371,15 +362,15 @@ impl World {
     }
 
     /// Runs the world to quiescence: repeatedly drains the kernel, polls
-    /// every lane, and retries shed requests. Stops when everything
+    /// for completions, and retries shed requests. Stops when everything
     /// completed or aborted, or when no forward progress is possible —
-    /// requests dropped at a clamped port queue never complete, and the
-    /// overflow scenarios rely on that being survivable rather than an
-    /// error. Aborted connections are reaped at the end.
+    /// requests dropped at a full port queue never complete, and a run
+    /// must survive that rather than fail. Aborted connections are
+    /// reaped at the end.
     pub fn drain(&mut self) {
         for _ in 0..128 {
             self.cluster.run();
-            self.poll_lanes();
+            self.poll();
             let settled = self.client.driver.completed() + self.client.driver.aborted();
             if settled == self.client.driver.requests().len() {
                 break;
@@ -392,14 +383,9 @@ impl World {
         self.client.driver.reap_aborted();
     }
 
-    /// Polls each netd lane's completions in turn (the per-lane
-    /// completion-ring walk; equivalent to `poll()` but keeps the
-    /// per-lane structure visible to scenarios that care).
-    pub fn poll_lanes(&mut self) {
-        let front = &self.cluster.nodes[0].kernel;
-        for lane in 0..self.client.driver.lanes() {
-            self.client.driver.poll_lane(front, lane);
-        }
+    /// Collects the responses that arrived since the last poll.
+    pub fn poll(&mut self) {
+        self.client.driver.poll(&self.cluster.nodes[0].kernel);
     }
 
     /// Parses the response of window request `idx` as `(status, body)`.
@@ -421,7 +407,6 @@ impl World {
         ScenarioReport {
             scenario: scenario.to_string(),
             kernels: self.cfg.kernels,
-            lanes: self.cfg.lanes,
             users: self.cfg.users,
             issued: self.issued.len(),
             completed: driver.completed(),
@@ -521,7 +506,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, seed: u64) -> ScenarioReport {
             Op::Idle => {}
         }
         if seq % POLL_EVERY == POLL_EVERY - 1 {
-            world.poll_lanes();
+            world.poll();
             world
                 .client
                 .driver

@@ -3,11 +3,10 @@
 //! Each is a small struct implementing [`Scenario`]: the deployment shape
 //! lives in `config()`, the workload in `op()`, and the invariants in
 //! `check()`. Four of them feed `BENCH_latency.json` (baseline, Zipf
-//! churn, login storm, sustained flood); the lane-overflow scenario is a
-//! stress test, not a latency row — its interesting output is surviving,
-//! not a count.
+//! churn, login storm, sustained flood); the disconnect-churn scenario is
+//! a stress test, not a latency row — its interesting output is
+//! surviving, not a count.
 
-use asbestos_kernel::DEFAULT_PORT_QUEUE_LIMIT;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -28,8 +27,6 @@ pub struct Baseline {
     pub requests: usize,
     /// Member kernels (1 = un-federated).
     pub kernels: usize,
-    /// netd lanes.
-    pub lanes: usize,
 }
 
 impl Scenario for Baseline {
@@ -38,9 +35,7 @@ impl Scenario for Baseline {
     }
 
     fn config(&self) -> ScenarioConfig {
-        ScenarioConfig::new(self.users, self.requests)
-            .deployment(self.lanes)
-            .federated(self.kernels)
+        ScenarioConfig::new(self.users, self.requests).federated(self.kernels)
     }
 
     fn op(&mut self, seq: usize, _rng: &mut StdRng) -> Op {
@@ -69,19 +64,16 @@ pub struct ZipfChurn {
     pub requests: usize,
     /// Zipf skew (≈1.0 is classic Web traffic).
     pub skew: f64,
-    /// netd lanes.
-    pub lanes: usize,
     zipf: Option<ZipfSampler>,
 }
 
 impl ZipfChurn {
     /// A churn scenario over `users` ranks at the given skew.
-    pub fn new(users: usize, requests: usize, skew: f64, lanes: usize) -> ZipfChurn {
+    pub fn new(users: usize, requests: usize, skew: f64) -> ZipfChurn {
         ZipfChurn {
             users,
             requests,
             skew,
-            lanes,
             zipf: None,
         }
     }
@@ -93,9 +85,7 @@ impl Scenario for ZipfChurn {
     }
 
     fn config(&self) -> ScenarioConfig {
-        ScenarioConfig::new(self.users, self.requests)
-            .deployment(self.lanes)
-            .with_service(ServiceKind::Profile)
+        ScenarioConfig::new(self.users, self.requests).with_service(ServiceKind::Profile)
     }
 
     fn setup(&mut self, _world: &mut World) {
@@ -151,17 +141,14 @@ impl Scenario for ZipfChurn {
 pub struct LoginStorm {
     /// User population (all of it re-authenticates).
     pub users: usize,
-    /// netd lanes.
-    pub lanes: usize,
     boot1_handles: Vec<u64>,
 }
 
 impl LoginStorm {
     /// A storm over `users` accounts.
-    pub fn new(users: usize, lanes: usize) -> LoginStorm {
+    pub fn new(users: usize) -> LoginStorm {
         LoginStorm {
             users,
-            lanes,
             boot1_handles: Vec::new(),
         }
     }
@@ -177,7 +164,6 @@ impl Scenario for LoginStorm {
         // The storm arrives far faster than steady state — that is the
         // point.
         ScenarioConfig::new(self.users, self.users * 2)
-            .deployment(self.lanes)
             .durable()
             .rate(5_000.0)
     }
@@ -282,8 +268,6 @@ pub struct SustainedFlood {
     pub requests: usize,
     /// Attacker arrivals per victim arrival.
     pub flood_factor: usize,
-    /// netd lanes.
-    pub lanes: usize,
 }
 
 impl Scenario for SustainedFlood {
@@ -292,9 +276,7 @@ impl Scenario for SustainedFlood {
     }
 
     fn config(&self) -> ScenarioConfig {
-        ScenarioConfig::new(2, self.requests)
-            .deployment(self.lanes)
-            .rate(20_000.0)
+        ScenarioConfig::new(2, self.requests).rate(20_000.0)
     }
 
     fn op(&mut self, seq: usize, _rng: &mut StdRng) -> Op {
@@ -336,98 +318,42 @@ impl Scenario for SustainedFlood {
 }
 
 // ---------------------------------------------------------------------
-// Lane overflow + mid-stream closes (stress, not a latency row).
+// Mid-stream closes and recovery (stress, not a latency row).
 // ---------------------------------------------------------------------
 
-/// Four phases against a deployment of `lanes` netd lanes: a clean warm burst, a
-/// round of mid-stream client disconnects, a connection burst into a
-/// 2-deep port queue (the demux notify port overflows and *drops*, by
-/// design), and recovery once the bound is lifted. Survival is the
-/// assertion: no deadlock, drops accounted, ordinary service afterwards.
+/// Three phases: a clean warm burst, a round of mid-stream client
+/// disconnects, and recovery once the disconnects have drained. Survival
+/// is the assertion: no deadlock, nothing left queued, ordinary service
+/// afterwards.
 ///
-/// Single-kernel: the port-queue clamp, the drop counter and the
-/// `queue_len() == 0` checks all read one kernel.
-pub struct LaneOverflowChurn {
+/// Single-kernel: the `queue_len() == 0` checks read one kernel.
+pub struct DisconnectChurn {
     /// User population.
     pub users: usize,
     /// Arrivals per phase.
     pub phase_len: usize,
-    /// netd lanes.
-    pub lanes: usize,
-    drops_before_clamp: u64,
 }
 
-impl LaneOverflowChurn {
-    /// A four-phase overflow run.
-    pub fn new(users: usize, phase_len: usize, lanes: usize) -> LaneOverflowChurn {
-        LaneOverflowChurn {
-            users,
-            phase_len,
-            lanes,
-            drops_before_clamp: 0,
-        }
-    }
-}
-
-impl Scenario for LaneOverflowChurn {
+impl Scenario for DisconnectChurn {
     fn name(&self) -> String {
-        "lane-overflow-churn".into()
+        "disconnect-churn".into()
     }
 
     fn config(&self) -> ScenarioConfig {
-        ScenarioConfig::new(self.users, self.phase_len * 4)
-            .deployment(self.lanes)
+        ScenarioConfig::new(self.users, self.phase_len * 3)
             .rate(4_000.0)
             .allow_failures()
     }
 
     fn before_arrival(&mut self, world: &mut World, seq: usize) {
         if seq == self.phase_len * 2 {
-            // Let the disconnect phase settle, then clamp the per-port
-            // bound so the burst overflows the demux's notify port.
+            // Let the disconnect phase settle before recovery.
             world.drain();
-            self.drops_before_clamp = world.kernel().stats().dropped_port_queue_full;
-            world.kernel_mut().set_port_queue_limit(2);
-            // The burst must land back-to-back — pacing through the
-            // open-loop schedule would let the kernel drain the 2-deep
-            // queue between arrivals and nothing would ever overflow. So
-            // issue the whole phase here with no kernel steps in between;
-            // the phase's paced slots become idle.
-            for i in 0..self.phase_len {
-                let burst_seq = self.phase_len * 2 + i;
-                world.request(
-                    "store",
-                    burst_seq % self.users,
-                    &[("data", "burst")],
-                    burst_seq,
-                );
-            }
-        } else if seq == self.phase_len * 3 {
-            // Let the burst overflow (drops, not deadlock), then lift
-            // the bound for the recovery phase.
-            world.kernel_mut().run();
-            world.poll_lanes();
-            let drops = world.kernel().stats().dropped_port_queue_full - self.drops_before_clamp;
-            // Behind one netd lane the scheduler interleaves strictly —
-            // demux consumes each NewConn before netd posts the next, so
-            // a 2-deep mailbox never fills. Only several lanes, each
-            // posting its own connections' notifications, can actually
-            // overflow it; assert the drop count there only.
-            if self.lanes > 1 {
-                assert!(
-                    drops > 0,
-                    "a {}-connection burst against a 2-deep port bound must overflow",
-                    self.phase_len
-                );
-            }
             assert_eq!(
                 world.kernel().queue_len(),
                 0,
-                "overflow left the kernel wedged"
+                "mid-stream closes left the kernel wedged"
             );
-            world
-                .kernel_mut()
-                .set_port_queue_limit(DEFAULT_PORT_QUEUE_LIMIT);
         }
     }
 
@@ -443,9 +369,6 @@ impl Scenario for LaneOverflowChurn {
                     Op::Abort { user }
                 }
             }
-            // Phase 2 (burst) is issued all at once from `before_arrival`;
-            // its paced arrival slots only advance the clock.
-            2 => Op::Idle,
             _ => Op::request("store", user, &[("data", "recovered")]),
         }
     }
@@ -453,19 +376,12 @@ impl Scenario for LaneOverflowChurn {
     fn check(&mut self, world: &mut World, report: &ScenarioReport) {
         assert!(
             report.aborted > 0,
-            "phase 2 must exercise mid-stream closes"
+            "phase 1 must exercise mid-stream closes"
         );
-        if self.lanes > 1 {
-            let spread = world.client.driver.lane_accepts().to_vec();
-            assert!(
-                spread.iter().filter(|&&n| n > 0).count() >= 2,
-                "RSS demux used one lane for every connection: {spread:?}"
-            );
-        }
         assert_eq!(world.kernel().queue_len(), 0, "run left work queued");
         // Every recovery-phase request was served despite the carnage.
         for issued in world.issued.clone() {
-            if issued.seq >= self.phase_len * 3 {
+            if issued.seq >= self.phase_len * 2 {
                 let (status, _) = world.response(issued.idx).unwrap_or_else(|| {
                     panic!("recovery request seq {} never completed", issued.seq)
                 });

@@ -17,18 +17,17 @@ fn kernels() -> usize {
     kernels.map_or(2, |k| k.unwrap_or(2)).max(2)
 }
 
-fn baseline(lanes: usize) -> Baseline {
+fn baseline() -> Baseline {
     Baseline {
         users: 32,
         requests: 192,
         kernels: kernels(),
-        lanes,
     }
 }
 
 #[test]
 fn federated_baseline_serves_every_request() {
-    let r = run_scenario(&mut baseline(1), 0xBA5E);
+    let r = run_scenario(&mut baseline(), 0xBA5E);
     // The Baseline invariants, across the wire.
     assert_eq!(r.completed, r.issued, "federated baseline lost requests");
     assert_eq!(r.retries, 0, "sub-capacity traffic must never shed");
@@ -47,8 +46,8 @@ fn federated_baseline_serves_every_request() {
 
 #[test]
 fn federated_baseline_is_deterministic() {
-    let a = run_scenario(&mut baseline(1), 0xF00D);
-    let b = run_scenario(&mut baseline(1), 0xF00D);
+    let a = run_scenario(&mut baseline(), 0xF00D);
+    let b = run_scenario(&mut baseline(), 0xF00D);
     let counts = |r: &ScenarioReport| {
         [
             r.completed as u64,
@@ -66,22 +65,8 @@ fn federated_baseline_is_deterministic() {
     assert_eq!(counts(&a), counts(&b));
 }
 
-/// The federated world scales the front end too: kernel 0's netd fans
-/// requests across several lanes while the workers' traffic crosses the
-/// wire.
-#[test]
-fn federated_baseline_runs_on_several_lanes() {
-    let r = run_scenario(&mut baseline(2), 0x5A4D);
-    assert_eq!(
-        r.completed, r.issued,
-        "two-lane federated baseline lost requests"
-    );
-    assert_eq!(r.retries, 0);
-    assert!(r.forwarded as usize >= r.issued);
-}
-
 fn zipf_churn() -> ZipfChurn {
-    ZipfChurn::new(64, 600, 1.1, 2)
+    ZipfChurn::new(64, 600, 1.1)
 }
 
 /// A stock scenario with its deployment federated, counting the `check`s
@@ -166,7 +151,6 @@ fn sustained_flood_runs_its_hooks_federated() {
     let flood = SustainedFlood {
         requests: 110,
         flood_factor: 10,
-        lanes: 1,
     };
     let mut f = federated(flood, kernels());
     let r = run_scenario(&mut f, 0xF100D);

@@ -10,21 +10,12 @@
 //! - round-1 echoes are empty (no session survived the reboot);
 //! - every round-2 echo is exactly that user's round-1 write — per-user
 //!   FIFO held through login, session fork, and both storm rounds.
-//!
-//! It runs behind one netd lane and behind four.
 
 use asbestos_loadgen::{run_scenario, LoginStorm};
 
 #[test]
 fn login_storm_after_reboot_single_shard() {
-    let report = run_scenario(&mut LoginStorm::new(24, 1), 0x5708);
-    assert_eq!(report.completed, report.issued);
-    assert_eq!(report.outstanding, 0);
-}
-
-#[test]
-fn login_storm_after_reboot_sharded_lanes() {
-    let report = run_scenario(&mut LoginStorm::new(24, 4), 0x5709);
+    let report = run_scenario(&mut LoginStorm::new(24), 0x5708);
     assert_eq!(report.completed, report.issued);
     assert_eq!(report.outstanding, 0);
 }

@@ -10,7 +10,7 @@
 //!   client never sees a response or a close.
 //!
 //! Either revert leaves a request that never completes under this
-//! Zipf-ranked churn over 10,000 users behind one netd lane
+//! Zipf-ranked churn over 10,000 users behind one netd
 //! (the loadgen bench's `zipf-churn/1x1` row); `run_scenario` panics with
 //! `request … never completed`.
 
@@ -18,7 +18,7 @@ use asbestos_loadgen::{run_scenario, ZipfChurn};
 
 #[test]
 fn zipf_churn_completes_every_request_single_shard() {
-    let report = run_scenario(&mut ZipfChurn::new(10_000, 600, 1.1, 1), 0x21BF);
+    let report = run_scenario(&mut ZipfChurn::new(10_000, 600, 1.1), 0x21BF);
     assert_eq!(report.completed + report.aborted, report.issued);
     assert_eq!(report.outstanding, 0);
 }

@@ -5,12 +5,10 @@
 //! events into netd, and collects responses and latency samples. The driver
 //! is outside the label system — it is the network, not a process.
 //!
-//! With a multi-lane netd front end the driver is also the multi-queue NIC:
-//! each connection is hashed by the RSS demultiplexer to one lane, and the
-//! driver keeps a per-lane index of outstanding requests so completion
-//! polling is per lane and O(outstanding-in-lane) — the structure the
-//! load/latency harness (`crates/loadgen`) depends on at large request
-//! counts.
+//! The driver keeps an index of its outstanding requests, so completion
+//! polling is O(outstanding) rather than O(every request ever issued) —
+//! the structure the load/latency harness (`crates/loadgen`) depends on
+//! at large request counts.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,7 +17,7 @@ use asbestos_kernel::{Handle, Kernel, CYCLES_PER_SEC};
 
 use crate::netd::NetdHandle;
 use crate::proto::NetMsg;
-use crate::tcp::{ConnId, MultiQueue, SimNet};
+use crate::tcp::{ConnId, SimNet};
 
 /// An in-flight or completed client request.
 #[derive(Clone, Debug)]
@@ -28,8 +26,6 @@ pub struct ClientRequest {
     pub conn: ConnId,
     /// The server TCP port the request targets (kept for shed retries).
     pub tcp_port: u16,
-    /// The netd lane the RSS demux hashed the current connection to.
-    pub lane: usize,
     /// Virtual time when the connection event was injected.
     pub started_at: u64,
     /// Virtual time when the full response was observed, if finished.
@@ -59,56 +55,47 @@ impl ClientRequest {
 }
 
 /// Drives HTTP requests through the simulated network.
-///
-/// With a multi-lane netd front end the driver plays the multi-queue NIC:
-/// each new connection is hashed by the RSS demultiplexer to one lane's
-/// device port, and every later event for that connection stays on that
-/// lane.
 pub struct ClientDriver {
     net: Rc<RefCell<SimNet>>,
-    device_ports: Vec<Handle>,
-    demux: MultiQueue,
+    device_port: Handle,
     requests: Vec<ClientRequest>,
-    /// Open request indices, per lane — the poll working set. A request
-    /// leaves its lane's list when it completes, aborts, or (on a shed
-    /// retry) re-hashes to another lane.
-    outstanding: Vec<Vec<usize>>,
+    /// Open request indices — the poll working set. A request leaves it
+    /// when it completes or aborts.
+    outstanding: Vec<usize>,
+    /// Connections opened so far, shed retries included.
+    opened: u64,
 }
 
 impl ClientDriver {
-    /// Creates a driver bound to a spawned netd front end.
+    /// Creates a driver bound to a spawned netd.
     pub fn new(netd: &NetdHandle) -> ClientDriver {
-        let device_ports: Vec<Handle> = netd.lanes.iter().map(|l| l.device_port).collect();
-        let demux = MultiQueue::new(device_ports.len());
-        let outstanding = vec![Vec::new(); device_ports.len()];
         ClientDriver {
             net: netd.net.clone(),
-            device_ports,
-            demux,
+            device_port: netd.device_port,
             requests: Vec::new(),
-            outstanding,
+            outstanding: Vec::new(),
+            opened: 0,
         }
     }
 
-    /// Number of netd lanes the driver feeds.
-    pub fn lanes(&self) -> usize {
-        self.device_ports.len()
+    /// Opens a substrate connection carrying `bytes` and tells netd.
+    fn connect(&mut self, kernel: &mut Kernel, tcp_port: u16, bytes: &[u8]) -> ConnId {
+        let conn = self.net.borrow_mut().client_open(tcp_port, bytes);
+        self.opened += 1;
+        kernel.inject(
+            self.device_port,
+            NetMsg::DevNewConn { conn, tcp_port }.to_value(),
+        );
+        conn
     }
 
     /// Opens a connection carrying `request_bytes` to `tcp_port` and tells
-    /// its lane's netd about it. Returns an index into
-    /// [`ClientDriver::requests`].
+    /// netd about it. Returns an index into [`ClientDriver::requests`].
     pub fn open(&mut self, kernel: &mut Kernel, tcp_port: u16, request_bytes: &[u8]) -> usize {
-        let conn = self.net.borrow_mut().client_open(tcp_port, request_bytes);
-        let lane = self.demux.accept(conn, tcp_port);
-        kernel.inject(
-            self.device_ports[lane],
-            NetMsg::DevNewConn { conn, tcp_port }.to_value(),
-        );
+        let conn = self.connect(kernel, tcp_port, request_bytes);
         self.requests.push(ClientRequest {
             conn,
             tcp_port,
-            lane,
             started_at: kernel.now(),
             finished_at: None,
             response: Vec::new(),
@@ -117,13 +104,15 @@ impl ClientDriver {
             aborted: false,
         });
         let idx = self.requests.len() - 1;
-        self.outstanding[lane].push(idx);
+        self.outstanding.push(idx);
         idx
     }
 
-    /// Connections accepted per lane so far (the RSS spread observable).
-    pub fn lane_accepts(&self) -> &[u64] {
-        self.demux.accepts()
+    /// An inert stub: one counter, the connections opened so far (shed
+    /// retries included), since there is one netd. Kept only because
+    /// `benchmark/` (which a crate change may not edit) reads it.
+    pub fn lane_accepts(&self) -> [u64; 1] {
+        [self.opened]
     }
 
     /// Convenience: issues a GET for `path` (HTTP/1.0, benchmark headers).
@@ -145,7 +134,7 @@ impl ClientDriver {
         }
         req.aborted = true;
         self.net.borrow_mut().close(req.conn);
-        self.outstanding[req.lane].retain(|&i| i != idx);
+        self.outstanding.retain(|&i| i != idx);
     }
 
     /// Reaps the substrate connection of an aborted request (call after
@@ -159,28 +148,16 @@ impl ClientDriver {
         }
     }
 
-    /// Collects newly arrived response bytes for every lane. A request
-    /// completes when the server has closed the connection with a
-    /// non-empty response (HTTP/1.0 close-delimited framing, which is what
-    /// OKWS and the baselines use). Completed connections are reaped from
-    /// the substrate.
+    /// Collects newly arrived response bytes. A request completes when
+    /// the server has closed the connection with a non-empty response
+    /// (HTTP/1.0 close-delimited framing, which is what OKWS and the
+    /// baselines use). Completed connections are reaped from the
+    /// substrate.
     pub fn poll(&mut self, kernel: &Kernel) {
-        for lane in 0..self.device_ports.len() {
-            self.poll_lane(kernel, lane);
-        }
-    }
-
-    /// Per-lane completion polling: collects response bytes for the
-    /// outstanding requests of `lane` only. This is the multi-queue
-    /// analogue of a NIC completion ring — the latency harness polls each
-    /// lane on its own instead of scanning every request ever
-    /// issued, which is what keeps polling O(outstanding) under
-    /// million-session logs.
-    pub fn poll_lane(&mut self, kernel: &Kernel, lane: usize) {
         let now = kernel.now();
         let mut net = self.net.borrow_mut();
         let requests = &mut self.requests;
-        self.outstanding[lane].retain(|&idx| {
+        self.outstanding.retain(|&idx| {
             let req = &mut requests[idx];
             if req.finished_at.is_some() || req.aborted {
                 return false;
@@ -206,56 +183,31 @@ impl ClientDriver {
     /// requests are never retried.
     /// Returns how many requests were re-opened.
     pub fn retry_shed(&mut self, kernel: &mut Kernel) -> usize {
-        let mut retried = 0;
-        // Only outstanding requests can have been shed; collect the
-        // candidates per lane first (a retry re-hashes to a new lane, so
-        // the lists are edited after the scan).
-        let mut shed_idxs = Vec::new();
-        {
+        // Only outstanding requests can have been shed.
+        let shed: Vec<usize> = {
             let net = self.net.borrow();
-            for lane in &self.outstanding {
-                for &idx in lane {
+            self.outstanding
+                .iter()
+                .copied()
+                .filter(|&idx| {
                     let req = &self.requests[idx];
-                    if req.finished_at.is_none()
+                    req.finished_at.is_none()
                         && !req.aborted
                         && req.response.is_empty()
                         && !net.is_open(req.conn)
-                    {
-                        shed_idxs.push(idx);
-                    }
-                }
-            }
-        }
-        for idx in shed_idxs {
-            let (old_conn, old_lane, tcp_port, bytes) = {
-                let req = &self.requests[idx];
-                (req.conn, req.lane, req.tcp_port, req.request_bytes.clone())
-            };
-            let new_conn = {
-                let mut net = self.net.borrow_mut();
-                net.reap(old_conn);
-                net.client_open(tcp_port, &bytes)
-            };
-            let lane = self.demux.accept(new_conn, tcp_port);
-            kernel.inject(
-                self.device_ports[lane],
-                NetMsg::DevNewConn {
-                    conn: new_conn,
-                    tcp_port,
-                }
-                .to_value(),
-            );
+                })
+                .collect()
+        };
+        for &idx in &shed {
+            let req = &self.requests[idx];
+            let (old_conn, tcp_port, bytes) = (req.conn, req.tcp_port, req.request_bytes.clone());
+            self.net.borrow_mut().reap(old_conn);
+            let conn = self.connect(kernel, tcp_port, &bytes);
             let req = &mut self.requests[idx];
-            req.conn = new_conn;
+            req.conn = conn;
             req.retries += 1;
-            if lane != old_lane {
-                req.lane = lane;
-                self.outstanding[old_lane].retain(|&i| i != idx);
-                self.outstanding[lane].push(idx);
-            }
-            retried += 1;
         }
-        retried
+        shed.len()
     }
 
     /// Total shed connections the driver has retried so far.
@@ -296,15 +248,13 @@ impl ClientDriver {
 
     /// Requests still awaiting a response (not completed, not aborted).
     pub fn outstanding(&self) -> usize {
-        self.outstanding.iter().map(Vec::len).sum()
+        self.outstanding.len()
     }
 
     /// Clears the request log (keeps connections).
     pub fn reset_log(&mut self) {
         self.requests.clear();
-        for lane in &mut self.outstanding {
-            lane.clear();
-        }
+        self.outstanding.clear();
     }
 }
 

@@ -6,17 +6,10 @@
 //! operations on that connection will be contaminated with the taint handle
 //! at level 3."
 //!
-//! ## Multi-queue lanes
-//!
-//! The paper runs netd as one process; this reproduction can run it as a
-//! **multi-queue front end**: `lanes` full netd instances on the kernel's
-//! one delivery engine, each owning the slice of the TCP substrate whose
-//! connections the RSS demultiplexer ([`crate::tcp::rss_lane`]) hashes to
-//! it. A connection's entire event history — accept, taint application,
-//! reads, writes, close — is handled by exactly one lane; lanes share
-//! nothing but the byte substrate and the global environment.
-//! `lanes = 1` is the paper-faithful configuration and runs the identical
-//! code path the single-netd build did.
+//! The paper runs netd as one process, and so does this reproduction: one
+//! netd owns the whole TCP substrate, so each connection's event history
+//! (accept, taint application, reads, writes, close) is handled by one
+//! process by construction.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -38,39 +31,11 @@ pub const NETD_EVENT_CYCLES: u64 = 78_000;
 pub const NETD_BYTE_CYCLES: u64 = 40;
 
 /// Environment key where netd publishes its control (listen) port.
-///
-/// On a multi-lane front end this names lane 0's control port (the lanes
-/// also publish lane-qualified keys, [`netd_control_env`]); single-lane
-/// deployments publish only this key, exactly as before.
 pub const NETD_CONTROL_ENV: &str = "netd.control";
 
 /// Environment key where netd's device port is published (used by the
 /// external driver to inject connection events; not a process-facing port).
 pub const NETD_DEVICE_ENV: &str = "netd.device";
-
-/// Environment key for the lane count of a multi-queue netd front end.
-/// Published (as a `Value::U64`) only when `lanes > 1`; absence means the
-/// single-netd configuration.
-pub const NETD_LANES_ENV: &str = "netd.lanes";
-
-/// Environment key for lane `lane`'s control (listen) port.
-pub fn netd_control_env(lane: usize) -> String {
-    format!("netd.control.{lane}")
-}
-
-/// Environment key for lane `lane`'s device port.
-pub fn netd_device_env(lane: usize) -> String {
-    format!("netd.device.{lane}")
-}
-
-/// Reads the lane count a running deployment published (1 when absent —
-/// the single-netd configuration publishes no lane count).
-pub fn netd_lanes(kernel: &Kernel) -> usize {
-    kernel
-        .global_env(NETD_LANES_ENV)
-        .and_then(|v| v.as_u64())
-        .map_or(1, |n| n as usize)
-}
 
 /// State netd keeps per live connection.
 struct ConnState {
@@ -83,13 +48,9 @@ struct ConnState {
     reply_caps: Vec<Handle>,
 }
 
-/// The netd service: one network lane (the whole network when `lanes = 1`).
+/// The netd service.
 pub struct Netd {
     net: Rc<RefCell<SimNet>>,
-    /// This instance's lane index.
-    lane: usize,
-    /// Total lanes in the front end (1 = the paper's single netd).
-    lanes: usize,
     /// Connection port `uC` → connection state.
     conns: HandleMap<ConnState>,
     /// TCP port → notify port of the registered listener.
@@ -99,18 +60,10 @@ pub struct Netd {
 }
 
 impl Netd {
-    /// Creates the single-netd service over a shared substrate.
+    /// Creates the netd service over a shared substrate.
     pub fn new(net: Rc<RefCell<SimNet>>) -> Netd {
-        Netd::lane(net, 0, 1)
-    }
-
-    /// Creates lane `lane` of a `lanes`-wide front end.
-    pub fn lane(net: Rc<RefCell<SimNet>>, lane: usize, lanes: usize) -> Netd {
-        assert!(lanes >= 1 && lane < lanes, "lane {lane} of {lanes} lanes");
         Netd {
             net,
-            lane,
-            lanes,
             conns: HandleMap::default(),
             listeners: BTreeMap::new(),
             control_port: None,
@@ -252,32 +205,14 @@ impl Service for Netd {
         let control = sys.new_port(Label::top());
         sys.set_port_label(control, Label::top())
             .expect("creator owns the control port");
-        if self.lanes == 1 {
-            // Single-netd configuration: exactly the pre-lane publication
-            // sequence (pinned bit-for-bit by netd_determinism.rs).
-            sys.publish_env(NETD_CONTROL_ENV, Value::Handle(control));
-        } else {
-            sys.publish_env(&netd_control_env(self.lane), Value::Handle(control));
-        }
+        sys.publish_env(NETD_CONTROL_ENV, Value::Handle(control));
         self.control_port = Some(control);
 
         // Device port: where the external world injects connection events.
         // Its label stays fresh-closed — injected messages bypass labels
         // (they are hardware), and no simulated process can forge one.
         let device = sys.new_port(Label::default_recv());
-        if self.lanes == 1 {
-            sys.publish_env(NETD_DEVICE_ENV, Value::Handle(device));
-        } else {
-            sys.publish_env(&netd_device_env(self.lane), Value::Handle(device));
-            if self.lane == 0 {
-                // Lane 0 doubles as the legacy single-netd namespace so
-                // lane-unaware code still finds *a* netd, and announces
-                // the front end's width for lane-aware clients.
-                sys.publish_env(NETD_CONTROL_ENV, Value::Handle(control));
-                sys.publish_env(NETD_DEVICE_ENV, Value::Handle(device));
-                sys.publish_env(NETD_LANES_ENV, Value::U64(self.lanes as u64));
-            }
-        }
+        sys.publish_env(NETD_DEVICE_ENV, Value::Handle(device));
         self.device_port = Some(device);
     }
 
@@ -304,69 +239,44 @@ impl Service for Netd {
     }
 }
 
-/// One spawned lane of the front end.
-#[derive(Clone, Copy, Debug)]
-pub struct NetdLane {
-    /// The lane's process id.
-    pub pid: ProcessId,
-    /// The lane's control port (LISTEN requests).
-    pub control_port: Handle,
-    /// The lane's device port (external injections).
-    pub device_port: Handle,
-}
-
-/// Spawn info for a running netd front end.
+/// Spawn info for a running netd.
 pub struct NetdHandle {
-    /// Every lane, in lane order (length 1 for the single-netd build).
-    pub lanes: Vec<NetdLane>,
+    /// netd's process id.
+    pub pid: ProcessId,
+    /// netd's control port (LISTEN requests).
+    pub control_port: Handle,
+    /// netd's device port (external injections).
+    pub device_port: Handle,
     /// The shared TCP substrate.
     pub net: Rc<RefCell<SimNet>>,
+    /// Does nothing: always the one entry `[NetdLane { pid }]`, since
+    /// there is one netd. Kept only because `benchmark/` (which a crate
+    /// change may not edit) reads it; use [`NetdHandle::pid`].
+    pub lanes: [NetdLane; 1],
 }
 
-/// Spawns the single-process netd into a kernel (the paper-faithful
-/// configuration; identical to `spawn_netd_lanes(kernel, 1)`).
+/// The entry type of the inert [`NetdHandle::lanes`] stub.
+#[derive(Clone, Copy, Debug)]
+pub struct NetdLane {
+    /// netd's process id.
+    pub pid: ProcessId,
+}
+
+/// Spawns the netd process into a kernel.
 pub fn spawn_netd(kernel: &mut Kernel) -> NetdHandle {
-    spawn_netd_lanes(kernel, 1)
-}
-
-/// Spawns a `lanes`-wide multi-queue netd front end.
-///
-/// Lane `i` is the `i`-th process spawned here, so a single-lane front
-/// end is spawned exactly as the old single netd was. Each lane publishes
-/// its lane-qualified control/device ports in the global environment;
-/// lane 0 additionally publishes the legacy unqualified keys and
-/// [`NETD_LANES_ENV`].
-pub fn spawn_netd_lanes(kernel: &mut Kernel, lanes: usize) -> NetdHandle {
-    assert!(lanes >= 1, "a netd front end needs at least one lane");
     let net = Rc::new(RefCell::new(SimNet::new()));
-    let mut lane_handles = Vec::with_capacity(lanes);
-    for lane in 0..lanes {
-        let name = if lane == 0 {
-            "netd".to_string()
-        } else {
-            format!("netd.{lane}")
-        };
-        let service = Box::new(Netd::lane(net.clone(), lane, lanes));
-        let pid = kernel.spawn(&name, Category::Network, service);
-        let (control_key, device_key) = if lanes == 1 {
-            (NETD_CONTROL_ENV.to_string(), NETD_DEVICE_ENV.to_string())
-        } else {
-            (netd_control_env(lane), netd_device_env(lane))
-        };
-        let control_port = kernel
-            .global_env_handle(&control_key)
-            .expect("every netd lane publishes its control port on start");
-        let device_port = kernel
-            .global_env_handle(&device_key)
-            .expect("every netd lane publishes its device port on start");
-        lane_handles.push(NetdLane {
-            pid,
-            control_port,
-            device_port,
-        });
-    }
+    let pid = kernel.spawn("netd", Category::Network, Box::new(Netd::new(net.clone())));
+    let control_port = kernel
+        .global_env_handle(NETD_CONTROL_ENV)
+        .expect("netd publishes its control port on start");
+    let device_port = kernel
+        .global_env_handle(NETD_DEVICE_ENV)
+        .expect("netd publishes its device port on start");
     NetdHandle {
-        lanes: lane_handles,
+        pid,
+        control_port,
+        device_port,
         net,
+        lanes: [NetdLane { pid }],
     }
 }

@@ -14,64 +14,6 @@ use asbestos_kernel::Payload;
 /// Identifies a simulated TCP connection.
 pub type ConnId = u64;
 
-/// RSS-style receive-side demultiplexer: maps a connection to one of
-/// `lanes` netd queues, the way a multi-queue NIC hashes a flow's 4-tuple
-/// to a receive queue. The simulated flow identity is `(conn, tcp_port)`;
-/// the mix is SplitMix64's finalizer, so consecutive connection ids spread
-/// evenly across lanes instead of striding. The hash is a pure function of
-/// the flow — every packet of a connection lands on the same lane, which
-/// is the invariant that keeps a connection's whole event history in one
-/// lane.
-pub fn rss_lane(conn: ConnId, tcp_port: u16, lanes: usize) -> usize {
-    if lanes <= 1 {
-        return 0;
-    }
-    let mut z = conn ^ (u64::from(tcp_port) << 48) ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % lanes as u64) as usize
-}
-
-/// Per-lane accept bookkeeping for a multi-queue front end: which lane
-/// each live connection hashed to, and how many connections each lane has
-/// accepted in total (the load-spread observable tests assert on).
-/// Construct with [`MultiQueue::new`] — there is deliberately no
-/// `Default`, since a zero-lane demux is invalid.
-#[derive(Debug)]
-pub struct MultiQueue {
-    lanes: usize,
-    accepts: Vec<u64>,
-}
-
-impl MultiQueue {
-    /// A demultiplexer over `lanes` queues.
-    pub fn new(lanes: usize) -> MultiQueue {
-        assert!(lanes >= 1, "a multi-queue front end needs at least 1 lane");
-        MultiQueue {
-            lanes,
-            accepts: vec![0; lanes],
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Hashes a new connection to its lane and records the accept.
-    pub fn accept(&mut self, conn: ConnId, tcp_port: u16) -> usize {
-        let lane = rss_lane(conn, tcp_port, self.lanes);
-        self.accepts[lane] += 1;
-        lane
-    }
-
-    /// Total connections ever accepted on each lane.
-    pub fn accepts(&self) -> &[u64] {
-        &self.accepts
-    }
-}
-
 /// One byte-stream connection between the external client and netd.
 #[derive(Debug, Default)]
 pub struct SimConn {
@@ -252,35 +194,6 @@ mod tests {
         assert_eq!(net.conn_count(), 2);
         net.reap(a);
         assert_eq!(net.conn_count(), 1);
-    }
-
-    #[test]
-    fn rss_lane_is_stable_and_in_range() {
-        for conn in 0..256u64 {
-            for &lanes in &[1usize, 2, 3, 4, 8] {
-                let lane = rss_lane(conn, 80, lanes);
-                assert!(lane < lanes);
-                // Pure function of the flow: every packet, same lane.
-                assert_eq!(lane, rss_lane(conn, 80, lanes));
-            }
-            assert_eq!(rss_lane(conn, 80, 1), 0);
-        }
-    }
-
-    #[test]
-    fn rss_lane_spreads_connections() {
-        // 256 consecutive conn ids over 4 lanes: no lane may be starved
-        // or hoard the traffic (a NIC-grade hash keeps queues balanced).
-        let mut mq = MultiQueue::new(4);
-        for conn in 0..256u64 {
-            mq.accept(conn, 80);
-        }
-        for (lane, &count) in mq.accepts().iter().enumerate() {
-            assert!(
-                (32..=96).contains(&count),
-                "lane {lane} got {count} of 256 connections"
-            );
-        }
     }
 
     #[test]

@@ -1,21 +1,16 @@
-//! Taint invariance across netd lanes, pinned golden-trace style.
+//! netd's taint rule, pinned golden-trace style.
 //!
 //! §7.2 step 5's contract — "when a process tells netd to add a taint
 //! handle to a connection, later messages sent in response to operations
 //! on that connection will be contaminated with the taint handle at
-//! level 3" — must be *lane-invariant*: which lane the RSS demux hashes a
-//! connection to may never change a connection's taint labels or any
-//! Figure 4 verdict on its traffic. This test drives a canonical tainted
-//! workload (per-connection taint registration, a tainted attacker whose
-//! writes every configuration must drop, and a rightful response per
-//! connection) and reduces the observables — per-connection response
-//! bytes, the owning lane's `uT` privileges, lane isolation, and the
-//! label-check verdict count — to one FNV trace hash, the
-//! `shard_determinism.rs` technique.
-//!
-//! The single-lane hash is pinned as a golden constant: `lanes = 1` runs
-//! the identical code path the pre-lane netd did, and multi-lane
-//! configurations must reproduce the same trace bit for bit.
+//! level 3" — is driven through a canonical tainted workload
+//! (per-connection taint registration, a tainted attacker whose writes
+//! must all be dropped, and a rightful response per connection), and the
+//! observables — per-connection response bytes, netd's `uT` privileges,
+//! and the label-check verdict count — are reduced to one FNV trace hash,
+//! the `shard_determinism.rs` technique. The hash is pinned as a golden
+//! constant: any change to what netd does with a connection's labels
+//! moves it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,7 +18,7 @@ use std::sync::Mutex;
 
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Value};
-use asbestos_net::{rss_lane, spawn_netd_lanes, ClientDriver, NetMsg};
+use asbestos_net::{spawn_netd, ClientDriver, NetMsg};
 
 const CONNS: usize = 12;
 const TCP_PORT: u16 = 80;
@@ -52,15 +47,10 @@ impl TraceHash {
 }
 
 /// Runs the canonical tainted workload; returns the trace hash.
-fn run_tainted_workload(lanes: usize) -> u64 {
+fn run_tainted_workload() -> u64 {
     let mut kernel = Kernel::new(0x7A17);
-    let netd = spawn_netd_lanes(&mut kernel, lanes);
-    let controls: Vec<Handle> = netd.lanes.iter().map(|l| l.control_port).collect();
-    assert_eq!(
-        asbestos_net::netd_lanes(&kernel),
-        lanes,
-        "the deployment announces its lane count (1 when the env is absent)"
-    );
+    let netd = spawn_netd(&mut kernel);
+    let netd_control = netd.control_port;
     let mut driver = ClientDriver::new(&netd);
 
     // index → (uC, uT); filled during phase A, read by phase B and the
@@ -99,7 +89,7 @@ fn run_tainted_workload(lanes: usize) -> u64 {
 
     // The trusted front end (ok-demux stand-in). Phase A (per NewConn):
     // peek the request head to learn the connection's index, register the
-    // user taint with the owning lane, and leak the capability to the
+    // user taint with netd, and leak the capability to the
     // attacker. Phase B (external trigger per index): read the request in
     // full and respond over the tainted connection.
     let state = conns.clone();
@@ -113,19 +103,16 @@ fn run_tainted_workload(lanes: usize) -> u64 {
                 let control = sys.new_port(Label::top());
                 sys.set_port_label(control, Label::top()).unwrap();
                 sys.publish_env("frontend.control", Value::Handle(control));
-                for &control in &controls {
-                    let listen = NetMsg::Listen {
-                        tcp_port: TCP_PORT,
-                        notify,
-                    };
-                    sys.send(control, listen.to_value()).unwrap();
-                }
+                let listen = NetMsg::Listen {
+                    tcp_port: TCP_PORT,
+                    notify,
+                };
+                sys.send(netd_control, listen.to_value()).unwrap();
             },
             move |sys, msg| match NetMsg::from_value(&msg.body) {
                 Some(NetMsg::NewConn { port: uc }) => {
                     // Peek the head to learn which scripted connection
-                    // this is (arrival order is lane-dependent; request
-                    // bytes are not).
+                    // this is.
                     let reply = sys.new_port(Label::top());
                     sys.set_port_label(reply, Label::top()).unwrap();
                     sys.set_env(&format!("peek.{}", reply.raw()), Value::Handle(uc));
@@ -148,7 +135,7 @@ fn run_tainted_workload(lanes: usize) -> u64 {
                     {
                         // Phase A continued: "req-{i}" identifies the
                         // connection; mint its user taint and register it
-                        // with the owning lane.
+                        // with netd.
                         let text = String::from_utf8_lossy(&bytes).to_string();
                         let i: u64 = text
                             .strip_prefix("req-")
@@ -236,35 +223,23 @@ fn run_tainted_workload(lanes: usize) -> u64 {
     for i in 0..CONNS {
         let req = driver.request(i);
         let expected = format!("RESP:REQ-{i}:OK");
-        assert_eq!(
-            req.response,
-            expected.as_bytes(),
-            "connection {i} response at lanes={lanes}"
-        );
+        assert_eq!(req.response, expected.as_bytes(), "connection {i} response");
         let (_uc, ut) = table[&(i as u64)];
-        // The owning lane — and only the owning lane — holds uT ⋆ (its
-        // own privilege survived the taint) and accepts uT 3 traffic.
-        let lane = rss_lane(req.conn, TCP_PORT, lanes);
-        for (l, info) in netd.lanes.iter().enumerate() {
-            let p = kernel.process(info.pid);
-            let send = p.send_label.get(ut);
-            let recv = p.recv_label.get(ut);
-            if l == lane {
-                assert_eq!(send, Level::Star, "owning lane keeps uT ⋆");
-                assert_eq!(recv, Level::L3, "owning lane accepts uT 3");
-            } else {
-                assert_ne!(recv, Level::L3, "lane {l} must not learn conn {i}'s taint");
-            }
-        }
+        // netd holds uT ⋆ (its own privilege survived the taint) and
+        // accepts uT 3 traffic.
+        let p = kernel.process(netd.pid);
+        assert_eq!(p.send_label.get(ut), Level::Star, "netd keeps uT ⋆");
+        assert_eq!(p.recv_label.get(ut), Level::L3, "netd accepts uT 3");
         h.eat(&(i as u64).to_le_bytes());
         h.eat(&req.response);
+        // The tag the golden constant was recorded with.
         h.eat(b"own-lane:*3");
     }
     // Figure 4 verdicts: exactly one label-check drop per connection (the
-    // attacker's write), in every configuration.
+    // attacker's write).
     assert_eq!(
         dropped_after_attack, CONNS as u64,
-        "attacker writes dropped at lanes={lanes}"
+        "attacker writes dropped"
     );
     h.eat(&dropped_after_attack.to_le_bytes());
     assert_eq!(kernel.queue_len(), 0);
@@ -272,23 +247,10 @@ fn run_tainted_workload(lanes: usize) -> u64 {
 }
 
 /// Golden constant recorded from the single-netd configuration; see the
-/// module docs. `lanes = 1` must match it forever.
+/// module docs. It must match forever.
 const GOLDEN_SINGLE_NETD_TRACE: u64 = 0x27C8_02D3_F903_2323;
 
 #[test]
 fn single_lane_matches_golden_trace() {
-    assert_eq!(run_tainted_workload(1), GOLDEN_SINGLE_NETD_TRACE);
-}
-
-#[test]
-fn taint_rule_is_lane_invariant() {
-    // Every lane configuration reproduces the identical taint trace —
-    // which lane a connection hashes to is unobservable in its labels.
-    for lanes in [2, 3, 4] {
-        assert_eq!(
-            run_tainted_workload(lanes),
-            GOLDEN_SINGLE_NETD_TRACE,
-            "trace diverged at lanes={lanes}"
-        );
-    }
+    assert_eq!(run_tainted_workload(), GOLDEN_SINGLE_NETD_TRACE);
 }

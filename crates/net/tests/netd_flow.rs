@@ -1,12 +1,15 @@
-//! End-to-end netd tests: connection lifecycle, taint application, and the
-//! port-label enforcement that §7.2 builds OKWS's isolation from.
+//! End-to-end netd tests: connection lifecycle, per-connection event
+//! order, taint application, and the port-label enforcement that §7.2
+//! builds OKWS's isolation from.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 
 use asbestos_kernel::util::service_with_start;
 use asbestos_kernel::{Category, Handle, Kernel, Label, Level, SendArgs, Sys, Value};
 use asbestos_net::{spawn_netd, ClientDriver, NetMsg, NETD_CONTROL_ENV};
+use proptest::prelude::*;
 
 fn star_grant(h: Handle) -> Label {
     Label::from_pairs(Level::L3, &[(h, Level::Star)])
@@ -103,6 +106,112 @@ fn unlistened_port_refuses_connections() {
     driver.poll(&kernel);
     assert_eq!(driver.completed(), 0);
     assert!(!netd.net.borrow().is_open(driver.request(0).conn));
+}
+
+/// Runs connections through a chunked echo server: it reads `chunk` bytes
+/// at a time and writes each chunk back as `[seq:CHUNK]`, numbering the
+/// chunks of each connection from 0, and closes after the `!` that ends
+/// every payload. Connection `i` opens before the kernel's run number
+/// `open_epoch[i]`, so connections overlap. Returns each connection's
+/// response bytes, by payload index.
+fn run_chunked_echo(payloads: &[Vec<u8>], open_epoch: &[usize], chunk: u64) -> Vec<Vec<u8>> {
+    let mut kernel = Kernel::new(0x1A7E);
+    let netd = spawn_netd(&mut kernel);
+    let mut driver = ClientDriver::new(&netd);
+
+    // Reply port → (uC, next chunk number).
+    let conns: Arc<Mutex<BTreeMap<Handle, (Handle, u64)>>> = Arc::default();
+    let read = move |sys: &mut Sys<'_>, uc: Handle, reply: Handle| {
+        let msg = NetMsg::Read {
+            max: chunk,
+            reply,
+            peek: false,
+        };
+        let grant = SendArgs::new().grant(star_grant(reply));
+        sys.send_args(uc, msg.to_value(), &grant).unwrap();
+    };
+    kernel.spawn(
+        "chunked-echo",
+        Category::Other,
+        service_with_start(listen_on_80, move |sys, msg| {
+            match NetMsg::from_value(&msg.body) {
+                Some(NetMsg::NewConn { port: uc }) => {
+                    let reply = sys.new_port(Label::top());
+                    sys.set_port_label(reply, Label::top()).unwrap();
+                    conns.lock().unwrap().insert(reply, (uc, 0));
+                    read(sys, uc, reply);
+                }
+                Some(NetMsg::ReadR { bytes }) => {
+                    let mut map = conns.lock().unwrap();
+                    let Some(conn) = map.get_mut(&msg.port) else {
+                        return;
+                    };
+                    let (uc, seq) = *conn;
+                    conn.1 += 1;
+                    drop(map);
+                    let mut out = format!("[{seq}:").into_bytes();
+                    out.extend(bytes.to_ascii_uppercase());
+                    out.push(b']');
+                    sys.send(uc, NetMsg::Write { bytes: out.into() }.to_value())
+                        .unwrap();
+                    if bytes.is_empty() || bytes.contains(&b'!') {
+                        conns.lock().unwrap().remove(&msg.port);
+                        sys.send(uc, NetMsg::Close.to_value()).unwrap();
+                    } else {
+                        read(sys, uc, msg.port);
+                    }
+                }
+                _ => {}
+            }
+        }),
+    );
+    kernel.run();
+
+    let epochs = open_epoch.iter().max().map_or(0, |&e| e + 1);
+    let mut request_of = vec![0; payloads.len()];
+    for epoch in 0..epochs {
+        for (i, payload) in payloads.iter().enumerate() {
+            if open_epoch[i] == epoch {
+                request_of[i] = driver.open(&mut kernel, 80, payload);
+            }
+        }
+        kernel.run();
+    }
+    driver.poll(&kernel);
+    assert_eq!(driver.completed(), payloads.len());
+    assert_eq!(kernel.queue_len(), 0);
+    request_of
+        .iter()
+        .map(|&idx| driver.request(idx).response.clone())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Each connection's reads and writes keep their order, and carry
+    /// their bytes unchanged, while several connections overlap: every
+    /// response is exactly the payload's chunks, numbered and echoed in
+    /// order.
+    #[test]
+    fn every_connection_echoes_each_chunk_in_order(
+        bodies in prop::collection::vec("[a-z]{1,24}", 1..9),
+        epoch_picks in prop::collection::vec(0usize..3, 1..9),
+        chunk in 1u64..7,
+    ) {
+        let payloads: Vec<Vec<u8>> = bodies.iter().map(|b| format!("{b}!").into_bytes()).collect();
+        let open_epoch: Vec<usize> =
+            (0..payloads.len()).map(|i| epoch_picks[i % epoch_picks.len()]).collect();
+        let responses = run_chunked_echo(&payloads, &open_epoch, chunk);
+        for (payload, response) in payloads.iter().zip(&responses) {
+            let expected: String = payload
+                .chunks(chunk as usize)
+                .enumerate()
+                .map(|(seq, part)| format!("[{seq}:{}]", String::from_utf8_lossy(part).to_uppercase()))
+                .collect();
+            prop_assert_eq!(String::from_utf8_lossy(response), expected);
+        }
+    }
 }
 
 #[test]
@@ -233,7 +342,7 @@ fn tainted_replies_contaminate_and_port_label_opens_for_owner() {
     // And netd is still untainted for uT (it holds ⋆): its send label shows
     // uT at ⋆, so future users are unaffected.
     let (_uc, ut) = state.lock().unwrap().unwrap();
-    let netd_proc = kernel.process(netd.lanes[0].pid);
+    let netd_proc = kernel.process(netd.pid);
     assert_eq!(netd_proc.send_label.get(ut), Level::Star);
 }
 
@@ -341,7 +450,7 @@ fn an_ungranted_add_taint_is_dropped_and_the_connection_still_serves() {
         .lock()
         .unwrap()
         .expect("the listener saw the connection");
-    let netd_proc = kernel.process(netd.lanes[0].pid);
+    let netd_proc = kernel.process(netd.pid);
     assert_eq!(netd_proc.recv_label.get(taint), Level::L2);
     assert_eq!(netd_proc.send_label.get(taint), Level::L1);
 }

@@ -8,7 +8,7 @@
 //! otherwise.
 //!
 //! ok-demux reads the environment only in its `on_start` (the launcher's
-//! wiring rule); netd's control ports come from the launcher.
+//! wiring rule); netd's control port comes from the launcher.
 
 use std::collections::BTreeMap;
 
@@ -74,8 +74,8 @@ struct ConnState {
 /// The ok-demux service.
 pub struct OkDemux {
     tcp_port: u16,
-    /// Every netd lane's control port, in lane order.
-    netd: Vec<Handle>,
+    /// netd's control port.
+    netd: Handle,
     /// idd's login port.
     idd: Option<Handle>,
     /// ok-demux's verification handle, which proves it to idd.
@@ -93,8 +93,8 @@ pub struct OkDemux {
 
 impl OkDemux {
     /// Creates a demux that, once started, listens on `tcp_port` through
-    /// the netd lanes whose control ports are `netd`.
-    pub fn new(tcp_port: u16, netd: Vec<Handle>) -> OkDemux {
+    /// the netd whose control port is `netd`.
+    pub fn new(tcp_port: u16, netd: Handle) -> OkDemux {
         OkDemux {
             tcp_port,
             netd,
@@ -384,16 +384,11 @@ impl Service for OkDemux {
         sys.set_port_label(notify, Label::top())
             .expect("creator owns the port");
         self.notify_port = Some(notify);
-        // Register the listener with every netd lane: each lane owns the
-        // connections the RSS demux hashes to it, and all of them announce
-        // new connections on the same notify port.
-        for &control in &self.netd {
-            let listen = NetMsg::Listen {
-                tcp_port: self.tcp_port,
-                notify,
-            };
-            let _ = sys.send(control, listen.to_value());
-        }
+        let listen = NetMsg::Listen {
+            tcp_port: self.tcp_port,
+            notify,
+        };
+        let _ = sys.send(self.netd, listen.to_value());
     }
 
     fn on_message(&mut self, sys: &mut Sys<'_>, msg: &Message) {

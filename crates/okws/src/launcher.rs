@@ -22,7 +22,7 @@
 //! launcher's, after a trusted process has written every key they read,
 //! and before any worker can run again. What workers write — their
 //! service ports — and what was written before any worker ran — netd's
-//! control ports — come from the assembler instead, captured at spawn.
+//! control port — come from the assembler instead, captured at spawn.
 
 use asbestos_db::{DbProxy, DB_ADMIN_VERIFY_ENV};
 use asbestos_kernel::{
@@ -133,11 +133,6 @@ pub struct OkwsConfig {
     pub worker_tables: Vec<String>,
     /// Accounts to create: (user, password).
     pub users: Vec<(String, String)>,
-    /// netd lanes in the multi-queue front end. `1` (the default) is the
-    /// paper's single netd process; higher counts spawn one full netd
-    /// instance per lane, with the RSS demultiplexer hashing each accepted
-    /// connection to a lane so its whole event stream stays in that lane.
-    pub netd_lanes: usize,
     /// The durable medium for ok-dbproxy's write-ahead log (§7.5
     /// persistence). `None` (the default) is the paper's volatile
     /// prototype; a device makes every acknowledged statement durable
@@ -153,7 +148,6 @@ impl OkwsConfig {
             services: Vec::new(),
             worker_tables: Vec::new(),
             users: Vec::new(),
-            netd_lanes: 1,
             db_store: None,
         }
     }
@@ -165,9 +159,10 @@ impl OkwsConfig {
         self
     }
 
-    /// Sets the netd lane count of the multi-queue front end.
-    pub fn lanes(mut self, lanes: usize) -> OkwsConfig {
-        self.netd_lanes = lanes;
+    /// Does nothing: a deployment runs one netd (§7.7). Kept only
+    /// because `benchmark/` (which a crate change may not edit) calls it;
+    /// it goes when the benchmark is next revised.
+    pub fn lanes(self, _lanes: usize) -> OkwsConfig {
         self
     }
 
@@ -184,17 +179,17 @@ impl OkwsConfig {
 /// The launcher process.
 pub struct Launcher {
     config: Option<OkwsConfig>,
-    /// Every netd lane's control port, for ok-demux's `Listen`.
-    netd: Vec<Handle>,
+    /// netd's control port, for ok-demux's `Listen`.
+    netd: Handle,
 }
 
 impl Launcher {
     /// Creates a launcher that will deploy `config` on start, in front of
-    /// the netd lanes of `netd`.
+    /// `netd`.
     pub fn new(config: OkwsConfig, netd: &NetdHandle) -> Launcher {
         Launcher {
             config: Some(config),
-            netd: netd.lanes.iter().map(|lane| lane.control_port).collect(),
+            netd: netd.control_port,
         }
     }
 }
@@ -243,7 +238,7 @@ impl Service for Launcher {
             .expect("launcher runs outside event processes");
         sys.spawn("idd", Category::Okdb, Box::new(Idd::new()))
             .expect("launcher runs outside event processes");
-        let demux = OkDemux::new(config.tcp_port, std::mem::take(&mut self.netd));
+        let demux = OkDemux::new(config.tcp_port, self.netd);
         sys.spawn("ok-demux", Category::Okws, Box::new(demux))
             .expect("launcher runs outside event processes");
 

@@ -1,7 +1,7 @@
 //! OKWS assembly, reboot, and a test/bench client.
 
 use asbestos_kernel::{Category, CostModel, Kernel, Level, ProcessId};
-use asbestos_net::{spawn_netd_lanes, ClientDriver, NetdHandle};
+use asbestos_net::{spawn_netd, ClientDriver, NetdHandle};
 use asbestos_store::Store;
 
 use crate::launcher::{Launcher, OkwsConfig};
@@ -20,7 +20,7 @@ impl Okws {
     /// Spawns netd and the full OKWS process suite, then runs the kernel
     /// until startup settles (registration, table creation, accounts).
     ///
-    /// The spawn order is netd's lanes, then the workers, then the
+    /// The spawn order is netd, then the workers, then the
     /// launcher, which spawns ok-demux, idd and ok-dbproxy itself. The
     /// workers are spawned before the launcher with default labels, so
     /// none inherits the launcher's `⋆` on the verification handles it
@@ -30,7 +30,7 @@ impl Okws {
     /// cluster assembler and is only activated.
     pub fn start(kernel: &mut Kernel, mut config: OkwsConfig) -> Okws {
         let tcp_port = config.tcp_port;
-        let netd = spawn_netd_lanes(kernel, config.netd_lanes);
+        let netd = spawn_netd(kernel);
         for spec in &mut config.services {
             spec.take_body(|name, body| {
                 kernel.spawn_ep_service(name, Category::Okws, body);

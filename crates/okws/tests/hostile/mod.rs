@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use asbestos_db::{DbMsg, DB_ADMIN_ENV, DB_ADMIN_VERIFY_ENV};
 use asbestos_kernel::{EpService, Handle, Label, Level, Message, SendArgs, Sys, Value};
-use asbestos_net::{netd_control_env, NETD_CONTROL_ENV};
+use asbestos_net::NETD_CONTROL_ENV;
 use asbestos_okws::demux::svc_verify_env;
 use asbestos_okws::idd::{IDD_DEMUX_VERIFY_ENV, IDD_PORT_ENV, LAUNCHER_VERIFY_ENV};
 use asbestos_okws::worker::worker_port_env;
@@ -55,7 +55,7 @@ fn public_port(sys: &mut Sys<'_>, service: &str) -> Handle {
 
 /// A worker that rewires every key a trusted process reads: in its base
 /// start, and again on activation, it writes its own port under each
-/// port key (netd's control ports, `store`'s service port, idd's login
+/// port key (netd's control port, `store`'s service port, idd's login
 /// port, ok-dbproxy's admin port) and a handle it minted under each
 /// verification key (the launcher's, ok-demux's, `store`'s, the admin
 /// port's). On activation it also sends idd a `Login` for alice, proven
@@ -86,12 +86,7 @@ impl Rewirer {
         for key in [NETD_CONTROL_ENV, IDD_PORT_ENV, DB_ADMIN_ENV] {
             sys.publish_env(key, Value::Handle(port));
         }
-        for key in (0..4)
-            .map(netd_control_env)
-            .chain([worker_port_env("store")])
-        {
-            sys.publish_env(&key, Value::Handle(port));
-        }
+        sys.publish_env(&worker_port_env("store"), Value::Handle(port));
         for key in [
             LAUNCHER_VERIFY_ENV,
             IDD_DEMUX_VERIFY_ENV,

@@ -1,8 +1,7 @@
 //! Kernel state under steady traffic: every connection mints ports (netd's
 //! `uC`, ok-demux's reply port, idd's per-login port) and dissociates them
 //! when it is done, so once every session is built the kernel's table of
-//! live ports stops growing. Runs at `ASBESTOS_NETD_LANES` netd lanes
-//! (default 1).
+//! live ports stops growing.
 
 use asbestos_kernel::Kernel;
 use asbestos_okws::logic::ParamLength;
@@ -29,11 +28,7 @@ fn serve_round(kernel: &mut Kernel, client: &mut OkwsClient) {
 
 #[test]
 fn steady_traffic_leaves_the_port_table_flat() {
-    let lanes = std::env::var("ASBESTOS_NETD_LANES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1);
-    let mut config = OkwsConfig::new(80).lanes(lanes);
+    let mut config = OkwsConfig::new(80);
     config
         .services
         .push(ServiceSpec::new("bench", || Box::new(ParamLength)));
@@ -52,7 +47,7 @@ fn steady_traffic_leaves_the_port_table_flat() {
         assert_eq!(
             kernel.handle_table().len(),
             baseline,
-            "{lanes} lanes: live ports grew by round {round}"
+            "live ports grew by round {round}"
         );
     }
     assert_eq!(kernel.queue_len(), 0);

@@ -2,7 +2,7 @@
 //!
 //! Allocation is host-only — nothing simulated reads it — so no other test
 //! sees it move. This one deploys OKWS in the benchmark's `hot-1x1` shape
-//! (the §9.2 `ParamLength` service behind one netd lane, every session
+//! (the §9.2 `ParamLength` service behind one netd, every session
 //! built and the deployment warmed up first), counts the heap allocations
 //! and bytes made while the kernel runs each round of requests, and holds
 //! the per-request figures to a budget about 10 % above what the current
@@ -112,7 +112,7 @@ fn round(kernel: &mut Kernel, client: &mut OkwsClient) -> (u64, u64) {
 
 #[test]
 fn a_hot_request_stays_within_its_allocation_budget() {
-    let mut config = OkwsConfig::new(80).lanes(1);
+    let mut config = OkwsConfig::new(80);
     config
         .services
         .push(ServiceSpec::new("bench", || Box::new(ParamLength)));

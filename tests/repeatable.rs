@@ -7,14 +7,13 @@ use asbestos_loadgen::{ScenarioConfig, World};
 
 const USERS: usize = 16;
 const REQUESTS: usize = 64;
-/// Connections opened before each drain, so several netd lanes have work
-/// at once.
+/// Connections opened before each drain, so netd has several at once.
 const BATCH: usize = 8;
 
-/// Deploys OKWS behind 4 netd lanes, replays the fixed request list and
+/// Deploys OKWS, replays the fixed request list and
 /// returns the raw responses, the kernel's `Stats` text and its clock.
 fn replay() -> (Vec<Vec<u8>>, String, u64) {
-    let cfg = ScenarioConfig::new(USERS, REQUESTS).deployment(4);
+    let cfg = ScenarioConfig::new(USERS, REQUESTS);
     let mut world = World::deploy(cfg, 0x5EED);
     world.kernel_mut().run();
     for i in 0..REQUESTS {

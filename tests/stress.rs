@@ -3,7 +3,7 @@
 //! §2 isolation invariant, leak memory after session teardown, or wedge
 //! the kernel.
 //!
-//! The overflow and flood stresses are [`asbestos_loadgen`] scenarios:
+//! The disconnect and flood stresses are [`asbestos_loadgen`] scenarios:
 //! the declarative structs in `loadgen::scenarios` own the phases and
 //! assertions, and the engine (`run_scenario`) owns deployment, open-loop
 //! pacing, polling, and drain. The same scenarios run at measurement size
@@ -15,21 +15,12 @@ use rand::{Rng, SeedableRng};
 use asbestos::kernel::Kernel;
 use asbestos::okws::logic::{EchoStore, Profile};
 use asbestos::okws::{Okws, OkwsClient, OkwsConfig, ServiceSpec};
-use asbestos_loadgen::{run_scenario, LaneOverflowChurn, SustainedFlood};
+use asbestos_loadgen::{run_scenario, DisconnectChurn, SustainedFlood};
 
 const USERS: usize = 12;
 
-/// netd lane count under test: the CI matrix sets `ASBESTOS_NETD_LANES`
-/// (1 and 4); locally this defaults to the paper's single netd.
-fn test_lanes() -> usize {
-    std::env::var("ASBESTOS_NETD_LANES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 fn deploy(seed: u64) -> (Kernel, Okws, OkwsClient) {
-    let mut config = OkwsConfig::new(80).lanes(test_lanes());
+    let mut config = OkwsConfig::new(80);
     config
         .services
         .push(ServiceSpec::new("store", || Box::new(EchoStore::new())));
@@ -247,19 +238,22 @@ fn okws_isolates_sessions_and_rows() {
     );
 }
 
-/// 4 netd lanes under hostile conditions, as a declarative
-/// scenario: warm burst, mid-stream client disconnects, a connection
-/// burst into a 2-deep port bound (lane → demux notifications overflow
-/// and take the `PortQueueFull` drop path), and recovery once the bound
-/// is lifted. The scenario's own `check` asserts no deadlock, accounted
-/// drops (a `PortQueueFull` overflow at several lanes), lane spread, and
-/// ordinary service afterwards.
+/// Mid-stream client disconnects, as a declarative scenario: a warm
+/// burst, a round of disconnects, and recovery. The scenario asserts no
+/// deadlock, nothing left queued, and ordinary service afterwards. (A
+/// full port queue's drop path is `crates/kernel/tests/sharding.rs`'s.)
 #[test]
-fn lane_queue_overflow_and_midstream_closes_do_not_wedge() {
-    run_scenario(&mut LaneOverflowChurn::new(USERS, 12, 4), 603);
+fn midstream_closes_do_not_wedge() {
+    run_scenario(
+        &mut DisconnectChurn {
+            users: USERS,
+            phase_len: 12,
+        },
+        603,
+    );
 }
 
-/// Sustained flood: 4 netd lanes, one attacker pouring
+/// Sustained flood: one attacker pouring
 /// connections at 10× the victim's rate into the same deployment. The
 /// attacker's session worker sheds what its pending queue cannot hold and
 /// the client retries it. The scenario's `check` asserts the victim's
@@ -271,7 +265,6 @@ fn sustained_flood_leaves_the_victim_served_and_recovers() {
         &mut SustainedFlood {
             requests: 110,
             flood_factor: 10,
-            lanes: 4,
         },
         604,
     );
