@@ -69,8 +69,7 @@ pub struct SweepPoint {
 /// every delivery is charged the label entries it examines.
 pub fn okws_sweep_point(sessions: usize, seed: u64) -> SweepPoint {
     let mut env = deploy(seed, sessions, true);
-    let start = env.kernel.cycle_snapshot();
-    let elapsed_before = env.kernel.now();
+    let start = env.kernel.clock();
     let mut connections = 0u64;
     for _round in 0..CONNS_PER_USER {
         for user in 0..sessions {
@@ -78,8 +77,8 @@ pub fn okws_sweep_point(sessions: usize, seed: u64) -> SweepPoint {
             connections += 1;
         }
     }
-    let end = env.kernel.cycle_snapshot();
-    let elapsed = (env.kernel.now() - elapsed_before).max(1);
+    let end = env.kernel.clock();
+    let elapsed = (end.now() - start.now()).max(1);
     let throughput = connections as f64 / (elapsed as f64 / CYCLES_PER_SEC as f64);
     let mut kcycles = [0.0; 5];
     for (i, &cat) in Category::ALL.iter().enumerate() {

@@ -251,12 +251,6 @@ pub(crate) fn worker_apply(
     Some((result.affected, result.work))
 }
 
-/// Whether a successfully-executed admin statement mutated state (and so
-/// belongs in the redo log).
-fn is_mutation(sql: &str) -> bool {
-    !matches!(parse(sql), Ok(Stmt::Select { .. }))
-}
-
 /// What recovery found when opening a [`DurableDb`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DbRecovery {
@@ -391,10 +385,12 @@ impl DurableDb {
         }
     }
 
-    /// Trusted raw statement; mutations are logged on success.
+    /// Trusted raw statement, parsed once; everything but a `SELECT` is
+    /// a mutation, logged on success.
     pub fn admin_exec(&mut self, sql: &str, params: &[SqlValue]) -> Result<QueryResult, DbError> {
-        let result = self.db.run_with_params(sql, params)?;
-        if is_mutation(sql) {
+        let stmt = parse(sql)?;
+        let result = self.db.execute(&stmt, params)?;
+        if !matches!(stmt, Stmt::Select { .. }) {
             self.log(DbRecord::Admin {
                 sql: sql.to_string(),
                 params: params.to_vec(),

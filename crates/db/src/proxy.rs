@@ -260,8 +260,8 @@ impl DbProxy {
                 // The Query arm is strictly read-only: a mutation smuggled
                 // in here would execute without being redo-logged and
                 // silently diverge memory from the durable log.
-                if matches!(parse(&sql), Ok(Stmt::Select { .. })) {
-                    if let Ok(result) = self.db.engine_mut().run_with_params(&sql, &params) {
+                if let Ok(stmt @ Stmt::Select { .. }) = parse(&sql) {
+                    if let Ok(result) = self.db.engine_mut().execute(&stmt, &params) {
                         sys.charge(result.work * PROXY_ROW_CYCLES);
                         if !result.rows.is_empty() {
                             let _ = sys.send(reply, DbMsg::rows(&result.rows).to_value());

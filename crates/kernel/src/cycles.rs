@@ -8,9 +8,13 @@
 //! IPC / OKDB / Other) falls directly out of the accounting.
 //!
 //! The [`CostModel`] constants are calibrated once against the paper's
-//! single-session anchor points (see EXPERIMENTS.md) and then left fixed for
-//! every sweep; all scaling behaviour (label sizes, session counts) comes
-//! from the implementation.
+//! single-session anchor points and then left fixed for every sweep; all
+//! scaling behaviour (label sizes, session counts) comes from the
+//! implementation.
+//!
+//! A kernel has one [`CycleClock`], and a reading of it is a copy of the
+//! clock itself: Figure 9's per-connection breakdown is the difference of
+//! two readings' category totals.
 
 /// Simulated CPU frequency, matching the paper's 2.8 GHz Pentium 4 (§9).
 pub const CYCLES_PER_SEC: u64 = 2_800_000_000;
@@ -87,10 +91,9 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> CostModel {
-        // Calibrated against §9's anchor points; see EXPERIMENTS.md for the
-        // derivation. Roughly: an idle-system OKWS request performs ~30 IPCs
-        // and should land near 1 750 Kcycles/connection in total with the
-        // service costs included.
+        // Calibrated against §9's anchor points. Roughly: an idle-system
+        // OKWS request performs ~30 IPCs and should land near 1 750
+        // Kcycles/connection in total with the service costs included.
         CostModel {
             send_base: 4_000,
             recv_base: 5_000,
@@ -106,8 +109,9 @@ impl Default for CostModel {
     }
 }
 
-/// The virtual clock plus per-category totals.
-#[derive(Clone, Debug, Default)]
+/// The virtual clock plus per-category totals. A reading
+/// ([`crate::Kernel::clock`]) is a copy of it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CycleClock {
     now: u64,
     totals: [u64; 5],
@@ -138,14 +142,6 @@ impl CycleClock {
         self.totals[Self::slot(category)]
     }
 
-    /// Snapshot of all category totals, in [`Category::ALL`] order.
-    pub fn snapshot(&self) -> CycleSnapshot {
-        CycleSnapshot {
-            now: self.now,
-            totals: self.totals,
-        }
-    }
-
     fn slot(category: Category) -> usize {
         match category {
             Category::Okws => 0,
@@ -154,33 +150,6 @@ impl CycleClock {
             Category::Okdb => 3,
             Category::Other => 4,
         }
-    }
-}
-
-/// A point-in-time copy of the clock, for interval measurements.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CycleSnapshot {
-    now: u64,
-    totals: [u64; 5],
-}
-
-impl CycleSnapshot {
-    /// Virtual time at the snapshot.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Category total at the snapshot.
-    pub fn total(&self, category: Category) -> u64 {
-        self.totals[CycleClock::slot(category)]
-    }
-
-    /// Per-category difference `later - self`.
-    pub fn delta(&self, later: &CycleSnapshot) -> Vec<(Category, u64)> {
-        Category::ALL
-            .iter()
-            .map(|&c| (c, later.total(c) - self.total(c)))
-            .collect()
     }
 }
 
@@ -198,20 +167,6 @@ mod tests {
         assert_eq!(clk.total(Category::KernelIpc), 110);
         assert_eq!(clk.total(Category::Okws), 50);
         assert_eq!(clk.total(Category::Okdb), 0);
-    }
-
-    #[test]
-    fn snapshot_deltas() {
-        let mut clk = CycleClock::new();
-        clk.charge(Category::Network, 5);
-        let before = clk.snapshot();
-        clk.charge(Category::Network, 7);
-        clk.charge(Category::Other, 2);
-        let after = clk.snapshot();
-        let delta = before.delta(&after);
-        assert!(delta.contains(&(Category::Network, 7)));
-        assert!(delta.contains(&(Category::Other, 2)));
-        assert!(delta.contains(&(Category::Okws, 0)));
     }
 
     #[test]

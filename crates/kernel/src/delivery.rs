@@ -214,7 +214,7 @@ impl Kernel {
         // process's when one owns the port, otherwise the base process's
         // (which are also what a freshly forked event process would start
         // with, so checking base labels is exact for the to-be-created EP).
-        let (pid, existing_ep) = match port_state.owner {
+        let (pid, ep) = match port_state.owner {
             PortOwner::Process(pid) => {
                 if !self.processes[pid.index()].alive {
                     return DeliveryOutcome::Dropped(DropReason::NoOwner);
@@ -231,16 +231,7 @@ impl Kernel {
         };
 
         // Borrow (never clone) every label the evaluation reads.
-        let (qs, qr): (&Arc<Label>, &Arc<Label>) = match existing_ep {
-            Some(eid) => (
-                &self.eps[eid.index()].send_label,
-                &self.eps[eid.index()].recv_label,
-            ),
-            None => (
-                &self.processes[pid.index()].send_label,
-                &self.processes[pid.index()].recv_label,
-            ),
-        };
+        let (qs, qr) = ExecCtx { pid, ep }.labels(&self.processes, &self.eps);
         let pr = &port_state.label;
 
         // Charge the label checks: linear in the entries examined (§5.6).
@@ -268,7 +259,7 @@ impl Kernel {
 
         // The message will be delivered. Fork an event process if the
         // destination is a base-owned port of an event-mode process (§6.1).
-        let (ep, is_new_ep) = match existing_ep {
+        let (ep, is_new_ep) = match ep {
             Some(eid) => (Some(eid), false),
             None if self.processes[pid.index()].ep_mode => (Some(self.create_ep(pid)), true),
             None => (None, false),
@@ -297,19 +288,9 @@ impl Kernel {
         self.last_ctx = Some(ctx);
 
         // Install the Figure 4 effect labels: `Arc` bumps, never clones.
-        match ep {
-            Some(eid) => {
-                let e = &mut self.eps[eid.index()];
-                e.send_label = new_qs;
-                e.recv_label = new_qr;
-                e.activations += 1;
-            }
-            None => {
-                let p = &mut self.processes[pid.index()];
-                p.send_label = new_qs;
-                p.recv_label = new_qr;
-            }
-        }
+        let (qs, qr, _) = ctx.state_mut(&mut self.processes, &mut self.eps);
+        *qs = new_qs;
+        *qr = new_qr;
 
         // Payload copy cost.
         self.clock.charge(

@@ -27,10 +27,6 @@ pub enum SysError {
     EventProcessForbidden,
     /// A malformed argument (unaligned memory range, zero-length region).
     InvalidArgument,
-    /// The simulator's configured resource limit was exceeded
-    /// (§8: "Asbestos does not yet deal gracefully with certain forms of
-    /// resource exhaustion" — we at least make it explicit).
-    ResourceExhausted,
 }
 
 impl fmt::Display for SysError {
@@ -41,7 +37,6 @@ impl fmt::Display for SysError {
             SysError::NotEventProcess => "operation requires event-process context",
             SysError::EventProcessForbidden => "operation forbidden in event-process context",
             SysError::InvalidArgument => "invalid argument",
-            SysError::ResourceExhausted => "resource limit exceeded",
         };
         f.write_str(msg)
     }

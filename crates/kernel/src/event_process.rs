@@ -34,8 +34,6 @@ pub struct EventProcess {
     pub delta: PageMap,
     /// Whether the event process is alive (false after `ep_exit`).
     pub alive: bool,
-    /// Number of times this event process has been scheduled.
-    pub activations: u64,
 }
 
 impl EventProcess {
@@ -52,7 +50,6 @@ impl EventProcess {
             ports: Vec::new(),
             delta: PageMap::default(),
             alive: true,
-            activations: 0,
         }
     }
 
@@ -80,7 +77,6 @@ mod tests {
         assert!(ep.ports.is_empty(), "no receive rights");
         assert!(ep.delta.is_empty(), "no private pages");
         assert!(ep.alive);
-        assert_eq!(ep.activations, 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use asbestos_labels::{Handle, HandleAllocator, HandleMap, Label, Level};
 
-use crate::ids::{EpId, ProcessId};
+use crate::ids::{EpId, ExecCtx, ProcessId};
 
 /// Accounted size of a vnode (§5.6).
 pub const VNODE_BYTES: usize = 64;
@@ -36,6 +36,13 @@ pub enum PortOwner {
     Process(ProcessId),
     /// A specific event process.
     Ep(EpId),
+}
+
+impl From<ExecCtx> for PortOwner {
+    /// A context's ports belong to its event process, if it runs in one.
+    fn from(ctx: ExecCtx) -> PortOwner {
+        ctx.ep.map_or(PortOwner::Process(ctx.pid), PortOwner::Ep)
+    }
 }
 
 /// Kernel state for a port handle.

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use asbestos_labels::{ops, Handle, Label};
 
-use crate::cycles::{Category, CostModel, CycleClock, CycleSnapshot};
+use crate::cycles::{Category, CostModel, CycleClock};
 use crate::delivery::{keep_or_wrap, DeliveryOutcome, Mailboxes};
 use crate::error::{SysError, SysResult};
 use crate::event_process::EventProcess;
@@ -95,6 +95,45 @@ impl KmemReport {
     /// Total memory in 4 KiB pages, rounded up (Figure 6's unit).
     pub fn total_pages(&self) -> usize {
         self.total_bytes().div_ceil(PAGE_SIZE)
+    }
+}
+
+impl ExecCtx {
+    /// The send and receive labels this context acts under (§6.1): its
+    /// event process's when it runs in one, else its process's. It
+    /// borrows the two tables, not the kernel, so a caller can charge the
+    /// clock while it holds the labels.
+    pub(crate) fn labels<'k>(
+        self,
+        processes: &'k [Process],
+        eps: &'k [EventProcess],
+    ) -> (&'k Arc<Label>, &'k Arc<Label>) {
+        match self.ep {
+            Some(eid) => (&eps[eid.index()].send_label, &eps[eid.index()].recv_label),
+            None => {
+                let p = &processes[self.pid.index()];
+                (&p.send_label, &p.recv_label)
+            }
+        }
+    }
+
+    /// [`ExecCtx::labels`] to write, with the ports the context holds
+    /// receive rights for (the ports its exit dissociates).
+    pub(crate) fn state_mut<'k>(
+        self,
+        processes: &'k mut [Process],
+        eps: &'k mut [EventProcess],
+    ) -> (&'k mut Arc<Label>, &'k mut Arc<Label>, &'k mut Vec<Handle>) {
+        match self.ep {
+            Some(eid) => {
+                let e = &mut eps[eid.index()];
+                (&mut e.send_label, &mut e.recv_label, &mut e.ports)
+            }
+            None => {
+                let p = &mut processes[self.pid.index()];
+                (&mut p.send_label, &mut p.recv_label, &mut p.ports)
+            }
+        }
     }
 }
 
@@ -428,10 +467,7 @@ impl Kernel {
         body: Value,
         args: &SendArgs,
     ) -> SysResult<()> {
-        let ps: &Arc<Label> = match ctx.ep {
-            Some(eid) => &self.eps[eid.index()].send_label,
-            None => &self.processes[ctx.pid.index()].send_label,
-        };
+        let (ps, _) = ctx.labels(&self.processes, &self.eps);
 
         // Charge send cost up front: base + payload + label argument
         // processing. Privilege-failing sends still did this work in the
@@ -689,14 +725,9 @@ impl Kernel {
         }
     }
 
-    /// The virtual clock.
+    /// A reading of the virtual clock, for interval measurements.
     pub fn clock(&self) -> CycleClock {
-        self.clock.clone()
-    }
-
-    /// Snapshot of the clock for interval measurements.
-    pub fn cycle_snapshot(&self) -> CycleSnapshot {
-        self.clock.snapshot()
+        self.clock
     }
 
     /// Current virtual time in cycles.

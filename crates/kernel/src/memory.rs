@@ -7,6 +7,10 @@
 //! the optimization §6.2 describes ("event processes do not keep their own
 //! page tables ... changing it in exactly those places that differ").
 //!
+//! So a frame has exactly one owner: one base page table, or one event
+//! process's delta, which copies a base page on its first write rather
+//! than sharing it. Releasing a frame frees it; nothing counts references.
+//!
 //! Frames are simulated, but their page buffers are host memory, and the
 //! host reuses them: a released frame's buffer goes to the pool's spare
 //! list, and the next frame allocated takes it — zero-filled for a fresh
@@ -30,15 +34,10 @@ pub struct FrameId(u32);
 /// A virtual page number (address divided by [`PAGE_SIZE`]).
 pub type Vpn = u64;
 
-struct Frame {
-    data: Box<[u8; PAGE_SIZE]>,
-    refcount: u32,
-}
-
 /// The pool of simulated physical frames, shared by all address spaces.
 #[derive(Default)]
 pub struct FramePool {
-    frames: Vec<Option<Frame>>,
+    frames: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     free: Vec<FrameId>,
     /// Page buffers of released frames, for the next allocations (host
     /// memory; never counted as frames).
@@ -58,8 +57,8 @@ impl FramePool {
         self.in_use
     }
 
-    /// Allocates a zeroed frame with refcount 1, on a spare page buffer
-    /// if there is one (zero-filled first).
+    /// Allocates a zeroed frame, on a spare page buffer if there is one
+    /// (zero-filled first).
     pub fn alloc_zeroed(&mut self) -> FrameId {
         let data = match self.spare.pop() {
             Some(mut page) => {
@@ -71,76 +70,55 @@ impl FramePool {
         self.alloc(data)
     }
 
-    /// Allocates a frame holding a copy of `src`, refcount 1, on a spare
-    /// page buffer if there is one (overwritten whole).
+    /// Allocates a frame holding a copy of `src`, on a spare page buffer
+    /// if there is one (overwritten whole).
     pub fn alloc_copy_of(&mut self, src: FrameId) -> FrameId {
         let data = match self.spare.pop() {
             Some(mut page) => {
-                page.copy_from_slice(&self.frame(src).data[..]);
+                page.copy_from_slice(&self.frame(src)[..]);
                 page
             }
-            None => self.frame(src).data.clone(),
+            None => Box::new(*self.frame(src)),
         };
         self.alloc(data)
     }
 
     fn alloc(&mut self, data: Box<[u8; PAGE_SIZE]>) -> FrameId {
         self.in_use += 1;
-        let frame = Frame { data, refcount: 1 };
         if let Some(id) = self.free.pop() {
-            self.frames[id.0 as usize] = Some(frame);
+            self.frames[id.0 as usize] = Some(data);
             id
         } else {
-            self.frames.push(Some(frame));
+            self.frames.push(Some(data));
             FrameId((self.frames.len() - 1) as u32)
         }
     }
 
-    /// Increments a frame's refcount (a new page-table reference).
-    pub fn retain(&mut self, id: FrameId) {
-        self.frame_mut(id).refcount += 1;
-    }
-
-    /// Drops one reference; frees the frame when the count reaches zero,
-    /// keeping its page buffer for the next allocation.
+    /// Frees a frame, keeping its page buffer for the next allocation.
     pub fn release(&mut self, id: FrameId) {
-        let f = self.frame_mut(id);
-        f.refcount -= 1;
-        if f.refcount == 0 {
-            let frame = self.frames[id.0 as usize].take().expect("live frame");
-            self.spare.push(frame.data);
-            self.free.push(id);
-            self.in_use -= 1;
-        }
-    }
-
-    /// Current refcount (test observability).
-    pub fn refcount(&self, id: FrameId) -> u32 {
-        self.frame(id).refcount
+        let data = self.frames[id.0 as usize].take().expect("live frame");
+        self.spare.push(data);
+        self.free.push(id);
+        self.in_use -= 1;
     }
 
     /// Reads bytes from a frame.
     pub fn read(&self, id: FrameId, offset: usize, out: &mut [u8]) {
-        out.copy_from_slice(&self.frame(id).data[offset..offset + out.len()]);
+        out.copy_from_slice(&self.frame(id)[offset..offset + out.len()]);
     }
 
-    /// Writes bytes into a frame. Caller must hold the only reference.
+    /// Writes bytes into a frame (its one owner's write).
     pub fn write(&mut self, id: FrameId, offset: usize, data: &[u8]) {
-        debug_assert_eq!(
-            self.frame(id).refcount,
-            1,
-            "writes require an exclusively owned frame (COW must copy first)"
-        );
-        self.frame_mut(id).data[offset..offset + data.len()].copy_from_slice(data);
+        self.frame_mut(id)[offset..offset + data.len()].copy_from_slice(data);
     }
 
-    fn frame(&self, id: FrameId) -> &Frame {
+    fn frame(&self, id: FrameId) -> &[u8; PAGE_SIZE] {
         self.frames[id.0 as usize]
             .as_ref()
             .expect("frame id refers to a live frame")
     }
 
-    fn frame_mut(&mut self, id: FrameId) -> &mut Frame {
+    fn frame_mut(&mut self, id: FrameId) -> &mut [u8; PAGE_SIZE] {
         self.frames[id.0 as usize]
             .as_mut()
             .expect("frame id refers to a live frame")
@@ -282,18 +260,6 @@ mod tests {
         assert_eq!(page, want);
         // Spare buffers are not frames.
         assert_eq!(pool.frames_in_use(), 2);
-    }
-
-    #[test]
-    fn refcount_sharing() {
-        let mut pool = FramePool::new();
-        let f = pool.alloc_zeroed();
-        pool.retain(f);
-        assert_eq!(pool.refcount(f), 2);
-        pool.release(f);
-        assert_eq!(pool.frames_in_use(), 1);
-        pool.release(f);
-        assert_eq!(pool.frames_in_use(), 0);
     }
 
     #[test]

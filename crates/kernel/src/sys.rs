@@ -13,7 +13,6 @@ use asbestos_labels::{Handle, Label, Level};
 use crate::cycles::Category;
 use crate::delivery::keep_or_wrap;
 use crate::error::{SysError, SysResult};
-use crate::handle_table::PortOwner;
 use crate::ids::{ExecCtx, ProcessId};
 use crate::kernel::Kernel;
 use crate::memory::{page_segments, PAGE_SIZE};
@@ -107,7 +106,8 @@ impl<'k> Sys<'k> {
             .charge(Category::KernelIpc, self.kernel.cost.new_handle);
         // `make_mut` takes a private copy only when the storage is shared
         // (with an event process or a queued message).
-        Arc::make_mut(self.send_slot()).set(h, Level::Star);
+        let (send, _, _) = self.state_mut();
+        Arc::make_mut(send).set(h, Level::Star);
         h
     }
 
@@ -116,16 +116,13 @@ impl<'k> Sys<'k> {
     /// Per Figure 4 the kernel stores `label` with `p_R(p) ← 0` applied and
     /// sets `P_S(p) ← ⋆`, so initially nobody else can send to the port.
     pub fn new_port(&mut self, label: Label) -> Handle {
-        let owner = match self.ctx.ep {
-            Some(eid) => PortOwner::Ep(eid),
-            None => PortOwner::Process(self.ctx.pid),
-        };
-        let p = self.kernel.handles.new_port(label, owner);
+        let p = self.kernel.handles.new_port(label, self.ctx.into());
         self.kernel
             .clock
             .charge(Category::KernelIpc, self.kernel.cost.new_port);
-        Arc::make_mut(self.send_slot()).set(p, Level::Star);
-        self.ports_slot().push(p);
+        let (send, _, ports) = self.state_mut();
+        Arc::make_mut(send).set(p, Level::Star);
+        ports.push(p);
         p
     }
 
@@ -159,23 +156,27 @@ impl<'k> Sys<'k> {
     pub fn dissociate_port(&mut self, port: Handle) -> SysResult<()> {
         self.check_port_owner(port)?;
         self.kernel.handles.dissociate(port);
-        self.ports_slot().retain(|&p| p != port);
+        let (_, _, ports) = self.state_mut();
+        ports.retain(|&p| p != port);
         Ok(())
     }
 
     /// The caller's current send label `P_S`.
     pub fn send_label(&self) -> Label {
-        Label::clone(self.send_ref())
+        let (send, _) = self.labels();
+        Label::clone(send)
     }
 
     /// The caller's current receive label `P_R`.
     pub fn recv_label(&self) -> Label {
-        Label::clone(self.recv_ref())
+        let (_, recv) = self.labels();
+        Label::clone(recv)
     }
 
     /// `P_S(h)`: one level of the caller's send label, read in place.
     pub fn send_level(&self, h: Handle) -> Level {
-        self.send_ref().get(h)
+        let (send, _) = self.labels();
+        send.get(h)
     }
 
     /// Whether the caller holds declassification privilege for `h`.
@@ -188,7 +189,7 @@ impl<'k> Sys<'k> {
     /// variant of the send system call" for discarding `⋆` levels, since
     /// `max(⋆, ℓ) = ℓ`.
     pub fn self_contaminate(&mut self, label: &Label) {
-        let slot = self.send_slot();
+        let (slot, _, _) = self.state_mut();
         let raised = keep_or_wrap(slot, slot.join(label));
         *slot = raised;
     }
@@ -197,7 +198,7 @@ impl<'k> Sys<'k> {
     /// process more restrictive requires no privilege (§5.2's targeted
     /// exclusion policies use this).
     pub fn lower_recv_label(&mut self, label: &Label) {
-        let slot = self.recv_slot();
+        let (_, slot, _) = self.state_mut();
         let lowered = keep_or_wrap(slot, slot.meet(label));
         *slot = lowered;
     }
@@ -206,13 +207,15 @@ impl<'k> Sys<'k> {
     /// (raising receive labels makes the system more permissive, §5.2, and
     /// is self-decontamination in Figure 4's terms).
     pub fn raise_recv(&mut self, h: Handle, level: Level) -> SysResult<()> {
-        if level <= self.recv_ref().get(h) {
+        let (_, recv) = self.labels();
+        if level <= recv.get(h) {
             return Ok(());
         }
         if !self.has_star(h) {
             return Err(SysError::PrivilegeViolation);
         }
-        Arc::make_mut(self.recv_slot()).set(h, level);
+        let (_, recv, _) = self.state_mut();
+        Arc::make_mut(recv).set(h, level);
         Ok(())
     }
 
@@ -435,40 +438,15 @@ impl<'k> Sys<'k> {
     // Internals.
     // ------------------------------------------------------------------
 
-    fn send_ref(&self) -> &Arc<Label> {
-        match self.ctx.ep {
-            Some(eid) => &self.kernel.eps[eid.index()].send_label,
-            None => &self.kernel.processes[self.ctx.pid.index()].send_label,
-        }
+    /// The caller's labels ([`ExecCtx::labels`]).
+    fn labels(&self) -> (&Arc<Label>, &Arc<Label>) {
+        self.ctx.labels(&self.kernel.processes, &self.kernel.eps)
     }
 
-    fn recv_ref(&self) -> &Arc<Label> {
-        match self.ctx.ep {
-            Some(eid) => &self.kernel.eps[eid.index()].recv_label,
-            None => &self.kernel.processes[self.ctx.pid.index()].recv_label,
-        }
-    }
-
-    fn send_slot(&mut self) -> &mut Arc<Label> {
-        match self.ctx.ep {
-            Some(eid) => &mut self.kernel.eps[eid.index()].send_label,
-            None => &mut self.kernel.processes[self.ctx.pid.index()].send_label,
-        }
-    }
-
-    /// The caller's port list: the ports its exit dissociates.
-    fn ports_slot(&mut self) -> &mut Vec<Handle> {
-        match self.ctx.ep {
-            Some(eid) => &mut self.kernel.eps[eid.index()].ports,
-            None => &mut self.kernel.processes[self.ctx.pid.index()].ports,
-        }
-    }
-
-    fn recv_slot(&mut self) -> &mut Arc<Label> {
-        match self.ctx.ep {
-            Some(eid) => &mut self.kernel.eps[eid.index()].recv_label,
-            None => &mut self.kernel.processes[self.ctx.pid.index()].recv_label,
-        }
+    /// The caller's labels and receive rights, to write.
+    fn state_mut(&mut self) -> (&mut Arc<Label>, &mut Arc<Label>, &mut Vec<Handle>) {
+        self.ctx
+            .state_mut(&mut self.kernel.processes, &mut self.kernel.eps)
     }
 
     fn check_port_owner(&self, port: Handle) -> SysResult<()> {
@@ -477,11 +455,7 @@ impl<'k> Sys<'k> {
             .handles
             .port(port)
             .ok_or(SysError::NotPortOwner)?;
-        let me = match self.ctx.ep {
-            Some(eid) => PortOwner::Ep(eid),
-            None => PortOwner::Process(self.ctx.pid),
-        };
-        if state.owner == me {
+        if state.owner == self.ctx.into() {
             Ok(())
         } else {
             Err(SysError::NotPortOwner)

@@ -3,14 +3,16 @@
 //!
 //! The oracle is a pair of byte maps (base contents, EP overlay); the
 //! system under test is the real COW machinery (base page table, EP delta,
-//! frame pool) driven through the syscall surface.
+//! frame pool) driven through the syscall surface. The frame pool's count
+//! is checked against the model too: one frame per base page and per
+//! private page, and none once the process is gone.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::sync::Mutex;
 
 use asbestos_kernel::util::ep_service_fn;
-use asbestos_kernel::{Category, Kernel, Label, Value};
+use asbestos_kernel::{Category, Kernel, Label, Value, PAGE_SIZE};
 use proptest::prelude::*;
 
 /// One memory operation.
@@ -89,6 +91,12 @@ impl Oracle {
     fn private_pages(&self) -> usize {
         self.overlay.len()
     }
+
+    /// Distinct pages the base process wrote.
+    fn base_pages(&self) -> usize {
+        let pages: BTreeSet<u64> = self.base.keys().map(|a| a / 4096).collect();
+        pages.len()
+    }
 }
 
 /// Runs the op sequence through a real event process and the oracle.
@@ -111,7 +119,7 @@ fn run_case(base_writes: Vec<(u64, Vec<u8>)>, ops: Vec<MemOp>) {
     let ops2 = ops_cell.clone();
     let fail2 = failures.clone();
     let pages2 = pages.clone();
-    kernel.spawn_ep_service(
+    let pid = kernel.spawn_ep_service(
         "mem",
         Category::Other,
         ep_service_fn(
@@ -174,6 +182,14 @@ fn run_case(base_writes: Vec<(u64, Vec<u8>)>, ops: Vec<MemOp>) {
         oracle.private_pages(),
         "private page count"
     );
+    // Every frame has one owner: the base table or the EP's delta.
+    assert_eq!(
+        kernel.kmem_report().user_frame_bytes,
+        (oracle.base_pages() + oracle.private_pages()) * PAGE_SIZE,
+        "frames in use"
+    );
+    kernel.kill_process(pid);
+    assert_eq!(kernel.kmem_report().user_frame_bytes, 0, "frames leaked");
 }
 
 /// Observations captured inside the handler (encoded without serde to keep

@@ -247,8 +247,7 @@ fn head_len(status: u16, reason: &str, body_len: usize) -> usize {
 /// The buffer is allocated once, at its exact final size, and written in
 /// place — the single payload materialization and the single allocation
 /// on a worker's response path; every later hop (OKWS → netd → substrate)
-/// moves the refcount. The body can be re-extracted as a shared slice
-/// with [`response_body`].
+/// moves the refcount.
 ///
 /// With the default server headers and a 11-byte body this produces exactly
 /// the paper's 144-byte benchmark response (133 bytes of headers).
@@ -277,16 +276,6 @@ pub fn build_response(status: u16, reason: &str, body: &[u8]) -> Payload {
 /// Convenience: `200 OK` with the given body.
 pub fn ok_response(body: &[u8]) -> Payload {
     build_response(200, "OK", body)
-}
-
-/// The body of a built response, as a zero-copy slice sharing the
-/// response's buffer (e.g. for caching a served body without rebuilding
-/// or copying it).
-pub fn response_body(response: &Payload) -> Payload {
-    match response.windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(head) => response.slice(head + 4..response.len()),
-        None => response.slice(0..0),
-    }
 }
 
 #[cfg(test)]
@@ -357,18 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn build_is_one_materialization_and_body_slice_is_shared() {
+    fn build_is_one_materialization() {
         let before = Payload::deep_copies();
-        let resp = build_response(200, "OK", b"hello world");
+        let _response = build_response(200, "OK", b"hello world");
         assert_eq!(
             Payload::deep_copies(),
             before + 1,
             "one exact-capacity buffer, written once"
         );
-        let body = response_body(&resp);
-        assert_eq!(&body[..], b"hello world");
-        assert_eq!(body.backing_id(), resp.backing_id(), "zero-copy slice");
-        assert_eq!(Payload::deep_copies(), before + 1);
     }
 
     #[test]

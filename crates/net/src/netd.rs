@@ -167,15 +167,6 @@ impl Netd {
                     s.taint = Some(taint);
                 }
             }
-            NetMsg::Select { reply } => {
-                sys.charge(NETD_EVENT_CYCLES);
-                let available = self.net.borrow().server_pending(conn) as u64;
-                let _ = sys.send_args(
-                    reply,
-                    NetMsg::SelectR { available }.to_value(),
-                    &reply_args(),
-                );
-            }
             NetMsg::Close => {
                 sys.charge(NETD_EVENT_CYCLES);
                 // Mark closed; buffered response bytes stay readable by the

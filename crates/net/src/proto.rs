@@ -58,11 +58,6 @@ pub enum NetMsg {
     },
     /// Close the connection (CONTROL).
     Close,
-    /// Ask for pending input bytes; netd replies `SelectR` to `reply`.
-    Select {
-        /// Reply port.
-        reply: Handle,
-    },
 
     // -------------------- netd → application --------------------
     /// New connection announcement; netd grants the receiver `port ⋆`.
@@ -75,11 +70,6 @@ pub enum NetMsg {
         /// Data read (a refcounted view of the NIC buffer; the bytes
         /// were written once, at the substrate edge).
         bytes: Payload,
-    },
-    /// Select reply: pending input bytes.
-    SelectR {
-        /// Bytes available to read.
-        available: u64,
     },
 }
 
@@ -95,10 +85,8 @@ impl NetMsg {
             NetMsg::Write { bytes } => Value::message("write", &[bytes]),
             NetMsg::AddTaint { taint } => Value::message("add-taint", &[taint]),
             NetMsg::Close => Value::message("close", &[]),
-            NetMsg::Select { reply } => Value::message("select", &[reply]),
             NetMsg::NewConn { port } => Value::message("new-conn", &[port]),
             NetMsg::ReadR { bytes } => Value::message("read-r", &[bytes]),
-            NetMsg::SelectR { available } => Value::message("select-r", &[available]),
         }
     }
 
@@ -122,12 +110,8 @@ impl NetMsg {
             "write" => NetMsg::Write { bytes: f.field()? },
             "add-taint" => NetMsg::AddTaint { taint: f.field()? },
             "close" => NetMsg::Close,
-            "select" => NetMsg::Select { reply: f.field()? },
             "new-conn" => NetMsg::NewConn { port: f.field()? },
             "read-r" => NetMsg::ReadR { bytes: f.field()? },
-            "select-r" => NetMsg::SelectR {
-                available: f.field()?,
-            },
             _ => return None,
         };
         f.end(msg)
@@ -165,12 +149,10 @@ mod tests {
             },
             NetMsg::AddTaint { taint: h },
             NetMsg::Close,
-            NetMsg::Select { reply: h },
             NetMsg::NewConn { port: h },
             NetMsg::ReadR {
                 bytes: vec![9].into(),
             },
-            NetMsg::SelectR { available: 5 },
         ];
         for msg in msgs {
             assert_eq!(NetMsg::from_value(&msg.to_value()), Some(msg));
@@ -199,8 +181,13 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert_eq!(NetMsg::from_value(&Value::Unit), None);
+        // Unknown tags; `select` is not a netd message either.
         assert_eq!(
             NetMsg::from_value(&Value::List(vec![Value::Str("bogus".into())])),
+            None
+        );
+        assert_eq!(
+            NetMsg::from_value(&Value::message("select", &[&Handle::from_raw(0x42)])),
             None
         );
         // Out-of-range TCP port.

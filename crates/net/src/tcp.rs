@@ -117,14 +117,6 @@ impl SimNet {
         }
     }
 
-    /// Server side: pending request bytes (SELECT's answer).
-    pub fn server_pending(&self, conn: ConnId) -> usize {
-        self.conns
-            .get(&conn)
-            .map(|c| c.client_to_server.len())
-            .unwrap_or(0)
-    }
-
     /// Marks a connection closed (either side).
     pub fn close(&mut self, conn: ConnId) {
         if let Some(c) = self.conns.get_mut(&conn) {
@@ -156,10 +148,10 @@ mod tests {
     fn open_carries_request() {
         let mut net = SimNet::new();
         let c = net.client_open(80, b"GET / HTTP/1.0\r\n\r\n");
-        assert_eq!(net.server_pending(c), 18);
+        assert_eq!(net.server_peek(c, usize::MAX).len(), 18);
         let got = net.server_read(c, 4);
         assert_eq!(&got[..], b"GET ");
-        assert_eq!(net.server_pending(c), 14);
+        assert_eq!(net.server_peek(c, usize::MAX).len(), 14);
     }
 
     #[test]

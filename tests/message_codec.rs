@@ -109,12 +109,10 @@ fn net_messages_decode_exactly() {
         },
         NetMsg::AddTaint { taint: h(3) },
         NetMsg::Close,
-        NetMsg::Select { reply: h(4) },
         NetMsg::NewConn { port: h(5) },
         NetMsg::ReadR {
             bytes: Payload::new(),
         },
-        NetMsg::SelectR { available: 9 },
     ];
     check(&fixtures, NetMsg::to_value, NetMsg::from_value);
 }
